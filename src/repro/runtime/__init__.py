@@ -16,7 +16,8 @@ This package is the harness the paper's evaluation is built on:
   harness behind the resilience test tier.
 """
 
-from repro.runtime.arena import BufferArena, StepCapture
+from repro.runtime.capture import StepCapture
+from repro.tensor.arena import BufferArena
 from repro.runtime.trainer import (AttentionConfig, CaptureConfig, FineTuner,
                                    PhaseTimings, TrainingConfig, TrainingReport)
 from repro.runtime.profiler import PhaseProfiler

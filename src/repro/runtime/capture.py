@@ -1,4 +1,4 @@
-"""Steady-state step capture: buffer arena + planned tape replay.
+"""Steady-state step capture: record one step, then replay it.
 
 PEFT fine-tuning is a steady-state workload — thousands of steps with
 bit-identical shapes — yet every step of the seed runtime rebuilt the Python
@@ -8,50 +8,40 @@ steady state, CUDA-graph-style, for the NumPy tape:
 
 1. **warm-up** — the first step(s) run exactly as before (one-time caches:
    geometry, causal masks, packed probe weights).
-2. **capture** — the next step runs with the :class:`BufferArena` installed
-   (every allocation seam takes recycled buffers; on this step they are all
-   fresh) and the tensor tape recording creation order.  The backward pass
-   runs its ordinary DFS once and records the processed schedule as a
-   :class:`~repro.tensor.tensor.TapePlan` — tape positions for interior
-   nodes, direct references for persistent leaves, plus the full parent
-   wiring for validation.
-3. **replay** — subsequent steps reuse the plan: the topological re-sort is
-   skipped (the recorded schedule is validated against the new tape with
-   cheap integer/identity checks and then executed), and every arena take
-   hits the pool, so the steady-state allocation count is zero.  The
-   replayed order *is* the recorded DFS order, so captured and uncaptured
-   execution are bitwise identical (locked by the parity suite).
-4. **invalidation** — a signature change (input shape/dtype, label shape,
-   fused-kernel toggle, loss scale) or a plan validation failure falls back
-   to the uncaptured path for that backward and triggers exactly one
-   re-capture, mirroring how a sequence-length change forces a predictor
-   refresh in the PR-3 scheduler.
+2. **capture + compile** — the next step runs with the
+   :class:`~repro.tensor.arena.BufferArena` installed, the tensor tape
+   recording creation order and a
+   :class:`~repro.tensor.plan.ForwardRecorder` collecting one replay thunk
+   per forward kernel over buffers bound exactly once.  The backward runs
+   its ordinary DFS once, records the processed schedule as a
+   :class:`~repro.tensor.tensor.TapePlan`, and keeps the graph alive.
+3. **replay** — a steady-state step is **stage inputs → run the flat
+   ForwardPlan → execute the retained backward schedule → optimizer tail**:
+   the Python autograd graph was built exactly once, at capture, and every
+   arena take hits the pool, so the step allocates nothing.  The replayed
+   order *is* the recorded order over the same buffers, so captured and
+   uncaptured execution are bitwise identical (locked by the parity suite).
+4. **invalidate / degrade** — a signature change (input shape/dtype, label
+   shape, kernel toggles, loss scale) drops both plans and triggers exactly
+   one re-capture.  A step whose forward cannot be compiled — reference
+   kernels, a sparsity-mask refresh due, a recorder veto or coverage gap
+   (every graph node built must be recorded or noted as a view), a replay
+   that raised — degrades to *backward-only replay*: the forward runs
+   interpreted over recycled arena buffers and only the backward's
+   topological re-sort is skipped (the recorded schedule is validated
+   against the new tape with cheap integer/identity checks first).  The
+   degradation is selected from what the step observes, never from an
+   option, and its reason is kept in ``full_fail_reason``.
 
-On top of the backward-only tape replay, the *full-step compiler* (PR 6)
-records the forward's kernel calls as well: during a captured step the
-trainer installs a :class:`~repro.tensor.plan.ForwardRecorder`, every
-instrumented op seam contributes a replay thunk over buffers bound exactly
-once, and the backward runs with ``retain_graph=True`` so its validated
-schedule survives the step.  A steady-state step then becomes **stage inputs
-→ run the flat ForwardPlan → execute the retained backward schedule →
-optimizer tail**, with the Python autograd graph built exactly once, at
-capture, and never touched during replay.  Coverage is checked (every graph
-node built must be recorded or noted as a view); any gap falls back to the
-PR-5 backward-only capture.  Full-plan buffers are plain allocations — never
-arena takes — so generation recycling cannot reclaim live plan state, and
-the backward's arena discipline (zero steady-state allocations) is
-unchanged.
+Full-plan buffers are plain allocations — never arena takes — so generation
+recycling cannot reclaim live plan state.
 
 Contract: capture mode assumes the standard training-step shape — gradients
 are consumed and zeroed within the step, and no Tensor from step ``N`` is
 read at step ``N + 1`` (the arena recycles step ``N``'s buffers wholesale).
 User-level ``retain_graph=True`` double-backwards are not supported while
-capturing (the full-step compiler's internal graph retention is not a
-double backward: each retained schedule is executed once per step).
-
-The shape/dtype-keyed :class:`BufferArena` itself lives in
-:mod:`repro.tensor.arena` (the lowest layer, importable by the tensor core
-without cycles) and is re-exported here, which is the public entry point.
+capturing (the compiler's internal graph retention is not a double backward:
+each retained schedule is executed once per step).
 """
 
 from __future__ import annotations
@@ -67,13 +57,7 @@ from repro.tensor.arena import BufferArena
 from repro.tensor.plan import ForwardPlan, ForwardRecorder
 from repro.tensor.tensor import PlanMismatchError, TapePlan, Tensor
 
-__all__ = [
-    "BufferArena",
-    "ForwardPlan",
-    "ForwardRecorder",
-    "PlanMismatchError",
-    "StepCapture",
-]
+__all__ = ["PlanMismatchError", "StepCapture"]
 
 
 class StepCapture:
@@ -113,6 +97,9 @@ class StepCapture:
         self.warmup_steps = int(warmup_steps)
         self.max_failures = int(max_failures)
         # Counters (surfaced as profiler gauges by the trainer).
+        # ``replay_steps`` counts steps whose backward ran a recorded
+        # schedule; ``full_replays`` is the subset that also replayed the
+        # compiled forward.
         self.steps = 0
         self.captures = 0
         self.recaptures = 0
@@ -206,17 +193,28 @@ class StepCapture:
         _tensor_module.set_tape(self.tape)
         self._step_open = True
 
-    def run_backward(self, loss: Tensor, grad=None) -> None:
-        """Backward through the capture machinery (replay / record / plain)."""
+    def _count_replay(self, full: bool = False) -> None:
+        """The one place a replayed step is counted, whichever tier ran it."""
+        self.replay_steps += 1
+        if full:
+            self.full_replays += 1
+        self._replay_streak += 1
+        self._replays_since_capture += 1
+        if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
+            self._failures = 0
+
+    def run_backward(self, loss: Tensor, grad=None, retain: bool = False):
+        """This step's backward: replay the recorded schedule, record one on a
+        capture step, or run the plain pass.
+
+        With ``retain=True`` the graph is kept alive and the validated
+        schedule — the node sequence every compiled step re-executes — is
+        returned (None when no plan could be used or recorded).
+        """
         if self.state == self.REPLAY and self.plan is not None:
             try:
-                loss.backward(grad, tape=self.tape, plan=self.plan)
-                self.replay_steps += 1
-                self._replay_streak += 1
-                self._replays_since_capture += 1
-                if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
-                    self._failures = 0
-                return
+                loss.backward(grad, tape=self.tape, plan=self.plan,
+                              retain_graph=retain)
             except PlanMismatchError:
                 # Validation failed *before* any gradient was touched: fall
                 # through to an ordinary recording pass on this very step.
@@ -228,22 +226,29 @@ class StepCapture:
                 self._failures += 1
                 self._replay_streak = 0
                 self.plan = None
-                self.drop_full_plan(fallback=True)
+                self.drop_full_plan("backward plan mismatch")
                 self.state = (self.OFF if self._failures >= self.max_failures
                               else self.CAPTURE)
+            else:
+                self._count_replay()
+                return (loss._validated_schedule(self.tape, self.plan)
+                        if retain else None)
         if self.state == self.CAPTURE and self.tape is not None:
-            plan = loss.backward(grad, tape=self.tape, record=True)
+            plan = loss.backward(grad, tape=self.tape, record=True,
+                                 retain_graph=retain)
             if plan is None:
                 self._failures += 1
                 if self._failures >= self.max_failures:
                     self.state = self.OFF
-            else:
-                self.plan = plan
-                self.captures += 1
-                self.state = self.REPLAY
-                self._replays_since_capture = 0
-            return
-        loss.backward(grad)
+                return None
+            self.plan = plan
+            self.captures += 1
+            self.state = self.REPLAY
+            self._replays_since_capture = 0
+            return (loss._validated_schedule(self.tape, plan)
+                    if retain else None)
+        loss.backward(grad, retain_graph=retain)
+        return None
 
     def end_step(self) -> None:
         """Leave the step: detach the arena/tape, roll the state machine."""
@@ -306,7 +311,7 @@ class StepCapture:
         return rec
 
     def abort_full_capture(self) -> None:
-        """Uninstall the recorder after a failed forward (exception path)."""
+        """Uninstall the recorder (idempotent; also the failed-forward path)."""
         if self._recorder is not None:
             self._recorder = None
             _tensor_plan.set_recorder(None)
@@ -318,21 +323,17 @@ class StepCapture:
         ``root`` is the backward root (the scaled loss); ``loss`` is the
         unscaled loss tensor whose plan buffer replays read the step's loss
         value from.  Returns True when the full plan is installed; on a
-        coverage gap the step degrades to the ordinary PR-5 capture/replay
-        backward and False is returned.
+        recorder veto or coverage gap the step degrades to the backward-only
+        capture/replay and False is returned.
         """
         rec = self._recorder
-        self._recorder = None
-        _tensor_plan.set_recorder(None)
-        if rec is None:
-            self.run_backward(root)
-            return False
+        self.abort_full_capture()
         if not rec.ok():
             self._full_failures += 1
             self.full_fail_reason = rec.fail_reason
             self.run_backward(root)
             return False
-        schedule = self._backward_retained(root)
+        schedule = self.run_backward(root, retain=True)
         if schedule is None:
             self._full_failures += 1
             self.full_fail_reason = "backward schedule not capturable"
@@ -347,79 +348,37 @@ class StepCapture:
         self._full_failures = 0
         return True
 
-    def _backward_retained(self, root: Tensor):
-        """This step's backward, keeping the graph alive for later replays.
-
-        Mirrors :meth:`run_backward`'s accounting exactly (replay / record /
-        fallback), but executes with ``retain_graph=True`` and returns the
-        validated schedule — the node sequence every compiled step will
-        re-execute.  Returns None when no plan could be used or recorded.
-        """
-        if self.state == self.REPLAY and self.plan is not None:
-            try:
-                schedule = root._validated_schedule(self.tape, self.plan)
-            except PlanMismatchError:
-                self.fallbacks += 1
-                self._failures += 1
-                self._replay_streak = 0
-                self.plan = None
-                self.state = (self.OFF if self._failures >= self.max_failures
-                              else self.CAPTURE)
-            else:
-                root._execute_backward(schedule, np.ones_like(root.data),
-                                       True, True)
-                self.replay_steps += 1
-                self._replay_streak += 1
-                self._replays_since_capture += 1
-                if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
-                    self._failures = 0
-                return schedule
-        if self.state == self.CAPTURE and self.tape is not None:
-            plan = root.backward(tape=self.tape, record=True,
-                                 retain_graph=True)
-            if plan is None:
-                self._failures += 1
-                if self._failures >= self.max_failures:
-                    self.state = self.OFF
-                return None
-            self.plan = plan
-            self.captures += 1
-            self.state = self.REPLAY
-            self._replays_since_capture = 0
-            return root._validated_schedule(self.tape, plan)
-        root.backward(retain_graph=True)
-        return None
-
-    def replay_full_forward(self, threads: int = 1) -> None:
+    def replay_full_forward(self) -> None:
         """Run the compiled forward plan (caller staged the inputs first)."""
-        self.forward_plan.run(threads)
+        self.forward_plan.run()
 
     def replay_full_backward(self) -> None:
         """Execute the retained backward schedule over the refreshed buffers."""
         self.full_root._execute_backward(self.full_schedule, self.full_seed,
                                          False, True)
-        self.full_replays += 1
+        self._count_replay(full=True)
 
     def full_loss_value(self) -> float:
         """The (unscaled) loss of the last full replay."""
         return float(self.full_loss.data)
 
-    def drop_full_plan(self, fallback: bool = False) -> None:
-        """Invalidate the compiled full-step plan (idempotent)."""
+    def drop_full_plan(self, reason: str = "") -> None:
+        """Invalidate the compiled full-step plan (idempotent).
+
+        A non-empty ``reason`` marks the drop as a fallback — a live plan
+        that could not be replayed — and is kept in ``full_fail_reason``.
+        """
         if getattr(self, "forward_plan", None) is None:
             return
-        try:
-            self.forward_plan.close()
-        except Exception:
-            pass
         self.forward_plan = None
         self.full_schedule = None
         self.full_root = None
         self.full_loss = None
         self.full_seed = None
         self.full_layout_state = None
-        if fallback:
-            self.full_fallbacks = getattr(self, "full_fallbacks", 0) + 1
+        if reason:
+            self.full_fallbacks += 1
+            self.full_fail_reason = reason
 
     def retire(self) -> None:
         """Drop every plan and release the arena pool (terminal, idempotent).

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -21,39 +20,33 @@ import numpy as np
 from repro.nn import Module
 from repro.optim import Adam, GradScaler, MixedPrecisionConfig, clip_grad_norm
 from repro.optim.base import Optimizer
-from repro.runtime.arena import StepCapture
+from repro.runtime.capture import StepCapture
 from repro.runtime.profiler import PhaseProfiler
 from repro.tensor import fused
 
 
 @dataclass
 class CaptureConfig:
-    """Steady-state step capture and full-step compilation knobs.
+    """Steady-state step capture (see :mod:`repro.runtime.capture`).
 
-    * ``enabled`` — after ``warmup`` uncaptured steps, record the tape's
-      execution schedule and buffer population, then replay subsequent steps
-      through recycled buffers with the topological re-sort skipped (see
-      :mod:`repro.runtime.arena`).  Bitwise identical to the uncaptured
-      path; a shape change triggers exactly one re-capture.
-    * ``compile_full_step`` — requires capture: during a captured step the
-      forward's kernel calls are additionally recorded into a flat
-      ForwardPlan and the backward schedule is retained, so steady-state
-      steps replay forward + backward + optimizer tail without building a
-      single Python graph node.  Steps where the sparsity engine is due to
-      refresh its masks run interpreted through the backward-only replay.
-    * ``executor_threads`` — thread count for the dependency-levelled
-      forward executor.  1 replays the recorded kernel order — bitwise
-      identical to the interpreted step.  >1 dispatches each dependency
-      level across a thread pool (NumPy releases the GIL inside BLAS);
-      entries on one level never read each other's output, so results are
-      value-identical, but cross-entry accumulation order is not pinned —
-      the bitwise contract holds only at ``executor_threads=1``.
+    With ``enabled``, after ``warmup`` uncaptured steps the tuner records one
+    step — forward kernel calls, backward schedule, buffer population — and
+    replays it: steady-state steps run forward + backward + optimizer tail
+    through recycled buffers without building a single Python graph node,
+    bitwise identical to the uncaptured path.  A shape change triggers
+    exactly one re-capture.  Steps that cannot replay the compiled forward
+    (reference kernels, a sparsity-mask refresh due, an op with no replay
+    form) run it interpreted and replay only the backward schedule; which
+    one a step gets is decided from what the step observes, not configured.
     """
 
     enabled: bool = False
     warmup: int = 1
-    compile_full_step: bool = False
-    executor_threads: int = 1
+    # The plan runs its thunks in recorded order on the calling thread.  Not
+    # a field and read by nothing in the package: a self-test under
+    # benchmarks/e2e/ (frozen by BENCHMARK.json) reads this name back, and
+    # the constant goes when that assertion does.
+    executor_threads = 1
 
 
 @dataclass
@@ -82,20 +75,6 @@ class AttentionConfig:
     fused_kernels: Optional[bool] = None
 
 
-# Legacy flat TrainingConfig kwargs -> (nested group, attribute).  Kept
-# working through the compat constructor and the property aliases installed
-# below; new code should set the nested dataclasses directly.
-_LEGACY_TRAINING_KWARGS = {
-    "capture_steps": ("capture", "enabled"),
-    "capture_warmup": ("capture", "warmup"),
-    "compile_full_step": ("capture", "compile_full_step"),
-    "executor_threads": ("capture", "executor_threads"),
-    "streaming_attention": ("attention", "streaming"),
-    "streaming_tile": ("attention", "streaming_tile"),
-    "fused_kernels": ("attention", "fused_kernels"),
-}
-
-
 @dataclass
 class TrainingConfig:
     """Hyper-parameters of the fine-tuning loop.
@@ -103,16 +82,8 @@ class TrainingConfig:
     The capture/compiler and attention-routing toggles live in the nested
     :class:`CaptureConfig` and :class:`AttentionConfig` groups::
 
-        TrainingConfig(capture=CaptureConfig(enabled=True,
-                                             compile_full_step=True),
+        TrainingConfig(capture=CaptureConfig(enabled=True),
                        attention=AttentionConfig(streaming=True))
-
-    The pre-grouping flat keyword arguments (``capture_steps``,
-    ``capture_warmup``, ``compile_full_step``, ``executor_threads``,
-    ``streaming_attention``, ``streaming_tile``) are still accepted — they
-    are forwarded into the nested groups with a :class:`DeprecationWarning`
-    — and remain readable/assignable through property aliases, so existing
-    code keeps working unchanged.
     """
 
     learning_rate: float = 1e-3
@@ -131,43 +102,6 @@ class TrainingConfig:
     # FineTuner itself always runs one process; the knob tells the
     # distributed front-end how wide to go.
     data_parallel_workers: int = 1
-
-
-_TRAINING_CONFIG_INIT = TrainingConfig.__init__
-
-
-def _training_config_compat_init(self, *args, **kwargs):
-    legacy = {key: kwargs.pop(key)
-              for key in tuple(kwargs) if key in _LEGACY_TRAINING_KWARGS}
-    _TRAINING_CONFIG_INIT(self, *args, **kwargs)
-    if legacy:
-        warnings.warn(
-            "flat TrainingConfig kwargs "
-            f"({', '.join(sorted(legacy))}) are deprecated; use the nested "
-            "capture=CaptureConfig(...) / attention=AttentionConfig(...) "
-            "groups instead", DeprecationWarning, stacklevel=2)
-        for key, value in legacy.items():
-            group, attr = _LEGACY_TRAINING_KWARGS[key]
-            setattr(getattr(self, group), attr, value)
-
-
-TrainingConfig.__init__ = _training_config_compat_init
-
-
-def _legacy_alias(group: str, attr: str) -> property:
-    def _get(self):
-        return getattr(getattr(self, group), attr)
-
-    def _set(self, value):
-        setattr(getattr(self, group), attr, value)
-
-    return property(_get, _set, doc=f"Alias of ``{group}.{attr}`` "
-                                    "(legacy flat TrainingConfig field).")
-
-
-for _name, (_group, _attr) in _LEGACY_TRAINING_KWARGS.items():
-    setattr(TrainingConfig, _name, _legacy_alias(_group, _attr))
-del _name, _group, _attr
 
 
 @dataclass
@@ -358,39 +292,47 @@ class FineTuner:
         forward_s = backward_s = 0.0
         replayed = False
         try:
-            # Full-step compilation is only sound on steps whose forward is
-            # pure kernel calls: fused kernels on, and no sparsity-mask
-            # refresh due (probe/oracle logic runs between ops and cannot be
-            # recorded — those steps run interpreted via the PR-5 replay).
-            full = (capture is not None
-                    and self.config.capture.compile_full_step
-                    and fused.fused_kernels_enabled()
-                    and (self.engine is None
-                         or not self.engine.refresh_due(input_ids.shape[-1])))
+            # A step runs compiled only when its forward is pure kernel
+            # calls: fused kernels on, and no sparsity-mask refresh due
+            # (probe/oracle logic runs between ops and cannot be recorded).
+            # Any other step runs interpreted through the backward-only
+            # replay, with the reason kept on the capture.
+            full = False
+            if capture is not None:
+                if not fused.fused_kernels_enabled():
+                    capture.full_fail_reason = "reference kernels"
+                elif (self.engine is not None
+                      and self.engine.refresh_due(input_ids.shape[-1])):
+                    # With no live plan to skip, whatever kept the step from
+                    # compiling is the better answer — leave it.
+                    if capture.full_ready():
+                        capture.full_fail_reason = "sparsity-mask refresh due"
+                else:
+                    full = True
             if full and capture.full_ready() and self.engine is not None \
                     and self.engine.layout_state() != capture.full_layout_state:
                 # A refresh since capture moved the masks; the plan's
                 # closed-over gather geometry is stale.
-                capture.drop_full_plan(fallback=True)
+                capture.drop_full_plan("sparsity layout changed since capture")
             if full and capture.full_ready():
                 capture.stage("input_ids", input_ids)
                 if labels is not None:
                     capture.stage("labels", labels)
                 start = time.perf_counter()
                 try:
-                    capture.replay_full_forward(
-                        self.config.capture.executor_threads)
+                    capture.replay_full_forward()
                     forward_s = time.perf_counter() - start
                     start = time.perf_counter()
                     capture.replay_full_backward()
                     backward_s = time.perf_counter() - start
                     loss_value = capture.full_loss_value()
                     replayed = True
-                except Exception:
+                except Exception as exc:
                     # A partial replay may have half-written gradients; zero
                     # them and fall through to the interpreted step, which
                     # recomputes everything from scratch.
-                    capture.drop_full_plan(fallback=True)
+                    capture.drop_full_plan(
+                        f"replay raised {type(exc).__name__}: {exc}")
                     self.optimizer.zero_grad()
                     self.model.zero_grad()
                     loss_value = None

@@ -3,8 +3,8 @@
 :class:`FineTuningService` is the public serving facade over the training
 stack: tenants submit per-step fine-tuning requests against a shared frozen
 base model, and the service drives them through signature-bucketed continuous
-batching so steady-state steps replay the compiled plans of PR 5/6 instead of
-rebuilding graphs.
+batching so steady-state steps replay compiled plans instead of rebuilding
+graphs.
 
 Architecture (one instance, N tenants, K adapter kinds)::
 
@@ -30,11 +30,9 @@ Architecture (one instance, N tenants, K adapter kinds)::
   ``StepCapture.retire``), so alternating buckets never thrash one capture's
   signature — every bucket captures once, then replays forever.
 
-The service pins ``mixed_precision`` off and ``executor_threads`` to the
-configured value (default 1): the tenant-isolation contract is *bitwise* —
-adapters trained interleaved through the service are bit-identical to the
-same tenants trained back-to-back on dedicated tuners — and that contract
-holds only on the deterministic single-thread replay path.
+The service pins ``mixed_precision`` off: the tenant-isolation contract is
+*bitwise* — adapters trained interleaved through the service are
+bit-identical to the same tenants trained back-to-back on dedicated tuners.
 """
 
 from __future__ import annotations
@@ -51,11 +49,10 @@ from repro.models import build_model
 from repro.nn import Module
 from repro.optim import Adam
 from repro.peft import PEFTResult, get_peft_method
-from repro.runtime.arena import StepCapture
+from repro.runtime.capture import StepCapture
 from repro.runtime.fault import FaultInjector
 from repro.runtime.profiler import PhaseProfiler
-from repro.runtime.trainer import (AttentionConfig, CaptureConfig, FineTuner,
-                                   TrainingConfig)
+from repro.runtime.trainer import AttentionConfig, FineTuner, TrainingConfig
 from repro.serve.queue import SignatureBucketQueue, StepRequest
 from repro.serve.registry import AdapterRegistry, AdapterSnapshot
 from repro.serve.store import TenantStateStore
@@ -76,10 +73,7 @@ class ServiceConfig:
     seq_buckets: Sequence[int] = (16, 32, 64, 128)
     max_plan_cache: int = 4
     pad_token_id: int = 0
-    # Execution: compiled single-thread replay is the default — the bitwise
-    # tenant-isolation contract requires executor_threads == 1.
-    compile_full_step: bool = True
-    executor_threads: int = 1
+    # Kernel routing (see repro.runtime.trainer.AttentionConfig).
     fused_kernels: bool = True
     streaming_attention: Optional[bool] = None
     streaming_tile: int = 128
@@ -180,9 +174,6 @@ class FineTuningService:
             learning_rate=cfg.learning_rate,
             weight_decay=cfg.weight_decay,
             mixed_precision=False,
-            capture=CaptureConfig(enabled=False,
-                                  compile_full_step=cfg.compile_full_step,
-                                  executor_threads=cfg.executor_threads),
             attention=AttentionConfig(streaming=cfg.streaming_attention,
                                       streaming_tile=cfg.streaming_tile,
                                       fused_kernels=cfg.fused_kernels))
@@ -275,11 +266,11 @@ class FineTuningService:
         lane.registry.attach(request.tenant)
         capture = self._bucket_capture(lane, key)
         lane.tuner.capture = capture
-        hits_before = capture.replay_steps + capture.full_replays
+        hits_before = capture.replay_steps
         start = time.perf_counter()
         loss, timing = lane.tuner.step(request.input_ids, request.labels)
         step_seconds = time.perf_counter() - start
-        replayed = (capture.replay_steps + capture.full_replays) > hits_before
+        replayed = capture.replay_steps > hits_before
         self._current_key = key
         self._keys_served.add(key)
         self.steps += 1

@@ -280,7 +280,7 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
 
     rec = _plan._RECORDER
     if rec is not None and seq_len % bs != 0:
-        # Padding allocates per call; no stable replay form — PR-5 fallback.
+        # Padding allocates per call; no stable replay form.
         rec.fail("block-sparse attention over a padded sequence")
         rec = None
     if rec is not None:
@@ -357,11 +357,7 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
                 out5_flat[:, row_uncovered] = 0.0
 
         run()
-        rec.record(run, (q_data, k_data, v_data),
-                   (q_pad, k_pad, v_pad, q_blk, k_blk, v_blk, scores,
-                    block_red, seg_red, row_red, zero_rows, ctx_blk, ctx_seg,
-                    out5),
-                   tag="block_sparse_attention")
+        rec.record(run, tag="block_sparse_attention")
         probs = scores                                           # (batch, nnz, bs, bs)
         out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
     else:
@@ -637,10 +633,7 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
                                seg_heads, seg_rows, row_uncovered)
 
         run()
-        rec.record(run, (q_data, k_data, v_data),
-                   (q_pad, k_pad, v_pad, q_seg, k_stream, v_stream, s_buf,
-                    red, corr, m_buf, lse, zero_rows, pv, acc, out5),
-                   tag="streaming_block_sparse_attention")
+        rec.record(run, tag="streaming_block_sparse_attention")
         out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
     else:
         q_pad = _blockify_arena(q.data, bs)

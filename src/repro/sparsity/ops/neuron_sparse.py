@@ -198,8 +198,7 @@ def neuron_sparse_linear_pair(x: Tensor,
             out2d += fc2_b
 
         run()
-        rec.record(run, (x_data,), (pre, act_mask, hidden, out2d),
-                   tag="neuron_sparse_mlp")
+        rec.record(run, tag="neuron_sparse_mlp")
     else:
         if cache is not None:
             fc1_active, fc2_active_t = cache.gather(active)

@@ -31,9 +31,9 @@ stream* — only the provenance of the buffers differs, which is what makes
 the two modes bitwise identical.
 
 This module lives in ``repro.tensor`` (the lowest layer) so the tensor core
-and the fused kernels can import it without cycles; the public runtime entry
-point — including the step-capture state machine — is
-:mod:`repro.runtime.arena`, which re-exports everything here.
+and the fused kernels can import it without cycles; the step-capture state
+machine that installs an arena around each step is
+:class:`repro.runtime.capture.StepCapture`.
 """
 
 from __future__ import annotations

@@ -344,8 +344,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             np.add(out, b, out=out)
 
         run()
-        rec.record(run, (data, w, b), (normalized, sq, mean, inv_std, out),
-                   tag="layer_norm")
+        rec.record(run, tag="layer_norm")
     else:
         mean = data.mean(axis=-1, keepdims=True,
                          out=_arena.empty(red_shape, data.dtype))
@@ -453,7 +452,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     rec = _plan._RECORDER
     if rec is not None and not x_data.flags.c_contiguous:
         # ``reshape`` below would copy, and the copy would go stale between
-        # replays; fall back to PR-5 backward-only capture for this step.
+        # replays; fall back to backward-only capture for this step.
         rec.fail("linear over a non-contiguous activation")
         rec = None
     # Collapse leading dims into one 2D GEMM: NumPy's matmul runs a Python-
@@ -471,15 +470,12 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         b = None if bias is None else bias.data
         pre = np.empty((x2d.shape[0], out_features), np.result_type(x2d, w))
         out = pre
-        writes = [pre]
         if activation == "relu":
             relu_mask = np.empty(pre.shape, bool)
-            writes.append(relu_mask)
         elif activation == "gelu":
             gelu_pre = pre
             gelu_tanh = np.empty(pre.shape, pre.dtype)
             out = np.empty(pre.shape, pre.dtype)
-            writes += [gelu_tanh, out]
         elif activation in ("tanh", "sigmoid"):
             act_out = pre
 
@@ -511,8 +507,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 np.reciprocal(pre, out=pre)
 
         run()
-        reads = (x2d, w) if b is None else (x2d, w, b)
-        rec.record(run, reads, writes, tag=f"linear:{activation or 'none'}")
+        rec.record(run, tag=f"linear:{activation or 'none'}")
     else:
         out = np.matmul(x2d, weight.data.T,
                         out=_arena.empty((x2d.shape[0], out_features),
@@ -675,13 +670,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
             st["n_valid"] = n_valid
 
         run()
-        reads = (data, targets)
-        writes = [probs, loss_buf, valid, safe_targets, gather_idx, row_red,
-                  target_logits, picked]
-        if shift:
-            writes += [flat_logits, flat_targets]
-        rec.record(run, reads, tuple(writes), tag="cross_entropy")
-        rec.extras["cross_entropy_state"] = st
+        rec.record(run, tag="cross_entropy")
         n_valid = st["n_valid"]
 
         def backward(grad):
@@ -827,8 +816,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
             np.matmul(probs, v_data, out=out)
 
         run()
-        rec.record(run, (q_data, k_data, v_data),
-                   (probs, red, zero_rows, out), tag="sdpa")
+        rec.record(run, tag="sdpa")
     else:
         probs = np.matmul(q.data, np.swapaxes(k.data, -1, -2),
                           out=_arena.empty(score_shape, q.data.dtype))
@@ -999,12 +987,7 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
                                       lse, zero_rows, pv, out)
 
         run()
-        writes = tuple(s_map.values()) + (red, corr, m_buf, lse, zero_rows,
-                                          pv, out)
-        if drop_map is not None:
-            writes += tuple(drop_map.values())
-        rec.record(run, (q_data, k_data, v_data), writes,
-                   tag="streaming_attention")
+        rec.record(run, tag="streaming_attention")
     else:
         s_map = {w: _arena.empty(q.shape[:-1] + (w,), q_data.dtype)
                  for w in widths}

@@ -9,39 +9,27 @@ half of the full-step compiler:
 * :class:`ForwardRecorder` — installed around the capture step's forward via
   :func:`set_recorder`.  Every instrumented op seam (``_binary_out``,
   ``_matmul_out``, the fused kernels, the sparse custom ops) *records* a
-  zero-argument replay thunk together with the buffers it reads and writes;
-  pure views (``transpose``, contiguous ``reshape``) are *noted* so the
-  coverage check still balances.  ``Tensor._make`` independently counts every
-  graph node built while a recorder is installed; recording only succeeds
-  when ``created == noted`` — any op the seams do not cover (reference-mode
+  zero-argument replay thunk over buffers it bound exactly once; pure views
+  (``transpose``, contiguous ``reshape``) are *noted* so the coverage check
+  still balances.  ``Tensor._make`` independently counts every graph node
+  built while a recorder is installed; recording only succeeds when
+  ``created == noted`` — any op the seams do not cover (reference-mode
   softmax, fancy indexing, vector matmuls) makes the step fall back to the
-  PR-5 backward-only capture instead of silently replaying a partial
-  forward.
-* :class:`ForwardPlan` — the compiled result: a flat tuple of
-  :class:`ForwardEntry` kernel calls over buffers that were bound exactly
-  once, at capture.  ``run(threads=1)`` replays the entries in recorded
-  order, which makes replay bitwise identical to the interpreted forward
-  (same NumPy instruction stream over the same buffers).  For ``threads >
-  1`` the plan derives a buffer-level dependency DAG from the entries'
-  read/write sets (RAW, WAR and WAW hazards over base-array identity),
-  groups entries into topological levels, and dispatches each level across a
-  small thread pool — NumPy releases the GIL inside BLAS, so independent
-  GEMMs genuinely overlap.  Values are identical to the serial order up to
-  floating-point accumulation *between independent entries*, which by
-  construction never read each other's output; the result is therefore
-  value-identical, and the serial mode remains the bitwise contract.
+  backward-only capture instead of silently replaying a partial forward.
+* :class:`ForwardPlan` — the compiled result: the recorded thunks, in
+  recorded order.  ``run()`` calls them one after another, which makes replay
+  bitwise identical to the interpreted forward (same NumPy instruction
+  stream over the same buffers).
 
 The recorder switch lives here (lowest layer) so ``tensor.py`` and the fused
 kernels can consult it without import cycles; the step-level lifecycle —
 when to record, when to replay, when to invalidate — is owned by
-:class:`repro.runtime.arena.StepCapture`.
+:class:`repro.runtime.capture.StepCapture`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ForwardEntry",
@@ -53,22 +41,16 @@ __all__ = [
 
 
 class ForwardEntry:
-    """One recorded kernel call: a replay thunk plus its buffer footprint."""
+    """One recorded kernel call: a replay thunk and a tag naming the kernel."""
 
-    __slots__ = ("run", "reads", "writes", "tag")
+    __slots__ = ("run", "tag")
 
-    def __init__(self, run: Callable[[], None],
-                 reads: Sequence[np.ndarray],
-                 writes: Sequence[np.ndarray],
-                 tag: str = ""):
+    def __init__(self, run: Callable[[], None], tag: str = ""):
         self.run = run
-        self.reads = tuple(reads)
-        self.writes = tuple(writes)
         self.tag = tag
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"ForwardEntry({self.tag or 'op'}, reads={len(self.reads)}, "
-                f"writes={len(self.writes)})")
+        return f"ForwardEntry({self.tag or 'op'})"
 
 
 class ForwardRecorder:
@@ -82,24 +64,18 @@ class ForwardRecorder:
     for the plan to be trusted; see :meth:`ok`.
     """
 
-    __slots__ = ("entries", "created", "noted", "extras",
-                 "failed", "fail_reason")
+    __slots__ = ("entries", "created", "noted", "failed", "fail_reason")
 
     def __init__(self) -> None:
         self.entries: List[ForwardEntry] = []
         self.created = 0
         self.noted = 0
-        # Op-private side channels (e.g. cross-entropy's per-replay state).
-        self.extras: Dict[str, object] = {}
         self.failed = False
         self.fail_reason = ""
 
-    def record(self, run: Callable[[], None],
-               reads: Sequence[np.ndarray],
-               writes: Sequence[np.ndarray],
-               tag: str = "") -> None:
+    def record(self, run: Callable[[], None], tag: str = "") -> None:
         """Record one replayable kernel call (counts as one covered node)."""
-        self.entries.append(ForwardEntry(run, reads, writes, tag))
+        self.entries.append(ForwardEntry(run, tag))
         self.noted += 1
 
     def note_view(self, count: int = 1) -> None:
@@ -144,112 +120,21 @@ def set_recorder(rec: Optional[ForwardRecorder]) -> Optional[ForwardRecorder]:
 
 
 # ---------------------------------------------------------------------------
-# compiled plan + dependency-levelled executor
+# compiled plan
 # ---------------------------------------------------------------------------
 
-def _base_id(array: np.ndarray) -> int:
-    """Identity of the array's ultimate backing buffer (views collapse)."""
-    base = array
-    while isinstance(getattr(base, "base", None), np.ndarray):
-        base = base.base
-    return id(base)
-
-
 class ForwardPlan:
-    """A flat, replayable sequence of kernel calls over pre-bound buffers.
+    """The recorded kernel calls over pre-bound buffers, in recorded order."""
 
-    ``run(threads=1)`` executes the entries in recorded order — the bitwise
-    contract.  ``run(threads=n)`` for ``n > 1`` executes the dependency
-    levels computed by :meth:`_levelize` with a lazily created thread pool.
-    """
-
-    __slots__ = ("entries", "_levels", "_pool", "_pool_threads")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[ForwardEntry]):
         self.entries: Tuple[ForwardEntry, ...] = tuple(entries)
-        self._levels: Optional[Tuple[Tuple[ForwardEntry, ...], ...]] = None
-        self._pool = None
-        self._pool_threads = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _levelize(self) -> Tuple[Tuple[ForwardEntry, ...], ...]:
-        """Group entries into topological levels over buffer hazards.
-
-        An entry depends on the latest writer of each buffer it reads (RAW),
-        the latest writer of each buffer it writes (WAW), and every reader
-        since that write for each buffer it writes (WAR).  Buffer identity is
-        the *base* array, so views of one buffer serialize correctly.
-        """
-        if self._levels is not None:
-            return self._levels
-        last_writer: Dict[int, int] = {}
-        readers_since: Dict[int, List[int]] = {}
-        level = [0] * len(self.entries)
-        for i, entry in enumerate(self.entries):
-            depth = 0
-            for buf in entry.reads:
-                w = last_writer.get(_base_id(buf))
-                if w is not None and level[w] + 1 > depth:
-                    depth = level[w] + 1
-            for buf in entry.writes:
-                bid = _base_id(buf)
-                w = last_writer.get(bid)
-                if w is not None and level[w] + 1 > depth:
-                    depth = level[w] + 1
-                for r in readers_since.get(bid, ()):
-                    if level[r] + 1 > depth:
-                        depth = level[r] + 1
-            level[i] = depth
-            for buf in entry.reads:
-                readers_since.setdefault(_base_id(buf), []).append(i)
-            for buf in entry.writes:
-                bid = _base_id(buf)
-                last_writer[bid] = i
-                readers_since[bid] = []
-        if level:
-            n_levels = max(level) + 1
-            grouped: List[List[ForwardEntry]] = [[] for _ in range(n_levels)]
-            for i, entry in enumerate(self.entries):
-                grouped[level[i]].append(entry)
-            self._levels = tuple(tuple(g) for g in grouped)
-        else:
-            self._levels = ()
-        return self._levels
-
-    def level_sizes(self) -> Tuple[int, ...]:
-        """Entries per dependency level (profiling/bench introspection)."""
-        return tuple(len(lvl) for lvl in self._levelize())
-
-    def run(self, threads: int = 1) -> None:
-        """Replay every entry; serial recorded order when ``threads <= 1``."""
-        if threads <= 1:
-            for entry in self.entries:
-                entry.run()
-            return
-        pool = self._ensure_pool(threads)
-        for lvl in self._levelize():
-            if len(lvl) == 1:
-                lvl[0].run()
-                continue
-            futures = [pool.submit(entry.run) for entry in lvl]
-            for future in futures:
-                future.result()
-
-    def _ensure_pool(self, threads: int):
-        if self._pool is None or self._pool_threads != threads:
-            from concurrent.futures import ThreadPoolExecutor
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            self._pool = ThreadPoolExecutor(max_workers=threads,
-                                            thread_name_prefix="fwdplan")
-            self._pool_threads = threads
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the executor pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_threads = 0
+    def run(self) -> None:
+        """Replay every entry in recorded order."""
+        for entry in self.entries:
+            entry.run()

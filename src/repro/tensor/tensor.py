@@ -149,7 +149,7 @@ def _binary_out(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             ufunc(a, b, out=out)
 
         run()
-        rec.record(run, (a, b), (out,), tag=ufunc.__name__)
+        rec.record(run, tag=ufunc.__name__)
         return out
     arena = _arena.active()
     if arena is None:
@@ -164,7 +164,7 @@ def _matmul_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if rec is not None:
         if a.ndim < 2 or b.ndim < 2:
             # No stable out-buffer form for the vector cases; the step falls
-            # back to PR-5 backward-only capture.
+            # back to backward-only capture.
             rec.fail("vector matmul has no replayable out-buffer form")
             return np.matmul(a, b)
         shape = (np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -175,7 +175,7 @@ def _matmul_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.matmul(a, b, out=out)
 
         run()
-        rec.record(run, (a, b), (out,), tag="matmul")
+        rec.record(run, tag="matmul")
         return out
     arena = _arena.active()
     if arena is None or a.ndim < 2 or b.ndim < 2:
@@ -332,7 +332,7 @@ _GRAPH_FREED = _graph_freed_sentinel
 # step capture: creation-order tape + planned backward replay
 # ---------------------------------------------------------------------------
 #
-# The step-capture runtime (repro.runtime.arena.StepCapture) records one
+# The step-capture runtime (repro.runtime.capture.StepCapture) records one
 # warm step's backward schedule and replays it on subsequent steps.  The
 # tensor core contributes two hooks:
 #
@@ -528,7 +528,7 @@ class Tensor:
         graph's memory mid-backward.  Pass ``retain_graph=True`` to keep the
         graph alive for a second backward over the same tape.
 
-        Step capture (see :mod:`repro.runtime.arena`):
+        Step capture (see :mod:`repro.runtime.capture`):
 
         * ``record=True`` with ``tape`` (the creation-order list this step
           was recorded on) additionally returns a :class:`TapePlan` encoding
@@ -1010,7 +1010,7 @@ class Tensor:
                 def run(out_view=out_view, src=src):
                     np.copyto(out_view, src)
 
-                rec.record(run, (src,), (data,), tag="reshape_copy")
+                rec.record(run, tag="reshape_copy")
 
         def backward(grad):
             # Plain reshape (heap copy when ``grad`` is non-contiguous): the
@@ -1184,7 +1184,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
             np.take(w, idx_flat, axis=0, out=out2d, mode="clip")
 
         run()
-        rec.record(run, (w, idx_flat), (data,), tag="embedding")
+        rec.record(run, tag="embedding")
     elif _arena.active() is not None:
         # Eager step under an active arena (captured-step replay): gather
         # into a recycled buffer instead of fancy-indexing fresh heap.

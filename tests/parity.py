@@ -380,34 +380,41 @@ ALL_CASES = build_cases()
 # captured-vs-uncaptured step parity (the step-capture axis)
 # ---------------------------------------------------------------------------
 #
-# Step capture (repro.runtime.arena.StepCapture) must be *bitwise* invisible:
-# replaying the recorded backward schedule through recycled arena buffers has
-# to produce exactly the floats the ordinary DFS pass produces.  The helpers
+# Step capture (repro.runtime.capture.StepCapture) must be *bitwise* invisible:
+# replaying the compiled forward and the recorded backward schedule through
+# bound and recycled buffers has to produce exactly the floats the ordinary
+# interpreted step produces.  The helpers
 # below train a tiny model for a few steps with and without capture — same
 # seeds, same batches — and return everything a step mutates: per-step
 # losses, per-step parameter gradients (snapshotted inside the optimizer,
 # before zero_grad), the Adam moment state and the final parameters.  The
-# three-step horizon crosses the whole capture lifecycle (warm-up step,
-# capture step, replay step on a *different* batch).
+# horizon crosses the whole capture lifecycle on *different* batches; the
+# schedule (steps, predict_interval) decides what follows the capture step
+# for the sparse backends.
 
 CAPTURE_BACKENDS = ("dense", "oracle", "predicted")
+# (steps, predict_interval): the sparse backends refresh their masks on steps
+# 1, 1 + K, 1 + 2K, ...; step 1 is the warm-up and step 2 captures + compiles.
+CAPTURE_SCHEDULES = {
+    # step 3 is a refresh: the compiled plan is skipped, backward-only replay
+    "refresh_after_capture": (3, 2),
+    # step 3 replays the compiled plan, step 4 is the refresh
+    "replay_then_refresh": (4, 3),
+}
 
 
 def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
                          capture: bool = False, seq: int = 32,
-                         full: bool = False, threads: int = 1,
                          predict_interval: int = 2):
     """Train ``steps`` steps; returns (losses, grad_log, moments, params, stats).
 
-    ``full=True`` enables the full-step compiler (implies capture); ``stats``
-    holds the StepCapture counters (empty dict when capture is off) so
-    callers can assert the compiled path actually engaged.
+    ``stats`` holds the StepCapture counters (empty dict when capture is
+    off) so callers can assert which tier actually ran the steps.
     """
     from repro.models import build_model
     from repro.optim import Adam
     from repro.peft import apply_lora
-    from repro.runtime import (CaptureConfig, FineTuner, StepCapture,
-                               TrainingConfig)
+    from repro.runtime import FineTuner, StepCapture, TrainingConfig
     from repro.sparsity import LongExposure, LongExposureConfig
 
     class GradRecordingAdam(Adam):
@@ -455,13 +462,9 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
         if engine is not None:
             engine.install(model)
         optimizer = GradRecordingAdam(model.trainable_parameters(), lr=1e-3)
-        use_capture = capture or full
-        tuner = FineTuner(model,
-                          TrainingConfig(capture=CaptureConfig(
-                              compile_full_step=full,
-                              executor_threads=threads)),
+        tuner = FineTuner(model, TrainingConfig(),
                           optimizer=optimizer, engine=engine,
-                          capture=StepCapture() if use_capture else None)
+                          capture=StepCapture() if capture else None)
         losses = []
         for _ in range(steps):
             ids = rng.integers(0, model.config.vocab_size, size=(2, seq))
@@ -472,17 +475,14 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
         if engine is not None:
             engine.uninstall(model)
         stats = {}
-        if use_capture:
+        if capture:
             # The capture must actually have engaged: one capture step and at
             # least one replayed backward.  (Zero-allocation steady state is
             # asserted by the -m alloc tests, which hold the batch fixed;
             # here every step sees a *fresh* batch, so drifting sparse
             # layouts may legitimately allocate new block shapes.)
             assert tuner.capture.captures >= 1, "capture never engaged"
-            # Full-step replays bypass run_backward, so they count in
-            # full_replays, not replay_steps; either means the plan replayed.
-            assert (tuner.capture.replay_steps
-                    + tuner.capture.full_replays) >= 1, "plan never replayed"
+            assert tuner.capture.replay_steps >= 1, "plan never replayed"
             stats = {
                 "captures": tuner.capture.captures,
                 "replay_steps": tuner.capture.replay_steps,
@@ -514,48 +514,43 @@ def _assert_trajectories_equal(tag: str, base, other) -> None:
 
 
 def assert_capture_parity(backend: str, fused_enabled: bool,
-                          steps: int = 3) -> None:
-    """Bitwise-compare captured vs. uncaptured training trajectories."""
-    base = run_capture_training(backend, fused_enabled, steps, capture=False)
-    captured = run_capture_training(backend, fused_enabled, steps, capture=True)
-    _assert_trajectories_equal(f"{backend}/fused={fused_enabled}",
-                               base, captured)
+                          steps: int = 3, predict_interval: int = 2) -> None:
+    """Bitwise-compare captured vs. uncaptured training trajectories, and
+    check which tier ran the captured steps.
 
-
-def assert_full_step_parity(backend: str, fused_enabled: bool,
-                            threads: int = 1, steps: int = 4,
-                            predict_interval: int = 3) -> None:
-    """Bitwise-compare full-step-compiled vs. plain interpreted training.
-
-    ``predict_interval=3`` leaves two mask-reuse steps between refreshes, so
-    the plan captured on the first reuse step replays on the second before
-    the next refresh can move the layouts.  With reference kernels the
-    compiler never arms (the forward is not a recordable kernel stream) and
-    the run must degrade gracefully to the PR-5 backward-only replay —
-    still bitwise identical.
+    Step 1 warms up and step 2 captures; every later step replays the
+    recorded backward schedule.  It also replays the compiled forward unless
+    something the step observes rules that out: reference kernels (the
+    forward is not a recordable kernel stream), oracle mode (it fine-tunes
+    the full model, and the sparse MLP refuses to close over trainable base
+    weights), or a mask refresh due on that step.  The compiler must then
+    stay cold and say why, while backward-only replay keeps parity.
     """
-    tag = f"full/{backend}/fused={fused_enabled}/threads={threads}"
+    tag = f"{backend}/fused={fused_enabled}/steps={steps}/K={predict_interval}"
     base = run_capture_training(backend, fused_enabled, steps, capture=False,
                                 predict_interval=predict_interval)
-    compiled = run_capture_training(backend, fused_enabled, steps,
-                                    full=True, threads=threads,
+    captured = run_capture_training(backend, fused_enabled, steps,
+                                    capture=True,
                                     predict_interval=predict_interval)
-    _assert_trajectories_equal(tag, base, compiled)
-    stats = compiled[4]
-    if fused_enabled and backend != "oracle":
-        assert stats["full_captures"] >= 1, \
-            f"{tag}: full plan never captured ({stats})"
-        assert stats["full_replays"] >= 1, \
-            f"{tag}: full plan never replayed ({stats})"
-    elif fused_enabled:
-        # Oracle mode fine-tunes the full model; the sparse MLP refuses to
-        # close over trainable base weights, so the compiler must stay cold
-        # (and say why) while the PR-5 backward replay keeps parity.
+    _assert_trajectories_equal(tag, base, captured)
+    stats = captured[4]
+    assert stats["replay_steps"] == steps - 2, f"{tag}: {stats}"
+    if not fused_enabled:
+        assert stats["full_captures"] == 0, \
+            f"{tag}: full plan captured under reference kernels ({stats})"
+        assert stats["full_fail_reason"] == "reference kernels", f"{tag}: {stats}"
+    elif backend == "oracle":
         assert stats["full_captures"] == 0, \
             f"{tag}: full plan captured over trainable base weights ({stats})"
         assert "trainable base weights" in stats["full_fail_reason"], \
             f"{tag}: unexpected fail reason ({stats})"
     else:
-        # Reference kernels: no recorded seams, the compiler must stay cold.
-        assert stats["full_captures"] == 0, \
-            f"{tag}: full plan captured under reference kernels ({stats})"
+        compiled = [step for step in range(3, steps + 1)
+                    if backend == "dense" or (step - 1) % predict_interval]
+        assert stats["full_captures"] == 1, \
+            f"{tag}: full plan never captured ({stats})"
+        assert stats["full_replays"] == len(compiled), f"{tag}: {stats}"
+        assert stats["full_fallbacks"] == 0, f"{tag}: {stats}"
+        if len(compiled) < steps - 2:
+            assert stats["full_fail_reason"] == "sparsity-mask refresh due", \
+                f"{tag}: {stats}"

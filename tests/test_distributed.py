@@ -28,8 +28,9 @@ from repro.peft import apply_lora
 from repro.runtime import (CaptureConfig, DataParallelTrainer,
                            DistributedError, FineTuner, TrainingConfig,
                            train_data_parallel)
-from repro.runtime.comms import (STAT_MASK_SYNCS, STAT_RECAPTURES,
-                                 STAT_REPLAY_STEPS, chunk_schedule)
+from repro.runtime.comms import (STAT_FULL_REPLAYS, STAT_MASK_SYNCS,
+                                 STAT_RECAPTURES, STAT_REPLAY_STEPS,
+                                 chunk_schedule)
 from repro.sparsity import LongExposure, LongExposureConfig
 
 pytestmark = pytest.mark.dist
@@ -146,8 +147,11 @@ class TestCaptureIntegration:
             for rank in range(2):
                 assert stats[rank, STAT_RECAPTURES] == 1
                 # seq-16 steps: warm-up, capture, replay; seq-24: recapture,
-                # replay — two replayed steps per worker in total.
+                # replay — two replayed steps per worker in total, both
+                # through the compiled plan (the gradient exchange sits
+                # between its backward and the optimizer tail).
                 assert stats[rank, STAT_REPLAY_STEPS] == 2
+                assert stats[rank, STAT_FULL_REPLAYS] == 2
 
 
 class TestMaskBroadcast:

@@ -31,7 +31,7 @@ from repro.models import ModelConfig, build_model
 from repro.peft import apply_lora
 from repro.runtime import (DataParallelTrainer, DistributedError, FineTuner,
                            TrainingConfig)
-from repro.runtime.arena import StepCapture
+from repro.runtime.capture import StepCapture
 from repro.runtime.comms import DistributedError as CommsError
 from repro.runtime.comms import SharedSegment
 from repro.runtime.fault import (FAULT_SITES, FaultInjector, FaultRule,

@@ -363,12 +363,20 @@ def test_bench_json_flag(tmp_path):
     assert json_path.exists()
     on_disk = json.loads(json_path.read_text())
     for key in ("meta", "dense_step", "sparse_step", "step_capture",
-                "predicted_step", "predicted_quality", "prediction_overhead",
+                "full_step", "predicted_step", "predicted_quality",
+                "prediction_overhead",
                 "geometry", "sparse_chain", "crossover", "optimizer_step",
                 "optimizer_regimes", "embedding_scatter", "long_context",
                 "scaling", "serve", "fault", "ops"):
         assert key in on_disk and key in report
     assert on_disk["dense_step"]["fused_s"] > 0
+    assert set(on_disk["full_step"]) == {
+        "interpreted_s", "compiled_s", "interval", "speedup_vs_interpreted",
+        "full_captures", "full_replays", "full_fallbacks",
+        "captured_allocs_per_step"}
+    committed = Path(bench.__file__).resolve().parent.parent / "BENCH_perf.json"
+    assert (set(json.loads(committed.read_text())["full_step"])
+            == set(on_disk["full_step"]))
     assert on_disk["predicted_step"]["speedup_vs_oracle"] > 0
     assert on_disk["prediction_overhead"]["block_reduce"]["speedup"] > 0
     assert set(on_disk["ops"]) == {"masked_softmax", "attention_core",

@@ -1,6 +1,6 @@
 """Tests of the runtime substrate: trainer, profiler, memory, platform, scaling."""
 
-import warnings
+import dataclasses
 
 import numpy as np
 import pytest
@@ -85,58 +85,21 @@ class TestFineTuner:
 
 
 class TestTrainingConfigGroups:
-    """The nested CaptureConfig/AttentionConfig groups and their legacy
-    flat-kwarg compatibility layer (locked by the api_redesign PR)."""
+    """The nested CaptureConfig/AttentionConfig groups."""
 
     def test_nested_round_trip(self):
         cfg = TrainingConfig(
-            capture=CaptureConfig(enabled=True, warmup=2,
-                                  compile_full_step=True, executor_threads=3),
+            capture=CaptureConfig(enabled=True, warmup=2),
             attention=AttentionConfig(streaming=True, streaming_tile=64,
                                       fused_kernels=False))
-        # Legacy flat names read through to the nested groups...
-        assert cfg.capture_steps is True
-        assert cfg.capture_warmup == 2
-        assert cfg.compile_full_step is True
-        assert cfg.executor_threads == 3
-        assert cfg.streaming_attention is True
-        assert cfg.streaming_tile == 64
-        assert cfg.fused_kernels is False
-        # ...and writes through them land in the nested groups.
-        cfg.executor_threads = 5
-        cfg.streaming_tile = 32
-        assert cfg.capture.executor_threads == 5
-        assert cfg.attention.streaming_tile == 32
-
-    def test_legacy_flat_kwargs_warn_and_forward(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = TrainingConfig(learning_rate=2e-3, capture_steps=True,
-                                 capture_warmup=0, compile_full_step=True,
-                                 executor_threads=2, streaming_attention=True,
-                                 streaming_tile=48, fused_kernels=True)
-        assert cfg.learning_rate == 2e-3
-        assert cfg.capture == CaptureConfig(enabled=True, warmup=0,
-                                            compile_full_step=True,
-                                            executor_threads=2)
+        assert cfg.capture == CaptureConfig(enabled=True, warmup=2)
         assert cfg.attention == AttentionConfig(streaming=True,
-                                                streaming_tile=48,
-                                                fused_kernels=True)
-
-    def test_nested_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = TrainingConfig(capture=CaptureConfig(enabled=True))
-        assert cfg.capture.enabled
-
-    def test_legacy_kwargs_train_equivalently(self):
-        data = batches(2)
-        with pytest.warns(DeprecationWarning):
-            legacy = make_finetuner(capture_steps=True, capture_warmup=0)
-        nested = make_finetuner(capture=CaptureConfig(enabled=True, warmup=0))
-        for batch in data:
-            loss_a, _ = legacy.step(batch)
-            loss_b, _ = nested.step(batch)
-            assert loss_a == loss_b
+                                                streaming_tile=64,
+                                                fused_kernels=False)
+        assert dataclasses.asdict(cfg)["capture"] == {"enabled": True,
+                                                      "warmup": 2}
+        tuner = make_finetuner(capture=cfg.capture, attention=cfg.attention)
+        assert tuner.capture.warmup_steps == 2
 
 
 class TestProfiler:

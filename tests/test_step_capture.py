@@ -3,13 +3,15 @@
 Three concerns, three marker tiers:
 
 * ``-m parity`` — captured-vs-uncaptured *bitwise* parity over full training
-  steps for every backend × fused-toggle combination (losses, per-step
-  gradients, optimizer state, parameters), via the shared harness in
-  :mod:`parity`;
+  steps for every backend × fused-toggle × refresh-schedule combination
+  (losses, per-step gradients, optimizer state, parameters), via the shared
+  harness in :mod:`parity`, plus every degradation from the compiled step to
+  backward-only replay, each reached through its real trigger;
 * ``-m alloc`` (also ``perf_smoke``) — the allocation-regression gate: once
   a step is captured, subsequent steps must perform **zero** new arena
-  allocations for the dense, oracle-sparse and predicted configurations, and
-  a sequence-length change must trigger exactly one re-capture;
+  allocations and build **zero** graph nodes for the dense, oracle-sparse
+  and predicted configurations, and a sequence-length change must trigger
+  exactly one re-capture;
 * unmarked unit tests for :class:`BufferArena` and the tape-plan machinery.
 """
 
@@ -22,11 +24,13 @@ import parity
 from repro.models import build_model
 from repro.optim import Adam
 from repro.peft import apply_lora
-from repro.runtime import (AttentionConfig, BufferArena, CaptureConfig,
-                           FineTuner, StepCapture, TrainingConfig)
+from repro.runtime import (AttentionConfig, BufferArena, FineTuner,
+                           StepCapture, TrainingConfig)
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.tensor import arena as tensor_arena
-from repro.tensor.tensor import PlanMismatchError, Tensor, set_tape
+from repro.tensor import plan as tensor_plan
+from repro.tensor.tensor import (PlanMismatchError, Tensor, node_build_count,
+                                 set_tape)
 
 
 # ---------------------------------------------------------------------------
@@ -308,43 +312,77 @@ def test_plan_not_recordable_with_external_interior_node():
 
 
 # ---------------------------------------------------------------------------
+# forward recorder + plan
+# ---------------------------------------------------------------------------
+
+def _recorded(build):
+    """Run ``build()`` under a fresh recorder; returns (recorder, result)."""
+    rec = tensor_plan.ForwardRecorder()
+    tensor_plan.set_recorder(rec)
+    try:
+        result = build()
+    finally:
+        tensor_plan.set_recorder(None)
+    return rec, result
+
+
+def test_forward_plan_replays_thunks_in_recorded_order():
+    a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+    b = Tensor(np.full((2, 3), 2.0, np.float32))
+    rec, out = _recorded(lambda: ((a * b) + a).transpose().reshape(2, 3))
+    assert rec.ok() and [e.tag for e in rec.entries] == [
+        "multiply", "add", "reshape_copy"]     # the transpose is a noted view
+    plan = tensor_plan.ForwardPlan(rec.entries)
+    assert len(plan) == 3
+    a.data[...] = 1.0                          # "stage" a new input in place
+    plan.run()                                 # recorded order: mul, add, copy
+    assert np.array_equal(out.data, np.full((2, 3), 3.0, np.float32))
+
+
+def test_forward_recorder_rejects_uncovered_and_vetoed_forwards():
+    a = Tensor(np.ones((2, 3), np.float32))
+    rec, _ = _recorded(lambda: (a * 2.0).exp())       # exp has no record seam
+    assert not rec.ok()
+    assert rec.fail_reason == "forward coverage gap: 2 nodes built, 1 covered"
+    vec = Tensor(np.ones(3, np.float32))
+    rec, _ = _recorded(lambda: a @ vec)               # vetoed by the seam
+    assert not rec.ok() and "vector matmul" in rec.fail_reason
+    assert tensor_plan.recorder() is None
+
+
+# ---------------------------------------------------------------------------
 # captured-vs-uncaptured bitwise parity (full training steps)
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parity
-@pytest.mark.parametrize("fused_enabled", [True, False],
-                         ids=["fused", "reference"])
-@pytest.mark.parametrize("backend", parity.CAPTURE_BACKENDS)
-def test_captured_steps_bitwise_identical(backend, fused_enabled):
-    parity.assert_capture_parity(backend, fused_enabled, steps=3)
-
-
-# ---------------------------------------------------------------------------
-# full-step compiler: compiled-vs-interpreted bitwise parity
-# ---------------------------------------------------------------------------
 #
-# The full-plan axis: with ``compile_full_step=True`` the steady-state step
-# replays forward + backward + optimizer tail from the compiled plan.  The
-# trajectory (losses, per-step gradients, Adam moments, final parameters)
-# must stay bitwise identical to the plain interpreted run.  Where the
-# compiler cannot engage — reference kernels (no recorded seams) or oracle
-# mode (trainable base weights in the sparse MLP) — it must stay cold and
-# degrade to the PR-5 backward-only replay, still bitwise identical.
+# The trajectory (losses, per-step gradients, Adam moments, final parameters)
+# must stay bitwise identical to the plain interpreted run whichever tier a
+# step lands on: compiled replay, or — reference kernels, oracle mode's
+# trainable base weights, a refresh-due step — backward-only replay.
 
 @pytest.mark.parity
-@pytest.mark.parametrize("threads", [1, 4], ids=["threads1", "threads4"])
+@pytest.mark.parametrize("schedule", sorted(parity.CAPTURE_SCHEDULES))
 @pytest.mark.parametrize("fused_enabled", [True, False],
                          ids=["fused", "reference"])
 @pytest.mark.parametrize("backend", parity.CAPTURE_BACKENDS)
-def test_full_step_bitwise_identical(backend, fused_enabled, threads):
-    parity.assert_full_step_parity(backend, fused_enabled, threads=threads)
+def test_captured_steps_bitwise_identical(backend, fused_enabled, schedule):
+    steps, predict_interval = parity.CAPTURE_SCHEDULES[schedule]
+    parity.assert_capture_parity(backend, fused_enabled, steps=steps,
+                                 predict_interval=predict_interval)
 
 
 # ---------------------------------------------------------------------------
 # allocation regression (-m alloc / perf_smoke)
 # ---------------------------------------------------------------------------
 
-def _build_tuner(backend: str, seq: int = 32):
+def _build_tuner(backend: str, seq: int = 32, predict_interval: int = 1,
+                 attention: AttentionConfig = None, capture: bool = True):
+    """A tuner over a fixed batch; returns (tuner, ids, capture).
+
+    The sparse backends refresh their masks every ``predict_interval`` steps:
+    the default 1 makes every step a refresh (interpreted forward,
+    backward-only replay); 4 leaves reuse steps 2-4 — capture plus compile on
+    step 2, compiled replays on steps 3-4.
+    """
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
     model = build_model(model_name, seed=0)
     rng = np.random.default_rng(3)
@@ -353,18 +391,42 @@ def _build_tuner(backend: str, seq: int = 32):
         calib = rng.integers(0, model.config.vocab_size, size=(2, seq))
         engine = LongExposure(LongExposureConfig(
             block_size=16, seed=0, oracle_mode=(backend == "oracle"),
-            predictor_epochs=2, calibration_lengths=(seq,)))
+            predictor_epochs=2, predict_interval=predict_interval,
+            calibration_lengths=(seq,)))
         engine.prepare(model, [calib])
     if backend == "predicted":
         apply_lora(model)
     if engine is not None:
         engine.install(model)
     optimizer = Adam(model.trainable_parameters(), lr=1e-3)
-    capture = StepCapture()
-    tuner = FineTuner(model, TrainingConfig(), optimizer=optimizer,
-                      engine=engine, capture=capture)
+    capture = StepCapture() if capture else None
+    tuner = FineTuner(model,
+                      TrainingConfig(attention=attention or AttentionConfig()),
+                      optimizer=optimizer, engine=engine, capture=capture)
     ids = rng.integers(0, model.config.vocab_size, size=(2, seq))
     return tuner, ids, capture
+
+
+def _add_uncovered_op(model):
+    """Make ``model.loss`` build one graph node no record seam covers.
+
+    ``Tensor.exp`` has no replay thunk, so a capture step over this loss
+    fails the recorder's coverage check and the step runs its forward
+    interpreted.  The extra term is ``exp(loss) * 0``, applied identically to
+    a captured tuner and its plain twin.  Returns a switch: ``gap(False)``
+    restores the plain loss.
+    """
+    plain_loss = model.loss
+
+    def loss_with_gap(ids, labels=None):
+        loss, count = plain_loss(ids, labels=labels)
+        return loss + loss.exp() * 0.0, count
+
+    def gap(on: bool) -> None:
+        model.loss = loss_with_gap if on else plain_loss
+
+    gap(True)
+    return gap
 
 
 @pytest.mark.perf_smoke
@@ -389,39 +451,6 @@ def test_zero_allocations_after_capture(backend):
             tuner.engine.uninstall(tuner.model)
 
 
-def _build_full_tuner(backend: str, seq: int = 32, threads: int = 1,
-                      predict_interval: int = 4):
-    """Like :func:`_build_tuner` but with the full-step compiler armed.
-
-    ``predict_interval=4`` leaves reuse steps 2-4 between refreshes: capture
-    plus full compile on step 2, compiled replays on steps 3-4.
-    """
-    model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
-    model = build_model(model_name, seed=0)
-    rng = np.random.default_rng(3)
-    engine = None
-    if backend != "dense":
-        calib = rng.integers(0, model.config.vocab_size, size=(2, seq))
-        engine = LongExposure(LongExposureConfig(
-            block_size=16, seed=0, oracle_mode=(backend == "oracle"),
-            predictor_epochs=2, predict_interval=predict_interval,
-            calibration_lengths=(seq,)))
-        engine.prepare(model, [calib])
-    if backend == "predicted":
-        apply_lora(model)
-    if engine is not None:
-        engine.install(model)
-    optimizer = Adam(model.trainable_parameters(), lr=1e-3)
-    capture = StepCapture()
-    tuner = FineTuner(model,
-                      TrainingConfig(capture=CaptureConfig(
-                          compile_full_step=True,
-                          executor_threads=threads)),
-                      optimizer=optimizer, engine=engine, capture=capture)
-    ids = rng.integers(0, model.config.vocab_size, size=(2, seq))
-    return tuner, ids, capture
-
-
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 @pytest.mark.parametrize("backend", ["dense", "predicted"])
@@ -429,9 +458,7 @@ def test_full_step_zero_graph_builds_and_allocations(backend):
     # The tentpole gate: once the full plan is compiled, a steady-state step
     # builds ZERO Python graph nodes (the graph was built exactly once, at
     # capture) and performs ZERO arena allocations.
-    from repro.tensor.tensor import node_build_count
-
-    tuner, ids, capture = _build_full_tuner(backend)
+    tuner, ids, capture = _build_tuner(backend, predict_interval=4)
     try:
         tuner.step(ids)                            # warm-up (uncaptured)
         tuner.step(ids)                            # capture + full compile
@@ -450,26 +477,112 @@ def test_full_step_zero_graph_builds_and_allocations(backend):
             tuner.engine.uninstall(tuner.model)
 
 
-@pytest.mark.perf_smoke
-@pytest.mark.alloc
-def test_full_step_refresh_steps_run_interpreted():
-    # Mask-refresh steps cannot replay the compiled forward (probe logic is
-    # Python control flow); they must fall back to the interpreted step +
-    # PR-5 backward replay, then resume compiled replays while the layouts
-    # hold still (the batch is fixed, so they do).
-    tuner, ids, capture = _build_full_tuner("predicted", predict_interval=4)
+# ---------------------------------------------------------------------------
+# degradation to backward-only replay, reached through each real trigger
+# ---------------------------------------------------------------------------
+#
+# No option selects backward-only replay; a step lands there because of what
+# it observes.  Each trigger below is driven on a captured tuner and a plain
+# twin in lockstep (same seeds, same batch): every loss and the final
+# parameters must match bitwise, the counters must say which tier ran each
+# step and why, and — where the condition can pass — the next eligible step
+# must be compiled again.
+
+def _raise_once_in(plan, position: int = 3) -> None:
+    """Make the plan's ``position``-th thunk raise on its next call only."""
+    entry = plan.entries[position]
+    intact = entry.run
+
+    def broken():
+        entry.run = intact
+        raise RuntimeError("injected thunk failure")
+
+    entry.run = broken
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("trigger", ["reference_kernels", "refresh_due",
+                                     "trainable_base_weights", "coverage_gap",
+                                     "replay_exception"])
+def test_degrades_to_backward_only_replay(trigger):
+    build = {
+        "reference_kernels": dict(
+            backend="dense", attention=AttentionConfig(fused_kernels=False)),
+        "refresh_due": dict(backend="predicted", predict_interval=4),
+        "trainable_base_weights": dict(backend="oracle", predict_interval=8),
+        "coverage_gap": dict(backend="dense"),
+        "replay_exception": dict(backend="dense"),
+    }[trigger]
+    tuner, ids, capture = _build_tuner(**build)
+    plain, _, _ = _build_tuner(capture=False, **build)
+    gaps = []
+    if trigger == "coverage_gap":
+        gaps = [_add_uncovered_op(tuner.model), _add_uncovered_op(plain.model)]
+    seen = []                                      # (full_replays, replay_steps)
+
+    def step():
+        assert tuner.step(ids)[0] == plain.step(ids)[0], \
+            f"{trigger}: loss differs at step {len(seen) + 1}"
+        seen.append((capture.full_replays, capture.replay_steps))
+
     try:
-        for _ in range(4):                         # warm-up, capture, 2 replays
-            tuner.step(ids)
-        assert capture.full_replays == 2
-        tuner.step(ids)                            # step 5: scheduled refresh
-        assert capture.full_replays == 2           # compiled path skipped
-        assert capture.replay_steps >= 1           # PR-5 replay took the step
-        tuner.step(ids)                            # step 6: layouts unchanged
-        assert capture.full_replays == 3           # compiled replay resumed
-        assert capture.full_fallbacks == 0
+        # Warm-up, capture, replays.  The gap is closed after its second
+        # veto: a third would use up max_failures and stop the compiler.
+        for _ in range(3 if trigger == "coverage_gap" else 4):
+            step()
+        if trigger == "reference_kernels":
+            # Never eligible: the forward is not a recordable kernel stream.
+            assert capture.full_captures == 0
+            assert capture.full_fail_reason == "reference kernels"
+            assert seen[-1] == (0, 2)
+        elif trigger == "refresh_due":
+            assert seen[-1] == (2, 2) and capture.full_fail_reason == ""
+            step()                                 # step 5: scheduled refresh
+            assert seen[-1] == (2, 3)              # compiled forward skipped
+            assert capture.full_fail_reason == "sparsity-mask refresh due"
+            step()                                 # step 6: the batch is fixed,
+            assert seen[-1] == (3, 4)              # so the plan is still good
+            assert capture.full_captures == 1
+        elif trigger == "trainable_base_weights":
+            # Vetoed on steps 2, 3 and 4; after max_failures attempts the
+            # compiler stops asking and the reason stays on record.
+            assert capture.full_captures == 0
+            assert "trainable base weights" in capture.full_fail_reason
+            assert capture._full_failures == capture.max_failures
+            assert seen[-1] == (0, 2)
+            for _ in range(5):                     # across the step-9 refresh
+                step()
+            assert seen[-1] == (0, 7)
+            assert "trainable base weights" in capture.full_fail_reason
+        elif trigger == "coverage_gap":
+            assert capture.full_captures == 0
+            assert "coverage gap" in capture.full_fail_reason
+            assert seen[-1] == (0, 1)
+            for gap in gaps:
+                gap(False)
+            step()          # the graph changed under the backward plan too:
+            assert capture.fallbacks == 1          # one mismatch fallback,
+            assert capture.full_captures == 1      # re-captured and compiled
+            step()
+            assert seen[-1] == (1, 2)
+        elif trigger == "replay_exception":
+            assert seen[-1] == (2, 2) and capture.full_captures == 1
+            _raise_once_in(capture.forward_plan)
+            step()          # replay raises -> interpreted step, re-compiled
+            assert seen[-1] == (2, 3)
+            assert capture.full_fail_reason == \
+                "replay raised RuntimeError: injected thunk failure"
+            assert capture.full_captures == 2
+            step()
+            assert seen[-1] == (3, 4)
+        assert capture.full_fallbacks == (trigger == "replay_exception")
+        assert capture.state == capture.REPLAY and capture._failures <= 1
+        for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
+            assert np.array_equal(a.data, b.data), f"{trigger}: params differ"
     finally:
-        tuner.engine.uninstall(tuner.model)
+        for t in (tuner, plain):
+            if t.engine is not None:
+                t.engine.uninstall(t.model)
 
 
 @pytest.mark.perf_smoke
@@ -488,6 +601,42 @@ def test_shape_change_triggers_exactly_one_recapture():
     assert capture.recaptures == 1                 # exactly one
     assert capture.state == capture.REPLAY
     assert capture.last_step_allocations == 0
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+def test_shape_changes_after_compiled_replays_are_recaptures_not_failures():
+    # Compiled replays must count as replays.  If they bypass the accounting,
+    # every shape change after a healthy compiled phase looks like a "sterile
+    # capture" (a plan that was never replayed) and the third one switches
+    # capture off for good.
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
+    capture = StepCapture()
+    tuner = FineTuner(model, TrainingConfig(), capture=capture)
+    rng = np.random.default_rng(7)
+    full_replays = 0
+    for phase, seq in enumerate((16, 24, 32, 40, 48)):
+        for _ in range(6):
+            tuner.step(rng.integers(0, model.config.vocab_size, size=(2, seq)))
+        assert capture.state == capture.REPLAY, f"phase {phase}: {capture.summary()}"
+        assert capture._failures == 0
+        assert capture.recaptures == phase
+        assert capture.full_replays > full_replays
+        full_replays = capture.full_replays
+    # Every step after a (re-)capture replayed the compiled plan.
+    assert capture.full_replays == capture.replay_steps == 5 * 6 - 5 - 1
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+def test_replay_streak_forgives_failures_in_compiled_steady_state():
+    tuner, ids, capture = _build_tuner("dense")
+    capture._failures = capture.max_failures - 1   # one strike from OFF
+    for _ in range(2 + capture.FAILURE_RESET_REPLAYS):
+        tuner.step(ids)
+    assert capture.full_replays == capture.FAILURE_RESET_REPLAYS
+    assert capture._failures == 0
 
 
 @pytest.mark.perf_smoke
@@ -519,14 +668,21 @@ def test_fused_toggle_change_invalidates_plan():
     for _ in range(3):
         tuner.step(ids)
     assert capture.state == capture.REPLAY
+    assert (capture.full_captures, capture.full_replays) == (1, 1)
     fused.set_fused_kernels(False)
     try:
         tuner.step(ids)                            # signature change -> recapture
         assert capture.recaptures == 1
-        tuner.step(ids)
+        tuner.step(ids)                            # backward-only replay
         assert capture.last_step_allocations == 0
+        assert (capture.full_captures, capture.full_replays) == (1, 1)
+        assert capture.full_fail_reason == "reference kernels"
     finally:
         fused.set_fused_kernels(True)
+    tuner.step(ids)                                # eligible again: re-compiled
+    tuner.step(ids)
+    assert capture.recaptures == 2
+    assert (capture.full_captures, capture.full_replays) == (2, 2)
 
 
 @pytest.mark.perf_smoke
@@ -564,37 +720,53 @@ def test_capture_mode_leaves_globals_clean():
 # streaming tiled attention: capture parity, heap steadiness, the memory wall
 # ---------------------------------------------------------------------------
 
+# Both replay tiers, as an input: "compiled" replays the whole step;
+# "backward_only" is the same tuner behind a coverage gap, so its forward runs
+# interpreted through the fused kernels over recycled arena buffers.
+TIERS = ["compiled", "backward_only"]
+
+
 def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
-                           full: bool = False, batch: int = 2):
+                           tier: str = "compiled", batch: int = 2):
     """Dense gpt2-tiny tuner with the streaming toggle wired via the config."""
     model = build_model("gpt2-tiny", seed=0)
+    if tier == "backward_only":
+        _add_uncovered_op(model)
     rng = np.random.default_rng(3)
     optimizer = Adam(model.trainable_parameters(), lr=1e-3)
     capture = StepCapture()
     tuner = FineTuner(model,
                       TrainingConfig(
                           attention=AttentionConfig(streaming=streaming,
-                                                    streaming_tile=tile),
-                          capture=CaptureConfig(compile_full_step=full,
-                                                executor_threads=1)),
+                                                    streaming_tile=tile)),
                       optimizer=optimizer, capture=capture)
     ids = rng.integers(0, model.config.vocab_size, size=(batch, seq))
     return tuner, ids, capture
 
 
+def _assert_tier(capture: StepCapture, tier: str, replays: int) -> None:
+    assert capture.replay_steps == replays
+    if tier == "compiled":
+        assert capture.full_captures == 1, capture.full_fail_reason
+        assert capture.full_replays == replays
+    else:
+        assert capture.full_captures == 0 and capture.full_replays == 0
+        assert "coverage gap" in capture.full_fail_reason
+
+
 @pytest.mark.parity
-@pytest.mark.parametrize("full", [False, True], ids=["captured", "compiled"])
-def test_streaming_capture_replay_bitwise_identical(full):
-    # The streaming kernels' recorded replay thunks must reproduce the
-    # interpreted streaming step bit for bit (executor_threads=1 contract);
-    # seq=48 with tile=16 exercises multiple tiles per row block.
+@pytest.mark.parametrize("tier", TIERS)
+def test_streaming_capture_replay_bitwise_identical(tier):
+    # The streaming kernels' recorded replay thunks — and their interpreted
+    # twins under backward-only replay — must reproduce the uncaptured
+    # streaming step bit for bit; seq=48 with tile=16 exercises multiple
+    # tiles per row block.
     from repro.tensor import fused
 
     try:
         results = []
         for use_capture in (False, True):
-            tuner, ids, capture = _build_streaming_tuner(
-                True, full=(full and use_capture))
+            tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
             if not use_capture:
                 tuner.capture = None
             losses = [tuner.step(ids)[0] for _ in range(4)]
@@ -604,42 +776,38 @@ def test_streaming_capture_replay_bitwise_identical(full):
         assert base_losses == cap_losses
         for a, b in zip(base_params, cap_params):
             assert np.array_equal(a, b)
-        assert cap.captures >= 1
-        if full:
-            assert cap.full_captures >= 1 and cap.full_replays >= 1, \
-                cap.full_fail_reason
+        assert cap.captures == 1
+        _assert_tier(cap, tier, replays=2)
     finally:
         fused.set_streaming_attention(False)
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
-@pytest.mark.parametrize("full", [False, True], ids=["captured", "compiled"])
-def test_streaming_zero_allocations_after_capture(full):
+@pytest.mark.parametrize("tier", TIERS)
+def test_streaming_zero_allocations_after_capture(tier):
     from repro.tensor import fused
 
-    tuner, ids, capture = _build_streaming_tuner(True, full=full)
+    tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
     try:
         tuner.step(ids)                            # warm-up
         tuner.step(ids)                            # capture (+ full compile)
         assert capture.captures == 1
-        if full:
-            assert capture.full_captures == 1, capture.full_fail_reason
         for _ in range(2):
             tuner.step(ids)
             assert capture.last_step_allocations == 0, \
                 "streaming captured steady state still allocates"
-        if full:
-            assert capture.full_replays == 2
+        _assert_tier(capture, tier, replays=2)
     finally:
         fused.set_streaming_attention(False)
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("streaming", [False, True],
                          ids=["materializing", "streaming"])
-def test_replayed_steps_heap_steady(streaming):
+def test_replayed_steps_heap_steady(streaming, tier):
     # Deeper gate than the arena counters: tracemalloc sees *every* heap
     # allocation, so per-step ufunc temporaries the arena never notices
     # (``denom = x.sum(...)``, an ``~attn_mask`` inside a masked fill) show
@@ -660,11 +828,11 @@ def test_replayed_steps_heap_steady(streaming):
     from repro.tensor import fused
 
     tuner, ids, capture = _build_streaming_tuner(streaming, seq=256, tile=64,
-                                                 batch=1)
+                                                 tier=tier, batch=1)
     try:
         for _ in range(8):                         # warm-up, capture, replays
             tuner.step(ids)
-        assert capture.replay_steps >= 1
+        _assert_tier(capture, tier, replays=6)
         gc.collect()
         tracemalloc.start()
         for _ in range(2):                         # stabilise tracer overhead
