@@ -918,6 +918,20 @@ def bench_predicted_step(repeats: int = 3, batch: int = BATCH,
     return result
 
 
+def _pre_pr_gelu_forward(pre):
+    """The PR-4 GELU forward (tanh approximation), frozen with its caller."""
+    inner = pre * pre
+    inner *= np.float32(0.044715)
+    inner += 1.0
+    inner *= pre
+    inner *= np.float32(np.sqrt(2.0 / np.pi))
+    tanh_inner = np.tanh(inner, out=inner)
+    out = tanh_inner + 1.0
+    out *= pre
+    out *= 0.5
+    return out, tanh_inner
+
+
 def pre_pr_linear(x, weight, bias=None, activation=None):
     """The PR-4 fused linear, kept verbatim as the step-capture baseline.
 
@@ -925,7 +939,7 @@ def pre_pr_linear(x, weight, bias=None, activation=None):
     (no arena seam) and the weight/bias gradients are computed even for
     frozen parameters — the dead work the PEFT-aware backward now skips.
     """
-    from repro.tensor.fused import (_gelu_local_grad, _gelu_value_and_tanh)
+    from repro.tensor.fused import _gelu_local_grad
     from repro.tensor.tensor import custom_op
 
     x_data = x.data
@@ -943,7 +957,7 @@ def pre_pr_linear(x, weight, bias=None, activation=None):
         np.multiply(out, relu_mask, out=out)
     elif activation == "gelu":
         gelu_pre = out
-        out, gelu_tanh = _gelu_value_and_tanh(gelu_pre)
+        out, gelu_tanh = _pre_pr_gelu_forward(gelu_pre)
     elif activation == "tanh":
         out = np.tanh(out, out=out)
         act_out = out

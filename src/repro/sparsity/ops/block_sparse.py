@@ -99,21 +99,70 @@ def _blockify(x: np.ndarray, block_size: int) -> np.ndarray:
     return x.reshape(batch, heads, n_blocks, block_size, dim)
 
 
-def _blockify_arena(x: np.ndarray, block_size: int) -> np.ndarray:
-    """Pad + blockify, routing any reshape copy through the buffer arena.
+def _stage(arrays, n_blocks: int, block_size: int, alloc):
+    """Blockify ``(batch, heads, seq, dim)`` arrays for a kernel body.
 
-    Contiguous inputs blockify as a free view (as before); non-contiguous
-    inputs (head-transposed Q/K/V) would silently copy inside ``reshape`` —
-    that copy lands in a recycled arena buffer instead.  Values identical.
+    Returns ``(grids, copies)``.  A C-contiguous, block-aligned activation
+    blockifies as a free, stable view.  Anything else — the head-transposed
+    layout, a ragged tail — gets a staging buffer from ``alloc`` whose zero
+    padding is written here, once, plus a ``(fill, source)`` entry in
+    ``copies``: the view of the buffer the body refreshes from its source on
+    every run.
     """
-    x = _pad_to_blocks(x, block_size, axis=2)
-    batch, heads, seq, dim = x.shape
-    n_blocks = seq // block_size
-    if x.flags["C_CONTIGUOUS"]:
-        return x.reshape(batch, heads, n_blocks, block_size, dim)
-    buf = _arena.empty((batch, heads, n_blocks, block_size, dim), x.dtype)
-    np.copyto(buf.reshape(batch, heads, seq, dim), x)
-    return buf
+    grids, copies = [], []
+    for x in arrays:
+        batch, heads, seq, dim = x.shape
+        if x.flags["C_CONTIGUOUS"] and seq == n_blocks * block_size:
+            grids.append(x.reshape(batch, heads, n_blocks, block_size, dim))
+            continue
+        grid = alloc((batch, heads, n_blocks, block_size, dim), x.dtype)
+        rows = grid.reshape(batch, heads, n_blocks * block_size, dim)
+        rows[:, :, seq:] = 0.0
+        grids.append(grid)
+        copies.append((rows[:, :, :seq], x))
+    return grids, copies
+
+
+def _blockify_arena(x: np.ndarray, block_size: int) -> np.ndarray:
+    """Pad + blockify, routing any copy through the buffer arena."""
+    (grid,), copies = _stage((x,), -(-x.shape[2] // block_size), block_size,
+                             _arena.empty)
+    for fill, src in copies:
+        np.copyto(fill, src)
+    return grid
+
+
+def _scatter_segments(seg: np.ndarray, seg_heads: np.ndarray,
+                      seg_blocks: np.ndarray, uncovered: np.ndarray,
+                      grid_shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """Place per-(head, block) segment sums into a full ``(batch, heads,
+    padded_len, dim)`` arena buffer; blocks no segment covers are zeroed."""
+    batch, n_heads, n_blocks, bs, dim = grid_shape
+    grid = _arena.empty(grid_shape, dtype)
+    grid[:, seg_heads, seg_blocks] = seg
+    if uncovered.size:
+        grid.reshape(batch, n_heads * n_blocks, bs, dim)[:, uncovered] = 0.0
+    return grid.reshape(batch, n_heads, n_blocks * bs, dim)
+
+
+def _scatter_to_cols(contrib: np.ndarray, order: np.ndarray, geom,
+                     grid_shape: Tuple[int, ...]) -> np.ndarray:
+    """Accumulate per-block contributions onto their (head, col) blocks.
+
+    ``order`` sorts the block stack by (head, col): ``geom.col_order`` for a
+    layout-ordered stack, ``geom.stream.col_order`` for a stream-ordered one.
+    """
+    batch, _, _, bs, dim = grid_shape
+    contrib_sorted = np.take(contrib, order, axis=1, mode="clip",
+                             out=_arena.empty(contrib.shape, contrib.dtype))
+    seg = _segment_reduce(np.add, contrib_sorted, geom.col_starts,
+                          _arena.empty((batch, geom.col_seg_heads.shape[0],
+                                        bs, dim), np.float32))
+    _arena.release(contrib_sorted)
+    out = _scatter_segments(seg, geom.col_seg_heads, geom.col_seg_cols,
+                            geom.col_uncovered, grid_shape, np.float32)
+    _arena.release(seg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,197 +308,93 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
     scale = float(scale) if scale is not None else float(1.0 / np.sqrt(head_dim))
     dtype = q.data.dtype
 
-    padded_len = layout.n_blocks * bs
-    heads, rows, cols = layout.heads, layout.rows, layout.cols
+    n_blocks = layout.n_blocks
+    padded_len = n_blocks * bs
     starts = layout.row_segment_starts
     nnz = layout.nnz
     geom = (cache.lookup(layout, seq_len) if cache is not None
             else compute_block_geometry(layout, seq_len))
     seg_ids, seg_heads, seg_rows = geom.seg_ids, geom.seg_heads, geom.seg_rows
-    n_blocks = layout.n_blocks
     n_row_segs = seg_heads.shape[0]
-    allowed_f32 = geom.element_mask_f32                          # (nnz, bs, bs)
-
-    # Block gathers as linearised ``np.take`` into recycled buffers (values
-    # identical to the fancy-indexed ``pad[:, heads, rows]`` form).
-    def _gather(pad: np.ndarray, gather_idx: np.ndarray) -> np.ndarray:
-        flat = pad.reshape(batch, n_heads * n_blocks, bs, -1)
-        return np.take(flat, gather_idx, axis=1, mode="clip",
-                       out=_arena.empty((batch, nnz, bs, flat.shape[-1]),
-                                        pad.dtype))
+    grid_shape = (batch, n_heads, n_blocks, bs, head_dim)
+    flat_shape = (batch, n_heads * n_blocks, bs, head_dim)
 
     rec = _plan._RECORDER
     if rec is not None and seq_len % bs != 0:
-        # Padding allocates per call; no stable replay form.
+        # Ragged sequences stay interpreted: compiled replay is exercised
+        # (and gated bitwise) on block-aligned shapes only.
         rec.fail("block-sparse attention over a padded sequence")
         rec = None
-    if rec is not None:
-        # Recorded form: the whole SDD -> masked-softmax -> DSD chain over
-        # plan-owned buffers, replayed as one entry.  Identical instruction
-        # stream to the interpreted branch below — only buffer provenance
-        # differs (plain allocations, bound once; the arena must never
-        # reclaim plan state).
-        q_data, k_data, v_data = q.data, k.data, v.data
+    alloc = np.empty if rec is not None else _arena.empty
+    grids, copies = _stage((q.data, k.data, v.data), n_blocks, bs, alloc)
+    q_flat, k_flat, v_flat = (grid.reshape(flat_shape) for grid in grids)
+    # Block gathers as linearised ``np.take`` into bound buffers (values
+    # identical to the fancy-indexed ``pad[:, heads, rows]`` form).
+    q_blk = alloc((batch, nnz, bs, head_dim), dtype)
+    k_blk = alloc((batch, nnz, bs, head_dim), dtype)
+    v_blk = alloc((batch, nnz, bs, head_dim), dtype)
+    k_blk_t = np.swapaxes(k_blk, -1, -2)
+    # Scores buffer: scaled, masked, exponentiated and normalised in place —
+    # it leaves ``run`` as the probability stack, with no ``np.where(...)`` /
+    # exp / divide temporaries ever materialised.
+    scores = alloc((batch, nnz, bs, bs), dtype)
+    block_red = alloc((batch, nnz, bs), dtype)
+    seg_red = alloc((batch, n_row_segs, bs), dtype)
+    row_red = alloc((batch, nnz, bs), dtype)
+    zero_rows = alloc((batch, nnz, bs), bool)
+    ctx_blk = alloc((batch, nnz, bs, head_dim), dtype)
+    ctx_seg = alloc((batch, n_row_segs, bs, head_dim), dtype)
+    out5 = alloc(grid_shape, dtype)
+    out5_flat = out5.reshape(flat_shape)
+    neg_mask = geom.neg_element_mask[None]
+    allowed = geom.element_mask_f32[None]                        # (1, nnz, bs, bs)
+    row_gather, col_gather = geom.row_gather, geom.col_gather
+    row_uncovered = geom.row_uncovered
 
-        def _stage(x):
-            # Contiguous activations blockify as a free, stable view; the
-            # head-transposed layout needs a copy refreshed each replay.
-            if x.flags["C_CONTIGUOUS"]:
-                return x.reshape(batch, n_heads, n_blocks, bs, head_dim), None
-            buf = np.empty((batch, n_heads, n_blocks, bs, head_dim), x.dtype)
-            return buf, buf.reshape(batch, n_heads, seq_len, head_dim)
-
-        q_pad, q_fill = _stage(q_data)
-        k_pad, k_fill = _stage(k_data)
-        v_pad, v_fill = _stage(v_data)
-        copies = tuple((fill, src) for fill, src in
-                       ((q_fill, q_data), (k_fill, k_data), (v_fill, v_data))
-                       if fill is not None)
-        q_flat = q_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        k_flat = k_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        v_flat = v_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        q_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        k_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        v_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        k_blk_t = np.swapaxes(k_blk, -1, -2)
-        scores = np.empty((batch, nnz, bs, bs), dtype)
-        block_red = np.empty((batch, nnz, bs), dtype)
-        seg_red = np.empty((batch, n_row_segs, bs), dtype)
-        row_red = np.empty((batch, nnz, bs), dtype)
-        zero_rows = np.empty((batch, nnz, bs), bool)
-        ctx_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        ctx_seg = np.empty((batch, n_row_segs, bs, head_dim), dtype)
-        out5 = np.empty((batch, n_heads, n_blocks, bs, head_dim), dtype)
-        out5_flat = out5.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        neg_mask = geom.neg_element_mask[None]
-        allowed = allowed_f32[None]
-        row_gather, col_gather = geom.row_gather, geom.col_gather
-        row_uncovered = geom.row_uncovered
-
-        def run():
-            # The augmented assignments below are in-place ufunc calls; the
-            # nonlocal keeps ``scores`` a free variable (the rebinding is to
-            # the same buffer object every replay).
-            nonlocal scores
-            for fill, src in copies:
-                np.copyto(fill, src)
-            np.take(q_flat, row_gather, axis=1, mode="clip", out=q_blk)
-            np.take(k_flat, col_gather, axis=1, mode="clip", out=k_blk)
-            np.take(v_flat, col_gather, axis=1, mode="clip", out=v_blk)
-            np.matmul(q_blk, k_blk_t, out=scores)
-            scores *= scale
-            np.copyto(scores, _NEG_INF, where=neg_mask)
-            scores.max(axis=-1, out=block_red)
-            _segment_reduce(np.maximum, block_red, starts, seg_red)
-            np.take(seg_red, seg_ids, axis=1, mode="clip", out=row_red)
-            scores -= row_red[..., None]
-            np.exp(scores, out=scores)
-            np.multiply(scores, allowed, out=scores)
-            scores.sum(axis=-1, out=block_red)
-            _segment_reduce(np.add, block_red, starts, seg_red)
-            np.take(seg_red, seg_ids, axis=1, mode="clip", out=row_red)
-            _fused.guard_zero_rows(row_red, scratch=zero_rows)
-            scores /= row_red[..., None]
-            np.matmul(scores, v_blk, out=ctx_blk)
-            _segment_reduce(np.add, ctx_blk, starts, ctx_seg)
-            out5[:, seg_heads, seg_rows] = ctx_seg
-            if row_uncovered.size:
-                out5_flat[:, row_uncovered] = 0.0
-
-        run()
-        rec.record(run, tag="block_sparse_attention")
-        probs = scores                                           # (batch, nnz, bs, bs)
-        out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
-    else:
-        q_pad = _blockify_arena(q.data, bs)
-        k_pad = _blockify_arena(k.data, bs)
-        v_pad = _blockify_arena(v.data, bs)
-
-        q_blk = _gather(q_pad, geom.row_gather)                  # (batch, nnz, bs, dim)
-        k_blk = _gather(k_pad, geom.col_gather)
-        v_blk = _gather(v_pad, geom.col_gather)
-        _arena.release(q_pad, k_pad, v_pad)
-
-        # Scores buffer: scaled, masked, exponentiated and normalised in
-        # place — it leaves this block as the probability stack, with no
-        # `np.where(...)` / exp / divide temporaries ever materialised.
-        scores = np.matmul(q_blk, np.swapaxes(k_blk, -1, -2),
-                           out=_arena.empty((batch, nnz, bs, bs), dtype))
+    def run(scores=scores):
+        for fill, src in copies:
+            np.copyto(fill, src)
+        np.take(q_flat, row_gather, axis=1, mode="clip", out=q_blk)
+        np.take(k_flat, col_gather, axis=1, mode="clip", out=k_blk)
+        np.take(v_flat, col_gather, axis=1, mode="clip", out=v_blk)
+        np.matmul(q_blk, k_blk_t, out=scores)
         scores *= scale
-        np.copyto(scores, _NEG_INF, where=geom.neg_element_mask[None])
-
+        np.copyto(scores, _NEG_INF, where=neg_mask)
         # Row-wise softmax across blocks sharing a (head, query-row) segment.
-        block_max = scores.max(axis=-1,
-                               out=_arena.empty((batch, nnz, bs), dtype))
-        seg_max = _segment_reduce(np.maximum, block_max, starts,
-                                  _arena.empty((batch, n_row_segs, bs), dtype))
-        row_max = np.take(seg_max, seg_ids, axis=1, mode="clip",
-                          out=_arena.empty((batch, nnz, bs), dtype))
-        scores -= row_max[..., None]
-        _arena.release(block_max, seg_max, row_max)
+        scores.max(axis=-1, out=block_red)
+        _segment_reduce(np.maximum, block_red, starts, seg_red)
+        np.take(seg_red, seg_ids, axis=1, mode="clip", out=row_red)
+        scores -= row_red[..., None]
         np.exp(scores, out=scores)
-        np.multiply(scores, allowed_f32[None], out=scores)
-        block_sum = scores.sum(axis=-1,
-                               out=_arena.empty((batch, nnz, bs), dtype))
-        seg_sum = _segment_reduce(np.add, block_sum, starts,
-                                  _arena.empty((batch, n_row_segs, bs), dtype))
-        row_sum = np.take(seg_sum, seg_ids, axis=1, mode="clip",  # fresh gather: safe to fix up in place
-                          out=_arena.empty((batch, nnz, bs), dtype))
-        _fused.guard_zero_rows(row_sum)
-        scores /= row_sum[..., None]
-        _arena.release(block_sum, seg_sum, row_sum)
-        probs = scores                                           # (batch, nnz, bs, bs)
+        np.multiply(scores, allowed, out=scores)
+        scores.sum(axis=-1, out=block_red)
+        _segment_reduce(np.add, block_red, starts, seg_red)
+        np.take(seg_red, seg_ids, axis=1, mode="clip", out=row_red)
+        _fused.guard_zero_rows(row_red, scratch=zero_rows)
+        scores /= row_red[..., None]
+        np.matmul(scores, v_blk, out=ctx_blk)
+        _segment_reduce(np.add, ctx_blk, starts, ctx_seg)
+        out5[:, seg_heads, seg_rows] = ctx_seg
+        if row_uncovered.size:
+            out5_flat[:, row_uncovered] = 0.0
 
-    out_shape5 = (batch, n_heads, n_blocks, bs, head_dim)
-
-    def _scatter_to_rows(seg: np.ndarray, buf_dtype) -> np.ndarray:
-        """Place (head, row)-segment sums into a full block grid buffer."""
-        out_blocks = _arena.empty(out_shape5, buf_dtype)
-        out_blocks[:, seg_heads, seg_rows] = seg
-        if geom.row_uncovered.size:
-            out_blocks.reshape(batch, n_heads * n_blocks, bs, head_dim)[
-                :, geom.row_uncovered] = 0.0
-        return out_blocks
-
-    if rec is None:
-        ctx_blk = np.matmul(probs, v_blk,
-                            out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        ctx_seg = _segment_reduce(np.add, ctx_blk, starts,
-                                  _arena.empty((batch, n_row_segs, bs, head_dim),
-                                               dtype))
-        out = _scatter_to_rows(ctx_seg, dtype)
-        _arena.release(ctx_blk, ctx_seg)
-        out = out.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
-
-    col_order, col_starts = geom.col_order, geom.col_starts
-    col_seg_heads, col_seg_cols = geom.col_seg_heads, geom.col_seg_cols
-    n_col_segs = col_seg_heads.shape[0]
-
-    def _scatter_to_cols(contrib: np.ndarray) -> np.ndarray:
-        """Accumulate per-block contributions onto their (head, col) blocks."""
-        contrib_sorted = np.take(contrib, col_order, axis=1, mode="clip",
-                                 out=_arena.empty(contrib.shape, contrib.dtype))
-        seg = _segment_reduce(np.add, contrib_sorted, col_starts,
-                              _arena.empty((batch, n_col_segs, bs, head_dim),
-                                           np.float32))
-        _arena.release(contrib_sorted)
-        out_blocks = _arena.empty(out_shape5, np.float32)
-        out_blocks[:, col_seg_heads, col_seg_cols] = seg
-        if geom.col_uncovered.size:
-            out_blocks.reshape(batch, n_heads * n_blocks, bs, head_dim)[
-                :, geom.col_uncovered] = 0.0
-        _arena.release(seg)
-        return out_blocks.reshape(batch, n_heads, padded_len, head_dim)
+    _plan.emit(rec, run, "block_sparse_attention", *grids, block_red,
+               seg_red, row_red, zero_rows, ctx_blk, ctx_seg)
+    probs = scores                                               # (batch, nnz, bs, bs)
+    out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
 
     def backward(grad_out: np.ndarray):
         grad_out_pad = _blockify_arena(grad_out, bs)
-        dout_blk = _gather(grad_out_pad, geom.row_gather)        # (batch, nnz, bs, dim)
+        dout_blk = np.take(grad_out_pad.reshape(flat_shape), row_gather,
+                           axis=1, mode="clip",
+                           out=_arena.empty((batch, nnz, bs, head_dim),
+                                            grad_out.dtype))
         _arena.release(grad_out_pad)
 
         # dV: P^T @ dOut accumulated onto (head, col) blocks.
         dv_contrib = np.matmul(np.swapaxes(probs, -1, -2), dout_blk,
                                out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        dv = _scatter_to_cols(dv_contrib)
+        dv = _scatter_to_cols(dv_contrib, geom.col_order, geom, grid_shape)
         _arena.release(dv_contrib)
 
         # dP, then the softmax backward carried out in the same buffer
@@ -474,14 +419,14 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
         dq_seg = _segment_reduce(np.add, dq_contrib, starts,
                                  _arena.empty((batch, n_row_segs, bs, head_dim),
                                               np.float32))
-        dq = _scatter_to_rows(dq_seg, np.float32)
+        dq = _scatter_segments(dq_seg, seg_heads, seg_rows, row_uncovered,
+                               grid_shape, np.float32)
         _arena.release(dq_contrib, dq_seg)
-        dq = dq.reshape(batch, n_heads, padded_len, head_dim)
 
         # dK: dS^T @ Q accumulated onto (head, col) blocks.
         dk_contrib = np.matmul(np.swapaxes(dS, -1, -2), q_blk,
                                out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        dk = _scatter_to_cols(dk_contrib)
+        dk = _scatter_to_cols(dk_contrib, geom.col_order, geom, grid_shape)
         # The gathered blocks and the probability stack are dead once the
         # three gradients exist; recycling them here lets the next layer's
         # backward run in the very same (cache-hot) buffers.
@@ -505,10 +450,8 @@ def _stream_bs_forward(q_seg, k_stream, v_stream, neg_mask, mask_f32, scale,
     Round ``j`` processes the j-th active block of every live segment; the
     descending-length stream order makes the live set a prefix, so all state
     updates are prefix-slice operations on the ``(batch, nseg, ...)``
-    buffers.  Shared verbatim by the recorded thunk and the interpreted path
-    (bitwise capture parity).  After the sweep ``lse`` holds the per-row
-    logsumexp for the recompute backward and ``acc`` the normalised
-    per-segment context blocks.
+    buffers.  After the sweep ``lse`` holds the per-row logsumexp for the
+    recompute backward and ``acc`` the normalised per-segment context blocks.
     """
     m_buf.fill(-np.inf)
     lse.fill(0.0)
@@ -583,117 +526,50 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
     q_gather, kv_gather = st.q_gather, st.kv_gather
     seg_heads, seg_rows = st.seg_heads, st.seg_rows
     row_uncovered = geom.row_uncovered
-    out_shape5 = (batch, n_heads, n_blocks, bs, head_dim)
+    grid_shape = (batch, n_heads, n_blocks, bs, head_dim)
+    flat_shape = (batch, n_heads * n_blocks, bs, head_dim)
 
     rec = _plan._RECORDER
     if rec is not None and seq_len % bs != 0:
         rec.fail("streaming block-sparse attention over a padded sequence")
         rec = None
-    if rec is not None:
-        q_data, k_data, v_data = q.data, k.data, v.data
+    alloc = np.empty if rec is not None else _arena.empty
+    grids, copies = _stage((q.data, k.data, v.data), n_blocks, bs, alloc)
+    q_flat, k_flat, v_flat = (grid.reshape(flat_shape) for grid in grids)
+    q_seg = alloc((batch, nseg, bs, head_dim), dtype)
+    k_stream = alloc((batch, nnz, bs, head_dim), dtype)
+    v_stream = alloc((batch, nnz, bs, head_dim), dtype)
+    s_buf = alloc((batch, nseg, bs, bs), dtype)
+    red = alloc((batch, nseg, bs), dtype)
+    corr = alloc((batch, nseg, bs), dtype)
+    m_buf = alloc((batch, nseg, bs), dtype)
+    lse = alloc((batch, nseg, bs), dtype)
+    zero_rows = alloc((batch, nseg, bs), bool)
+    pv = alloc((batch, nseg, bs, head_dim), dtype)
+    acc = alloc((batch, nseg, bs, head_dim), dtype)
+    out5 = alloc(grid_shape, dtype)
+    out5_flat = out5.reshape(flat_shape)
 
-        def _stage(x):
-            if x.flags["C_CONTIGUOUS"]:
-                return x.reshape(batch, n_heads, n_blocks, bs, head_dim), None
-            buf = np.empty((batch, n_heads, n_blocks, bs, head_dim), x.dtype)
-            return buf, buf.reshape(batch, n_heads, seq_len, head_dim)
-
-        q_pad, q_fill = _stage(q_data)
-        k_pad, k_fill = _stage(k_data)
-        v_pad, v_fill = _stage(v_data)
-        copies = tuple((fill, src) for fill, src in
-                       ((q_fill, q_data), (k_fill, k_data), (v_fill, v_data))
-                       if fill is not None)
-        q_flat = q_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        k_flat = k_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        v_flat = v_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        q_seg = np.empty((batch, nseg, bs, head_dim), dtype)
-        k_stream = np.empty((batch, nnz, bs, head_dim), dtype)
-        v_stream = np.empty((batch, nnz, bs, head_dim), dtype)
-        s_buf = np.empty((batch, nseg, bs, bs), dtype)
-        red = np.empty((batch, nseg, bs), dtype)
-        corr = np.empty((batch, nseg, bs), dtype)
-        m_buf = np.empty((batch, nseg, bs), dtype)
-        lse = np.empty((batch, nseg, bs), dtype)
-        zero_rows = np.empty((batch, nseg, bs), bool)
-        pv = np.empty((batch, nseg, bs, head_dim), dtype)
-        acc = np.empty((batch, nseg, bs, head_dim), dtype)
-        out5 = np.empty(out_shape5, dtype)
-        out5_flat = out5.reshape(batch, n_heads * n_blocks, bs, head_dim)
-
-        def run():
-            for fill, src in copies:
-                np.copyto(fill, src)
-            np.take(q_flat, q_gather, axis=1, mode="clip", out=q_seg)
-            np.take(k_flat, kv_gather, axis=1, mode="clip", out=k_stream)
-            np.take(v_flat, kv_gather, axis=1, mode="clip", out=v_stream)
-            _stream_bs_forward(q_seg, k_stream, v_stream, neg_mask, mask_f32,
-                               scale, rounds, s_buf, red, corr, m_buf, lse,
-                               zero_rows, pv, acc, out5, out5_flat,
-                               seg_heads, seg_rows, row_uncovered)
-
-        run()
-        rec.record(run, tag="streaming_block_sparse_attention")
-        out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
-    else:
-        q_pad = _blockify_arena(q.data, bs)
-        k_pad = _blockify_arena(k.data, bs)
-        v_pad = _blockify_arena(v.data, bs)
-        q_flat = q_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        k_flat = k_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        v_flat = v_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        q_seg = np.take(q_flat, q_gather, axis=1, mode="clip",
-                        out=_arena.empty((batch, nseg, bs, head_dim), dtype))
-        k_stream = np.take(k_flat, kv_gather, axis=1, mode="clip",
-                           out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        v_stream = np.take(v_flat, kv_gather, axis=1, mode="clip",
-                           out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        _arena.release(q_pad, k_pad, v_pad)
-        s_buf = _arena.empty((batch, nseg, bs, bs), dtype)
-        red = _arena.empty((batch, nseg, bs), dtype)
-        corr = _arena.empty((batch, nseg, bs), dtype)
-        m_buf = _arena.empty((batch, nseg, bs), dtype)
-        lse = _arena.empty((batch, nseg, bs), dtype)
-        zero_rows = _arena.empty((batch, nseg, bs), bool)
-        pv = _arena.empty((batch, nseg, bs, head_dim), dtype)
-        acc = _arena.empty((batch, nseg, bs, head_dim), dtype)
-        out5 = _arena.empty(out_shape5, dtype)
-        out5_flat = out5.reshape(batch, n_heads * n_blocks, bs, head_dim)
+    def run():
+        for fill, src in copies:
+            np.copyto(fill, src)
+        np.take(q_flat, q_gather, axis=1, mode="clip", out=q_seg)
+        np.take(k_flat, kv_gather, axis=1, mode="clip", out=k_stream)
+        np.take(v_flat, kv_gather, axis=1, mode="clip", out=v_stream)
         _stream_bs_forward(q_seg, k_stream, v_stream, neg_mask, mask_f32,
                            scale, rounds, s_buf, red, corr, m_buf, lse,
                            zero_rows, pv, acc, out5, out5_flat,
                            seg_heads, seg_rows, row_uncovered)
-        # q_seg/k_stream/v_stream/acc/lse survive for the recompute backward.
-        _arena.release(s_buf, red, corr, m_buf, zero_rows, pv)
-        out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
 
-    col_starts = geom.col_starts
-    col_seg_heads, col_seg_cols = geom.col_seg_heads, geom.col_seg_cols
-    n_col_segs = col_seg_heads.shape[0]
-    stream_col_order = st.col_order
-
-    def _scatter_stream_to_cols(contrib: np.ndarray) -> np.ndarray:
-        """Accumulate stream-ordered contributions onto (head, col) blocks."""
-        contrib_sorted = np.take(contrib, stream_col_order, axis=1,
-                                 mode="clip",
-                                 out=_arena.empty(contrib.shape, contrib.dtype))
-        seg = _segment_reduce(np.add, contrib_sorted, col_starts,
-                              _arena.empty((batch, n_col_segs, bs, head_dim),
-                                           np.float32))
-        _arena.release(contrib_sorted)
-        out_blocks = _arena.empty(out_shape5, np.float32)
-        out_blocks[:, col_seg_heads, col_seg_cols] = seg
-        if geom.col_uncovered.size:
-            out_blocks.reshape(batch, n_heads * n_blocks, bs, head_dim)[
-                :, geom.col_uncovered] = 0.0
-        _arena.release(seg)
-        return out_blocks.reshape(batch, n_heads, padded_len, head_dim)
+    # q_seg/k_stream/v_stream/acc/lse survive for the recompute backward.
+    _plan.emit(rec, run, "streaming_block_sparse_attention", *grids, s_buf,
+               red, corr, m_buf, zero_rows, pv)
+    out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
 
     def backward(grad_out: np.ndarray):
         grad_out_pad = _blockify_arena(grad_out, bs)
-        dout_flat = grad_out_pad.reshape(batch, n_heads * n_blocks, bs,
-                                         head_dim)
-        dout_seg = np.take(dout_flat, q_gather, axis=1, mode="clip",
+        dout_seg = np.take(grad_out_pad.reshape(flat_shape), q_gather,
+                           axis=1, mode="clip",
                            out=_arena.empty((batch, nseg, bs, head_dim),
                                             dtype))
         _arena.release(grad_out_pad)
@@ -737,20 +613,15 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
                       out=dk_stack[:, o0:o1])
         _arena.release(sb, dpb, dq_scratch, dout_seg, delta)
 
-        dv = _scatter_stream_to_cols(dv_stack)
+        dv = _scatter_to_cols(dv_stack, st.col_order, geom, grid_shape)
         _arena.release(dv_stack)
-        dk = _scatter_stream_to_cols(dk_stack)
+        dk = _scatter_to_cols(dk_stack, st.col_order, geom, grid_shape)
         _arena.release(dk_stack)
 
-        dq5 = _arena.empty(out_shape5, np.float32)
-        dq5[:, seg_heads, seg_rows] = dq_acc
-        if row_uncovered.size:
-            dq5.reshape(batch, n_heads * n_blocks, bs, head_dim)[
-                :, row_uncovered] = 0.0
-        # acc/lse and the gathered streams are plan-owned in the recorded
-        # branch (release ignores them there) and arena buffers otherwise.
+        dq = _scatter_segments(dq_acc, seg_heads, seg_rows, row_uncovered,
+                               grid_shape, np.float32)
+        # release() ignores the saved state when the plan owns it.
         _arena.release(dq_acc, q_seg, k_stream, v_stream, acc, lse)
-        dq = dq5.reshape(batch, n_heads, padded_len, head_dim)
         return (dq[:, :, :seq_len], dk[:, :, :seq_len], dv[:, :, :seq_len])
 
     return custom_op(out, (q, k, v), backward)

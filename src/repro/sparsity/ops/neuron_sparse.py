@@ -31,7 +31,7 @@ import numpy as np
 from repro.tensor import Tensor
 from repro.tensor import arena as _arena
 from repro.tensor import plan as _plan
-from repro.tensor.tensor import custom_op
+from repro.tensor.tensor import _check_gather_bounds, custom_op
 
 
 def expand_block_indices(active_blocks: np.ndarray, block_size: int,
@@ -147,7 +147,9 @@ def neuron_sparse_linear_pair(x: Tensor,
     x_data = x.data
     batch_shape = x_data.shape[:-1]
     d_model = x_data.shape[-1]
-    hidden_dim = fc1_weight.data.shape[0]
+    # The weight gathers below run ``np.take(mode="clip")``, which would
+    # silently clamp an out-of-range neuron index.
+    _check_gather_bounds(active, fc1_weight.data.shape[0])
 
     rec = _plan._RECORDER
     if rec is not None and not x_data.flags.c_contiguous:
@@ -167,55 +169,41 @@ def neuron_sparse_linear_pair(x: Tensor,
     n_rows = x2d.shape[0]
     n_active = active.shape[0]
 
-    if rec is not None:
-        # Recorded form: the active-neuron set and the frozen weights are
-        # constant for the plan's lifetime (a layout change invalidates the
-        # whole plan), so the weight gathers happen once here at record time
-        # and the replay thunk runs only the two matmuls + ReLU over
-        # plan-owned buffers.
-        fc1_active = fc1_weight.data[active]
-        if cache is not None and cache.coalesced and cache.fc2_weight_t is not None:
-            fc2_active_t = cache.fc2_weight_t[active]
-        else:
-            fc2_active_t = fc2_weight.data[:, active].T
-        b1_active = fc1_bias.data[active]
-        fc1_active_T = fc1_active.T
-        fc2_b = fc2_bias.data
-        pre = np.empty((n_rows, n_active), x2d.dtype)
-        act_mask = np.empty((n_rows, n_active), bool)
-        hidden = np.empty((n_rows, n_active), x2d.dtype)
-        out2d = np.empty((n_rows, d_model), x2d.dtype)
-
-        def run():
-            # nonlocal: the += are in-place ufunc calls rebinding the names
-            # to the very same buffers — keep them free variables.
-            nonlocal pre, out2d
-            np.matmul(x2d, fc1_active_T, out=pre)
-            pre += b1_active
-            np.greater(pre, 0, out=act_mask)
-            np.multiply(pre, act_mask, out=hidden)
-            np.matmul(hidden, fc2_active_t, out=out2d)
-            out2d += fc2_b
-
-        run()
-        rec.record(run, tag="neuron_sparse_mlp")
+    # The active-neuron set and (under the veto above, whenever recording) the
+    # weights are constant for a plan's lifetime — a layout change invalidates
+    # the whole plan — so the weight gathers are bound here, once, and the
+    # body runs only the two matmuls + ReLU.
+    alloc = np.empty if rec is not None else _arena.empty
+    fc1_active = np.take(fc1_weight.data, active, axis=0, mode="clip",
+                         out=alloc((n_active, d_model), fc1_weight.data.dtype))
+    if cache is not None and cache.coalesced and cache.fc2_weight_t is not None:
+        fc2_buf = np.take(cache.fc2_weight_t, active, axis=0, mode="clip",
+                          out=alloc((n_active, d_model),
+                                    cache.fc2_weight_t.dtype))
+        fc2_active_t = fc2_buf
     else:
-        if cache is not None:
-            fc1_active, fc2_active_t = cache.gather(active)
-        else:
-            fc1_active = fc1_weight.data[active]
-            fc2_active_t = fc2_weight.data[:, active].T
-        b1_active = fc1_bias.data[active]
-        pre = np.matmul(x2d, fc1_active.T,
-                        out=_arena.empty((n_rows, n_active), x2d.dtype))
+        fc2_buf = np.take(fc2_weight.data, active, axis=1, mode="clip",
+                          out=alloc((d_model, n_active),
+                                    fc2_weight.data.dtype))
+        fc2_active_t = fc2_buf.T
+    b1_active = np.take(fc1_bias.data, active, mode="clip",
+                        out=alloc((n_active,), fc1_bias.data.dtype))
+    fc1_active_T = fc1_active.T
+    fc2_b = fc2_bias.data
+    pre = alloc((n_rows, n_active), x2d.dtype)
+    act_mask = alloc((n_rows, n_active), bool)
+    hidden = alloc((n_rows, n_active), x2d.dtype)
+    out2d = alloc((n_rows, d_model), x2d.dtype)
+
+    def run(pre=pre, out2d=out2d):
+        np.matmul(x2d, fc1_active_T, out=pre)
         pre += b1_active
-        act_mask = pre > 0
-        hidden = np.multiply(pre, act_mask,
-                             out=_arena.empty((n_rows, n_active), pre.dtype))
-        _arena.release(pre)
-        out2d = np.matmul(hidden, fc2_active_t,
-                          out=_arena.empty((n_rows, d_model), hidden.dtype))
-        out2d += fc2_bias.data
+        np.greater(pre, 0, out=act_mask)
+        np.multiply(pre, act_mask, out=hidden)
+        np.matmul(hidden, fc2_active_t, out=out2d)
+        out2d += fc2_b
+
+    _plan.emit(rec, run, "neuron_sparse_mlp", pre, b1_active)
     out = out2d.reshape(*batch_shape, d_model)
 
     def backward(grad_out: np.ndarray):
@@ -248,7 +236,7 @@ def neuron_sparse_linear_pair(x: Tensor,
         grad_x = np.matmul(grad_hidden, fc1_active,
                            out=_arena.empty((n_rows, d_model), grad_hidden.dtype)
                            ).reshape(x_data.shape)
-        _arena.release(grad_hidden, hidden, fc1_active, fc2_active_t)
+        _arena.release(grad_hidden, hidden, act_mask, fc1_active, fc2_buf)
         return grad_x, grad_fc1, grad_b1, grad_fc2, grad_fc2_bias
 
     return custom_op(out, (x, fc1_weight, fc1_bias, fc2_weight, fc2_bias), backward)

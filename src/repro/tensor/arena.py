@@ -26,9 +26,11 @@ that steady state into buffer *reuse*:
 The module also owns the *active arena* switch the allocation seams consult:
 :func:`empty` / :func:`zeros` route through the active arena when one is
 installed (capture mode) and degrade to plain ``np.empty`` / ``np.zeros``
-otherwise, so captured and uncaptured execution run the *same instruction
-stream* — only the provenance of the buffers differs, which is what makes
-the two modes bitwise identical.
+otherwise.  Every kernel is one function body over buffers from this seam
+(or plan-owned ones while a forward is being recorded, see
+:func:`repro.tensor.plan.emit`), so captured and uncaptured execution differ
+only in the provenance of their buffers — which is what makes the modes
+bitwise identical.
 
 This module lives in ``repro.tensor`` (the lowest layer) so the tensor core
 and the fused kernels can import it without cycles; the step-capture state

@@ -10,6 +10,14 @@ full-size temporary and its own entry in the topological sort) into one node
 per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
+The kernels the step compiler can replay (``layer_norm``, ``linear``,
+``cross_entropy_logits``, the two attention cores) write that forward exactly
+once, as a ``run`` thunk over buffers bound up front — plan-owned while a
+:class:`~repro.tensor.plan.ForwardRecorder` is installed, the arena's
+otherwise — and hand it to :func:`repro.tensor.plan.emit`, which runs it and
+either records it or returns the scratch.  Recorded and interpreted execution
+are therefore the same function body; only buffer provenance differs.
+
 The module pairs with :mod:`repro.tensor.reference`, which implements the
 same functions as compositions of primitive ``Tensor`` ops.  The reference
 forms serve three purposes:
@@ -91,18 +99,6 @@ def set_fused_kernels(enabled: bool) -> None:
 
 
 @contextlib.contextmanager
-def reference_kernels():
-    """Context manager running the stack on the primitive-composition tape."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = False
-    try:
-        yield
-    finally:
-        _FUSED_ENABLED = previous
-
-
-@contextlib.contextmanager
 def fused_kernel_state(enabled: bool):
     """Context manager pinning the fused-kernel switch to ``enabled``.
 
@@ -120,6 +116,11 @@ def fused_kernel_state(enabled: bool):
         yield
     finally:
         _FUSED_ENABLED = previous
+
+
+def reference_kernels():
+    """Context manager running the stack on the primitive-composition tape."""
+    return fused_kernel_state(False)
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +187,15 @@ def guard_zero_rows(denom: np.ndarray,
     kernels and the oracle exposer).  Rows with any kept position are
     untouched bit-for-bit.
 
-    ``scratch`` is an optional boolean buffer of ``denom``'s shape (recorded
-    kernels pass their plan-owned buffer); without it the scratch comes from
-    the arena, so no per-step heap allocation survives either way.
+    ``scratch`` is an optional boolean buffer of ``denom``'s shape (the
+    kernels with a ``run`` body pass one they bound); without it the scratch
+    comes from the arena, so no per-step heap allocation survives either way.
     """
+    buf = scratch if scratch is not None else _arena.empty(denom.shape, bool)
+    np.equal(denom, 0.0, out=buf)
+    np.copyto(denom, 1.0, where=buf)
     if scratch is None:
-        scratch = _arena.empty(denom.shape, bool)
-        np.equal(denom, 0.0, out=scratch)
-        np.copyto(denom, 1.0, where=scratch)
-        _arena.release(scratch)
-    else:
-        np.equal(denom, 0.0, out=scratch)
-        np.copyto(denom, 1.0, where=scratch)
+        _arena.release(buf)
     return denom
 
 
@@ -322,44 +320,28 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     data = x.data
     red_shape = data.shape[:-1] + (1,)
     rec = _plan._RECORDER
-    if rec is not None:
-        w, b = weight.data, bias.data
-        normalized = np.empty(data.shape, data.dtype)
-        sq = np.empty(data.shape, data.dtype)
-        mean = np.empty(red_shape, data.dtype)
-        inv_std = np.empty(red_shape, data.dtype)
-        out = np.empty(data.shape, data.dtype)
+    alloc = np.empty if rec is not None else _arena.empty
+    w, b = weight.data, bias.data
+    normalized = alloc(data.shape, data.dtype)
+    sq = alloc(data.shape, data.dtype)
+    mean = alloc(red_shape, data.dtype)
+    inv_std = alloc(red_shape, data.dtype)
+    out = alloc(data.shape, data.dtype)
 
-        def run(data=data, w=w, b=b, normalized=normalized, sq=sq,
-                mean=mean, inv_std=inv_std, out=out):
-            data.mean(axis=-1, keepdims=True, out=mean)
-            np.subtract(data, mean, out=normalized)
-            np.square(normalized, out=sq)
-            sq.mean(axis=-1, keepdims=True, out=inv_std)
-            np.add(inv_std, eps, out=inv_std)
-            np.sqrt(inv_std, out=inv_std)
-            np.divide(1.0, inv_std, out=inv_std)
-            np.multiply(normalized, inv_std, out=normalized)
-            np.multiply(normalized, w, out=out)
-            np.add(out, b, out=out)
+    def run(data=data, w=w, b=b, normalized=normalized, sq=sq,
+            mean=mean, inv_std=inv_std, out=out):
+        data.mean(axis=-1, keepdims=True, out=mean)
+        np.subtract(data, mean, out=normalized)
+        np.square(normalized, out=sq)
+        sq.mean(axis=-1, keepdims=True, out=inv_std)
+        np.add(inv_std, eps, out=inv_std)
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        np.multiply(normalized, inv_std, out=normalized)
+        np.multiply(normalized, w, out=out)
+        np.add(out, b, out=out)
 
-        run()
-        rec.record(run, tag="layer_norm")
-    else:
-        mean = data.mean(axis=-1, keepdims=True,
-                         out=_arena.empty(red_shape, data.dtype))
-        normalized = np.subtract(data, mean,
-                                 out=_arena.empty(data.shape, data.dtype))
-        sq = np.square(normalized, out=_arena.empty(data.shape, data.dtype))
-        var = sq.mean(axis=-1, keepdims=True, out=mean)
-        _arena.release(sq)
-        np.add(var, eps, out=var)
-        np.sqrt(var, out=var)
-        inv_std = np.divide(1.0, var, out=var)
-        normalized *= inv_std
-        out = np.multiply(normalized, weight.data,
-                          out=_arena.empty(data.shape, data.dtype))
-        out += bias.data
+    _plan.emit(rec, run, "layer_norm", sq, mean)
     dim = data.shape[-1]
 
     def backward(grad):
@@ -394,25 +376,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
 # ---------------------------------------------------------------------------
 # fused linear (+ bias, + optional activation)
 # ---------------------------------------------------------------------------
-
-def _gelu_value_and_tanh(pre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """GELU (tanh approximation) computed with multiplications, not ``**``.
-
-    ``x ** 3`` on float32 goes through NumPy's generic pow loop and is an
-    order of magnitude slower than two multiplies; profiling the seed train
-    step showed GeLU alone at ~35 % of wall-clock for exactly this reason.
-    """
-    inner = np.multiply(pre, pre, out=_arena.empty(pre.shape, pre.dtype))
-    inner *= _GELU_A
-    inner += 1.0
-    inner *= pre
-    inner *= _GELU_C
-    tanh_inner = np.tanh(inner, out=inner)
-    out = np.add(tanh_inner, 1.0, out=_arena.empty(pre.shape, pre.dtype))
-    out *= pre
-    out *= 0.5
-    return out, tanh_inner
-
 
 def _gelu_local_grad(pre: np.ndarray, tanh_inner: np.ndarray) -> np.ndarray:
     """d gelu(x) / dx given the pre-activation and its cached tanh term."""
@@ -462,75 +425,51 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     # Per-activation saved state for the backward (all 2D views).
     relu_mask = gelu_pre = gelu_tanh = act_out = None
-    if rec is not None:
-        # Recorded form: the same instruction stream over plan-owned buffers
-        # (plain allocations — never the arena, whose generation recycling
-        # must not reclaim plan state), replayed as one entry.
-        w = weight.data
-        b = None if bias is None else bias.data
-        pre = np.empty((x2d.shape[0], out_features), np.result_type(x2d, w))
-        out = pre
+    alloc = np.empty if rec is not None else _arena.empty
+    w = weight.data
+    b = None if bias is None else bias.data
+    pre = alloc((x2d.shape[0], out_features), np.result_type(x2d, w))
+    out = pre
+    if activation == "relu":
+        relu_mask = alloc(pre.shape, bool)
+    elif activation == "gelu":
+        gelu_pre = pre
+        gelu_tanh = alloc(pre.shape, pre.dtype)
+        out = alloc(pre.shape, pre.dtype)
+    elif activation in ("tanh", "sigmoid"):
+        act_out = pre
+
+    def run(x2d=x2d, w=w, b=b, pre=pre, out=out, relu_mask=relu_mask,
+            gelu_tanh=gelu_tanh, activation=activation):
+        np.matmul(x2d, w.T, out=pre)
+        if b is not None:
+            pre += b
         if activation == "relu":
-            relu_mask = np.empty(pre.shape, bool)
+            np.greater(pre, 0, out=relu_mask)
+            np.multiply(pre, relu_mask, out=pre)
         elif activation == "gelu":
-            gelu_pre = pre
-            gelu_tanh = np.empty(pre.shape, pre.dtype)
-            out = np.empty(pre.shape, pre.dtype)
-        elif activation in ("tanh", "sigmoid"):
-            act_out = pre
-
-        def run(x2d=x2d, w=w, b=b, pre=pre, out=out, relu_mask=relu_mask,
-                gelu_tanh=gelu_tanh, activation=activation):
-            np.matmul(x2d, w.T, out=pre)
-            if b is not None:
-                pre += b
-            if activation == "relu":
-                np.greater(pre, 0, out=relu_mask)
-                np.multiply(pre, relu_mask, out=pre)
-            elif activation == "gelu":
-                # Mirrors ``_gelu_value_and_tanh`` with bound buffers.
-                np.multiply(pre, pre, out=gelu_tanh)
-                gelu_tanh *= _GELU_A
-                gelu_tanh += 1.0
-                gelu_tanh *= pre
-                gelu_tanh *= _GELU_C
-                np.tanh(gelu_tanh, out=gelu_tanh)
-                np.add(gelu_tanh, 1.0, out=out)
-                out *= pre
-                out *= 0.5
-            elif activation == "tanh":
-                np.tanh(pre, out=pre)
-            elif activation == "sigmoid":
-                np.negative(pre, out=pre)
-                np.exp(pre, out=pre)
-                pre += 1.0
-                np.reciprocal(pre, out=pre)
-
-        run()
-        rec.record(run, tag=f"linear:{activation or 'none'}")
-    else:
-        out = np.matmul(x2d, weight.data.T,
-                        out=_arena.empty((x2d.shape[0], out_features),
-                                         np.result_type(x2d, weight.data)))
-        if bias is not None:
-            out += bias.data
-        if activation is None or activation == "none":
-            pass
-        elif activation == "relu":
-            relu_mask = out > 0
-            np.multiply(out, relu_mask, out=out)
-        elif activation == "gelu":
-            gelu_pre = out
-            out, gelu_tanh = _gelu_value_and_tanh(gelu_pre)
+            # tanh approximation with multiplications, not ``**``: ``x ** 3``
+            # on float32 goes through NumPy's generic pow loop, an order of
+            # magnitude slower than two multiplies (GeLU alone was ~35 % of
+            # the seed train step for exactly this reason).
+            np.multiply(pre, pre, out=gelu_tanh)
+            gelu_tanh *= _GELU_A
+            gelu_tanh += 1.0
+            gelu_tanh *= pre
+            gelu_tanh *= _GELU_C
+            np.tanh(gelu_tanh, out=gelu_tanh)
+            np.add(gelu_tanh, 1.0, out=out)
+            out *= pre
+            out *= 0.5
         elif activation == "tanh":
-            out = np.tanh(out, out=out)
-            act_out = out
+            np.tanh(pre, out=pre)
         elif activation == "sigmoid":
-            np.negative(out, out=out)
-            np.exp(out, out=out)
-            out += 1.0
-            np.reciprocal(out, out=out)
-            act_out = out
+            np.negative(pre, out=pre)
+            np.exp(pre, out=pre)
+            pre += 1.0
+            np.reciprocal(pre, out=pre)
+
+    _plan.emit(rec, run, f"linear:{activation or 'none'}")
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -544,6 +483,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if relu_mask is not None:
             grad2d = act_grad = np.multiply(
                 grad2d, relu_mask, out=_arena.empty(grad2d.shape, grad2d.dtype))
+            _arena.release(relu_mask)
         elif gelu_pre is not None:
             local = _gelu_local_grad(gelu_pre, gelu_tanh)
             grad2d = act_grad = np.multiply(
@@ -615,128 +555,69 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     n_rows = int(np.prod(scored.shape[:-1], dtype=np.int64))
     rows = _row_indices(n_rows)
     rec = _plan._RECORDER
-    if rec is not None:
-        # Recorded form.  Every target-derived array (valid mask, safe
-        # targets, the per-row reductions) lives in a plan-owned buffer bound
-        # once and refreshed by the replay thunk, so replaying the step heaps
-        # nothing; the per-batch *scalars* (valid count, denominator) go
-        # through ``st`` — shared mutable state the backward closure reads.
-        probs = np.empty((n_rows, vocab), data.dtype)
-        loss_buf = np.empty((), np.float32)
-        valid = np.empty((n_rows,), bool)
-        safe_targets = np.empty((n_rows,), np.int64)
-        gather_idx = np.empty((n_rows,), np.int64)
-        row_red = np.empty((n_rows, 1), data.dtype)
-        target_logits = np.empty((n_rows,), data.dtype)
-        picked = np.empty((n_rows,), data.dtype)
-        if shift:
-            flat_logits = np.empty((n_rows, vocab), data.dtype)
-            flat_view = flat_logits.reshape(scored.shape)
-            flat_targets = np.empty((n_rows,), np.asarray(targets).dtype)
-            targets_view = flat_targets.reshape(targets.shape)
-        else:
-            flat_logits = scored.reshape(-1, vocab)
-            flat_view = None
-            flat_targets = targets.reshape(-1)
-            targets_view = None
-            if not np.may_share_memory(flat_logits, data):
-                rec.fail("cross entropy over non-contiguous logits")
-        st = {}
-
-        def run(data=data, targets=targets, probs=probs, loss_buf=loss_buf,
-                flat_logits=flat_logits, flat_view=flat_view,
-                flat_targets=flat_targets, targets_view=targets_view, st=st):
-            if flat_view is not None:
-                np.copyto(flat_view, scored)
-            if targets_view is not None:
-                np.copyto(targets_view, targets)
-            np.not_equal(flat_targets, ignore_index, out=valid)
-            n_valid = int(valid.sum())
-            np.multiply(flat_targets, valid, out=safe_targets)
-            flat_logits.max(axis=-1, keepdims=True, out=row_red)
-            np.subtract(flat_logits, row_red, out=probs)
-            np.multiply(rows, vocab, out=gather_idx)
-            np.add(gather_idx, safe_targets, out=gather_idx)
-            np.take(probs.reshape(-1), gather_idx, out=target_logits)
-            np.exp(probs, out=probs)
-            probs.sum(axis=-1, keepdims=True, out=row_red)
-            np.log(row_red[:, 0], out=picked)
-            np.subtract(target_logits, picked, out=picked)
-            np.divide(probs, row_red, out=probs)
-            denom = max(n_valid, 1)
-            np.multiply(picked, valid, out=picked)
-            loss_buf[...] = -picked.sum() / denom
-            st["denom"] = denom
-            st["n_valid"] = n_valid
-
-        run()
-        rec.record(run, tag="cross_entropy")
-        n_valid = st["n_valid"]
-
-        def backward(grad):
-            grad = np.asarray(grad).reshape(())
-            denom = st["denom"]
-            grad_flat = _arena.empty(probs.shape, probs.dtype)
-            np.copyto(grad_flat, probs)
-            grad_flat[rows, safe_targets] -= 1.0
-            np.multiply(grad_flat, valid[:, None], out=grad_flat)
-            grad_flat *= float(grad) / denom
-            if not shift:
-                return (grad_flat.reshape(data.shape),)
-            full = _arena.empty(data.shape, data.dtype)
-            full[..., :-1, :] = grad_flat.reshape(scored.shape)
-            full[..., -1:, :] = 0.0
-            _arena.release(grad_flat)
-            return (full,)
-
-        loss = custom_op(loss_buf, (logits,), backward)
-        return loss, n_valid
-
-    if shift:
-        # The shifted slices are non-contiguous, so reshape would copy
-        # anyway; route the copies through the arena instead.
-        flat_logits = _arena.empty((n_rows, vocab), data.dtype)
-        np.copyto(flat_logits.reshape(scored.shape), scored)
-        flat_targets = _arena.empty((n_rows,), np.asarray(targets).dtype)
-        np.copyto(flat_targets.reshape(targets.shape), targets)
-    else:
+    if not shift:
         flat_logits = scored.reshape(-1, vocab)
         flat_targets = targets.reshape(-1)
-    valid = _arena.empty((n_rows,), bool)
-    np.not_equal(flat_targets, ignore_index, out=valid)
-    n_valid = int(valid.sum())
-    safe_targets = _arena.empty((n_rows,), np.int64)
-    np.multiply(flat_targets, valid, out=safe_targets)
+        if rec is not None and not np.may_share_memory(flat_logits, data):
+            # ``reshape`` copied, and the copy would go stale between replays.
+            rec.fail("cross entropy over non-contiguous logits")
+            rec = None
+    alloc = np.empty if rec is not None else _arena.empty
+    flat_view = targets_view = None
     if shift:
-        _arena.release(flat_targets)
+        # The shifted slices are non-contiguous, so reshape would copy
+        # anyway; the copies land in bound buffers ``run`` refreshes.
+        flat_logits = alloc((n_rows, vocab), data.dtype)
+        flat_view = flat_logits.reshape(scored.shape)
+        flat_targets = alloc((n_rows,), targets.dtype)
+        targets_view = flat_targets.reshape(targets.shape)
+    # Every target-derived array (valid mask, safe targets, the per-row
+    # reductions) lives in a buffer bound once and refreshed by ``run``, so
+    # re-running the body heaps nothing; the per-batch *scalars* (valid
+    # count, denominator) go through ``st`` — shared mutable state the
+    # backward closure reads.  ``probs`` is the single (rows, vocab) array
+    # kept alive for the backward.
+    probs = alloc((n_rows, vocab), data.dtype)
+    loss_buf = alloc((), np.float32)
+    valid = alloc((n_rows,), bool)
+    safe_targets = alloc((n_rows,), np.int64)
+    gather_idx = alloc((n_rows,), np.int64)
+    row_red = alloc((n_rows, 1), data.dtype)
+    target_logits = alloc((n_rows,), data.dtype)
+    picked = alloc((n_rows,), data.dtype)
+    st = {}
 
-    row_red = flat_logits.max(axis=-1, keepdims=True,
-                              out=_arena.empty((n_rows, 1), data.dtype))
-    shifted = np.subtract(flat_logits, row_red,
-                          out=_arena.empty((n_rows, vocab), data.dtype))
-    if shift:
-        _arena.release(flat_logits)
-    # Pull the target-token logits out *before* exponentiating in place: the
-    # probabilities then reuse the shifted buffer, so the op keeps a single
-    # (rows, vocab) array alive for the backward instead of two.
-    gather_idx = _arena.empty((n_rows,), np.int64)
-    np.multiply(rows, vocab, out=gather_idx)
-    gather_idx += safe_targets
-    target_logits = np.take(shifted.reshape(-1), gather_idx,
-                            out=_arena.empty((n_rows,), data.dtype))
-    _arena.release(gather_idx)
-    probs = np.exp(shifted, out=shifted)
-    probs.sum(axis=-1, keepdims=True, out=row_red)
-    # log-prob of the target token only — the full log-prob matrix is never
-    # materialised; ``probs`` doubles as the saved state for the backward.
-    picked = np.log(row_red[:, 0], out=_arena.empty((n_rows,), data.dtype))
-    np.subtract(target_logits, picked, out=picked)
-    np.divide(probs, row_red, out=probs)
-    _arena.release(row_red, target_logits)
-    denom = max(n_valid, 1)
-    np.multiply(picked, valid, out=picked)
-    loss_value = -picked.sum() / denom
-    _arena.release(picked)
+    def run(scored=scored, targets=targets, probs=probs, loss_buf=loss_buf,
+            flat_logits=flat_logits, flat_view=flat_view,
+            flat_targets=flat_targets, targets_view=targets_view, st=st):
+        if flat_view is not None:
+            np.copyto(flat_view, scored)
+            np.copyto(targets_view, targets)
+        np.not_equal(flat_targets, ignore_index, out=valid)
+        n_valid = int(valid.sum())
+        np.multiply(flat_targets, valid, out=safe_targets)
+        flat_logits.max(axis=-1, keepdims=True, out=row_red)
+        np.subtract(flat_logits, row_red, out=probs)
+        # Pull the target-token logits out *before* exponentiating in place;
+        # the full log-prob matrix is never materialised.
+        np.multiply(rows, vocab, out=gather_idx)
+        np.add(gather_idx, safe_targets, out=gather_idx)
+        np.take(probs.reshape(-1), gather_idx, out=target_logits)
+        np.exp(probs, out=probs)
+        probs.sum(axis=-1, keepdims=True, out=row_red)
+        np.log(row_red[:, 0], out=picked)
+        np.subtract(target_logits, picked, out=picked)
+        np.divide(probs, row_red, out=probs)
+        denom = max(n_valid, 1)
+        np.multiply(picked, valid, out=picked)
+        loss_buf[...] = -picked.sum() / denom
+        st["denom"] = denom
+        st["n_valid"] = n_valid
+
+    # In the unshifted form flat_logits/flat_targets are caller-owned views,
+    # which release() ignores.
+    _plan.emit(rec, run, "cross_entropy", flat_logits, flat_targets,
+               gather_idx, row_red, target_logits, picked)
 
     def backward(grad):
         grad = np.asarray(grad).reshape(())
@@ -744,7 +625,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
         np.copyto(grad_flat, probs)
         grad_flat[rows, safe_targets] -= 1.0
         np.multiply(grad_flat, valid[:, None], out=grad_flat)
-        grad_flat *= float(grad) / denom
+        grad_flat *= float(grad) / st["denom"]
         _arena.release(probs, valid, safe_targets)
         if not shift:
             return (grad_flat.reshape(data.shape),)
@@ -754,8 +635,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
         _arena.release(grad_flat)
         return (full,)
 
-    loss = custom_op(np.asarray(loss_value, dtype=np.float32), (logits,), backward)
-    return loss, n_valid
+    return custom_op(loss_buf, (logits,), backward), st["n_valid"]
 
 
 # ---------------------------------------------------------------------------
@@ -789,59 +669,36 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
         # it has no stable replay form.
         rec.fail("scaled_dot_product_attention with return_probs")
         rec = None
-    if rec is not None:
-        q_data, k_data, v_data = q.data, k.data, v.data
-        kT = np.swapaxes(k_data, -1, -2)
-        drop_mask = None if attn_mask is None else ~attn_mask
-        probs = np.empty(score_shape, q_data.dtype)
-        red = np.empty(score_shape[:-1] + (1,), q_data.dtype)
-        zero_rows = np.empty(red.shape, bool)
-        out = np.empty(q.shape[:-1] + (v.shape[-1],), q_data.dtype)
+    alloc = np.empty if rec is not None else _arena.empty
+    q_data, k_data, v_data = q.data, k.data, v.data
+    kT = np.swapaxes(k_data, -1, -2)
+    # Negated once into a bound buffer: a bare ``~attn_mask`` inside the body
+    # would be a fresh O(seq^2)-scale bool allocation on every call.
+    drop_mask = (None if attn_mask is None else
+                 np.logical_not(attn_mask, out=alloc(attn_mask.shape, bool)))
+    probs = alloc(score_shape, q_data.dtype)
+    red = alloc(score_shape[:-1] + (1,), q_data.dtype)
+    zero_rows = alloc(red.shape, bool)
+    out = alloc(q.shape[:-1] + (v.shape[-1],), q_data.dtype)
 
-        def run(q_data=q_data, kT=kT, v_data=v_data, probs=probs, red=red,
-                zero_rows=zero_rows, out=out, attn_mask=attn_mask,
-                drop_mask=drop_mask, scale=scale):
-            np.matmul(q_data, kT, out=probs)
-            probs *= scale
-            if attn_mask is not None:
-                np.copyto(probs, _NEG_FILL, where=drop_mask)
-            probs.max(axis=-1, keepdims=True, out=red)
-            probs -= red
-            np.exp(probs, out=probs)
-            if attn_mask is not None:
-                np.multiply(probs, attn_mask, out=probs)
-            probs.sum(axis=-1, keepdims=True, out=red)
-            guard_zero_rows(red, scratch=zero_rows)
-            probs /= red
-            np.matmul(probs, v_data, out=out)
-
-        run()
-        rec.record(run, tag="sdpa")
-    else:
-        probs = np.matmul(q.data, np.swapaxes(k.data, -1, -2),
-                          out=_arena.empty(score_shape, q.data.dtype))
+    def run(q_data=q_data, kT=kT, v_data=v_data, probs=probs, red=red,
+            zero_rows=zero_rows, out=out, attn_mask=attn_mask,
+            drop_mask=drop_mask, scale=scale):
+        np.matmul(q_data, kT, out=probs)
         probs *= scale
         if attn_mask is not None:
-            # Negate into arena scratch: a bare ``~attn_mask`` is a fresh
-            # O(seq^2)-scale bool allocation on every captured-mode step.
-            drop = np.logical_not(attn_mask,
-                                  out=_arena.empty(attn_mask.shape, bool))
-            np.copyto(probs, _NEG_FILL, where=drop)
-            _arena.release(drop)
-        red = probs.max(axis=-1, keepdims=True,
-                        out=_arena.empty(score_shape[:-1] + (1,),
-                                         q.data.dtype))
+            np.copyto(probs, _NEG_FILL, where=drop_mask)
+        probs.max(axis=-1, keepdims=True, out=red)
         probs -= red
         np.exp(probs, out=probs)
         if attn_mask is not None:
             np.multiply(probs, attn_mask, out=probs)
         probs.sum(axis=-1, keepdims=True, out=red)
-        guard_zero_rows(red)
+        guard_zero_rows(red, scratch=zero_rows)
         probs /= red
-        _arena.release(red)
-        out = np.matmul(probs, v.data,
-                        out=_arena.empty(q.shape[:-1] + (v.shape[-1],),
-                                         q.data.dtype))
+        np.matmul(probs, v_data, out=out)
+
+    _plan.emit(rec, run, "sdpa", drop_mask, red, zero_rows)
 
     def backward(grad_out):
         grad_v = np.matmul(np.swapaxes(probs, -1, -2), grad_out,
@@ -877,8 +734,7 @@ def _stream_attention_forward(q_data, kT, v_data, keep_b, drop_map, scale,
                               tiles, s_map, red, corr, m_buf, lse,
                               zero_rows, pv, out):
     """One online-softmax sweep over the K/V tiles, entirely into the given
-    buffers.  Shared verbatim by the recorded thunk and the interpreted path
-    so captured and uncaptured execution stay bitwise identical.
+    buffers.
 
     ``m_buf``/``lse`` carry the running row max and exp-sum; after the sweep
     ``lse`` is rewritten in place to the per-row logsumexp the recompute
@@ -965,50 +821,29 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
     widths = (tile, tail) if tail else (tile,)
 
     rec = _plan._RECORDER
-    if rec is not None:
-        s_map = {w: np.empty(q.shape[:-1] + (w,), q_data.dtype)
-                 for w in widths}
-        drop_map = ({w: np.empty(q.shape[:-1] + (w,), bool) for w in widths}
-                    if keep_b is not None else None)
-        red = np.empty(red_shape, q_data.dtype)
-        corr = np.empty(red_shape, q_data.dtype)
-        m_buf = np.empty(red_shape, q_data.dtype)
-        lse = np.empty(red_shape, q_data.dtype)
-        zero_rows = np.empty(red_shape, bool)
-        pv = np.empty(out_shape, q_data.dtype)
-        out = np.empty(out_shape, q_data.dtype)
+    alloc = np.empty if rec is not None else _arena.empty
+    s_map = {w: alloc(q.shape[:-1] + (w,), q_data.dtype) for w in widths}
+    drop_map = ({w: alloc(q.shape[:-1] + (w,), bool) for w in widths}
+                if keep_b is not None else {})
+    red = alloc(red_shape, q_data.dtype)
+    corr = alloc(red_shape, q_data.dtype)
+    m_buf = alloc(red_shape, q_data.dtype)
+    lse = alloc(red_shape, q_data.dtype)
+    zero_rows = alloc(red_shape, bool)
+    pv = alloc(out_shape, q_data.dtype)
+    out = alloc(out_shape, q_data.dtype)
 
-        def run(q_data=q_data, kT=kT, v_data=v_data, keep_b=keep_b,
-                drop_map=drop_map, scale=scale, tiles=tiles, s_map=s_map,
-                red=red, corr=corr, m_buf=m_buf, lse=lse,
-                zero_rows=zero_rows, pv=pv, out=out):
-            _stream_attention_forward(q_data, kT, v_data, keep_b, drop_map,
-                                      scale, tiles, s_map, red, corr, m_buf,
-                                      lse, zero_rows, pv, out)
+    def run(q_data=q_data, kT=kT, v_data=v_data, keep_b=keep_b,
+            drop_map=drop_map, scale=scale, tiles=tiles, s_map=s_map,
+            red=red, corr=corr, m_buf=m_buf, lse=lse,
+            zero_rows=zero_rows, pv=pv, out=out):
+        _stream_attention_forward(q_data, kT, v_data, keep_b, drop_map,
+                                  scale, tiles, s_map, red, corr, m_buf,
+                                  lse, zero_rows, pv, out)
 
-        run()
-        rec.record(run, tag="streaming_attention")
-    else:
-        s_map = {w: _arena.empty(q.shape[:-1] + (w,), q_data.dtype)
-                 for w in widths}
-        drop_map = ({w: _arena.empty(q.shape[:-1] + (w,), bool)
-                     for w in widths}
-                    if keep_b is not None else None)
-        red = _arena.empty(red_shape, q_data.dtype)
-        corr = _arena.empty(red_shape, q_data.dtype)
-        m_buf = _arena.empty(red_shape, q_data.dtype)
-        lse = _arena.empty(red_shape, q_data.dtype)
-        zero_rows = _arena.empty(red_shape, bool)
-        pv = _arena.empty(out_shape, q_data.dtype)
-        out = _arena.empty(out_shape, q_data.dtype)
-        _stream_attention_forward(q_data, kT, v_data, keep_b, drop_map, scale,
-                                  tiles, s_map, red, corr, m_buf, lse,
-                                  zero_rows, pv, out)
-        # lse survives for the recompute backward; out is the op result.
-        _arena.release(*s_map.values())
-        if drop_map is not None:
-            _arena.release(*drop_map.values())
-        _arena.release(red, corr, m_buf, zero_rows, pv)
+    # lse survives for the recompute backward; out is the op result.
+    _plan.emit(rec, run, "streaming_attention", *s_map.values(),
+               *drop_map.values(), red, corr, m_buf, zero_rows, pv)
 
     def backward(grad_out):
         dtype = q_data.dtype
@@ -1057,8 +892,7 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
         _arena.release(*dp_map.values())
         if bd_map is not None:
             _arena.release(*bd_map.values())
-        # lse is plan-owned in the recorded branch; release() ignores it
-        # there and frees the arena buffer otherwise.
+        # release() ignores lse when the plan owns it.
         _arena.release(delta, dq_scratch, lse)
         return grad_q, grad_k, grad_v
 

@@ -17,9 +17,10 @@ half of the full-step compiler:
   softmax, fancy indexing, vector matmuls) makes the step fall back to the
   backward-only capture instead of silently replaying a partial forward.
 * :class:`ForwardPlan` — the compiled result: the recorded thunks, in
-  recorded order.  ``run()`` calls them one after another, which makes replay
-  bitwise identical to the interpreted forward (same NumPy instruction
-  stream over the same buffers).
+  recorded order.  ``run()`` calls them one after another.  Each thunk *is*
+  its kernel's only forward body (:func:`emit`): the interpreted forward
+  calls the same function over arena buffers, so replay is bitwise identical
+  to it by construction.
 
 The recorder switch lives here (lowest layer) so ``tensor.py`` and the fused
 kernels can consult it without import cycles; the step-level lifecycle —
@@ -30,6 +31,8 @@ when to record, when to replay, when to invalidate — is owned by
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
+
+from repro.tensor import arena as _arena
 
 __all__ = [
     "ForwardEntry",
@@ -117,6 +120,26 @@ def set_recorder(rec: Optional[ForwardRecorder]) -> Optional[ForwardRecorder]:
     previous = _RECORDER
     _RECORDER = rec
     return previous
+
+
+def emit(rec: Optional[ForwardRecorder], run: Callable[[], None], tag: str,
+         *scratch) -> None:
+    """Execute a kernel body once, then settle who keeps its buffers.
+
+    Every forward kernel writes its NumPy calls exactly once, in a ``run``
+    thunk over buffers it bound through one allocator choice: ``np.empty``
+    while ``rec`` is recording (plan-owned — the arena's generation recycling
+    must never reclaim plan state), ``arena.empty`` otherwise.  Recording
+    keeps ``run`` as the replay entry, scratch and all; interpreted execution
+    hands ``scratch`` back to the arena.  Buffer provenance is the only
+    difference between the two, which is what makes replay bitwise equal to
+    the interpreted forward.
+    """
+    run()
+    if rec is not None:
+        rec.record(run, tag)
+    else:
+        _arena.release(*scratch)
 
 
 # ---------------------------------------------------------------------------

@@ -131,58 +131,43 @@ def _binary_ufunc_key(ufunc, a: np.ndarray, b: np.ndarray):
 
 
 def _binary_out(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Apply a binary ufunc, writing into an arena buffer when one is active.
+    """Apply a binary ufunc into a bound output buffer.
 
     Values are identical to ``ufunc(a, b)`` — only the output buffer's
-    provenance changes, which is what keeps captured and uncaptured
-    execution bitwise identical.  While a forward recorder is installed the
-    output is a plan-owned plain buffer instead (never from the arena, whose
-    generation recycling must not reclaim plan buffers) and the call is
-    recorded as a replay thunk over the same operand buffers.
+    provenance varies (plan-owned while a forward recorder is installed, the
+    arena's otherwise; see :func:`repro.tensor.plan.emit`), which is what
+    keeps captured and uncaptured execution bitwise identical.
     """
     rec = _plan._RECORDER
-    if rec is not None:
-        shape, dtype = _binary_ufunc_key(ufunc, a, b)
-        out = np.empty(shape, dtype)
-
-        def run(ufunc=ufunc, a=a, b=b, out=out):
-            ufunc(a, b, out=out)
-
-        run()
-        rec.record(run, tag=ufunc.__name__)
-        return out
-    arena = _arena.active()
-    if arena is None:
-        return ufunc(a, b)
     shape, dtype = _binary_ufunc_key(ufunc, a, b)
-    return ufunc(a, b, out=arena.take(shape, dtype))
+    out = (np.empty if rec is not None else _arena.empty)(shape, dtype)
+
+    def run(ufunc=ufunc, a=a, b=b, out=out):
+        ufunc(a, b, out=out)
+
+    _plan.emit(rec, run, ufunc.__name__)
+    return out
 
 
 def _matmul_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.matmul`` with an arena output buffer for the ndim >= 2 case."""
+    """``np.matmul`` into a bound output buffer for the ndim >= 2 case."""
     rec = _plan._RECORDER
-    if rec is not None:
-        if a.ndim < 2 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:
+        if rec is not None:
             # No stable out-buffer form for the vector cases; the step falls
             # back to backward-only capture.
             rec.fail("vector matmul has no replayable out-buffer form")
-            return np.matmul(a, b)
-        shape = (np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-                 + (a.shape[-2], b.shape[-1]))
-        out = np.empty(shape, np.result_type(a, b))
-
-        def run(a=a, b=b, out=out):
-            np.matmul(a, b, out=out)
-
-        run()
-        rec.record(run, tag="matmul")
-        return out
-    arena = _arena.active()
-    if arena is None or a.ndim < 2 or b.ndim < 2:
         return np.matmul(a, b)
     shape = (np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
              + (a.shape[-2], b.shape[-1]))
-    return np.matmul(a, b, out=arena.take(shape, np.result_type(a, b)))
+    out = (np.empty if rec is not None else _arena.empty)(
+        shape, np.result_type(a, b))
+
+    def run(a=a, b=b, out=out):
+        np.matmul(a, b, out=out)
+
+    _plan.emit(rec, run, "matmul")
+    return out
 
 
 def _gather_add_rows(out: np.ndarray, idx: np.ndarray,
@@ -1170,31 +1155,20 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
                            indices)
     vocab, dim = weight.data.shape
     rec = _plan._RECORDER
-    if rec is not None:
-        # Replayable gather: the flat index array is a *view* of the staged
-        # input buffer when that buffer is contiguous (token ids change per
-        # replay), or a one-off copy for per-step constants (positions).
-        idx_flat = indices.reshape(-1)
-        w = weight.data
-        data = np.empty(indices.shape + (dim,), w.dtype)
-        out2d = data.reshape(-1, dim)
+    # The flat index array is a *view* of the caller's buffer when that is
+    # contiguous (staged token ids change per replay), or a one-off copy for
+    # per-step constants (positions).
+    idx_flat = indices.reshape(-1)
+    w = weight.data
+    data = (np.empty if rec is not None else _arena.empty)(
+        indices.shape + (dim,), w.dtype)
+    out2d = data.reshape(-1, dim)
 
-        def run(w=w, idx_flat=idx_flat, out2d=out2d, vocab=vocab):
-            _check_gather_bounds(idx_flat, vocab)
-            np.take(w, idx_flat, axis=0, out=out2d, mode="clip")
-
-        run()
-        rec.record(run, tag="embedding")
-    elif _arena.active() is not None:
-        # Eager step under an active arena (captured-step replay): gather
-        # into a recycled buffer instead of fancy-indexing fresh heap.
-        idx_flat = indices.reshape(-1)
+    def run(w=w, idx_flat=idx_flat, out2d=out2d, vocab=vocab):
         _check_gather_bounds(idx_flat, vocab)
-        w = weight.data
-        data = _arena.empty(indices.shape + (dim,), w.dtype)
-        np.take(w, idx_flat, axis=0, out=data.reshape(-1, dim), mode="clip")
-    else:
-        data = weight.data[indices]
+        np.take(w, idx_flat, axis=0, out=out2d, mode="clip")
+
+    _plan.emit(rec, run, "embedding")
 
     def backward(grad):
         full = _arena.zeros((vocab, dim), weight.data.dtype)

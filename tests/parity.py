@@ -23,16 +23,16 @@ files stay untouched.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 import numpy as np
 
-from repro.sparsity.ops import block_sparse_attention
+from repro.sparsity.ops import (NeuronSparseWeights, block_sparse_attention,
+                                neuron_sparse_linear_pair)
 from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
 from repro.sparsity.patterns import build_default_pool
-from repro.tensor import Tensor, functional as F, fused, reference
+from repro.tensor import Tensor, arena, functional as F, fused, plan, reference
 
 
 @dataclass
@@ -47,20 +47,10 @@ class ParityCase:
     tol_fd: float = 1e-3          # max rel err vs central finite differences
     tol_ref: float = 5e-5         # max rel err fused vs reference autograd
     scalar_output: bool = False   # op returns a scalar loss (e.g. (loss, n))
+    replayable: bool = False      # the call records as a ForwardPlan entry
 
     def __str__(self) -> str:  # pragma: no cover - pytest id helper
         return self.case_id
-
-
-@contextlib.contextmanager
-def kernels_enabled(enabled: bool):
-    """Force the fused-kernel toggle to ``enabled`` for the duration."""
-    previous = fused.fused_kernels_enabled()
-    fused.set_fused_kernels(enabled)
-    try:
-        yield
-    finally:
-        fused.set_fused_kernels(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +69,20 @@ def loss_fn(op: Callable, arrays: Sequence[np.ndarray],
     return float(np.sum(out.data.astype(np.float64) * projection))
 
 
+def forward_backward(op: Callable, arrays: Sequence[np.ndarray],
+                     projection: np.ndarray):
+    """One call of ``op`` and a backward of the probe loss through the tape:
+    ``(output array, gradient w.r.t. every input)``."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = _unwrap(op(*tensors))
+    (out * Tensor(projection.astype(np.float32))).sum().backward()
+    return out.data, [t.grad for t in tensors]
+
+
 def analytic_grads(op: Callable, arrays: Sequence[np.ndarray],
                    projection: np.ndarray) -> List[np.ndarray]:
     """Gradients of the probe loss w.r.t. every input, via the tape."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out = _unwrap(op(*tensors))
-    loss = (out * Tensor(projection.astype(np.float32))).sum()
-    loss.backward()
-    return [t.grad for t in tensors]
+    return forward_backward(op, arrays, projection)[1]
 
 
 def fd_grad(op: Callable, arrays: Sequence[np.ndarray], index: int,
@@ -122,7 +118,7 @@ def run_case(case: ParityCase, fused_enabled: bool = True) -> None:
     implementations and the toggle routing.
     """
     arrays = [a.copy() for a in case.arrays]
-    with kernels_enabled(fused_enabled):
+    with fused.fused_kernel_state(fused_enabled):
         if case.scalar_output:
             projection = np.ones(1, dtype=np.float64)
         else:
@@ -216,7 +212,7 @@ def build_cases() -> List[ParityCase]:
         add(ParityCase("layer_norm", f"layer_norm-{tag}",
                        lambda xx, ww, bb: F.layer_norm(xx, ww, bb),
                        lambda xx, ww, bb: reference.layer_norm(xx, ww, bb),
-                       [x, w, b], tol_ref=2e-4))
+                       [x, w, b], tol_ref=2e-4, replayable=True))
 
     # -- fused linear (+bias, +activation) ---------------------------------
     # Seed chosen so every pre-activation is >= 0.16 away from zero —
@@ -229,12 +225,13 @@ def build_cases() -> List[ParityCase]:
         add(ParityCase("linear", f"linear-{activation or 'none'}",
                        lambda xx, ww, bb, a=activation: F.linear(xx, ww, bb, activation=a),
                        lambda xx, ww, bb, a=activation: reference.linear(xx, ww, bb, activation=a),
-                       [x, w, b], tol_ref=1e-4))
+                       [x, w, b], tol_ref=1e-4, replayable=True))
     rng = np.random.default_rng(39)
     x, w = _normals(rng, (7, 3), (2, 3), dtype=np.float64)
     add(ParityCase("linear", "linear-nobias-f64-input",
                    lambda xx, ww: F.linear(xx, ww),
-                   lambda xx, ww: reference.linear(xx, ww), [x, w], tol_ref=1e-4))
+                   lambda xx, ww: reference.linear(xx, ww), [x, w], tol_ref=1e-4,
+                   replayable=True))
 
     # -- cross entropy on logits -------------------------------------------
     rng = np.random.default_rng(5)
@@ -244,20 +241,20 @@ def build_cases() -> List[ParityCase]:
     add(ParityCase("cross_entropy", "cross_entropy-ignore-index",
                    lambda t: F.cross_entropy(t, targets),
                    lambda t: reference.cross_entropy_logits(t, targets),
-                   [logits], scalar_output=True))
+                   [logits], scalar_output=True, replayable=True))
     logits_s = rng.normal(size=(2, 5, 6)).astype(np.float32)
     targets_s = rng.integers(0, 6, size=(2, 5))
     add(ParityCase("cross_entropy", "cross_entropy-shifted",
                    lambda t: F.cross_entropy(t, targets_s, shift=True),
                    lambda t: reference.cross_entropy_logits(t, targets_s, shift=True),
-                   [logits_s], scalar_output=True))
+                   [logits_s], scalar_output=True, replayable=True))
     logits_2d = rng.normal(size=(9, 5)).astype(np.float64)
     targets_2d = rng.integers(0, 5, size=9)
     targets_2d[3] = -100
     add(ParityCase("cross_entropy", "cross_entropy-2d-f64-input",
                    lambda t: F.cross_entropy(t, targets_2d),
                    lambda t: reference.cross_entropy_logits(t, targets_2d),
-                   [logits_2d], scalar_output=True))
+                   [logits_2d], scalar_output=True, replayable=True))
 
     # -- dense attention core ----------------------------------------------
     rng = np.random.default_rng(6)
@@ -266,19 +263,19 @@ def build_cases() -> List[ParityCase]:
     add(ParityCase("attention", "attention-causal4",
                    lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, causal4),
                    lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c, causal4),
-                   [q, k, v], tol_ref=2e-4))
+                   [q, k, v], tol_ref=2e-4, replayable=True))
     q5, k5, v5 = _normals(rng, (1, 2, 5, 3), (1, 2, 5, 3), (1, 2, 5, 3))
     add(ParityCase("attention", "attention-odd-seq-nomask",
                    lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c),
                    lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c),
-                   [q5, k5, v5], tol_ref=2e-4))
+                   [q5, k5, v5], tol_ref=2e-4, replayable=True))
     q7, k7, v7 = _normals(rng, (1, 1, 7, 2), (1, 1, 7, 2), (1, 1, 7, 2),
                           dtype=np.float64)
     causal7 = _causal(7)
     add(ParityCase("attention", "attention-seq7-f64-input",
                    lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, causal7),
                    lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c, causal7),
-                   [q7, k7, v7], tol_ref=2e-4))
+                   [q7, k7, v7], tol_ref=2e-4, replayable=True))
 
     # -- streaming tiled attention -----------------------------------------
     # The online-softmax kernel rescales per K/V tile, so its accumulation
@@ -292,12 +289,12 @@ def build_cases() -> List[ParityCase]:
     add(ParityCase("streaming", "streaming-causal6-tile4",
                    lambda a, bq, c: F.streaming_attention(a, bq, c, causal6s, tile=4),
                    lambda a, bq, c: reference.streaming_attention(a, bq, c, causal6s, tile=4),
-                   [qs6, ks6, vs6], tol_ref=5e-4))
+                   [qs6, ks6, vs6], tol_ref=5e-4, replayable=True))
     qo, ko, vo = _normals(rng, (1, 2, 7, 3), (1, 2, 7, 3), (1, 2, 7, 3))
     add(ParityCase("streaming", "streaming-odd-seq7-nomask-tile3",
                    lambda a, bq, c: F.streaming_attention(a, bq, c, tile=3),
                    lambda a, bq, c: reference.streaming_attention(a, bq, c, tile=3),
-                   [qo, ko, vo], tol_ref=5e-4))
+                   [qo, ko, vo], tol_ref=5e-4, replayable=True))
     # Cross sequence lengths (sq=5 queries, sk=8 keys) with one query row
     # whose keep-mask is empty: the zero-row convention must hold tile-wise.
     zmask = np.random.default_rng(22).random((5, 8)) < 0.5
@@ -310,14 +307,14 @@ def build_cases() -> List[ParityCase]:
     add(ParityCase("streaming", "streaming-zero-row-sq5-sk8-tile5",
                    lambda a, bq, c: F.streaming_attention(a, bq, c, zmask, tile=5),
                    lambda a, bq, c: reference.streaming_attention(a, bq, c, zmask, tile=5),
-                   [qz, kz, vz], tol_ref=5e-4))
+                   [qz, kz, vz], tol_ref=5e-4, replayable=True))
     qw, kw, vw = _normals(rng, (1, 1, 4, 2), (1, 1, 4, 2), (1, 1, 4, 2),
                           dtype=np.float64)
     causal4b = _causal(4)
     add(ParityCase("streaming", "streaming-tile-ge-seq-f64-input",
                    lambda a, bq, c: F.streaming_attention(a, bq, c, causal4b, tile=64),
                    lambda a, bq, c: reference.streaming_attention(a, bq, c, causal4b, tile=64),
-                   [qw, kw, vw], tol_ref=5e-4))
+                   [qw, kw, vw], tol_ref=5e-4, replayable=True))
 
     # -- fused block-sparse attention chain --------------------------------
     # The reference twin runs dense attention under the layout's expanded
@@ -331,7 +328,8 @@ def build_cases() -> List[ParityCase]:
         add(ParityCase("sparse_chain", f"sparse_chain-{tag}",
                        lambda a, bq, c: block_sparse_attention(a, bq, c, layout),
                        lambda a, bq, c: reference.block_sparse_attention(a, bq, c, layout),
-                       [qs, ks, vs], tol_ref=5e-4))
+                       [qs, ks, vs], tol_ref=5e-4,
+                       replayable=seq % layout.block_size == 0))
 
     dense_pool = LayoutPool(build_default_pool(), 4)
     sparse_case("dense-seq12", dense_pool.dense_layout(2, 12), 12, 3, seed=7)
@@ -355,7 +353,8 @@ def build_cases() -> List[ParityCase]:
                                                                streaming=True),
                        lambda a, bq, c: reference.block_sparse_attention(a, bq, c,
                                                                          layout),
-                       [qs, ks, vs], tol_ref=5e-4))
+                       [qs, ks, vs], tol_ref=5e-4,
+                       replayable=seq % layout.block_size == 0))
 
     stream_sparse_case("dense-seq12", dense_pool.dense_layout(2, 12), 12, 3,
                        seed=31)
@@ -370,10 +369,72 @@ def build_cases() -> List[ParityCase]:
     stream_sparse_case("zero-block-row-seq24",
                        layout_from_block_masks(empty_row_masks, 8), 24, 3,
                        seed=34)
+
+    # -- neuron-sparse MLP -------------------------------------------------
+    # Frozen weights (the recorder vetoes trainable ones), so only ``x`` is
+    # differentiated; the reference is the two dense layers restricted to the
+    # active neurons.  Seed chosen like the ReLU linear case: every active
+    # pre-activation is >= 0.6 away from the kink.
+    rng = np.random.default_rng(47)
+    xm, = _normals(rng, (2, 3, 4))
+    w1, b1, w2, b2 = (Tensor(a) for a in _normals(rng, (6, 4), (6,), (4, 6), (4,)))
+    active = np.array([0, 2, 5])
+    w1a, b1a, w2a = Tensor(w1.data[active]), Tensor(b1.data[active]), \
+        Tensor(w2.data[:, active])
+    for tag, cache in (("nocache", None),
+                       ("coalesced", NeuronSparseWeights(w1.data, w2.data))):
+        add(ParityCase("neuron_mlp", f"neuron_mlp-{tag}",
+                       lambda xx, c=cache: neuron_sparse_linear_pair(
+                           xx, w1, b1, w2, b2, active, cache=c),
+                       lambda xx: reference.linear(
+                           reference.linear(xx, w1a, b1a, activation="relu"),
+                           w2a, b2),
+                       [xm], tol_ref=1e-4, replayable=True))
     return cases
 
 
 ALL_CASES = build_cases()
+REPLAY_CASES = [case for case in ALL_CASES if case.replayable]
+
+
+# ---------------------------------------------------------------------------
+# recorded-vs-interpreted kernel parity (one body, two buffer provenances)
+# ---------------------------------------------------------------------------
+
+def run_replay_case(case: ParityCase) -> None:
+    """Record ``case`` once, restage its inputs in place, replay the plan.
+
+    The replayed output and the input gradients flowing back through the
+    recorded call's backward closure must be *bitwise* equal to a fresh
+    interpreted call on the restaged inputs, both with no arena (plain heap
+    buffers) and inside a :class:`BufferArena` scope (recycled ones).
+    """
+    rng = np.random.default_rng(7)
+    restaged = [rng.normal(size=a.shape).astype(np.float32)
+                for a in case.arrays]
+    tensors = [Tensor(a.astype(np.float32), requires_grad=True)
+               for a in case.arrays]
+    rec = plan.ForwardRecorder()
+    plan.set_recorder(rec)
+    try:
+        out = _unwrap(case.dispatch(*tensors))
+    finally:
+        plan.set_recorder(None)
+    assert rec.ok(), f"{case.case_id}: not recordable ({rec.fail_reason})"
+    for tensor, values in zip(tensors, restaged):
+        tensor.data[...] = values
+    plan.ForwardPlan(rec.entries).run()
+    projection = rng.normal(size=out.shape or (1,)).astype(np.float32)
+    (out * Tensor(projection)).sum().backward()
+    for scoped in (None, arena.BufferArena()):
+        with arena.scope(scoped):
+            fresh_out, fresh_grads = forward_backward(case.dispatch, restaged,
+                                                      projection)
+        where = f"{case.case_id} ({'arena' if scoped else 'no arena'})"
+        assert np.array_equal(out.data, fresh_out), f"{where}: output differs"
+        for index, (tensor, grad) in enumerate(zip(tensors, fresh_grads)):
+            assert np.array_equal(tensor.grad, grad), \
+                f"{where}: gradient {index} differs"
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +507,7 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
             return logging_tail
 
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
-    with kernels_enabled(fused_enabled):
+    with fused.fused_kernel_state(fused_enabled):
         model = build_model(model_name, seed=0)
         rng = np.random.default_rng(11)
         engine = None

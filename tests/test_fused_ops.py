@@ -41,6 +41,12 @@ def test_parity(case, fused_enabled):
     parity.run_case(case, fused_enabled=fused_enabled)
 
 
+@pytest.mark.parity
+@pytest.mark.parametrize("case", parity.REPLAY_CASES, ids=str)
+def test_recorded_replay_matches_interpreted(case):
+    parity.run_replay_case(case)
+
+
 class TestSdpaReturnProbs:
     def test_rows_sum_to_one(self):
         q = Tensor(RNG.normal(size=(1, 2, 5, 4)).astype(np.float32))

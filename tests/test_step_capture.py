@@ -350,6 +350,55 @@ def test_forward_recorder_rejects_uncovered_and_vetoed_forwards():
     assert tensor_plan.recorder() is None
 
 
+def _kernel_vetoes():
+    """reason -> zero-argument call of the kernel over the vetoed input."""
+    from repro.sparsity.ops import (block_sparse_attention,
+                                    neuron_sparse_linear_pair)
+    from repro.tensor import fused
+
+    rng = np.random.default_rng(17)
+
+    def normal(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+
+    strided = Tensor(normal(3, 2, 4).transpose(1, 0, 2))    # non-contiguous
+    w, b = Tensor(normal(5, 4)), Tensor(normal(5))
+    targets = rng.integers(0, 4, size=(2, 3))
+    q, k, v = (Tensor(normal(1, 2, 21, 3)) for _ in range(3))
+    ragged = parity._random_layout(11, heads=2, n_blocks=3, block_size=8)
+    w2, b2 = Tensor(normal(4, 5)), Tensor(normal(4))
+    active = np.array([1, 3, 4])
+    return {
+        "linear over a non-contiguous activation":
+            lambda: fused.linear(strided, w, b, activation="relu"),
+        "cross entropy over non-contiguous logits":
+            lambda: fused.cross_entropy_logits(strided, targets)[0],
+        "scaled_dot_product_attention with return_probs":
+            lambda: fused.scaled_dot_product_attention(q, k, v,
+                                                       return_probs=True)[0],
+        "block-sparse attention over a padded sequence":
+            lambda: block_sparse_attention(q, k, v, ragged, streaming=False),
+        "streaming block-sparse attention over a padded sequence":
+            lambda: block_sparse_attention(q, k, v, ragged, streaming=True),
+        "neuron-sparse MLP over a non-contiguous activation":
+            lambda: neuron_sparse_linear_pair(strided, w, b, w2, b2, active),
+    }
+
+
+KERNEL_VETOES = _kernel_vetoes()
+
+
+@pytest.mark.parametrize("reason", sorted(KERNEL_VETOES))
+def test_kernel_veto_falls_through_to_the_interpreted_body(reason):
+    # A vetoed kernel must say why, leave no entry behind, and still compute
+    # exactly what the unrecorded call computes (same body, arena buffers).
+    call = KERNEL_VETOES[reason]
+    rec, vetoed = _recorded(call)
+    assert rec.failed and rec.fail_reason == reason
+    assert rec.entries == [] and not rec.ok()
+    assert np.array_equal(vetoed.data, call().data)
+
+
 # ---------------------------------------------------------------------------
 # captured-vs-uncaptured bitwise parity (full training steps)
 # ---------------------------------------------------------------------------
@@ -727,9 +776,10 @@ TIERS = ["compiled", "backward_only"]
 
 
 def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
-                           tier: str = "compiled", batch: int = 2):
-    """Dense gpt2-tiny tuner with the streaming toggle wired via the config."""
-    model = build_model("gpt2-tiny", seed=0)
+                           tier: str = "compiled", batch: int = 2,
+                           model: str = "gpt2-tiny"):
+    """Dense tuner with the streaming toggle wired via the config."""
+    model = build_model(model, seed=0)
     if tier == "backward_only":
         _add_uncovered_op(model)
     rng = np.random.default_rng(3)
@@ -757,10 +807,10 @@ def _assert_tier(capture: StepCapture, tier: str, replays: int) -> None:
 @pytest.mark.parity
 @pytest.mark.parametrize("tier", TIERS)
 def test_streaming_capture_replay_bitwise_identical(tier):
-    # The streaming kernels' recorded replay thunks — and their interpreted
-    # twins under backward-only replay — must reproduce the uncaptured
-    # streaming step bit for bit; seq=48 with tile=16 exercises multiple
-    # tiles per row block.
+    # The streaming kernels' bodies — replayed from the plan, or run
+    # interpreted over arena buffers under backward-only replay — must
+    # reproduce the uncaptured streaming step bit for bit; seq=48 with
+    # tile=16 exercises multiple tiles per row block.
     from repro.tensor import fused
 
     try:
@@ -807,7 +857,8 @@ def test_streaming_zero_allocations_after_capture(tier):
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("streaming", [False, True],
                          ids=["materializing", "streaming"])
-def test_replayed_steps_heap_steady(streaming, tier):
+@pytest.mark.parametrize("model", ["gpt2-tiny", "opt-tiny"])   # GeLU, ReLU
+def test_replayed_steps_heap_steady(model, streaming, tier):
     # Deeper gate than the arena counters: tracemalloc sees *every* heap
     # allocation, so per-step ufunc temporaries the arena never notices
     # (``denom = x.sum(...)``, an ``~attn_mask`` inside a masked fill) show
@@ -828,7 +879,8 @@ def test_replayed_steps_heap_steady(streaming, tier):
     from repro.tensor import fused
 
     tuner, ids, capture = _build_streaming_tuner(streaming, seq=256, tile=64,
-                                                 tier=tier, batch=1)
+                                                 tier=tier, batch=1,
+                                                 model=model)
     try:
         for _ in range(8):                         # warm-up, capture, replays
             tuner.step(ids)
@@ -856,6 +908,49 @@ def test_replayed_steps_heap_steady(streaming, tier):
         if tracemalloc.is_tracing():
             tracemalloc.stop()
         fused.set_streaming_attention(False)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+def test_refresh_step_forward_retains_no_heap_arrays():
+    # predict_interval=1 makes every step a mask refresh: the forward runs
+    # interpreted through block-sparse attention and the neuron-sparse MLP
+    # over arena buffers.  Whatever it saves for the backward must come from
+    # the arena too — a heap ``pre > 0`` ReLU mask per MLP is 147 648 B live
+    # at the end of this forward (202 KiB in all) against the ~49 KiB of
+    # graph nodes, closures and layout bookkeeping that legitimately remain.
+    import gc
+    import tracemalloc
+
+    tuner, ids, capture = _build_tuner("predicted", seq=256)
+    plain_loss = tuner.model.loss
+    held = []
+
+    def loss_then_measure(ids, labels=None):
+        out = plain_loss(ids, labels=labels)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    try:
+        for _ in range(4):                         # warm-up, capture, refreshes
+            tuner.step(ids)
+        assert capture.replay_steps == 2 and capture.full_replays == 0
+        tuner.model.loss = loss_then_measure
+        tracemalloc.start()
+        for _ in range(2):                         # stabilise tracer overhead
+            tuner.step(ids)
+        for _ in range(3):
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            tuner.step(ids)
+            assert capture.last_step_allocations == 0
+            assert held[-1] - before < 96 * 1024, \
+                f"refresh forward kept {held[-1] - before} heap bytes alive"
+    finally:
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+        tuner.model.loss = plain_loss
+        tuner.engine.uninstall(tuner.model)
 
 
 @pytest.mark.perf_smoke
