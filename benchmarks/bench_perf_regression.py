@@ -1168,13 +1168,15 @@ def bench_step_capture(repeats: int = 4, batch: int = BATCH, seq: int = SEQ,
             with _pre_pr_peft_backward():
                 pairs["pre_pr"] = factory(False)
         # Warm-up covers the capture lifecycle (warm-up + capture steps) and
-        # one-time caches; then interleaved best-of windows.
+        # one-time caches; then interleaved best-of windows.  ``window + 2``
+        # steps put every window's last step one past a mask refresh, so the
+        # allocation count read below is a replay step's, not a re-capture's.
         contexts = {mode: (_pre_pr_peft_backward if mode == "pre_pr"
                            else contextlib.nullcontext)
                     for mode in pairs}
         for mode, (tuner, ids) in pairs.items():
             with contexts[mode]():
-                for _ in range(max(3, window)):
+                for _ in range(window + 2):
                     tuner.step(ids)
         best = {mode: float("inf") for mode in pairs}
         for _ in range(max(1, repeats)):
@@ -1248,9 +1250,8 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
       zero graph builds.
 
     Both are timed as windows of ``interval`` consecutive steps so the
-    scheduled refresh (which the compiler must sit out — it runs interpreted
-    through the backward-only replay) is averaged into the per-step figure
-    fairly.
+    scheduled refresh (the step that drops the compiled plan and records
+    the next one) is averaged into the per-step figure fairly.
     """
     from repro.peft import apply_lora
     from repro.runtime import FineTuner, StepCapture, TrainingConfig

@@ -21,17 +21,28 @@ steady state, CUDA-graph-style, for the NumPy tape:
    arena take hits the pool, so the step allocates nothing.  The replayed
    order *is* the recorded order over the same buffers, so captured and
    uncaptured execution are bitwise identical (locked by the parity suite).
-4. **invalidate / degrade** — a signature change (input shape/dtype, label
+4. **refresh = re-capture** — a sparsity-mask refresh step (every
+   ``predict_interval``-th) is a capture step: the trainer drops the live
+   forward plan *before* the forward and records the next one *during* it.
+   The probes and exposers deriving the masks run between kernels as plain
+   NumPy the recorder never sees, and the thunks close over layouts that
+   hold until the next refresh — one capture plus ``interval - 1`` compiled
+   replays per block, a plan's buffers never alive beside its successor's.
+   If the masks moved, the arena's free lists (backward buffers sized for
+   the old layout) are trimmed at that step.  With ``predict_interval = 1``
+   nothing would ever be replayed, so the forward stays interpreted.
+5. **invalidate / degrade** — a signature change (input shape/dtype, label
    shape, kernel toggles, loss scale) drops both plans and triggers exactly
-   one re-capture.  A step whose forward cannot be compiled — reference
-   kernels, a sparsity-mask refresh due, a recorder veto or coverage gap
-   (every graph node built must be recorded or noted as a view), a replay
-   that raised — degrades to *backward-only replay*: the forward runs
-   interpreted over recycled arena buffers and only the backward's
-   topological re-sort is skipped (the recorded schedule is validated
-   against the new tape with cheap integer/identity checks first).  The
-   degradation is selected from what the step observes, never from an
-   option, and its reason is kept in ``full_fail_reason``.
+   one re-capture; so do layouts adopted from another replica that differ
+   from the plan's.  A step whose forward cannot be compiled — reference
+   kernels, a recorder veto or coverage gap (every graph node built must be
+   recorded or noted as a view), a replay that raised — degrades to
+   *backward-only replay*: the forward runs interpreted over recycled arena
+   buffers and only the backward's topological re-sort is skipped (the
+   recorded schedule is validated against the new tape with cheap
+   integer/identity checks first).  The degradation is selected from what
+   the step observes, never from an option, and its reason is kept in
+   ``full_fail_reason``.
 
 Full-plan buffers are plain allocations — never arena takes — so generation
 recycling cannot reclaim live plan state.
@@ -118,7 +129,9 @@ class StepCapture:
         # retained backward schedule over the capture step's graph;
         # ``full_root`` / ``full_loss`` are the retained scaled/unscaled loss
         # tensors (their ``.data`` are plan buffers refreshed by every
-        # forward replay); ``full_seed`` is the persistent backward seed.
+        # forward replay); ``full_seed`` is the persistent backward seed;
+        # ``full_layout_state`` is the engine's layouts at the last capture:
+        # what plan geometry and pooled shapes fit (outlives a dropped plan).
         self.forward_plan: Optional[ForwardPlan] = None
         self.full_schedule = None
         self.full_root: Optional[Tensor] = None
@@ -328,6 +341,11 @@ class StepCapture:
         """
         rec = self._recorder
         self.abort_full_capture()
+        if layout_state != self.full_layout_state:
+            # The masks moved since the last captured step: the free lists
+            # hold the old layout's backward buffers, dead shapes from here on.
+            self.arena.trim()
+            self.full_layout_state = layout_state
         if not rec.ok():
             self._full_failures += 1
             self.full_fail_reason = rec.fail_reason
@@ -343,7 +361,6 @@ class StepCapture:
         self.full_root = root
         self.full_loss = loss
         self.full_seed = np.ones_like(root.data)
-        self.full_layout_state = layout_state
         self.full_captures += 1
         self._full_failures = 0
         return True
@@ -375,7 +392,6 @@ class StepCapture:
         self.full_root = None
         self.full_loss = None
         self.full_seed = None
-        self.full_layout_state = None
         if reason:
             self.full_fallbacks += 1
             self.full_fail_reason = reason

@@ -34,10 +34,12 @@ class CaptureConfig:
     replays it: steady-state steps run forward + backward + optimizer tail
     through recycled buffers without building a single Python graph node,
     bitwise identical to the uncaptured path.  A shape change triggers
-    exactly one re-capture.  Steps that cannot replay the compiled forward
-    (reference kernels, a sparsity-mask refresh due, an op with no replay
-    form) run it interpreted and replay only the backward schedule; which
-    one a step gets is decided from what the step observes, not configured.
+    exactly one re-capture, and with a sparsity engine every mask-refresh
+    step is one: it records the plan the next ``predict_interval - 1`` steps
+    replay.  Steps that cannot replay the compiled forward (reference
+    kernels, an op with no replay form) run it interpreted and replay only
+    the backward schedule; which one a step gets is decided from what the
+    step observes, not configured.
     """
 
     enabled: bool = False
@@ -292,27 +294,26 @@ class FineTuner:
         forward_s = backward_s = 0.0
         replayed = False
         try:
-            # A step runs compiled only when its forward is pure kernel
-            # calls: fused kernels on, and no sparsity-mask refresh due
-            # (probe/oracle logic runs between ops and cannot be recorded).
-            # Any other step runs interpreted through the backward-only
-            # replay, with the reason kept on the capture.
+            # A step runs compiled when fused kernels are on.  A mask-refresh
+            # step is the capture step: the live plan goes *before* the
+            # forward (its buffers and the new plan's never coexist) and the
+            # new one is recorded *during* it (see capture.py, item 4).  Only
+            # with predict_interval 1, where every step refreshes and nothing
+            # would ever be replayed, does the step stay interpreted.
             full = False
             if capture is not None:
                 if not fused.fused_kernels_enabled():
                     capture.full_fail_reason = "reference kernels"
-                elif (self.engine is not None
-                      and self.engine.refresh_due(input_ids.shape[-1])):
-                    # With no live plan to skip, whatever kept the step from
-                    # compiling is the better answer — leave it.
-                    if capture.full_ready():
-                        capture.full_fail_reason = "sparsity-mask refresh due"
-                else:
+                elif (self.engine is None
+                      or not self.engine.refresh_due(input_ids.shape[-1])):
+                    full = True
+                elif self.engine.config.predict_interval > 1:
+                    capture.drop_full_plan()
                     full = True
             if full and capture.full_ready() and self.engine is not None \
                     and self.engine.layout_state() != capture.full_layout_state:
-                # A refresh since capture moved the masks; the plan's
-                # closed-over gather geometry is stale.
+                # Layouts adopted from another replica (data-parallel ranks
+                # != 0) moved the masks under the plan's closed-over geometry.
                 capture.drop_full_plan("sparsity layout changed since capture")
             if full and capture.full_ready():
                 capture.stage("input_ids", input_ids)

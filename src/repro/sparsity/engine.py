@@ -89,7 +89,7 @@ from repro.sparsity.predictor import (
     PredictorTrainingConfig,
     calibrate_attention_predictor,
     calibrate_mlp_predictor,
-    collect_layer_data,
+    collect_block_mass,
     train_attention_predictor,
     train_mlp_predictor,
 )
@@ -466,6 +466,12 @@ class LongExposure:
 
         Must be called on the backbone *before* PEFT wrapping.  In oracle mode
         only the offline layout pool is constructed (no predictors needed).
+
+        One frozen-model pass (:func:`collect_block_mass`) keeps, per layer,
+        the sub-layer inputs, the MLP activations and each sample's exposer
+        block mass per calibration length — of the ``(heads, seq, seq)``
+        probabilities only one sample's exist at a time.  All calibration
+        batches must share one sequence length.
         """
         config = self.config
         seq_lens = list(seq_lens or [np.asarray(b).shape[-1] for b in calibration_batches])
@@ -483,7 +489,12 @@ class LongExposure:
             batch_size=config.predictor_batch, noise_std=config.predictor_noise_std,
             pos_weight=config.predictor_pos_weight, seed=config.seed)
 
-        collected = collect_layer_data(model, calibration_batches)
+        batch_lengths = {int(np.asarray(b).shape[-1]) for b in calibration_batches}
+        grid = sorted(batch_lengths | set(
+            config.calibration_lengths if config.calibrate_predictors else ()))
+        collected = collect_block_mass(
+            model, calibration_batches, self.attention_exposer,
+            grid if config.optimize_attention else ())
         self.attention_predictors = []
         self.mlp_predictors = []
         self.predictor_metrics = {"attention": [], "mlp": []}
@@ -497,7 +508,8 @@ class LongExposure:
                     coverage=config.attention_coverage,
                     seed=config.seed + layer_index)
                 metrics = train_attention_predictor(
-                    predictor, merged["attention_inputs"], merged["attention_probs"],
+                    predictor, merged["attention_inputs"],
+                    merged["attention_block_mass"],
                     self.attention_exposer, training_config)
                 self.attention_predictors.append(predictor)
                 self.predictor_metrics["attention"].append(metrics)
@@ -512,12 +524,11 @@ class LongExposure:
                 self.mlp_predictors.append(predictor)
                 self.predictor_metrics["mlp"].append(metrics)
         if config.calibrate_predictors:
-            self._calibrate_predictors(model, calibration_batches, collected)
+            self._calibrate_predictors(collected, grid, max(batch_lengths))
         self._prepared = True
 
-    def _calibrate_predictors(self, model: CausalLMModel,
-                              calibration_batches: Sequence[np.ndarray],
-                              collected) -> None:
+    def _calibrate_predictors(self, collected, grid: Sequence[int],
+                              longest: int) -> None:
         """Fit per-layer decision thresholds and snap bars against the oracle.
 
         The whole grid is served from the *one* collection pass ``prepare()``
@@ -530,48 +541,31 @@ class LongExposure:
 
         The grid is anchored on the *actual* token lengths of the calibration
         batches (prepare's ``seq_lens`` parameter only declares layout-pool
-        lengths and may differ from them).
+        lengths and may differ from them); lengths no calibration batch
+        reaches get layouts but no thresholds.
         """
-        config = self.config
-        native = sorted({int(np.asarray(b).shape[-1]) for b in calibration_batches})
-        lengths = sorted(set(int(s) for s in config.calibration_lengths) | set(native)
-                         ) if config.calibration_lengths else native
-        self.layout_pool.construct(lengths)
+        self.layout_pool.construct(grid)
+        for layer_index, data in enumerate(collected):
+            by_length = {length: data.merged(truncate_to=length)
+                         for length in grid if length <= longest}
 
-        # length -> [merged dict per layer]; each layer's recordings are
-        # concatenated exactly once per grid length (the attention probs
-        # alone are O(n·heads·seq²) — re-merging per consumer would copy
-        # them four times per layer per length).
-        merged_by_length: Dict[int, list] = {}
-        batch_lengths = [int(np.asarray(b).shape[-1]) for b in calibration_batches]
-        for length in lengths:
-            if not any(bl >= length for bl in batch_lengths):
-                continue   # no calibration batch long enough for this length
-            truncate = None if all(bl == length for bl in batch_lengths) else length
-            merged_by_length[length] = [layer.merged(truncate_to=truncate)
-                                        for layer in collected]
+            def per_length(name):
+                return {length: merged[name] for length, merged in by_length.items()}
 
-        self.attention_calibrations = []
-        for layer_index, predictor in enumerate(self.attention_predictors):
-            calibration = calibrate_attention_predictor(
-                predictor, self.attention_exposer,
-                {length: merged[layer_index]["attention_inputs"]
-                 for length, merged in merged_by_length.items()},
-                {length: merged[layer_index]["attention_probs"]
-                 for length, merged in merged_by_length.items()})
-            predictor.set_calibration(calibration)
-            self.attention_calibrations.append(calibration)
-
-        self.mlp_calibrations = []
-        for layer_index, predictor in enumerate(self.mlp_predictors):
-            calibration = calibrate_mlp_predictor(
-                predictor, self.mlp_exposer,
-                {length: merged[layer_index]["mlp_inputs"]
-                 for length, merged in merged_by_length.items()},
-                {length: merged[layer_index]["mlp_activations"]
-                 for length, merged in merged_by_length.items()})
-            predictor.set_calibration(calibration)
-            self.mlp_calibrations.append(calibration)
+            if self.attention_predictors:
+                predictor = self.attention_predictors[layer_index]
+                calibration = calibrate_attention_predictor(
+                    predictor, self.attention_exposer,
+                    per_length("attention_inputs"), per_length("attention_block_mass"))
+                predictor.set_calibration(calibration)
+                self.attention_calibrations.append(calibration)
+            if self.mlp_predictors:
+                predictor = self.mlp_predictors[layer_index]
+                calibration = calibrate_mlp_predictor(
+                    predictor, self.mlp_exposer,
+                    per_length("mlp_inputs"), per_length("mlp_activations"))
+                predictor.set_calibration(calibration)
+                self.mlp_calibrations.append(calibration)
 
     # -- calibration reporting ---------------------------------------------------
     def calibration_gap(self) -> Dict[str, float]:
@@ -774,11 +768,12 @@ class LongExposure:
     def refresh_due(self, seq_len: int) -> bool:
         """Whether any installed backend will re-derive its masks this step.
 
-        The full-step compiler records probes/oracle exposers *between* ops
-        nowhere — they are Python control flow, not kernel calls — so a step
-        that refreshes any mask must run interpreted.  MLP backends that
-        permanently route to the dense kernel (LoRA inside the MLP) never
-        refresh and are skipped.
+        The full-step compiler records probes/oracle exposers nowhere — they
+        are Python control flow between kernel calls — so a plan cannot
+        replay *across* a refresh: the trainer makes a refresh step the
+        capture step of the plan that replays until the next one.  MLP
+        backends that permanently route to the dense kernel (LoRA inside the
+        MLP) never refresh and are skipped.
         """
         for backend in self._sparse_backends:
             if isinstance(backend, SparseAttentionBackend):
@@ -864,10 +859,12 @@ class LongExposure:
         """Hashable snapshot of every backend's reused masks.
 
         The full-step plan closes over layout geometry (gather indices,
-        active-neuron weight slices), so the step capture compares this
-        snapshot after each refresh step and drops the compiled plan when it
-        changed.  Equal signatures mean the closed-over geometry is still
-        exactly the one the masks describe.
+        active-neuron weight slices).  A refresh step records a new plan
+        anyway; the snapshot is what tells the capture that the masks moved
+        (so the arena's pooled shapes are stale), and that layouts installed
+        from outside — :meth:`adopt_layouts` on data-parallel ranks != 0 —
+        no longer match the live plan.  Equal signatures mean the closed-over
+        geometry is still exactly the one the masks describe.
         """
         state = []
         for backend in self._sparse_backends:

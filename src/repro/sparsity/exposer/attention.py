@@ -106,7 +106,11 @@ class AttentionExposer:
         sparsity exists before the pattern-pool constraint (tests, Figure 9
         analysis).
         """
-        block_mass = self.block_reduce(probs)
+        return self.raw_masks_from_block_mass(self.block_reduce(probs))
+
+    def raw_masks_from_block_mass(self, block_mass: np.ndarray) -> np.ndarray:
+        """:meth:`raw_block_masks` of an already-reduced per-block mass (the
+        predictor training labels, which ``prepare`` reduces at collection)."""
         heads, n_blocks, _ = block_mass.shape
         causal = causal_block_mask(n_blocks)
         masks = np.zeros_like(block_mass, dtype=bool)

@@ -21,7 +21,11 @@ they stay accurate while the PEFT parameters evolve during fine-tuning.
 
 from repro.sparsity.predictor.attention import AttentionPredictor
 from repro.sparsity.predictor.mlp import MLPPredictor
-from repro.sparsity.predictor.collect import CollectedLayerData, collect_layer_data
+from repro.sparsity.predictor.collect import (
+    CollectedLayerData,
+    collect_block_mass,
+    collect_layer_data,
+)
 from repro.sparsity.predictor.calibration import (
     AttentionCalibration,
     CalibrationEntry,
@@ -45,6 +49,7 @@ __all__ = [
     "CollectedLayerData",
     "calibrate_attention_predictor",
     "calibrate_mlp_predictor",
+    "collect_block_mass",
     "collect_layer_data",
     "PredictorTrainingConfig",
     "PredictorMetrics",

@@ -185,7 +185,7 @@ def _pattern_densities(pool: PatternPool, n_blocks: int) -> Dict[str, float]:
 
 def calibrate_attention_predictor(
         predictor, exposer, inputs_by_length: Dict[int, np.ndarray],
-        probs_by_length: Dict[int, np.ndarray],
+        block_mass_by_length: Dict[int, np.ndarray],
         snap_bars: Sequence[float] = SNAP_BAR_GRID) -> AttentionCalibration:
     """Fit per-head thresholds and the snap bar for one attention predictor.
 
@@ -196,10 +196,11 @@ def calibrate_attention_predictor(
         ``approximate_scores`` only; the weights are not touched).
     exposer:
         The :class:`AttentionExposer` that defines the oracle masks.
-    inputs_by_length / probs_by_length:
-        For every grid length, the recorded layer inputs
-        ``(n, seq, dim)`` and exact attention probabilities
-        ``(n, heads, seq, seq)`` truncated to that length.
+    inputs_by_length / block_mass_by_length:
+        For every grid length, the recorded layer inputs ``(n, seq, dim)``
+        truncated to that length and each sample's exact attention
+        probabilities, truncated likewise and reduced by
+        ``exposer.block_reduce``: ``(n, heads, n_blocks, n_blocks)``.
 
     The oracle target at each length is the exposer's *snapped* per-head
     selection over the whole calibration set — the same batch-level
@@ -212,13 +213,13 @@ def calibrate_attention_predictor(
     per_length: Dict[int, Dict[str, np.ndarray]] = {}
 
     for seq_len, inputs in sorted(inputs_by_length.items()):
-        probs = probs_by_length[seq_len]
         n_blocks = block_count(seq_len, predictor.block_size)
         causal = causal_block_mask(n_blocks)
         causal_total = int(causal.sum())
 
         # Oracle side: batch-level block mass -> snapped per-head patterns.
-        oracle_masks, oracle_names = exposer.head_block_masks(probs)
+        oracle_masks, oracle_names = exposer.masks_from_block_mass(
+            block_mass_by_length[seq_len].sum(axis=0))
         oracle_density = oracle_masks[:, causal].sum(axis=1) / causal_total
 
         # Predicted side: the calibrated runtime path thresholds the *mean*

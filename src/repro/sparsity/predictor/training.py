@@ -78,17 +78,15 @@ def _recall_precision(pred: np.ndarray, target: np.ndarray) -> Tuple[float, floa
 # attention predictor
 # ---------------------------------------------------------------------------
 
-def attention_block_labels(exposer: AttentionExposer, probs: np.ndarray) -> np.ndarray:
-    """Per-sample, per-head binary block labels from exact attention probs."""
-    probs = np.asarray(probs)
-    labels = []
-    for i in range(probs.shape[0]):
-        labels.append(exposer.raw_block_masks(probs[i:i + 1]))
-    return np.stack(labels).astype(np.float32)       # (batch, heads, nb, nb)
+def attention_block_labels(exposer: AttentionExposer,
+                           block_mass: np.ndarray) -> np.ndarray:
+    """Per-sample, per-head binary block labels from per-sample block mass."""
+    return np.stack([exposer.raw_masks_from_block_mass(mass)
+                     for mass in block_mass]).astype(np.float32)
 
 
 def train_attention_predictor(predictor: AttentionPredictor,
-                              inputs: np.ndarray, probs: np.ndarray,
+                              inputs: np.ndarray, block_mass: np.ndarray,
                               exposer: AttentionExposer,
                               config: Optional[PredictorTrainingConfig] = None
                               ) -> PredictorMetrics:
@@ -98,12 +96,13 @@ def train_attention_predictor(predictor: AttentionPredictor,
     ----------
     inputs:
         Recorded layer inputs ``(n_samples, seq, dim)``.
-    probs:
-        Exact attention probabilities ``(n_samples, heads, seq, seq)``.
+    block_mass:
+        Each sample's exact attention probabilities reduced by
+        ``exposer.block_reduce``: ``(n_samples, heads, n_blocks, n_blocks)``.
     """
     config = config or PredictorTrainingConfig()
     rng = np.random.default_rng(config.seed)
-    labels = attention_block_labels(exposer, probs)
+    labels = attention_block_labels(exposer, block_mass)
     n_blocks = labels.shape[-1]
     causal = causal_block_mask(n_blocks).astype(np.float32)
 

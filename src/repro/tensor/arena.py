@@ -182,12 +182,15 @@ class BufferArena:
         """Drop every *free* buffer (outstanding ones are untouched).
 
         Bounds the pool across shape regimes: the step-capture runtime calls
-        this when the step signature changes, so stale-shape pools (the old
-        sequence length's buffers) do not accumulate.  Returns bytes freed.
+        this when the step signature changes or a re-capture sees moved
+        sparsity layouts, so stale-shape pools (the old sequence length's or
+        layout's buffers) do not accumulate.  Counted in ``evictions``;
+        returns bytes freed.
         """
         freed = 0
         for buffers in self._free.values():
             freed += sum(buf.nbytes for buf in buffers)
+            self.evictions += len(buffers)
         self._free.clear()
         self.bytes_held -= freed
         return freed

@@ -15,6 +15,10 @@ Covers the three calibration guarantees the ISSUE names:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,11 +34,19 @@ from repro.sparsity.predictor import (
     PredictorTrainingConfig,
     calibrate_attention_predictor,
     calibrate_mlp_predictor,
+    collect_block_mass,
     collect_layer_data,
     train_attention_predictor,
     train_mlp_predictor,
 )
 from repro.sparsity.predictor.calibration import _bracket, _separating_threshold
+
+from parity import sample_block_mass
+
+# See TestStreamingPrepare.test_predictor_weight_digest_is_stable.
+SGEMM_CANARY = "d89522c442ee65f4a0495f1dbe19480cc4748a5e12387948112c6b2316113eb8"
+OPT_TINY_PREDICTOR_WEIGHTS = (
+    "340ae1665f0660a568e67ddbb411164228b58f8d223245148f68ca7f145dbbfa")
 
 
 class TestPrimitives:
@@ -157,18 +169,19 @@ def trained_setup(tiny_model):
     predictor = AttentionPredictor(tiny_model.config.dim, tiny_model.config.num_heads,
                                    rank=4, block_size=16, pattern_pool=pool, seed=0)
     train_attention_predictor(predictor, merged["attention_inputs"],
-                              merged["attention_probs"], exposer,
-                              PredictorTrainingConfig(epochs=8))
+                              sample_block_mass(exposer, merged["attention_probs"]),
+                              exposer, PredictorTrainingConfig(epochs=8))
     inputs = {l: per_length[l][0].merged()["attention_inputs"] for l in lengths}
     probs = {l: per_length[l][0].merged()["attention_probs"] for l in lengths}
-    return predictor, exposer, inputs, probs
+    mass = {l: sample_block_mass(exposer, probs[l]) for l in lengths}
+    return predictor, exposer, inputs, probs, mass
 
 
 class TestThresholdCalibration:
     def test_calibrated_density_matches_oracle_on_calibration_data(self, trained_setup):
-        predictor, exposer, inputs, probs = trained_setup
+        predictor, exposer, inputs, probs, mass = trained_setup
         calibration = calibrate_attention_predictor(predictor, exposer,
-                                                    inputs, probs)
+                                                    inputs, mass)
         assert sorted(calibration.thresholds) == [32, 64, 128]
         # The raw thresholded masks hit the oracle density by construction
         # (quantile matching); overshoot is bounded by the forced diagonal
@@ -189,9 +202,9 @@ class TestThresholdCalibration:
     def test_calibration_tightens_the_density_gap(self, trained_setup):
         """Calibrated predictions must track oracle density better than the
         fixed-threshold path at every grid length."""
-        predictor, exposer, inputs, probs = trained_setup
+        predictor, exposer, inputs, probs, mass = trained_setup
         calibration = calibrate_attention_predictor(predictor, exposer,
-                                                    inputs, probs)
+                                                    inputs, mass)
         pool = predictor.pattern_pool
         gaps = {}
         for calibrated in (False, True):
@@ -216,9 +229,9 @@ class TestThresholdCalibration:
         """A probe calibrated on the grid must stay structured at every grid
         length *and* at interpolated lengths in between — the uncalibrated
         failure mode was near-dense masks away from the training length."""
-        predictor, exposer, inputs, probs = trained_setup
+        predictor, exposer, inputs, probs, mass = trained_setup
         calibration = calibrate_attention_predictor(predictor, exposer,
-                                                    inputs, probs)
+                                                    inputs, mass)
         predictor.set_calibration(calibration)
         try:
             rng = np.random.default_rng(11)
@@ -309,9 +322,9 @@ class TestCollectAndMetricsSupport:
         assert merged["attention_probs"].shape[-2:] == (32, 32)
 
     def test_metrics_report_density_miscalibration(self, trained_setup):
-        predictor, exposer, inputs, probs = trained_setup
+        predictor, exposer, inputs, _, mass = trained_setup
         metrics = train_attention_predictor(
-            predictor, inputs[128], probs[128], exposer,
+            predictor, inputs[128], mass[128], exposer,
             PredictorTrainingConfig(epochs=0))
         assert 0.0 <= metrics.label_density <= 1.0
         assert 0.0 <= metrics.predicted_density <= 1.0
@@ -388,3 +401,138 @@ class TestEngineIntegration:
         assert 0.0 <= gauges["attention_sparsity"] <= 1.0
         summary = tuner.profiler.summary_dict()
         assert "attention_calibration_gap" in summary["gauges"]
+
+
+# ---------------------------------------------------------------------------
+# streaming prepare: block mass reduced at production
+# ---------------------------------------------------------------------------
+
+def _sha(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _fitted_digest(predictor, calibration, metrics) -> str:
+    """Everything ``prepare`` fits for one attention layer, bit for bit."""
+    return _sha(*(p.data for p in predictor.trainable_parameters()),
+                *(calibration.thresholds[length]
+                  for length in calibration.grid_lengths()),
+                np.float64(calibration.snap_coverage),
+                np.asarray(dataclasses.astuple(metrics), dtype=np.float64))
+
+
+def _prepare_inputs(seed: int, shape=(2, 128)):
+    model = build_model("opt-tiny", seed=0)
+    rng = np.random.default_rng(seed)
+    return model, [rng.integers(0, model.config.vocab_size, size=shape)
+                   for _ in range(2)]
+
+
+class TestStreamingPrepare:
+    @pytest.mark.parity
+    @pytest.mark.parametrize("grid", [(), (48, 100, 128)],
+                             ids=["default_grid", "ragged_grid"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_twin_of_full_probability_collection(self, seed, grid):
+        """``prepare`` keeps per-sample block mass only; what it fits must
+        equal, bit for bit, the fit on ``collect_layer_data``'s full
+        probabilities reduced per sample — same batches, same order."""
+        model, batches = _prepare_inputs(seed)
+        config = LongExposureConfig(block_size=16, predictor_epochs=3,
+                                    seed=seed, calibration_lengths=grid)
+        training = PredictorTrainingConfig(epochs=3, seed=seed)
+        engine = LongExposure(config)
+        engine.prepare(model, batches, training_config=training)
+
+        exposer = engine.attention_exposer
+        lengths = sorted(set(grid) | {128})
+        for layer, data in enumerate(collect_layer_data(model, batches)):
+            probs = data.merged()["attention_probs"]
+            predictor = AttentionPredictor(
+                model.config.dim, model.config.num_heads, config.predictor_rank,
+                16, engine.pattern_pool, threshold=config.attention_threshold,
+                coverage=config.attention_coverage, seed=seed + layer)
+            metrics = train_attention_predictor(
+                predictor, data.merged()["attention_inputs"],
+                sample_block_mass(exposer, probs), exposer, training)
+            calibration = calibrate_attention_predictor(
+                predictor, exposer,
+                {l: data.merged(truncate_to=l)["attention_inputs"] for l in lengths},
+                {l: sample_block_mass(exposer, probs, l) for l in lengths})
+            assert calibration.grid_lengths() == lengths
+            assert _fitted_digest(predictor, calibration, metrics) == _fitted_digest(
+                engine.attention_predictors[layer],
+                engine.attention_calibrations[layer],
+                engine.predictor_metrics["attention"][layer]), f"layer {layer}"
+
+    def test_collection_dtype_does_not_follow_numpy_promotion(self, tiny_model,
+                                                              tiny_batches):
+        """float32 scores times a float64 scale: NumPy 2 promotes, NumPy 1.x's
+        value-based casting does not.  The chain pins float64 — checked
+        against one with every dtype spelled out, and against the float32
+        chain it must not silently become."""
+        from repro.nn.attention import causal_mask
+        from repro.tensor import Tensor, no_grad
+
+        pool = build_default_pool()
+        exposer = AttentionExposer(pool, block_size=16, coverage=0.9)
+        data = collect_block_mass(tiny_model, tiny_batches[:1], exposer, [64])[0]
+        mass = data.merged()["attention_block_mass"]
+        assert mass.dtype == np.float64 and mass.shape == (2, 4, 4, 4)
+
+        attention = tiny_model.blocks[0].attention
+        with no_grad():
+            x_norm = Tensor(data.attention_inputs[0])
+            q = attention.split_heads(attention.q_proj(x_norm)).data
+            k = attention.split_heads(attention.k_proj(x_norm)).data
+        mask = causal_mask(64)
+
+        def explicit(dtype):
+            scores = (np.matmul(q, np.swapaxes(k, -1, -2)).astype(dtype)
+                      * dtype(1.0 / np.sqrt(q.shape[-1])))
+            scores = np.where(mask, scores, dtype(-1e9))
+            scores = scores - scores.max(axis=-1, keepdims=True)
+            probs = np.exp(scores) * mask.astype(dtype)
+            return probs / probs.sum(axis=-1, keepdims=True)
+
+        assert np.array_equal(mass, sample_block_mass(exposer, explicit(np.float64)))
+        assert not np.array_equal(
+            mass, sample_block_mass(exposer, explicit(np.float32)))
+
+    def test_predictor_weight_digest_is_stable(self):
+        """Stored digest of the weights ``prepare`` trains on ``opt-tiny`` —
+        the same bits whichever NumPy major version runs it.  Only meaningful
+        where sgemm rounds as on the host that stored it, which a small
+        product's digest stands in for."""
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 64, 48)).astype(np.float32)
+        if _sha(a @ b.T) != SGEMM_CANARY:
+            pytest.skip("this BLAS rounds sgemm differently from the host "
+                        "the digest was stored on")
+        model, batches = _prepare_inputs(seed=0)
+        engine = LongExposure(LongExposureConfig(block_size=16,
+                                                 predictor_epochs=3, seed=0))
+        engine.prepare(model, batches)
+        weights = [p.data for predictor in engine.attention_predictors
+                   for p in predictor.trainable_parameters()]
+        assert all(w.dtype == np.float32 for w in weights)
+        assert _sha(*weights) == OPT_TINY_PREDICTOR_WEIGHTS
+
+    @pytest.mark.perf_smoke
+    def test_prepare_peak_memory_is_one_layers_probabilities(self):
+        """``prepare`` used to hold every layer's float64 probabilities for
+        every batch and then concatenate them twice (>= 2 * layers * batches
+        tensors); reducing at production it holds one sample's."""
+        model, batches = _prepare_inputs(seed=0, shape=(1, 256))
+        engine = LongExposure(LongExposureConfig(block_size=16,
+                                                 predictor_epochs=2, seed=0))
+        tracemalloc.start()
+        try:
+            engine.prepare(model, batches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_layer = model.config.num_heads * 256 * 256 * 8
+        assert peak <= 3 * one_layer, f"peak {peak / one_layer:.2f} tensors"

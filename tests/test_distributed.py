@@ -52,7 +52,7 @@ def _capturing_tuner():
     return FineTuner(model, TrainingConfig(capture=CaptureConfig(enabled=True)))
 
 
-def _engine_tuner():
+def _engine_tuner(capture: bool = False):
     model = build_model("opt-tiny", seed=0)
     rng = np.random.default_rng(7)
     calib = rng.integers(0, model.config.vocab_size, size=(2, 32))
@@ -62,7 +62,12 @@ def _engine_tuner():
     engine.prepare(model, [calib])
     apply_lora(model)
     engine.install(model)
-    return FineTuner(model, TrainingConfig(), engine=engine)
+    return FineTuner(model, TrainingConfig(capture=CaptureConfig(enabled=capture)),
+                     engine=engine)
+
+
+def _captured_engine_tuner():
+    return _engine_tuner(capture=True)
 
 
 def _batches(count=4, rows=4, seq=16, seed=3):
@@ -154,27 +159,67 @@ class TestCaptureIntegration:
                 assert stats[rank, STAT_FULL_REPLAYS] == 2
 
 
-class TestMaskBroadcast:
-    def test_rank0_layouts_are_adopted_by_all_ranks(self):
-        rng = np.random.default_rng(11)
-        data = [rng.integers(0, 64, size=(4, 32)).astype(np.int64)
-                for _ in range(4)]
-        report = train_data_parallel(_engine_tuner, data, workers=2,
-                                     step_timeout_s=120.0)
-        syncs = [s["mask_syncs"] for s in report.worker_stats]
-        assert syncs[0] == syncs[1] and syncs[0] >= 1
-        assert all(np.isfinite(report.losses))
+@pytest.fixture(scope="module")
+def engine_data():
+    """Six steps at ``predict_interval=2``: mask refreshes on 1, 3 and 5."""
+    rng = np.random.default_rng(11)
+    return [rng.integers(0, 64, size=(4, 32)).astype(np.int64) for _ in range(6)]
 
-    def test_broadcast_off_probes_per_shard_and_stays_close(self):
-        rng = np.random.default_rng(11)
-        data = [rng.integers(0, 64, size=(4, 32)).astype(np.int64)
-                for _ in range(4)]
-        on = train_data_parallel(_engine_tuner, data, workers=2,
-                                 step_timeout_s=120.0)
-        off = train_data_parallel(_engine_tuner, data, workers=2,
+
+@pytest.fixture(scope="module")
+def engine_run(engine_data):
+    """Uncaptured 2-worker sparse run with rank-0 mask broadcast."""
+    return train_data_parallel(_engine_tuner, engine_data, workers=2,
+                               step_timeout_s=120.0)
+
+
+class TestMaskBroadcast:
+    def test_rank0_layouts_are_adopted_by_all_ranks(self, engine_run):
+        syncs = [s["mask_syncs"] for s in engine_run.worker_stats]
+        assert syncs[0] == syncs[1] and syncs[0] >= 1
+        assert all(np.isfinite(engine_run.losses))
+
+    def test_broadcast_off_probes_per_shard_and_stays_close(self, engine_run,
+                                                            engine_data):
+        off = train_data_parallel(_engine_tuner, engine_data, workers=2,
                                   step_timeout_s=120.0, mask_broadcast=False)
         assert all(s["mask_syncs"] == 0 for s in off.worker_stats)
-        np.testing.assert_allclose(on.losses, off.losses, rtol=1e-4)
+        np.testing.assert_allclose(engine_run.losses, off.losses, rtol=1e-4)
+
+    def test_captured_ranks_recapture_on_the_refresh_step(self, engine_run,
+                                                          engine_data):
+        """Rank 0 derives the masks inside its refresh step and records the
+        next plan there; the other ranks adopt them before theirs and
+        re-capture only if the adopted layouts differ from their plan's.
+        Either way the trajectory is the uncaptured one, bit for bit."""
+        captured = train_data_parallel(_captured_engine_tuner, engine_data,
+                                       workers=2, step_timeout_s=120.0)
+        assert captured.losses == engine_run.losses
+        assert captured.param_digest == engine_run.param_digest
+        rank0, rank1 = captured.worker_stats
+        # Steps 2, 3 and 5 capture on rank 0; 4 and 6 replay compiled.
+        assert rank0["replay_steps"] == 4 and rank0["full_replays"] == 2
+        assert rank1["replay_steps"] == 4 and 2 <= rank1["full_replays"] <= 4
+
+    @pytest.mark.fault
+    def test_recovery_replays_a_refresh_step_bitwise(self, engine_run,
+                                                     engine_data):
+        """A gradient chunk corrupted on refresh step 3 rolls both ranks back
+        after rank 0 has already dropped its plan and recorded a new one over
+        the refreshed masks; the replayed step refreshes and captures again."""
+        from repro.runtime.fault import FaultInjector, FaultRule
+
+        trainer = DataParallelTrainer(
+            _captured_engine_tuner, workers=2, step_timeout_s=120.0,
+            fault_injector=FaultInjector(rules=[FaultRule(
+                site="shm_chunk_corruption", rank=1, occurrence=3)]))
+        try:
+            report = trainer.train(engine_data)
+        finally:
+            trainer.close()
+        assert report.comm_checksum_failures >= 1 and report.worker_restarts == 0
+        assert report.losses == engine_run.losses
+        assert report.param_digest == engine_run.param_digest
 
 
 class TestFailureHandling:

@@ -17,6 +17,8 @@ from repro.sparsity.predictor import (
 from repro.sparsity.predictor.training import mlp_token_block_labels
 from repro.tensor import Tensor
 
+from parity import sample_block_mass
+
 
 def local_attention_probs(batch=1, heads=2, seq=64, window=8, seed=0):
     """Synthetic attention probabilities concentrated in a local causal window."""
@@ -166,12 +168,13 @@ class TestPredictors:
         exposer = AttentionExposer(pool, block_size=16, coverage=0.9)
         predictor = AttentionPredictor(tiny_model.config.dim, tiny_model.config.num_heads,
                                        rank=4, block_size=16, pattern_pool=pool, seed=0)
+        block_mass = sample_block_mass(exposer, merged["attention_probs"])
         config = PredictorTrainingConfig(epochs=0)
         untrained = train_attention_predictor(predictor, merged["attention_inputs"],
-                                              merged["attention_probs"], exposer, config)
+                                              block_mass, exposer, config)
         config = PredictorTrainingConfig(epochs=8)
         trained = train_attention_predictor(predictor, merged["attention_inputs"],
-                                            merged["attention_probs"], exposer, config)
+                                            block_mass, exposer, config)
         assert trained.recall >= untrained.recall
         assert trained.recall > 0.6
 

@@ -405,8 +405,8 @@ def test_kernel_veto_falls_through_to_the_interpreted_body(reason):
 #
 # The trajectory (losses, per-step gradients, Adam moments, final parameters)
 # must stay bitwise identical to the plain interpreted run whichever tier a
-# step lands on: compiled replay, or — reference kernels, oracle mode's
-# trainable base weights, a refresh-due step — backward-only replay.
+# step lands on: compiled replay, a refresh step's re-capture, or — reference
+# kernels, oracle mode's trainable base weights — backward-only replay.
 
 @pytest.mark.parity
 @pytest.mark.parametrize("schedule", sorted(parity.CAPTURE_SCHEDULES))
@@ -430,7 +430,7 @@ def _build_tuner(backend: str, seq: int = 32, predict_interval: int = 1,
     The sparse backends refresh their masks every ``predict_interval`` steps:
     the default 1 makes every step a refresh (interpreted forward,
     backward-only replay); 4 leaves reuse steps 2-4 — capture plus compile on
-    step 2, compiled replays on steps 3-4.
+    step 2, compiled replays on steps 3-4, re-capture on refresh step 5.
     """
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
     model = build_model(model_name, seed=0)
@@ -550,14 +550,13 @@ def _raise_once_in(plan, position: int = 3) -> None:
 
 
 @pytest.mark.parity
-@pytest.mark.parametrize("trigger", ["reference_kernels", "refresh_due",
+@pytest.mark.parametrize("trigger", ["reference_kernels",
                                      "trainable_base_weights", "coverage_gap",
                                      "replay_exception"])
 def test_degrades_to_backward_only_replay(trigger):
     build = {
         "reference_kernels": dict(
             backend="dense", attention=AttentionConfig(fused_kernels=False)),
-        "refresh_due": dict(backend="predicted", predict_interval=4),
         "trainable_base_weights": dict(backend="oracle", predict_interval=8),
         "coverage_gap": dict(backend="dense"),
         "replay_exception": dict(backend="dense"),
@@ -584,14 +583,6 @@ def test_degrades_to_backward_only_replay(trigger):
             assert capture.full_captures == 0
             assert capture.full_fail_reason == "reference kernels"
             assert seen[-1] == (0, 2)
-        elif trigger == "refresh_due":
-            assert seen[-1] == (2, 2) and capture.full_fail_reason == ""
-            step()                                 # step 5: scheduled refresh
-            assert seen[-1] == (2, 3)              # compiled forward skipped
-            assert capture.full_fail_reason == "sparsity-mask refresh due"
-            step()                                 # step 6: the batch is fixed,
-            assert seen[-1] == (3, 4)              # so the plan is still good
-            assert capture.full_captures == 1
         elif trigger == "trainable_base_weights":
             # Vetoed on steps 2, 3 and 4; after max_failures attempts the
             # compiler stops asking and the reason stays on record.
@@ -632,6 +623,59 @@ def test_degrades_to_backward_only_replay(trigger):
         for t in (tuner, plain):
             if t.engine is not None:
                 t.engine.uninstall(t.model)
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("interval", [4, 1])
+def test_refresh_step_is_the_capture_step(interval):
+    """A mask-refresh step drops the live plan before its forward and records
+    the next one during it, so the following ``interval - 1`` steps replay
+    compiled and nothing ever degrades; with ``predict_interval=1`` every
+    step refreshes, nothing could be replayed, and the compiler stays cold.
+    Lockstep with a plain twin: the trajectory is bitwise the same."""
+    tuner, ids, capture = _build_tuner("predicted", predict_interval=interval)
+    plain, _, _ = _build_tuner("predicted", predict_interval=interval,
+                               capture=False)
+    try:
+        for step in range(1, 15):              # refreshes on 1, 5, 9, 13
+            assert tuner.step(ids)[0] == plain.step(ids)[0], f"step {step}"
+            # Step 1 warms up; with an interval, step 2 and every refresh
+            # from step 5 on capture, and all steps in between replay.
+            captures = (step >= 2) + (step - 1) // 4 if interval > 1 else 0
+            assert capture.full_captures == captures, f"step {step}"
+            assert capture.full_replays == (
+                step - 1 - captures if interval > 1 else 0), f"step {step}"
+            assert capture.replay_steps == max(0, step - 2), f"step {step}"
+        assert capture.full_fallbacks == 0 and capture.fallbacks == 0
+        assert capture.full_fail_reason == ""
+        assert (capture.forward_plan is None) == (interval == 1)
+        assert capture.state == capture.REPLAY and capture._failures == 0
+        for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
+            assert np.array_equal(a.data, b.data), "params differ"
+    finally:
+        for t in (tuner, plain):
+            t.engine.uninstall(t.model)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+def test_arena_does_not_grow_across_refreshes():
+    """Fresh batches move the layouts at every refresh.  The re-capture drops
+    the old plan first and trims the old layout's free lists, so the pool
+    after the third re-capture is the size it was after the first capture —
+    not one interpreted working set plus a stale pool per refresh larger."""
+    tuner, _, capture = _build_tuner("predicted", seq=128, predict_interval=4)
+    rng = np.random.default_rng(5)
+    held = {}
+    try:
+        for step in range(1, 15):              # refreshes on 1, 5, 9, 13
+            tuner.step(rng.integers(0, 512, size=(2, 128)))
+            held[step] = capture.arena.bytes_held
+        assert capture.full_captures == 4 and capture.full_fallbacks == 0
+        assert capture.arena.evictions > 0     # at least one layout moved
+        assert held[13] <= 1.1 * held[2], held
+    finally:
+        tuner.engine.uninstall(tuner.model)
 
 
 @pytest.mark.perf_smoke
