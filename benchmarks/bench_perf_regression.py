@@ -13,12 +13,11 @@ model, in two execution modes each:
 Also micro-benchmarks the individual fused ops against their taped
 compositions, plus (since the sparse-chain pass):
 
-* **sparse_chain** — the in-place fused block-sparse SDD → masked-softmax →
-  DSD chain against the pre-fusion chain (the PR-1 implementation with its
-  ``np.where`` / exp / divide temporaries, kept verbatim below as the
-  baseline), both at the operator level and inside the end-to-end sparse
-  step; the acceptance bar is ``sparse_chain.speedup >= 1.3``;
-* **crossover** — dense fused attention vs. the sparse chain at seq 512
+* **sparse_chain** — block-sparse attention (the row-tiled kernel behind
+  :func:`repro.sparsity.ops.block_sparse_attention`) against its
+  primitive-composition twin, forward + backward, through the public entry
+  points only;
+* **crossover** — dense fused attention vs. block-sparse attention at seq 512
   under a realistic predicted-pattern layout (the regime where block
   sparsity must beat the fused dense kernel);
 * **optimizer_step** — flattened single-buffer Adam vs. the per-parameter
@@ -77,7 +76,7 @@ acceptance bars.
 
 The emitted JSON records all raw timings plus the speedup ratios; the
 acceptance bars for the perf passes are ``dense_step.speedup >= 1.5``,
-``sparse_chain.speedup >= 1.3``, ``predicted_quality`` gap ``<= 0.05``,
+``predicted_quality`` gap ``<= 0.05``,
 ``sparse_step.speedup >= 0.97`` (cache within noise — see the diagnosis in
 :func:`bench_sparse_step`), ``step_capture.predicted.pre_pr_speedup >=
 1.15`` with zero captured allocations per step.  The ``full_step`` section
@@ -85,9 +84,9 @@ sets the compiled steady-state step (flat forward plan + retained backward
 schedule + flat optimizer tail, zero Python graph builds) against the
 interpreted step and records the capture counters; it has no bar.
 Since the streaming-attention pass the ``long_context`` section sweeps
-seq 512..4096 three ways (materializing, streaming, streaming
-block-sparse) and reports ms/token plus the tracemalloc step peak; the
-bar is ``long_context.wall_peak_ratio >= 4`` — the streaming step must
+seq 512..4096 three ways (materializing, streaming, block-sparse — the
+last two are the same row-tiled kernel) and reports ms/token plus the
+tracemalloc step peak; the bar is ``long_context.wall_peak_ratio >= 4`` — the streaming step must
 peak at under a quarter of the materializing step at seq 4096 (the
 O(seq^2) memory wall).
 Since the data-parallel pass the ``scaling`` section drives the real
@@ -115,17 +114,13 @@ from repro.models import build_model
 from repro.optim import Adam
 from repro.runtime.profiler import PhaseProfiler
 from repro.sparsity import LongExposure, LongExposureConfig
-from repro.sparsity.ops import LayoutGeometryCache, block_sparse_attention
-from repro.sparsity.ops.block_sparse import (
-    _blockify,
-    _pad_to_blocks,
-    compute_block_geometry,
-)
+from repro.sparsity.ops import (LayoutGeometryCache, block_sparse_attention,
+                                compute_block_geometry)
 from repro.sparsity.ops.layout import LayoutPool
 from repro.sparsity.patterns import block_count, build_default_pool, causal_block_mask
 from repro.sparsity.predictor import AttentionPredictor
 from repro.tensor import Tensor, fused, reference
-from repro.tensor.tensor import custom_op, scatter_add_rows
+from repro.tensor.tensor import scatter_add_rows
 
 DENSE_MODEL = "gpt2-small-repro"     # GPT-2-small-style executable config
 SPARSE_MODEL = "opt-small"
@@ -212,36 +207,28 @@ def _pre_pr_scatter_add_rows(out, indices, updates):
 
 
 @contextlib.contextmanager
-def _pre_pr_sparse_path(engine, full: bool):
-    """Swap this PR's sparse-step optimisations back to their PR-1 forms.
-
-    ``full=False`` rolls back only the fused attention chain (isolating the
-    chain fusion); ``full=True`` additionally restores the out-of-place
-    oracle attention softmax and MLP probe and the ``np.add.at`` embedding
-    scatter — the complete PR-1 sparse step.  (The optimizer needs no
-    rollback here: full fine-tuning routes Adam onto the same per-parameter
-    loop PR 1 ran.)
+def _pre_pr_sparse_path(engine):
+    """Swap the sparse step's exposer and scatter back to their PR-1 forms:
+    the out-of-place oracle attention softmax and MLP probe and the
+    ``np.add.at`` embedding scatter.  (The attention kernel has no frozen
+    copy here — git history is its baseline; the optimizer needs no rollback:
+    full fine-tuning routes Adam onto the same per-parameter loop PR 1 ran.)
     """
     import types
 
-    import repro.sparsity.engine as engine_module
     import repro.tensor.tensor as tensor_module
 
-    saved_op = engine_module.block_sparse_attention
     saved_oracle = engine.oracle_attention_layout
     saved_mlp_oracle = engine.oracle_mlp_blocks
     saved_scatter = tensor_module.scatter_add_rows
-    engine_module.block_sparse_attention = pre_pr_block_sparse_attention
-    if full:
-        engine.oracle_attention_layout = types.MethodType(
-            _pre_pr_oracle_attention_layout, engine)
-        engine.oracle_mlp_blocks = types.MethodType(
-            _pre_pr_oracle_mlp_blocks, engine)
-        tensor_module.scatter_add_rows = _pre_pr_scatter_add_rows
+    engine.oracle_attention_layout = types.MethodType(
+        _pre_pr_oracle_attention_layout, engine)
+    engine.oracle_mlp_blocks = types.MethodType(
+        _pre_pr_oracle_mlp_blocks, engine)
+    tensor_module.scatter_add_rows = _pre_pr_scatter_add_rows
     try:
         yield
     finally:
-        engine_module.block_sparse_attention = saved_op
         engine.oracle_attention_layout = saved_oracle
         engine.oracle_mlp_blocks = saved_mlp_oracle
         tensor_module.scatter_add_rows = saved_scatter
@@ -249,17 +236,14 @@ def _pre_pr_sparse_path(engine, full: bool):
 
 def bench_sparse_step(repeats: int = 5, batch: int = BATCH, seq: int = SEQ,
                       model_name: str = SPARSE_MODEL) -> Dict[str, float]:
-    """Sparse fine-tune step: geometry cache, chain fusion, full PR deltas.
+    """Sparse fine-tune step: geometry cache and the exposer/scatter deltas.
 
-    All runs use the fused dense tensor kernels.  Four interleaved modes:
+    All runs use the fused dense tensor kernels.  Three interleaved modes:
 
-    * ``cached`` — this PR's full sparse step (the default path);
+    * ``cached`` — the default sparse step;
     * ``uncached`` — geometry memo disabled (index reconstruction per call);
-    * ``pre_pr_chain`` — only the attention chain rolled back to the PR-1
-      temporaries form (``chain_speedup`` isolates the chain fusion);
-    * ``pre_pr_full`` — chain, oracle softmax and embedding scatter all
-      rolled back (``pre_pr_speedup`` is the end-to-end sparse-step win of
-      this PR; the acceptance bar is >= 1.3).
+    * ``pre_pr_full`` — oracle softmax, MLP probe and embedding scatter
+      rolled back to their PR-1 forms (``pre_pr_speedup``).
     """
     result: Dict[str, float] = {}
     model = build_model(model_name, seed=0)
@@ -273,7 +257,7 @@ def bench_sparse_step(repeats: int = 5, batch: int = BATCH, seq: int = SEQ,
         optimizer = Adam(model.trainable_parameters(), lr=1e-4)
         step = _train_step_fn(model, ids, optimizer)
         saved_cache = engine.geometry_cache
-        modes = ("cached", "uncached", "pre_pr_chain", "pre_pr_full")
+        modes = ("cached", "uncached", "pre_pr_full")
         best = {mode: float("inf") for mode in modes}
         # Diagnosis of the PR-4 ``cached_s > uncached_s`` anomaly (0.97x):
         # at this configuration (block 32 -> a 4x4 block grid) recomputing
@@ -292,11 +276,8 @@ def bench_sparse_step(repeats: int = 5, batch: int = BATCH, seq: int = SEQ,
         for _ in range(max(1, repeats)):
             for mode in modes:
                 engine.geometry_cache = None if mode == "uncached" else saved_cache
-                if mode.startswith("pre_pr"):
-                    rollback = _pre_pr_sparse_path(engine,
-                                                   full=mode == "pre_pr_full")
-                else:
-                    rollback = contextlib.nullcontext()
+                rollback = (_pre_pr_sparse_path(engine) if mode == "pre_pr_full"
+                            else contextlib.nullcontext())
                 with rollback:
                     start = time.perf_counter()
                     for _ in range(inner):
@@ -316,7 +297,6 @@ def bench_sparse_step(repeats: int = 5, batch: int = BATCH, seq: int = SEQ,
     result["geometry_s_per_step"] = geometry_s
     result["geometry_fraction"] = geometry_s / max(result["cached_s"], 1e-12)
     result["speedup"] = result["uncached_s"] / result["cached_s"]
-    result["chain_speedup"] = result["pre_pr_chain_s"] / result["cached_s"]
     result["pre_pr_speedup"] = result["pre_pr_full_s"] / result["cached_s"]
     return result
 
@@ -355,96 +335,6 @@ def bench_geometry(repeats: int = 50, seq: int = 512,
     }
 
 
-def pre_pr_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout,
-                                  scale: Optional[float] = None,
-                                  cache: Optional[LayoutGeometryCache] = None,
-                                  streaming: Optional[bool] = None) -> Tensor:
-    """The PR-1 block-sparse chain, kept verbatim as the fusion baseline.
-
-    ``streaming`` exists only so the engine's call signature (which always
-    forwards the toggle) keeps matching; this rollback predates streaming
-    and only ever runs with it off.
-
-    Identical math and identical geometry handling to the current fused op,
-    but every softmax stage materialises its own temporary (``np.where``
-    masked fill, exp, mask multiply, divide) and the backward rebuilds dS
-    out of fresh buffers — exactly what the in-place fusion pass removed.
-    ``sparse_chain.speedup`` in the report is measured against this.
-    """
-    if streaming:
-        raise ValueError("pre-PR baseline has no streaming path")
-    bs = layout.block_size
-    batch, n_heads, seq_len, head_dim = q.shape
-    scale = scale if scale is not None else 1.0 / np.sqrt(head_dim)
-    neg_inf = np.float32(-1e9)
-
-    q_pad = _blockify(_pad_to_blocks(q.data, bs, axis=2), bs)
-    k_pad = _blockify(_pad_to_blocks(k.data, bs, axis=2), bs)
-    v_pad = _blockify(_pad_to_blocks(v.data, bs, axis=2), bs)
-    padded_len = layout.n_blocks * bs
-
-    heads, rows, cols = layout.heads, layout.rows, layout.cols
-    starts = layout.row_segment_starts
-    geom = (cache.lookup(layout, seq_len) if cache is not None
-            else compute_block_geometry(layout, seq_len))
-    seg_ids, seg_heads, seg_rows = geom.seg_ids, geom.seg_heads, geom.seg_rows
-
-    q_blk = q_pad[:, heads, rows]
-    k_blk = k_pad[:, heads, cols]
-    v_blk = v_pad[:, heads, cols]
-
-    scores = np.matmul(q_blk, np.swapaxes(k_blk, -1, -2)) * scale
-    allowed = geom.element_mask
-    scores = np.where(allowed[None], scores, neg_inf)
-
-    block_max = scores.max(axis=-1)
-    seg_max = np.maximum.reduceat(block_max, starts, axis=1)
-    row_max = seg_max[:, seg_ids]
-    exp = np.exp(scores - row_max[..., None]) * allowed[None]
-    block_sum = exp.sum(axis=-1)
-    seg_sum = np.add.reduceat(block_sum, starts, axis=1)
-    row_sum = seg_sum[:, seg_ids]
-    row_sum = np.where(row_sum == 0.0, 1.0, row_sum)
-    probs = exp / row_sum[..., None]
-
-    ctx_blk = np.matmul(probs, v_blk)
-    ctx_seg = np.add.reduceat(ctx_blk, starts, axis=1)
-    out = np.zeros((batch, n_heads, layout.n_blocks, bs, head_dim), dtype=q.data.dtype)
-    out[:, seg_heads, seg_rows] = ctx_seg
-    out = out.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
-
-    n_blocks = layout.n_blocks
-    col_order, col_starts = geom.col_order, geom.col_starts
-    col_seg_heads, col_seg_cols = geom.col_seg_heads, geom.col_seg_cols
-
-    def _scatter_to_cols(contrib: np.ndarray) -> np.ndarray:
-        contrib_sorted = contrib[:, col_order]
-        seg = np.add.reduceat(contrib_sorted, col_starts, axis=1)
-        out_blocks = np.zeros((batch, n_heads, n_blocks, bs, head_dim), dtype=np.float32)
-        out_blocks[:, col_seg_heads, col_seg_cols] = seg
-        return out_blocks.reshape(batch, n_heads, padded_len, head_dim)
-
-    def backward(grad_out: np.ndarray):
-        grad_out_pad = _blockify(_pad_to_blocks(grad_out, bs, axis=2), bs)
-        dout_blk = grad_out_pad[:, heads, rows]
-        dv = _scatter_to_cols(np.matmul(np.swapaxes(probs, -1, -2), dout_blk))
-        dP = np.matmul(dout_blk, np.swapaxes(v_blk, -1, -2))
-        inner_blk = (dP * probs).sum(axis=-1)
-        inner_seg = np.add.reduceat(inner_blk, starts, axis=1)
-        inner_row = inner_seg[:, seg_ids]
-        dS = probs * (dP - inner_row[..., None])
-        dS *= scale
-        dq_contrib = np.matmul(dS, k_blk)
-        dq_seg = np.add.reduceat(dq_contrib, starts, axis=1)
-        dq = np.zeros((batch, n_heads, n_blocks, bs, head_dim), dtype=np.float32)
-        dq[:, seg_heads, seg_rows] = dq_seg
-        dq = dq.reshape(batch, n_heads, padded_len, head_dim)
-        dk = _scatter_to_cols(np.matmul(np.swapaxes(dS, -1, -2), q_blk))
-        return (dq[:, :, :seq_len], dk[:, :, :seq_len], dv[:, :, :seq_len])
-
-    return custom_op(out, (q, k, v), backward)
-
-
 def _chain_layout(seq: int, block_size: int = BLOCK_SIZE, patterns=None,
                   heads: Optional[int] = None):
     """Mixed predicted-pattern layout used by the chain/crossover benches.
@@ -462,11 +352,11 @@ def _chain_layout(seq: int, block_size: int = BLOCK_SIZE, patterns=None,
 def bench_sparse_chain(repeats: int = 20, batch: int = BATCH, seq: int = SEQ,
                        heads: int = CHAIN_HEADS, dim: int = CHAIN_DIM,
                        block_size: int = BLOCK_SIZE) -> Dict[str, float]:
-    """Fused in-place sparse chain vs. the pre-PR chain, forward + backward.
+    """Block-sparse attention vs. its taped reference twin, forward + backward.
 
-    Both run with warm cached geometry, so the measured gap is purely the
-    buffer-reuse fusion of the SDD → masked-softmax → DSD chain.  The
-    acceptance bar is ``speedup >= 1.3``.
+    The kernel runs with warm cached geometry; the twin is dense attention
+    under the layout's expanded element mask
+    (:func:`repro.tensor.reference.block_sparse_attention`).
     """
     layout = _chain_layout(seq, block_size, heads=heads)
     rng = np.random.default_rng(0)
@@ -478,18 +368,20 @@ def bench_sparse_chain(repeats: int = 20, batch: int = BATCH, seq: int = SEQ,
     def run(op) -> Callable[[], None]:
         def once() -> None:
             qt, kt, vt = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            out = op(qt, kt, vt, layout, cache=cache)
+            out = op(qt, kt, vt)
             out.backward(np.ones_like(out.data))
         once()  # warm-up
         return once
 
-    fused_s = _best_of(run(block_sparse_attention), repeats)
-    pre_pr_s = _best_of(run(pre_pr_block_sparse_attention), repeats)
+    fused_s = _best_of(run(lambda a, b, c: block_sparse_attention(
+        a, b, c, layout, cache=cache)), repeats)
+    reference_s = _best_of(run(lambda a, b, c: reference.block_sparse_attention(
+        a, b, c, layout)), repeats)
     return {
         "layout_nnz": float(layout.nnz),
         "fused_s": fused_s,
-        "pre_pr_s": pre_pr_s,
-        "speedup": pre_pr_s / fused_s,
+        "reference_s": reference_s,
+        "speedup": reference_s / fused_s,
     }
 
 
@@ -502,8 +394,9 @@ def bench_crossover(repeats: int = 10, batch: int = 1, seq: int = 512,
                     block_size: int = BLOCK_SIZE) -> Dict[str, float]:
     """Sparse-vs-dense attention crossover at long sequence length.
 
-    Compares the fused dense core (causal mask) against the fused sparse
-    chain, forward + backward, at seq 512 under a local-window-heavy layout
+    Compares the fused dense core (causal mask) against block-sparse
+    attention, forward + backward, at seq 512 under a local-window-heavy
+    layout
     — the pattern mix long sequences actually predict (bounded local
     windows plus attention-sink globals; the block count per query row stays
     constant as the sequence grows, unlike the ``dense``-head mix the
@@ -1401,18 +1294,18 @@ def bench_long_context(lengths=LONG_CONTEXT_LENGTHS, batch: int = 1,
 
     * ``materializing`` — dense SDPA holding the full ``(batch, heads,
       seq, seq)`` probability matrix for the backward;
-    * ``streaming`` — the tiled online-softmax kernel: ``O(seq * tile)``
-      scratch, logsumexp-recompute backward;
-    * ``block_sparse_streaming`` — kernel-level forward+backward of the
-      prefix-scheduled streaming block-sparse op over a local+global
-      layout (the sparse engine's long-context configuration).
+    * ``streaming`` — the row-tiled kernel: ``O(tile * seq)`` scratch,
+      logsumexp-recompute backward;
+    * ``block_sparse_streaming`` — kernel-level forward+backward of
+      block-sparse attention (the same kernel over gathered panels) on a
+      local+global layout (the sparse engine's long-context configuration).
 
     Wall-clock (best of ``repeats``) is measured untraced; the heap peak
     is a separate tracemalloc-instrumented step, because tracing itself
     slows NumPy dispatch.  ``peak_ratio`` (materializing / streaming) is
     the headline figure: it grows with ``seq`` — the memory wall falling —
     and at short lengths (``seq <= tile``) sits near 1, where the single
-    streaming tile degenerates to the materializing shape.
+    row tile degenerates to the materializing shape.
     """
     import tracemalloc
 
@@ -1841,10 +1734,9 @@ def _print_report(report: Dict) -> None:
     print(f"sparse fine-tune step ({report['meta']['sparse_model']}, oracle):")
     print(f"  cached       {sparse['cached_s'] * 1000:8.1f} ms")
     print(f"  uncached     {sparse['uncached_s'] * 1000:8.1f} ms")
-    print(f"  pre-PR chain {sparse['pre_pr_chain_s'] * 1000:8.1f} ms")
     print(f"  pre-PR full  {sparse['pre_pr_full_s'] * 1000:8.1f} ms")
-    print(f"  cache {sparse['speedup']:.2f}x   chain {sparse['chain_speedup']:.2f}x"
-          f"   vs PR-1 step {sparse['pre_pr_speedup']:.2f}x   "
+    print(f"  cache {sparse['speedup']:.2f}x"
+          f"   vs PR-1 exposer/scatter {sparse['pre_pr_speedup']:.2f}x   "
           f"(geometry share {sparse['geometry_fraction']:.1%} of step)")
     capture = report["step_capture"]
     print("step capture (buffer arena + planned tape replay):")
@@ -1921,9 +1813,9 @@ def _print_report(report: Dict) -> None:
     print(f"  lookup    {geom['lookup_s'] * 1e3:8.3f} ms")
     print(f"  speedup   {geom['speedup']:8.1f}x")
     chain = report["sparse_chain"]
-    print(f"fused sparse chain (fwd+bwd, nnz {int(chain['layout_nnz'])}):")
+    print(f"block-sparse attention (fwd+bwd, nnz {int(chain['layout_nnz'])}):")
     print(f"  fused     {chain['fused_s'] * 1e3:8.2f} ms")
-    print(f"  pre-PR    {chain['pre_pr_s'] * 1e3:8.2f} ms")
+    print(f"  reference {chain['reference_s'] * 1e3:8.2f} ms")
     print(f"  speedup   {chain['speedup']:8.2f}x")
     cross = report["crossover"]
     print(f"crossover at seq {int(cross['seq'])} "

@@ -66,7 +66,7 @@ class DenseAttentionBackend:
         if fused.fused_kernels_enabled():
             if self.capture_scores:
                 # Score capture needs the materialized probability matrix, so
-                # the streaming kernel (which never forms it) does not apply.
+                # the row-tiled kernel (which never forms it) does not apply.
                 context, probs = fused.scaled_dot_product_attention(
                     q, k, v, attn_mask, scale=scale, return_probs=True)
                 self.last_scores = probs

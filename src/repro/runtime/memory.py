@@ -72,10 +72,12 @@ class MemoryModel:
     param_bytes: int = 2
     activation_bytes: int = 4
     optimizer_bytes_per_param: int = 8          # two FP32 Adam moments
-    # Streaming tiled attention (repro.tensor.fused.streaming_attention):
-    # forward keeps only an O(s * tile) score scratch plus the per-row
-    # logsumexp, and the backward re-streams the tiles instead of reading a
-    # stored (s, s) probability matrix.
+    # Row-tiled attention (repro.tensor.fused.tiled_attention): a layer saves
+    # only its output and the per-row logsumexp; the forward works in one
+    # (batch, heads, row_tile, s) score scratch and the backward recomputes
+    # each tile's probabilities into it, next to one more for dS, instead of
+    # reading a stored (s, s) probability matrix.  ``streaming_tile`` is the
+    # row-tile height.
     streaming: bool = False
     streaming_tile: int = 128
 
@@ -106,20 +108,20 @@ class MemoryModel:
         Dense attention stores ``batch * heads * s²`` probabilities per layer;
         block-sparse attention stores only the active blocks, i.e. a
         ``block_density`` fraction of the causal half.  With
-        :attr:`streaming` enabled the backward recomputes probabilities tile
-        by tile, so only the O(s * tile) score scratch plus the per-row
-        logsumexp survives a layer — independent of ``seq_len²``.  When both
-        streaming and block sparsity are active the cheaper of the two bounds
-        applies (streaming block-sparse keeps one score tile per query-row
-        segment, never more than either bound).
+        :attr:`streaming` enabled the backward recomputes probabilities one
+        row tile at a time, so only the two ``(row_tile, s)`` scratch tiles
+        (probabilities, dS) plus the per-row logsumexp are ever held —
+        linear in ``seq_len``.  When both streaming and block sparsity are
+        active the cheaper of the two bounds applies (a gathered panel is
+        never wider than the sequence).
         """
         cfg = self.config
         dense_causal = batch * cfg.num_heads * (seq_len * seq_len) / 2.0
         stored = dense_causal * block_density
         if self.streaming:
             tile = min(self.streaming_tile, seq_len)
-            # score scratch (s * tile) + logsumexp/max/sum/corr rows (4 * s)
-            streamed = batch * cfg.num_heads * seq_len * (tile + 4.0)
+            # probability + dS scratch (2 * tile * s) + the logsumexp row (s)
+            streamed = batch * cfg.num_heads * seq_len * (2.0 * tile + 1.0)
             stored = min(stored, streamed)
         return float(stored * self.activation_bytes)
 

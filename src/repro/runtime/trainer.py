@@ -55,11 +55,13 @@ class CaptureConfig:
 class AttentionConfig:
     """Attention-kernel routing, scoped per tuner.
 
-    * ``streaming`` / ``streaming_tile`` — streaming tiled attention (see
+    * ``streaming`` / ``streaming_tile`` — row-tiled dense attention (see
       :func:`repro.tensor.fused.streaming_attention`): the dense-attention
-      path runs the online-softmax kernel over K/V tiles of
-      ``streaming_tile`` keys, never materialising the quadratic score
-      matrix — the long-context switch.
+      path walks query-row tiles ``streaming_tile`` rows high, each reading
+      the keys up to its mask's last kept column, never materialising the
+      quadratic score matrix — the long-context switch, and under a causal
+      mask about half the work of the materialising kernel.  Sparse
+      backends run the same kernel and pick their row tile from the layout.
     * ``fused_kernels`` — route through the fused single-node kernels
       (True) or the primitive-composition reference tape (False).
 

@@ -71,14 +71,12 @@ class LongExposureConfig:
         Whether the memory model assumes inactive neuron blocks stay on the
         host ("LongExposure (optimal)" curve in Figure 8).
     streaming_attention:
-        Route the sparse attention backends and the oracle exposer through
-        the streaming (online-softmax) kernels: block-sparse attention
-        streams one active block per query-row segment at a time, and the
-        oracle mask derivation computes its block mass with a two-pass
-        K-tile sweep — neither ever materialises a full ``(seq, seq)``
-        score matrix, breaking the O(s²) attention-memory wall for long
-        contexts.  Masks and results match the materializing path up to
-        accumulation order.
+        Derive oracle masks without a full score matrix: the oracle exposer
+        computes its block mass with a two-pass K-tile sweep, O(seq * tile)
+        scratch instead of ``(seq, seq)``.  Masks match the materializing
+        derivation up to accumulation order.  It no longer selects an
+        attention kernel — there is one, and it never holds more than one
+        row tile of scores whatever this flag says.
     seed:
         RNG seed for predictor initialisation and training shuffles.
     """

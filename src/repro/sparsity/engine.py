@@ -329,9 +329,8 @@ class SparseAttentionBackend:
             self._last_refresh_step = engine.step_index
         stats.attention_calls += 1
         stats.record_attention_sparsity(layout.sparsity())
-        out = block_sparse_attention(
-            q, k, v, layout, cache=engine.geometry_cache,
-            streaming=True if engine.config.streaming_attention else None)
+        out = block_sparse_attention(q, k, v, layout,
+                                     cache=engine.geometry_cache)
         stats.backend_seconds += time.perf_counter() - call_start
         return out
 
@@ -629,10 +628,9 @@ class LongExposure:
                                      scale: float, seq_len: int) -> np.ndarray:
         """Exposer block mass via a two-pass streaming softmax sweep.
 
-        Pass 1 computes the per-row logsumexp with the same online max/sum
-        rescaling as :func:`repro.tensor.fused.streaming_attention`; pass 2
-        re-streams the K tiles, recomputes each probability tile from the
-        saved logsumexp and immediately folds it into the per-key-block
+        Pass 1 computes the per-row logsumexp with online max/sum rescaling
+        over K tiles; pass 2 re-streams the K tiles, recomputes each
+        probability tile from the saved logsumexp and immediately folds it into the per-key-block
         column reduction.  The tile width is the streaming tile rounded to a
         block multiple so tile edges never split a block.  Scratch:
         O(batch * heads * seq * tile), never O(seq²).

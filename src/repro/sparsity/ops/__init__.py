@@ -12,9 +12,8 @@ Two families of kernels:
   active, with an optional transposed ("coalesced") weight layout mirroring
   the paper's memory-coalescing optimisation.
 
-The index geometry the block-sparse kernels derive from a layout (softmax
-segment boundaries, per-block element masks, the column-sorted backward
-permutation) is memoized by
+The row tiles the attention kernel derives from a layout (per-tile key-column
+lists padded to a common capacity, drop masks) are memoized by
 :class:`repro.sparsity.ops.geometry_cache.LayoutGeometryCache`, keyed by
 layout content — repeated predicted patterns across fine-tuning steps pay
 the index-construction cost once.
@@ -26,7 +25,6 @@ paper's Section II-D.
 
 from repro.sparsity.ops.layout import LayoutPool, MultiHeadLayout
 from repro.sparsity.ops.geometry_cache import (
-    BlockGeometry,
     LayoutGeometryCache,
     compute_block_geometry,
 )
@@ -46,7 +44,6 @@ from repro.sparsity.ops.neuron_sparse import (
 __all__ = [
     "LayoutPool",
     "MultiHeadLayout",
-    "BlockGeometry",
     "LayoutGeometryCache",
     "compute_block_geometry",
     "BlockSparseMatrix",

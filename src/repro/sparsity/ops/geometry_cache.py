@@ -1,25 +1,27 @@
-"""Cached block-sparse geometry: the index work behind the sparse kernels.
+"""Cached block-sparse geometry: a layout's row tiles for the attention kernel.
 
-:func:`~repro.sparsity.ops.block_sparse.block_sparse_attention` needs three
-pieces of derived geometry besides the layout's raw ``(head, row, col)``
-arrays:
+:func:`repro.tensor.fused.tiled_attention` takes a
+:class:`~repro.tensor.fused.TileLayout`; :func:`compute_block_geometry`
+derives one from a :class:`~repro.sparsity.ops.layout.MultiHeadLayout`:
 
-* the **segment geometry** — which contiguous runs of active blocks share a
-  ``(head, query-row)`` softmax segment (``np.*.reduceat`` boundaries);
-* the **element mask** — the ``(nnz, block, block)`` boolean validity mask
-  enforcing causality inside diagonal blocks and the true sequence length;
-* the **column geometry** — the ``(head, key-column)``-sorted permutation
-  that turns the backward pass's dK/dV scatter into a contiguous segmented
-  reduce.
+* query rows are cut into **row tiles** of a whole number of blocks, the
+  height picked from the layout's own padded work (:func:`choose_row_tile`);
+* per tile and head, the **column list** is the union of the key blocks the
+  tile's block rows keep, as linear slots of the kernel's staged K/V grid,
+  padded to the tile's *capacity* (the longest list over the heads) with the
+  inert all-zero slot and carried with its live count;
+* the **drop mask** marks, per head, the panel entries a query row does not
+  attend to — blocks another row of the tile brought in, the causal triangle
+  of diagonal blocks, every padded column.  A tile whose lists are all the
+  same contiguous prefix keeps no list at all: the kernel slices.
 
-All three depend only on ``(layout contents, seq_len)``.  Predicted patterns
-repeat heavily across fine-tuning steps (the predictor chooses from a small
-pattern pool, and the layout pool already canonicalises combinations), so
-the seed's recompute-per-forward-call behaviour paid the full index cost —
-including the ``nnz * block²`` element-mask construction — on every layer of
-every step.  :class:`LayoutGeometryCache` memoizes the bundle under an LRU
-keyed by a content signature of the layout plus the sequence length, making
-repeated steps pure dictionary hits.
+Everything depends only on ``(layout contents, seq_len)``.  Predicted
+patterns repeat heavily across fine-tuning steps (the predictor chooses from
+a small pattern pool, and the layout pool already canonicalises
+combinations), so :class:`LayoutGeometryCache` memoizes the result under an
+LRU keyed by a content signature of the layout plus the sequence length,
+making repeated steps pure dictionary hits.  A cached entry is bounded by
+``heads * seq²/2`` mask bytes however many blocks are active.
 
 The cache is *purely* a memoization: a lookup returns byte-identical arrays
 to a fresh computation (asserted by the test suite), so enabling it can
@@ -29,178 +31,121 @@ never change numerical results.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Hashable, Tuple
+from typing import Hashable, Optional
 
 import numpy as np
 
 from repro.sparsity.ops.layout import MultiHeadLayout
+from repro.tensor.fused import RowTile, TileLayout
 
 __all__ = [
-    "BlockGeometry",
-    "StreamGeometry",
     "LayoutGeometryCache",
+    "choose_row_tile",
     "compute_block_geometry",
-    "compute_stream_geometry",
-    "segment_geometry",
-    "block_element_mask",
 ]
 
+# What one panel column costs beyond its share of the score tile, in query
+# rows: it is gathered for K and V, scatter-added for dK and dV, and starts an
+# inner loop in every column-wise reduction.  Fitted on the benchmark host
+# (1 x 8 x 1024 x 16, forward + backward, ten layouts x four row tiles) as
+# time ~ panel area + 15 * columns; the choice lands within 5 % of the best
+# measured tile on every one of them.
+_PANEL_COLUMN_COST = 15
+_MAX_ROW_TILE = 128
 
-def segment_geometry(layout: MultiHeadLayout
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (segment ids per block, segment heads, segment rows)."""
-    starts = layout.row_segment_starts
-    nnz = layout.nnz
-    seg_lengths = np.diff(np.append(starts, nnz))
-    seg_ids = np.repeat(np.arange(starts.shape[0]), seg_lengths)
-    return seg_ids, layout.heads[starts], layout.rows[starts]
+
+def _tile_capacities(active: np.ndarray, tile_blocks: int) -> np.ndarray:
+    """Blocks in each row tile's widest per-head column union."""
+    heads, n_blocks, _ = active.shape
+    n_tiles = -(-n_blocks // tile_blocks)
+    padded = np.zeros((heads, n_tiles * tile_blocks, n_blocks), dtype=bool)
+    padded[:, :n_blocks] = active
+    union = padded.reshape(heads, n_tiles, tile_blocks, n_blocks).any(axis=2)
+    return np.maximum(union.sum(axis=-1).max(axis=0), 1)
 
 
-def block_element_mask(layout: MultiHeadLayout, seq_len: int) -> np.ndarray:
-    """Element-level validity mask of each active block ``(nnz, bs, bs)``.
+def choose_row_tile(active: np.ndarray, block_size: int, seq_len: int) -> int:
+    """Row-tile height (a multiple of ``block_size``) with the least padded work.
 
-    Enforces causality inside diagonal blocks and masks key positions beyond
-    the (possibly padded) sequence length.
+    ``active`` is the ``(heads, n_blocks, n_blocks)`` block mask.  Taller
+    tiles mean fewer, larger GEMMs but wider column unions; the padded work
+    of a candidate is ``sum(capacity * (rows + _PANEL_COLUMN_COST))`` over
+    its tiles.  Candidates double from one block up to ``_MAX_ROW_TILE`` rows.
     """
-    bs = layout.block_size
-    offs = np.arange(bs)
-    q_pos = layout.rows[:, None] * bs + offs[None, :]          # (nnz, bs)
-    k_pos = layout.cols[:, None] * bs + offs[None, :]          # (nnz, bs)
-    allowed = q_pos[:, :, None] >= k_pos[:, None, :]
-    allowed &= k_pos[:, None, :] < seq_len
-    return allowed
+    n_blocks = active.shape[1]
+    best, best_cost = 1, None
+    tile_blocks = 1
+    while tile_blocks == 1 or (tile_blocks * block_size <= _MAX_ROW_TILE
+                               and tile_blocks < 2 * n_blocks):
+        capacity = _tile_capacities(active, tile_blocks)
+        starts = np.arange(capacity.shape[0]) * tile_blocks * block_size
+        rows = np.minimum(starts + tile_blocks * block_size, seq_len) - starts
+        cost = int((capacity * (rows + _PANEL_COLUMN_COST)).sum())
+        if best_cost is None or cost <= best_cost:
+            best, best_cost = tile_blocks, cost
+        tile_blocks *= 2
+    return best * block_size
 
 
-@dataclass(frozen=True)
-class StreamGeometry:
-    """Index geometry for the *streaming* block-sparse kernel.
+def compute_block_geometry(layout: MultiHeadLayout, seq_len: int,
+                           row_tile: Optional[int] = None) -> TileLayout:
+    """Derive the kernel's tile layout from scratch (the uncached path).
 
-    The streaming kernel visits each (head, query-row) softmax segment's
-    active blocks one at a time ("rounds"): round ``j`` processes the j-th
-    active block of every segment that has one.  Sorting the segments by
-    descending length (stable, so equal-length segments keep their layout
-    order) makes the set of segments alive in round ``j`` a contiguous
-    *prefix* of the sorted order — every per-round state update (running
-    max/sum, output accumulator) is then a plain prefix-slice operation with
-    no gather/scatter, and the stream visits each active block exactly once.
-
-    All arrays here are precomputed contiguous copies so the kernel's
-    per-round operands are pure views (no per-step index work, which is what
-    lets the recorded replay thunk stay allocation-free).
+    ``row_tile`` overrides :func:`choose_row_tile` (tests and the break-even
+    probe sweep it); it must be a positive multiple of the block size.
     """
-
-    order: np.ndarray           # (nseg,) descending-length stable permutation
-    counts: np.ndarray          # (max_len,) live-segment count per round
-    offsets: np.ndarray         # (max_len + 1,) stream-order round boundaries
-    q_gather: np.ndarray        # (nseg,) linear (head, row) q-block per segment
-    kv_gather: np.ndarray       # (nnz,) linear (head, col) k/v-block, stream order
-    col_order: np.ndarray       # (nnz,) stream position of each col-sorted block
-    neg_mask: np.ndarray        # (nnz, bs, bs) ~element_mask, stream order
-    mask_f32: np.ndarray        # (nnz, bs, bs) float32 element mask, stream order
-    seg_heads: np.ndarray       # (nseg,) segment head, permuted by ``order``
-    seg_rows: np.ndarray        # (nseg,) segment row, permuted by ``order``
-
-
-@dataclass(frozen=True)
-class BlockGeometry:
-    """Everything :func:`block_sparse_attention` derives from (layout, seq_len)."""
-
-    seg_ids: np.ndarray
-    seg_heads: np.ndarray
-    seg_rows: np.ndarray
-    element_mask: np.ndarray           # (nnz, block, block) bool
-    col_order: np.ndarray
-    col_starts: np.ndarray
-    col_seg_heads: np.ndarray
-    col_seg_cols: np.ndarray
-    # Derived forms of element_mask kept so the fused in-place chain never
-    # negates or bool->float casts the mask on the hot path.
-    neg_element_mask: np.ndarray = None    # ~element_mask, for masked fill
-    element_mask_f32: np.ndarray = None    # element_mask as float32 multiplier
-    # Linearised gather/scatter indices for the arena-aware kernel: block
-    # gathers run through ``np.take(..., out=)`` (no fancy-indexing
-    # temporary), and the scatter targets zero only the uncovered
-    # (head, block) slots of a recycled output buffer instead of a full fill.
-    row_gather: np.ndarray = None          # heads * n_blocks + rows (int64)
-    col_gather: np.ndarray = None          # heads * n_blocks + cols (int64)
-    row_uncovered: np.ndarray = None       # linear (head, row) slots w/o segment
-    col_uncovered: np.ndarray = None       # linear (head, col) slots w/o segment
-    # Streaming-kernel bundle (always derived; the cache hands out one frozen
-    # object per (layout, seq_len) so both kernels share an entry).
-    stream: StreamGeometry = None
-
-
-def compute_stream_geometry(layout: MultiHeadLayout,
-                            seg_heads: np.ndarray, seg_rows: np.ndarray,
-                            element_mask: np.ndarray, col_order: np.ndarray,
-                            row_gather: np.ndarray, col_gather: np.ndarray
-                            ) -> StreamGeometry:
-    """Derive the streaming-order bundle from the base geometry pieces."""
-    starts = layout.row_segment_starts
-    nnz = layout.nnz
-    seg_lengths = np.diff(np.append(starts, nnz))
-    order = np.argsort(-seg_lengths, kind="stable")
-    sorted_lengths = seg_lengths[order]
-    max_len = int(sorted_lengths[0]) if sorted_lengths.size else 0
-    counts = np.array([int(np.count_nonzero(sorted_lengths > j))
-                       for j in range(max_len)], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    # stream position t -> layout block index: round j takes the j-th block
-    # of the first counts[j] (longest) segments.
-    if max_len:
-        s2l = np.concatenate([starts[order[:counts[j]]] + j
-                              for j in range(max_len)]).astype(np.int64)
-    else:
-        s2l = np.zeros(0, dtype=np.int64)
-    l2s = np.empty(nnz, dtype=np.int64)
-    l2s[s2l] = np.arange(nnz, dtype=np.int64)
-    return StreamGeometry(
-        order=order.astype(np.int64),
-        counts=counts,
-        offsets=offsets,
-        q_gather=row_gather[starts][order],
-        kv_gather=col_gather[s2l],
-        col_order=l2s[col_order],
-        neg_mask=np.ascontiguousarray(~element_mask[s2l]),
-        mask_f32=np.ascontiguousarray(
-            element_mask[s2l].astype(np.float32)),
-        seg_heads=seg_heads[order],
-        seg_rows=seg_rows[order],
-    )
-
-
-def compute_block_geometry(layout: MultiHeadLayout, seq_len: int) -> BlockGeometry:
-    """Derive the full geometry bundle from scratch (the uncached path)."""
-    seg_ids, seg_heads, seg_rows = segment_geometry(layout)
-    col_order, col_starts, col_seg_heads, col_seg_cols = layout.col_geometry()
-    element_mask = block_element_mask(layout, seq_len)
-    n_blocks = np.int64(layout.n_blocks)
-    all_slots = np.arange(layout.n_heads * layout.n_blocks, dtype=np.int64)
-    row_gather = layout.heads.astype(np.int64) * n_blocks + layout.rows
-    col_gather = layout.heads.astype(np.int64) * n_blocks + layout.cols
-    stream = compute_stream_geometry(layout, seg_heads, seg_rows,
-                                     element_mask, col_order,
-                                     row_gather, col_gather)
-    return BlockGeometry(
-        seg_ids=seg_ids, seg_heads=seg_heads, seg_rows=seg_rows,
-        element_mask=element_mask,
-        col_order=col_order, col_starts=col_starts,
-        col_seg_heads=col_seg_heads, col_seg_cols=col_seg_cols,
-        neg_element_mask=~element_mask,
-        element_mask_f32=element_mask.astype(np.float32),
-        row_gather=row_gather,
-        col_gather=col_gather,
-        row_uncovered=np.setdiff1d(
-            all_slots, seg_heads.astype(np.int64) * n_blocks + seg_rows),
-        col_uncovered=np.setdiff1d(
-            all_slots, col_seg_heads.astype(np.int64) * n_blocks + col_seg_cols),
-        stream=stream,
-    )
+    bs, n_blocks, heads = layout.block_size, layout.n_blocks, layout.n_heads
+    active = np.zeros((heads, n_blocks, n_blocks), dtype=bool)
+    active[layout.heads, layout.rows, layout.cols] = True
+    if row_tile is None:
+        row_tile = choose_row_tile(active, bs, seq_len)
+    if row_tile <= 0 or row_tile % bs:
+        raise ValueError(f"row_tile must be a positive multiple of the block "
+                         f"size {bs}, got {row_tile}")
+    tile_blocks = row_tile // bs
+    trash = heads * n_blocks
+    head_base = np.arange(heads)[:, None] * n_blocks
+    # keep^T of a diagonal block: key offset <= query offset.
+    diagonal = np.triu(np.ones((bs, bs), dtype=bool))
+    tiles = []
+    for b0 in range(0, n_blocks, tile_blocks):
+        b1 = min(b0 + tile_blocks, n_blocks)
+        r0, r1 = b0 * bs, min(b1 * bs, seq_len)
+        sub = active[:, b0:b1]                               # (heads, tb, nb)
+        union = sub.any(axis=1)
+        live = union.sum(axis=1)
+        capacity = max(int(live.max()), 1)
+        # Active columns first, ascending; what follows is padding.
+        order = np.argsort(~union, axis=1, kind="stable")[:, :capacity]
+        valid = np.arange(capacity)[None, :] < live[:, None]
+        # Block-level keep, panel-column major: (heads, capacity, tile blocks).
+        kept = np.swapaxes(np.take_along_axis(sub, order[:, None, :], axis=2)
+                           & valid[:, None, :], 1, 2)
+        keep = np.empty((heads, capacity, bs, b1 - b0, bs), dtype=bool)
+        keep[...] = kept[:, :, None, :, None]
+        on_diagonal = kept & (order[:, :, None] == np.arange(b0, b1))
+        hh, cc, rr = np.nonzero(on_diagonal)
+        keep[hh, cc, :, rr, :] = diagonal
+        drop = ~keep.reshape(heads, capacity * bs, (b1 - b0) * bs)[:, :, :r1 - r0]
+        prefix = bool((live == capacity).all()
+                      and (order == np.arange(capacity)).all())
+        width = min(capacity * bs, seq_len) if prefix else capacity * bs
+        dropped = np.flatnonzero(drop[:, :width].any(axis=(0, 2)))
+        m0 = int(dropped[0]) if dropped.size else width
+        tiles.append(RowTile(
+            r0, r1, width,
+            index=None if prefix else np.where(valid, head_base + order,
+                                               trash).ravel(),
+            live=live,
+            drop=np.ascontiguousarray(drop[:, m0:width]) if m0 < width else None,
+            m0=m0 if m0 < width else 0))
+    gathers = any(tile.index is not None for tile in tiles)
+    return TileLayout(tuple(tiles), block=bs if gathers else 0,
+                      n_blocks=n_blocks if gathers else 0)
 
 
 class LayoutGeometryCache:
-    """LRU memo of :class:`BlockGeometry` keyed by (layout signature, seq_len).
+    """LRU memo of tile layouts keyed by (layout signature, seq_len).
 
     Keyed by the layout's *content* signature rather than object identity,
     so equal layouts materialised by different code paths (the layout pool,
@@ -213,15 +158,15 @@ class LayoutGeometryCache:
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[Hashable, BlockGeometry]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, TileLayout]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, layout: MultiHeadLayout, seq_len: int) -> BlockGeometry:
-        """Return the geometry bundle, computing and caching on first use."""
+    def lookup(self, layout: MultiHeadLayout, seq_len: int) -> TileLayout:
+        """Return the tile layout, computing and caching on first use."""
         key = (layout.signature(), int(seq_len))
         entry = self._entries.get(key)
         if entry is not None:

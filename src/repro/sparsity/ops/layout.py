@@ -15,9 +15,9 @@ This module implements the two-stage approach of the paper's Figure 6:
   cost that was moved offline.
 
 The layout is sorted by ``(head, query_row_block)`` and carries the row-
-segment boundaries needed by the block-sparse softmax (``np.*.reduceat``
-works on contiguous segments), as well as everything the backward pass needs
-to scatter gradients back.
+segment boundaries the standalone DSD kernel reduces over (``np.*.reduceat``
+works on contiguous segments); the training kernel's per-row-tile column
+lists are derived from it in :mod:`repro.sparsity.ops.geometry_cache`.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class MultiHeadLayout:
     cols: np.ndarray
     row_segment_starts: np.ndarray
     pattern_names: Tuple[str, ...] = ()
-    # Lazily-computed column-sorted view used by the backward pass to turn the
-    # (head, key-column) gradient scatter into a contiguous segmented reduce.
-    _col_geometry: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
     # Lazily-computed content signature (see signature()).
     _signature: Optional[Tuple] = None
 
@@ -86,29 +83,6 @@ class MultiHeadLayout:
                 self.heads.tobytes(), self.rows.tobytes(), self.cols.tobytes(),
             ))
         return self._signature
-
-    def col_geometry(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(permutation, segment starts, segment heads, segment cols).
-
-        Sorting the active blocks by ``(head, col)`` lets the backward pass
-        accumulate the dK / dV contributions of each key block with
-        ``np.add.reduceat`` instead of a slow element-wise ``np.add.at``
-        scatter.  Computed once per layout and cached (layouts themselves are
-        cached by the layout pool, so this is effectively offline work).
-        """
-        if self._col_geometry is None:
-            order = np.lexsort((self.rows, self.cols, self.heads))
-            heads_sorted = self.heads[order]
-            cols_sorted = self.cols[order]
-            keys = heads_sorted.astype(np.int64) * self.n_blocks + cols_sorted
-            change = np.empty(keys.shape[0], dtype=bool)
-            if keys.shape[0]:
-                change[0] = True
-                change[1:] = keys[1:] != keys[:-1]
-            starts = np.nonzero(change)[0].astype(np.int64)
-            object.__setattr__(self, "_col_geometry",
-                               (order, starts, heads_sorted[starts], cols_sorted[starts]))
-        return self._col_geometry
 
     @property
     def total_causal_blocks(self) -> int:

@@ -110,9 +110,9 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
                         attn_mask: Optional[np.ndarray] = None,
                         scale: Optional[float] = None,
                         tile: Optional[int] = None) -> Tensor:
-    """Streaming tiled attention — O(seq * tile) scratch, same math as
-    :func:`scaled_dot_product_attention`.  ``tile`` defaults to the global
-    :func:`repro.tensor.fused.streaming_tile` setting."""
+    """Row-tiled attention — O(tile * seq) scratch, same math as
+    :func:`scaled_dot_product_attention`.  ``tile`` is the row-tile height
+    and defaults to the global :func:`repro.tensor.fused.streaming_tile`."""
     return _impl().streaming_attention(q, k, v, attn_mask=attn_mask,
                                        scale=scale, tile=tile)
 

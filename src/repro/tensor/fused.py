@@ -11,7 +11,8 @@ per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
 The kernels the step compiler can replay (``layer_norm``, ``linear``,
-``cross_entropy_logits``, the two attention cores) write that forward exactly
+``cross_entropy_logits``, the materialising and the row-tiled attention core)
+write that forward exactly
 once, as a ``run`` thunk over buffers bound up front — plan-owned while a
 :class:`~repro.tensor.plan.ForwardRecorder` is installed, the arena's
 otherwise — and hand it to :func:`repro.tensor.plan.emit`, which runs it and
@@ -42,14 +43,18 @@ Derivations (notation: ``g`` is the incoming output gradient):
                      activation's local derivative.
 ``attention``        softmax backward threaded between the two matmul
                      backwards, all restricted to a single probability
-                     buffer.
+                     buffer (``scaled_dot_product_attention``) or to one
+                     query-row tile's K/V panel at a time, probabilities
+                     recomputed from the saved logsumexp
+                     (``tiled_attention``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,10 +78,15 @@ __all__ = [
     "linear",
     "cross_entropy_logits",
     "scaled_dot_product_attention",
+    "RowTile",
+    "TileLayout",
+    "mask_tile_layout",
+    "tiled_attention",
     "streaming_attention",
 ]
 
 _NEG_FILL = np.float32(-1e9)
+_MAX_FLOOR = np.float32(-5e8)    # softmax row-max clamp, see tiled_attention
 _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_A = np.float32(0.044715)
 
@@ -124,7 +134,7 @@ def reference_kernels():
 
 
 # ---------------------------------------------------------------------------
-# global switch: streaming tiled attention for long contexts
+# global switch: row-tiled (streaming) dense attention for long contexts
 # ---------------------------------------------------------------------------
 
 _STREAMING_ENABLED = False
@@ -132,24 +142,24 @@ _STREAMING_TILE = 128
 
 
 def streaming_attention_enabled() -> bool:
-    """Whether attention routes through the streaming tiled kernel."""
+    """Whether dense attention routes through the row-tiled kernel."""
     return _STREAMING_ENABLED
 
 
 def streaming_tile() -> int:
-    """Current K/V tile width of the streaming attention kernel."""
+    """Current row-tile height of dense streaming attention."""
     return _STREAMING_TILE
 
 
 def set_streaming_attention(enabled: bool, tile: Optional[int] = None) -> None:
-    """Globally enable/disable streaming tiled attention.
+    """Globally enable/disable streaming (row-tiled) dense attention.
 
     With streaming enabled, :class:`repro.nn.attention.DenseAttentionBackend`
-    (and the block-sparse chain, when asked) computes attention over K/V
-    tiles of width ``tile`` with online max/sum rescaling, so only an
-    ``O(seq * tile)`` score scratch ever exists instead of the full
-    ``O(seq²)`` probability matrix.  The backward re-streams the tiles and
-    recomputes probabilities from the saved per-row logsumexp.
+    computes attention through :func:`tiled_attention` over query-row tiles
+    ``tile`` rows high, so only an ``O(tile * seq)`` score scratch ever
+    exists instead of the full ``O(seq²)`` probability matrix.  The backward
+    walks the same tiles and recomputes probabilities from the saved per-row
+    logsumexp.  (Sparse backends always run that kernel.)
     """
     global _STREAMING_ENABLED, _STREAMING_TILE
     if tile is not None:
@@ -183,8 +193,8 @@ def guard_zero_rows(denom: np.ndarray,
     kept position (padded sequences, extreme sparsity, zero active blocks)
     have an all-zero exp-sum, and dividing by the guarded denominator leaves
     them as exactly-zero probability rows — in every implementation
-    (``masked_softmax``, fused SDPA, the block-sparse chain, the streaming
-    kernels and the oracle exposer).  Rows with any kept position are
+    (``masked_softmax``, fused SDPA, the row-tiled kernel and the oracle
+    exposer).  Rows with any kept position are
     untouched bit-for-bit.
 
     ``scratch`` is an optional boolean buffer of ``denom``'s shape (the
@@ -727,173 +737,300 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# streaming tiled attention (FlashAttention-style online softmax)
+# row-tiled attention: the one kernel behind streaming, block-sparse and
+# streaming block-sparse attention
 # ---------------------------------------------------------------------------
 
-def _stream_attention_forward(q_data, kT, v_data, keep_b, drop_map, scale,
-                              tiles, s_map, red, corr, m_buf, lse,
-                              zero_rows, pv, out):
-    """One online-softmax sweep over the K/V tiles, entirely into the given
-    buffers.
+@dataclass(frozen=True)
+class RowTile:
+    """One query-row tile ``[r0, r1)`` and the key columns it attends to.
 
-    ``m_buf``/``lse`` carry the running row max and exp-sum; after the sweep
-    ``lse`` is rewritten in place to the per-row logsumexp the recompute
-    backward needs.  ``s_map`` maps tile width -> score scratch (the final
-    ragged tile gets its own exact-width buffer so every matmul writes a
-    contiguous destination).  ``drop_map`` is the matching bool scratch the
-    masked fill negates each keep tile into — negating per tile keeps the
-    drop mask O(seq * tile); a whole-matrix ``~mask`` would be a fresh
-    O(seq^2) allocation on every call.
+    The tile's K/V *panel* is the contiguous prefix ``[0, width)`` when
+    ``index`` is None.  Otherwise ``index`` holds, head after head,
+    ``width // block`` linear ``head * n_blocks + key_block`` slots of the
+    staged K/V grid; past a head's ``live`` count the list is padded with the
+    inert slot ``heads * n_blocks`` (an all-zero block), so every head's
+    panel has the same width and one batched GEMM covers them all.
+
+    ``drop`` — bool, broadcastable to ``(batch, heads, width - m0, r1 - r0)``,
+    panel-column major like the score scratch — marks the entries of panel
+    columns ``[m0, width)`` that receive no probability: causality, blocks a
+    row does not keep, every padded column.  Columns before ``m0`` are kept
+    by all rows (``drop is None``: the whole panel is).
     """
-    m_buf.fill(-np.inf)
-    lse.fill(0.0)
-    out.fill(0.0)
-    for j0, j1 in tiles:
-        s = s_map[j1 - j0]
-        np.matmul(q_data, kT[..., j0:j1], out=s)
-        s *= scale
-        if keep_b is not None:
-            drop = np.logical_not(keep_b[..., j0:j1], out=drop_map[j1 - j0])
-            np.copyto(s, _NEG_FILL, where=drop)
-        s.max(axis=-1, keepdims=True, out=red)
-        np.maximum(m_buf, red, out=red)
-        # corr = exp(m_old - m_new) rescales the running sum/accumulator;
-        # exactly 0.0 on the first tile (m_old = -inf), so the fills above
-        # are what the first rescale multiplies.
-        np.subtract(m_buf, red, out=corr)
-        np.exp(corr, out=corr)
-        np.copyto(m_buf, red)
-        s -= m_buf
-        np.exp(s, out=s)
-        if keep_b is not None:
-            np.multiply(s, keep_b[..., j0:j1], out=s)
-        lse *= corr
-        s.sum(axis=-1, keepdims=True, out=red)
-        lse += red
-        out *= corr
-        np.matmul(s, v_data[..., j0:j1, :], out=pv)
-        out += pv
-    guard_zero_rows(lse, scratch=zero_rows)
-    out /= lse
-    np.log(lse, out=lse)
-    lse += m_buf
+
+    r0: int
+    r1: int
+    width: int
+    index: Optional[np.ndarray] = None
+    live: Optional[np.ndarray] = None
+    drop: Optional[np.ndarray] = None
+    m0: int = 0
+
+
+@dataclass(frozen=True)
+class TileLayout:
+    """The only structural input of :func:`tiled_attention`."""
+
+    tiles: Tuple[RowTile, ...]
+    block: int = 0        # gather granularity in key columns (0: nothing gathers)
+    n_blocks: int = 0     # key blocks per head in the staged grid
+
+
+class _TileViews(NamedTuple):
+    """One tile's views of the inputs and of a kernel workspace."""
+
+    q_rows: np.ndarray    # (batch, heads, n, dim) rows of q
+    qs: np.ndarray        # scale * q_rows, contiguous
+    qs_t: np.ndarray      # qs transposed
+    k_pan: np.ndarray     # (batch, heads, width, dim)
+    v_pan: np.ndarray     # (batch, heads, width, vdim)
+    gathers: tuple        # (staged slots, panel to gather into) pairs
+    s: np.ndarray         # (batch, heads, width, n) score scratch
+    s_masked: np.ndarray  # s[:, :, m0:], what ``drop`` covers
+
+
+def mask_tile_layout(attn_mask: Optional[np.ndarray], sq: int, sk: int,
+                     row_tile: int, alloc=np.empty) -> TileLayout:
+    """Tile layout of dense attention under a boolean keep-mask.
+
+    Per row tile, column-wise any/all reductions of the mask give the panel
+    (the prefix up to the last column any row keeps) and the span a drop mask
+    is needed on (from the first column some row drops).  A causal mask
+    therefore yields prefix panels masked on the diagonal tile only; an
+    arbitrary mask degrades to fully masked panels and stays correct.
+    """
+    if attn_mask is None:
+        return TileLayout(tuple(RowTile(r0, min(r0 + row_tile, sq), sk)
+                                for r0 in range(0, sq, row_tile)))
+    mask = np.broadcast_to(attn_mask, attn_mask.shape[:-2] + (sq, sk))
+    lead = tuple(range(mask.ndim - 2))
+    some = mask.any(axis=lead) if lead else mask
+    every = mask.all(axis=lead) if lead else mask
+    tiles = []
+    for r0 in range(0, sq, row_tile):
+        r1 = min(r0 + row_tile, sq)
+        kept = np.flatnonzero(some[r0:r1].any(axis=0))
+        width = int(kept[-1]) + 1 if kept.size else 1
+        partial = np.flatnonzero(~every[r0:r1, :width].all(axis=0))
+        if partial.size == 0:
+            tiles.append(RowTile(r0, r1, width))
+            continue
+        m0 = int(partial[0])
+        keep = np.swapaxes(mask[..., r0:r1, m0:width], -1, -2)
+        tiles.append(RowTile(r0, r1, width, m0=m0, drop=np.logical_not(
+            keep, out=alloc(keep.shape, bool))))
+    return TileLayout(tuple(tiles))
+
+
+def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
+                    scale: Optional[float] = None,
+                    tag: str = "tiled_attention") -> Tensor:
+    """``softmax(Q K^T * scale) V`` walked one query-row tile at a time.
+
+    For each :class:`RowTile` the forward slices (or gathers) one K/V panel,
+    forms the tile's scores with a single GEMM batched over all heads, runs a
+    plain softmax over the panel — every column a row attends to is present
+    at once, so there is no running max to rescale — and one GEMM for the
+    context.  Only ``out`` and the per-row logsumexp survive (plus, when
+    panels are gathered, the sequence-sized staged K/V grid); the backward
+    recomputes each tile's probabilities from the logsumexp, forms ``dS`` on
+    the panel only, writes ``dQ`` once per tile and accumulates ``dK``/``dV``
+    through the same column list.  Seven GEMMs per tile, whatever the number
+    of active blocks.
+
+    Scores are kept panel-column major, ``(batch, heads, width, rows)``: the
+    softmax reductions then run over a non-contiguous axis, which NumPy
+    accumulates strictly in column order — trailing padded columns add exact
+    zeros, so padding a panel never changes a bit of the result (until the
+    padded width crosses the BLAS's own inner-dimension blocking, a few
+    hundred columns, where the two panel-reducing GEMMs may round differently).
+
+    Rows that keep no column follow :func:`guard_zero_rows`: their output and
+    all three gradients are exactly zero.
+    """
+    scale = float(scale) if scale is not None else float(1.0 / np.sqrt(q.shape[-1]))
+    qd, kd, vd = q.data, k.data, v.data
+    batch, heads, sq, dim = qd.shape
+    sk, vdim = kd.shape[2], vd.shape[3]
+    dtype = qd.dtype
+    tiles, bs, nb = layout.tiles, layout.block, layout.n_blocks
+    bh = batch * heads
+    rows = max(t.r1 - t.r0 for t in tiles)
+    area = max((t.r1 - t.r0) * t.width for t in tiles)
+    width = max(t.width for t in tiles)
+    gathered = max((t.width for t in tiles if t.index is not None), default=0)
+
+    def workspace(alloc):
+        """(score, scaled-q, K-panel, V-panel) buffers sized for any tile."""
+        return (alloc((bh * area,), dtype), alloc((batch, heads, rows, dim), dtype),
+                alloc((bh * gathered * dim,), dtype),
+                alloc((bh * gathered * vdim,), dtype))
+
+    def bind(tile: RowTile, work) -> _TileViews:
+        score_buf, qs_buf, k_buf, v_buf = work
+        n, w = tile.r1 - tile.r0, tile.width
+        qs = qs_buf[:, :, :n]
+        s = score_buf[:bh * w * n].reshape(batch, heads, w, n)
+        if tile.index is None:
+            k_pan, v_pan, gathers = kd[:, :, :w], vd[:, :, :w], ()
+        else:
+            k_flat = k_buf[:bh * w * dim].reshape(batch, -1, bs * dim)
+            v_flat = v_buf[:bh * w * vdim].reshape(batch, -1, bs * vdim)
+            k_pan = k_flat.reshape(batch, heads, w, dim)
+            v_pan = v_flat.reshape(batch, heads, w, vdim)
+            gathers = ((k_slots, k_flat), (v_slots, v_flat))
+        return _TileViews(qd[:, :, tile.r0:tile.r1], qs, np.swapaxes(qs, -1, -2),
+                          k_pan, v_pan, gathers, s, s[:, :, tile.m0:])
+
+    def tile_scores(tile: RowTile, tv: _TileViews) -> None:
+        """Scaled scores of one tile into ``tv.s``, dropped entries filled."""
+        np.multiply(tv.q_rows, scale, out=tv.qs)
+        for slots, panel in tv.gathers:
+            np.take(slots, tile.index, axis=1, mode="clip", out=panel)
+        np.matmul(tv.k_pan, tv.qs_t, out=tv.s)
+        if tile.drop is not None:
+            np.copyto(tv.s_masked, _NEG_FILL, where=tile.drop)
+
+    rec = _plan._RECORDER
+    alloc = np.empty if rec is not None else _arena.empty
+    k_slots = v_slots = None
+    copies = []
+    if bs:
+        # Gathered panels read whole blocks out of a (head, key block) grid
+        # with one spare all-zero slot; the grid is zero-padded to the block
+        # multiple once, here, and refreshed from K/V by every run.
+        k_slots = alloc((batch, heads * nb + 1, bs * dim), dtype)
+        v_slots = alloc((batch, heads * nb + 1, bs * vdim), dtype)
+        for slots, src in ((k_slots, kd), (v_slots, vd)):
+            slots[:, -1] = 0.0
+            grid = slots[:, :-1].reshape(batch, heads, nb * bs, src.shape[3])
+            grid[:, :, sk:] = 0.0
+            copies.append((grid[:, :, :sk], src))
+    work = workspace(alloc)
+    m_buf = alloc((bh * rows,), dtype)
+    l_buf = alloc((bh * rows,), dtype)
+    zero_buf = alloc((bh * rows,), bool)
+    lse = alloc((batch, heads, 1, sq), dtype)
+    out = alloc((batch, heads, sq, vdim), dtype)
+    steps = []
+    for tile in tiles:
+        n = tile.r1 - tile.r0
+        tv = bind(tile, work)
+        m, l, zero = (buf[:bh * n].reshape(batch, heads, 1, n)
+                      for buf in (m_buf, l_buf, zero_buf))
+        steps.append((tile, tv, np.swapaxes(tv.s, -1, -2), m, l, zero,
+                      l.reshape(batch, heads, n, 1), out[:, :, tile.r0:tile.r1],
+                      lse[..., tile.r0:tile.r1]))
+
+    def run():
+        for fill, src in copies:
+            np.copyto(fill, src)
+        for tile, tv, s_t, m, l, zero, l_col, o, lse_t in steps:
+            tile_scores(tile, tv)
+            s = tv.s
+            s.max(axis=-2, keepdims=True, out=m)
+            # A fully dropped row has max == _NEG_FILL; flooring the max makes
+            # its exponentials exact zeros (not ones) without a re-mask pass.
+            np.maximum(m, _MAX_FLOOR, out=m)
+            s -= m
+            np.exp(s, out=s)
+            s.sum(axis=-2, keepdims=True, out=l)
+            guard_zero_rows(l, scratch=zero)
+            np.matmul(s_t, tv.v_pan, out=o)
+            o /= l_col
+            np.log(l, out=l)
+            np.add(l, m, out=lse_t)
+
+    # out is the result; lse and the staged grid survive for the backward.
+    _plan.emit(rec, run, tag, *work, m_buf, l_buf, zero_buf)
+
+    def backward(grad_out):
+        # delta_i = sum_d dO_id * O_id (the softmax-backward row dot).
+        tmp = np.multiply(grad_out, out, out=_arena.empty(out.shape, dtype))
+        delta = tmp.sum(axis=-1, out=_arena.empty((batch, heads, sq), dtype))
+        _arena.release(tmp)
+        delta_t = delta[:, :, None, :]
+        work_b = workspace(_arena.empty)
+        dp_buf = _arena.empty((bh * area,), dtype)
+        pan_buf = _arena.empty((bh * width * max(dim, vdim),), dtype)
+        acc_buf = _arena.empty((bh * gathered * max(dim, vdim),), dtype)
+        grad_q = _arena.empty(qd.shape, dtype)
+        grad_k = _arena.zeros(kd.shape, dtype)
+        grad_v = _arena.zeros(vd.shape, dtype)
+        gk_slots = gv_slots = None
+        if bs:
+            gk_slots = _arena.zeros(k_slots.shape, dtype)
+            gv_slots = _arena.zeros(v_slots.shape, dtype)
+
+        def accumulate(tile, pan, grad, slots):
+            """Add a panel gradient onto the key columns the panel came from
+            (padded columns are exact zeros landing on the spare slot)."""
+            if tile.index is None:
+                target = grad[:, :, :tile.width]
+                np.add(target, pan, out=target)
+                return
+            flat = pan.reshape(batch, -1, slots.shape[2])
+            acc = acc_buf[:flat.size].reshape(flat.shape)
+            np.take(slots, tile.index, axis=1, mode="clip", out=acc)
+            acc += flat
+            slots[:, tile.index] = acc
+
+        for tile in tiles:
+            n, w = tile.r1 - tile.r0, tile.width
+            tv = bind(tile, work_b)
+            # Probabilities straight from the saved logsumexp: no max pass.
+            tile_scores(tile, tv)
+            p = tv.s
+            p -= lse[..., tile.r0:tile.r1]
+            np.exp(p, out=p)
+            g_rows = grad_out[:, :, tile.r0:tile.r1]
+            dv_pan = pan_buf[:bh * w * vdim].reshape(batch, heads, w, vdim)
+            np.matmul(p, g_rows, out=dv_pan)
+            accumulate(tile, dv_pan, grad_v, gv_slots)
+            # dS = P * (dP - delta), on the panel only.
+            ds = dp_buf[:bh * w * n].reshape(batch, heads, w, n)
+            np.matmul(tv.v_pan, np.swapaxes(g_rows, -1, -2), out=ds)
+            ds -= delta_t[..., tile.r0:tile.r1]
+            ds *= p
+            gq_rows = grad_q[:, :, tile.r0:tile.r1]
+            np.matmul(np.swapaxes(ds, -1, -2), tv.k_pan, out=gq_rows)
+            gq_rows *= scale
+            dk_pan = pan_buf[:bh * w * dim].reshape(batch, heads, w, dim)
+            np.matmul(ds, tv.qs, out=dk_pan)
+            accumulate(tile, dk_pan, grad_k, gk_slots)
+        for grad, slots in ((grad_k, gk_slots), (grad_v, gv_slots)):
+            if slots is not None:
+                grad += slots[:, :-1].reshape(
+                    batch, heads, nb * bs, grad.shape[3])[:, :, :sk]
+        # release() ignores whatever the plan or a geometry cache owns.
+        _arena.release(delta, *work_b, dp_buf, pan_buf, acc_buf, gk_slots,
+                       gv_slots, lse, k_slots, v_slots,
+                       *(t.drop for t in tiles))
+        return grad_q, grad_k, grad_v
+
+    return custom_op(out, (q, k, v), backward)
 
 
 def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
                         attn_mask: Optional[np.ndarray] = None,
                         scale: Optional[float] = None,
                         tile: Optional[int] = None) -> Tensor:
-    """Streaming tiled ``softmax(Q K^T * scale) V`` — O(seq * tile) scratch.
+    """Dense attention through :func:`tiled_attention` — O(tile * seq) scratch.
 
     Numerically equivalent to :func:`scaled_dot_product_attention` (same
-    masking and fully-masked-row conventions via :func:`guard_zero_rows`)
-    but the full ``(seq, seq)`` score matrix is never materialised: the
-    forward streams K/V tiles with online max/sum rescaling, keeping only a
-    ``(batch, heads, seq, tile)`` score scratch plus per-row running
-    statistics, and saves the per-row logsumexp so the backward can
-    re-stream the same tiles and recompute each probability block on the
-    fly while accumulating dQ/dK/dV.
-
-    Forward results differ from the materializing kernel only by
-    accumulation order (one rescaled partial sum per tile instead of a
-    single row-wide reduction); the parity suite bounds the drift.
+    masking and fully-masked-row conventions) but the ``(seq, seq)`` score
+    matrix is never materialised and nothing above the mask's last kept
+    column is computed: with a causal mask each tile of ``tile`` query rows
+    reads the key prefix up to its own diagonal, roughly halving the work.
+    ``tile`` defaults to :func:`streaming_tile`.
     """
-    scale = float(scale) if scale is not None else float(1.0 / np.sqrt(q.shape[-1]))
     tile = int(tile) if tile is not None else streaming_tile()
     if tile <= 0:
         raise ValueError(f"tile must be positive, got {tile}")
     if attn_mask is not None:
         attn_mask = np.asarray(attn_mask, dtype=bool)
-
-    q_data, k_data, v_data = q.data, k.data, v.data
-    sk = k.shape[-2]
-    tile = min(tile, sk)
-    tiles = tuple((j0, min(j0 + tile, sk)) for j0 in range(0, sk, tile))
-    tail = sk % tile
-    red_shape = q.shape[:-1] + (1,)
-    out_shape = q.shape[:-1] + (v.shape[-1],)
-    kT = np.swapaxes(k_data, -1, -2)
-    if attn_mask is not None:
-        full_shape = q.shape[:-1] + (sk,)
-        keep_b = np.broadcast_to(attn_mask, full_shape)
-    else:
-        keep_b = None
-    widths = (tile, tail) if tail else (tile,)
-
-    rec = _plan._RECORDER
-    alloc = np.empty if rec is not None else _arena.empty
-    s_map = {w: alloc(q.shape[:-1] + (w,), q_data.dtype) for w in widths}
-    drop_map = ({w: alloc(q.shape[:-1] + (w,), bool) for w in widths}
-                if keep_b is not None else {})
-    red = alloc(red_shape, q_data.dtype)
-    corr = alloc(red_shape, q_data.dtype)
-    m_buf = alloc(red_shape, q_data.dtype)
-    lse = alloc(red_shape, q_data.dtype)
-    zero_rows = alloc(red_shape, bool)
-    pv = alloc(out_shape, q_data.dtype)
-    out = alloc(out_shape, q_data.dtype)
-
-    def run(q_data=q_data, kT=kT, v_data=v_data, keep_b=keep_b,
-            drop_map=drop_map, scale=scale, tiles=tiles, s_map=s_map,
-            red=red, corr=corr, m_buf=m_buf, lse=lse,
-            zero_rows=zero_rows, pv=pv, out=out):
-        _stream_attention_forward(q_data, kT, v_data, keep_b, drop_map,
-                                  scale, tiles, s_map, red, corr, m_buf,
-                                  lse, zero_rows, pv, out)
-
-    # lse survives for the recompute backward; out is the op result.
-    _plan.emit(rec, run, "streaming_attention", *s_map.values(),
-               *drop_map.values(), red, corr, m_buf, zero_rows, pv)
-
-    def backward(grad_out):
-        dtype = q_data.dtype
-        # delta_i = sum_d dO_id * O_id (the softmax-backward row dot).
-        tmp = np.multiply(grad_out, out, out=_arena.empty(out_shape, dtype))
-        delta = tmp.sum(axis=-1, keepdims=True,
-                        out=_arena.empty(red_shape, dtype))
-        _arena.release(tmp)
-        p_map = {w: _arena.empty(q.shape[:-1] + (w,), dtype) for w in widths}
-        dp_map = {w: _arena.empty(q.shape[:-1] + (w,), dtype) for w in widths}
-        bd_map = ({w: _arena.empty(q.shape[:-1] + (w,), bool) for w in widths}
-                  if keep_b is not None else None)
-        dq_scratch = _arena.empty(q.shape, dtype)
-        grad_q = _arena.zeros(q.shape, dtype)
-        grad_k = _arena.empty(k.shape, k_data.dtype)
-        grad_v = _arena.empty(v.shape, v_data.dtype)
-        for j0, j1 in tiles:
-            w = j1 - j0
-            p = p_map[w]
-            # Recompute the probability tile from the saved logsumexp — no
-            # second max pass needed since lse >= every kept score.
-            np.matmul(q_data, kT[..., j0:j1], out=p)
-            p *= scale
-            if keep_b is not None:
-                drop = np.logical_not(keep_b[..., j0:j1], out=bd_map[w])
-                np.copyto(p, _NEG_FILL, where=drop)
-            p -= lse
-            np.exp(p, out=p)
-            if keep_b is not None:
-                np.multiply(p, keep_b[..., j0:j1], out=p)
-            # Each K/V position lives in exactly one tile, so dK/dV tiles
-            # are written once, directly into their slices.
-            np.matmul(np.swapaxes(p, -1, -2), grad_out,
-                      out=grad_v[..., j0:j1, :])
-            dp = dp_map[w]
-            np.matmul(grad_out, np.swapaxes(v_data[..., j0:j1, :], -1, -2),
-                      out=dp)
-            dp -= delta
-            dp *= p
-            dp *= scale
-            np.matmul(dp, k_data[..., j0:j1, :], out=dq_scratch)
-            grad_q += dq_scratch
-            np.matmul(np.swapaxes(dp, -1, -2), q_data,
-                      out=grad_k[..., j0:j1, :])
-        _arena.release(*p_map.values())
-        _arena.release(*dp_map.values())
-        if bd_map is not None:
-            _arena.release(*bd_map.values())
-        # release() ignores lse when the plan owns it.
-        _arena.release(delta, dq_scratch, lse)
-        return grad_q, grad_k, grad_v
-
-    return custom_op(out, (q, k, v), backward)
+    alloc = np.empty if _plan._RECORDER is not None else _arena.empty
+    layout = mask_tile_layout(attn_mask, q.shape[-2], k.shape[-2], tile, alloc)
+    return tiled_attention(q, k, v, layout, scale=scale,
+                           tag="streaming_attention")

@@ -139,13 +139,13 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
                         attn_mask: Optional[np.ndarray] = None,
                         scale: Optional[float] = None,
                         tile: Optional[int] = None) -> Tensor:
-    """Composition twin of the streaming tiled kernel.
+    """Materialising reference of the row-tiled kernel.
 
     Tiling is a memory-layout strategy, not a mathematical one — the exact
     result is plain attention, so the reference form is the taped dense
     chain and ``tile`` is accepted only for signature parity.  This is the
-    gradcheck oracle the streaming kernel's online rescaling and recompute
-    backward are checked against.
+    gradcheck oracle the kernel's per-tile softmax and recompute backward
+    are checked against.
     """
     del tile
     return scaled_dot_product_attention(q, k, v, attn_mask=attn_mask,
@@ -154,9 +154,9 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
 
 def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout,
                            scale: Optional[float] = None) -> Tensor:
-    """Primitive-composition twin of the fused block-sparse attention chain.
+    """Primitive-composition twin of block-sparse attention.
 
-    The fused kernel in :mod:`repro.sparsity.ops.block_sparse` normalises the
+    :func:`repro.sparsity.ops.block_sparse_attention` normalises the
     softmax over the union of active blocks in each query row, with causality
     enforced at the element level — which is exactly dense attention under
     the layout's expanded element mask.  This twin therefore materialises

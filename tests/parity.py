@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.sparsity.ops import (NeuronSparseWeights, block_sparse_attention,
+                                compute_block_geometry,
                                 neuron_sparse_linear_pair)
 from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
 from repro.sparsity.patterns import build_default_pool
@@ -287,12 +288,12 @@ def build_cases() -> List[ParityCase]:
                    lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c, causal7),
                    [q7, k7, v7], tol_ref=2e-4, replayable=True))
 
-    # -- streaming tiled attention -----------------------------------------
-    # The online-softmax kernel rescales per K/V tile, so its accumulation
-    # order differs from the reference single-pass softmax; the tolerance is
-    # the float32 rounding of the two orders (same as the sparse chain).
-    # Tiles are chosen to *not* divide the key length so the exact-width
-    # tail-tile path is gradchecked, plus a tile >= seq degenerate case.
+    # -- streaming (row-tiled) attention -----------------------------------
+    # The kernel pre-scales Q and reduces each row tile's panel in column
+    # order, so its rounding differs from the reference single-pass softmax;
+    # the tolerance is the float32 rounding of the two orders (same as the
+    # sparse cases).  Tiles are chosen to *not* divide the query length so
+    # the short last tile is gradchecked, plus a tile >= seq degenerate case.
     rng = np.random.default_rng(21)
     qs6, ks6, vs6 = _normals(rng, (2, 2, 6, 3), (2, 2, 6, 3), (2, 2, 6, 3))
     causal6s = _causal(6)
@@ -326,11 +327,12 @@ def build_cases() -> List[ParityCase]:
                    lambda a, bq, c: reference.streaming_attention(a, bq, c, causal4b, tile=64),
                    [qw, kw, vw], tol_ref=5e-4, replayable=True))
 
-    # -- fused block-sparse attention chain --------------------------------
+    # -- block-sparse attention --------------------------------------------
     # The reference twin runs dense attention under the layout's expanded
-    # element mask; the fused kernel sums in block-segment order, so the
-    # fused-vs-reference tolerance is the float32 rounding of the two
-    # summation orders rather than the ~1e-5 of the shared-algorithm ops.
+    # element mask; the kernel sums each row tile's gathered panel in column
+    # order, so the fused-vs-reference tolerance is the float32 rounding of
+    # the two summation orders rather than the ~1e-5 of the shared-algorithm
+    # ops.  Ragged lengths record too: the staged K/V grid is padded once.
     def sparse_case(tag, layout, seq, dim, seed, dtype=np.float32):
         rng = np.random.default_rng(seed)
         shape = (1, layout.n_heads, seq, dim)
@@ -338,8 +340,7 @@ def build_cases() -> List[ParityCase]:
         add(ParityCase("sparse_chain", f"sparse_chain-{tag}",
                        lambda a, bq, c: block_sparse_attention(a, bq, c, layout),
                        lambda a, bq, c: reference.block_sparse_attention(a, bq, c, layout),
-                       [qs, ks, vs], tol_ref=5e-4,
-                       replayable=seq % layout.block_size == 0))
+                       [qs, ks, vs], tol_ref=5e-4, replayable=True))
 
     dense_pool = LayoutPool(build_default_pool(), 4)
     sparse_case("dense-seq12", dense_pool.dense_layout(2, 12), 12, 3, seed=7)
@@ -349,11 +350,11 @@ def build_cases() -> List[ParityCase]:
                                                    block_size=8), 16, 2, seed=9,
                 dtype=np.float64)
 
-    # -- streaming block-sparse attention ----------------------------------
-    # Same dispatch entry with ``streaming=True``: the prefix-scheduled
-    # online-softmax kernel must match the dense-under-mask reference (and,
-    # with kernels disabled, fall back to it) across ragged lengths and a
-    # layout with a query-block row that keeps zero blocks.
+    # -- block-sparse attention, ``streaming=True`` ------------------------
+    # The argument no longer selects a kernel; the same entry must keep
+    # matching the dense-under-mask reference (and, with kernels disabled,
+    # fall back to it) across ragged lengths and a layout whose head 0 keeps
+    # only the forced diagonal in one query-block row.
     def stream_sparse_case(tag, layout, seq, dim, seed):
         rng = np.random.default_rng(seed)
         shape = (1, layout.n_heads, seq, dim)
@@ -363,8 +364,7 @@ def build_cases() -> List[ParityCase]:
                                                                streaming=True),
                        lambda a, bq, c: reference.block_sparse_attention(a, bq, c,
                                                                          layout),
-                       [qs, ks, vs], tol_ref=5e-4,
-                       replayable=seq % layout.block_size == 0))
+                       [qs, ks, vs], tol_ref=5e-4, replayable=True))
 
     stream_sparse_case("dense-seq12", dense_pool.dense_layout(2, 12), 12, 3,
                        seed=31)
@@ -405,6 +405,162 @@ def build_cases() -> List[ParityCase]:
 
 ALL_CASES = build_cases()
 REPLAY_CASES = [case for case in ALL_CASES if case.replayable]
+
+
+# ---------------------------------------------------------------------------
+# the row-tiled kernel's own grid: layout x row tile, and its three properties
+# ---------------------------------------------------------------------------
+#
+# One kernel (repro.tensor.fused.tiled_attention) serves streaming,
+# block-sparse and streaming block-sparse attention, so beyond the dispatch
+# cases above it gets a grid over what actually shapes its work — sequence
+# length (ragged and aligned), block size, layout sparsity and row-tile
+# height — plus the two structural properties later work leans on: padding a
+# column list is arithmetically inert, and dense streaming attention is the
+# all-causal-blocks layout.
+
+TILE_GRID = [(seq, block, sparsity, kind)
+             for seq in (48, 100, 128, 256)
+             for block in (16, 32, 64)
+             for sparsity in (0.0, 0.17, 0.5, 0.9)
+             for kind in ("block", "4xblock", "whole")]
+
+
+def grid_layout(seq: int, block: int, sparsity: float, heads: int = 2):
+    """Random causal layout at roughly ``sparsity`` (diagonal always kept)."""
+    n_blocks = -(-seq // block)
+    rng = np.random.default_rng(int(seq * 1000 + block * 10 + sparsity * 100))
+    return layout_from_block_masks(
+        rng.random((heads, n_blocks, n_blocks)) >= sparsity, block)
+
+
+def grid_row_tile(kind: str, block: int, seq: int) -> int:
+    return {"block": block, "4xblock": 4 * block,
+            "whole": -(-seq // block) * block}[kind]
+
+
+def _qkv(layout, seq: int, dim: int = 4, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    shape = (1, layout.n_heads, seq, dim)
+    return _normals(rng, shape, shape, shape)
+
+
+def directional_fd_err(op: Callable, arrays: Sequence[np.ndarray],
+                       grads: Sequence[np.ndarray], projection: np.ndarray,
+                       h: float = 1e-2) -> float:
+    """Central finite difference of the probe loss along one random direction
+    per input, against the analytic gradient's component along it; returns
+    the worst error relative to ``|grad| |direction|``."""
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for index, grad in enumerate(grads):
+        direction = rng.choice([-1.0, 1.0], size=arrays[index].shape)
+        shifted = [a.copy() for a in arrays]
+        shifted[index] = (arrays[index] + h * direction).astype(np.float32)
+        plus = loss_fn(op, shifted, projection)
+        shifted[index] = (arrays[index] - h * direction).astype(np.float32)
+        minus = loss_fn(op, shifted, projection)
+        analytic = float(np.sum(grad.astype(np.float64) * direction))
+        scale = float(np.linalg.norm(grad) * np.linalg.norm(direction)) + 1e-12
+        worst = max(worst, abs((plus - minus) / (2 * h) - analytic) / scale)
+    return worst
+
+
+def run_tile_grid_case(seq: int, block: int, sparsity: float, kind: str,
+                       tol_ref: float = 5e-4, tol_fd: float = 2e-3) -> None:
+    """The kernel over ``compute_block_geometry(layout, seq, row_tile)`` vs the
+    dense-under-mask reference twin and central finite differences."""
+    layout = grid_layout(seq, block, sparsity)
+    geometry = compute_block_geometry(layout, seq,
+                                      row_tile=grid_row_tile(kind, block, seq))
+    arrays = _qkv(layout, seq)
+
+    def kernel(a, b, c):
+        return fused.tiled_attention(a, b, c, geometry)
+
+    def twin(a, b, c):
+        return reference.block_sparse_attention(a, b, c, layout)
+
+    projection = np.random.default_rng(99).normal(
+        size=arrays[0].shape).astype(np.float32).astype(np.float64)
+    out, grads = forward_backward(kernel, arrays, projection)
+    ref_out, ref_grads = forward_backward(twin, arrays, projection)
+    tag = f"seq{seq}-block{block}-sparsity{sparsity}-{kind}"
+    assert max_rel_err(out, ref_out.astype(np.float64)) <= tol_ref, tag
+    for index, (grad, ref_grad) in enumerate(zip(grads, ref_grads)):
+        err = max_rel_err(grad, ref_grad.astype(np.float64))
+        assert err <= tol_ref, f"{tag}: input {index} vs reference {err:.2e}"
+    fd_err = directional_fd_err(kernel, arrays, grads, projection)
+    assert fd_err <= tol_fd, f"{tag}: vs finite differences {fd_err:.2e}"
+
+
+def pad_tile_layout(geometry, extra_blocks: int):
+    """``geometry`` with ``extra_blocks`` more inert entries in every gathered
+    column list (sliced prefix tiles have no list to pad and stay as they are)."""
+    trash = None
+    tiles = []
+    for tile in geometry.tiles:
+        if tile.index is None:
+            tiles.append(tile)
+            continue
+        heads = tile.live.shape[0]
+        trash = heads * geometry.n_blocks
+        index = np.concatenate(
+            [tile.index.reshape(heads, -1),
+             np.full((heads, extra_blocks), trash, dtype=tile.index.dtype)], axis=1)
+        extra = extra_blocks * geometry.block
+        drop = np.ones((heads, tile.width + extra - tile.m0, tile.r1 - tile.r0),
+                       dtype=bool)
+        if tile.drop is not None:
+            drop[:, :tile.width - tile.m0] = tile.drop
+        else:
+            drop[:, :tile.width - tile.m0] = False
+        tiles.append(fused.RowTile(tile.r0, tile.r1, tile.width + extra,
+                                   index=index.ravel(), live=tile.live,
+                                   drop=drop, m0=tile.m0))
+    assert trash is not None, "layout has no gathered tile to pad"
+    return fused.TileLayout(tuple(tiles), geometry.block, geometry.n_blocks)
+
+
+def _kernel_results(run: Callable, arrays: Sequence[np.ndarray]):
+    projection = np.random.default_rng(3).normal(
+        size=arrays[0].shape).astype(np.float32)
+    out, grads = forward_backward(run, arrays, projection)
+    return [out] + grads
+
+
+def assert_padding_inert(seq: int, block: int, sparsity: float, kind: str,
+                         extra_blocks: int) -> None:
+    """Growing every column list with inert entries changes no output bit."""
+    layout = grid_layout(seq, block, sparsity)
+    geometry = compute_block_geometry(layout, seq,
+                                      row_tile=grid_row_tile(kind, block, seq))
+    padded = pad_tile_layout(geometry, extra_blocks)
+    arrays = _qkv(layout, seq)
+    plain = _kernel_results(
+        lambda a, b, c: fused.tiled_attention(a, b, c, geometry), arrays)
+    grown = _kernel_results(
+        lambda a, b, c: fused.tiled_attention(a, b, c, padded), arrays)
+    for name, a, b in zip(("out", "dq", "dk", "dv"), plain, grown):
+        assert np.array_equal(a, b), \
+            f"seq{seq}-block{block}-sparsity{sparsity}-{kind}+{extra_blocks}: {name}"
+
+
+def assert_dense_is_degenerate_sparse(seq: int, block: int, row_tile: int) -> None:
+    """An all-causal-blocks layout and ``F.streaming_attention`` under the
+    causal mask, at the same row tile, are the same computation bit for bit."""
+    layout = layout_from_block_masks(
+        np.ones((2, -(-seq // block), -(-seq // block)), dtype=bool), block)
+    geometry = compute_block_geometry(layout, seq, row_tile=row_tile)
+    arrays = _qkv(layout, seq)
+    causal = _causal(seq)
+    sparse = _kernel_results(
+        lambda a, b, c: fused.tiled_attention(a, b, c, geometry), arrays)
+    dense = _kernel_results(
+        lambda a, b, c: F.streaming_attention(a, b, c, causal, tile=row_tile),
+        arrays)
+    for name, a, b in zip(("out", "dq", "dk", "dv"), sparse, dense):
+        assert np.array_equal(a, b), f"seq{seq}-block{block}-tile{row_tile}: {name}"
 
 
 # ---------------------------------------------------------------------------

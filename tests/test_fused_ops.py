@@ -19,7 +19,8 @@ import pytest
 import parity
 from repro.nn.attention import causal_mask
 from repro.sparsity.engine import EngineStats
-from repro.sparsity.ops import LayoutGeometryCache, block_sparse_attention
+from repro.sparsity.ops import (LayoutGeometryCache, block_sparse_attention,
+                                compute_block_geometry)
 from repro.sparsity.ops.block_sparse import dense_attention_reference
 from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
 from repro.sparsity.patterns import build_default_pool
@@ -279,7 +280,48 @@ class TestLayoutGeometryCache:
         g1 = cache.lookup(layout, 30)
         g2 = cache.lookup(layout, 32)
         assert cache.misses == 2
-        assert g1.element_mask.sum() != g2.element_mask.sum()
+        assert (g1.tiles[-1].r1, g2.tiles[-1].r1) == (30, 32)
+
+    @pytest.mark.parametrize("seq_len,row_tile", [(30, None), (32, 8), (27, 16)])
+    def test_tiles_reproduce_the_dense_element_mask(self, seq_len, row_tile):
+        # Column lists + drop masks are the layout: scattering every tile's
+        # kept panel entries back must rebuild ``to_dense_mask`` exactly, and
+        # padded columns must point at the inert slot and be dropped.
+        layout = _random_layout(seed=5)
+        geom = compute_block_geometry(layout, seq_len, row_tile=row_tile)
+        bs, nb = layout.block_size, layout.n_blocks
+        rebuilt = np.zeros((layout.n_heads, seq_len, nb * bs), dtype=bool)
+        for tile in geom.tiles:
+            n = tile.r1 - tile.r0
+            keep = np.ones((layout.n_heads, tile.width, n), dtype=bool)
+            if tile.drop is not None:
+                keep[:, tile.m0:] = ~tile.drop
+            if tile.index is None:
+                cols = np.broadcast_to(np.arange(tile.width),
+                                       (layout.n_heads, tile.width))
+            else:
+                slots = tile.index.reshape(layout.n_heads, -1)
+                inert = slots == layout.n_heads * nb
+                assert (inert == (np.arange(slots.shape[1]) >= tile.live[:, None])).all()
+                assert not keep.reshape(layout.n_heads, -1, bs, n)[inert].any()
+                cols = ((slots % nb)[:, :, None] * bs + np.arange(bs)).reshape(
+                    layout.n_heads, -1)
+                keep &= ~np.repeat(inert, bs, axis=1)[:, :, None]
+            for head in range(layout.n_heads):
+                panel_col, row = np.nonzero(keep[head])
+                rebuilt[head, tile.r0 + row, cols[head, panel_col]] = True
+        assert np.array_equal(rebuilt[:, :, :seq_len], layout.to_dense_mask(seq_len))
+
+    def test_entry_footprint_is_bounded_by_the_causal_half(self):
+        # The old per-layout bundle held ~11 bytes per active-block element;
+        # a tile layout holds at most one bool per (head, row, panel column).
+        pool = LayoutPool(build_default_pool(), block_size=16)
+        layout = pool.combine(["dense", "strided2+local2", "local4", "dense"], 256)
+        geom = compute_block_geometry(layout, 256)
+        held = sum(a.nbytes for tile in geom.tiles
+                   for a in (tile.drop, tile.index, tile.live) if a is not None)
+        rows = geom.tiles[0].r1 - geom.tiles[0].r0
+        assert held <= layout.n_heads * 256 * (256 + rows) // 2 + 64 * 1024
 
     def test_lru_bound(self):
         cache = LayoutGeometryCache(maxsize=2)

@@ -92,14 +92,6 @@ class TestLayouts:
         assert not dense[0, 0, 5]
         assert dense[0, 5, 0]
 
-    def test_col_geometry_covers_all_blocks(self):
-        masks = np.random.default_rng(1).random((2, 5, 5)) > 0.4
-        layout = layout_from_block_masks(masks, block_size=8)
-        order, starts, seg_heads, seg_cols = layout.col_geometry()
-        assert order.shape[0] == layout.nnz
-        assert starts[0] == 0
-        assert seg_heads.shape == seg_cols.shape == starts.shape
-
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             layout_from_block_masks(np.ones((4, 4), dtype=bool), 8)

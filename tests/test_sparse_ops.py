@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import parity
 from repro.sparsity.ops import (
     BlockSparseMatrix,
+    MultiHeadLayout,
     NeuronSparseWeights,
     block_sparse_attention,
     block_sparse_dsd,
     block_sparse_sdd,
+    compute_block_geometry,
     dense_attention_reference,
     neuron_sparse_linear_pair,
     neuron_sparse_matmul,
@@ -17,7 +20,7 @@ from repro.sparsity.ops import (
 from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import expand_block_indices
 from repro.sparsity.patterns import build_default_pool, causal_block_mask
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, fused
 
 
 def make_qkv(batch=2, heads=3, seq=40, dim=8, seed=0):
@@ -248,3 +251,88 @@ def test_block_sparse_attention_equals_masked_dense_for_random_layouts(seed, n_b
     out = block_sparse_attention(Tensor(q), Tensor(k), Tensor(v), layout)
     ref = dense_attention_reference(q, k, v, mask=layout.to_dense_mask(seq)[None])
     np.testing.assert_allclose(out.data, ref, rtol=1e-3, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the row-tiled kernel: layout x row-tile grid and its structural properties
+# ---------------------------------------------------------------------------
+
+def _grid_id(case):
+    seq, block, sparsity, kind = case
+    return f"seq{seq}-block{block}-sparsity{sparsity}-{kind}"
+
+
+def _gathers(case) -> bool:
+    seq, block, sparsity, kind = case
+    geometry = compute_block_geometry(parity.grid_layout(seq, block, sparsity),
+                                      seq, row_tile=parity.grid_row_tile(kind, block, seq))
+    return geometry.block > 0
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("case", parity.TILE_GRID, ids=_grid_id)
+def test_tiled_kernel_matches_reference_and_finite_differences(case):
+    parity.run_tile_grid_case(*case)
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("extra_blocks", [1, 3])
+@pytest.mark.parametrize("case", [c for c in parity.TILE_GRID if _gathers(c)],
+                         ids=_grid_id)
+def test_padding_a_column_list_is_arithmetically_inert(case, extra_blocks):
+    parity.assert_padding_inert(*case, extra_blocks)
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("row_tile", [16, 64, 256])
+@pytest.mark.parametrize("seq", [48, 100, 128, 256])
+def test_dense_streaming_is_the_all_causal_blocks_layout(seq, row_tile):
+    parity.assert_dense_is_degenerate_sparse(seq, 16, row_tile)
+
+
+def test_rows_without_a_kept_block_are_exactly_zero():
+    # Hand-built layout (layout_from_block_masks would force the diagonal):
+    # head 0 keeps nothing in block row 1, head 1 keeps a single off-diagonal
+    # block there — different live counts, and an empty column list.
+    block, seq = 8, 21
+    heads = np.array([0, 0, 1, 1, 1, 1])
+    rows = np.array([0, 2, 0, 1, 2, 2])
+    cols = np.array([0, 1, 0, 0, 0, 2])
+    layout = MultiHeadLayout(n_heads=2, n_blocks=3, block_size=block,
+                             heads=heads, rows=rows, cols=cols,
+                             row_segment_starts=np.array([0, 1, 2, 3, 4]))
+    arrays = make_qkv(batch=2, heads=2, seq=seq, dim=4, seed=3)
+    for row_tile in (8, 16, 24):
+        geometry = compute_block_geometry(layout, seq, row_tile=row_tile)
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out = fused.tiled_attention(q, k, v, geometry)
+        ref = dense_attention_reference(*arrays, mask=layout.to_dense_mask(seq)[None])
+        np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-6)
+        assert not out.data[:, 0, 8:16].any()
+        grad = np.zeros_like(out.data)
+        grad[:, 0, 8:16] = 1.0                     # only the empty rows pull
+        out.backward(grad)
+        for tensor in (q, k, v):
+            assert not tensor.grad.any()
+
+
+# ---------------------------------------------------------------------------
+# perf_smoke gates that read no clock
+# ---------------------------------------------------------------------------
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("sparsity", [0.17, 0.9])
+def test_seven_gemms_per_row_tile_whatever_the_nnz(monkeypatch, sparsity):
+    seq, block = 128, 16
+    layout = parity.grid_layout(seq, block, sparsity, heads=3)
+    geometry = compute_block_geometry(layout, seq, row_tile=32)
+    q, k, v = (Tensor(a, requires_grad=True)
+               for a in make_qkv(batch=1, heads=3, seq=seq, dim=8))
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+    out = fused.tiled_attention(q, k, v, geometry)
+    assert len(calls) == 2 * len(geometry.tiles)
+    out.backward(np.ones_like(out.data))
+    assert len(calls) == 7 * len(geometry.tiles) == 28
