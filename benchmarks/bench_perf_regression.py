@@ -160,8 +160,8 @@ def bench_dense_step(repeats: int = 5, batch: int = BATCH, seq: int = SEQ,
     result: Dict[str, float] = {}
     profiler = PhaseProfiler()
     for mode in ("fused", "reference"):
-        fused.set_fused_kernels(mode == "fused")
-        try:
+        with (fused.reference_kernels() if mode == "reference"
+              else contextlib.nullcontext()):
             model = build_model(model_name, seed=0)
             ids = np.random.default_rng(0).integers(
                 0, model.config.vocab_size, size=(batch, seq))
@@ -171,8 +171,6 @@ def bench_dense_step(repeats: int = 5, batch: int = BATCH, seq: int = SEQ,
             profiler.start(mode)
             result[f"{mode}_s"] = _best_of(step, repeats)
             profiler.stop(mode)
-        finally:
-            fused.set_fused_kernels(True)
     result["speedup"] = result["reference_s"] / result["fused_s"]
     return result
 
@@ -1315,69 +1313,60 @@ def bench_long_context(lengths=LONG_CONTEXT_LENGTHS, batch: int = 1,
 
     heads = 2
     results: Dict = {"tile": float(tile), "lengths": {}}
-    try:
-        for seq in lengths:
-            cfg = ModelConfig(name=f"longctx-nano-{seq}", family="gpt2",
-                              vocab_size=128, max_seq_len=seq, dim=32,
-                              num_layers=1, num_heads=heads,
-                              activation="gelu", sparsify_init=False)
-            ids = np.random.default_rng(11).integers(0, cfg.vocab_size,
-                                                     size=(batch, seq))
-            entry: Dict = {}
-            for label, streaming in (("materializing", False),
-                                     ("streaming", True)):
-                # The trainer scopes an explicit streaming_attention value
-                # around each of its own steps (set + restored per step), so
-                # interleaved tuners cannot leak the switch into each other;
-                # the bare-kernel measurement below still needs the ambient
-                # flag set by hand.
-                fused.set_streaming_attention(streaming, tile=tile)
-                model = build_model(cfg, seed=0)
-                apply_lora(model)
-                tuner = FineTuner(model,
-                                  TrainingConfig(
-                                      attention=AttentionConfig(
-                                          streaming=streaming,
-                                          streaming_tile=tile)))
-                tuner.step(ids)                        # warm-up
-                step_s = _best_of(lambda: tuner.step(ids), repeats)
-                tracemalloc.start()
-                tuner.step(ids)
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
-                entry[f"{label}_ms_per_token"] = (step_s * 1000.0
-                                                  / (batch * seq))
-                entry[f"{label}_peak_bytes"] = float(peak)
-
-            layout = _chain_layout(seq, BLOCK_SIZE, heads=heads,
-                                   patterns=LONG_CONTEXT_PATTERNS)
-            rng = np.random.default_rng(7)
-            q, k, v = [rng.normal(size=(batch, heads, seq, 16))
-                       .astype(np.float32) for _ in range(3)]
-            cache = LayoutGeometryCache()
-            cache.lookup(layout, seq)
-
-            def once(q=q, k=k, v=v, layout=layout, cache=cache):
-                qt, kt, vt = [Tensor(a, requires_grad=True)
-                              for a in (q, k, v)]
-                out = block_sparse_attention(qt, kt, vt, layout,
-                                             cache=cache, streaming=True)
-                out.backward(np.ones_like(out.data))
-
-            once()                                      # warm-up
-            kernel_s = _best_of(once, repeats)
+    for seq in lengths:
+        cfg = ModelConfig(name=f"longctx-nano-{seq}", family="gpt2",
+                          vocab_size=128, max_seq_len=seq, dim=32,
+                          num_layers=1, num_heads=heads,
+                          activation="gelu", sparsify_init=False)
+        ids = np.random.default_rng(11).integers(0, cfg.vocab_size,
+                                                 size=(batch, seq))
+        entry: Dict = {}
+        for label, streaming in (("materializing", False),
+                                 ("streaming", True)):
+            model = build_model(cfg, seed=0)
+            apply_lora(model)
+            tuner = FineTuner(model,
+                              TrainingConfig(
+                                  attention=AttentionConfig(
+                                      streaming=streaming,
+                                      streaming_tile=tile)))
+            tuner.step(ids)                        # warm-up
+            step_s = _best_of(lambda: tuner.step(ids), repeats)
             tracemalloc.start()
-            once()
+            tuner.step(ids)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            entry["block_sparse_streaming_ms_per_token"] = (
-                kernel_s * 1000.0 / (batch * seq))
-            entry["block_sparse_streaming_peak_bytes"] = float(peak)
-            entry["peak_ratio"] = (entry["materializing_peak_bytes"]
-                                   / entry["streaming_peak_bytes"])
-            results["lengths"][str(seq)] = entry
-    finally:
-        fused.set_streaming_attention(False)
+            entry[f"{label}_ms_per_token"] = (step_s * 1000.0
+                                              / (batch * seq))
+            entry[f"{label}_peak_bytes"] = float(peak)
+
+        layout = _chain_layout(seq, BLOCK_SIZE, heads=heads,
+                               patterns=LONG_CONTEXT_PATTERNS)
+        rng = np.random.default_rng(7)
+        q, k, v = [rng.normal(size=(batch, heads, seq, 16))
+                   .astype(np.float32) for _ in range(3)]
+        cache = LayoutGeometryCache()
+        cache.lookup(layout, seq)
+
+        def once(q=q, k=k, v=v, layout=layout, cache=cache):
+            qt, kt, vt = [Tensor(a, requires_grad=True)
+                          for a in (q, k, v)]
+            out = block_sparse_attention(qt, kt, vt, layout,
+                                         cache=cache, streaming=True)
+            out.backward(np.ones_like(out.data))
+
+        once()                                      # warm-up
+        kernel_s = _best_of(once, repeats)
+        tracemalloc.start()
+        once()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        entry["block_sparse_streaming_ms_per_token"] = (
+            kernel_s * 1000.0 / (batch * seq))
+        entry["block_sparse_streaming_peak_bytes"] = float(peak)
+        entry["peak_ratio"] = (entry["materializing_peak_bytes"]
+                               / entry["streaming_peak_bytes"])
+        results["lengths"][str(seq)] = entry
     results["wall_seq"] = float(max(lengths))
     results["wall_peak_ratio"] = (
         results["lengths"][str(max(lengths))]["peak_ratio"])

@@ -7,10 +7,6 @@ LongExposure's engine replaces it with a block-sparse backend
 (:class:`repro.sparsity.engine.SparseAttentionBackend`) that only computes
 the score blocks selected by the per-head predicted masks — identical model
 code, different kernels, exactly as the paper's system patches attention.
-
-Backends may expose a ``last_scores`` attribute holding the most recent
-attention probabilities (per head); the predictor data-collection pass uses
-it as ground truth.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import numpy as np
 
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.tensor import Tensor, fused, functional as F
+from repro.tensor import Tensor, functional as F
 
 
 @functools.lru_cache(maxsize=128)
@@ -49,41 +45,21 @@ class DenseAttentionBackend:
     """Standard dense scaled-dot-product attention (the baseline kernel).
 
     Runs the fused single-node attention core
-    (:func:`repro.tensor.fused.scaled_dot_product_attention`) by default;
-    when the fused kernels are globally disabled it falls back to the taped
-    matmul / scale / masked-softmax / matmul composition.
+    (:func:`repro.tensor.fused.scaled_dot_product_attention`) when the module's
+    ``row_tile`` is ``None`` and the row-tiled kernel
+    (:func:`repro.tensor.functional.streaming_attention`) ``row_tile`` rows
+    high otherwise; inside :func:`repro.tensor.fused.reference_kernels` both
+    route to the taped matmul / scale / masked-softmax / matmul composition.
     """
-
-    def __init__(self, capture_scores: bool = False):
-        self.capture_scores = capture_scores
-        self.last_scores: Optional[np.ndarray] = None
 
     def __call__(self, module: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor,
                  attn_mask: Optional[np.ndarray], x: Optional[Tensor] = None) -> Tensor:
         # q, k, v: (batch, heads, seq, head_dim); x is the pre-projection layer
         # input, unused by the dense kernel but consumed by sparse backends.
         scale = 1.0 / np.sqrt(module.head_dim)
-        if fused.fused_kernels_enabled():
-            if self.capture_scores:
-                # Score capture needs the materialized probability matrix, so
-                # the row-tiled kernel (which never forms it) does not apply.
-                context, probs = fused.scaled_dot_product_attention(
-                    q, k, v, attn_mask, scale=scale, return_probs=True)
-                self.last_scores = probs
-                return context
-            if fused.streaming_attention_enabled():
-                return fused.streaming_attention(q, k, v, attn_mask, scale=scale)
-            return fused.scaled_dot_product_attention(q, k, v, attn_mask, scale=scale)
-        if self.capture_scores:
-            # The taped composition is spelled out only where the intermediate
-            # probabilities must be captured; the plain path delegates to the
-            # shared reference implementation via the functional dispatcher.
-            scores = q.matmul(k.swapaxes(-1, -2)) * scale
-            probs = F.masked_softmax(scores, attn_mask, axis=-1)
-            self.last_scores = probs.data.copy()
-            return probs.matmul(v)
-        if fused.streaming_attention_enabled():
-            return F.streaming_attention(q, k, v, attn_mask, scale=scale)
+        if module.row_tile is not None:
+            return F.streaming_attention(q, k, v, attn_mask, scale=scale,
+                                         tile=module.row_tile)
         return F.scaled_dot_product_attention(q, k, v, attn_mask, scale=scale)
 
 
@@ -119,6 +95,11 @@ class MultiHeadAttention(Module):
 
         # Swappable kernel; LongExposure installs a sparse backend here.
         self.backend = DenseAttentionBackend()
+        # Dense attention's row tile: None materialises the (seq, seq)
+        # scores, an int runs the row-tiled kernel that many rows high.
+        # FineTuner sets it from AttentionConfig; it lives here rather than
+        # on the backend so it survives engine.install / uninstall.
+        self.row_tile: Optional[int] = None
 
     # -- helpers ---------------------------------------------------------------
     def split_heads(self, x: Tensor) -> Tensor:

@@ -150,8 +150,9 @@ class StepCapture:
     def begin_step(self, signature: Hashable) -> None:
         """Enter a step; ``signature`` pins everything that shapes the graph.
 
-        The trainer passes input/label shapes and the fused-kernel toggle; a
-        change invalidates the plan and schedules exactly one re-capture.
+        The trainer passes input/label shapes, whether the step runs inside
+        ``fused.reference_kernels()`` and the loss scale; a change
+        invalidates the plan and schedules exactly one re-capture.
         """
         self.steps += 1
         if self.state == self.OFF:

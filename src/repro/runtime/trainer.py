@@ -10,14 +10,13 @@ of the forward/backward wall-clock, shown separately for the breakdown).
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.nn import Module
+from repro.nn import Module, MultiHeadAttention
 from repro.optim import Adam, GradScaler, MixedPrecisionConfig, clip_grad_norm
 from repro.optim.base import Optimizer
 from repro.runtime.capture import StepCapture
@@ -53,30 +52,21 @@ class CaptureConfig:
 
 @dataclass
 class AttentionConfig:
-    """Attention-kernel routing, scoped per tuner.
+    """Dense attention's kernel, set once on the tuner's model.
 
-    * ``streaming`` / ``streaming_tile`` — row-tiled dense attention (see
-      :func:`repro.tensor.fused.streaming_attention`): the dense-attention
-      path walks query-row tiles ``streaming_tile`` rows high, each reading
-      the keys up to its mask's last kept column, never materialising the
-      quadratic score matrix — the long-context switch, and under a causal
-      mask about half the work of the materialising kernel.  Sparse
-      backends run the same kernel and pick their row tile from the layout.
-    * ``fused_kernels`` — route through the fused single-node kernels
-      (True) or the primitive-composition reference tape (False).
-
-    Both switches are process globals in :mod:`repro.tensor.fused`; an
-    explicit (non-``None``) value here is applied via a scoping context
-    around each step and restored afterwards, so interleaved tuners — and
-    the multi-tenant service's lanes — never inherit another tuner's
-    setting.  ``None`` leaves the ambient global alone.  The effective
-    values are part of the capture signature, so a differing ambient
-    setting forces a re-capture rather than a silent kernel mismatch.
+    With ``streaming`` the dense-attention path runs the row-tiled kernel
+    (see :func:`repro.tensor.fused.streaming_attention`) over query-row
+    tiles ``streaming_tile`` rows high, each reading the keys up to its
+    mask's last kept column, never materialising the quadratic score matrix
+    — the long-context choice, and under a causal mask about half the work
+    of the materialising kernel.  :class:`FineTuner` writes it into every
+    :class:`~repro.nn.attention.MultiHeadAttention`'s ``row_tile`` at
+    construction; sparse backends run the same kernel and pick their row
+    tile from the layout.
     """
 
-    streaming: Optional[bool] = None
+    streaming: bool = False
     streaming_tile: int = 128
-    fused_kernels: Optional[bool] = None
 
 
 @dataclass
@@ -221,66 +211,38 @@ class FineTuner:
             capture = StepCapture(warmup_steps=self.config.capture.warmup)
         self.capture: Optional[StepCapture] = capture or None
         self.grad_reducer = grad_reducer
-        # Kernel-routing scopes: an explicit config value is applied around
-        # each step and restored afterwards (never left set process-wide),
-        # so interleaved tuners cannot inherit each other's setting; None
-        # means "inherit whatever is ambient".  This is the audited list of
-        # process globals a step consults: the fused-kernel switch, the
-        # streaming-attention switch + tile (both scoped here), the active
-        # arena and tape and the forward recorder (set and restored by
-        # StepCapture's begin/end machinery inside the step), and the
-        # content-keyed geometry/causal-mask caches (value caches, safe to
-        # share across tuners and tenants).
+        # Kernel routing is a value on the model, set once here.  The
+        # process globals a step still consults: the reference-tape flag
+        # (entered only through fused.reference_kernels(), part of the
+        # capture signature), the active arena and tape and the forward
+        # recorder (set and restored by StepCapture inside the step), and
+        # the content-keyed geometry/causal-mask caches (value caches, safe
+        # to share across tuners and tenants).
         attention = self.config.attention
-        self._streaming_scope = (
-            None if attention.streaming is None
-            else (bool(attention.streaming), attention.streaming_tile))
-        self._fused_scope = (None if attention.fused_kernels is None
-                             else bool(attention.fused_kernels))
+        row_tile = int(attention.streaming_tile) if attention.streaming else None
+        for module in model.modules():
+            if isinstance(module, MultiHeadAttention):
+                module.row_tile = row_tile
         # Flat-update closure for compiled steps (None -> ordinary step()).
         self._optim_plan_tail = getattr(self.optimizer, "plan_tail",
                                         lambda: None)()
 
-    def _capture_signature(self, input_ids: np.ndarray,
-                           labels: Optional[np.ndarray]):
-        """Everything that shapes the step's graph; a change forces re-capture."""
-        return (input_ids.shape, str(input_ids.dtype),
-                None if labels is None else np.asarray(labels).shape,
-                fused.fused_kernels_enabled(),
-                fused.streaming_attention_enabled(), fused.streaming_tile(),
-                float(self.scaler.scale))
-
-    def _kernel_scopes(self) -> contextlib.ExitStack:
-        """Enter the tuner's explicit kernel-routing scopes (see __init__)."""
-        stack = contextlib.ExitStack()
-        if self._fused_scope is not None:
-            stack.enter_context(fused.fused_kernel_state(self._fused_scope))
-        if self._streaming_scope is not None:
-            enabled, tile = self._streaming_scope
-            stack.enter_context(fused.streaming_kernels(enabled, tile))
-        return stack
-
     def step_signature(self, input_ids: np.ndarray,
                        labels: Optional[np.ndarray] = None):
-        """The capture signature :meth:`step` would see for this batch.
+        """Everything that shapes the step's graph; a change forces re-capture.
 
-        Evaluated under the tuner's own kernel scopes, so the answer does not
-        depend on whatever some other caller left in the process globals.
         The multi-tenant service buckets requests by this key: requests with
         equal signatures replay one compiled plan.
         """
-        with self._kernel_scopes():
-            return self._capture_signature(np.asarray(input_ids), labels)
+        input_ids = np.asarray(input_ids)
+        return (input_ids.shape, str(input_ids.dtype),
+                None if labels is None else np.asarray(labels).shape,
+                fused.fused_kernels_enabled(), float(self.scaler.scale))
 
     # -- single step -------------------------------------------------------------
     def step(self, input_ids: np.ndarray,
              labels: Optional[np.ndarray] = None) -> (float, PhaseTimings):
         """One fine-tuning step; returns (loss value, phase timings)."""
-        with self._kernel_scopes():
-            return self._step_inner(input_ids, labels)
-
-    def _step_inner(self, input_ids: np.ndarray,
-                    labels: Optional[np.ndarray] = None) -> (float, PhaseTimings):
         if self.engine is not None:
             # Drive the prediction scheduler: with predict_interval=K the
             # sparse backends re-derive their masks every K-th step and reuse
@@ -291,7 +253,7 @@ class FineTuner:
         capture = self.capture
         if capture is not None:
             input_ids = np.asarray(input_ids)
-            capture.begin_step(self._capture_signature(input_ids, labels))
+            capture.begin_step(self.step_signature(input_ids, labels))
         loss_value: Optional[float] = None
         forward_s = backward_s = 0.0
         replayed = False

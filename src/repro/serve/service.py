@@ -52,7 +52,7 @@ from repro.peft import PEFTResult, get_peft_method
 from repro.runtime.capture import StepCapture
 from repro.runtime.fault import FaultInjector
 from repro.runtime.profiler import PhaseProfiler
-from repro.runtime.trainer import AttentionConfig, FineTuner, TrainingConfig
+from repro.runtime.trainer import FineTuner, TrainingConfig
 from repro.serve.queue import SignatureBucketQueue, StepRequest
 from repro.serve.registry import AdapterRegistry, AdapterSnapshot
 from repro.serve.store import TenantStateStore
@@ -73,10 +73,6 @@ class ServiceConfig:
     seq_buckets: Sequence[int] = (16, 32, 64, 128)
     max_plan_cache: int = 4
     pad_token_id: int = 0
-    # Kernel routing (see repro.runtime.trainer.AttentionConfig).
-    fused_kernels: bool = True
-    streaming_attention: Optional[bool] = None
-    streaming_tile: int = 128
     # Sparsity routing mode; part of every bucket key.  The service currently
     # always runs dense ("dense"); the key slot keeps signatures forward-
     # compatible with predicted-sparsity lanes.
@@ -173,10 +169,7 @@ class FineTuningService:
         training = TrainingConfig(
             learning_rate=cfg.learning_rate,
             weight_decay=cfg.weight_decay,
-            mixed_precision=False,
-            attention=AttentionConfig(streaming=cfg.streaming_attention,
-                                      streaming_tile=cfg.streaming_tile,
-                                      fused_kernels=cfg.fused_kernels))
+            mixed_precision=False)
         named_trainable = [(n, p) for n, p in model.named_parameters()
                            if p.requires_grad]
         trainable_bytes = sum(int(p.data.nbytes) for _, p in named_trainable)

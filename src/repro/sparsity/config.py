@@ -70,13 +70,6 @@ class LongExposureConfig:
     mlp_offload_inactive:
         Whether the memory model assumes inactive neuron blocks stay on the
         host ("LongExposure (optimal)" curve in Figure 8).
-    streaming_attention:
-        Derive oracle masks without a full score matrix: the oracle exposer
-        computes its block mass with a two-pass K-tile sweep, O(seq * tile)
-        scratch instead of ``(seq, seq)``.  Masks match the materializing
-        derivation up to accumulation order.  It no longer selects an
-        attention kernel — there is one, and it never holds more than one
-        row tile of scores whatever this flag says.
     seed:
         RNG seed for predictor initialisation and training shuffles.
     """
@@ -99,7 +92,6 @@ class LongExposureConfig:
     calibration_lengths: Tuple[int, ...] = ()
     predict_interval: int = 1
     mlp_offload_inactive: bool = False
-    streaming_attention: bool = False
     min_active_mlp_blocks: int = 1
     seed: int = 0
 

@@ -589,20 +589,8 @@ class LongExposure:
         normalise chain allocates no ``(batch, heads, seq, seq)``
         temporaries beyond the matmul output.  Values are identical to the
         previous out-of-place form.
-
-        With ``config.streaming_attention`` the full score matrix is never
-        formed: :meth:`_streaming_oracle_block_mass` accumulates the
-        exposer's per-block probability mass with a two-pass K-tile sweep
-        in O(seq * tile) scratch, and the pattern matching runs on that
-        mass directly.
         """
         scale = float(1.0 / np.sqrt(module.head_dim))
-        if self.config.streaming_attention:
-            block_mass = self._streaming_oracle_block_mass(q.data, k.data,
-                                                           scale, seq_len)
-            masks, names = self.attention_exposer.masks_from_block_mass(
-                block_mass)
-            return self.layout_pool.combine(list(names), seq_len)
         score_shape = q.shape[:-1] + (k.shape[2],)
         scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2),
                            out=_tensor_arena.empty(score_shape, q.data.dtype))
@@ -623,83 +611,6 @@ class LongExposure:
         # mode; recycling it here lets every layer of the step share one.
         _tensor_arena.release(scores)
         return self.layout_pool.combine(list(names), seq_len)
-
-    def _streaming_oracle_block_mass(self, q: np.ndarray, k: np.ndarray,
-                                     scale: float, seq_len: int) -> np.ndarray:
-        """Exposer block mass via a two-pass streaming softmax sweep.
-
-        Pass 1 computes the per-row logsumexp with online max/sum rescaling
-        over K tiles; pass 2 re-streams the K tiles, recomputes each
-        probability tile from the saved logsumexp and immediately folds it into the per-key-block
-        column reduction.  The tile width is the streaming tile rounded to a
-        block multiple so tile edges never split a block.  Scratch:
-        O(batch * heads * seq * tile), never O(seq²).
-        """
-        from repro.sparsity.patterns import block_count, causal_block_mask
-
-        bs = self.config.block_size
-        tile = max(bs, (_fused.streaming_tile() // bs) * bs)
-        tile = min(tile, seq_len)
-        causal = causal_mask(seq_len)
-        batch, heads = q.shape[0], q.shape[1]
-        dtype = q.dtype
-        kT = np.swapaxes(k, -1, -2)
-        red_shape = (batch, heads, seq_len, 1)
-        tiles = tuple((j0, min(j0 + tile, seq_len))
-                      for j0 in range(0, seq_len, tile))
-
-        lse = _tensor_arena.empty(red_shape, dtype)
-        m_buf = _tensor_arena.empty(red_shape, dtype)
-        red = _tensor_arena.empty(red_shape, dtype)
-        corr = _tensor_arena.empty(red_shape, dtype)
-        m_buf.fill(-np.inf)
-        lse.fill(0.0)
-        for j0, j1 in tiles:
-            s = _tensor_arena.empty((batch, heads, seq_len, j1 - j0), dtype)
-            np.matmul(q, kT[..., j0:j1], out=s)
-            s *= scale
-            np.copyto(s, np.float32(-1e9), where=~causal[:, j0:j1])
-            s.max(axis=-1, keepdims=True, out=red)
-            np.maximum(m_buf, red, out=red)
-            np.subtract(m_buf, red, out=corr)
-            np.exp(corr, out=corr)
-            np.copyto(m_buf, red)
-            s -= m_buf
-            np.exp(s, out=s)
-            np.multiply(s, causal[:, j0:j1], out=s)
-            lse *= corr
-            s.sum(axis=-1, keepdims=True, out=red)
-            lse += red
-            _tensor_arena.release(s)
-        _fused.guard_zero_rows(lse)
-        np.log(lse, out=lse)
-        lse += m_buf
-        _tensor_arena.release(m_buf, red, corr)
-
-        n_blocks = block_count(seq_len, bs)
-        key_reduced = _tensor_arena.zeros(
-            (batch, heads, seq_len, n_blocks), dtype)
-        for j0, j1 in tiles:
-            s = _tensor_arena.empty((batch, heads, seq_len, j1 - j0), dtype)
-            np.matmul(q, kT[..., j0:j1], out=s)
-            s *= scale
-            np.copyto(s, np.float32(-1e9), where=~causal[:, j0:j1])
-            s -= lse
-            np.exp(s, out=s)
-            np.multiply(s, causal[:, j0:j1], out=s)
-            starts = np.arange(0, j1 - j0, bs)
-            b0 = j0 // bs
-            np.add.reduceat(s, starts, axis=3,
-                            out=key_reduced[..., b0:b0 + starts.shape[0]])
-            _tensor_arena.release(s)
-        _tensor_arena.release(lse)
-
-        row_starts = np.arange(0, seq_len, bs)
-        reduced = np.add.reduceat(key_reduced, row_starts, axis=2)
-        _tensor_arena.release(key_reduced)
-        block_mass = reduced.sum(axis=0)
-        block_mass *= causal_block_mask(n_blocks)[None]
-        return block_mass
 
     def oracle_mlp_blocks(self, mlp: MLPBlock, x) -> np.ndarray:
         """Exact active neuron blocks computed from the current input (ablation mode)."""

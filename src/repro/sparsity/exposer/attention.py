@@ -85,9 +85,9 @@ class AttentionExposer:
         """Pattern-snapped masks from an already-reduced per-block mass.
 
         Split out of :meth:`head_block_masks` so callers that compute the
-        ``(heads, n_blocks, n_blocks)`` mass themselves — the streaming
-        oracle path accumulates it tile by tile without ever holding the
-        full probability matrix — share the exact matching logic.
+        ``(heads, n_blocks, n_blocks)`` mass themselves — calibration reads
+        the mass ``collect_block_mass`` reduced one sample at a time — share
+        the exact matching logic.
         """
         heads, n_blocks, _ = block_mass.shape
         names = self.pattern_pool.match_many(block_mass, coverage=self.coverage)

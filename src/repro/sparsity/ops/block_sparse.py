@@ -174,11 +174,10 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
     panels the layout keeps, never by the full ``seq²`` score matrix.  Any
     sequence length is accepted (the staged K/V grid is zero-padded to the
     block multiple); rows that keep no block produce exactly zero output and
-    gradients.  With :func:`repro.tensor.fused.set_fused_kernels` disabled
-    the call routes to the primitive-composition twin
+    gradients.  Inside :func:`repro.tensor.fused.reference_kernels` the call
+    routes to the primitive-composition twin
     :func:`repro.tensor.reference.block_sparse_attention` instead, so the
-    sparse path participates in the same fused/taped A-B switch as the dense
-    kernels.
+    sparse path sits on the same reference tape as the dense kernels.
     """
     del streaming
     if q.shape[1] != layout.n_heads:

@@ -24,8 +24,8 @@ Design notes
   :mod:`repro.tensor.fused` (softmax, layer norm, linear+activation, cross
   entropy, the dense attention core); :mod:`repro.tensor.reference` holds
   the equivalent primitive compositions used for gradchecking and as the
-  perf-regression baseline, selectable at runtime via
-  :func:`repro.tensor.fused.set_fused_kernels`.
+  perf-regression baseline, entered through the
+  :func:`repro.tensor.fused.reference_kernels` context.
 """
 
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled

@@ -198,20 +198,6 @@ class BufferArena:
     def hit_rate(self) -> float:
         return self.hits / self.takes if self.takes else 0.0
 
-    def stats_dict(self) -> Dict[str, float]:
-        """JSON-friendly counters (surfaced as profiler gauges)."""
-        return {
-            "generation": float(self.generation),
-            "takes": float(self.takes),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": self.hit_rate(),
-            "bytes_held": float(self.bytes_held),
-            "bytes_allocated": float(self.bytes_allocated),
-            "last_generation_misses": float(self.last_generation_misses),
-            "evictions": float(self.evictions),
-        }
-
 
 # ---------------------------------------------------------------------------
 # active-arena switch consulted by the allocation seams

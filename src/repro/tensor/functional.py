@@ -7,8 +7,8 @@ softmax, fused linear(+activation) and the token-level cross entropy loss.
 Since the fused-kernel pass, this module is a thin *dispatch layer*: every
 hot-path function routes to its single-node hand-backward implementation in
 :mod:`repro.tensor.fused` (the default) or to the primitive-composition tape
-in :mod:`repro.tensor.reference` when the fused kernels are globally
-disabled via :func:`repro.tensor.fused.set_fused_kernels`.  Callers —
+in :mod:`repro.tensor.reference` inside a
+:func:`repro.tensor.fused.reference_kernels` block.  Callers —
 ``repro.nn``, the models, the PEFT wrappers — never need to know which form
 is active, which is what lets the perf-regression benchmark time both on an
 unmodified model.
@@ -109,10 +109,9 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
 def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
                         attn_mask: Optional[np.ndarray] = None,
                         scale: Optional[float] = None,
-                        tile: Optional[int] = None) -> Tensor:
+                        tile: int = 128) -> Tensor:
     """Row-tiled attention — O(tile * seq) scratch, same math as
-    :func:`scaled_dot_product_attention`.  ``tile`` is the row-tile height
-    and defaults to the global :func:`repro.tensor.fused.streaming_tile`."""
+    :func:`scaled_dot_product_attention`.  ``tile`` is the row-tile height."""
     return _impl().streaming_attention(q, k, v, attn_mask=attn_mask,
                                        scale=scale, tile=tile)
 

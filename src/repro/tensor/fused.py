@@ -26,8 +26,7 @@ forms serve three purposes:
 * they are the ground truth for the numerical ``gradcheck`` tests;
 * they are the *baseline* of ``benchmarks/bench_perf_regression.py`` (the
   deep-tape cost model the paper's fused-operator argument is made against);
-* flipping :func:`set_fused_kernels` (or entering
-  :func:`reference_kernels`) makes the whole stack — ``repro.tensor.
+* entering :func:`reference_kernels` makes the whole stack — ``repro.tensor.
   functional``, ``repro.nn`` and the model loss path — run through them, so
   fused vs. taped execution can be compared end to end on an unmodified
   model.
@@ -64,12 +63,7 @@ from repro.tensor.tensor import Tensor, custom_op
 
 __all__ = [
     "fused_kernels_enabled",
-    "set_fused_kernels",
     "reference_kernels",
-    "streaming_attention_enabled",
-    "streaming_tile",
-    "set_streaming_attention",
-    "streaming_kernels",
     "guard_zero_rows",
     "softmax",
     "log_softmax",
@@ -91,9 +85,13 @@ _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_A = np.float32(0.044715)
 
 # ---------------------------------------------------------------------------
-# global switch: fused kernels (default) vs. taped primitive compositions
+# the reference-tape seam: fused kernels (default) vs. taped compositions
 # ---------------------------------------------------------------------------
 
+# The module's one mutable flag.  It has no setter: the parity tests and the
+# legacy bench enter the reference tape through :func:`reference_kernels`,
+# which restores the fused path on exit.  Kernel *routing* (which attention
+# kernel, which row tile) is not a global — it lives on the modules.
 _FUSED_ENABLED = True
 
 
@@ -102,83 +100,16 @@ def fused_kernels_enabled() -> bool:
     return _FUSED_ENABLED
 
 
-def set_fused_kernels(enabled: bool) -> None:
-    """Globally enable/disable the fused kernels (reference tape otherwise)."""
-    global _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-
-
 @contextlib.contextmanager
-def fused_kernel_state(enabled: bool):
-    """Context manager pinning the fused-kernel switch to ``enabled``.
-
-    The per-tuner counterpart of :func:`streaming_kernels`: a
-    :class:`~repro.runtime.trainer.FineTuner` with an explicit
-    ``AttentionConfig.fused_kernels`` setting applies it around each step and
-    restores the ambient value afterwards, so interleaved tuners (and the
-    multi-tenant service's lanes) never observe another caller's flip of the
-    process-global switch.
-    """
+def reference_kernels():
+    """Context manager running the stack on the primitive-composition tape."""
     global _FUSED_ENABLED
     previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
+    _FUSED_ENABLED = False
     try:
         yield
     finally:
         _FUSED_ENABLED = previous
-
-
-def reference_kernels():
-    """Context manager running the stack on the primitive-composition tape."""
-    return fused_kernel_state(False)
-
-
-# ---------------------------------------------------------------------------
-# global switch: row-tiled (streaming) dense attention for long contexts
-# ---------------------------------------------------------------------------
-
-_STREAMING_ENABLED = False
-_STREAMING_TILE = 128
-
-
-def streaming_attention_enabled() -> bool:
-    """Whether dense attention routes through the row-tiled kernel."""
-    return _STREAMING_ENABLED
-
-
-def streaming_tile() -> int:
-    """Current row-tile height of dense streaming attention."""
-    return _STREAMING_TILE
-
-
-def set_streaming_attention(enabled: bool, tile: Optional[int] = None) -> None:
-    """Globally enable/disable streaming (row-tiled) dense attention.
-
-    With streaming enabled, :class:`repro.nn.attention.DenseAttentionBackend`
-    computes attention through :func:`tiled_attention` over query-row tiles
-    ``tile`` rows high, so only an ``O(tile * seq)`` score scratch ever
-    exists instead of the full ``O(seq²)`` probability matrix.  The backward
-    walks the same tiles and recomputes probabilities from the saved per-row
-    logsumexp.  (Sparse backends always run that kernel.)
-    """
-    global _STREAMING_ENABLED, _STREAMING_TILE
-    if tile is not None:
-        tile = int(tile)
-        if tile <= 0:
-            raise ValueError(f"tile must be positive, got {tile}")
-        _STREAMING_TILE = tile
-    _STREAMING_ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def streaming_kernels(enabled: bool = True, tile: Optional[int] = None):
-    """Context manager scoping the streaming-attention switch (and tile)."""
-    previous = (_STREAMING_ENABLED, _STREAMING_TILE)
-    set_streaming_attention(enabled, tile)
-    try:
-        yield
-    finally:
-        set_streaming_attention(*previous)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +946,7 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
 def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
                         attn_mask: Optional[np.ndarray] = None,
                         scale: Optional[float] = None,
-                        tile: Optional[int] = None) -> Tensor:
+                        tile: int = 128) -> Tensor:
     """Dense attention through :func:`tiled_attention` — O(tile * seq) scratch.
 
     Numerically equivalent to :func:`scaled_dot_product_attention` (same
@@ -1023,9 +954,8 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
     matrix is never materialised and nothing above the mask's last kept
     column is computed: with a causal mask each tile of ``tile`` query rows
     reads the key prefix up to its own diagonal, roughly halving the work.
-    ``tile`` defaults to :func:`streaming_tile`.
     """
-    tile = int(tile) if tile is not None else streaming_tile()
+    tile = int(tile)
     if tile <= 0:
         raise ValueError(f"tile must be positive, got {tile}")
     if attn_mask is not None:

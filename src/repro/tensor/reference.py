@@ -12,10 +12,10 @@ reasons:
 * **Benchmark baseline** — ``benchmarks/bench_perf_regression.py`` measures
   the fused speedup against this deep-tape execution, which is the cost
   model the paper's fused-operator argument targets.
-* **Fallback** — :func:`repro.tensor.fused.set_fused_kernels(False)` routes
+* **Fallback** — a :func:`repro.tensor.fused.reference_kernels` block routes
   ``repro.tensor.functional`` (and therefore the whole nn/model stack)
   through these implementations, so any suspected fused-kernel bug can be
-  bisected by flipping one switch.
+  bisected by wrapping one call.
 
 Nothing in the training hot path should import this module directly.
 """
@@ -138,7 +138,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
 def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
                         attn_mask: Optional[np.ndarray] = None,
                         scale: Optional[float] = None,
-                        tile: Optional[int] = None) -> Tensor:
+                        tile: int = 128) -> Tensor:
     """Materialising reference of the row-tiled kernel.
 
     Tiling is a memory-layout strategy, not a mathematical one — the exact

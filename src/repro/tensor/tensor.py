@@ -483,13 +483,6 @@ class Tensor:
                 _TAPE.append(out)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad
-
     # -- backward pass --------------------------------------------------------
     def backward(self, grad: Optional[ArrayLike] = None,
                  retain_graph: bool = False,
@@ -1049,20 +1042,6 @@ class Tensor:
             else:
                 full[index] = grad
             return (full,)
-
-        return Tensor._make(data, (self,), backward)
-
-    def pad_sequence_dim(self, axis: int, before: int, after: int) -> "Tensor":
-        """Zero-pad along ``axis`` (used by prefix-tuning and block rounding)."""
-        pad = [(0, 0)] * self.data.ndim
-        pad[axis] = (before, after)
-        data = np.pad(self.data, pad)
-        slicer = [slice(None)] * self.data.ndim
-        slicer[axis] = slice(before, before + self.data.shape[axis])
-        slicer = tuple(slicer)
-
-        def backward(grad):
-            return (grad[slicer],)
 
         return Tensor._make(data, (self,), backward)
 

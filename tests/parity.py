@@ -5,8 +5,8 @@ Every fused kernel in the stack has three independent correctness anchors:
 * the **primitive-composition twin** in :mod:`repro.tensor.reference`, whose
   backward is derived by autograd from elementary ops;
 * **central finite differences** of the dispatched forward itself;
-* the **runtime toggle** (:func:`repro.tensor.fused.set_fused_kernels`),
-  which must route the same call sites through either implementation.
+* the **reference tape** (:func:`repro.tensor.fused.reference_kernels`),
+  which must route the same call sites through the other implementation.
 
 This module turns those anchors into data: :func:`build_cases` returns one
 :class:`ParityCase` per (op, shape/dtype/sequence-length configuration), and
@@ -23,6 +23,7 @@ files stay untouched.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -67,6 +68,11 @@ def sample_block_mass(exposer, probs: np.ndarray,
 # ---------------------------------------------------------------------------
 # gradcheck machinery
 # ---------------------------------------------------------------------------
+
+def _kernels(fused_enabled: bool):
+    """The fused path as is, or the reference tape for the block."""
+    return contextlib.nullcontext() if fused_enabled else fused.reference_kernels()
+
 
 def _unwrap(out):
     """Ops like cross entropy return ``(loss, n_valid)``; keep the Tensor."""
@@ -129,7 +135,7 @@ def run_case(case: ParityCase, fused_enabled: bool = True) -> None:
     implementations and the toggle routing.
     """
     arrays = [a.copy() for a in case.arrays]
-    with fused.fused_kernel_state(fused_enabled):
+    with _kernels(fused_enabled):
         if case.scalar_output:
             projection = np.ones(1, dtype=np.float64)
         else:
@@ -673,7 +679,7 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
             return logging_tail
 
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
-    with fused.fused_kernel_state(fused_enabled):
+    with _kernels(fused_enabled):
         model = build_model(model_name, seed=0)
         rng = np.random.default_rng(11)
         engine = None

@@ -2,16 +2,16 @@
 
 These tests exercise the same code paths as
 ``benchmarks/bench_perf_regression.py`` — the fused/reference kernel switch
-on a full model, the geometry-cache on/off sparse step, and the JSON report
-— at miniature scale so the tier-1 suite always runs them in a couple of
-seconds.  They verify *behaviour* (both modes agree numerically, the report
-has the expected structure); the real speedup numbers come from running the
-benchmark script itself.
+on a full model, the geometry-cache on/off sparse step and each section's
+result — at miniature scale so the tier-1 suite always runs them in a couple
+of seconds.  They verify *behaviour* (both modes agree numerically, each
+section has the expected structure); the whole ``main()`` and its JSON report
+run in CI's ``bench-quick`` job, and the real speedup numbers come from
+running the benchmark script itself.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -265,9 +265,6 @@ def test_bench_long_context_structure():
                     "block_sparse_streaming_peak_bytes", "peak_ratio"):
             assert row[key] > 0, key
     assert result["wall_seq"] == 128.0
-    # The sweep must leave the process-global streaming switch off.
-    from repro.tensor import fused
-    assert not fused.streaming_attention_enabled()
 
 
 def test_bench_scaling_structure():
@@ -326,32 +323,3 @@ def test_bench_fault_structure():
     assert ckpt["read_mb_per_s"] > 0
     assert ckpt["roundtrip_bitwise"] is True
 
-
-def test_bench_json_flag(tmp_path):
-    json_path = tmp_path / "BENCH_perf.json"
-    report = bench.main(["--json", str(json_path), "--repeats", "1",
-                         "--op-repeats", "1", "--batch", "1", "--seq", "32",
-                         "--predicted-seq", "64", "--predictor-epochs", "1",
-                         "--predicted-repeats", "1",
-                         "--long-context-max", "128"])
-    assert json_path.exists()
-    on_disk = json.loads(json_path.read_text())
-    for key in ("meta", "dense_step", "sparse_step", "step_capture",
-                "full_step", "predicted_step", "predicted_quality",
-                "prediction_overhead",
-                "geometry", "sparse_chain", "crossover", "optimizer_step",
-                "optimizer_regimes", "embedding_scatter", "long_context",
-                "scaling", "serve", "fault", "ops"):
-        assert key in on_disk and key in report
-    assert on_disk["dense_step"]["fused_s"] > 0
-    assert set(on_disk["full_step"]) == {
-        "interpreted_s", "compiled_s", "interval", "speedup_vs_interpreted",
-        "full_captures", "full_replays", "full_fallbacks",
-        "captured_allocs_per_step"}
-    committed = Path(bench.__file__).resolve().parent.parent / "BENCH_perf.json"
-    assert (set(json.loads(committed.read_text())["full_step"])
-            == set(on_disk["full_step"]))
-    assert on_disk["predicted_step"]["speedup_vs_oracle"] > 0
-    assert on_disk["prediction_overhead"]["block_reduce"]["speedup"] > 0
-    assert set(on_disk["ops"]) == {"masked_softmax", "attention_core",
-                                   "layer_norm", "cross_entropy", "linear_gelu"}

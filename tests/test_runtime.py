@@ -20,6 +20,7 @@ from repro.runtime import (
 )
 from repro.runtime.comms import chunk_schedule
 from repro.runtime.platform import training_step_flops
+from repro.tensor import fused
 
 
 def make_finetuner(method="lora", **config_kwargs):
@@ -90,16 +91,91 @@ class TestTrainingConfigGroups:
     def test_nested_round_trip(self):
         cfg = TrainingConfig(
             capture=CaptureConfig(enabled=True, warmup=2),
-            attention=AttentionConfig(streaming=True, streaming_tile=64,
-                                      fused_kernels=False))
+            attention=AttentionConfig(streaming=True, streaming_tile=64))
         assert cfg.capture == CaptureConfig(enabled=True, warmup=2)
         assert cfg.attention == AttentionConfig(streaming=True,
-                                                streaming_tile=64,
-                                                fused_kernels=False)
+                                                streaming_tile=64)
         assert dataclasses.asdict(cfg)["capture"] == {"enabled": True,
                                                       "warmup": 2}
+        assert dataclasses.asdict(cfg)["attention"] == {"streaming": True,
+                                                        "streaming_tile": 64}
         tuner = make_finetuner(capture=cfg.capture, attention=cfg.attention)
         assert tuner.capture.warmup_steps == 2
+        # The reference tape is a scope around the call, not a config field.
+        with fused.reference_kernels():
+            loss, _ = tuner.step(batches(1)[0])
+        assert np.isfinite(loss)
+        assert tuner.capture.full_fail_reason == "reference kernels"
+
+
+def test_row_tile_is_owned_by_the_model(monkeypatch):
+    """Dense attention's kernel is a value on each MultiHeadAttention, set once
+    by the tuner: no process global, nothing set and restored per step."""
+    from repro.nn import MultiHeadAttention
+    from repro.sparsity import LongExposure, LongExposureConfig
+
+    def row_tiles(model):
+        return {m.row_tile for m in model.modules()
+                if isinstance(m, MultiHeadAttention)}
+
+    def lora_tuner(streaming, tile=16):
+        model, _ = get_peft_method("lora")(build_model("opt-tiny", seed=0))
+        return FineTuner(model, TrainingConfig(attention=AttentionConfig(
+            streaming=streaming, streaming_tile=tile)))
+
+    # The config lands on every attention module; the default materialises.
+    assert row_tiles(lora_tuner(True, tile=24).model) == {24}
+    assert row_tiles(FineTuner(get_peft_method("lora")(
+        build_model("opt-tiny", seed=0))[0]).model) == {None}
+
+    # Engine install / uninstall on either side of tuner construction.
+    rng = np.random.default_rng(0)
+    model = build_model("opt-tiny", seed=0)
+    engine = LongExposure(LongExposureConfig(block_size=16, oracle_mode=True))
+    engine.prepare(model, [rng.integers(0, 512, size=(1, 32))])
+    engine.install(model)
+    FineTuner(model, TrainingConfig(attention=AttentionConfig(
+        streaming=True, streaming_tile=32)))
+    engine.uninstall(model)
+    assert row_tiles(model) == {32}
+    FineTuner(model, TrainingConfig(attention=AttentionConfig(
+        streaming=True, streaming_tile=8)))
+    engine.install(model)
+    assert row_tiles(model) == {8}
+    engine.uninstall(model)
+    assert row_tiles(model) == {8}
+
+    # Count which dense kernel each step runs, and at which row tile.
+    calls = []
+    sdpa, streaming = fused.scaled_dot_product_attention, fused.streaming_attention
+
+    def counted_sdpa(*args, **kwargs):
+        calls.append(("sdpa", None))
+        return sdpa(*args, **kwargs)
+
+    def counted_streaming(*args, tile, **kwargs):
+        calls.append(("streaming", tile))
+        return streaming(*args, tile=tile, **kwargs)
+
+    monkeypatch.setattr(fused, "scaled_dot_product_attention", counted_sdpa)
+    monkeypatch.setattr(fused, "streaming_attention", counted_streaming)
+
+    data = batches(3)
+    dedicated = {}
+    for s in (False, True):
+        alone = lora_tuner(s)
+        dedicated[s] = [alone.step(b)[0] for b in data]
+    tuners = {s: lora_tuner(s) for s in (False, True)}
+    layers = len(tuners[True].model.blocks)
+    expected = {False: [("sdpa", None)] * layers,
+                True: [("streaming", 16)] * layers}
+    interleaved = {False: [], True: []}
+    for batch in data:
+        for s in (True, False):                    # alternate, no set/restore
+            calls.clear()
+            interleaved[s].append(tuners[s].step(batch)[0])
+            assert calls == expected[s], (s, calls)
+    assert interleaved == dedicated
 
 
 class TestProfiler:

@@ -17,6 +17,8 @@ Three concerns, three marker tiers:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.runtime import (AttentionConfig, BufferArena, FineTuner,
                            StepCapture, TrainingConfig)
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.tensor import arena as tensor_arena
+from repro.tensor import fused
 from repro.tensor import plan as tensor_plan
 from repro.tensor.tensor import (PlanMismatchError, Tensor, node_build_count,
                                  set_tape)
@@ -549,8 +552,7 @@ def _raise_once_in(plan, position: int = 3) -> None:
                                      "replay_exception"])
 def test_degrades_to_backward_only_replay(trigger):
     build = {
-        "reference_kernels": dict(
-            backend="dense", attention=AttentionConfig(fused_kernels=False)),
+        "reference_kernels": dict(backend="dense"),
         "trainable_base_weights": dict(backend="oracle", predict_interval=8),
         "coverage_gap": dict(backend="dense"),
         "replay_exception": dict(backend="dense"),
@@ -561,10 +563,13 @@ def test_degrades_to_backward_only_replay(trigger):
     if trigger == "coverage_gap":
         gaps = [_add_uncovered_op(tuner.model), _add_uncovered_op(plain.model)]
     seen = []                                      # (full_replays, replay_steps)
+    kernels = (fused.reference_kernels if trigger == "reference_kernels"
+               else contextlib.nullcontext)
 
     def step():
-        assert tuner.step(ids)[0] == plain.step(ids)[0], \
-            f"{trigger}: loss differs at step {len(seen) + 1}"
+        with kernels():
+            assert tuner.step(ids)[0] == plain.step(ids)[0], \
+                f"{trigger}: loss differs at step {len(seen) + 1}"
         seen.append((capture.full_replays, capture.replay_steps))
 
     try:
@@ -793,23 +798,18 @@ def test_alternating_shapes_trip_the_kill_switch():
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 def test_fused_toggle_change_invalidates_plan():
-    from repro.tensor import fused
-
     tuner, ids, capture = _build_tuner("dense")
     for _ in range(3):
         tuner.step(ids)
     assert capture.state == capture.REPLAY
     assert (capture.full_captures, capture.full_replays) == (1, 1)
-    fused.set_fused_kernels(False)
-    try:
+    with fused.reference_kernels():
         tuner.step(ids)                            # signature change -> recapture
         assert capture.recaptures == 1
         tuner.step(ids)                            # backward-only replay
         assert capture.last_step_allocations == 0
         assert (capture.full_captures, capture.full_replays) == (1, 1)
         assert capture.full_fail_reason == "reference kernels"
-    finally:
-        fused.set_fused_kernels(True)
     tuner.step(ids)                                # eligible again: re-compiled
     tuner.step(ids)
     assert capture.recaptures == 2
@@ -893,45 +893,35 @@ def test_streaming_capture_replay_bitwise_identical(tier):
     # interpreted over arena buffers under backward-only replay — must
     # reproduce the uncaptured streaming step bit for bit; seq=48 with
     # tile=16 exercises multiple tiles per row block.
-    from repro.tensor import fused
-
-    try:
-        results = []
-        for use_capture in (False, True):
-            tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
-            if not use_capture:
-                tuner.capture = None
-            losses = [tuner.step(ids)[0] for _ in range(4)]
-            params = [p.data.copy() for p in tuner.optimizer.params]
-            results.append((losses, params, capture))
-        (base_losses, base_params, _), (cap_losses, cap_params, cap) = results
-        assert base_losses == cap_losses
-        for a, b in zip(base_params, cap_params):
-            assert np.array_equal(a, b)
-        assert cap.captures == 1
-        _assert_tier(cap, tier, replays=2)
-    finally:
-        fused.set_streaming_attention(False)
+    results = []
+    for use_capture in (False, True):
+        tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
+        if not use_capture:
+            tuner.capture = None
+        losses = [tuner.step(ids)[0] for _ in range(4)]
+        params = [p.data.copy() for p in tuner.optimizer.params]
+        results.append((losses, params, capture))
+    (base_losses, base_params, _), (cap_losses, cap_params, cap) = results
+    assert base_losses == cap_losses
+    for a, b in zip(base_params, cap_params):
+        assert np.array_equal(a, b)
+    assert cap.captures == 1
+    _assert_tier(cap, tier, replays=2)
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 @pytest.mark.parametrize("tier", TIERS)
 def test_streaming_zero_allocations_after_capture(tier):
-    from repro.tensor import fused
-
     tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
-    try:
-        tuner.step(ids)                            # warm-up
-        tuner.step(ids)                            # capture (+ full compile)
-        assert capture.captures == 1
-        for _ in range(2):
-            tuner.step(ids)
-            assert capture.last_step_allocations == 0, \
-                "streaming captured steady state still allocates"
-        _assert_tier(capture, tier, replays=2)
-    finally:
-        fused.set_streaming_attention(False)
+    tuner.step(ids)                                # warm-up
+    tuner.step(ids)                                # capture (+ full compile)
+    assert capture.captures == 1
+    for _ in range(2):
+        tuner.step(ids)
+        assert capture.last_step_allocations == 0, \
+            "streaming captured steady state still allocates"
+    _assert_tier(capture, tier, replays=2)
 
 
 @pytest.mark.perf_smoke
@@ -957,8 +947,6 @@ def test_replayed_steps_heap_steady(model, streaming, tier):
     # signature of leaking even a single (256, 64) float32 tile.
     import gc
     import tracemalloc
-
-    from repro.tensor import fused
 
     tuner, ids, capture = _build_streaming_tuner(streaming, seq=256, tile=64,
                                                  tier=tier, batch=1,
@@ -989,7 +977,6 @@ def test_replayed_steps_heap_steady(model, streaming, tier):
     finally:
         if tracemalloc.is_tracing():
             tracemalloc.stop()
-        fused.set_streaming_attention(False)
 
 
 @pytest.mark.perf_smoke
@@ -1045,7 +1032,6 @@ def test_seq4096_streaming_breaks_memory_wall():
     import tracemalloc
 
     from repro.models import ModelConfig
-    from repro.tensor import fused
 
     cfg = ModelConfig(name="longctx-nano", family="gpt2", vocab_size=128,
                       max_seq_len=4096, dim=32, num_layers=1, num_heads=2,
@@ -1064,11 +1050,9 @@ def test_seq4096_streaming_breaks_memory_wall():
             _, peaks[streaming] = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert np.isfinite(loss)
-            fused.set_streaming_attention(False)
         assert peaks[True] * 4 < peaks[False], \
             f"streaming peak {peaks[True]} not <1/4 of " \
             f"materializing {peaks[False]}"
     finally:
         if tracemalloc.is_tracing():
             tracemalloc.stop()
-        fused.set_streaming_attention(False)
