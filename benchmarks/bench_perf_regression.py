@@ -30,13 +30,14 @@ compositions, plus (since the sparse-chain pass):
   ``predict_interval > 1`` (masks refreshed every K steps and reused in
   between), with the mask drift the reuse incurs reported alongside;
 * **prediction_overhead** — the mask-derivation path in isolation: the
-  batched single-GEMM probe vs. the per-head einsum probe, the two-stage
+  batched single-GEMM, logit-threshold probe vs. the per-head einsum probe
+  with a materialised sigmoid, the two-stage
   ``block_reduce`` vs. the 6-D reshape-sum at seq 512, and the vectorised
   pattern matcher vs. the scalar per-head/per-pattern loop;
 * **predicted_quality** (since the calibration pass) — the predicted-vs-
   oracle *block-sparsity gap* on fresh evaluation batches across the
-  calibration length grid: oracle layouts, calibrated predicted layouts
-  (per-head fitted thresholds + pattern snapping), and the uncalibrated
+  calibration length grid: the exposer's raw coverage layouts, calibrated
+  predicted layouts (per-head block budgets) and the uncalibrated
   fixed-threshold layouts, with the fraction of oracle-active blocks the
   predicted layouts retain; the acceptance bar is ``gap <= 0.05`` at the
   long-sequence end of the grid;
@@ -116,7 +117,7 @@ from repro.runtime.profiler import PhaseProfiler
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.sparsity.ops import (LayoutGeometryCache, block_sparse_attention,
                                 compute_block_geometry)
-from repro.sparsity.ops.layout import LayoutPool
+from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
 from repro.sparsity.patterns import block_count, build_default_pool, causal_block_mask
 from repro.sparsity.predictor import AttentionPredictor
 from repro.tensor import Tensor, fused, reference
@@ -186,8 +187,8 @@ def _pre_pr_oracle_attention_layout(engine, module, q, k, seq_len):
     scores = scores - scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores) * causal
     probs = probs / np.maximum(probs.sum(axis=-1, keepdims=True), 1e-12)
-    masks, names = engine.attention_exposer.head_block_masks(probs)
-    return engine.layout_pool.combine(list(names), seq_len)
+    return layout_from_block_masks(engine.attention_exposer.raw_block_masks(probs),
+                                   engine.config.block_size)
 
 
 def _pre_pr_oracle_mlp_blocks(engine, mlp, x):
@@ -521,36 +522,29 @@ def bench_optimizer_regimes(repeats: int = 10,
             "threshold_validated": bool(validated)}
 
 
-def _eval_layout_stats(engine, model, ids, eval_seq):
+def _eval_layout_stats(engine, model, ids):
     """Oracle / calibrated / uncalibrated layout sparsity on one fresh batch."""
     from repro.sparsity.predictor import collect_layer_data
 
+    block = engine.config.block_size
     layers = collect_layer_data(model, [ids])
     oracle_sp, cal_sp, uncal_sp, recall = [], [], [], []
     for layer_index, predictor in enumerate(engine.attention_predictors):
         merged = layers[layer_index].merged()
-        _, names = engine.attention_exposer.head_block_masks(
+        oracle_masks = engine.attention_exposer.raw_block_masks(
             merged["attention_probs"])
-        oracle_layout = engine.layout_pool.combine(list(names), eval_seq)
-        oracle_sp.append(oracle_layout.sparsity())
-
-        cal_names = predictor.predict_patterns(merged["attention_inputs"])
-        cal_layout = engine.layout_pool.combine(cal_names, eval_seq)
-        cal_sp.append(cal_layout.sparsity())
-
-        oracle_masks = np.stack([oracle_layout.head_mask(h)
-                                 for h in range(oracle_layout.n_heads)])
-        cal_masks = np.stack([cal_layout.head_mask(h)
-                              for h in range(cal_layout.n_heads)])
+        oracle_sp.append(layout_from_block_masks(oracle_masks, block).sparsity())
+        cal_masks = predictor.predict_patterns(merged["attention_inputs"])
+        cal_sp.append(layout_from_block_masks(cal_masks, block).sparsity())
         recall.append(float((oracle_masks & cal_masks).sum() / oracle_masks.sum()))
 
         saved_calibration = predictor.calibration
         predictor.calibration = None
         try:
-            uncal_names = predictor.predict_patterns(merged["attention_inputs"])
+            uncal_masks = predictor.predict_patterns(merged["attention_inputs"])
         finally:
             predictor.calibration = saved_calibration
-        uncal_sp.append(engine.layout_pool.combine(uncal_names, eval_seq).sparsity())
+        uncal_sp.append(layout_from_block_masks(uncal_masks, block).sparsity())
     return (float(np.mean(oracle_sp)), float(np.mean(cal_sp)),
             float(np.mean(uncal_sp)), float(np.mean(recall)))
 
@@ -563,11 +557,10 @@ def bench_predicted_quality(batch: int = BATCH, seq: int = PREDICTED_SEQ,
     """Predicted-vs-oracle block-sparsity gap across the calibration grid.
 
     Probes are trained on the calibration batches and then calibrated on the
-    length grid (per-head threshold fitting + snap-bar scan, the default
-    engine path).  Evaluation uses *fresh* random batches at every grid
-    length: per layer, the oracle's snapped layouts are compared against the
-    calibrated predicted layouts and against the uncalibrated fixed-
-    threshold layouts.  ``recall`` is the fraction of oracle-active blocks
+    length grid (per-head block budgets, the default engine path).
+    Evaluation uses *fresh* random batches at every grid length: per layer,
+    the exposer's raw coverage layouts are compared against the calibrated
+    predicted layouts and against the uncalibrated fixed-threshold layouts.  ``recall`` is the fraction of oracle-active blocks
     the calibrated layout retains (the accuracy side of the trade — density
     matching must not be bought by dropping the blocks the oracle keeps).
 
@@ -585,17 +578,13 @@ def bench_predicted_quality(batch: int = BATCH, seq: int = PREDICTED_SEQ,
     engine = LongExposure(config)
     engine.prepare(model, [calib])
     result["calibration_gap"] = engine.calibration_gap().get("attention", 0.0)
-    snap = engine.attention_calibrations[0].snap_coverage \
-        if engine.attention_calibrations else 0.0
-    result["snap_coverage"] = float(snap)
 
     per_length: Dict[str, Dict[str, float]] = {}
     for eval_seq in lengths:
         stats = np.array([
             _eval_layout_stats(
                 engine, model,
-                rng.integers(0, model.config.vocab_size, size=(batch, eval_seq)),
-                eval_seq)
+                rng.integers(0, model.config.vocab_size, size=(batch, eval_seq)))
             for _ in range(max(1, eval_batches))])
         oracle_sp, cal_sp, uncal_sp, recall = stats.mean(axis=0)
         per_length[str(eval_seq)] = {
@@ -661,13 +650,9 @@ def pre_pr_block_reduce(exposer, probs: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def pre_pr_predict_patterns(predictor, x: np.ndarray) -> list:
-    """The PR-2 attention probe, kept verbatim as the baseline.
-
-    Per-head einsum pairs for Q̂/K̂, a materialised sigmoid, and the scalar
-    per-head pattern matcher (``PatternPool.match`` is still that scalar
-    matcher, so it serves as the loop baseline directly).
-    """
+def pre_pr_probe_scores(predictor, x: np.ndarray) -> np.ndarray:
+    """The PR-2 probe scores, kept verbatim as the baseline: per-head einsum
+    pairs for Q̂/K̂ instead of one stacked GEMM."""
     x = np.asarray(x)
     if x.ndim == 2:
         x = x[None]
@@ -678,12 +663,17 @@ def pre_pr_predict_patterns(predictor, x: np.ndarray) -> list:
     x_ds = x[:, idx, :]
     q_hat = np.einsum("bnd,hdr->bhnr", x_ds, predictor.w_q.data, optimize=True)
     k_hat = np.einsum("bnd,hdr->bhnr", x_ds, predictor.w_k.data, optimize=True)
-    scores = np.matmul(q_hat, np.swapaxes(k_hat, -1, -2)) / np.sqrt(predictor.rank)
-    probs = 1.0 / (1.0 + np.exp(-scores))
-    mass = np.clip(probs - 0.5, 0.0, None).mean(axis=0)
-    mass = mass * causal_block_mask(n_blocks)[None]
-    return [predictor.pattern_pool.match(mass[h], predictor.coverage)
-            for h in range(mass.shape[0])]
+    return np.matmul(q_hat, np.swapaxes(k_hat, -1, -2)) / np.sqrt(predictor.rank)
+
+
+def pre_pr_predict_patterns(predictor, x: np.ndarray) -> np.ndarray:
+    """The PR-2 uncalibrated probe: einsum scores and a materialised sigmoid
+    thresholded at ``0.5 + threshold`` (the current path compares logits)."""
+    probs = 1.0 / (1.0 + np.exp(-pre_pr_probe_scores(predictor, x)))
+    keep = (probs > 0.5 + predictor.threshold).any(axis=0)
+    n_blocks = keep.shape[-1]
+    return (keep & causal_block_mask(n_blocks)[None]) | np.eye(n_blocks,
+                                                             dtype=bool)[None]
 
 
 def bench_predicted_step(repeats: int = 3, batch: int = BATCH,
@@ -1381,8 +1371,8 @@ def bench_prediction_overhead(repeats: int = 20, batch: int = BATCH,
     """Mask-derivation micro-benchmarks: probe, block reduction, matcher.
 
     * ``probe`` — :meth:`AttentionPredictor.predict_patterns` (stacked
-      single-GEMM Q̂/K̂, in-place sigmoid, vectorised matcher) vs. the PR-2
-      per-head einsum + scalar-matcher probe;
+      single-GEMM Q̂/K̂, logit-space threshold) vs. the PR-2 per-head einsum
+      probe with a materialised sigmoid;
     * ``block_reduce`` — the two-stage ``np.add.reduceat`` reduction vs. the
       6-D reshape-sum at seq ``reduce_seq`` (the oracle-mode hot spot; the
       acceptance bar is ``speedup > 1``);
@@ -1393,7 +1383,7 @@ def bench_prediction_overhead(repeats: int = 20, batch: int = BATCH,
 
     rng = np.random.default_rng(0)
     pool = build_default_pool()
-    predictor = AttentionPredictor(dim, heads, rank, block_size, pool, seed=0)
+    predictor = AttentionPredictor(dim, heads, rank, block_size, seed=0)
     x = rng.normal(size=(batch, seq, dim)).astype(np.float32)
 
     optimised_s = _best_of(lambda: predictor.predict_patterns(x), repeats)
@@ -1772,8 +1762,7 @@ def _print_report(report: Dict) -> None:
           f"mask drift {predicted['attention_mask_drift']:.4f}")
     quality = report["predicted_quality"]
     print(f"predicted quality (calibrated probes, grid "
-          f"{[int(l) for l in quality['lengths']]}, snap bar "
-          f"{quality['snap_coverage']:.2f}):")
+          f"{[int(l) for l in quality['lengths']]}):")
     for length, row in quality["per_length"].items():
         print(f"  seq {length:>4}: oracle {row['oracle_sparsity']:.3f}  "
               f"calibrated {row['calibrated_sparsity']:.3f} "

@@ -387,6 +387,14 @@ class FineTuner:
             self.profiler.set_gauge("attention_sparsity",
                                     stats.mean_attention_sparsity())
             self.profiler.set_gauge("mlp_sparsity", stats.mean_mlp_sparsity())
+            # What the live layouts execute this step: mean over layers, and
+            # the densest head of any layer.
+            live = self.engine.live_attention_sparsity()
+            if live:
+                self.profiler.set_gauge("attention_live_sparsity", float(
+                    np.mean([heads.mean() for heads in live.values()])))
+                self.profiler.set_gauge("attention_min_head_sparsity", float(
+                    min(heads.min() for heads in live.values())))
             gaps = getattr(self.engine, "calibration_gap", dict)()
             for kind, gap in gaps.items():
                 self.profiler.set_gauge(f"{kind}_calibration_gap", gap)

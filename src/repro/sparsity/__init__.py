@@ -12,9 +12,9 @@ IV-VI):
   the layer inputs, trained offline on data collected from the frozen model
   with noise augmentation and a recall-weighted loss.
 * :mod:`repro.sparsity.ops` — the *Dynamic-aware Operators*: block-sparse
-  SDD/DSD attention kernels driven by an offline-constructed pattern-layout
-  pool with online per-head combination, and neuron-centric sparse MLP
-  kernels with memory-coalescing-friendly weight layouts.
+  SDD/DSD attention kernels that execute any per-head block mask, and
+  neuron-centric sparse MLP kernels with memory-coalescing-friendly weight
+  layouts.
 * :mod:`repro.sparsity.engine` — the end-to-end system that wires the three
   components into any PEFT-adapted model by swapping the attention and MLP
   execution backends.

@@ -19,7 +19,9 @@ class LongExposureConfig:
     attention_coverage:
         Fraction of total attention probability mass a head's block mask must
         retain when the exposer derives the ground-truth mask (recall-oriented,
-        paper Section V-B).
+        paper Section V-B).  It sets the executed attention density directly:
+        oracle mode runs these masks, and calibrated predictors keep each
+        head's calibration-set share of them as their block budget.
     mlp_threshold:
         Neuron-block importance filter threshold, expressed as a fraction of
         the peak block importance (the paper sweeps 1 %–5 % in Figure 9).
@@ -45,16 +47,18 @@ class LongExposureConfig:
         runtime instead of predictor outputs.  Used for ablations and tests;
         the paper's "shadowy" baselines correspond to uniform oracle masks.
     calibrate_predictors:
-        Fit per-layer/per-head decision thresholds and the pattern-snap bar
-        against the oracle masks after predictor training (see
+        Fit a per-layer, per-head block budget (the oracle masks' density on
+        the calibration set) after predictor training, so each head keeps
+        its budget of top-scoring blocks at run time (see
         :mod:`repro.sparsity.predictor.calibration`).  Calibration closes the
-        predicted-vs-oracle block-density gap and makes the probes robust to
-        sequence lengths away from their training grid; disabling it restores
-        the fixed-threshold sigmoid-mass prediction path.
+        predicted-vs-oracle block-density gap, holds it while fine-tuning
+        shifts the scores, and keeps the probes usable at sequence lengths
+        away from their training grid; disabling it restores the fixed
+        logit-threshold masks.
     calibration_lengths:
         Sequence-length grid of the calibration pass.  Empty (the default)
         calibrates at the lengths of the calibration batches; an explicit
-        grid (e.g. ``(128, 256, 512)``) additionally fits thresholds at each
+        grid (e.g. ``(128, 256, 512)``) additionally fits budgets at each
         listed length (truncating the calibration batches), with log-linear
         interpolation between grid points at runtime.
     predict_interval:

@@ -9,8 +9,8 @@ Workflow (mirrors the paper's system diagram, Figure 3)::
 
     model = build_model("opt-small")
     engine = LongExposure(LongExposureConfig())
-    engine.prepare(model, calibration_batches)   # collect data, train predictors,
-                                                 # construct offline layout pool
+    engine.prepare(model, calibration_batches)   # collect data, train and
+                                                 # calibrate the predictors
     model, result = get_peft_method("lora")(model)
     engine.install(model)                        # swap in sparse backends
     ... fine-tune as usual ...
@@ -18,12 +18,12 @@ Workflow (mirrors the paper's system diagram, Figure 3)::
 
 Component switches:
 
-* ``optimize_attention`` — per-head block-sparse attention via the predicted
-  atomic patterns (all model families);
+* ``optimize_attention`` — per-head block-sparse attention over the predicted
+  block masks, executed as they are (all model families);
 * ``optimize_mlp`` — neuron-block-sparse MLP execution (ReLU models only;
   disabled automatically for GeLU models such as GPT-2, cf. Figure 13);
-* ``oracle_mode`` — bypass the predictors and use the exposer's exact masks
-  (ablations and tests).
+* ``oracle_mode`` — bypass the predictors and use the exposer's raw coverage
+  masks (ablations and tests).
 
 The engine records per-step statistics (prediction overhead, achieved block
 sparsity) in :attr:`LongExposure.stats` so the benchmark harness can report
@@ -33,7 +33,7 @@ Choosing ``predict_interval``
 -----------------------------
 
 Mask derivation — the predictor probes (or, in oracle mode, the exposer's
-dense softmax) plus layout combination — runs per layer per step and is the
+dense softmax) plus layout construction — runs per layer per step and is the
 dominant sparse-step cost once the sparse kernels themselves are fast.
 Because adjacent fine-tuning steps barely move the activations, their masks
 barely move either, so ``LongExposureConfig.predict_interval = K`` lets every
@@ -73,7 +73,7 @@ from repro.sparsity.config import LongExposureConfig
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
 from repro.sparsity.ops.block_sparse import block_sparse_attention
 from repro.sparsity.ops.geometry_cache import LayoutGeometryCache
-from repro.sparsity.ops.layout import LayoutPool, MultiHeadLayout, layout_from_block_masks
+from repro.sparsity.ops.layout import MultiHeadLayout, layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import (
     NeuronSparseWeights,
     expand_block_indices,
@@ -141,7 +141,7 @@ class EngineStats:
     unbounded lists grew linearly with step count.
 
     ``prediction_seconds`` counts only mask derivation (probes / oracle
-    exposer / layout combination); ``backend_seconds`` counts the whole
+    exposer / layout construction); ``backend_seconds`` counts the whole
     sparse backend call including the kernels, so
     :meth:`prediction_fraction` is the Figure-10 prediction-overhead share.
     Per-layer scheduler staleness (refresh counts, reuse hit rates, mask
@@ -291,9 +291,21 @@ class SparseAttentionBackend:
 
     def reset_schedule(self) -> None:
         """Forget the reused layout; the next call re-derives the masks."""
-        self.last_layout = None
-        self._layout_seq_len = None
+        self._replace_layout(None, None)
         self._last_refresh_step = 0
+
+    def _replace_layout(self, layout: Optional[MultiHeadLayout],
+                        seq_len: Optional[int]) -> None:
+        """Make ``layout`` the live one, dropping the geometry cached for the
+        layout it replaces: refreshed masks rarely repeat, so the cache then
+        holds about one entry per live layout."""
+        old, cache = self.last_layout, self.engine.geometry_cache
+        if (old is not None and cache is not None
+                and (layout is None or seq_len != self._layout_seq_len
+                     or layout.signature() != old.signature())):
+            cache.discard(old, self._layout_seq_len)
+        self.last_layout = layout
+        self._layout_seq_len = seq_len
 
     def _reusable(self, seq_len: int) -> bool:
         # The deadline is computed from the *current* interval, so lowering
@@ -319,13 +331,12 @@ class SparseAttentionBackend:
                 layout = engine.oracle_attention_layout(module, q, k, seq_len)
             else:
                 predictor = engine.attention_predictors[self.layer_index]
-                patterns = predictor.predict_patterns(x.data)
-                layout = engine.layout_pool.combine(patterns, seq_len)
+                layout = layout_from_block_masks(predictor.predict_patterns(x.data),
+                                                 engine.config.block_size)
             stats.prediction_seconds += time.perf_counter() - start
             stats.attention_layer(self.layer_index).record_refresh(
                 _layout_drift(self.last_layout, layout))
-            self.last_layout = layout
-            self._layout_seq_len = seq_len
+            self._replace_layout(layout, seq_len)
             self._last_refresh_step = engine.step_index
         stats.attention_calls += 1
         stats.record_attention_sparsity(layout.sparsity())
@@ -429,7 +440,6 @@ class LongExposure:
                  pattern_pool: Optional[PatternPool] = None):
         self.config = config or LongExposureConfig()
         self.pattern_pool = pattern_pool or build_default_pool()
-        self.layout_pool = LayoutPool(self.pattern_pool, self.config.block_size)
         # Derived-geometry memo shared by every sparse attention backend this
         # engine installs; set to None to force per-call recomputation.
         self.geometry_cache: Optional[LayoutGeometryCache] = LayoutGeometryCache()
@@ -459,12 +469,11 @@ class LongExposure:
 
     # -- offline preparation -----------------------------------------------------
     def prepare(self, model: CausalLMModel, calibration_batches: Sequence[np.ndarray],
-                training_config: Optional[PredictorTrainingConfig] = None,
-                seq_lens: Optional[Sequence[int]] = None) -> None:
+                training_config: Optional[PredictorTrainingConfig] = None) -> None:
         """Collect data from the frozen model and train the per-layer predictors.
 
-        Must be called on the backbone *before* PEFT wrapping.  In oracle mode
-        only the offline layout pool is constructed (no predictors needed).
+        Must be called on the backbone *before* PEFT wrapping.  Oracle mode
+        needs no predictors, so there it only marks the engine prepared.
 
         One frozen-model pass (:func:`collect_block_mass`) keeps, per layer,
         the sub-layer inputs, the MLP activations and each sample's exposer
@@ -473,9 +482,6 @@ class LongExposure:
         batches must share one sequence length.
         """
         config = self.config
-        seq_lens = list(seq_lens or [np.asarray(b).shape[-1] for b in calibration_batches])
-        self.layout_pool.construct(seq_lens)
-
         mlp_enabled = config.optimize_mlp and model.config.activation == "relu"
         self.attention_calibrations = []
         self.mlp_calibrations = []
@@ -502,9 +508,7 @@ class LongExposure:
             if config.optimize_attention:
                 predictor = AttentionPredictor(
                     model.config.dim, model.config.num_heads, config.predictor_rank,
-                    config.block_size, self.pattern_pool,
-                    threshold=config.attention_threshold,
-                    coverage=config.attention_coverage,
+                    config.block_size, threshold=config.attention_threshold,
                     seed=config.seed + layer_index)
                 metrics = train_attention_predictor(
                     predictor, merged["attention_inputs"],
@@ -528,7 +532,7 @@ class LongExposure:
 
     def _calibrate_predictors(self, collected, grid: Sequence[int],
                               longest: int) -> None:
-        """Fit per-layer decision thresholds and snap bars against the oracle.
+        """Fit per-layer block budgets and MLP thresholds against the oracle.
 
         The whole grid is served from the *one* collection pass ``prepare()``
         already ran: shorter grid lengths are exact prefixes of the recorded
@@ -538,12 +542,9 @@ class LongExposure:
         the per-length oracle masks (see
         :mod:`repro.sparsity.predictor.calibration`).
 
-        The grid is anchored on the *actual* token lengths of the calibration
-        batches (prepare's ``seq_lens`` parameter only declares layout-pool
-        lengths and may differ from them); lengths no calibration batch
-        reaches get layouts but no thresholds.
+        The grid is anchored on the token lengths of the calibration batches;
+        listed lengths no calibration batch reaches are skipped.
         """
-        self.layout_pool.construct(grid)
         for layer_index, data in enumerate(collected):
             by_length = {length: data.merged(truncate_to=length)
                          for length in grid if length <= longest}
@@ -581,7 +582,10 @@ class LongExposure:
     # -- oracle (exposer-driven) paths ------------------------------------------------
     def oracle_attention_layout(self, module: MultiHeadAttention, q, k,
                                 seq_len: int) -> MultiHeadLayout:
-        """Exact-mask layout computed from the current Q/K (ablation mode).
+        """Raw coverage-mask layout computed from the current Q/K (ablation mode).
+
+        ``seq_len`` must equal the length of ``q`` and ``k``; the block grid
+        follows from them.
 
         The dense softmax runs every layer of every oracle step (it is what
         the exposer reads), so it reuses the score buffer in place the same
@@ -606,11 +610,11 @@ class LongExposure:
         # swap from the old ``np.maximum(denom, 1e-12)`` clamp is exact.
         _fused.guard_zero_rows(denom)
         scores /= denom
-        masks, names = self.attention_exposer.head_block_masks(scores)
+        masks = self.attention_exposer.raw_block_masks(scores)
         # The dense score buffer is the biggest per-layer temporary of oracle
         # mode; recycling it here lets every layer of the step share one.
         _tensor_arena.release(scores)
-        return self.layout_pool.combine(list(names), seq_len)
+        return layout_from_block_masks(masks, self.config.block_size)
 
     def oracle_mlp_blocks(self, mlp: MLPBlock, x) -> np.ndarray:
         """Exact active neuron blocks computed from the current input (ablation mode)."""
@@ -750,8 +754,7 @@ class LongExposure:
                 if layout is not None:
                     self.stats.attention_layer(backend.layer_index).record_refresh(
                         _layout_drift(backend.last_layout, layout))
-                backend.last_layout = layout
-                backend._layout_seq_len = seq_len
+                backend._replace_layout(layout, seq_len)
                 backend._last_refresh_step = step
             elif isinstance(backend, SparseMLPBackend):
                 kind, active_blocks = entry
@@ -794,6 +797,17 @@ class LongExposure:
                 out[kind] = float(np.mean([m.recall for m in metrics]))
         return out
 
+    def live_attention_sparsity(self) -> Dict[int, np.ndarray]:
+        """Per-head block sparsity of each attention layer's live layout.
+
+        Read from the layouts the backends execute now, not from a running
+        mean over calls, so it is a fact about the current step.
+        """
+        return {backend.layer_index: backend.last_layout.head_sparsity()
+                for backend in self._sparse_backends
+                if isinstance(backend, SparseAttentionBackend)
+                and backend.last_layout is not None}
+
     def summary(self) -> str:
         lines = [f"LongExposure(block_size={self.config.block_size}, "
                  f"oracle={self.config.oracle_mode})"]
@@ -804,9 +818,14 @@ class LongExposure:
             lines.append(f"  {kind} calibration density gap: {gap:.4f}")
         if self.attention_calibrations:
             grid = self.attention_calibrations[0].grid_lengths()
-            lines.append(f"  calibration grid: {grid} "
-                         f"(snap bar {self.attention_calibrations[0].snap_coverage:.2f})")
+            lines.append(f"  calibration grid: {grid}")
         lines.append(f"  mean attention block sparsity: {self.stats.mean_attention_sparsity():.3f}")
+        live = self.live_attention_sparsity()
+        if live:
+            layers = " ".join(f"{s.mean():.3f}" for s in live.values())
+            layer, heads = min(live.items(), key=lambda item: item[1].min())
+            lines.append(f"  live attention sparsity per layer: {layers} "
+                         f"(densest head {heads.min():.3f}, layer {layer})")
         lines.append(f"  mean MLP block sparsity: {self.stats.mean_mlp_sparsity():.3f}")
         lines.append(f"  prediction overhead: {self.stats.prediction_seconds * 1000:.2f} ms")
         if self.config.predict_interval > 1:

@@ -3,9 +3,13 @@
 During fine-tuning the attention scores form an ``(s, s)`` matrix per head;
 a uniform mask that must retain the important scores of *every* head (the
 "shadowy" approach) ends up nearly dense.  The exposer instead derives one
-mask per head: block-reduce that head's attention mass, keep the blocks that
-carry it, and snap the result to the nearest atomic pattern from the pool so
-the dynamic-aware operators can reuse their offline layouts.
+mask per head: block-reduce that head's attention mass and keep the fewest
+blocks that carry ``coverage`` of it (:meth:`AttentionExposer.raw_block_masks`).
+Those masks are what oracle mode executes and what the predictors are
+trained and calibrated on.  Matching a head onto the nearest atomic pattern
+of the pool (:meth:`AttentionExposer.head_block_masks`) remains for the
+Figure 9 analysis; block by block the mass is far sparser than any window
+the pool offers.
 """
 
 from __future__ import annotations
@@ -99,12 +103,11 @@ class AttentionExposer:
         return self.masks_from_block_mass(self.block_reduce(probs))
 
     def raw_block_masks(self, probs: np.ndarray) -> np.ndarray:
-        """Coverage-based masks *without* snapping to atomic patterns.
+        """Coverage-based masks, block by block (no atomic pattern).
 
         Keeps, per head, the smallest set of highest-mass blocks whose
-        cumulative mass reaches ``coverage``.  Used to measure how much
-        sparsity exists before the pattern-pool constraint (tests, Figure 9
-        analysis).
+        cumulative mass reaches ``coverage``, plus the diagonal.  Oracle mode
+        executes these; the predictors' labels and budgets come from them.
         """
         return self.raw_masks_from_block_mass(self.block_reduce(probs))
 

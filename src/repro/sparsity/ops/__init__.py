@@ -4,9 +4,10 @@ Two families of kernels:
 
 * block-sparse attention (:mod:`repro.sparsity.ops.block_sparse`) — the SDD
   (sparse = dense x dense) score computation and DSD (dense = sparse x dense)
-  context computation over the blocks selected by per-head masks, driven by
-  :class:`repro.sparsity.ops.layout.MultiHeadLayout` which implements the
-  offline lookup-table pool and online per-head combination of Figure 6;
+  context computation over the blocks selected by per-head masks, described
+  by a :class:`repro.sparsity.ops.layout.MultiHeadLayout` (built from the
+  masks themselves, or from named atomic patterns by the Figure 6
+  :class:`~repro.sparsity.ops.layout.LayoutPool`);
 * neuron-sparse MLP (:mod:`repro.sparsity.ops.neuron_sparse`) — column/row
   gathered matrix multiplications that only load the neuron blocks predicted
   active, with an optional transposed ("coalesced") weight layout mirroring
@@ -15,8 +16,8 @@ Two families of kernels:
 The row tiles the attention kernel derives from a layout (per-tile key-column
 lists padded to a common capacity, drop masks) are memoized by
 :class:`repro.sparsity.ops.geometry_cache.LayoutGeometryCache`, keyed by
-layout content — repeated predicted patterns across fine-tuning steps pay
-the index-construction cost once.
+layout content — a layout reused between mask refreshes pays the
+index-construction cost once.
 
 All operators register fused custom backwards, so skipping a block in the
 forward pass also skips its gradient work — the property derived in the

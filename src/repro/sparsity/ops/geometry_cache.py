@@ -6,22 +6,25 @@ derives one from a :class:`~repro.sparsity.ops.layout.MultiHeadLayout`:
 
 * query rows are cut into **row tiles** of a whole number of blocks, the
   height picked from the layout's own padded work (:func:`choose_row_tile`);
-* per tile and head, the **column list** is the union of the key blocks the
-  tile's block rows keep, as linear slots of the kernel's staged K/V grid,
-  padded to the tile's *capacity* (the longest list over the heads) with the
-  inert all-zero slot and carried with its live count;
-* the **drop mask** marks, per head, the panel entries a query row does not
-  attend to — blocks another row of the tile brought in, the causal triangle
-  of diagonal blocks, every padded column.  A tile whose lists are all the
-  same contiguous prefix keeps no list at all: the kernel slices.
+* per tile and head, the **column list** holds, as linear slots of the
+  kernel's staged K/V grid, the earlier key blocks some row of the tile
+  keeps (ascending), then inert all-zero slots up to the tile's *capacity*
+  (the longest list over the heads), then the tile's own key blocks — so
+  every head's diagonal blocks sit at the same panel offset;
+* two masks mark what a query row does not attend to: the causal triangle
+  over the own key blocks, one read-only array shared by every tile of its
+  shape, and a **block-level drop** per head, panel block and query row —
+  blocks another row of the tile brought in, padded blocks.  A tile whose
+  lists are all the contiguous key prefix keeps no list: the kernel slices.
 
-Everything depends only on ``(layout contents, seq_len)``.  Predicted
-patterns repeat heavily across fine-tuning steps (the predictor chooses from
-a small pattern pool, and the layout pool already canonicalises
-combinations), so :class:`LayoutGeometryCache` memoizes the result under an
-LRU keyed by a content signature of the layout plus the sequence length,
-making repeated steps pure dictionary hits.  A cached entry is bounded by
-``heads * seq²/2`` mask bytes however many blocks are active.
+Everything depends only on ``(layout contents, seq_len)``.
+:class:`LayoutGeometryCache` memoizes the result under a content signature of
+the layout plus the sequence length, so the steps that reuse a layout between
+refreshes, and every layer or probe that sees the same layout, are pure
+dictionary hits.  Refreshed masks rarely repeat, so the engine discards a
+layout's entry when a refresh replaces it: the cache holds about one entry
+per live layout.  Masks are kept per block column, so an entry holds about
+``heads * seq² / (2 * block)`` bytes however many blocks are active.
 
 The cache is *purely* a memoization: a lookup returns byte-identical arrays
 to a fresh computation (asserted by the test suite), so enabling it can
@@ -30,6 +33,7 @@ never change numerical results.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from typing import Hashable, Optional
 
@@ -87,6 +91,52 @@ def choose_row_tile(active: np.ndarray, block_size: int, seq_len: int) -> int:
     return best * block_size
 
 
+@functools.lru_cache(maxsize=64)
+def _causal_drop(width: int, rows: int) -> np.ndarray:
+    """Read-only ``(width, rows)`` mask of key offset > query offset: the
+    causal triangle over a tile's own key range, shared by every tile of
+    that shape."""
+    drop = np.arange(width)[:, None] > np.arange(rows)[None, :]
+    drop.setflags(write=False)
+    return drop
+
+
+def _row_tile(active: np.ndarray, b0: int, b1: int, bs: int,
+              seq_len: int) -> RowTile:
+    """The row tile of query block rows ``[b0, b1)`` (see the module docstring)."""
+    heads, n_blocks, _ = active.shape
+    r0, r1 = b0 * bs, min(b1 * bs, seq_len)
+    own = np.arange(b0, b1)
+    sub = active[:, b0:b1, :b1]                              # (heads, tb, b1)
+    # Earlier key blocks some row of the tile keeps, ascending; padding; then
+    # the tile's own key blocks, where every head's diagonal sits.
+    before = sub[:, :, :b0].any(axis=1)
+    count = before.sum(axis=1)
+    most = int(count.max())
+    order = np.argsort(~before, axis=1, kind="stable")[:, :most]
+    valid = np.arange(most)[None, :] < count[:, None]
+    keys = np.concatenate([order, np.broadcast_to(own, (heads, own.size))],
+                          axis=1)                            # (heads, capacity)
+    # Block-level keep, panel-block major: (heads, capacity, tile blocks).
+    # Own blocks right of a row's diagonal are the causal triangle's.
+    kept = np.swapaxes(np.take_along_axis(sub, keys[:, None, :], axis=2), 1, 2)
+    kept[:, :most] &= valid[:, :, None]
+    kept |= keys[:, :, None] > own[None, None, :]
+    dropped = np.flatnonzero(~kept.all(axis=(0, 2)))
+    lo = int(dropped[0]) if dropped.size else 0
+    block_drop = np.nonzero(~kept[:, lo:]) if dropped.size else None
+    if (count == b0).all() and (block_drop is None or r1 == b1 * bs):
+        # Every head's panel is the contiguous key prefix: slice it.
+        return RowTile(r0, r1, r1, drop=_causal_drop(r1 - r0, r1 - r0), m0=r0,
+                       block_drop=block_drop, block_m0=lo * bs)
+    head_base = np.arange(heads)[:, None] * n_blocks
+    slots = np.concatenate([np.where(valid, head_base + order, heads * n_blocks),
+                            head_base + own[None, :]], axis=1)
+    return RowTile(r0, r1, keys.shape[1] * bs, index=slots.ravel(),
+                   live=count + own.size, drop=_causal_drop(own.size * bs, r1 - r0),
+                   m0=most * bs, block_drop=block_drop, block_m0=lo * bs)
+
+
 def compute_block_geometry(layout: MultiHeadLayout, seq_len: int,
                            row_tile: Optional[int] = None) -> TileLayout:
     """Derive the kernel's tile layout from scratch (the uncached path).
@@ -103,45 +153,20 @@ def compute_block_geometry(layout: MultiHeadLayout, seq_len: int,
         raise ValueError(f"row_tile must be a positive multiple of the block "
                          f"size {bs}, got {row_tile}")
     tile_blocks = row_tile // bs
-    trash = heads * n_blocks
-    head_base = np.arange(heads)[:, None] * n_blocks
-    # keep^T of a diagonal block: key offset <= query offset.
-    diagonal = np.triu(np.ones((bs, bs), dtype=bool))
     tiles = []
     for b0 in range(0, n_blocks, tile_blocks):
         b1 = min(b0 + tile_blocks, n_blocks)
-        r0, r1 = b0 * bs, min(b1 * bs, seq_len)
-        sub = active[:, b0:b1]                               # (heads, tb, nb)
-        union = sub.any(axis=1)
-        live = union.sum(axis=1)
-        capacity = max(int(live.max()), 1)
-        # Active columns first, ascending; what follows is padding.
-        order = np.argsort(~union, axis=1, kind="stable")[:, :capacity]
-        valid = np.arange(capacity)[None, :] < live[:, None]
-        # Block-level keep, panel-column major: (heads, capacity, tile blocks).
-        kept = np.swapaxes(np.take_along_axis(sub, order[:, None, :], axis=2)
-                           & valid[:, None, :], 1, 2)
-        keep = np.empty((heads, capacity, bs, b1 - b0, bs), dtype=bool)
-        keep[...] = kept[:, :, None, :, None]
-        on_diagonal = kept & (order[:, :, None] == np.arange(b0, b1))
-        hh, cc, rr = np.nonzero(on_diagonal)
-        keep[hh, cc, :, rr, :] = diagonal
-        drop = ~keep.reshape(heads, capacity * bs, (b1 - b0) * bs)[:, :, :r1 - r0]
-        prefix = bool((live == capacity).all()
-                      and (order == np.arange(capacity)).all())
-        width = min(capacity * bs, seq_len) if prefix else capacity * bs
-        dropped = np.flatnonzero(drop[:, :width].any(axis=(0, 2)))
-        m0 = int(dropped[0]) if dropped.size else width
-        tiles.append(RowTile(
-            r0, r1, width,
-            index=None if prefix else np.where(valid, head_base + order,
-                                               trash).ravel(),
-            live=live,
-            drop=np.ascontiguousarray(drop[:, m0:width]) if m0 < width else None,
-            m0=m0 if m0 < width else 0))
+        tile = _row_tile(active, b0, b1, bs, seq_len)
+        if (tile.block_drop is not None and b1 - b0 > 1
+                and tile.r1 - tile.r0 < (b1 - b0) * bs):
+            # A partial block row does not split the tile's rows into whole
+            # blocks, as the block-level drop needs: it gets a tile of its own.
+            tiles += [_row_tile(active, b0, b1 - 1, bs, seq_len),
+                      _row_tile(active, b1 - 1, b1, bs, seq_len)]
+        else:
+            tiles.append(tile)
     gathers = any(tile.index is not None for tile in tiles)
-    return TileLayout(tuple(tiles), block=bs if gathers else 0,
-                      n_blocks=n_blocks if gathers else 0)
+    return TileLayout(tuple(tiles), block=bs, n_blocks=n_blocks if gathers else 0)
 
 
 class LayoutGeometryCache:
@@ -179,6 +204,10 @@ class LayoutGeometryCache:
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return entry
+
+    def discard(self, layout: MultiHeadLayout, seq_len: int) -> None:
+        """Drop ``layout``'s entry (no-op when absent)."""
+        self._entries.pop((layout.signature(), int(seq_len)), None)
 
     def clear(self) -> None:
         self._entries.clear()

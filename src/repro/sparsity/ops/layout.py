@@ -1,18 +1,11 @@
 """Block layouts for multi-head block-sparse attention.
 
-This module implements the two-stage approach of the paper's Figure 6:
-
-* **Offline pool construction** — :class:`LayoutPool` pre-computes, for every
-  atomic pattern and block-grid size, the flat index arrays describing which
-  score blocks are active ("lookup tables").  This happens once, before
-  fine-tuning starts.
-* **Online pattern combination** — :meth:`LayoutPool.combine` takes the list
-  of per-head pattern names chosen by the predictor for the current batch and
-  assembles a :class:`MultiHeadLayout` by concatenating the cached per-pattern
-  tables and adding the per-head offset.  The combination is a handful of
-  NumPy concatenations and an ``argsort`` — no per-block Python work — so the
-  dynamic nature of the sparse patterns does not reintroduce the indexing
-  cost that was moved offline.
+A :class:`MultiHeadLayout` lists the active score blocks of every head.  The
+engine builds one per refresh straight from the per-head block masks
+(:func:`layout_from_block_masks`).  :class:`LayoutPool` implements the paper's
+Figure 6 for named atomic patterns — offline per-pattern lookup tables, online
+concatenation with per-head offsets — and serves the analysis, the baselines
+and the tests.
 
 The layout is sorted by ``(head, query_row_block)`` and carries the row-
 segment boundaries the standalone DSD kernel reduces over (``np.*.reduceat``
@@ -97,6 +90,11 @@ class MultiHeadLayout:
         """1 - density: fraction of causal blocks skipped."""
         return 1.0 - self.density()
 
+    def head_sparsity(self) -> np.ndarray:
+        """Per-head fraction of causal blocks skipped, ``(n_heads,)``."""
+        active = np.bincount(self.heads, minlength=self.n_heads)
+        return 1.0 - active / (self.n_blocks * (self.n_blocks + 1) // 2)
+
     def head_mask(self, head: int) -> np.ndarray:
         """Boolean block mask of a single head (for inspection / tests)."""
         mask = np.zeros((self.n_blocks, self.n_blocks), dtype=bool)
@@ -136,9 +134,10 @@ def layout_from_block_masks(block_masks: np.ndarray, block_size: int,
                             pattern_names: Tuple[str, ...] = ()) -> MultiHeadLayout:
     """Build a layout directly from per-head boolean block masks.
 
-    ``block_masks`` has shape ``(heads, n_blocks, n_blocks)``.  Used by oracle
-    mode, the baselines (Longformer / BigBird / shadowy) and the tests; the
-    production path goes through :class:`LayoutPool.combine`.
+    ``block_masks`` has shape ``(heads, n_blocks, n_blocks)``.  The engine's
+    predicted and oracle paths, the baselines (Longformer / BigBird /
+    shadowy) and the tests build their layouts here; layouts of named pool
+    patterns come from :meth:`LayoutPool.combine`.
     """
     block_masks = np.asarray(block_masks, dtype=bool)
     if block_masks.ndim != 3:

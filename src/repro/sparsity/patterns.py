@@ -2,11 +2,13 @@
 
 Section VI-A of the paper observes that practical sparse-attention masks are
 combinations of a small set of *atomic* patterns (sliding window, global
-tokens, strides, block diagonal, ...).  LongExposure therefore pre-computes
-the block layouts of a pool of atomic patterns offline ("Offline Pool
-Construction") and, at runtime, merely looks up the layout of the pattern
-predicted for each head and shifts it by the head offset ("Online Pattern
-Combination").
+tokens, strides, block diagonal, ...) and pre-computes their block layouts
+offline ("Offline Pool Construction", :class:`~repro.sparsity.ops.layout.LayoutPool`).
+This repository keeps the pool as a library piece — the Figure 9 analysis,
+the baselines and the tests match heads onto it — but the engine executes
+each head's own block mask: at the benchmark's block size the pool's widest
+window is far narrower than the context a typical head keeps, so matching
+would fall back to ``dense`` and forfeit the sparsity the mask has.
 
 A pattern here is a boolean matrix over the *block grid*: entry ``(i, j)``
 says whether the block of attention scores covering query block ``i`` and key
@@ -120,7 +122,7 @@ def _combine(*builders: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarr
 
 
 def build_default_pool(extra: Optional[Sequence[AtomicPattern]] = None) -> "PatternPool":
-    """The default atomic pattern pool used by the engine.
+    """The default atomic pattern pool (the engine's exposer matches onto it).
 
     Ordered roughly by density so that pattern matching can pick the cheapest
     pattern that reaches the required coverage.
@@ -228,24 +230,6 @@ class PatternPool:
                 for p in self._ordered])
             self._mask_matrix_cache[n_blocks] = cached
         return cached
-
-    def snap_masks(self, masks: np.ndarray, coverage: float = 0.95) -> List[str]:
-        """Snap binary per-head block masks onto the nearest pool patterns.
-
-        ``masks`` is boolean with shape ``(heads, n_blocks, n_blocks)``.  For
-        every head the cheapest pattern retaining at least ``coverage`` of the
-        mask's active blocks is selected — :meth:`match` semantics with the
-        thresholded mask itself as the mass, which is how the calibrated
-        predictors recover the oracle's structured layouts from free-form
-        thresholded masks.  ``dense`` is a superset of every causal mask, so
-        snapping is total: the result always names a pool pattern and the
-        returned patterns are causal with a guaranteed diagonal (the pool
-        enforces both), whatever the input mask looked like.
-        """
-        masks = np.asarray(masks)
-        if masks.ndim != 3 or masks.shape[-1] != masks.shape[-2]:
-            raise ValueError("masks must have shape (heads, n, n)")
-        return self.match_many(masks.astype(np.float64), coverage=coverage)
 
     def match_many(self, block_scores: np.ndarray, coverage: float = 0.95) -> List[str]:
         """Vector version of :meth:`match` over the leading (head) dimension.

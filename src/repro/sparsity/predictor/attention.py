@@ -8,10 +8,10 @@ For every layer, the predictor owns per-head trainable low-rank matrices
    block stride makes the approximate score matrix land directly on the block
    grid the operators use),
 2. computes approximate scores ``S_hat = (X W_Q_hat)(X W_K_hat)^T`` per head,
-3. thresholds them into a binary block mask, reduces over the batch
-   dimension, and
-4. snaps each head's mask to the closest atomic pattern from the pool, which
-   is what the layout lookup expects.
+3. reduces them over the batch into one binary block mask per head — the
+   calibrated per-head budget of top-scoring blocks, or uncalibrated a fixed
+   threshold — which goes to the attention kernel as it is: no pattern
+   vocabulary sits between the probe and the operator.
 
 Two code paths exist: :meth:`forward` builds an autograd graph (used by the
 offline trainer), while :meth:`predict_patterns` is the allocation-light pure
@@ -21,13 +21,13 @@ under ``no_grad`` and its cost is part of the measured overhead (Figure 10).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.sparsity.patterns import PatternPool, block_count, causal_block_mask
-from repro.sparsity.predictor.calibration import threshold_block_masks
+from repro.sparsity.patterns import block_count, causal_block_mask
+from repro.sparsity.predictor.calibration import budget_block_masks
 from repro.tensor import Tensor
 from repro.tensor import arena as _arena
 
@@ -36,8 +36,7 @@ class AttentionPredictor(Module):
     """Per-head low-rank approximate-score predictor for one attention layer."""
 
     def __init__(self, dim: int, num_heads: int, rank: int, block_size: int,
-                 pattern_pool: PatternPool, threshold: float = 0.02,
-                 coverage: float = 0.95, seed: int = 0):
+                 threshold: float = 0.02, seed: int = 0):
         super().__init__()
         if rank > dim:
             raise ValueError("predictor rank must not exceed the model dimension")
@@ -46,9 +45,7 @@ class AttentionPredictor(Module):
         self.num_heads = num_heads
         self.rank = rank
         self.block_size = block_size
-        self.pattern_pool = pattern_pool
         self.threshold = threshold
-        self.coverage = coverage
         scale = 1.0 / np.sqrt(dim)
         self.w_q = Parameter(rng.normal(0.0, scale, size=(num_heads, dim, rank)).astype(np.float32),
                              name="predictor.attn.w_q")
@@ -60,17 +57,15 @@ class AttentionPredictor(Module):
         # training path runs (the only place the weights change).
         self._downsample_cache: dict = {}
         self._packed_qk: Optional[np.ndarray] = None
-        # Optional fitted decision state (per-head thresholds + snap bar);
-        # None preserves the uncalibrated fixed-threshold behaviour exactly.
+        # Optional fitted decision state (per-head block budgets); None keeps
+        # the uncalibrated fixed-threshold behaviour exactly.
         self.calibration = None
 
     def set_calibration(self, calibration) -> None:
         """Attach an :class:`AttentionCalibration` (or None to detach).
 
-        Calibration replaces the fixed logit threshold of :meth:`block_masks`
-        with per-head, per-length fitted thresholds, and routes
-        :meth:`predict_patterns` through threshold-then-snap instead of the
-        sigmoid-mass coverage matcher.
+        Calibration replaces the fixed logit threshold of
+        :meth:`predict_patterns` with per-head, per-length block budgets.
         """
         if calibration is not None and calibration.block_size != self.block_size:
             raise ValueError("calibration block_size does not match the predictor")
@@ -154,34 +149,27 @@ class AttentionPredictor(Module):
         scores *= np.float32(1.0 / np.sqrt(self.rank))
         return scores
 
-    def block_masks(self, x: np.ndarray) -> np.ndarray:
-        """Binary per-head block masks ``(heads, n_blocks, n_blocks)``.
+    def predict_patterns(self, x: np.ndarray) -> np.ndarray:
+        """Per-head boolean block masks ``(heads, n_blocks, n_blocks)`` for ``x``.
 
-        Uncalibrated, the scores are thresholded at a fixed bar directly in
-        logit space (``σ(s) > p`` iff ``s > log(p / (1-p))``, so no sigmoid
-        is materialised).  With a fitted :class:`AttentionCalibration`
-        attached, each head is thresholded at its calibrated per-length logit
-        threshold instead — placed at the score quantile matching the oracle
-        mask's density, which is what closes the predicted-vs-oracle density
-        gap.  The batch reduction differs per path: uncalibrated keeps a
-        block if *any* sample needs it (the recall-oriented reduction of
-        Figure 5); calibrated thresholds the batch-*mean* score, matching
-        how the thresholds were fitted and staying invariant to the runtime
-        batch size.  Both restrict to the causal triangle and force the
+        A head's "pattern" is its mask; the kernel runs it as it is.  With a
+        fitted :class:`AttentionCalibration` attached, each head keeps its
+        calibrated per-length budget of top-scoring causal blocks of the
+        batch-*mean* score (:func:`budget_block_masks`, the construction the
+        calibration measured): a rank cut, so the kept count stays put
+        however fine-tuning shifts the score scale, and a mean, so it does
+        not grow with the runtime batch size.  Uncalibrated, the scores are
+        thresholded at a fixed bar directly in logit space (``σ(s) > p`` iff
+        ``s > log(p / (1-p))``, so no sigmoid is materialised) and a block is
+        kept if *any* sample needs it (the recall-oriented reduction of
+        Figure 5).  Both restrict to the causal triangle and force the
         diagonal.
         """
         x = np.asarray(x)
-        seq_len = x.shape[-2]
         scores = self.approximate_scores(x)                     # (batch, heads, nb, nb)
         if self.calibration is not None:
-            # Mean over the batch rather than the recall-first any-union: the
-            # thresholds were fitted on mean scores (the mean is invariant to
-            # the runtime batch size where a union grows denser with it).
-            # threshold_block_masks is shared with the calibration fit — the
-            # fitted thresholds are only valid while both paths build masks
-            # identically.
-            tau = self.calibration.thresholds_for(seq_len)
-            masks = threshold_block_masks(scores.mean(axis=0), tau)
+            masks = budget_block_masks(
+                scores.mean(axis=0), self.calibration.budget_for(x.shape[-2]))
             _arena.release(scores)
             return masks
         prob_threshold = 0.5 + self.threshold
@@ -193,48 +181,8 @@ class AttentionPredictor(Module):
         _arena.release(scores)
         n_blocks = keep.shape[-1]
         keep &= causal_block_mask(n_blocks)[None]
-        diag = np.eye(n_blocks, dtype=bool)
-        keep |= diag[None]
+        keep |= np.eye(n_blocks, dtype=bool)[None]
         return keep
-
-    def predict_patterns(self, x: np.ndarray) -> List[str]:
-        """Atomic pattern name per head for the current batch input ``x``.
-
-        With a fitted calibration attached, each head's scores are
-        thresholded at the calibrated per-head/per-length bar and the binary
-        mask is snapped onto the cheapest pool pattern retaining
-        ``snap_coverage`` of its active blocks — density-matched to the
-        oracle by construction, so the predicted layouts recover the
-        oracle's structured sparsity instead of over-covering.
-
-        Uncalibrated, each head's predicted block mass (sigmoid confidence
-        above the 0.5 decision boundary, averaged over the batch) is matched
-        against the pool: the cheapest atomic pattern covering at least
-        ``coverage`` of that mass is selected.  Subtracting the 0.5 baseline
-        suppresses the uniform background confidence of clearly-inactive
-        blocks so the matcher sees the same concentrated mass picture the
-        exposer sees.
-
-        The sigmoid / baseline-subtract / clip chain mutates the score buffer
-        in place — this runs per layer per refresh inside the hot loop, and
-        the only allocation left is the small per-head mass reduction.
-        """
-        if self.calibration is not None:
-            masks = self.block_masks(x)
-            return self.pattern_pool.snap_masks(
-                masks, coverage=self.calibration.snap_coverage)
-        scores = self.approximate_scores(x)                     # (batch, heads, nb, nb)
-        np.negative(scores, out=scores)
-        np.exp(scores, out=scores)
-        scores += 1.0
-        np.reciprocal(scores, out=scores)                       # sigmoid
-        scores -= 0.5
-        np.clip(scores, 0.0, None, out=scores)
-        mass = scores.mean(axis=0)                              # (heads, nb, nb)
-        _arena.release(scores)
-        n_blocks = mass.shape[-1]
-        mass *= causal_block_mask(n_blocks)[None]
-        return self.pattern_pool.match_many(mass, coverage=self.coverage)
 
     def overhead_flops(self, seq_len: int, batch: int = 1) -> int:
         """Analytic predictor cost (Cost_Q + Cost_K + Cost_QK of Section V-C)."""

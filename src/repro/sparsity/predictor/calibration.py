@@ -1,43 +1,38 @@
-"""Predictor calibration against oracle masks (threshold + snap fitting).
+"""Predictor calibration against oracle masks (per-head block budgets).
 
 The trained probes are recall-oriented (the BCE positive class is up-weighted
 4x), so their raw sigmoid confidences are systematically inflated: thresholded
 at the fixed logit bar they produce block masks visibly *denser* than the
-exposer's oracle masks (block sparsity ~0.47 predicted vs ~0.59 oracle at
-seq 512 in the PR-3 measurement), and a probe trained at one sequence length
-collapses to near-dense masks at another because the score distribution
-shifts with the block-grid size.  Neither is a probe-capacity problem — the
-probes *rank* blocks well (recall > 0.9) — it is a decision-boundary problem,
-and decision boundaries can be fitted cheaply after training.
+exposer's oracle masks, and a probe trained at one sequence length collapses
+to near-dense masks at another because the score distribution shifts with the
+block-grid size.  Neither is a probe-capacity problem — the probes *rank*
+blocks well (recall > 0.9) — it is a decision problem, and a decision can be
+fitted cheaply after training.
 
 Calibration therefore fits, on a small calibration set with known oracle
-masks, three things per layer:
+masks, two things per layer:
 
-* **per-head logit thresholds** — for every head, the threshold is placed at
-  the score quantile matching the oracle mask's block density at that head
-  (density/quantile matching: if the oracle keeps ``k`` of the causal blocks,
-  the threshold sits between the ``k``-th and ``k+1``-th largest predicted
-  scores), so the thresholded mask has the oracle's density by construction;
-* **a pattern-snap bar** — after thresholding, each head's binary mask is
-  snapped onto the cheapest :class:`~repro.sparsity.patterns.PatternPool`
-  pattern retaining at least ``snap_coverage`` of the mask's active blocks
-  (the same recall-first selection rule the exposer uses on attention mass);
-  the bar itself is calibrated by scanning a candidate grid and keeping the
-  value whose snapped layouts minimise the mean density gap to the oracle's
-  snapped layouts;
-* **a sequence-length grid** — thresholds are fitted independently at every
+* **a per-head block budget** — for every head, the fraction of causal blocks
+  the exposer's raw coverage mask keeps over the whole calibration set
+  (:meth:`~repro.sparsity.exposer.AttentionExposer.raw_masks_from_block_mass`
+  of the summed block mass — the label family the probes are trained on).  At
+  run time each head keeps its top ``ceil(budget * causal blocks)`` causal
+  blocks of the batch-mean approximate scores, plus the diagonal
+  (:func:`budget_block_masks`).  A rank cut pins the executed density: as
+  the adapters train and the scores shift, an absolute logit threshold
+  fitted at calibration time admits ever more blocks, a budget does not;
+* **a sequence-length grid** — budgets are fitted independently at every
   grid length (e.g. 128/256/512) and looked up per runtime length, with
   log-linear interpolation between grid points and clamping outside the
-  grid, so a probe calibrated on the grid stays usable at nearby lengths
-  instead of collapsing to near-dense masks.
+  grid, so a probe calibrated on the grid stays usable at nearby lengths.
 
-The MLP predictor gets the same treatment in one dimension: a per-length
-score threshold matching the oracle's active-block count.
+The MLP predictor gets the one-dimensional analogue: a per-length score
+threshold matching the oracle's active-block count.
 
 Calibration state is deliberately *external* to the predictor weights: an
-uncalibrated predictor behaves exactly as before (the parity tests lock
-this), and :meth:`AttentionPredictor.set_calibration` switches the inference
-path to the calibrated thresholds and mask snapping.
+uncalibrated predictor keeps its fixed logit threshold (the parity tests
+lock this), and :meth:`AttentionPredictor.set_calibration` switches the
+inference path to the calibrated budgets.
 """
 
 from __future__ import annotations
@@ -47,11 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sparsity.patterns import PatternPool, block_count, causal_block_mask
-
-# Candidate snap-coverage bars scanned when calibrating the pattern snap.
-SNAP_BAR_GRID: Tuple[float, ...] = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80,
-                                    0.85, 0.90, 0.95, 0.98)
+from repro.sparsity.patterns import block_count, causal_block_mask
 
 
 def _interp_weight(seq_len: int, low: int, high: int) -> float:
@@ -78,6 +69,20 @@ def _bracket(lengths: Sequence[int], seq_len: int) -> Tuple[int, Optional[int], 
     return lengths[-1], None, 0.0
 
 
+def _lookup(table: Dict[int, object], seq_len: int):
+    """``table``'s entry at ``seq_len``: exact grid hits return the fitted
+    value, lengths between grid points interpolate log-linearly (the score
+    distribution drifts smoothly with the grid size), lengths outside the
+    grid clamp to the nearest end."""
+    exact = table.get(seq_len)
+    if exact is not None:
+        return exact
+    low, high, w = _bracket(list(table), seq_len)
+    if high is None:
+        return table[low]
+    return (1.0 - w) * table[low] + w * table[high]
+
+
 def _separating_threshold(sorted_desc: np.ndarray, keep: int) -> float:
     """Threshold ``t`` such that ``score > t`` keeps the top ``keep`` entries.
 
@@ -86,7 +91,7 @@ def _separating_threshold(sorted_desc: np.ndarray, keep: int) -> float:
     two are tied, the midpoint equals both and a strict comparison would drop
     *every* tied score (keeping fewer than ``keep``), so the threshold is
     nudged just below the tied value instead — the kept set grows slightly,
-    which errs on the recall side, the right direction for sparse attention.
+    which errs on the recall side.
     """
     n = sorted_desc.shape[0]
     if keep <= 0:
@@ -104,13 +109,12 @@ class CalibrationEntry:
     """Target-vs-achieved densities of one layer at one grid length."""
 
     seq_len: int
-    oracle_density: float       # mean over heads, snapped oracle layouts
-    predicted_density: float    # mean over heads, snapped calibrated layouts
-    raw_predicted_density: float  # thresholded mask density before snapping
+    oracle_density: float       # mean over heads of the oracle masks
+    predicted_density: float    # mean over heads of the calibrated masks
 
     @property
     def gap(self) -> float:
-        """Absolute snapped-density gap (the quantity the bench tracks)."""
+        """Absolute density gap (the quantity the bench tracks)."""
         return abs(self.predicted_density - self.oracle_density)
 
 
@@ -118,36 +122,23 @@ class CalibrationEntry:
 class AttentionCalibration:
     """Fitted decision state of one layer's attention predictor.
 
-    ``thresholds`` maps each grid sequence length to a ``(heads,)`` float64
-    array of logit thresholds.  ``snap_coverage`` is the calibrated snap bar
-    applied by :meth:`PatternPool.snap_masks`.
+    ``budgets`` maps each grid sequence length to a ``(heads,)`` float64
+    array: the fraction of causal blocks each head keeps.
     """
 
     block_size: int
-    thresholds: Dict[int, np.ndarray]
-    snap_coverage: float
+    budgets: Dict[int, np.ndarray]
     entries: List[CalibrationEntry] = field(default_factory=list)
 
     def grid_lengths(self) -> List[int]:
-        return sorted(self.thresholds)
+        return sorted(self.budgets)
 
-    def thresholds_for(self, seq_len: int) -> np.ndarray:
-        """Per-head thresholds at ``seq_len``.
-
-        Exact grid hits return the fitted array; lengths between grid points
-        interpolate log-linearly (the score scale drifts smoothly with the
-        grid size); lengths outside the grid clamp to the nearest end.
-        """
-        exact = self.thresholds.get(seq_len)
-        if exact is not None:
-            return exact
-        low, high, w = _bracket(self.grid_lengths(), seq_len)
-        if high is None:
-            return self.thresholds[low]
-        return (1.0 - w) * self.thresholds[low] + w * self.thresholds[high]
+    def budget_for(self, seq_len: int) -> np.ndarray:
+        """Per-head budgets at ``seq_len`` (see :func:`_lookup`)."""
+        return _lookup(self.budgets, seq_len)
 
     def mean_gap(self) -> float:
-        """Mean |predicted − oracle| snapped density over the grid."""
+        """Mean |predicted − oracle| density over the grid."""
         if not self.entries:
             return 0.0
         return float(np.mean([e.gap for e in self.entries]))
@@ -164,13 +155,7 @@ class MLPCalibration:
         return sorted(self.thresholds)
 
     def threshold_for(self, seq_len: int) -> float:
-        exact = self.thresholds.get(seq_len)
-        if exact is not None:
-            return exact
-        low, high, w = _bracket(self.grid_lengths(), seq_len)
-        if high is None:
-            return self.thresholds[low]
-        return (1.0 - w) * self.thresholds[low] + w * self.thresholds[high]
+        return _lookup(self.thresholds, seq_len)
 
     def mean_gap(self) -> float:
         if not self.entries:
@@ -178,16 +163,43 @@ class MLPCalibration:
         return float(np.mean([e.gap for e in self.entries]))
 
 
-def _pattern_densities(pool: PatternPool, n_blocks: int) -> Dict[str, float]:
-    causal_total = int(causal_block_mask(n_blocks).sum())
-    return {name: pool.cost(name, n_blocks) / causal_total for name in pool.names()}
+def budget_block_masks(mean_scores: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Binary per-head masks from batch-meaned scores and per-head budgets.
+
+    This is *the* calibrated mask construction: per head, keep the
+    ``ceil(budget * causal blocks)`` highest-scoring causal blocks (ties go
+    to the lower flat index), then force the diagonal.  Both the calibration
+    fit (here) and the runtime path
+    (:meth:`AttentionPredictor.predict_patterns`) call this one function.
+    Only the order of the scores matters, so a positive rescaling or a shift
+    of every score leaves the masks unchanged.
+    """
+    heads, n_blocks, _ = mean_scores.shape
+    causal = causal_block_mask(n_blocks)
+    causal_total = int(causal.sum())
+    # The epsilon keeps a budget of exactly k / total from rounding up to k + 1.
+    keep = np.minimum(np.ceil(np.asarray(budget) * causal_total - 1e-9),
+                      causal_total).astype(np.int64)
+    flat = np.where(causal, mean_scores, -np.inf).reshape(heads, -1)
+    # The keep-th largest score per head, then every score above it and as
+    # many ties as the budget has room for, lowest index first: a value sort
+    # is several times cheaper than a stable argsort of the same rows.
+    kth = np.take_along_axis(np.sort(flat, axis=1),
+                             (flat.shape[1] - np.maximum(keep, 1))[:, None], axis=1)
+    masks = flat > kth
+    tied = flat == kth
+    masks |= tied & (np.cumsum(tied, axis=1)
+                     <= (keep - masks.sum(axis=1))[:, None])
+    masks &= (keep > 0)[:, None]
+    masks = masks.reshape(heads, n_blocks, n_blocks)
+    masks |= np.eye(n_blocks, dtype=bool)[None]
+    return masks
 
 
 def calibrate_attention_predictor(
         predictor, exposer, inputs_by_length: Dict[int, np.ndarray],
-        block_mass_by_length: Dict[int, np.ndarray],
-        snap_bars: Sequence[float] = SNAP_BAR_GRID) -> AttentionCalibration:
-    """Fit per-head thresholds and the snap bar for one attention predictor.
+        block_mass_by_length: Dict[int, np.ndarray]) -> AttentionCalibration:
+    """Fit per-head block budgets for one attention predictor.
 
     Parameters
     ----------
@@ -202,102 +214,30 @@ def calibrate_attention_predictor(
         probabilities, truncated likewise and reduced by
         ``exposer.block_reduce``: ``(n, heads, n_blocks, n_blocks)``.
 
-    The oracle target at each length is the exposer's *snapped* per-head
-    selection over the whole calibration set — the same batch-level
-    reduction the oracle backend applies at runtime — so threshold fitting
-    matches the density the oracle path actually executes, not a per-sample
-    ideal the runtime never sees.
+    The budget at each length is the density of the exposer's raw coverage
+    mask over the whole calibration set's summed block mass — the same
+    batch-level reduction the oracle backend applies at runtime.  The entry
+    records it against the density the calibrated masks reach on the same
+    inputs (they differ by the diagonal blocks a head's top scores miss).
     """
-    pool = predictor.pattern_pool
-    thresholds: Dict[int, np.ndarray] = {}
-    per_length: Dict[int, Dict[str, np.ndarray]] = {}
-
-    for seq_len, inputs in sorted(inputs_by_length.items()):
-        n_blocks = block_count(seq_len, predictor.block_size)
-        causal = causal_block_mask(n_blocks)
-        causal_total = int(causal.sum())
-
-        # Oracle side: batch-level block mass -> snapped per-head patterns.
-        oracle_masks, oracle_names = exposer.masks_from_block_mass(
-            block_mass_by_length[seq_len].sum(axis=0))
-        oracle_density = oracle_masks[:, causal].sum(axis=1) / causal_total
-
-        # Predicted side: the calibrated runtime path thresholds the *mean*
-        # score over the batch (the oracle's own batch reduction sums the
-        # attention mass, so a mean-based decision matches its semantics and,
-        # unlike an any/max union, does not grow denser with batch size —
-        # calibration would otherwise underestimate the runtime density
-        # whenever the fine-tuning batch is larger than the calibration set).
-        scores = predictor.approximate_scores(inputs)        # (n, heads, nb, nb)
-        mean_scores = scores.mean(axis=0)                   # (heads, nb, nb)
-        heads = mean_scores.shape[0]
-        tau = np.empty(heads, dtype=np.float64)
-        for h in range(heads):
-            vals = np.sort(mean_scores[h][causal])[::-1]
-            keep = int(round(float(oracle_density[h]) * causal_total))
-            tau[h] = _separating_threshold(vals, keep)
-        thresholds[seq_len] = tau
-        per_length[seq_len] = {
-            "mean_scores": mean_scores,
-            "oracle_density": np.asarray(oracle_density, dtype=np.float64),
-            "oracle_names": np.asarray(oracle_names, dtype=object),
-        }
-
-    # Snap-bar calibration: scan the candidate bars and keep the one whose
-    # snapped layouts minimise the mean |predicted − oracle| density over
-    # the whole grid.  The scan reuses the thresholded masks, so it is a
-    # handful of (heads, nb²) @ (nb², P) products per candidate.
-    best_bar, best_gap = snap_bars[0], float("inf")
-    snapped_cache: Dict[float, Dict[int, List[str]]] = {}
-    for bar in snap_bars:
-        gaps: List[float] = []
-        snapped_cache[bar] = {}
-        for seq_len, data in per_length.items():
-            n_blocks = block_count(seq_len, predictor.block_size)
-            densities = _pattern_densities(pool, n_blocks)
-            masks = threshold_block_masks(data["mean_scores"], thresholds[seq_len])
-            names = pool.snap_masks(masks, coverage=bar)
-            snapped_cache[bar][seq_len] = names
-            predicted = np.array([densities[name] for name in names])
-            gaps.append(float(np.abs(predicted - data["oracle_density"]).mean()))
-        gap = float(np.mean(gaps))
-        if gap < best_gap - 1e-12:
-            best_bar, best_gap = bar, gap
-
+    budgets: Dict[int, np.ndarray] = {}
     entries: List[CalibrationEntry] = []
-    for seq_len, data in sorted(per_length.items()):
-        n_blocks = block_count(seq_len, predictor.block_size)
-        densities = _pattern_densities(pool, n_blocks)
-        causal_total = int(causal_block_mask(n_blocks).sum())
-        masks = threshold_block_masks(data["mean_scores"], thresholds[seq_len])
-        names = snapped_cache[best_bar][seq_len]
+    for seq_len, inputs in sorted(inputs_by_length.items()):
+        causal = causal_block_mask(block_count(seq_len, predictor.block_size))
+        causal_total = int(causal.sum())
+        oracle = exposer.raw_masks_from_block_mass(
+            block_mass_by_length[seq_len].sum(axis=0))
+        budget = oracle[:, causal].sum(axis=1) / causal_total
+        budgets[seq_len] = budget
+        masks = budget_block_masks(
+            predictor.approximate_scores(inputs).mean(axis=0), budget)
         entries.append(CalibrationEntry(
             seq_len=seq_len,
-            oracle_density=float(data["oracle_density"].mean()),
-            predicted_density=float(np.mean([densities[n] for n in names])),
-            raw_predicted_density=float(
-                masks[:, causal_block_mask(n_blocks)].sum() / (masks.shape[0] * causal_total)),
+            oracle_density=float(budget.mean()),
+            predicted_density=float(masks[:, causal].mean()),
         ))
     return AttentionCalibration(block_size=predictor.block_size,
-                                thresholds=thresholds,
-                                snap_coverage=best_bar, entries=entries)
-
-
-def threshold_block_masks(mean_scores: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Binary per-head masks from batch-meaned scores and per-head thresholds.
-
-    This is *the* calibrated mask construction: threshold the mean-over-batch
-    score per head, restrict to the causal triangle, force the diagonal.
-    Both the calibration fit (here) and the runtime path
-    (:meth:`AttentionPredictor.block_masks`) call this one function — the
-    fitted thresholds are only valid while the two constructions are
-    identical, so the logic must not be duplicated.
-    """
-    keep = mean_scores > tau[:, None, None]
-    n_blocks = keep.shape[-1]
-    keep &= causal_block_mask(n_blocks)[None]
-    keep |= np.eye(n_blocks, dtype=bool)[None]
-    return keep
+                                budgets=budgets, entries=entries)
 
 
 def calibrate_mlp_predictor(predictor, exposer,
@@ -325,6 +265,5 @@ def calibrate_mlp_predictor(predictor, exposer,
             seq_len=seq_len,
             oracle_density=keep / n_blocks,
             predicted_density=predicted / n_blocks,
-            raw_predicted_density=predicted / n_blocks,
         ))
     return MLPCalibration(thresholds=thresholds, entries=entries)

@@ -679,15 +679,19 @@ class RowTile:
     The tile's K/V *panel* is the contiguous prefix ``[0, width)`` when
     ``index`` is None.  Otherwise ``index`` holds, head after head,
     ``width // block`` linear ``head * n_blocks + key_block`` slots of the
-    staged K/V grid; past a head's ``live`` count the list is padded with the
-    inert slot ``heads * n_blocks`` (an all-zero block), so every head's
-    panel has the same width and one batched GEMM covers them all.
+    staged K/V grid, ``live`` of them real; the list is padded with the inert
+    slot ``heads * n_blocks`` (an all-zero block), so every head's panel has
+    the same width and one batched GEMM covers them all.
 
-    ``drop`` — bool, broadcastable to ``(batch, heads, width - m0, r1 - r0)``,
-    panel-column major like the score scratch — marks the entries of panel
-    columns ``[m0, width)`` that receive no probability: causality, blocks a
-    row does not keep, every padded column.  Columns before ``m0`` are kept
-    by all rows (``drop is None``: the whole panel is).
+    Two masks mark the panel entries that receive no probability; an entry
+    either one marks is dropped.  ``drop`` — bool, broadcastable to
+    ``(batch, heads, width - m0, r1 - r0)``, panel-column major like the
+    score scratch — covers panel columns ``[m0, width)``: a dense mask's
+    dropped entries, or the causal triangle of a sparse tile's own key
+    blocks, which end its panel.  ``block_drop`` — ``(head, panel block,
+    row block)`` index arrays, panel blocks counted from column
+    ``block_m0`` — marks whole ``block x block`` pieces a row does not keep:
+    blocks another row of the tile brought in, every padded block.
     """
 
     r0: int
@@ -697,6 +701,8 @@ class RowTile:
     live: Optional[np.ndarray] = None
     drop: Optional[np.ndarray] = None
     m0: int = 0
+    block_drop: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    block_m0: int = 0
 
 
 @dataclass(frozen=True)
@@ -704,8 +710,8 @@ class TileLayout:
     """The only structural input of :func:`tiled_attention`."""
 
     tiles: Tuple[RowTile, ...]
-    block: int = 0        # gather granularity in key columns (0: nothing gathers)
-    n_blocks: int = 0     # key blocks per head in the staged grid
+    block: int = 0        # key columns per block (0: no block structure)
+    n_blocks: int = 0     # key blocks per head in the staged grid (0: nothing gathers)
 
 
 class _TileViews(NamedTuple):
@@ -719,6 +725,7 @@ class _TileViews(NamedTuple):
     gathers: tuple        # (staged slots, panel to gather into) pairs
     s: np.ndarray         # (batch, heads, width, n) score scratch
     s_masked: np.ndarray  # s[:, :, m0:], what ``drop`` covers
+    s_blocks: Optional[np.ndarray]  # s[:, :, block_m0:] split into blocks
 
 
 def mask_tile_layout(attn_mask: Optional[np.ndarray], sq: int, sk: int,
@@ -788,9 +795,13 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     tiles, bs, nb = layout.tiles, layout.block, layout.n_blocks
     bh = batch * heads
     rows = max(t.r1 - t.r0 for t in tiles)
-    area = max((t.r1 - t.r0) * t.width for t in tiles)
-    width = max(t.width for t in tiles)
-    gathered = max((t.width for t in tiles if t.index is not None), default=0)
+    # Scratch is sized for a row tile over the whole staged grid (a column
+    # list may only pad past it), not over this layout's panels: a refresh
+    # that moves the gathered panels reuses the arena buffers its
+    # predecessor released.
+    width = max(nb * bs, max(t.width for t in tiles))
+    gathered = width if nb else 0
+    area = rows * width
 
     def workspace(alloc):
         """(score, scaled-q, K-panel, V-panel) buffers sized for any tile."""
@@ -811,8 +822,16 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             k_pan = k_flat.reshape(batch, heads, w, dim)
             v_pan = v_flat.reshape(batch, heads, w, vdim)
             gathers = ((k_slots, k_flat), (v_slots, v_flat))
+        blocks = None
+        if tile.block_drop is not None:
+            # (batch, heads, panel block, column, row block, row): every row
+            # block is whole but a lone partial last one.
+            row_blocks = -(-n // bs)
+            blocks = s[:, :, tile.block_m0:].reshape(
+                batch, heads, (w - tile.block_m0) // bs, bs, row_blocks,
+                n // row_blocks)
         return _TileViews(qd[:, :, tile.r0:tile.r1], qs, np.swapaxes(qs, -1, -2),
-                          k_pan, v_pan, gathers, s, s[:, :, tile.m0:])
+                          k_pan, v_pan, gathers, s, s[:, :, tile.m0:], blocks)
 
     def tile_scores(tile: RowTile, tv: _TileViews) -> None:
         """Scaled scores of one tile into ``tv.s``, dropped entries filled."""
@@ -822,12 +841,15 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         np.matmul(tv.k_pan, tv.qs_t, out=tv.s)
         if tile.drop is not None:
             np.copyto(tv.s_masked, _NEG_FILL, where=tile.drop)
+        if tile.block_drop is not None:
+            head, panel_block, row_block = tile.block_drop
+            tv.s_blocks[:, head, panel_block, :, row_block] = _NEG_FILL
 
     rec = _plan._RECORDER
     alloc = np.empty if rec is not None else _arena.empty
     k_slots = v_slots = None
     copies = []
-    if bs:
+    if nb:
         # Gathered panels read whole blocks out of a (head, key block) grid
         # with one spare all-zero slot; the grid is zero-padded to the block
         # multiple once, here, and refreshed from K/V by every run.
@@ -890,7 +912,7 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         grad_k = _arena.zeros(kd.shape, dtype)
         grad_v = _arena.zeros(vd.shape, dtype)
         gk_slots = gv_slots = None
-        if bs:
+        if nb:
             gk_slots = _arena.zeros(k_slots.shape, dtype)
             gv_slots = _arena.zeros(v_slots.shape, dtype)
 

@@ -515,15 +515,17 @@ def pad_tile_layout(geometry, extra_blocks: int):
             [tile.index.reshape(heads, -1),
              np.full((heads, extra_blocks), trash, dtype=tile.index.dtype)], axis=1)
         extra = extra_blocks * geometry.block
-        drop = np.ones((heads, tile.width + extra - tile.m0, tile.r1 - tile.r0),
-                       dtype=bool)
+        n = tile.r1 - tile.r0
+        drop = np.ones((heads, tile.width + extra - tile.m0, n), dtype=bool)
         if tile.drop is not None:
             drop[:, :tile.width - tile.m0] = tile.drop
         else:
             drop[:, :tile.width - tile.m0] = False
         tiles.append(fused.RowTile(tile.r0, tile.r1, tile.width + extra,
                                    index=index.ravel(), live=tile.live,
-                                   drop=drop, m0=tile.m0))
+                                   drop=drop, m0=tile.m0,
+                                   block_drop=tile.block_drop,
+                                   block_m0=tile.block_m0))
     assert trash is not None, "layout has no gathered tile to pad"
     return fused.TileLayout(tuple(tiles), geometry.block, geometry.n_blocks)
 

@@ -1,16 +1,17 @@
-"""Tests of the predictor-calibration subsystem (threshold + snap fitting).
+"""Tests of the predictor-calibration subsystem (per-head block budgets).
 
-Covers the three calibration guarantees the ISSUE names:
+Covers the calibration guarantees:
 
-* threshold calibration closes the predicted-vs-oracle block-density gap —
-  including at seq 512, the regime where the uncalibrated probes were
-  measured ~0.10 too dense;
+* budget calibration closes the predicted-vs-oracle block-density gap against
+  the exposer's raw coverage masks — including at seq 512, the regime where
+  the uncalibrated probes were measured ~0.10 too dense;
+* a budget is a rank cut: each head keeps exactly its budget of top-scoring
+  causal blocks plus the diagonal, whatever scale or offset the scores have;
 * the multi-length grid round-trips (exact lookups at grid lengths,
   log-linear interpolation between them, clamping outside), so probes do not
   collapse to near-dense masks away from their training length;
-* pattern snapping never violates the causal/layout invariants — snapped
-  layouts stay inside the causal triangle with a guaranteed diagonal, for
-  any input mask.
+* calibrated masks never violate the layout invariants — they stay inside
+  the causal triangle with a guaranteed diagonal, for any scores.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 from repro.models import build_model
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
+from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import build_default_pool, causal_block_mask
 from repro.sparsity.predictor import (
     AttentionCalibration,
@@ -39,7 +41,11 @@ from repro.sparsity.predictor import (
     train_attention_predictor,
     train_mlp_predictor,
 )
-from repro.sparsity.predictor.calibration import _bracket, _separating_threshold
+from repro.sparsity.predictor.calibration import (
+    _bracket,
+    _separating_threshold,
+    budget_block_masks,
+)
 
 from parity import sample_block_mass
 
@@ -79,16 +85,15 @@ class TestPrimitives:
         assert (low, high) == (32, 128)
         assert w == pytest.approx(0.5)   # log-linear: 64 is halfway in log2
 
-    def test_thresholds_for_interpolates_between_grid_points(self):
+    def test_budget_for_interpolates_between_grid_points(self):
         cal = AttentionCalibration(
             block_size=16,
-            thresholds={32: np.array([0.0, 2.0]), 128: np.array([1.0, 4.0])},
-            snap_coverage=0.8)
-        np.testing.assert_array_equal(cal.thresholds_for(32), [0.0, 2.0])
-        np.testing.assert_array_equal(cal.thresholds_for(128), [1.0, 4.0])
-        np.testing.assert_allclose(cal.thresholds_for(64), [0.5, 3.0])
-        np.testing.assert_array_equal(cal.thresholds_for(8), [0.0, 2.0])
-        np.testing.assert_array_equal(cal.thresholds_for(4096), [1.0, 4.0])
+            budgets={32: np.array([0.1, 0.2]), 128: np.array([0.3, 0.6])})
+        np.testing.assert_array_equal(cal.budget_for(32), [0.1, 0.2])
+        np.testing.assert_array_equal(cal.budget_for(128), [0.3, 0.6])
+        np.testing.assert_allclose(cal.budget_for(64), [0.2, 0.4])
+        np.testing.assert_array_equal(cal.budget_for(8), [0.1, 0.2])
+        np.testing.assert_array_equal(cal.budget_for(4096), [0.3, 0.6])
 
     def test_mlp_threshold_for_round_trip(self):
         cal = MLPCalibration(thresholds={32: 0.2, 128: 0.6})
@@ -98,59 +103,78 @@ class TestPrimitives:
         assert cal.grid_lengths() == [32, 128]
 
     def test_set_calibration_validates_block_size(self):
-        predictor = AttentionPredictor(32, 2, 4, 16, build_default_pool())
-        wrong = AttentionCalibration(block_size=32, thresholds={64: np.zeros(2)},
-                                     snap_coverage=0.8)
+        predictor = AttentionPredictor(32, 2, 4, 16)
+        wrong = AttentionCalibration(block_size=32, budgets={64: np.zeros(2)})
         with pytest.raises(ValueError):
             predictor.set_calibration(wrong)
         predictor.set_calibration(None)
         assert predictor.calibration is None
 
 
-class TestSnapMasks:
-    def setup_method(self):
-        self.pool = build_default_pool()
+def test_predicted_masks_keep_the_calibrated_budget(monkeypatch):
+    """Per head the calibrated masks are the top ``ceil(budget * causal)``
+    causal blocks of the batch-mean scores plus the diagonal — a rank cut,
+    so rescaling the scores by a positive factor and shifting them changes
+    nothing (the absolute logit thresholds this replaced moved with both)."""
+    predictor = AttentionPredictor(32, 4, 4, 16, seed=3)
+    budget = np.array([0.1, 0.25, 0.4, 0.7])
+    predictor.set_calibration(AttentionCalibration(block_size=16,
+                                                   budgets={256: budget}))
+    x = np.random.default_rng(4).normal(size=(2, 256, 32)).astype(np.float32)
+    masks = predictor.predict_patterns(x)
+    n_blocks = 16
+    causal = causal_block_mask(n_blocks)
+    total = int(causal.sum())
+    mean = predictor.approximate_scores(x).mean(axis=0)
+    for head in range(4):
+        keep = int(np.ceil(budget[head] * total - 1e-9))
+        scores = np.where(causal, mean[head], -np.inf).ravel()
+        top = np.zeros(n_blocks * n_blocks, dtype=bool)
+        top[np.argsort(-scores, kind="stable")[:keep]] = True
+        top = top.reshape(n_blocks, n_blocks)
+        assert top.sum() == keep
+        np.testing.assert_array_equal(masks[head], top | np.eye(n_blocks, dtype=bool))
 
-    def test_snapped_patterns_preserve_causality_and_diagonal(self):
-        """Snapping never violates the layout invariants, for any input."""
+    plain = predictor.approximate_scores
+    monkeypatch.setattr(predictor, "approximate_scores",
+                        lambda inputs: plain(inputs) * np.float32(4.0) + np.float32(3.0))
+    np.testing.assert_array_equal(predictor.predict_patterns(x), masks)
+
+
+class TestBudgetMasks:
+    def test_masks_preserve_causality_and_diagonal(self):
+        """Calibrated masks never violate the layout invariants, for any
+        scores and any budget."""
         rng = np.random.default_rng(0)
         for n_blocks in (4, 8, 16):
-            masks = rng.random((5, n_blocks, n_blocks)) < 0.4
-            names = self.pool.snap_masks(masks, coverage=0.8)
-            assert len(names) == 5
+            scores = rng.normal(size=(5, n_blocks, n_blocks))
+            masks = budget_block_masks(scores, rng.random(5))
             causal = causal_block_mask(n_blocks)
-            for name in names:
-                snapped = self.pool.mask(name, n_blocks)
-                assert not np.any(snapped & ~causal)          # causal
-                assert np.all(np.diag(snapped))               # diagonal kept
+            assert not np.any(masks & ~causal[None])
+            assert np.all(masks[:, np.arange(n_blocks), np.arange(n_blocks)])
 
-    def test_snap_retains_coverage_or_falls_back_to_dense(self):
+    def test_raw_mask_is_recovered_at_its_own_density(self):
+        """Scores that rank a raw coverage mask's blocks first, at that mask's
+        density as the budget, give the raw mask back exactly."""
+        exposer = AttentionExposer(build_default_pool(), block_size=16,
+                                   coverage=0.9)
         rng = np.random.default_rng(1)
-        n_blocks = 8
-        masks = (rng.random((6, n_blocks, n_blocks)) < 0.5) & \
-            causal_block_mask(n_blocks)[None]
-        masks |= np.eye(n_blocks, dtype=bool)[None]
-        bar = 0.85
-        names = self.pool.snap_masks(masks, coverage=bar)
-        for mask, name in zip(masks, names):
-            snapped = self.pool.mask(name, n_blocks)
-            retained = (mask & snapped).sum() / mask.sum()
-            assert retained >= bar - 1e-12 or name == "dense"
+        mass = rng.random((3, 8, 8)) ** 4 * causal_block_mask(8)
+        raw = exposer.raw_masks_from_block_mass(mass)
+        causal = causal_block_mask(8)
+        budget = raw[:, causal].sum(axis=1) / causal.sum()
+        np.testing.assert_array_equal(
+            budget_block_masks(raw.astype(np.float32), budget), raw)
 
-    def test_exact_pattern_snaps_to_itself_at_full_coverage(self):
-        """At coverage 1.0 only supersets qualify and the cheapest wins, so a
-        pattern snaps back to its own mask (possibly under an alias name when
-        two pool patterns coincide at this grid size, e.g. dense and
-        local8+global2 at 8 blocks)."""
-        n_blocks = 8
-        for name in ("local2", "local4+global1", "strided2+local2", "dense"):
-            mask = self.pool.mask(name, n_blocks)
-            snapped = self.pool.snap_masks(mask[None], coverage=1.0)[0]
-            np.testing.assert_array_equal(self.pool.mask(snapped, n_blocks), mask)
+    def test_budget_bounds(self):
+        scores = np.random.default_rng(2).normal(size=(2, 6, 6))
+        masks = budget_block_masks(scores, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(masks[0], np.eye(6, dtype=bool))
+        np.testing.assert_array_equal(masks[1], causal_block_mask(6))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
-            self.pool.snap_masks(np.zeros((8, 8), dtype=bool))
+            budget_block_masks(np.zeros((8, 8)), np.zeros(1))
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +191,7 @@ def trained_setup(tiny_model):
     }
     merged = per_length[128][0].merged()
     predictor = AttentionPredictor(tiny_model.config.dim, tiny_model.config.num_heads,
-                                   rank=4, block_size=16, pattern_pool=pool, seed=0)
+                                   rank=4, block_size=16, seed=0)
     train_attention_predictor(predictor, merged["attention_inputs"],
                               sample_block_mass(exposer, merged["attention_probs"]),
                               exposer, PredictorTrainingConfig(epochs=8))
@@ -177,56 +201,54 @@ def trained_setup(tiny_model):
     return predictor, exposer, inputs, probs, mass
 
 
-class TestThresholdCalibration:
+def _density(masks: np.ndarray) -> float:
+    """Mean fraction of causal blocks the ``(heads, nb, nb)`` masks keep."""
+    return float(masks[:, causal_block_mask(masks.shape[-1])].mean())
+
+
+class TestBudgetCalibration:
     def test_calibrated_density_matches_oracle_on_calibration_data(self, trained_setup):
         predictor, exposer, inputs, probs, mass = trained_setup
         calibration = calibrate_attention_predictor(predictor, exposer,
                                                     inputs, mass)
-        assert sorted(calibration.thresholds) == [32, 64, 128]
-        # The raw thresholded masks hit the oracle density by construction
-        # (quantile matching); overshoot is bounded by the forced diagonal
-        # (at most n_blocks of the n_blocks(n_blocks+1)/2 causal blocks, felt
-        # only on coarse grids), undershoot only by quantisation.
+        assert sorted(calibration.budgets) == [32, 64, 128]
+        for length in (32, 64, 128):
+            # The budget is the raw oracle density, head by head.
+            oracle = exposer.raw_masks_from_block_mass(mass[length].sum(axis=0))
+            causal = causal_block_mask(oracle.shape[-1])
+            np.testing.assert_array_equal(
+                calibration.budgets[length],
+                oracle[:, causal].sum(axis=1) / causal.sum())
+        # The calibrated masks keep the budget plus any diagonal block their
+        # top scores miss (at most n_blocks of the n_blocks(n_blocks+1)/2
+        # causal blocks, felt only on coarse grids).
         for entry in calibration.entries:
             n_blocks = entry.seq_len // 16
-            diag_slack = 2.0 / (n_blocks + 1)
-            assert entry.raw_predicted_density >= entry.oracle_density - 0.05
-            assert entry.raw_predicted_density <= (
-                entry.oracle_density + diag_slack + 0.05)
-            assert entry.gap <= 0.2
-        finest = max(calibration.entries, key=lambda e: e.seq_len)
-        assert finest.raw_predicted_density == pytest.approx(
-            finest.oracle_density, abs=0.06)
+            assert entry.predicted_density >= entry.oracle_density - 1e-12
+            assert entry.predicted_density <= (
+                entry.oracle_density + 2.0 / (n_blocks + 1))
         assert 0.0 <= calibration.mean_gap() <= 0.2
 
     def test_calibration_tightens_the_density_gap(self, trained_setup):
-        """Calibrated predictions must track oracle density better than the
-        fixed-threshold path at every grid length."""
+        """Calibrated predictions must track the raw oracle density better
+        than the fixed-threshold path, averaged over the grid lengths."""
         predictor, exposer, inputs, probs, mass = trained_setup
         calibration = calibrate_attention_predictor(predictor, exposer,
                                                     inputs, mass)
-        pool = predictor.pattern_pool
         gaps = {}
         for calibrated in (False, True):
             predictor.set_calibration(calibration if calibrated else None)
             total = 0.0
             for length, x in inputs.items():
-                n_blocks = probs[length].shape[-1] // 16
-                _, oracle_names = exposer.head_block_masks(probs[length])
-                causal_total = causal_block_mask(n_blocks).sum()
-                oracle_density = np.mean([
-                    pool.mask(n, n_blocks).sum() / causal_total
-                    for n in oracle_names])
-                names = predictor.predict_patterns(x)
-                predicted_density = np.mean([
-                    pool.mask(n, n_blocks).sum() / causal_total for n in names])
-                total += abs(predicted_density - oracle_density)
+                oracle = exposer.raw_block_masks(probs[length])
+                total += abs(_density(predictor.predict_patterns(x))
+                             - _density(oracle))
             gaps[calibrated] = total / len(inputs)
         predictor.set_calibration(None)
         assert gaps[True] <= gaps[False] + 1e-9
 
     def test_multi_length_round_trip_no_dense_collapse(self, trained_setup):
-        """A probe calibrated on the grid must stay structured at every grid
+        """A probe calibrated on the grid must stay sparse at every grid
         length *and* at interpolated lengths in between — the uncalibrated
         failure mode was near-dense masks away from the training length."""
         predictor, exposer, inputs, probs, mass = trained_setup
@@ -237,14 +259,11 @@ class TestThresholdCalibration:
             rng = np.random.default_rng(11)
             for seq in (32, 48, 64, 96, 128):     # 48/96 are off-grid
                 x = rng.normal(size=(2, seq, predictor.dim)).astype(np.float32)
-                masks = predictor.block_masks(x)
-                n_blocks = masks.shape[-1]
-                causal_total = causal_block_mask(n_blocks).sum()
-                density = masks[:, causal_block_mask(n_blocks)].sum() / (
-                    masks.shape[0] * causal_total)
-                assert density < 0.95    # never collapses to (near-)dense
-                names = predictor.predict_patterns(x)
-                assert all(n in predictor.pattern_pool.names() for n in names)
+                masks = predictor.predict_patterns(x)
+                n_blocks = -(-seq // 16)
+                assert masks.shape == (predictor.num_heads, n_blocks, n_blocks)
+                assert masks.dtype == bool
+                assert _density(masks) < 0.95    # never collapses to (near-)dense
         finally:
             predictor.set_calibration(None)
 
@@ -276,8 +295,8 @@ class TestMLPCalibrationFit:
 class TestSeq512Gap:
     def test_predicted_sparsity_tracks_oracle_at_seq_512(self):
         """The acceptance-criteria regime at test scale: calibrated probes on
-        fresh batches at seq 512 stay within tolerance of the oracle's block
-        sparsity, and strictly closer than the uncalibrated probes."""
+        fresh batches at seq 512 stay within tolerance of the exposer's raw
+        block sparsity, and strictly closer than the uncalibrated probes."""
         model = build_model("opt-tiny", seed=0)
         rng = np.random.default_rng(0)
         calib = rng.integers(0, model.config.vocab_size, size=(2, 512))
@@ -291,18 +310,18 @@ class TestSeq512Gap:
         oracle_sp, cal_sp, uncal_sp = [], [], []
         for layer_index, predictor in enumerate(engine.attention_predictors):
             merged = layers[layer_index].merged()
-            _, names = engine.attention_exposer.head_block_masks(
-                merged["attention_probs"])
-            oracle_sp.append(engine.layout_pool.combine(list(names), 512).sparsity())
-            cal_names = predictor.predict_patterns(merged["attention_inputs"])
-            cal_sp.append(engine.layout_pool.combine(cal_names, 512).sparsity())
+            oracle_sp.append(layout_from_block_masks(
+                engine.attention_exposer.raw_block_masks(merged["attention_probs"]),
+                32).sparsity())
+            cal_sp.append(layout_from_block_masks(
+                predictor.predict_patterns(merged["attention_inputs"]), 32).sparsity())
             saved = predictor.calibration
             predictor.calibration = None
             try:
-                uncal_names = predictor.predict_patterns(merged["attention_inputs"])
+                uncal = predictor.predict_patterns(merged["attention_inputs"])
             finally:
                 predictor.calibration = saved
-            uncal_sp.append(engine.layout_pool.combine(uncal_names, 512).sparsity())
+            uncal_sp.append(layout_from_block_masks(uncal, 32).sparsity())
         cal_gap = abs(np.mean(oracle_sp) - np.mean(cal_sp))
         uncal_gap = abs(np.mean(oracle_sp) - np.mean(uncal_sp))
         assert cal_gap <= 0.10          # test-scale tolerance (bench bar: 0.05)
@@ -367,16 +386,6 @@ class TestEngineIntegration:
         with pytest.raises(ValueError):
             LongExposureConfig(calibration_lengths=(0,))
 
-    def test_declared_seq_lens_longer_than_batches(self, tiny_batches):
-        """prepare() may declare layout-pool lengths beyond the calibration
-        batches; the calibration grid must follow the *actual* batch lengths
-        (regression: keying by declared lengths mismatched masks vs probs)."""
-        model = build_model("opt-tiny", seed=0)
-        config = LongExposureConfig(block_size=16, predictor_epochs=1)
-        engine = LongExposure(config)
-        engine.prepare(model, tiny_batches[:1], seq_lens=[128])
-        assert engine.attention_calibrations[0].grid_lengths() == [64]
-
     def test_trainer_surfaces_calibration_gauges(self, tiny_batches):
         from repro.peft import apply_lora
         from repro.runtime.trainer import FineTuner, TrainingConfig
@@ -417,9 +426,8 @@ def _sha(*arrays) -> str:
 def _fitted_digest(predictor, calibration, metrics) -> str:
     """Everything ``prepare`` fits for one attention layer, bit for bit."""
     return _sha(*(p.data for p in predictor.trainable_parameters()),
-                *(calibration.thresholds[length]
+                *(calibration.budgets[length]
                   for length in calibration.grid_lengths()),
-                np.float64(calibration.snap_coverage),
                 np.asarray(dataclasses.astuple(metrics), dtype=np.float64))
 
 
@@ -452,8 +460,7 @@ class TestStreamingPrepare:
             probs = data.merged()["attention_probs"]
             predictor = AttentionPredictor(
                 model.config.dim, model.config.num_heads, config.predictor_rank,
-                16, engine.pattern_pool, threshold=config.attention_threshold,
-                coverage=config.attention_coverage, seed=seed + layer)
+                16, threshold=config.attention_threshold, seed=seed + layer)
             metrics = train_attention_predictor(
                 predictor, data.merged()["attention_inputs"],
                 sample_block_mass(exposer, probs), exposer, training)

@@ -145,3 +145,75 @@ class TestOracleAndFamilies:
                 assert param.grad is not None
             else:
                 assert param.grad is None
+
+
+@pytest.fixture(scope="module")
+def refreshed():
+    """A predicted-mode tuner on ``opt-tiny`` after three refreshes, each on a
+    fresh batch (``predict_interval=1``)."""
+    from repro.runtime.trainer import FineTuner, TrainingConfig
+
+    model = build_model("opt-tiny", seed=0)
+    rng = np.random.default_rng(11)
+    engine = LongExposure(LongExposureConfig(block_size=16, seed=0))
+    engine.prepare(model, [rng.integers(0, 512, size=(2, 256))])
+    apply_lora(model)
+    engine.install(model)
+    tuner = FineTuner(model, TrainingConfig(learning_rate=1e-3), engine=engine)
+    for _ in range(3):
+        tuner.step(rng.integers(0, 512, size=(2, 256)))
+    yield model, engine, tuner
+    engine.uninstall(model)
+
+
+class TestExecutedSparsity:
+    def test_live_layouts_run_the_calibrated_budget(self, refreshed):
+        """The kernel runs each head's own mask — no pattern name — at the
+        density its calibrated budget sets."""
+        model, engine, _ = refreshed
+        live = engine.live_attention_sparsity()
+        assert sorted(live) == list(range(len(model.blocks)))
+        for backend in engine._sparse_backends:
+            if isinstance(backend, SparseAttentionBackend):
+                assert backend.last_layout.pattern_names == ()
+                budget = engine.attention_predictors[
+                    backend.layer_index].calibration.budget_for(256)
+                np.testing.assert_allclose(live[backend.layer_index], 1.0 - budget,
+                                           atol=0.05)
+
+    def test_sparsity_gauges_read_the_live_layouts(self, refreshed):
+        model, engine, tuner = refreshed
+        layouts = [b.last_layout for b in engine._sparse_backends
+                   if isinstance(b, SparseAttentionBackend)]
+        gauges = tuner.profiler.gauges()
+        assert gauges["attention_live_sparsity"] == pytest.approx(
+            np.mean([layout.sparsity() for layout in layouts]))
+        assert gauges["attention_min_head_sparsity"] == pytest.approx(
+            min(layout.head_sparsity().min() for layout in layouts))
+        assert "live attention sparsity per layer" in engine.summary()
+
+    def test_geometry_cache_holds_only_live_layouts(self, refreshed):
+        model, engine, _ = refreshed
+        assert engine.geometry_cache.misses >= 2 * len(model.blocks)
+        assert len(engine.geometry_cache) <= len(model.blocks)
+
+    def test_oracle_layout_is_the_raw_coverage_mask(self, tiny_batches,
+                                                    monkeypatch):
+        from repro.sparsity.ops.layout import layout_from_block_masks
+        from repro.tensor import Tensor
+
+        model = build_model("opt-tiny", seed=0)
+        engine = LongExposure(LongExposureConfig(block_size=16, oracle_mode=True))
+        engine.prepare(model, tiny_batches[:1])
+        raw = []
+        exposer_masks = engine.attention_exposer.raw_block_masks
+        monkeypatch.setattr(engine.attention_exposer, "raw_block_masks",
+                            lambda probs: raw.append(exposer_masks(probs)) or raw[-1])
+        attention = model.blocks[0].attention
+        rng = np.random.default_rng(5)
+        q, k = (Tensor(rng.normal(size=(2, attention.num_heads, 64,
+                                          attention.head_dim)).astype(np.float32))
+                for _ in range(2))
+        layout = engine.oracle_attention_layout(attention, q, k, 64)
+        assert layout.pattern_names == ()
+        assert layout.signature() == layout_from_block_masks(raw[0], 16).signature()

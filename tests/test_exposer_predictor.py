@@ -117,29 +117,23 @@ class TestMLPExposer:
 
 class TestPredictors:
     def test_attention_predictor_shapes(self):
-        pool = build_default_pool()
-        predictor = AttentionPredictor(dim=32, num_heads=2, rank=4, block_size=16,
-                                       pattern_pool=pool)
+        predictor = AttentionPredictor(dim=32, num_heads=2, rank=4, block_size=16)
         x = np.random.default_rng(0).normal(size=(2, 64, 32)).astype(np.float32)
         scores = predictor.approximate_scores(x)
         assert scores.shape == (2, 2, 4, 4)
         out = predictor(Tensor(x))
         assert out.shape == (2, 2, 4, 4)
-        masks = predictor.block_masks(x)
-        assert masks.shape == (2, 4, 4)
+        masks = predictor.predict_patterns(x)
+        assert masks.shape == (2, 4, 4) and masks.dtype == bool
         assert all(np.all(np.diag(masks[h])) for h in range(2))
-        patterns = predictor.predict_patterns(x)
-        assert len(patterns) == 2 and all(p in pool.names() for p in patterns)
+        assert not np.any(masks & ~causal_block_mask(4)[None])
 
     def test_attention_predictor_rank_validation(self):
         with pytest.raises(ValueError):
-            AttentionPredictor(dim=8, num_heads=1, rank=16, block_size=16,
-                               pattern_pool=build_default_pool())
+            AttentionPredictor(dim=8, num_heads=1, rank=16, block_size=16)
 
     def test_predictor_overhead_is_linear_in_sequence(self):
-        pool = build_default_pool()
-        predictor = AttentionPredictor(dim=64, num_heads=4, rank=8, block_size=32,
-                                       pattern_pool=pool)
+        predictor = AttentionPredictor(dim=64, num_heads=4, rank=8, block_size=32)
         # O(s) scaling: doubling the sequence roughly doubles the overhead.
         ratio = predictor.overhead_flops(1024) / predictor.overhead_flops(512)
         assert 1.5 < ratio < 3.0
@@ -167,7 +161,7 @@ class TestPredictors:
         pool = build_default_pool()
         exposer = AttentionExposer(pool, block_size=16, coverage=0.9)
         predictor = AttentionPredictor(tiny_model.config.dim, tiny_model.config.num_heads,
-                                       rank=4, block_size=16, pattern_pool=pool, seed=0)
+                                       rank=4, block_size=16, seed=0)
         block_mass = sample_block_mass(exposer, merged["attention_probs"])
         config = PredictorTrainingConfig(epochs=0)
         untrained = train_attention_predictor(predictor, merged["attention_inputs"],

@@ -296,13 +296,19 @@ class TestLayoutGeometryCache:
             keep = np.ones((layout.n_heads, tile.width, n), dtype=bool)
             if tile.drop is not None:
                 keep[:, tile.m0:] = ~tile.drop
+            if tile.block_drop is not None:
+                head, panel_block, row_block = tile.block_drop
+                row_blocks = -(-n // bs)
+                keep[:, tile.block_m0:].reshape(
+                    layout.n_heads, -1, bs, row_blocks, n // row_blocks)[
+                        head, panel_block, :, row_block] = False
             if tile.index is None:
                 cols = np.broadcast_to(np.arange(tile.width),
                                        (layout.n_heads, tile.width))
             else:
                 slots = tile.index.reshape(layout.n_heads, -1)
                 inert = slots == layout.n_heads * nb
-                assert (inert == (np.arange(slots.shape[1]) >= tile.live[:, None])).all()
+                assert (inert.sum(axis=1) == slots.shape[1] - tile.live).all()
                 assert not keep.reshape(layout.n_heads, -1, bs, n)[inert].any()
                 cols = ((slots % nb)[:, :, None] * bs + np.arange(bs)).reshape(
                     layout.n_heads, -1)
@@ -313,15 +319,18 @@ class TestLayoutGeometryCache:
         assert np.array_equal(rebuilt[:, :, :seq_len], layout.to_dense_mask(seq_len))
 
     def test_entry_footprint_is_bounded_by_the_causal_half(self):
-        # The old per-layout bundle held ~11 bytes per active-block element;
-        # a tile layout holds at most one bool per (head, row, panel column).
+        # Masks are kept per block, not per element: a tile layout holds an
+        # index entry per dropped (head, panel block, row block) and column
+        # slot, plus causal triangles shared by every tile of their shape —
+        # well under one bool per (head, row, panel column) of the causal half.
         pool = LayoutPool(build_default_pool(), block_size=16)
         layout = pool.combine(["dense", "strided2+local2", "local4", "dense"], 256)
         geom = compute_block_geometry(layout, 256)
         held = sum(a.nbytes for tile in geom.tiles
-                   for a in (tile.drop, tile.index, tile.live) if a is not None)
+                   for a in (tile.index, tile.live, *(tile.block_drop or ()))
+                   if a is not None)
         rows = geom.tiles[0].r1 - geom.tiles[0].r0
-        assert held <= layout.n_heads * 256 * (256 + rows) // 2 + 64 * 1024
+        assert held <= layout.n_heads * 256 * (256 + rows) // 16
 
     def test_lru_bound(self):
         cache = LayoutGeometryCache(maxsize=2)

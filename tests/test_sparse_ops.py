@@ -266,7 +266,7 @@ def _gathers(case) -> bool:
     seq, block, sparsity, kind = case
     geometry = compute_block_geometry(parity.grid_layout(seq, block, sparsity),
                                       seq, row_tile=parity.grid_row_tile(kind, block, seq))
-    return geometry.block > 0
+    return geometry.n_blocks > 0
 
 
 @pytest.mark.parity
