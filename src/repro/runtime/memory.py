@@ -72,12 +72,13 @@ class MemoryModel:
     param_bytes: int = 2
     activation_bytes: int = 4
     optimizer_bytes_per_param: int = 8          # two FP32 Adam moments
-    # Row-tiled attention (repro.tensor.fused.tiled_attention): a layer saves
+    # Tiled attention (repro.tensor.fused.tiled_attention): a layer saves
     # only its output and the per-row logsumexp; the forward works in one
-    # (batch, heads, row_tile, s) score scratch and the backward recomputes
-    # each tile's probabilities into it, next to one more for dS, instead of
-    # reading a stored (s, s) probability matrix.  ``streaming_tile`` is the
-    # row-tile height.
+    # score scratch and the backward recomputes each tile's probabilities into
+    # it, next to one more for dS, instead of reading a stored (s, s)
+    # probability matrix.  Dense attention's scratch is a (batch, heads,
+    # row_tile, s) tile, ``streaming_tile`` rows high; block-sparse attention's
+    # a capacity-class chunk of at most half the staged grid's score blocks.
     streaming: bool = False
     streaming_tile: int = 128
 
@@ -109,19 +110,22 @@ class MemoryModel:
         block-sparse attention stores only the active blocks, i.e. a
         ``block_density`` fraction of the causal half.  With
         :attr:`streaming` enabled the backward recomputes probabilities one
-        row tile at a time, so only the two ``(row_tile, s)`` scratch tiles
-        (probabilities, dS) plus the per-row logsumexp are ever held —
-        linear in ``seq_len``.  When both streaming and block sparsity are
-        active the cheaper of the two bounds applies (a gathered panel is
-        never wider than the sequence).
+        tile at a time, so only two scratch tiles (probabilities, dS) plus
+        the per-row logsumexp are ever held — linear in ``seq_len``: two
+        ``(row_tile, s)`` tiles for dense attention, two class chunks of
+        ``heads * s / 2`` query rows by ``block_size`` keys for block-sparse
+        attention (``block_density < 1``).  The cheaper of the stored and
+        the streamed bound applies.
         """
         cfg = self.config
         dense_causal = batch * cfg.num_heads * (seq_len * seq_len) / 2.0
         stored = dense_causal * block_density
         if self.streaming:
-            tile = min(self.streaming_tile, seq_len)
-            # probability + dS scratch (2 * tile * s) + the logsumexp row (s)
-            streamed = batch * cfg.num_heads * seq_len * (2.0 * tile + 1.0)
+            # probability + dS scratch (key columns per query row between the
+            # two) + the logsumexp row
+            columns = (block_size if block_density < 1.0
+                       else 2.0 * min(self.streaming_tile, seq_len))
+            streamed = batch * cfg.num_heads * seq_len * (columns + 1.0)
             stored = min(stored, streamed)
         return float(stored * self.activation_bytes)
 

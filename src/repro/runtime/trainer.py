@@ -395,6 +395,10 @@ class FineTuner:
                     np.mean([heads.mean() for heads in live.values()])))
                 self.profiler.set_gauge("attention_min_head_sparsity", float(
                     min(heads.min() for heads in live.values())))
+            efficiency = self.engine.live_panel_efficiency()
+            if efficiency:
+                self.profiler.set_gauge("attention_panel_efficiency",
+                                        float(np.mean(list(efficiency.values()))))
             gaps = getattr(self.engine, "calibration_gap", dict)()
             for kind, gap in gaps.items():
                 self.profiler.set_gauge(f"{kind}_calibration_gap", gap)

@@ -797,6 +797,12 @@ class LongExposure:
                 out[kind] = float(np.mean([m.recall for m in metrics]))
         return out
 
+    def _live_attention(self) -> List[SparseAttentionBackend]:
+        """The attention backends holding a live layout."""
+        return [backend for backend in self._sparse_backends
+                if isinstance(backend, SparseAttentionBackend)
+                and backend.last_layout is not None]
+
     def live_attention_sparsity(self) -> Dict[int, np.ndarray]:
         """Per-head block sparsity of each attention layer's live layout.
 
@@ -804,9 +810,22 @@ class LongExposure:
         mean over calls, so it is a fact about the current step.
         """
         return {backend.layer_index: backend.last_layout.head_sparsity()
-                for backend in self._sparse_backends
-                if isinstance(backend, SparseAttentionBackend)
-                and backend.last_layout is not None}
+                for backend in self._live_attention()}
+
+    def live_panel_efficiency(self) -> Dict[int, float]:
+        """Per attention layer, kept over executed panel blocks of its live
+        layout's capacity classes — useful over attempted attention work.
+
+        Read from the geometry the kernel ran (peeking at the cache counts no
+        lookup); a layer whose geometry is not cached is left out.  A panel
+        slot is kept unless it is the inert one, ``heads * n_blocks``.
+        """
+        cache = self.geometry_cache
+        geometries = {} if cache is None else {
+            backend.layer_index: cache.peek(backend.last_layout, backend._layout_seq_len)
+            for backend in self._live_attention()}
+        return {layer: float(np.mean(np.concatenate([t.index for t in g.tiles]) != g.units.size))
+                for layer, g in geometries.items() if g is not None}
 
     def summary(self) -> str:
         lines = [f"LongExposure(block_size={self.config.block_size}, "
@@ -826,6 +845,9 @@ class LongExposure:
             layer, heads = min(live.items(), key=lambda item: item[1].min())
             lines.append(f"  live attention sparsity per layer: {layers} "
                          f"(densest head {heads.min():.3f}, layer {layer})")
+            lines.append("  attention panel efficiency per layer (kept / executed "
+                         "panel blocks): " + " ".join(
+                             f"{value:.3f}" for value in self.live_panel_efficiency().values()))
         lines.append(f"  mean MLP block sparsity: {self.stats.mean_mlp_sparsity():.3f}")
         lines.append(f"  prediction overhead: {self.stats.prediction_seconds * 1000:.2f} ms")
         if self.config.predict_interval > 1:

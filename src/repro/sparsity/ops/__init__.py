@@ -13,8 +13,8 @@ Two families of kernels:
   active, with an optional transposed ("coalesced") weight layout mirroring
   the paper's memory-coalescing optimisation.
 
-The row tiles the attention kernel derives from a layout (per-tile key-column
-lists padded to a common capacity, drop masks) are memoized by
+The capacity classes the attention kernel derives from a layout (per-unit
+key-block lists padded to a small ladder of widths, drop masks) are memoized by
 :class:`repro.sparsity.ops.geometry_cache.LayoutGeometryCache`, keyed by
 layout content — a layout reused between mask refreshes pays the
 index-construction cost once.

@@ -13,7 +13,8 @@ block-gathered batched matmuls over a ``(batch, nnz, block, .)`` stack; the
 operator benchmarks use them.
 
 :func:`block_sparse_attention` is the autograd op used during fine-tuning.
-It hands the layout's row tiles (:mod:`repro.sparsity.ops.geometry_cache`) to
+It hands the layout's capacity classes
+(:mod:`repro.sparsity.ops.geometry_cache`) to
 :func:`repro.tensor.fused.tiled_attention` — the same kernel dense streaming
 attention runs — whose backward touches exactly the panels the forward did,
 realising the paper's observation that inactive positions drop out of the
@@ -153,27 +154,28 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
     q, k, v:
         Tensors of shape ``(batch, heads, seq, head_dim)``.
     layout:
-        Active blocks per head, produced by the layout pool (predicted
-        patterns) or from exposer masks (oracle mode).
+        Active blocks per head: the engine builds it from the predicted
+        block masks (predicted mode) or the exposer's masks (oracle mode).
     scale:
         Score scaling; defaults to ``1/sqrt(head_dim)``.
     cache:
         Optional :class:`~repro.sparsity.ops.geometry_cache.LayoutGeometryCache`.
-        When given, the layout's row tiles (column lists, drop masks) are
-        looked up instead of recomputed — repeated layouts across
+        When given, the layout's capacity classes (slot lists, drop masks)
+        are looked up instead of recomputed — repeated layouts across
         fine-tuning steps then pay zero index-construction cost.  Results
         are identical either way.
     streaming:
         Accepted and ignored: there is one attention kernel, and it never
-        materialises more than one row tile of scores.
+        materialises more than one class chunk of scores.
 
     The softmax normalises over the *union of active blocks in each query
     row*, with causal masking inside diagonal blocks.  Forward and backward
-    both run :func:`repro.tensor.fused.tiled_attention` over the layout's row
-    tiles, so compute, gradient work and saved state are bounded by the
-    panels the layout keeps, never by the full ``seq²`` score matrix.  Any
-    sequence length is accepted (the staged K/V grid is zero-padded to the
-    block multiple); rows that keep no block produce exactly zero output and
+    both run :func:`repro.tensor.fused.tiled_attention` over the layout's
+    capacity classes, so compute, gradient work and saved state are bounded
+    by the panels the layout keeps (at most 1.5x, the ladder's rounding),
+    never by the full ``seq²`` score matrix.  Any sequence length is accepted
+    (the staged Q/K/V grids are zero-padded to the block multiple); rows
+    that keep no block produce exactly zero output and
     gradients.  Inside :func:`repro.tensor.fused.reference_kernels` the call
     routes to the primitive-composition twin
     :func:`repro.tensor.reference.block_sparse_attention` instead, so the

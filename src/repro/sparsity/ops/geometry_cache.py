@@ -1,21 +1,26 @@
-"""Cached block-sparse geometry: a layout's row tiles for the attention kernel.
+"""Cached block-sparse geometry: a layout's capacity classes for the attention kernel.
 
 :func:`repro.tensor.fused.tiled_attention` takes a
 :class:`~repro.tensor.fused.TileLayout`; :func:`compute_block_geometry`
 derives one from a :class:`~repro.sparsity.ops.layout.MultiHeadLayout`:
 
-* query rows are cut into **row tiles** of a whole number of blocks, the
-  height picked from the layout's own padded work (:func:`choose_row_tile`);
-* per tile and head, the **column list** holds, as linear slots of the
-  kernel's staged K/V grid, the earlier key blocks some row of the tile
-  keeps (ascending), then inert all-zero slots up to the tile's *capacity*
-  (the longest list over the heads), then the tile's own key blocks — so
-  every head's diagonal blocks sit at the same panel offset;
-* two masks mark what a query row does not attend to: the causal triangle
-  over the own key blocks, one read-only array shared by every tile of its
-  shape, and a **block-level drop** per head, panel block and query row —
-  blocks another row of the tile brought in, padded blocks.  A tile whose
-  lists are all the contiguous key prefix keeps no list: the kernel slices.
+* a **unit** is one ``(head, query block)``; its **panel** lists, as linear
+  slots of the kernel's staged K/V grid, the earlier key blocks it keeps
+  (ascending), then inert all-zero slots, then its own diagonal block;
+* units are grouped into **capacity classes** by live-block count, rounded
+  up to the fixed ladder ``_CAPACITY_LADDER`` (1, 2, 3, 4, 6, 8, 12, ...), so
+  a unit runs at most ~1.5x the blocks it keeps however ragged the layout
+  is; every unit of a class has the same panel width, and one stacked GEMM
+  chain covers them all;
+* a class runs in chunks of at most half a staged grid's worth
+  (:func:`~repro.tensor.fused.chunk_panel_blocks`) of panel blocks, so
+  kernel scratch is sized by the sequence, never by the layout;
+* inside a class the ``r``-th unit of every head precedes the ``r + 1``-th
+  (ascending query block), and the chunk's ``rounds`` cut those runs: a run
+  holds at most one unit per head, so its key-gradient scatter has distinct
+  targets, and a key block collects its gradient class by class, in
+  query-block order inside a class — a fixed order, so replay is bitwise
+  equal to interpreted execution.
 
 Everything depends only on ``(layout contents, seq_len)``.
 :class:`LayoutGeometryCache` memoizes the result under a content signature of
@@ -23,8 +28,7 @@ the layout plus the sequence length, so the steps that reuse a layout between
 refreshes, and every layer or probe that sees the same layout, are pure
 dictionary hits.  Refreshed masks rarely repeat, so the engine discards a
 layout's entry when a refresh replaces it: the cache holds about one entry
-per live layout.  Masks are kept per block column, so an entry holds about
-``heads * seq² / (2 * block)`` bytes however many blocks are active.
+per live layout, a few index arrays the size of the executed panel blocks.
 
 The cache is *purely* a memoization: a lookup returns byte-identical arrays
 to a fresh computation (asserted by the test suite), so enabling it can
@@ -33,148 +37,99 @@ never change numerical results.
 
 from __future__ import annotations
 
-import functools
 from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Hashable, List, Optional
 
 import numpy as np
 
 from repro.sparsity.ops.layout import MultiHeadLayout
-from repro.tensor.fused import RowTile, TileLayout
+from repro.tensor.fused import TileLayout, UnitClass, chunk_panel_blocks
 
 __all__ = [
     "LayoutGeometryCache",
-    "choose_row_tile",
     "compute_block_geometry",
 ]
 
-# What one panel column costs beyond its share of the score tile, in query
-# rows: it is gathered for K and V, scatter-added for dK and dV, and starts an
-# inner loop in every column-wise reduction.  Fitted on the benchmark host
-# (1 x 8 x 1024 x 16, forward + backward, ten layouts x four row tiles) as
-# time ~ panel area + 15 * columns; the choice lands within 5 % of the best
-# measured tile on every one of them.
-_PANEL_COLUMN_COST = 15
-_MAX_ROW_TILE = 128
+# Panel capacities, in blocks: powers of two and 1.5x powers of two, so
+# rounding a live-block count up pads it by less than half.
+_CAPACITY_LADDER = np.array(sorted({1 << k for k in range(31)}
+                                   | {3 << k for k in range(30)}))
 
 
-def _tile_capacities(active: np.ndarray, tile_blocks: int) -> np.ndarray:
-    """Blocks in each row tile's widest per-head column union."""
-    heads, n_blocks, _ = active.shape
-    n_tiles = -(-n_blocks // tile_blocks)
-    padded = np.zeros((heads, n_tiles * tile_blocks, n_blocks), dtype=bool)
-    padded[:, :n_blocks] = active
-    union = padded.reshape(heads, n_tiles, tile_blocks, n_blocks).any(axis=2)
-    return np.maximum(union.sum(axis=-1).max(axis=0), 1)
+def compute_block_geometry(layout: MultiHeadLayout, seq_len: int) -> TileLayout:
+    """Derive the kernel's capacity classes from scratch (the uncached path).
 
-
-def choose_row_tile(active: np.ndarray, block_size: int, seq_len: int) -> int:
-    """Row-tile height (a multiple of ``block_size``) with the least padded work.
-
-    ``active`` is the ``(heads, n_blocks, n_blocks)`` block mask.  Taller
-    tiles mean fewer, larger GEMMs but wider column unions; the padded work
-    of a candidate is ``sum(capacity * (rows + _PANEL_COLUMN_COST))`` over
-    its tiles.  Candidates double from one block up to ``_MAX_ROW_TILE`` rows.
+    Blocks above the diagonal are ignored (attention is causal); a unit whose
+    diagonal block the layout leaves out keeps an inert slot in its place, so
+    a query row that keeps nothing reads exactly zero.  The classes depend on
+    the block layout alone — the kernel zero-pads a ragged last block — so
+    the result does not change with ``seq_len`` (:class:`LayoutGeometryCache`
+    still keys entries by it).
     """
-    n_blocks = active.shape[1]
-    best, best_cost = 1, None
-    tile_blocks = 1
-    while tile_blocks == 1 or (tile_blocks * block_size <= _MAX_ROW_TILE
-                               and tile_blocks < 2 * n_blocks):
-        capacity = _tile_capacities(active, tile_blocks)
-        starts = np.arange(capacity.shape[0]) * tile_blocks * block_size
-        rows = np.minimum(starts + tile_blocks * block_size, seq_len) - starts
-        cost = int((capacity * (rows + _PANEL_COLUMN_COST)).sum())
-        if best_cost is None or cost <= best_cost:
-            best, best_cost = tile_blocks, cost
-        tile_blocks *= 2
-    return best * block_size
-
-
-@functools.lru_cache(maxsize=64)
-def _causal_drop(width: int, rows: int) -> np.ndarray:
-    """Read-only ``(width, rows)`` mask of key offset > query offset: the
-    causal triangle over a tile's own key range, shared by every tile of
-    that shape."""
-    drop = np.arange(width)[:, None] > np.arange(rows)[None, :]
-    drop.setflags(write=False)
-    return drop
-
-
-def _row_tile(active: np.ndarray, b0: int, b1: int, bs: int,
-              seq_len: int) -> RowTile:
-    """The row tile of query block rows ``[b0, b1)`` (see the module docstring)."""
-    heads, n_blocks, _ = active.shape
-    r0, r1 = b0 * bs, min(b1 * bs, seq_len)
-    own = np.arange(b0, b1)
-    sub = active[:, b0:b1, :b1]                              # (heads, tb, b1)
-    # Earlier key blocks some row of the tile keeps, ascending; padding; then
-    # the tile's own key blocks, where every head's diagonal sits.
-    before = sub[:, :, :b0].any(axis=1)
-    count = before.sum(axis=1)
-    most = int(count.max())
-    order = np.argsort(~before, axis=1, kind="stable")[:, :most]
-    valid = np.arange(most)[None, :] < count[:, None]
-    keys = np.concatenate([order, np.broadcast_to(own, (heads, own.size))],
-                          axis=1)                            # (heads, capacity)
-    # Block-level keep, panel-block major: (heads, capacity, tile blocks).
-    # Own blocks right of a row's diagonal are the causal triangle's.
-    kept = np.swapaxes(np.take_along_axis(sub, keys[:, None, :], axis=2), 1, 2)
-    kept[:, :most] &= valid[:, :, None]
-    kept |= keys[:, :, None] > own[None, None, :]
-    dropped = np.flatnonzero(~kept.all(axis=(0, 2)))
-    lo = int(dropped[0]) if dropped.size else 0
-    block_drop = np.nonzero(~kept[:, lo:]) if dropped.size else None
-    if (count == b0).all() and (block_drop is None or r1 == b1 * bs):
-        # Every head's panel is the contiguous key prefix: slice it.
-        return RowTile(r0, r1, r1, drop=_causal_drop(r1 - r0, r1 - r0), m0=r0,
-                       block_drop=block_drop, block_m0=lo * bs)
-    head_base = np.arange(heads)[:, None] * n_blocks
-    slots = np.concatenate([np.where(valid, head_base + order, heads * n_blocks),
-                            head_base + own[None, :]], axis=1)
-    return RowTile(r0, r1, keys.shape[1] * bs, index=slots.ravel(),
-                   live=count + own.size, drop=_causal_drop(own.size * bs, r1 - r0),
-                   m0=most * bs, block_drop=block_drop, block_m0=lo * bs)
-
-
-def compute_block_geometry(layout: MultiHeadLayout, seq_len: int,
-                           row_tile: Optional[int] = None) -> TileLayout:
-    """Derive the kernel's tile layout from scratch (the uncached path).
-
-    ``row_tile`` overrides :func:`choose_row_tile` (tests and the break-even
-    probe sweep it); it must be a positive multiple of the block size.
-    """
-    bs, n_blocks, heads = layout.block_size, layout.n_blocks, layout.n_heads
-    active = np.zeros((heads, n_blocks, n_blocks), dtype=bool)
-    active[layout.heads, layout.rows, layout.cols] = True
-    if row_tile is None:
-        row_tile = choose_row_tile(active, bs, seq_len)
-    if row_tile <= 0 or row_tile % bs:
-        raise ValueError(f"row_tile must be a positive multiple of the block "
-                         f"size {bs}, got {row_tile}")
-    tile_blocks = row_tile // bs
+    bs, nb, heads = layout.block_size, layout.n_blocks, layout.n_heads
+    lead = heads * nb
+    causal = layout.cols <= layout.rows
+    keep = np.zeros((heads, nb, nb), dtype=bool)
+    keep[layout.heads[causal], layout.rows[causal], layout.cols[causal]] = True
+    diagonal = np.where(keep[:, np.arange(nb), np.arange(nb)].ravel(),
+                        np.arange(lead), lead)
+    earlier = np.tril(keep, -1).reshape(lead, nb)
+    count = earlier.sum(axis=1)
+    capacity = np.minimum(
+        _CAPACITY_LADDER[np.searchsorted(_CAPACITY_LADDER, count + 1)], nb)
+    # Unit order: class by class (ascending capacity); inside a class the
+    # r-th unit of every head (ascending query block) before the (r+1)-th,
+    # so a run of equal rank keeps each head once — one round of the dK/dV
+    # scatter — and a key block meets the class's query blocks in ascending
+    # order.
+    same = capacity.reshape(heads, nb, 1) == np.unique(capacity)
+    rank = ((np.cumsum(same, axis=1) - 1) * same).sum(axis=2).ravel()
+    units = np.lexsort((np.arange(lead) // nb, rank, capacity))
     tiles = []
-    for b0 in range(0, n_blocks, tile_blocks):
-        b1 = min(b0 + tile_blocks, n_blocks)
-        tile = _row_tile(active, b0, b1, bs, seq_len)
-        if (tile.block_drop is not None and b1 - b0 > 1
-                and tile.r1 - tile.r0 < (b1 - b0) * bs):
-            # A partial block row does not split the tile's rows into whole
-            # blocks, as the block-level drop needs: it gets a tile of its own.
-            tiles += [_row_tile(active, b0, b1 - 1, bs, seq_len),
-                      _row_tile(active, b1 - 1, b1, bs, seq_len)]
-        else:
-            tiles.append(tile)
-    gathers = any(tile.index is not None for tile in tiles)
-    return TileLayout(tuple(tiles), block=bs, n_blocks=n_blocks if gathers else 0)
+    starts = np.flatnonzero(np.diff(capacity[units], prepend=-1))
+    for u0, u1 in zip(starts, np.append(starts[1:], lead)):
+        members, cap = units[u0:u1], int(capacity[units[u0]])
+        # Each unit's earlier kept blocks, ascending, then inert padding.
+        order = np.argsort(~earlier[members], axis=1, kind="stable")[:, :cap - 1]
+        index = np.where(np.arange(cap - 1) < count[members, None],
+                         members[:, None] // nb * nb + order, lead)
+        tiles += _class_chunks(int(u0), np.c_[index, diagonal[members]],
+                               rank[members], lead, chunk_panel_blocks(heads, nb))
+    return TileLayout(tuple(tiles), block=bs, n_blocks=nb, units=units)
+
+
+def _class_chunks(u0: int, index: np.ndarray, rank: np.ndarray, lead: int,
+                  budget: int) -> List[UnitClass]:
+    """Cut one capacity class into kernel chunks.
+
+    ``index`` holds the class's panels, one row per unit from unit-order
+    offset ``u0``, padded with the inert slot ``lead``; a run of equal
+    ``rank`` is one scatter round.  A chunk holds at most ``budget`` panel
+    blocks, or one unit.
+    """
+    n, cap = index.shape
+    step = max(1, budget // cap)
+    chunks = []
+    for a in range(0, n, step):
+        chunk = index[a:a + step]
+        cut = np.flatnonzero(np.diff(rank[a:a + step])) + 1
+        # One bool per (panel block, unit) from the first panel block an
+        # inert slot fills on; none when every slot is real.
+        inert = chunk == lead
+        first = int(np.argmax(inert.any(axis=0)))
+        drop = np.ascontiguousarray(inert[:, first:].T) if inert.any() else None
+        chunks.append(UnitClass(u0 + a, u0 + a + len(chunk), cap, chunk.ravel(),
+                                (0, *cut.tolist(), len(chunk)), drop, first))
+    return chunks
 
 
 class LayoutGeometryCache:
     """LRU memo of tile layouts keyed by (layout signature, seq_len).
 
     Keyed by the layout's *content* signature rather than object identity,
-    so equal layouts materialised by different code paths (the layout pool,
-    ``layout_from_block_masks`` in oracle/baseline modes) share entries.
+    so equal layouts materialised by different code paths (the engine's
+    refreshes, ``layout_from_block_masks`` in the baselines and tests,
+    ``LayoutPool.combine``) share entries.
     Bounded so pathological workloads (e.g. a different random layout every
     step) cannot grow memory without limit.
     """
@@ -204,6 +159,10 @@ class LayoutGeometryCache:
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return entry
+
+    def peek(self, layout: MultiHeadLayout, seq_len: int) -> Optional[TileLayout]:
+        """The cached tile layout, or None — counts neither a hit nor a miss."""
+        return self._entries.get((layout.signature(), int(seq_len)))
 
     def discard(self, layout: MultiHeadLayout, seq_len: int) -> None:
         """Drop ``layout``'s entry (no-op when absent)."""

@@ -9,8 +9,8 @@ and the tests.
 
 The layout is sorted by ``(head, query_row_block)`` and carries the row-
 segment boundaries the standalone DSD kernel reduces over (``np.*.reduceat``
-works on contiguous segments); the training kernel's per-row-tile column
-lists are derived from it in :mod:`repro.sparsity.ops.geometry_cache`.
+works on contiguous segments); the training kernel's capacity classes are
+derived from it in :mod:`repro.sparsity.ops.geometry_cache`.
 """
 
 from __future__ import annotations

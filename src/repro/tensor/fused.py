@@ -11,7 +11,7 @@ per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
 The kernels the step compiler can replay (``layer_norm``, ``linear``,
-``cross_entropy_logits``, the materialising and the row-tiled attention core)
+``cross_entropy_logits``, the materialising and the tiled attention core)
 write that forward exactly
 once, as a ``run`` thunk over buffers bound up front — plan-owned while a
 :class:`~repro.tensor.plan.ForwardRecorder` is installed, the arena's
@@ -43,9 +43,8 @@ Derivations (notation: ``g`` is the incoming output gradient):
 ``attention``        softmax backward threaded between the two matmul
                      backwards, all restricted to a single probability
                      buffer (``scaled_dot_product_attention``) or to one
-                     query-row tile's K/V panel at a time, probabilities
-                     recomputed from the saved logsumexp
-                     (``tiled_attention``).
+                     tile's K/V panels at a time, probabilities recomputed
+                     from the saved logsumexp (``tiled_attention``).
 """
 
 from __future__ import annotations
@@ -73,7 +72,9 @@ __all__ = [
     "cross_entropy_logits",
     "scaled_dot_product_attention",
     "RowTile",
+    "UnitClass",
     "TileLayout",
+    "chunk_panel_blocks",
     "mask_tile_layout",
     "tiled_attention",
     "streaming_attention",
@@ -124,7 +125,7 @@ def guard_zero_rows(denom: np.ndarray,
     kept position (padded sequences, extreme sparsity, zero active blocks)
     have an all-zero exp-sum, and dividing by the guarded denominator leaves
     them as exactly-zero probability rows — in every implementation
-    (``masked_softmax``, fused SDPA, the row-tiled kernel and the oracle
+    (``masked_softmax``, fused SDPA, the tiled kernel and the oracle
     exposer).  Rows with any kept position are
     untouched bit-for-bit.
 
@@ -668,64 +669,96 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# row-tiled attention: the one kernel behind streaming, block-sparse and
-# streaming block-sparse attention
+# tiled attention: the one kernel behind dense streaming and block-sparse
+# attention
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RowTile:
-    """One query-row tile ``[r0, r1)`` and the key columns it attends to.
+    """One query-row tile ``[r0, r1)`` of dense attention.
 
-    The tile's K/V *panel* is the contiguous prefix ``[0, width)`` when
-    ``index`` is None.  Otherwise ``index`` holds, head after head,
-    ``width // block`` linear ``head * n_blocks + key_block`` slots of the
-    staged K/V grid, ``live`` of them real; the list is padded with the inert
-    slot ``heads * n_blocks`` (an all-zero block), so every head's panel has
-    the same width and one batched GEMM covers them all.
-
-    Two masks mark the panel entries that receive no probability; an entry
-    either one marks is dropped.  ``drop`` — bool, broadcastable to
-    ``(batch, heads, width - m0, r1 - r0)``, panel-column major like the
-    score scratch — covers panel columns ``[m0, width)``: a dense mask's
-    dropped entries, or the causal triangle of a sparse tile's own key
-    blocks, which end its panel.  ``block_drop`` — ``(head, panel block,
-    row block)`` index arrays, panel blocks counted from column
-    ``block_m0`` — marks whole ``block x block`` pieces a row does not keep:
-    blocks another row of the tile brought in, every padded block.
+    Its K/V *panel* is the key prefix ``[0, width)``.  ``drop`` — bool,
+    broadcastable to ``(batch, heads, width - m0, r1 - r0)``, panel-column
+    major like the score scratch — marks the entries of panel columns
+    ``[m0, width)`` that receive no probability: a mask's dropped entries,
+    the causal triangle of the diagonal tile.
     """
 
     r0: int
     r1: int
     width: int
-    index: Optional[np.ndarray] = None
-    live: Optional[np.ndarray] = None
     drop: Optional[np.ndarray] = None
     m0: int = 0
-    block_drop: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-    block_m0: int = 0
+
+
+@dataclass(frozen=True)
+class UnitClass:
+    """One chunk of a capacity class of block-sparse attention.
+
+    A *unit* is one ``(head, query block)``: the block's query rows, with
+    every batch row stacked on the leading axis.  The chunk holds units
+    ``[u0, u1)`` of :attr:`TileLayout.units`, each with ``capacity`` panel
+    blocks: ``index`` lists, unit after unit, linear ``head * n_blocks +
+    key_block`` slots of the staged K/V grid — the earlier key blocks the
+    unit keeps (ascending), the inert all-zero slot ``heads * n_blocks`` as
+    padding, then its own diagonal block.  ``drop`` — bool, ``(capacity -
+    first, units)`` — marks the inert slots from panel block ``first`` on
+    (None: the chunk has none); the kernel drops their whole blocks, and the
+    causal triangle of every diagonal block through one shared mask.
+    ``rounds`` (unit offsets) cut the chunk into runs holding each head at
+    most once, in ascending query block from run to run: a run's slots are
+    distinct, so its key gradients scatter-add with one gather and one store,
+    and inside the class every key block meets its query blocks in ascending
+    order.
+    """
+
+    u0: int
+    u1: int
+    capacity: int
+    index: np.ndarray
+    rounds: Tuple[int, ...]
+    drop: Optional[np.ndarray]
+    first: int
 
 
 @dataclass(frozen=True)
 class TileLayout:
-    """The only structural input of :func:`tiled_attention`."""
+    """The only structural input of :func:`tiled_attention`.
 
-    tiles: Tuple[RowTile, ...]
-    block: int = 0        # key columns per block (0: no block structure)
-    n_blocks: int = 0     # key blocks per head in the staged grid (0: nothing gathers)
+    Dense attention is a tuple of :class:`RowTile`.  Block-sparse attention
+    is a tuple of :class:`UnitClass` chunks over the ``heads * n_blocks``
+    units in the order ``units`` lists them (``head * n_blocks + query
+    block``), gathering ``block``-row blocks from staged grids of
+    ``n_blocks`` per head.
+    """
+
+    tiles: Tuple[Union[RowTile, UnitClass], ...]
+    block: int = 0
+    n_blocks: int = 0
+    units: Optional[np.ndarray] = None
 
 
 class _TileViews(NamedTuple):
-    """One tile's views of the inputs and of a kernel workspace."""
+    """One tile's (or class chunk's) views of the inputs and of a workspace."""
 
-    q_rows: np.ndarray    # (batch, heads, n, dim) rows of q
+    q_rows: np.ndarray    # (batch, lead, n, dim) query rows
     qs: np.ndarray        # scale * q_rows, contiguous
     qs_t: np.ndarray      # qs transposed
-    k_pan: np.ndarray     # (batch, heads, width, dim)
-    v_pan: np.ndarray     # (batch, heads, width, vdim)
-    gathers: tuple        # (staged slots, panel to gather into) pairs
-    s: np.ndarray         # (batch, heads, width, n) score scratch
-    s_masked: np.ndarray  # s[:, :, m0:], what ``drop`` covers
-    s_blocks: Optional[np.ndarray]  # s[:, :, block_m0:] split into blocks
+    k_pan: np.ndarray     # (batch, lead, width, dim)
+    v_pan: np.ndarray     # (batch, lead, width, vdim)
+    gathers: tuple        # (staged slots, slot list, panel to gather into)
+    s: np.ndarray         # (batch, lead, width, n) score scratch
+    masks: tuple          # (score view, bool mask) pairs: entries to drop
+    o: np.ndarray         # (batch, lead, n, vdim) output rows
+    lse: np.ndarray       # (batch, lead, 1, n) their logsumexp
+    ids: Optional[np.ndarray]  # a chunk's units (None: rows of the natural layout)
+
+
+def chunk_panel_blocks(heads: int, n_blocks: int) -> int:
+    """Panel blocks one capacity-class chunk holds at most: half the staged
+    K/V grid's, so chunk scratch stays a fraction of the sequence-sized
+    buffers while each stacked GEMM still spans hundreds of units."""
+    return max(1, heads * n_blocks // 2)
 
 
 def mask_tile_layout(attn_mask: Optional[np.ndarray], sq: int, sk: int,
@@ -764,25 +797,35 @@ def mask_tile_layout(attn_mask: Optional[np.ndarray], sq: int, sk: int,
 def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
                     scale: Optional[float] = None,
                     tag: str = "tiled_attention") -> Tensor:
-    """``softmax(Q K^T * scale) V`` walked one query-row tile at a time.
+    """``softmax(Q K^T * scale) V`` walked one tile of query rows at a time.
 
-    For each :class:`RowTile` the forward slices (or gathers) one K/V panel,
-    forms the tile's scores with a single GEMM batched over all heads, runs a
-    plain softmax over the panel — every column a row attends to is present
-    at once, so there is no running max to rescale — and one GEMM for the
-    context.  Only ``out`` and the per-row logsumexp survive (plus, when
-    panels are gathered, the sequence-sized staged K/V grid); the backward
-    recomputes each tile's probabilities from the logsumexp, forms ``dS`` on
-    the panel only, writes ``dQ`` once per tile and accumulates ``dK``/``dV``
-    through the same column list.  Seven GEMMs per tile, whatever the number
-    of active blocks.
+    A dense tile (:class:`RowTile`) is a run of query rows over a key prefix,
+    stacked over ``(batch, heads)``.  A block-sparse tile (:class:`UnitClass`)
+    is a chunk of a capacity class, stacked over ``(batch, units)``: its query
+    rows and K/V panels are gathered block by block from staged grids, and its
+    output and ``dQ`` rows are scattered back.  Either way the forward forms
+    the tile's scores with one batched GEMM, runs a plain softmax over the
+    panel — every column a row attends to is present at once, so there is no
+    running max to rescale — and one GEMM for the context.  Only ``out`` and
+    the per-row logsumexp survive (plus, for classes, the sequence-sized
+    staged Q and K/V grids); the backward recomputes each tile's
+    probabilities from the logsumexp, forms ``dS`` on the panel only, writes
+    ``dQ`` once per tile and accumulates ``dK``/``dV`` through the same
+    column list.  Seven GEMMs per tile, whatever the number of active blocks.
 
-    Scores are kept panel-column major, ``(batch, heads, width, rows)``: the
-    softmax reductions then run over a non-contiguous axis, which NumPy
-    accumulates strictly in column order — trailing padded columns add exact
-    zeros, so padding a panel never changes a bit of the result (until the
-    padded width crosses the BLAS's own inner-dimension blocking, a few
-    hundred columns, where the two panel-reducing GEMMs may round differently).
+    Scores are kept panel-column major, ``(batch, lead, width, rows)`` — a
+    class chunk's stored unit-innermost, so its reductions sweep long
+    contiguous rows: the softmax reductions run over the panel axis, which
+    NumPy accumulates strictly in column order, so trailing padded columns add
+    exact zeros and padding a panel never changes a bit of the result (until
+    the padded width crosses the BLAS's own inner-dimension blocking, a few
+    hundred columns, where the two panel-reducing GEMMs may round
+    differently).  A key block collects its gradient in a fixed order — class
+    by class, ascending query block inside a class — so replay is bitwise
+    equal to interpreted execution.  The contract is bitwise per geometry,
+    not per layout: ``dK``/``dV`` follow which units share a class, so
+    grouping the same layout's units differently (another capacity ladder)
+    changes their rounding, while widening every class in place does not.
 
     Rows that keep no column follow :func:`guard_zero_rows`: their output and
     all three gradients are exactly zero.
@@ -792,95 +835,126 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     batch, heads, sq, dim = qd.shape
     sk, vdim = kd.shape[2], vd.shape[3]
     dtype = qd.dtype
-    tiles, bs, nb = layout.tiles, layout.block, layout.n_blocks
-    bh = batch * heads
-    rows = max(t.r1 - t.r0 for t in tiles)
-    # Scratch is sized for a row tile over the whole staged grid (a column
-    # list may only pad past it), not over this layout's panels: a refresh
-    # that moves the gathered panels reuses the arena buffers its
-    # predecessor released.
-    width = max(nb * bs, max(t.width for t in tiles))
-    gathered = width if nb else 0
-    area = rows * width
+    tiles, bs, nb, units = layout.tiles, layout.block, layout.n_blocks, layout.units
+    sparse = units is not None
+    kvd = dim + vdim       # a staged K/V grid row: its key, then its value
+    if sparse:
+        # Units stack on the leading axis.  Chunk scratch is sized by the
+        # sequence (a chunk's panel-block budget), not by this layout's
+        # classes: a refresh that moves them reuses the arena buffers its
+        # predecessor released.
+        lead, rows = heads * nb, bs
+        stack = max(chunk_panel_blocks(heads, nb), max(t.capacity for t in tiles))
+        panel = stack * bs
+    else:
+        lead, rows = heads, max(t.r1 - t.r0 for t in tiles)
+        stack, panel = heads, heads * max(t.width for t in tiles)
+    area = panel * rows        # score entries per batch row
 
     def workspace(alloc):
-        """(score, scaled-q, K-panel, V-panel) buffers sized for any tile."""
-        return (alloc((bh * area,), dtype), alloc((batch, heads, rows, dim), dtype),
-                alloc((bh * gathered * dim,), dtype),
-                alloc((bh * gathered * vdim,), dtype))
+        """(score, scaled-q) buffers sized for any tile, and for class chunks
+        (K/V-panel, output-row, transposed scaled-q) ones."""
+        work = (alloc((batch * area,), dtype), alloc((batch, stack, rows, dim), dtype))
+        if sparse:
+            work += (alloc((batch * panel * kvd,), dtype),
+                     alloc((batch, stack, rows, vdim), dtype),
+                     alloc((batch, stack, dim, rows), dtype))
+        return work
 
-    def bind(tile: RowTile, work) -> _TileViews:
-        score_buf, qs_buf, k_buf, v_buf = work
-        n, w = tile.r1 - tile.r0, tile.width
-        qs = qs_buf[:, :, :n]
-        s = score_buf[:bh * w * n].reshape(batch, heads, w, n)
-        if tile.index is None:
-            k_pan, v_pan, gathers = kd[:, :, :w], vd[:, :, :w], ()
-        else:
-            k_flat = k_buf[:bh * w * dim].reshape(batch, -1, bs * dim)
-            v_flat = v_buf[:bh * w * vdim].reshape(batch, -1, bs * vdim)
-            k_pan = k_flat.reshape(batch, heads, w, dim)
-            v_pan = v_flat.reshape(batch, heads, w, vdim)
-            gathers = ((k_slots, k_flat), (v_slots, v_flat))
-        blocks = None
-        if tile.block_drop is not None:
-            # (batch, heads, panel block, column, row block, row): every row
-            # block is whole but a lone partial last one.
-            row_blocks = -(-n // bs)
-            blocks = s[:, :, tile.block_m0:].reshape(
-                batch, heads, (w - tile.block_m0) // bs, bs, row_blocks,
-                n // row_blocks)
-        return _TileViews(qd[:, :, tile.r0:tile.r1], qs, np.swapaxes(qs, -1, -2),
-                          k_pan, v_pan, gathers, s, s[:, :, tile.m0:], blocks)
+    def scores_in(buf, tile):
+        """``tile``'s ``(batch, lead, width, rows)`` score view of ``buf``."""
+        if not sparse:
+            n, w = tile.r1 - tile.r0, tile.width
+            return buf[:batch * heads * w * n].reshape(batch, heads, w, n)
+        n, w = tile.u1 - tile.u0, tile.capacity * bs
+        return buf[:batch * w * n * bs].reshape(batch, w, n, bs).transpose(0, 2, 1, 3)
 
-    def tile_scores(tile: RowTile, tv: _TileViews) -> None:
-        """Scaled scores of one tile into ``tv.s``, dropped entries filled."""
-        np.multiply(tv.q_rows, scale, out=tv.qs)
-        for slots, panel in tv.gathers:
-            np.take(slots, tile.index, axis=1, mode="clip", out=panel)
-        np.matmul(tv.k_pan, tv.qs_t, out=tv.s)
+    def bind(tile, work) -> _TileViews:
+        s = scores_in(work[0], tile)
+        if not sparse:
+            n, w = tile.r1 - tile.r0, tile.width
+            qs = work[1][:, :, :n]
+            masks = () if tile.drop is None else ((s[:, :, tile.m0:], tile.drop),)
+            return _TileViews(qd[:, :, tile.r0:tile.r1], qs, np.swapaxes(qs, -1, -2),
+                              kd[:, :, :w], vd[:, :, :w], (), s, masks,
+                              out[:, :, tile.r0:tile.r1], lse[..., tile.r0:tile.r1],
+                              None)
+        _, qs_buf, kv_buf, o_buf, qs_t_buf = work
+        n, c = tile.u1 - tile.u0, tile.capacity
+        qs, ids = qs_buf[:, :n], units[tile.u0:tile.u1]
+        kv_flat = kv_buf[:batch * c * bs * n * kvd].reshape(batch, n * c, bs * kvd)
+        kv_pan = kv_flat.reshape(batch, n, c * bs, kvd)
+        gathers = ((q_blocks, ids, qs), (kv_slots, tile.index, kv_flat))
+        # Masks per block: the diagonal block's causal triangle, and whole
+        # inert blocks through a (panel block, column, unit, row) view of the
+        # stored scores.
+        stored = s.transpose(0, 2, 1, 3)
+        masks = ((stored[:, -bs:], causal),)
         if tile.drop is not None:
-            np.copyto(tv.s_masked, _NEG_FILL, where=tile.drop)
-        if tile.block_drop is not None:
-            head, panel_block, row_block = tile.block_drop
-            tv.s_blocks[:, head, panel_block, :, row_block] = _NEG_FILL
+            masks += ((stored[:, tile.first * bs:].reshape(batch, -1, bs, n, bs),
+                       tile.drop[:, None, :, None]),)
+        return _TileViews(qs, qs, qs_t_buf[:, :n], kv_pan[..., :dim],
+                          kv_pan[..., dim:], gathers, s, masks, o_buf[:, :n],
+                          lse[:, tile.u0:tile.u1], ids)
+
+    def tile_scores(tv: _TileViews) -> None:
+        """Scaled scores of one tile into ``tv.s``, dropped entries filled."""
+        for slots, index, into in tv.gathers:
+            np.take(slots, index, axis=1, mode="clip", out=into)
+        np.multiply(tv.q_rows, scale, out=tv.qs)
+        if tv.ids is not None:
+            # A class chunk's GEMMs are small: with the transposed operand
+            # contiguous this BLAS runs them ~2.5x faster (same bits).
+            np.copyto(np.swapaxes(tv.qs_t, -1, -2), tv.qs)
+        np.matmul(tv.k_pan, tv.qs_t, out=tv.s)
+        for view, mask in tv.masks:
+            np.copyto(view, _NEG_FILL, where=mask)
 
     rec = _plan._RECORDER
     alloc = np.empty if rec is not None else _arena.empty
-    k_slots = v_slots = None
+    kv_slots = q_grid = None
     copies = []
-    if nb:
-        # Gathered panels read whole blocks out of a (head, key block) grid
-        # with one spare all-zero slot; the grid is zero-padded to the block
-        # multiple once, here, and refreshed from K/V by every run.
-        k_slots = alloc((batch, heads * nb + 1, bs * dim), dtype)
-        v_slots = alloc((batch, heads * nb + 1, bs * vdim), dtype)
-        for slots, src in ((k_slots, kd), (v_slots, vd)):
-            slots[:, -1] = 0.0
-            grid = slots[:, :-1].reshape(batch, heads, nb * bs, src.shape[3])
-            grid[:, :, sk:] = 0.0
-            copies.append((grid[:, :, :sk], src))
+    if sparse:
+        # Query rows and panels are read block by block out of (head, block)
+        # grids, K/V's with one spare all-zero slot.  The grids are
+        # zero-filled once, here, and refreshed from Q/K/V by every run: a
+        # ragged last block stays zero-padded.
+        zeros = np.zeros if rec is not None else _arena.zeros
+        kv_slots = zeros((batch, lead + 1, bs * kvd), dtype)
+        kv_grid = kv_slots[:, :lead].reshape(batch, heads, nb * bs, kvd)
+        q_grid = zeros((batch, heads, nb * bs, dim), dtype)
+        q_blocks = q_grid.reshape(batch, lead, bs, dim)
+        copies = [(kv_grid[:, :, :sk, :dim], kd), (kv_grid[:, :, :sk, dim:], vd),
+                  (q_grid[:, :, :sq], qd)]
+        # Key offset > query offset: a diagonal block's causal triangle,
+        # (column, unit, row)-broadcast and shared by every chunk.
+        causal = np.arange(bs)[:, None, None] > np.arange(bs)
     work = workspace(alloc)
-    m_buf = alloc((bh * rows,), dtype)
-    l_buf = alloc((bh * rows,), dtype)
-    zero_buf = alloc((bh * rows,), bool)
-    lse = alloc((batch, heads, 1, sq), dtype)
-    out = alloc((batch, heads, sq, vdim), dtype)
+    m_buf = alloc((batch * stack * rows,), dtype)
+    l_buf = alloc((batch * stack * rows,), dtype)
+    zero_buf = alloc((batch * stack * rows,), bool)
+    lse = alloc((batch, lead, 1, rows if sparse else sq), dtype)   # unit order
+    # Classes write whole blocks: a ragged last block's padded rows land past
+    # the end of the rows ``out`` views.
+    padded = nb * bs if sparse else sq
+    out_blocks = alloc((batch, heads, padded, vdim), dtype)
+    out = out_blocks if padded == sq else out_blocks[:, :, :sq]
     steps = []
     for tile in tiles:
-        n = tile.r1 - tile.r0
         tv = bind(tile, work)
-        m, l, zero = (buf[:bh * n].reshape(batch, heads, 1, n)
+        n = tv.s.shape[3]
+        m, l, zero = (buf[:tv.s[..., 0, :].size].reshape(batch, -1, 1, n)
                       for buf in (m_buf, l_buf, zero_buf))
-        steps.append((tile, tv, np.swapaxes(tv.s, -1, -2), m, l, zero,
-                      l.reshape(batch, heads, n, 1), out[:, :, tile.r0:tile.r1],
-                      lse[..., tile.r0:tile.r1]))
+        steps.append((tv, np.swapaxes(tv.s, -1, -2), m, l, zero,
+                      l.reshape(batch, -1, n, 1), tv.o, tv.lse, tv.ids))
+
+    unit_rows = out_blocks.reshape(batch, lead, rows, vdim) if sparse else None
 
     def run():
         for fill, src in copies:
             np.copyto(fill, src)
-        for tile, tv, s_t, m, l, zero, l_col, o, lse_t in steps:
-            tile_scores(tile, tv)
+        for tv, s_t, m, l, zero, l_col, o, lse_t, ids in steps:
+            tile_scores(tv)
             s = tv.s
             s.max(axis=-2, keepdims=True, out=m)
             # A fully dropped row has max == _NEG_FILL; flooring the max makes
@@ -894,8 +968,10 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             o /= l_col
             np.log(l, out=l)
             np.add(l, m, out=lse_t)
+            if ids is not None:
+                unit_rows[:, ids] = o
 
-    # out is the result; lse and the staged grid survive for the backward.
+    # out is the result; lse and the staged grids survive for the backward.
     _plan.emit(rec, run, tag, *work, m_buf, l_buf, zero_buf)
 
     def backward(grad_out):
@@ -903,62 +979,85 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         tmp = np.multiply(grad_out, out, out=_arena.empty(out.shape, dtype))
         delta = tmp.sum(axis=-1, out=_arena.empty((batch, heads, sq), dtype))
         _arena.release(tmp)
-        delta_t = delta[:, :, None, :]
-        work_b = workspace(_arena.empty)
-        dp_buf = _arena.empty((bh * area,), dtype)
-        pan_buf = _arena.empty((bh * width * max(dim, vdim),), dtype)
-        acc_buf = _arena.empty((bh * gathered * max(dim, vdim),), dtype)
-        grad_q = _arena.empty(qd.shape, dtype)
+        # A recorded forward's class-chunk workspace is plan-owned and idle
+        # until the next replay, so the backward reuses it.
+        work_b = work if sparse and rec is not None else workspace(_arena.empty)
+        dp_buf = _arena.empty((batch * area,), dtype)
+        pan_buf = _arena.empty((batch * panel * (kvd if sparse else max(dim, vdim)),), dtype)
+        gq_blocks = _arena.empty((batch, heads, padded, dim), dtype)
+        grad_q = gq_blocks if padded == sq else gq_blocks[:, :, :sq]
         grad_k = _arena.zeros(kd.shape, dtype)
         grad_v = _arena.zeros(vd.shape, dtype)
-        gk_slots = gv_slots = None
-        if nb:
-            gk_slots = _arena.zeros(k_slots.shape, dtype)
-            gv_slots = _arena.zeros(v_slots.shape, dtype)
-
-        def accumulate(tile, pan, grad, slots):
-            """Add a panel gradient onto the key columns the panel came from
-            (padded columns are exact zeros landing on the spare slot)."""
-            if tile.index is None:
-                target = grad[:, :, :tile.width]
-                np.add(target, pan, out=target)
-                return
-            flat = pan.reshape(batch, -1, slots.shape[2])
-            acc = acc_buf[:flat.size].reshape(flat.shape)
-            np.take(slots, tile.index, axis=1, mode="clip", out=acc)
-            acc += flat
-            slots[:, tile.index] = acc
-
+        gd_grid = gd_buf = g_t_buf = gq_buf = acc_buf = kv_grads = None
+        if sparse:
+            # dO and delta side by side per (head, block), zero on a ragged
+            # block's padded rows, so those rows add exact zeros to dK/dV.
+            gd_grid = _arena.zeros((batch, heads, nb * bs, vdim + 1), dtype)
+            np.copyto(gd_grid[:, :, :sq, :vdim], grad_out)
+            np.copyto(gd_grid[:, :, :sq, vdim], delta)
+            gd_buf = _arena.empty((batch, stack, bs, vdim + 1), dtype)
+            g_t_buf = _arena.empty((batch, stack, vdim, bs), dtype)
+            gq_buf = _arena.empty((batch, stack, bs, dim), dtype)
+            acc_buf = _arena.empty((batch * panel * kvd,), dtype)
+            kv_grads = _arena.zeros(kv_slots.shape, dtype)
         for tile in tiles:
-            n, w = tile.r1 - tile.r0, tile.width
             tv = bind(tile, work_b)
+            if sparse:
+                gd, gq_rows, g_t = (buf[:, :tv.ids.size] for buf in (gd_buf, gq_buf, g_t_buf))
+                np.take(gd_grid.reshape(batch, lead, bs, -1), tv.ids, axis=1,
+                        mode="clip", out=gd)
+                g_rows, delta_rows = gd[..., :vdim], gd[..., None, :, vdim]
+                np.copyto(np.swapaxes(g_t, -1, -2), g_rows)
+            else:
+                rows_ = slice(tile.r0, tile.r1)
+                g_rows, gq_rows = grad_out[:, :, rows_], grad_q[:, :, rows_]
+                delta_rows, g_t = delta[:, :, None, rows_], np.swapaxes(g_rows, -1, -2)
             # Probabilities straight from the saved logsumexp: no max pass.
-            tile_scores(tile, tv)
+            tile_scores(tv)
             p = tv.s
-            p -= lse[..., tile.r0:tile.r1]
+            p -= tv.lse
             np.exp(p, out=p)
-            g_rows = grad_out[:, :, tile.r0:tile.r1]
-            dv_pan = pan_buf[:bh * w * vdim].reshape(batch, heads, w, vdim)
+            pan_rows = p[..., 0].size
+            if sparse:
+                # Both panel gradients land in one (key, value) panel, which
+                # is added to the grid in one pass.
+                kv_pan = pan_buf[:pan_rows * kvd].reshape(*p.shape[:3], kvd)
+                dk_pan, dv_pan = kv_pan[..., :dim], kv_pan[..., dim:]
+            else:
+                # dV, then dK, through one panel onto the key prefix.
+                dv_pan = pan_buf[:pan_rows * vdim].reshape(*p.shape[:3], vdim)
             np.matmul(p, g_rows, out=dv_pan)
-            accumulate(tile, dv_pan, grad_v, gv_slots)
+            if not sparse:
+                np.add(grad_v[:, :, :tile.width], dv_pan, out=grad_v[:, :, :tile.width])
+                dk_pan = pan_buf[:pan_rows * dim].reshape(*p.shape[:3], dim)
             # dS = P * (dP - delta), on the panel only.
-            ds = dp_buf[:bh * w * n].reshape(batch, heads, w, n)
-            np.matmul(tv.v_pan, np.swapaxes(g_rows, -1, -2), out=ds)
-            ds -= delta_t[..., tile.r0:tile.r1]
+            ds = scores_in(dp_buf, tile)
+            np.matmul(tv.v_pan, g_t, out=ds)
+            ds -= delta_rows
             ds *= p
-            gq_rows = grad_q[:, :, tile.r0:tile.r1]
             np.matmul(np.swapaxes(ds, -1, -2), tv.k_pan, out=gq_rows)
             gq_rows *= scale
-            dk_pan = pan_buf[:bh * w * dim].reshape(batch, heads, w, dim)
             np.matmul(ds, tv.qs, out=dk_pan)
-            accumulate(tile, dk_pan, grad_k, gk_slots)
-        for grad, slots in ((grad_k, gk_slots), (grad_v, gv_slots)):
-            if slots is not None:
-                grad += slots[:, :-1].reshape(
-                    batch, heads, nb * bs, grad.shape[3])[:, :, :sk]
+            if not sparse:
+                np.add(grad_k[:, :, :tile.width], dk_pan, out=grad_k[:, :, :tile.width])
+                continue
+            gq_blocks.reshape(batch, lead, bs, dim)[:, tv.ids] = gq_rows
+            # Add the panel gradients onto the grid slots they came from, run
+            # by run (padded blocks are exact zeros landing on the spare slot).
+            flat, c = kv_pan.reshape(batch, -1, bs * kvd), tile.capacity
+            for a, b in zip(tile.rounds, tile.rounds[1:]):
+                index = tile.index[a * c:b * c]
+                acc = acc_buf[:flat[:, :index.size].size].reshape(batch, index.size, -1)
+                np.take(kv_grads, index, axis=1, mode="clip", out=acc)
+                acc += flat[:, a * c:b * c]
+                kv_grads[:, index] = acc
+        if sparse:
+            grid = kv_grads[:, :lead].reshape(batch, heads, nb * bs, kvd)[:, :, :sk]
+            grad_k += grid[..., :dim]
+            grad_v += grid[..., dim:]
         # release() ignores whatever the plan or a geometry cache owns.
-        _arena.release(delta, *work_b, dp_buf, pan_buf, acc_buf, gk_slots,
-                       gv_slots, lse, k_slots, v_slots,
+        _arena.release(delta, *work_b, dp_buf, pan_buf, acc_buf, kv_grads, lse,
+                       kv_slots, q_grid, gd_grid, gd_buf, g_t_buf, gq_buf,
                        *(t.drop for t in tiles))
         return grad_q, grad_k, grad_v
 

@@ -24,14 +24,16 @@ files stay untouched.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.sparsity.ops import (NeuronSparseWeights, block_sparse_attention,
-                                compute_block_geometry,
+from repro.sparsity.ops import (MultiHeadLayout, NeuronSparseWeights,
+                                block_sparse_attention, compute_block_geometry,
                                 neuron_sparse_linear_pair)
+from repro.sparsity.ops.geometry_cache import _CAPACITY_LADDER, _class_chunks
 from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
 from repro.sparsity.patterns import build_default_pool
 from repro.tensor import Tensor, arena, functional as F, fused, plan, reference
@@ -335,7 +337,7 @@ def build_cases() -> List[ParityCase]:
 
     # -- block-sparse attention --------------------------------------------
     # The reference twin runs dense attention under the layout's expanded
-    # element mask; the kernel sums each row tile's gathered panel in column
+    # element mask; the kernel sums each unit's gathered panel in column
     # order, so the fused-vs-reference tolerance is the float32 rounding of
     # the two summation orders rather than the ~1e-5 of the shared-algorithm
     # ops.  Ragged lengths record too: the staged K/V grid is padded once.
@@ -414,22 +416,23 @@ REPLAY_CASES = [case for case in ALL_CASES if case.replayable]
 
 
 # ---------------------------------------------------------------------------
-# the row-tiled kernel's own grid: layout x row tile, and its three properties
+# the tiled kernel's own grid: layout x tiling, and its structural properties
 # ---------------------------------------------------------------------------
 #
-# One kernel (repro.tensor.fused.tiled_attention) serves streaming,
-# block-sparse and streaming block-sparse attention, so beyond the dispatch
-# cases above it gets a grid over what actually shapes its work — sequence
-# length (ragged and aligned), block size, layout sparsity and row-tile
-# height — plus the two structural properties later work leans on: padding a
-# column list is arithmetically inert, and dense streaming attention is the
-# all-causal-blocks layout.
+# One kernel (repro.tensor.fused.tiled_attention) serves dense streaming and
+# block-sparse attention, so beyond the dispatch cases above it gets a grid
+# over what actually shapes its work — sequence length (ragged and aligned),
+# block size, layout sparsity and tiling: the layout's capacity classes, or
+# dense row tiles (one block, four blocks, the whole sequence high) under the
+# layout's element mask — plus the two structural properties later work
+# leans on: widening a capacity class is arithmetically inert, and dense
+# streaming attention is the all-causal-blocks layout.
 
 TILE_GRID = [(seq, block, sparsity, kind)
              for seq in (48, 100, 128, 256)
              for block in (16, 32, 64)
              for sparsity in (0.0, 0.17, 0.5, 0.9)
-             for kind in ("block", "4xblock", "whole")]
+             for kind in ("classes", "block", "4xblock", "whole")]
 
 
 def grid_layout(seq: int, block: int, sparsity: float, heads: int = 2):
@@ -445,9 +448,50 @@ def grid_row_tile(kind: str, block: int, seq: int) -> int:
             "whole": -(-seq // block) * block}[kind]
 
 
-def _qkv(layout, seq: int, dim: int = 4, seed: int = 0):
+def grid_geometry(layout, seq: int, kind: str = "classes"):
+    """``layout``'s capacity classes, or the dense row tiles ``kind`` names
+    over its element mask."""
+    if kind == "classes":
+        return compute_block_geometry(layout, seq)
+    return fused.mask_tile_layout(layout.to_dense_mask(seq), seq, seq,
+                                  grid_row_tile(kind, layout.block_size, seq))
+
+
+def sink_layout(seq: int, block: int, heads: int = 2):
+    """Every query block of every head keeps key block 0 — an attention-sink
+    column — and its diagonal: the longest dK/dV accumulation chain, and
+    every unit but the first rows' in one class."""
+    n_blocks = -(-seq // block)
+    masks = np.zeros((heads, n_blocks, n_blocks), dtype=bool)
+    masks[:, :, 0] = True
+    return layout_from_block_masks(masks, block)
+
+
+def empty_row_layout():
+    """Hand-built (``layout_from_block_masks`` would force the diagonal):
+    head 0 keeps nothing in block row 1 and only key block 1 in block row 2,
+    head 1 keeps a single off-diagonal block in block row 1 — an empty row,
+    rows without their diagonal, different live counts."""
+    return MultiHeadLayout(n_heads=2, n_blocks=3, block_size=8,
+                           heads=np.array([0, 0, 1, 1, 1, 1]),
+                           rows=np.array([0, 2, 0, 1, 2, 2]),
+                           cols=np.array([0, 1, 0, 0, 0, 2]),
+                           row_segment_starts=np.array([0, 1, 2, 3, 4]))
+
+
+# name -> (layout, seq, batch): the class kernel's edge cases.
+EDGE_CASES = {
+    "sink-seq256-block16": lambda: (sink_layout(256, 16), 256, 1),
+    "sink-ragged-seq100-block16-batch2": lambda: (sink_layout(100, 16), 100, 2),
+    "empty-rows-seq21-block8-batch2": lambda: (empty_row_layout(), 21, 2),
+    "random-ragged-seq100-block16-batch2":
+        lambda: (grid_layout(100, 16, 0.5), 100, 2),
+}
+
+
+def _qkv(layout, seq: int, dim: int = 4, seed: int = 0, batch: int = 1):
     rng = np.random.default_rng(seed)
-    shape = (1, layout.n_heads, seq, dim)
+    shape = (batch, layout.n_heads, seq, dim)
     return _normals(rng, shape, shape, shape)
 
 
@@ -472,14 +516,12 @@ def directional_fd_err(op: Callable, arrays: Sequence[np.ndarray],
     return worst
 
 
-def run_tile_grid_case(seq: int, block: int, sparsity: float, kind: str,
+def run_tile_grid_case(layout, seq: int, kind: str = "classes", batch: int = 1,
                        tol_ref: float = 5e-4, tol_fd: float = 2e-3) -> None:
-    """The kernel over ``compute_block_geometry(layout, seq, row_tile)`` vs the
+    """The kernel over ``grid_geometry(layout, seq, kind)`` vs the
     dense-under-mask reference twin and central finite differences."""
-    layout = grid_layout(seq, block, sparsity)
-    geometry = compute_block_geometry(layout, seq,
-                                      row_tile=grid_row_tile(kind, block, seq))
-    arrays = _qkv(layout, seq)
+    geometry = grid_geometry(layout, seq, kind)
+    arrays = _qkv(layout, seq, batch=batch)
 
     def kernel(a, b, c):
         return fused.tiled_attention(a, b, c, geometry)
@@ -491,7 +533,7 @@ def run_tile_grid_case(seq: int, block: int, sparsity: float, kind: str,
         size=arrays[0].shape).astype(np.float32).astype(np.float64)
     out, grads = forward_backward(kernel, arrays, projection)
     ref_out, ref_grads = forward_backward(twin, arrays, projection)
-    tag = f"seq{seq}-block{block}-sparsity{sparsity}-{kind}"
+    tag = f"seq{seq}-block{layout.block_size}-{kind}-batch{batch}"
     assert max_rel_err(out, ref_out.astype(np.float64)) <= tol_ref, tag
     for index, (grad, ref_grad) in enumerate(zip(grads, ref_grads)):
         err = max_rel_err(grad, ref_grad.astype(np.float64))
@@ -500,34 +542,28 @@ def run_tile_grid_case(seq: int, block: int, sparsity: float, kind: str,
     assert fd_err <= tol_fd, f"{tag}: vs finite differences {fd_err:.2e}"
 
 
-def pad_tile_layout(geometry, extra_blocks: int):
-    """``geometry`` with ``extra_blocks`` more inert entries in every gathered
-    column list (sliced prefix tiles have no list to pad and stay as they are)."""
-    trash = None
-    tiles = []
+def pad_tile_layout(geometry, rungs: int = 1):
+    """``geometry`` with every capacity class ``rungs`` ladder rungs wider —
+    inert slots in front of each unit's diagonal block — cut into chunks
+    again, each unit its own scatter round."""
+    lead, nb = geometry.units.size, geometry.n_blocks
+    classes = {}
     for tile in geometry.tiles:
-        if tile.index is None:
-            tiles.append(tile)
-            continue
-        heads = tile.live.shape[0]
-        trash = heads * geometry.n_blocks
+        classes.setdefault(tile.capacity, []).append(tile)
+    tiles = []
+    for capacity, chunks in classes.items():
+        u0 = chunks[0].u0
+        index = np.concatenate([t.index.reshape(-1, capacity) for t in chunks])
+        wider = int(_CAPACITY_LADDER[np.searchsorted(_CAPACITY_LADDER, capacity,
+                                                     side="right") + rungs - 1])
         index = np.concatenate(
-            [tile.index.reshape(heads, -1),
-             np.full((heads, extra_blocks), trash, dtype=tile.index.dtype)], axis=1)
-        extra = extra_blocks * geometry.block
-        n = tile.r1 - tile.r0
-        drop = np.ones((heads, tile.width + extra - tile.m0, n), dtype=bool)
-        if tile.drop is not None:
-            drop[:, :tile.width - tile.m0] = tile.drop
-        else:
-            drop[:, :tile.width - tile.m0] = False
-        tiles.append(fused.RowTile(tile.r0, tile.r1, tile.width + extra,
-                                   index=index.ravel(), live=tile.live,
-                                   drop=drop, m0=tile.m0,
-                                   block_drop=tile.block_drop,
-                                   block_m0=tile.block_m0))
-    assert trash is not None, "layout has no gathered tile to pad"
-    return fused.TileLayout(tuple(tiles), geometry.block, geometry.n_blocks)
+            [index[:, :-1], np.full((len(index), wider - capacity), lead),
+             index[:, -1:]], axis=1)
+        # One scatter round per unit: the order every key block meets its
+        # query blocks in is the unit order, whatever the rounds.
+        tiles += _class_chunks(u0, index, np.arange(len(index)), lead,
+                               fused.chunk_panel_blocks(lead // nb, nb))
+    return dataclasses.replace(geometry, tiles=tuple(tiles))
 
 
 def _kernel_results(run: Callable, arrays: Sequence[np.ndarray]):
@@ -537,13 +573,13 @@ def _kernel_results(run: Callable, arrays: Sequence[np.ndarray]):
     return [out] + grads
 
 
-def assert_padding_inert(seq: int, block: int, sparsity: float, kind: str,
-                         extra_blocks: int) -> None:
-    """Growing every column list with inert entries changes no output bit."""
+def assert_padding_inert(seq: int, block: int, sparsity: float,
+                         rungs: int = 1) -> None:
+    """Widening every capacity class ``rungs`` ladder rungs changes no
+    output bit."""
     layout = grid_layout(seq, block, sparsity)
-    geometry = compute_block_geometry(layout, seq,
-                                      row_tile=grid_row_tile(kind, block, seq))
-    padded = pad_tile_layout(geometry, extra_blocks)
+    geometry = compute_block_geometry(layout, seq)
+    padded = pad_tile_layout(geometry, rungs)
     arrays = _qkv(layout, seq)
     plain = _kernel_results(
         lambda a, b, c: fused.tiled_attention(a, b, c, geometry), arrays)
@@ -551,24 +587,31 @@ def assert_padding_inert(seq: int, block: int, sparsity: float, kind: str,
         lambda a, b, c: fused.tiled_attention(a, b, c, padded), arrays)
     for name, a, b in zip(("out", "dq", "dk", "dv"), plain, grown):
         assert np.array_equal(a, b), \
-            f"seq{seq}-block{block}-sparsity{sparsity}-{kind}+{extra_blocks}: {name}"
+            f"seq{seq}-block{block}-sparsity{sparsity}+{rungs}: {name}"
 
 
-def assert_dense_is_degenerate_sparse(seq: int, block: int, row_tile: int) -> None:
-    """An all-causal-blocks layout and ``F.streaming_attention`` under the
-    causal mask, at the same row tile, are the same computation bit for bit."""
+def assert_dense_is_degenerate_sparse(seq: int, block: int) -> None:
+    """An all-causal-blocks layout's capacity classes and
+    ``F.streaming_attention`` under the causal mask one block high are the
+    same computation: bit for bit when ``seq`` is a block multiple.  A ragged
+    last block runs its dK/dV GEMMs over the block's zero-padded query rows,
+    which the BLAS may sum in another order — there dK/dV agree to an ulp."""
     layout = layout_from_block_masks(
         np.ones((2, -(-seq // block), -(-seq // block)), dtype=bool), block)
-    geometry = compute_block_geometry(layout, seq, row_tile=row_tile)
+    geometry = compute_block_geometry(layout, seq)
     arrays = _qkv(layout, seq)
     causal = _causal(seq)
     sparse = _kernel_results(
         lambda a, b, c: fused.tiled_attention(a, b, c, geometry), arrays)
     dense = _kernel_results(
-        lambda a, b, c: F.streaming_attention(a, b, c, causal, tile=row_tile),
+        lambda a, b, c: F.streaming_attention(a, b, c, causal, tile=block),
         arrays)
     for name, a, b in zip(("out", "dq", "dk", "dv"), sparse, dense):
-        assert np.array_equal(a, b), f"seq{seq}-block{block}-tile{row_tile}: {name}"
+        where = f"seq{seq}-block{block}: {name}"
+        if seq % block and name in ("dk", "dv"):
+            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7, err_msg=where)
+        else:
+            assert np.array_equal(a, b), where
 
 
 # ---------------------------------------------------------------------------

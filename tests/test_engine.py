@@ -192,6 +192,31 @@ class TestExecutedSparsity:
             min(layout.head_sparsity().min() for layout in layouts))
         assert "live attention sparsity per layer" in engine.summary()
 
+    def test_panel_efficiency_reads_the_cached_geometry(self, refreshed):
+        """Useful over attempted attention work: kept blocks over the panel
+        blocks the capacity classes execute, from the geometry the kernel
+        ran, without counting a cache lookup."""
+        from repro.sparsity.ops import compute_block_geometry
+
+        model, engine, tuner = refreshed
+        cache = engine.geometry_cache
+        lookups = cache.hits + cache.misses
+        efficiency = engine.live_panel_efficiency()
+        assert cache.hits + cache.misses == lookups
+        assert sorted(efficiency) == list(range(len(model.blocks)))
+        for backend in engine._sparse_backends:
+            if isinstance(backend, SparseAttentionBackend):
+                layout = backend.last_layout
+                executed = sum(tile.index.size for tile in
+                               compute_block_geometry(layout, 256).tiles)
+                assert efficiency[backend.layer_index] == pytest.approx(
+                    layout.nnz / executed)
+                # The ladder pads a unit's panel by less than half.
+                assert 2 / 3 <= efficiency[backend.layer_index] <= 1.0
+        assert tuner.profiler.gauges()["attention_panel_efficiency"] == \
+            pytest.approx(np.mean(list(efficiency.values())))
+        assert "attention panel efficiency per layer" in engine.summary()
+
     def test_geometry_cache_holds_only_live_layouts(self, refreshed):
         model, engine, _ = refreshed
         assert engine.geometry_cache.misses >= 2 * len(model.blocks)

@@ -279,57 +279,56 @@ class TestLayoutGeometryCache:
         layout = _random_layout(seed=3)
         g1 = cache.lookup(layout, 30)
         g2 = cache.lookup(layout, 32)
-        assert cache.misses == 2
-        assert (g1.tiles[-1].r1, g2.tiles[-1].r1) == (30, 32)
+        assert cache.misses == 2 and len(cache) == 2 and g1 is not g2
 
-    @pytest.mark.parametrize("seq_len,row_tile", [(30, None), (32, 8), (27, 16)])
-    def test_tiles_reproduce_the_dense_element_mask(self, seq_len, row_tile):
-        # Column lists + drop masks are the layout: scattering every tile's
-        # kept panel entries back must rebuild ``to_dense_mask`` exactly, and
-        # padded columns must point at the inert slot and be dropped.
-        layout = _random_layout(seed=5)
-        geom = compute_block_geometry(layout, seq_len, row_tile=row_tile)
-        bs, nb = layout.block_size, layout.n_blocks
-        rebuilt = np.zeros((layout.n_heads, seq_len, nb * bs), dtype=bool)
+    @pytest.mark.parametrize("seq_len,layout", [
+        (30, _random_layout(seed=5)), (32, _random_layout(seed=6)),
+        (27, _random_layout(seed=7)),
+        (21, parity.empty_row_layout())], ids=["30", "32", "27", "empty-rows"])
+    def test_classes_reproduce_the_dense_element_mask(self, seq_len, layout):
+        # The panels are the layout: every unit appears once, its panel lists
+        # the earlier key blocks it keeps (ascending), inert padding, then its
+        # diagonal; the padding mask marks exactly the inert slots; a chunk
+        # stays within one staged grid; and scattering the kept blocks back
+        # rebuilds ``to_dense_mask``.
+        geom = compute_block_geometry(layout, seq_len)
+        bs, nb, heads = layout.block_size, layout.n_blocks, layout.n_heads
+        lead = heads * nb
+        assert np.array_equal(np.sort(geom.units), np.arange(lead))
+        assert geom.tiles[0].u0 == 0 and geom.tiles[-1].u1 == lead
+        kept = np.zeros((heads, nb, nb), dtype=bool)
         for tile in geom.tiles:
-            n = tile.r1 - tile.r0
-            keep = np.ones((layout.n_heads, tile.width, n), dtype=bool)
+            slots = tile.index.reshape(tile.u1 - tile.u0, tile.capacity)
+            assert slots.size <= lead
+            # The drop mask: every inert slot, nothing else, one bool a block.
+            drop = np.zeros((tile.capacity, len(slots)), dtype=bool)
             if tile.drop is not None:
-                keep[:, tile.m0:] = ~tile.drop
-            if tile.block_drop is not None:
-                head, panel_block, row_block = tile.block_drop
-                row_blocks = -(-n // bs)
-                keep[:, tile.block_m0:].reshape(
-                    layout.n_heads, -1, bs, row_blocks, n // row_blocks)[
-                        head, panel_block, :, row_block] = False
-            if tile.index is None:
-                cols = np.broadcast_to(np.arange(tile.width),
-                                       (layout.n_heads, tile.width))
-            else:
-                slots = tile.index.reshape(layout.n_heads, -1)
-                inert = slots == layout.n_heads * nb
-                assert (inert.sum(axis=1) == slots.shape[1] - tile.live).all()
-                assert not keep.reshape(layout.n_heads, -1, bs, n)[inert].any()
-                cols = ((slots % nb)[:, :, None] * bs + np.arange(bs)).reshape(
-                    layout.n_heads, -1)
-                keep &= ~np.repeat(inert, bs, axis=1)[:, :, None]
-            for head in range(layout.n_heads):
-                panel_col, row = np.nonzero(keep[head])
-                rebuilt[head, tile.r0 + row, cols[head, panel_col]] = True
-        assert np.array_equal(rebuilt[:, :, :seq_len], layout.to_dense_mask(seq_len))
+                drop[tile.first:] = tile.drop
+            assert np.array_equal(drop, (slots == lead).T)
+            for unit, row in zip(geom.units[tile.u0:tile.u1], slots):
+                earlier = row[:-1][row[:-1] != lead]
+                assert np.all(np.diff(earlier) > 0) and np.all(earlier < unit)
+                assert np.all(row[:earlier.size] == earlier)
+                assert row[-1] in (unit, lead)
+                head = unit // nb
+                kept[head, unit % nb, row[row != lead] - head * nb] = True
+        element = np.repeat(np.repeat(kept, bs, axis=1), bs, axis=2)[:, :seq_len, :seq_len]
+        rebuilt = element & np.tril(np.ones((seq_len, seq_len), dtype=bool))
+        assert np.array_equal(rebuilt, layout.to_dense_mask(seq_len))
 
     def test_entry_footprint_is_bounded_by_the_causal_half(self):
-        # Masks are kept per block, not per element: a tile layout holds an
-        # index entry per dropped (head, panel block, row block) and column
-        # slot, plus causal triangles shared by every tile of their shape —
-        # well under one bool per (head, row, panel column) of the causal half.
+        # Masks are kept per block, not per element: a tile layout holds a
+        # slot per executed panel block, one unit permutation and a bool per
+        # (inert panel block, unit) — the diagonal's causal triangle is one
+        # array shared by every chunk — well under one bool per (head, row,
+        # panel column) of the causal half.
         pool = LayoutPool(build_default_pool(), block_size=16)
         layout = pool.combine(["dense", "strided2+local2", "local4", "dense"], 256)
         geom = compute_block_geometry(layout, 256)
-        held = sum(a.nbytes for tile in geom.tiles
-                   for a in (tile.index, tile.live, *(tile.block_drop or ()))
-                   if a is not None)
-        rows = geom.tiles[0].r1 - geom.tiles[0].r0
+        held = geom.units.nbytes + sum(
+            tile.index.nbytes + (0 if tile.drop is None else tile.drop.nbytes)
+            for tile in geom.tiles)
+        rows = geom.block
         assert held <= layout.n_heads * 256 * (256 + rows) // 16
 
     def test_lru_bound(self):

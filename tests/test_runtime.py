@@ -239,10 +239,13 @@ class TestMemoryModel:
                                 streaming_tile=128)
         cfg = streaming.config
         seq, batch, density = 4096, 4, 0.05
-        got = streaming.attention_buffer_bytes(batch, seq, density)
+        got = streaming.attention_buffer_bytes(batch, seq, density, block_size=64)
         materialized = batch * cfg.num_heads * seq * seq / 2.0 * density * 4
-        streamed = batch * cfg.num_heads * seq * (2 * 128 + 1.0) * 4
+        # Two class chunks of half the staged grid's 64 x 64 score blocks
+        # (heads * seq * 64 entries between them) and the logsumexp row.
+        streamed = batch * cfg.num_heads * seq * (64 + 1.0) * 4
         assert got == pytest.approx(min(materialized, streamed))
+        assert got == pytest.approx(streamed)
         # Short sequences: the streamed bound exceeds the materialized one,
         # so streaming never *adds* modelled memory.
         tiny = streaming.attention_buffer_bytes(batch, 64, 1.0)

@@ -254,85 +254,89 @@ def test_block_sparse_attention_equals_masked_dense_for_random_layouts(seed, n_b
 
 
 # ---------------------------------------------------------------------------
-# the row-tiled kernel: layout x row-tile grid and its structural properties
+# the tiled kernel: layout x tiling grid and its structural properties
 # ---------------------------------------------------------------------------
 
 def _grid_id(case):
-    seq, block, sparsity, kind = case
-    return f"seq{seq}-block{block}-sparsity{sparsity}-{kind}"
-
-
-def _gathers(case) -> bool:
-    seq, block, sparsity, kind = case
-    geometry = compute_block_geometry(parity.grid_layout(seq, block, sparsity),
-                                      seq, row_tile=parity.grid_row_tile(kind, block, seq))
-    return geometry.n_blocks > 0
+    seq, block, sparsity, *kind = case
+    return "-".join([f"seq{seq}-block{block}-sparsity{sparsity}", *kind])
 
 
 @pytest.mark.parity
 @pytest.mark.parametrize("case", parity.TILE_GRID, ids=_grid_id)
 def test_tiled_kernel_matches_reference_and_finite_differences(case):
-    parity.run_tile_grid_case(*case)
+    seq, block, sparsity, kind = case
+    parity.run_tile_grid_case(parity.grid_layout(seq, block, sparsity), seq, kind)
 
 
 @pytest.mark.parity
-@pytest.mark.parametrize("extra_blocks", [1, 3])
-@pytest.mark.parametrize("case", [c for c in parity.TILE_GRID if _gathers(c)],
-                         ids=_grid_id)
-def test_padding_a_column_list_is_arithmetically_inert(case, extra_blocks):
-    parity.assert_padding_inert(*case, extra_blocks)
+@pytest.mark.parametrize("name", sorted(parity.EDGE_CASES))
+def test_class_kernel_edge_layouts_match_reference_and_finite_differences(name):
+    layout, seq, batch = parity.EDGE_CASES[name]()
+    parity.run_tile_grid_case(layout, seq, batch=batch)
 
 
 @pytest.mark.parity
-@pytest.mark.parametrize("row_tile", [16, 64, 256])
+@pytest.mark.parametrize("rungs", [1, 2])
+@pytest.mark.parametrize("case", [c[:3] for c in parity.TILE_GRID
+                                  if c[3] == "classes"], ids=_grid_id)
+def test_widening_a_capacity_class_is_arithmetically_inert(case, rungs):
+    parity.assert_padding_inert(*case, rungs)
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("block", [16, 32, 64])
 @pytest.mark.parametrize("seq", [48, 100, 128, 256])
-def test_dense_streaming_is_the_all_causal_blocks_layout(seq, row_tile):
-    parity.assert_dense_is_degenerate_sparse(seq, 16, row_tile)
+def test_dense_streaming_is_the_all_causal_blocks_layout(seq, block):
+    parity.assert_dense_is_degenerate_sparse(seq, block)
 
 
 def test_rows_without_a_kept_block_are_exactly_zero():
-    # Hand-built layout (layout_from_block_masks would force the diagonal):
-    # head 0 keeps nothing in block row 1, head 1 keeps a single off-diagonal
-    # block there — different live counts, and an empty column list.
-    block, seq = 8, 21
-    heads = np.array([0, 0, 1, 1, 1, 1])
-    rows = np.array([0, 2, 0, 1, 2, 2])
-    cols = np.array([0, 1, 0, 0, 0, 2])
-    layout = MultiHeadLayout(n_heads=2, n_blocks=3, block_size=block,
-                             heads=heads, rows=rows, cols=cols,
-                             row_segment_starts=np.array([0, 1, 2, 3, 4]))
+    # Head 0 keeps nothing in block row 1: its rows there read exactly zero,
+    # and pulling on them moves no gradient.
+    layout, seq = parity.empty_row_layout(), 21
     arrays = make_qkv(batch=2, heads=2, seq=seq, dim=4, seed=3)
-    for row_tile in (8, 16, 24):
-        geometry = compute_block_geometry(layout, seq, row_tile=row_tile)
-        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
-        out = fused.tiled_attention(q, k, v, geometry)
-        ref = dense_attention_reference(*arrays, mask=layout.to_dense_mask(seq)[None])
-        np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-6)
-        assert not out.data[:, 0, 8:16].any()
-        grad = np.zeros_like(out.data)
-        grad[:, 0, 8:16] = 1.0                     # only the empty rows pull
-        out.backward(grad)
-        for tensor in (q, k, v):
-            assert not tensor.grad.any()
+    q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+    out = fused.tiled_attention(q, k, v, compute_block_geometry(layout, seq))
+    ref = dense_attention_reference(*arrays, mask=layout.to_dense_mask(seq)[None])
+    np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-6)
+    assert not out.data[:, 0, 8:16].any()
+    grad = np.zeros_like(out.data)
+    grad[:, 0, 8:16] = 1.0                     # only the empty rows pull
+    out.backward(grad)
+    for tensor in (q, k, v):
+        assert not tensor.grad.any()
 
 
 # ---------------------------------------------------------------------------
 # perf_smoke gates that read no clock
 # ---------------------------------------------------------------------------
 
+def _sink_window_layout(seq, block=16, heads=3):
+    """Every block row keeps key block 0, the previous block and its own: the
+    same per-row block counts at any length."""
+    n_blocks = seq // block
+    masks = np.eye(n_blocks, dtype=bool) | np.eye(n_blocks, k=-1, dtype=bool)
+    masks[:, 0] = True
+    return layout_from_block_masks(np.repeat(masks[None], heads, axis=0), block)
+
+
 @pytest.mark.perf_smoke
-@pytest.mark.parametrize("sparsity", [0.17, 0.9])
-def test_seven_gemms_per_row_tile_whatever_the_nnz(monkeypatch, sparsity):
-    seq, block = 128, 16
-    layout = parity.grid_layout(seq, block, sparsity, heads=3)
-    geometry = compute_block_geometry(layout, seq, row_tile=32)
-    q, k, v = (Tensor(a, requires_grad=True)
-               for a in make_qkv(batch=1, heads=3, seq=seq, dim=8))
+def test_seven_gemms_per_class_chunk_whatever_the_length(monkeypatch):
     calls = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul",
                         lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
-    out = fused.tiled_attention(q, k, v, geometry)
-    assert len(calls) == 2 * len(geometry.tiles)
-    out.backward(np.ones_like(out.data))
-    assert len(calls) == 7 * len(geometry.tiles) == 28
+    counts = {}
+    for seq in (256, 1024):
+        geometry = compute_block_geometry(_sink_window_layout(seq), seq)
+        q, k, v = (Tensor(a, requires_grad=True)
+                   for a in make_qkv(batch=1, heads=3, seq=seq, dim=8))
+        calls.clear()
+        out = fused.tiled_attention(q, k, v, geometry)
+        assert len(calls) == 2 * len(geometry.tiles)
+        out.backward(np.ones_like(out.data))
+        assert len(calls) == 7 * len(geometry.tiles)
+        counts[seq] = len(calls)
+    # Row tiles made 7 GEMMs per block row; classes do not grow with length.
+    assert counts[256] == counts[1024] == 7 * 8
