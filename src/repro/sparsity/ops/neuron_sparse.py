@@ -24,7 +24,7 @@ Two ideas from the paper are realised here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -70,26 +70,6 @@ class NeuronSparseWeights:
         """Rebuild the transposed copy (call if the frozen weights changed)."""
         self.fc2_weight_t = np.ascontiguousarray(self.fc2_weight.T)
         self._fc2_version += 1
-
-    def gather(self, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (fc1_active, fc2_active_t) slices for the active neurons.
-
-        ``fc1_active`` has shape ``(n_active, d)``; ``fc2_active_t`` has shape
-        ``(n_active, d)`` — i.e. already transposed so the second matmul is
-        ``hidden_activations @ fc2_active_t``.
-        """
-        n_active = active.shape[0]
-        fc1_active = np.take(self.fc1_weight, active, axis=0, mode="clip",
-                             out=_arena.empty((n_active, self.fc1_weight.shape[1]),
-                                              self.fc1_weight.dtype))
-        if self.coalesced and self.fc2_weight_t is not None:
-            fc2_active_t = np.take(self.fc2_weight_t, active, axis=0, mode="clip",
-                                   out=_arena.empty(
-                                       (n_active, self.fc2_weight_t.shape[1]),
-                                       self.fc2_weight_t.dtype))
-        else:
-            fc2_active_t = self.fc2_weight[:, active].T
-        return fc1_active, fc2_active_t
 
 
 def neuron_sparse_matmul(x: np.ndarray, weight: np.ndarray,

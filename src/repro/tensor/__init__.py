@@ -24,7 +24,7 @@ Design notes
   :mod:`repro.tensor.fused` (softmax, layer norm, linear+activation, cross
   entropy, the dense attention core); :mod:`repro.tensor.reference` holds
   the equivalent primitive compositions used for gradchecking and as the
-  perf-regression baseline, entered through the
+  deep-tape baseline, entered through the
   :func:`repro.tensor.fused.reference_kernels` context.
 """
 

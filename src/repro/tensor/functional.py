@@ -10,7 +10,7 @@ hot-path function routes to its single-node hand-backward implementation in
 in :mod:`repro.tensor.reference` inside a
 :func:`repro.tensor.fused.reference_kernels` block.  Callers —
 ``repro.nn``, the models, the PEFT wrappers — never need to know which form
-is active, which is what lets the perf-regression benchmark time both on an
+is active, which is what lets the parity tests compare both on an
 unmodified model.
 
 The auxiliary losses (``binary_cross_entropy_with_logits`` for predictor

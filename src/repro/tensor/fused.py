@@ -24,7 +24,7 @@ same functions as compositions of primitive ``Tensor`` ops.  The reference
 forms serve three purposes:
 
 * they are the ground truth for the numerical ``gradcheck`` tests;
-* they are the *baseline* of ``benchmarks/bench_perf_regression.py`` (the
+* they are the *baseline* of the parity harness, ``tests/parity.py`` (the
   deep-tape cost model the paper's fused-operator argument is made against);
 * entering :func:`reference_kernels` makes the whole stack — ``repro.tensor.
   functional``, ``repro.nn`` and the model loss path — run through them, so
@@ -90,7 +90,7 @@ _GELU_A = np.float32(0.044715)
 # ---------------------------------------------------------------------------
 
 # The module's one mutable flag.  It has no setter: the parity tests and the
-# legacy bench enter the reference tape through :func:`reference_kernels`,
+# model-level tests enter the reference tape through :func:`reference_kernels`,
 # which restores the fused path on exit.  Kernel *routing* (which attention
 # kernel, which row tile) is not a global — it lives on the modules.
 _FUSED_ENABLED = True

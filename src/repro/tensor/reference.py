@@ -9,8 +9,8 @@ reasons:
 * **Correctness oracle** — the gradcheck tests differentiate both forms and
   require the fused hand-derived backwards to agree with these
   autograd-derived ones (and with central finite differences).
-* **Benchmark baseline** — ``benchmarks/bench_perf_regression.py`` measures
-  the fused speedup against this deep-tape execution, which is the cost
+* **Baseline** — the parity harness (``tests/parity.py``) sets the fused
+  kernels against this deep-tape execution, which is the cost
   model the paper's fused-operator argument targets.
 * **Fallback** — a :func:`repro.tensor.fused.reference_kernels` block routes
   ``repro.tensor.functional`` (and therefore the whole nn/model stack)

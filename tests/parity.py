@@ -35,7 +35,7 @@ from repro.sparsity.ops import (MultiHeadLayout, NeuronSparseWeights,
                                 neuron_sparse_linear_pair)
 from repro.sparsity.ops.geometry_cache import _CAPACITY_LADDER, _class_chunks
 from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
-from repro.sparsity.patterns import build_default_pool
+from repro.sparsity.patterns import block_count, build_default_pool, causal_block_mask
 from repro.tensor import Tensor, arena, functional as F, fused, plan, reference
 
 
@@ -65,6 +65,39 @@ def sample_block_mass(exposer, probs: np.ndarray,
     length = probs.shape[-1] if length is None else length
     return np.stack([exposer.block_reduce(probs[i:i + 1, :, :length, :length])
                      for i in range(probs.shape[0])])
+
+
+def reference_block_reduce(exposer, probs: np.ndarray) -> np.ndarray:
+    """Twin of :meth:`AttentionExposer.block_reduce` as one 6-D reshape-sum
+    (the production path reduces in two per-axis ``np.add.reduceat`` stages)."""
+    probs = np.asarray(probs)
+    if probs.ndim == 3:
+        probs = probs[None]
+    batch, heads, seq, _ = probs.shape
+    bs = exposer.block_size
+    n_blocks = block_count(seq, bs)
+    padded = n_blocks * bs
+    if padded != seq:
+        pad = padded - seq
+        probs = np.pad(probs, ((0, 0), (0, 0), (0, pad), (0, pad)))
+    reduced = probs.reshape(batch, heads, n_blocks, bs, n_blocks, bs).sum(axis=(0, 3, 5))
+    return reduced * causal_block_mask(n_blocks)[None]
+
+
+def reference_probe_scores(predictor, x: np.ndarray) -> np.ndarray:
+    """Twin of :meth:`AttentionPredictor.approximate_scores` from per-head
+    einsum pairs for Q̂/K̂ (the production path runs one stacked GEMM over
+    packed weights, so this twin also sees weight updates the memo missed)."""
+    x = np.asarray(x)
+    if x.ndim == 2:
+        x = x[None]
+    batch, seq, dim = x.shape
+    n_blocks = block_count(seq, predictor.block_size)
+    centers = np.arange(n_blocks) * predictor.block_size + predictor.block_size // 2
+    x_ds = x[:, np.minimum(centers, seq - 1), :]
+    q_hat = np.einsum("bnd,hdr->bhnr", x_ds, predictor.w_q.data, optimize=True)
+    k_hat = np.einsum("bnd,hdr->bhnr", x_ds, predictor.w_k.data, optimize=True)
+    return np.matmul(q_hat, np.swapaxes(k_hat, -1, -2)) / np.sqrt(predictor.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,21 @@ class TestDeterminism:
         assert report.workers == 2
 
 
+class TestReport:
+    def test_comm_time_is_broken_out_of_every_step(self):
+        # Scaling reads are only as good as this breakdown: one comm sample
+        # per step, inside that step's wall clock, and a real (nonzero)
+        # gradient exchange once two ranks share the batch.
+        data = _batches(count=3)
+        report = train_data_parallel(_nano_tuner, data, workers=2,
+                                     step_timeout_s=60.0)
+        assert len(report.comm_s_per_step) == len(report.step_wall_s) == len(data)
+        for comm, wall in zip(report.comm_s_per_step, report.step_wall_s):
+            assert 0.0 <= comm <= wall
+        assert report.mean_comm_ms() > 0
+        assert report.steps_per_second() > 0
+
+
 class TestCaptureIntegration:
     def test_exactly_one_recapture_per_worker_on_shard_shape_change(self):
         with DataParallelTrainer(_capturing_tuner, workers=2,

@@ -6,6 +6,9 @@
   the per-parameter fallback on the shared flat state), weight decay in both
   its coupled (Adam) and decoupled (AdamW) forms, and the
   ``state_size_bytes`` accounting.
+* The route follows ``FLAT_MEAN_SIZE_THRESHOLD`` on the mean parameter size,
+  and forcing either route over large parameters leaves the trajectory
+  bitwise unchanged.
 * The sort/``np.add.reduceat`` embedding-backward scatter must agree with
   ``np.add.at`` — exactly on order-insensitive (integer-valued) updates,
   where any summation order produces the same floats, and to float rounding
@@ -18,8 +21,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.optim.adam as adam_module
 from repro.nn.module import Parameter
 from repro.optim import Adam, AdamW
+from repro.optim.adam import FLAT_MEAN_SIZE_THRESHOLD
 from repro.tensor import Tensor
 from repro.tensor.tensor import embedding_lookup, scatter_add_rows
 
@@ -80,16 +85,16 @@ class LoopAdamW(LoopAdam):
 SHAPES = [(10, 10), (3,), (4, 5), (1,), (2, 3, 4)]
 
 
-def _param_pair(seed=0):
+def _param_pair(seed=0, shapes=SHAPES):
     rng = np.random.default_rng(seed)
-    originals = [Parameter(rng.normal(size=s).astype(np.float32)) for s in SHAPES]
+    originals = [Parameter(rng.normal(size=s).astype(np.float32)) for s in shapes]
     clones = [Parameter(p.data.copy()) for p in originals]
     return originals, clones
 
 
 def _run_trajectory(flat_cls, loop_cls, steps=10, none_grad_steps=(),
-                    none_grad_param=1, **kwargs):
-    pa, pb = _param_pair()
+                    none_grad_param=1, shapes=SHAPES, **kwargs):
+    pa, pb = _param_pair(shapes=shapes)
     flat = flat_cls(pa, **kwargs)
     loop = loop_cls(pb, **kwargs)
     rng = np.random.default_rng(7)
@@ -161,6 +166,67 @@ class TestFlattenedAdamEquivalence:
         for view, param in zip(optimizer._m, params):
             assert view.shape == param.data.shape
             assert view.base is optimizer._flat_m
+
+
+# Mean size 6445 elements: above the threshold, so the loop route by default.
+LARGE_SHAPES = [(8192,), (64, 96), (5000,)]
+
+
+class TestSizeRouting:
+    """The mean parameter size picks flat or loop; both are the same Adam."""
+
+    @pytest.mark.parametrize("size", [256, FLAT_MEAN_SIZE_THRESHOLD,
+                                      FLAT_MEAN_SIZE_THRESHOLD + 1, 16384])
+    def test_route_follows_mean_size_threshold(self, size):
+        params = [Parameter(np.zeros(size, dtype=np.float32)) for _ in range(3)]
+        flat = Adam(params)._flat_m is not None
+        assert flat == (size <= FLAT_MEAN_SIZE_THRESHOLD)
+
+    def test_route_reads_the_mean_not_the_largest(self):
+        # One matrix far above the threshold among many small biases still
+        # flattens: call overhead, not the largest tensor, decides.
+        sizes = [4 * FLAT_MEAN_SIZE_THRESHOLD] + [64] * 16
+        assert sum(sizes) / len(sizes) <= FLAT_MEAN_SIZE_THRESHOLD
+        params = [Parameter(np.zeros(s, dtype=np.float32)) for s in sizes]
+        assert Adam(params)._flat_m is not None
+
+    def test_state_slabs_are_route_independent(self, monkeypatch):
+        # Serving pages tenants through these slabs, so a tenant's paged-out
+        # state must not depend on which route its optimizer took.
+        slabs = {}
+        for route in ("flat", "loop"):
+            monkeypatch.setattr(adam_module, "FLAT_MEAN_SIZE_THRESHOLD",
+                                float("inf") if route == "flat" else -1.0)
+            opt, _, _, _ = _run_trajectory(Adam, LoopAdam, steps=3,
+                                           shapes=LARGE_SHAPES, lr=0.01)
+            assert (opt.plan_tail() is None) == (route == "loop")
+            total = sum(int(np.prod(s)) for s in LARGE_SHAPES)
+            m, v = np.empty(total, np.float32), np.empty(total, np.float32)
+            opt.gather_flat_state(m, v)
+            slabs[route] = (m, v)
+        for a, b in zip(slabs["flat"], slabs["loop"]):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("route", ["flat", "loop"])
+    @pytest.mark.parametrize("cls_pair,kwargs", [
+        ((Adam, LoopAdam), {"lr": 0.02, "weight_decay": 0.05}),
+        ((AdamW, LoopAdamW), {"lr": 0.01, "weight_decay": 0.1}),
+    ], ids=["adam-wd", "adamw-wd"])
+    def test_forced_route_matches_loop_bitwise(self, monkeypatch, route,
+                                               cls_pair, kwargs):
+        # Forcing the route through the threshold (as the regime sweep that
+        # tuned it did) must not change a single bit of the trajectory.
+        monkeypatch.setattr(adam_module, "FLAT_MEAN_SIZE_THRESHOLD",
+                            float("inf") if route == "flat" else -1.0)
+        flat_cls, loop_cls = cls_pair
+        opt, loop, pa, pb = _run_trajectory(flat_cls, loop_cls, steps=4,
+                                            shapes=LARGE_SHAPES, **kwargs)
+        assert (opt._flat_m is not None) == (route == "flat")
+        for a, b in zip(pa, pb):
+            np.testing.assert_array_equal(a.data, b.data)
+        for m, om, v, ov in zip(opt._m, loop._m, opt._v, loop._v):
+            np.testing.assert_array_equal(m, om)
+            np.testing.assert_array_equal(v, ov)
 
 
 # ---------------------------------------------------------------------------

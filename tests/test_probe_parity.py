@@ -17,19 +17,13 @@ each computes the same thing as its plain form:
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from parity import reference_block_reduce, reference_probe_scores
 from repro.sparsity.exposer import AttentionExposer
 from repro.sparsity.patterns import build_default_pool, causal_block_mask
 from repro.sparsity.predictor import AttentionPredictor, MLPPredictor
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-
-import bench_perf_regression as bench  # noqa: E402
 
 
 def _predictor(dim=32, heads=4, rank=4, block_size=16, seed=0, **kw):
@@ -95,7 +89,7 @@ class TestPredictPatternsParity:
         predictor = _predictor()
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 64, 32)).astype(np.float32)
-        before = bench.pre_pr_probe_scores(predictor, x)
+        before = reference_probe_scores(predictor, x)
         np.testing.assert_allclose(predictor.approximate_scores(x), before,
                                    rtol=1e-5, atol=1e-5)
         # The training path (forward) precedes every weight update; it must
@@ -103,7 +97,7 @@ class TestPredictPatternsParity:
         predictor.forward(Tensor(x))
         predictor.w_q.data[:] = rng.normal(
             0.0, 1.0, size=predictor.w_q.data.shape).astype(np.float32)
-        after = bench.pre_pr_probe_scores(predictor, x)
+        after = reference_probe_scores(predictor, x)
         assert not np.allclose(before, after)
         np.testing.assert_allclose(predictor.approximate_scores(x), after,
                                    rtol=1e-5, atol=1e-5)
@@ -117,7 +111,7 @@ class TestPredictPatternsParity:
             0.0, 1.0, size=predictor.w_k.data.shape).astype(np.float32)
         predictor.invalidate_cache()
         np.testing.assert_allclose(predictor.approximate_scores(x),
-                                   bench.pre_pr_probe_scores(predictor, x),
+                                   reference_probe_scores(predictor, x),
                                    rtol=1e-5, atol=1e-5)
 
 
@@ -167,7 +161,7 @@ class TestBlockReduceExactness:
         rng = np.random.default_rng(batch * 100 + seq)
         probs = self._quantised_probs(rng, (batch, heads, seq, seq))
         new = exposer.block_reduce(probs)
-        old = bench.pre_pr_block_reduce(exposer, probs)
+        old = reference_block_reduce(exposer, probs)
         assert new.dtype == old.dtype
         np.testing.assert_array_equal(new, old)
 
@@ -176,7 +170,7 @@ class TestBlockReduceExactness:
         rng = np.random.default_rng(0)
         probs = rng.random((2, 2, 64, 64)).astype(np.float32)
         np.testing.assert_allclose(exposer.block_reduce(probs),
-                                   bench.pre_pr_block_reduce(exposer, probs),
+                                   reference_block_reduce(exposer, probs),
                                    rtol=1e-5, atol=1e-5)
 
     def test_3d_input_promoted(self):

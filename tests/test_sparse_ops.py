@@ -276,6 +276,31 @@ def test_class_kernel_edge_layouts_match_reference_and_finite_differences(name):
     parity.run_tile_grid_case(layout, seq, batch=batch)
 
 
+# name -> (one pool pattern per head, seq): the predicted mixes sparse
+# fine-tuning runs — short sequences with dense and strided heads, and the
+# local-window-plus-sink mix long sequences predict, whose kept blocks per
+# query row stay constant as the sequence grows.
+POOL_MIXES = {
+    "mixed-seq256": (("local2", "dense", "local4", "local4+global2", "local2",
+                      "dense", "local8+global2", "strided2+local2"), 256),
+    "local-sink-seq512": (("local2", "local2+global1", "local4", "local2",
+                           "local4+global1", "local2", "local2+global1",
+                           "local4"), 512),
+}
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("name", sorted(POOL_MIXES))
+def test_pool_pattern_layouts_match_reference_and_finite_differences(name):
+    patterns, seq = POOL_MIXES[name]
+    block, pool = 32, build_default_pool()
+    n_blocks = -(-seq // block)
+    layout = layout_from_block_masks(
+        np.stack([pool.mask(p, n_blocks) for p in patterns]), block)
+    assert 0.0 < layout.sparsity() < 1.0
+    parity.run_tile_grid_case(layout, seq)
+
+
 @pytest.mark.parity
 @pytest.mark.parametrize("rungs", [1, 2])
 @pytest.mark.parametrize("case", [c[:3] for c in parity.TILE_GRID
