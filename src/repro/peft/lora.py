@@ -5,7 +5,10 @@ update ``B @ A`` so the layer computes ``x W^T + (x A^T) B^T * (alpha/r)``.
 Following the paper's Figure 2 analysis, both the frozen path and the
 low-rank path participate in forward and backward, which is why LoRA alone
 does not shrink forward/backward wall-clock — the motivation for
-LongExposure.
+LongExposure.  What the frozen path can shed is bookkeeping: an adapted
+projection is one :func:`repro.tensor.functional.lora_linear` call — one
+tape node and one compiled-plan entry on the fused path, where the base
+GEMM, two rank-r GEMMs, a scale and an add used to be five of each.
 
 ``apply_lora`` wraps the chosen projections of every decoder block with
 :class:`LoRALinear`; the original ``Linear`` modules (and their parameters)
@@ -68,9 +71,8 @@ class LoRALinear(Module):
                                 name=f"{name}.lora_B")
 
     def forward(self, x: Tensor) -> Tensor:
-        frozen = self.base(x)
-        low_rank = F.linear(F.linear(x, self.lora_A, None), self.lora_B, None)
-        return frozen + low_rank * self.scaling
+        return F.lora_linear(x, self.base.weight, self.base.bias,
+                             self.lora_A, self.lora_B, self.scaling)
 
     def merged_weight(self) -> np.ndarray:
         """Return ``W + scaling * B @ A`` (useful for tests and export)."""

@@ -57,7 +57,9 @@ each retained schedule is executed once per step).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+import time
+from collections import defaultdict
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -379,6 +381,79 @@ class StepCapture:
     def full_loss_value(self) -> float:
         """The (unscaled) loss of the last full replay."""
         return float(self.full_loss.data)
+
+    def profile(self, replays: int = 1) -> Dict[str, Tuple[float, float, int]]:
+        """Where a compiled step's time goes: ``{tag: (fwd_ms, bwd_ms, calls)}``.
+
+        Re-runs the installed plan — forward entries, then the retained
+        backward schedule — once untimed and then ``replays`` times timing
+        every kernel, and returns per-replay means.  Forward tags are the
+        plan entries' tags without their ``:activation`` suffix
+        (``linear:none`` → ``linear``); backward tags name the function that
+        owns the node's closure (``linear.<locals>.backward`` → ``linear``,
+        ``Tensor.__mul__``).  ``calls`` counts a tag's forward entries per
+        replay, or its backward closures for a tag only the backward has.
+
+        Nothing a step reads is disturbed: the forward re-reads the staged
+        inputs of the last step and rewrites its plan buffers with the same
+        values, the backward's buffers come from a private arena (the
+        capture's arena, its generation and counters are untouched), and
+        every leaf gradient is set aside and restored afterwards.
+        """
+        if not self.full_ready():
+            raise RuntimeError("profile() needs an installed full-step plan")
+        if replays < 1:
+            raise ValueError(f"replays must be positive, got {replays}")
+        schedule = self.full_schedule
+        leaves = [node for node in schedule if node._backward is None]
+        saved_grads = [leaf.grad for leaf in leaves]
+        interior = [node for node in schedule if node._backward is not None]
+        closures = [node._backward for node in interior]
+        fwd_ms: Dict[str, float] = defaultdict(float)
+        bwd_ms: Dict[str, float] = defaultdict(float)
+        fwd_calls: Dict[str, int] = defaultdict(int)
+        bwd_calls: Dict[str, int] = defaultdict(int)
+        timing = False
+
+        def timed(fn):
+            tag = fn.__qualname__.split(".<locals>")[0]
+
+            def run(grad):
+                start = time.perf_counter()
+                result = fn(grad)
+                if timing:
+                    bwd_ms[tag] += (time.perf_counter() - start) * 1000.0
+                    bwd_calls[tag] += 1
+                return result
+
+            return run
+
+        try:
+            for node in interior:
+                node._backward = timed(node._backward)
+            with _tensor_arena.scope(BufferArena()) as arena:
+                for replay in range(replays + 1):
+                    timing = replay > 0          # the first replay warms the arena
+                    arena.next_generation()
+                    for leaf in leaves:
+                        leaf.grad = None
+                    for entry in self.forward_plan.entries:
+                        start = time.perf_counter()
+                        entry.run()
+                        if timing:
+                            tag = entry.tag.split(":")[0]
+                            fwd_ms[tag] += (time.perf_counter() - start) * 1000.0
+                            fwd_calls[tag] += 1
+                    self.full_root._execute_backward(schedule, self.full_seed,
+                                                     False, True)
+        finally:
+            for node, fn in zip(interior, closures):
+                node._backward = fn
+            for leaf, grad in zip(leaves, saved_grads):
+                leaf.grad = grad
+        return {tag: (fwd_ms[tag] / replays, bwd_ms[tag] / replays,
+                      (fwd_calls[tag] or bwd_calls[tag]) // replays)
+                for tag in sorted(set(fwd_ms) | set(bwd_ms))}
 
     def drop_full_plan(self, reason: str = "") -> None:
         """Invalidate the compiled full-step plan (idempotent).

@@ -170,20 +170,19 @@ def neuron_sparse_linear_pair(x: Tensor,
                         out=alloc((n_active,), fc1_bias.data.dtype))
     fc1_active_T = fc1_active.T
     fc2_b = fc2_bias.data
-    pre = alloc((n_rows, n_active), x2d.dtype)
-    act_mask = alloc((n_rows, n_active), bool)
     hidden = alloc((n_rows, n_active), x2d.dtype)
+    # Bound here, filled by the backward: ``hidden > 0`` is the ReLU mask.
+    act_mask = alloc((n_rows, n_active), bool)
     out2d = alloc((n_rows, d_model), x2d.dtype)
 
-    def run(pre=pre, out2d=out2d):
-        np.matmul(x2d, fc1_active_T, out=pre)
-        pre += b1_active
-        np.greater(pre, 0, out=act_mask)
-        np.multiply(pre, act_mask, out=hidden)
+    def run(hidden=hidden, out2d=out2d):
+        np.matmul(x2d, fc1_active_T, out=hidden)
+        hidden += b1_active
+        np.maximum(hidden, 0, out=hidden)
         np.matmul(hidden, fc2_active_t, out=out2d)
         out2d += fc2_b
 
-    _plan.emit(rec, run, "neuron_sparse_mlp", pre, b1_active)
+    _plan.emit(rec, run, "neuron_sparse_mlp", b1_active)
     out = out2d.reshape(*batch_shape, d_model)
 
     def backward(grad_out: np.ndarray):
@@ -203,6 +202,7 @@ def neuron_sparse_linear_pair(x: Tensor,
         # Through the activation.
         grad_hidden = np.matmul(grad2d, fc2_active_t.T,
                                 out=_arena.empty((n_rows, n_active), grad2d.dtype))
+        np.greater(hidden, 0, out=act_mask)
         grad_hidden *= act_mask                               # (N, n_active)
         grad_fc1 = grad_b1 = None
         if fc1_weight.requires_grad:

@@ -71,6 +71,16 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return _impl().linear(x, weight, bias, activation=activation)
 
 
+def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
+                lora_A: Tensor, lora_B: Tensor, scaling: float) -> Tensor:
+    """LoRA-adapted projection ``x W^T + b + scaling * (x A^T) B^T``.
+
+    ``lora_A`` is ``(rank, in_features)`` and ``lora_B`` ``(out_features,
+    rank)``; on the fused path the whole projection is one tape node.
+    """
+    return _impl().lora_linear(x, weight, bias, lora_A, lora_B, scaling)
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray,
                   ignore_index: int = -100, shift: bool = False) -> Tuple[Tensor, int]:
     """Token-level cross entropy for language modelling.

@@ -34,6 +34,7 @@ __all__ = [
     "masked_softmax",
     "layer_norm",
     "linear",
+    "lora_linear",
     "cross_entropy_logits",
     "scaled_dot_product_attention",
     "streaming_attention",
@@ -100,6 +101,15 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if activation == "sigmoid":
         return out.sigmoid()
     raise ValueError(f"unsupported activation {activation!r}")
+
+
+def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
+                lora_A: Tensor, lora_B: Tensor, scaling: float) -> Tensor:
+    """LoRA projection as base linear + two rank-r linears, a scale over the
+    full output and an add."""
+    frozen = linear(x, weight, bias)
+    low_rank = linear(linear(x, lora_A, None), lora_B, None)
+    return frozen + low_rank * scaling
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray,

@@ -743,12 +743,16 @@ class Tensor:
 
         return Tensor._make(-self.data, (self,), backward)
 
+    # The binary-op backwards below produce a gradient only for an operand
+    # that requires one: for a constant operand (a scale, a mask) it would
+    # cost a full-size pass the accumulation loop then discards.
+
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = _binary_out(np.subtract, self.data, other.data)
 
         def backward(grad):
-            return grad, -grad
+            return grad, (-grad if other.requires_grad else None)
 
         return Tensor._make(data, (self, other), backward)
 
@@ -761,8 +765,8 @@ class Tensor:
         a, b = self, other
 
         def backward(grad):
-            return (_binary_out(np.multiply, grad, b.data),
-                    _binary_out(np.multiply, grad, a.data))
+            return (_binary_out(np.multiply, grad, b.data) if a.requires_grad else None,
+                    _binary_out(np.multiply, grad, a.data) if b.requires_grad else None)
 
         return Tensor._make(data, (self, other), backward)
 
@@ -774,7 +778,8 @@ class Tensor:
         a, b = self, other
 
         def backward(grad):
-            return grad / b.data, -grad * a.data / (b.data ** 2)
+            return (grad / b.data if a.requires_grad else None,
+                    -grad * a.data / (b.data ** 2) if b.requires_grad else None)
 
         return Tensor._make(data, (self, other), backward)
 

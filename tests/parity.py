@@ -285,6 +285,32 @@ def build_cases() -> List[ParityCase]:
                    lambda xx, ww: reference.linear(xx, ww), [x, w], tol_ref=1e-4,
                    replayable=True))
 
+    # -- LoRA-adapted projection -------------------------------------------
+    # The PEFT regime differentiates x, A and B over a frozen base (closure
+    # constants); the trainable-base case differentiates all five.
+    for seed, (tag, x_shape, rank, with_bias) in enumerate([
+            ("3d-rank8-bias", (2, 3, 4), 8, True),
+            ("3d-rank1-nobias", (2, 3, 4), 1, False),
+            ("2d-rank8-nobias", (6, 4), 8, False),
+            ("2d-rank1-bias", (6, 4), 1, True)]):
+        rng = np.random.default_rng(140 + seed)
+        x, a, bm = _normals(rng, x_shape, (rank, 4), (5, rank))
+        w = Tensor(rng.normal(0, 0.5, size=(5, 4)).astype(np.float32))
+        b = Tensor((0.1 * rng.normal(size=5)).astype(np.float32)) if with_bias else None
+        scaling = 16.0 / rank
+        add(ParityCase("lora_linear", f"lora_linear-{tag}",
+                       lambda xx, aa, bb, w=w, b=b, s=scaling:
+                           F.lora_linear(xx, w, b, aa, bb, s),
+                       lambda xx, aa, bb, w=w, b=b, s=scaling:
+                           reference.lora_linear(xx, w, b, aa, bb, s),
+                       [x, a, bm], tol_ref=1e-4, replayable=True))
+    rng = np.random.default_rng(145)
+    x, w, b, a, bm = _normals(rng, (2, 3, 4), (5, 4), (5,), (8, 4), (5, 8))
+    add(ParityCase("lora_linear", "lora_linear-3d-rank8-trainable-base",
+                   lambda xx, ww, bb, aa, bbm: F.lora_linear(xx, ww, bb, aa, bbm, 2.0),
+                   lambda xx, ww, bb, aa, bbm: reference.lora_linear(xx, ww, bb, aa, bbm, 2.0),
+                   [x, w, b, a, bm], tol_ref=1e-4, replayable=True))
+
     # -- cross entropy on logits -------------------------------------------
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(2, 4, 7)).astype(np.float32)
@@ -300,6 +326,15 @@ def build_cases() -> List[ParityCase]:
                    lambda t: F.cross_entropy(t, targets_s, shift=True),
                    lambda t: reference.cross_entropy_logits(t, targets_s, shift=True),
                    [logits_s], scalar_output=True, replayable=True))
+    # One sequence: the shifted slices are flat views of the inputs.
+    rng_1 = np.random.default_rng(55)
+    logits_1 = rng_1.normal(size=(1, 6, 5)).astype(np.float32)
+    targets_1 = rng_1.integers(0, 5, size=(1, 6))
+    targets_1[0, 3] = -100
+    add(ParityCase("cross_entropy", "cross_entropy-shifted-one-sequence",
+                   lambda t: F.cross_entropy(t, targets_1, shift=True),
+                   lambda t: reference.cross_entropy_logits(t, targets_1, shift=True),
+                   [logits_1], scalar_output=True, replayable=True))
     logits_2d = rng.normal(size=(9, 5)).astype(np.float64)
     targets_2d = rng.integers(0, 5, size=9)
     targets_2d[3] = -100

@@ -52,7 +52,7 @@ from parity import sample_block_mass
 # See TestStreamingPrepare.test_predictor_weight_digest_is_stable.
 SGEMM_CANARY = "d89522c442ee65f4a0495f1dbe19480cc4748a5e12387948112c6b2316113eb8"
 OPT_TINY_PREDICTOR_WEIGHTS = (
-    "340ae1665f0660a568e67ddbb411164228b58f8d223245148f68ca7f145dbbfa")
+    "bb6dbf997206488ffc7d53e8eb98a3701737002c6c0cc990ed906c7a1b939503")
 
 
 class TestPrimitives:

@@ -369,6 +369,7 @@ def _kernel_vetoes():
     q, k, v = (Tensor(normal(1, 2, 21, 3)) for _ in range(3))
     w2, b2 = Tensor(normal(4, 5)), Tensor(normal(4))
     active = np.array([1, 3, 4])
+    lora_a, lora_b = Tensor(normal(2, 4)), Tensor(normal(5, 2))
     return {
         "linear over a non-contiguous activation":
             lambda: fused.linear(strided, w, b, activation="relu"),
@@ -379,6 +380,8 @@ def _kernel_vetoes():
                                                        return_probs=True)[0],
         "neuron-sparse MLP over a non-contiguous activation":
             lambda: neuron_sparse_linear_pair(strided, w, b, w2, b2, active),
+        "lora_linear over a non-contiguous activation":
+            lambda: fused.lora_linear(strided, w, b, lora_a, lora_b, 2.0),
     }
 
 
@@ -521,6 +524,104 @@ def test_full_step_zero_graph_builds_and_allocations(backend):
     finally:
         if tuner.engine is not None:
             tuner.engine.uninstall(tuner.model)
+
+
+# ---------------------------------------------------------------------------
+# the frozen-base chain: plan entries per projection, per-tag attribution
+# ---------------------------------------------------------------------------
+
+def _compiled_opt_tiny(peft, steps: int = 3):
+    """A captured ``opt-tiny`` tuner adapted by ``peft``, stepped ``steps``
+    times over a fixed batch (step 2 compiles); returns (tuner, ids)."""
+    model = build_model("opt-tiny", seed=0)
+    peft(model)
+    tuner = FineTuner(model, TrainingConfig(), capture=StepCapture())
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                            size=(2, 32))
+    for _ in range(steps):
+        tuner.step(ids)
+    assert tuner.capture.full_ready(), tuner.capture.full_fail_reason
+    return tuner, ids
+
+
+@pytest.mark.perf_smoke
+def test_lora_adds_no_plan_entries_beyond_its_projections():
+    # The same compiled step with LoRA on q/v and with the base untouched
+    # (BitFit trains biases only, so its forward is the frozen base's): each
+    # adapted projection turns one ``linear`` entry into one ``lora_linear``
+    # entry and adds nothing else — the rank-r GEMMs, the scale and the add
+    # were four more entries per projection (a multiply and an add each).
+    from collections import Counter
+
+    from repro.peft import apply_bitfit
+
+    def tags(peft):
+        tuner, _ = _compiled_opt_tiny(peft)
+        return Counter(e.tag for e in tuner.capture.forward_plan.entries)
+
+    lora, base = tags(apply_lora), tags(apply_bitfit)
+    adapted = 2 * 2                                 # 2 layers x (q_proj, v_proj)
+    assert lora - base == Counter({"lora_linear": adapted})
+    assert base - lora == Counter({"linear:none": adapted})
+    assert lora["multiply"] == 0
+
+
+def test_adapted_projection_is_one_node_and_one_plan_entry():
+    from repro.nn import Linear
+    from repro.peft import LoRALinear
+
+    rng = np.random.default_rng(0)
+    layer = LoRALinear(Linear(8, 6, rng=rng), rank=4, alpha=8, rng=rng)
+    layer.lora_B.data[...] = rng.normal(size=layer.lora_B.shape)
+    x = Tensor(rng.normal(size=(2, 3, 8)).astype(np.float32), requires_grad=True)
+    before = node_build_count()
+    rec, out = _recorded(lambda: layer(x))
+    assert node_build_count() - before == 1
+    assert rec.ok() and [e.tag for e in rec.entries] == ["lora_linear"]
+    assert set(out._parents) == {x, layer.base.weight, layer.base.bias,
+                                 layer.lora_A, layer.lora_B}
+    np.testing.assert_allclose(
+        out.data, x.data @ layer.merged_weight().T + layer.base.bias.data,
+        rtol=1e-5, atol=1e-6)
+
+
+def test_profile_attributes_the_step_and_leaves_it_untouched():
+    tuner, ids = _compiled_opt_tiny(apply_lora)
+    twin, _ = _compiled_opt_tiny(apply_lora)
+    capture = tuner.capture
+    params = tuner.optimizer.params
+    # Leaf gradients are restored as they were, values and identity.
+    held = [np.full(p.shape, 0.5, np.float32) for p in params]
+    for p, grad in zip(params, held):
+        p.grad = grad
+    arena = capture.arena
+    counters = (arena.generation, arena.takes, arena.misses, arena.bytes_held)
+    replays = capture.full_replays
+    profile = capture.profile(replays=2)
+    assert all(p.grad is grad for p, grad in zip(params, held))
+    assert all(np.all(grad == 0.5) for grad in held)
+    for p in params:
+        p.grad = None
+    assert capture.arena is arena
+    assert (arena.generation, arena.takes, arena.misses, arena.bytes_held) == counters
+    assert capture.full_replays == replays
+    # One row per kernel tag, forward tags without their activation suffix.
+    # opt-tiny: 2 layers x (k_proj, out_proj, fc1, fc2) + the tied LM head.
+    assert profile["lora_linear"][2] == 4 and profile["linear"][2] == 2 * 4 + 1
+    assert profile["layer_norm"][2] == 2 * 2 + 1
+    assert profile["lora_linear"][0] > 0 and profile["lora_linear"][1] > 0
+    assert "Tensor.__add__" in profile and profile["Tensor.__add__"][0] == 0.0
+    assert "linear:none" not in profile
+    # The next steps are bitwise what they would have been.
+    for _ in range(2):
+        assert tuner.step(ids)[0] == twin.step(ids)[0]
+    for a, b in zip(params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_profile_needs_a_compiled_plan():
+    with pytest.raises(RuntimeError, match="full-step plan"):
+        StepCapture().profile()
 
 
 # ---------------------------------------------------------------------------

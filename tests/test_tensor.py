@@ -216,6 +216,42 @@ class TestAutogradMachinery:
         d = (x * 2).detach()
         assert not d.requires_grad
 
+    @pytest.mark.parametrize("op", ["mul", "rmul", "sub", "rsub", "div", "rdiv"])
+    def test_constant_operand_gets_no_gradient_work(self, op, monkeypatch):
+        # A binary op with one constant operand computes only the other
+        # operand's gradient: one multiply for ``x * c`` (the constant's
+        # ``grad * x`` would be dropped unread), none for ``x - c``.
+        rng = np.random.default_rng(4)
+        data = rng.uniform(1.0, 2.0, size=(3, 4)).astype(np.float32)
+        const = rng.uniform(1.0, 2.0, size=(4,)).astype(np.float32)
+        build = {"mul": lambda t, c: t * c, "rmul": lambda t, c: c * t,
+                 "sub": lambda t, c: t - c, "rsub": lambda t, c: c - t,
+                 "div": lambda t, c: t / c, "rdiv": lambda t, c: c / t}[op]
+
+        x = Tensor(data, requires_grad=True)
+        out = build(x, Tensor(const)).sum()
+        calls = []
+        real = np.multiply
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        counting.__name__ = real.__name__
+        monkeypatch.setattr(np, "multiply", counting)
+        out.backward()
+        monkeypatch.undo()
+        # Only the tensor operand's gradient: one full-size multiply for the
+        # product, none for the difference (the division's are ndarray
+        # operators the shim does not see).
+        expected = {"mul": 1, "rmul": 1, "sub": 0, "rsub": 0}.get(op)
+        if expected is not None:
+            assert calls == [data.shape] * expected
+        # Bitwise the gradient a trainable second operand would have given x.
+        y = Tensor(data, requires_grad=True)
+        build(y, Tensor(const, requires_grad=True)).sum().backward()
+        assert np.array_equal(x.grad, y.grad)
+
 
 @settings(max_examples=25, deadline=None)
 @given(
