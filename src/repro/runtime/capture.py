@@ -1,20 +1,18 @@
-"""Steady-state step capture: record one step, then replay it.
+"""Steady-state step capture: compile one step, then replay it.
 
 PEFT fine-tuning is a steady-state workload — thousands of steps with
 bit-identical shapes — yet every step of the seed runtime rebuilt the Python
 autograd graph node by node, re-sorted it topologically, and allocated fresh
 output/temporary ndarrays for every op.  :class:`StepCapture` captures that
-steady state, CUDA-graph-style, for the NumPy tape:
+steady state, CUDA-graph-style, for the NumPy autograd graph:
 
 1. **warm-up** — the first step(s) run exactly as before (one-time caches:
    geometry, causal masks, packed probe weights).
 2. **capture + compile** — the next step runs with the
-   :class:`~repro.tensor.arena.BufferArena` installed, the tensor tape
-   recording creation order and a
+   :class:`~repro.tensor.arena.BufferArena` installed and a
    :class:`~repro.tensor.plan.ForwardRecorder` collecting one replay thunk
    per forward kernel over buffers bound exactly once.  The backward runs
-   its ordinary DFS once, records the processed schedule as a
-   :class:`~repro.tensor.tensor.TapePlan`, and keeps the graph alive.
+   its ordinary DFS schedule once and keeps the graph alive.
 3. **replay** — a steady-state step is **stage inputs → run the flat
    ForwardPlan → execute the retained backward schedule → optimizer tail**:
    the Python autograd graph was built exactly once, at capture, and every
@@ -32,16 +30,16 @@ steady state, CUDA-graph-style, for the NumPy tape:
    the old layout) are trimmed at that step.  With ``predict_interval = 1``
    nothing would ever be replayed, so the forward stays interpreted.
 5. **invalidate / degrade** — a signature change (input shape/dtype, label
-   shape, kernel toggles, loss scale) drops both plans and triggers exactly
+   shape, kernel toggles, loss scale) drops the plan and triggers exactly
    one re-capture; so do layouts adopted from another replica that differ
-   from the plan's.  A step whose forward cannot be compiled — reference
+   from the plan's.  A step that cannot replay a compiled plan — reference
    kernels, a recorder veto or coverage gap (every graph node built must be
-   recorded or noted as a view), a replay that raised — degrades to
-   *backward-only replay*: the forward runs interpreted over recycled arena
-   buffers and only the backward's topological re-sort is skipped (the
-   recorded schedule is validated against the new tape with cheap
-   integer/identity checks first).  The degradation is selected from what
-   the step observes, never from an option, and its reason is kept in
+   recorded or noted as a view), a backward schedule reaching an interior
+   node the recorded forward did not build, a replay that raised — runs
+   interpreted over recycled arena buffers: the forward and the DFS
+   backward exactly as without capture, still allocating nothing once the
+   pool is warm.  Which path a step takes is selected from what the step
+   observes, never from an option, and why it could not compile is kept in
    ``full_fail_reason``.
 
 Full-plan buffers are plain allocations — never arena takes — so generation
@@ -52,77 +50,69 @@ are consumed and zeroed within the step, and no Tensor from step ``N`` is
 read at step ``N + 1`` (the arena recycles step ``N``'s buffers wholesale).
 User-level ``retain_graph=True`` double-backwards are not supported while
 capturing (the compiler's internal graph retention is not a double backward:
-each retained schedule is executed once per step).
+the retained schedule is executed once per step).
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.tensor import arena as _tensor_arena
 from repro.tensor import plan as _tensor_plan
-from repro.tensor import tensor as _tensor_module
 from repro.tensor.arena import BufferArena
 from repro.tensor.plan import ForwardPlan, ForwardRecorder
-from repro.tensor.tensor import PlanMismatchError, TapePlan, Tensor
+from repro.tensor.tensor import Tensor
 
-__all__ = ["PlanMismatchError", "StepCapture"]
+__all__ = ["StepCapture"]
 
 
 class StepCapture:
     """Per-trainer capture state machine (warm-up → capture → replay).
 
-    Parameters
-    ----------
-    warmup_steps:
-        Uncaptured steps before the capture step (one is enough to populate
-        the one-time caches; the capture step itself must see steady-state
-        control flow).
-    max_failures:
-        After this many failed capture attempts or replay fallbacks *without
-        an intervening healthy replay streak* the capture is switched off
-        entirely (``state == "off"``) — the workload is not steady-state and
-        paying the bookkeeping is pointless.  A streak of
-        ``FAILURE_RESET_REPLAYS`` consecutive successful replays clears the
-        counter, so isolated, individually-recovered fallbacks thousands of
-        steps apart do not eventually disable capture.  Switching off also
-        swaps in a fresh empty arena so the retired pool is reclaimed.
+    ``warmup_steps`` uncaptured steps populate the one-time caches; the next
+    step is the capture step (the capture step itself must see steady-state
+    control flow).  Every later step of the same signature is a replay: it
+    runs the compiled plan when one is installed and runs interpreted over
+    the arena otherwise.
+
+    A signature whose capture step is followed by no replay is sterile (the
+    signature flips at least as fast as it can be captured).  After
+    ``MAX_FAILURES`` sterile signatures *without an intervening healthy
+    replay streak* capture switches itself off (``state == "off"``) — the
+    workload is not steady-state and paying the bookkeeping is pointless —
+    and swaps in a fresh empty arena so the retired pool is reclaimed.  A
+    streak of ``FAILURE_RESET_REPLAYS`` consecutive replays clears the
+    count.  Compiling is counted apart: after ``MAX_FAILURES`` vetoed
+    compiles in a row the compiler stops trying, and the steps keep running
+    interpreted.
     """
 
     WARMUP = "warmup"
     CAPTURE = "capture"
     REPLAY = "replay"
     OFF = "off"
+    # Sterile signatures (or vetoed compiles) in a row that give up.
+    MAX_FAILURES = 3
     # Consecutive successful replays that prove the workload steady-state
-    # again and forgive earlier capture failures / fallbacks.
+    # again and forgive earlier sterile signatures.
     FAILURE_RESET_REPLAYS = 8
 
-    def __init__(self, warmup_steps: int = 1, max_failures: int = 3):
+    def __init__(self, warmup_steps: int = 1):
         self.arena = BufferArena()
         self.state = self.WARMUP if warmup_steps > 0 else self.CAPTURE
         self.signature: Optional[Hashable] = None
-        self.plan: Optional[TapePlan] = None
-        self.tape: Optional[List[Tensor]] = None
         self.warmup_steps = int(warmup_steps)
-        self.max_failures = int(max_failures)
         # Counters (surfaced as profiler gauges by the trainer).
-        # ``replay_steps`` counts steps whose backward ran a recorded
-        # schedule; ``full_replays`` is the subset that also replayed the
-        # compiled forward.
         self.steps = 0
-        self.captures = 0
         self.recaptures = 0
-        self.replay_steps = 0
-        self.fallbacks = 0
         self.last_step_allocations = 0
         self._warmup_left = self.warmup_steps
         self._failures = 0
         self._replay_streak = 0
-        self._replays_since_capture = 0
         self._alloc_before = 0
         self._prev_arena: Optional[BufferArena] = None
         self._step_open = False
@@ -169,105 +159,61 @@ class StepCapture:
                 # next_generation) the stale-shape buffer pools — a
                 # bucketed-length loader would otherwise accumulate one full
                 # working set per length seen.  Then re-capture once.
-                if self.captures:
-                    # Only a signature change after a successful capture is a
+                if self.state == self.REPLAY:
+                    # Only a signature change after a completed capture is a
                     # *re*-capture (the gauge advertises exactly-one-per-
                     # shape-change; a flip before the first capture is not
                     # one).
-                    if (self.plan is not None
-                            and self._replays_since_capture == 0):
-                        # The previous plan was never replayed: the signature
-                        # is flipping at least as fast as we can capture
-                        # (shape-alternating batches).  Sterile captures
+                    if self._replay_streak == 0:
+                        # The previous signature was never replayed: it is
+                        # flipping at least as fast as we can capture
+                        # (shape-alternating batches).  Sterile signatures
                         # count toward the kill-switch — without this, such
                         # a workload would pay capture bookkeeping plus a
                         # full working-set reallocation on every single
                         # step, forever.
                         self._failures += 1
                     self.recaptures += 1
-                self.state = (self.OFF if self._failures >= self.max_failures
+                self.state = (self.OFF if self._failures >= self.MAX_FAILURES
                               else self.CAPTURE)
                 trim_stale = True
             self.signature = signature
-            self.plan = None
             if self.state == self.OFF:
                 # Retired at the transition: the previous generation's
                 # buffers are dead, so drop the whole pool right away.
                 self.arena = BufferArena()
-                self.tape = None
                 return
+        self._step_open = True
         if self.state == self.WARMUP:
-            self.tape = None
-            self._step_open = True
             return
         self.arena.next_generation()
         if trim_stale:
             self.arena.trim()
         self._alloc_before = self.arena.misses
         self._prev_arena = _tensor_arena.set_active(self.arena)
-        self.tape = []
-        _tensor_module.set_tape(self.tape)
-        self._step_open = True
 
-    def _count_replay(self, full: bool = False) -> None:
-        """The one place a replayed step is counted, whichever tier ran it."""
-        self.replay_steps += 1
-        if full:
-            self.full_replays += 1
-        self._replay_streak += 1
-        self._replays_since_capture += 1
-        if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
-            self._failures = 0
-
-    def run_backward(self, loss: Tensor, grad=None, retain: bool = False):
-        """This step's backward: replay the recorded schedule, record one on a
-        capture step, or run the plain pass.
-
-        With ``retain=True`` the graph is kept alive and the validated
-        schedule — the node sequence every compiled step re-executes — is
-        returned (None when no plan could be used or recorded).
-        """
-        if self.state == self.REPLAY and self.plan is not None:
-            try:
-                loss.backward(grad, tape=self.tape, plan=self.plan,
-                              retain_graph=retain)
-            except PlanMismatchError:
-                # Validation failed *before* any gradient was touched: fall
-                # through to an ordinary recording pass on this very step.
-                # Repeated fallbacks without a healthy replay streak in
-                # between mean the graph is not steady-state, so they count
-                # toward the kill-switch like failed captures.  The full
-                # plan was compiled against the same graph — drop it too.
-                self.fallbacks += 1
-                self._failures += 1
-                self._replay_streak = 0
-                self.plan = None
-                self.drop_full_plan("backward plan mismatch")
-                self.state = (self.OFF if self._failures >= self.max_failures
-                              else self.CAPTURE)
-            else:
-                self._count_replay()
-                return (loss._validated_schedule(self.tape, self.plan)
-                        if retain else None)
-        if self.state == self.CAPTURE and self.tape is not None:
-            plan = loss.backward(grad, tape=self.tape, record=True,
-                                 retain_graph=retain)
-            if plan is None:
-                self._failures += 1
-                if self._failures >= self.max_failures:
-                    self.state = self.OFF
-                return None
-            self.plan = plan
-            self.captures += 1
+    def _count_step(self, compiled: bool = False) -> None:
+        """The one place a step is counted, whichever path ran it: the
+        capture step of a signature moves the machine to replay, and every
+        later step of it is a replay (``compiled`` when it ran the plan)."""
+        if self.state == self.CAPTURE:
             self.state = self.REPLAY
-            self._replays_since_capture = 0
-            return (loss._validated_schedule(self.tape, plan)
-                    if retain else None)
-        loss.backward(grad, retain_graph=retain)
-        return None
+            self._replay_streak = 0
+        elif self.state == self.REPLAY:
+            if compiled:
+                self.full_replays += 1
+            self._replay_streak += 1
+            if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
+                self._failures = 0
+
+    def run_backward(self, loss: Tensor) -> None:
+        """This step's backward when no plan is being compiled: the plain
+        DFS pass (over the arena once captured)."""
+        loss.backward()
+        self._count_step()
 
     def end_step(self) -> None:
-        """Leave the step: detach the arena/tape, roll the state machine."""
+        """Leave the step: detach the arena, roll the state machine."""
         if not self._step_open:
             return
         self._step_open = False
@@ -276,19 +222,9 @@ class StepCapture:
             if self._warmup_left <= 0:
                 self.state = self.CAPTURE
             return
-        if self.tape is not None or self.state == self.OFF:
-            _tensor_module.set_tape(None)
-            _tensor_arena.set_active(self._prev_arena)
-            self._prev_arena = None
-            self.tape = None
-            self.last_step_allocations = self.arena.misses - self._alloc_before
-            if self.state == self.OFF and self.arena.takes:
-                # Retired for good: swap in an empty arena so the whole pool
-                # (free lists *and* this step's outstanding buffers) becomes
-                # unreferenced once the step's tensors die, instead of being
-                # held for the trainer's lifetime.
-                self.arena = BufferArena()
-                self.drop_full_plan()
+        _tensor_arena.set_active(self._prev_arena)
+        self._prev_arena = None
+        self.last_step_allocations = self.arena.misses - self._alloc_before
 
     # -- full-step compiler --------------------------------------------------
     def stage(self, name: str, value) -> np.ndarray:
@@ -317,7 +253,7 @@ class StepCapture:
         return (self.forward_plan is None
                 and self._step_open
                 and self.state in (self.CAPTURE, self.REPLAY)
-                and self._full_failures < self.max_failures)
+                and self._full_failures < self.MAX_FAILURES)
 
     def begin_full_capture(self) -> ForwardRecorder:
         """Install a :class:`ForwardRecorder` around this step's forward."""
@@ -338,9 +274,11 @@ class StepCapture:
 
         ``root`` is the backward root (the scaled loss); ``loss`` is the
         unscaled loss tensor whose plan buffer replays read the step's loss
-        value from.  Returns True when the full plan is installed; on a
-        recorder veto or coverage gap the step degrades to the backward-only
-        capture/replay and False is returned.
+        value from.  Returns True when the full plan is installed.  On a
+        recorder veto, a coverage gap, or a backward schedule that reaches an
+        interior node the recorded forward did not build (its closure would
+        never be refreshed by a replay), the backward runs plainly, the
+        reason is kept in ``full_fail_reason`` and False is returned.
         """
         rec = self._recorder
         self.abort_full_capture()
@@ -349,15 +287,19 @@ class StepCapture:
             # hold the old layout's backward buffers, dead shapes from here on.
             self.arena.trim()
             self.full_layout_state = layout_state
+        schedule = root._schedule()
+        reason = ""
         if not rec.ok():
+            reason = rec.fail_reason
+        elif any(node._backward is not None and id(node) not in rec.built
+                 for node in schedule):
+            reason = "backward schedule not capturable"
+        root._execute_backward(schedule, np.ones_like(root.data), True,
+                               not reason)
+        self._count_step()
+        if reason:
             self._full_failures += 1
-            self.full_fail_reason = rec.fail_reason
-            self.run_backward(root)
-            return False
-        schedule = self.run_backward(root, retain=True)
-        if schedule is None:
-            self._full_failures += 1
-            self.full_fail_reason = "backward schedule not capturable"
+            self.full_fail_reason = reason
             return False
         self.forward_plan = ForwardPlan(rec.entries)
         self.full_schedule = schedule
@@ -376,7 +318,7 @@ class StepCapture:
         """Execute the retained backward schedule over the refreshed buffers."""
         self.full_root._execute_backward(self.full_schedule, self.full_seed,
                                          False, True)
-        self._count_replay(full=True)
+        self._count_step(compiled=True)
 
     def full_loss_value(self) -> float:
         """The (unscaled) loss of the last full replay."""
@@ -473,7 +415,7 @@ class StepCapture:
             self.full_fail_reason = reason
 
     def retire(self) -> None:
-        """Drop every plan and release the arena pool (terminal, idempotent).
+        """Drop the plan and release the arena pool (terminal, idempotent).
 
         The serving layer keeps one capture per signature bucket in a bounded
         plan cache; evicting a bucket must reclaim its whole working set —
@@ -485,8 +427,6 @@ class StepCapture:
         construction never completed (every attribute access is defensive).
         """
         self.drop_full_plan()
-        self.plan = None
-        self.tape = None
         self.signature = None
         self.state = self.OFF
         self.arena = BufferArena()
@@ -499,9 +439,7 @@ class StepCapture:
             "arena_bytes": float(self.arena.bytes_held),
             "arena_hit_rate": self.arena.hit_rate(),
             "arena_evictions": float(self.arena.evictions),
-            "capture_replay_steps": float(self.replay_steps),
             "capture_recaptures": float(self.recaptures),
-            "capture_fallbacks": float(self.fallbacks),
             "capture_full_captures": float(self.full_captures),
             "capture_full_replays": float(self.full_replays),
             "capture_full_fallbacks": float(self.full_fallbacks),
@@ -509,9 +447,9 @@ class StepCapture:
 
     def summary(self) -> str:
         return (f"StepCapture(state={self.state}, steps={self.steps}, "
-                f"captures={self.captures}, replays={self.replay_steps}, "
-                f"recaptures={self.recaptures}, fallbacks={self.fallbacks}, "
+                f"recaptures={self.recaptures}, "
                 f"full_captures={self.full_captures}, "
                 f"full_replays={self.full_replays}, "
+                f"full_fallbacks={self.full_fallbacks}, "
                 f"arena={self.arena.bytes_held / 1024 ** 2:.1f} MiB, "
                 f"allocs/step={self.last_step_allocations})")

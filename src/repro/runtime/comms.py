@@ -98,15 +98,14 @@ STAT_FORWARD = 1
 STAT_BACKWARD = 2
 STAT_OPTIMIZER = 3
 STAT_RECAPTURES = 4
-STAT_REPLAY_STEPS = 5
-STAT_FULL_REPLAYS = 6
-STAT_MASK_SYNCS = 7
-STAT_CHECKSUM_FAILURES = 8
-STAT_CHECKSUM_S = 9
-STATS_SLOTS = 10
+STAT_FULL_REPLAYS = 5
+STAT_MASK_SYNCS = 6
+STAT_CHECKSUM_FAILURES = 7
+STAT_CHECKSUM_S = 8
+STATS_SLOTS = 9
 
 STAT_NAMES = ("comm_s", "forward_s", "backward_s", "optimizer_s",
-              "recaptures", "replay_steps", "full_replays", "mask_syncs",
+              "recaptures", "full_replays", "mask_syncs",
               "checksum_failures", "checksum_s")
 
 DIGEST_BYTES = 32

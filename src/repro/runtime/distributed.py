@@ -95,7 +95,7 @@ from repro.runtime.comms import (
     ST_BOOTING, ST_ERROR, ST_READY, ST_RECOVERING, ST_STEPPED,
     STAT_BACKWARD, STAT_CHECKSUM_FAILURES, STAT_CHECKSUM_S, STAT_COMM,
     STAT_FORWARD, STAT_MASK_SYNCS, STAT_NAMES, STAT_OPTIMIZER,
-    STAT_RECAPTURES, STAT_REPLAY_STEPS, STAT_FULL_REPLAYS, STATS_SLOTS,
+    STAT_RECAPTURES, STAT_FULL_REPLAYS, STATS_SLOTS,
     _CODE_DTYPES, _DTYPE_CODES,
 )
 from repro.runtime.fault import FaultInjector
@@ -450,7 +450,6 @@ def _worker_main(spec: CommSpec, rank: int,
                 capture = tuner.capture
                 if capture is not None:
                     stats[STAT_RECAPTURES] = capture.recaptures
-                    stats[STAT_REPLAY_STEPS] = capture.replay_steps
                     stats[STAT_FULL_REPLAYS] = capture.full_replays
                 stats[STAT_MASK_SYNCS] = mask_syncs
                 stats[STAT_CHECKSUM_FAILURES] = reducer.checksum_failures

@@ -35,10 +35,10 @@ class CaptureConfig:
     bitwise identical to the uncaptured path.  A shape change triggers
     exactly one re-capture, and with a sparsity engine every mask-refresh
     step is one: it records the plan the next ``predict_interval - 1`` steps
-    replay.  Steps that cannot replay the compiled forward (reference
-    kernels, an op with no replay form) run it interpreted and replay only
-    the backward schedule; which one a step gets is decided from what the
-    step observes, not configured.
+    replay.  Steps that cannot replay a compiled plan (reference kernels, an
+    op with no replay form) run interpreted over the same recycled buffers;
+    which one a step gets is decided from what the step observes, not
+    configured.
     """
 
     enabled: bool = False
@@ -214,8 +214,8 @@ class FineTuner:
         # Kernel routing is a value on the model, set once here.  The
         # process globals a step still consults: the reference-tape flag
         # (entered only through fused.reference_kernels(), part of the
-        # capture signature), the active arena and tape and the forward
-        # recorder (set and restored by StepCapture inside the step), and
+        # capture signature), the active arena and the forward recorder
+        # (set and restored by StepCapture inside the step), and
         # the content-keyed geometry/causal-mask caches (value caches, safe
         # to share across tuners and tenants).
         attention = self.config.attention

@@ -259,11 +259,11 @@ class FineTuningService:
         lane.registry.attach(request.tenant)
         capture = self._bucket_capture(lane, key)
         lane.tuner.capture = capture
-        hits_before = capture.replay_steps
+        hits_before = capture.full_replays
         start = time.perf_counter()
         loss, timing = lane.tuner.step(request.input_ids, request.labels)
         step_seconds = time.perf_counter() - start
-        replayed = capture.replay_steps > hits_before
+        replayed = capture.full_replays > hits_before
         self._current_key = key
         self._keys_served.add(key)
         self.steps += 1

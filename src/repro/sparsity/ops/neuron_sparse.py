@@ -141,7 +141,7 @@ def neuron_sparse_linear_pair(x: Tensor,
         # The replay thunk closes over weight gathers copied at record time;
         # trainable base weights (full fine-tuning / oracle studies) would go
         # stale after the first optimizer step.  The compiled regime is PEFT
-        # with a frozen base — degrade to the backward-only replay here.
+        # with a frozen base — here the step runs interpreted.
         rec.fail("neuron-sparse MLP with trainable base weights")
         rec = None
 

@@ -391,7 +391,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     rec = _plan._RECORDER
     if rec is not None and not x_data.flags.c_contiguous:
         # ``reshape`` below would copy, and the copy would go stale between
-        # replays; fall back to backward-only capture for this step.
+        # replays; this step's forward runs interpreted.
         rec.fail("linear over a non-contiguous activation")
         rec = None
     # Collapse leading dims into one 2D GEMM: NumPy's matmul runs a Python-
@@ -524,7 +524,7 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     rec = _plan._RECORDER
     if rec is not None and not x_data.flags.c_contiguous:
         # ``reshape`` below would copy, and the copy would go stale between
-        # replays; fall back to backward-only capture for this step.
+        # replays; this step's forward runs interpreted.
         rec.fail("lora_linear over a non-contiguous activation")
         rec = None
     x2d = x_data.reshape(-1, in_features)

@@ -1,10 +1,9 @@
 """Forward-plan recording: compile one step's kernel calls into a flat plan.
 
-PR 5's :class:`~repro.tensor.tensor.TapePlan` removed the backward pass's
-topological re-sort, but every steady-state step still re-ran the *forward*
-through the Python interpreter — rebuilding ``Tensor`` objects, closures and
-tape appends for shapes that never change.  This module supplies the forward
-half of the full-step compiler:
+A steady-state training step re-runs the same forward over the same shapes,
+rebuilding ``Tensor`` objects and closures every time.  This module supplies
+the forward half of the full-step compiler (the backward half is the capture
+step's DFS schedule, retained with its graph):
 
 * :class:`ForwardRecorder` — installed around the capture step's forward via
   :func:`set_recorder`.  Every instrumented op seam (``_binary_out``,
@@ -12,10 +11,11 @@ half of the full-step compiler:
   zero-argument replay thunk over buffers it bound exactly once; pure views
   (``transpose``, contiguous ``reshape``) are *noted* so the coverage check
   still balances.  ``Tensor._make`` independently counts every graph node
-  built while a recorder is installed; recording only succeeds when
-  ``created == noted`` — any op the seams do not cover (reference-mode
-  softmax, fancy indexing, vector matmuls) makes the step fall back to the
-  backward-only capture instead of silently replaying a partial forward.
+  built while a recorder is installed, and keeps the ids of the
+  grad-carrying ones; recording only succeeds when ``created == noted`` —
+  any op the seams do not cover (reference-mode softmax, fancy indexing,
+  vector matmuls) makes the step run interpreted instead of silently
+  replaying a partial forward.
 * :class:`ForwardPlan` — the compiled result: the recorded thunks, in
   recorded order.  ``run()`` calls them one after another.  Each thunk *is*
   its kernel's only forward body (:func:`emit`): the interpreted forward
@@ -30,7 +30,7 @@ when to record, when to replay, when to invalidate — is owned by
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.tensor import arena as _arena
 
@@ -64,15 +64,20 @@ class ForwardRecorder:
     inputs change between replays, so even ``requires_grad=False`` compute
     must be replayed).  ``noted`` is incremented once per op seam that either
     recorded an entry or declared itself a pure view.  The two must balance
-    for the plan to be trusted; see :meth:`ok`.
+    for the plan to be trusted; see :meth:`ok`.  ``built`` holds the ids of
+    the grad-carrying nodes among them: a retained backward schedule that
+    reaches any other interior node would re-run a closure no replay
+    refreshes, so the capture step does not compile it.
     """
 
-    __slots__ = ("entries", "created", "noted", "failed", "fail_reason")
+    __slots__ = ("entries", "created", "noted", "built", "failed",
+                 "fail_reason")
 
     def __init__(self) -> None:
         self.entries: List[ForwardEntry] = []
         self.created = 0
         self.noted = 0
+        self.built: Set[int] = set()
         self.failed = False
         self.fail_reason = ""
 

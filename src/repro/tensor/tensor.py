@@ -154,8 +154,8 @@ def _matmul_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rec = _plan._RECORDER
     if a.ndim < 2 or b.ndim < 2:
         if rec is not None:
-            # No stable out-buffer form for the vector cases; the step falls
-            # back to backward-only capture.
+            # No stable out-buffer form for the vector cases; the step's
+            # forward runs interpreted.
             rec.fail("vector matmul has no replayable out-buffer form")
         return np.matmul(a, b)
     shape = (np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -313,74 +313,6 @@ def _graph_freed_sentinel(grad):  # pragma: no cover - never invoked
 _GRAPH_FREED = _graph_freed_sentinel
 
 
-# ---------------------------------------------------------------------------
-# step capture: creation-order tape + planned backward replay
-# ---------------------------------------------------------------------------
-#
-# The step-capture runtime (repro.runtime.capture.StepCapture) records one
-# warm step's backward schedule and replays it on subsequent steps.  The
-# tensor core contributes two hooks:
-#
-# * a **tape** — while one is installed via ``set_tape``, every grad-carrying
-#   tensor created by ``Tensor._make`` is appended in creation order.  The
-#   tape gives later steps stable *positional* identities for graph nodes
-#   (the Tensor objects themselves are rebuilt every step);
-# * a **plan** — ``backward(record=True, tape=...)`` runs the normal
-#   DFS-ordered pass and records the processed schedule as tape positions
-#   (plus direct references for persistent leaves such as parameters).
-#   ``backward(plan=..., tape=...)`` then skips the topological re-sort
-#   entirely: it validates that the new tape wires up exactly like the
-#   recorded one (cheap integer/identity checks) and executes the recorded
-#   schedule.  Because the replayed order *is* the recorded DFS order,
-#   captured and uncaptured backward passes are bitwise identical.
-
-_TAPE: Optional[List["Tensor"]] = None
-
-
-def set_tape(tape: Optional[List["Tensor"]]) -> Optional[List["Tensor"]]:
-    """Install (or clear) the recording tape; returns the previous tape."""
-    global _TAPE
-    previous = _TAPE
-    _TAPE = tape
-    return previous
-
-
-def current_tape() -> Optional[List["Tensor"]]:
-    return _TAPE
-
-
-class PlanMismatchError(RuntimeError):
-    """The current step's graph no longer matches the recorded plan.
-
-    Raised by :meth:`Tensor.backward` *before* any gradient is touched, so
-    the caller can fall back to the ordinary DFS pass and re-capture.
-    """
-
-
-class TapePlan:
-    """A recorded backward schedule over tape positions.
-
-    ``entries`` holds the processing order: an ``int`` indexes the step's
-    tape (interior node), anything else is a direct reference to a
-    persistent leaf (parameter).  ``parent_specs`` mirrors ``entries`` and
-    pins the wiring of each interior node: per parent, an ``int`` tape
-    position, a direct leaf reference, or ``None`` for constants whose
-    identity is irrelevant to the backward (they carry no gradient).
-    """
-
-    __slots__ = ("tape_length", "root_index", "entries", "parent_specs")
-
-    def __init__(self, tape_length: int, root_index: int,
-                 entries: tuple, parent_specs: tuple):
-        self.tape_length = tape_length
-        self.root_index = root_index
-        self.entries = entries
-        self.parent_specs = parent_specs
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         value = value.data
@@ -479,16 +411,13 @@ class Tensor:
         if requires:
             out._parents = parents
             out._backward = backward
-            if _TAPE is not None:
-                _TAPE.append(out)
+            if rec is not None:
+                rec.built.add(id(out))
         return out
 
     # -- backward pass --------------------------------------------------------
     def backward(self, grad: Optional[ArrayLike] = None,
-                 retain_graph: bool = False,
-                 tape: Optional[List["Tensor"]] = None,
-                 plan: Optional[TapePlan] = None,
-                 record: bool = False) -> Optional[TapePlan]:
+                 retain_graph: bool = False) -> None:
         """Back-propagate from this tensor through the recorded graph.
 
         ``grad`` defaults to ones for scalar outputs (the typical loss case).
@@ -504,20 +433,7 @@ class Tensor:
         its contribution has been propagated — the closures hold the
         full-size forward temporaries, so this releases the bulk of the
         graph's memory mid-backward.  Pass ``retain_graph=True`` to keep the
-        graph alive for a second backward over the same tape.
-
-        Step capture (see :mod:`repro.runtime.capture`):
-
-        * ``record=True`` with ``tape`` (the creation-order list this step
-          was recorded on) additionally returns a :class:`TapePlan` encoding
-          the processed DFS schedule as tape positions — or ``None`` when the
-          graph is not capturable (interior nodes created outside the tape).
-        * ``plan`` with ``tape`` *replays* a recorded plan: the topological
-          sort is skipped and the recorded schedule executed after a cheap
-          structural validation.  Raises :class:`PlanMismatchError` — before
-          touching any gradient — when the graph changed.  The replayed order
-          is the recorded DFS order, so results are bitwise identical to the
-          unplanned pass.
+        graph alive for a second backward over the same graph.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -537,16 +453,19 @@ class Tensor:
             # ``asarray`` copies on dtype conversion; only then is the buffer
             # exclusively ours to mutate.
             seed_owned = seed is not grad
+        self._execute_backward(self._schedule(), seed, seed_owned,
+                               retain_graph)
 
-        if plan is not None:
-            if tape is None:
-                raise ValueError("replaying a plan requires the step's tape")
-            schedule = self._validated_schedule(tape, plan)
-            self._execute_backward(schedule, seed, seed_owned, retain_graph)
-            return None
+    def _schedule(self) -> Tuple["Tensor", ...]:
+        """The grad-carrying graph below this tensor in backward order:
+        reversed DFS post-order, this tensor first.
 
-        # Topological order via iterative DFS (avoids recursion limits for
-        # deep transformer graphs).
+        The one order every backward runs in — plain, or the retained
+        schedule a compiled step re-executes (see
+        :mod:`repro.runtime.capture`).  Constants are left out: they never
+        receive a gradient.  Iterative, so deep transformer graphs do not
+        hit the recursion limit.
+        """
         topo: List[Tensor] = []
         visited = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -560,89 +479,9 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
-
-        schedule = tuple(reversed(topo))
-        recorded = None
-        if record:
-            if tape is None:
-                raise ValueError("recording a plan requires the step's tape")
-            recorded = self._record_plan(tape, schedule)
-        self._execute_backward(schedule, seed, seed_owned, retain_graph)
-        return recorded
-
-    def _record_plan(self, tape: List["Tensor"],
-                     schedule: Tuple["Tensor", ...]) -> Optional[TapePlan]:
-        """Encode ``schedule`` as tape positions; None if not capturable."""
-        pos = {id(t): i for i, t in enumerate(tape)}
-        root_index = pos.get(id(self))
-        if root_index is None:
-            return None
-        entries: List = []
-        specs: List = []
-        for node in schedule:
-            idx = pos.get(id(node))
-            if idx is None:
-                if node._backward is not None:
-                    # Interior node created outside the tape: its closure
-                    # would not be rebuilt next step — not capturable.
-                    return None
-                if not node.requires_grad:
-                    # Per-step constant; carries no gradient, skip entirely.
-                    continue
-                # Persistent leaf (parameter): reference it directly.
-                entries.append(node)
-                specs.append(None)
-                continue
-            entries.append(idx)
-            specs.append(tuple(
-                pos[id(p)] if id(p) in pos
-                else (p if p.requires_grad else None)
-                for p in node._parents))
-        return TapePlan(len(tape), root_index, tuple(entries), tuple(specs))
-
-    def _validated_schedule(self, tape: List["Tensor"],
-                            plan: TapePlan) -> Tuple["Tensor", ...]:
-        """Map ``plan`` onto this step's tape, checking the wiring matches."""
-        if len(tape) != plan.tape_length:
-            raise PlanMismatchError(
-                f"tape length changed ({len(tape)} vs recorded "
-                f"{plan.tape_length})")
-        if tape[plan.root_index] is not self:
-            raise PlanMismatchError("backward root is not at the recorded "
-                                    "tape position")
-        schedule: List[Tensor] = []
-        for entry, spec in zip(plan.entries, plan.parent_specs):
-            if type(entry) is not int:
-                schedule.append(entry)            # persistent leaf
-                continue
-            node = tape[entry]
-            parents = node._parents
-            if spec is None or len(parents) != len(spec):
-                raise PlanMismatchError("node arity changed at tape position "
-                                        f"{entry}")
-            for parent, expected in zip(parents, spec):
-                if expected is None:
-                    # Recorded as a gradient-free constant: identity is
-                    # irrelevant, but it must *still* be gradient-free — a
-                    # parameter unfrozen after capture would otherwise have
-                    # its gradient silently dropped (it is absent from the
-                    # recorded schedule), breaking the never-wrong contract.
-                    if parent.requires_grad:
-                        raise PlanMismatchError(
-                            f"recorded constant parent at tape position "
-                            f"{entry} now requires grad")
-                    continue
-                if type(expected) is int:
-                    if tape[expected] is not parent:
-                        raise PlanMismatchError(
-                            f"graph wiring changed at tape position {entry}")
-                elif expected is not parent:
-                    raise PlanMismatchError(
-                        f"leaf identity changed at tape position {entry}")
-            schedule.append(node)
-        return tuple(schedule)
+        return tuple(reversed(topo))
 
     def _execute_backward(self, schedule: Tuple["Tensor", ...],
                           seed: np.ndarray, seed_owned: bool,

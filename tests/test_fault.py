@@ -206,13 +206,13 @@ class TestStepCaptureRetire:
         capture = StepCapture(warmup_steps=0)
         capture.retire()
         capture.retire()
-        assert capture.plan is None and capture.forward_plan is None
+        assert capture.state == capture.OFF and capture.forward_plan is None
 
     def test_retire_on_unconstructed_instance(self):
         ghost = object.__new__(StepCapture)
         ghost.retire()                    # must not raise
         ghost.retire()
-        assert ghost.plan is None
+        assert ghost.state == StepCapture.OFF
 
 
 # ---------------------------------------------------------------------------

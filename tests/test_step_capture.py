@@ -1,18 +1,21 @@
-"""Step-capture runtime tests: arena, planned replay, allocation regression.
+"""Step-capture runtime tests: arena, compiled replay, allocation regression.
 
-Three concerns, three marker tiers:
+A captured step either replays its compiled plan or runs interpreted over
+the buffer arena.  Three concerns, three marker tiers:
 
 * ``-m parity`` — captured-vs-uncaptured *bitwise* parity over full training
   steps for every backend × fused-toggle × refresh-schedule combination
   (losses, per-step gradients, optimizer state, parameters), via the shared
-  harness in :mod:`parity`, plus every degradation from the compiled step to
-  backward-only replay, each reached through its real trigger;
+  harness in :mod:`parity`, every degradation from the compiled step to the
+  interpreted one, each reached through its real trigger, and a generated
+  state machine over both in any order;
 * ``-m alloc`` (also ``perf_smoke``) — the allocation-regression gate: once
   a step is captured, subsequent steps must perform **zero** new arena
-  allocations and build **zero** graph nodes for the dense, oracle-sparse
-  and predicted configurations, and a sequence-length change must trigger
-  exactly one re-capture;
-* unmarked unit tests for :class:`BufferArena` and the tape-plan machinery.
+  allocations on either path and compiled steps build **zero** graph nodes,
+  for the dense, oracle-sparse and predicted configurations, and a
+  sequence-length change must trigger exactly one re-capture;
+* unmarked unit tests for :class:`BufferArena`, the forward recorder and
+  the backward schedule.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
 import parity
 from repro.models import build_model
@@ -32,8 +39,7 @@ from repro.sparsity import LongExposure, LongExposureConfig
 from repro.tensor import arena as tensor_arena
 from repro.tensor import fused
 from repro.tensor import plan as tensor_plan
-from repro.tensor.tensor import (PlanMismatchError, Tensor, node_build_count,
-                                 set_tape)
+from repro.tensor.tensor import Tensor, node_build_count
 
 
 # ---------------------------------------------------------------------------
@@ -118,59 +124,17 @@ def test_integer_division_matches_uncaptured_under_arena():
 
 
 def test_zero_warmup_captures_on_the_first_step():
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
     capture = StepCapture(warmup_steps=0)
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-    capture.begin_step(("sig",))
-    capture.run_backward(_loss_chain(w))
-    capture.end_step()
-    w.grad = None
-    assert capture.captures == 1          # step 1 IS the capture step
-    capture.begin_step(("sig",))
-    capture.run_backward(_loss_chain(w))
-    capture.end_step()
-    assert capture.replay_steps == 1      # step 2 already replays
+    tuner = FineTuner(model, TrainingConfig(), capture=capture)
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                            size=(2, 32))
+    tuner.step(ids)
+    assert capture.full_captures == 1     # step 1 IS the capture step
+    tuner.step(ids)
+    assert capture.full_replays == 1      # step 2 already replays
     assert capture.recaptures == 0        # no signature change ever happened
-
-
-def test_repeated_replay_fallbacks_switch_capture_off():
-    capture = StepCapture(warmup_steps=0, max_failures=2)
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-    losses = []
-    for step in range(4):
-        capture.begin_step(("sig",))
-        # Alternate graph wiring under one signature: every replay mismatches.
-        loss = _loss_chain(w) if step % 2 == 0 else _loss_cross(w)
-        capture.run_backward(loss)
-        capture.end_step()
-        losses.append(float(loss.data))
-        w.grad = None
-    assert capture.fallbacks >= 1
-    assert capture.state == capture.OFF   # kill-switch engaged
-    assert capture.arena.takes == 0       # retired pool swapped for an empty one
-    assert all(np.isfinite(losses))
-
-
-def test_replay_streak_forgives_isolated_fallbacks():
-    capture = StepCapture(warmup_steps=0, max_failures=2)
-    capture.FAILURE_RESET_REPLAYS  # class constant, default 8
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-
-    def run_step(cross: bool):
-        capture.begin_step(("sig",))
-        loss = _loss_cross(w) if cross else _loss_chain(w)
-        capture.run_backward(loss)
-        capture.end_step()
-        w.grad = None
-
-    # capture + healthy streak, one fallback, another healthy streak, one
-    # fallback: isolated recovered mismatches must NOT disable capture.
-    for phase in range(2):
-        run_step(cross=bool(phase))       # (re)capture on the new wiring
-        for _ in range(capture.FAILURE_RESET_REPLAYS + 1):
-            run_step(cross=bool(phase))   # healthy replays reset _failures
-    run_step(cross=False)                 # second wiring flip -> one fallback
-    assert capture.fallbacks == 2         # one per wiring flip
-    assert capture.state == capture.REPLAY   # kill-switch never engaged
 
 
 def test_arena_helpers_degrade_without_active_arena():
@@ -182,91 +146,23 @@ def test_arena_helpers_degrade_without_active_arena():
 
 
 # ---------------------------------------------------------------------------
-# tape-plan machinery
+# backward schedule
 # ---------------------------------------------------------------------------
 
-def _loss_mul(w):
-    return (w * 2.0).sum()
-
-
-def _loss_chain(w):
+def test_schedule_orders_grad_carrying_nodes_root_first():
+    # The one DFS order every backward runs in: the root first, every node
+    # ahead of its parents, and no constant (``frozen``, the 2.0 scalar) —
+    # they never receive a gradient.
+    w = Tensor(np.arange(3, dtype=np.float32), requires_grad=True)
+    frozen = Tensor(np.full(3, 2.0, np.float32))
     x = w * 2.0
-    return (x * x).sum()
-
-
-def _loss_cross(w):
-    x = w * 2.0
-    return (x * w).sum()
-
-
-def test_plan_record_and_replay_bitwise():
-    w = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = _loss_mul(w).backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    assert plan is not None
-    reference = w.grad.copy()
-    w.grad = None
-    tape2 = []
-    set_tape(tape2)
-    try:
-        _loss_mul(w).backward(tape=tape2, plan=plan)
-    finally:
-        set_tape(None)
-    assert np.array_equal(w.grad, reference)
-
-
-def test_plan_mismatch_raises_before_touching_grads():
-    w = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = _loss_chain(w).backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    w.grad = None
-    tape2 = []
-    set_tape(tape2)
-    try:
-        loss = _loss_cross(w)            # same tape length, rewired parents
-        with pytest.raises(PlanMismatchError):
-            loss.backward(tape=tape2, plan=plan)
-    finally:
-        set_tape(None)
-    assert w.grad is None                # validated before any accumulation
-    loss.backward()                      # uncaptured fallback still works
-    assert w.grad is not None
-
-
-def test_unfreezing_recorded_constant_invalidates_plan():
-    # A parameter frozen at capture time is recorded as a gradient-free
-    # constant; flipping requires_grad mid-training must invalidate the plan
-    # (its gradient is absent from the recorded schedule and would be
-    # silently dropped otherwise).
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-    frozen = Tensor(np.full(3, 2.0, np.float32), requires_grad=False)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = (w * frozen).sum().backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    assert plan is not None
-    w.grad = None
-    frozen.requires_grad = True            # staged unfreezing
-    tape2 = []
-    set_tape(tape2)
-    try:
-        loss = (w * frozen).sum()
-        with pytest.raises(PlanMismatchError):
-            loss.backward(tape=tape2, plan=plan)
-        loss.backward()                    # uncaptured fallback
-    finally:
-        set_tape(None)
-    assert np.array_equal(frozen.grad, np.ones(3, np.float32))
+    y = x * frozen
+    z = y + x
+    loss = z.sum()
+    assert [id(n) for n in loss._schedule()] == [id(n) for n in
+                                                 (loss, z, y, x, w)]
+    loss.backward()
+    assert np.array_equal(w.grad, np.full(3, 2.0 * 2.0 + 2.0, np.float32))
 
 
 def test_recapture_trims_previous_steps_working_set():
@@ -280,38 +176,6 @@ def test_recapture_trims_previous_steps_working_set():
     assert capture.arena.bytes_held < held_before
     tuner.step(ids[:, :16])
     assert capture.last_step_allocations == 0
-    # Per-step constants (e.g. the fresh ``1/count`` Tensor a mean creates
-    # every step) are recorded as "don't care": the plan pins only the
-    # *ordering* among gradient-carrying nodes, and the replayed closures are
-    # always the current step's own, so values stay exact.
-    w = Tensor(np.arange(4, dtype=np.float32), requires_grad=True)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = _loss_mul(w).backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    w.grad = None
-    tape2 = []
-    set_tape(tape2)
-    try:
-        (w * 5.0).sum().backward(tape=tape2, plan=plan)
-    finally:
-        set_tape(None)
-    assert np.array_equal(w.grad, np.full(4, 5.0, np.float32))
-
-
-def test_plan_not_recordable_with_external_interior_node():
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-    outside = w * 3.0                    # interior node created off-tape
-    tape = []
-    set_tape(tape)
-    try:
-        plan = (outside * w).sum().backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    assert plan is None                  # capture declines, gradients still flow
-    assert w.grad is not None
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +268,9 @@ def test_kernel_veto_falls_through_to_the_interpreted_body(reason):
 # ---------------------------------------------------------------------------
 #
 # The trajectory (losses, per-step gradients, Adam moments, final parameters)
-# must stay bitwise identical to the plain interpreted run whichever tier a
-# step lands on: compiled replay, a refresh step's re-capture, or — reference
-# kernels, oracle mode's trainable base weights — backward-only replay.
+# must stay bitwise identical to the plain interpreted run whichever path a
+# step takes: compiled replay, a refresh step's re-capture, or — reference
+# kernels, oracle mode's trainable base weights — interpreted over the arena.
 
 @pytest.mark.parity
 @pytest.mark.parametrize("schedule", sorted(parity.CAPTURE_SCHEDULES))
@@ -428,9 +292,9 @@ def _build_tuner(backend: str, seq: int = 32, predict_interval: int = 1,
     """A tuner over a fixed batch; returns (tuner, ids, capture).
 
     The sparse backends refresh their masks every ``predict_interval`` steps:
-    the default 1 makes every step a refresh (interpreted forward,
-    backward-only replay); 4 leaves reuse steps 2-4 — capture plus compile on
-    step 2, compiled replays on steps 3-4, re-capture on refresh step 5.
+    the default 1 makes every step a refresh (interpreted over the arena);
+    4 leaves reuse steps 2-4 — capture plus compile on step 2, compiled
+    replays on steps 3-4, re-capture on refresh step 5.
     """
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
     model = build_model(model_name, seed=0)
@@ -486,15 +350,18 @@ def test_zero_allocations_after_capture(backend):
     try:
         tuner.step(ids)                            # warm-up (uncaptured)
         tuner.step(ids)                            # capture step (allocates)
-        assert capture.captures == 1
+        # Only the dense step compiles: oracle mode trains the base weights
+        # and every predicted step refreshes, so those run interpreted.
+        compiled = backend == "dense"
+        assert capture.full_captures == compiled
         capture_allocs = capture.last_step_allocations
         assert capture_allocs > 0                  # the capture step populates
         for _ in range(2):                         # steps N+1, N+2: replay
             tuner.step(ids)
             assert capture.last_step_allocations == 0, \
                 f"{backend}: captured steady state still allocates"
-        assert capture.replay_steps == 2
-        assert capture.fallbacks == 0
+        assert capture.full_replays == 2 * compiled
+        assert capture.full_fallbacks == 0
     finally:
         if tuner.engine is not None:
             tuner.engine.uninstall(tuner.model)
@@ -625,23 +492,27 @@ def test_profile_needs_a_compiled_plan():
 
 
 # ---------------------------------------------------------------------------
-# degradation to backward-only replay, reached through each real trigger
+# degradation to interpreted steps, reached through each real trigger
 # ---------------------------------------------------------------------------
 #
-# No option selects backward-only replay; a step lands there because of what
+# No option selects the interpreted path; a step lands there because of what
 # it observes.  Each trigger below is driven on a captured tuner and a plain
 # twin in lockstep (same seeds, same batch): every loss and the final
-# parameters must match bitwise, the counters must say which tier ran each
-# step and why, and — where the condition can pass — the next eligible step
-# must be compiled again.
+# parameters must match bitwise, the counters must say which path ran each
+# step and why, an interpreted step past the capture must run over the warm
+# arena, and — where the condition can pass — the next eligible step must be
+# compiled again.
 
-def _raise_once_in(plan, position: int = 3) -> None:
-    """Make the plan's ``position``-th thunk raise on its next call only."""
+def _raise_once_in(plan, position: int = 3, fired: list = None) -> None:
+    """Make the plan's ``position``-th thunk raise on its next call only
+    (appending to ``fired`` when it does)."""
     entry = plan.entries[position]
     intact = entry.run
 
     def broken():
         entry.run = intact
+        if fired is not None:
+            fired.append(position)
         raise RuntimeError("injected thunk failure")
 
     entry.run = broken
@@ -651,7 +522,7 @@ def _raise_once_in(plan, position: int = 3) -> None:
 @pytest.mark.parametrize("trigger", ["reference_kernels",
                                      "trainable_base_weights", "coverage_gap",
                                      "replay_exception"])
-def test_degrades_to_backward_only_replay(trigger):
+def test_degrades_to_interpreted_steps(trigger):
     build = {
         "reference_kernels": dict(backend="dense"),
         "trainable_base_weights": dict(backend="oracle", predict_interval=8),
@@ -663,7 +534,7 @@ def test_degrades_to_backward_only_replay(trigger):
     gaps = []
     if trigger == "coverage_gap":
         gaps = [_add_uncovered_op(tuner.model), _add_uncovered_op(plain.model)]
-    seen = []                                      # (full_replays, replay_steps)
+    seen = []                                      # full_replays per step
     kernels = (fused.reference_kernels if trigger == "reference_kernels"
                else contextlib.nullcontext)
 
@@ -671,58 +542,114 @@ def test_degrades_to_backward_only_replay(trigger):
         with kernels():
             assert tuner.step(ids)[0] == plain.step(ids)[0], \
                 f"{trigger}: loss differs at step {len(seen) + 1}"
-        seen.append((capture.full_replays, capture.replay_steps))
+        seen.append(capture.full_replays)
 
     try:
         # Warm-up, capture, replays.  The gap is closed after its second
-        # veto: a third would use up max_failures and stop the compiler.
+        # veto: a third would use up MAX_FAILURES and stop the compiler.
         for _ in range(3 if trigger == "coverage_gap" else 4):
             step()
         if trigger == "reference_kernels":
             # Never eligible: the forward is not a recordable kernel stream.
             assert capture.full_captures == 0
             assert capture.full_fail_reason == "reference kernels"
-            assert seen[-1] == (0, 2)
+            assert seen[-1] == 0 and capture.last_step_allocations == 0
         elif trigger == "trainable_base_weights":
-            # Vetoed on steps 2, 3 and 4; after max_failures attempts the
+            # Vetoed on steps 2, 3 and 4; after MAX_FAILURES attempts the
             # compiler stops asking and the reason stays on record.
             assert capture.full_captures == 0
             assert "trainable base weights" in capture.full_fail_reason
-            assert capture._full_failures == capture.max_failures
-            assert seen[-1] == (0, 2)
+            assert capture._full_failures == capture.MAX_FAILURES
+            assert seen[-1] == 0 and capture.last_step_allocations == 0
             for _ in range(5):                     # across the step-9 refresh
                 step()
-            assert seen[-1] == (0, 7)
+            assert seen[-1] == 0
             assert "trainable base weights" in capture.full_fail_reason
         elif trigger == "coverage_gap":
             assert capture.full_captures == 0
             assert "coverage gap" in capture.full_fail_reason
-            assert seen[-1] == (0, 1)
+            assert seen[-1] == 0 and capture.last_step_allocations == 0
             for gap in gaps:
                 gap(False)
-            step()          # the graph changed under the backward plan too:
-            assert capture.fallbacks == 1          # one mismatch fallback,
-            assert capture.full_captures == 1      # re-captured and compiled
+            step()                                 # compiled at once
+            assert capture.full_captures == 1
             step()
-            assert seen[-1] == (1, 2)
+            assert seen[-1] == 1
         elif trigger == "replay_exception":
-            assert seen[-1] == (2, 2) and capture.full_captures == 1
+            assert seen[-1] == 2 and capture.full_captures == 1
             _raise_once_in(capture.forward_plan)
             step()          # replay raises -> interpreted step, re-compiled
-            assert seen[-1] == (2, 3)
+            assert seen[-1] == 2
             assert capture.full_fail_reason == \
                 "replay raised RuntimeError: injected thunk failure"
             assert capture.full_captures == 2
             step()
-            assert seen[-1] == (3, 4)
+            assert seen[-1] == 3
         assert capture.full_fallbacks == (trigger == "replay_exception")
-        assert capture.state == capture.REPLAY and capture._failures <= 1
+        assert capture.state == capture.REPLAY and capture._failures == 0
         for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
             assert np.array_equal(a.data, b.data), f"{trigger}: params differ"
     finally:
         for t in (tuner, plain):
             if t.engine is not None:
                 t.engine.uninstall(t.model)
+
+
+def _log_grads(tuner) -> list:
+    """Snapshot every gradient the optimizer's interpreted ``step`` sees."""
+    log = []
+    optimizer_step = tuner.optimizer.step
+
+    def logged():
+        log.append([p.grad.copy() for p in tuner.optimizer.params])
+        optimizer_step()
+
+    tuner.optimizer.step = logged
+    return log
+
+
+@pytest.mark.parity
+def test_plan_not_recordable_with_external_interior_node():
+    """A backward schedule reaching an interior node that the recorded
+    forward did not build vetoes the compile: a replay would re-run that
+    node's closure over values no thunk refreshes.  The node here is a sum
+    over a parameter built between steps, which the loss adds times zero;
+    the forward itself is fully covered.  Every step then runs interpreted,
+    bitwise equal to a plain twin in losses and gradients."""
+    tuner, ids, capture = _build_tuner("dense")
+    plain, _, _ = _build_tuner("dense", capture=False)
+
+    def wire(twin):
+        """Route ``twin``'s loss through an external node; returns the
+        function that rebuilds that node."""
+        plain_loss = twin.model.loss
+        param = twin.optimizer.params[-1]
+        external = [None]
+
+        def loss_with_external(ids, labels=None):
+            loss, count = plain_loss(ids, labels=labels)
+            return loss + external[0] * 0.0, count
+
+        def rebuild():
+            external[0] = param.sum()
+
+        twin.model.loss = loss_with_external
+        return rebuild
+
+    rebuilds = [wire(tuner), wire(plain)]
+    grads = [_log_grads(tuner), _log_grads(plain)]
+    for step in range(1, 6):
+        for rebuild in rebuilds:
+            rebuild()                              # outside any forward
+        assert tuner.step(ids)[0] == plain.step(ids)[0], f"step {step}"
+    assert capture.full_captures == 0 and capture.full_replays == 0
+    assert capture.full_fail_reason == "backward schedule not capturable"
+    assert capture._full_failures == capture.MAX_FAILURES
+    assert capture.state == capture.REPLAY
+    assert len(grads[0]) == len(grads[1]) == 5
+    for step, (a, b) in enumerate(zip(*grads), start=1):
+        for ga, gb in zip(a, b):
+            assert np.array_equal(ga, gb), f"gradient differs at step {step}"
 
 
 @pytest.mark.parity
@@ -745,8 +672,7 @@ def test_refresh_step_is_the_capture_step(interval):
             assert capture.full_captures == captures, f"step {step}"
             assert capture.full_replays == (
                 step - 1 - captures if interval > 1 else 0), f"step {step}"
-            assert capture.replay_steps == max(0, step - 2), f"step {step}"
-        assert capture.full_fallbacks == 0 and capture.fallbacks == 0
+        assert capture.full_fallbacks == 0
         assert capture.full_fail_reason == ""
         assert (capture.forward_plan is None) == (interval == 1)
         assert capture.state == capture.REPLAY and capture._failures == 0
@@ -755,6 +681,105 @@ def test_refresh_step_is_the_capture_step(interval):
     finally:
         for t in (tuner, plain):
             t.engine.uninstall(t.model)
+
+
+class _CaptureLifecycle(RuleBasedStateMachine):
+    """A captured tuner and a ``capture=None`` twin, stepped in lockstep
+    through shape flips, reference-kernel steps, coverage gaps, injected
+    replay failures and retirements, in any order.
+
+    After every rule the trajectory is the twin's bit for bit, a step that
+    replayed the compiled plan allocated nothing, and every compiled
+    fallback is an injected replay failure.
+    """
+
+    build = dict(backend="dense")
+
+    def __init__(self):
+        super().__init__()
+        self.tuner, self.ids, self.capture = _build_tuner(**self.build)
+        self.plain, _, _ = _build_tuner(capture=False, **self.build)
+        self.gaps = [_add_uncovered_op(t.model) for t in (self.tuner,
+                                                          self.plain)]
+        self.gap = False
+        for gap in self.gaps:
+            gap(False)
+        self.fired = []                            # injected raises that ran
+
+    def teardown(self):
+        for t in (self.tuner, self.plain):
+            if t.engine is not None:
+                t.engine.uninstall(t.model)
+
+    def _step(self, seq: int, kernels=contextlib.nullcontext) -> None:
+        ids = self.ids[:, :seq]
+        replays = self.capture.full_replays
+        with kernels():
+            assert self.tuner.step(ids)[0] == self.plain.step(ids)[0], \
+                self.capture.summary()
+        if self.capture.full_replays > replays:
+            assert self.capture.last_step_allocations == 0, \
+                self.capture.summary()
+
+    @initialize()
+    def warm_up_and_compile(self):
+        for _ in range(3):
+            self._step(32)
+
+    @rule(seq=st.sampled_from([32, 16]), steps=st.integers(1, 4))
+    def step(self, seq, steps):
+        for _ in range(steps):
+            self._step(seq)
+
+    @rule(seq=st.sampled_from([32, 16]))
+    def step_under_reference_kernels(self, seq):
+        self._step(seq, fused.reference_kernels)
+
+    @rule()
+    def toggle_coverage_gap(self):
+        self.gap = not self.gap
+        for gap in self.gaps:
+            gap(self.gap)
+
+    @precondition(lambda self: self.capture.forward_plan is not None)
+    @rule()
+    def next_replay_raises_once(self):
+        _raise_once_in(self.capture.forward_plan, fired=self.fired)
+        self._step(self.capture.signature[0][-1])  # the plan's own shape
+
+    @rule()
+    def retire_and_attach_fresh_capture(self):
+        self.capture.retire()
+        self.capture = self.tuner.capture = StepCapture()
+        self.fired = []
+
+    @invariant()
+    def parameters_match_the_twin(self):
+        for a, b in zip(self.tuner.optimizer.params,
+                        self.plain.optimizer.params):
+            assert np.array_equal(a.data, b.data), self.capture.summary()
+
+    @invariant()
+    def every_fallback_was_injected(self):
+        assert self.capture.full_fallbacks == len(self.fired), \
+            self.capture.full_fail_reason
+
+
+class _PredictedCaptureLifecycle(_CaptureLifecycle):
+    """The same rules over a predicted engine refreshing every 4th step, so
+    refresh re-captures interleave with everything else."""
+
+    build = dict(backend="predicted", predict_interval=4)
+
+
+_LIFECYCLE_SETTINGS = settings(max_examples=10, stateful_step_count=12,
+                               deadline=None,
+                               suppress_health_check=[HealthCheck.too_slow])
+TestCaptureLifecycleDense = pytest.mark.parity(_CaptureLifecycle.TestCase)
+TestCaptureLifecycleDense.settings = _LIFECYCLE_SETTINGS
+TestCaptureLifecyclePredicted = pytest.mark.parity(
+    _PredictedCaptureLifecycle.TestCase)
+TestCaptureLifecyclePredicted.settings = _LIFECYCLE_SETTINGS
 
 
 @pytest.mark.perf_smoke
@@ -832,7 +857,7 @@ def test_shape_change_triggers_exactly_one_recapture():
     short = ids[:, :16]
     tuner.step(short)                              # re-capture at new shape
     assert capture.recaptures == 1
-    assert capture.captures == 2
+    assert capture.full_captures == 2
     tuner.step(short)                              # replay at new shape
     tuner.step(short)
     assert capture.recaptures == 1                 # exactly one
@@ -862,14 +887,14 @@ def test_shape_changes_after_compiled_replays_are_recaptures_not_failures():
         assert capture.full_replays > full_replays
         full_replays = capture.full_replays
     # Every step after a (re-)capture replayed the compiled plan.
-    assert capture.full_replays == capture.replay_steps == 5 * 6 - 5 - 1
+    assert capture.full_replays == 5 * 6 - 5 - 1
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 def test_replay_streak_forgives_failures_in_compiled_steady_state():
     tuner, ids, capture = _build_tuner("dense")
-    capture._failures = capture.max_failures - 1   # one strike from OFF
+    capture._failures = capture.MAX_FAILURES - 1   # one strike from OFF
     for _ in range(2 + capture.FAILURE_RESET_REPLAYS):
         tuner.step(ids)
     assert capture.full_replays == capture.FAILURE_RESET_REPLAYS
@@ -889,10 +914,29 @@ def test_alternating_shapes_trip_the_kill_switch():
         if capture.state == capture.OFF:
             break
     assert capture.state == capture.OFF
-    assert capture.replay_steps == 0          # no plan ever got replayed
+    assert capture.full_replays == 0          # no plan ever got replayed
     assert capture.arena.takes == 0           # retired pool dropped
     # Training keeps working uncaptured.
     loss, _ = tuner.step(ids)
+    assert np.isfinite(loss)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+def test_alternating_shapes_trip_the_kill_switch_without_compiling():
+    # Under reference kernels no step ever compiles, yet a signature that is
+    # captured and never replayed is just as sterile: warm-up, one capture,
+    # then three sterile re-captures switch capture off at step 5.
+    tuner, ids, capture = _build_tuner("dense")
+    short = ids[:, :16]
+    with fused.reference_kernels():
+        for step in range(1, 6):
+            assert capture.state != capture.OFF, f"off before step {step}"
+            tuner.step(ids if step % 2 else short)
+        assert capture.state == capture.OFF
+        assert capture.full_captures == 0 and capture.recaptures == 3
+        assert capture.arena.takes == 0           # retired pool dropped
+        loss, _ = tuner.step(ids)
     assert np.isfinite(loss)
 
 
@@ -907,7 +951,7 @@ def test_fused_toggle_change_invalidates_plan():
     with fused.reference_kernels():
         tuner.step(ids)                            # signature change -> recapture
         assert capture.recaptures == 1
-        tuner.step(ids)                            # backward-only replay
+        tuner.step(ids)                            # interpreted over the arena
         assert capture.last_step_allocations == 0
         assert (capture.full_captures, capture.full_replays) == (1, 1)
         assert capture.full_fail_reason == "reference kernels"
@@ -925,37 +969,36 @@ def test_capture_gauges_reach_profiler():
         tuner.step(ids)
     gauges = tuner.profiler.summary_dict()["gauges"]
     for key in ("arena_allocations_step", "arena_bytes", "arena_hit_rate",
-                "arena_evictions", "capture_replay_steps",
-                "capture_recaptures", "capture_fallbacks",
+                "arena_evictions", "capture_recaptures",
                 "capture_full_captures", "capture_full_replays",
                 "capture_full_fallbacks"):
         assert key in gauges
+    assert "capture_replay_steps" not in gauges
+    assert "capture_fallbacks" not in gauges
     assert gauges["arena_allocations_step"] == 0.0
     assert gauges["arena_bytes"] > 0
-    assert gauges["capture_replay_steps"] >= 1.0
+    assert gauges["capture_full_replays"] >= 1.0
     assert capture.summary().startswith("StepCapture(")
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 def test_capture_mode_leaves_globals_clean():
-    from repro.tensor.tensor import current_tape
-
     tuner, ids, _ = _build_tuner("dense")
     for _ in range(3):
         tuner.step(ids)
     assert tensor_arena.active() is None
-    assert current_tape() is None
+    assert tensor_plan.recorder() is None
 
 
 # ---------------------------------------------------------------------------
 # streaming tiled attention: capture parity, heap steadiness, the memory wall
 # ---------------------------------------------------------------------------
 
-# Both replay tiers, as an input: "compiled" replays the whole step;
-# "backward_only" is the same tuner behind a coverage gap, so its forward runs
+# Both execution paths, as an input: "compiled" replays the whole step;
+# "interpreted" is the same tuner behind a coverage gap, so its steps run
 # interpreted through the fused kernels over recycled arena buffers.
-TIERS = ["compiled", "backward_only"]
+TIERS = ["compiled", "interpreted"]
 
 
 def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
@@ -963,7 +1006,7 @@ def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
                            model: str = "gpt2-tiny"):
     """Dense tuner with the streaming toggle wired via the config."""
     model = build_model(model, seed=0)
-    if tier == "backward_only":
+    if tier == "interpreted":
         _add_uncovered_op(model)
     rng = np.random.default_rng(3)
     optimizer = Adam(model.trainable_parameters(), lr=1e-3)
@@ -978,7 +1021,7 @@ def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
 
 
 def _assert_tier(capture: StepCapture, tier: str, replays: int) -> None:
-    assert capture.replay_steps == replays
+    assert capture.state == capture.REPLAY
     if tier == "compiled":
         assert capture.full_captures == 1, capture.full_fail_reason
         assert capture.full_replays == replays
@@ -991,7 +1034,7 @@ def _assert_tier(capture: StepCapture, tier: str, replays: int) -> None:
 @pytest.mark.parametrize("tier", TIERS)
 def test_streaming_capture_replay_bitwise_identical(tier):
     # The streaming kernels' bodies — replayed from the plan, or run
-    # interpreted over arena buffers under backward-only replay — must
+    # interpreted over arena buffers behind a coverage gap — must
     # reproduce the uncaptured streaming step bit for bit; seq=48 with
     # tile=16 exercises multiple tiles per row block.
     results = []
@@ -1006,7 +1049,6 @@ def test_streaming_capture_replay_bitwise_identical(tier):
     assert base_losses == cap_losses
     for a, b in zip(base_params, cap_params):
         assert np.array_equal(a, b)
-    assert cap.captures == 1
     _assert_tier(cap, tier, replays=2)
 
 
@@ -1017,7 +1059,6 @@ def test_streaming_zero_allocations_after_capture(tier):
     tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
     tuner.step(ids)                                # warm-up
     tuner.step(ids)                                # capture (+ full compile)
-    assert capture.captures == 1
     for _ in range(2):
         tuner.step(ids)
         assert capture.last_step_allocations == 0, \
@@ -1104,7 +1145,7 @@ def test_refresh_step_forward_retains_no_heap_arrays():
     try:
         for _ in range(4):                         # warm-up, capture, refreshes
             tuner.step(ids)
-        assert capture.replay_steps == 2 and capture.full_replays == 0
+        assert capture.state == capture.REPLAY and capture.full_replays == 0
         tuner.model.loss = loss_then_measure
         tracemalloc.start()
         for _ in range(2):                         # stabilise tracer overhead
