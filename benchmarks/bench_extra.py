@@ -45,7 +45,7 @@ from repro.runtime.comms import STAT_NAMES
 from repro.serve import TenantStateStore
 from repro.sparsity.ops import LayoutGeometryCache, block_sparse_attention
 from repro.sparsity.ops.layout import layout_from_block_masks
-from repro.sparsity.patterns import block_count, build_default_pool
+from repro.sparsity.patterns import block_count, pattern_mask
 from repro.tensor import Tensor
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e"))
@@ -97,7 +97,6 @@ def bench_long_context(lengths=LONG_CONTEXT_LENGTHS, repeats: int = 2) -> Dict:
     ``seq <= 128``, where one row tile is the materializing shape.
     """
     batch, tile, heads = LONG_CONTEXT_BATCH, LONG_CONTEXT_TILE, len(LAYOUT_PATTERNS)
-    pool = build_default_pool()
     results: Dict = {"tile": float(tile), "lengths": {}}
     for seq in lengths:
         cfg = ModelConfig(name=f"longctx-nano-{seq}", family="gpt2",
@@ -120,7 +119,7 @@ def bench_long_context(lengths=LONG_CONTEXT_LENGTHS, repeats: int = 2) -> Dict:
 
         n_blocks = block_count(seq, BLOCK_SIZE)
         layout = layout_from_block_masks(
-            np.stack([pool.mask(name, n_blocks) for name in LAYOUT_PATTERNS]),
+            np.stack([pattern_mask(name, n_blocks) for name in LAYOUT_PATTERNS]),
             BLOCK_SIZE)
         rng = np.random.default_rng(7)
         q, k, v = [rng.normal(size=(batch, heads, seq, 16)).astype(np.float32)

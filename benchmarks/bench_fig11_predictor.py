@@ -24,7 +24,7 @@ from repro import (
 from repro.analysis import format_table
 from repro.sparsity.exposer import AttentionExposer
 from repro.sparsity.ops.layout import layout_from_block_masks
-from repro.sparsity.patterns import build_default_pool, causal_block_mask
+from repro.sparsity.patterns import causal_block_mask
 from repro.sparsity.predictor.collect import collect_layer_data
 
 from conftest import e2e_batches
@@ -110,7 +110,7 @@ def test_fig11_prediction_visualisation(benchmark):
     def run():
         engine.prepare(model, batches)
         collected = collect_layer_data(model, batches)
-        exposer = AttentionExposer(build_default_pool(), BLOCK)
+        exposer = AttentionExposer(BLOCK)
         merged = collected[0].merged()
         exact = exposer.block_reduce(merged["attention_probs"])       # (heads, nb, nb)
         predictor = engine.attention_predictors[0]

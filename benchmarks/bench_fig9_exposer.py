@@ -13,7 +13,9 @@ than dense.
 Reproduced shape: same orderings per layer (head-specific >= shadowy sparsity,
 threshold-monotone MLP sparsity) and same kernel-speed ordering (block-sparse
 attention faster than dense; structured neuron-sparse MLP faster than the
-unstructured baseline).
+unstructured baseline).  Both attention columns, and the masks the right
+panel times, are the exposer's raw coverage masks — the masks oracle mode
+executes: head-specific per head, shadowy as their union.
 """
 
 import time
@@ -89,11 +91,7 @@ def test_fig9_layer_kernel_speedups(benchmark):
 
     def run():
         # Attention: dense vs shadowy (uniform mask) vs LongExposure (per-head).
-        pool = model.blocks and None
-        from repro.sparsity.patterns import build_default_pool
-        pattern_pool = build_default_pool()
-        head_masks = np.stack([pattern_pool.mask(name, S // BLOCK_SIZE)
-                               for name in profiles[0].head_patterns])
+        head_masks = profiles[0].head_masks
         uniform = np.repeat(np.any(head_masks, axis=0)[None], H, axis=0)
         layout_head = layout_from_block_masks(head_masks, BLOCK_SIZE)
         layout_uniform = layout_from_block_masks(uniform, BLOCK_SIZE)
@@ -108,7 +106,6 @@ def test_fig9_layer_kernel_speedups(benchmark):
         x = Tensor(rng.normal(size=(B, S, cfg.dim)).astype(np.float32))
         exposer = MLPExposer(BLOCK_SIZE, threshold=0.03)
         mlp.backend.capture_activations = True
-        DenseMLPBackend(capture_activations=True)
         dense_backend = DenseMLPBackend(capture_activations=True)
         dense_backend(mlp, x)
         active_blocks = exposer.active_blocks(dense_backend.last_activations)

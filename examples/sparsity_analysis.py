@@ -2,8 +2,8 @@
 
 Profiles per-layer attention and MLP sparsity under the different mask
 strategies (per-token, uniform "shadowy", head-specific, Longformer/BigBird,
-threshold-filtered MLP blocks) on real batches, and prints the per-head
-atomic patterns the exposer selects.
+threshold-filtered MLP blocks) on real batches, and prints the block sparsity
+of each head's own coverage mask.
 
 Usage::
 
@@ -13,6 +13,7 @@ Usage::
 from repro import build_model
 from repro.analysis import ascii_bar_chart, format_table, model_sparsity_profile
 from repro.data import E2EDatasetGenerator
+from repro.sparsity.patterns import causal_block_mask
 
 
 def main() -> None:
@@ -36,9 +37,11 @@ def main() -> None:
          "mlp shadowy", "mlp filtered @3%"],
         rows, title="Per-layer sparsity ratios (higher = more computation skipped)"))
 
-    print("\nPer-head atomic patterns selected by the exposer (layer 0):")
-    for head, pattern in enumerate(profiles[0].head_patterns):
-        print(f"  head {head}: {pattern}")
+    print("\nPer-head block sparsity of the exposer's coverage masks (layer 0):")
+    masks = profiles[0].head_masks
+    causal_total = causal_block_mask(masks.shape[-1]).sum()
+    for head, mask in enumerate(masks):
+        print(f"  head {head}: {1.0 - mask.sum() / causal_total:.2f}")
 
     print("\nMLP filtered sparsity vs importance threshold (layer 1):")
     thresholds = sorted(profiles[1].mlp_filtered)

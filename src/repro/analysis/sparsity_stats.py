@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.models.base import CausalLMModel
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
-from repro.sparsity.patterns import PatternPool, build_default_pool
+from repro.sparsity.patterns import causal_block_mask
 from repro.sparsity.predictor.collect import collect_layer_data
 
 
@@ -24,20 +24,23 @@ class LayerSparsityProfile:
     attention_bigbird: float
     mlp_shadowy: float
     mlp_filtered: dict            # threshold -> filtered block sparsity
-    head_patterns: List[str]
+    head_masks: np.ndarray        # (heads, n_blocks, n_blocks) raw coverage masks
 
 
 def model_sparsity_profile(model: CausalLMModel, batches: Sequence[np.ndarray],
                            block_size: int = 32, coverage: float = 0.90,
-                           thresholds: Sequence[float] = (0.01, 0.02, 0.03, 0.05),
-                           pattern_pool: Optional[PatternPool] = None
+                           thresholds: Sequence[float] = (0.01, 0.02, 0.03, 0.05)
                            ) -> List[LayerSparsityProfile]:
-    """Compute the per-layer sparsity profile driving Figure 9's left panels."""
-    from repro.baselines.sparse_attention import bigbird_block_masks, longformer_block_masks
-    from repro.sparsity.patterns import causal_block_mask
+    """Compute the per-layer sparsity profile driving Figure 9's left panels.
 
-    pattern_pool = pattern_pool or build_default_pool()
-    attention_exposer = AttentionExposer(pattern_pool, block_size, coverage=coverage)
+    Head-specific and shadowy attention sparsity both come from the exposer's
+    raw coverage masks (:meth:`AttentionExposer.raw_block_masks`, what oracle
+    mode executes): the mean over heads of each head's own mask, and the
+    union of all heads' masks.
+    """
+    from repro.baselines.sparse_attention import bigbird_block_masks, longformer_block_masks
+
+    attention_exposer = AttentionExposer(block_size, coverage=coverage)
     collected = collect_layer_data(model, batches)
 
     seq_len = np.asarray(batches[0]).shape[-1]
@@ -68,6 +71,6 @@ def model_sparsity_profile(model: CausalLMModel, batches: Sequence[np.ndarray],
             attention_bigbird=float(bigbird_sparsity),
             mlp_shadowy=mlp_shadowy,
             mlp_filtered=mlp_filtered,
-            head_patterns=report.head_patterns,
+            head_masks=report.head_masks,
         ))
     return profiles

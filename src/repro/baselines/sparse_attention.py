@@ -17,21 +17,14 @@ from repro.nn.attention import MultiHeadAttention
 from repro.sparsity.exposer import AttentionExposer
 from repro.sparsity.ops.block_sparse import block_sparse_attention
 from repro.sparsity.ops.layout import MultiHeadLayout, layout_from_block_masks
-from repro.sparsity.patterns import block_count, causal_block_mask
+from repro.sparsity.patterns import block_count, global_tokens, local, pattern_mask, union
 
 
 def longformer_block_masks(seq_len: int, num_heads: int, block_size: int,
                            window_blocks: int = 4, global_blocks: int = 1) -> np.ndarray:
     """Sliding-window + leading-global-token mask, identical for every head."""
-    n_blocks = block_count(seq_len, block_size)
-    idx = np.arange(n_blocks)
-    window = (idx[:, None] - idx[None, :] >= 0) & (idx[:, None] - idx[None, :] < window_blocks)
-    mask = window.copy()
-    g = min(global_blocks, n_blocks)
-    mask[:, :g] = True
-    mask[:g, :] = True
-    mask &= causal_block_mask(n_blocks)
-    np.fill_diagonal(mask, True)
+    mask = pattern_mask(union(local(window_blocks), global_tokens(global_blocks)),
+                        block_count(seq_len, block_size))
     return np.repeat(mask[None], num_heads, axis=0)
 
 
@@ -43,13 +36,8 @@ def bigbird_block_masks(seq_len: int, num_heads: int, block_size: int,
     rng = np.random.default_rng(seed)
     mask = longformer_block_masks(seq_len, 1, block_size, window_blocks, global_blocks)[0]
     for row in range(n_blocks):
-        candidates = np.arange(0, row + 1)
-        if candidates.size:
-            picks = rng.choice(candidates, size=min(random_blocks, candidates.size),
-                               replace=False)
-            mask[row, picks] = True
-    mask &= causal_block_mask(n_blocks)
-    np.fill_diagonal(mask, True)
+        picks = rng.choice(row + 1, size=min(random_blocks, row + 1), replace=False)
+        mask[row, picks] = True
     return np.repeat(mask[None], num_heads, axis=0)
 
 

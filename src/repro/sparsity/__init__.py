@@ -21,20 +21,12 @@ IV-VI):
 """
 
 from repro.sparsity.config import LongExposureConfig
-from repro.sparsity.patterns import (
-    AtomicPattern,
-    PatternPool,
-    block_count,
-    build_default_pool,
-)
+from repro.sparsity.patterns import block_count
 from repro.sparsity.engine import LongExposure, SparseAttentionBackend, SparseMLPBackend
 
 __all__ = [
     "LongExposureConfig",
-    "AtomicPattern",
-    "PatternPool",
     "block_count",
-    "build_default_pool",
     "LongExposure",
     "SparseAttentionBackend",
     "SparseMLPBackend",

@@ -79,7 +79,6 @@ from repro.sparsity.ops.neuron_sparse import (
     expand_block_indices,
     neuron_sparse_linear_pair,
 )
-from repro.sparsity.patterns import PatternPool, build_default_pool
 from repro.sparsity.predictor import (
     AttentionCalibration,
     AttentionPredictor,
@@ -436,16 +435,13 @@ class SparseMLPBackend:
 class LongExposure:
     """The LongExposure system: exposer + predictors + dynamic-aware operators."""
 
-    def __init__(self, config: Optional[LongExposureConfig] = None,
-                 pattern_pool: Optional[PatternPool] = None):
+    def __init__(self, config: Optional[LongExposureConfig] = None):
         self.config = config or LongExposureConfig()
-        self.pattern_pool = pattern_pool or build_default_pool()
         # Derived-geometry memo shared by every sparse attention backend this
         # engine installs; set to None to force per-call recomputation.
         self.geometry_cache: Optional[LayoutGeometryCache] = LayoutGeometryCache()
         self.attention_exposer = AttentionExposer(
-            self.pattern_pool, self.config.block_size,
-            coverage=self.config.attention_coverage,
+            self.config.block_size, coverage=self.config.attention_coverage,
             score_threshold=self.config.attention_threshold)
         self.mlp_exposer = MLPExposer(self.config.block_size,
                                       threshold=self.config.mlp_threshold,

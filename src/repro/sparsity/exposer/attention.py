@@ -5,21 +5,18 @@ a uniform mask that must retain the important scores of *every* head (the
 "shadowy" approach) ends up nearly dense.  The exposer instead derives one
 mask per head: block-reduce that head's attention mass and keep the fewest
 blocks that carry ``coverage`` of it (:meth:`AttentionExposer.raw_block_masks`).
-Those masks are what oracle mode executes and what the predictors are
-trained and calibrated on.  Matching a head onto the nearest atomic pattern
-of the pool (:meth:`AttentionExposer.head_block_masks`) remains for the
-Figure 9 analysis; block by block the mass is far sparser than any window
-the pool offers.
+Those masks are what oracle mode executes, what the predictors are trained
+and calibrated on, and what the Figure 9 analysis measures: head-specific
+sparsity is read per head off them, shadowy sparsity off their union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sparsity.patterns import PatternPool, block_count, causal_block_mask
+from repro.sparsity.patterns import block_count, causal_block_mask
 
 
 @dataclass
@@ -34,7 +31,7 @@ class AttentionSparsityReport:
     head_specific_sparsity: float        # LongExposure: mean over heads
     shadowy_sparsity: float              # uniform mask covering all heads
     per_token_sparsity: float            # mean sparsity of individual tokens
-    head_patterns: List[str]             # matched atomic pattern per head
+    head_masks: np.ndarray               # (heads, n_blocks, n_blocks) bool
 
     def summary(self) -> str:
         return (f"head-specific={self.head_specific_sparsity:.3f} "
@@ -45,11 +42,10 @@ class AttentionSparsityReport:
 class AttentionExposer:
     """Derives per-head block masks from exact attention probabilities."""
 
-    def __init__(self, pattern_pool: PatternPool, block_size: int,
-                 coverage: float = 0.95, score_threshold: float = 0.02):
+    def __init__(self, block_size: int, coverage: float = 0.95,
+                 score_threshold: float = 0.02):
         if not 0.0 < coverage <= 1.0:
             raise ValueError("coverage must be in (0, 1]")
-        self.pattern_pool = pattern_pool
         self.block_size = block_size
         self.coverage = coverage
         self.score_threshold = score_threshold
@@ -84,26 +80,8 @@ class AttentionExposer:
         return reduced
 
     # -- mask derivation -----------------------------------------------------------
-    def masks_from_block_mass(self, block_mass: np.ndarray
-                              ) -> Tuple[np.ndarray, List[str]]:
-        """Pattern-snapped masks from an already-reduced per-block mass.
-
-        Split out of :meth:`head_block_masks` so callers that compute the
-        ``(heads, n_blocks, n_blocks)`` mass themselves — calibration reads
-        the mass ``collect_block_mass`` reduced one sample at a time — share
-        the exact matching logic.
-        """
-        heads, n_blocks, _ = block_mass.shape
-        names = self.pattern_pool.match_many(block_mass, coverage=self.coverage)
-        masks = np.stack([self.pattern_pool.mask(name, n_blocks) for name in names])
-        return masks, names
-
-    def head_block_masks(self, probs: np.ndarray) -> Tuple[np.ndarray, List[str]]:
-        """Per-head boolean block masks and their matched atomic pattern names."""
-        return self.masks_from_block_mass(self.block_reduce(probs))
-
     def raw_block_masks(self, probs: np.ndarray) -> np.ndarray:
-        """Coverage-based masks, block by block (no atomic pattern).
+        """Coverage-based masks, block by block.
 
         Keeps, per head, the smallest set of highest-mass blocks whose
         cumulative mass reaches ``coverage``, plus the diagonal.  Oracle mode
@@ -145,12 +123,10 @@ class AttentionExposer:
         probs = np.asarray(probs)
         if probs.ndim == 3:
             probs = probs[None]
-        masks, names = self.head_block_masks(probs)
-        heads, n_blocks, _ = masks.shape
-        causal_total = causal_block_mask(n_blocks).sum()
+        masks = self.raw_block_masks(probs)
+        causal_total = causal_block_mask(masks.shape[-1]).sum()
         per_head_sparsity = 1.0 - masks.sum(axis=(1, 2)) / causal_total
-        uniform = self.uniform_block_mask(probs)
-        shadowy = 1.0 - uniform.sum() / causal_total
+        shadowy = 1.0 - np.any(masks, axis=0).sum() / causal_total
 
         # Per-token sparsity: fraction of keys each individual query can skip
         # (threshold on its own normalised attention row).
@@ -165,5 +141,5 @@ class AttentionExposer:
             head_specific_sparsity=float(per_head_sparsity.mean()),
             shadowy_sparsity=float(shadowy),
             per_token_sparsity=float(per_token),
-            head_patterns=names,
+            head_masks=masks,
         )

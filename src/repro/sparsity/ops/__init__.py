@@ -5,9 +5,8 @@ Two families of kernels:
 * block-sparse attention (:mod:`repro.sparsity.ops.block_sparse`) — the SDD
   (sparse = dense x dense) score computation and DSD (dense = sparse x dense)
   context computation over the blocks selected by per-head masks, described
-  by a :class:`repro.sparsity.ops.layout.MultiHeadLayout` (built from the
-  masks themselves, or from named atomic patterns by the Figure 6
-  :class:`~repro.sparsity.ops.layout.LayoutPool`);
+  by a :class:`repro.sparsity.ops.layout.MultiHeadLayout` built from the
+  per-head masks themselves;
 * neuron-sparse MLP (:mod:`repro.sparsity.ops.neuron_sparse`) — column/row
   gathered matrix multiplications that only load the neuron blocks predicted
   active, with an optional transposed ("coalesced") weight layout mirroring
@@ -24,7 +23,7 @@ forward pass also skips its gradient work — the property derived in the
 paper's Section II-D.
 """
 
-from repro.sparsity.ops.layout import LayoutPool, MultiHeadLayout
+from repro.sparsity.ops.layout import MultiHeadLayout
 from repro.sparsity.ops.geometry_cache import (
     LayoutGeometryCache,
     compute_block_geometry,
@@ -43,7 +42,6 @@ from repro.sparsity.ops.neuron_sparse import (
 )
 
 __all__ = [
-    "LayoutPool",
     "MultiHeadLayout",
     "LayoutGeometryCache",
     "compute_block_geometry",

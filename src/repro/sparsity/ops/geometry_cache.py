@@ -127,9 +127,9 @@ class LayoutGeometryCache:
     """LRU memo of tile layouts keyed by (layout signature, seq_len).
 
     Keyed by the layout's *content* signature rather than object identity,
-    so equal layouts materialised by different code paths (the engine's
-    refreshes, ``layout_from_block_masks`` in the baselines and tests,
-    ``LayoutPool.combine``) share entries.
+    so equal layouts materialised by different calls (the engine's
+    refreshes, the baselines' and tests' ``layout_from_block_masks``) share
+    entries.
     Bounded so pathological workloads (e.g. a different random layout every
     step) cannot grow memory without limit.
     """

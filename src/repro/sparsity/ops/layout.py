@@ -1,11 +1,9 @@
 """Block layouts for multi-head block-sparse attention.
 
-A :class:`MultiHeadLayout` lists the active score blocks of every head.  The
-engine builds one per refresh straight from the per-head block masks
-(:func:`layout_from_block_masks`).  :class:`LayoutPool` implements the paper's
-Figure 6 for named atomic patterns — offline per-pattern lookup tables, online
-concatenation with per-head offsets — and serves the analysis, the baselines
-and the tests.
+A :class:`MultiHeadLayout` lists the active score blocks of every head.  Every
+layout — the engine's per-refresh predicted and oracle layouts, the baselines'
+fixed masks, the tests' dense and atomic-pattern layouts — is built straight
+from per-head boolean block masks by :func:`layout_from_block_masks`.
 
 The layout is sorted by ``(head, query_row_block)`` and carries the row-
 segment boundaries the standalone DSD kernel reduces over (``np.*.reduceat``
@@ -15,13 +13,12 @@ derived from it in :mod:`repro.sparsity.ops.geometry_cache`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.sparsity.patterns import PatternPool, block_count, causal_block_mask
+from repro.sparsity.patterns import causal_block_mask
 
 
 @dataclass
@@ -39,9 +36,6 @@ class MultiHeadLayout:
         Start offsets (into the ``nnz`` axis) of each contiguous
         ``(head, row)`` group — the unit over which the sparse softmax
         normalises.
-    pattern_names:
-        The per-head atomic pattern names this layout was combined from
-        (empty for custom masks).
     """
 
     n_heads: int
@@ -51,7 +45,6 @@ class MultiHeadLayout:
     rows: np.ndarray
     cols: np.ndarray
     row_segment_starts: np.ndarray
-    pattern_names: Tuple[str, ...] = ()
     # Lazily-computed content signature (see signature()).
     _signature: Optional[Tuple] = None
 
@@ -130,14 +123,11 @@ def _row_segments(heads: np.ndarray, rows: np.ndarray, n_blocks: int) -> np.ndar
     return np.nonzero(change)[0].astype(np.int64)
 
 
-def layout_from_block_masks(block_masks: np.ndarray, block_size: int,
-                            pattern_names: Tuple[str, ...] = ()) -> MultiHeadLayout:
+def layout_from_block_masks(block_masks: np.ndarray, block_size: int) -> MultiHeadLayout:
     """Build a layout directly from per-head boolean block masks.
 
-    ``block_masks`` has shape ``(heads, n_blocks, n_blocks)``.  The engine's
-    predicted and oracle paths, the baselines (Longformer / BigBird /
-    shadowy) and the tests build their layouts here; layouts of named pool
-    patterns come from :meth:`LayoutPool.combine`.
+    ``block_masks`` has shape ``(heads, n_blocks, n_blocks)``; blocks above
+    the causal diagonal are dropped and the diagonal is always kept.
     """
     block_masks = np.asarray(block_masks, dtype=bool)
     if block_masks.ndim != 3:
@@ -155,97 +145,4 @@ def layout_from_block_masks(block_masks: np.ndarray, block_size: int,
         n_heads=n_heads, n_blocks=n_blocks, block_size=block_size,
         heads=heads, rows=rows, cols=cols,
         row_segment_starts=_row_segments(heads, rows, n_blocks),
-        pattern_names=pattern_names,
     )
-
-
-class LayoutPool:
-    """Offline-constructed pool of per-pattern layouts with online combination.
-
-    ``combined_cache_size`` bounds the LRU of combined multi-head layouts:
-    repeated predicted pattern combinations (the common fine-tuning case —
-    the predictor draws from a small atomic pool) are pure cache hits, while
-    a pathological stream of never-repeating combinations cannot grow memory
-    without limit.
-    """
-
-    def __init__(self, pattern_pool: PatternPool, block_size: int,
-                 combined_cache_size: int = 256):
-        if combined_cache_size <= 0:
-            raise ValueError("combined_cache_size must be positive")
-        self.pattern_pool = pattern_pool
-        self.block_size = block_size
-        self.combined_cache_size = combined_cache_size
-        # (pattern name, n_blocks) -> sorted (rows, cols) with row segments
-        self._tables: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
-        self._combined_cache: "OrderedDict[Tuple[int, Tuple[str, ...]], MultiHeadLayout]" = OrderedDict()
-        self.combine_hits = 0
-        self.combine_misses = 0
-
-    # -- offline ------------------------------------------------------------------
-    def construct(self, seq_lens: Sequence[int]) -> None:
-        """Pre-compute lookup tables for every pattern at the given sequence lengths."""
-        for seq_len in seq_lens:
-            n_blocks = block_count(seq_len, self.block_size)
-            for name in self.pattern_pool.names():
-                self._table(name, n_blocks)
-
-    def _table(self, name: str, n_blocks: int) -> Tuple[np.ndarray, np.ndarray]:
-        key = (name, n_blocks)
-        if key not in self._tables:
-            rows, cols = self.pattern_pool.layout(name, n_blocks)
-            order = np.lexsort((cols, rows))
-            self._tables[key] = (rows[order], cols[order])
-        return self._tables[key]
-
-    def table_count(self) -> int:
-        """Number of cached per-pattern lookup tables (for tests/inspection)."""
-        return len(self._tables)
-
-    # -- online -------------------------------------------------------------------
-    def combine(self, head_patterns: Sequence[str], seq_len: int) -> MultiHeadLayout:
-        """Combine per-head pattern names into a multi-head layout.
-
-        Only an offset shift and concatenation happen here; the per-pattern
-        index arrays come from the offline tables.  Combined layouts are
-        cached by the tuple of pattern names, so repeated batches with the
-        same predicted patterns pay nothing.
-        """
-        names = tuple(head_patterns)
-        n_blocks = block_count(seq_len, self.block_size)
-        cache_key = (n_blocks, names)
-        cached = self._combined_cache.get(cache_key)
-        if cached is not None:
-            self.combine_hits += 1
-            self._combined_cache.move_to_end(cache_key)
-            return cached
-        self.combine_misses += 1
-
-        heads_list: List[np.ndarray] = []
-        rows_list: List[np.ndarray] = []
-        cols_list: List[np.ndarray] = []
-        for head, name in enumerate(names):
-            rows, cols = self._table(name, n_blocks)
-            heads_list.append(np.full(rows.shape[0], head, dtype=np.int64))
-            rows_list.append(rows)
-            cols_list.append(cols)
-        heads = np.concatenate(heads_list)
-        rows = np.concatenate(rows_list)
-        cols = np.concatenate(cols_list)
-        # Per-pattern tables are already (row, col) sorted and heads are
-        # appended in order, so the concatenation is already (head, row, col)
-        # sorted — no argsort needed on the hot path.
-        layout = MultiHeadLayout(
-            n_heads=len(names), n_blocks=n_blocks, block_size=self.block_size,
-            heads=heads, rows=rows, cols=cols,
-            row_segment_starts=_row_segments(heads, rows, n_blocks),
-            pattern_names=names,
-        )
-        self._combined_cache[cache_key] = layout
-        if len(self._combined_cache) > self.combined_cache_size:
-            self._combined_cache.popitem(last=False)
-        return layout
-
-    def dense_layout(self, n_heads: int, seq_len: int) -> MultiHeadLayout:
-        """Layout equivalent to dense causal attention (for reference runs)."""
-        return self.combine(["dense"] * n_heads, seq_len)

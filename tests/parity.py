@@ -34,8 +34,8 @@ from repro.sparsity.ops import (MultiHeadLayout, NeuronSparseWeights,
                                 block_sparse_attention, compute_block_geometry,
                                 neuron_sparse_linear_pair)
 from repro.sparsity.ops.geometry_cache import _CAPACITY_LADDER, _class_chunks
-from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
-from repro.sparsity.patterns import block_count, build_default_pool, causal_block_mask
+from repro.sparsity.ops.layout import layout_from_block_masks
+from repro.sparsity.patterns import block_count, causal_block_mask
 from repro.tensor import Tensor, arena, functional as F, fused, plan, reference
 
 
@@ -418,8 +418,8 @@ def build_cases() -> List[ParityCase]:
                        lambda a, bq, c: reference.block_sparse_attention(a, bq, c, layout),
                        [qs, ks, vs], tol_ref=5e-4, replayable=True))
 
-    dense_pool = LayoutPool(build_default_pool(), 4)
-    sparse_case("dense-seq12", dense_pool.dense_layout(2, 12), 12, 3, seed=7)
+    dense_seq12 = layout_from_block_masks(np.ones((2, 3, 3), dtype=bool), 4)
+    sparse_case("dense-seq12", dense_seq12, 12, 3, seed=7)
     sparse_case("random-ragged-seq21", _random_layout(11, heads=2, n_blocks=3,
                                                       block_size=8), 21, 3, seed=8)
     sparse_case("random-seq16-f64-input", _random_layout(13, heads=3, n_blocks=2,
@@ -442,8 +442,7 @@ def build_cases() -> List[ParityCase]:
                                                                          layout),
                        [qs, ks, vs], tol_ref=5e-4, replayable=True))
 
-    stream_sparse_case("dense-seq12", dense_pool.dense_layout(2, 12), 12, 3,
-                       seed=31)
+    stream_sparse_case("dense-seq12", dense_seq12, 12, 3, seed=31)
     stream_sparse_case("random-ragged-seq21",
                        _random_layout(11, heads=2, n_blocks=3, block_size=8),
                        21, 3, seed=32)

@@ -27,7 +27,7 @@ from repro.models import build_model
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
 from repro.sparsity.ops.layout import layout_from_block_masks
-from repro.sparsity.patterns import build_default_pool, causal_block_mask
+from repro.sparsity.patterns import causal_block_mask
 from repro.sparsity.predictor import (
     AttentionCalibration,
     AttentionPredictor,
@@ -156,8 +156,7 @@ class TestBudgetMasks:
     def test_raw_mask_is_recovered_at_its_own_density(self):
         """Scores that rank a raw coverage mask's blocks first, at that mask's
         density as the budget, give the raw mask back exactly."""
-        exposer = AttentionExposer(build_default_pool(), block_size=16,
-                                   coverage=0.9)
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
         rng = np.random.default_rng(1)
         mass = rng.random((3, 8, 8)) ** 4 * causal_block_mask(8)
         raw = exposer.raw_masks_from_block_mass(mass)
@@ -182,8 +181,7 @@ def trained_setup(tiny_model):
     """A trained layer-0 attention predictor plus per-length collected data."""
     rng = np.random.default_rng(3)
     batches = [rng.integers(0, tiny_model.config.vocab_size, size=(2, 128))]
-    pool = build_default_pool()
-    exposer = AttentionExposer(pool, block_size=16, coverage=0.9)
+    exposer = AttentionExposer(block_size=16, coverage=0.9)
     lengths = (32, 64, 128)
     per_length = {
         length: collect_layer_data(tiny_model, [b[..., :length] for b in batches])
@@ -483,8 +481,7 @@ class TestStreamingPrepare:
         from repro.nn.attention import causal_mask
         from repro.tensor import Tensor, no_grad
 
-        pool = build_default_pool()
-        exposer = AttentionExposer(pool, block_size=16, coverage=0.9)
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
         data = collect_block_mass(tiny_model, tiny_batches[:1], exposer, [64])[0]
         mass = data.merged()["attention_block_mass"]
         assert mass.dtype == np.float64 and mass.shape == (2, 4, 4, 4)

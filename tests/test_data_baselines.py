@@ -22,7 +22,7 @@ from repro.data import (
 )
 from repro.models import build_model
 from repro.sparsity.exposer import AttentionExposer
-from repro.sparsity.patterns import build_default_pool, causal_block_mask
+from repro.sparsity.patterns import block_count, pattern_mask
 from repro.tensor import Tensor
 
 
@@ -119,17 +119,27 @@ class TestBaselines:
         assert not np.any(np.triu(masks[0], k=1))
         assert np.all(np.diag(masks[0]))
 
+    @pytest.mark.parametrize("seq_len,block_size", [
+        (64, 16), (100, 16), (256, 32), (1024, 16), (17, 16),
+    ])
+    def test_longformer_is_the_local4_global1_pattern(self, seq_len, block_size):
+        masks = longformer_block_masks(seq_len, num_heads=3, block_size=block_size)
+        expected = pattern_mask("local4+global1", block_count(seq_len, block_size))
+        for head_mask in masks:
+            np.testing.assert_array_equal(head_mask, expected)
+
     def test_bigbird_adds_random_blocks(self):
         lf = longformer_block_masks(256, 2, 16, window_blocks=3, global_blocks=1)
         bb = bigbird_block_masks(256, 2, 16, window_blocks=3, global_blocks=1,
                                  random_blocks=2, seed=0)
         assert bb.sum() >= lf.sum()
+        assert np.all(bb[lf]), "BigBird keeps every Longformer block"
 
     def test_shadowy_uniform_mask_covers_all_heads(self, tiny_model, tiny_batches):
         from repro.sparsity.predictor.collect import collect_layer_data
         collected = collect_layer_data(tiny_model, tiny_batches[:1])
         probs = collected[0].merged()["attention_probs"]
-        exposer = AttentionExposer(build_default_pool(), block_size=16, coverage=0.9)
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
         uniform = shadowy_uniform_masks(probs, exposer)
         per_head = exposer.raw_block_masks(probs)
         assert uniform.shape == per_head.shape

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
-from repro.sparsity.patterns import build_default_pool, causal_block_mask
+from repro.sparsity.patterns import causal_block_mask, pattern_mask
 from repro.sparsity.predictor import (
     AttentionPredictor,
     MLPPredictor,
@@ -34,8 +34,7 @@ def local_attention_probs(batch=1, heads=2, seq=64, window=8, seed=0):
 
 class TestAttentionExposer:
     def setup_method(self):
-        self.pool = build_default_pool()
-        self.exposer = AttentionExposer(self.pool, block_size=16, coverage=0.9)
+        self.exposer = AttentionExposer(block_size=16, coverage=0.9)
 
     def test_block_reduce_shape_and_causality(self):
         probs = local_attention_probs(seq=64)
@@ -44,10 +43,12 @@ class TestAttentionExposer:
         assert not np.any(np.triu(reduced[0], k=1))
 
     def test_local_attention_matches_local_pattern(self):
+        # An 8-token window never reaches back past the previous 16-token
+        # block, so each head's coverage mask stays inside the local2 band.
         probs = local_attention_probs(seq=128, window=8)
-        masks, names = self.exposer.head_block_masks(probs)
-        assert masks.shape[0] == 2
-        assert all("local" in name or name == "diag" for name in names)
+        masks = self.exposer.raw_block_masks(probs)
+        assert masks.shape == (2, 8, 8)
+        assert not np.any(masks & ~pattern_mask("local2", 8))
 
     def test_head_specific_sparser_than_uniform(self):
         """Two heads with different local windows: the uniform ("shadowy") mask
@@ -68,7 +69,81 @@ class TestAttentionExposer:
 
     def test_invalid_coverage_rejected(self):
         with pytest.raises(ValueError):
-            AttentionExposer(self.pool, 16, coverage=0.0)
+            AttentionExposer(16, coverage=0.0)
+
+
+def _random_block_mass(seed, heads=6, n_blocks=8):
+    """Strictly positive causal block mass with no ties."""
+    rng = np.random.default_rng(seed)
+    return (rng.random((heads, n_blocks, n_blocks)) + 1e-3) * causal_block_mask(n_blocks)
+
+
+class TestRawMaskRule:
+    """``raw_masks_from_block_mass`` builds every oracle layout and every
+    predictor label and budget: per head, the fewest highest-mass blocks
+    reaching ``coverage`` of the mass, plus the diagonal."""
+
+    SEEDS = [0, 1, 2, 3]
+    COVERAGES = [0.5, 0.9, 0.95]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("coverage", COVERAGES)
+    def test_kept_mass_reaches_coverage(self, seed, coverage):
+        mass = _random_block_mass(seed)
+        masks = AttentionExposer(16, coverage=coverage).raw_masks_from_block_mass(mass)
+        for head_mass, mask in zip(mass, masks):
+            assert head_mass[mask].sum() >= coverage * head_mass.sum()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("coverage", COVERAGES)
+    def test_mask_is_minimal(self, seed, coverage):
+        """The kept blocks are a top-mass prefix: every block at least as
+        heavy as the lightest kept off-diagonal block is kept, and those
+        blocks without that lightest one fall below ``coverage``."""
+        mass = _random_block_mass(seed)
+        masks = AttentionExposer(16, coverage=coverage).raw_masks_from_block_mass(mass)
+        off_diagonal = ~np.eye(mass.shape[-1], dtype=bool)
+        for head_mass, mask in zip(mass, masks):
+            lightest = head_mass[mask & off_diagonal].min()
+            heavier = head_mass >= lightest
+            assert np.all(mask[heavier])
+            assert head_mass[heavier].sum() - lightest < coverage * head_mass.sum()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("coverage", COVERAGES)
+    def test_diagonal_always_kept(self, seed, coverage):
+        mass = _random_block_mass(seed)
+        mass[:, np.arange(8), np.arange(8)] = 0.0       # no mass on the diagonal
+        masks = AttentionExposer(16, coverage=coverage).raw_masks_from_block_mass(mass)
+        assert np.all(masks[:, np.arange(8), np.arange(8)])
+        assert not np.any(masks & ~causal_block_mask(8))
+
+    def test_zero_mass_head_keeps_the_full_causal_mask(self):
+        mass = np.zeros((2, 8, 8))
+        mass[1, 2, 1] = 1.0
+        masks = AttentionExposer(16, coverage=0.9).raw_masks_from_block_mass(mass)
+        np.testing.assert_array_equal(masks[0], causal_block_mask(8))
+        np.testing.assert_array_equal(masks[1], np.eye(8, dtype=bool) | (mass[1] > 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), batch=st.integers(1, 2), heads=st.integers(1, 4),
+       seq=st.integers(8, 72), coverage=st.sampled_from([0.5, 0.9, 0.95]))
+def test_figure9_reads_one_mask_family(seed, batch, heads, seq, coverage):
+    """Head-specific sparsity is read off the same raw masks whose union gives
+    shadowy sparsity, so it can never fall below it."""
+    rng = np.random.default_rng(seed)
+    causal = np.tril(np.ones((seq, seq), dtype=bool))
+    scores = rng.random((batch, heads, seq, seq)) ** 4 * causal
+    probs = scores / scores.sum(axis=-1, keepdims=True)
+    exposer = AttentionExposer(16, coverage=coverage)
+    report = exposer.analyze(probs)
+    raw = exposer.raw_block_masks(probs)
+    causal_total = causal_block_mask(raw.shape[-1]).sum()
+    np.testing.assert_array_equal(report.head_masks, raw)
+    np.testing.assert_array_equal(report.per_head_sparsity,
+                                  1.0 - raw.sum(axis=(1, 2)) / causal_total)
+    assert report.head_specific_sparsity >= report.shadowy_sparsity - 1e-12
 
 
 class TestMLPExposer:
@@ -158,8 +233,7 @@ class TestPredictors:
     def test_training_improves_attention_predictor_recall(self, tiny_model, tiny_batches):
         collected = collect_layer_data(tiny_model, tiny_batches[:1])
         merged = collected[0].merged()
-        pool = build_default_pool()
-        exposer = AttentionExposer(pool, block_size=16, coverage=0.9)
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
         predictor = AttentionPredictor(tiny_model.config.dim, tiny_model.config.num_heads,
                                        rank=4, block_size=16, seed=0)
         block_mass = sample_block_mass(exposer, merged["attention_probs"])

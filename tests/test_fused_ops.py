@@ -24,8 +24,8 @@ from repro.sparsity.engine import EngineStats
 from repro.sparsity.ops import (LayoutGeometryCache, block_sparse_attention,
                                 compute_block_geometry)
 from repro.sparsity.ops.block_sparse import dense_attention_reference
-from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
-from repro.sparsity.patterns import build_default_pool
+from repro.sparsity.ops.layout import layout_from_block_masks
+from repro.sparsity.patterns import pattern_mask
 from repro.tensor import Tensor, fused, reference
 from repro.tensor.tensor import concatenate
 
@@ -364,8 +364,8 @@ class TestLayoutGeometryCache:
         # (inert panel block, unit) — the diagonal's causal triangle is one
         # array shared by every chunk — well under one bool per (head, row,
         # panel column) of the causal half.
-        pool = LayoutPool(build_default_pool(), block_size=16)
-        layout = pool.combine(["dense", "strided2+local2", "local4", "dense"], 256)
+        names = ("dense", "strided2+local2", "local4", "dense")
+        layout = layout_from_block_masks(np.stack([pattern_mask(n, 16) for n in names]), 16)
         geom = compute_block_geometry(layout, 256)
         held = geom.units.nbytes + sum(
             tile.index.nbytes + (0 if tile.drop is None else tile.drop.nbytes)
@@ -394,21 +394,6 @@ class TestLayoutGeometryCache:
         finally:
             engine.uninstall(model)
         assert engine.geometry_cache.hits > 0
-
-
-class TestLayoutPoolLRU:
-    def test_combine_cache_bounded_and_hit_counted(self):
-        pool = LayoutPool(build_default_pool(), block_size=16,
-                          combined_cache_size=2)
-        pool.combine(["dense", "local2"], 64)
-        pool.combine(["dense", "local2"], 64)
-        assert pool.combine_hits == 1
-        pool.combine(["local2", "dense"], 64)
-        pool.combine(["local4", "dense"], 64)
-        assert len(pool._combined_cache) == 2
-        # Evicted entry is rebuilt, not corrupted.
-        layout = pool.combine(["dense", "local2"], 64)
-        assert layout.pattern_names == ("dense", "local2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Parity of the optimised probe-inference path against plain references.
 
 The probe-optimisation pass rewrote :meth:`AttentionPredictor.predict_patterns`
-(stacked single-GEMM Q̂/K̂, logit-space thresholds), the pattern matcher
-(vectorised ``match_many``) and :meth:`AttentionExposer.block_reduce`
-(two-stage per-axis ``np.add.reduceat`` reduction).  These tests lock that
-each computes the same thing as its plain form:
+(stacked single-GEMM Q̂/K̂, logit-space thresholds) and
+:meth:`AttentionExposer.block_reduce` (two-stage per-axis ``np.add.reduceat``
+reduction).  These tests lock that each computes the same thing as its plain
+form:
 
 * uncalibrated predicted masks identical to a materialised sigmoid
   thresholded at the same bar on randomised inputs;
-* ``match_many`` identical to the per-head scalar ``match`` loop;
 * ``block_reduce`` *exactly* equal to the 6-D reshape-sum on inputs where
   float32 summation is associative (probabilities quantised to a dyadic
   grid — every partial sum is exactly representable, so any summation order
@@ -22,7 +21,7 @@ import pytest
 
 from parity import reference_block_reduce, reference_probe_scores
 from repro.sparsity.exposer import AttentionExposer
-from repro.sparsity.patterns import build_default_pool, causal_block_mask
+from repro.sparsity.patterns import causal_block_mask
 from repro.sparsity.predictor import AttentionPredictor, MLPPredictor
 
 
@@ -115,31 +114,6 @@ class TestPredictPatternsParity:
                                    rtol=1e-5, atol=1e-5)
 
 
-class TestMatchManyParity:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("coverage", [0.5, 0.9, 0.95])
-    def test_matches_scalar_loop(self, seed, coverage):
-        pool = build_default_pool()
-        rng = np.random.default_rng(seed)
-        n_blocks = 8
-        mass = rng.random((6, n_blocks, n_blocks)) * causal_block_mask(n_blocks)
-        assert pool.match_many(mass, coverage=coverage) == [
-            pool.match(mass[h], coverage) for h in range(mass.shape[0])]
-
-    def test_zero_mass_head_falls_back_to_cheapest(self):
-        pool = build_default_pool()
-        mass = np.zeros((2, 8, 8))
-        mass[1, 2, 1] = 1.0
-        names = pool.match_many(mass, coverage=0.9)
-        assert names[0] == pool.match(mass[0], 0.9)   # zero-mass fallback
-        assert names == [pool.match(mass[h], 0.9) for h in range(2)]
-
-    def test_rejects_wrong_rank(self):
-        pool = build_default_pool()
-        with pytest.raises(ValueError):
-            pool.match_many(np.zeros((8, 8)))
-
-
 class TestBlockReduceExactness:
     def _quantised_probs(self, rng, shape):
         """Attention-probability-like values on a 2^-12 dyadic grid.
@@ -157,7 +131,7 @@ class TestBlockReduceExactness:
         (1, 1, 16, 16),
     ])
     def test_exactly_equals_6d_reshape_sum(self, batch, heads, seq, bs):
-        exposer = AttentionExposer(build_default_pool(), bs)
+        exposer = AttentionExposer(bs)
         rng = np.random.default_rng(batch * 100 + seq)
         probs = self._quantised_probs(rng, (batch, heads, seq, seq))
         new = exposer.block_reduce(probs)
@@ -166,7 +140,7 @@ class TestBlockReduceExactness:
         np.testing.assert_array_equal(new, old)
 
     def test_close_on_arbitrary_floats(self):
-        exposer = AttentionExposer(build_default_pool(), 16)
+        exposer = AttentionExposer(16)
         rng = np.random.default_rng(0)
         probs = rng.random((2, 2, 64, 64)).astype(np.float32)
         np.testing.assert_allclose(exposer.block_reduce(probs),
@@ -174,14 +148,14 @@ class TestBlockReduceExactness:
                                    rtol=1e-5, atol=1e-5)
 
     def test_3d_input_promoted(self):
-        exposer = AttentionExposer(build_default_pool(), 16)
+        exposer = AttentionExposer(16)
         rng = np.random.default_rng(1)
         probs = self._quantised_probs(rng, (2, 32, 32))
         np.testing.assert_array_equal(exposer.block_reduce(probs),
                                       exposer.block_reduce(probs[None]))
 
     def test_causal_blocks_zeroed(self):
-        exposer = AttentionExposer(build_default_pool(), 16)
+        exposer = AttentionExposer(16)
         probs = np.ones((1, 1, 32, 32), dtype=np.float32)
         reduced = exposer.block_reduce(probs)
         assert reduced[0, 0, 1] == 0.0      # above-diagonal block

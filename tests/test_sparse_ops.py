@@ -17,9 +17,9 @@ from repro.sparsity.ops import (
     neuron_sparse_linear_pair,
     neuron_sparse_matmul,
 )
-from repro.sparsity.ops.layout import LayoutPool, layout_from_block_masks
+from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import expand_block_indices
-from repro.sparsity.patterns import build_default_pool, causal_block_mask
+from repro.sparsity.patterns import block_count, pattern_mask
 from repro.tensor import Tensor, functional as F, fused
 
 
@@ -29,7 +29,8 @@ def make_qkv(batch=2, heads=3, seq=40, dim=8, seed=0):
 
 
 def dense_layout(heads, seq, block):
-    return LayoutPool(build_default_pool(), block).dense_layout(heads, seq)
+    n_blocks = block_count(seq, block)
+    return layout_from_block_masks(np.ones((heads, n_blocks, n_blocks), dtype=bool), block)
 
 
 class TestBlockSparseKernels:
@@ -276,7 +277,7 @@ def test_class_kernel_edge_layouts_match_reference_and_finite_differences(name):
     parity.run_tile_grid_case(layout, seq, batch=batch)
 
 
-# name -> (one pool pattern per head, seq): the predicted mixes sparse
+# name -> (one atomic pattern per head, seq): the predicted mixes sparse
 # fine-tuning runs — short sequences with dense and strided heads, and the
 # local-window-plus-sink mix long sequences predict, whose kept blocks per
 # query row stay constant as the sequence grows.
@@ -293,10 +294,10 @@ POOL_MIXES = {
 @pytest.mark.parametrize("name", sorted(POOL_MIXES))
 def test_pool_pattern_layouts_match_reference_and_finite_differences(name):
     patterns, seq = POOL_MIXES[name]
-    block, pool = 32, build_default_pool()
-    n_blocks = -(-seq // block)
+    block = 32
+    n_blocks = block_count(seq, block)
     layout = layout_from_block_masks(
-        np.stack([pool.mask(p, n_blocks) for p in patterns]), block)
+        np.stack([pattern_mask(p, n_blocks) for p in patterns]), block)
     assert 0.0 < layout.sparsity() < 1.0
     parity.run_tile_grid_case(layout, seq)
 
