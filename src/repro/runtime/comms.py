@@ -23,14 +23,16 @@ This module owns everything three-or-more processes have to agree on:
   rank-0 layout broadcast at sparsity-refresh steps.  Every wait carries a
   timeout; a worker that dies mid-step breaks its peers' barrier within that
   timeout, survivors abort the remaining barriers, and the parent turns the
-  broken rendezvous into a :class:`DistributedError` instead of a hang.
+  broken rendezvous into a recovery (or a :class:`DistributedError`) instead
+  of a hang.
 
 The gradient exchange itself is :class:`GradientAllReducer`: one contiguous
 gather of the optimizer's flat gradient population into the rank's slot, a
 fixed-order chunked reduce-scatter into the shared ``reduced`` buffer, and a
 scatter back into ``param.grad`` — a single message per step regardless of
 parameter count, which is exactly what the flat optimizer layout exists to
-enable.
+enable.  Every chunk carries a CRC32 that the reducing rank checks before it
+sums the chunk in; there is no switch to turn that off.
 """
 
 from __future__ import annotations
@@ -68,26 +70,28 @@ class CommIntegrityError(DistributedError):
 
 # -- protocol constants ---------------------------------------------------------
 
-CMD_IDLE, CMD_STEP, CMD_PARAMS, CMD_STOP = 0, 1, 2, 3
+CMD_STEP, CMD_PARAMS, CMD_STOP = 1, 2, 3     # 0: nothing issued yet
 
 ST_BOOTING, ST_READY, ST_STEPPED, ST_ERROR, ST_RECOVERING = 0, 1, 2, 3, 4
 
 # ctl slot indices (int64 array in the boot segment)
 CTL_COMMAND = 0
-CTL_STEP_ID = 1
-CTL_NDIM = 2
-CTL_SHAPE = 3          # 3..6: up to 4 batch dimensions
-CTL_DTYPE = 7
-CTL_GRAD_ELEMS = 8     # written by the parent after the boot handshake
-CTL_BLOB_CAP = 9
-CTL_PARAM_BLOB_LEN = 10
-CTL_MASK_BLOB_LEN = 11
+CTL_NDIM = 1
+CTL_SHAPE = 2          # 2..5: up to 4 batch dimensions
+CTL_DTYPE = 6
+CTL_GRAD_ELEMS = 7     # written by rank 0 during the boot handshake
+CTL_BLOB_CAP = 8
+CTL_PARAM_BLOB_LEN = 9
+CTL_MASK_BLOB_LEN = 10
 # Elastic-recovery slots (parent-driven; see runtime/distributed.py).
-CTL_RECOVERY_SEQ = 12  # bumped by the parent when a respawn needs a donor slab
-CTL_DONOR = 13         # surviving rank asked to export its state
-CTL_DONATION_READY = 14  # donor echoes CTL_RECOVERY_SEQ once the blob is up
-CTL_RESUME = 15        # bumped by the parent to release quiesced workers
-CTL_SLOTS = 16
+CTL_RECOVERY_SEQ = 11  # bumped by the parent when a respawn needs a donor slab
+CTL_DONOR = 12         # surviving rank asked to export its state
+CTL_DONATION_READY = 13  # donor echoes CTL_RECOVERY_SEQ once the blob is up
+CTL_RESUME = 14        # bumped by the parent to release quiesced workers
+CTL_SLOTS = 15
+
+# Elements per chunk of the fixed-order reduce schedule.
+CHUNK_ELEMS = 1 << 16
 
 _DTYPE_CODES = {"int32": 1, "int64": 2, "float32": 3, "float64": 4}
 _CODE_DTYPES = {code: np.dtype(name) for name, code in _DTYPE_CODES.items()}
@@ -142,12 +146,11 @@ def boot_regions(world: int, batch_capacity: int) -> Tuple[Dict[str, int], int]:
 
 
 def data_regions(world: int, grad_elems: int, itemsize: int,
-                 blob_capacity: int,
-                 n_chunks: int = 0) -> Tuple[Dict[str, int], int]:
+                 blob_capacity: int) -> Tuple[Dict[str, int], int]:
     return _layout([
         ("grad", world * grad_elems * itemsize),
         ("reduced", grad_elems * itemsize),
-        ("crc", world * max(1, n_chunks) * 4),
+        ("crc", world * _crc_slots(grad_elems) * 4),
         ("blob", blob_capacity),
     ])
 
@@ -227,6 +230,11 @@ class SharedSegment:
             pass
 
 
+def _crc_slots(grad_elems: int) -> int:
+    """One CRC32 slot per chunk of :data:`CHUNK_ELEMS` (at least one)."""
+    return max(1, -(-grad_elems // CHUNK_ELEMS))
+
+
 def chunk_schedule(total_elems: int, world: int,
                    chunk_elems: int) -> List[Tuple[int, int, int]]:
     """``(start, end, owner_rank)`` chunks striped round-robin across ranks.
@@ -289,10 +297,6 @@ class CommSpec:
     world: int
     batch_capacity: int
     step_timeout_s: float
-    chunk_elems: int
-    mask_broadcast: bool
-    elastic: bool = True         # quiesce + recover on peer failure (vs die)
-    verify_checksums: bool = True  # per-chunk CRC32 on the all-reduce path
 
     @property
     def boot_name(self) -> str:
@@ -325,7 +329,7 @@ class BootViews:
                                  offsets["errors"])
 
     # -- batch publication -----------------------------------------------------
-    def publish_batch(self, step_id: int, batch: np.ndarray) -> None:
+    def publish_batch(self, batch: np.ndarray) -> None:
         batch = np.ascontiguousarray(batch)
         if batch.ndim > 4:
             raise DistributedError(f"batches of ndim {batch.ndim} > 4 are not "
@@ -339,7 +343,6 @@ class BootViews:
                 f"capacity of {self._batch_capacity} bytes (sized from the "
                 f"first published batch; pass batch_capacity= to raise it)")
         ctl = self.ctl
-        ctl[CTL_STEP_ID] = step_id
         ctl[CTL_NDIM] = batch.ndim
         ctl[CTL_SHAPE:CTL_SHAPE + 4] = 0
         ctl[CTL_SHAPE:CTL_SHAPE + batch.ndim] = batch.shape
@@ -380,10 +383,9 @@ class DataViews:
     """Typed views over the data segment: grad slots, reduced buffer, blob."""
 
     def __init__(self, shm, world: int,
-                 grad_elems: int, dtype: np.dtype, blob_capacity: int,
-                 n_chunks: int = 0):
+                 grad_elems: int, dtype: np.dtype, blob_capacity: int):
         offsets, _ = data_regions(world, grad_elems, dtype.itemsize,
-                                  blob_capacity, n_chunks)
+                                  blob_capacity)
         self._shm = shm
         self._blob_offset = offsets["blob"]
         self.blob_capacity = blob_capacity
@@ -391,8 +393,8 @@ class DataViews:
                                offsets["grad"])
         self.reduced = np.ndarray((grad_elems,), dtype, shm.buf,
                                   offsets["reduced"])
-        self.crc = np.ndarray((world, max(1, n_chunks)), np.uint32, shm.buf,
-                              offsets["crc"])
+        self.crc = np.ndarray((world, _crc_slots(grad_elems)), np.uint32,
+                              shm.buf, offsets["crc"])
 
     def write_blob(self, payload: bytes) -> int:
         if len(payload) > self.blob_capacity:
@@ -446,35 +448,29 @@ class GradientAllReducer:
     sparsity-refresh steps) runs first, inside the timed window, so the mask
     broadcast is accounted as communication time.
 
-    With ``verify_checksums`` on (the default) every rank publishes a CRC32
-    per chunk of its own gradient slot before the ``grads`` barrier, and a
-    chunk owner re-verifies every rank's checksum *before* summing that
-    rank's bytes into the reduction.  A mismatch — shared memory corrupted
-    between the writer's hash and the reader's use — raises
-    :class:`CommIntegrityError` on the detecting rank instead of silently
-    feeding garbage into every rank's optimizer; under the elastic protocol
-    the whole step is then rolled back and replayed.  The checksum time is
-    tracked separately (``checksum_seconds``) so the bench can prove the
-    overhead stays a rounding error against the barrier-dominated comm time.
+    Every rank publishes a CRC32 per chunk of its own gradient slot before
+    the ``grads`` barrier, and a chunk owner re-verifies every rank's
+    checksum *before* summing that rank's bytes in.  A mismatch (shared
+    memory corrupted between the writer's hash and the reader's use) raises
+    :class:`CommIntegrityError` instead of feeding garbage into every rank's
+    optimizer, and the whole step is rolled back and replayed.  The checksum
+    time is kept apart (``checksum_seconds``) so the bench can show it stays
+    a rounding error against the barrier-dominated comm time.
     """
 
     def __init__(self, optimizer, data: DataViews, rank: int, world: int,
-                 barriers: BarrierSet, timeout_s: float, chunk_elems: int,
-                 verify_checksums: bool = True, fault_injector=None):
+                 barriers: BarrierSet, timeout_s: float, fault_injector=None):
         self.optimizer = optimizer
         self.data = data
         self.rank = rank
         self.world = world
         self.barriers = barriers
         self.timeout_s = timeout_s
-        self.schedule = chunk_schedule(data.reduced.size, world, chunk_elems)
-        self.verify_checksums = bool(verify_checksums)
+        self.schedule = chunk_schedule(data.reduced.size, world, CHUNK_ELEMS)
         self.fault_injector = fault_injector
         self.pre_reduce: Optional[Callable[[], None]] = None
-        self.comm_seconds = 0.0
         self.checksum_seconds = 0.0
         self.checksum_failures = 0
-        self.steps = 0
 
     def _publish_checksums(self, slot: np.ndarray) -> None:
         crc_row = self.data.crc[self.rank]
@@ -502,11 +498,9 @@ class GradientAllReducer:
             callback()
         slot = self.data.grad[rank]
         self.optimizer.gather_flat_grad(slot)
-        checksum_s = 0.0
-        if self.verify_checksums:
-            crc_start = time.perf_counter()
-            self._publish_checksums(slot)
-            checksum_s += time.perf_counter() - crc_start
+        crc_start = time.perf_counter()
+        self._publish_checksums(slot)
+        checksum_s = time.perf_counter() - crc_start
         if injector is not None:
             if injector.should_fire("shm_chunk_corruption", rank):
                 # Perturb after the CRC was published: in-flight corruption
@@ -522,10 +516,9 @@ class GradientAllReducer:
         for index, (chunk_start, chunk_end, owner) in enumerate(self.schedule):
             if owner != rank:
                 continue
-            if self.verify_checksums:
-                crc_start = time.perf_counter()
-                self._verify_chunk(index, chunk_start, chunk_end)
-                checksum_s += time.perf_counter() - crc_start
+            crc_start = time.perf_counter()
+            self._verify_chunk(index, chunk_start, chunk_end)
+            checksum_s += time.perf_counter() - crc_start
             segment = reduced[chunk_start:chunk_end]
             np.copyto(segment, grad[0, chunk_start:chunk_end])
             for other in range(1, world):
@@ -538,8 +531,5 @@ class GradientAllReducer:
             import os
             os._exit(18)
         self.optimizer.scatter_flat_grad(reduced)
-        elapsed = time.perf_counter() - start
-        self.comm_seconds += elapsed
         self.checksum_seconds += checksum_s
-        self.steps += 1
-        return elapsed
+        return time.perf_counter() - start

@@ -1,15 +1,13 @@
 """Real shared-memory data parallelism: sharded workers + flat all-reduce.
 
-This module replaces the original analytic scaling *simulator* with a working
-data-parallel trainer on one box.  ``N`` worker processes each build an
-identical :class:`~repro.runtime.trainer.FineTuner` (same factory, same
-seeds), run the captured/compiled training step on their contiguous shard of
-every global batch, and exchange gradients through a single flat contiguous
-buffer in ``multiprocessing.shared_memory`` — a chunked fixed-order
-reduce-scatter over the PR-2 flat gradient population (one message per step,
-no per-parameter storm), followed by a *replicated* flat optimizer tail so
-parameters stay bitwise-identical across workers without ever being
-broadcast.
+``N`` worker processes on one box each build an identical
+:class:`~repro.runtime.trainer.FineTuner` (same factory, same seeds), run the
+captured/compiled training step on their contiguous shard of every global
+batch, and exchange gradients through a single flat contiguous buffer in
+``multiprocessing.shared_memory`` — a chunked fixed-order reduce-scatter over
+the optimizer's flat gradient population (one message per step), followed by
+a *replicated* flat optimizer tail so parameters stay bitwise-identical across
+workers without ever being broadcast.
 
 Determinism contract
 --------------------
@@ -27,45 +25,49 @@ Determinism contract
 * **Recovery preserves bitwise identity.**  The optimizer tail only runs
   after both all-reduce barriers complete, so a failure detected anywhere in
   the step means *no* rank has applied a partial update whose inputs other
-  ranks lack.  Every worker snapshots its flat parameter/moment state at the
-  top of each step; on failure the survivors roll back to that snapshot and
-  the whole step is replayed from identical state and identical inputs —
-  the run's losses and final parameters are bit-for-bit what an
-  uninterrupted run produces (locked by the ``fault`` test tier).
+  ranks lack.  Every worker records its training state (:class:`_WorkerState`:
+  flat parameters, Adam moments, step count, loss scale and the sparsity
+  engine's schedule, per-layer refresh steps included) at the top of each
+  step; on failure the survivors roll back to that record and the whole step
+  is replayed from identical state and identical inputs — the run's losses
+  and final parameters are bit-for-bit what an uninterrupted run produces
+  (locked by the ``fault`` test tier).
 
-Failure contract (elastic)
---------------------------
+Failure contract
+----------------
 Every barrier wait carries a timeout.  When a rank dies, hangs past the
 timeout, or detects gradient corruption (per-chunk CRC32, see
-:mod:`repro.runtime.comms`), the run no longer dies with it:
+:mod:`repro.runtime.comms`), every worker handles it the same way and the
+parent alone decides what happens next:
 
 1. **quiesce** — survivors catch the broken rendezvous, restore their
-   pre-step snapshot, and park in a polling loop outside every barrier;
+   pre-step record, and park in a polling loop outside every barrier;
 2. **respawn** — the parent identifies dead/hung ranks (killing hung ones),
    resets the barrier set, and forks replacement processes for the victims;
-3. **restore** — a surviving donor rank exports its (pre-step) parameters,
-   Adam moments, step count and sparsity layouts as one pickled slab through
-   the shared blob region, SHA-256-stamped; each replacement verifies the
-   digest and scatters the slab into its fresh tuner via the optimizer's
-   flat-state API;
+3. **restore** — a surviving donor rank takes a fresh record of its live
+   state and ships its pickle through the shared blob region,
+   SHA-256-stamped; each replacement verifies the digest and restores the
+   record into its fresh tuner, so its refresh schedule matches the
+   survivors' step for step;
 4. **replay** — the parent releases everyone and re-issues the in-flight
    step.
 
-``max_restarts`` bounds respawns across the trainer's lifetime; exhaustion
-(or an application-level worker exception, which would simply recur on
-replay) degrades to the fail-fast behaviour: :class:`DistributedError` with
-per-rank diagnostics *plus* the recovery history, stragglers terminated and
-both segments unlinked — never a hang, never an orphaned ``/dev/shm`` entry.
+``max_restarts`` bounds respawns across the trainer's lifetime, and
+``max_restarts=0`` fails the first broken step; ``MAX_STEP_REPLAYS`` bounds
+the breaks of one step in a row, with or without victims.  Either bound (or
+an application-level worker exception, which would simply recur on replay)
+degrades to the fail-fast behaviour: :class:`DistributedError` with per-rank
+diagnostics *plus* the recovery history, stragglers terminated and both
+segments unlinked — never a hang, never an orphaned ``/dev/shm`` entry.
 
 Predictor-refresh amortization
 ------------------------------
-When workers carry a :class:`~repro.sparsity.LongExposure` engine, sparsity
-masks would ordinarily be re-derived *per worker shard* at every refresh
-step.  Instead, on steps where the schedule is due, rank 0 refreshes from
-its shard and broadcasts the resulting layouts (tiny per-head block masks)
-through the shared blob region; the other ranks adopt them before their
-forward pass.  All workers therefore compute with identical layouts, and the
-probe/oracle cost is paid once per refresh instead of once per worker.
+When workers carry a :class:`~repro.sparsity.LongExposure` engine, rank 0
+alone refreshes the masks on steps where the schedule is due and broadcasts
+the resulting layouts (tiny per-head block masks) through the shared blob
+region; the other ranks adopt them before their forward pass.  All workers
+compute with identical layouts, and the probe/oracle cost is paid once per
+refresh instead of once per worker.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ import time
 import traceback
 import uuid
 import weakref
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -87,15 +90,15 @@ import numpy as np
 from repro.runtime.comms import (
     BarrierBroken, BarrierSet, BootViews, CommIntegrityError, CommSpec,
     DataViews, DistributedError, GradientAllReducer, SharedSegment,
-    boot_regions, chunk_schedule, data_regions, wait_barrier,
-    CMD_IDLE, CMD_PARAMS, CMD_STEP, CMD_STOP,
+    boot_regions, data_regions, wait_barrier,
+    CMD_PARAMS, CMD_STEP, CMD_STOP,
     CTL_BLOB_CAP, CTL_COMMAND, CTL_DONATION_READY, CTL_DONOR,
     CTL_GRAD_ELEMS, CTL_MASK_BLOB_LEN, CTL_PARAM_BLOB_LEN,
-    CTL_RECOVERY_SEQ, CTL_RESUME, CTL_STEP_ID,
+    CTL_RECOVERY_SEQ, CTL_RESUME,
     ST_BOOTING, ST_ERROR, ST_READY, ST_RECOVERING, ST_STEPPED,
     STAT_BACKWARD, STAT_CHECKSUM_FAILURES, STAT_CHECKSUM_S, STAT_COMM,
     STAT_FORWARD, STAT_MASK_SYNCS, STAT_NAMES, STAT_OPTIMIZER,
-    STAT_RECAPTURES, STAT_FULL_REPLAYS, STATS_SLOTS,
+    STAT_RECAPTURES, STAT_FULL_REPLAYS,
     _CODE_DTYPES, _DTYPE_CODES,
 )
 from repro.runtime.fault import FaultInjector
@@ -127,143 +130,107 @@ def _param_digest(params) -> bytes:
     return digest.digest()
 
 
+def _boot_timeout(step_timeout_s: float) -> float:
+    """Patience for anything that builds a whole tuner first."""
+    return max(step_timeout_s * 4, 60.0)
+
+
+def _poll(ready: Callable[[], object], timeout_s: float):
+    """Call ``ready`` every ``_RECOVERY_POLL_S`` until it returns something
+    truthy, and return that; return None once ``timeout_s`` has passed."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        outcome = ready()
+        if outcome:
+            return outcome
+        if time.monotonic() > deadline:
+            return None
+        time.sleep(_RECOVERY_POLL_S)
+
+
 def _worker_fail(views: Optional[BootViews], rank: int,
                  barriers: BarrierSet, exc: BaseException) -> None:
     """Record the failure for the parent and wake every blocked peer."""
-    try:
-        if views is not None:
+    if views is not None:
+        with suppress(Exception):
             views.write_error(rank, "".join(traceback.format_exception(exc)))
-    except Exception:
-        pass
     barriers.abort_all()
 
 
-class _StepSnapshot:
-    """Pre-step state capture enabling exact in-flight-step replay.
+class _WorkerState:
+    """One worker's training state, for rollback and donation alike:
+    flat parameters, Adam moments, step count, loss scale and the engine's
+    ``schedule_state()`` (live masks and per-layer refresh steps).
 
-    Taken at the top of every CMD_STEP (two flat memcpys plus three
-    scalars — microseconds for PEFT populations).  ``restore()`` rolls the
-    worker back to the exact state the interrupted step started from:
-    parameters, Adam moments, step count, the sparsity engine's schedule
-    position, the loss-scaler's scale, and zeroed gradients (the backward
-    accumulates, so stale grads would double-count on replay).
+    Constructing one records the tuner; :meth:`take` re-records into the
+    same buffers at the top of every step (two flat memcpys plus scalars).
+    :meth:`restore` also zeroes the gradients — the backward accumulates, so
+    stale grads would double-count on replay.  The pickle is the donor slab.
+    The refresh steps must travel with it: ranks that disagree on whether a
+    refresh is due wait at different rendezvous, and every replay breaks.
     """
 
-    def __init__(self, tuner: FineTuner, grad_elems: int, dtype: np.dtype):
-        self.tuner = tuner
-        self.params = np.empty(grad_elems, dtype)
-        self.m = np.empty(grad_elems, dtype)
-        self.v = np.empty(grad_elems, dtype)
-        self.step_count = 0
-        self.engine_step = 0
-        self.engine_layouts: Optional[list] = None
-        self.engine_refresh_steps: Optional[List[int]] = None
-        self.scale = 1.0
+    def __init__(self, tuner: FineTuner):
+        total, dtype = tuner.optimizer.grad_layout()
+        self.params = np.empty(total, dtype)
+        self.m = np.empty(total, dtype)
+        self.v = np.empty(total, dtype)
+        self.take(tuner)
 
-    def take(self) -> None:
-        optimizer = self.tuner.optimizer
+    def take(self, tuner: FineTuner) -> None:
+        optimizer = tuner.optimizer
         optimizer.gather_flat_params(self.params)
         optimizer.gather_flat_state(self.m, self.v)
         self.step_count = int(optimizer.step_count)
-        engine = self.tuner.engine
-        if engine is not None:
-            self.engine_step = int(engine.step_index)
-            # Refresh bookkeeping must roll back too: a mask refresh that
-            # ran inside the interrupted step would otherwise leave this
-            # rank thinking no refresh is due on replay while peers still
-            # wait at the masks barrier.
-            self.engine_layouts = engine.export_layouts()
-            self.engine_refresh_steps = [b._last_refresh_step
-                                         for b in engine._sparse_backends]
-        self.scale = float(self.tuner.scaler.scale)
+        self.scale = float(tuner.scaler.scale)
+        engine = tuner.engine
+        self.schedule = None if engine is None else engine.schedule_state()
 
-    def restore(self) -> None:
-        optimizer = self.tuner.optimizer
+    def restore(self, tuner: FineTuner) -> None:
+        optimizer = tuner.optimizer
         optimizer.scatter_flat_params(self.params)
         optimizer.scatter_flat_state(self.m, self.v)
         optimizer.step_count = self.step_count
-        engine = self.tuner.engine
-        if engine is not None:
-            engine.step_index = self.engine_step
-            for backend, entry, refresh in zip(engine._sparse_backends,
-                                               self.engine_layouts,
-                                               self.engine_refresh_steps):
-                if entry[0] == "attn":
-                    backend.last_layout = entry[1]
-                    backend._layout_seq_len = entry[2]
-                else:
-                    backend.last_active_blocks = entry[1]
-                backend._last_refresh_step = refresh
-        self.tuner.scaler.scale = self.scale
+        tuner.scaler.scale = self.scale
+        if self.schedule is not None:
+            tuner.engine.restore_schedule(self.schedule)
         optimizer.zero_grad()
-        self.tuner.model.zero_grad()
+        tuner.model.zero_grad()
 
 
-def _export_donation(tuner: FineTuner) -> bytes:
-    """The donor's current (pre-step) state as one pickled flat slab."""
-    optimizer = tuner.optimizer
-    total, dtype = optimizer.grad_layout()
-    params = np.empty(total, dtype)
-    m = np.empty(total, dtype)
-    v = np.empty(total, dtype)
-    optimizer.gather_flat_params(params)
-    optimizer.gather_flat_state(m, v)
-    engine = tuner.engine
-    payload = {
-        "params": params.tobytes(),
-        "m": m.tobytes(),
-        "v": v.tobytes(),
-        "step_count": int(optimizer.step_count),
-        "scale": float(tuner.scaler.scale),
-        "engine_step": int(engine.step_index) if engine is not None else None,
-        "layouts": engine.export_layouts() if engine is not None else None,
-    }
-    return pickle.dumps(payload, protocol=_PICKLE)
-
-
-def _adopt_donation(views: BootViews, data_views: DataViews,
-                    tuner: FineTuner, rank: int, spec: CommSpec) -> bool:
-    """Replacement-rank boot: restore state from the donor's verified slab.
-
-    Returns False when the parent stopped the session while we waited.
-    """
+def _await_donation(views: BootViews, data_views: DataViews, rank: int,
+                    spec: CommSpec) -> Optional[_WorkerState]:
+    """Replacement-rank boot: the donor's SHA-256-verified state, or None
+    when the parent stopped the session while we waited."""
     ctl = views.ctl
-    deadline = time.monotonic() + max(spec.step_timeout_s * 4, 60.0)
-    while int(ctl[CTL_DONATION_READY]) != int(ctl[CTL_RECOVERY_SEQ]):
+
+    def arrived():
+        if int(ctl[CTL_DONATION_READY]) == int(ctl[CTL_RECOVERY_SEQ]):
+            return "ready"
         if int(ctl[CTL_COMMAND]) == CMD_STOP:
-            return False
-        if time.monotonic() > deadline:
-            raise DistributedError(
-                f"rank {rank}: donor slab never arrived during recovery")
-        time.sleep(_RECOVERY_POLL_S)
+            return "stop"
+        return None
+
+    outcome = _poll(arrived, _boot_timeout(spec.step_timeout_s))
+    if outcome is None:
+        raise DistributedError(
+            f"rank {rank}: donor slab never arrived during recovery")
+    if outcome == "stop":
+        return None
     donor = int(ctl[CTL_DONOR])
     blob = data_views.read_blob(int(ctl[CTL_PARAM_BLOB_LEN]))
     if hashlib.sha256(blob).digest() != bytes(views.digest[donor]):
         raise DistributedError(
             f"rank {rank}: donated state from rank {donor} failed its "
             f"SHA-256 digest check — refusing to train from corrupt state")
-    payload = pickle.loads(blob)
-    optimizer = tuner.optimizer
-    total, dtype = optimizer.grad_layout()
-    optimizer.scatter_flat_params(np.frombuffer(payload["params"], dtype))
-    optimizer.scatter_flat_state(np.frombuffer(payload["m"], dtype),
-                                 np.frombuffer(payload["v"], dtype))
-    optimizer.step_count = int(payload["step_count"])
-    tuner.scaler.scale = float(payload["scale"])
-    engine = tuner.engine
-    if engine is not None and payload["engine_step"] is not None:
-        engine.step_index = int(payload["engine_step"])
-        if payload["layouts"]:
-            engine.adopt_layouts(payload["layouts"],
-                                 refresh_step=int(payload["engine_step"]))
-    return True
+    return pickle.loads(blob)
 
 
 def _elastic_wait(views: BootViews, data_views: DataViews, rank: int,
-                  spec: CommSpec, tuner: FineTuner) -> str:
+                  spec: CommSpec, tuner: FineTuner) -> bool:
     """Quiesced-survivor loop: park outside every barrier until the parent
-    resumes (``"resume"``) or stops (``"stop"``) the session, serving donor
-    requests along the way.
+    resumes (True, status back to ST_READY) or stops (False) the session,
+    serving donor requests along the way.
 
     The entry value of ``CTL_RESUME`` is read *before* the rank advertises
     itself as ST_RECOVERING: the parent only bumps CTL_RESUME after seeing
@@ -273,24 +240,32 @@ def _elastic_wait(views: BootViews, data_views: DataViews, rank: int,
     ctl = views.ctl
     entry_resume = int(ctl[CTL_RESUME])
     views.status[rank] = ST_RECOVERING
-    deadline = time.monotonic() + max(spec.step_timeout_s * 10, 120.0)
-    while True:
+
+    def released():
         if int(ctl[CTL_COMMAND]) == CMD_STOP:
             return "stop"
         if int(ctl[CTL_RESUME]) != entry_resume:
             return "resume"
         seq = int(ctl[CTL_RECOVERY_SEQ])
         if seq != int(ctl[CTL_DONATION_READY]) and int(ctl[CTL_DONOR]) == rank:
-            blob = _export_donation(tuner)
+            # A fresh record of the live state, never the per-step one: after
+            # a step_begin break that one is a step old.
+            blob = pickle.dumps(_WorkerState(tuner), protocol=_PICKLE)
             views.digest[rank] = np.frombuffer(
                 hashlib.sha256(blob).digest(), np.uint8)
             ctl[CTL_PARAM_BLOB_LEN] = data_views.write_blob(blob)
             ctl[CTL_DONATION_READY] = seq
-        if time.monotonic() > deadline:
-            raise DistributedError(
-                f"rank {rank} quiesced for recovery but the parent never "
-                f"resumed the session")
-        time.sleep(_RECOVERY_POLL_S)
+        return None
+
+    outcome = _poll(released, max(spec.step_timeout_s * 10, 120.0))
+    if outcome is None:
+        raise DistributedError(
+            f"rank {rank} quiesced for recovery but the parent never "
+            f"resumed the session")
+    if outcome == "stop":
+        return False
+    views.status[rank] = ST_READY
+    return True
 
 
 def _worker_main(spec: CommSpec, rank: int,
@@ -339,34 +314,29 @@ def _worker_main(spec: CommSpec, rank: int,
                 views.ctl[CTL_GRAD_ELEMS] = grad_elems
                 views.ctl[CTL_BLOB_CAP] = blob_capacity
             views.status[rank] = ST_READY
-            boot_timeout = max(spec.step_timeout_s * 4, 60.0)
+            boot_timeout = _boot_timeout(spec.step_timeout_s)
             wait_barrier(barriers.boot, boot_timeout, "boot")
             wait_barrier(barriers.setup, boot_timeout, "setup")
 
-        session_elems = int(views.ctl[CTL_GRAD_ELEMS])
-        n_chunks = len(chunk_schedule(session_elems, spec.world,
-                                      spec.chunk_elems))
         data_seg = SharedSegment.attach(spec.data_name)
-        data_views = DataViews(data_seg, spec.world, session_elems,
-                               grad_dtype, int(views.ctl[CTL_BLOB_CAP]),
-                               n_chunks)
+        data_views = DataViews(data_seg, spec.world,
+                               int(views.ctl[CTL_GRAD_ELEMS]), grad_dtype,
+                               int(views.ctl[CTL_BLOB_CAP]))
         reducer = GradientAllReducer(optimizer, data_views, rank, spec.world,
                                      barriers, spec.step_timeout_s,
-                                     spec.chunk_elems,
-                                     verify_checksums=spec.verify_checksums,
                                      fault_injector=fault_injector)
         tuner.grad_reducer = reducer
         engine = tuner.engine
         mask_syncs = 0
-        snapshot = (_StepSnapshot(tuner, grad_elems, grad_dtype)
-                    if spec.elastic else None)
+        state = _WorkerState(tuner)       # rollback point of the current step
 
         if resume_boot:
-            if not _adopt_donation(views, data_views, tuner, rank, spec):
+            donated = _await_donation(views, data_views, rank, spec)
+            if donated is None:
                 return
-            if _elastic_wait(views, data_views, rank, spec, tuner) == "stop":
+            donated.restore(tuner)
+            if not _elastic_wait(views, data_views, rank, spec, tuner):
                 return
-            views.status[rank] = ST_READY
 
         while True:
             # Between train() calls the parent may stay away arbitrarily
@@ -375,15 +345,10 @@ def _worker_main(spec: CommSpec, rank: int,
             # wakes this wait with BrokenBarrierError.
             try:
                 barriers.step_begin.wait()
-            except Exception as exc:
-                if not spec.elastic:
-                    raise DistributedError("step_begin rendezvous broke") \
-                        from exc
+            except Exception:
                 # Nothing to roll back — the step never started.
-                if _elastic_wait(views, data_views, rank, spec,
-                                 tuner) == "stop":
+                if not _elastic_wait(views, data_views, rank, spec, tuner):
                     break
-                views.status[rank] = ST_READY
                 continue
             command = int(views.ctl[CTL_COMMAND])
             if command == CMD_STOP:
@@ -402,8 +367,7 @@ def _worker_main(spec: CommSpec, rank: int,
                 raise DistributedError(f"unknown command {command}")
 
             try:
-                if snapshot is not None:
-                    snapshot.take()
+                state.take(tuner)
                 if step_delay_s > 0.0:  # test seam: slow the compute window
                     time.sleep(step_delay_s)
                 batch = views.read_batch()
@@ -412,10 +376,8 @@ def _worker_main(spec: CommSpec, rank: int,
                     batch[rank * shard_rows:(rank + 1) * shard_rows])
 
                 mask_wait_s = 0.0
-                refresh_due = (engine is not None and spec.world > 1
-                               and spec.mask_broadcast
-                               and engine.refresh_due_next(shard.shape[-1]))
-                if refresh_due:
+                if (engine is not None and spec.world > 1
+                        and engine.refresh_due_next(shard.shape[-1])):
                     mask_syncs += 1
                     if rank == 0:
                         def _broadcast_masks() -> None:
@@ -458,18 +420,15 @@ def _worker_main(spec: CommSpec, rank: int,
                 views.status[rank] = ST_STEPPED
                 wait_barrier(barriers.step_end, spec.step_timeout_s,
                              "step_end")
-            except (BarrierBroken, CommIntegrityError) as exc:
-                if not spec.elastic or snapshot is None:
-                    raise
+            except (BarrierBroken, CommIntegrityError):
                 # Survivable step failure: wake every blocked peer (and the
-                # parent), roll back to the pre-step snapshot, quiesce.  The
-                # parent respawns dead ranks and replays this step.
+                # parent), roll back to the top of the step, quiesce.  The
+                # parent respawns dead ranks and replays this step — or
+                # fails the run and terminates us.
                 barriers.abort_all()
-                snapshot.restore()
-                if _elastic_wait(views, data_views, rank, spec,
-                                 tuner) == "stop":
+                state.restore(tuner)
+                if not _elastic_wait(views, data_views, rank, spec, tuner):
                     break
-                views.status[rank] = ST_READY
     except BaseException as exc:
         _worker_fail(views, rank, barriers, exc)
     finally:
@@ -522,24 +481,19 @@ class DistributedReport(TrainingReport):
 
 def _static_cleanup(state: dict) -> None:
     """Last-resort teardown shared by close(), _fail() and the finalizer."""
-    for process in state.get("processes", ()):
-        try:
+    processes = state.get("processes", ())
+    for process in processes:
+        with suppress(Exception):
             if process.is_alive():
                 process.terminate()
-        except Exception:
-            pass
-    for process in state.get("processes", ()):
-        try:
+    for process in processes:
+        with suppress(Exception):
             process.join(timeout=2.0)
-        except Exception:
-            pass
     for key in ("boot_views", "data_views"):
         views = state.pop(key, None)
         if views is not None:
-            try:
+            with suppress(Exception):
                 views.release()
-            except Exception:
-                pass
     for key in ("boot_shm", "data_shm"):
         seg = state.pop(key, None)
         if seg is not None:
@@ -551,58 +505,50 @@ def _static_cleanup(state: dict) -> None:
 class DataParallelTrainer:
     """Drives N sharded worker processes through the shared-memory protocol.
 
+    Workers are forked where ``fork`` exists (no pickling constraints,
+    instant startup), else spawned.
+
     Parameters
     ----------
     tuner_factory:
         Zero-argument callable, run *inside every worker*, returning the
         :class:`FineTuner` to train.  It must be deterministic (same seeds →
-        bitwise-identical models in every rank) and, under the ``spawn``
-        start method, picklable (a module-level function or
-        ``functools.partial`` over one).
+        bitwise-identical models in every rank) and, where workers are
+        spawned, picklable (a module-level function or ``functools.partial``
+        over one).
     config:
         The :class:`TrainingConfig`; ``config.data_parallel_workers`` sets
         the worker count unless ``workers`` overrides it.
     workers:
         Explicit worker count override.
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` where available
-        (no pickling constraints, instant startup), else ``spawn``.
     step_timeout_s:
         Bound on every intra-step barrier wait; a worker death surfaces as
         a recovery (or :class:`DistributedError`) within a small multiple
         of this.
-    chunk_elems:
-        Chunk size (elements) of the fixed-order reduce schedule.
-    mask_broadcast:
-        Broadcast rank 0's sparsity layouts at refresh steps instead of
-        letting every worker probe its own shard (requires an engine).
     batch_capacity:
         Size in bytes of the shared batch region; default 4x the first
         published batch.
     max_restarts:
         Total rank respawns the trainer may perform before degrading to
         fail-fast :class:`DistributedError` (with the recovery history in
-        the diagnostics).  ``0`` disables elastic recovery entirely.
-    verify_checksums:
-        Per-chunk CRC32 verification on the all-reduce path (default on);
-        a mismatch triggers a step rollback + replay instead of silently
-        reducing corrupt bytes.
+        the diagnostics).  ``0`` is the fail-fast choice: the first broken
+        step fails the run.
     fault_injector:
         Optional :class:`~repro.runtime.fault.FaultInjector` forwarded to
         the *original* worker incarnations (replacement ranks run
         fault-free so a one-shot schedule cannot re-fire after respawn).
     """
 
+    # Breaks of one step in a row (with or without victims) that fail the
+    # run: a fault that recurs on every replay is not transient.
+    MAX_STEP_REPLAYS = 3
+
     def __init__(self, tuner_factory: Callable[[], FineTuner],
                  config: Optional[TrainingConfig] = None,
                  workers: Optional[int] = None, *,
-                 start_method: Optional[str] = None,
                  step_timeout_s: float = 60.0,
-                 chunk_elems: int = 1 << 16,
-                 mask_broadcast: bool = True,
                  batch_capacity: Optional[int] = None,
                  max_restarts: int = 2,
-                 verify_checksums: bool = True,
                  fault_injector: Optional[FaultInjector] = None,
                  _test_step_delay_s: float = 0.0):
         config = config or TrainingConfig()
@@ -616,18 +562,13 @@ class DataParallelTrainer:
         self.config = config
         self.world = world
         self.step_timeout_s = float(step_timeout_s)
-        self.chunk_elems = int(chunk_elems)
-        self.mask_broadcast = bool(mask_broadcast)
         self.batch_capacity = batch_capacity
         self.max_restarts = int(max_restarts)
-        self.verify_checksums = bool(verify_checksums)
         self.fault_injector = fault_injector
         self.profiler = PhaseProfiler()
         self._test_step_delay_s = float(_test_step_delay_s)
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
+                                   else "spawn")
         self.session = f"lexdp-{os.getpid():x}-{uuid.uuid4().hex[:8]}"
         self._state: dict = {"processes": []}
         self._finalizer = weakref.finalize(self, _static_cleanup, self._state)
@@ -646,16 +587,8 @@ class DataParallelTrainer:
         return self.step_timeout_s * 2 + 5.0
 
     @property
-    def elastic(self) -> bool:
-        return self.max_restarts > 0
-
-    @property
     def worker_restarts(self) -> int:
         return self._restarts
-
-    @property
-    def recovery_history(self) -> List[Dict]:
-        return list(self._recovery_history)
 
     def _ensure_started(self, first_batch: np.ndarray) -> None:
         if self._closed:
@@ -667,11 +600,7 @@ class DataParallelTrainer:
             capacity = max(4 * int(first_batch.nbytes), 1 << 20)
         spec = CommSpec(session=self.session, world=self.world,
                         batch_capacity=int(capacity),
-                        step_timeout_s=self.step_timeout_s,
-                        chunk_elems=self.chunk_elems,
-                        mask_broadcast=self.mask_broadcast,
-                        elastic=self.elastic,
-                        verify_checksums=self.verify_checksums)
+                        step_timeout_s=self.step_timeout_s)
         _, boot_bytes = boot_regions(self.world, spec.batch_capacity)
         boot_seg = SharedSegment.create(spec.boot_name, boot_bytes)
         self._state["boot_shm"] = boot_seg
@@ -695,7 +624,7 @@ class DataParallelTrainer:
         self._spec = spec
         self._barriers = barriers
         self._boot_views = boot_views
-        boot_timeout = max(self.step_timeout_s * 4, 60.0)
+        boot_timeout = _boot_timeout(self.step_timeout_s)
         self._guarded_wait(barriers.boot, "boot", timeout=boot_timeout)
 
         # Workers reported their flat gradient population; they must agree.
@@ -709,29 +638,19 @@ class DataParallelTrainer:
         grad_elems = int(meta[0, 0])
         grad_dtype = _CODE_DTYPES[int(meta[0, 1])]
         blob_capacity = int(boot_views.ctl[CTL_BLOB_CAP])
-        n_chunks = len(chunk_schedule(grad_elems, self.world,
-                                      self.chunk_elems))
         _, data_bytes = data_regions(self.world, grad_elems,
-                                     grad_dtype.itemsize, blob_capacity,
-                                     n_chunks)
+                                     grad_dtype.itemsize, blob_capacity)
         data_seg = SharedSegment.create(spec.data_name, data_bytes)
         self._state["data_shm"] = data_seg
         data_views = DataViews(data_seg, self.world, grad_elems, grad_dtype,
-                               blob_capacity, n_chunks)
+                               blob_capacity)
         self._state["data_views"] = data_views
         self._data_views = data_views
-        self._grad_dtype = grad_dtype
-        self._grad_elems = grad_elems
         self._guarded_wait(barriers.setup, "setup", timeout=boot_timeout)
         self._started = True
 
     def worker_pids(self) -> List[int]:
         return [process.pid for process in self._state["processes"]]
-
-    def segment_names(self) -> List[str]:
-        if self._spec is None:
-            return []
-        return [self._spec.boot_name, self._spec.data_name]
 
     def close(self) -> None:
         """Stop the workers and unlink both segments; idempotent."""
@@ -739,14 +658,12 @@ class DataParallelTrainer:
             return
         self._closed = True
         if self._started:
-            try:
+            with suppress(Exception):
                 self._boot_views.ctl[CTL_COMMAND] = CMD_STOP
                 self._barriers.step_begin.wait(timeout=min(
                     self.step_timeout_s, 10.0))
                 for process in self._state["processes"]:
                     process.join(timeout=min(self.step_timeout_s, 10.0))
-            except Exception:
-                pass
         if self._barriers is not None:
             self._barriers.abort_all()
         _static_cleanup(self._state)
@@ -810,9 +727,10 @@ class DataParallelTrainer:
 
     # -- elastic recovery --------------------------------------------------------
 
-    def _recover(self, reason: str) -> None:
+    def _recover(self, reason: str, breaks: int) -> None:
         """Quiesce → respawn → restore → release; raises via _fail when the
-        failure is not survivable (see the module docstring)."""
+        failure is not survivable (see the module docstring).  ``breaks``
+        counts the in-flight step's breaks in a row, this one included."""
         views = self._boot_views
         barriers = self._barriers
         processes = self._state["processes"]
@@ -821,31 +739,26 @@ class DataParallelTrainer:
             # An application-level worker exception would simply recur on
             # replay; surface it instead of burning restarts.
             self._fail(f"{reason}; a worker reported an error")
-        if not self.elastic:
+        if self.max_restarts == 0:
             self._fail(reason)
         # Wake everything still blocked in a barrier; survivors roll back
         # and park in the recovery loop, outside every barrier.
         barriers.abort_all()
-        deadline = time.monotonic() + self.step_timeout_s * 2 + 10.0
-        while True:
+
+        def unquiesced() -> List[int]:
             status = views.status.copy()
-            pending = [rank for rank, process in enumerate(processes)
-                       if process.is_alive() and status[rank] != ST_RECOVERING]
-            if not pending:
-                break
-            if time.monotonic() > deadline:
-                # Hung ranks (alive, never quiesced — e.g. stuck in user
-                # code): treat them exactly like dead ones.
-                for rank in pending:
-                    try:
-                        processes[rank].terminate()
-                        processes[rank].join(timeout=2.0)
-                        if processes[rank].is_alive():
-                            processes[rank].kill()
-                    except Exception:
-                        pass
-                break
-            time.sleep(_RECOVERY_POLL_S)
+            return [rank for rank, process in enumerate(processes)
+                    if process.is_alive() and status[rank] != ST_RECOVERING]
+
+        if not _poll(lambda: not unquiesced(), self.step_timeout_s * 2 + 10.0):
+            # Hung ranks (alive, never quiesced — e.g. stuck in user code):
+            # treat them exactly like dead ones.
+            for rank in unquiesced():
+                with suppress(Exception):
+                    processes[rank].terminate()
+                    processes[rank].join(timeout=2.0)
+                    if processes[rank].is_alive():
+                        processes[rank].kill()
         for process in processes:           # reap zombies so is_alive is real
             if not process.is_alive():
                 process.join(timeout=1.0)
@@ -855,14 +768,19 @@ class DataParallelTrainer:
                      if rank not in victims]
         event = {"step_id": self._step_id, "reason": reason,
                  "victims": victims, "wall_s": 0.0}
+
+        def give_up(why: str) -> None:
+            self._recovery_history.append(event)
+            self._fail(f"{reason}; {why}")
+
         if not survivors:
-            self._recovery_history.append(event)
-            self._fail(f"{reason}; every rank died — no survivor to "
-                       f"recover from")
+            give_up("every rank died — no survivor to recover from")
+        if breaks >= self.MAX_STEP_REPLAYS:
+            give_up(f"the step broke {breaks} times in a row "
+                    f"(MAX_STEP_REPLAYS={self.MAX_STEP_REPLAYS})")
         if self._restarts + len(victims) > self.max_restarts:
-            self._recovery_history.append(event)
-            self._fail(f"{reason}; respawning rank(s) {victims} would exceed "
-                       f"max_restarts={self.max_restarts}")
+            give_up(f"respawning rank(s) {victims} would exceed "
+                    f"max_restarts={self.max_restarts}")
         # Everyone alive is quiesced outside the barriers: safe to reset.
         barriers.reset_all()
         ctl = views.ctl
@@ -884,25 +802,19 @@ class DataParallelTrainer:
                 replacement.start()
                 processes[rank] = replacement
             self._restarts += len(victims)
-        # Replacements build a whole tuner before reporting in: boot-scale
-        # patience, not step-scale.
-        deadline = time.monotonic() + max(self.step_timeout_s * 4, 60.0)
-        while True:
+
+        def restored() -> bool:
             status = views.status.copy()
             if np.any(status == ST_ERROR):
-                self._recovery_history.append(event)
-                self._fail(f"{reason}; a rank errored during recovery")
-            if any(not processes[rank].is_alive() for rank in range(self.world)):
-                self._recovery_history.append(event)
-                self._fail(f"{reason}; a rank died during recovery")
-            if all(status[rank] == ST_RECOVERING
-                   for rank in range(self.world)):
-                break
-            if time.monotonic() > deadline:
-                self._recovery_history.append(event)
-                self._fail(f"{reason}; ranks never finished quiescing/"
-                           f"restoring for recovery")
-            time.sleep(_RECOVERY_POLL_S)
+                give_up("a rank errored during recovery")
+            if not all(process.is_alive() for process in processes):
+                give_up("a rank died during recovery")
+            return bool(np.all(status == ST_RECOVERING))
+
+        # Replacements build a whole tuner before reporting in: boot-scale
+        # patience, not step-scale.
+        if not _poll(restored, _boot_timeout(self.step_timeout_s)):
+            give_up("ranks never finished quiescing/restoring for recovery")
         event["wall_s"] = time.perf_counter() - recover_start
         self._recovery_history.append(event)
         self.profiler.set_gauge("worker_restarts", float(self._restarts))
@@ -915,9 +827,10 @@ class DataParallelTrainer:
     def step(self, batch: np.ndarray) -> (float, PhaseTimings):
         """Run one global step; returns (global mean loss, max-phase timings).
 
-        Under the elastic protocol a failed step is recovered and *replayed*
-        (same batch, same step id, rolled-back state) until it completes or
-        recovery itself gives up with :class:`DistributedError`.
+        A failed step is recovered and *replayed* (same batch, same step id,
+        rolled-back state) until it completes, or until recovery gives up
+        with :class:`DistributedError` — at the latest on the step's
+        ``MAX_STEP_REPLAYS``-th break in a row.
         """
         batch = np.asarray(batch)
         if batch.shape[0] % self.world != 0:
@@ -926,8 +839,9 @@ class DataParallelTrainer:
         self._ensure_started(batch)
         views = self._boot_views
         self._step_id += 1
+        breaks = 0
         while True:
-            views.publish_batch(self._step_id, batch)
+            views.publish_batch(batch)
             views.ctl[CTL_COMMAND] = CMD_STEP
             wall_start = time.perf_counter()
             try:
@@ -936,7 +850,8 @@ class DataParallelTrainer:
                 wait_barrier(self._barriers.step_end, self._parent_timeout,
                              "step_end")
             except BarrierBroken:
-                self._recover(f"step {self._step_id} rendezvous broke")
+                breaks += 1
+                self._recover(f"step {self._step_id} rendezvous broke", breaks)
                 continue
             break
         wall = time.perf_counter() - wall_start
@@ -1028,7 +943,7 @@ class DataParallelTrainer:
             comm_s_per_step=comms, worker_stats=worker_stats,
             param_digest=digest, final_params=params,
             worker_restarts=self._restarts,
-            recovery_events=self.recovery_history,
+            recovery_events=list(self._recovery_history),
             comm_checksum_failures=checksum_failures)
 
 

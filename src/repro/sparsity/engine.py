@@ -738,30 +738,46 @@ class LongExposure:
         exactly as if the backend had derived the masks itself; drift against
         the previously reused masks is recorded per layer as usual.
         """
-        if len(state) != len(self._sparse_backends):
-            raise ValueError(f"layout snapshot covers {len(state)} backends, "
-                             f"engine has {len(self._sparse_backends)}")
-        step = self.step_index if refresh_step is None else int(refresh_step)
         for backend, entry in zip(self._sparse_backends, state):
+            if entry[1] is None:
+                continue
             if isinstance(backend, SparseAttentionBackend):
-                kind, layout, seq_len = entry
-                if kind != "attn":
-                    raise ValueError(f"expected attention entry, got {kind!r}")
-                if layout is not None:
-                    self.stats.attention_layer(backend.layer_index).record_refresh(
-                        _layout_drift(backend.last_layout, layout))
-                backend._replace_layout(layout, seq_len)
-                backend._last_refresh_step = step
-            elif isinstance(backend, SparseMLPBackend):
-                kind, active_blocks = entry
-                if kind != "mlp":
-                    raise ValueError(f"expected mlp entry, got {kind!r}")
-                if active_blocks is not None:
-                    self.stats.mlp_layer(backend.layer_index).record_refresh(
-                        _active_block_drift(backend.last_active_blocks,
-                                            active_blocks))
-                backend.last_active_blocks = active_blocks
-                backend._last_refresh_step = step
+                self.stats.attention_layer(backend.layer_index).record_refresh(
+                    _layout_drift(backend.last_layout, entry[1]))
+            else:
+                self.stats.mlp_layer(backend.layer_index).record_refresh(
+                    _active_block_drift(backend.last_active_blocks, entry[1]))
+        step = self.step_index if refresh_step is None else int(refresh_step)
+        self.restore_schedule({"step_index": self.step_index, "layouts": state,
+                               "refresh_steps": [step] * len(state)})
+
+    def schedule_state(self) -> dict:
+        """Picklable record of the schedule: the step counter and, per
+        backend, its :meth:`export_layouts` entry and last refresh step.
+
+        :meth:`restore_schedule` puts it back, here (a rollback) or in a
+        fresh replica, whose refresh cadence then matches step for step.
+        """
+        return {"step_index": int(self.step_index),
+                "layouts": self.export_layouts(),
+                "refresh_steps": [int(backend._last_refresh_step)
+                                  for backend in self._sparse_backends]}
+
+    def restore_schedule(self, state: dict) -> None:
+        """Reinstate a :meth:`schedule_state` record.  Replaced layouts
+        drop their cached geometry; no drift sample is recorded."""
+        layouts = state["layouts"]
+        if len(layouts) != len(self._sparse_backends):
+            raise ValueError(f"schedule record covers {len(layouts)} backends, "
+                             f"engine has {len(self._sparse_backends)}")
+        self.step_index = int(state["step_index"])
+        for backend, entry, refresh in zip(self._sparse_backends, layouts,
+                                           state["refresh_steps"]):
+            if isinstance(backend, SparseAttentionBackend):
+                backend._replace_layout(entry[1], entry[2])
+            else:
+                backend.last_active_blocks = entry[1]
+            backend._last_refresh_step = int(refresh)
 
     def layout_state(self) -> tuple:
         """Hashable snapshot of every backend's reused masks.

@@ -204,13 +204,6 @@ class TestMaskBroadcast:
         assert syncs[0] == syncs[1] and syncs[0] >= 1
         assert all(np.isfinite(engine_run.losses))
 
-    def test_broadcast_off_probes_per_shard_and_stays_close(self, engine_run,
-                                                            engine_data):
-        off = train_data_parallel(_engine_tuner, engine_data, workers=2,
-                                  step_timeout_s=120.0, mask_broadcast=False)
-        assert all(s["mask_syncs"] == 0 for s in off.worker_stats)
-        np.testing.assert_allclose(engine_run.losses, off.losses, rtol=1e-4)
-
     def test_captured_ranks_recapture_on_the_refresh_step(self, engine_run,
                                                           engine_data):
         """Rank 0 derives the masks inside its refresh step and records the
@@ -245,6 +238,31 @@ class TestMaskBroadcast:
         assert report.comm_checksum_failures >= 1 and report.worker_restarts == 0
         assert report.losses == engine_run.losses
         assert report.param_digest == engine_run.param_digest
+
+    @pytest.mark.fault
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_respawn_on_a_refresh_step_is_bitwise(self, engine_run,
+                                                  engine_data, victim):
+        """A rank dying inside refresh step 3 is respawned from the donor's
+        state, per-layer refresh steps included, so the two ranks agree that
+        the replayed step is a mask-broadcast step: one restart, then the
+        uninterrupted trajectory bit for bit."""
+        from repro.runtime.fault import FaultInjector, FaultRule
+
+        trainer = DataParallelTrainer(
+            _captured_engine_tuner, workers=2, step_timeout_s=2.0,
+            fault_injector=FaultInjector(rules=[FaultRule(
+                site="worker_crash_before_barrier", rank=victim,
+                occurrence=3)]))
+        try:
+            report = trainer.train(engine_data)
+        finally:
+            trainer.close()
+        assert report.worker_restarts == 1
+        assert [e["victims"] for e in report.recovery_events] == [[victim]]
+        assert report.losses == engine_run.losses
+        assert report.param_digest == engine_run.param_digest
+        assert _shm_entries(trainer.session) == []
 
 
 class TestFailureHandling:

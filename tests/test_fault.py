@@ -19,6 +19,7 @@ Locks the three contracts of the PR-10 resilience layer:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -318,6 +319,29 @@ class TestElasticRecovery:
         assert "max_restarts" in message
         assert "restart history" in message
         assert _shm_entries(trainer.session) == []
+
+    def test_a_step_that_breaks_on_every_replay_fails_bounded(self):
+        # Corruption on every visit breaks every replay of step 1 without a
+        # victim, so max_restarts never trips; MAX_STEP_REPLAYS must.
+        injector = FaultInjector(rules=[FaultRule(
+            site="shm_chunk_corruption", rank=1, occurrence=None, hits=10**9)])
+        trainer = DataParallelTrainer(_nano_tuner, workers=2,
+                                      step_timeout_s=3.0,
+                                      fault_injector=injector)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(DistributedError) as excinfo:
+                trainer.train(_batches())
+        finally:
+            trainer.close()
+        assert time.perf_counter() - start < 30.0
+        message = str(excinfo.value)
+        assert f"MAX_STEP_REPLAYS={DataParallelTrainer.MAX_STEP_REPLAYS}" in message
+        assert "restart history" in message
+        assert message.count("step 1: victims=[]") == DataParallelTrainer.MAX_STEP_REPLAYS
+        assert _shm_entries(trainer.session) == []
+        assert not [child for child in multiprocessing.active_children()
+                    if child.name.startswith(trainer.session)]
 
     def test_gauges_land_on_the_trainer_profiler(self):
         trainer = DataParallelTrainer(_nano_tuner, workers=2,

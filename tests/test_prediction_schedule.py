@@ -253,3 +253,42 @@ class TestTrainerIntegration:
             assert key in gauges
         assert gauges["attention_reuse_rate"] == pytest.approx(0.5)
         assert report.steps == 4
+
+
+class TestScheduleRoundTrip:
+    def test_rollback_over_a_refresh_step_is_bitwise(self, tiny_batches):
+        """Record the schedule before refresh step 3, run that step on other
+        inputs, restore the record and run the step again: losses, layouts
+        and refresh steps equal the uninterrupted run's, and the geometry
+        cache keeps one entry per live layout (the detour's is dropped)."""
+        rng = np.random.default_rng(5)
+        steps = [rng.integers(0, 512, size=(2, 64)) for _ in range(5)]
+        detour = np.full((2, 64), 7)
+
+        def run(rollback_at=None):
+            model = build_model("opt-tiny", seed=0)
+            engine = _oracle_engine(model, tiny_batches, interval=2)
+            engine.install(model)
+            trace = []
+            try:
+                for step, ids in enumerate(steps, start=1):
+                    if step == rollback_at:
+                        record = engine.schedule_state()
+                        engine.advance_step()
+                        model.loss(detour)
+                        engine.restore_schedule(record)
+                    engine.advance_step()
+                    loss, _ = model.loss(ids)
+                    state = engine.schedule_state()
+                    trace.append((float(loss.data), engine.layout_state(),
+                                  state["step_index"], state["refresh_steps"]))
+                    live = {(entry[1].signature(), entry[2])
+                            for entry in state["layouts"] if entry[0] == "attn"}
+                    assert len(engine.geometry_cache) == len(live)
+            finally:
+                engine.uninstall(model)
+            return trace
+
+        clean = run()
+        assert [set(refresh) for *_, refresh in clean] == [{1}, {1}, {3}, {3}, {5}]
+        assert run(rollback_at=3) == clean
