@@ -5,7 +5,8 @@ run on the scaled-down executable model configurations (see
 ``repro.models.config.PAPER_TO_EXECUTABLE``) with short sequence lengths so
 the whole harness completes in minutes on a single CPU; the *shape* of each
 result (who wins, how ratios move with sequence length / sparsity /
-threshold) is what reproduces the paper, as recorded in EXPERIMENTS.md.
+threshold) is what reproduces the paper; each module's docstring quotes the
+paper's claim it checks.
 
 Timing methodology: each measured quantity is the best of a small number of
 repeats of a full fine-tuning step (forward + backward + optimizer), measured

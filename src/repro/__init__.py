@@ -25,9 +25,8 @@ deep module paths (which keep working, but are implementation layout)::
   :class:`TenantStateStore` (durable tenant checkpoints); elastic rank
   recovery is built into the data-parallel trainer.
 
-See ``README.md`` for the quickstart, ``DESIGN.md`` for the system inventory
-and ``EXPERIMENTS.md`` for the paper-vs-measured record of every table and
-figure.
+See ``README.md`` for the quickstart and the system inventory, and the
+committed ``BENCH_e2e.json`` / ``BENCH_extra.json`` for the measured record.
 """
 
 from repro.models import build_model, get_config, list_configs

@@ -13,7 +13,7 @@ output embeddings.  Two reproduction-specific details:
   ``1 - target_token_mlp_sparsity`` of the neurons, gives neurons distinct
   token-dependent preferences (so the per-sequence union is much denser —
   shadowy sparsity), and sharpens the Q/K projections so attention heads form
-  distinct local/global patterns.  The substitution is recorded in DESIGN.md.
+  distinct local/global patterns.
 * ``forward`` returns hidden states; ``loss`` composes the LM head and the
   shifted cross-entropy so that training code does not touch logits of shape
   ``(batch, seq, vocab)`` unless it needs them.

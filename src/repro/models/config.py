@@ -133,7 +133,7 @@ register_config(ModelConfig(name="gpt2-small-repro", family="gpt2", vocab_size=1
                             activation="gelu"))
 
 # Mapping from the paper's evaluation models to the executable stand-ins used
-# by the benchmark harness (documented in EXPERIMENTS.md).
+# by the benchmark harness (``benchmarks/bench_*.py``).
 PAPER_TO_EXECUTABLE: Dict[str, str] = {
     "opt-350m": "opt-tiny",
     "opt-1.3b": "opt-small",

@@ -473,9 +473,10 @@ class LongExposure:
 
         One frozen-model pass (:func:`collect_block_mass`) keeps, per layer,
         the sub-layer inputs, the MLP activations and each sample's exposer
-        block mass per calibration length — of the ``(heads, seq, seq)``
-        probabilities only one sample's exist at a time.  All calibration
-        batches must share one sequence length.
+        block mass per calibration length — of the probabilities only one
+        head's row tile exists at a time, and the frozen forward's attention
+        runs one head at a time.  All calibration batches must share one
+        sequence length (checked before the pass: ``ValueError``).
         """
         config = self.config
         mlp_enabled = config.optimize_mlp and model.config.activation == "relu"
@@ -491,6 +492,9 @@ class LongExposure:
             pos_weight=config.predictor_pos_weight, seed=config.seed)
 
         batch_lengths = {int(np.asarray(b).shape[-1]) for b in calibration_batches}
+        if len(batch_lengths) > 1:
+            raise ValueError("calibration batches must share one sequence length, "
+                             f"got lengths {sorted(batch_lengths)}")
         grid = sorted(batch_lengths | set(
             config.calibration_lengths if config.calibrate_predictors else ()))
         collected = collect_block_mass(

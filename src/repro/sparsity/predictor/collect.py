@@ -17,13 +17,14 @@ trained against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.models.base import CausalLMModel
 from repro.nn.attention import causal_mask
-from repro.tensor import no_grad
+from repro.sparsity.patterns import block_count
+from repro.tensor import Tensor, no_grad
 
 
 @dataclass
@@ -73,38 +74,69 @@ class CollectedLayerData:
         return out
 
 
-def _dense_attention_probs(q: np.ndarray, k: np.ndarray, mask: np.ndarray,
-                           out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact float64 attention probabilities from float32 ``q``/``k``.
+_ROW_TILE = 128      # query rows per collection-softmax tile
 
-    The only place the collection softmax lives.  ``out``, a float64
-    ``(batch, heads, seq, seq)`` buffer, is reused when given; the float32
-    scores exist one ``(seq, seq)`` head at a time and the rest runs in place.
+
+def _dense_attention_probs(q: np.ndarray, k: np.ndarray,
+                           rows: int = _ROW_TILE) -> Iterator[Tuple[tuple, int, np.ndarray]]:
+    """Exact float64 causal attention probabilities from float32 ``q``/``k``,
+    one head and ``rows`` query rows at a time.
+
+    The only place the collection softmax lives.  Yields ``(head, start,
+    tile)`` for every head index of ``q.shape[:-2]`` and every row tile:
+    ``tile`` is rows ``start:start + len(tile)`` of that head's ``(seq,
+    seq)`` probabilities, in one float64 buffer the next tile overwrites.
+    A tile computes only its causal key prefix ``[:stop]`` — float32 GEMM,
+    then scale, mask, max and ``exp`` in float64 — zero-fills the keys past
+    it and sums the full row width, so every value, and every denominator's
+    summation order, is the whole-matrix softmax's bit for bit.
     """
-    shape = q.shape[:-1] + (k.shape[-2],)
-    probs = np.empty(shape, np.float64) if out is None else out
-    scores = np.empty(shape[-2:], np.float32)
+    seq = k.shape[-2]
+    rows = min(rows, seq)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    for head in np.ndindex(*shape[:-2]):
-        np.matmul(q[head], k[head].T, out=scores)
-        # float32 scores times a float64 scalar: NumPy 2 promotes the chain
-        # to float64, NumPy 1.x's value-based casting kept float32 and
-        # trained different predictors.  Pin float64 (the recorded digests').
-        np.multiply(scores, scale, out=probs[head], dtype=np.float64)
-    np.copyto(probs, -1e9, where=~mask)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs *= mask
-    denom = probs.sum(axis=-1, keepdims=True)
-    probs /= np.where(denom == 0, 1.0, denom)
-    return probs
+    mask = causal_mask(seq)
+    scores = np.empty(rows * seq, np.float32)
+    probs = np.empty((rows, seq), np.float64)
+    for head in np.ndindex(*q.shape[:-2]):
+        for start in range(0, seq, rows):
+            stop = min(start + rows, seq)
+            tile = probs[:stop - start]
+            prefix, keep = tile[:, :stop], mask[start:stop, :stop]
+            s = scores[:prefix.size].reshape(prefix.shape)
+            np.matmul(q[head][start:stop], k[head][:stop].T, out=s)
+            # float32 scores times a float64 scalar: NumPy 2 promotes the
+            # chain to float64, NumPy 1.x's value-based casting kept float32
+            # and trained different predictors.  Pin float64 (the recorded
+            # digests').
+            np.multiply(s, scale, out=prefix, dtype=np.float64)
+            np.copyto(prefix, -1e9, where=~keep)
+            prefix -= prefix.max(axis=-1, keepdims=True)
+            np.exp(prefix, out=prefix)
+            prefix *= keep
+            tile[:, stop:] = 0.0
+            denom = tile.sum(axis=-1, keepdims=True)
+            tile /= np.where(denom == 0, 1.0, denom)
+            yield head, start, tile
+
+
+def _attention_output(attention, q: Tensor, k: Tensor, v: Tensor,
+                      mask: np.ndarray, x: Tensor) -> Tensor:
+    """``attention(x, attn_mask=mask)`` from its projected ``q``/``k``/``v``,
+    running the module's backend one head at a time — bitwise the all-head
+    call, at one head's scores of memory."""
+    context = np.empty(v.shape, v.data.dtype)
+    for head in range(q.shape[1]):
+        one = slice(head, head + 1)
+        context[:, one] = attention.backend(
+            attention, q[:, one], k[:, one], v[:, one], mask, x).data
+    return attention.dropout(attention.out_proj(attention.merge_heads(Tensor(context))))
 
 
 def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
              max_batches: Optional[int], truncate_to: Optional[int],
              record_attention: Callable) -> List[CollectedLayerData]:
-    """The frozen-model pass loop; ``record_attention(record, q, k, mask)``
-    decides what is kept of each layer's attention probabilities."""
+    """The frozen-model pass loop; ``record_attention(record, q, k)``
+    decides what is kept of each layer's causal attention probabilities."""
     layers = [CollectedLayerData() for _ in model.blocks]
     with no_grad():
         for index, batch in enumerate(batches):
@@ -127,10 +159,10 @@ def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
                 attention = block.attention
                 x_norm = block.attn_norm(hidden)
                 record.attention_inputs.append(x_norm.data.copy())
-                record_attention(
-                    record, attention.split_heads(attention.q_proj(x_norm)).data,
-                    attention.split_heads(attention.k_proj(x_norm)).data, mask)
-                hidden = hidden + attention(x_norm, attn_mask=mask)
+                q, k, v = (attention.split_heads(proj(x_norm)) for proj in (
+                    attention.q_proj, attention.k_proj, attention.v_proj))
+                record_attention(record, q.data, k.data)
+                hidden = hidden + _attention_output(attention, q, k, v, mask, x_norm)
 
                 x_norm2 = block.mlp_norm(hidden)
                 record.mlp_inputs.append(x_norm2.data.copy())
@@ -147,8 +179,9 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
     """Run inference passes and record per-layer predictor training data.
 
     Every layer's ``(batch, heads, seq, seq)`` float64 probabilities stay
-    alive in the result: the recorder for :mod:`repro.analysis` and the twin
-    tests hold :func:`collect_block_mass` (what ``prepare`` runs) against.
+    alive in the result, copied tile by tile out of the same softmax
+    :func:`collect_block_mass` reduces: the recorder for
+    :mod:`repro.analysis` and the twin tests hold ``prepare`` against.
 
     Parameters
     ----------
@@ -167,8 +200,11 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
     -------
     list of :class:`CollectedLayerData`, one entry per transformer layer.
     """
-    def record_probs(record, q, k, mask):
-        record.attention_probs.append(_dense_attention_probs(q, k, mask))
+    def record_probs(record, q, k):
+        probs = np.empty(q.shape[:-1] + (k.shape[-2],), np.float64)
+        for head, start, tile in _dense_attention_probs(q, k):
+            probs[head][start:start + len(tile)] = tile
+        record.attention_probs.append(probs)
 
     return _collect(model, batches, max_batches, truncate_to, record_probs)
 
@@ -178,27 +214,29 @@ def collect_block_mass(model: CausalLMModel, batches: Iterable[np.ndarray],
     """:func:`collect_layer_data` with the probabilities reduced at production.
 
     Every consumer of the probabilities reads them through
-    ``exposer.block_reduce``, so each sample's are computed in one reused
-    scratch buffer and reduced on the spot — per entry of ``lengths`` the
-    batch reaches, on that prefix — keeping only the ``(heads, n_blocks,
-    n_blocks)`` masses.  Bitwise equal to reducing :func:`collect_layer_data`'s
-    probabilities sample by sample, at one sample's probabilities of memory.
+    ``exposer.block_reduce``, so each row tile the softmax yields is reduced
+    on the spot — per entry of ``lengths`` the batch reaches, on that prefix
+    — into per-sample ``(heads, n_blocks, n_blocks)`` masses, and no more of
+    the probabilities than one head's tile ever exists.  Bitwise equal to
+    reducing :func:`collect_layer_data`'s probabilities sample by sample.
     """
-    scratch = None      # one sample's probabilities, reused across the pass
+    bs = exposer.block_size
+    rows = max(1, _ROW_TILE // bs) * bs      # tiles hold whole query blocks
 
-    def record_mass(record, q, k, mask):
-        nonlocal scratch
-        shape = (1,) + q.shape[1:3] + (k.shape[2],)
-        reached = [length for length in lengths if length <= shape[-1]]
+    def record_mass(record, q, k):
+        reached = [length for length in lengths if length <= k.shape[-2]]
         if not reached:
             return
-        if scratch is None or scratch.shape != shape:
-            scratch = np.empty(shape, np.float64)
-        for sample in range(q.shape[0]):
-            probs = _dense_attention_probs(q[sample:sample + 1],
-                                           k[sample:sample + 1], mask, scratch)
+        masses = {length: np.zeros(q.shape[:2] + (block_count(length, bs),) * 2)
+                  for length in reached}
+        for head, start, tile in _dense_attention_probs(q, k, rows):
             for length in reached:
-                record.attention_block_mass.setdefault(length, []).append(
-                    exposer.block_reduce(probs[:, :, :length, :length]))
+                if start < length:
+                    first = start // bs
+                    block_rows = exposer.block_reduce(
+                        tile[None, None, :length - start, :length], start)[0]
+                    masses[length][head][first:first + len(block_rows)] = block_rows
+        for length in reached:
+            record.attention_block_mass.setdefault(length, []).extend(masses[length])
 
     return _collect(model, batches, None, None, record_mass)

@@ -525,11 +525,15 @@ class TestStreamingPrepare:
         assert _sha(*weights) == OPT_TINY_PREDICTOR_WEIGHTS
 
     @pytest.mark.perf_smoke
-    def test_prepare_peak_memory_is_one_layers_probabilities(self):
-        """``prepare`` used to hold every layer's float64 probabilities for
-        every batch and then concatenate them twice (>= 2 * layers * batches
-        tensors); reducing at production it holds one sample's."""
-        model, batches = _prepare_inputs(seed=0, shape=(1, 256))
+    def test_prepare_peak_memory_is_a_few_heads_probabilities(self):
+        """``prepare`` holds no more of the probabilities than one head's row
+        tile, and the frozen forward materialises one head's scores at a
+        time: its peak is a few ``(seq, seq)`` float64 heads, most of it the
+        recorded inputs and activations the probes train on.  One sample's
+        ``(heads, seq, seq)`` scratch beside an all-head forward (what
+        collection used to hold) is over twice that bound."""
+        seq = 512
+        model, batches = _prepare_inputs(seed=0, shape=(1, seq))
         engine = LongExposure(LongExposureConfig(block_size=16,
                                                  predictor_epochs=2, seed=0))
         tracemalloc.start()
@@ -538,5 +542,96 @@ class TestStreamingPrepare:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        one_layer = model.config.num_heads * 256 * 256 * 8
-        assert peak <= 3 * one_layer, f"peak {peak / one_layer:.2f} tensors"
+        one_head = seq * seq * 8
+        assert peak <= 5 * one_head, f"peak {peak / one_head:.2f} heads"
+
+    @pytest.mark.parity
+    def test_row_tiles_are_the_whole_matrix_softmax(self, tiny_model):
+        """At seq 300 the softmax runs in three prefix row tiles per head,
+        the last one ragged; probabilities and per-length block mass must be
+        the whole-matrix float64 chain's, bit for bit (a tile that summed
+        only its causal prefix would round some denominators differently)."""
+        from repro.nn.attention import causal_mask
+        from repro.tensor import Tensor, no_grad
+
+        batch = np.random.default_rng(3).integers(0, 512, size=(2, 300))
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
+        lengths = [100, 256, 300]
+        with_probs = collect_layer_data(tiny_model, [batch])
+        with_mass = collect_block_mass(tiny_model, [batch], exposer, lengths)
+        for layer, block in enumerate(tiny_model.blocks):
+            attention = block.attention
+            with no_grad():
+                x_norm = Tensor(with_probs[layer].attention_inputs[0])
+                q = attention.split_heads(attention.q_proj(x_norm)).data
+                k = attention.split_heads(attention.k_proj(x_norm)).data
+            scores = (np.matmul(q, np.swapaxes(k, -1, -2)).astype(np.float64)
+                      * (1.0 / np.sqrt(q.shape[-1])))
+            mask = causal_mask(300)
+            scores = np.where(mask, scores, -1e9)
+            probs = np.exp(scores - scores.max(axis=-1, keepdims=True)) * mask
+            probs /= probs.sum(axis=-1, keepdims=True)
+
+            assert _sha(with_probs[layer].attention_probs[0]) == _sha(probs), layer
+            for length in lengths:
+                assert _sha(*with_mass[layer].attention_block_mass[length]) == _sha(
+                    sample_block_mass(exposer, probs, length)), (layer, length)
+
+    def test_recorded_inputs_are_the_model_forwards(self):
+        """Collection projects q/k/v itself and runs attention one head at a
+        time; every layer's recorded sub-layer inputs must still be an
+        ordinary ``no_grad`` forward's, bit for bit."""
+        from repro.tensor import no_grad
+
+        model, batches = _prepare_inputs(seed=0)
+        seen = {}
+        with pytest.MonkeyPatch.context() as patch:
+            for index, block in enumerate(model.blocks):
+                for name in ("attn_norm", "mlp_norm"):
+                    norm = getattr(block, name)
+
+                    def record(x, norm=norm, key=(index, name)):
+                        out = type(norm).forward(norm, x)
+                        seen.setdefault(key, []).append(out.data.copy())
+                        return out
+                    patch.setattr(norm, "forward", record)
+            with no_grad():
+                for batch in batches:
+                    model.forward(batch)
+        collected = collect_block_mass(model, batches, AttentionExposer(16, 0.9), [128])
+        for index, data in enumerate(collected):
+            for name, recorded in (("attn_norm", data.attention_inputs),
+                                   ("mlp_norm", data.mlp_inputs)):
+                assert _sha(*recorded) == _sha(*seen[(index, name)]), (index, name)
+
+    def test_collection_projects_q_k_v_once_per_layer(self):
+        model, batches = _prepare_inputs(seed=0)
+        calls = {}
+        with pytest.MonkeyPatch.context() as patch:
+            for index, block in enumerate(model.blocks):
+                for name in ("q_proj", "k_proj", "v_proj"):
+                    proj = getattr(block.attention, name)
+
+                    def count(x, proj=proj, key=(index, name)):
+                        calls[key] = calls.get(key, 0) + 1
+                        return type(proj).forward(proj, x)
+                    patch.setattr(proj, "forward", count)
+            collect_block_mass(model, batches, AttentionExposer(16, 0.9), [128])
+        assert calls == {(index, name): len(batches)
+                         for index in range(len(model.blocks))
+                         for name in ("q_proj", "k_proj", "v_proj")}
+
+    def test_mixed_calibration_lengths_fail_before_the_pass(self, monkeypatch):
+        import repro.sparsity.engine as engine_module
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the collection pass ran")
+
+        monkeypatch.setattr(engine_module, "collect_block_mass", no_pass)
+        model = build_model("opt-tiny", seed=0)
+        rng = np.random.default_rng(0)
+        batches = [rng.integers(0, model.config.vocab_size, size=(1, length))
+                   for length in (128, 64)]
+        engine = LongExposure(LongExposureConfig(block_size=16, predictor_epochs=1))
+        with pytest.raises(ValueError, match=r"lengths \[64, 128\]"):
+            engine.prepare(model, batches)
