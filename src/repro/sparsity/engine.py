@@ -89,9 +89,8 @@ from repro.sparsity.predictor import (
     calibrate_attention_predictor,
     calibrate_mlp_predictor,
     collect_block_mass,
-    train_attention_predictor,
-    train_mlp_predictor,
 )
+from repro.sparsity.predictor.training import attention_probe, mlp_probe, train_predictors
 
 
 def _unwrap(module):
@@ -473,9 +472,10 @@ class LongExposure:
 
         One frozen-model pass (:func:`collect_block_mass`) keeps, per layer,
         the sub-layer inputs, the MLP activations and each sample's exposer
-        block mass per calibration length — of the probabilities only one
-        head's row tile exists at a time, and the frozen forward's attention
-        runs one head at a time.  All calibration batches must share one
+        block mass per calibration length, reduced from the frozen forward's
+        own softmax, which runs one head at a time.  Every layer's probes
+        then train in one lockstep loop on one shared noise stream
+        (:func:`train_predictors`).  All calibration batches must share one
         sequence length (checked before the pass: ``ValueError``).
         """
         config = self.config
@@ -503,6 +503,7 @@ class LongExposure:
         self.attention_predictors = []
         self.mlp_predictors = []
         self.predictor_metrics = {"attention": [], "mlp": []}
+        probes, kinds = [], []
         for layer_index, data in enumerate(collected):
             merged = data.merged()
             if config.optimize_attention:
@@ -510,22 +511,23 @@ class LongExposure:
                     model.config.dim, model.config.num_heads, config.predictor_rank,
                     config.block_size, threshold=config.attention_threshold,
                     seed=config.seed + layer_index)
-                metrics = train_attention_predictor(
-                    predictor, merged["attention_inputs"],
-                    merged["attention_block_mass"],
-                    self.attention_exposer, training_config)
                 self.attention_predictors.append(predictor)
-                self.predictor_metrics["attention"].append(metrics)
+                probes.append(attention_probe(
+                    predictor, merged["attention_inputs"],
+                    merged["attention_block_mass"], self.attention_exposer))
+                kinds.append("attention")
             if mlp_enabled:
                 predictor = MLPPredictor(
                     model.config.dim, model.config.hidden_dim, config.block_size,
                     min_active_blocks=config.min_active_mlp_blocks,
                     seed=config.seed + 1000 + layer_index)
-                metrics = train_mlp_predictor(
-                    predictor, merged["mlp_inputs"], merged["mlp_activations"],
-                    self.mlp_exposer, training_config)
                 self.mlp_predictors.append(predictor)
-                self.predictor_metrics["mlp"].append(metrics)
+                probes.append(mlp_probe(predictor, merged["mlp_inputs"],
+                                        merged["mlp_activations"], self.mlp_exposer))
+                kinds.append("mlp")
+        for kind, metrics in zip(kinds, train_predictors(probes, training_config)):
+            self.predictor_metrics[kind].append(metrics)
+        del probes      # every layer's merged training set; calibration merges its own
         if config.calibrate_predictors:
             self._calibrate_predictors(collected, grid, max(batch_lengths))
         self._prepared = True

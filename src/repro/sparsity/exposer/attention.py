@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparsity.patterns import block_count, causal_block_mask
+from repro.sparsity.patterns import causal_block_mask
 
 
 @dataclass
@@ -51,16 +51,12 @@ class AttentionExposer:
         self.score_threshold = score_threshold
 
     # -- block reduction ---------------------------------------------------------
-    def block_reduce(self, probs: np.ndarray, row_start: int = 0) -> np.ndarray:
+    def block_reduce(self, probs: np.ndarray) -> np.ndarray:
         """Reduce attention probabilities to per-block mass.
 
         ``probs`` has shape ``(batch, heads, seq, seq)``; the result has shape
         ``(heads, n_blocks, n_blocks)`` — summed over the batch and over the
         elements of each block, then zeroed above the causal diagonal.
-        ``probs`` may also be a tile of query rows ``(batch, heads, rows,
-        seq)`` starting at query row ``row_start`` (a multiple of
-        ``block_size``): the result is then that tile's block rows, bit for
-        bit the same rows of the whole matrix's reduction.
 
         The reduction runs in two per-axis stages (``np.add.reduceat`` over
         the contiguous key axis, then over the query axis) instead of one
@@ -73,15 +69,11 @@ class AttentionExposer:
         probs = np.asarray(probs)
         if probs.ndim == 3:
             probs = probs[None]
-        batch, heads, rows, seq = probs.shape
-        bs = self.block_size
-        key_starts, row_starts = np.arange(0, seq, bs), np.arange(0, rows, bs)
-        key_reduced = np.add.reduceat(probs, key_starts, axis=3)      # (b, h, rows, nb)
-        reduced = np.add.reduceat(key_reduced, row_starts, axis=2)    # (b, h, rb, nb)
+        starts = np.arange(0, probs.shape[-1], self.block_size)
+        key_reduced = np.add.reduceat(probs, starts, axis=3)          # (b, h, seq, nb)
+        reduced = np.add.reduceat(key_reduced, starts, axis=2)        # (b, h, nb, nb)
         reduced = reduced.sum(axis=0)
-        first = row_start // bs
-        reduced *= causal_block_mask(block_count(seq, bs))[
-            None, first:first + reduced.shape[1]]
+        reduced *= causal_block_mask(len(starts))[None]
         return reduced
 
     # -- mask derivation -----------------------------------------------------------

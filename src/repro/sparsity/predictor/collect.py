@@ -6,7 +6,8 @@ predictors are pre-trained offline using data collected from model
 inference."  For every layer we record
 
 * the input to the attention sub-layer (post-LayerNorm hidden states) and the
-  exact attention probabilities of every head, and
+  exact attention probabilities of every head — the frozen forward's own
+  softmax, nothing recomputed beside it — and
 * the input to the MLP sub-layer and the post-ReLU activations.
 
 The recorded inputs become predictor inputs; the exposer converts the exact
@@ -16,15 +17,16 @@ trained against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.models.base import CausalLMModel
 from repro.nn.attention import causal_mask
 from repro.sparsity.patterns import block_count
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, fused, no_grad
 
 
 @dataclass
@@ -33,7 +35,7 @@ class CollectedLayerData:
 
     attention_inputs: List[np.ndarray] = field(default_factory=list)   # (batch, seq, dim)
     # collect_layer_data fills the probabilities; collect_block_mass instead
-    # fills length -> one (heads, n_blocks, n_blocks) float64 mass per sample.
+    # fills length -> one (heads, n_blocks, n_blocks) float32 mass per sample.
     attention_probs: List[np.ndarray] = field(default_factory=list)    # (batch, heads, seq, seq)
     attention_block_mass: Dict[int, List[np.ndarray]] = field(default_factory=dict)
     mlp_inputs: List[np.ndarray] = field(default_factory=list)         # (batch, seq, dim)
@@ -74,69 +76,29 @@ class CollectedLayerData:
         return out
 
 
-_ROW_TILE = 128      # query rows per collection-softmax tile
-
-
-def _dense_attention_probs(q: np.ndarray, k: np.ndarray,
-                           rows: int = _ROW_TILE) -> Iterator[Tuple[tuple, int, np.ndarray]]:
-    """Exact float64 causal attention probabilities from float32 ``q``/``k``,
-    one head and ``rows`` query rows at a time.
-
-    The only place the collection softmax lives.  Yields ``(head, start,
-    tile)`` for every head index of ``q.shape[:-2]`` and every row tile:
-    ``tile`` is rows ``start:start + len(tile)`` of that head's ``(seq,
-    seq)`` probabilities, in one float64 buffer the next tile overwrites.
-    A tile computes only its causal key prefix ``[:stop]`` — float32 GEMM,
-    then scale, mask, max and ``exp`` in float64 — zero-fills the keys past
-    it and sums the full row width, so every value, and every denominator's
-    summation order, is the whole-matrix softmax's bit for bit.
-    """
-    seq = k.shape[-2]
-    rows = min(rows, seq)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    mask = causal_mask(seq)
-    scores = np.empty(rows * seq, np.float32)
-    probs = np.empty((rows, seq), np.float64)
-    for head in np.ndindex(*q.shape[:-2]):
-        for start in range(0, seq, rows):
-            stop = min(start + rows, seq)
-            tile = probs[:stop - start]
-            prefix, keep = tile[:, :stop], mask[start:stop, :stop]
-            s = scores[:prefix.size].reshape(prefix.shape)
-            np.matmul(q[head][start:stop], k[head][:stop].T, out=s)
-            # float32 scores times a float64 scalar: NumPy 2 promotes the
-            # chain to float64, NumPy 1.x's value-based casting kept float32
-            # and trained different predictors.  Pin float64 (the recorded
-            # digests').
-            np.multiply(s, scale, out=prefix, dtype=np.float64)
-            np.copyto(prefix, -1e9, where=~keep)
-            prefix -= prefix.max(axis=-1, keepdims=True)
-            np.exp(prefix, out=prefix)
-            prefix *= keep
-            tile[:, stop:] = 0.0
-            denom = tile.sum(axis=-1, keepdims=True)
-            tile /= np.where(denom == 0, 1.0, denom)
-            yield head, start, tile
-
-
-def _attention_output(attention, q: Tensor, k: Tensor, v: Tensor,
-                      mask: np.ndarray, x: Tensor) -> Tensor:
-    """``attention(x, attn_mask=mask)`` from its projected ``q``/``k``/``v``,
-    running the module's backend one head at a time — bitwise the all-head
-    call, at one head's scores of memory."""
+def _attention_output(attention, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                      record_head: Callable[[int, np.ndarray], None]) -> Tensor:
+    """The frozen forward's attention sub-layer from its projected
+    ``q``/``k``/``v``: the materialising fused SDPA one head at a time —
+    bitwise the all-head call, at one head's scores of memory — handing each
+    head's float32 probabilities ``(batch, 1, seq, seq)`` to
+    ``record_head(head, probs)``."""
+    scale = float(1.0 / np.sqrt(attention.head_dim))
     context = np.empty(v.shape, v.data.dtype)
     for head in range(q.shape[1]):
         one = slice(head, head + 1)
-        context[:, one] = attention.backend(
-            attention, q[:, one], k[:, one], v[:, one], mask, x).data
+        out, probs = fused.scaled_dot_product_attention(
+            q[:, one], k[:, one], v[:, one], mask, scale=scale, return_probs=True)
+        context[:, one] = out.data
+        record_head(head, probs)
     return attention.dropout(attention.out_proj(attention.merge_heads(Tensor(context))))
 
 
 def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
              max_batches: Optional[int], truncate_to: Optional[int],
              record_attention: Callable) -> List[CollectedLayerData]:
-    """The frozen-model pass loop; ``record_attention(record, q, k)``
-    decides what is kept of each layer's causal attention probabilities."""
+    """The frozen-model pass loop; ``record_attention(record, head, probs)``
+    decides what is kept of each head's causal attention probabilities."""
     layers = [CollectedLayerData() for _ in model.blocks]
     with no_grad():
         for index, batch in enumerate(batches):
@@ -161,8 +123,8 @@ def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
                 record.attention_inputs.append(x_norm.data.copy())
                 q, k, v = (attention.split_heads(proj(x_norm)) for proj in (
                     attention.q_proj, attention.k_proj, attention.v_proj))
-                record_attention(record, q.data, k.data)
-                hidden = hidden + _attention_output(attention, q, k, v, mask, x_norm)
+                hidden = hidden + _attention_output(
+                    attention, q, k, v, mask, functools.partial(record_attention, record))
 
                 x_norm2 = block.mlp_norm(hidden)
                 record.mlp_inputs.append(x_norm2.data.copy())
@@ -178,8 +140,8 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
                        truncate_to: Optional[int] = None) -> List[CollectedLayerData]:
     """Run inference passes and record per-layer predictor training data.
 
-    Every layer's ``(batch, heads, seq, seq)`` float64 probabilities stay
-    alive in the result, copied tile by tile out of the same softmax
+    Every layer's ``(batch, heads, seq, seq)`` float32 probabilities stay
+    alive in the result, copied head by head out of the same softmax
     :func:`collect_block_mass` reduces: the recorder for
     :mod:`repro.analysis` and the twin tests hold ``prepare`` against.
 
@@ -200,11 +162,13 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
     -------
     list of :class:`CollectedLayerData`, one entry per transformer layer.
     """
-    def record_probs(record, q, k):
-        probs = np.empty(q.shape[:-1] + (k.shape[-2],), np.float64)
-        for head, start, tile in _dense_attention_probs(q, k):
-            probs[head][start:start + len(tile)] = tile
-        record.attention_probs.append(probs)
+    heads = model.config.num_heads
+
+    def record_probs(record, head, probs):
+        if head == 0:
+            record.attention_probs.append(
+                np.empty((len(probs), heads) + probs.shape[2:], probs.dtype))
+        record.attention_probs[-1][:, head] = probs[:, 0]
 
     return _collect(model, batches, max_batches, truncate_to, record_probs)
 
@@ -214,29 +178,25 @@ def collect_block_mass(model: CausalLMModel, batches: Iterable[np.ndarray],
     """:func:`collect_layer_data` with the probabilities reduced at production.
 
     Every consumer of the probabilities reads them through
-    ``exposer.block_reduce``, so each row tile the softmax yields is reduced
-    on the spot — per entry of ``lengths`` the batch reaches, on that prefix
-    — into per-sample ``(heads, n_blocks, n_blocks)`` masses, and no more of
-    the probabilities than one head's tile ever exists.  Bitwise equal to
-    reducing :func:`collect_layer_data`'s probabilities sample by sample.
+    ``exposer.block_reduce``, so each head's probabilities are reduced the
+    moment the frozen forward's softmax yields them — per entry of
+    ``lengths`` the batch reaches, on that prefix — into per-sample
+    ``(heads, n_blocks, n_blocks)`` float32 masses, and no more of the
+    probabilities than one head's ever exists.  Bitwise equal to reducing
+    :func:`collect_layer_data`'s probabilities sample by sample.
     """
-    bs = exposer.block_size
-    rows = max(1, _ROW_TILE // bs) * bs      # tiles hold whole query blocks
+    heads = model.config.num_heads
 
-    def record_mass(record, q, k):
-        reached = [length for length in lengths if length <= k.shape[-2]]
-        if not reached:
-            return
-        masses = {length: np.zeros(q.shape[:2] + (block_count(length, bs),) * 2)
-                  for length in reached}
-        for head, start, tile in _dense_attention_probs(q, k, rows):
-            for length in reached:
-                if start < length:
-                    first = start // bs
-                    block_rows = exposer.block_reduce(
-                        tile[None, None, :length - start, :length], start)[0]
-                    masses[length][head][first:first + len(block_rows)] = block_rows
-        for length in reached:
-            record.attention_block_mass.setdefault(length, []).extend(masses[length])
+    def record_mass(record, head, probs):
+        for length in lengths:
+            if length > probs.shape[-1]:
+                continue
+            masses = record.attention_block_mass.setdefault(length, [])
+            if head == 0:
+                n_blocks = block_count(length, exposer.block_size)
+                masses.extend(np.empty((heads, n_blocks, n_blocks), probs.dtype)
+                              for _ in probs)
+            for mass, sample in zip(masses[-len(probs):], probs):
+                mass[head] = exposer.block_reduce(sample[None, :, :length, :length])[0]
 
     return _collect(model, batches, None, None, record_mass)

@@ -12,12 +12,19 @@ Both optimisations the paper prescribes are implemented here:
 Training uses the same Adam optimizer as the main stack; the predictors are
 tiny (rank ``r << d``), so a few dozen epochs converge in well under a second
 even on the CPU substrate.
+
+:func:`train_predictors` steps its probes in lockstep on one noise stream:
+one draw per (epoch, minibatch) from ``default_rng(config.seed)`` — the
+permutation, then the noise — on which every probe steps before the next
+draw.  The draws never depend on the probe, so a fit is bitwise the same
+however many probes share the loop; ``prepare`` hands it every layer's
+probes at once and generates the noise once instead of once per probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,14 +82,88 @@ def _recall_precision(pred: np.ndarray, target: np.ndarray) -> Tuple[float, floa
 
 
 # ---------------------------------------------------------------------------
+# the lockstep loop
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Probe:
+    """A predictor, its inputs, per-sample BCE targets and
+    ``evaluate(last_loss, epochs)``, which scores it on the clean inputs."""
+
+    predictor: object
+    inputs: np.ndarray
+    targets: np.ndarray
+    evaluate: Callable[[float, int], PredictorMetrics]
+
+
+def train_predictors(probes: Sequence[Probe],
+                     config: Optional[PredictorTrainingConfig] = None
+                     ) -> List[PredictorMetrics]:
+    """Train ``probes`` in lockstep on one shared noise stream (see the
+    module docstring); returns their metrics in order.  All probes must
+    share one input shape ``(n_samples, seq, dim)``."""
+    config = config or PredictorTrainingConfig()
+    if not probes:
+        return []
+    shapes = {probe.inputs.shape for probe in probes}
+    if len(shapes) > 1:
+        raise ValueError(f"lockstep probes must share one input shape, got {sorted(shapes)}")
+    n_samples, *sample_shape = shapes.pop()
+    rng = np.random.default_rng(config.seed)
+    optimizers = [Adam(probe.predictor.trainable_parameters(), lr=config.lr)
+                  for probe in probes]
+    losses = [0.0] * len(probes)
+    for _ in range(config.epochs):
+        order = rng.permutation(n_samples)
+        for start in range(0, n_samples, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            noise = None
+            if config.noise_std > 0:
+                noise = rng.normal(0.0, config.noise_std,
+                                   size=(len(idx), *sample_shape)).astype(np.float32)
+            for index, (probe, optimizer) in enumerate(zip(probes, optimizers)):
+                x = probe.inputs[idx]
+                if noise is not None:
+                    x += noise
+                logits = probe.predictor(Tensor(x))
+                loss = F.binary_cross_entropy_with_logits(logits, probe.targets[idx],
+                                                          pos_weight=config.pos_weight)
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+                losses[index] = float(loss.data)
+    return [probe.evaluate(loss, config.epochs) for probe, loss in zip(probes, losses)]
+
+
+# ---------------------------------------------------------------------------
 # attention predictor
 # ---------------------------------------------------------------------------
 
-def attention_block_labels(exposer: AttentionExposer,
-                           block_mass: np.ndarray) -> np.ndarray:
-    """Per-sample, per-head binary block labels from per-sample block mass."""
-    return np.stack([exposer.raw_masks_from_block_mass(mass)
-                     for mass in block_mass]).astype(np.float32)
+def attention_probe(predictor: AttentionPredictor, inputs: np.ndarray,
+                    block_mass: np.ndarray, exposer: AttentionExposer) -> Probe:
+    """One layer's attention predictor with its recorded inputs ``(n_samples,
+    seq, dim)`` and each sample's exact attention probabilities reduced by
+    ``exposer.block_reduce``: ``(n_samples, heads, n_blocks, n_blocks)``."""
+    labels = np.stack([exposer.raw_masks_from_block_mass(mass)
+                       for mass in block_mass]).astype(np.float32)
+    causal = causal_block_mask(labels.shape[-1])
+
+    def evaluate(loss: float, epochs: int) -> PredictorMetrics:
+        # Block-level recall/precision on the clean training inputs.
+        scores = predictor.approximate_scores(inputs)
+        pred = ((1.0 / (1.0 + np.exp(-scores))) > 0.5) & causal[None, None]
+        target = (labels > 0.5) & causal[None, None]
+        recall, precision = _recall_precision(pred, target)
+        causal_blocks = max(float(causal.sum()), 1.0)
+        per_sample_head = pred.shape[0] * pred.shape[1]
+        return PredictorMetrics(recall=recall, precision=precision,
+                                loss=loss, epochs=epochs,
+                                predicted_density=float(pred.sum())
+                                / (per_sample_head * causal_blocks),
+                                label_density=float(target.sum())
+                                / (per_sample_head * causal_blocks))
+
+    return Probe(predictor, inputs, labels * causal.astype(np.float32), evaluate)
 
 
 def train_attention_predictor(predictor: AttentionPredictor,
@@ -90,55 +171,10 @@ def train_attention_predictor(predictor: AttentionPredictor,
                               exposer: AttentionExposer,
                               config: Optional[PredictorTrainingConfig] = None
                               ) -> PredictorMetrics:
-    """Train one layer's attention predictor on collected data.
-
-    Parameters
-    ----------
-    inputs:
-        Recorded layer inputs ``(n_samples, seq, dim)``.
-    block_mass:
-        Each sample's exact attention probabilities reduced by
-        ``exposer.block_reduce``: ``(n_samples, heads, n_blocks, n_blocks)``.
-    """
-    config = config or PredictorTrainingConfig()
-    rng = np.random.default_rng(config.seed)
-    labels = attention_block_labels(exposer, block_mass)
-    n_blocks = labels.shape[-1]
-    causal = causal_block_mask(n_blocks).astype(np.float32)
-
-    optimizer = Adam(predictor.trainable_parameters(), lr=config.lr)
-    n_samples = inputs.shape[0]
-    last_loss = 0.0
-    for _ in range(config.epochs):
-        order = rng.permutation(n_samples)
-        for start in range(0, n_samples, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            x = inputs[idx]
-            if config.noise_std > 0:
-                x = x + rng.normal(0.0, config.noise_std, size=x.shape).astype(np.float32)
-            target = labels[idx] * causal
-            logits = predictor(Tensor(x))
-            loss = F.binary_cross_entropy_with_logits(logits, target,
-                                                      pos_weight=config.pos_weight)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            last_loss = float(loss.data)
-
-    # Evaluate block-level recall/precision on the clean training inputs.
-    scores = predictor.approximate_scores(inputs)
-    pred = (1.0 / (1.0 + np.exp(-scores))) > 0.5
-    pred = pred & causal.astype(bool)[None, None]
-    target = (labels > 0.5) & causal.astype(bool)[None, None]
-    recall, precision = _recall_precision(pred, target)
-    causal_blocks = max(float(causal.sum()), 1.0)
-    per_sample_head = pred.shape[0] * pred.shape[1]
-    return PredictorMetrics(recall=recall, precision=precision,
-                            loss=last_loss, epochs=config.epochs,
-                            predicted_density=float(pred.sum())
-                            / (per_sample_head * causal_blocks),
-                            label_density=float(target.sum())
-                            / (per_sample_head * causal_blocks))
+    """Train one layer's attention predictor on collected data (the
+    arguments are :func:`attention_probe`'s)."""
+    return train_predictors([attention_probe(predictor, inputs, block_mass, exposer)],
+                            config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,47 +202,41 @@ def mlp_token_block_labels(activations: np.ndarray, block_size: int,
     return (block_mass >= threshold * peak).astype(np.float32)
 
 
+def mlp_probe(predictor: MLPPredictor, inputs: np.ndarray,
+              activations: np.ndarray, exposer: MLPExposer) -> Probe:
+    """One layer's MLP neuron-block predictor and its training set: the
+    recorded MLP inputs and post-ReLU ``activations`` of every sample."""
+    token_labels = mlp_token_block_labels(activations, predictor.block_size,
+                                          threshold=exposer.threshold)
+    # The exposer's ground-truth block sets, taken now so that a probe waiting
+    # in the lockstep loop does not keep its activations alive.
+    truths = [exposer.active_blocks(activations[i:i + 1])
+              for i in range(activations.shape[0])]
+
+    def evaluate(loss: float, epochs: int) -> PredictorMetrics:
+        # Sequence-level evaluation against the exposer's ground-truth block
+        # sets (this is the recall the paper reports: 96.35 % on average).
+        recalls, precisions = [], []
+        for i, active in enumerate(truths):
+            truth = np.zeros(predictor.n_blocks, dtype=bool)
+            truth[active] = True
+            pred = np.zeros(predictor.n_blocks, dtype=bool)
+            pred[predictor.predict_active_blocks(inputs[i:i + 1])] = True
+            r, p = _recall_precision(pred, truth)
+            recalls.append(r)
+            precisions.append(p)
+        return PredictorMetrics(recall=float(np.mean(recalls)),
+                                precision=float(np.mean(precisions)),
+                                loss=loss, epochs=epochs)
+
+    return Probe(predictor, inputs, token_labels, evaluate)
+
+
 def train_mlp_predictor(predictor: MLPPredictor,
                         inputs: np.ndarray, activations: np.ndarray,
                         exposer: MLPExposer,
                         config: Optional[PredictorTrainingConfig] = None
                         ) -> PredictorMetrics:
     """Train one layer's MLP neuron-block predictor on collected data."""
-    config = config or PredictorTrainingConfig()
-    rng = np.random.default_rng(config.seed)
-    token_labels = mlp_token_block_labels(activations, predictor.block_size,
-                                          threshold=exposer.threshold)
-
-    optimizer = Adam(predictor.trainable_parameters(), lr=config.lr)
-    n_samples = inputs.shape[0]
-    last_loss = 0.0
-    for _ in range(config.epochs):
-        order = rng.permutation(n_samples)
-        for start in range(0, n_samples, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            x = inputs[idx]
-            if config.noise_std > 0:
-                x = x + rng.normal(0.0, config.noise_std, size=x.shape).astype(np.float32)
-            target = token_labels[idx]
-            logits = predictor(Tensor(x))
-            loss = F.binary_cross_entropy_with_logits(logits, target,
-                                                      pos_weight=config.pos_weight)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            last_loss = float(loss.data)
-
-    # Sequence-level evaluation against the exposer's ground-truth block sets
-    # (this is the recall the paper reports: 96.35 % on average).
-    recalls, precisions = [], []
-    for i in range(n_samples):
-        truth = np.zeros(predictor.n_blocks, dtype=bool)
-        truth[exposer.active_blocks(activations[i:i + 1])] = True
-        pred = np.zeros(predictor.n_blocks, dtype=bool)
-        pred[predictor.predict_active_blocks(inputs[i:i + 1])] = True
-        r, p = _recall_precision(pred, truth)
-        recalls.append(r)
-        precisions.append(p)
-    return PredictorMetrics(recall=float(np.mean(recalls)),
-                            precision=float(np.mean(precisions)),
-                            loss=last_loss, epochs=config.epochs)
+    return train_predictors([mlp_probe(predictor, inputs, activations, exposer)],
+                            config)[0]

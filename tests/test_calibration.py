@@ -53,6 +53,8 @@ from parity import sample_block_mass
 SGEMM_CANARY = "d89522c442ee65f4a0495f1dbe19480cc4748a5e12387948112c6b2316113eb8"
 OPT_TINY_PREDICTOR_WEIGHTS = (
     "bb6dbf997206488ffc7d53e8eb98a3701737002c6c0cc990ed906c7a1b939503")
+OPT_TINY_MLP_PREDICTOR_WEIGHTS = (
+    "ebc2ff2ba90f4956cb67dffdf22544d8bb148c789e9ee51421cee18fd50f82bd")
 
 
 class TestPrimitives:
@@ -422,10 +424,12 @@ def _sha(*arrays) -> str:
 
 
 def _fitted_digest(predictor, calibration, metrics) -> str:
-    """Everything ``prepare`` fits for one attention layer, bit for bit."""
+    """Everything ``prepare`` fits for one probe, bit for bit: its weights,
+    its per-length budgets (attention) or thresholds (MLP), its metrics."""
+    fitted = (calibration.budgets if isinstance(calibration, AttentionCalibration)
+              else calibration.thresholds)
     return _sha(*(p.data for p in predictor.trainable_parameters()),
-                *(calibration.budgets[length]
-                  for length in calibration.grid_lengths()),
+                *(np.asarray(fitted[length]) for length in calibration.grid_lengths()),
                 np.asarray(dataclasses.astuple(metrics), dtype=np.float64))
 
 
@@ -442,9 +446,11 @@ class TestStreamingPrepare:
                              ids=["default_grid", "ragged_grid"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bitwise_twin_of_full_probability_collection(self, seed, grid):
-        """``prepare`` keeps per-sample block mass only; what it fits must
-        equal, bit for bit, the fit on ``collect_layer_data``'s full
-        probabilities reduced per sample — same batches, same order."""
+        """``prepare`` keeps per-sample block mass only and trains every
+        layer's probes in one lockstep loop; what it fits must equal, bit
+        for bit, one-probe fits on ``collect_layer_data``'s full
+        probabilities reduced per sample — same batches, same order — for
+        the attention and the MLP predictors alike."""
         model, batches = _prepare_inputs(seed)
         config = LongExposureConfig(block_size=16, predictor_epochs=3,
                                     seed=seed, calibration_lengths=grid)
@@ -455,16 +461,18 @@ class TestStreamingPrepare:
         exposer = engine.attention_exposer
         lengths = sorted(set(grid) | {128})
         for layer, data in enumerate(collect_layer_data(model, batches)):
-            probs = data.merged()["attention_probs"]
+            merged = data.merged()
+            by_length = {l: data.merged(truncate_to=l) for l in lengths}
+            probs = merged["attention_probs"]
             predictor = AttentionPredictor(
                 model.config.dim, model.config.num_heads, config.predictor_rank,
                 16, threshold=config.attention_threshold, seed=seed + layer)
             metrics = train_attention_predictor(
-                predictor, data.merged()["attention_inputs"],
+                predictor, merged["attention_inputs"],
                 sample_block_mass(exposer, probs), exposer, training)
             calibration = calibrate_attention_predictor(
                 predictor, exposer,
-                {l: data.merged(truncate_to=l)["attention_inputs"] for l in lengths},
+                {l: by_length[l]["attention_inputs"] for l in lengths},
                 {l: sample_block_mass(exposer, probs, l) for l in lengths})
             assert calibration.grid_lengths() == lengths
             assert _fitted_digest(predictor, calibration, metrics) == _fitted_digest(
@@ -472,38 +480,46 @@ class TestStreamingPrepare:
                 engine.attention_calibrations[layer],
                 engine.predictor_metrics["attention"][layer]), f"layer {layer}"
 
+            mlp = MLPPredictor(model.config.dim, model.config.hidden_dim, 16,
+                               min_active_blocks=config.min_active_mlp_blocks,
+                               seed=seed + 1000 + layer)
+            metrics = train_mlp_predictor(mlp, merged["mlp_inputs"],
+                                          merged["mlp_activations"],
+                                          engine.mlp_exposer, training)
+            calibration = calibrate_mlp_predictor(
+                mlp, engine.mlp_exposer,
+                {l: by_length[l]["mlp_inputs"] for l in lengths},
+                {l: by_length[l]["mlp_activations"] for l in lengths})
+            assert calibration.grid_lengths() == lengths
+            assert _fitted_digest(mlp, calibration, metrics) == _fitted_digest(
+                engine.mlp_predictors[layer], engine.mlp_calibrations[layer],
+                engine.predictor_metrics["mlp"][layer]), f"mlp layer {layer}"
+
     def test_collection_dtype_does_not_follow_numpy_promotion(self, tiny_model,
                                                               tiny_batches):
-        """float32 scores times a float64 scale: NumPy 2 promotes, NumPy 1.x's
-        value-based casting does not.  The chain pins float64 — checked
-        against one with every dtype spelled out, and against the float32
-        chain it must not silently become."""
+        """Block mass is ``block_reduce`` of the model's own per-head SDPA
+        probabilities — the all-head fused kernel's, bit for bit — and stays
+        float32 on every NumPy major: the kernel scales by a Python float in
+        place, which neither NEP 50 nor value-based casting promotes."""
         from repro.nn.attention import causal_mask
-        from repro.tensor import Tensor, no_grad
+        from repro.tensor import Tensor, fused, no_grad
 
         exposer = AttentionExposer(block_size=16, coverage=0.9)
-        data = collect_block_mass(tiny_model, tiny_batches[:1], exposer, [64])[0]
+        data = collect_block_mass(tiny_model, tiny_batches[:1], exposer, [48, 64])[0]
         mass = data.merged()["attention_block_mass"]
-        assert mass.dtype == np.float64 and mass.shape == (2, 4, 4, 4)
+        assert mass.dtype == np.float32 and mass.shape == (2, 4, 4, 4)
 
         attention = tiny_model.blocks[0].attention
         with no_grad():
             x_norm = Tensor(data.attention_inputs[0])
-            q = attention.split_heads(attention.q_proj(x_norm)).data
-            k = attention.split_heads(attention.k_proj(x_norm)).data
-        mask = causal_mask(64)
-
-        def explicit(dtype):
-            scores = (np.matmul(q, np.swapaxes(k, -1, -2)).astype(dtype)
-                      * dtype(1.0 / np.sqrt(q.shape[-1])))
-            scores = np.where(mask, scores, dtype(-1e9))
-            scores = scores - scores.max(axis=-1, keepdims=True)
-            probs = np.exp(scores) * mask.astype(dtype)
-            return probs / probs.sum(axis=-1, keepdims=True)
-
-        assert np.array_equal(mass, sample_block_mass(exposer, explicit(np.float64)))
-        assert not np.array_equal(
-            mass, sample_block_mass(exposer, explicit(np.float32)))
+            q, k, v = (attention.split_heads(proj(x_norm)) for proj in (
+                attention.q_proj, attention.k_proj, attention.v_proj))
+            _, probs = fused.scaled_dot_product_attention(
+                q, k, v, causal_mask(64), return_probs=True)
+        assert probs.dtype == np.float32
+        for length in (48, 64):
+            assert _sha(*data.attention_block_mass[length]) == _sha(
+                sample_block_mass(exposer, probs, length)), length
 
     def test_predictor_weight_digest_is_stable(self):
         """Stored digest of the weights ``prepare`` trains on ``opt-tiny`` —
@@ -519,19 +535,52 @@ class TestStreamingPrepare:
         engine = LongExposure(LongExposureConfig(block_size=16,
                                                  predictor_epochs=3, seed=0))
         engine.prepare(model, batches)
-        weights = [p.data for predictor in engine.attention_predictors
-                   for p in predictor.trainable_parameters()]
-        assert all(w.dtype == np.float32 for w in weights)
-        assert _sha(*weights) == OPT_TINY_PREDICTOR_WEIGHTS
+        weights = {kind: [p.data for predictor in predictors
+                          for p in predictor.trainable_parameters()]
+                   for kind, predictors in (("attention", engine.attention_predictors),
+                                            ("mlp", engine.mlp_predictors))}
+        assert all(w.dtype == np.float32 for ws in weights.values() for w in ws)
+        assert {kind: _sha(*ws) for kind, ws in weights.items()} == {
+            "attention": OPT_TINY_PREDICTOR_WEIGHTS,
+            "mlp": OPT_TINY_MLP_PREDICTOR_WEIGHTS}
+
+    def test_prepare_draws_the_noise_once_for_every_probe(self, monkeypatch):
+        """Every probe trains on one shared noise stream: ``prepare`` makes
+        one input-shaped ``normal`` draw per (epoch, minibatch), however many
+        layers and probes it trains — not one per probe."""
+        model, batches = _prepare_inputs(seed=0)
+        sample_shape = (batches[0].shape[1], model.config.dim)
+        draws = []
+        make_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, *args, **kwargs):
+                self._rng = make_rng(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def normal(self, *args, size=None, **kwargs):
+                if size is not None and tuple(size)[1:] == sample_shape:
+                    draws.append(size)
+                return self._rng.normal(*args, size=size, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        training = PredictorTrainingConfig(epochs=2, batch_size=3, seed=0)
+        engine = LongExposure(LongExposureConfig(block_size=16, seed=0))
+        engine.prepare(model, batches, training_config=training)
+        assert len(engine.attention_predictors) == len(engine.mlp_predictors) == 2
+        n_samples = sum(len(batch) for batch in batches)
+        assert len(draws) == training.epochs * -(-n_samples // training.batch_size)
 
     @pytest.mark.perf_smoke
     def test_prepare_peak_memory_is_a_few_heads_probabilities(self):
-        """``prepare`` holds no more of the probabilities than one head's row
-        tile, and the frozen forward materialises one head's scores at a
-        time: its peak is a few ``(seq, seq)`` float64 heads, most of it the
-        recorded inputs and activations the probes train on.  One sample's
-        ``(heads, seq, seq)`` scratch beside an all-head forward (what
-        collection used to hold) is over twice that bound."""
+        """``prepare`` holds no more of the probabilities than the frozen
+        forward's one head of scores at a time: its peak is a few ``(seq,
+        seq)`` float64 heads, most of it the recorded inputs and activations
+        the probes train on.  One sample's ``(heads, seq, seq)`` scratch
+        beside an all-head forward (what collection once held) is over twice
+        that bound."""
         seq = 512
         model, batches = _prepare_inputs(seed=0, shape=(1, seq))
         engine = LongExposure(LongExposureConfig(block_size=16,
@@ -544,38 +593,6 @@ class TestStreamingPrepare:
             tracemalloc.stop()
         one_head = seq * seq * 8
         assert peak <= 5 * one_head, f"peak {peak / one_head:.2f} heads"
-
-    @pytest.mark.parity
-    def test_row_tiles_are_the_whole_matrix_softmax(self, tiny_model):
-        """At seq 300 the softmax runs in three prefix row tiles per head,
-        the last one ragged; probabilities and per-length block mass must be
-        the whole-matrix float64 chain's, bit for bit (a tile that summed
-        only its causal prefix would round some denominators differently)."""
-        from repro.nn.attention import causal_mask
-        from repro.tensor import Tensor, no_grad
-
-        batch = np.random.default_rng(3).integers(0, 512, size=(2, 300))
-        exposer = AttentionExposer(block_size=16, coverage=0.9)
-        lengths = [100, 256, 300]
-        with_probs = collect_layer_data(tiny_model, [batch])
-        with_mass = collect_block_mass(tiny_model, [batch], exposer, lengths)
-        for layer, block in enumerate(tiny_model.blocks):
-            attention = block.attention
-            with no_grad():
-                x_norm = Tensor(with_probs[layer].attention_inputs[0])
-                q = attention.split_heads(attention.q_proj(x_norm)).data
-                k = attention.split_heads(attention.k_proj(x_norm)).data
-            scores = (np.matmul(q, np.swapaxes(k, -1, -2)).astype(np.float64)
-                      * (1.0 / np.sqrt(q.shape[-1])))
-            mask = causal_mask(300)
-            scores = np.where(mask, scores, -1e9)
-            probs = np.exp(scores - scores.max(axis=-1, keepdims=True)) * mask
-            probs /= probs.sum(axis=-1, keepdims=True)
-
-            assert _sha(with_probs[layer].attention_probs[0]) == _sha(probs), layer
-            for length in lengths:
-                assert _sha(*with_mass[layer].attention_block_mass[length]) == _sha(
-                    sample_block_mass(exposer, probs, length)), (layer, length)
 
     def test_recorded_inputs_are_the_model_forwards(self):
         """Collection projects q/k/v itself and runs attention one head at a
