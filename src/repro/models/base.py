@@ -21,6 +21,7 @@ output embeddings.  Two reproduction-specific details:
 
 from __future__ import annotations
 
+from statistics import NormalDist
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,6 +30,13 @@ from repro.models.config import ModelConfig
 from repro.nn import Embedding, LayerNorm, Module, ModuleList, TransformerBlock
 from repro.tensor import Tensor, functional as F
 from repro.tensor.tensor import embedding_lookup
+
+
+def normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard-normal quantiles (float64) of a 1-D array of probabilities:
+    the standard library's AS241, within a few ulp of ``scipy.stats.norm.ppf``."""
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(x) for x in np.asarray(p, dtype=np.float64).tolist()])
 
 
 class CausalLMModel(Module):
@@ -70,9 +78,13 @@ class CausalLMModel(Module):
         * neuron importance is *heavy-tailed*: a minority of hot neurons
           carries most of the activation mass, which is what the exposer's
           importance filter exploits.
-        """
-        from scipy.stats import norm as _norm
 
+        The fc1 bias offset is ``normal_quantile`` of each neuron's target
+        sparsity times its row norm.  Those float64 quantiles are within a few
+        ulp of ``scipy.stats.norm.ppf``'s, which the float32 cast rounds away:
+        the weights are bitwise the SciPy quantile's (SHA-256 over every
+        parameter of the small registered configs at seeds 0, 1, 2 and 7).
+        """
         config = self.config
 
         # Smooth (sinusoidal) position embeddings: nearby positions get
@@ -108,7 +120,7 @@ class CausalLMModel(Module):
             hot_scale = (1.0 + 15.0 * (1.0 - rank_frac) ** 3).astype(np.float32)
             mlp.fc1.weight.data *= hot_scale[:, None]
             row_norm = np.linalg.norm(mlp.fc1.weight.data, axis=1)
-            quantile = _norm.ppf(per_neuron_sparsity)
+            quantile = normal_quantile(per_neuron_sparsity)
             mlp.fc1.bias.data -= (quantile * row_norm).astype(np.float32)
 
             attn = block.attention

@@ -1,9 +1,16 @@
 """Tests of the nn module library and the OPT / GPT-2 model families."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.models import GPT2Model, OPTModel, build_model, get_config, list_configs
+from repro.models.base import normal_quantile
 from repro.models.config import PAPER_TO_EXECUTABLE, ModelConfig, register_config
 from repro.nn import (
     Dropout,
@@ -200,3 +207,63 @@ class TestModels:
         ids = np.arange(12) % tiny_model.config.vocab_size
         ll = tiny_model.sequence_log_likelihood(ids, completion_start=6)
         assert ll < 0
+
+
+class TestSparsityInitQuantile:
+    # ``scipy.stats.norm.ppf`` (SciPy 1.17.1) at probabilities spanning the
+    # initialiser's per-neuron sparsity range [0.4, 0.995].
+    SCIPY_PPF = {
+        0.4: -0.2533471031357997,
+        0.5: 0.0,
+        0.55: 0.12566134685507416,
+        0.7: 0.5244005127080407,
+        0.8: 0.8416212335729143,
+        0.9: 1.2815515655446004,
+        0.95: 1.6448536269514722,
+        0.99: 2.3263478740408408,
+        0.995: 2.5758293035489004,
+    }
+
+    def test_quantile_is_within_four_ulp_of_scipy(self):
+        probs = np.array(list(self.SCIPY_PPF), dtype=np.float64)
+        expected = np.array(list(self.SCIPY_PPF.values()), dtype=np.float64)
+        got = normal_quantile(probs)
+        assert got.dtype == np.float64 and got.shape == probs.shape
+        np.testing.assert_array_less(np.abs(got - expected),
+                                     4 * np.abs(np.spacing(expected)))
+
+    def test_building_and_running_the_system_never_imports_scipy(self):
+        """The runtime needs only NumPy.  A fresh interpreter, since another
+        test may already have imported SciPy into this one."""
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from repro import (CaptureConfig, FineTuner, LongExposure,
+                               LongExposureConfig, TrainingConfig, apply_lora,
+                               create_model)
+            from repro.serve import FineTuningService, ServiceConfig
+
+            batch = np.random.default_rng(0).integers(0, 512, size=(1, 64))
+            model = create_model("opt-tiny", seed=0)
+            engine = LongExposure(LongExposureConfig(
+                block_size=16, predictor_epochs=1, predict_interval=2))
+            engine.prepare(model, [batch])
+            apply_lora(model)
+            engine.install(model)
+            tuner = FineTuner(model, TrainingConfig(
+                capture=CaptureConfig(enabled=True, warmup=0)), engine=engine)
+            tuner.step(batch)
+            tuner.step(batch)
+            assert (tuner.capture.full_captures, tuner.capture.full_replays) \
+                == (1, 1), tuner.capture.summary()
+
+            service = FineTuningService(ServiceConfig(
+                model="opt-tiny", adapters=("lora",), seq_buckets=(64,)))
+            service.submit("tenant", batch)
+            assert len(service.flush()) == 1
+            assert "scipy" not in sys.modules
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
