@@ -48,6 +48,7 @@ def main() -> None:
     engine.install(sparse_model)                        # swap in the sparse kernels
     sparse_tuner = FineTuner(sparse_model, TrainingConfig(learning_rate=1e-3), engine=engine)
     sparse_report = sparse_tuner.train([batches[i % len(batches)] for i in range(steps)])
+    gauges, summary = engine.gauges(), engine.summary()    # read the live layouts
     engine.uninstall(sparse_model)
     print(f"+LongExposure: {sparse_report.breakdown_table()}")
 
@@ -55,9 +56,9 @@ def main() -> None:
     print(f"\nfinal loss  dense={dense_report.final_loss:.4f} "
           f"sparse={sparse_report.final_loss:.4f}")
     print(f"step speedup {speedup:.2f}x "
-          f"(attention block sparsity {engine.stats.mean_attention_sparsity():.2f}, "
-          f"MLP block sparsity {engine.stats.mean_mlp_sparsity():.2f})")
-    print(engine.summary())
+          f"(attention block sparsity {gauges['attention_sparsity']:.2f}, "
+          f"MLP block sparsity {gauges['mlp_sparsity']:.2f})")
+    print(summary)
 
 
 if __name__ == "__main__":

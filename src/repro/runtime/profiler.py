@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 
 class PhaseProfiler:
@@ -17,19 +17,11 @@ class PhaseProfiler:
         with profiler.phase("forward"):
             ...
         profiler.totals()["forward"]   # seconds
-
-    For per-call hot loops, the explicit :meth:`start` / :meth:`stop` pair
-    avoids the generator-based context manager's allocation per entry::
-
-        profiler.start("step")
-        ...
-        profiler.stop("step")
     """
 
     def __init__(self) -> None:
         self._totals: Dict[str, float] = defaultdict(float)
         self._counts: Dict[str, int] = defaultdict(int)
-        self._open: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
 
     @contextmanager
@@ -41,20 +33,6 @@ class PhaseProfiler:
             elapsed = time.perf_counter() - start
             self._totals[name] += elapsed
             self._counts[name] += 1
-
-    def start(self, name: str) -> None:
-        """Open a phase without a context manager (hot-loop friendly)."""
-        self._open[name] = time.perf_counter()
-
-    def stop(self, name: str) -> float:
-        """Close a phase opened with :meth:`start`; returns elapsed seconds."""
-        begin = self._open.pop(name, None)
-        if begin is None:
-            raise RuntimeError(f"stop({name!r}) without a matching start()")
-        elapsed = time.perf_counter() - begin
-        self._totals[name] += elapsed
-        self._counts[name] += 1
-        return elapsed
 
     def set_gauge(self, name: str, value: float) -> None:
         """Record a point-in-time metric (latest value wins, not accumulated).
@@ -96,10 +74,6 @@ class PhaseProfiler:
 
     def counts(self) -> Dict[str, int]:
         return dict(self._counts)
-
-    def mean(self, name: str) -> float:
-        count = self._counts.get(name, 0)
-        return self._totals.get(name, 0.0) / count if count else 0.0
 
     def reset(self) -> None:
         self._totals.clear()

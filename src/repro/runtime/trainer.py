@@ -373,35 +373,15 @@ class FineTuner:
             self.profiler.add("comm", comm_s)
         if self.engine is not None:
             self.profiler.add("prediction", prediction_s)
-            # Derived scheduler health metrics ride along with the phase
-            # timings (see PhaseProfiler.summary_dict).
-            stats = self.engine.stats
-            self.profiler.set_gauge("prediction_fraction", stats.prediction_fraction())
-            self.profiler.set_gauge("attention_reuse_rate", stats.attention_reuse_rate())
-            self.profiler.set_gauge("mlp_reuse_rate", stats.mlp_reuse_rate())
-            self.profiler.set_gauge("attention_mask_drift", stats.mean_attention_drift())
-            self.profiler.set_gauge("mlp_block_drift", stats.mean_mlp_drift())
-            # Achieved sparsity of the executed layouts plus the calibration-
-            # time predicted-vs-oracle density gap, so a drifting predicted
-            # density is visible next to the phase timings.
-            self.profiler.set_gauge("attention_sparsity",
-                                    stats.mean_attention_sparsity())
-            self.profiler.set_gauge("mlp_sparsity", stats.mean_mlp_sparsity())
-            # What the live layouts execute this step: mean over layers, and
-            # the densest head of any layer.
-            live = self.engine.live_attention_sparsity()
-            if live:
-                self.profiler.set_gauge("attention_live_sparsity", float(
-                    np.mean([heads.mean() for heads in live.values()])))
-                self.profiler.set_gauge("attention_min_head_sparsity", float(
-                    min(heads.min() for heads in live.values())))
-            efficiency = self.engine.live_panel_efficiency()
-            if efficiency:
-                self.profiler.set_gauge("attention_panel_efficiency",
-                                        float(np.mean(list(efficiency.values()))))
-            gaps = getattr(self.engine, "calibration_gap", dict)()
-            for kind, gap in gaps.items():
-                self.profiler.set_gauge(f"{kind}_calibration_gap", gap)
+            # Figure 10's share: prediction seconds over the phase seconds
+            # of every step so far (prediction runs inside the forward).
+            totals = self.profiler.totals()
+            phase_s = sum(totals.get(name, 0.0)
+                          for name in ("forward", "backward", "optimizer", "comm"))
+            self.profiler.set_gauge("prediction_fraction",
+                                    totals["prediction"] / phase_s if phase_s > 0.0 else 0.0)
+            for name, value in self.engine.gauges().items():
+                self.profiler.set_gauge(name, value)
         if capture is not None:
             # Steady-state allocation counts + arena footprint next to the
             # phase timings: allocations/step must read ~0 once captured.

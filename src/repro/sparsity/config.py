@@ -28,9 +28,6 @@ class LongExposureConfig:
     predictor_rank:
         Rank ``r`` of the low-rank approximation matrices in the attention
         predictor (``r << d``).
-    downsample:
-        Whether the attention predictor down-samples the sequence dimension
-        from ``s`` to ``~sqrt(s)`` before computing approximate scores.
     predictor_noise_std:
         Standard deviation of the Gaussian noise added to predictor training
         inputs (data augmentation for robustness to evolving PEFT parameters).
@@ -71,9 +68,6 @@ class LongExposureConfig:
         counter is advanced by :meth:`LongExposure.advance_step` (the trainer
         calls it once per step); the engine records per-layer mask drift and
         reuse rates so the accuracy cost of a given interval is observable.
-    mlp_offload_inactive:
-        Whether the memory model assumes inactive neuron blocks stay on the
-        host ("LongExposure (optimal)" curve in Figure 8).
     seed:
         RNG seed for predictor initialisation and training shuffles.
     """
@@ -83,7 +77,6 @@ class LongExposureConfig:
     attention_threshold: float = 0.02
     mlp_threshold: float = 0.03
     predictor_rank: int = 8
-    downsample: bool = True
     predictor_noise_std: float = 0.02
     predictor_pos_weight: float = 4.0
     predictor_epochs: int = 30
@@ -95,7 +88,6 @@ class LongExposureConfig:
     calibrate_predictors: bool = True
     calibration_lengths: Tuple[int, ...] = ()
     predict_interval: int = 1
-    mlp_offload_inactive: bool = False
     min_active_mlp_blocks: int = 1
     seed: int = 0
 

@@ -25,9 +25,11 @@ Component switches:
 * ``oracle_mode`` — bypass the predictors and use the exposer's raw coverage
   masks (ablations and tests).
 
-The engine records per-step statistics (prediction overhead, achieved block
-sparsity) in :attr:`LongExposure.stats` so the benchmark harness can report
-the breakdowns of Figures 9, 10 and 12.
+:meth:`LongExposure.gauges` is the engine's one reporting surface, read
+after any step: achieved block sparsity (Figures 9 and 12) from the live
+layouts and active-block sets, reuse rates and mask drift from the per-step
+refresh record in :attr:`LongExposure.stats`, which also holds the
+prediction seconds behind Figure 10's overhead share.
 
 Choosing ``predict_interval``
 -----------------------------
@@ -45,11 +47,11 @@ and re-derive on the ``K``-th.  The trainer advances the schedule by calling
   pre-scheduler engine.  Use for ablations and when inputs change abruptly
   between steps (e.g. wildly varying sequence content).
 * ``K = 4``–``8`` — the sweet spot for ordinary fine-tuning: prediction cost
-  drops by ~``K`` while the recorded mask drift between refreshes
-  (:meth:`EngineStats.mean_attention_drift`) stays in the low percent range.
-* Watch ``stats.mean_attention_drift()`` / ``mean_mlp_drift()``: if drift
-  between refreshes grows past a few percent of the active blocks, lower
-  ``K`` — the reused mask is starving blocks the model now attends to.
+  drops by ~``K`` while the recorded mask drift between refreshes (the
+  ``attention_mask_drift`` gauge) stays in the low percent range.
+* Watch ``gauges()["attention_mask_drift"]`` / ``["mlp_block_drift"]``: if
+  drift between refreshes grows past a few percent of the active blocks,
+  lower ``K`` — the reused mask is starving blocks the model now attends to.
 
 A sequence-length change always forces a refresh (the block grid itself
 changes), so bucketed-length loaders interact safely with any ``K``.
@@ -104,7 +106,13 @@ def _unwrap(module):
 
 @dataclass
 class LayerScheduleStats:
-    """Per-layer prediction-scheduler staleness statistics.
+    """One layer's refresh record.
+
+    Every refresh is stamped with the :attr:`EngineStats.steps` value it ran
+    on; the layer's reuses are then the steps since its first refresh on
+    which it did not refresh (:meth:`EngineStats.reuses`).  They are counted
+    per step, not per backend call, so a compiled replay — which calls no
+    backend — counts as the reuse it is.
 
     ``drift`` is the symmetric-difference fraction between the masks of two
     consecutive refreshes (``|old Δ new| / |old ∪ new|`` over active blocks):
@@ -114,88 +122,63 @@ class LayerScheduleStats:
     """
 
     refreshes: int = 0
-    reuses: int = 0
+    refresh_steps: int = 0      # distinct steps with a refresh
+    first_step: int = 0
+    last_step: int = 0
     drift_mean: float = 0.0
     drift_samples: int = 0
 
-    def record_refresh(self, drift: Optional[float] = None) -> None:
+    def record_refresh(self, step: int, drift: Optional[float] = None) -> None:
+        if not self.refreshes:
+            self.first_step = step
+        if not self.refreshes or step != self.last_step:
+            self.refresh_steps += 1
+        self.last_step = step
         self.refreshes += 1
         if drift is not None:
             self.drift_samples += 1
             self.drift_mean += (float(drift) - self.drift_mean) / self.drift_samples
 
-    def reuse_rate(self) -> float:
-        total = self.reuses + self.refreshes
-        return self.reuses / total if total else 0.0
-
 
 @dataclass
 class EngineStats:
-    """Running statistics collected while the sparse backends execute.
+    """The engine's refresh record.
 
-    Sparsity observations are folded into a running mean + sample count at
-    record time (O(1) memory) instead of appended to per-call lists — a long
-    fine-tuning run makes millions of backend calls, and the seed's
-    unbounded lists grew linearly with step count.
-
-    ``prediction_seconds`` counts only mask derivation (probes / oracle
-    exposer / layout construction); ``backend_seconds`` counts the whole
-    sparse backend call including the kernels, so
-    :meth:`prediction_fraction` is the Figure-10 prediction-overhead share.
-    Per-layer scheduler staleness (refresh counts, reuse hit rates, mask
-    drift between refreshes) lives in :attr:`attention_layers` /
-    :attr:`mlp_layers`.
+    ``steps`` counts :meth:`LongExposure.advance_step` calls, and every
+    refresh in :attr:`attention_layers` / :attr:`mlp_layers` is stamped with
+    it, so reuse rates and drift come out per step whichever path (compiled
+    replay or interpreted) ran the step.  ``prediction_seconds`` counts mask
+    derivation only (probes / oracle exposer / layout construction); the
+    trainer sets it against its phase timings for Figure 10's share.
+    Achieved sparsity is not recorded: :meth:`LongExposure.gauges` reads it
+    from the live layouts.
     """
 
     prediction_seconds: float = 0.0
-    backend_seconds: float = 0.0
-    attention_calls: int = 0
-    mlp_calls: int = 0
-    attention_sparsity_mean: float = 0.0
-    attention_sparsity_samples: int = 0
-    mlp_sparsity_mean: float = 0.0
-    mlp_sparsity_samples: int = 0
+    steps: int = 0
     attention_layers: Dict[int, LayerScheduleStats] = field(default_factory=dict)
     mlp_layers: Dict[int, LayerScheduleStats] = field(default_factory=dict)
 
     def reset(self) -> None:
         self.prediction_seconds = 0.0
-        self.backend_seconds = 0.0
-        self.attention_calls = 0
-        self.mlp_calls = 0
-        self.attention_sparsity_mean = 0.0
-        self.attention_sparsity_samples = 0
-        self.mlp_sparsity_mean = 0.0
-        self.mlp_sparsity_samples = 0
+        self.steps = 0
         self.attention_layers = {}
         self.mlp_layers = {}
 
-    def record_attention_sparsity(self, value: float) -> None:
-        self.attention_sparsity_samples += 1
-        self.attention_sparsity_mean += (
-            (float(value) - self.attention_sparsity_mean) / self.attention_sparsity_samples)
-
-    def record_mlp_sparsity(self, value: float) -> None:
-        self.mlp_sparsity_samples += 1
-        self.mlp_sparsity_mean += (
-            (float(value) - self.mlp_sparsity_mean) / self.mlp_sparsity_samples)
-
-    def mean_attention_sparsity(self) -> float:
-        return self.attention_sparsity_mean if self.attention_sparsity_samples else 0.0
-
-    def mean_mlp_sparsity(self) -> float:
-        return self.mlp_sparsity_mean if self.mlp_sparsity_samples else 0.0
-
-    # -- prediction scheduler ----------------------------------------------------
     def attention_layer(self, index: int) -> LayerScheduleStats:
         return self.attention_layers.setdefault(index, LayerScheduleStats())
 
     def mlp_layer(self, index: int) -> LayerScheduleStats:
         return self.mlp_layers.setdefault(index, LayerScheduleStats())
 
-    @staticmethod
-    def _aggregate_reuse_rate(layers: Dict[int, LayerScheduleStats]) -> float:
-        reuses = sum(s.reuses for s in layers.values())
+    def reuses(self, layer: LayerScheduleStats) -> int:
+        """Steps since ``layer``'s first refresh on which it did not refresh."""
+        if not layer.refreshes:
+            return 0
+        return max(0, self.steps - layer.first_step + 1 - layer.refresh_steps)
+
+    def _reuse_rate(self, layers: Dict[int, LayerScheduleStats]) -> float:
+        reuses = sum(self.reuses(s) for s in layers.values())
         total = reuses + sum(s.refreshes for s in layers.values())
         return reuses / total if total else 0.0
 
@@ -207,12 +190,12 @@ class EngineStats:
         return sum(s.drift_mean * s.drift_samples for s in layers.values()) / samples
 
     def attention_reuse_rate(self) -> float:
-        """Fraction of attention backend calls served from the reused layout."""
-        return self._aggregate_reuse_rate(self.attention_layers)
+        """Fraction of attention layer-steps served from the reused layout."""
+        return self._reuse_rate(self.attention_layers)
 
     def mlp_reuse_rate(self) -> float:
-        """Fraction of MLP backend calls served from the reused block set."""
-        return self._aggregate_reuse_rate(self.mlp_layers)
+        """Fraction of MLP layer-steps served from the reused block set."""
+        return self._reuse_rate(self.mlp_layers)
 
     def mean_attention_drift(self) -> float:
         """Mean mask drift between consecutive attention refreshes (all layers)."""
@@ -223,19 +206,13 @@ class EngineStats:
         return self._aggregate_drift(self.mlp_layers)
 
     def layout_reuse_counts(self) -> Dict[str, int]:
-        """Aggregate reuse/refresh counters (JSON-friendly, for the profiler)."""
+        """Aggregate reuse/refresh counters (JSON-friendly)."""
         return {
-            "attention_reuses": sum(s.reuses for s in self.attention_layers.values()),
+            "attention_reuses": sum(self.reuses(s) for s in self.attention_layers.values()),
             "attention_refreshes": sum(s.refreshes for s in self.attention_layers.values()),
-            "mlp_reuses": sum(s.reuses for s in self.mlp_layers.values()),
+            "mlp_reuses": sum(self.reuses(s) for s in self.mlp_layers.values()),
             "mlp_refreshes": sum(s.refreshes for s in self.mlp_layers.values()),
         }
-
-    def prediction_fraction(self) -> float:
-        """Prediction seconds over total sparse-backend seconds (Figure 10)."""
-        if self.backend_seconds <= 0.0:
-            return 0.0
-        return self.prediction_seconds / self.backend_seconds
 
 
 def _layout_block_keys(layout: MultiHeadLayout) -> np.ndarray:
@@ -276,8 +253,8 @@ class SparseAttentionBackend:
     With ``predict_interval > 1`` the backend keeps the layout of its last
     refresh and reuses it until the engine's step counter reaches the next
     scheduled refresh (or the sequence length changes, which invalidates the
-    block grid).  Refresh/reuse counts and the mask drift observed at each
-    refresh are recorded per layer in :class:`EngineStats`.
+    block grid).  Each refresh, with the mask drift it observed, is stamped
+    into the layer's :class:`LayerScheduleStats`.
     """
 
     def __init__(self, engine: "LongExposure", layer_index: int):
@@ -317,13 +294,9 @@ class SparseAttentionBackend:
 
     def __call__(self, module: MultiHeadAttention, q, k, v, attn_mask, x=None):
         engine = self.engine
-        stats = engine.stats
-        call_start = time.perf_counter()
         seq_len = q.shape[2]
-        if self._reusable(seq_len):
-            layout = self.last_layout
-            stats.attention_layer(self.layer_index).reuses += 1
-        else:
+        if not self._reusable(seq_len):
+            stats = engine.stats
             start = time.perf_counter()
             if engine.config.oracle_mode or x is None:
                 layout = engine.oracle_attention_layout(module, q, k, seq_len)
@@ -333,15 +306,11 @@ class SparseAttentionBackend:
                                                  engine.config.block_size)
             stats.prediction_seconds += time.perf_counter() - start
             stats.attention_layer(self.layer_index).record_refresh(
-                _layout_drift(self.last_layout, layout))
+                stats.steps, _layout_drift(self.last_layout, layout))
             self._replace_layout(layout, seq_len)
             self._last_refresh_step = engine.step_index
-        stats.attention_calls += 1
-        stats.record_attention_sparsity(layout.sparsity())
-        out = block_sparse_attention(q, k, v, layout,
-                                     cache=engine.geometry_cache)
-        stats.backend_seconds += time.perf_counter() - call_start
-        return out
+        return block_sparse_attention(q, k, v, self.last_layout,
+                                      cache=engine.geometry_cache)
 
 
 class SparseMLPBackend:
@@ -350,12 +319,14 @@ class SparseMLPBackend:
     Scheduling mirrors :class:`SparseAttentionBackend`: with
     ``predict_interval > 1`` the active-block set of the last refresh is
     reused until the next scheduled step (the set depends only on the hidden
-    dimension, so no sequence-length invalidation applies).
+    dimension, so no sequence-length invalidation applies).  ``n_blocks`` is
+    the layer's neuron-block count, the denominator of its block sparsity.
     """
 
-    def __init__(self, engine: "LongExposure", layer_index: int):
+    def __init__(self, engine: "LongExposure", layer_index: int, n_blocks: int):
         self.engine = engine
         self.layer_index = layer_index
+        self.n_blocks = n_blocks
         self.weight_cache: Optional[NeuronSparseWeights] = None
         self.last_active_blocks: Optional[np.ndarray] = None
         self._last_refresh_step: int = 0
@@ -399,12 +370,8 @@ class SparseMLPBackend:
             self._dense_fallback = True
             return DenseMLPBackend()(mlp, x)
 
-        stats = engine.stats
-        call_start = time.perf_counter()
-        if self._reusable():
-            active_blocks = self.last_active_blocks
-            stats.mlp_layer(self.layer_index).reuses += 1
-        else:
+        if not self._reusable():
+            stats = engine.stats
             start = time.perf_counter()
             if engine.config.oracle_mode:
                 active_blocks = engine.oracle_mlp_blocks(mlp, x)
@@ -413,22 +380,15 @@ class SparseMLPBackend:
                 active_blocks = predictor.predict_active_blocks(x.data)
             stats.prediction_seconds += time.perf_counter() - start
             stats.mlp_layer(self.layer_index).record_refresh(
-                _active_block_drift(self.last_active_blocks, active_blocks))
+                stats.steps, _active_block_drift(self.last_active_blocks, active_blocks))
             self.last_active_blocks = active_blocks
             self._last_refresh_step = engine.step_index
-        stats.mlp_calls += 1
 
-        n_blocks = -(-mlp.hidden_dim // engine.config.block_size)
-        stats.record_mlp_sparsity(1.0 - active_blocks.size / n_blocks)
-
-        active_neurons = expand_block_indices(active_blocks, engine.config.block_size,
-                                              mlp.hidden_dim)
-        cache = self._cache_for(mlp)
-        out = neuron_sparse_linear_pair(
+        active_neurons = expand_block_indices(self.last_active_blocks,
+                                              engine.config.block_size, mlp.hidden_dim)
+        return neuron_sparse_linear_pair(
             x, mlp.fc1.weight, mlp.fc1.bias, mlp.fc2.weight, mlp.fc2.bias,
-            active_neurons, activation=mlp.activation_name, cache=cache)
-        stats.backend_seconds += time.perf_counter() - call_start
-        return out
+            active_neurons, activation=mlp.activation_name, cache=self._cache_for(mlp))
 
 
 class LongExposure:
@@ -652,7 +612,8 @@ class LongExposure:
                 attention.backend = SparseAttentionBackend(self, layer_index)
                 self._sparse_backends.append(attention.backend)
             if mlp_enabled:
-                mlp.backend = SparseMLPBackend(self, layer_index)
+                mlp.backend = SparseMLPBackend(
+                    self, layer_index, -(-mlp.hidden_dim // config.block_size))
                 self._sparse_backends.append(mlp.backend)
             self._installed_blocks.append(entry)
 
@@ -668,6 +629,7 @@ class LongExposure:
     def advance_step(self) -> None:
         """Advance the scheduler by one fine-tuning step (trainer calls this)."""
         self.step_index += 1
+        self.stats.steps += 1
 
     def reset_schedule(self) -> None:
         """Zero the step counter and drop every backend's reused masks.
@@ -741,19 +703,22 @@ class LongExposure:
 
         Marks every backend as freshly refreshed at ``refresh_step`` (default
         the current step index), so the scheduled reuse window restarts
-        exactly as if the backend had derived the masks itself; drift against
-        the previously reused masks is recorded per layer as usual.
+        exactly as if the backend had derived the masks itself; the refresh
+        and its drift against the previously reused masks are recorded per
+        layer, stamped with the step they apply to.
         """
+        step = self.step_index if refresh_step is None else int(refresh_step)
+        stats = self.stats
+        stamp = stats.steps + step - self.step_index
         for backend, entry in zip(self._sparse_backends, state):
             if entry[1] is None:
                 continue
             if isinstance(backend, SparseAttentionBackend):
-                self.stats.attention_layer(backend.layer_index).record_refresh(
-                    _layout_drift(backend.last_layout, entry[1]))
+                stats.attention_layer(backend.layer_index).record_refresh(
+                    stamp, _layout_drift(backend.last_layout, entry[1]))
             else:
-                self.stats.mlp_layer(backend.layer_index).record_refresh(
-                    _active_block_drift(backend.last_active_blocks, entry[1]))
-        step = self.step_index if refresh_step is None else int(refresh_step)
+                stats.mlp_layer(backend.layer_index).record_refresh(
+                    stamp, _active_block_drift(backend.last_active_blocks, entry[1]))
         self.restore_schedule({"step_index": self.step_index, "layouts": state,
                                "refresh_steps": [step] * len(state)})
 
@@ -845,18 +810,53 @@ class LongExposure:
         return {layer: float(np.mean(np.concatenate([t.index for t in g.tiles]) != g.units.size))
                 for layer, g in geometries.items() if g is not None}
 
+    def gauges(self) -> Dict[str, float]:
+        """Point-in-time engine facts, keyed by the trainer's gauge names.
+
+        Sparsity and panel efficiency are read from the layouts and
+        active-block sets the backends execute now; reuse rates and drift
+        from the per-step refresh record in :attr:`stats`; the calibration
+        gaps from :meth:`calibration_gap`.  The two sparsity gauges read 0.0
+        while no mask is live; the densest-head and panel gauges are then
+        left out.
+        """
+        stats = self.stats
+        live = self.live_attention_sparsity()
+        mlp = [1.0 - backend.last_active_blocks.size / backend.n_blocks
+               for backend in self._sparse_backends
+               if isinstance(backend, SparseMLPBackend)
+               and backend.last_active_blocks is not None]
+        gauges = {
+            "attention_sparsity": float(np.mean([heads.mean() for heads in live.values()]))
+            if live else 0.0,
+            "mlp_sparsity": float(np.mean(mlp)) if mlp else 0.0,
+            "attention_reuse_rate": stats.attention_reuse_rate(),
+            "mlp_reuse_rate": stats.mlp_reuse_rate(),
+            "attention_mask_drift": stats.mean_attention_drift(),
+            "mlp_block_drift": stats.mean_mlp_drift(),
+        }
+        if live:
+            gauges["attention_min_head_sparsity"] = float(
+                min(heads.min() for heads in live.values()))
+        efficiency = self.live_panel_efficiency()
+        if efficiency:
+            gauges["attention_panel_efficiency"] = float(np.mean(list(efficiency.values())))
+        for kind, gap in self.calibration_gap().items():
+            gauges[f"{kind}_calibration_gap"] = gap
+        return gauges
+
     def summary(self) -> str:
+        gauges = self.gauges()
         lines = [f"LongExposure(block_size={self.config.block_size}, "
                  f"oracle={self.config.oracle_mode})"]
-        recalls = self.mean_predictor_recall()
-        for kind, value in recalls.items():
+        for kind, value in self.mean_predictor_recall().items():
             lines.append(f"  {kind} predictor mean recall: {value:.4f}")
         for kind, gap in self.calibration_gap().items():
             lines.append(f"  {kind} calibration density gap: {gap:.4f}")
         if self.attention_calibrations:
             grid = self.attention_calibrations[0].grid_lengths()
             lines.append(f"  calibration grid: {grid}")
-        lines.append(f"  mean attention block sparsity: {self.stats.mean_attention_sparsity():.3f}")
+        lines.append(f"  attention block sparsity: {gauges['attention_sparsity']:.3f}")
         live = self.live_attention_sparsity()
         if live:
             layers = " ".join(f"{s.mean():.3f}" for s in live.values())
@@ -866,13 +866,13 @@ class LongExposure:
             lines.append("  attention panel efficiency per layer (kept / executed "
                          "panel blocks): " + " ".join(
                              f"{value:.3f}" for value in self.live_panel_efficiency().values()))
-        lines.append(f"  mean MLP block sparsity: {self.stats.mean_mlp_sparsity():.3f}")
+        lines.append(f"  MLP block sparsity: {gauges['mlp_sparsity']:.3f}")
         lines.append(f"  prediction overhead: {self.stats.prediction_seconds * 1000:.2f} ms")
         if self.config.predict_interval > 1:
             lines.append(
                 f"  predict_interval={self.config.predict_interval}: "
-                f"attention reuse {self.stats.attention_reuse_rate():.2f} "
-                f"(drift {self.stats.mean_attention_drift():.4f}), "
-                f"mlp reuse {self.stats.mlp_reuse_rate():.2f} "
-                f"(drift {self.stats.mean_mlp_drift():.4f})")
+                f"attention reuse {gauges['attention_reuse_rate']:.2f} "
+                f"(drift {gauges['attention_mask_drift']:.4f}), "
+                f"mlp reuse {gauges['mlp_reuse_rate']:.2f} "
+                f"(drift {gauges['mlp_block_drift']:.4f})")
         return "\n".join(lines)

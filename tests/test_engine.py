@@ -65,12 +65,13 @@ class TestEngineLifecycle:
             model.loss(tiny_batches[0])
         finally:
             engine.uninstall(model)
-        assert engine.stats.attention_calls == len(model.blocks)
-        assert engine.stats.mlp_calls == len(model.blocks)
+        assert engine.stats.layout_reuse_counts() == {
+            "attention_reuses": 0, "attention_refreshes": len(model.blocks),
+            "mlp_reuses": 0, "mlp_refreshes": len(model.blocks)}
         assert engine.stats.prediction_seconds > 0
-        assert 0 <= engine.stats.mean_attention_sparsity() <= 1
         engine.stats.reset()
-        assert engine.stats.attention_calls == 0
+        assert engine.stats.layout_reuse_counts()["attention_refreshes"] == 0
+        assert engine.stats.prediction_seconds == 0.0
 
     def test_predictor_recall_reported(self, prepared_engine):
         _, engine = prepared_engine
@@ -185,7 +186,7 @@ class TestExecutedSparsity:
         layouts = [b.last_layout for b in engine._sparse_backends
                    if isinstance(b, SparseAttentionBackend)]
         gauges = tuner.profiler.gauges()
-        assert gauges["attention_live_sparsity"] == pytest.approx(
+        assert gauges["attention_sparsity"] == pytest.approx(
             np.mean([layout.sparsity() for layout in layouts]))
         assert gauges["attention_min_head_sparsity"] == pytest.approx(
             min(layout.head_sparsity().min() for layout in layouts))

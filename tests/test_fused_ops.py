@@ -397,45 +397,46 @@ class TestLayoutGeometryCache:
 
 
 # ---------------------------------------------------------------------------
-# bounded engine stats
+# engine refresh record
 # ---------------------------------------------------------------------------
 
 class TestEngineStats:
-    def test_running_mean_matches_numpy(self):
+    def test_reuses_count_steps_not_calls(self):
+        """Refreshes on steps 1 and 5 (K=4) plus a second refresh on step 8
+        (a sequence-length change): the reuses are the other steps since the
+        first refresh, however many backend calls each step made."""
         stats = EngineStats()
-        values = np.random.default_rng(0).random(1000)
-        for value in values:
-            stats.record_attention_sparsity(value)
-            stats.record_mlp_sparsity(value / 2)
-        assert stats.attention_sparsity_samples == 1000
-        np.testing.assert_allclose(stats.mean_attention_sparsity(),
-                                   values.mean(), rtol=1e-9)
-        np.testing.assert_allclose(stats.mean_mlp_sparsity(),
-                                   values.mean() / 2, rtol=1e-9)
+        layer = stats.attention_layer(0)
+        for step in range(1, 9):
+            stats.steps = step
+            if step in (1, 5):
+                layer.record_refresh(step, 0.25)
+        layer.record_refresh(8)
+        layer.record_refresh(8)
+        assert layer.refreshes == 4
+        assert stats.reuses(layer) == 5               # steps 2-4, 6-7
+        assert stats.reuses(stats.mlp_layer(0)) == 0  # never refreshed
+        assert stats.attention_reuse_rate() == pytest.approx(5 / 9)
+        assert stats.mean_attention_drift() == pytest.approx(0.25)
 
     def test_constant_memory(self):
         stats = EngineStats()
-        for _ in range(10):
-            stats.record_attention_sparsity(0.5)
-            stats.attention_layer(0).record_refresh(0.25)
-            stats.attention_layer(0).reuses += 1
-        # No per-call containers: fields are scalars, or per-layer dicts
-        # whose size is bounded by the layer count (not the call count) and
-        # whose entries are scalar-only running aggregates.
+        for step in range(10):
+            stats.steps = step
+            stats.attention_layer(0).record_refresh(step, 0.25)
+        # Fields are scalars, or per-layer dicts whose size is bounded by the
+        # layer count (not the step count) and whose entries are scalars.
         assert all(isinstance(v, (int, float, dict)) for v in vars(stats).values())
         assert len(stats.attention_layers) == 1
         layer = stats.attention_layer(0)
         assert all(isinstance(v, (int, float)) for v in vars(layer).values())
-        assert layer.refreshes == 10 and layer.reuses == 10
+        assert layer.refreshes == 10 and stats.reuses(layer) == 0
         assert layer.drift_mean == pytest.approx(0.25)
 
     def test_reset(self):
-        stats = EngineStats()
-        stats.record_attention_sparsity(0.7)
-        stats.attention_layer(1).record_refresh(0.5)
-        stats.backend_seconds = 1.0
+        stats = EngineStats(prediction_seconds=1.0, steps=3)
+        stats.attention_layer(1).record_refresh(3, 0.5)
         stats.reset()
-        assert stats.mean_attention_sparsity() == 0.0
-        assert stats.attention_sparsity_samples == 0
-        assert stats.attention_layers == {}
-        assert stats.prediction_fraction() == 0.0
+        assert stats == EngineStats()
+        assert stats.layout_reuse_counts() == dict.fromkeys(
+            ("attention_reuses", "attention_refreshes", "mlp_reuses", "mlp_refreshes"), 0)
