@@ -86,7 +86,6 @@ class TrainingConfig:
     grad_clip: float = 0.0
     mixed_precision: bool = False
     log_every: int = 0
-    seed: int = 0
     capture: CaptureConfig = field(default_factory=CaptureConfig)
     attention: AttentionConfig = field(default_factory=AttentionConfig)
     # Data parallelism: with N > 1,

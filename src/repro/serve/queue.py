@@ -1,9 +1,9 @@
 """Signature-bucketed request queue with continuous batching.
 
 Incoming per-tenant step requests are bucketed by their *capture signature*
-(sequence-length bucket × adapter kind × sparsity mode — the exact key
+(sequence-length bucket × adapter kind — the exact key
 :meth:`repro.runtime.FineTuner.step_signature` computes from the batch and
-the lane's own tuner, prefixed with the lane/mode): every request in one
+the lane's own tuner, prefixed with the lane): every request in one
 bucket replays the same compiled plan, so
 the scheduler's job is to keep the service on one bucket for as long as
 possible (each bucket switch is free — the per-bucket captures persist — but

@@ -73,10 +73,6 @@ class ServiceConfig:
     seq_buckets: Sequence[int] = (16, 32, 64, 128)
     max_plan_cache: int = 4
     pad_token_id: int = 0
-    # Sparsity routing mode; part of every bucket key.  The service currently
-    # always runs dense ("dense"); the key slot keeps signatures forward-
-    # compatible with predicted-sparsity lanes.
-    sparsity_mode: str = "dense"
     # Durability: when set, each lane's registry pages cold tenants to
     # atomic checkpoint files under <state_dir>/<kind>/ and rehydrates them
     # at construction (see repro.serve.store).
@@ -227,10 +223,9 @@ class FineTuningService:
 
     def bucket_key(self, adapter: str, input_ids: np.ndarray,
                    labels: Optional[np.ndarray] = None) -> Hashable:
-        """The signature bucket a batch lands in (adapter × mode × signature)."""
+        """The signature bucket a batch lands in (adapter × signature)."""
         lane = self._lane(adapter)
-        return (adapter, self.config.sparsity_mode,
-                lane.tuner.step_signature(input_ids, labels))
+        return (adapter, lane.tuner.step_signature(input_ids, labels))
 
     def submit(self, tenant: str, input_ids: np.ndarray,
                labels: Optional[np.ndarray] = None,

@@ -11,10 +11,10 @@ IV-VI):
   small low-rank networks that predict the sparse patterns at runtime from
   the layer inputs, trained offline on data collected from the frozen model
   with noise augmentation and a recall-weighted loss.
-* :mod:`repro.sparsity.ops` — the *Dynamic-aware Operators*: block-sparse
-  SDD/DSD attention kernels that execute any per-head block mask, and
-  neuron-centric sparse MLP kernels with memory-coalescing-friendly weight
-  layouts.
+* :mod:`repro.sparsity.ops` — the *Dynamic-aware Operators*: a block-sparse
+  attention kernel that executes any per-head block mask, and a
+  neuron-centric sparse MLP kernel with a memory-coalescing-friendly weight
+  layout.
 * :mod:`repro.sparsity.engine` — the end-to-end system that wires the three
   components into any PEFT-adapted model by swapping the attention and MLP
   execution backends.

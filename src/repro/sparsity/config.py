@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -22,38 +22,19 @@ class LongExposureConfig:
         paper Section V-B).  It sets the executed attention density directly:
         oracle mode runs these masks, and calibrated predictors keep each
         head's calibration-set share of them as their block budget.
-    mlp_threshold:
-        Neuron-block importance filter threshold, expressed as a fraction of
-        the peak block importance (the paper sweeps 1 %–5 % in Figure 9).
-    predictor_rank:
-        Rank ``r`` of the low-rank approximation matrices in the attention
-        predictor (``r << d``).
-    predictor_noise_std:
-        Standard deviation of the Gaussian noise added to predictor training
-        inputs (data augmentation for robustness to evolving PEFT parameters).
-    predictor_pos_weight:
-        Positive-class weight of the predictor BCE loss; values > 1 prioritise
-        recall over precision as the paper prescribes.
-    predictor_epochs / predictor_lr / predictor_batch:
-        Offline predictor-training schedule.
-    optimize_attention / optimize_mlp:
-        Component switches.  ``optimize_mlp`` is disabled automatically for
-        GeLU models (GPT-2), matching the paper's Figure 13 setup.
+    predictor_epochs:
+        Epochs of offline predictor training; the rest of the schedule is
+        :class:`repro.sparsity.predictor.PredictorTrainingConfig`'s defaults.
     oracle_mode:
         If True, the engine uses the exposer's exact (ground-truth) masks at
         runtime instead of predictor outputs.  Used for ablations and tests;
         the paper's "shadowy" baselines correspond to uniform oracle masks.
-    calibrate_predictors:
-        Fit a per-layer, per-head block budget (the oracle masks' density on
-        the calibration set) after predictor training, so each head keeps
-        its budget of top-scoring blocks at run time (see
-        :mod:`repro.sparsity.predictor.calibration`).  Calibration closes the
-        predicted-vs-oracle block-density gap, holds it while fine-tuning
-        shifts the scores, and keeps the probes usable at sequence lengths
-        away from their training grid; disabling it restores the fixed
-        logit-threshold masks.
     calibration_lengths:
-        Sequence-length grid of the calibration pass.  Empty (the default)
+        Sequence-length grid of the calibration pass, which always runs after
+        predictor training: it fits each head a block budget (the oracle
+        masks' density on the calibration set) so each head keeps its budget
+        of top-scoring blocks at run time (see
+        :mod:`repro.sparsity.predictor.calibration`).  Empty (the default)
         calibrates at the lengths of the calibration batches; an explicit
         grid (e.g. ``(128, 256, 512)``) additionally fits budgets at each
         listed length (truncating the calibration batches), with log-linear
@@ -74,21 +55,10 @@ class LongExposureConfig:
 
     block_size: int = 32
     attention_coverage: float = 0.90
-    attention_threshold: float = 0.02
-    mlp_threshold: float = 0.03
-    predictor_rank: int = 8
-    predictor_noise_std: float = 0.02
-    predictor_pos_weight: float = 4.0
     predictor_epochs: int = 30
-    predictor_lr: float = 1e-2
-    predictor_batch: int = 16
-    optimize_attention: bool = True
-    optimize_mlp: bool = True
     oracle_mode: bool = False
-    calibrate_predictors: bool = True
     calibration_lengths: Tuple[int, ...] = ()
     predict_interval: int = 1
-    min_active_mlp_blocks: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -96,10 +66,6 @@ class LongExposureConfig:
             raise ValueError("block_size must be a positive power of two")
         if not 0.0 < self.attention_coverage <= 1.0:
             raise ValueError("attention_coverage must be in (0, 1]")
-        if not 0.0 <= self.mlp_threshold < 1.0:
-            raise ValueError("mlp_threshold must be in [0, 1)")
-        if self.predictor_rank <= 0:
-            raise ValueError("predictor_rank must be positive")
         if self.predict_interval < 1:
             raise ValueError("predict_interval must be >= 1")
         self.calibration_lengths = tuple(self.calibration_lengths)

@@ -16,12 +16,12 @@ Workflow (mirrors the paper's system diagram, Figure 3)::
     ... fine-tune as usual ...
     engine.uninstall(model)                      # restore dense kernels
 
-Component switches:
+What runs where:
 
-* ``optimize_attention`` — per-head block-sparse attention over the predicted
-  block masks, executed as they are (all model families);
-* ``optimize_mlp`` — neuron-block-sparse MLP execution (ReLU models only;
-  disabled automatically for GeLU models such as GPT-2, cf. Figure 13);
+* attention — per-head block-sparse attention over the predicted block
+  masks, executed as they are (all model families);
+* MLP — neuron-block-sparse execution on ReLU models only; GeLU models such
+  as GPT-2 keep the dense MLP (cf. Figure 13);
 * ``oracle_mode`` — bypass the predictors and use the exposer's raw coverage
   masks (ablations and tests).
 
@@ -93,6 +93,12 @@ from repro.sparsity.predictor import (
     collect_block_mass,
 )
 from repro.sparsity.predictor.training import attention_probe, mlp_probe, train_predictors
+
+# Rank ``r << d`` of the attention probes' low-rank factors.
+PROBE_RANK = 8
+# MLP exposer filter: a neuron block stays active while its importance is at
+# least this fraction of the peak block's (the paper sweeps 1 %–5 %).
+MLP_FILTER = 0.03
 
 
 def _unwrap(module):
@@ -400,17 +406,14 @@ class LongExposure:
         # engine installs; set to None to force per-call recomputation.
         self.geometry_cache: Optional[LayoutGeometryCache] = LayoutGeometryCache()
         self.attention_exposer = AttentionExposer(
-            self.config.block_size, coverage=self.config.attention_coverage,
-            score_threshold=self.config.attention_threshold)
-        self.mlp_exposer = MLPExposer(self.config.block_size,
-                                      threshold=self.config.mlp_threshold,
-                                      min_active_blocks=self.config.min_active_mlp_blocks)
+            self.config.block_size, coverage=self.config.attention_coverage)
+        self.mlp_exposer = MLPExposer(self.config.block_size, threshold=MLP_FILTER)
         self.attention_predictors: List[AttentionPredictor] = []
         self.mlp_predictors: List[MLPPredictor] = []
         self.predictor_metrics: Dict[str, List[PredictorMetrics]] = {
             "attention": [], "mlp": []}
-        # Per-layer fitted calibrations (populated by prepare() when
-        # config.calibrate_predictors is set; parallel to the predictor lists).
+        # Per-layer fitted calibrations (populated by prepare(); parallel to
+        # the predictor lists).
         self.attention_calibrations: List[AttentionCalibration] = []
         self.mlp_calibrations: List[MLPCalibration] = []
         self.stats = EngineStats()
@@ -423,9 +426,9 @@ class LongExposure:
         self.step_index = 0
 
     # -- offline preparation -----------------------------------------------------
-    def prepare(self, model: CausalLMModel, calibration_batches: Sequence[np.ndarray],
-                training_config: Optional[PredictorTrainingConfig] = None) -> None:
-        """Collect data from the frozen model and train the per-layer predictors.
+    def prepare(self, model: CausalLMModel, calibration_batches: Sequence[np.ndarray]) -> None:
+        """Collect data from the frozen model, then train and calibrate the
+        per-layer predictors.
 
         Must be called on the backbone *before* PEFT wrapping.  Oracle mode
         needs no predictors, so there it only marks the engine prepared.
@@ -435,65 +438,57 @@ class LongExposure:
         block mass per calibration length, reduced from the frozen forward's
         own softmax, which runs one head at a time.  Every layer's probes
         then train in one lockstep loop on one shared noise stream
-        (:func:`train_predictors`).  All calibration batches must share one
-        sequence length (checked before the pass: ``ValueError``).
+        (:func:`train_predictors`) on the schedule
+        ``PredictorTrainingConfig(epochs=config.predictor_epochs,
+        seed=config.seed)``.  MLP probes train on ReLU models only.  All
+        calibration batches must share one sequence length (checked before
+        the pass: ``ValueError``).
         """
         config = self.config
-        mlp_enabled = config.optimize_mlp and model.config.activation == "relu"
         self.attention_calibrations = []
         self.mlp_calibrations = []
         if config.oracle_mode:
             self._prepared = True
             return
 
-        training_config = training_config or PredictorTrainingConfig(
-            epochs=config.predictor_epochs, lr=config.predictor_lr,
-            batch_size=config.predictor_batch, noise_std=config.predictor_noise_std,
-            pos_weight=config.predictor_pos_weight, seed=config.seed)
-
         batch_lengths = {int(np.asarray(b).shape[-1]) for b in calibration_batches}
         if len(batch_lengths) > 1:
             raise ValueError("calibration batches must share one sequence length, "
                              f"got lengths {sorted(batch_lengths)}")
-        grid = sorted(batch_lengths | set(
-            config.calibration_lengths if config.calibrate_predictors else ()))
-        collected = collect_block_mass(
-            model, calibration_batches, self.attention_exposer,
-            grid if config.optimize_attention else ())
+        grid = sorted(batch_lengths | set(config.calibration_lengths))
+        collected = collect_block_mass(model, calibration_batches,
+                                       self.attention_exposer, grid)
         self.attention_predictors = []
         self.mlp_predictors = []
         self.predictor_metrics = {"attention": [], "mlp": []}
         probes, kinds = [], []
         for layer_index, data in enumerate(collected):
             merged = data.merged()
-            if config.optimize_attention:
-                predictor = AttentionPredictor(
-                    model.config.dim, model.config.num_heads, config.predictor_rank,
-                    config.block_size, threshold=config.attention_threshold,
-                    seed=config.seed + layer_index)
-                self.attention_predictors.append(predictor)
-                probes.append(attention_probe(
-                    predictor, merged["attention_inputs"],
-                    merged["attention_block_mass"], self.attention_exposer))
-                kinds.append("attention")
-            if mlp_enabled:
+            predictor = AttentionPredictor(
+                model.config.dim, model.config.num_heads, PROBE_RANK,
+                config.block_size, seed=config.seed + layer_index)
+            self.attention_predictors.append(predictor)
+            probes.append(attention_probe(
+                predictor, merged["attention_inputs"],
+                merged["attention_block_mass"], self.attention_exposer))
+            kinds.append("attention")
+            if model.config.activation == "relu":
                 predictor = MLPPredictor(
                     model.config.dim, model.config.hidden_dim, config.block_size,
-                    min_active_blocks=config.min_active_mlp_blocks,
                     seed=config.seed + 1000 + layer_index)
                 self.mlp_predictors.append(predictor)
                 probes.append(mlp_probe(predictor, merged["mlp_inputs"],
                                         merged["mlp_activations"], self.mlp_exposer))
                 kinds.append("mlp")
+        training_config = PredictorTrainingConfig(epochs=config.predictor_epochs,
+                                                  seed=config.seed)
         for kind, metrics in zip(kinds, train_predictors(probes, training_config)):
             self.predictor_metrics[kind].append(metrics)
         del probes      # every layer's merged training set; calibration merges its own
-        if config.calibrate_predictors:
-            self._calibrate_predictors(collected, grid, max(batch_lengths))
+        self._calibrate(collected, grid, max(batch_lengths))
         self._prepared = True
 
-    def _calibrate_predictors(self, collected, grid: Sequence[int],
-                              longest: int) -> None:
+    def _calibrate(self, collected, grid: Sequence[int], longest: int) -> None:
         """Fit per-layer block budgets and MLP thresholds against the oracle.
 
         The whole grid is served from the *one* collection pass ``prepare()``
@@ -514,13 +509,12 @@ class LongExposure:
             def per_length(name):
                 return {length: merged[name] for length, merged in by_length.items()}
 
-            if self.attention_predictors:
-                predictor = self.attention_predictors[layer_index]
-                calibration = calibrate_attention_predictor(
-                    predictor, self.attention_exposer,
-                    per_length("attention_inputs"), per_length("attention_block_mass"))
-                predictor.set_calibration(calibration)
-                self.attention_calibrations.append(calibration)
+            predictor = self.attention_predictors[layer_index]
+            calibration = calibrate_attention_predictor(
+                predictor, self.attention_exposer,
+                per_length("attention_inputs"), per_length("attention_block_mass"))
+            predictor.set_calibration(calibration)
+            self.attention_calibrations.append(calibration)
             if self.mlp_predictors:
                 predictor = self.mlp_predictors[layer_index]
                 calibration = calibrate_mlp_predictor(
@@ -597,10 +591,12 @@ class LongExposure:
         if not self._prepared:
             raise RuntimeError("call prepare() before install()")
         config = self.config
-        mlp_enabled = config.optimize_mlp and model.config.activation == "relu"
-        if (config.optimize_attention and not config.oracle_mode
-                and len(self.attention_predictors) != len(model.blocks)):
-            raise RuntimeError("predictors were prepared for a different model depth")
+        mlp_enabled = model.config.activation == "relu"
+        depth = len(model.blocks)
+        if not config.oracle_mode and (
+                len(self.attention_predictors) != depth
+                or mlp_enabled and len(self.mlp_predictors) != depth):
+            raise RuntimeError("predictors were prepared for a different model")
         self._installed_blocks = []
         self._sparse_backends = []
         for layer_index, block in enumerate(model.blocks):
@@ -608,9 +604,8 @@ class LongExposure:
             mlp = _unwrap(block.mlp)
             entry = {"attention": attention, "mlp": mlp,
                      "attention_backend": attention.backend, "mlp_backend": mlp.backend}
-            if config.optimize_attention:
-                attention.backend = SparseAttentionBackend(self, layer_index)
-                self._sparse_backends.append(attention.backend)
+            attention.backend = SparseAttentionBackend(self, layer_index)
+            self._sparse_backends.append(attention.backend)
             if mlp_enabled:
                 mlp.backend = SparseMLPBackend(
                     self, layer_index, -(-mlp.hidden_dim // config.block_size))

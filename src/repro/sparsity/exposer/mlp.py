@@ -77,14 +77,6 @@ class MLPExposer:
             keep = np.sort(keep)
         return keep.astype(np.int64)
 
-    def block_labels(self, activations: np.ndarray,
-                     threshold: Optional[float] = None) -> np.ndarray:
-        """Binary per-block activity labels (training targets for the predictor)."""
-        importance = self.block_importance(activations)
-        labels = np.zeros(importance.shape[0], dtype=np.float32)
-        labels[self.active_blocks(activations, threshold)] = 1.0
-        return labels
-
     def analyze(self, activations: np.ndarray,
                 threshold: Optional[float] = None) -> MLPSparsityReport:
         """Full sparsity report for one layer (drives Figure 9's left panel)."""

@@ -1,19 +1,13 @@
-"""Block-sparse attention: the standalone SDD / DSD kernels and the training op.
+"""Block-sparse attention: the training op and its dense reference.
 
 The attention computation under a per-head block mask decomposes into two
-sparse matrix multiplications (paper Section VI-A):
+sparse matrix multiplications (paper Section VI-A): **SDD** (``sparse =
+dense x dense``), where only the score blocks listed in the layout are
+computed from Q and K, and **DSD** (``dense = sparse x dense``), where the
+sparse probability blocks are multiplied with V to produce the dense context.
 
-* **SDD** (``sparse = dense x dense``): only the score blocks listed in the
-  layout are computed from Q and K;
-* **DSD** (``dense = sparse x dense``): the sparse probability blocks are
-  multiplied with V to produce the dense context.
-
-:func:`block_sparse_sdd` / :func:`block_sparse_dsd` realise them literally, as
-block-gathered batched matmuls over a ``(batch, nnz, block, .)`` stack; the
-operator benchmarks use them.
-
-:func:`block_sparse_attention` is the autograd op used during fine-tuning.
-It hands the layout's capacity classes
+:func:`block_sparse_attention`, the autograd op used during fine-tuning,
+runs both in one kernel: it hands the layout's capacity classes
 (:mod:`repro.sparsity.ops.geometry_cache`) to
 :func:`repro.tensor.fused.tiled_attention` — the same kernel dense streaming
 attention runs — whose backward touches exactly the panels the forward did,
@@ -23,7 +17,6 @@ gradient computation as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,88 +31,6 @@ from repro.tensor import fused as _fused
 from repro.tensor import reference as _reference
 
 _NEG_INF = np.float32(-1e9)
-
-
-# ---------------------------------------------------------------------------
-# shared helpers
-# ---------------------------------------------------------------------------
-
-def _pad_to_blocks(x: np.ndarray, block_size: int, axis: int) -> np.ndarray:
-    """Zero-pad ``x`` along ``axis`` so its length is a block multiple."""
-    length = x.shape[axis]
-    remainder = length % block_size
-    if remainder == 0:
-        return x
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (0, block_size - remainder)
-    return np.pad(x, pad)
-
-
-def _blockify(x: np.ndarray, block_size: int) -> np.ndarray:
-    """(batch, heads, seq, dim) -> (batch, heads, n_blocks, block, dim)."""
-    batch, heads, seq, dim = x.shape
-    n_blocks = seq // block_size
-    return x.reshape(batch, heads, n_blocks, block_size, dim)
-
-
-# ---------------------------------------------------------------------------
-# standalone SDD / DSD kernels (numpy level, used by the operator benchmarks)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BlockSparseMatrix:
-    """Blocks of a sparse (batch, heads, seq, seq) matrix plus their layout."""
-
-    data: np.ndarray            # (batch, nnz, block, block)
-    layout: MultiHeadLayout
-    seq_len: int
-
-    def to_dense(self) -> np.ndarray:
-        """Materialise the dense (batch, heads, seq, seq) matrix (tests only)."""
-        bs = self.layout.block_size
-        batch = self.data.shape[0]
-        full = self.layout.n_blocks * bs
-        dense = np.zeros((batch, self.layout.n_heads, full, full), dtype=self.data.dtype)
-        for idx, (h, r, c) in enumerate(zip(self.layout.heads, self.layout.rows,
-                                            self.layout.cols)):
-            dense[:, h, r * bs:(r + 1) * bs, c * bs:(c + 1) * bs] = self.data[:, idx]
-        return dense[:, :, :self.seq_len, :self.seq_len]
-
-
-def block_sparse_sdd(q: np.ndarray, k: np.ndarray, layout: MultiHeadLayout,
-                     scale: float = 1.0) -> BlockSparseMatrix:
-    """Compute only the active blocks of ``Q @ K^T`` (SDD kernel).
-
-    ``q``/``k`` have shape ``(batch, heads, seq, dim)``; the result holds the
-    ``(batch, nnz, block, block)`` stack of active score blocks.
-    """
-    bs = layout.block_size
-    seq_len = q.shape[2]
-    q_pad = _blockify(_pad_to_blocks(q, bs, axis=2), bs)
-    k_pad = _blockify(_pad_to_blocks(k, bs, axis=2), bs)
-    q_blk = q_pad[:, layout.heads, layout.rows]                 # (batch, nnz, bs, dim)
-    k_blk = k_pad[:, layout.heads, layout.cols]
-    scores = np.matmul(q_blk, np.swapaxes(k_blk, -1, -2)) * scale
-    return BlockSparseMatrix(data=scores, layout=layout, seq_len=seq_len)
-
-
-def block_sparse_dsd(blocks: BlockSparseMatrix, v: np.ndarray) -> np.ndarray:
-    """Multiply sparse probability blocks with dense ``V`` (DSD kernel).
-
-    Returns the dense context of shape ``(batch, heads, seq, dim)``.
-    """
-    layout = blocks.layout
-    bs = layout.block_size
-    batch, _, seq_len, dim = v.shape
-    v_pad = _blockify(_pad_to_blocks(v, bs, axis=2), bs)
-    v_blk = v_pad[:, layout.heads, layout.cols]                 # (batch, nnz, bs, dim)
-    ctx_blk = np.matmul(blocks.data, v_blk)                     # (batch, nnz, bs, dim)
-
-    starts = layout.row_segment_starts
-    ctx_seg = np.add.reduceat(ctx_blk, starts, axis=1)          # (batch, nseg, bs, dim)
-    out = np.zeros((batch, layout.n_heads, layout.n_blocks, bs, dim), dtype=v.dtype)
-    out[:, layout.heads[starts], layout.rows[starts]] = ctx_seg
-    return out.reshape(batch, layout.n_heads, layout.n_blocks * bs, dim)[:, :, :seq_len]
 
 
 def dense_attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray,

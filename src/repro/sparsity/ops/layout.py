@@ -5,10 +5,9 @@ layout — the engine's per-refresh predicted and oracle layouts, the baselines'
 fixed masks, the tests' dense and atomic-pattern layouts — is built straight
 from per-head boolean block masks by :func:`layout_from_block_masks`.
 
-The layout is sorted by ``(head, query_row_block)`` and carries the row-
-segment boundaries the standalone DSD kernel reduces over (``np.*.reduceat``
-works on contiguous segments); the training kernel's capacity classes are
-derived from it in :mod:`repro.sparsity.ops.geometry_cache`.
+The layout is sorted by ``(head, query_row_block, key_block)``; the
+training kernel's capacity classes are derived from it in
+:mod:`repro.sparsity.ops.geometry_cache`.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class MultiHeadLayout:
     heads, rows, cols:
         1-D int arrays of equal length ``nnz`` listing the active blocks,
         sorted by ``(head, row, col)``.
-    row_segment_starts:
-        Start offsets (into the ``nnz`` axis) of each contiguous
-        ``(head, row)`` group — the unit over which the sparse softmax
-        normalises.
     """
 
     n_heads: int
@@ -44,7 +39,6 @@ class MultiHeadLayout:
     heads: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    row_segment_starts: np.ndarray
     # Lazily-computed content signature (see signature()).
     _signature: Optional[Tuple] = None
 
@@ -112,17 +106,6 @@ def _sort_layout(heads: np.ndarray, rows: np.ndarray, cols: np.ndarray
     return heads[order], rows[order], cols[order]
 
 
-def _row_segments(heads: np.ndarray, rows: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Start indices of each contiguous (head, row) group in a sorted layout."""
-    if heads.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    keys = heads.astype(np.int64) * n_blocks + rows.astype(np.int64)
-    change = np.empty(keys.shape[0], dtype=bool)
-    change[0] = True
-    change[1:] = keys[1:] != keys[:-1]
-    return np.nonzero(change)[0].astype(np.int64)
-
-
 def layout_from_block_masks(block_masks: np.ndarray, block_size: int) -> MultiHeadLayout:
     """Build a layout directly from per-head boolean block masks.
 
@@ -143,6 +126,4 @@ def layout_from_block_masks(block_masks: np.ndarray, block_size: int) -> MultiHe
                                      cols.astype(np.int64))
     return MultiHeadLayout(
         n_heads=n_heads, n_blocks=n_blocks, block_size=block_size,
-        heads=heads, rows=rows, cols=cols,
-        row_segment_starts=_row_segments(heads, rows, n_blocks),
-    )
+        heads=heads, rows=rows, cols=cols)

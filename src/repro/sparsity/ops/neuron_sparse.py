@@ -72,23 +72,6 @@ class NeuronSparseWeights:
         self._fc2_version += 1
 
 
-def neuron_sparse_matmul(x: np.ndarray, weight: np.ndarray,
-                         active: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Standalone neuron-sparse matmul used by the operator micro-benchmarks.
-
-    ``axis=0`` treats rows of ``weight`` as neurons (fc1-style: returns
-    ``x @ weight[active].T``); ``axis=1`` treats columns as neurons
-    (fc2-style: returns ``x[..., :len(active)] @ weight[:, active].T`` — the
-    caller supplies activations already restricted to the active neurons).
-    """
-    active = np.asarray(active, dtype=np.int64)
-    if axis == 0:
-        return np.matmul(x, weight[active].T)
-    if axis == 1:
-        return np.matmul(x, weight[:, active].T)
-    raise ValueError("axis must be 0 or 1")
-
-
 def neuron_sparse_linear_pair(x: Tensor,
                               fc1_weight: Tensor, fc1_bias: Tensor,
                               fc2_weight: Tensor, fc2_bias: Tensor,

@@ -542,8 +542,7 @@ def empty_row_layout():
     return MultiHeadLayout(n_heads=2, n_blocks=3, block_size=8,
                            heads=np.array([0, 0, 1, 1, 1, 1]),
                            rows=np.array([0, 2, 0, 1, 2, 2]),
-                           cols=np.array([0, 1, 0, 0, 0, 2]),
-                           row_segment_starts=np.array([0, 1, 2, 3, 4]))
+                           cols=np.array([0, 1, 0, 0, 0, 2]))
 
 
 # name -> (layout, seq, batch): the class kernel's edge cases.

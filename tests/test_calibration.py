@@ -25,6 +25,7 @@ import pytest
 
 from repro.models import build_model
 from repro.sparsity import LongExposure, LongExposureConfig
+from repro.sparsity.engine import PROBE_RANK
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import causal_block_mask
@@ -364,15 +365,14 @@ class TestEngineIntegration:
         assert all(0.0 <= g <= 1.0 for g in gaps.values())
         assert "calibration" in engine.summary()
 
-    def test_calibration_can_be_disabled(self, tiny_batches):
-        model = build_model("opt-tiny", seed=0)
-        config = LongExposureConfig(block_size=16, predictor_epochs=1,
-                                    calibrate_predictors=False)
-        engine = LongExposure(config)
-        engine.prepare(model, tiny_batches[:1])
-        assert engine.attention_calibrations == []
-        assert all(p.calibration is None for p in engine.attention_predictors)
-        assert engine.calibration_gap() == {}
+    def test_every_mlp_predictor_carries_its_calibration(self, prepared_engine):
+        """prepare() always calibrates: no MLP predictor runs uncalibrated."""
+        model, engine = prepared_engine
+        assert len(engine.mlp_predictors) == len(model.blocks)
+        for predictor, calibration in zip(engine.mlp_predictors,
+                                          engine.mlp_calibrations):
+            assert predictor.calibration is calibration
+            assert calibration.grid_lengths() == [64]
 
     def test_explicit_grid_lengths_collected(self, tiny_batches):
         model = build_model("opt-tiny", seed=0)
@@ -454,9 +454,9 @@ class TestStreamingPrepare:
         model, batches = _prepare_inputs(seed)
         config = LongExposureConfig(block_size=16, predictor_epochs=3,
                                     seed=seed, calibration_lengths=grid)
-        training = PredictorTrainingConfig(epochs=3, seed=seed)
+        training = PredictorTrainingConfig(epochs=config.predictor_epochs, seed=seed)
         engine = LongExposure(config)
-        engine.prepare(model, batches, training_config=training)
+        engine.prepare(model, batches)
 
         exposer = engine.attention_exposer
         lengths = sorted(set(grid) | {128})
@@ -465,8 +465,8 @@ class TestStreamingPrepare:
             by_length = {l: data.merged(truncate_to=l) for l in lengths}
             probs = merged["attention_probs"]
             predictor = AttentionPredictor(
-                model.config.dim, model.config.num_heads, config.predictor_rank,
-                16, threshold=config.attention_threshold, seed=seed + layer)
+                model.config.dim, model.config.num_heads, PROBE_RANK, 16,
+                seed=seed + layer)
             metrics = train_attention_predictor(
                 predictor, merged["attention_inputs"],
                 sample_block_mass(exposer, probs), exposer, training)
@@ -481,7 +481,6 @@ class TestStreamingPrepare:
                 engine.predictor_metrics["attention"][layer]), f"layer {layer}"
 
             mlp = MLPPredictor(model.config.dim, model.config.hidden_dim, 16,
-                               min_active_blocks=config.min_active_mlp_blocks,
                                seed=seed + 1000 + layer)
             metrics = train_mlp_predictor(mlp, merged["mlp_inputs"],
                                           merged["mlp_activations"],
@@ -566,12 +565,13 @@ class TestStreamingPrepare:
                 return self._rng.normal(*args, size=size, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-        training = PredictorTrainingConfig(epochs=2, batch_size=3, seed=0)
-        engine = LongExposure(LongExposureConfig(block_size=16, seed=0))
-        engine.prepare(model, batches, training_config=training)
+        config = LongExposureConfig(block_size=16, predictor_epochs=2, seed=0)
+        engine = LongExposure(config)
+        engine.prepare(model, batches)
         assert len(engine.attention_predictors) == len(engine.mlp_predictors) == 2
         n_samples = sum(len(batch) for batch in batches)
-        assert len(draws) == training.epochs * -(-n_samples // training.batch_size)
+        batch_size = PredictorTrainingConfig().batch_size
+        assert len(draws) == config.predictor_epochs * -(-n_samples // batch_size)
 
     @pytest.mark.perf_smoke
     def test_prepare_peak_memory_is_a_few_heads_probabilities(self):

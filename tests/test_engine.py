@@ -1,12 +1,16 @@
 """Tests of the end-to-end LongExposure engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.models import build_model
 from repro.peft import apply_lora, LoRAConfig, get_peft_method
 from repro.sparsity import LongExposure, LongExposureConfig
-from repro.sparsity.engine import SparseAttentionBackend, SparseMLPBackend
+from repro.sparsity.engine import (MLP_FILTER, PROBE_RANK, SparseAttentionBackend,
+                                   SparseMLPBackend)
+from repro.sparsity.predictor import PredictorTrainingConfig
 from repro.nn.attention import DenseAttentionBackend
 from repro.nn.mlp import DenseMLPBackend
 
@@ -18,11 +22,15 @@ class TestConfigValidation:
 
     def test_threshold_ranges(self):
         with pytest.raises(ValueError):
-            LongExposureConfig(mlp_threshold=1.5)
-        with pytest.raises(ValueError):
             LongExposureConfig(attention_coverage=0.0)
-        with pytest.raises(ValueError):
-            LongExposureConfig(predictor_rank=0)
+
+    def test_config_holds_only_the_fields_a_caller_sets(self):
+        names = [f.name for f in dataclasses.fields(LongExposureConfig)]
+        assert names == ["block_size", "attention_coverage", "predictor_epochs",
+                         "oracle_mode", "calibration_lengths", "predict_interval",
+                         "seed"]
+        with pytest.raises(TypeError):
+            LongExposureConfig(calibrate_predictors=False)
 
 
 class TestEngineLifecycle:
@@ -73,6 +81,25 @@ class TestEngineLifecycle:
         assert engine.stats.layout_reuse_counts()["attention_refreshes"] == 0
         assert engine.stats.prediction_seconds == 0.0
 
+    def test_predictors_are_built_from_the_engine_constants(self, prepared_engine):
+        model, engine = prepared_engine
+        assert engine.mlp_exposer.threshold == MLP_FILTER
+        assert len(engine.attention_predictors) == len(model.blocks)
+        for predictor in engine.attention_predictors:
+            assert predictor.rank == PROBE_RANK
+            assert predictor.threshold == 0.02
+        assert len(engine.mlp_predictors) == len(model.blocks)
+        for predictor in engine.mlp_predictors:
+            assert predictor.min_active_blocks == 1
+
+    def test_prepare_takes_only_the_model_and_its_batches(self, tiny_batches):
+        """The training schedule comes from the config alone."""
+        engine = LongExposure(LongExposureConfig(block_size=16, predictor_epochs=1))
+        with pytest.raises(TypeError):
+            engine.prepare(build_model("opt-tiny", seed=0), tiny_batches[:1],
+                           training_config=PredictorTrainingConfig(epochs=1))
+        assert engine.attention_predictors == []
+
     def test_predictor_recall_reported(self, prepared_engine):
         _, engine = prepared_engine
         recalls = engine.mean_predictor_recall()
@@ -114,6 +141,36 @@ class TestOracleAndFamilies:
         deeper = build_model("opt-small", seed=0)
         with pytest.raises(RuntimeError):
             engine.install(deeper)
+
+    def test_missing_mlp_predictors_detected(self, tiny_batches):
+        """A GeLU model trains no MLP probes, so an engine prepared on one
+        must refuse a ReLU model of the same depth, dim and heads at install
+        rather than fail on its first forward."""
+        gelu = build_model("gpt2-tiny", seed=0)
+        engine = LongExposure(LongExposureConfig(block_size=16, predictor_epochs=1))
+        engine.prepare(gelu, tiny_batches[:1])
+        assert engine.mlp_predictors == []
+        relu = build_model("opt-tiny", seed=0)
+        with pytest.raises(RuntimeError, match="different model"):
+            engine.install(relu)
+        assert all(isinstance(block.mlp.backend, DenseMLPBackend)
+                   for block in relu.blocks)
+
+    def test_predicted_gelu_engine_installs_on_a_gelu_model(self, tiny_batches):
+        """The MLP-predictor check must not refuse a GeLU model, which has
+        attention predictors only."""
+        engine = LongExposure(LongExposureConfig(block_size=16, predictor_epochs=1))
+        engine.prepare(build_model("gpt2-tiny", seed=0), tiny_batches[:1])
+        model = build_model("gpt2-tiny", seed=1)
+        engine.install(model)
+        try:
+            for block in model.blocks:
+                assert isinstance(block.attention.backend, SparseAttentionBackend)
+                assert isinstance(block.mlp.backend, DenseMLPBackend)
+            loss, _ = model.loss(tiny_batches[0])
+        finally:
+            engine.uninstall(model)
+        assert np.isfinite(float(loss.data))
 
     def test_lora_in_mlp_falls_back_to_dense_kernel(self, tiny_batches):
         """LoRA targeting fc1/fc2 invalidates the frozen-weight sparse MLP path;

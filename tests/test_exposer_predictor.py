@@ -171,11 +171,18 @@ class TestMLPExposer:
         active = exposer.active_blocks(np.zeros((1, 4, 64)))
         assert active.size == 2
 
-    def test_block_labels_binary(self):
+    def test_token_labels_are_the_filter_applied_per_token(self):
+        """The MLP probes' training targets are the exposer's filter, one
+        token at a time."""
         exposer = MLPExposer(block_size=16, threshold=0.05)
-        labels = exposer.block_labels(self._activations(hot_blocks=(1,)))
+        acts = np.concatenate([self._activations(batch=1, seq=4, hot_blocks=hot, seed=i)
+                               for i, hot in enumerate([(0,), (1, 3), (2,)])], axis=1)
+        labels = mlp_token_block_labels(acts, block_size=16, threshold=exposer.threshold)
+        assert labels.shape == (1, 12, 4)
         assert set(np.unique(labels)) <= {0.0, 1.0}
-        assert labels[1] == 1.0
+        for token in range(acts.shape[1]):
+            np.testing.assert_array_equal(np.flatnonzero(labels[0, token]),
+                                          exposer.active_blocks(acts[:, token:token + 1]))
 
     def test_report_fields_consistent(self):
         exposer = MLPExposer(block_size=16, threshold=0.05)

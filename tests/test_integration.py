@@ -51,7 +51,7 @@ class TestEndToEndFineTuning:
             model, _ = get_peft_method("bitfit")(model)
             if engine:
                 engine.install(model)
-            tuner = FineTuner(model, TrainingConfig(learning_rate=5e-3, seed=0))
+            tuner = FineTuner(model, TrainingConfig(learning_rate=5e-3))
             data = [e2e_batches[i % len(e2e_batches)] for i in range(6)]
             report = tuner.train(data)
             return report.losses

@@ -236,6 +236,12 @@ class TestSchedulingAndCaptures:
         with pytest.raises(ValueError):
             service.pad_to_bucket(rng.integers(0, 100, size=(2, 5 * SEQ)))
 
+    def test_bucket_key_is_the_adapter_and_step_signature(self):
+        service = make_service()
+        ids = np.random.default_rng(7).integers(0, 100, size=(2, SEQ))
+        tuner = service._lane("lora").tuner
+        assert service.bucket_key("lora", ids) == ("lora", tuner.step_signature(ids, None))
+
     def test_max_wait_deadline_prevents_starvation(self):
         queue = SignatureBucketQueue(max_wait_steps=3)
         hot, cold = ("hot",), ("cold",)

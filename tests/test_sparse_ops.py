@@ -6,16 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import parity
 from repro.sparsity.ops import (
-    BlockSparseMatrix,
     MultiHeadLayout,
     NeuronSparseWeights,
     block_sparse_attention,
-    block_sparse_dsd,
-    block_sparse_sdd,
     compute_block_geometry,
     dense_attention_reference,
     neuron_sparse_linear_pair,
-    neuron_sparse_matmul,
 )
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import expand_block_indices
@@ -34,24 +30,6 @@ def dense_layout(heads, seq, block):
 
 
 class TestBlockSparseKernels:
-    def test_sdd_matches_dense_blocks(self):
-        q, k, _ = make_qkv(seq=32, dim=4)
-        layout = dense_layout(3, 32, 16)
-        sparse = block_sparse_sdd(q, k, layout, scale=0.5)
-        dense = np.matmul(q, np.swapaxes(k, -1, -2)) * 0.5
-        recovered = sparse.to_dense()
-        causal_blocks = layout.to_dense_mask(32)       # (heads, seq, seq)
-        np.testing.assert_allclose(recovered[:, causal_blocks],
-                                   dense[:, causal_blocks], rtol=1e-5)
-
-    def test_dsd_matches_dense_product(self):
-        q, k, v = make_qkv(seq=32, dim=4)
-        layout = dense_layout(3, 32, 16)
-        scores = block_sparse_sdd(q, k, layout)
-        out = block_sparse_dsd(scores, v)
-        dense_scores = scores.to_dense()
-        np.testing.assert_allclose(out, np.matmul(dense_scores, v), rtol=1e-4, atol=1e-5)
-
     def test_fused_attention_matches_dense_reference_forward(self):
         q, k, v = make_qkv(seq=48, dim=8)
         layout = dense_layout(3, 48, 16)
@@ -227,15 +205,6 @@ class TestNeuronSparseKernels:
         with pytest.raises(ValueError):
             neuron_sparse_linear_pair(x, fc1_w, fc1_b, fc2_w, fc2_b,
                                       np.arange(4), activation="gelu")
-
-    def test_standalone_neuron_sparse_matmul(self):
-        x = self.rng.normal(size=(5, 8)).astype(np.float32)
-        w = self.rng.normal(size=(16, 8)).astype(np.float32)
-        active = np.array([1, 3, 5])
-        np.testing.assert_allclose(neuron_sparse_matmul(x, w, active, axis=0),
-                                   x @ w[active].T, rtol=1e-5)
-        with pytest.raises(ValueError):
-            neuron_sparse_matmul(x, w, active, axis=2)
 
 
 @settings(max_examples=10, deadline=None)
