@@ -1,4 +1,4 @@
-"""Adam and AdamW optimizers with flattened single-buffer state.
+"""Adam with flattened single-buffer state, and gradient clipping.
 
 Adam keeps two FP32 moment buffers per trainable parameter; this is exactly
 the optimizer state whose elimination for frozen parameters gives PEFT its
@@ -25,6 +25,9 @@ loop's per-parameter working set stays cache-resident while flat buffers
 stream through memory, so parameter sets whose mean size exceeds
 :data:`FLAT_MEAN_SIZE_THRESHOLD` elements keep per-parameter state and the
 loop path.
+
+:func:`clip_grad_norm` is the trainer's ``grad_clip``: it rescales the
+gradients to a global L2 norm between the backward pass and :meth:`Adam.step`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.optim.base import Optimizer
 
 # Mean parameter size (elements) above which the per-parameter loop path is
 # kept: small-and-many parameters are call-overhead-bound (flat wins ~3x),
@@ -42,18 +44,23 @@ from repro.optim.base import Optimizer
 FLAT_MEAN_SIZE_THRESHOLD = 4096
 
 
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) over the provided (trainable) parameters."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr)
+                 betas=(0.9, 0.999), eps: float = 1e-8):
+        self.params: List[Parameter] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
+        self.lr = lr
+        self.step_count = 0
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
-        self.weight_decay = weight_decay
 
         dtypes = {p.data.dtype for p in self.params}
         sizes = [int(p.data.size) for p in self.params]
@@ -107,16 +114,10 @@ class Adam(Optimizer):
         n = int(np.prod(shape, dtype=np.int64))
         return pair[0][:n].reshape(shape), pair[1][:n].reshape(shape)
 
-    def _apply_weight_decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        if self.weight_decay:
-            return grad + self.weight_decay * param.data
-        return grad
-
-    def _apply_weight_decay_flat(self) -> None:
-        """Fold L2 decay into the gathered flat gradient (coupled Adam form)."""
-        if self.weight_decay:
-            for param, gview in zip(self.params, self._grad_views):
-                gview += self.weight_decay * param.data
+    def zero_grad(self) -> None:
+        """Clear accumulated gradients on all managed parameters."""
+        for param in self.params:
+            param.grad = None
 
     def _step_param(self, index: int, param: Parameter,
                     bias1: float, bias2: float) -> None:
@@ -129,13 +130,6 @@ class Adam(Optimizer):
         """
         t1, t2 = self._scratch_views(param.data.shape, param.data.dtype)
         grad = param.grad
-        if self.weight_decay and type(self) is Adam:
-            # grad + weight_decay * param.data, into scratch (commuted add).
-            np.multiply(param.data, self.weight_decay, out=t2)
-            t2 += grad
-            grad = t2
-        else:
-            grad = self._apply_weight_decay(param, grad)
         m = self._m[index]
         v = self._v[index]
         m *= self.beta1
@@ -144,7 +138,7 @@ class Adam(Optimizer):
         v *= self.beta2
         np.multiply(grad, 1.0 - self.beta2, out=t1)
         t1 *= grad
-        v += t1                                # grad (and t2) dead from here
+        v += t1                                # grad dead from here
         np.divide(v, bias2, out=t2)            # v_hat
         np.sqrt(t2, out=t2)
         t2 += self.eps
@@ -157,7 +151,6 @@ class Adam(Optimizer):
         """Whole-buffer update; arithmetic ordered exactly like the loop."""
         for param, gview in zip(self.params, self._grad_views):
             np.copyto(gview, param.grad)
-        self._apply_weight_decay_flat()
         m, v = self._flat_m, self._flat_v
         g, tmp = self._flat_grad, self._flat_tmp
         m *= self.beta1
@@ -327,16 +320,18 @@ class Adam(Optimizer):
         return int(sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v)))
 
 
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
+    def num_parameters(self) -> int:
+        return int(sum(p.numel() for p in self.params))
 
-    def _apply_weight_decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        if self.weight_decay:
-            # Decoupled decay applied directly to the weights.
-            param.data -= self.lr * self.weight_decay * param.data
-        return grad
 
-    def _apply_weight_decay_flat(self) -> None:
-        if self.weight_decay:
-            for param in self.params:
-                param.data -= self.lr * self.weight_decay * param.data
+def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
+    """Clip gradients to a global L2 norm; returns the pre-clip norm."""
+    params = [p for p in params if p.grad is not None]
+    if not params:
+        return 0.0
+    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
+    if max_norm > 0 and total > max_norm:
+        ratio = max_norm / (total + 1e-12)
+        for p in params:
+            p.grad = p.grad * ratio
+    return total

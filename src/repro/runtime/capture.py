@@ -30,7 +30,7 @@ steady state, CUDA-graph-style, for the NumPy autograd graph:
    the old layout) are trimmed at that step.  With ``predict_interval = 1``
    nothing would ever be replayed, so the forward stays interpreted.
 5. **invalidate / degrade** — a signature change (input shape/dtype, label
-   shape, kernel toggles, loss scale) drops the plan and triggers exactly
+   shape, kernel toggles) drops the plan and triggers exactly
    one re-capture; so do layouts adopted from another replica that differ
    from the plan's.  A step that cannot replay a compiled plan — reference
    kernels, a recorder veto or coverage gap (every graph node built must be
@@ -119,14 +119,13 @@ class StepCapture:
         # Full-step compiler state (see module docstring).  ``forward_plan``
         # replays the forward's kernel calls; ``full_schedule`` is the
         # retained backward schedule over the capture step's graph;
-        # ``full_root`` / ``full_loss`` are the retained scaled/unscaled loss
-        # tensors (their ``.data`` are plan buffers refreshed by every
-        # forward replay); ``full_seed`` is the persistent backward seed;
+        # ``full_loss`` is the retained loss tensor, the backward root (its
+        # ``.data`` is a plan buffer refreshed by every forward replay);
+        # ``full_seed`` is the persistent backward seed;
         # ``full_layout_state`` is the engine's layouts at the last capture:
         # what plan geometry and pooled shapes fit (outlives a dropped plan).
         self.forward_plan: Optional[ForwardPlan] = None
         self.full_schedule = None
-        self.full_root: Optional[Tensor] = None
         self.full_loss: Optional[Tensor] = None
         self.full_seed = None
         self.full_layout_state = None
@@ -142,9 +141,9 @@ class StepCapture:
     def begin_step(self, signature: Hashable) -> None:
         """Enter a step; ``signature`` pins everything that shapes the graph.
 
-        The trainer passes input/label shapes, whether the step runs inside
-        ``fused.reference_kernels()`` and the loss scale; a change
-        invalidates the plan and schedules exactly one re-capture.
+        The trainer passes input/label shapes and whether the step runs
+        inside ``fused.reference_kernels()``; a change invalidates the plan
+        and schedules exactly one re-capture.
         """
         self.steps += 1
         if self.state == self.OFF:
@@ -268,17 +267,16 @@ class StepCapture:
             self._recorder = None
             _tensor_plan.set_recorder(None)
 
-    def finish_full_capture(self, root: Tensor, loss: Tensor,
-                            layout_state=None) -> bool:
+    def finish_full_capture(self, loss: Tensor, layout_state=None) -> bool:
         """Run this step's backward and compile the full plan if covered.
 
-        ``root`` is the backward root (the scaled loss); ``loss`` is the
-        unscaled loss tensor whose plan buffer replays read the step's loss
-        value from.  Returns True when the full plan is installed.  On a
-        recorder veto, a coverage gap, or a backward schedule that reaches an
-        interior node the recorded forward did not build (its closure would
-        never be refreshed by a replay), the backward runs plainly, the
-        reason is kept in ``full_fail_reason`` and False is returned.
+        ``loss`` is the backward root, whose plan buffer replays read the
+        step's loss value from.  Returns True when the full plan is
+        installed.  On a recorder veto, a coverage gap, or a backward
+        schedule that reaches an interior node the recorded forward did not
+        build (its closure would never be refreshed by a replay), the
+        backward runs plainly, the reason is kept in ``full_fail_reason``
+        and False is returned.
         """
         rec = self._recorder
         self.abort_full_capture()
@@ -287,14 +285,14 @@ class StepCapture:
             # hold the old layout's backward buffers, dead shapes from here on.
             self.arena.trim()
             self.full_layout_state = layout_state
-        schedule = root._schedule()
+        schedule = loss._schedule()
         reason = ""
         if not rec.ok():
             reason = rec.fail_reason
         elif any(node._backward is not None and id(node) not in rec.built
                  for node in schedule):
             reason = "backward schedule not capturable"
-        root._execute_backward(schedule, np.ones_like(root.data), True,
+        loss._execute_backward(schedule, np.ones_like(loss.data), True,
                                not reason)
         self._count_step()
         if reason:
@@ -303,9 +301,8 @@ class StepCapture:
             return False
         self.forward_plan = ForwardPlan(rec.entries)
         self.full_schedule = schedule
-        self.full_root = root
         self.full_loss = loss
-        self.full_seed = np.ones_like(root.data)
+        self.full_seed = np.ones_like(loss.data)
         self.full_captures += 1
         self._full_failures = 0
         return True
@@ -316,12 +313,12 @@ class StepCapture:
 
     def replay_full_backward(self) -> None:
         """Execute the retained backward schedule over the refreshed buffers."""
-        self.full_root._execute_backward(self.full_schedule, self.full_seed,
+        self.full_loss._execute_backward(self.full_schedule, self.full_seed,
                                          False, True)
         self._count_step(compiled=True)
 
     def full_loss_value(self) -> float:
-        """The (unscaled) loss of the last full replay."""
+        """The loss of the last full replay."""
         return float(self.full_loss.data)
 
     def profile(self, replays: int = 1) -> Dict[str, Tuple[float, float, int]]:
@@ -386,7 +383,7 @@ class StepCapture:
                             tag = entry.tag.split(":")[0]
                             fwd_ms[tag] += (time.perf_counter() - start) * 1000.0
                             fwd_calls[tag] += 1
-                    self.full_root._execute_backward(schedule, self.full_seed,
+                    self.full_loss._execute_backward(schedule, self.full_seed,
                                                      False, True)
         finally:
             for node, fn in zip(interior, closures):
@@ -407,7 +404,6 @@ class StepCapture:
             return
         self.forward_plan = None
         self.full_schedule = None
-        self.full_root = None
         self.full_loss = None
         self.full_seed = None
         if reason:

@@ -26,8 +26,8 @@ Determinism contract
   after both all-reduce barriers complete, so a failure detected anywhere in
   the step means *no* rank has applied a partial update whose inputs other
   ranks lack.  Every worker records its training state (:class:`_WorkerState`:
-  flat parameters, Adam moments, step count, loss scale and the sparsity
-  engine's schedule, per-layer refresh steps included) at the top of each
+  flat parameters, Adam moments, step count and the sparsity engine's
+  schedule, per-layer refresh steps included) at the top of each
   step; on failure the survivors roll back to that record and the whole step
   is replayed from identical state and identical inputs — the run's losses
   and final parameters are bit-for-bit what an uninterrupted run produces
@@ -73,6 +73,7 @@ refresh instead of once per worker.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import time
@@ -159,7 +160,7 @@ def _worker_fail(views: Optional[BootViews], rank: int,
 
 class _WorkerState:
     """One worker's training state, for rollback and donation alike:
-    flat parameters, Adam moments, step count, loss scale and the engine's
+    flat parameters, Adam moments, step count and the engine's
     ``schedule_state()`` (live masks and per-layer refresh steps).
 
     Constructing one records the tuner; :meth:`take` re-records into the
@@ -182,7 +183,6 @@ class _WorkerState:
         optimizer.gather_flat_params(self.params)
         optimizer.gather_flat_state(self.m, self.v)
         self.step_count = int(optimizer.step_count)
-        self.scale = float(tuner.scaler.scale)
         engine = tuner.engine
         self.schedule = None if engine is None else engine.schedule_state()
 
@@ -191,7 +191,6 @@ class _WorkerState:
         optimizer.scatter_flat_params(self.params)
         optimizer.scatter_flat_state(self.m, self.v)
         optimizer.step_count = self.step_count
-        tuner.scaler.scale = self.scale
         if self.schedule is not None:
             tuner.engine.restore_schedule(self.schedule)
         optimizer.zero_grad()
@@ -904,17 +903,17 @@ class DataParallelTrainer:
     def train(self, batches: Iterable[np.ndarray],
               max_steps: Optional[int] = None,
               fetch_params: bool = True) -> DistributedReport:
-        """Train over an iterable of global token-id batches."""
-        max_steps = (max_steps if max_steps is not None
-                     else self.config.max_steps)
+        """Train over an iterable of global token-id batches.
+
+        With ``max_steps`` at most that many batches are drawn, so an
+        iterator resumes at the first batch not trained on.
+        """
         losses: List[float] = []
         timings: List[PhaseTimings] = []
         walls: List[float] = []
         comms: List[float] = []
         tokens = 0
-        for step_index, batch in enumerate(batches):
-            if max_steps is not None and step_index >= max_steps:
-                break
+        for batch in itertools.islice(batches, max_steps):
             batch = np.asarray(batch)
             loss, timing = self.step(batch)
             losses.append(loss)
@@ -922,10 +921,6 @@ class DataParallelTrainer:
             walls.append(self._last_wall_s)
             comms.append(timing.comm)
             tokens += int(batch.size)
-            if self.config.log_every and (step_index + 1) % self.config.log_every == 0:
-                print(f"step {step_index + 1}: loss={loss:.4f} "
-                      f"wall={self._last_wall_s * 1000:.1f}ms "
-                      f"comm={timing.comm * 1000:.1f}ms")
         worker_stats = []
         checksum_failures = 0.0
         stats = getattr(self, "_last_stats", None)

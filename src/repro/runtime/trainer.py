@@ -10,6 +10,7 @@ of the forward/backward wall-clock, shown separately for the breakdown).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
@@ -17,8 +18,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.nn import Module, MultiHeadAttention
-from repro.optim import Adam, GradScaler, MixedPrecisionConfig, clip_grad_norm
-from repro.optim.base import Optimizer
+from repro.optim import Adam, clip_grad_norm
 from repro.runtime.capture import StepCapture
 from repro.runtime.profiler import PhaseProfiler
 from repro.tensor import fused
@@ -81,11 +81,7 @@ class TrainingConfig:
     """
 
     learning_rate: float = 1e-3
-    weight_decay: float = 0.0
-    max_steps: Optional[int] = None
     grad_clip: float = 0.0
-    mixed_precision: bool = False
-    log_every: int = 0
     capture: CaptureConfig = field(default_factory=CaptureConfig)
     attention: AttentionConfig = field(default_factory=AttentionConfig)
     # Data parallelism: with N > 1,
@@ -174,8 +170,8 @@ class FineTuner:
         Any module exposing ``loss(input_ids) -> (Tensor, int)`` — a
         :class:`repro.models.CausalLMModel` or a PEFT wrapper around one.
     optimizer:
-        Optimizer over the *trainable* parameters; defaults to Adam, matching
-        the paper's setup.
+        :class:`~repro.optim.Adam` over the *trainable* parameters (the
+        paper's setup); built from ``learning_rate`` when not given.
     engine:
         Optional :class:`repro.sparsity.LongExposure` whose prediction
         overhead should be read out per step.
@@ -191,17 +187,15 @@ class FineTuner:
     """
 
     def __init__(self, model: Module, config: Optional[TrainingConfig] = None,
-                 optimizer: Optional[Optimizer] = None, engine=None,
+                 optimizer: Optional[Adam] = None, engine=None,
                  capture=None, grad_reducer=None):
         self.model = model
         self.config = config or TrainingConfig()
         trainable = model.trainable_parameters()
         if not trainable:
             raise ValueError("model has no trainable parameters; apply a PEFT method first")
-        self.optimizer = optimizer or Adam(trainable, lr=self.config.learning_rate,
-                                           weight_decay=self.config.weight_decay)
+        self.optimizer = optimizer or Adam(trainable, lr=self.config.learning_rate)
         self.engine = engine
-        self.scaler = GradScaler(MixedPrecisionConfig(enabled=self.config.mixed_precision))
         self.profiler = PhaseProfiler()
         # Step capture: pass a StepCapture, True, or enable via the config.
         if capture is None:
@@ -223,8 +217,7 @@ class FineTuner:
             if isinstance(module, MultiHeadAttention):
                 module.row_tile = row_tile
         # Flat-update closure for compiled steps (None -> ordinary step()).
-        self._optim_plan_tail = getattr(self.optimizer, "plan_tail",
-                                        lambda: None)()
+        self._optim_plan_tail = self.optimizer.plan_tail()
 
     def step_signature(self, input_ids: np.ndarray,
                        labels: Optional[np.ndarray] = None):
@@ -236,7 +229,7 @@ class FineTuner:
         input_ids = np.asarray(input_ids)
         return (input_ids.shape, str(input_ids.dtype),
                 None if labels is None else np.asarray(labels).shape,
-                fused.fused_kernels_enabled(), float(self.scaler.scale))
+                fused.fused_kernels_enabled())
 
     # -- single step -------------------------------------------------------------
     def step(self, input_ids: np.ndarray,
@@ -315,7 +308,6 @@ class FineTuner:
                 start = time.perf_counter()
                 try:
                     loss, _ = self.model.loss(ids, labels=lab)
-                    scaled = self.scaler.scale_loss(loss)
                 except BaseException:
                     if rec is not None:
                         capture.abort_full_capture()
@@ -325,13 +317,13 @@ class FineTuner:
                 start = time.perf_counter()
                 if rec is not None:
                     capture.finish_full_capture(
-                        scaled, loss,
+                        loss,
                         self.engine.layout_state()
                         if self.engine is not None else None)
                 elif capture is not None:
-                    capture.run_backward(scaled)
+                    capture.run_backward(loss)
                 else:
-                    scaled.backward()
+                    loss.backward()
                 backward_s = time.perf_counter() - start
                 loss_value = float(loss.data)
 
@@ -345,15 +337,12 @@ class FineTuner:
                 # barrier waits included — and that time is reported as the
                 # ``comm`` phase, not as optimizer time.
                 comm_s = float(self.grad_reducer(self.optimizer.params))
-            finite = self.scaler.unscale_and_check(self.optimizer.params)
             if self.config.grad_clip > 0:
                 clip_grad_norm(self.optimizer.params, self.config.grad_clip)
-            if finite:
-                if replayed and self._optim_plan_tail is not None:
-                    self._optim_plan_tail()
-                else:
-                    self.optimizer.step()
-            self.scaler.update(found_overflow=not finite)
+            if replayed and self._optim_plan_tail is not None:
+                self._optim_plan_tail()
+            else:
+                self.optimizer.step()
             self.optimizer.zero_grad()
             self.model.zero_grad()
             optimizer_s = time.perf_counter() - start - comm_s
@@ -395,21 +384,19 @@ class FineTuner:
     # -- full loop ------------------------------------------------------------------
     def train(self, batches: Iterable[np.ndarray],
               max_steps: Optional[int] = None) -> TrainingReport:
-        """Fine-tune over an iterable of token-id batches."""
-        max_steps = max_steps if max_steps is not None else self.config.max_steps
+        """Fine-tune over an iterable of token-id batches.
+
+        With ``max_steps`` at most that many batches are drawn, so an
+        iterator resumes at the first batch not trained on.
+        """
         losses: List[float] = []
         timings: List[PhaseTimings] = []
         tokens = 0
-        for step_index, batch in enumerate(batches):
-            if max_steps is not None and step_index >= max_steps:
-                break
+        for batch in itertools.islice(batches, max_steps):
             batch = np.asarray(batch)
             loss_value, timing = self.step(batch)
             losses.append(loss_value)
             timings.append(timing)
             tokens += int(batch.size)
-            if self.config.log_every and (step_index + 1) % self.config.log_every == 0:
-                print(f"step {step_index + 1}: loss={loss_value:.4f} "
-                      f"step_time={timing.total * 1000:.1f}ms")
         return TrainingReport(steps=len(losses), losses=losses,
                               step_timings=timings, tokens_processed=tokens)

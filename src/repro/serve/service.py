@@ -30,9 +30,9 @@ Architecture (one instance, N tenants, K adapter kinds)::
   ``StepCapture.retire``), so alternating buckets never thrash one capture's
   signature — every bucket captures once, then replays forever.
 
-The service pins ``mixed_precision`` off: the tenant-isolation contract is
-*bitwise* — adapters trained interleaved through the service are
-bit-identical to the same tenants trained back-to-back on dedicated tuners.
+The tenant-isolation contract is *bitwise*: adapters trained interleaved
+through the service are bit-identical to the same tenants trained
+back-to-back on dedicated tuners.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class ServiceConfig:
     seed: int = 0
     adapters: Sequence[str] = ("lora",)
     learning_rate: float = 1e-3
-    weight_decay: float = 0.0
     # Paging / batching knobs.
     max_resident_tenants: int = 8
     max_wait_steps: int = 8
@@ -162,10 +161,7 @@ class FineTuningService:
         for _, param in model.named_parameters():
             if param.requires_grad and id(param.data) in base_ids:
                 param.data = param.data.copy()
-        training = TrainingConfig(
-            learning_rate=cfg.learning_rate,
-            weight_decay=cfg.weight_decay,
-            mixed_precision=False)
+        training = TrainingConfig(learning_rate=cfg.learning_rate)
         named_trainable = [(n, p) for n, p in model.named_parameters()
                            if p.requires_grad]
         trainable_bytes = sum(int(p.data.nbytes) for _, p in named_trainable)
@@ -179,8 +175,7 @@ class FineTuningService:
                 f"full fine-tuning at scale is a documented anti-goal "
                 f"(README: Scope and anti-goals).  Raise the budget or set "
                 f"it to None to opt in anyway.")
-        optimizer = Adam([p for _, p in named_trainable],
-                         lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+        optimizer = Adam([p for _, p in named_trainable], lr=cfg.learning_rate)
         tuner = FineTuner(model, training, optimizer=optimizer)
         store = None
         if cfg.state_dir is not None:

@@ -140,6 +140,15 @@ class TestDeterminism:
 
 
 class TestReport:
+    def test_max_steps_leaves_the_rest_of_an_iterator(self):
+        data = _batches(count=3)
+        it = iter(data)
+        with DataParallelTrainer(_nano_tuner, workers=1,
+                                 step_timeout_s=60.0) as trainer:
+            report = trainer.train(it, max_steps=2, fetch_params=False)
+        assert report.steps == 2
+        assert next(it) is data[2]
+
     def test_comm_time_is_broken_out_of_every_step(self):
         # Scaling reads are only as good as this breakdown: one comm sample
         # per step, inside that step's wall clock, and a real (nonzero)

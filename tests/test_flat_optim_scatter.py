@@ -1,10 +1,9 @@
 """Equivalence tests for the flattened optimizer and the reduceat scatter.
 
-* The flattened single-buffer Adam/AdamW must reproduce the original
+* The flattened single-buffer Adam must reproduce the original
   per-parameter Python loop **bitwise** over a multi-step trajectory —
   including steps where some parameters have no gradient (which exercises
-  the per-parameter fallback on the shared flat state), weight decay in both
-  its coupled (Adam) and decoupled (AdamW) forms, and the
+  the per-parameter fallback on the shared flat state) — and the
   ``state_size_bytes`` accounting.
 * The route follows ``FLAT_MEAN_SIZE_THRESHOLD`` on the mean parameter size,
   and forcing either route over large parameters leaves the trajectory
@@ -23,7 +22,7 @@ import pytest
 
 import repro.optim.adam as adam_module
 from repro.nn.module import Parameter
-from repro.optim import Adam, AdamW
+from repro.optim import Adam
 from repro.optim.adam import FLAT_MEAN_SIZE_THRESHOLD
 from repro.tensor import Tensor
 from repro.tensor.tensor import embedding_lookup, scatter_add_rows
@@ -36,15 +35,11 @@ from repro.tensor.tensor import embedding_lookup, scatter_add_rows
 class LoopAdam:
     """Verbatim re-implementation of the original Python-loop Adam."""
 
-    decoupled = False
-
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -57,13 +52,7 @@ class LoopAdam:
         for index, param in enumerate(self.params):
             if param.grad is None:
                 continue
-            if self.weight_decay and self.decoupled:
-                param.data -= self.lr * self.weight_decay * param.data
-                grad = param.grad
-            elif self.weight_decay:
-                grad = param.grad + self.weight_decay * param.data
-            else:
-                grad = param.grad
+            grad = param.grad
             m = self._m[index]
             v = self._v[index]
             m *= self.beta1
@@ -78,10 +67,6 @@ class LoopAdam:
         return int(sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v)))
 
 
-class LoopAdamW(LoopAdam):
-    decoupled = True
-
-
 SHAPES = [(10, 10), (3,), (4, 5), (1,), (2, 3, 4)]
 
 
@@ -92,11 +77,11 @@ def _param_pair(seed=0, shapes=SHAPES):
     return originals, clones
 
 
-def _run_trajectory(flat_cls, loop_cls, steps=10, none_grad_steps=(),
-                    none_grad_param=1, shapes=SHAPES, **kwargs):
+def _run_trajectory(steps=10, none_grad_steps=(), none_grad_param=1,
+                    shapes=SHAPES, **kwargs):
     pa, pb = _param_pair(shapes=shapes)
-    flat = flat_cls(pa, **kwargs)
-    loop = loop_cls(pb, **kwargs)
+    flat = Adam(pa, **kwargs)
+    loop = LoopAdam(pb, **kwargs)
     rng = np.random.default_rng(7)
     for step in range(steps):
         for a, b in zip(pa, pb):
@@ -112,16 +97,12 @@ def _run_trajectory(flat_cls, loop_cls, steps=10, none_grad_steps=(),
 
 
 class TestFlattenedAdamEquivalence:
-    @pytest.mark.parametrize("cls_pair,kwargs", [
-        ((Adam, LoopAdam), {"lr": 0.01}),
-        ((Adam, LoopAdam), {"lr": 0.02, "weight_decay": 0.05}),
-        ((AdamW, LoopAdamW), {"lr": 0.01, "weight_decay": 0.1}),
-        ((AdamW, LoopAdamW), {"lr": 0.005, "betas": (0.85, 0.99), "eps": 1e-6}),
-    ], ids=["adam", "adam-wd", "adamw-wd", "adamw-betas"])
-    def test_ten_step_trajectory_bitwise(self, cls_pair, kwargs):
-        flat_cls, loop_cls = cls_pair
-        flat, loop, pa, pb = _run_trajectory(flat_cls, loop_cls, steps=10,
-                                             **kwargs)
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": 0.01},
+        {"lr": 0.005, "betas": (0.85, 0.99), "eps": 1e-6},
+    ], ids=["adam", "adam-betas"])
+    def test_ten_step_trajectory_bitwise(self, kwargs):
+        flat, loop, pa, pb = _run_trajectory(steps=10, **kwargs)
         for a, b in zip(pa, pb):
             np.testing.assert_array_equal(a.data, b.data)
         for m, om, v, ov in zip(flat._m, loop._m, flat._v, loop._v):
@@ -133,8 +114,7 @@ class TestFlattenedAdamEquivalence:
         # freeze exactly as in the loop version, and later flat steps must
         # continue from the identical shared state.
         flat, loop, pa, pb = _run_trajectory(
-            Adam, LoopAdam, steps=10, none_grad_steps=(3, 7),
-            lr=0.01, weight_decay=0.02)
+            steps=10, none_grad_steps=(3, 7), lr=0.01)
         for a, b in zip(pa, pb):
             np.testing.assert_array_equal(a.data, b.data)
         for m, om, v, ov in zip(flat._m, loop._m, flat._v, loop._v):
@@ -153,8 +133,8 @@ class TestFlattenedAdamEquivalence:
 
     def test_state_size_bytes_matches_loop_accounting(self):
         pa, pb = _param_pair()
-        flat = AdamW(pa, lr=1e-3, weight_decay=0.01)
-        loop = LoopAdamW(pb, lr=1e-3, weight_decay=0.01)
+        flat = Adam(pa, lr=1e-3)
+        loop = LoopAdam(pb, lr=1e-3)
         expected = sum(2 * int(np.prod(s)) * 4 for s in SHAPES)
         assert flat.state_size_bytes() == loop.state_size_bytes() == expected
 
@@ -197,8 +177,8 @@ class TestSizeRouting:
         for route in ("flat", "loop"):
             monkeypatch.setattr(adam_module, "FLAT_MEAN_SIZE_THRESHOLD",
                                 float("inf") if route == "flat" else -1.0)
-            opt, _, _, _ = _run_trajectory(Adam, LoopAdam, steps=3,
-                                           shapes=LARGE_SHAPES, lr=0.01)
+            opt, _, _, _ = _run_trajectory(steps=3, shapes=LARGE_SHAPES,
+                                           lr=0.01)
             assert (opt.plan_tail() is None) == (route == "loop")
             total = sum(int(np.prod(s)) for s in LARGE_SHAPES)
             m, v = np.empty(total, np.float32), np.empty(total, np.float32)
@@ -208,19 +188,13 @@ class TestSizeRouting:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("route", ["flat", "loop"])
-    @pytest.mark.parametrize("cls_pair,kwargs", [
-        ((Adam, LoopAdam), {"lr": 0.02, "weight_decay": 0.05}),
-        ((AdamW, LoopAdamW), {"lr": 0.01, "weight_decay": 0.1}),
-    ], ids=["adam-wd", "adamw-wd"])
-    def test_forced_route_matches_loop_bitwise(self, monkeypatch, route,
-                                               cls_pair, kwargs):
+    def test_forced_route_matches_loop_bitwise(self, monkeypatch, route):
         # Forcing the route through the threshold (as the regime sweep that
         # tuned it did) must not change a single bit of the trajectory.
         monkeypatch.setattr(adam_module, "FLAT_MEAN_SIZE_THRESHOLD",
                             float("inf") if route == "flat" else -1.0)
-        flat_cls, loop_cls = cls_pair
-        opt, loop, pa, pb = _run_trajectory(flat_cls, loop_cls, steps=4,
-                                            shapes=LARGE_SHAPES, **kwargs)
+        opt, loop, pa, pb = _run_trajectory(steps=4, shapes=LARGE_SHAPES,
+                                            lr=0.02)
         assert (opt._flat_m is not None) == (route == "flat")
         for a, b in zip(pa, pb):
             np.testing.assert_array_equal(a.data, b.data)

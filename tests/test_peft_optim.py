@@ -5,7 +5,7 @@ import pytest
 
 from repro.models import build_model
 from repro.nn import Linear
-from repro.optim import SGD, Adam, AdamW, GradScaler, MixedPrecisionConfig, clip_grad_norm
+from repro.optim import Adam, clip_grad_norm
 from repro.peft import (
     AdapterConfig,
     BitFitConfig,
@@ -19,7 +19,6 @@ from repro.peft import (
     apply_prefix_tuning,
     get_peft_method,
 )
-from repro.tensor import Tensor
 
 
 def fresh_model():
@@ -148,15 +147,9 @@ class TestOptimizers:
         param.grad = 2 * diff
         return float((diff ** 2).sum())
 
-    @pytest.mark.parametrize("optimizer_cls,kwargs", [
-        (SGD, {"lr": 0.1}),
-        (SGD, {"lr": 0.05, "momentum": 0.9}),
-        (Adam, {"lr": 0.2}),
-        (AdamW, {"lr": 0.2, "weight_decay": 0.001}),
-    ])
-    def test_converges_on_quadratic(self, optimizer_cls, kwargs):
+    def test_converges_on_quadratic(self):
         param, target = self._quadratic_problem()
-        optimizer = optimizer_cls([param], **kwargs)
+        optimizer = Adam([param], lr=0.2)
         for _ in range(200):
             self._loss_and_grad(param, target)
             optimizer.step()
@@ -176,7 +169,7 @@ class TestOptimizers:
     def test_skips_parameters_without_grad(self):
         from repro.nn.module import Parameter
         param = Parameter(np.ones(3, dtype=np.float32))
-        optimizer = SGD([param], lr=0.1)
+        optimizer = Adam([param], lr=0.1)
         optimizer.step()  # no grad -> no change
         np.testing.assert_allclose(param.data, np.ones(3))
 
@@ -187,19 +180,3 @@ class TestOptimizers:
         norm = clip_grad_norm([param], max_norm=1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(param.grad) == pytest.approx(1.0, rel=1e-5)
-
-    def test_grad_scaler_backoff_on_overflow(self):
-        from repro.nn.module import Parameter
-        scaler = GradScaler(MixedPrecisionConfig(enabled=True, init_scale=8.0))
-        param = Parameter(np.zeros(2, dtype=np.float32))
-        param.grad = np.array([np.inf, 1.0], dtype=np.float32)
-        finite = scaler.unscale_and_check([param])
-        assert not finite
-        scaler.update(found_overflow=True)
-        assert scaler.scale == 4.0
-        assert scaler.overflow_count == 1
-
-    def test_grad_scaler_scales_loss(self):
-        scaler = GradScaler(MixedPrecisionConfig(enabled=True, init_scale=4.0))
-        loss = Tensor(np.array(2.0, dtype=np.float32), requires_grad=True)
-        assert float(scaler.scale_loss(loss).data) == pytest.approx(8.0)
