@@ -160,6 +160,38 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             Adam([], lr=1e-3)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3])
+    def test_non_positive_learning_rate_rejected(self, lr):
+        from repro.nn.module import Parameter
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.zeros(2, dtype=np.float32))], lr=lr)
+
+    @pytest.mark.parametrize("betas", [(1.0, 0.999), (0.9, 1.0), (-0.1, 0.999)])
+    def test_betas_outside_unit_interval_rejected(self, betas):
+        from repro.nn.module import Parameter
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.zeros(2, dtype=np.float32))], betas=betas)
+
+    def test_first_step_moves_each_element_by_the_learning_rate(self):
+        # Bias correction makes step 1's update lr * g / |g| elementwise.
+        from repro.nn.module import Parameter
+        param = Parameter(np.zeros(3, dtype=np.float32))
+        optimizer = Adam([param], lr=0.1)
+        param.grad = np.array([2.0, -0.5, 3.0], dtype=np.float32)
+        optimizer.step()
+        assert optimizer.step_count == 1
+        np.testing.assert_allclose(param.data, [-0.1, 0.1, -0.1], rtol=1e-5)
+
+    def test_zero_grad_clears_every_gradient(self):
+        from repro.nn.module import Parameter
+        params = [Parameter(np.zeros(n, dtype=np.float32)) for n in (2, 5)]
+        for param in params:
+            param.grad = np.ones_like(param.data)
+        optimizer = Adam(params)
+        optimizer.zero_grad()
+        assert all(param.grad is None for param in params)
+        assert optimizer.num_parameters() == 7
+
     def test_adam_state_size(self):
         from repro.nn.module import Parameter
         param = Parameter(np.zeros((10, 10), dtype=np.float32))
@@ -180,3 +212,29 @@ class TestOptimizers:
         norm = clip_grad_norm([param], max_norm=1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(param.grad) == pytest.approx(1.0, rel=1e-5)
+
+    def test_grad_clipping_below_the_limit_leaves_gradients(self):
+        from repro.nn.module import Parameter
+        param = Parameter(np.zeros(4, dtype=np.float32))
+        grad = np.full(4, 0.25, dtype=np.float32)
+        param.grad = grad
+        assert clip_grad_norm([param], max_norm=1.0) == pytest.approx(0.5)
+        assert param.grad is grad
+
+    def test_grad_clipping_ignores_parameters_without_grad(self):
+        from repro.nn.module import Parameter
+        with_grad = Parameter(np.zeros(2, dtype=np.float32))
+        with_grad.grad = np.array([3.0, 4.0], dtype=np.float32)
+        without = Parameter(np.zeros(2, dtype=np.float32))
+        assert clip_grad_norm([without], max_norm=1.0) == 0.0
+        assert clip_grad_norm([with_grad, without], max_norm=1.0) == pytest.approx(5.0)
+        assert without.grad is None
+        np.testing.assert_allclose(with_grad.grad, [0.6, 0.8], rtol=1e-5)
+
+    def test_package_is_adam_and_clipping(self):
+        import importlib
+        import repro.optim
+        assert repro.optim.__all__ == ["Adam", "clip_grad_norm"]
+        for module in ("base", "sgd", "scaler"):
+            with pytest.raises(ImportError):
+                importlib.import_module(f"repro.optim.{module}")

@@ -82,6 +82,25 @@ class TestFineTuner:
 class TestTrainingConfigGroups:
     """The nested CaptureConfig/AttentionConfig groups."""
 
+    def test_config_holds_only_the_fields_a_caller_sets(self):
+        names = [f.name for f in dataclasses.fields(TrainingConfig)]
+        assert names == ["learning_rate", "grad_clip", "capture", "attention",
+                         "data_parallel_workers"]
+        for knob in ("weight_decay", "max_steps", "mixed_precision", "log_every"):
+            with pytest.raises(TypeError):
+                TrainingConfig(**{knob: 1})
+
+    def test_step_signature_is_shapes_dtype_and_kernels(self):
+        tuner = make_finetuner()
+        ids = batches(1)[0]
+        signature = tuner.step_signature(ids)
+        assert signature == (ids.shape, str(ids.dtype), None,
+                             fused.fused_kernels_enabled())
+        assert tuner.step_signature(ids, ids) == (ids.shape, str(ids.dtype),
+                                                  ids.shape,
+                                                  fused.fused_kernels_enabled())
+        assert tuner.step_signature(batches(1, seq=16)[0]) != signature
+
     def test_nested_round_trip(self):
         cfg = TrainingConfig(
             capture=CaptureConfig(enabled=True, warmup=2),

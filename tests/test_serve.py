@@ -290,6 +290,16 @@ class TestServiceSurface:
             assert name in repro.__all__ and hasattr(repro, name), name
         assert repro.create_model is repro.build_model
 
+    def test_lane_optimizer_is_plain_adam_at_the_configured_rate(self):
+        from repro.optim import Adam
+        with pytest.raises(TypeError):
+            ServiceConfig(weight_decay=0.01)
+        service = make_service(learning_rate=2e-3)
+        lane = service._lanes["lora"]
+        assert type(lane.optimizer) is Adam
+        assert lane.optimizer.lr == 2e-3
+        assert lane.tuner.optimizer is lane.optimizer
+
     def test_unknown_adapter_and_tenant_raise(self):
         service = make_service()
         with pytest.raises(KeyError):
