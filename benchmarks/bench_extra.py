@@ -43,7 +43,7 @@ from repro.runtime import (AttentionConfig, CaptureConfig, DataParallelTrainer,
                            FaultInjector, FaultRule, FineTuner, TrainingConfig)
 from repro.runtime.comms import STAT_NAMES
 from repro.serve import TenantStateStore
-from repro.sparsity.ops import LayoutGeometryCache, block_sparse_attention
+from repro.sparsity.ops import block_sparse_attention, compute_block_geometry
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import block_count, pattern_mask
 from repro.tensor import Tensor
@@ -124,12 +124,11 @@ def bench_long_context(lengths=LONG_CONTEXT_LENGTHS, repeats: int = 2) -> Dict:
         rng = np.random.default_rng(7)
         q, k, v = [rng.normal(size=(batch, heads, seq, 16)).astype(np.float32)
                    for _ in range(3)]
-        cache = LayoutGeometryCache()
-        cache.lookup(layout, seq)
+        geometry = compute_block_geometry(layout, seq)
 
-        def once(q=q, k=k, v=v, layout=layout, cache=cache):
+        def once(q=q, k=k, v=v, layout=layout, geometry=geometry):
             qt, kt, vt = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            out = block_sparse_attention(qt, kt, vt, layout, cache=cache)
+            out = block_sparse_attention(qt, kt, vt, layout, geometry=geometry)
             out.backward(np.ones_like(out.data))
 
         once()                                                  # warm-up

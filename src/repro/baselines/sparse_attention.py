@@ -16,6 +16,7 @@ import numpy as np
 from repro.nn.attention import MultiHeadAttention
 from repro.sparsity.exposer import AttentionExposer
 from repro.sparsity.ops.block_sparse import block_sparse_attention
+from repro.sparsity.ops.geometry import compute_block_geometry
 from repro.sparsity.ops.layout import MultiHeadLayout, layout_from_block_masks
 from repro.sparsity.patterns import block_count, global_tokens, local, pattern_mask, union
 
@@ -56,15 +57,18 @@ class FixedMaskAttentionBackend:
     chosen once per sequence length, not per input, and is shared by all
     heads.  Reuses LongExposure's block-sparse kernel so the comparison in
     Figure 9 isolates the *mask quality*, not the kernel implementation.
+    The kernel's capacity classes are computed once, here, with the layout.
     """
 
     def __init__(self, block_masks: np.ndarray, block_size: int):
         self.block_masks = np.asarray(block_masks, dtype=bool)
         self.block_size = block_size
         self.layout: MultiHeadLayout = layout_from_block_masks(self.block_masks, block_size)
+        self.geometry = compute_block_geometry(self.layout,
+                                               self.layout.n_blocks * block_size)
 
     def __call__(self, module: MultiHeadAttention, q, k, v, attn_mask, x=None):
-        return block_sparse_attention(q, k, v, self.layout)
+        return block_sparse_attention(q, k, v, self.layout, geometry=self.geometry)
 
 
 def install_fixed_mask_backend(model, block_masks: np.ndarray, block_size: int) -> List:

@@ -21,7 +21,7 @@ from repro.nn.module import Module
 from repro.tensor import Tensor, functional as F
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(128)
 def _cached_causal_mask(seq_len: int) -> np.ndarray:
     mask = np.tril(np.ones((seq_len, seq_len), dtype=bool))
     # The cached array is shared across every forward pass; freeze it so an

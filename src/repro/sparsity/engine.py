@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -74,7 +75,7 @@ from repro.peft.lora import LoRALinear
 from repro.sparsity.config import LongExposureConfig
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
 from repro.sparsity.ops.block_sparse import block_sparse_attention
-from repro.sparsity.ops.geometry_cache import LayoutGeometryCache
+from repro.sparsity.ops.geometry import compute_block_geometry
 from repro.sparsity.ops.layout import MultiHeadLayout, layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import (
     NeuronSparseWeights,
@@ -253,56 +254,92 @@ def _active_block_drift(old: Optional[np.ndarray],
     return float(old.size + new.size - 2 * inter) / max(union, 1)
 
 
-class SparseAttentionBackend:
-    """Block-sparse attention kernel driven by the layer's predictor.
+class _SparseBackend:
+    """Schedule state shared by the sparse backends.
 
-    With ``predict_interval > 1`` the backend keeps the layout of its last
-    refresh and reuses it until the engine's step counter reaches the next
-    scheduled refresh (or the sequence length changes, which invalidates the
-    block grid).  Each refresh, with the mask drift it observed, is stamped
-    into the layer's :class:`LayerScheduleStats`.
+    A backend owns its live masks.  With ``predict_interval > 1`` it reuses
+    them until the engine's step counter reaches its next scheduled refresh,
+    and each refresh, with the mask drift it observed, is stamped into the
+    layer's :class:`LayerScheduleStats`.  A subclass says whether it holds
+    masks for a sequence length (``_holds``) and, for the engine's schedule
+    records, exports (``export``: the :meth:`LongExposure.export_layouts`
+    entry), restores (``restore``), keys (``key``) and drift-compares
+    (``record_refresh``) its own masks, so the engine treats every backend
+    alike.
     """
 
     def __init__(self, engine: "LongExposure", layer_index: int):
         self.engine = engine
         self.layer_index = layer_index
-        self.last_layout: Optional[MultiHeadLayout] = None
-        self._layout_seq_len: Optional[int] = None
         self._last_refresh_step: int = 0
 
     def reset_schedule(self) -> None:
-        """Forget the reused layout; the next call re-derives the masks."""
-        self._replace_layout(None, None)
+        """Forget the reused masks; the next call re-derives them."""
+        self.restore((None, None, None))
         self._last_refresh_step = 0
-
-    def _replace_layout(self, layout: Optional[MultiHeadLayout],
-                        seq_len: Optional[int]) -> None:
-        """Make ``layout`` the live one, dropping the geometry cached for the
-        layout it replaces: refreshed masks rarely repeat, so the cache then
-        holds about one entry per live layout."""
-        old, cache = self.last_layout, self.engine.geometry_cache
-        if (old is not None and cache is not None
-                and (layout is None or seq_len != self._layout_seq_len
-                     or layout.signature() != old.signature())):
-            cache.discard(old, self._layout_seq_len)
-        self.last_layout = layout
-        self._layout_seq_len = seq_len
 
     def _reusable(self, seq_len: int) -> bool:
         # The deadline is computed from the *current* interval, so lowering
         # (or raising) predict_interval mid-run takes effect immediately.
+        interval = self.engine.config.predict_interval
+        return (interval > 1 and self._holds(seq_len)
+                and self.engine.step_index < self._last_refresh_step + interval)
+
+    def refresh_due(self, seq_len: int) -> bool:
+        """Whether a call at the current step re-derives the masks."""
+        return not self._reusable(seq_len)
+
+    def _refresh(self, entry: tuple, start: float) -> None:
+        """Make masks derived since ``start`` (a ``perf_counter`` reading)
+        live, given as an :meth:`export` record."""
         engine = self.engine
-        return (engine.config.predict_interval > 1
-                and self.last_layout is not None
-                and self._layout_seq_len == seq_len
-                and engine.step_index
-                < self._last_refresh_step + engine.config.predict_interval)
+        engine.stats.prediction_seconds += time.perf_counter() - start
+        self.record_refresh(engine.stats.steps, entry)
+        self.restore(entry)
+        self._last_refresh_step = engine.step_index
+
+
+class SparseAttentionBackend(_SparseBackend):
+    """Block-sparse attention kernel driven by the layer's predictor.
+
+    The live layout carries its capacity classes: :attr:`geometry` is
+    computed once when a layout is installed and kept while a refresh
+    reproduces the same layout at the same sequence length.  A sequence
+    length change invalidates the block grid, so it always refreshes.
+    """
+
+    def __init__(self, engine: "LongExposure", layer_index: int):
+        super().__init__(engine, layer_index)
+        self.last_layout: Optional[MultiHeadLayout] = None
+        self._layout_seq_len: Optional[int] = None
+        self.geometry: Optional[_fused.TileLayout] = None
+
+    def _holds(self, seq_len: int) -> bool:
+        return self.last_layout is not None and self._layout_seq_len == seq_len
+
+    def export(self) -> tuple:
+        return ("attn", self.last_layout, self._layout_seq_len)
+
+    def restore(self, entry: tuple) -> None:
+        """Make ``entry``'s layout the live one, with its geometry."""
+        layout, seq_len = entry[1], entry[2]
+        if layout is None:
+            self.geometry = None
+        elif (layout.signature(), seq_len) != (self.key(), self._layout_seq_len):
+            self.geometry = compute_block_geometry(layout, seq_len)
+        self.last_layout, self._layout_seq_len = layout, seq_len
+
+    def key(self):
+        return None if self.last_layout is None else self.last_layout.signature()
+
+    def record_refresh(self, stamp: int, entry: tuple) -> None:
+        self.engine.stats.attention_layer(self.layer_index).record_refresh(
+            stamp, _layout_drift(self.last_layout, entry[1]))
 
     def __call__(self, module: MultiHeadAttention, q, k, v, attn_mask, x=None):
         engine = self.engine
         seq_len = q.shape[2]
         if not self._reusable(seq_len):
-            stats = engine.stats
             start = time.perf_counter()
             if engine.config.oracle_mode or x is None:
                 layout = engine.oracle_attention_layout(module, q, k, seq_len)
@@ -310,48 +347,47 @@ class SparseAttentionBackend:
                 predictor = engine.attention_predictors[self.layer_index]
                 layout = layout_from_block_masks(predictor.predict_patterns(x.data),
                                                  engine.config.block_size)
-            stats.prediction_seconds += time.perf_counter() - start
-            stats.attention_layer(self.layer_index).record_refresh(
-                stats.steps, _layout_drift(self.last_layout, layout))
-            self._replace_layout(layout, seq_len)
-            self._last_refresh_step = engine.step_index
-        return block_sparse_attention(q, k, v, self.last_layout,
-                                      cache=engine.geometry_cache)
+            self._refresh(("attn", layout, seq_len), start)
+        return block_sparse_attention(q, k, v, self.last_layout, geometry=self.geometry)
 
 
-class SparseMLPBackend:
+class SparseMLPBackend(_SparseBackend):
     """Neuron-block-sparse MLP kernel driven by the layer's predictor.
 
-    Scheduling mirrors :class:`SparseAttentionBackend`: with
-    ``predict_interval > 1`` the active-block set of the last refresh is
-    reused until the next scheduled step (the set depends only on the hidden
-    dimension, so no sequence-length invalidation applies).  ``n_blocks`` is
-    the layer's neuron-block count, the denominator of its block sparsity.
+    The active-block set depends only on the hidden dimension, so no
+    sequence-length invalidation applies.  ``n_blocks`` is the layer's
+    neuron-block count, the denominator of its block sparsity.
     """
 
     def __init__(self, engine: "LongExposure", layer_index: int, n_blocks: int):
-        self.engine = engine
-        self.layer_index = layer_index
+        super().__init__(engine, layer_index)
         self.n_blocks = n_blocks
         self.weight_cache: Optional[NeuronSparseWeights] = None
         self.last_active_blocks: Optional[np.ndarray] = None
-        self._last_refresh_step: int = 0
         # Set on first call when the layer's fc1/fc2 carry LoRA adapters and
-        # the backend permanently routes to the dense kernel; the full-step
-        # scheduler (refresh_due) skips such backends.
+        # the backend permanently routes to the dense kernel; such a backend
+        # is never due a refresh.
         self._dense_fallback = False
 
-    def reset_schedule(self) -> None:
-        """Forget the reused block set; the next call re-derives it."""
-        self.last_active_blocks = None
-        self._last_refresh_step = 0
+    def _holds(self, seq_len: int) -> bool:
+        return self.last_active_blocks is not None
 
-    def _reusable(self) -> bool:
-        engine = self.engine
-        return (engine.config.predict_interval > 1
-                and self.last_active_blocks is not None
-                and engine.step_index
-                < self._last_refresh_step + engine.config.predict_interval)
+    def refresh_due(self, seq_len: int) -> bool:
+        return not self._dense_fallback and super().refresh_due(seq_len)
+
+    def export(self) -> tuple:
+        return ("mlp", self.last_active_blocks)
+
+    def restore(self, entry: tuple) -> None:
+        self.last_active_blocks = entry[1]
+
+    def key(self):
+        blocks = self.last_active_blocks
+        return None if blocks is None else blocks.tobytes()
+
+    def record_refresh(self, stamp: int, entry: tuple) -> None:
+        self.engine.stats.mlp_layer(self.layer_index).record_refresh(
+            stamp, _active_block_drift(self.last_active_blocks, entry[1]))
 
     def _cache_for(self, mlp: MLPBlock) -> Optional[NeuronSparseWeights]:
         fc1, fc2 = mlp.fc1, mlp.fc2
@@ -376,19 +412,14 @@ class SparseMLPBackend:
             self._dense_fallback = True
             return DenseMLPBackend()(mlp, x)
 
-        if not self._reusable():
-            stats = engine.stats
+        if not self._reusable(x.shape[-2]):
             start = time.perf_counter()
             if engine.config.oracle_mode:
                 active_blocks = engine.oracle_mlp_blocks(mlp, x)
             else:
                 predictor = engine.mlp_predictors[self.layer_index]
                 active_blocks = predictor.predict_active_blocks(x.data)
-            stats.prediction_seconds += time.perf_counter() - start
-            stats.mlp_layer(self.layer_index).record_refresh(
-                stats.steps, _active_block_drift(self.last_active_blocks, active_blocks))
-            self.last_active_blocks = active_blocks
-            self._last_refresh_step = engine.step_index
+            self._refresh(("mlp", active_blocks), start)
 
         active_neurons = expand_block_indices(self.last_active_blocks,
                                               engine.config.block_size, mlp.hidden_dim)
@@ -402,9 +433,6 @@ class LongExposure:
 
     def __init__(self, config: Optional[LongExposureConfig] = None):
         self.config = config or LongExposureConfig()
-        # Derived-geometry memo shared by every sparse attention backend this
-        # engine installs; set to None to force per-call recomputation.
-        self.geometry_cache: Optional[LayoutGeometryCache] = LayoutGeometryCache()
         self.attention_exposer = AttentionExposer(
             self.config.block_size, coverage=self.config.attention_coverage)
         self.mlp_exposer = MLPExposer(self.config.block_size, threshold=MLP_FILTER)
@@ -645,18 +673,9 @@ class LongExposure:
         replay *across* a refresh: the trainer makes a refresh step the
         capture step of the plan that replays until the next one.  MLP
         backends that permanently route to the dense kernel (LoRA inside the
-        MLP) never refresh and are skipped.
+        MLP) are never due.
         """
-        for backend in self._sparse_backends:
-            if isinstance(backend, SparseAttentionBackend):
-                if not backend._reusable(seq_len):
-                    return True
-            elif isinstance(backend, SparseMLPBackend):
-                if backend._dense_fallback:
-                    continue
-                if not backend._reusable():
-                    return True
-        return False
+        return any(backend.refresh_due(seq_len) for backend in self._sparse_backends)
 
     def refresh_due_next(self, seq_len: int) -> bool:
         """Whether :meth:`refresh_due` will hold on the *next* step.
@@ -684,14 +703,7 @@ class LongExposure:
         them from rank 0 cheaper than letting every worker probe its own
         shard — and keeps all workers computing with the *same* layouts.
         """
-        state = []
-        for backend in self._sparse_backends:
-            if isinstance(backend, SparseAttentionBackend):
-                state.append(("attn", backend.last_layout,
-                              backend._layout_seq_len))
-            elif isinstance(backend, SparseMLPBackend):
-                state.append(("mlp", backend.last_active_blocks))
-        return state
+        return [backend.export() for backend in self._sparse_backends]
 
     def adopt_layouts(self, state: list, refresh_step: Optional[int] = None) -> None:
         """Install layouts exported by another engine replica (rank 0).
@@ -703,17 +715,10 @@ class LongExposure:
         layer, stamped with the step they apply to.
         """
         step = self.step_index if refresh_step is None else int(refresh_step)
-        stats = self.stats
-        stamp = stats.steps + step - self.step_index
+        stamp = self.stats.steps + step - self.step_index
         for backend, entry in zip(self._sparse_backends, state):
-            if entry[1] is None:
-                continue
-            if isinstance(backend, SparseAttentionBackend):
-                stats.attention_layer(backend.layer_index).record_refresh(
-                    stamp, _layout_drift(backend.last_layout, entry[1]))
-            else:
-                stats.mlp_layer(backend.layer_index).record_refresh(
-                    stamp, _active_block_drift(backend.last_active_blocks, entry[1]))
+            if entry[1] is not None:
+                backend.record_refresh(stamp, entry)
         self.restore_schedule({"step_index": self.step_index, "layouts": state,
                                "refresh_steps": [step] * len(state)})
 
@@ -730,8 +735,8 @@ class LongExposure:
                                   for backend in self._sparse_backends]}
 
     def restore_schedule(self, state: dict) -> None:
-        """Reinstate a :meth:`schedule_state` record.  Replaced layouts
-        drop their cached geometry; no drift sample is recorded."""
+        """Reinstate a :meth:`schedule_state` record.  A replaced layout
+        brings its own geometry; no drift sample is recorded."""
         layouts = state["layouts"]
         if len(layouts) != len(self._sparse_backends):
             raise ValueError(f"schedule record covers {len(layouts)} backends, "
@@ -739,10 +744,7 @@ class LongExposure:
         self.step_index = int(state["step_index"])
         for backend, entry, refresh in zip(self._sparse_backends, layouts,
                                            state["refresh_steps"]):
-            if isinstance(backend, SparseAttentionBackend):
-                backend._replace_layout(entry[1], entry[2])
-            else:
-                backend.last_active_blocks = entry[1]
+            backend.restore(entry)
             backend._last_refresh_step = int(refresh)
 
     def layout_state(self) -> tuple:
@@ -756,15 +758,7 @@ class LongExposure:
         no longer match the live plan.  Equal signatures mean the closed-over
         geometry is still exactly the one the masks describe.
         """
-        state = []
-        for backend in self._sparse_backends:
-            if isinstance(backend, SparseAttentionBackend):
-                layout = backend.last_layout
-                state.append(None if layout is None else layout.signature())
-            elif isinstance(backend, SparseMLPBackend):
-                blocks = backend.last_active_blocks
-                state.append(None if blocks is None else blocks.tobytes())
-        return tuple(state)
+        return tuple(backend.key() for backend in self._sparse_backends)
 
     # -- reporting -----------------------------------------------------------------
     def mean_predictor_recall(self) -> Dict[str, float]:
@@ -794,16 +788,34 @@ class LongExposure:
         """Per attention layer, kept over executed panel blocks of its live
         layout's capacity classes — useful over attempted attention work.
 
-        Read from the geometry the kernel ran (peeking at the cache counts no
-        lookup); a layer whose geometry is not cached is left out.  A panel
-        slot is kept unless it is the inert one, ``heads * n_blocks``.
+        Read from the geometry each backend holds for its live layout and
+        runs.  A panel slot is kept unless it is the inert one,
+        ``heads * n_blocks``.
         """
-        cache = self.geometry_cache
-        geometries = {} if cache is None else {
-            backend.layer_index: cache.peek(backend.last_layout, backend._layout_seq_len)
-            for backend in self._live_attention()}
-        return {layer: float(np.mean(np.concatenate([t.index for t in g.tiles]) != g.units.size))
-                for layer, g in geometries.items() if g is not None}
+        return {backend.layer_index: float(np.mean(np.concatenate(
+                    [t.index for t in backend.geometry.tiles]) != backend.geometry.units.size))
+                for backend in self._live_attention()}
+
+    @property
+    def geometry_cache(self) -> SimpleNamespace:
+        """Read-only view of the held geometry, in the shape the e2e
+        benchmark's geometry and block-sparse probes read
+        (``benchmarks/e2e/e2ebench/probes.py``) and kept only for them;
+        delete it once they read the backends.  ``hits`` / ``misses`` are
+        the attention reuses / refreshes of the refresh record, so their
+        ratio is the attention layout reuse rate; ``lookup(layout,
+        seq_len)`` returns the geometry a backend holds for ``layout``
+        while it is live, else computes it."""
+        counts = self.stats.layout_reuse_counts()
+
+        def lookup(layout: MultiHeadLayout, seq_len: int) -> _fused.TileLayout:
+            for backend in self._live_attention():
+                if backend.last_layout is layout and backend._layout_seq_len == seq_len:
+                    return backend.geometry
+            return compute_block_geometry(layout, seq_len)
+
+        return SimpleNamespace(hits=counts["attention_reuses"],
+                               misses=counts["attention_refreshes"], lookup=lookup)
 
     def gauges(self) -> Dict[str, float]:
         """Point-in-time engine facts, keyed by the trainer's gauge names.

@@ -12,11 +12,9 @@ Two families of kernels:
   transposed ("coalesced") weight layout mirroring the paper's
   memory-coalescing optimisation.
 
-The capacity classes the attention kernel derives from a layout (per-unit
-key-block lists padded to a small ladder of widths, drop masks) are memoized by
-:class:`repro.sparsity.ops.geometry_cache.LayoutGeometryCache`, keyed by
-layout content — a layout reused between mask refreshes pays the
-index-construction cost once.
+The attention kernel runs a layout's capacity classes
+(:func:`repro.sparsity.ops.geometry.compute_block_geometry`); whoever
+installs a layout computes them once and passes them in.
 
 All operators register fused custom backwards, so skipping a block in the
 forward pass also skips its gradient work — the property derived in the
@@ -24,10 +22,7 @@ paper's Section II-D.
 """
 
 from repro.sparsity.ops.layout import MultiHeadLayout
-from repro.sparsity.ops.geometry_cache import (
-    LayoutGeometryCache,
-    compute_block_geometry,
-)
+from repro.sparsity.ops.geometry import compute_block_geometry
 from repro.sparsity.ops.block_sparse import (
     block_sparse_attention,
     dense_attention_reference,
@@ -39,7 +34,6 @@ from repro.sparsity.ops.neuron_sparse import (
 
 __all__ = [
     "MultiHeadLayout",
-    "LayoutGeometryCache",
     "compute_block_geometry",
     "block_sparse_attention",
     "dense_attention_reference",

@@ -8,7 +8,7 @@ sparse probability blocks are multiplied with V to produce the dense context.
 
 :func:`block_sparse_attention`, the autograd op used during fine-tuning,
 runs both in one kernel: it hands the layout's capacity classes
-(:mod:`repro.sparsity.ops.geometry_cache`) to
+(:mod:`repro.sparsity.ops.geometry`) to
 :func:`repro.tensor.fused.tiled_attention` — the same kernel dense streaming
 attention runs — whose backward touches exactly the panels the forward did,
 realising the paper's observation that inactive positions drop out of the
@@ -21,10 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sparsity.ops.geometry_cache import (
-    LayoutGeometryCache,
-    compute_block_geometry,
-)
+from repro.sparsity.ops.geometry import compute_block_geometry
 from repro.sparsity.ops.layout import MultiHeadLayout
 from repro.tensor import Tensor
 from repro.tensor import fused as _fused
@@ -56,8 +53,9 @@ def dense_attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLayout,
                            scale: Optional[float] = None,
-                           cache: Optional[LayoutGeometryCache] = None,
-                           streaming: Optional[bool] = None) -> Tensor:
+                           cache=None,
+                           streaming: Optional[bool] = None,
+                           geometry: Optional[_fused.TileLayout] = None) -> Tensor:
     """Block-sparse ``softmax(QK^T) V`` with a block-sparse backward.
 
     Parameters
@@ -69,15 +67,14 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
         block masks (predicted mode) or the exposer's masks (oracle mode).
     scale:
         Score scaling; defaults to ``1/sqrt(head_dim)``.
-    cache:
-        Optional :class:`~repro.sparsity.ops.geometry_cache.LayoutGeometryCache`.
-        When given, the layout's capacity classes (slot lists, drop masks)
-        are looked up instead of recomputed — repeated layouts across
-        fine-tuning steps then pay zero index-construction cost.  Results
-        are identical either way.
-    streaming:
-        Accepted and ignored: there is one attention kernel, and it never
-        materialises more than one class chunk of scores.
+    cache, streaming:
+        Kept for older callers: ``cache.lookup(layout, seq_len)`` supplies
+        the geometry when ``geometry`` is not given; ``streaming`` is
+        ignored (the one kernel never materialises more than a class chunk).
+    geometry:
+        The layout's capacity classes
+        (:func:`~repro.sparsity.ops.geometry.compute_block_geometry`), held
+        by whoever installed the layout; computed here when not given.
 
     The softmax normalises over the *union of active blocks in each query
     row*, with causal masking inside diagonal blocks.  Forward and backward
@@ -98,7 +95,8 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
     if not _fused.fused_kernels_enabled():
         return _reference.block_sparse_attention(q, k, v, layout, scale=scale)
     seq_len = q.shape[2]
-    tiles = (cache.lookup(layout, seq_len) if cache is not None
-             else compute_block_geometry(layout, seq_len))
-    return _fused.tiled_attention(q, k, v, tiles, scale=scale,
+    if geometry is None:
+        geometry = (cache.lookup(layout, seq_len) if cache is not None
+                    else compute_block_geometry(layout, seq_len))
+    return _fused.tiled_attention(q, k, v, geometry, scale=scale,
                                   tag="block_sparse_attention")

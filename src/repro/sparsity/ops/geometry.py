@@ -1,4 +1,4 @@
-"""Cached block-sparse geometry: a layout's capacity classes for the attention kernel.
+"""Block-sparse geometry: a layout's capacity classes for the attention kernel.
 
 :func:`repro.tensor.fused.tiled_attention` takes a
 :class:`~repro.tensor.fused.TileLayout`; :func:`compute_block_geometry`
@@ -22,33 +22,22 @@ derives one from a :class:`~repro.sparsity.ops.layout.MultiHeadLayout`:
   query-block order inside a class — a fixed order, so replay is bitwise
   equal to interpreted execution.
 
-Everything depends only on ``(layout contents, seq_len)``.
-:class:`LayoutGeometryCache` memoizes the result under a content signature of
-the layout plus the sequence length, so the steps that reuse a layout between
-refreshes, and every layer or probe that sees the same layout, are pure
-dictionary hits.  Refreshed masks rarely repeat, so the engine discards a
-layout's entry when a refresh replaces it: the cache holds about one entry
-per live layout, a few index arrays the size of the executed panel blocks.
-
-The cache is *purely* a memoization: a lookup returns byte-identical arrays
-to a fresh computation (asserted by the test suite), so enabling it can
-never change numerical results.
+Everything depends only on the layout's contents.  The engine's attention
+backend (:class:`repro.sparsity.engine.SparseAttentionBackend`) computes the
+geometry once when it installs a layout and holds it beside that layout
+until a refresh replaces it with a different one.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.sparsity.ops.layout import MultiHeadLayout
 from repro.tensor.fused import TileLayout, UnitClass, chunk_panel_blocks
 
-__all__ = [
-    "LayoutGeometryCache",
-    "compute_block_geometry",
-]
+__all__ = ["compute_block_geometry"]
 
 # Panel capacities, in blocks: powers of two and 1.5x powers of two, so
 # rounding a live-block count up pads it by less than half.
@@ -57,14 +46,14 @@ _CAPACITY_LADDER = np.array(sorted({1 << k for k in range(31)}
 
 
 def compute_block_geometry(layout: MultiHeadLayout, seq_len: int) -> TileLayout:
-    """Derive the kernel's capacity classes from scratch (the uncached path).
+    """Derive the kernel's capacity classes of ``layout``.
 
     Blocks above the diagonal are ignored (attention is causal); a unit whose
     diagonal block the layout leaves out keeps an inert slot in its place, so
     a query row that keeps nothing reads exactly zero.  The classes depend on
     the block layout alone — the kernel zero-pads a ragged last block — so
-    the result does not change with ``seq_len`` (:class:`LayoutGeometryCache`
-    still keys entries by it).
+    the result does not change with ``seq_len``, which is accepted and
+    unused.
     """
     bs, nb, heads = layout.block_size, layout.n_blocks, layout.n_heads
     lead = heads * nb
@@ -122,53 +111,3 @@ def _class_chunks(u0: int, index: np.ndarray, rank: np.ndarray, lead: int,
                                 (0, *cut.tolist(), len(chunk)), drop, first))
     return chunks
 
-
-class LayoutGeometryCache:
-    """LRU memo of tile layouts keyed by (layout signature, seq_len).
-
-    Keyed by the layout's *content* signature rather than object identity,
-    so equal layouts materialised by different calls (the engine's
-    refreshes, the baselines' and tests' ``layout_from_block_masks``) share
-    entries.
-    Bounded so pathological workloads (e.g. a different random layout every
-    step) cannot grow memory without limit.
-    """
-
-    def __init__(self, maxsize: int = 64):
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Hashable, TileLayout]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, layout: MultiHeadLayout, seq_len: int) -> TileLayout:
-        """Return the tile layout, computing and caching on first use."""
-        key = (layout.signature(), int(seq_len))
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        entry = compute_block_geometry(layout, seq_len)
-        self._entries[key] = entry
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return entry
-
-    def peek(self, layout: MultiHeadLayout, seq_len: int) -> Optional[TileLayout]:
-        """The cached tile layout, or None — counts neither a hit nor a miss."""
-        return self._entries.get((layout.signature(), int(seq_len)))
-
-    def discard(self, layout: MultiHeadLayout, seq_len: int) -> None:
-        """Drop ``layout``'s entry (no-op when absent)."""
-        self._entries.pop((layout.signature(), int(seq_len)), None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0

@@ -7,7 +7,7 @@ from per-head boolean block masks by :func:`layout_from_block_masks`.
 
 The layout is sorted by ``(head, query_row_block, key_block)``; the
 training kernel's capacity classes are derived from it in
-:mod:`repro.sparsity.ops.geometry_cache`.
+:mod:`repro.sparsity.ops.geometry`.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ class MultiHeadLayout:
 
         Two layouts with the same geometry and active-block set produce the
         same signature even when they are distinct objects (e.g. built by
-        ``layout_from_block_masks`` on different steps), which is what lets
-        :class:`~repro.sparsity.ops.geometry_cache.LayoutGeometryCache` share
-        derived geometry across them.  Computed once and memoized; the index
-        arrays are treated as immutable after construction.
+        ``layout_from_block_masks`` on different steps): the engine keeps a
+        backend's capacity classes, and reads zero drift, across equal
+        signatures.  Computed once and memoized; the index arrays are
+        treated as immutable after construction.
         """
         if self._signature is None:
             object.__setattr__(self, "_signature", (

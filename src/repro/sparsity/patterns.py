@@ -32,7 +32,7 @@ def block_count(seq_len: int, block_size: int) -> int:
     return -(-seq_len // block_size)
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(128)
 def _cached_causal_block_mask(n_blocks: int) -> np.ndarray:
     mask = np.tril(np.ones((n_blocks, n_blocks), dtype=bool))
     # Shared across every caller at this grid size; freeze it so an

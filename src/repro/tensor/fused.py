@@ -166,7 +166,7 @@ def _reduced_shape(shape: Tuple[int, ...], axis: int) -> Tuple[int, ...]:
     return shape[:axis] + (1,) + shape[axis + 1:]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(16)
 def _row_indices(n: int) -> np.ndarray:
     """Cached read-only ``arange(n)`` — shared row-index vector for fancy
     indexing, so steady-state steps never re-allocate it."""
@@ -276,7 +276,7 @@ def masked_softmax(scores: Tensor, mask: Optional[np.ndarray], axis: int = -1,
 # layer normalisation
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(16)
 def _mean_column(dim: int, dtype: str) -> np.ndarray:
     """Cached read-only ``(dim, 1)`` column of ``1 / dim``: a row mean is one
     GEMV against it."""

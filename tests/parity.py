@@ -33,7 +33,7 @@ import numpy as np
 from repro.sparsity.ops import (MultiHeadLayout, NeuronSparseWeights,
                                 block_sparse_attention, compute_block_geometry,
                                 neuron_sparse_linear_pair)
-from repro.sparsity.ops.geometry_cache import _CAPACITY_LADDER, _class_chunks
+from repro.sparsity.ops.geometry import _CAPACITY_LADDER, _class_chunks
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import block_count, causal_block_mask
 from repro.tensor import Tensor, arena, functional as F, fused, plan, reference

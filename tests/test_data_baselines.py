@@ -10,7 +10,7 @@ from repro.baselines import (
     longformer_block_masks,
     shadowy_uniform_masks,
 )
-from repro.baselines.sparse_attention import restore_backends
+from repro.baselines.sparse_attention import FixedMaskAttentionBackend, restore_backends
 from repro.data import (
     AlpacaDatasetGenerator,
     BatchLoader,
@@ -155,6 +155,39 @@ class TestBaselines:
         restore_backends(saved)
         from repro.nn.attention import DenseAttentionBackend
         assert all(isinstance(b.attention.backend, DenseAttentionBackend) for b in model.blocks)
+
+    def test_fixed_mask_backend_computes_its_geometry_once(self, monkeypatch):
+        """The fixed layout's capacity classes are computed at construction,
+        not per call, and the kernel output is bitwise the per-call one."""
+        from repro.baselines import sparse_attention
+        from repro.sparsity.ops import block_sparse, block_sparse_attention
+
+        calls = []
+        compute = block_sparse.compute_block_geometry
+        for module in (sparse_attention, block_sparse):
+            monkeypatch.setattr(module, "compute_block_geometry",
+                                lambda *args: calls.append(args) or compute(*args))
+        model = build_model("opt-tiny", seed=0)
+        attention = model.blocks[0].attention
+        backend = FixedMaskAttentionBackend(
+            longformer_block_masks(64, attention.num_heads, 16), block_size=16)
+        rng = np.random.default_rng(3)
+        q, k, v = (rng.normal(size=(2, attention.num_heads, 64, attention.head_dim))
+                   .astype(np.float32) for _ in range(3))
+
+        def run(kernel):
+            qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+            out = kernel(qt, kt, vt)
+            out.sum().backward()
+            return out.data, qt.grad, kt.grad, vt.grad
+
+        held = [run(lambda *qkv: backend(attention, *qkv, None)) for _ in range(2)]
+        assert len(calls) == 1
+        computed = run(lambda *qkv: block_sparse_attention(*qkv, backend.layout))
+        assert len(calls) == 2
+        for outputs in held:
+            for a, b in zip(outputs, computed):
+                assert np.array_equal(a, b)
 
     def test_unstructured_mlp_backend_matches_dense_output(self):
         from repro.nn.mlp import MLPBlock

@@ -1,6 +1,7 @@
 """Tests of the end-to-end LongExposure engine."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.peft import apply_lora, LoRAConfig, get_peft_method
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.sparsity.engine import (MLP_FILTER, PROBE_RANK, SparseAttentionBackend,
                                    SparseMLPBackend)
+from repro.sparsity.ops import compute_block_geometry
 from repro.sparsity.predictor import PredictorTrainingConfig
 from repro.nn.attention import DenseAttentionBackend
 from repro.nn.mlp import DenseMLPBackend
@@ -205,6 +207,19 @@ class TestOracleAndFamilies:
                 assert param.grad is None
 
 
+def _attention_backends(engine):
+    return [b for b in engine._sparse_backends if isinstance(b, SparseAttentionBackend)]
+
+
+def _assert_geometry_of(geometry, layout):
+    """``geometry`` is ``layout``'s capacity classes, array for array."""
+    fresh = compute_block_geometry(layout, layout.n_blocks * layout.block_size)
+    assert np.array_equal(geometry.units, fresh.units)
+    assert len(geometry.tiles) == len(fresh.tiles)
+    for held, computed in zip(geometry.tiles, fresh.tiles):
+        assert np.array_equal(held.index, computed.index)
+
+
 @pytest.fixture(scope="module")
 def refreshed():
     """A predicted-mode tuner on ``opt-tiny`` after three refreshes, each on a
@@ -249,35 +264,30 @@ class TestExecutedSparsity:
             min(layout.head_sparsity().min() for layout in layouts))
         assert "live attention sparsity per layer" in engine.summary()
 
-    def test_panel_efficiency_reads_the_cached_geometry(self, refreshed):
+    def test_panel_efficiency_reads_the_held_geometry(self, refreshed):
         """Useful over attempted attention work: kept blocks over the panel
-        blocks the capacity classes execute, from the geometry the kernel
-        ran, without counting a cache lookup."""
-        from repro.sparsity.ops import compute_block_geometry
-
+        blocks of the capacity classes each backend holds and runs."""
         model, engine, tuner = refreshed
-        cache = engine.geometry_cache
-        lookups = cache.hits + cache.misses
         efficiency = engine.live_panel_efficiency()
-        assert cache.hits + cache.misses == lookups
         assert sorted(efficiency) == list(range(len(model.blocks)))
-        for backend in engine._sparse_backends:
-            if isinstance(backend, SparseAttentionBackend):
-                layout = backend.last_layout
-                executed = sum(tile.index.size for tile in
-                               compute_block_geometry(layout, 256).tiles)
-                assert efficiency[backend.layer_index] == pytest.approx(
-                    layout.nnz / executed)
-                # The ladder pads a unit's panel by less than half.
-                assert 2 / 3 <= efficiency[backend.layer_index] <= 1.0
+        for backend in _attention_backends(engine):
+            layout = backend.last_layout
+            executed = sum(tile.index.size for tile in backend.geometry.tiles)
+            assert efficiency[backend.layer_index] == pytest.approx(
+                layout.nnz / executed)
+            # The ladder pads a unit's panel by less than half.
+            assert 2 / 3 <= efficiency[backend.layer_index] <= 1.0
         assert tuner.profiler.gauges()["attention_panel_efficiency"] == \
             pytest.approx(np.mean(list(efficiency.values())))
         assert "attention panel efficiency per layer" in engine.summary()
 
-    def test_geometry_cache_holds_only_live_layouts(self, refreshed):
+    def test_each_backend_holds_its_live_layouts_geometry(self, refreshed):
         model, engine, _ = refreshed
-        assert engine.geometry_cache.misses >= 2 * len(model.blocks)
-        assert len(engine.geometry_cache) <= len(model.blocks)
+        backends = _attention_backends(engine)
+        assert len(backends) == len(model.blocks)
+        for backend in backends:
+            _assert_geometry_of(backend.geometry, backend.last_layout)
+        assert len({id(backend.geometry) for backend in backends}) == len(backends)
 
     def test_oracle_layout_is_the_raw_coverage_mask(self, tiny_batches,
                                                     monkeypatch):
@@ -298,3 +308,150 @@ class TestExecutedSparsity:
                 for _ in range(2))
         layout = engine.oracle_attention_layout(attention, q, k, 64)
         assert layout.signature() == layout_from_block_masks(raw[0], 16).signature()
+
+
+def _counting_geometry(monkeypatch) -> list:
+    """Record every geometry computation the engine or the kernel makes."""
+    from repro.sparsity import engine as engine_module
+    from repro.sparsity.ops import block_sparse
+
+    calls = []
+
+    def counting(layout, seq_len):
+        calls.append(layout.signature())
+        return compute_block_geometry(layout, seq_len)
+
+    monkeypatch.setattr(engine_module, "compute_block_geometry", counting)
+    monkeypatch.setattr(block_sparse, "compute_block_geometry", counting)
+    return calls
+
+
+def _predicted_tuner(interval=1, capture=False):
+    """``opt-tiny`` + LoRA under a predicted engine (block 16, seq 256)."""
+    from repro.runtime import CaptureConfig
+    from repro.runtime.trainer import FineTuner, TrainingConfig
+
+    model = build_model("opt-tiny", seed=0)
+    rng = np.random.default_rng(11)
+    engine = LongExposure(LongExposureConfig(block_size=16, seed=0,
+                                             predict_interval=interval))
+    engine.prepare(model, [rng.integers(0, 512, size=(2, 256))])
+    apply_lora(model)
+    engine.install(model)
+    tuner = FineTuner(model, TrainingConfig(
+        learning_rate=1e-3, capture=CaptureConfig(enabled=capture)), engine=engine)
+    return tuner, rng
+
+
+class TestGeometryOwnership:
+    """A backend computes its layout's geometry when it installs a layout
+    whose signature or sequence length differs from the one it holds, and
+    at no other time."""
+
+    @pytest.mark.parametrize("capture", [True, False], ids=["capture", "no-capture"])
+    @pytest.mark.parametrize("interval,repeat,computes", [
+        (1, False, 21), (4, False, 5), (1, True, 2)],
+        ids=["fresh-K1", "fresh-K4", "repeated"])
+    def test_one_compute_per_signature_change(self, monkeypatch, capture,
+                                              interval, repeat, computes):
+        """Twelve steps.  Fresh batches refresh 24 (K=1) or 6 (K=4) layer
+        layouts, three of K=1's and one of K=4's repeating the layer's last
+        layout; a repeated batch reproduces each layer's first layout."""
+        tuner, rng = _predicted_tuner(interval, capture)
+        engine = tuner.engine
+        calls = _counting_geometry(monkeypatch)
+        fixed = rng.integers(0, 512, size=(2, 256))
+        held = [None] * len(_attention_backends(engine))
+        changes = 0
+        try:
+            for _ in range(12):
+                tuner.step(fixed if repeat else rng.integers(0, 512, size=(2, 256)))
+                keys = [backend.key() for backend in _attention_backends(engine)]
+                changes += sum(key != old for key, old in zip(keys, held))
+                held = keys
+        finally:
+            engine.uninstall(tuner.model)
+        assert len(calls) == changes == computes
+
+    def test_one_compute_per_changed_adopted_layout(self, monkeypatch):
+        tuner, rng = _predicted_tuner()
+        engine = tuner.engine
+        try:
+            tuner.step(rng.integers(0, 512, size=(2, 256)))
+            earlier = engine.export_layouts()
+            tuner.step(rng.integers(0, 512, size=(2, 256)))
+            live = engine.export_layouts()
+            changed = [i for i, entry in enumerate(live) if entry[0] == "attn"
+                       and entry[1].signature() != earlier[i][1].signature()]
+            assert changed
+            calls = _counting_geometry(monkeypatch)
+            # One attention layer moves back to its earlier layout.
+            mixed = list(live)
+            mixed[changed[0]] = earlier[changed[0]]
+            engine.adopt_layouts(mixed)
+            assert calls == [earlier[changed[0]][1].signature()]
+            engine.adopt_layouts(earlier)
+            assert len(calls) == len(changed)
+            # The live layouts again, as a rank receives them: nothing to compute.
+            engine.adopt_layouts(pickle.loads(pickle.dumps(earlier)))
+            assert len(calls) == len(changed)
+            for backend in _attention_backends(engine):
+                _assert_geometry_of(backend.geometry, backend.last_layout)
+        finally:
+            engine.uninstall(tuner.model)
+
+    @pytest.mark.parametrize("install", ["adopt_layouts", "restore_schedule"])
+    def test_panel_efficiency_covers_installed_layouts(self, install):
+        """Right after layouts are installed from a record, before any
+        forward, the panel gauge covers every layer and reads the installed
+        layouts, as the sparsity gauges do."""
+        tuner, rng = _predicted_tuner()
+        engine = tuner.engine
+        try:
+            tuner.step(rng.integers(0, 512, size=(2, 256)))
+            record = engine.schedule_state()
+            tuner.step(rng.integers(0, 512, size=(2, 256)))
+            installed = [entry for entry in record["layouts"] if entry[0] == "attn"]
+            assert any(entry[1].signature() != backend.last_layout.signature()
+                       for entry, backend in zip(installed, _attention_backends(engine)))
+            if install == "adopt_layouts":
+                engine.adopt_layouts(record["layouts"])
+            else:
+                engine.restore_schedule(record)
+            efficiency = engine.live_panel_efficiency()
+            assert sorted(efficiency) == list(range(len(installed)))
+            for layer, (_, layout, seq_len) in enumerate(installed):
+                executed = sum(tile.index.size for tile in
+                               compute_block_geometry(layout, seq_len).tiles)
+                assert efficiency[layer] == pytest.approx(layout.nnz / executed)
+            gauges = engine.gauges()
+            assert gauges["attention_sparsity"] == pytest.approx(
+                np.mean([layout.sparsity() for _, layout, _ in installed]))
+            assert gauges["attention_panel_efficiency"] == pytest.approx(
+                np.mean(list(efficiency.values())))
+        finally:
+            engine.uninstall(tuner.model)
+
+    def test_probe_view_reads_the_refresh_record_and_the_held_geometry(self, monkeypatch):
+        """``engine.geometry_cache`` serves the e2e probes: its hit rate is
+        the attention layout reuse rate, and a lookup of a live layout
+        returns the geometry its backend holds."""
+        tuner, rng = _predicted_tuner(interval=4)
+        engine = tuner.engine
+        try:
+            for _ in range(5):      # refreshes on steps 1 and 5
+                tuner.step(rng.integers(0, 512, size=(2, 256)))
+            view = engine.geometry_cache
+            assert (view.hits, view.misses) == (3 * 2, 2 * 2)
+            assert view.hits / (view.hits + view.misses) == pytest.approx(
+                engine.gauges()["attention_reuse_rate"])
+            calls = _counting_geometry(monkeypatch)
+            live = [entry for entry in engine.export_layouts() if entry[0] == "attn"]
+            for (_, layout, seq_len), backend in zip(live, _attention_backends(engine)):
+                assert view.lookup(layout, seq_len) is backend.geometry
+            assert calls == []
+            copy = pickle.loads(pickle.dumps(live[0][1]))
+            _assert_geometry_of(view.lookup(copy, 256), copy)
+            assert len(calls) == 1
+        finally:
+            engine.uninstall(tuner.model)

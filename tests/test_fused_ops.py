@@ -1,5 +1,5 @@
 """Correctness tests for the fused kernels, the tightened backward engine and
-the sparse geometry cache.
+the block-sparse geometry.
 
 The per-op gradchecks live in the shared parity harness (:mod:`parity`):
 every fused op — including the block-sparse attention chain — is exercised
@@ -8,7 +8,7 @@ states of the fused-kernel toggle, against central finite differences (max
 rel err <= 1e-3) and the primitive-composition references.  This file drives
 that grid and keeps the checks the harness does not parametrise: the kernel
 switch plumbing (down to whole-model losses and gradients), overflow safety at extreme score magnitudes, the backward
-engine's accumulation semantics, and the cache-identity guarantees.
+engine's accumulation semantics, and the held-geometry guarantees.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from repro.models import build_model
 from repro.nn.attention import causal_mask
 from repro.optim import Adam
 from repro.sparsity.engine import EngineStats
-from repro.sparsity.ops import (LayoutGeometryCache, block_sparse_attention,
-                                compute_block_geometry)
+from repro.sparsity.ops import block_sparse_attention, compute_block_geometry
 from repro.sparsity.ops.block_sparse import dense_attention_reference
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import pattern_mask
@@ -271,15 +270,15 @@ class TestCausalMaskCache:
 
 
 # ---------------------------------------------------------------------------
-# sparse geometry cache
+# block-sparse geometry
 # ---------------------------------------------------------------------------
 
 def _random_layout(seed=0, heads=3, n_blocks=4, block_size=8):
     return parity._random_layout(seed, heads, n_blocks, block_size)
 
 
-class TestLayoutGeometryCache:
-    def test_outputs_bitwise_identical_with_and_without_cache(self):
+class TestBlockGeometry:
+    def test_outputs_bitwise_identical_with_held_and_computed_geometry(self):
         layout = _random_layout()
         seq_len = 30  # deliberately not a block multiple
         rng = np.random.default_rng(1)
@@ -288,40 +287,24 @@ class TestLayoutGeometryCache:
         k = rng.normal(size=shape).astype(np.float32)
         v = rng.normal(size=shape).astype(np.float32)
 
-        def run(cache):
+        def run(**geometry):
             qt = Tensor(q, requires_grad=True)
             kt = Tensor(k, requires_grad=True)
             vt = Tensor(v, requires_grad=True)
-            out = block_sparse_attention(qt, kt, vt, layout, cache=cache)
+            out = block_sparse_attention(qt, kt, vt, layout, **geometry)
             out.sum().backward()
             return out.data, qt.grad, kt.grad, vt.grad
 
-        cache = LayoutGeometryCache()
-        plain = run(None)
-        cached_cold = run(cache)
-        cached_warm = run(cache)
-        assert cache.hits >= 1 and cache.misses == 1
-        for a, b, c in zip(plain, cached_cold, cached_warm):
-            assert np.array_equal(a, b)
-            assert np.array_equal(a, c)
+        held = compute_block_geometry(layout, seq_len)
 
-    def test_content_keying_shares_across_layout_objects(self):
-        cache = LayoutGeometryCache()
-        a = _random_layout(seed=7)
-        b = _random_layout(seed=7)   # distinct object, identical contents
-        assert a is not b
-        assert a.signature() == b.signature()
-        cache.lookup(a, 32)
-        entry = cache.lookup(b, 32)
-        assert cache.misses == 1 and cache.hits == 1
-        assert entry is cache.lookup(a, 32)
+        class Lookup:   # any object with ``lookup`` is still taken as ``cache=``
+            def lookup(self, layout, seq_len):
+                return held
 
-    def test_seq_len_is_part_of_the_key(self):
-        cache = LayoutGeometryCache()
-        layout = _random_layout(seed=3)
-        g1 = cache.lookup(layout, 30)
-        g2 = cache.lookup(layout, 32)
-        assert cache.misses == 2 and len(cache) == 2 and g1 is not g2
+        computed = run()
+        for other in (run(geometry=held), run(geometry=held), run(cache=Lookup())):
+            for a, b in zip(computed, other):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seq_len,layout", [
         (30, _random_layout(seed=5)), (32, _random_layout(seed=6)),
@@ -359,7 +342,7 @@ class TestLayoutGeometryCache:
         assert np.array_equal(rebuilt, layout.to_dense_mask(seq_len))
 
     def test_entry_footprint_is_bounded_by_the_causal_half(self):
-        # Masks are kept per block, not per element: a tile layout holds a
+        # Masks are kept per block, not per element: a held geometry has a
         # slot per executed panel block, one unit permutation and a bool per
         # (inert panel block, unit) — the diagonal's causal triangle is one
         # array shared by every chunk — well under one bool per (head, row,
@@ -372,28 +355,6 @@ class TestLayoutGeometryCache:
             for tile in geom.tiles)
         rows = geom.block
         assert held <= layout.n_heads * 256 * (256 + rows) // 16
-
-    def test_lru_bound(self):
-        cache = LayoutGeometryCache(maxsize=2)
-        for seed in range(5):
-            cache.lookup(_random_layout(seed=seed), 32)
-        assert len(cache) == 2
-
-    def test_engine_backend_threads_cache(self, tiny_batches):
-        from repro.models import build_model
-        from repro.sparsity import LongExposure, LongExposureConfig
-        model = build_model("opt-tiny", seed=0)
-        config = LongExposureConfig(block_size=16, oracle_mode=True, seed=0)
-        engine = LongExposure(config)
-        engine.prepare(model, tiny_batches)
-        engine.install(model)
-        try:
-            ids = tiny_batches[0]
-            model.loss(ids)
-            model.loss(ids)
-        finally:
-            engine.uninstall(model)
-        assert engine.geometry_cache.hits > 0
 
 
 # ---------------------------------------------------------------------------

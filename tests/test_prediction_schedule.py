@@ -23,7 +23,9 @@ import pytest
 from repro.models import build_model
 from repro.runtime.trainer import FineTuner, TrainingConfig
 from repro.sparsity import LongExposure, LongExposureConfig
-from repro.sparsity.engine import _active_block_drift, _layout_drift
+from repro.sparsity.engine import (SparseAttentionBackend, _active_block_drift,
+                                   _layout_drift)
+from repro.sparsity.ops import compute_block_geometry
 from repro.sparsity.ops.layout import layout_from_block_masks
 
 pytestmark = pytest.mark.schedule
@@ -300,8 +302,8 @@ class TestScheduleRoundTrip:
     def test_rollback_over_a_refresh_step_is_bitwise(self, tiny_batches):
         """Record the schedule before refresh step 3, run that step on other
         inputs, restore the record and run the step again: losses, layouts
-        and refresh steps equal the uninterrupted run's, and the geometry
-        cache keeps one entry per live layout (the detour's is dropped)."""
+        and refresh steps equal the uninterrupted run's, and every attention
+        backend holds its live layout's geometry (the detour's is replaced)."""
         rng = np.random.default_rng(5)
         steps = [rng.integers(0, 512, size=(2, 64)) for _ in range(5)]
         detour = np.full((2, 64), 7)
@@ -323,9 +325,12 @@ class TestScheduleRoundTrip:
                     state = engine.schedule_state()
                     trace.append((float(loss.data), engine.layout_state(),
                                   state["step_index"], state["refresh_steps"]))
-                    live = {(entry[1].signature(), entry[2])
-                            for entry in state["layouts"] if entry[0] == "attn"}
-                    assert len(engine.geometry_cache) == len(live)
+                    for backend in engine._sparse_backends:
+                        if isinstance(backend, SparseAttentionBackend):
+                            fresh = compute_block_geometry(backend.last_layout, 64)
+                            assert np.array_equal(backend.geometry.units, fresh.units)
+                            assert all(np.array_equal(a.index, b.index) for a, b
+                                       in zip(backend.geometry.tiles, fresh.tiles))
             finally:
                 engine.uninstall(model)
             return trace
