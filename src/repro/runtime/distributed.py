@@ -164,7 +164,8 @@ class _WorkerState:
     ``schedule_state()`` (live masks and per-layer refresh steps).
 
     Constructing one records the tuner; :meth:`take` re-records into the
-    same buffers at the top of every step (two flat memcpys plus scalars).
+    same buffers at the top of every step (a copy per parameter, the two
+    moment memcpys and the scalars).
     :meth:`restore` also zeroes the gradients — the backward accumulates, so
     stale grads would double-count on replay.  The pickle is the donor slab.
     The refresh steps must travel with it: ranks that disagree on whether a
@@ -293,10 +294,6 @@ def _worker_main(spec: CommSpec, rank: int,
             raise DistributedError(
                 f"tuner_factory must return a FineTuner, got {type(tuner)!r}")
         optimizer = tuner.optimizer
-        if not hasattr(optimizer, "gather_flat_grad"):
-            raise DistributedError(
-                f"optimizer {type(optimizer).__name__} does not expose the "
-                f"flat gradient buffer (gather_flat_grad/scatter_flat_grad)")
         grad_elems, grad_dtype = optimizer.grad_layout()
         params_bytes = sum(int(p.data.nbytes) for p in optimizer.params)
         blob_capacity = max(4 * params_bytes + (1 << 16), 1 << 20)

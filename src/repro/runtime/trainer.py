@@ -216,8 +216,6 @@ class FineTuner:
         for module in model.modules():
             if isinstance(module, MultiHeadAttention):
                 module.row_tile = row_tile
-        # Flat-update closure for compiled steps (None -> ordinary step()).
-        self._optim_plan_tail = self.optimizer.plan_tail()
 
     def step_signature(self, input_ids: np.ndarray,
                        labels: Optional[np.ndarray] = None):
@@ -248,7 +246,6 @@ class FineTuner:
             capture.begin_step(self.step_signature(input_ids, labels))
         loss_value: Optional[float] = None
         forward_s = backward_s = 0.0
-        replayed = False
         try:
             # A step runs compiled when fused kernels are on.  A mask-refresh
             # step is the capture step: the live plan goes *before* the
@@ -283,7 +280,6 @@ class FineTuner:
                     capture.replay_full_backward()
                     backward_s = time.perf_counter() - start
                     loss_value = capture.full_loss_value()
-                    replayed = True
                 except Exception as exc:
                     # A partial replay may have half-written gradients; zero
                     # them and fall through to the interpreted step, which
@@ -339,10 +335,7 @@ class FineTuner:
                 comm_s = float(self.grad_reducer(self.optimizer.params))
             if self.config.grad_clip > 0:
                 clip_grad_norm(self.optimizer.params, self.config.grad_clip)
-            if replayed and self._optim_plan_tail is not None:
-                self._optim_plan_tail()
-            else:
-                self.optimizer.step()
+            self.optimizer.step()
             self.optimizer.zero_grad()
             self.model.zero_grad()
             optimizer_s = time.perf_counter() - start - comm_s

@@ -117,7 +117,6 @@ class AdapterRegistry:
         # per-key bound keeps the pool honest under tenant churn.
         self.arena = arena or BufferArena(max_free_per_key=256, free_ttl=10 ** 9)
         self.total, self.dtype = optimizer.grad_layout()
-        self._offsets = optimizer._grad_offsets()
         # Pristine adapter init: every new tenant starts from the lane's
         # freshly-applied PEFT state, exactly as a dedicated FineTuner would.
         self._init_params = np.empty(self.total, dtype=self.dtype)
@@ -275,10 +274,8 @@ class AdapterRegistry:
         if tenant not in self._tenants:
             raise KeyError(f"unknown tenant {tenant!r}")
         flat = self._flat_params(tenant)
-        state = {}
-        for index, (name, param) in enumerate(self.named_params):
-            lo, hi = self._offsets[index], self._offsets[index + 1]
-            state[name] = flat[lo:hi].reshape(param.data.shape).copy()
+        state = {name: view.copy() for (name, _), view
+                 in zip(self.named_params, self.optimizer.views(flat))}
         return AdapterSnapshot(
             tenant=tenant,
             step_count=self._tenants[tenant].step_count

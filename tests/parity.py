@@ -766,28 +766,12 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
 
         grad_log: List[List[np.ndarray]]
 
-        def _log_grads(self):
+        def step(self):
             log = getattr(self, "grad_log", None)
             if log is None:
                 log = self.grad_log = []
             log.append([p.grad.copy() for p in self.params])
-
-        def step(self):
-            self._log_grads()
             super().step()
-
-        def plan_tail(self):
-            # Compiled full steps run the pre-validated flat tail instead of
-            # step(); wrap it so those steps land in the grad log too.
-            tail = super().plan_tail()
-            if tail is None:
-                return None
-
-            def logging_tail():
-                self._log_grads()
-                tail()
-
-            return logging_tail
 
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
     with _kernels(fused_enabled):

@@ -5,8 +5,10 @@ in ``README.md`` and the verify skill must be defined somewhere in
 ``src/repro``, found by an ``ast`` walk of the package (nothing is
 imported).  A name from outside the package goes on :data:`EXTERNAL` with
 the reason it is allowed; Python builtins (``ValueError``) are always
-allowed.  Deleting a class without updating the docs that name it fails
-here.
+allowed.  Every backticked ``ClassName.attr`` whose class the package
+defines must name a method, class-level assignment or ``self.attr``
+assignment of that class or one of its package bases.  Deleting a class or
+a method without updating the docs that name it fails here.
 """
 
 from __future__ import annotations
@@ -84,8 +86,52 @@ def _defined_anywhere(modules) -> set:
     return names
 
 
+def _class_members(modules) -> dict:
+    """``{class name: (base names, attributes)}`` for every package class;
+    same-named classes pool their entries."""
+    classes = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases, attrs = classes.setdefault(node.name, (set(), set()))
+            bases.update(b.id if isinstance(b, ast.Name) else b.attr
+                         for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute)))
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    attrs.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target])
+                    attrs.update(t.id for t in targets if isinstance(t, ast.Name))
+            for sub in ast.walk(node):
+                targets = (sub.targets if isinstance(sub, ast.Assign) else
+                           [sub.target] if isinstance(sub, (ast.AnnAssign,
+                                                            ast.AugAssign))
+                           else [])
+                attrs.update(t.attr for t in targets
+                             if isinstance(t, ast.Attribute)
+                             and isinstance(t.value, ast.Name)
+                             and t.value.id == "self")
+    return classes
+
+
 MODULES = _modules()
 DEFINED = _defined_anywhere(MODULES)
+CLASSES = _class_members(MODULES)
+# ``ClassName.attr``, not reached through a pytest node id.
+_MEMBER = re.compile(r"(?<![\w:])([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+
+def _has_member(cls: str, attr: str, seen=()) -> bool:
+    """Whether package class ``cls`` or one of its package bases defines
+    ``attr``."""
+    bases, attrs = CLASSES[cls]
+    return attr in attrs or any(
+        _has_member(base, attr, seen + (cls,)) for base in bases
+        if base in CLASSES and base not in seen + (cls,))
 
 
 def _resolves(path: str) -> bool:
@@ -124,6 +170,26 @@ def test_dotted_repro_paths_resolve(doc):
     assert paths, f"{doc} names no repro paths; the pattern is broken"
     missing = sorted(path for path in paths if not _resolves(path))
     assert missing == [], f"{doc} names code that does not exist: {missing}"
+
+
+def _member_references(doc: str) -> set:
+    return {ref for span in _spans(doc) for ref in _MEMBER.findall(span)
+            if ref[0] in CLASSES}
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_class_attributes_are_defined_by_the_class(doc):
+    refs = _member_references(doc)
+    missing = sorted(f"{cls}.{attr}" for cls, attr in refs
+                     if not _has_member(cls, attr))
+    assert missing == [], f"{doc} names class members that do not exist: {missing}"
+
+
+def test_member_check_reads_the_docs_and_catches_a_stale_name():
+    assert sum(len(_member_references(doc)) for doc in DOCS) >= 10
+    assert _has_member("Adam", "step") and _has_member("Adam", "step_count")
+    assert _has_member("LoRALinear", "parameters")     # from Module
+    assert not _has_member("Adam", "removed_method")
 
 
 def test_both_docs_are_checked():

@@ -1,13 +1,10 @@
 """Equivalence tests for the flattened optimizer and the reduceat scatter.
 
 * The flattened single-buffer Adam must reproduce the original
-  per-parameter Python loop **bitwise** over a multi-step trajectory —
-  including steps where some parameters have no gradient (which exercises
-  the per-parameter fallback on the shared flat state) — and the
-  ``state_size_bytes`` accounting.
-* The route follows ``FLAT_MEAN_SIZE_THRESHOLD`` on the mean parameter size,
-  and forcing either route over large parameters leaves the trajectory
-  bitwise unchanged.
+  per-parameter Python loop **bitwise** over a multi-step trajectory, on
+  small and on large parameters — including steps where some parameters
+  have no gradient (which runs the per-parameter arithmetic over views of
+  the shared flat state) — and the ``state_size_bytes`` accounting.
 * The sort/``np.add.reduceat`` embedding-backward scatter must agree with
   ``np.add.at`` — exactly on order-insensitive (integer-valued) updates,
   where any summation order produces the same floats, and to float rounding
@@ -20,10 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.optim.adam as adam_module
 from repro.nn.module import Parameter
 from repro.optim import Adam
-from repro.optim.adam import FLAT_MEAN_SIZE_THRESHOLD
 from repro.tensor import Tensor
 from repro.tensor.tensor import embedding_lookup, scatter_add_rows
 
@@ -68,6 +63,10 @@ class LoopAdam:
 
 
 SHAPES = [(10, 10), (3,), (4, 5), (1,), (2, 3, 4)]
+# Full-fine-tuning-sized parameters (mean 6445 elements).
+LARGE_SHAPES = [(8192,), (64, 96), (5000,)]
+SHAPE_SETS = pytest.mark.parametrize("shapes", [SHAPES, LARGE_SHAPES],
+                                     ids=["small", "large"])
 
 
 def _param_pair(seed=0, shapes=SHAPES):
@@ -101,20 +100,22 @@ class TestFlattenedAdamEquivalence:
         {"lr": 0.01},
         {"lr": 0.005, "betas": (0.85, 0.99), "eps": 1e-6},
     ], ids=["adam", "adam-betas"])
-    def test_ten_step_trajectory_bitwise(self, kwargs):
-        flat, loop, pa, pb = _run_trajectory(steps=10, **kwargs)
+    @SHAPE_SETS
+    def test_ten_step_trajectory_bitwise(self, kwargs, shapes):
+        flat, loop, pa, pb = _run_trajectory(steps=10, shapes=shapes, **kwargs)
         for a, b in zip(pa, pb):
             np.testing.assert_array_equal(a.data, b.data)
         for m, om, v, ov in zip(flat._m, loop._m, flat._v, loop._v):
             np.testing.assert_array_equal(m, om)
             np.testing.assert_array_equal(v, ov)
 
-    def test_grad_none_steps_fall_back_bitwise(self):
+    @SHAPE_SETS
+    def test_grad_none_steps_fall_back_bitwise(self, shapes):
         # Steps 3 and 7 drop one parameter's gradient: its m/v and data must
         # freeze exactly as in the loop version, and later flat steps must
         # continue from the identical shared state.
         flat, loop, pa, pb = _run_trajectory(
-            steps=10, none_grad_steps=(3, 7), lr=0.01)
+            steps=10, none_grad_steps=(3, 7), shapes=shapes, lr=0.01)
         for a, b in zip(pa, pb):
             np.testing.assert_array_equal(a.data, b.data)
         for m, om, v, ov in zip(flat._m, loop._m, flat._v, loop._v):
@@ -148,57 +149,64 @@ class TestFlattenedAdamEquivalence:
             assert view.base is optimizer._flat_m
 
 
-# Mean size 6445 elements: above the threshold, so the loop route by default.
-LARGE_SHAPES = [(8192,), (64, 96), (5000,)]
+class TestFlatLayout:
+    """``offsets`` / ``views`` are the one layout of state and exchange."""
 
+    def test_views_follow_the_offsets(self):
+        params, _ = _param_pair()
+        optimizer = Adam(params)
+        sizes = [int(np.prod(s)) for s in SHAPES]
+        np.testing.assert_array_equal(optimizer.offsets,
+                                      np.concatenate([[0], np.cumsum(sizes)]))
+        assert optimizer.grad_layout() == (sum(sizes), np.dtype(np.float32))
+        flat = np.arange(sum(sizes), dtype=np.float32)
+        for view, param, lo in zip(optimizer.views(flat), params,
+                                   optimizer.offsets):
+            assert view.shape == param.data.shape and view.base is flat
+            assert view.reshape(-1)[0] == lo
 
-class TestSizeRouting:
-    """The mean parameter size picks flat or loop; both are the same Adam."""
+    def test_grad_exchange_round_trip_with_a_missing_gradient(self):
+        params, _ = _param_pair()
+        optimizer = Adam(params)
+        for param in params:
+            param.grad = np.ones_like(param.data)
+        params[1].grad = None
+        kept = params[0].grad
+        flat = np.full(optimizer.grad_layout()[0], np.nan, np.float32)
+        optimizer.gather_flat_grad(flat)
+        views = optimizer.views(flat)
+        assert np.all(views[1] == 0)
+        assert all(np.all(view == 1) for i, view in enumerate(views) if i != 1)
+        flat *= 3
+        optimizer.scatter_flat_grad(flat)
+        assert params[0].grad is kept          # in place: plans keep buffers
+        assert params[1].grad.base is None     # missing: a fresh array
+        for param in params:
+            assert np.all(param.grad == (0 if param is params[1] else 3))
 
-    @pytest.mark.parametrize("size", [256, FLAT_MEAN_SIZE_THRESHOLD,
-                                      FLAT_MEAN_SIZE_THRESHOLD + 1, 16384])
-    def test_route_follows_mean_size_threshold(self, size):
-        params = [Parameter(np.zeros(size, dtype=np.float32)) for _ in range(3)]
-        flat = Adam(params)._flat_m is not None
-        assert flat == (size <= FLAT_MEAN_SIZE_THRESHOLD)
-
-    def test_route_reads_the_mean_not_the_largest(self):
-        # One matrix far above the threshold among many small biases still
-        # flattens: call overhead, not the largest tensor, decides.
-        sizes = [4 * FLAT_MEAN_SIZE_THRESHOLD] + [64] * 16
-        assert sum(sizes) / len(sizes) <= FLAT_MEAN_SIZE_THRESHOLD
-        params = [Parameter(np.zeros(s, dtype=np.float32)) for s in sizes]
-        assert Adam(params)._flat_m is not None
-
-    def test_state_slabs_are_route_independent(self, monkeypatch):
-        # Serving pages tenants through these slabs, so a tenant's paged-out
-        # state must not depend on which route its optimizer took.
-        slabs = {}
-        for route in ("flat", "loop"):
-            monkeypatch.setattr(adam_module, "FLAT_MEAN_SIZE_THRESHOLD",
-                                float("inf") if route == "flat" else -1.0)
-            opt, _, _, _ = _run_trajectory(steps=3, shapes=LARGE_SHAPES,
+    def test_tenant_slabs_resume_the_trajectory_bitwise(self):
+        # Paging a state out and into a fresh optimizer, then stepping both
+        # with one gradient, must not change a bit (serve's tenant swap).
+        source, _, pa, _ = _run_trajectory(steps=3, shapes=LARGE_SHAPES,
                                            lr=0.01)
-            assert (opt.plan_tail() is None) == (route == "loop")
-            total = sum(int(np.prod(s)) for s in LARGE_SHAPES)
-            m, v = np.empty(total, np.float32), np.empty(total, np.float32)
-            opt.gather_flat_state(m, v)
-            slabs[route] = (m, v)
-        for a, b in zip(slabs["flat"], slabs["loop"]):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("route", ["flat", "loop"])
-    def test_forced_route_matches_loop_bitwise(self, monkeypatch, route):
-        # Forcing the route through the threshold (as the regime sweep that
-        # tuned it did) must not change a single bit of the trajectory.
-        monkeypatch.setattr(adam_module, "FLAT_MEAN_SIZE_THRESHOLD",
-                            float("inf") if route == "flat" else -1.0)
-        opt, loop, pa, pb = _run_trajectory(steps=4, shapes=LARGE_SHAPES,
-                                            lr=0.02)
-        assert (opt._flat_m is not None) == (route == "flat")
-        for a, b in zip(pa, pb):
+        total = source.grad_layout()[0]
+        slabs = [np.empty(total, np.float32) for _ in range(3)]
+        source.gather_flat_params(slabs[0])
+        source.gather_flat_state(slabs[1], slabs[2])
+        fresh = [Parameter(np.zeros(s, np.float32)) for s in LARGE_SHAPES]
+        target = Adam(fresh, lr=0.01)
+        target.scatter_flat_params(slabs[0])
+        target.scatter_flat_state(slabs[1], slabs[2])
+        target.step_count = source.step_count
+        rng = np.random.default_rng(9)
+        for a, b in zip(pa, fresh):
+            a.grad = rng.normal(size=a.data.shape).astype(np.float32)
+            b.grad = a.grad.copy()
+        source.step()
+        target.step()
+        for a, b in zip(pa, fresh):
             np.testing.assert_array_equal(a.data, b.data)
-        for m, om, v, ov in zip(opt._m, loop._m, opt._v, loop._v):
+        for m, om, v, ov in zip(source._m, target._m, source._v, target._v):
             np.testing.assert_array_equal(m, om)
             np.testing.assert_array_equal(v, ov)
 

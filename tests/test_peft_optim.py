@@ -190,7 +190,16 @@ class TestOptimizers:
         optimizer = Adam(params)
         optimizer.zero_grad()
         assert all(param.grad is None for param in params)
-        assert optimizer.num_parameters() == 7
+
+    def test_mixed_dtype_parameters_rejected(self):
+        # The moments, gradient exchange and tenant slabs share one flat
+        # typed layout, so a mixed list fails here rather than at the first
+        # data-parallel or serve call.
+        from repro.nn.module import Parameter
+        params = [Parameter(np.zeros(2, dtype=np.float32)),
+                  Parameter(np.zeros(3, dtype=np.float16))]
+        with pytest.raises(ValueError, match="uniform parameter dtype"):
+            Adam(params)
 
     def test_adam_state_size(self):
         from repro.nn.module import Parameter

@@ -411,6 +411,30 @@ def _compiled_opt_tiny(peft, steps: int = 3):
     return tuner, ids
 
 
+def test_optimizer_subclass_step_runs_on_compiled_steps():
+    """A compiled replay ends in ``optimizer.step()`` like every other step,
+    so an ``Adam`` subclass overriding it sees all of them."""
+
+    class CountingAdam(Adam):
+        calls = 0
+
+        def step(self):
+            self.calls += 1
+            super().step()
+
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
+    optimizer = CountingAdam(model.trainable_parameters(), lr=1e-3)
+    tuner = FineTuner(model, TrainingConfig(), optimizer=optimizer,
+                      capture=StepCapture())
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                            size=(2, 32))
+    for _ in range(6):
+        tuner.step(ids)
+    assert tuner.capture.full_replays == 4
+    assert optimizer.step_count == optimizer.calls == 6
+
+
 @pytest.mark.perf_smoke
 def test_lora_adds_no_plan_entries_beyond_its_projections():
     # The same compiled step with LoRA on q/v and with the base untouched
@@ -596,7 +620,7 @@ def test_degrades_to_interpreted_steps(trigger):
 
 
 def _log_grads(tuner) -> list:
-    """Snapshot every gradient the optimizer's interpreted ``step`` sees."""
+    """Snapshot every gradient the optimizer's ``step`` sees."""
     log = []
     optimizer_step = tuner.optimizer.step
 
