@@ -165,6 +165,8 @@ def neuron_sparse_linear_pair(x: Tensor,
         np.matmul(hidden, fc2_active_t, out=out2d)
         out2d += fc2_b
 
+    # Every replay reads ``b1_active``, so it is the thunk's own while
+    # recording; only an interpreted call hands it back.
     _plan.emit(rec, run, "neuron_sparse_mlp", b1_active)
     out = out2d.reshape(*batch_shape, d_model)
 

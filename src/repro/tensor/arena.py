@@ -18,10 +18,18 @@ that steady state into buffer *reuse*:
   NumPy tape.
 * :meth:`BufferArena.release` returns a buffer *mid-generation* — the
   liveness seam.  Ops release their dead temporaries (softmax row maxima, the
-  backward's dS buffers, consumed saved activations) so non-overlapping
-  buffers share storage within one step: layer ``k``'s backward reuses the
-  very buffers layer ``k + 1`` just finished with, which both bounds peak
-  memory and keeps the working set cache-hot.
+  backward's dS buffers, consumed saved activations), and the autograd loop
+  releases every gradient at its last use: once its consumer's closure has
+  run, once it is summed into an accumulation buffer (either operand), or
+  as soon as it is produced for a parent that takes no gradient.  What goes
+  back is the buffer that owns the gradient's memory — closures hand
+  gradients on as ``reshape`` / ``transpose`` views — and only while no
+  pending gradient overlaps that memory (see
+  :meth:`repro.tensor.Tensor.backward`).  Non-overlapping buffers therefore
+  share storage within one step: layer ``k``'s backward reuses the very
+  buffers layer ``k + 1`` just finished with, which both bounds peak memory
+  and keeps the working set cache-hot.  When the optimizer runs, the only
+  buffers still out are the parameters' gradients.
 
 The module also owns the *active arena* switch the allocation seams consult:
 :func:`empty` / :func:`zeros` route through the active arena when one is
@@ -30,7 +38,11 @@ otherwise.  Every kernel is one function body over buffers from this seam
 (or plan-owned ones while a forward is being recorded, see
 :func:`repro.tensor.plan.emit`), so captured and uncaptured execution differ
 only in the provenance of their buffers — which is what makes the modes
-bitwise identical.
+bitwise identical.  A recorded forward's kernel *scratch* does not come from
+here: it comes from a pool of the plan being recorded
+(:func:`repro.tensor.plan.scratch_alloc`), one ``BufferArena`` that lives
+only as long as the recording, so the kernels of one plan share one set of
+scratch and no plan shares it with another.
 
 This module lives in ``repro.tensor`` (the lowest layer) so the tensor core
 and the fused kernels can import it without cycles; the step-capture state

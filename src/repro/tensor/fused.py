@@ -300,7 +300,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     alloc = np.empty if rec is not None else _arena.empty
     w, b = weight.data, bias.data
     normalized = alloc(data.shape, data.dtype)
-    mean = alloc(red_shape, data.dtype)
+    mean = _plan.scratch_alloc(rec)(red_shape, data.dtype)
     inv_std = alloc(red_shape, data.dtype)
     out = alloc(data.shape, data.dtype)
 
@@ -624,6 +624,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
             rec.fail("cross entropy over non-contiguous logits")
             rec = None
     alloc = np.empty if rec is not None else _arena.empty
+    scratch = _plan.scratch_alloc(rec)
     flat_view = targets_view = None
     if shift and scored.flags.c_contiguous and targets.flags.c_contiguous:
         # One sequence (or a batch whose slices happen to be contiguous):
@@ -633,9 +634,9 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     elif shift:
         # The shifted slices are non-contiguous, so reshape would copy
         # anyway; the copies land in bound buffers ``run`` refreshes.
-        flat_logits = alloc((n_rows, vocab), data.dtype)
+        flat_logits = scratch((n_rows, vocab), data.dtype)
         flat_view = flat_logits.reshape(scored.shape)
-        flat_targets = alloc((n_rows,), targets.dtype)
+        flat_targets = scratch((n_rows,), targets.dtype)
         targets_view = flat_targets.reshape(targets.shape)
     # Every target-derived array (valid mask, safe targets, the per-row
     # reductions) lives in a buffer bound once and refreshed by ``run``, so
@@ -649,8 +650,8 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     safe_targets = alloc((n_rows,), np.int64)
     gather_idx = alloc((n_rows,), np.int64)
     row_red = alloc((n_rows, 1), data.dtype)
-    target_logits = alloc((n_rows,), data.dtype)
-    picked = alloc((n_rows,), data.dtype)
+    target_logits = scratch((n_rows,), data.dtype)
+    picked = scratch((n_rows,), data.dtype)
     st = {}
 
     def run(scored=scored, targets=targets, exps=exps, loss_buf=loss_buf,
@@ -757,8 +758,9 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
     drop_mask = (None if attn_mask is None else
                  np.logical_not(attn_mask, out=alloc(attn_mask.shape, bool)))
     probs = alloc(score_shape, q_data.dtype)
-    red = alloc(score_shape[:-1] + (1,), q_data.dtype)
-    zero_rows = alloc(red.shape, bool)
+    scratch = _plan.scratch_alloc(rec)
+    red = scratch(score_shape[:-1] + (1,), q_data.dtype)
+    zero_rows = scratch(red.shape, bool)
     out = alloc(q.shape[:-1] + (v.shape[-1],), q_data.dtype)
 
     def run(q_data=q_data, kT=kT, v_data=v_data, probs=probs, red=red,
@@ -778,6 +780,8 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
         probs /= red
         np.matmul(probs, v_data, out=out)
 
+    # Every replay reads ``drop_mask``, so it is the thunk's own while
+    # recording; only an interpreted call hands it back.
     _plan.emit(rec, run, "sdpa", drop_mask, red, zero_rows)
 
     def backward(grad_out):
@@ -795,8 +799,10 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
         dS *= probs
         dS *= scale
         grad_q = np.matmul(dS, k.data, out=_arena.empty(q.shape, q.data.dtype))
-        grad_k = np.matmul(np.swapaxes(dS, -1, -2), q.data,
-                           out=_arena.empty(k.shape, k.data.dtype))
+        # A frozen k (layer 0 of a LoRA-q/v model) takes no gradient.
+        grad_k = (np.matmul(np.swapaxes(dS, -1, -2), q.data,
+                            out=_arena.empty(k.shape, k.data.dtype))
+                  if k.requires_grad else None)
         _arena.release(dS, probs)
         return grad_q, grad_k, grad_v
 
@@ -1067,10 +1073,12 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         # Key offset > query offset: a diagonal block's causal triangle,
         # (column, unit, row)-broadcast and shared by every chunk.
         causal = np.arange(bs)[:, None, None] > np.arange(bs)
-    work = workspace(alloc)
-    m_buf = alloc((batch * stack * rows,), dtype)
-    l_buf = alloc((batch * stack * rows,), dtype)
-    zero_buf = alloc((batch * stack * rows,), bool)
+    # Shared with every kernel recorded after this one (see plan.emit).
+    scratch = _plan.scratch_alloc(rec)
+    work = workspace(scratch)
+    m_buf = scratch((batch * stack * rows,), dtype)
+    l_buf = scratch((batch * stack * rows,), dtype)
+    zero_buf = scratch((batch * stack * rows,), bool)
     lse = alloc((batch, lead, 1, rows if sparse else sq), dtype)   # unit order
     # Classes write whole blocks: a ragged last block's padded rows land past
     # the end of the rows ``out`` views.
@@ -1111,20 +1119,23 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
 
     # out is the result; lse and the staged grids survive for the backward.
     _plan.emit(rec, run, tag, *work, m_buf, l_buf, zero_buf)
+    reuse_work = sparse and rec is not None
 
     def backward(grad_out):
         # delta_i = sum_d dO_id * O_id (the softmax-backward row dot).
         tmp = np.multiply(grad_out, out, out=_arena.empty(out.shape, dtype))
         delta = tmp.sum(axis=-1, out=_arena.empty((batch, heads, sq), dtype))
         _arena.release(tmp)
-        # A recorded forward's class-chunk workspace is plan-owned and idle
-        # until the next replay, so the backward reuses it.
-        work_b = work if sparse and rec is not None else workspace(_arena.empty)
+        # A recorded forward's class-chunk workspace is the plan's scratch,
+        # idle until the next replay, so the backward reuses it.
+        work_b = work if reuse_work else workspace(_arena.empty)
         dp_buf = _arena.empty((batch * area,), dtype)
         pan_buf = _arena.empty((batch * panel * (kvd if sparse else max(dim, vdim)),), dtype)
         gq_blocks = _arena.empty((batch, heads, padded, dim), dtype)
         grad_q = gq_blocks if padded == sq else gq_blocks[:, :, :sq]
-        grad_k = _arena.zeros(kd.shape, dtype)
+        # A frozen k takes no gradient: row tiles skip their dK GEMM; class
+        # chunks still form dK beside dV in their shared panel and scatter.
+        grad_k = _arena.zeros(kd.shape, dtype) if k.requires_grad else None
         grad_v = _arena.zeros(vd.shape, dtype)
         gd_grid = gd_buf = g_t_buf = gq_buf = acc_buf = kv_grads = None
         if sparse:
@@ -1175,10 +1186,13 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             ds *= p
             np.matmul(np.swapaxes(ds, -1, -2), tv.k_pan, out=gq_rows)
             gq_rows *= scale
-            np.matmul(ds, tv.qs, out=dk_pan)
             if not sparse:
-                np.add(grad_k[:, :, :tile.width], dk_pan, out=grad_k[:, :, :tile.width])
+                if grad_k is not None:
+                    np.matmul(ds, tv.qs, out=dk_pan)
+                    np.add(grad_k[:, :, :tile.width], dk_pan,
+                           out=grad_k[:, :, :tile.width])
                 continue
+            np.matmul(ds, tv.qs, out=dk_pan)
             gq_blocks.reshape(batch, lead, bs, dim)[:, tv.ids] = gq_rows
             # Add the panel gradients onto the grid slots they came from, run
             # by run (padded blocks are exact zeros landing on the spare slot).
@@ -1191,7 +1205,8 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
                 kv_grads[:, index] = acc
         if sparse:
             grid = kv_grads[:, :lead].reshape(batch, heads, nb * bs, kvd)[:, :, :sk]
-            grad_k += grid[..., :dim]
+            if grad_k is not None:
+                grad_k += grid[..., :dim]
             grad_v += grid[..., dim:]
         # release() ignores whatever the plan or a geometry cache owns.
         _arena.release(delta, *work_b, dp_buf, pan_buf, acc_buf, kv_grads, lse,

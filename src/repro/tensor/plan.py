@@ -71,10 +71,13 @@ class ForwardRecorder:
     """
 
     __slots__ = ("entries", "created", "noted", "built", "failed",
-                 "fail_reason")
+                 "fail_reason", "scratch")
 
     def __init__(self) -> None:
         self.entries: List[ForwardEntry] = []
+        # The plan's scratch pool (see :func:`emit`): it lives as long as
+        # this recording, and its buffers as long as the thunks bound to them.
+        self.scratch = _arena.BufferArena()
         self.created = 0
         self.noted = 0
         self.built: Set[int] = set()
@@ -127,6 +130,20 @@ def set_recorder(rec: Optional[ForwardRecorder]) -> Optional[ForwardRecorder]:
     return previous
 
 
+def scratch_alloc(rec: Optional[ForwardRecorder]):
+    """The allocator for a kernel's replay scratch: buffers its ``run`` fully
+    rewrites before reading and no one reads after it returns.
+
+    While ``rec`` records, that is the plan's own scratch pool, so kernels
+    recorded one after another share one set of scratch (the four layers'
+    attention workspaces are one workspace); otherwise it is the arena.
+    Buffers a body *reads* but does not write — a mask negated once at
+    record time, a bias gathered once — are not scratch: they take the
+    kernel's ordinary allocator and stay the thunk's own.
+    """
+    return rec.scratch.take if rec is not None else _arena.empty
+
+
 def emit(rec: Optional[ForwardRecorder], run: Callable[[], None], tag: str,
          *scratch) -> None:
     """Execute a kernel body once, then settle who keeps its buffers.
@@ -135,14 +152,19 @@ def emit(rec: Optional[ForwardRecorder], run: Callable[[], None], tag: str,
     thunk over buffers it bound through one allocator choice: ``np.empty``
     while ``rec`` is recording (plan-owned — the arena's generation recycling
     must never reclaim plan state), ``arena.empty`` otherwise.  Recording
-    keeps ``run`` as the replay entry, scratch and all; interpreted execution
-    hands ``scratch`` back to the arena.  Buffer provenance is the only
-    difference between the two, which is what makes replay bitwise equal to
-    the interpreted forward.
+    keeps ``run`` as the replay entry and hands ``scratch`` back to the
+    plan's scratch pool (:func:`scratch_alloc`), where the next recorded
+    kernel takes it again: replay runs the entries one at a time, so their
+    scratch never needs to coexist.  Interpreted execution hands ``scratch``
+    back to the arena.  Either pool ignores buffers it did not hand out.
+    Buffer provenance is the only difference between the two, which is what
+    makes replay bitwise equal to the interpreted forward.
     """
     run()
     if rec is not None:
         rec.record(run, tag)
+        for buf in scratch:
+            rec.scratch.release(buf)
     else:
         _arena.release(*scratch)
 

@@ -83,17 +83,34 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _grad_aliased(buf: np.ndarray, grads: dict) -> bool:
-    """Whether any pending gradient is (a view of) ``buf``.
+def _owner(value: np.ndarray) -> np.ndarray:
+    """The array that owns ``value``'s memory (``value`` itself unless a view)."""
+    while isinstance(value.base, np.ndarray):
+        value = value.base
+    return value
 
-    Guards the backward pass's early buffer release: closures may return the
-    incoming gradient itself (``__add__``) or a view of it (``reshape`` /
-    ``transpose`` backwards), in which case the buffer is still live.
+
+def _release_dead(arena, dead: Sequence[np.ndarray], grads: dict) -> None:
+    """Return the buffers behind the gradients in ``dead`` to ``arena``.
+
+    A gradient reaches its consumer as whatever the producing closure
+    returned — often a ``reshape`` / ``transpose`` view of an arena buffer —
+    so the buffer released is the one owning its memory, and only when the
+    arena handed it out and no pending gradient overlaps it: closures may
+    return the incoming gradient for several parents (``__add__``,
+    ``concatenate``'s slices), and those readers are still to come.  An
+    array without a base owns its memory and shares it with no other owner,
+    so only pending views need the overlap test.
     """
-    for value in grads.values():
-        if value is buf or value.base is buf:
-            return True
-    return False
+    for value in dead:
+        if not isinstance(value, np.ndarray):
+            continue
+        buf = _owner(value)
+        if arena.owns(buf) and not any(
+                pending is buf or (pending.base is not None
+                                   and np.may_share_memory(buf, pending))
+                for pending in grads.values()):
+            arena.release(buf)
 
 
 def _reshape_through_arena(src: np.ndarray, shape) -> np.ndarray:
@@ -434,6 +451,17 @@ class Tensor:
         full-size forward temporaries, so this releases the bulk of the
         graph's memory mid-backward.  Pass ``retain_graph=True`` to keep the
         graph alive for a second backward over the same graph.
+
+        Under an active buffer arena every gradient goes back to the pool at
+        its last use: once its consumer's closure has run (or a leaf's
+        ``.grad`` has taken it), once it has been summed into an
+        accumulation buffer (either operand), or as soon as it is produced
+        for a parent that takes no gradient.  The buffer released is the one
+        owning the gradient's memory, and only when the arena handed it out
+        in this step and no pending gradient overlaps that memory — a
+        closure may pass the incoming gradient on to several parents, or as
+        a view (``reshape``, ``transpose``, ``broadcast_to``).  Releases are
+        settled once per node, after all of its outputs are pending.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -518,6 +546,8 @@ class Tensor:
                             node.grad = node_grad.copy()
                     else:
                         np.add(node.grad, node_grad, out=node.grad)
+                if arena is not None and node.grad is not node_grad:
+                    _release_dead(arena, (node_grad,), grads)
                 continue
             parents = node._parents
             parent_grads = backward_fn(node_grad)
@@ -528,18 +558,25 @@ class Tensor:
                 # of silently producing no parameter gradients.
                 node._backward = _GRAPH_FREED
                 node._parents = ()
-            if parent_grads is None:
-                continue
             if not isinstance(parent_grads, tuple):
-                parent_grads = (parent_grads,)
+                parent_grads = () if parent_grads is None else (parent_grads,)
+            # Gradients no one reads once this node is done: its own, now
+            # consumed, and every closure output that is summed away or meant
+            # for a parent that takes no gradient.
+            dead = [node_grad]
             for parent, pgrad in zip(parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
+                if pgrad is None:
+                    continue
+                if not parent.requires_grad:
+                    dead.append(pgrad)
                     continue
                 raw = pgrad
                 pgrad = _unbroadcast(np.asarray(pgrad, dtype=parent.data.dtype),
                                      parent.data.shape)
                 pid = id(parent)
                 existing = grads.get(pid)
+                if pgrad is not raw:
+                    dead.append(raw)
                 if existing is None:
                     grads[pid] = pgrad
                     if pgrad is not raw:
@@ -548,6 +585,7 @@ class Tensor:
                         owned.add(pid)
                 elif pid in owned:
                     np.add(existing, pgrad, out=existing)
+                    dead.append(pgrad)
                 else:
                     if arena is not None:
                         buf = arena.take(existing.shape, existing.dtype)
@@ -556,13 +594,14 @@ class Tensor:
                     else:
                         grads[pid] = existing + pgrad
                     owned.add(pid)
-            if (arena is not None and nid in owned and arena.owns(node_grad)
-                    and not _grad_aliased(node_grad, grads)):
-                # This node's gradient buffer is dead (owned by the pass,
-                # propagated, and not aliased by any pending gradient):
-                # recycle it so later nodes of the same shape — typically the
-                # same op in an earlier layer — reuse the hot buffer.
-                arena.release(node_grad)
+                    dead += (existing, pgrad)
+            if arena is not None:
+                # Recycle the dead buffers now that every output is pending,
+                # so later nodes of the same shape — typically the same op in
+                # an earlier layer — reuse the hot buffers.
+                _release_dead(arena, dead, grads)
+            # Heap temporaries among them (a reshape's copy) die here too.
+            del dead
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":

@@ -251,6 +251,43 @@ class TestBackwardAccumulation:
 
 
 # ---------------------------------------------------------------------------
+# a frozen key takes no gradient and costs no GEMM
+# ---------------------------------------------------------------------------
+
+def _attention_backward(kernel, k_trainable, monkeypatch):
+    """(backward GEMM count, grad_q, grad_k, grad_v) of one attention call."""
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.normal(size=(1, 2, 48, 8)).astype(np.float32) for _ in range(3))
+    q, v = Tensor(q, requires_grad=True), Tensor(v, requires_grad=True)
+    k = Tensor(k, requires_grad=k_trainable)
+    out = kernel(q, k, v)
+    calls = []
+    matmul = np.matmul
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul",
+                      lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+        out.backward(rng.normal(size=out.shape).astype(np.float32))
+    return len(calls), q.grad, k.grad, v.grad
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("kernel,gemms_saved", [
+    (lambda q, k, v: fused.scaled_dot_product_attention(q, k, v, causal_mask(48)), 1),
+    # Three dense row tiles of 16 rows: one dK GEMM fewer per tile.
+    (lambda q, k, v: fused.streaming_attention(q, k, v, causal_mask(48), tile=16), 3),
+], ids=["sdpa", "row-tiles"])
+def test_frozen_key_skips_its_gemm(kernel, gemms_saved, monkeypatch):
+    # Layer 0 of a LoRA-q/v model sees a frozen k: no dK is formed, and the
+    # gradients that are formed keep every bit.
+    trained = _attention_backward(kernel, True, monkeypatch)
+    frozen = _attention_backward(kernel, False, monkeypatch)
+    assert frozen[0] == trained[0] - gemms_saved
+    assert frozen[2] is None and trained[2] is not None
+    assert np.array_equal(frozen[1], trained[1])
+    assert np.array_equal(frozen[3], trained[3])
+
+
+# ---------------------------------------------------------------------------
 # cached causal mask
 # ---------------------------------------------------------------------------
 

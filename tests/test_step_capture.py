@@ -12,10 +12,12 @@ the buffer arena.  Three concerns, three marker tiers:
 * ``-m alloc`` (also ``perf_smoke``) — the allocation-regression gate: once
   a step is captured, subsequent steps must perform **zero** new arena
   allocations on either path and compiled steps build **zero** graph nodes,
-  for the dense, oracle-sparse and predicted configurations, and a
-  sequence-length change must trigger exactly one re-capture;
+  for the dense, oracle-sparse and predicted configurations, a
+  sequence-length change must trigger exactly one re-capture, and by the
+  optimizer tail of a compiled step every activation gradient is back in
+  the arena (the liveness gate);
 * unmarked unit tests for :class:`BufferArena`, the forward recorder and
-  the backward schedule.
+  the backward schedule, including its release of aliased gradients.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.sparsity import LongExposure, LongExposureConfig
 from repro.tensor import arena as tensor_arena
 from repro.tensor import fused
 from repro.tensor import plan as tensor_plan
-from repro.tensor.tensor import Tensor, node_build_count
+from repro.tensor.tensor import Tensor, custom_op, node_build_count
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,104 @@ def test_schedule_orders_grad_carrying_nodes_root_first():
     assert np.array_equal(w.grad, np.full(3, 2.0 * 2.0 + 2.0, np.float32))
 
 
+# A consumed gradient goes back to the arena at once, but only the buffer
+# owning its memory and only once no pending gradient overlaps it.  Each case
+# below hands a gradient to its parents as an alias of the incoming one.  The
+# probe nodes record whether their incoming gradient still lay in an arena
+# buffer in flight when they read it, and write their own output into a fresh
+# arena buffer of the same shape, so an early release would be overwritten.
+
+def _covered_op(x, out, fill, backward):
+    """A one-parent op whose body ``fill(x.data, out)`` the recorder covers."""
+    tensor_plan.emit(tensor_plan.recorder(), lambda: fill(x.data, out), "alias")
+    return custom_op(out, (x,), backward)
+
+
+def _probe(x, live):
+    def backward(grad):
+        arena = tensor_arena.active()
+        if arena is not None:
+            live.append(any(np.may_share_memory(grad, buf)
+                            for _, buf in arena._used.values()))
+        return (np.multiply(grad, 2.0, out=tensor_arena.empty(grad.shape)),)
+
+    return _covered_op(x, np.empty(x.shape, np.float32),
+                       lambda d, o: np.copyto(o, d), backward)
+
+
+ALIASES = {
+    "one gradient, two parents": lambda h, live: h + _probe(h * 3.0, live),
+    "x + x": lambda h, live: h + h,
+    "reshape view": lambda h, live: _covered_op(
+        h, np.empty(24, np.float32),
+        lambda d, o: np.copyto(o, d.reshape(24)),
+        lambda g: (g.reshape(4, 6),)),
+    "transpose of a reshape view": lambda h, live: _covered_op(
+        h, np.empty(24, np.float32),
+        lambda d, o: np.copyto(o, d.T.reshape(24)),
+        lambda g: (g.reshape(6, 4).T,)),
+    # Its base is a stride-tricks wrapper, not the buffer: only a memory
+    # overlap check sees the alias.
+    "as_strided view": lambda h, live: _covered_op(
+        h, np.empty((4, 6), np.float32),
+        lambda d, o: np.copyto(o, d),
+        lambda g: (np.lib.stride_tricks.as_strided(g, g.shape, g.strides),)),
+    "broadcast_to": lambda h, live: _covered_op(
+        h, np.empty(6, np.float32),
+        lambda d, o: np.sum(d, axis=0, out=o),
+        lambda g: (np.broadcast_to(g, (4, 6)),)),
+}
+
+
+def _alias_step_grads(alias, tier):
+    """Leaf gradients of three steps over ``ALIASES[alias]``, and the probes'
+    liveness reads: ``tier`` None runs without an arena."""
+    rng = np.random.default_rng(0)
+    a, c = (Tensor(rng.normal(size=(4, 6)).astype(np.float32), requires_grad=True)
+            for _ in range(2))
+    live = []
+
+    def forward():
+        out = ALIASES[alias](_probe(a * c, live), live)
+        squared = out * out           # its gradient is an arena buffer
+        return _covered_op(squared, np.empty((), np.float32),
+                           lambda d, o: np.sum(d, out=o),
+                           lambda g: (np.broadcast_to(g, squared.shape),))
+
+    capture = StepCapture(warmup_steps=0)
+    grads = []
+    for _ in range(3):
+        if tier is None:
+            forward().backward()
+        else:
+            capture.begin_step("alias")
+            if capture.full_ready():
+                capture.replay_full_forward()
+                capture.replay_full_backward()
+            elif tier == "compiled":
+                capture.begin_full_capture()
+                assert capture.finish_full_capture(forward()), \
+                    capture.full_fail_reason
+            else:
+                capture.run_backward(forward())
+            capture.end_step()
+        grads.append((a.grad.copy(), c.grad.copy()))
+        a.grad = c.grad = None
+    if tier == "compiled":
+        assert capture.full_replays == 2
+    return grads, live
+
+
+@pytest.mark.parametrize("tier", ["compiled", "interpreted"])
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+def test_aliased_gradient_is_not_released_while_pending(alias, tier):
+    plain, _ = _alias_step_grads(alias, None)
+    grads, live = _alias_step_grads(alias, tier)
+    assert live and all(live), live
+    for (pa, pc), (ga, gc) in zip(plain, grads):
+        assert np.array_equal(pa, ga) and np.array_equal(pc, gc)
+
+
 def test_recapture_trims_previous_steps_working_set():
     tuner, ids, capture = _build_tuner("dense")
     for _ in range(4):
@@ -215,6 +315,36 @@ def test_forward_recorder_rejects_uncovered_and_vetoed_forwards():
     rec, _ = _recorded(lambda: a @ vec)               # vetoed by the seam
     assert not rec.ok() and "vector matmul" in rec.fail_reason
     assert tensor_plan.recorder() is None
+
+
+def test_recorded_kernels_share_one_scratch_set():
+    # A replay runs one entry at a time, so a kernel's scratch goes back to
+    # the plan's pool once it is recorded and the next kernel takes it: the
+    # second mask's two calls allocate no scratch of their own.  The masks
+    # themselves are read by every replay, so they are not scratch — each
+    # call's replay must still see its own mask.
+    from repro.nn.attention import causal_mask
+
+    rng = np.random.default_rng(5)
+    q, k, v = (Tensor(rng.normal(size=(1, 2, 48, 8)).astype(np.float32))
+               for _ in range(3))
+    masks = (causal_mask(48), rng.random((48, 48)) < 0.7)
+
+    def build():
+        return [call(q, k, v, mask) for mask in masks for call in (
+            fused.scaled_dot_product_attention,
+            lambda q, k, v, mask: fused.streaming_attention(q, k, v, mask,
+                                                            tile=16))]
+
+    rec, recorded = _recorded(build)
+    assert rec.ok()
+    pool = rec.scratch
+    assert pool.misses > 0 and pool.hits == pool.misses
+    for out in recorded:
+        out.data[...] = np.nan
+    tensor_plan.ForwardPlan(rec.entries).run()
+    for out, fresh in zip(recorded, build()):
+        assert np.array_equal(out.data, fresh.data)
 
 
 def _kernel_vetoes():
@@ -362,6 +492,44 @@ def test_zero_allocations_after_capture(backend):
                 f"{backend}: captured steady state still allocates"
         assert capture.full_replays == 2 * compiled
         assert capture.full_fallbacks == 0
+    finally:
+        if tuner.engine is not None:
+            tuner.engine.uninstall(tuner.model)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+@pytest.mark.parametrize("engine", [False, True], ids=["dense", "predicted"])
+def test_compiled_step_holds_only_parameter_gradients(engine):
+    # The liveness gate: every activation gradient goes back to the arena at
+    # its last use, so when the optimizer runs, the only arena buffers still
+    # out are the trainable parameters' ``.grad``.
+    if engine:
+        tuner, ids, capture = _build_tuner("predicted", seq=64,
+                                           predict_interval=4)
+    else:
+        model = build_model("opt-tiny", seed=0)
+        apply_lora(model)
+        capture = StepCapture()
+        tuner = FineTuner(model, TrainingConfig(), capture=capture)
+        ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                                size=(2, 64))
+    try:
+        for _ in range(2):                         # warm-up, capture
+            tuner.step(ids)
+        stray = []
+        optimizer_step = tuner.optimizer.step
+
+        def checked_step():
+            grads = [p.grad for p in tuner.optimizer.params]
+            stray.extend(buf.shape for _, buf in capture.arena._used.values()
+                         if not any(grad is buf for grad in grads))
+            optimizer_step()
+
+        tuner.optimizer.step = checked_step
+        tuner.step(ids)
+        assert capture.full_replays == 1, capture.full_fail_reason
+        assert stray == []
     finally:
         if tuner.engine is not None:
             tuner.engine.uninstall(tuner.model)
