@@ -4,22 +4,23 @@ PEFT fine-tuning is a steady-state workload — thousands of steps with
 bit-identical shapes — yet every step of the seed runtime rebuilt the Python
 autograd graph node by node, re-sorted it topologically, and allocated fresh
 output/temporary ndarrays for every op.  :class:`StepCapture` captures that
-steady state, CUDA-graph-style, for the NumPy autograd graph:
+steady state, CUDA-graph-style, for the NumPy autograd graph.  One capture
+serves one step signature (input/label shapes, dtype, kernel toggles); the
+:class:`~repro.runtime.trainer.FineTuner` keeps one for each of its most
+recently stepped signatures.
 
-1. **warm-up** — the first step(s) run exactly as before (one-time caches:
-   geometry, causal masks, packed probe weights).
-2. **capture + compile** — the next step runs with the
+1. **capture + compile** — the first step of a signature runs with the
    :class:`~repro.tensor.arena.BufferArena` installed and a
    :class:`~repro.tensor.plan.ForwardRecorder` collecting one replay thunk
    per forward kernel over buffers bound exactly once.  The backward runs
    its ordinary DFS schedule once and keeps the graph alive.
-3. **replay** — a steady-state step is **stage inputs → run the flat
+2. **replay** — a steady-state step is **stage inputs → run the flat
    ForwardPlan → execute the retained backward schedule → optimizer tail**:
    the Python autograd graph was built exactly once, at capture, and every
    arena take hits the pool, so the step allocates nothing.  The replayed
    order *is* the recorded order over the same buffers, so captured and
    uncaptured execution are bitwise identical (locked by the parity suite).
-4. **refresh = re-capture** — a sparsity-mask refresh step (every
+3. **refresh = re-capture** — a sparsity-mask refresh step (every
    ``predict_interval``-th) is a capture step: the trainer drops the live
    forward plan *before* the forward and records the next one *during* it.
    The probes and exposers deriving the masks run between kernels as plain
@@ -29,18 +30,17 @@ steady state, CUDA-graph-style, for the NumPy autograd graph:
    If the masks moved, the arena's free lists (backward buffers sized for
    the old layout) are trimmed at that step.  With ``predict_interval = 1``
    nothing would ever be replayed, so the forward stays interpreted.
-5. **invalidate / degrade** — a signature change (input shape/dtype, label
-   shape, kernel toggles) drops the plan and triggers exactly
-   one re-capture; so do layouts adopted from another replica that differ
-   from the plan's.  A step that cannot replay a compiled plan — reference
-   kernels, a recorder veto or coverage gap (every graph node built must be
-   recorded or noted as a view), a backward schedule reaching an interior
-   node the recorded forward did not build, a replay that raised — runs
-   interpreted over recycled arena buffers: the forward and the DFS
-   backward exactly as without capture, still allocating nothing once the
-   pool is warm.  Which path a step takes is selected from what the step
-   observes, never from an option, and why it could not compile is kept in
-   ``full_fail_reason``.
+4. **degrade** — layouts that moved under the plan without a refresh of
+   its own (adopted from another replica, or refreshed by another
+   signature's step) drop it, and the step re-captures.  A step that cannot
+   replay a compiled plan — reference kernels, a recorder veto or coverage
+   gap (every graph node built must be recorded or noted as a view), a
+   backward schedule reaching an interior node the recorded forward did not
+   build, a replay that raised — runs interpreted over recycled arena
+   buffers: the forward and the DFS backward exactly as without capture,
+   still allocating nothing once the pool is warm.  Which path a step takes
+   is selected from what the step observes, never from an option, and why
+   it could not compile is kept in ``full_fail_reason``.
 
 Full-plan buffers are plain allocations — never arena takes — so generation
 recycling cannot reclaim live plan state.
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -71,51 +71,24 @@ __all__ = ["StepCapture"]
 
 
 class StepCapture:
-    """Per-trainer capture state machine (warm-up → capture → replay).
+    """One step signature's compiled plan and buffer arena.
 
-    ``warmup_steps`` uncaptured steps populate the one-time caches; the next
-    step is the capture step (the capture step itself must see steady-state
-    control flow).  Every later step of the same signature is a replay: it
-    runs the compiled plan when one is installed and runs interpreted over
-    the arena otherwise.
-
-    A signature whose capture step is followed by no replay is sterile (the
-    signature flips at least as fast as it can be captured).  After
-    ``MAX_FAILURES`` sterile signatures *without an intervening healthy
-    replay streak* capture switches itself off (``state == "off"``) — the
-    workload is not steady-state and paying the bookkeeping is pointless —
-    and swaps in a fresh empty arena so the retired pool is reclaimed.  A
-    streak of ``FAILURE_RESET_REPLAYS`` consecutive replays clears the
-    count.  Compiling is counted apart: after ``MAX_FAILURES`` vetoed
-    compiles in a row the compiler stops trying, and the steps keep running
-    interpreted.
+    A capture with no plan records one on its next eligible step; with a
+    plan installed, the step replays it.  Steps that cannot compile run
+    interpreted over the arena.  After ``MAX_FAILURES`` vetoed compiles in a
+    row the compiler stops trying, and the steps keep running interpreted.
     """
 
-    WARMUP = "warmup"
-    CAPTURE = "capture"
-    REPLAY = "replay"
-    OFF = "off"
-    # Sterile signatures (or vetoed compiles) in a row that give up.
+    # Vetoed compiles in a row that give up.
     MAX_FAILURES = 3
-    # Consecutive successful replays that prove the workload steady-state
-    # again and forgive earlier sterile signatures.
-    FAILURE_RESET_REPLAYS = 8
 
-    def __init__(self, warmup_steps: int = 1):
+    def __init__(self):
         self.arena = BufferArena()
-        self.state = self.WARMUP if warmup_steps > 0 else self.CAPTURE
-        self.signature: Optional[Hashable] = None
-        self.warmup_steps = int(warmup_steps)
         # Counters (surfaced as profiler gauges by the trainer).
         self.steps = 0
-        self.recaptures = 0
         self.last_step_allocations = 0
-        self._warmup_left = self.warmup_steps
-        self._failures = 0
-        self._replay_streak = 0
         self._alloc_before = 0
         self._prev_arena: Optional[BufferArena] = None
-        self._step_open = False
         # Full-step compiler state (see module docstring).  ``forward_plan``
         # replays the forward's kernel calls; ``full_schedule`` is the
         # retained backward schedule over the capture step's graph;
@@ -138,89 +111,15 @@ class StepCapture:
         self._staged: Dict[str, np.ndarray] = {}
 
     # -- step lifecycle ------------------------------------------------------
-    def begin_step(self, signature: Hashable) -> None:
-        """Enter a step; ``signature`` pins everything that shapes the graph.
-
-        The trainer passes input/label shapes and whether the step runs
-        inside ``fused.reference_kernels()``; a change invalidates the plan
-        and schedules exactly one re-capture.
-        """
+    def begin_step(self) -> None:
+        """Enter a step: recycle the last step's buffers, install the arena."""
         self.steps += 1
-        if self.state == self.OFF:
-            return
-        trim_stale = False
-        if signature != self.signature:
-            # Shapes/dtypes moved: every full-plan buffer binding is stale.
-            self.drop_full_plan()
-            if self.signature is not None and self.state != self.WARMUP:
-                # Shape change mid-run: drop the plan and (below, once the
-                # previous step's outstanding buffers have been recycled by
-                # next_generation) the stale-shape buffer pools — a
-                # bucketed-length loader would otherwise accumulate one full
-                # working set per length seen.  Then re-capture once.
-                if self.state == self.REPLAY:
-                    # Only a signature change after a completed capture is a
-                    # *re*-capture (the gauge advertises exactly-one-per-
-                    # shape-change; a flip before the first capture is not
-                    # one).
-                    if self._replay_streak == 0:
-                        # The previous signature was never replayed: it is
-                        # flipping at least as fast as we can capture
-                        # (shape-alternating batches).  Sterile signatures
-                        # count toward the kill-switch — without this, such
-                        # a workload would pay capture bookkeeping plus a
-                        # full working-set reallocation on every single
-                        # step, forever.
-                        self._failures += 1
-                    self.recaptures += 1
-                self.state = (self.OFF if self._failures >= self.MAX_FAILURES
-                              else self.CAPTURE)
-                trim_stale = True
-            self.signature = signature
-            if self.state == self.OFF:
-                # Retired at the transition: the previous generation's
-                # buffers are dead, so drop the whole pool right away.
-                self.arena = BufferArena()
-                return
-        self._step_open = True
-        if self.state == self.WARMUP:
-            return
         self.arena.next_generation()
-        if trim_stale:
-            self.arena.trim()
         self._alloc_before = self.arena.misses
         self._prev_arena = _tensor_arena.set_active(self.arena)
 
-    def _count_step(self, compiled: bool = False) -> None:
-        """The one place a step is counted, whichever path ran it: the
-        capture step of a signature moves the machine to replay, and every
-        later step of it is a replay (``compiled`` when it ran the plan)."""
-        if self.state == self.CAPTURE:
-            self.state = self.REPLAY
-            self._replay_streak = 0
-        elif self.state == self.REPLAY:
-            if compiled:
-                self.full_replays += 1
-            self._replay_streak += 1
-            if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
-                self._failures = 0
-
-    def run_backward(self, loss: Tensor) -> None:
-        """This step's backward when no plan is being compiled: the plain
-        DFS pass (over the arena once captured)."""
-        loss.backward()
-        self._count_step()
-
     def end_step(self) -> None:
-        """Leave the step: detach the arena, roll the state machine."""
-        if not self._step_open:
-            return
-        self._step_open = False
-        if self.state == self.WARMUP:
-            self._warmup_left -= 1
-            if self._warmup_left <= 0:
-                self.state = self.CAPTURE
-            return
+        """Leave the step: detach the arena, count its allocations."""
         _tensor_arena.set_active(self._prev_arena)
         self._prev_arena = None
         self.last_step_allocations = self.arena.misses - self._alloc_before
@@ -232,7 +131,7 @@ class StepCapture:
         The full plan's thunks are bound to these buffers at capture; each
         replay refreshes them in place so the compiled step sees the new
         batch through the very same arrays.  A shape/dtype change replaces
-        the buffer (and the step signature invalidates the plan anyway).
+        the buffer.
         """
         value = np.asarray(value)
         buf = self._staged.get(name)
@@ -245,13 +144,11 @@ class StepCapture:
 
     def full_ready(self) -> bool:
         """Whether a compiled full-step plan is installed and replayable."""
-        return self.forward_plan is not None and self.state == self.REPLAY
+        return self.forward_plan is not None
 
     def wants_full_capture(self) -> bool:
         """Whether this step should record a full plan (trainer consults)."""
         return (self.forward_plan is None
-                and self._step_open
-                and self.state in (self.CAPTURE, self.REPLAY)
                 and self._full_failures < self.MAX_FAILURES)
 
     def begin_full_capture(self) -> ForwardRecorder:
@@ -294,7 +191,6 @@ class StepCapture:
             reason = "backward schedule not capturable"
         loss._execute_backward(schedule, np.ones_like(loss.data), True,
                                not reason)
-        self._count_step()
         if reason:
             self._full_failures += 1
             self.full_fail_reason = reason
@@ -315,7 +211,7 @@ class StepCapture:
         """Execute the retained backward schedule over the refreshed buffers."""
         self.full_loss._execute_backward(self.full_schedule, self.full_seed,
                                          False, True)
-        self._count_step(compiled=True)
+        self.full_replays += 1
 
     def full_loss_value(self) -> float:
         """The loss of the last full replay."""
@@ -411,20 +307,19 @@ class StepCapture:
             self.full_fail_reason = reason
 
     def retire(self) -> None:
-        """Drop the plan and release the arena pool (terminal, idempotent).
+        """Drop the plan and release the arena pool (idempotent).
 
-        The serving layer keeps one capture per signature bucket in a bounded
-        plan cache; evicting a bucket must reclaim its whole working set —
-        the compiled plan's buffers, the retained backward schedule, and the
-        arena pool they came from — not just forget the plan object.
+        The trainer keeps one capture per step signature in a bounded LRU;
+        evicting a signature must reclaim its whole working set — the
+        compiled plan's buffers, the retained backward schedule, and the
+        arena pool they came from — not just forget the plan object.  A
+        retired capture stays usable: its next step records a new plan.
 
         Recovery paths call this unconditionally from any failure point, so
         it must be safe to call twice and safe on an instance whose
         construction never completed (every attribute access is defensive).
         """
         self.drop_full_plan()
-        self.signature = None
-        self.state = self.OFF
         self.arena = BufferArena()
 
     # -- reporting -----------------------------------------------------------
@@ -435,15 +330,13 @@ class StepCapture:
             "arena_bytes": float(self.arena.bytes_held),
             "arena_hit_rate": self.arena.hit_rate(),
             "arena_evictions": float(self.arena.evictions),
-            "capture_recaptures": float(self.recaptures),
             "capture_full_captures": float(self.full_captures),
             "capture_full_replays": float(self.full_replays),
             "capture_full_fallbacks": float(self.full_fallbacks),
         }
 
     def summary(self) -> str:
-        return (f"StepCapture(state={self.state}, steps={self.steps}, "
-                f"recaptures={self.recaptures}, "
+        return (f"StepCapture(steps={self.steps}, "
                 f"full_captures={self.full_captures}, "
                 f"full_replays={self.full_replays}, "
                 f"full_fallbacks={self.full_fallbacks}, "

@@ -407,7 +407,7 @@ def _worker_main(spec: CommSpec, rank: int,
                 stats[STAT_OPTIMIZER] = timing.optimizer
                 capture = tuner.capture
                 if capture is not None:
-                    stats[STAT_RECAPTURES] = capture.recaptures
+                    stats[STAT_RECAPTURES] = tuner.recaptures
                     stats[STAT_FULL_REPLAYS] = capture.full_replays
                 stats[STAT_MASK_SYNCS] = mask_syncs
                 stats[STAT_CHECKSUM_FAILURES] = reducer.checksum_failures

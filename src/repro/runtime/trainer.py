@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List, Optional
 
 import numpy as np
 
@@ -23,26 +23,30 @@ from repro.runtime.capture import StepCapture
 from repro.runtime.profiler import PhaseProfiler
 from repro.tensor import fused
 
+# Step signatures a tuner keeps a capture for; the least recently stepped
+# one beyond this is retired.
+MAX_CAPTURES = 4
+
 
 @dataclass
 class CaptureConfig:
     """Steady-state step capture (see :mod:`repro.runtime.capture`).
 
-    With ``enabled``, after ``warmup`` uncaptured steps the tuner records one
+    With ``enabled``, the first step of each step signature records one
     step — forward kernel calls, backward schedule, buffer population — and
-    replays it: steady-state steps run forward + backward + optimizer tail
-    through recycled buffers without building a single Python graph node,
-    bitwise identical to the uncaptured path.  A shape change triggers
-    exactly one re-capture, and with a sparsity engine every mask-refresh
-    step is one: it records the plan the next ``predict_interval - 1`` steps
-    replay.  Steps that cannot replay a compiled plan (reference kernels, an
-    op with no replay form) run interpreted over the same recycled buffers;
-    which one a step gets is decided from what the step observes, not
-    configured.
+    the signature's later steps replay it: forward + backward + optimizer
+    tail through recycled buffers without building a single Python graph
+    node, bitwise identical to the uncaptured path.  The tuner keeps one
+    capture for each of its ``MAX_CAPTURES`` most recently stepped
+    signatures, so a run cycling among that many shapes replays every one.
+    With a sparsity engine every mask-refresh step is a capture step: it
+    records the plan the next ``predict_interval - 1`` steps replay.  Steps
+    that cannot replay a compiled plan (reference kernels, an op with no
+    replay form) run interpreted over the same recycled buffers; which one a
+    step gets is decided from what the step observes, not configured.
     """
 
     enabled: bool = False
-    warmup: int = 1
     # The plan runs its thunks in recorded order on the calling thread.  Not
     # a field and read by nothing in the package: a self-test under
     # benchmarks/e2e/ (frozen by BENCHMARK.json) reads this name back, and
@@ -188,7 +192,7 @@ class FineTuner:
 
     def __init__(self, model: Module, config: Optional[TrainingConfig] = None,
                  optimizer: Optional[Adam] = None, engine=None,
-                 capture=None, grad_reducer=None):
+                 grad_reducer=None):
         self.model = model
         self.config = config or TrainingConfig()
         trainable = model.trainable_parameters()
@@ -197,12 +201,13 @@ class FineTuner:
         self.optimizer = optimizer or Adam(trainable, lr=self.config.learning_rate)
         self.engine = engine
         self.profiler = PhaseProfiler()
-        # Step capture: pass a StepCapture, True, or enable via the config.
-        if capture is None:
-            capture = self.config.capture.enabled
-        if capture is True:
-            capture = StepCapture(warmup_steps=self.config.capture.warmup)
-        self.capture: Optional[StepCapture] = capture or None
+        # Step capture (config.capture.enabled): one StepCapture per step
+        # signature, least recently stepped first.  ``capture`` is the one
+        # the last step ran; ``recaptures`` counts those made after the
+        # first.
+        self.captures: Dict[Hashable, StepCapture] = {}
+        self.capture: Optional[StepCapture] = None
+        self.recaptures = 0
         self.grad_reducer = grad_reducer
         # Kernel routing is a value on the model, set once here.  The
         # process globals a step still consults: the reference-tape flag
@@ -219,7 +224,7 @@ class FineTuner:
 
     def step_signature(self, input_ids: np.ndarray,
                        labels: Optional[np.ndarray] = None):
-        """Everything that shapes the step's graph; a change forces re-capture.
+        """Everything that shapes the step's graph; it selects the capture.
 
         The multi-tenant service buckets requests by this key: requests with
         equal signatures replay one compiled plan.
@@ -228,6 +233,25 @@ class FineTuner:
         return (input_ids.shape, str(input_ids.dtype),
                 None if labels is None else np.asarray(labels).shape,
                 fused.fused_kernels_enabled())
+
+    def _capture_for(self, signature: Hashable) -> StepCapture:
+        """The capture ``signature``'s steps run on, made the current one.
+
+        A new signature gets a fresh capture, whose first step records the
+        plan; past ``MAX_CAPTURES`` the least recently stepped signature's
+        capture is retired (dicts keep insertion order, so a hit re-inserts
+        at the tail).
+        """
+        capture = self.captures.pop(signature, None)
+        if capture is None:
+            capture = StepCapture()
+            if self.capture is not None:
+                self.recaptures += 1
+        self.captures[signature] = capture
+        if len(self.captures) > MAX_CAPTURES:
+            self.captures.pop(next(iter(self.captures))).retire()
+        self.capture = capture
+        return capture
 
     # -- single step -------------------------------------------------------------
     def step(self, input_ids: np.ndarray,
@@ -240,17 +264,18 @@ class FineTuner:
             self.engine.advance_step()
         engine_pred_before = self.engine.stats.prediction_seconds if self.engine else 0.0
 
-        capture = self.capture
-        if capture is not None:
+        capture = None
+        if self.config.capture.enabled:
             input_ids = np.asarray(input_ids)
-            capture.begin_step(self.step_signature(input_ids, labels))
+            capture = self._capture_for(self.step_signature(input_ids, labels))
+            capture.begin_step()
         loss_value: Optional[float] = None
         forward_s = backward_s = 0.0
         try:
             # A step runs compiled when fused kernels are on.  A mask-refresh
             # step is the capture step: the live plan goes *before* the
             # forward (its buffers and the new plan's never coexist) and the
-            # new one is recorded *during* it (see capture.py, item 4).  Only
+            # new one is recorded *during* it (see capture.py, item 3).  Only
             # with predict_interval 1, where every step refreshes and nothing
             # would ever be replayed, does the step stay interpreted.
             full = False
@@ -266,8 +291,9 @@ class FineTuner:
             if full and capture.full_ready() and self.engine is not None \
                     and self.engine.layout_state() != capture.full_layout_state:
                 # Layouts adopted from another replica (data-parallel ranks
-                # != 0) moved the masks under the plan's closed-over geometry.
-                capture.drop_full_plan("sparsity layout changed since capture")
+                # != 0), or refreshed by another signature's step, moved the
+                # masks under the plan's closed-over geometry: re-capture.
+                capture.drop_full_plan()
             if full and capture.full_ready():
                 capture.stage("input_ids", input_ids)
                 if labels is not None:
@@ -316,8 +342,6 @@ class FineTuner:
                         loss,
                         self.engine.layout_state()
                         if self.engine is not None else None)
-                elif capture is not None:
-                    capture.run_backward(loss)
                 else:
                     loss.backward()
                 backward_s = time.perf_counter() - start
@@ -368,6 +392,8 @@ class FineTuner:
             # phase timings: allocations/step must read ~0 once captured.
             for name, value in capture.gauges().items():
                 self.profiler.set_gauge(name, value)
+            self.profiler.set_gauge("capture_recaptures",
+                                    float(self.recaptures))
 
         timing = PhaseTimings(forward=forward_s, backward=backward_s,
                               optimizer=optimizer_s, prediction=prediction_s,

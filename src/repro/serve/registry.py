@@ -102,7 +102,6 @@ class AdapterRegistry:
     def __init__(self, optimizer: Adam,
                  named_params: List[Tuple[str, Parameter]],
                  max_resident: int = 8,
-                 arena: Optional[BufferArena] = None,
                  store: Optional[TenantStateStore] = None):
         if [p for _, p in named_params] != list(optimizer.params):
             raise ValueError("named_params must list the optimizer's "
@@ -112,10 +111,10 @@ class AdapterRegistry:
         self.max_resident = int(max_resident)
         if self.max_resident < 1:
             raise ValueError("max_resident must be >= 1")
-        # Persistent slabs: unbounded free lists would never trigger here
-        # (every take is matched by a release on eviction), but a generous
-        # per-key bound keeps the pool honest under tenant churn.
-        self.arena = arena or BufferArena(max_free_per_key=256, free_ttl=10 ** 9)
+        # Persistent slabs: the registry never starts a generation, so the
+        # arena's idle-key eviction never runs here; every take is matched
+        # by a release when its tenant is demoted.
+        self.arena = BufferArena()
         self.total, self.dtype = optimizer.grad_layout()
         # Pristine adapter init: every new tenant starts from the lane's
         # freshly-applied PEFT state, exactly as a dedicated FineTuner would.

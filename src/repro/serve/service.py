@@ -12,7 +12,7 @@ Architecture (one instance, N tenants, K adapter kinds)::
            │                                          │
            ▼                                          ▼
     SignatureBucketQueue ──select──▶ lane[kind]: FineTuner + Adam
-           │                            │  per-bucket StepCapture (plan cache)
+           │                            │  StepCapture per signature (tuner LRU)
            │                            │  AdapterRegistry.attach(tenant)
            ▼                            ▼
         StepResult ◀── compiled replay over the SAME live buffers
@@ -25,10 +25,11 @@ Architecture (one instance, N tenants, K adapter kinds)::
   state in and out with ``np.copyto`` so the buffers compiled plans are bound
   to never change identity; switching tenants inside one bucket costs two
   flat copies, never a recapture.
-* **Per-bucket captures.**  Each signature bucket owns its own
-  :class:`StepCapture` (bounded LRU plan cache, evictions call
-  ``StepCapture.retire``), so alternating buckets never thrash one capture's
-  signature — every bucket captures once, then replays forever.
+* **Per-bucket captures.**  A bucket is a step signature, and a lane's
+  :class:`FineTuner` keeps one :class:`~repro.runtime.capture.StepCapture`
+  per signature (a bounded LRU whose evictions call
+  ``StepCapture.retire``), so alternating buckets never thrash one capture —
+  every bucket captures once, then replays.
 
 The tenant-isolation contract is *bitwise*: adapters trained interleaved
 through the service are bit-identical to the same tenants trained
@@ -49,10 +50,9 @@ from repro.models import build_model
 from repro.nn import Module
 from repro.optim import Adam
 from repro.peft import PEFTResult, get_peft_method
-from repro.runtime.capture import StepCapture
 from repro.runtime.fault import FaultInjector
 from repro.runtime.profiler import PhaseProfiler
-from repro.runtime.trainer import FineTuner, TrainingConfig
+from repro.runtime.trainer import CaptureConfig, FineTuner, TrainingConfig
 from repro.serve.queue import SignatureBucketQueue, StepRequest
 from repro.serve.registry import AdapterRegistry, AdapterSnapshot
 from repro.serve.store import TenantStateStore
@@ -70,7 +70,6 @@ class ServiceConfig:
     max_resident_tenants: int = 8
     max_wait_steps: int = 8
     seq_buckets: Sequence[int] = (16, 32, 64, 128)
-    max_plan_cache: int = 4
     pad_token_id: int = 0
     # Durability: when set, each lane's registry pages cold tenants to
     # atomic checkpoint files under <state_dir>/<kind>/ and rehydrates them
@@ -104,7 +103,7 @@ class _Lane:
     """One adapter kind's execution lane: adapted model + tuner + registry."""
 
     __slots__ = ("kind", "model", "peft_result", "optimizer", "tuner",
-                 "registry", "captures")
+                 "registry")
 
     def __init__(self, kind: str, model: Module, peft_result: PEFTResult,
                  optimizer: Adam, tuner: FineTuner,
@@ -115,9 +114,6 @@ class _Lane:
         self.optimizer = optimizer
         self.tuner = tuner
         self.registry = registry
-        # Per-signature StepCaptures, LRU-ordered (dicts preserve insertion
-        # order; re-use re-inserts at the tail).
-        self.captures: Dict[Hashable, StepCapture] = {}
 
 
 class FineTuningService:
@@ -161,7 +157,8 @@ class FineTuningService:
         for _, param in model.named_parameters():
             if param.requires_grad and id(param.data) in base_ids:
                 param.data = param.data.copy()
-        training = TrainingConfig(learning_rate=cfg.learning_rate)
+        training = TrainingConfig(learning_rate=cfg.learning_rate,
+                                  capture=CaptureConfig(enabled=True))
         named_trainable = [(n, p) for n, p in model.named_parameters()
                            if p.requires_grad]
         trainable_bytes = sum(int(p.data.nbytes) for _, p in named_trainable)
@@ -247,13 +244,15 @@ class FineTuningService:
         request = self.queue.pop(key)
         lane = self._lane(request.adapter)
         lane.registry.attach(request.tenant)
-        capture = self._bucket_capture(lane, key)
-        lane.tuner.capture = capture
-        hits_before = capture.full_replays
+        # The bucket's signature selects the tuner's capture: the step
+        # replayed when that capture ran it and its replay count moved.
+        capture = lane.tuner.captures.get(key[1])
+        hits_before = capture.full_replays if capture is not None else 0
         start = time.perf_counter()
         loss, timing = lane.tuner.step(request.input_ids, request.labels)
         step_seconds = time.perf_counter() - start
-        replayed = capture.full_replays > hits_before
+        replayed = (lane.tuner.capture is capture
+                    and capture.full_replays > hits_before)
         self._current_key = key
         self._keys_served.add(key)
         self.steps += 1
@@ -273,19 +272,6 @@ class FineTuningService:
                 break
             results.append(result)
         return results
-
-    def _bucket_capture(self, lane: _Lane, key: Hashable) -> StepCapture:
-        capture = lane.captures.pop(key, None)
-        if capture is None:
-            # warmup=0: the bucket's first step captures, the rest replay.
-            capture = StepCapture(warmup_steps=0)
-        lane.captures[key] = capture  # (re-)insert at the LRU tail
-        while len(lane.captures) > self.config.max_plan_cache:
-            victim_key = next(iter(lane.captures))
-            if victim_key == key:
-                break
-            lane.captures.pop(victim_key).retire()
-        return capture
 
     # -- tenant state --------------------------------------------------------
     def _lane(self, adapter: str) -> _Lane:
@@ -350,7 +336,7 @@ class FineTuningService:
                 if self.steps > len(self._keys_served) else 0.0),
             "pending_requests": float(self.queue.pending()),
             "buckets_live": float(len(self.queue.keys())),
-            "plan_caches": float(sum(len(l.captures)
+            "plan_caches": float(sum(len(l.tuner.captures)
                                      for l in self._lanes.values())),
         }
         for name in ("tenants", "resident_tenants", "tenant_evictions",

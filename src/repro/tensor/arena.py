@@ -45,8 +45,8 @@ only as long as the recording, so the kernels of one plan share one set of
 scratch and no plan shares it with another.
 
 This module lives in ``repro.tensor`` (the lowest layer) so the tensor core
-and the fused kernels can import it without cycles; the step-capture state
-machine that installs an arena around each step is
+and the fused kernels can import it without cycles; the step capture that
+installs an arena around each step is
 :class:`repro.runtime.capture.StepCapture`.
 """
 
@@ -73,10 +73,22 @@ class BufferArena:
 
     __slots__ = ("_free", "_used", "generation", "takes", "hits", "misses",
                  "bytes_allocated", "bytes_held", "releases",
-                 "last_generation_misses", "_gen_misses",
-                 "max_free_per_key", "free_ttl", "evictions", "_last_take_gen")
+                 "last_generation_misses", "_gen_misses", "evictions",
+                 "_last_take_gen")
 
-    def __init__(self, max_free_per_key: int = 64, free_ttl: int = 8) -> None:
+    # Size bound per (shape, dtype) class: layout drift (a sparsity refresh
+    # changing block counts, and with them temporary shapes) retires buffers
+    # of stale shapes; without a bound those dead free lists grow the pool
+    # forever.  Eviction runs at generation boundaries and touches only
+    # *idle* keys — keys the finished step never took from — so a
+    # steady-state working set of any size is never evicted: an idle key's
+    # list is trimmed oldest-first to ``MAX_FREE_PER_KEY`` and dropped
+    # outright once it has sat unused for ``FREE_TTL`` generations.  Both are
+    # counted in ``evictions``.
+    MAX_FREE_PER_KEY = 64
+    FREE_TTL = 8
+
+    def __init__(self) -> None:
         self._free: Dict[Tuple, List[np.ndarray]] = {}
         self._used: Dict[int, Tuple[Tuple, np.ndarray]] = {}
         self.generation = 0
@@ -88,17 +100,6 @@ class BufferArena:
         self.bytes_held = 0           # current footprint of the whole pool
         self.last_generation_misses = 0
         self._gen_misses = 0
-        # Size bound per (shape, dtype) class: layout drift (a sparsity
-        # refresh changing block counts, and with them temporary shapes)
-        # retires buffers of stale shapes; without a bound those dead free
-        # lists grow the pool forever.  Eviction runs at generation
-        # boundaries and touches only *idle* keys — keys the finished step
-        # never took from — so a steady-state working set of any size is
-        # never evicted: an idle key's list is trimmed oldest-first to
-        # ``max_free_per_key`` and dropped outright once it has sat unused
-        # for ``free_ttl`` generations.  Both are counted in ``evictions``.
-        self.max_free_per_key = max_free_per_key
-        self.free_ttl = free_ttl
         self.evictions = 0
         self._last_take_gen: Dict[Tuple, int] = {}
 
@@ -119,12 +120,12 @@ class BufferArena:
             # predict-interval cadence) from trim thrash.
             if idle < 2 or not lst:
                 continue
-            if idle >= self.free_ttl:
+            if idle >= self.FREE_TTL:
                 self.evictions += len(lst)
                 self.bytes_held -= sum(buf.nbytes for buf in lst)
                 dead.append(key)
-            elif len(lst) > self.max_free_per_key:
-                excess = len(lst) - self.max_free_per_key
+            elif len(lst) > self.MAX_FREE_PER_KEY:
+                excess = len(lst) - self.MAX_FREE_PER_KEY
                 self.evictions += excess
                 self.bytes_held -= sum(buf.nbytes for buf in lst[:excess])
                 del lst[:excess]
@@ -193,11 +194,10 @@ class BufferArena:
     def trim(self) -> int:
         """Drop every *free* buffer (outstanding ones are untouched).
 
-        Bounds the pool across shape regimes: the step-capture runtime calls
-        this when the step signature changes or a re-capture sees moved
-        sparsity layouts, so stale-shape pools (the old sequence length's or
-        layout's buffers) do not accumulate.  Counted in ``evictions``;
-        returns bytes freed.
+        Bounds the pool across layout regimes: the step-capture runtime
+        calls this when a re-capture sees moved sparsity layouts, so the old
+        layout's stale-shape buffers do not accumulate.  Counted in
+        ``evictions``; returns bytes freed.
         """
         freed = 0
         for buffers in self._free.values():

@@ -738,12 +738,14 @@ def run_replay_case(case: ParityCase) -> None:
 
 CAPTURE_BACKENDS = ("dense", "oracle", "predicted")
 # (steps, predict_interval): the sparse backends refresh their masks on steps
-# 1, 1 + K, 1 + 2K, ...; step 1 is the warm-up and step 2 captures + compiles.
+# 1, 1 + K, 1 + 2K, ...; step 1 captures + compiles.
 CAPTURE_SCHEDULES = {
-    # step 3 is a refresh: it drops step 2's plan and records its own
-    "refresh_after_capture": (3, 2),
-    # step 3 replays the compiled plan, step 4 is the refresh that re-captures
-    "replay_then_refresh": (4, 3),
+    # step 2 replays step 1's plan; step 3 is a refresh that drops it and
+    # records its own
+    "replay_then_refresh": (3, 2),
+    # steps 2 and 3 replay, step 4 is the refresh that re-captures, step 5
+    # replays the new plan
+    "replays_then_refresh": (5, 3),
 }
 
 
@@ -758,7 +760,7 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
     from repro.models import build_model
     from repro.optim import Adam
     from repro.peft import apply_lora
-    from repro.runtime import FineTuner, StepCapture, TrainingConfig
+    from repro.runtime import CaptureConfig, FineTuner, TrainingConfig
     from repro.sparsity import LongExposure, LongExposureConfig
 
     class GradRecordingAdam(Adam):
@@ -790,9 +792,9 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
         if engine is not None:
             engine.install(model)
         optimizer = GradRecordingAdam(model.trainable_parameters(), lr=1e-3)
-        tuner = FineTuner(model, TrainingConfig(),
-                          optimizer=optimizer, engine=engine,
-                          capture=StepCapture() if capture else None)
+        tuner = FineTuner(model,
+                          TrainingConfig(capture=CaptureConfig(enabled=capture)),
+                          optimizer=optimizer, engine=engine)
         losses = []
         for _ in range(steps):
             ids = rng.integers(0, model.config.vocab_size, size=(2, seq))
@@ -804,13 +806,12 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
             engine.uninstall(model)
         stats = {}
         if capture:
-            # The capture must actually have engaged: a capture step ran and
-            # the later steps replay.  (Zero-allocation steady state is
-            # asserted by the -m alloc tests, which hold the batch fixed;
-            # here every step sees a *fresh* batch, so drifting sparse
-            # layouts may legitimately allocate new block shapes.)
-            assert tuner.capture.state == tuner.capture.REPLAY, \
-                "capture never engaged"
+            # One capture ran every step: the batches share one signature.
+            # (Zero-allocation steady state is asserted by the -m alloc
+            # tests, which hold the batch fixed; here every step sees a
+            # *fresh* batch, so drifting sparse layouts may legitimately
+            # allocate new block shapes.)
+            assert tuner.capture.steps == steps, "capture never engaged"
             stats = {
                 "full_captures": tuner.capture.full_captures,
                 "full_replays": tuner.capture.full_replays,
@@ -844,8 +845,7 @@ def assert_capture_parity(backend: str, fused_enabled: bool,
     """Bitwise-compare captured vs. uncaptured training trajectories, and
     check which tier ran the captured steps.
 
-    Step 1 warms up and step 2 captures; every later step replays the
-    compiled plan — or, on a mask-refresh step, records the plan the next
+    Step 1 captures; every later step replays the compiled plan — or, on a mask-refresh step, records the plan the next
     steps replay — unless something the step observes rules that out:
     reference kernels (the forward is not a recordable kernel stream) or
     oracle mode (it fine-tunes the full model, and the sparse MLP refuses to
@@ -870,10 +870,10 @@ def assert_capture_parity(backend: str, fused_enabled: bool,
         assert "trainable base weights" in stats["full_fail_reason"], \
             f"{tag}: unexpected fail reason ({stats})"
     else:
-        refreshes = [step for step in range(3, steps + 1)
+        refreshes = [step for step in range(2, steps + 1)
                      if backend != "dense" and (step - 1) % predict_interval == 0]
         assert stats["full_captures"] == 1 + len(refreshes), f"{tag}: {stats}"
-        assert stats["full_replays"] == steps - 2 - len(refreshes), \
+        assert stats["full_replays"] == steps - 1 - len(refreshes), \
             f"{tag}: {stats}"
         assert stats["full_fallbacks"] == 0, f"{tag}: {stats}"
         assert stats["full_fail_reason"] == "", f"{tag}: {stats}"

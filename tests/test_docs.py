@@ -7,8 +7,11 @@ imported).  A name from outside the package goes on :data:`EXTERNAL` with
 the reason it is allowed; Python builtins (``ValueError``) are always
 allowed.  Every backticked ``ClassName.attr`` whose class the package
 defines must name a method, class-level assignment or ``self.attr``
-assignment of that class or one of its package bases.  Deleting a class or
-a method without updating the docs that name it fails here.
+assignment of that class or one of its package bases.  Every keyword a
+backticked span or a fenced ``python`` block passes to a package class must
+be one of that class's dataclass fields or ``__init__`` parameters.
+Deleting a class, a method or a constructor option without updating the
+docs that name it fails here.
 """
 
 from __future__ import annotations
@@ -200,3 +203,118 @@ def test_external_names_are_not_defined_in_the_package():
     # An allowlisted name the package defines no longer needs the allowance.
     assert not set(EXTERNAL) & DEFINED
 
+
+
+# -- constructor keywords ------------------------------------------------------
+
+_FENCED = re.compile(r"```python\n(.*?)```", re.S)
+
+
+def _class_defs(modules) -> dict:
+    """``{class name: [ClassDef, ...]}``; same-named classes pool."""
+    defs = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defs.setdefault(node.name, []).append(node)
+    return defs
+
+
+CLASS_DEFS = _class_defs(MODULES)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+               for d in node.decorator_list)
+
+
+def _accepted_keywords(cls: str, seen=()):
+    """Keywords package class ``cls``'s constructor accepts: its dataclass
+    fields and ``__init__`` parameters, its package bases' included.  None
+    when that cannot be told from the source (``**kwargs``, a constructor
+    inherited from outside the package)."""
+    accepted = set()
+    for node in CLASS_DEFS[cls]:
+        init = next((stmt for stmt in node.body
+                     if isinstance(stmt, ast.FunctionDef)
+                     and stmt.name == "__init__"), None)
+        if init is not None:
+            if init.args.kwarg is not None:
+                return None
+            accepted |= {arg.arg for arg in (init.args.posonlyargs
+                                             + init.args.args
+                                             + init.args.kwonlyargs)}
+            continue
+        if _is_dataclass(node):
+            accepted |= {stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)}
+        for base in node.bases:
+            name = ast.unparse(base).split(".")[-1]
+            if name == "object":
+                continue
+            if name not in CLASS_DEFS or name in seen:
+                return None
+            inherited = _accepted_keywords(name, seen + (cls,))
+            if inherited is None:
+                return None
+            accepted |= inherited
+    return accepted
+
+
+def _constructor_keywords(source: str) -> list:
+    """``(class, keyword)`` for every keyword ``source`` passes to a package
+    class; source that does not parse as Python names none."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return []
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name in CLASS_DEFS:
+            calls.extend((name, kw.arg) for kw in node.keywords
+                         if kw.arg is not None)
+    return calls
+
+
+def _stale_keywords(calls) -> list:
+    stale = []
+    for cls, keyword in calls:
+        accepted = _accepted_keywords(cls)
+        if accepted is not None and keyword not in accepted:
+            stale.append(f"{cls}({keyword}=)")
+    return sorted(stale)
+
+
+def _doc_keywords(doc: str) -> list:
+    text = (ROOT / doc).read_text()
+    return [call for source in _SPAN.findall(text) + _FENCED.findall(text)
+            for call in _constructor_keywords(source)]
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_constructor_keywords_are_accepted_by_the_class(doc):
+    stale = _stale_keywords(_doc_keywords(doc))
+    assert stale == [], f"{doc} passes keywords no constructor takes: {stale}"
+
+
+def test_keyword_check_reads_the_docs_and_catches_a_stale_keyword():
+    assert sum(len(_doc_keywords(doc)) for doc in DOCS) >= 10
+    assert _stale_keywords(_constructor_keywords(
+        "CaptureConfig(warmup=0)")) == ["CaptureConfig(warmup=)"]
+    assert _stale_keywords(_constructor_keywords(
+        "StepCapture(warmup_steps=0)")) == ["StepCapture(warmup_steps=)"]
+    # ``...`` parses as Ellipsis, so an elided call is still checked.
+    assert _stale_keywords(_constructor_keywords(
+        "FineTuner(..., capture=StepCapture())")) == ["FineTuner(capture=)"]
+    assert _stale_keywords(_constructor_keywords(
+        "repro.TrainingConfig(capture=CaptureConfig(enabled=True))")) == []
+    # Dataclass fields and package bases count; an outside base cannot be
+    # told and is skipped.
+    assert "streaming_tile" in _accepted_keywords("AttentionConfig")
+    assert "rank" in _accepted_keywords("LoRALinear")

@@ -30,8 +30,8 @@ import pytest
 
 from repro.models import ModelConfig, build_model
 from repro.peft import apply_lora
-from repro.runtime import (DataParallelTrainer, DistributedError, FineTuner,
-                           TrainingConfig)
+from repro.runtime import (CaptureConfig, DataParallelTrainer,
+                           DistributedError, FineTuner, TrainingConfig)
 from repro.runtime.capture import StepCapture
 from repro.runtime.comms import DistributedError as CommsError
 from repro.runtime.comms import SharedSegment
@@ -204,16 +204,39 @@ class TestSharedSegmentLifecycle:
 
 class TestStepCaptureRetire:
     def test_double_retire(self):
-        capture = StepCapture(warmup_steps=0)
+        capture = StepCapture()
         capture.retire()
         capture.retire()
-        assert capture.state == capture.OFF and capture.forward_plan is None
+        assert capture.forward_plan is None and capture.arena.bytes_held == 0
+
+    def test_retired_capture_records_again(self):
+        # Retiring frees the plan and the arena, not the capture: the next
+        # step of its signature records a new plan, bit for bit the step a
+        # tuner without capture takes.
+        def tuner(enabled):
+            model = build_model("opt-tiny", seed=0)
+            apply_lora(model)
+            return FineTuner(model, TrainingConfig(
+                capture=CaptureConfig(enabled=enabled)))
+
+        captured, plain = tuner(True), tuner(False)
+        ids = np.random.default_rng(4).integers(0, 512, size=(2, 32))
+        for step in range(4):
+            if step == 2:
+                capture = captured.capture
+                capture.retire()
+                assert capture.forward_plan is None
+                assert capture.arena.bytes_held == 0
+            assert captured.step(ids)[0] == plain.step(ids)[0]
+        assert captured.capture is capture
+        assert (capture.full_captures, capture.full_replays) == (2, 2)
+        assert capture.last_step_allocations == 0
 
     def test_retire_on_unconstructed_instance(self):
         ghost = object.__new__(StepCapture)
         ghost.retire()                    # must not raise
         ghost.retire()
-        assert ghost.state == StepCapture.OFF
+        assert ghost.arena.bytes_held == 0
 
 
 # ---------------------------------------------------------------------------

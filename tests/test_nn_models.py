@@ -251,7 +251,7 @@ class TestSparsityInitQuantile:
             apply_lora(model)
             engine.install(model)
             tuner = FineTuner(model, TrainingConfig(
-                capture=CaptureConfig(enabled=True, warmup=0)), engine=engine)
+                capture=CaptureConfig(enabled=True)), engine=engine)
             tuner.step(batch)
             tuner.step(batch)
             assert (tuner.capture.full_captures, tuner.capture.full_replays) \

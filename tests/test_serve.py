@@ -14,6 +14,7 @@ import pytest
 from repro.models import build_model
 from repro.peft import get_peft_method
 from repro.runtime import CaptureConfig, FineTuner, TrainingConfig
+from repro.runtime.trainer import MAX_CAPTURES
 from repro.serve import (FineTuningService, ServiceConfig,
                          SignatureBucketQueue, StepRequest)
 
@@ -41,7 +42,7 @@ def dedicated_adapter(kind, batch_list):
     model = build_model(MODEL, seed=0)
     model, _ = get_peft_method(kind)(model)
     tuner = FineTuner(model, TrainingConfig(
-        capture=CaptureConfig(enabled=True, warmup=0)))
+        capture=CaptureConfig(enabled=True)))
     for batch in batch_list:
         tuner.step(batch)
     return {name: param.data.copy()
@@ -263,20 +264,31 @@ class TestSchedulingAndCaptures:
         assert "c" in served[:4], served  # bounded, not starved to the end
 
     def test_plan_cache_eviction_recaptures_cleanly(self):
-        service = make_service(max_plan_cache=1)
+        # One bucket more than a tuner keeps captures for, visited round-robin
+        # twice: every step evicts the least recently used bucket's capture,
+        # so each step re-captures — and still trains the bits a plain tuner
+        # trains on the same batches.
+        lengths = [8 * (i + 1) for i in range(MAX_CAPTURES + 1)]
+        service = make_service(seq_buckets=lengths)
         rng = np.random.default_rng(9)
-        short = [rng.integers(0, 100, size=(2, SEQ)) for _ in range(2)]
-        long = [rng.integers(0, 100, size=(2, 2 * SEQ)) for _ in range(2)]
-        # Alternate buckets with a cache of one: every switch evicts the
-        # other bucket's capture, so steps keep working (re-capturing), just
-        # without the cross-bucket plan reuse a larger cache would keep.
-        for s, l in zip(short, long):
-            service.submit("t", s)
-            service.flush()
-            service.submit("t", l)
-            service.flush()
-        assert service.gauges()["serve_steps"] == 4
-        assert service.gauges()["plan_caches"] <= 1
+        batches = [rng.integers(0, 100, size=(2, seq))
+                   for _ in range(2) for seq in lengths]
+        results = []
+        for batch in batches:
+            service.submit("t", batch)
+            results.extend(service.flush())
+        assert not any(r.replayed for r in results)
+        gauges = service.gauges()
+        assert gauges["serve_steps"] == len(batches)
+        assert gauges["plan_caches"] == MAX_CAPTURES
+        model, _ = get_peft_method("lora")(build_model(MODEL, seed=0))
+        plain = FineTuner(model, TrainingConfig())
+        for batch in batches:
+            plain.step(batch)
+        trained = service.fetch_adapter("t").state
+        for name, param in model.named_parameters():
+            if param.requires_grad:
+                assert np.array_equal(trained[name], param.data), name
 
 
 class TestServiceSurface:

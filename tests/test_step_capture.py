@@ -12,10 +12,10 @@ the buffer arena.  Three concerns, three marker tiers:
 * ``-m alloc`` (also ``perf_smoke``) — the allocation-regression gate: once
   a step is captured, subsequent steps must perform **zero** new arena
   allocations on either path and compiled steps build **zero** graph nodes,
-  for the dense, oracle-sparse and predicted configurations, a
-  sequence-length change must trigger exactly one re-capture, and by the
-  optimizer tail of a compiled step every activation gradient is back in
-  the arena (the liveness gate);
+  for the dense, oracle-sparse and predicted configurations, every step
+  signature a tuner alternates among keeps its own compiled plan (up to
+  ``MAX_CAPTURES`` of them), and by the optimizer tail of a compiled step
+  every activation gradient is back in the arena (the liveness gate);
 * unmarked unit tests for :class:`BufferArena`, the forward recorder and
   the backward schedule, including its release of aliased gradients.
 """
@@ -35,8 +35,9 @@ import parity
 from repro.models import build_model
 from repro.optim import Adam
 from repro.peft import apply_lora
-from repro.runtime import (AttentionConfig, BufferArena, FineTuner,
-                           StepCapture, TrainingConfig)
+from repro.runtime import (AttentionConfig, BufferArena, CaptureConfig,
+                           FineTuner, StepCapture, TrainingConfig)
+from repro.runtime.trainer import MAX_CAPTURES
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.tensor import arena as tensor_arena
 from repro.tensor import fused
@@ -125,18 +126,27 @@ def test_integer_division_matches_uncaptured_under_arena():
     assert np.array_equal(plain, arena_backed)
 
 
-def test_zero_warmup_captures_on_the_first_step():
+def _captured(model, attention: AttentionConfig = None, **kwargs) -> FineTuner:
+    """A capture-enabled tuner over ``model``."""
+    return FineTuner(model, TrainingConfig(
+        capture=CaptureConfig(enabled=True),
+        attention=attention or AttentionConfig()), **kwargs)
+
+
+def test_first_step_of_a_signature_captures():
     model = build_model("opt-tiny", seed=0)
     apply_lora(model)
-    capture = StepCapture(warmup_steps=0)
-    tuner = FineTuner(model, TrainingConfig(), capture=capture)
+    tuner = _captured(model)
     ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
                                             size=(2, 32))
+    assert tuner.capture is None          # made by the first step
     tuner.step(ids)
+    capture = tuner.capture
     assert capture.full_captures == 1     # step 1 IS the capture step
     tuner.step(ids)
+    assert tuner.capture is capture
     assert capture.full_replays == 1      # step 2 already replays
-    assert capture.recaptures == 0        # no signature change ever happened
+    assert tuner.recaptures == 0          # one signature, one capture
 
 
 def test_arena_helpers_degrade_without_active_arena():
@@ -231,13 +241,13 @@ def _alias_step_grads(alias, tier):
                            lambda d, o: np.sum(d, out=o),
                            lambda g: (np.broadcast_to(g, squared.shape),))
 
-    capture = StepCapture(warmup_steps=0)
+    capture = StepCapture()
     grads = []
     for _ in range(3):
         if tier is None:
             forward().backward()
         else:
-            capture.begin_step("alias")
+            capture.begin_step()
             if capture.full_ready():
                 capture.replay_full_forward()
                 capture.replay_full_backward()
@@ -246,7 +256,7 @@ def _alias_step_grads(alias, tier):
                 assert capture.finish_full_capture(forward()), \
                     capture.full_fail_reason
             else:
-                capture.run_backward(forward())
+                forward().backward()
             capture.end_step()
         grads.append((a.grad.copy(), c.grad.copy()))
         a.grad = c.grad = None
@@ -263,19 +273,6 @@ def test_aliased_gradient_is_not_released_while_pending(alias, tier):
     assert live and all(live), live
     for (pa, pc), (ga, gc) in zip(plain, grads):
         assert np.array_equal(pa, ga) and np.array_equal(pc, gc)
-
-
-def test_recapture_trims_previous_steps_working_set():
-    tuner, ids, capture = _build_tuner("dense")
-    for _ in range(4):
-        tuner.step(ids)
-    held_before = capture.arena.bytes_held
-    tuner.step(ids[:, :16])                # shape change -> trim + re-capture
-    # The old-shape working set (outstanding at trim time) must have been
-    # recycled *before* the trim, so it was actually dropped.
-    assert capture.arena.bytes_held < held_before
-    tuner.step(ids[:, :16])
-    assert capture.last_step_allocations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +416,13 @@ def test_captured_steps_bitwise_identical(backend, fused_enabled, schedule):
 
 def _build_tuner(backend: str, seq: int = 32, predict_interval: int = 1,
                  attention: AttentionConfig = None, capture: bool = True):
-    """A tuner over a fixed batch; returns (tuner, ids, capture).
+    """A tuner over a fixed batch; returns (tuner, ids).
 
-    The sparse backends refresh their masks every ``predict_interval`` steps:
-    the default 1 makes every step a refresh (interpreted over the arena);
-    4 leaves reuse steps 2-4 — capture plus compile on step 2, compiled
-    replays on steps 3-4, re-capture on refresh step 5.
+    Its first step makes ``tuner.capture``.  The sparse backends refresh
+    their masks every ``predict_interval`` steps: the default 1 makes every
+    step a refresh (interpreted over the arena); 4 makes refresh step 1 the
+    capture plus compile, steps 2-4 compiled replays and refresh step 5 the
+    re-capture.
     """
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
     model = build_model(model_name, seed=0)
@@ -442,12 +440,12 @@ def _build_tuner(backend: str, seq: int = 32, predict_interval: int = 1,
     if engine is not None:
         engine.install(model)
     optimizer = Adam(model.trainable_parameters(), lr=1e-3)
-    capture = StepCapture() if capture else None
     tuner = FineTuner(model,
-                      TrainingConfig(attention=attention or AttentionConfig()),
-                      optimizer=optimizer, engine=engine, capture=capture)
+                      TrainingConfig(capture=CaptureConfig(enabled=capture),
+                                     attention=attention or AttentionConfig()),
+                      optimizer=optimizer, engine=engine)
     ids = rng.integers(0, model.config.vocab_size, size=(2, seq))
-    return tuner, ids, capture
+    return tuner, ids
 
 
 def _add_uncovered_op(model):
@@ -476,16 +474,21 @@ def _add_uncovered_op(model):
 @pytest.mark.alloc
 @pytest.mark.parametrize("backend", ["dense", "oracle", "predicted"])
 def test_zero_allocations_after_capture(backend):
-    tuner, ids, capture = _build_tuner(backend)
+    tuner, ids = _build_tuner(backend)
     try:
-        tuner.step(ids)                            # warm-up (uncaptured)
         tuner.step(ids)                            # capture step (allocates)
+        capture = tuner.capture
         # Only the dense step compiles: oracle mode trains the base weights
         # and every predicted step refreshes, so those run interpreted.
         compiled = backend == "dense"
         assert capture.full_captures == compiled
         capture_allocs = capture.last_step_allocations
         assert capture_allocs > 0                  # the capture step populates
+        if backend == "oracle":
+            # The oracle derives its masks from live activations every step,
+            # and the first update moves the MLP's active-neuron count: step
+            # 2 allocates that one new shape class, then the masks hold.
+            tuner.step(ids)
         for _ in range(2):                         # steps N+1, N+2: replay
             tuner.step(ids)
             assert capture.last_step_allocations == 0, \
@@ -505,18 +508,16 @@ def test_compiled_step_holds_only_parameter_gradients(engine):
     # its last use, so when the optimizer runs, the only arena buffers still
     # out are the trainable parameters' ``.grad``.
     if engine:
-        tuner, ids, capture = _build_tuner("predicted", seq=64,
-                                           predict_interval=4)
+        tuner, ids = _build_tuner("predicted", seq=64, predict_interval=4)
     else:
         model = build_model("opt-tiny", seed=0)
         apply_lora(model)
-        capture = StepCapture()
-        tuner = FineTuner(model, TrainingConfig(), capture=capture)
+        tuner = _captured(model)
         ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
                                                 size=(2, 64))
     try:
-        for _ in range(2):                         # warm-up, capture
-            tuner.step(ids)
+        tuner.step(ids)                            # capture
+        capture = tuner.capture
         stray = []
         optimizer_step = tuner.optimizer.step
 
@@ -542,12 +543,12 @@ def test_full_step_zero_graph_builds_and_allocations(backend):
     # The tentpole gate: once the full plan is compiled, a steady-state step
     # builds ZERO Python graph nodes (the graph was built exactly once, at
     # capture) and performs ZERO arena allocations.
-    tuner, ids, capture = _build_tuner(backend, predict_interval=4)
+    tuner, ids = _build_tuner(backend, predict_interval=4)
     try:
-        tuner.step(ids)                            # warm-up (uncaptured)
         tuner.step(ids)                            # capture + full compile
+        capture = tuner.capture
         assert capture.full_captures == 1, capture.full_fail_reason
-        for _ in range(2):                         # steps 3-4: compiled replay
+        for _ in range(2):                         # steps 2-3: compiled replay
             before = node_build_count()
             tuner.step(ids)
             assert node_build_count() == before, \
@@ -567,10 +568,10 @@ def test_full_step_zero_graph_builds_and_allocations(backend):
 
 def _compiled_opt_tiny(peft, steps: int = 3):
     """A captured ``opt-tiny`` tuner adapted by ``peft``, stepped ``steps``
-    times over a fixed batch (step 2 compiles); returns (tuner, ids)."""
+    times over a fixed batch (step 1 compiles); returns (tuner, ids)."""
     model = build_model("opt-tiny", seed=0)
     peft(model)
-    tuner = FineTuner(model, TrainingConfig(), capture=StepCapture())
+    tuner = _captured(model)
     ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
                                             size=(2, 32))
     for _ in range(steps):
@@ -593,13 +594,12 @@ def test_optimizer_subclass_step_runs_on_compiled_steps():
     model = build_model("opt-tiny", seed=0)
     apply_lora(model)
     optimizer = CountingAdam(model.trainable_parameters(), lr=1e-3)
-    tuner = FineTuner(model, TrainingConfig(), optimizer=optimizer,
-                      capture=StepCapture())
+    tuner = _captured(model, optimizer=optimizer)
     ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
                                             size=(2, 32))
     for _ in range(6):
         tuner.step(ids)
-    assert tuner.capture.full_replays == 4
+    assert tuner.capture.full_replays == 5
     assert optimizer.step_count == optimizer.calls == 6
 
 
@@ -721,8 +721,8 @@ def test_degrades_to_interpreted_steps(trigger):
         "coverage_gap": dict(backend="dense"),
         "replay_exception": dict(backend="dense"),
     }[trigger]
-    tuner, ids, capture = _build_tuner(**build)
-    plain, _, _ = _build_tuner(capture=False, **build)
+    tuner, ids = _build_tuner(**build)
+    plain, _ = _build_tuner(capture=False, **build)
     gaps = []
     if trigger == "coverage_gap":
         gaps = [_add_uncovered_op(tuner.model), _add_uncovered_op(plain.model)]
@@ -734,20 +734,25 @@ def test_degrades_to_interpreted_steps(trigger):
         with kernels():
             assert tuner.step(ids)[0] == plain.step(ids)[0], \
                 f"{trigger}: loss differs at step {len(seen) + 1}"
-        seen.append(capture.full_replays)
+        seen.append(tuner.capture.full_replays)
 
     try:
-        # Warm-up, capture, replays.  The gap is closed after its second
-        # veto: a third would use up MAX_FAILURES and stop the compiler.
-        for _ in range(3 if trigger == "coverage_gap" else 4):
+        # Capture, replays.  The gap is closed after its second veto: a
+        # third would use up MAX_FAILURES and stop the compiler.  Vetoed
+        # base weights stop it after step 3, so step 4 is the first forward
+        # without a recorder (its kernel outputs come from the arena, not
+        # from plan buffers) and step 5 the first over a warm pool.
+        for _ in range({"coverage_gap": 2,
+                        "trainable_base_weights": 5}.get(trigger, 4)):
             step()
+        capture = tuner.capture
         if trigger == "reference_kernels":
             # Never eligible: the forward is not a recordable kernel stream.
             assert capture.full_captures == 0
             assert capture.full_fail_reason == "reference kernels"
             assert seen[-1] == 0 and capture.last_step_allocations == 0
         elif trigger == "trainable_base_weights":
-            # Vetoed on steps 2, 3 and 4; after MAX_FAILURES attempts the
+            # Vetoed on steps 1, 2 and 3; after MAX_FAILURES attempts the
             # compiler stops asking and the reason stays on record.
             assert capture.full_captures == 0
             assert "trainable base weights" in capture.full_fail_reason
@@ -768,17 +773,17 @@ def test_degrades_to_interpreted_steps(trigger):
             step()
             assert seen[-1] == 1
         elif trigger == "replay_exception":
-            assert seen[-1] == 2 and capture.full_captures == 1
+            assert seen[-1] == 3 and capture.full_captures == 1
             _raise_once_in(capture.forward_plan)
             step()          # replay raises -> interpreted step, re-compiled
-            assert seen[-1] == 2
+            assert seen[-1] == 3
             assert capture.full_fail_reason == \
                 "replay raised RuntimeError: injected thunk failure"
             assert capture.full_captures == 2
             step()
-            assert seen[-1] == 3
+            assert seen[-1] == 4
         assert capture.full_fallbacks == (trigger == "replay_exception")
-        assert capture.state == capture.REPLAY and capture._failures == 0
+        assert list(tuner.captures.values()) == [capture]   # one signature
         for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
             assert np.array_equal(a.data, b.data), f"{trigger}: params differ"
     finally:
@@ -808,8 +813,8 @@ def test_plan_not_recordable_with_external_interior_node():
     over a parameter built between steps, which the loss adds times zero;
     the forward itself is fully covered.  Every step then runs interpreted,
     bitwise equal to a plain twin in losses and gradients."""
-    tuner, ids, capture = _build_tuner("dense")
-    plain, _, _ = _build_tuner("dense", capture=False)
+    tuner, ids = _build_tuner("dense")
+    plain, _ = _build_tuner("dense", capture=False)
 
     def wire(twin):
         """Route ``twin``'s loss through an external node; returns the
@@ -834,10 +839,10 @@ def test_plan_not_recordable_with_external_interior_node():
         for rebuild in rebuilds:
             rebuild()                              # outside any forward
         assert tuner.step(ids)[0] == plain.step(ids)[0], f"step {step}"
+    capture = tuner.capture
     assert capture.full_captures == 0 and capture.full_replays == 0
     assert capture.full_fail_reason == "backward schedule not capturable"
     assert capture._full_failures == capture.MAX_FAILURES
-    assert capture.state == capture.REPLAY
     assert len(grads[0]) == len(grads[1]) == 5
     for step, (a, b) in enumerate(zip(*grads), start=1):
         for ga, gb in zip(a, b):
@@ -852,22 +857,23 @@ def test_refresh_step_is_the_capture_step(interval):
     compiled and nothing ever degrades; with ``predict_interval=1`` every
     step refreshes, nothing could be replayed, and the compiler stays cold.
     Lockstep with a plain twin: the trajectory is bitwise the same."""
-    tuner, ids, capture = _build_tuner("predicted", predict_interval=interval)
-    plain, _, _ = _build_tuner("predicted", predict_interval=interval,
-                               capture=False)
+    tuner, ids = _build_tuner("predicted", predict_interval=interval)
+    plain, _ = _build_tuner("predicted", predict_interval=interval,
+                            capture=False)
     try:
         for step in range(1, 15):              # refreshes on 1, 5, 9, 13
             assert tuner.step(ids)[0] == plain.step(ids)[0], f"step {step}"
-            # Step 1 warms up; with an interval, step 2 and every refresh
-            # from step 5 on capture, and all steps in between replay.
-            captures = (step >= 2) + (step - 1) // 4 if interval > 1 else 0
+            # With an interval every refresh captures, and all steps in
+            # between replay.
+            capture = tuner.capture
+            captures = 1 + (step - 1) // 4 if interval > 1 else 0
             assert capture.full_captures == captures, f"step {step}"
             assert capture.full_replays == (
-                step - 1 - captures if interval > 1 else 0), f"step {step}"
+                step - captures if interval > 1 else 0), f"step {step}"
         assert capture.full_fallbacks == 0
         assert capture.full_fail_reason == ""
         assert (capture.forward_plan is None) == (interval == 1)
-        assert capture.state == capture.REPLAY and capture._failures == 0
+        assert tuner.recaptures == 0
         for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
             assert np.array_equal(a.data, b.data), "params differ"
     finally:
@@ -876,21 +882,22 @@ def test_refresh_step_is_the_capture_step(interval):
 
 
 class _CaptureLifecycle(RuleBasedStateMachine):
-    """A captured tuner and a ``capture=None`` twin, stepped in lockstep
-    through shape flips, reference-kernel steps, coverage gaps, injected
-    replay failures and retirements, in any order.
+    """A captured tuner and a plain twin, stepped in lockstep through shape
+    flips, reference-kernel steps, coverage gaps, injected replay failures
+    and retirements of the current capture, in any order.
 
     After every rule the trajectory is the twin's bit for bit, a step that
-    replayed the compiled plan allocated nothing, and every compiled
-    fallback is an injected replay failure.
+    replayed a compiled plan allocated nothing, and every compiled fallback
+    is an injected replay failure.  Two lengths under two kernel modes are
+    at most ``MAX_CAPTURES`` signatures, so no capture is ever evicted.
     """
 
     build = dict(backend="dense")
 
     def __init__(self):
         super().__init__()
-        self.tuner, self.ids, self.capture = _build_tuner(**self.build)
-        self.plain, _, _ = _build_tuner(capture=False, **self.build)
+        self.tuner, self.ids = _build_tuner(**self.build)
+        self.plain, _ = _build_tuner(capture=False, **self.build)
         self.gaps = [_add_uncovered_op(t.model) for t in (self.tuner,
                                                           self.plain)]
         self.gap = False
@@ -903,19 +910,22 @@ class _CaptureLifecycle(RuleBasedStateMachine):
             if t.engine is not None:
                 t.engine.uninstall(t.model)
 
+    def _summary(self) -> str:
+        return self.tuner.capture.summary()
+
     def _step(self, seq: int, kernels=contextlib.nullcontext) -> None:
         ids = self.ids[:, :seq]
-        replays = self.capture.full_replays
+        replays = {id(c): c.full_replays for c in self.tuner.captures.values()}
         with kernels():
             assert self.tuner.step(ids)[0] == self.plain.step(ids)[0], \
-                self.capture.summary()
-        if self.capture.full_replays > replays:
-            assert self.capture.last_step_allocations == 0, \
-                self.capture.summary()
+                self._summary()
+        capture = self.tuner.capture
+        if capture.full_replays > replays.get(id(capture), 0):
+            assert capture.last_step_allocations == 0, self._summary()
 
     @initialize()
-    def warm_up_and_compile(self):
-        for _ in range(3):
+    def capture_and_compile(self):
+        for _ in range(2):
             self._step(32)
 
     @rule(seq=st.sampled_from([32, 16]), steps=st.integers(1, 4))
@@ -933,28 +943,29 @@ class _CaptureLifecycle(RuleBasedStateMachine):
         for gap in self.gaps:
             gap(self.gap)
 
-    @precondition(lambda self: self.capture.forward_plan is not None)
+    @precondition(lambda self: self.tuner.capture.forward_plan is not None)
     @rule()
     def next_replay_raises_once(self):
-        _raise_once_in(self.capture.forward_plan, fired=self.fired)
-        self._step(self.capture.signature[0][-1])  # the plan's own shape
+        capture = self.tuner.capture
+        _raise_once_in(capture.forward_plan, fired=self.fired)
+        shape = next(signature[0] for signature, held
+                     in self.tuner.captures.items() if held is capture)
+        self._step(shape[-1])                      # the plan's own shape
 
     @rule()
-    def retire_and_attach_fresh_capture(self):
-        self.capture.retire()
-        self.capture = self.tuner.capture = StepCapture()
-        self.fired = []
+    def retire_the_current_capture(self):
+        self.tuner.capture.retire()
 
     @invariant()
     def parameters_match_the_twin(self):
         for a, b in zip(self.tuner.optimizer.params,
                         self.plain.optimizer.params):
-            assert np.array_equal(a.data, b.data), self.capture.summary()
+            assert np.array_equal(a.data, b.data), self._summary()
 
     @invariant()
     def every_fallback_was_injected(self):
-        assert self.capture.full_fallbacks == len(self.fired), \
-            self.capture.full_fail_reason
+        fallbacks = sum(c.full_fallbacks for c in self.tuner.captures.values())
+        assert fallbacks == len(self.fired), self.tuner.capture.full_fail_reason
 
 
 class _PredictedCaptureLifecycle(_CaptureLifecycle):
@@ -981,16 +992,17 @@ def test_arena_does_not_grow_across_refreshes():
     the old plan first and trims the old layout's free lists, so the pool
     after the third re-capture is the size it was after the first capture —
     not one interpreted working set plus a stale pool per refresh larger."""
-    tuner, _, capture = _build_tuner("predicted", seq=128, predict_interval=4)
+    tuner, _ = _build_tuner("predicted", seq=128, predict_interval=4)
     rng = np.random.default_rng(5)
     held = {}
     try:
         for step in range(1, 15):              # refreshes on 1, 5, 9, 13
             tuner.step(rng.integers(0, 512, size=(2, 128)))
-            held[step] = capture.arena.bytes_held
+            held[step] = tuner.capture.arena.bytes_held
+        capture = tuner.capture
         assert capture.full_captures == 4 and capture.full_fallbacks == 0
         assert capture.arena.evictions > 0     # at least one layout moved
-        assert held[13] <= 1.1 * held[2], held
+        assert held[13] <= 1.1 * held[1], held
     finally:
         tuner.engine.uninstall(tuner.model)
 
@@ -1006,21 +1018,20 @@ def test_sparse_capture_holds_nothing_nnz_sized():
     seq = 256
     dense_model = build_model("opt-tiny", seed=0)
     apply_lora(dense_model)
-    dense_capture = StepCapture()
-    dense = FineTuner(dense_model,
-                      TrainingConfig(attention=AttentionConfig(
-                          streaming=True, streaming_tile=32)),
-                      capture=dense_capture)
-    tuner, ids, capture = _build_tuner("predicted", seq=seq, predict_interval=64)
+    dense = _captured(dense_model, AttentionConfig(streaming=True,
+                                                   streaming_tile=32))
+    tuner, ids = _build_tuner("predicted", seq=seq, predict_interval=64)
     for _ in range(3):
         dense.step(ids)
-    assert dense_capture.full_replays == 1
+    dense_capture = dense.capture
+    assert dense_capture.full_replays == 2
 
     def held_under(sparsity):
         layout = parity.grid_layout(seq, 16, sparsity, heads=4)
         tuner.engine.adopt_layouts(
             [("attn", layout, seq) if entry[0] == "attn" else entry
              for entry in tuner.engine.export_layouts()])
+        capture = tuner.capture
         replays = capture.full_replays
         for _ in range(3):                         # re-capture, then replays
             tuner.step(ids)
@@ -1028,7 +1039,7 @@ def test_sparse_capture_holds_nothing_nnz_sized():
         return layout.nnz, capture.arena.bytes_held
 
     try:
-        tuner.step(ids)                            # warm-up refresh
+        tuner.step(ids)                            # the first refresh
         few, held_few = held_under(0.6)
         many, held_many = held_under(0.0)
         assert many >= 2 * few
@@ -1039,126 +1050,94 @@ def test_sparse_capture_holds_nothing_nnz_sized():
         tuner.engine.uninstall(tuner.model)
 
 
+def _alternate(tuner, shapes, rounds: int) -> dict:
+    """Step ``tuner`` round-robin over ``shapes`` (one batch each);
+    returns signature -> the arena allocations of each of its steps."""
+    allocs = {}
+    for _ in range(rounds):
+        for ids in shapes:
+            tuner.step(ids)
+            allocs.setdefault(tuner.step_signature(ids), []).append(
+                tuner.capture.last_step_allocations)
+    return allocs
+
+
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
-def test_shape_change_triggers_exactly_one_recapture():
-    tuner, ids, capture = _build_tuner("dense")
-    for _ in range(4):
+def test_alternating_shapes_replay_both_plans():
+    # Batches whose shape flips every step: each shape keeps its own
+    # capture, so from its second visit on each replays its compiled plan
+    # and allocates nothing.  One capture after the first is one recapture.
+    tuner, ids = _build_tuner("dense")
+    shapes = [ids, ids[:, :16]]
+    allocs = _alternate(tuner, shapes, rounds=4)
+    assert tuner.recaptures == 1
+    assert tuner.profiler.summary_dict()["gauges"]["capture_recaptures"] == 1
+    for signature, capture in tuner.captures.items():
+        assert (capture.full_captures, capture.full_replays) == (1, 3)
+        assert allocs[signature][0] > 0 and allocs[signature][1:] == [0] * 3
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+def test_reference_kernel_step_leaves_the_fused_plan_installed():
+    tuner, ids = _build_tuner("dense")
+    for _ in range(2):
         tuner.step(ids)
-    assert capture.state == capture.REPLAY and capture.recaptures == 0
-    short = ids[:, :16]
-    tuner.step(short)                              # re-capture at new shape
-    assert capture.recaptures == 1
-    assert capture.full_captures == 2
-    tuner.step(short)                              # replay at new shape
-    tuner.step(short)
-    assert capture.recaptures == 1                 # exactly one
-    assert capture.state == capture.REPLAY
-    assert capture.last_step_allocations == 0
-
-
-@pytest.mark.perf_smoke
-@pytest.mark.alloc
-def test_shape_changes_after_compiled_replays_are_recaptures_not_failures():
-    # Compiled replays must count as replays.  If they bypass the accounting,
-    # every shape change after a healthy compiled phase looks like a "sterile
-    # capture" (a plan that was never replayed) and the third one switches
-    # capture off for good.
-    model = build_model("opt-tiny", seed=0)
-    apply_lora(model)
-    capture = StepCapture()
-    tuner = FineTuner(model, TrainingConfig(), capture=capture)
-    rng = np.random.default_rng(7)
-    full_replays = 0
-    for phase, seq in enumerate((16, 24, 32, 40, 48)):
-        for _ in range(6):
-            tuner.step(rng.integers(0, model.config.vocab_size, size=(2, seq)))
-        assert capture.state == capture.REPLAY, f"phase {phase}: {capture.summary()}"
-        assert capture._failures == 0
-        assert capture.recaptures == phase
-        assert capture.full_replays > full_replays
-        full_replays = capture.full_replays
-    # Every step after a (re-)capture replayed the compiled plan.
-    assert capture.full_replays == 5 * 6 - 5 - 1
-
-
-@pytest.mark.perf_smoke
-@pytest.mark.alloc
-def test_replay_streak_forgives_failures_in_compiled_steady_state():
-    tuner, ids, capture = _build_tuner("dense")
-    capture._failures = capture.MAX_FAILURES - 1   # one strike from OFF
-    for _ in range(2 + capture.FAILURE_RESET_REPLAYS):
-        tuner.step(ids)
-    assert capture.full_replays == capture.FAILURE_RESET_REPLAYS
-    assert capture._failures == 0
-
-
-@pytest.mark.perf_smoke
-@pytest.mark.alloc
-def test_alternating_shapes_trip_the_kill_switch():
-    # Batches whose shape flips every step re-capture without ever replaying
-    # (sterile captures); capture must switch itself off instead of paying
-    # capture bookkeeping + full arena reallocation forever.
-    tuner, ids, capture = _build_tuner("dense")
-    short = ids[:, :16]
-    for step in range(12):
-        tuner.step(ids if step % 2 == 0 else short)
-        if capture.state == capture.OFF:
-            break
-    assert capture.state == capture.OFF
-    assert capture.full_replays == 0          # no plan ever got replayed
-    assert capture.arena.takes == 0           # retired pool dropped
-    # Training keeps working uncaptured.
-    loss, _ = tuner.step(ids)
-    assert np.isfinite(loss)
-
-
-@pytest.mark.perf_smoke
-@pytest.mark.alloc
-def test_alternating_shapes_trip_the_kill_switch_without_compiling():
-    # Under reference kernels no step ever compiles, yet a signature that is
-    # captured and never replayed is just as sterile: warm-up, one capture,
-    # then three sterile re-captures switch capture off at step 5.
-    tuner, ids, capture = _build_tuner("dense")
-    short = ids[:, :16]
+    fused_capture = tuner.capture
+    plan = fused_capture.forward_plan
+    assert (fused_capture.full_captures, fused_capture.full_replays) == (1, 1)
     with fused.reference_kernels():
-        for step in range(1, 6):
-            assert capture.state != capture.OFF, f"off before step {step}"
-            tuner.step(ids if step % 2 else short)
-        assert capture.state == capture.OFF
-        assert capture.full_captures == 0 and capture.recaptures == 3
-        assert capture.arena.takes == 0           # retired pool dropped
-        loss, _ = tuner.step(ids)
-    assert np.isfinite(loss)
+        tuner.step(ids)                            # its own capture, interpreted
+        assert tuner.capture is not fused_capture
+        assert tuner.capture.full_fail_reason == "reference kernels"
+    assert fused_capture.forward_plan is plan
+    for _ in range(2):
+        tuner.step(ids)
+        assert tuner.capture is fused_capture
+        assert fused_capture.last_step_allocations == 0
+    assert (fused_capture.full_captures, fused_capture.full_replays) == (1, 3)
+    assert fused_capture.forward_plan is plan and tuner.recaptures == 1
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
-def test_fused_toggle_change_invalidates_plan():
-    tuner, ids, capture = _build_tuner("dense")
-    for _ in range(3):
-        tuner.step(ids)
-    assert capture.state == capture.REPLAY
-    assert (capture.full_captures, capture.full_replays) == (1, 1)
-    with fused.reference_kernels():
-        tuner.step(ids)                            # signature change -> recapture
-        assert capture.recaptures == 1
-        tuner.step(ids)                            # interpreted over the arena
-        assert capture.last_step_allocations == 0
-        assert (capture.full_captures, capture.full_replays) == (1, 1)
-        assert capture.full_fail_reason == "reference kernels"
-    tuner.step(ids)                                # eligible again: re-compiled
-    tuner.step(ids)
-    assert capture.recaptures == 2
-    assert (capture.full_captures, capture.full_replays) == (2, 2)
+def test_signature_past_the_bound_evicts_the_least_recently_used():
+    # MAX_CAPTURES + 1 lengths in turn: the last one evicts the first
+    # length's capture, retiring its plan and arena.  Revisiting that length
+    # re-captures, and the trajectory stays a plain twin's bit for bit.
+    tuner, ids = _build_tuner("dense", seq=8 * (MAX_CAPTURES + 1))
+    plain, _ = _build_tuner("dense", seq=8 * (MAX_CAPTURES + 1),
+                            capture=False)
+    shapes = [ids[:, :8 * (i + 1)] for i in range(MAX_CAPTURES + 1)]
+
+    def step(batch):
+        assert tuner.step(batch)[0] == plain.step(batch)[0]
+
+    for batch in shapes[:MAX_CAPTURES]:
+        step(batch)
+    evicted = tuner.captures[tuner.step_signature(shapes[0])]
+    assert evicted.forward_plan is not None and evicted.arena.bytes_held > 0
+    step(shapes[-1])
+    assert len(tuner.captures) == MAX_CAPTURES
+    assert tuner.step_signature(shapes[0]) not in tuner.captures
+    assert evicted.forward_plan is None and evicted.arena.bytes_held == 0
+    for _ in range(2):
+        step(shapes[0])                            # re-capture, then replay
+    assert tuner.capture is not evicted
+    assert (tuner.capture.full_captures, tuner.capture.full_replays) == (1, 1)
+    assert tuner.recaptures == MAX_CAPTURES + 1
+    for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
+        assert np.array_equal(a.data, b.data)
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 def test_capture_gauges_reach_profiler():
-    tuner, ids, capture = _build_tuner("dense")
+    tuner, ids = _build_tuner("dense")
     for _ in range(3):
         tuner.step(ids)
+    capture = tuner.capture
     gauges = tuner.profiler.summary_dict()["gauges"]
     for key in ("arena_allocations_step", "arena_bytes", "arena_hit_rate",
                 "arena_evictions", "capture_recaptures",
@@ -1176,7 +1155,7 @@ def test_capture_gauges_reach_profiler():
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 def test_capture_mode_leaves_globals_clean():
-    tuner, ids, _ = _build_tuner("dense")
+    tuner, ids = _build_tuner("dense")
     for _ in range(3):
         tuner.step(ids)
     assert tensor_arena.active() is None
@@ -1195,25 +1174,25 @@ TIERS = ["compiled", "interpreted"]
 
 def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
                            tier: str = "compiled", batch: int = 2,
-                           model: str = "gpt2-tiny"):
-    """Dense tuner with the streaming toggle wired via the config."""
+                           model: str = "gpt2-tiny", capture: bool = True):
+    """Dense tuner with the streaming toggle wired via the config; returns
+    (tuner, ids)."""
     model = build_model(model, seed=0)
     if tier == "interpreted":
         _add_uncovered_op(model)
     rng = np.random.default_rng(3)
     optimizer = Adam(model.trainable_parameters(), lr=1e-3)
-    capture = StepCapture()
     tuner = FineTuner(model,
                       TrainingConfig(
+                          capture=CaptureConfig(enabled=capture),
                           attention=AttentionConfig(streaming=streaming,
                                                     streaming_tile=tile)),
-                      optimizer=optimizer, capture=capture)
+                      optimizer=optimizer)
     ids = rng.integers(0, model.config.vocab_size, size=(batch, seq))
-    return tuner, ids, capture
+    return tuner, ids
 
 
 def _assert_tier(capture: StepCapture, tier: str, replays: int) -> None:
-    assert capture.state == capture.REPLAY
     if tier == "compiled":
         assert capture.full_captures == 1, capture.full_fail_reason
         assert capture.full_replays == replays
@@ -1231,26 +1210,25 @@ def test_streaming_capture_replay_bitwise_identical(tier):
     # tile=16 exercises multiple tiles per row block.
     results = []
     for use_capture in (False, True):
-        tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
-        if not use_capture:
-            tuner.capture = None
+        tuner, ids = _build_streaming_tuner(True, tier=tier,
+                                            capture=use_capture)
         losses = [tuner.step(ids)[0] for _ in range(4)]
         params = [p.data.copy() for p in tuner.optimizer.params]
-        results.append((losses, params, capture))
+        results.append((losses, params, tuner.capture))
     (base_losses, base_params, _), (cap_losses, cap_params, cap) = results
     assert base_losses == cap_losses
     for a, b in zip(base_params, cap_params):
         assert np.array_equal(a, b)
-    _assert_tier(cap, tier, replays=2)
+    _assert_tier(cap, tier, replays=3)
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 @pytest.mark.parametrize("tier", TIERS)
 def test_streaming_zero_allocations_after_capture(tier):
-    tuner, ids, capture = _build_streaming_tuner(True, tier=tier)
-    tuner.step(ids)                                # warm-up
+    tuner, ids = _build_streaming_tuner(True, tier=tier)
     tuner.step(ids)                                # capture (+ full compile)
+    capture = tuner.capture
     for _ in range(2):
         tuner.step(ids)
         assert capture.last_step_allocations == 0, \
@@ -1282,13 +1260,13 @@ def test_replayed_steps_heap_steady(model, streaming, tier):
     import gc
     import tracemalloc
 
-    tuner, ids, capture = _build_streaming_tuner(streaming, seq=256, tile=64,
-                                                 tier=tier, batch=1,
-                                                 model=model)
+    tuner, ids = _build_streaming_tuner(streaming, seq=256, tile=64,
+                                        tier=tier, batch=1, model=model)
     try:
-        for _ in range(8):                         # warm-up, capture, replays
+        for _ in range(8):                         # capture, replays
             tuner.step(ids)
-        _assert_tier(capture, tier, replays=6)
+        capture = tuner.capture
+        _assert_tier(capture, tier, replays=7)
         gc.collect()
         tracemalloc.start()
         for _ in range(2):                         # stabilise tracer overhead
@@ -1325,7 +1303,7 @@ def test_refresh_step_forward_retains_no_heap_arrays():
     import gc
     import tracemalloc
 
-    tuner, ids, capture = _build_tuner("predicted", seq=256)
+    tuner, ids = _build_tuner("predicted", seq=256)
     plain_loss = tuner.model.loss
     held = []
 
@@ -1335,9 +1313,10 @@ def test_refresh_step_forward_retains_no_heap_arrays():
         return out
 
     try:
-        for _ in range(4):                         # warm-up, capture, refreshes
+        for _ in range(4):                         # refreshes over a warm arena
             tuner.step(ids)
-        assert capture.state == capture.REPLAY and capture.full_replays == 0
+        capture = tuner.capture
+        assert capture.steps == 4 and capture.full_replays == 0
         tuner.model.loss = loss_then_measure
         tracemalloc.start()
         for _ in range(2):                         # stabilise tracer overhead
