@@ -4,9 +4,10 @@
 layer at seq 1024 on one process.  Two measurements fall outside its
 workloads on purpose and live here:
 
-* ``long_context`` — a one-layer LoRA step at seq 512..4096, materializing
-  against streaming attention, plus block-sparse attention on a local+global
-  layout: ms/token and the tracemalloc step peak (the O(seq^2) memory wall);
+* ``long_context`` — a one-layer LoRA step at seq 512..4096, one row tile
+  over the whole sequence (the materializing shape) against row tiles of
+  128, plus block-sparse attention on a local+global layout: ms/token and
+  the tracemalloc step peak (the O(seq^2) memory wall);
 * ``fault`` — one injected rank crash under the two-worker data-parallel
   trainer, recovered bitwise; the CRC32 tax on the all-reduce; and the
   durable checkpoint store's write/read MB/s.
@@ -86,9 +87,11 @@ def bench_long_context(lengths=LONG_CONTEXT_LENGTHS, repeats: int = 2) -> Dict:
 
     For each sequence length a one-layer nano model (dim 32, two heads: at
     these lengths the attention buffers dwarf weights and activations) takes
-    LoRA steps with materializing attention, which keeps the full
-    ``(batch, heads, seq, seq)`` probabilities for the backward, and with
-    streaming attention (row tile 128, logsumexp-recompute backward).
+    LoRA steps through the one tiled attention kernel twice: ``materializing``
+    is one row tile ``seq`` rows high, whose ``(batch, heads, seq, seq)``
+    score and dS scratch is the materializing footprint, and ``streaming``
+    is row tiles of 128 (both recompute probabilities from the logsumexp in
+    the backward).
     ``block_sparse_streaming`` is forward+backward of block-sparse attention
     alone on a local+global layout.  Wall clock is the best of ``repeats``
     untraced calls after a warm-up; the heap peak is one more call under
@@ -106,12 +109,11 @@ def bench_long_context(lengths=LONG_CONTEXT_LENGTHS, repeats: int = 2) -> Dict:
         ids = np.random.default_rng(11).integers(0, cfg.vocab_size,
                                                  size=(batch, seq))
         entry: Dict = {}
-        for label, streaming in (("materializing", False),
-                                 ("streaming", True)):
+        for label, row_tile in (("materializing", seq), ("streaming", tile)):
             model = build_model(cfg, seed=0)
             apply_lora(model)
             tuner = FineTuner(model, TrainingConfig(attention=AttentionConfig(
-                streaming=streaming, streaming_tile=tile)))
+                streaming_tile=row_tile)))
             tuner.step(ids)                                     # warm-up
             step_s = _best_of(lambda: tuner.step(ids), repeats)
             entry[f"{label}_ms_per_token"] = step_s * 1000.0 / (batch * seq)

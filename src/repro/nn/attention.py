@@ -2,7 +2,8 @@
 
 The module owns the Q/K/V/output projections; the *backend* decides how the
 attention scores and the context are computed.  The default
-:class:`DenseAttentionBackend` is the standard O(s²) softmax attention.
+:class:`DenseAttentionBackend` is the standard O(s²) softmax attention, run
+in query-row tiles.
 LongExposure's engine replaces it with a block-sparse backend
 (:class:`repro.sparsity.engine.SparseAttentionBackend`) that only computes
 the score blocks selected by the per-head predicted masks — identical model
@@ -19,6 +20,11 @@ import numpy as np
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
 from repro.tensor import Tensor, functional as F
+
+
+# Default height of dense attention's query-row tiles: MultiHeadAttention's
+# ``row_tile`` and AttentionConfig's ``streaming_tile``.
+ROW_TILE = 128
 
 
 @functools.lru_cache(128)
@@ -44,23 +50,19 @@ def causal_mask(seq_len: int) -> np.ndarray:
 class DenseAttentionBackend:
     """Standard dense scaled-dot-product attention (the baseline kernel).
 
-    Runs the fused single-node attention core
-    (:func:`repro.tensor.fused.scaled_dot_product_attention`) when the module's
-    ``row_tile`` is ``None`` and the row-tiled kernel
-    (:func:`repro.tensor.functional.streaming_attention`) ``row_tile`` rows
-    high otherwise; inside :func:`repro.tensor.fused.reference_kernels` both
-    route to the taped matmul / scale / masked-softmax / matmul composition.
+    Runs :func:`repro.tensor.functional.scaled_dot_product_attention` in
+    query-row tiles the module's ``row_tile`` rows high; inside
+    :func:`repro.tensor.fused.reference_kernels` it routes to the taped
+    matmul / scale / masked-softmax / matmul composition.
     """
 
     def __call__(self, module: "MultiHeadAttention", q: Tensor, k: Tensor, v: Tensor,
                  attn_mask: Optional[np.ndarray], x: Optional[Tensor] = None) -> Tensor:
         # q, k, v: (batch, heads, seq, head_dim); x is the pre-projection layer
         # input, unused by the dense kernel but consumed by sparse backends.
-        scale = 1.0 / np.sqrt(module.head_dim)
-        if module.row_tile is not None:
-            return F.streaming_attention(q, k, v, attn_mask, scale=scale,
-                                         tile=module.row_tile)
-        return F.scaled_dot_product_attention(q, k, v, attn_mask, scale=scale)
+        return F.scaled_dot_product_attention(q, k, v, attn_mask,
+                                              scale=1.0 / np.sqrt(module.head_dim),
+                                              tile=module.row_tile)
 
 
 class MultiHeadAttention(Module):
@@ -95,11 +97,10 @@ class MultiHeadAttention(Module):
 
         # Swappable kernel; LongExposure installs a sparse backend here.
         self.backend = DenseAttentionBackend()
-        # Dense attention's row tile: None materialises the (seq, seq)
-        # scores, an int runs the row-tiled kernel that many rows high.
-        # FineTuner sets it from AttentionConfig; it lives here rather than
-        # on the backend so it survives engine.install / uninstall.
-        self.row_tile: Optional[int] = None
+        # Dense attention's row-tile height.  FineTuner sets it from
+        # AttentionConfig; it lives here rather than on the backend so it
+        # survives engine.install / uninstall.
+        self.row_tile: int = ROW_TILE
 
     # -- helpers ---------------------------------------------------------------
     def split_heads(self, x: Tensor) -> Tensor:

@@ -72,13 +72,16 @@ class MemoryModel:
     param_bytes: int = 2
     activation_bytes: int = 4
     optimizer_bytes_per_param: int = 8          # two FP32 Adam moments
-    # Tiled attention (repro.tensor.fused.tiled_attention): a layer saves
-    # only its output and the per-row logsumexp; the forward works in one
-    # score scratch and the backward recomputes each tile's probabilities into
-    # it, next to one more for dS, instead of reading a stored (s, s)
-    # probability matrix.  Dense attention's scratch is a (batch, heads,
-    # row_tile, s) tile, ``streaming_tile`` rows high; block-sparse attention's
-    # a capacity-class chunk of at most half the staged grid's score blocks.
+    # ``streaming=False`` is the analytic model of the paper's PEFT baseline
+    # for Figure 8, which stores the (s, s) probabilities for the backward;
+    # no kernel here runs it anymore.  ``streaming=True`` models the tiled
+    # attention this package runs (repro.tensor.fused.tiled_attention): a
+    # layer saves only its output and the per-row logsumexp; the forward
+    # works in one score scratch and the backward recomputes each tile's
+    # probabilities into it, next to one more for dS.  Dense attention's
+    # scratch is a (batch, heads, row_tile, s) tile, ``streaming_tile`` rows
+    # high; block-sparse attention's a capacity-class chunk of at most half
+    # the staged grid's score blocks.
     streaming: bool = False
     streaming_tile: int = 128
 

@@ -18,6 +18,7 @@ from typing import Dict, Hashable, Iterable, List, Optional
 import numpy as np
 
 from repro.nn import Module, MultiHeadAttention
+from repro.nn.attention import ROW_TILE
 from repro.optim import Adam, clip_grad_norm
 from repro.runtime.capture import StepCapture
 from repro.runtime.profiler import PhaseProfiler
@@ -56,21 +57,20 @@ class CaptureConfig:
 
 @dataclass
 class AttentionConfig:
-    """Dense attention's kernel, set once on the tuner's model.
+    """Dense attention's row tile, set once on the tuner's model.
 
-    With ``streaming`` the dense-attention path runs the row-tiled kernel
-    (see :func:`repro.tensor.fused.streaming_attention`) over query-row
+    Dense attention runs the row-tiled kernel (see
+    :func:`repro.tensor.fused.scaled_dot_product_attention`) over query-row
     tiles ``streaming_tile`` rows high, each reading the keys up to its
     mask's last kept column, never materialising the quadratic score matrix
-    — the long-context choice, and under a causal mask about half the work
-    of the materialising kernel.  :class:`FineTuner` writes it into every
+    — under a causal mask about half the work of the full score matrix.
+    :class:`FineTuner` writes it into every
     :class:`~repro.nn.attention.MultiHeadAttention`'s ``row_tile`` at
-    construction; sparse backends run the same kernel and pick their row
-    tile from the layout.
+    construction; sparse backends run the same kernel and pick their tiles
+    from the layout.
     """
 
-    streaming: bool = False
-    streaming_tile: int = 128
+    streaming_tile: int = ROW_TILE
 
 
 @dataclass
@@ -81,7 +81,7 @@ class TrainingConfig:
     :class:`CaptureConfig` and :class:`AttentionConfig` groups::
 
         TrainingConfig(capture=CaptureConfig(enabled=True),
-                       attention=AttentionConfig(streaming=True))
+                       attention=AttentionConfig(streaming_tile=64))
     """
 
     learning_rate: float = 1e-3
@@ -216,8 +216,7 @@ class FineTuner:
         # (set and restored by StepCapture inside the step), and
         # the content-keyed geometry/causal-mask caches (value caches, safe
         # to share across tuners and tenants).
-        attention = self.config.attention
-        row_tile = int(attention.streaming_tile) if attention.streaming else None
+        row_tile = int(self.config.attention.streaming_tile)
         for module in model.modules():
             if isinstance(module, MultiHeadAttention):
                 module.row_tile = row_tile

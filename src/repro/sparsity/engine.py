@@ -35,8 +35,9 @@ Choosing ``predict_interval``
 -----------------------------
 
 Mask derivation — the predictor probes (or, in oracle mode, the exposer's
-dense softmax) plus layout construction — runs per layer per step and is the
-dominant sparse-step cost once the sparse kernels themselves are fast.
+row-tile probability sweep) plus layout construction — runs per layer per
+step and is the dominant sparse-step cost once the sparse kernels themselves
+are fast.
 Because adjacent fine-tuning steps barely move the activations, their masks
 barely move either, so ``LongExposureConfig.predict_interval = K`` lets every
 sparse backend reuse its last layout / active-block set for ``K - 1`` steps
@@ -67,7 +68,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.models.base import CausalLMModel
-from repro.nn.attention import DenseAttentionBackend, MultiHeadAttention, causal_mask
+from repro.nn.attention import DenseAttentionBackend, MultiHeadAttention
 from repro.tensor import arena as _tensor_arena
 from repro.tensor import fused as _fused
 from repro.nn.mlp import DenseMLPBackend, MLPBlock
@@ -463,8 +464,8 @@ class LongExposure:
 
         One frozen-model pass (:func:`collect_block_mass`) keeps, per layer,
         the sub-layer inputs, the MLP activations and each sample's exposer
-        block mass per calibration length, reduced from the frozen forward's
-        own softmax, which runs one head at a time.  Every layer's probes
+        block mass per calibration length, reduced from the exposer's
+        row-tile probability sweep as its tiles come.  Every layer's probes
         then train in one lockstep loop on one shared noise stream
         (:func:`train_predictors`) on the schedule
         ``PredictorTrainingConfig(epochs=config.predictor_epochs,
@@ -568,37 +569,16 @@ class LongExposure:
                                 seq_len: int) -> MultiHeadLayout:
         """Raw coverage-mask layout computed from the current Q/K (ablation mode).
 
-        ``seq_len`` must equal the length of ``q`` and ``k``; the block grid
-        follows from them.
-
-        The dense softmax runs every layer of every oracle step (it is what
-        the exposer reads), so it reuses the score buffer in place the same
-        way the fused kernels do — the masked fill / max-subtract / exp /
-        normalise chain allocates no ``(batch, heads, seq, seq)``
-        temporaries beyond the matmul output.  Values are identical to the
-        previous out-of-place form.
+        ``seq_len`` is the length of ``q`` and ``k``; the block grid follows
+        from them.  The exposer reduces the causal probabilities row
+        tile by row tile (:meth:`AttentionExposer.sweep_block_mass`), so no
+        ``(batch, heads, seq, seq)`` buffer exists.
         """
-        scale = float(1.0 / np.sqrt(module.head_dim))
-        score_shape = q.shape[:-1] + (k.shape[2],)
-        scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2),
-                           out=_tensor_arena.empty(score_shape, q.data.dtype))
-        scores *= scale
-        causal = causal_mask(seq_len)
-        np.copyto(scores, np.float32(-1e9), where=~causal)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        np.multiply(scores, causal, out=scores)
-        denom = scores.sum(axis=-1, keepdims=True)
-        # Causal rows always keep their diagonal, so the max-subtracted
-        # exp-sum is >= 1 and the shared zero-row guard never fires — the
-        # swap from the old ``np.maximum(denom, 1e-12)`` clamp is exact.
-        _fused.guard_zero_rows(denom)
-        scores /= denom
-        masks = self.attention_exposer.raw_block_masks(scores)
-        # The dense score buffer is the biggest per-layer temporary of oracle
-        # mode; recycling it here lets every layer of the step share one.
-        _tensor_arena.release(scores)
-        return layout_from_block_masks(masks, self.config.block_size)
+        mass = self.attention_exposer.sweep_block_mass(
+            q.data, k.data, float(1.0 / np.sqrt(module.head_dim)))
+        return layout_from_block_masks(
+            self.attention_exposer.raw_masks_from_block_mass(mass),
+            self.config.block_size)
 
     def oracle_mlp_blocks(self, mlp: MLPBlock, x) -> np.ndarray:
         """Exact active neuron blocks computed from the current input (ablation mode)."""

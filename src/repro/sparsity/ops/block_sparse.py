@@ -9,8 +9,8 @@ sparse probability blocks are multiplied with V to produce the dense context.
 :func:`block_sparse_attention`, the autograd op used during fine-tuning,
 runs both in one kernel: it hands the layout's capacity classes
 (:mod:`repro.sparsity.ops.geometry`) to
-:func:`repro.tensor.fused.tiled_attention` — the same kernel dense streaming
-attention runs — whose backward touches exactly the panels the forward did,
+:func:`repro.tensor.fused.tiled_attention` — the same kernel dense attention
+runs — whose backward touches exactly the panels the forward did,
 realising the paper's observation that inactive positions drop out of the
 gradient computation as well.
 """

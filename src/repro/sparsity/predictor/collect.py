@@ -6,8 +6,10 @@ predictors are pre-trained offline using data collected from model
 inference."  For every layer we record
 
 * the input to the attention sub-layer (post-LayerNorm hidden states) and the
-  exact attention probabilities of every head — the frozen forward's own
-  softmax, nothing recomputed beside it — and
+  exact attention probabilities of every head, read row tile by row tile
+  from the exposer's no-grad sweep
+  (:func:`~repro.sparsity.exposer.attention.attention_probability_tiles`)
+  beside the frozen forward's own tiled attention, which keeps none — and
 * the input to the MLP sub-layer and the post-ReLU activations.
 
 The recorded inputs become predictor inputs; the exposer converts the exact
@@ -17,7 +19,6 @@ trained against.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -25,8 +26,9 @@ import numpy as np
 
 from repro.models.base import CausalLMModel
 from repro.nn.attention import causal_mask
+from repro.sparsity.exposer.attention import attention_probability_tiles
 from repro.sparsity.patterns import block_count
-from repro.tensor import Tensor, fused, no_grad
+from repro.tensor import functional as F, no_grad
 
 
 @dataclass
@@ -44,6 +46,10 @@ class CollectedLayerData:
     def merged(self, truncate_to: Optional[int] = None) -> Dict[str, np.ndarray]:
         """Concatenate recordings along the batch axis.
 
+        Without ``truncate_to`` the concatenation replaces the per-batch
+        recordings, which are freed — ``prepare`` never holds both — and the
+        returned arrays are the record's own: copy before writing to them.
+
         With ``truncate_to=L`` every recording is sliced to its first ``L``
         positions (recordings shorter than ``L`` are skipped, mirroring
         ``collect_layer_data(truncate_to=...)``).  For a *causal* model this
@@ -58,12 +64,15 @@ class CollectedLayerData:
         what :func:`collect_block_mass` reduced from the ``L``-prefix itself.
         """
         def cut(arrays: List[np.ndarray], probs: bool = False) -> np.ndarray:
-            if truncate_to is not None:
-                length = int(truncate_to)
-                arrays = [a[:, :, :length, :length] if probs else a[:, :length]
-                          for a in arrays if a.shape[-2] >= length]
-                if not arrays:
-                    raise ValueError(f"no recording is at least {length} tokens long")
+            if truncate_to is None:
+                if len(arrays) > 1:
+                    arrays[:] = [np.concatenate(arrays, axis=0)]
+                return arrays[0]
+            length = int(truncate_to)
+            arrays = [a[:, :, :length, :length] if probs else a[:, :length]
+                      for a in arrays if a.shape[-2] >= length]
+            if not arrays:
+                raise ValueError(f"no recording is at least {length} tokens long")
             return np.concatenate(arrays, axis=0)
 
         out = {name: cut(getattr(self, name))
@@ -76,29 +85,11 @@ class CollectedLayerData:
         return out
 
 
-def _attention_output(attention, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-                      record_head: Callable[[int, np.ndarray], None]) -> Tensor:
-    """The frozen forward's attention sub-layer from its projected
-    ``q``/``k``/``v``: the materialising fused SDPA one head at a time —
-    bitwise the all-head call, at one head's scores of memory — handing each
-    head's float32 probabilities ``(batch, 1, seq, seq)`` to
-    ``record_head(head, probs)``."""
-    scale = float(1.0 / np.sqrt(attention.head_dim))
-    context = np.empty(v.shape, v.data.dtype)
-    for head in range(q.shape[1]):
-        one = slice(head, head + 1)
-        out, probs = fused.scaled_dot_product_attention(
-            q[:, one], k[:, one], v[:, one], mask, scale=scale, return_probs=True)
-        context[:, one] = out.data
-        record_head(head, probs)
-    return attention.dropout(attention.out_proj(attention.merge_heads(Tensor(context))))
-
-
 def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
              max_batches: Optional[int], truncate_to: Optional[int],
              record_attention: Callable) -> List[CollectedLayerData]:
-    """The frozen-model pass loop; ``record_attention(record, head, probs)``
-    decides what is kept of each head's causal attention probabilities."""
+    """The frozen-model pass loop; ``record_attention(record, q, k, scale)``
+    decides what is kept of the layer's causal attention probabilities."""
     layers = [CollectedLayerData() for _ in model.blocks]
     with no_grad():
         for index, batch in enumerate(batches):
@@ -123,8 +114,12 @@ def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
                 record.attention_inputs.append(x_norm.data.copy())
                 q, k, v = (attention.split_heads(proj(x_norm)) for proj in (
                     attention.q_proj, attention.k_proj, attention.v_proj))
-                hidden = hidden + _attention_output(
-                    attention, q, k, v, mask, functools.partial(record_attention, record))
+                scale = float(1.0 / np.sqrt(attention.head_dim))
+                context = F.scaled_dot_product_attention(
+                    q, k, v, mask, scale=scale, tile=attention.row_tile)
+                record_attention(record, q.data, k.data, scale)
+                hidden = hidden + attention.dropout(
+                    attention.out_proj(attention.merge_heads(context)))
 
                 x_norm2 = block.mlp_norm(hidden)
                 record.mlp_inputs.append(x_norm2.data.copy())
@@ -141,7 +136,7 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
     """Run inference passes and record per-layer predictor training data.
 
     Every layer's ``(batch, heads, seq, seq)`` float32 probabilities stay
-    alive in the result, copied head by head out of the same softmax
+    alive in the result, written tile by tile out of the same sweep
     :func:`collect_block_mass` reduces: the recorder for
     :mod:`repro.analysis` and the twin tests hold ``prepare`` against.
 
@@ -162,13 +157,11 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
     -------
     list of :class:`CollectedLayerData`, one entry per transformer layer.
     """
-    heads = model.config.num_heads
-
-    def record_probs(record, head, probs):
-        if head == 0:
-            record.attention_probs.append(
-                np.empty((len(probs), heads) + probs.shape[2:], probs.dtype))
-        record.attention_probs[-1][:, head] = probs[:, 0]
+    def record_probs(record, q, k, scale):
+        probs = np.zeros(q.shape[:3] + (q.shape[2],), q.dtype)
+        for r0, tile in attention_probability_tiles(q, k, scale):
+            probs[:, :, r0:r0 + tile.shape[2], :tile.shape[3]] = tile
+        record.attention_probs.append(probs)
 
     return _collect(model, batches, max_batches, truncate_to, record_probs)
 
@@ -178,25 +171,33 @@ def collect_block_mass(model: CausalLMModel, batches: Iterable[np.ndarray],
     """:func:`collect_layer_data` with the probabilities reduced at production.
 
     Every consumer of the probabilities reads them through
-    ``exposer.block_reduce``, so each head's probabilities are reduced the
-    moment the frozen forward's softmax yields them — per entry of
-    ``lengths`` the batch reaches, on that prefix — into per-sample
-    ``(heads, n_blocks, n_blocks)`` float32 masses, and no more of the
-    probabilities than one head's ever exists.  Bitwise equal to reducing
-    :func:`collect_layer_data`'s probabilities sample by sample.
+    ``exposer.block_reduce``, so each row tile of the sweep is reduced the
+    moment it is yielded — per entry of ``lengths`` the batch reaches, on
+    that prefix — into per-sample ``(heads, n_blocks, n_blocks)`` float32
+    masses, and no more of the probabilities than one tile ever exists.
+    Tiles start on block boundaries, so this is bitwise equal to reducing
+    :func:`collect_layer_data`'s probabilities sample by sample (for power-of-
+    two block sizes up to ``ROW_TILE``, where both sweep the same tiles).
     """
-    heads = model.config.num_heads
+    bs = exposer.block_size
 
-    def record_mass(record, head, probs):
+    def record_mass(record, q, k, scale):
+        batch, heads, seq, _ = q.shape
+        reached = {}
         for length in lengths:
-            if length > probs.shape[-1]:
-                continue
-            masses = record.attention_block_mass.setdefault(length, [])
-            if head == 0:
-                n_blocks = block_count(length, exposer.block_size)
-                masses.extend(np.empty((heads, n_blocks, n_blocks), probs.dtype)
-                              for _ in probs)
-            for mass, sample in zip(masses[-len(probs):], probs):
-                mass[head] = exposer.block_reduce(sample[None, :, :length, :length])[0]
+            if length <= seq:
+                n_blocks = block_count(length, bs)
+                reached[length] = [np.zeros((heads, n_blocks, n_blocks), q.dtype)
+                                   for _ in range(batch)]
+                record.attention_block_mass.setdefault(length, []).extend(
+                    reached[length])
+        for r0, probs in attention_probability_tiles(q, k, scale, bs):
+            for length, masses in reached.items():
+                r1 = min(r0 + probs.shape[2], length)
+                if r1 <= r0:
+                    continue
+                part = exposer.tile_block_mass(probs[:, :, :r1 - r0, :r1])
+                for mass, sample in zip(masses, part):
+                    mass[:, r0 // bs:r0 // bs + sample.shape[1], :sample.shape[2]] = sample
 
     return _collect(model, batches, None, None, record_mass)

@@ -11,13 +11,13 @@ per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
 The kernels the step compiler can replay (``layer_norm``, ``linear``,
-``lora_linear``, ``cross_entropy_logits``, the materialising and the tiled
-attention core) write that forward exactly once, as a ``run`` thunk over
-buffers bound up front — plan-owned while a
-:class:`~repro.tensor.plan.ForwardRecorder` is installed, the arena's
-otherwise — and hand it to :func:`repro.tensor.plan.emit`, which runs it and
-either records it or returns the scratch.  Recorded and interpreted execution
-are therefore the same function body; only buffer provenance differs.
+``lora_linear``, ``cross_entropy_logits``, the tiled attention core) write
+that forward exactly once, as a ``run`` thunk over buffers bound up front —
+plan-owned while a :class:`~repro.tensor.plan.ForwardRecorder` is installed,
+the arena's otherwise — and hand it to :func:`repro.tensor.plan.emit`, which
+runs it and either records it or returns the scratch.  Recorded and
+interpreted execution are therefore the same function body; only buffer
+provenance differs.
 
 The module pairs with :mod:`repro.tensor.reference`, which implements the
 same functions as compositions of primitive ``Tensor`` ops.  The reference
@@ -59,10 +59,11 @@ Derivations (notation: ``g`` is the incoming output gradient):
                      added beside the base GEMM's: no ``(N, out)`` scale or
                      add pass in either direction.
 ``attention``        softmax backward threaded between the two matmul
-                     backwards, all restricted to a single probability
-                     buffer (``scaled_dot_product_attention``) or to one
-                     tile's K/V panels at a time, probabilities recomputed
-                     from the saved logsumexp (``tiled_attention``).
+                     backwards, restricted to one tile's K/V panels at a
+                     time, probabilities recomputed from the saved
+                     logsumexp (``tiled_attention``, behind dense
+                     ``scaled_dot_product_attention`` and block-sparse
+                     attention alike).
 """
 
 from __future__ import annotations
@@ -89,14 +90,13 @@ __all__ = [
     "linear",
     "lora_linear",
     "cross_entropy_logits",
-    "scaled_dot_product_attention",
     "RowTile",
     "UnitClass",
     "TileLayout",
     "chunk_panel_blocks",
     "mask_tile_layout",
     "tiled_attention",
-    "streaming_attention",
+    "scaled_dot_product_attention",
 ]
 
 _NEG_FILL = np.float32(-1e9)
@@ -720,101 +720,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# fused dense attention core
-# ---------------------------------------------------------------------------
-
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 attn_mask: Optional[np.ndarray] = None,
-                                 scale: Optional[float] = None,
-                                 return_probs: bool = False
-                                 ) -> Union[Tensor, Tuple[Tensor, np.ndarray]]:
-    """Fused ``softmax(Q K^T * scale) V`` with a hand-written backward.
-
-    ``q``/``k``/``v`` are ``(batch, heads, seq, head_dim)``; ``attn_mask`` is
-    an optional boolean keep-mask broadcastable to the score shape.  The
-    whole core is one tape node that keeps a single ``(batch, heads, seq,
-    seq)`` probability buffer alive for the backward — the taped composition
-    keeps four (scores, masked scores, exp, probs) plus per-op closures.
-
-    With ``return_probs=True`` also returns a copy of the attention
-    probabilities (predictor data collection reads them as ground truth).
-    """
-    scale = float(scale) if scale is not None else float(1.0 / np.sqrt(q.shape[-1]))
-    if attn_mask is not None:
-        attn_mask = np.asarray(attn_mask, dtype=bool)
-
-    score_shape = q.shape[:-1] + (k.shape[-2],)
-    rec = _plan._RECORDER
-    if rec is not None and return_probs:
-        # The probability snapshot is a per-call copy (predictor collection);
-        # it has no stable replay form.
-        rec.fail("scaled_dot_product_attention with return_probs")
-        rec = None
-    alloc = np.empty if rec is not None else _arena.empty
-    q_data, k_data, v_data = q.data, k.data, v.data
-    kT = np.swapaxes(k_data, -1, -2)
-    # Negated once into a bound buffer: a bare ``~attn_mask`` inside the body
-    # would be a fresh O(seq^2)-scale bool allocation on every call.
-    drop_mask = (None if attn_mask is None else
-                 np.logical_not(attn_mask, out=alloc(attn_mask.shape, bool)))
-    probs = alloc(score_shape, q_data.dtype)
-    scratch = _plan.scratch_alloc(rec)
-    red = scratch(score_shape[:-1] + (1,), q_data.dtype)
-    zero_rows = scratch(red.shape, bool)
-    out = alloc(q.shape[:-1] + (v.shape[-1],), q_data.dtype)
-
-    def run(q_data=q_data, kT=kT, v_data=v_data, probs=probs, red=red,
-            zero_rows=zero_rows, out=out, attn_mask=attn_mask,
-            drop_mask=drop_mask, scale=scale):
-        np.matmul(q_data, kT, out=probs)
-        probs *= scale
-        if attn_mask is not None:
-            np.copyto(probs, _NEG_FILL, where=drop_mask)
-        probs.max(axis=-1, keepdims=True, out=red)
-        probs -= red
-        np.exp(probs, out=probs)
-        if attn_mask is not None:
-            np.multiply(probs, attn_mask, out=probs)
-        probs.sum(axis=-1, keepdims=True, out=red)
-        guard_zero_rows(red, scratch=zero_rows)
-        probs /= red
-        np.matmul(probs, v_data, out=out)
-
-    # Every replay reads ``drop_mask``, so it is the thunk's own while
-    # recording; only an interpreted call hands it back.
-    _plan.emit(rec, run, "sdpa", drop_mask, red, zero_rows)
-
-    def backward(grad_out):
-        grad_v = np.matmul(np.swapaxes(probs, -1, -2), grad_out,
-                           out=_arena.empty(v.shape, v.data.dtype))
-        # dP, then softmax backward in the same buffer.
-        dS = np.matmul(grad_out, np.swapaxes(v.data, -1, -2),
-                       out=_arena.empty(score_shape, q.data.dtype))
-        tmp = np.multiply(dS, probs, out=_arena.empty(score_shape, q.data.dtype))
-        dot = tmp.sum(axis=-1, keepdims=True,
-                      out=_arena.empty(score_shape[:-1] + (1,), q.data.dtype))
-        _arena.release(tmp)
-        dS -= dot
-        _arena.release(dot)
-        dS *= probs
-        dS *= scale
-        grad_q = np.matmul(dS, k.data, out=_arena.empty(q.shape, q.data.dtype))
-        # A frozen k (layer 0 of a LoRA-q/v model) takes no gradient.
-        grad_k = (np.matmul(np.swapaxes(dS, -1, -2), q.data,
-                            out=_arena.empty(k.shape, k.data.dtype))
-                  if k.requires_grad else None)
-        _arena.release(dS, probs)
-        return grad_q, grad_k, grad_v
-
-    result = custom_op(out, (q, k, v), backward)
-    if return_probs:
-        return result, probs.copy()
-    return result
-
-
-# ---------------------------------------------------------------------------
-# tiled attention: the one kernel behind dense streaming and block-sparse
-# attention
+# tiled attention: the one kernel behind dense and block-sparse attention
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -1217,17 +1123,20 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     return custom_op(out, (q, k, v), backward)
 
 
-def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
-                        attn_mask: Optional[np.ndarray] = None,
-                        scale: Optional[float] = None,
-                        tile: int = 128) -> Tensor:
-    """Dense attention through :func:`tiled_attention` — O(tile * seq) scratch.
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
+                                 attn_mask: Optional[np.ndarray] = None,
+                                 scale: Optional[float] = None,
+                                 tile: int = 128) -> Tensor:
+    """Dense ``softmax(Q K^T * scale) V`` through :func:`tiled_attention`.
 
-    Numerically equivalent to :func:`scaled_dot_product_attention` (same
-    masking and fully-masked-row conventions) but the ``(seq, seq)`` score
-    matrix is never materialised and nothing above the mask's last kept
-    column is computed: with a causal mask each tile of ``tile`` query rows
-    reads the key prefix up to its own diagonal, roughly halving the work.
+    ``q``/``k``/``v`` are ``(batch, heads, seq, head_dim)``; ``attn_mask`` is
+    an optional boolean keep-mask broadcastable to the score shape, laid out
+    by :func:`mask_tile_layout` into query-row tiles ``tile`` rows high.  The
+    ``(seq, seq)`` score matrix is never materialised — scratch is
+    O(tile * seq) — and nothing past a tile's last kept column is computed:
+    under a causal mask each tile reads the key prefix up to its own
+    diagonal, roughly halving the work.  ``tile >= seq`` is one tile, the
+    materialising shape.
     """
     tile = int(tile)
     if tile <= 0:
@@ -1236,5 +1145,4 @@ def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
         attn_mask = np.asarray(attn_mask, dtype=bool)
     alloc = np.empty if _plan._RECORDER is not None else _arena.empty
     layout = mask_tile_layout(attn_mask, q.shape[-2], k.shape[-2], tile, alloc)
-    return tiled_attention(q, k, v, layout, scale=scale,
-                           tag="streaming_attention")
+    return tiled_attention(q, k, v, layout, scale=scale, tag="sdpa")

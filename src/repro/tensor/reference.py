@@ -37,7 +37,6 @@ __all__ = [
     "lora_linear",
     "cross_entropy_logits",
     "scaled_dot_product_attention",
-    "streaming_attention",
     "block_sparse_attention",
 ]
 
@@ -137,29 +136,20 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
                                  attn_mask: Optional[np.ndarray] = None,
-                                 scale: Optional[float] = None) -> Tensor:
-    """Dense attention as the taped matmul / scale / softmax / matmul chain."""
+                                 scale: Optional[float] = None,
+                                 tile: int = 128) -> Tensor:
+    """Dense attention as the taped matmul / scale / softmax / matmul chain.
+
+    Tiling is a memory-layout strategy, not a mathematical one — the exact
+    result is plain attention, so ``tile`` is accepted only for signature
+    parity.  This is the gradcheck oracle the fused kernel's per-tile
+    softmax and recompute backward are checked against.
+    """
+    del tile
     scale = float(scale) if scale is not None else float(1.0 / np.sqrt(q.shape[-1]))
     scores = q.matmul(k.swapaxes(-1, -2)) * scale
     probs = masked_softmax(scores, attn_mask, axis=-1)
     return probs.matmul(v)
-
-
-def streaming_attention(q: Tensor, k: Tensor, v: Tensor,
-                        attn_mask: Optional[np.ndarray] = None,
-                        scale: Optional[float] = None,
-                        tile: int = 128) -> Tensor:
-    """Materialising reference of the row-tiled kernel.
-
-    Tiling is a memory-layout strategy, not a mathematical one — the exact
-    result is plain attention, so the reference form is the taped dense
-    chain and ``tile`` is accepted only for signature parity.  This is the
-    gradcheck oracle the kernel's per-tile softmax and recompute backward
-    are checked against.
-    """
-    del tile
-    return scaled_dot_product_attention(q, k, v, attn_mask=attn_mask,
-                                        scale=scale)
 
 
 def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout,

@@ -364,7 +364,7 @@ def build_cases() -> List[ParityCase]:
                    lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c, causal7),
                    [q7, k7, v7], tol_ref=2e-4, replayable=True))
 
-    # -- streaming (row-tiled) attention -----------------------------------
+    # -- row tiles of the same kernel ---------------------------------------
     # The kernel pre-scales Q and reduces each row tile's panel in column
     # order, so its rounding differs from the reference single-pass softmax;
     # the tolerance is the float32 rounding of the two orders (same as the
@@ -374,13 +374,14 @@ def build_cases() -> List[ParityCase]:
     qs6, ks6, vs6 = _normals(rng, (2, 2, 6, 3), (2, 2, 6, 3), (2, 2, 6, 3))
     causal6s = _causal(6)
     add(ParityCase("streaming", "streaming-causal6-tile4",
-                   lambda a, bq, c: F.streaming_attention(a, bq, c, causal6s, tile=4),
-                   lambda a, bq, c: reference.streaming_attention(a, bq, c, causal6s, tile=4),
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, causal6s, tile=4),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(
+                       a, bq, c, causal6s, tile=4),
                    [qs6, ks6, vs6], tol_ref=5e-4, replayable=True))
     qo, ko, vo = _normals(rng, (1, 2, 7, 3), (1, 2, 7, 3), (1, 2, 7, 3))
     add(ParityCase("streaming", "streaming-odd-seq7-nomask-tile3",
-                   lambda a, bq, c: F.streaming_attention(a, bq, c, tile=3),
-                   lambda a, bq, c: reference.streaming_attention(a, bq, c, tile=3),
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, tile=3),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c, tile=3),
                    [qo, ko, vo], tol_ref=5e-4, replayable=True))
     # Cross sequence lengths (sq=5 queries, sk=8 keys) with one query row
     # whose keep-mask is empty: the zero-row convention must hold tile-wise.
@@ -392,16 +393,30 @@ def build_cases() -> List[ParityCase]:
     zmask[4, :5] = True
     qz, kz, vz = _normals(rng, (1, 2, 5, 3), (1, 2, 8, 3), (1, 2, 8, 3))
     add(ParityCase("streaming", "streaming-zero-row-sq5-sk8-tile5",
-                   lambda a, bq, c: F.streaming_attention(a, bq, c, zmask, tile=5),
-                   lambda a, bq, c: reference.streaming_attention(a, bq, c, zmask, tile=5),
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, zmask, tile=5),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(
+                       a, bq, c, zmask, tile=5),
                    [qz, kz, vz], tol_ref=5e-4, replayable=True))
     qw, kw, vw = _normals(rng, (1, 1, 4, 2), (1, 1, 4, 2), (1, 1, 4, 2),
                           dtype=np.float64)
     causal4b = _causal(4)
     add(ParityCase("streaming", "streaming-tile-ge-seq-f64-input",
-                   lambda a, bq, c: F.streaming_attention(a, bq, c, causal4b, tile=64),
-                   lambda a, bq, c: reference.streaming_attention(a, bq, c, causal4b, tile=64),
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, causal4b, tile=64),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(
+                       a, bq, c, causal4b, tile=64),
                    [qw, kw, vw], tol_ref=5e-4, replayable=True))
+    # Prefix tuning's mask: causal over prefix + sequence, every query
+    # keeping all ``plen`` prefix keys (repro.peft.prefix).  Tiles of 3 rows
+    # over 9 positions: the prefix columns are never in a tile's drop span.
+    plen = 3
+    prefix9 = _causal(9).copy()
+    prefix9[:, :plen] = True
+    qp, kp, vp = _normals(rng, (1, 2, 9, 3), (1, 2, 9, 3), (1, 2, 9, 3))
+    add(ParityCase("streaming", "streaming-prefix-tuning-mask-tile3",
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, prefix9, tile=3),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(
+                       a, bq, c, prefix9, tile=3),
+                   [qp, kp, vp], tol_ref=5e-4, replayable=True))
 
     # -- block-sparse attention --------------------------------------------
     # The reference twin runs dense attention under the layout's expanded
@@ -658,7 +673,7 @@ def assert_padding_inert(seq: int, block: int, sparsity: float,
 
 def assert_dense_is_degenerate_sparse(seq: int, block: int) -> None:
     """An all-causal-blocks layout's capacity classes and
-    ``F.streaming_attention`` under the causal mask one block high are the
+    ``F.scaled_dot_product_attention`` under the causal mask one block high are the
     same computation: bit for bit when ``seq`` is a block multiple.  A ragged
     last block runs its dK/dV GEMMs over the block's zero-padded query rows,
     which the BLAS may sum in another order — there dK/dV agree to an ulp."""
@@ -670,7 +685,7 @@ def assert_dense_is_degenerate_sparse(seq: int, block: int) -> None:
     sparse = _kernel_results(
         lambda a, b, c: fused.tiled_attention(a, b, c, geometry), arrays)
     dense = _kernel_results(
-        lambda a, b, c: F.streaming_attention(a, b, c, causal, tile=block),
+        lambda a, b, c: F.scaled_dot_product_attention(a, b, c, causal, tile=block),
         arrays)
     for name, a, b in zip(("out", "dq", "dk", "dv"), sparse, dense):
         where = f"seq{seq}-block{block}: {name}"

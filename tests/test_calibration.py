@@ -53,9 +53,9 @@ from parity import sample_block_mass
 # See TestStreamingPrepare.test_predictor_weight_digest_is_stable.
 SGEMM_CANARY = "d89522c442ee65f4a0495f1dbe19480cc4748a5e12387948112c6b2316113eb8"
 OPT_TINY_PREDICTOR_WEIGHTS = (
-    "bb6dbf997206488ffc7d53e8eb98a3701737002c6c0cc990ed906c7a1b939503")
+    "4c937d33635271f421df06786d785b75e8304c1a90d79373aff3fd2a0b1ec4ec")
 OPT_TINY_MLP_PREDICTOR_WEIGHTS = (
-    "ebc2ff2ba90f4956cb67dffdf22544d8bb148c789e9ee51421cee18fd50f82bd")
+    "56a16a1802f35f13c8d07805cfa46d8708c5af02a89441bfb30c570bac0e8c44")
 
 
 class TestPrimitives:
@@ -496,12 +496,12 @@ class TestStreamingPrepare:
 
     def test_collection_dtype_does_not_follow_numpy_promotion(self, tiny_model,
                                                               tiny_batches):
-        """Block mass is ``block_reduce`` of the model's own per-head SDPA
-        probabilities — the all-head fused kernel's, bit for bit — and stays
-        float32 on every NumPy major: the kernel scales by a Python float in
-        place, which neither NEP 50 nor value-based casting promotes."""
-        from repro.nn.attention import causal_mask
-        from repro.tensor import Tensor, fused, no_grad
+        """Block mass is ``block_reduce`` of the exposer sweep's row-tile
+        probabilities, bit for bit, and stays float32 on every NumPy major:
+        the sweep scales by a Python float in place, which neither NEP 50
+        nor value-based casting promotes."""
+        from repro.sparsity.exposer.attention import attention_probability_tiles
+        from repro.tensor import Tensor, no_grad
 
         exposer = AttentionExposer(block_size=16, coverage=0.9)
         data = collect_block_mass(tiny_model, tiny_batches[:1], exposer, [48, 64])[0]
@@ -511,11 +511,13 @@ class TestStreamingPrepare:
         attention = tiny_model.blocks[0].attention
         with no_grad():
             x_norm = Tensor(data.attention_inputs[0])
-            q, k, v = (attention.split_heads(proj(x_norm)) for proj in (
-                attention.q_proj, attention.k_proj, attention.v_proj))
-            _, probs = fused.scaled_dot_product_attention(
-                q, k, v, causal_mask(64), return_probs=True)
-        assert probs.dtype == np.float32
+            q, k = (attention.split_heads(proj(x_norm)).data for proj in (
+                attention.q_proj, attention.k_proj))
+        probs = np.zeros(q.shape[:3] + (q.shape[2],), np.float32)
+        for r0, tile in attention_probability_tiles(
+                q, k, float(1.0 / np.sqrt(attention.head_dim)), 16):
+            assert tile.dtype == np.float32
+            probs[:, :, r0:r0 + tile.shape[2], :tile.shape[3]] = tile
         for length in (48, 64):
             assert _sha(*data.attention_block_mass[length]) == _sha(
                 sample_block_mass(exposer, probs, length)), length
@@ -575,12 +577,12 @@ class TestStreamingPrepare:
 
     @pytest.mark.perf_smoke
     def test_prepare_peak_memory_is_a_few_heads_probabilities(self):
-        """``prepare`` holds no more of the probabilities than the frozen
-        forward's one head of scores at a time: its peak is a few ``(seq,
-        seq)`` float64 heads, most of it the recorded inputs and activations
-        the probes train on.  One sample's ``(heads, seq, seq)`` scratch
-        beside an all-head forward (what collection once held) is over twice
-        that bound."""
+        """``prepare`` holds no more of the probabilities than the exposer
+        sweep's one row tile at a time: its peak is a few ``(seq, seq)``
+        float64 heads, most of it the recorded inputs and activations the
+        probes train on.  One sample's ``(heads, seq, seq)`` scratch beside
+        an all-head forward (what collection once held) is over twice that
+        bound."""
         seq = 512
         model, batches = _prepare_inputs(seed=0, shape=(1, seq))
         engine = LongExposure(LongExposureConfig(block_size=16,
@@ -595,9 +597,9 @@ class TestStreamingPrepare:
         assert peak <= 5 * one_head, f"peak {peak / one_head:.2f} heads"
 
     def test_recorded_inputs_are_the_model_forwards(self):
-        """Collection projects q/k/v itself and runs attention one head at a
-        time; every layer's recorded sub-layer inputs must still be an
-        ordinary ``no_grad`` forward's, bit for bit."""
+        """Collection projects q/k/v itself and runs the dense attention
+        kernel beside the probability sweep; every layer's recorded sub-layer
+        inputs must still be an ordinary ``no_grad`` forward's, bit for bit."""
         from repro.tensor import no_grad
 
         model, batches = _prepare_inputs(seed=0)

@@ -298,9 +298,9 @@ class TestExecutedSparsity:
         engine = LongExposure(LongExposureConfig(block_size=16, oracle_mode=True))
         engine.prepare(model, tiny_batches[:1])
         raw = []
-        exposer_masks = engine.attention_exposer.raw_block_masks
-        monkeypatch.setattr(engine.attention_exposer, "raw_block_masks",
-                            lambda probs: raw.append(exposer_masks(probs)) or raw[-1])
+        exposer_masks = engine.attention_exposer.raw_masks_from_block_mass
+        monkeypatch.setattr(engine.attention_exposer, "raw_masks_from_block_mass",
+                            lambda mass: raw.append(exposer_masks(mass)) or raw[-1])
         attention = model.blocks[0].attention
         rng = np.random.default_rng(5)
         q, k = (Tensor(rng.normal(size=(2, attention.num_heads, 64,

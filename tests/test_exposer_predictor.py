@@ -72,6 +72,81 @@ class TestAttentionExposer:
             AttentionExposer(16, coverage=0.0)
 
 
+class TestProbabilitySweep:
+    """The one place attention probabilities exist: the exposer's row-tile
+    sweep, on opt-tiny's own q/k."""
+
+    SEQ = 300          # tiles of 128, 128 and a ragged 44 rows
+
+    @staticmethod
+    def _qk(seq, batch=2, seed=3):
+        from repro.models import build_model
+        from repro.tensor import no_grad
+
+        model = build_model("opt-tiny", seed=0)
+        attention = model.blocks[0].attention
+        x = np.random.default_rng(seed).normal(
+            size=(batch, seq, model.config.dim)).astype(np.float32)
+        with no_grad():
+            q, k = (attention.split_heads(proj(Tensor(x))).data
+                    for proj in (attention.q_proj, attention.k_proj))
+        return model, attention, q, k
+
+    @staticmethod
+    def _reference_probs(attention, q, k):
+        from repro.nn.attention import causal_mask
+        from repro.tensor import reference
+
+        scores = Tensor(q).matmul(Tensor(k).swapaxes(-1, -2)) * float(
+            1.0 / np.sqrt(attention.head_dim))
+        return reference.masked_softmax(scores, causal_mask(q.shape[2])).data
+
+    def test_tiles_match_the_reference_softmax(self):
+        from repro.sparsity.exposer.attention import attention_probability_tiles
+
+        _, attention, q, k = self._qk(self.SEQ)
+        ref = self._reference_probs(attention, q, k)
+        scale = float(1.0 / np.sqrt(attention.head_dim))
+        starts = []
+        for r0, probs in attention_probability_tiles(q, k, scale, 16):
+            r1 = r0 + probs.shape[2]
+            assert probs.shape == q.shape[:2] + (r1 - r0, r1)
+            assert probs.dtype == np.float32
+            np.testing.assert_allclose(probs, ref[:, :, r0:r1, :r1], rtol=0, atol=1e-6)
+            assert np.all(probs[..., ~np.tri(r1, dtype=bool)[r0:]] == 0.0)
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+            starts.append(r0)
+        assert starts == [0, 128, 256]
+
+    @pytest.mark.parametrize("length", [256, 200], ids=["aligned", "ragged"])
+    def test_collected_block_mass_is_the_recorded_probabilities_reduced(self, length):
+        from repro.models import build_model
+        from repro.sparsity.predictor import collect_block_mass
+
+        model = build_model("opt-tiny", seed=0)
+        batches = [np.random.default_rng(9).integers(0, 512, size=(2, self.SEQ))]
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
+        masses = collect_block_mass(model, batches, exposer, [length, self.SEQ])
+        for mine, recorded in zip(masses, collect_layer_data(model, batches)):
+            probs = recorded.merged()["attention_probs"]
+            for at in (length, self.SEQ):
+                assert np.array_equal(np.stack(mine.attention_block_mass[at]),
+                                      sample_block_mass(exposer, probs, at)), at
+
+    def test_oracle_layout_is_the_reference_coverage_mask(self):
+        from repro.sparsity import LongExposure, LongExposureConfig
+        from repro.sparsity.ops.layout import layout_from_block_masks
+
+        model, attention, q, k = self._qk(self.SEQ, seed=11)
+        engine = LongExposure(LongExposureConfig(block_size=16, oracle_mode=True))
+        engine.prepare(model, [])
+        layout = engine.oracle_attention_layout(attention, Tensor(q), Tensor(k),
+                                                self.SEQ)
+        masks = engine.attention_exposer.raw_block_masks(
+            self._reference_probs(attention, q, k))
+        assert layout.signature() == layout_from_block_masks(masks, 16).signature()
+
+
 def _random_block_mass(seed, heads=6, n_blocks=8):
     """Strictly positive causal block mass with no ties."""
     rng = np.random.default_rng(seed)

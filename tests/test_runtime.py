@@ -104,13 +104,11 @@ class TestTrainingConfigGroups:
     def test_nested_round_trip(self):
         cfg = TrainingConfig(
             capture=CaptureConfig(enabled=True),
-            attention=AttentionConfig(streaming=True, streaming_tile=64))
+            attention=AttentionConfig(streaming_tile=64))
         assert cfg.capture == CaptureConfig(enabled=True)
-        assert cfg.attention == AttentionConfig(streaming=True,
-                                                streaming_tile=64)
+        assert cfg.attention == AttentionConfig(streaming_tile=64)
         assert dataclasses.asdict(cfg)["capture"] == {"enabled": True}
-        assert dataclasses.asdict(cfg)["attention"] == {"streaming": True,
-                                                        "streaming_tile": 64}
+        assert dataclasses.asdict(cfg)["attention"] == {"streaming_tile": 64}
         tuner = make_finetuner(capture=cfg.capture, attention=cfg.attention)
         assert tuner.capture is None                 # made by the first step
         # The reference tape is a scope around the call, not a config field.
@@ -174,24 +172,28 @@ def test_grad_clip_is_bitwise_under_compiled_replay(monkeypatch, sparse):
 
 
 def test_row_tile_is_owned_by_the_model(monkeypatch):
-    """Dense attention's kernel is a value on each MultiHeadAttention, set once
-    by the tuner: no process global, nothing set and restored per step."""
+    """Dense attention's row tile is a value on each MultiHeadAttention, set
+    once by the tuner: no process global, nothing set and restored per step."""
     from repro.nn import MultiHeadAttention
+    from repro.nn.attention import ROW_TILE
     from repro.sparsity import LongExposure, LongExposureConfig
 
     def row_tiles(model):
         return {m.row_tile for m in model.modules()
                 if isinstance(m, MultiHeadAttention)}
 
-    def lora_tuner(streaming, tile=16):
+    def lora_tuner(tile):
         model, _ = get_peft_method("lora")(build_model("opt-tiny", seed=0))
         return FineTuner(model, TrainingConfig(attention=AttentionConfig(
-            streaming=streaming, streaming_tile=tile)))
+            streaming_tile=tile)))
 
-    # The config lands on every attention module; the default materialises.
-    assert row_tiles(lora_tuner(True, tile=24).model) == {24}
+    # The config lands on every attention module; both defaults are one
+    # constant, so a model stepped outside a tuner runs the same tiles.
+    assert ROW_TILE == 128 == AttentionConfig().streaming_tile
+    assert row_tiles(build_model("opt-tiny", seed=0)) == {ROW_TILE}
+    assert row_tiles(lora_tuner(24).model) == {24}
     assert row_tiles(FineTuner(get_peft_method("lora")(
-        build_model("opt-tiny", seed=0))[0]).model) == {None}
+        build_model("opt-tiny", seed=0))[0]).model) == {ROW_TILE}
 
     # Engine install / uninstall on either side of tuner construction.
     rng = np.random.default_rng(0)
@@ -199,47 +201,40 @@ def test_row_tile_is_owned_by_the_model(monkeypatch):
     engine = LongExposure(LongExposureConfig(block_size=16, oracle_mode=True))
     engine.prepare(model, [rng.integers(0, 512, size=(1, 32))])
     engine.install(model)
-    FineTuner(model, TrainingConfig(attention=AttentionConfig(
-        streaming=True, streaming_tile=32)))
+    FineTuner(model, TrainingConfig(attention=AttentionConfig(streaming_tile=32)))
     engine.uninstall(model)
     assert row_tiles(model) == {32}
-    FineTuner(model, TrainingConfig(attention=AttentionConfig(
-        streaming=True, streaming_tile=8)))
+    FineTuner(model, TrainingConfig(attention=AttentionConfig(streaming_tile=8)))
     engine.install(model)
     assert row_tiles(model) == {8}
     engine.uninstall(model)
     assert row_tiles(model) == {8}
 
-    # Count which dense kernel each step runs, and at which row tile.
+    # Count the dense kernel's calls each step, and their row tile: one
+    # kernel, whatever the tile.
     calls = []
-    sdpa, streaming = fused.scaled_dot_product_attention, fused.streaming_attention
+    sdpa = fused.scaled_dot_product_attention
 
-    def counted_sdpa(*args, **kwargs):
-        calls.append(("sdpa", None))
-        return sdpa(*args, **kwargs)
-
-    def counted_streaming(*args, tile, **kwargs):
-        calls.append(("streaming", tile))
-        return streaming(*args, tile=tile, **kwargs)
+    def counted_sdpa(*args, tile, **kwargs):
+        calls.append(tile)
+        return sdpa(*args, tile=tile, **kwargs)
 
     monkeypatch.setattr(fused, "scaled_dot_product_attention", counted_sdpa)
-    monkeypatch.setattr(fused, "streaming_attention", counted_streaming)
 
     data = batches(3)
+    tiles = (16, ROW_TILE)
     dedicated = {}
-    for s in (False, True):
-        alone = lora_tuner(s)
-        dedicated[s] = [alone.step(b)[0] for b in data]
-    tuners = {s: lora_tuner(s) for s in (False, True)}
-    layers = len(tuners[True].model.blocks)
-    expected = {False: [("sdpa", None)] * layers,
-                True: [("streaming", 16)] * layers}
-    interleaved = {False: [], True: []}
+    for t in tiles:
+        alone = lora_tuner(t)
+        dedicated[t] = [alone.step(b)[0] for b in data]
+    tuners = {t: lora_tuner(t) for t in tiles}
+    layers = len(tuners[ROW_TILE].model.blocks)
+    interleaved = {t: [] for t in tiles}
     for batch in data:
-        for s in (True, False):                    # alternate, no set/restore
+        for t in tiles:                            # alternate, no set/restore
             calls.clear()
-            interleaved[s].append(tuners[s].step(batch)[0])
-            assert calls == expected[s], (s, calls)
+            interleaved[t].append(tuners[t].step(batch)[0])
+            assert calls == [t] * layers, (t, calls)
     assert interleaved == dedicated
 
 

@@ -328,10 +328,8 @@ def test_recorded_kernels_share_one_scratch_set():
     masks = (causal_mask(48), rng.random((48, 48)) < 0.7)
 
     def build():
-        return [call(q, k, v, mask) for mask in masks for call in (
-            fused.scaled_dot_product_attention,
-            lambda q, k, v, mask: fused.streaming_attention(q, k, v, mask,
-                                                            tile=16))]
+        return [fused.scaled_dot_product_attention(q, k, v, mask, tile=tile)
+                for mask in masks for tile in (48, 16)]
 
     rec, recorded = _recorded(build)
     assert rec.ok()
@@ -366,9 +364,6 @@ def _kernel_vetoes():
             lambda: fused.linear(strided, w, b, activation="relu"),
         "cross entropy over non-contiguous logits":
             lambda: fused.cross_entropy_logits(strided, targets)[0],
-        "scaled_dot_product_attention with return_probs":
-            lambda: fused.scaled_dot_product_attention(q, k, v,
-                                                       return_probs=True)[0],
         "neuron-sparse MLP over a non-contiguous activation":
             lambda: neuron_sparse_linear_pair(strided, w, b, w2, b2, active),
         "lora_linear over a non-contiguous activation":
@@ -1018,8 +1013,7 @@ def test_sparse_capture_holds_nothing_nnz_sized():
     seq = 256
     dense_model = build_model("opt-tiny", seed=0)
     apply_lora(dense_model)
-    dense = _captured(dense_model, AttentionConfig(streaming=True,
-                                                   streaming_tile=32))
+    dense = _captured(dense_model, AttentionConfig(streaming_tile=32))
     tuner, ids = _build_tuner("predicted", seq=seq, predict_interval=64)
     for _ in range(3):
         dense.step(ids)
@@ -1172,10 +1166,10 @@ def test_capture_mode_leaves_globals_clean():
 TIERS = ["compiled", "interpreted"]
 
 
-def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
+def _build_streaming_tuner(seq: int = 48, tile: int = 16,
                            tier: str = "compiled", batch: int = 2,
                            model: str = "gpt2-tiny", capture: bool = True):
-    """Dense tuner with the streaming toggle wired via the config; returns
+    """Dense tuner with the row tile wired via the config; returns
     (tuner, ids)."""
     model = build_model(model, seed=0)
     if tier == "interpreted":
@@ -1185,8 +1179,7 @@ def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
     tuner = FineTuner(model,
                       TrainingConfig(
                           capture=CaptureConfig(enabled=capture),
-                          attention=AttentionConfig(streaming=streaming,
-                                                    streaming_tile=tile)),
+                          attention=AttentionConfig(streaming_tile=tile)),
                       optimizer=optimizer)
     ids = rng.integers(0, model.config.vocab_size, size=(batch, seq))
     return tuner, ids
@@ -1210,8 +1203,7 @@ def test_streaming_capture_replay_bitwise_identical(tier):
     # tile=16 exercises multiple tiles per row block.
     results = []
     for use_capture in (False, True):
-        tuner, ids = _build_streaming_tuner(True, tier=tier,
-                                            capture=use_capture)
+        tuner, ids = _build_streaming_tuner(tier=tier, capture=use_capture)
         losses = [tuner.step(ids)[0] for _ in range(4)]
         params = [p.data.copy() for p in tuner.optimizer.params]
         results.append((losses, params, tuner.capture))
@@ -1226,7 +1218,7 @@ def test_streaming_capture_replay_bitwise_identical(tier):
 @pytest.mark.alloc
 @pytest.mark.parametrize("tier", TIERS)
 def test_streaming_zero_allocations_after_capture(tier):
-    tuner, ids = _build_streaming_tuner(True, tier=tier)
+    tuner, ids = _build_streaming_tuner(tier=tier)
     tuner.step(ids)                                # capture (+ full compile)
     capture = tuner.capture
     for _ in range(2):
@@ -1239,10 +1231,9 @@ def test_streaming_zero_allocations_after_capture(tier):
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 @pytest.mark.parametrize("tier", TIERS)
-@pytest.mark.parametrize("streaming", [False, True],
-                         ids=["materializing", "streaming"])
+@pytest.mark.parametrize("tile", [256, 64], ids=["materializing", "streaming"])
 @pytest.mark.parametrize("model", ["gpt2-tiny", "opt-tiny"])   # GeLU, ReLU
-def test_replayed_steps_heap_steady(model, streaming, tier):
+def test_replayed_steps_heap_steady(model, tile, tier):
     # Deeper gate than the arena counters: tracemalloc sees *every* heap
     # allocation, so per-step ufunc temporaries the arena never notices
     # (``denom = x.sum(...)``, an ``~attn_mask`` inside a masked fill) show
@@ -1260,8 +1251,10 @@ def test_replayed_steps_heap_steady(model, streaming, tier):
     import gc
     import tracemalloc
 
-    tuner, ids = _build_streaming_tuner(streaming, seq=256, tile=64,
-                                        tier=tier, batch=1, model=model)
+    # A 256-row tile is one tile over the whole sequence: the materialising
+    # shape of the same kernel.
+    tuner, ids = _build_streaming_tuner(seq=256, tile=tile, tier=tier,
+                                        batch=1, model=model)
     try:
         for _ in range(8):                         # capture, replays
             tuner.step(ids)
@@ -1338,10 +1331,10 @@ def test_refresh_step_forward_retains_no_heap_arrays():
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 def test_seq4096_streaming_breaks_memory_wall():
-    # The tentpole gate: a seq-4096 batch-1 LoRA step through the streaming
-    # kernel must peak at < 1/4 of the materializing path's traced memory
-    # (the materializing path holds (1, heads, 4096, 4096) score/probability
-    # buffers; streaming keeps O(seq * tile) scratch plus the logsumexp).
+    # The tentpole gate: a seq-4096 batch-1 LoRA step in row tiles of 128
+    # must peak at < 1/4 of one 4096-row tile's traced memory (one tile is
+    # the materialising shape: (1, heads, 4096, 4096) score and dS buffers;
+    # tiles of 128 keep O(seq * tile) scratch plus the logsumexp).
     import tracemalloc
 
     from repro.models import ModelConfig
@@ -1352,20 +1345,19 @@ def test_seq4096_streaming_breaks_memory_wall():
     ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(1, 4096))
     peaks = {}
     try:
-        for streaming in (False, True):
+        for tile in (4096, 128):
             model = build_model(cfg, seed=0)
             apply_lora(model)
-            tuner = FineTuner(model,
-                              TrainingConfig(attention=AttentionConfig(
-                                  streaming=streaming, streaming_tile=128)))
+            tuner = FineTuner(model, TrainingConfig(attention=AttentionConfig(
+                streaming_tile=tile)))
             tracemalloc.start()
             loss, _ = tuner.step(ids)
-            _, peaks[streaming] = tracemalloc.get_traced_memory()
+            _, peaks[tile] = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert np.isfinite(loss)
-        assert peaks[True] * 4 < peaks[False], \
-            f"streaming peak {peaks[True]} not <1/4 of " \
-            f"materializing {peaks[False]}"
+        assert peaks[128] * 4 < peaks[4096], \
+            f"tile-128 peak {peaks[128]} not <1/4 of " \
+            f"one-tile {peaks[4096]}"
     finally:
         if tracemalloc.is_tracing():
             tracemalloc.stop()
