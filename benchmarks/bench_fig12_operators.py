@@ -15,15 +15,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
-from repro.sparsity.ops import (
-    block_sparse_attention,
-    dense_attention_reference,
-    neuron_sparse_linear_pair,
-)
+from repro.sparsity.ops import block_sparse_attention, neuron_sparse_linear_pair
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import expand_block_indices
 from repro.sparsity.patterns import causal_block_mask
 from repro.tensor import Tensor
+
+from conftest import dense_attention
 
 SEQ = 256
 BLOCK = 32
@@ -63,7 +61,7 @@ def test_fig12_attention_operator(benchmark):
     results = {}
 
     def run():
-        results["dense"] = _time(lambda: dense_attention_reference(q, k, v, mask=causal))
+        results["dense"] = _time(lambda: dense_attention(q, k, v, causal))
         for sparsity in SPARSITIES:
             layout = random_block_layout(sparsity)
             results[sparsity] = _time(

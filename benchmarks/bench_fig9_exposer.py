@@ -28,12 +28,12 @@ from repro.baselines import UnstructuredSparseMLPBackend
 from repro.models import build_model
 from repro.nn.mlp import DenseMLPBackend
 from repro.sparsity.exposer import MLPExposer
-from repro.sparsity.ops import block_sparse_attention, dense_attention_reference
+from repro.sparsity.ops import block_sparse_attention
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import expand_block_indices, neuron_sparse_linear_pair
 from repro.tensor import Tensor
 
-from conftest import BENCH_MODEL_SMALL, BLOCK_SIZE, e2e_batches
+from conftest import BENCH_MODEL_SMALL, BLOCK_SIZE, dense_attention, e2e_batches
 
 SEQ = 256
 
@@ -95,7 +95,7 @@ def test_fig9_layer_kernel_speedups(benchmark):
         uniform = np.repeat(np.any(head_masks, axis=0)[None], H, axis=0)
         layout_head = layout_from_block_masks(head_masks, BLOCK_SIZE)
         layout_uniform = layout_from_block_masks(uniform, BLOCK_SIZE)
-        results["attn_dense"] = _time_fn(lambda: dense_attention_reference(q, k, v, mask=causal))
+        results["attn_dense"] = _time_fn(lambda: dense_attention(q, k, v, causal))
         results["attn_shadowy"] = _time_fn(
             lambda: block_sparse_attention(Tensor(q), Tensor(k), Tensor(v), layout_uniform))
         results["attn_longexposure"] = _time_fn(

@@ -49,6 +49,18 @@ def e2e_batches(model, seq_len: int, num_batches: int = 2, batch: int = BENCH_BA
                                    vocab_size=model.config.vocab_size)
 
 
+def dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                    mask: np.ndarray) -> np.ndarray:
+    """Materialising dense softmax attention in plain NumPy: the baseline the
+    attention-kernel benches time against.  It builds the whole ``(seq, seq)``
+    score matrix, as a dense framework kernel does; ``mask`` (True = keep)
+    must keep at least one key per row, as a causal mask does."""
+    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * float(1.0 / np.sqrt(q.shape[-1]))
+    scores = np.where(mask, scores, np.float32(-1e9))
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True)) * mask
+    return np.matmul(probs / probs.sum(axis=-1, keepdims=True), v)
+
+
 def measure_step_time(model, ids: np.ndarray, repeats: int = 2,
                       optimizer=None) -> float:
     """Best-of-N wall-clock of a full fine-tuning step (seconds)."""

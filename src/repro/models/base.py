@@ -195,8 +195,11 @@ class CausalLMModel(Module):
             input_ids = input_ids[None, :]
         with no_grad():
             hidden = self.forward(input_ids)
-            logits = self.logits(hidden)
-            log_probs = F.log_softmax(logits, axis=-1).data
+            logits = self.logits(hidden).data
+            # Log-softmax in reference.log_softmax's op order (max, subtract,
+            # exp, sum, log, subtract), so the scores are bitwise its own.
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         total = 0.0
         seq = input_ids.shape[1]
         for t in range(max(completion_start, 1), seq):

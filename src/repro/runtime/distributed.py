@@ -104,8 +104,7 @@ from repro.runtime.comms import (
 )
 from repro.runtime.fault import FaultInjector
 from repro.runtime.profiler import PhaseProfiler
-from repro.runtime.trainer import (FineTuner, PhaseTimings, TrainingConfig,
-                                   TrainingReport)
+from repro.runtime.trainer import FineTuner, PhaseTimings, TrainingReport
 
 __all__ = [
     "DistributedError",
@@ -512,11 +511,8 @@ class DataParallelTrainer:
         bitwise-identical models in every rank) and, where workers are
         spawned, picklable (a module-level function or ``functools.partial``
         over one).
-    config:
-        The :class:`TrainingConfig`; ``config.data_parallel_workers`` sets
-        the worker count unless ``workers`` overrides it.
     workers:
-        Explicit worker count override.
+        Number of worker processes (ranks).
     step_timeout_s:
         Bound on every intra-step barrier wait; a worker death surfaces as
         a recovery (or :class:`DistributedError`) within a small multiple
@@ -540,22 +536,18 @@ class DataParallelTrainer:
     MAX_STEP_REPLAYS = 3
 
     def __init__(self, tuner_factory: Callable[[], FineTuner],
-                 config: Optional[TrainingConfig] = None,
-                 workers: Optional[int] = None, *,
+                 workers: int, *,
                  step_timeout_s: float = 60.0,
                  batch_capacity: Optional[int] = None,
                  max_restarts: int = 2,
                  fault_injector: Optional[FaultInjector] = None,
                  _test_step_delay_s: float = 0.0):
-        config = config or TrainingConfig()
-        world = int(workers if workers is not None
-                    else config.data_parallel_workers)
+        world = int(workers)
         if world < 1:
             raise ValueError(f"need at least one worker, got {world}")
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.tuner_factory = tuner_factory
-        self.config = config
         self.world = world
         self.step_timeout_s = float(step_timeout_s)
         self.batch_capacity = batch_capacity
@@ -940,9 +932,8 @@ class DataParallelTrainer:
 
 
 def train_data_parallel(tuner_factory: Callable[[], FineTuner],
-                        batches: Sequence[np.ndarray],
-                        config: Optional[TrainingConfig] = None,
+                        batches: Sequence[np.ndarray], workers: int,
                         **trainer_kwargs) -> DistributedReport:
     """One-shot convenience wrapper: spawn, train, tear down."""
-    with DataParallelTrainer(tuner_factory, config, **trainer_kwargs) as trainer:
+    with DataParallelTrainer(tuner_factory, workers, **trainer_kwargs) as trainer:
         return trainer.train(batches)

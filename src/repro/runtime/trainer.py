@@ -88,13 +88,6 @@ class TrainingConfig:
     grad_clip: float = 0.0
     capture: CaptureConfig = field(default_factory=CaptureConfig)
     attention: AttentionConfig = field(default_factory=AttentionConfig)
-    # Data parallelism: with N > 1,
-    # :class:`repro.runtime.distributed.DataParallelTrainer` runs N worker
-    # processes over this config, each stepping its batch shard and
-    # exchanging gradients through a shared-memory flat-buffer all-reduce.
-    # FineTuner itself always runs one process; the knob tells the
-    # distributed front-end how wide to go.
-    data_parallel_workers: int = 1
 
 
 @dataclass

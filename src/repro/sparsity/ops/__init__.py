@@ -23,10 +23,7 @@ paper's Section II-D.
 
 from repro.sparsity.ops.layout import MultiHeadLayout
 from repro.sparsity.ops.geometry import compute_block_geometry
-from repro.sparsity.ops.block_sparse import (
-    block_sparse_attention,
-    dense_attention_reference,
-)
+from repro.sparsity.ops.block_sparse import block_sparse_attention
 from repro.sparsity.ops.neuron_sparse import (
     NeuronSparseWeights,
     neuron_sparse_linear_pair,
@@ -36,7 +33,6 @@ __all__ = [
     "MultiHeadLayout",
     "compute_block_geometry",
     "block_sparse_attention",
-    "dense_attention_reference",
     "NeuronSparseWeights",
     "neuron_sparse_linear_pair",
 ]

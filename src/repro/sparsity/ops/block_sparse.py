@@ -1,4 +1,4 @@
-"""Block-sparse attention: the training op and its dense reference.
+"""Block-sparse attention, the autograd op sparse fine-tuning runs.
 
 The attention computation under a per-head block mask decomposes into two
 sparse matrix multiplications (paper Section VI-A): **SDD** (``sparse =
@@ -19,37 +19,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.sparsity.ops.geometry import compute_block_geometry
 from repro.sparsity.ops.layout import MultiHeadLayout
 from repro.tensor import Tensor
 from repro.tensor import fused as _fused
 from repro.tensor import reference as _reference
 
-_NEG_INF = np.float32(-1e9)
-
-
-def dense_attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                              mask: Optional[np.ndarray] = None,
-                              scale: Optional[float] = None) -> np.ndarray:
-    """Plain dense softmax attention used as the comparison baseline."""
-    scale = float(scale) if scale is not None else float(1.0 / np.sqrt(q.shape[-1]))
-    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
-    if mask is not None:
-        scores = np.where(mask, scores, _NEG_INF)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    if mask is not None:
-        probs = probs * mask
-    denom = probs.sum(axis=-1, keepdims=True)
-    probs = probs / _fused.guard_zero_rows(denom)
-    return np.matmul(probs, v)
-
-
-# ---------------------------------------------------------------------------
-# block-sparse attention (autograd op used during fine-tuning)
-# ---------------------------------------------------------------------------
 
 def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLayout,
                            scale: Optional[float] = None,

@@ -21,8 +21,8 @@ Design notes
   that "inactive parameters are excluded from the gradient computation"
   (Section II-D) is realised here.
 * The training hot path runs on the fused single-node kernels in
-  :mod:`repro.tensor.fused` (softmax, layer norm, linear+activation, cross
-  entropy, the dense attention core); :mod:`repro.tensor.reference` holds
+  :mod:`repro.tensor.fused` (layer norm, linear+activation, LoRA, cross
+  entropy, the attention core); :mod:`repro.tensor.reference` holds
   the equivalent primitive compositions used for gradchecking and as the
   deep-tape baseline, entered through the
   :func:`repro.tensor.fused.reference_kernels` context.

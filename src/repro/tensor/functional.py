@@ -1,8 +1,9 @@
 """Composite differentiable functions built on top of :class:`Tensor`.
 
 These mirror the subset of ``torch.nn.functional`` that transformer
-fine-tuning needs: softmax, layer normalisation, dropout, masked attention
-softmax, fused linear(+activation) and the token-level cross entropy loss.
+fine-tuning needs: layer normalisation, dropout, fused linear(+activation),
+the LoRA projection, the dense attention core (softmax fused inside) and the
+token-level cross entropy loss.
 
 Since the fused-kernel pass, this module is a thin *dispatch layer*: every
 hot-path function routes to its single-node hand-backward implementation in
@@ -13,9 +14,8 @@ in :mod:`repro.tensor.reference` inside a
 is active, which is what lets the parity tests compare both on an
 unmodified model.
 
-The auxiliary losses (``binary_cross_entropy_with_logits`` for predictor
-training, ``mse_loss``) are already single fused nodes and live here
-directly.
+The auxiliary loss ``binary_cross_entropy_with_logits`` (predictor
+training) is already a single fused node and lives here directly.
 """
 
 from __future__ import annotations
@@ -31,27 +31,6 @@ from repro.tensor.tensor import Tensor, custom_op
 
 def _impl():
     return _fused if _fused.fused_kernels_enabled() else _reference
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` with a fused backward."""
-    return _impl().softmax(x, axis=axis)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log-softmax with fused backward (used by the LM loss and scoring)."""
-    return _impl().log_softmax(x, axis=axis)
-
-
-def masked_softmax(scores: Tensor, mask: Optional[np.ndarray], axis: int = -1,
-                   neg_fill: float = -1e9) -> Tensor:
-    """Softmax over attention scores with an additive boolean mask.
-
-    ``mask`` follows the convention "True = keep, False = drop"; dropped
-    positions receive probability exactly zero and fully-masked rows produce
-    an all-zero row (padded sequences, extremely sparse attention patterns).
-    """
-    return _impl().masked_softmax(scores, mask, axis=axis, neg_fill=neg_fill)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -161,17 +140,3 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
         return (grad * local / count,)
 
     return custom_op(np.asarray(loss_value, dtype=np.float32), (logits,), backward)
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target array."""
-    target = np.asarray(target, dtype=pred.data.dtype)
-    diff = pred.data - target
-    value = (diff ** 2).mean()
-    count = diff.size
-
-    def backward(grad):
-        grad = np.asarray(grad).reshape(())
-        return (grad * 2.0 * diff / count,)
-
-    return custom_op(np.asarray(value, dtype=np.float32), (pred,), backward)

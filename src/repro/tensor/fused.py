@@ -33,7 +33,6 @@ forms serve three purposes:
 
 Derivations (notation: ``g`` is the incoming output gradient):
 
-``softmax``          ``dx = (g - sum(g * p)) * p`` row-wise.
 ``layer_norm``       ``dx = inv_std * (gw - mean(gw) - n * mean(gw * n))``
                      with ``gw = g * weight`` and ``n`` the normalised input.
                      Every row statistic — the forward's mean and variance,
@@ -83,9 +82,6 @@ __all__ = [
     "fused_kernels_enabled",
     "reference_kernels",
     "guard_zero_rows",
-    "softmax",
-    "log_softmax",
-    "masked_softmax",
     "layer_norm",
     "linear",
     "lora_linear",
@@ -143,10 +139,10 @@ def guard_zero_rows(denom: np.ndarray,
     This is the single home of the fully-masked-row convention: rows with no
     kept position (padded sequences, extreme sparsity, zero active blocks)
     have an all-zero exp-sum, and dividing by the guarded denominator leaves
-    them as exactly-zero probability rows — in every implementation
-    (``masked_softmax``, fused SDPA, the tiled kernel and the oracle
-    exposer).  Rows with any kept position are
-    untouched bit-for-bit.
+    them as exactly-zero probability rows.  :func:`tiled_attention` (dense
+    and block-sparse attention alike) is the one kernel that applies it; the
+    exposer's probability sweep is causal, so its rows always keep the
+    diagonal.  Rows with any kept position are untouched bit-for-bit.
 
     ``scratch`` is an optional boolean buffer of ``denom``'s shape (the
     kernels with a ``run`` body pass one they bound); without it the scratch
@@ -160,12 +156,6 @@ def guard_zero_rows(denom: np.ndarray,
     return denom
 
 
-def _reduced_shape(shape: Tuple[int, ...], axis: int) -> Tuple[int, ...]:
-    """The keepdims result shape of a reduction along ``axis``."""
-    axis = axis % len(shape)
-    return shape[:axis] + (1,) + shape[axis + 1:]
-
-
 @functools.lru_cache(16)
 def _row_indices(n: int) -> np.ndarray:
     """Cached read-only ``arange(n)`` — shared row-index vector for fancy
@@ -173,103 +163,6 @@ def _row_indices(n: int) -> np.ndarray:
     idx = np.arange(n)
     idx.setflags(write=False)
     return idx
-
-
-# ---------------------------------------------------------------------------
-# softmax family
-# ---------------------------------------------------------------------------
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` as one fused node."""
-    data = x.data
-    red_shape = _reduced_shape(data.shape, axis)
-    red = data.max(axis=axis, keepdims=True,
-                   out=_arena.empty(red_shape, data.dtype))
-    probs = np.subtract(data, red, out=_arena.empty(data.shape, data.dtype))
-    np.exp(probs, out=probs)
-    probs.sum(axis=axis, keepdims=True, out=red)
-    probs /= red
-    _arena.release(red)
-
-    def backward(grad):
-        tmp = np.multiply(grad, probs, out=_arena.empty(probs.shape, probs.dtype))
-        dot = tmp.sum(axis=axis, keepdims=True,
-                      out=_arena.empty(red_shape, probs.dtype))
-        np.subtract(grad, dot, out=tmp)
-        _arena.release(dot)
-        tmp *= probs
-        return (tmp,)
-
-    return custom_op(probs, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log-softmax with a fused backward (used by the LM scoring path)."""
-    data = x.data
-    red_shape = _reduced_shape(data.shape, axis)
-    red = data.max(axis=axis, keepdims=True,
-                   out=_arena.empty(red_shape, data.dtype))
-    out = np.subtract(data, red, out=_arena.empty(data.shape, data.dtype))
-    exp = np.exp(out, out=_arena.empty(out.shape, out.dtype))
-    exp.sum(axis=axis, keepdims=True, out=red)
-    _arena.release(exp)
-    logsumexp = np.log(red, out=red)
-    out -= logsumexp
-    _arena.release(red)
-
-    def backward(grad):
-        tmp = np.exp(out, out=_arena.empty(out.shape, out.dtype))
-        dot = grad.sum(axis=axis, keepdims=True,
-                       out=_arena.empty(red_shape, out.dtype))
-        tmp *= dot
-        _arena.release(dot)
-        np.subtract(grad, tmp, out=tmp)
-        return (tmp,)
-
-    return custom_op(out, (x,), backward)
-
-
-def masked_softmax(scores: Tensor, mask: Optional[np.ndarray], axis: int = -1,
-                   neg_fill: float = float(_NEG_FILL)) -> Tensor:
-    """Softmax over attention scores with a boolean keep-mask, one node.
-
-    ``mask`` follows the convention "True = keep, False = drop"; dropped
-    positions receive exactly zero probability and fully-masked rows produce
-    an all-zero row (padded sequences, extremely sparse patterns).
-    """
-    if mask is None:
-        return softmax(scores, axis=axis)
-    mask = np.asarray(mask, dtype=bool)
-    data = scores.data
-    shape = np.broadcast_shapes(data.shape, mask.shape)
-    # Masked fill without the ``np.where`` temporary: pre-fill with the drop
-    # value and copy the kept scores over it (identical values).
-    probs = _arena.empty(shape, data.dtype)
-    probs[...] = np.asarray(neg_fill, dtype=data.dtype)
-    np.copyto(probs, np.broadcast_to(data, shape), where=mask)
-    red_shape = _reduced_shape(shape, axis)
-    red = probs.max(axis=axis, keepdims=True,
-                    out=_arena.empty(red_shape, data.dtype))
-    probs -= red
-    np.exp(probs, out=probs)
-    np.multiply(probs, mask, out=probs)
-    probs.sum(axis=axis, keepdims=True, out=red)
-    guard_zero_rows(red)
-    probs /= red
-    _arena.release(red)
-
-    def backward(grad):
-        grad = np.multiply(grad, mask, out=_arena.empty(probs.shape, probs.dtype))
-        tmp = np.multiply(grad, probs, out=_arena.empty(probs.shape, probs.dtype))
-        dot = tmp.sum(axis=axis, keepdims=True,
-                      out=_arena.empty(red_shape, probs.dtype))
-        _arena.release(tmp)
-        grad -= dot
-        grad *= probs
-        _arena.release(dot)
-        return (grad,)
-
-    return custom_op(probs, (scores,), backward)
 
 
 # ---------------------------------------------------------------------------

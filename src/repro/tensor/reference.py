@@ -17,6 +17,11 @@ reasons:
   through these implementations, so any suspected fused-kernel bug can be
   bisected by wrapping one call.
 
+``softmax``, ``log_softmax`` and ``masked_softmax`` have no fused
+counterpart: the fused kernels compute their softmax inline.  They are the
+building blocks of :func:`scaled_dot_product_attention` and
+:func:`cross_entropy_logits`, the oracles those kernels are checked against.
+
 Nothing in the training hot path should import this module directly.
 """
 

@@ -348,12 +348,3 @@ class TestSegmentLifecycle:
         trainer.close()
         with pytest.raises(DistributedError, match="closed"):
             trainer.step(_batches(count=1)[0])
-
-    def test_config_worker_count_is_honoured(self):
-        config = TrainingConfig(data_parallel_workers=2)
-        with DataParallelTrainer(_nano_tuner, config,
-                                 step_timeout_s=60.0) as trainer:
-            assert trainer.world == 2
-            loss, timing = trainer.step(_batches(count=1)[0])
-            assert np.isfinite(loss)
-            assert timing.comm > 0.0

@@ -1,26 +1,30 @@
-"""Tests of the fused composite functions (softmax, layernorm, losses)."""
+"""Tests of the composite functions (layernorm, losses) and of the reference
+softmax twins that back the reference attention and cross entropy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, reference
 
 
 class TestSoftmax:
+    """The reference softmax twins: building blocks of the reference SDPA and
+    cross entropy, the oracles the fused kernels are checked against."""
+
     def setup_method(self):
         self.rng = np.random.default_rng(0)
 
     def test_softmax_rows_sum_to_one(self):
         x = Tensor(self.rng.normal(size=(3, 7)).astype(np.float32))
-        probs = F.softmax(x)
+        probs = reference.softmax(x)
         np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones(3), rtol=1e-5)
 
     def test_softmax_gradient_matches_jacobian(self):
         x_data = self.rng.normal(size=(5,)).astype(np.float32)
         g = self.rng.normal(size=(5,)).astype(np.float32)
         x = Tensor(x_data, requires_grad=True)
-        F.softmax(x).backward(g)
+        reference.softmax(x).backward(g)
         p = np.exp(x_data - x_data.max())
         p /= p.sum()
         jac = np.diag(p) - np.outer(p, p)
@@ -28,20 +32,21 @@ class TestSoftmax:
 
     def test_log_softmax_consistency(self):
         x = Tensor(self.rng.normal(size=(2, 6)).astype(np.float32))
-        np.testing.assert_allclose(F.log_softmax(x).data, np.log(F.softmax(x).data + 1e-12),
+        np.testing.assert_allclose(reference.log_softmax(x).data,
+                                   np.log(reference.softmax(x).data + 1e-12),
                                    rtol=1e-4, atol=1e-5)
 
     def test_masked_softmax_zeroes_masked_positions(self):
         x = Tensor(self.rng.normal(size=(2, 4, 4)).astype(np.float32))
         mask = np.tril(np.ones((4, 4), dtype=bool))
-        probs = F.masked_softmax(x, mask)
+        probs = reference.masked_softmax(x, mask)
         assert np.all(probs.data[:, 0, 1:] == 0)
         np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones((2, 4)), rtol=1e-5)
 
     def test_masked_softmax_fully_masked_row_is_finite(self):
         x = Tensor(np.zeros((1, 2, 2), dtype=np.float32))
         mask = np.zeros((2, 2), dtype=bool)
-        probs = F.masked_softmax(x, mask)
+        probs = reference.masked_softmax(x, mask)
         assert np.all(np.isfinite(probs.data))
 
 
@@ -119,11 +124,6 @@ class TestLosses:
         # Positive positions push harder (more negative gradient) under pos_weight.
         assert weighted.grad[0] < plain.grad[0] < 0
         np.testing.assert_allclose(weighted.grad[2], plain.grad[2], rtol=1e-5)
-
-    def test_mse_loss_gradient(self):
-        pred = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-        F.mse_loss(pred, np.array([0.0, 0.0])).backward()
-        np.testing.assert_allclose(pred.grad, [1.0, 2.0], rtol=1e-5)
 
     def test_dropout_eval_is_identity_and_train_scales(self):
         x = Tensor(np.ones((100, 10), dtype=np.float32), requires_grad=True)

@@ -22,7 +22,6 @@ from repro.nn.attention import causal_mask
 from repro.optim import Adam
 from repro.sparsity.engine import EngineStats
 from repro.sparsity.ops import block_sparse_attention, compute_block_geometry
-from repro.sparsity.ops.block_sparse import dense_attention_reference
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import pattern_mask
 from repro.tensor import Tensor, fused, reference
@@ -52,11 +51,12 @@ def test_recorded_replay_matches_interpreted(case):
 class TestOverflowSafety:
     """Softmax chains must survive extreme score magnitudes (|x| ~ 1e4)."""
 
-    def test_dense_attention_reference_subtracts_row_max(self):
+    def test_reference_attention_subtracts_row_max(self):
         rng = np.random.default_rng(0)
         q, k, v = [rng.normal(size=(1, 2, 8, 4)).astype(np.float32) * 100.0
                    for _ in range(3)]
-        out = dense_attention_reference(q, k, v, mask=causal_mask(8))
+        out = reference.scaled_dot_product_attention(
+            Tensor(q), Tensor(k), Tensor(v), causal_mask(8)).data
         assert np.all(np.isfinite(out))
         # Matches the fused kernel on the same extreme inputs.
         fused_out = fused.scaled_dot_product_attention(
@@ -68,9 +68,18 @@ class TestOverflowSafety:
         rng = np.random.default_rng(1)
         scores = (rng.normal(size=(2, 6, 6)) * magnitude).astype(np.float32)
         mask = causal_mask(6)
-        out = fused.masked_softmax(Tensor(scores), mask)
-        ref = reference.masked_softmax(Tensor(scores), mask)
-        assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(ref.data))
+        probs = reference.masked_softmax(Tensor(scores), mask)
+        assert np.all(np.isfinite(probs.data))
+        # The same scores inside attention: q = scores against identity keys
+        # at scale 1, so q k^T reproduces them exactly.
+        q = scores[None]                                   # (1, 2, 6, 6)
+        k = np.broadcast_to(np.eye(6, dtype=np.float32), q.shape).copy()
+        v = rng.normal(size=q.shape).astype(np.float32)
+        out = fused.scaled_dot_product_attention(
+            Tensor(q), Tensor(k), Tensor(v), mask, scale=1.0)
+        ref = reference.scaled_dot_product_attention(
+            Tensor(q), Tensor(k), Tensor(v), mask, scale=1.0)
+        assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, ref.data, atol=1e-6)
 
     def test_sparse_chain_extreme_scores(self):

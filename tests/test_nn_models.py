@@ -27,7 +27,7 @@ from repro.nn import (
     TransformerBlock,
 )
 from repro.nn.attention import causal_mask
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad, reference
 
 
 class TestModuleSystem:
@@ -207,6 +207,16 @@ class TestModels:
         ids = np.arange(12) % tiny_model.config.vocab_size
         ll = tiny_model.sequence_log_likelihood(ids, completion_start=6)
         assert ll < 0
+
+    def test_sequence_log_likelihood_is_the_reference_log_softmax_sum(self, tiny_model):
+        ids = np.random.default_rng(3).integers(0, tiny_model.config.vocab_size, 24)
+        with no_grad():
+            logits = tiny_model.logits(tiny_model.forward(ids[None]))
+            log_probs = reference.log_softmax(logits, axis=-1).data
+        expected = 0.0
+        for t in range(9, len(ids)):
+            expected += float(log_probs[0, t - 1, ids[t]])
+        assert tiny_model.sequence_log_likelihood(ids, completion_start=9) == expected
 
 
 class TestSparsityInitQuantile:

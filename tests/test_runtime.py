@@ -84,8 +84,7 @@ class TestTrainingConfigGroups:
 
     def test_config_holds_only_the_fields_a_caller_sets(self):
         names = [f.name for f in dataclasses.fields(TrainingConfig)]
-        assert names == ["learning_rate", "grad_clip", "capture", "attention",
-                         "data_parallel_workers"]
+        assert names == ["learning_rate", "grad_clip", "capture", "attention"]
         for knob in ("weight_decay", "max_steps", "mixed_precision", "log_every"):
             with pytest.raises(TypeError):
                 TrainingConfig(**{knob: 1})

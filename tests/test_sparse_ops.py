@@ -10,18 +10,23 @@ from repro.sparsity.ops import (
     NeuronSparseWeights,
     block_sparse_attention,
     compute_block_geometry,
-    dense_attention_reference,
     neuron_sparse_linear_pair,
 )
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.ops.neuron_sparse import expand_block_indices
 from repro.sparsity.patterns import block_count, pattern_mask
-from repro.tensor import Tensor, functional as F, fused
+from repro.tensor import Tensor, functional as F, fused, reference
 
 
 def make_qkv(batch=2, heads=3, seq=40, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=(batch, heads, seq, dim)).astype(np.float32) for _ in range(3)]
+
+
+def dense_attention(q, k, v, mask):
+    """The reference twin's dense attention under an element keep-mask."""
+    return reference.scaled_dot_product_attention(
+        Tensor(q), Tensor(k), Tensor(v), attn_mask=mask).data
 
 
 def dense_layout(heads, seq, block):
@@ -35,7 +40,7 @@ class TestBlockSparseKernels:
         layout = dense_layout(3, 48, 16)
         out = block_sparse_attention(Tensor(q), Tensor(k), Tensor(v), layout)
         causal = np.tril(np.ones((48, 48), dtype=bool))
-        ref = dense_attention_reference(q, k, v, mask=causal)
+        ref = dense_attention(q, k, v, mask=causal)
         np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-5)
 
     def test_fused_attention_gradients_match_dense_autograd(self):
@@ -46,8 +51,7 @@ class TestBlockSparseKernels:
 
         q2, k2, v2 = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         causal = np.tril(np.ones((32, 32), dtype=bool))
-        scores = q2.matmul(k2.swapaxes(-1, -2)) * (1 / np.sqrt(4))
-        ref = F.masked_softmax(scores, causal).matmul(v2)
+        ref = reference.scaled_dot_product_attention(q2, k2, v2, attn_mask=causal)
 
         g = np.random.default_rng(5).normal(size=out.shape).astype(np.float32)
         out.backward(g)
@@ -64,7 +68,7 @@ class TestBlockSparseKernels:
         # Diagonal-only attention means queries in the second block never see
         # keys from the first block: compare against a manually masked dense run.
         element_mask = layout.to_dense_mask(32)
-        ref = dense_attention_reference(q, k, v, mask=element_mask[None])
+        ref = dense_attention(q, k, v, mask=element_mask[None])
         np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-5)
 
     def test_non_multiple_sequence_length_is_padded_correctly(self):
@@ -72,7 +76,7 @@ class TestBlockSparseKernels:
         layout = dense_layout(3, 37, 16)
         out = block_sparse_attention(Tensor(q), Tensor(k), Tensor(v), layout)
         causal = np.tril(np.ones((37, 37), dtype=bool))
-        ref = dense_attention_reference(q, k, v, mask=causal)
+        ref = dense_attention(q, k, v, mask=causal)
         assert out.shape == (2, 3, 37, 4)
         np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-5)
 
@@ -219,7 +223,7 @@ def test_block_sparse_attention_equals_masked_dense_for_random_layouts(seed, n_b
     masks = rng.random((heads, n_blocks, n_blocks)) > 0.5
     layout = layout_from_block_masks(masks, block)
     out = block_sparse_attention(Tensor(q), Tensor(k), Tensor(v), layout)
-    ref = dense_attention_reference(q, k, v, mask=layout.to_dense_mask(seq)[None])
+    ref = dense_attention(q, k, v, mask=layout.to_dense_mask(seq)[None])
     np.testing.assert_allclose(out.data, ref, rtol=1e-3, atol=1e-5)
 
 
@@ -293,7 +297,7 @@ def test_rows_without_a_kept_block_are_exactly_zero():
     arrays = make_qkv(batch=2, heads=2, seq=seq, dim=4, seed=3)
     q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
     out = fused.tiled_attention(q, k, v, compute_block_geometry(layout, seq))
-    ref = dense_attention_reference(*arrays, mask=layout.to_dense_mask(seq)[None])
+    ref = dense_attention(*arrays, mask=layout.to_dense_mask(seq)[None])
     np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-6)
     assert not out.data[:, 0, 8:16].any()
     grad = np.zeros_like(out.data)
