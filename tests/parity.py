@@ -314,6 +314,21 @@ def build_cases() -> List[ParityCase]:
                    lambda t: F.cross_entropy(t, targets_2d),
                    lambda t: reference.cross_entropy_logits(t, targets_2d),
                    [logits_2d], scalar_output=True, replayable=True))
+    # Flat float32 logits with no ignored target, and logits offset far
+    # enough that an exp without the row-max subtraction overflows float32.
+    rng_f = np.random.default_rng(110)
+    logits_f = rng_f.normal(size=(4, 9)).astype(np.float32)
+    targets_f = rng_f.integers(0, 9, size=4)
+    add(ParityCase("cross_entropy", "cross_entropy-2d-f32",
+                   lambda t: F.cross_entropy(t, targets_f),
+                   lambda t: reference.cross_entropy_logits(t, targets_f),
+                   [logits_f], scalar_output=True, replayable=True))
+    logits_o = (rng_f.normal(size=(2, 3, 6)) + 100.0).astype(np.float32)
+    targets_o = rng_f.integers(0, 6, size=(2, 3))
+    add(ParityCase("cross_entropy", "cross_entropy-offset-logits",
+                   lambda t: F.cross_entropy(t, targets_o),
+                   lambda t: reference.cross_entropy_logits(t, targets_o),
+                   [logits_o], scalar_output=True, replayable=True))
 
     # -- dense attention core ----------------------------------------------
     rng = np.random.default_rng(6)
@@ -335,6 +350,31 @@ def build_cases() -> List[ParityCase]:
                    lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, causal7),
                    lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c, causal7),
                    [q7, k7, v7], tol_ref=2e-4, replayable=True))
+    # Cross lengths (sq=4 queries over sk=7 keys) with no mask; a random
+    # ragged keep-mask with one fully-masked query row (its output is zero);
+    # and an explicit ``scale`` in place of 1/sqrt(head_dim).
+    qx, kx, vx = _normals(rng, (2, 1, 4, 3), (2, 1, 7, 3), (2, 1, 7, 3))
+    add(ParityCase("attention", "attention-sq4-sk7-nomask",
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c),
+                   [qx, kx, vx], tol_ref=2e-4, replayable=True))
+    rng_r = np.random.default_rng(3)
+    ragged = rng_r.random((5, 9)) < 0.6
+    ragged[2] = False
+    qr, kr, vr = _normals(rng_r, (2, 2, 5, 3), (2, 2, 9, 3), (2, 2, 9, 3))
+    add(ParityCase("attention", "attention-ragged-zero-row-sq5-sk9",
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, ragged),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(a, bq, c, ragged),
+                   [qr, kr, vr], tol_ref=2e-4, replayable=True))
+    qc, kc, vc = _normals(np.random.default_rng(2), (2, 1, 6, 4), (2, 1, 6, 4),
+                          (2, 1, 6, 4))
+    causal6 = _causal(6)
+    add(ParityCase("attention", "attention-causal6-scale0.25",
+                   lambda a, bq, c: F.scaled_dot_product_attention(a, bq, c, causal6,
+                                                                   scale=0.25),
+                   lambda a, bq, c: reference.scaled_dot_product_attention(
+                       a, bq, c, causal6, scale=0.25),
+                   [qc, kc, vc], tol_ref=2e-4, replayable=True))
 
     # -- row tiles of the same kernel ---------------------------------------
     # The kernel pre-scales Q and reduces each row tile's panel in column
