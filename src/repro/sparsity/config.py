@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 
 @dataclass
@@ -29,16 +28,6 @@ class LongExposureConfig:
         If True, the engine uses the exposer's exact (ground-truth) masks at
         runtime instead of predictor outputs.  Used for ablations and tests;
         the paper's "shadowy" baselines correspond to uniform oracle masks.
-    calibration_lengths:
-        Sequence-length grid of the calibration pass, which always runs after
-        predictor training: it fits each head a block budget (the oracle
-        masks' density on the calibration set) so each head keeps its budget
-        of top-scoring blocks at run time (see
-        :mod:`repro.sparsity.predictor.calibration`).  Empty (the default)
-        calibrates at the lengths of the calibration batches; an explicit
-        grid (e.g. ``(128, 256, 512)``) additionally fits budgets at each
-        listed length (truncating the calibration batches), with log-linear
-        interpolation between grid points at runtime.
     predict_interval:
         Refresh the predicted (or oracle) sparsity patterns every this many
         fine-tuning steps; between refreshes the sparse backends reuse the
@@ -57,7 +46,6 @@ class LongExposureConfig:
     attention_coverage: float = 0.90
     predictor_epochs: int = 30
     oracle_mode: bool = False
-    calibration_lengths: Tuple[int, ...] = ()
     predict_interval: int = 1
     seed: int = 0
 
@@ -68,6 +56,3 @@ class LongExposureConfig:
             raise ValueError("attention_coverage must be in (0, 1]")
         if self.predict_interval < 1:
             raise ValueError("predict_interval must be >= 1")
-        self.calibration_lengths = tuple(self.calibration_lengths)
-        if any(length <= 0 for length in self.calibration_lengths):
-            raise ValueError("calibration_lengths must be positive")

@@ -11,6 +11,7 @@ Workflow (mirrors the paper's system diagram, Figure 3)::
     engine = LongExposure(LongExposureConfig())
     engine.prepare(model, calibration_batches)   # collect data, train and
                                                  # calibrate the predictors
+                                                 # (at the batches' one length)
     model, result = get_peft_method("lora")(model)
     engine.install(model)                        # swap in sparse backends
     ... fine-tune as usual ...
@@ -337,12 +338,12 @@ class SparseAttentionBackend(_SparseBackend):
         self.engine.stats.attention_layer(self.layer_index).record_refresh(
             stamp, _layout_drift(self.last_layout, entry[1]))
 
-    def __call__(self, module: MultiHeadAttention, q, k, v, attn_mask, x=None):
+    def __call__(self, module: MultiHeadAttention, q, k, v, attn_mask, x):
         engine = self.engine
         seq_len = q.shape[2]
         if not self._reusable(seq_len):
             start = time.perf_counter()
-            if engine.config.oracle_mode or x is None:
+            if engine.config.oracle_mode:
                 layout = engine.oracle_attention_layout(module, q, k, seq_len)
             else:
                 predictor = engine.attention_predictors[self.layer_index]
@@ -464,14 +465,16 @@ class LongExposure:
 
         One frozen-model pass (:func:`collect_block_mass`) keeps, per layer,
         the sub-layer inputs, the MLP activations and each sample's exposer
-        block mass per calibration length, reduced from the exposer's
-        row-tile probability sweep as its tiles come.  Every layer's probes
-        then train in one lockstep loop on one shared noise stream
-        (:func:`train_predictors`) on the schedule
+        block mass, reduced from the exposer's row-tile probability sweep as
+        its tiles come.  Every layer's probes then train in one lockstep loop
+        on one shared noise stream (:func:`train_predictors`) on the schedule
         ``PredictorTrainingConfig(epochs=config.predictor_epochs,
-        seed=config.seed)``.  MLP probes train on ReLU models only.  All
-        calibration batches must share one sequence length (checked before
-        the pass: ``ValueError``).
+        seed=config.seed)``, and each trained predictor is calibrated on the
+        same recordings against the oracle: one per-head block budget and
+        one MLP threshold, at the calibration length (see
+        :mod:`repro.sparsity.predictor.calibration`).  MLP probes train on
+        ReLU models only.  The calibration batches must be at least one and
+        share one sequence length (checked before the pass: ``ValueError``).
         """
         config = self.config
         self.attention_calibrations = []
@@ -481,18 +484,18 @@ class LongExposure:
             return
 
         batch_lengths = {int(np.asarray(b).shape[-1]) for b in calibration_batches}
+        if not batch_lengths:
+            raise ValueError("prepare needs at least one calibration batch")
         if len(batch_lengths) > 1:
             raise ValueError("calibration batches must share one sequence length, "
                              f"got lengths {sorted(batch_lengths)}")
-        grid = sorted(batch_lengths | set(config.calibration_lengths))
-        collected = collect_block_mass(model, calibration_batches,
-                                       self.attention_exposer, grid)
+        layers = [data.merged() for data in collect_block_mass(
+            model, calibration_batches, self.attention_exposer)]
         self.attention_predictors = []
         self.mlp_predictors = []
         self.predictor_metrics = {"attention": [], "mlp": []}
         probes, kinds = [], []
-        for layer_index, data in enumerate(collected):
-            merged = data.merged()
+        for layer_index, merged in enumerate(layers):
             predictor = AttentionPredictor(
                 model.config.dim, model.config.num_heads, PROBE_RANK,
                 config.block_size, seed=config.seed + layer_index)
@@ -513,44 +516,22 @@ class LongExposure:
                                                   seed=config.seed)
         for kind, metrics in zip(kinds, train_predictors(probes, training_config)):
             self.predictor_metrics[kind].append(metrics)
-        del probes      # every layer's merged training set; calibration merges its own
-        self._calibrate(collected, grid, max(batch_lengths))
-        self._prepared = True
-
-    def _calibrate(self, collected, grid: Sequence[int], longest: int) -> None:
-        """Fit per-layer block budgets and MLP thresholds against the oracle.
-
-        The whole grid is served from the *one* collection pass ``prepare()``
-        already ran: shorter grid lengths are exact prefixes of the recorded
-        full-length activations (causal model — see
-        :meth:`CollectedLayerData.merged`), so no extra frozen-model pass
-        runs per grid length.  Each trained predictor is then calibrated on
-        the per-length oracle masks (see
-        :mod:`repro.sparsity.predictor.calibration`).
-
-        The grid is anchored on the token lengths of the calibration batches;
-        listed lengths no calibration batch reaches are skipped.
-        """
-        for layer_index, data in enumerate(collected):
-            by_length = {length: data.merged(truncate_to=length)
-                         for length in grid if length <= longest}
-
-            def per_length(name):
-                return {length: merged[name] for length, merged in by_length.items()}
-
+        del probes      # their labels; calibration reads only the recordings
+        for layer_index, merged in enumerate(layers):
             predictor = self.attention_predictors[layer_index]
             calibration = calibrate_attention_predictor(
                 predictor, self.attention_exposer,
-                per_length("attention_inputs"), per_length("attention_block_mass"))
+                merged["attention_inputs"], merged["attention_block_mass"])
             predictor.set_calibration(calibration)
             self.attention_calibrations.append(calibration)
             if self.mlp_predictors:
                 predictor = self.mlp_predictors[layer_index]
                 calibration = calibrate_mlp_predictor(
                     predictor, self.mlp_exposer,
-                    per_length("mlp_inputs"), per_length("mlp_activations"))
+                    merged["mlp_inputs"], merged["mlp_activations"])
                 predictor.set_calibration(calibration)
                 self.mlp_calibrations.append(calibration)
+        self._prepared = True
 
     # -- calibration reporting ---------------------------------------------------
     def calibration_gap(self) -> Dict[str, float]:
@@ -558,10 +539,10 @@ class LongExposure:
         out: Dict[str, float] = {}
         if self.attention_calibrations:
             out["attention"] = float(np.mean(
-                [c.mean_gap() for c in self.attention_calibrations]))
+                [c.entry.gap for c in self.attention_calibrations]))
         if self.mlp_calibrations:
             out["mlp"] = float(np.mean(
-                [c.mean_gap() for c in self.mlp_calibrations]))
+                [c.entry.gap for c in self.mlp_calibrations]))
         return out
 
     # -- oracle (exposer-driven) paths ------------------------------------------------
@@ -841,8 +822,8 @@ class LongExposure:
         for kind, gap in self.calibration_gap().items():
             lines.append(f"  {kind} calibration density gap: {gap:.4f}")
         if self.attention_calibrations:
-            grid = self.attention_calibrations[0].grid_lengths()
-            lines.append(f"  calibration grid: {grid}")
+            length = self.attention_calibrations[0].entry.seq_len
+            lines.append(f"  calibration length: {length}")
         lines.append(f"  attention block sparsity: {gauges['attention_sparsity']:.3f}")
         live = self.live_attention_sparsity()
         if live:

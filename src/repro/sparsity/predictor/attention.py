@@ -57,7 +57,7 @@ class AttentionPredictor(Module):
         # training path runs (the only place the weights change).
         self._downsample_cache: dict = {}
         self._packed_qk: Optional[np.ndarray] = None
-        # Optional fitted decision state (per-head block budgets); None keeps
+        # Optional fitted decision state (per-head block budget); None keeps
         # the uncalibrated fixed-threshold behaviour exactly.
         self.calibration = None
 
@@ -65,7 +65,9 @@ class AttentionPredictor(Module):
         """Attach an :class:`AttentionCalibration` (or None to detach).
 
         Calibration replaces the fixed logit threshold of
-        :meth:`predict_patterns` with per-head, per-length block budgets.
+        :meth:`predict_patterns` with per-head block budgets, fitted at the
+        calibration length and kept as fractions of the causal blocks at
+        every runtime length.
         """
         if calibration is not None and calibration.block_size != self.block_size:
             raise ValueError("calibration block_size does not match the predictor")
@@ -154,7 +156,7 @@ class AttentionPredictor(Module):
 
         A head's "pattern" is its mask; the kernel runs it as it is.  With a
         fitted :class:`AttentionCalibration` attached, each head keeps its
-        calibrated per-length budget of top-scoring causal blocks of the
+        calibrated budget of top-scoring causal blocks of the
         batch-*mean* score (:func:`budget_block_masks`, the construction the
         calibration measured): a rank cut, so the kept count stays put
         however fine-tuning shifts the score scale, and a mean, so it does
@@ -168,8 +170,7 @@ class AttentionPredictor(Module):
         x = np.asarray(x)
         scores = self.approximate_scores(x)                     # (batch, heads, nb, nb)
         if self.calibration is not None:
-            masks = budget_block_masks(
-                scores.mean(axis=0), self.calibration.budget_for(x.shape[-2]))
+            masks = budget_block_masks(scores.mean(axis=0), self.calibration.budget)
             _arena.release(scores)
             return masks
         prob_threshold = 0.5 + self.threshold

@@ -3,84 +3,39 @@
 The trained probes are recall-oriented (the BCE positive class is up-weighted
 4x), so their raw sigmoid confidences are systematically inflated: thresholded
 at the fixed logit bar they produce block masks visibly *denser* than the
-exposer's oracle masks, and a probe trained at one sequence length collapses
-to near-dense masks at another because the score distribution shifts with the
-block-grid size.  Neither is a probe-capacity problem — the probes *rank*
-blocks well (recall > 0.9) — it is a decision problem, and a decision can be
-fitted cheaply after training.
+exposer's oracle masks.  That is not a probe-capacity problem — the probes
+*rank* blocks well (recall > 0.9) — it is a decision problem, and a decision
+can be fitted cheaply after training.
 
-Calibration therefore fits, on a small calibration set with known oracle
-masks, two things per layer:
+Calibration therefore fits, per layer and at the calibration batches' one
+sequence length, **a per-head block budget**: for every head, the fraction of
+causal blocks the exposer's raw coverage mask keeps over the whole
+calibration set
+(:meth:`~repro.sparsity.exposer.AttentionExposer.raw_masks_from_block_mass`
+of the summed block mass — the label family the probes are trained on).  At
+run time each head keeps its top ``ceil(budget * causal blocks)`` causal
+blocks of the batch-mean approximate scores, plus the diagonal
+(:func:`budget_block_masks`), at whatever length the batch has.  A rank cut
+pins the executed density: as the adapters train and the scores shift, an
+absolute logit threshold fitted at calibration time admits ever more blocks,
+a budget does not.
 
-* **a per-head block budget** — for every head, the fraction of causal blocks
-  the exposer's raw coverage mask keeps over the whole calibration set
-  (:meth:`~repro.sparsity.exposer.AttentionExposer.raw_masks_from_block_mass`
-  of the summed block mass — the label family the probes are trained on).  At
-  run time each head keeps its top ``ceil(budget * causal blocks)`` causal
-  blocks of the batch-mean approximate scores, plus the diagonal
-  (:func:`budget_block_masks`).  A rank cut pins the executed density: as
-  the adapters train and the scores shift, an absolute logit threshold
-  fitted at calibration time admits ever more blocks, a budget does not;
-* **a sequence-length grid** — budgets are fitted independently at every
-  grid length (e.g. 128/256/512) and looked up per runtime length, with
-  log-linear interpolation between grid points and clamping outside the
-  grid, so a probe calibrated on the grid stays usable at nearby lengths.
-
-The MLP predictor gets the one-dimensional analogue: a per-length score
-threshold matching the oracle's active-block count.
+The MLP predictor gets the one-dimensional analogue: a score threshold
+matching the oracle's active-block count.
 
 Calibration state is deliberately *external* to the predictor weights: an
 uncalibrated predictor keeps its fixed logit threshold (the parity tests
 lock this), and :meth:`AttentionPredictor.set_calibration` switches the
-inference path to the calibrated budgets.
+inference path to the calibrated budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sparsity.patterns import block_count, causal_block_mask
-
-
-def _interp_weight(seq_len: int, low: int, high: int) -> float:
-    """Log-linear interpolation weight of ``high`` for ``low < seq_len < high``."""
-    return float((np.log2(seq_len) - np.log2(low)) / (np.log2(high) - np.log2(low)))
-
-
-def _bracket(lengths: Sequence[int], seq_len: int) -> Tuple[int, Optional[int], float]:
-    """Grid lengths bracketing ``seq_len`` plus the interpolation weight.
-
-    Returns ``(low, high, w)`` where ``high`` is ``None`` (and ``w`` is 0)
-    when ``seq_len`` falls on or outside the grid and a single entry applies.
-    """
-    lengths = sorted(lengths)
-    if seq_len <= lengths[0]:
-        return lengths[0], None, 0.0
-    if seq_len >= lengths[-1]:
-        return lengths[-1], None, 0.0
-    for low, high in zip(lengths, lengths[1:]):
-        if seq_len == low:
-            return low, None, 0.0
-        if low < seq_len < high:
-            return low, high, _interp_weight(seq_len, low, high)
-    return lengths[-1], None, 0.0
-
-
-def _lookup(table: Dict[int, object], seq_len: int):
-    """``table``'s entry at ``seq_len``: exact grid hits return the fitted
-    value, lengths between grid points interpolate log-linearly (the score
-    distribution drifts smoothly with the grid size), lengths outside the
-    grid clamp to the nearest end."""
-    exact = table.get(seq_len)
-    if exact is not None:
-        return exact
-    low, high, w = _bracket(list(table), seq_len)
-    if high is None:
-        return table[low]
-    return (1.0 - w) * table[low] + w * table[high]
 
 
 def _separating_threshold(sorted_desc: np.ndarray, keep: int) -> float:
@@ -106,7 +61,7 @@ def _separating_threshold(sorted_desc: np.ndarray, keep: int) -> float:
 
 @dataclass
 class CalibrationEntry:
-    """Target-vs-achieved densities of one layer at one grid length."""
+    """Target-vs-achieved densities of one layer at the calibration length."""
 
     seq_len: int
     oracle_density: float       # mean over heads of the oracle masks
@@ -122,45 +77,21 @@ class CalibrationEntry:
 class AttentionCalibration:
     """Fitted decision state of one layer's attention predictor.
 
-    ``budgets`` maps each grid sequence length to a ``(heads,)`` float64
-    array: the fraction of causal blocks each head keeps.
+    ``budget`` is a ``(heads,)`` float64 array: the fraction of causal blocks
+    each head keeps.
     """
 
     block_size: int
-    budgets: Dict[int, np.ndarray]
-    entries: List[CalibrationEntry] = field(default_factory=list)
-
-    def grid_lengths(self) -> List[int]:
-        return sorted(self.budgets)
-
-    def budget_for(self, seq_len: int) -> np.ndarray:
-        """Per-head budgets at ``seq_len`` (see :func:`_lookup`)."""
-        return _lookup(self.budgets, seq_len)
-
-    def mean_gap(self) -> float:
-        """Mean |predicted − oracle| density over the grid."""
-        if not self.entries:
-            return 0.0
-        return float(np.mean([e.gap for e in self.entries]))
+    budget: np.ndarray
+    entry: CalibrationEntry
 
 
 @dataclass
 class MLPCalibration:
-    """Fitted per-length score thresholds of one layer's MLP predictor."""
+    """Fitted score threshold of one layer's MLP predictor."""
 
-    thresholds: Dict[int, float]
-    entries: List[CalibrationEntry] = field(default_factory=list)
-
-    def grid_lengths(self) -> List[int]:
-        return sorted(self.thresholds)
-
-    def threshold_for(self, seq_len: int) -> float:
-        return _lookup(self.thresholds, seq_len)
-
-    def mean_gap(self) -> float:
-        if not self.entries:
-            return 0.0
-        return float(np.mean([e.gap for e in self.entries]))
+    threshold: float
+    entry: CalibrationEntry
 
 
 def budget_block_masks(mean_scores: np.ndarray, budget: np.ndarray) -> np.ndarray:
@@ -196,9 +127,8 @@ def budget_block_masks(mean_scores: np.ndarray, budget: np.ndarray) -> np.ndarra
     return masks
 
 
-def calibrate_attention_predictor(
-        predictor, exposer, inputs_by_length: Dict[int, np.ndarray],
-        block_mass_by_length: Dict[int, np.ndarray]) -> AttentionCalibration:
+def calibrate_attention_predictor(predictor, exposer, inputs: np.ndarray,
+                                  block_mass: np.ndarray) -> AttentionCalibration:
     """Fit per-head block budgets for one attention predictor.
 
     Parameters
@@ -208,62 +138,43 @@ def calibrate_attention_predictor(
         ``approximate_scores`` only; the weights are not touched).
     exposer:
         The :class:`AttentionExposer` that defines the oracle masks.
-    inputs_by_length / block_mass_by_length:
-        For every grid length, the recorded layer inputs ``(n, seq, dim)``
-        truncated to that length and each sample's exact attention
-        probabilities, truncated likewise and reduced by
-        ``exposer.block_reduce``: ``(n, heads, n_blocks, n_blocks)``.
+    inputs / block_mass:
+        The recorded layer inputs ``(n, seq, dim)`` and each sample's exact
+        attention probabilities reduced by ``exposer.block_reduce``:
+        ``(n, heads, n_blocks, n_blocks)``.
 
-    The budget at each length is the density of the exposer's raw coverage
-    mask over the whole calibration set's summed block mass — the same
-    batch-level reduction the oracle backend applies at runtime.  The entry
-    records it against the density the calibrated masks reach on the same
-    inputs (they differ by the diagonal blocks a head's top scores miss).
+    The budget is the density of the exposer's raw coverage mask over the
+    whole calibration set's summed block mass — the same batch-level
+    reduction the oracle backend applies at runtime.  The entry records it
+    against the density the calibrated masks reach on the same inputs (they
+    differ by the diagonal blocks a head's top scores miss).
     """
-    budgets: Dict[int, np.ndarray] = {}
-    entries: List[CalibrationEntry] = []
-    for seq_len, inputs in sorted(inputs_by_length.items()):
-        causal = causal_block_mask(block_count(seq_len, predictor.block_size))
-        causal_total = int(causal.sum())
-        oracle = exposer.raw_masks_from_block_mass(
-            block_mass_by_length[seq_len].sum(axis=0))
-        budget = oracle[:, causal].sum(axis=1) / causal_total
-        budgets[seq_len] = budget
-        masks = budget_block_masks(
-            predictor.approximate_scores(inputs).mean(axis=0), budget)
-        entries.append(CalibrationEntry(
-            seq_len=seq_len,
-            oracle_density=float(budget.mean()),
-            predicted_density=float(masks[:, causal].mean()),
-        ))
-    return AttentionCalibration(block_size=predictor.block_size,
-                                budgets=budgets, entries=entries)
+    seq_len = inputs.shape[1]
+    causal = causal_block_mask(block_count(seq_len, predictor.block_size))
+    oracle = exposer.raw_masks_from_block_mass(block_mass.sum(axis=0))
+    budget = oracle[:, causal].sum(axis=1) / int(causal.sum())
+    masks = budget_block_masks(predictor.approximate_scores(inputs).mean(axis=0), budget)
+    return AttentionCalibration(
+        block_size=predictor.block_size, budget=budget,
+        entry=CalibrationEntry(seq_len=seq_len,
+                               oracle_density=float(budget.mean()),
+                               predicted_density=float(masks[:, causal].mean())))
 
 
-def calibrate_mlp_predictor(predictor, exposer,
-                            inputs_by_length: Dict[int, np.ndarray],
-                            activations_by_length: Dict[int, np.ndarray]
-                            ) -> MLPCalibration:
-    """Fit per-length score thresholds for one MLP predictor.
+def calibrate_mlp_predictor(predictor, exposer, inputs: np.ndarray,
+                            activations: np.ndarray) -> MLPCalibration:
+    """Fit the score threshold of one MLP predictor.
 
-    The oracle target at each length is the exposer's batch-level active
-    block set; the threshold is placed so the predictor keeps the same
-    number of blocks (midpoint between the ``k``-th and ``k+1``-th scores).
+    The oracle target is the exposer's batch-level active block set; the
+    threshold is placed so the predictor keeps the same number of blocks
+    (midpoint between the ``k``-th and ``k+1``-th scores).
     """
-    thresholds: Dict[int, float] = {}
-    entries: List[CalibrationEntry] = []
+    keep = int(exposer.active_blocks(activations).size)
+    scores = predictor.block_scores(inputs)
+    threshold = _separating_threshold(np.sort(scores)[::-1], keep)
     n_blocks = predictor.n_blocks
-    for seq_len, inputs in sorted(inputs_by_length.items()):
-        oracle_active = exposer.active_blocks(activations_by_length[seq_len])
-        scores = predictor.block_scores(inputs)
-        vals = np.sort(scores)[::-1]
-        keep = int(oracle_active.size)
-        tau = _separating_threshold(vals, keep)
-        thresholds[seq_len] = tau
-        predicted = int((scores > tau).sum())
-        entries.append(CalibrationEntry(
-            seq_len=seq_len,
-            oracle_density=keep / n_blocks,
-            predicted_density=predicted / n_blocks,
-        ))
-    return MLPCalibration(thresholds=thresholds, entries=entries)
+    return MLPCalibration(
+        threshold=threshold,
+        entry=CalibrationEntry(seq_len=inputs.shape[1],
+                               oracle_density=keep / n_blocks,
+                               predicted_density=int((scores > threshold).sum()) / n_blocks))

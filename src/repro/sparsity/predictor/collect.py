@@ -14,13 +14,15 @@ inference."  For every layer we record
 
 The recorded inputs become predictor inputs; the exposer converts the exact
 probabilities / activations into the binary block labels the predictors are
-trained against.
+trained against.  ``prepare`` keeps each sample's block mass in place of the
+probabilities (:func:`collect_block_mass`), and calibrates the trained
+predictors on the same merged recordings, at the batches' one length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List
 
 import numpy as np
 
@@ -37,71 +39,41 @@ class CollectedLayerData:
 
     attention_inputs: List[np.ndarray] = field(default_factory=list)   # (batch, seq, dim)
     # collect_layer_data fills the probabilities; collect_block_mass instead
-    # fills length -> one (heads, n_blocks, n_blocks) float32 mass per sample.
+    # fills their per-sample block mass.
     attention_probs: List[np.ndarray] = field(default_factory=list)    # (batch, heads, seq, seq)
-    attention_block_mass: Dict[int, List[np.ndarray]] = field(default_factory=dict)
+    attention_block_mass: List[np.ndarray] = field(default_factory=list)  # (batch, heads, nb, nb)
     mlp_inputs: List[np.ndarray] = field(default_factory=list)         # (batch, seq, dim)
     mlp_activations: List[np.ndarray] = field(default_factory=list)    # (batch, seq, hidden)
 
-    def merged(self, truncate_to: Optional[int] = None) -> Dict[str, np.ndarray]:
-        """Concatenate recordings along the batch axis.
+    def merged(self) -> Dict[str, np.ndarray]:
+        """Concatenate the recordings along the batch axis.
 
-        Without ``truncate_to`` the concatenation replaces the per-batch
-        recordings, which are freed — ``prepare`` never holds both — and the
-        returned arrays are the record's own: copy before writing to them.
-
-        With ``truncate_to=L`` every recording is sliced to its first ``L``
-        positions (recordings shorter than ``L`` are skipped, mirroring
-        ``collect_layer_data(truncate_to=...)``).  For a *causal* model this
-        is exact, not an approximation: position ``t`` of every recorded
-        quantity — post-LayerNorm inputs, attention probabilities (row ``t``
-        attends only to keys ``<= t``), post-ReLU activations — depends only
-        on tokens ``<= t``, so the slice of a full-length pass equals the
-        recording of a pass over the truncated batch.  This is what lets the
-        calibration grid reuse *one* collection at the maximum length instead
-        of re-running a frozen-model pass per grid length.  Block mass is the
-        exception (a ragged last block would keep keys past ``L``): it is
-        what :func:`collect_block_mass` reduced from the ``L``-prefix itself.
+        The concatenation replaces the per-batch recordings, which are freed
+        — ``prepare`` never holds both, and a second call returns the same
+        arrays — so the returned arrays are the record's own: copy before
+        writing to them.
         """
-        def cut(arrays: List[np.ndarray], probs: bool = False) -> np.ndarray:
-            if truncate_to is None:
-                if len(arrays) > 1:
-                    arrays[:] = [np.concatenate(arrays, axis=0)]
-                return arrays[0]
-            length = int(truncate_to)
-            arrays = [a[:, :, :length, :length] if probs else a[:, :length]
-                      for a in arrays if a.shape[-2] >= length]
-            if not arrays:
-                raise ValueError(f"no recording is at least {length} tokens long")
-            return np.concatenate(arrays, axis=0)
-
-        out = {name: cut(getattr(self, name))
-               for name in ("attention_inputs", "mlp_inputs", "mlp_activations")}
-        if self.attention_probs:
-            out["attention_probs"] = cut(self.attention_probs, probs=True)
-        if self.attention_block_mass:
-            out["attention_block_mass"] = np.stack(self.attention_block_mass[
-                out["attention_inputs"].shape[1]])
+        out = {}
+        for name in ("attention_inputs", "attention_probs", "attention_block_mass",
+                     "mlp_inputs", "mlp_activations"):
+            arrays = getattr(self, name)
+            if len(arrays) > 1:
+                arrays[:] = [np.concatenate(arrays, axis=0)]
+            if arrays:
+                out[name] = arrays[0]
         return out
 
 
 def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
-             max_batches: Optional[int], truncate_to: Optional[int],
              record_attention: Callable) -> List[CollectedLayerData]:
     """The frozen-model pass loop; ``record_attention(record, q, k, scale)``
     decides what is kept of the layer's causal attention probabilities."""
     layers = [CollectedLayerData() for _ in model.blocks]
     with no_grad():
-        for index, batch in enumerate(batches):
-            if max_batches is not None and index >= max_batches:
-                break
+        for batch in batches:
             input_ids = np.asarray(batch)
             if input_ids.ndim == 1:
                 input_ids = input_ids[None, :]
-            if truncate_to is not None:
-                if input_ids.shape[-1] < truncate_to:
-                    continue
-                input_ids = input_ids[..., :truncate_to]
             bsz, seq = input_ids.shape
             mask = causal_mask(seq)
             positions = np.broadcast_to(np.arange(seq), (bsz, seq))
@@ -130,9 +102,8 @@ def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
     return layers
 
 
-def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
-                       max_batches: Optional[int] = None,
-                       truncate_to: Optional[int] = None) -> List[CollectedLayerData]:
+def collect_layer_data(model: CausalLMModel,
+                       batches: Iterable[np.ndarray]) -> List[CollectedLayerData]:
     """Run inference passes and record per-layer predictor training data.
 
     Every layer's ``(batch, heads, seq, seq)`` float32 probabilities stay
@@ -147,11 +118,6 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
         wrapping so the recorded statistics describe the pre-trained weights.
     batches:
         Iterable of integer token-id arrays of shape ``(batch, seq)``.
-    max_batches:
-        Optional cap on the number of batches to record.
-    truncate_to:
-        Optional sequence length to truncate every batch to before the pass;
-        batches shorter than this are skipped entirely.
 
     Returns
     -------
@@ -163,19 +129,19 @@ def collect_layer_data(model: CausalLMModel, batches: Iterable[np.ndarray],
             probs[:, :, r0:r0 + tile.shape[2], :tile.shape[3]] = tile
         record.attention_probs.append(probs)
 
-    return _collect(model, batches, max_batches, truncate_to, record_probs)
+    return _collect(model, batches, record_probs)
 
 
 def collect_block_mass(model: CausalLMModel, batches: Iterable[np.ndarray],
-                       exposer, lengths: Sequence[int]) -> List[CollectedLayerData]:
+                       exposer) -> List[CollectedLayerData]:
     """:func:`collect_layer_data` with the probabilities reduced at production.
 
     Every consumer of the probabilities reads them through
     ``exposer.block_reduce``, so each row tile of the sweep is reduced the
-    moment it is yielded — per entry of ``lengths`` the batch reaches, on
-    that prefix — into per-sample ``(heads, n_blocks, n_blocks)`` float32
-    masses, and no more of the probabilities than one tile ever exists.
-    Tiles start on block boundaries, so this is bitwise equal to reducing
+    moment it is yielded into per-sample ``(heads, n_blocks, n_blocks)``
+    float32 masses at the batch's own length, and no more of the
+    probabilities than one tile ever exists.  Tiles start on block
+    boundaries, so this is bitwise equal to reducing
     :func:`collect_layer_data`'s probabilities sample by sample (for power-of-
     two block sizes up to ``ROW_TILE``, where both sweep the same tiles).
     """
@@ -183,21 +149,11 @@ def collect_block_mass(model: CausalLMModel, batches: Iterable[np.ndarray],
 
     def record_mass(record, q, k, scale):
         batch, heads, seq, _ = q.shape
-        reached = {}
-        for length in lengths:
-            if length <= seq:
-                n_blocks = block_count(length, bs)
-                reached[length] = [np.zeros((heads, n_blocks, n_blocks), q.dtype)
-                                   for _ in range(batch)]
-                record.attention_block_mass.setdefault(length, []).extend(
-                    reached[length])
+        n_blocks = block_count(seq, bs)
+        mass = np.zeros((batch, heads, n_blocks, n_blocks), q.dtype)
         for r0, probs in attention_probability_tiles(q, k, scale, bs):
-            for length, masses in reached.items():
-                r1 = min(r0 + probs.shape[2], length)
-                if r1 <= r0:
-                    continue
-                part = exposer.tile_block_mass(probs[:, :, :r1 - r0, :r1])
-                for mass, sample in zip(masses, part):
-                    mass[:, r0 // bs:r0 // bs + sample.shape[1], :sample.shape[2]] = sample
+            part = exposer.tile_block_mass(probs)
+            mass[:, :, r0 // bs:r0 // bs + part.shape[2], :part.shape[3]] = part
+        record.attention_block_mass.append(mass)
 
-    return _collect(model, batches, None, None, record_mass)
+    return _collect(model, batches, record_mass)

@@ -37,15 +37,15 @@ class MLPPredictor(Module):
                              name="predictor.mlp.w_a")
         self.bias = Parameter(np.zeros(self.n_blocks, dtype=np.float32),
                               name="predictor.mlp.bias")
-        # Optional fitted per-length thresholds; None keeps the fixed bar.
+        # Optional fitted threshold; None keeps the fixed bar.
         self.calibration = None
 
     def set_calibration(self, calibration) -> None:
         """Attach an :class:`MLPCalibration` (or None to detach).
 
         Calibration replaces the fixed score threshold of
-        :meth:`predict_active_blocks` with per-length thresholds fitted to
-        the oracle's active-block counts.
+        :meth:`predict_active_blocks` with the threshold fitted to the
+        oracle's active-block count at the calibration length.
         """
         self.calibration = calibration
 
@@ -88,15 +88,14 @@ class MLPPredictor(Module):
         """Indices of neuron blocks predicted active for the whole input.
 
         With a fitted :class:`MLPCalibration` attached, the decision bar is
-        the calibrated per-length threshold (strict comparison — the
+        the calibrated threshold (strict comparison — the
         threshold sits *between* the oracle's last kept score and the first
         dropped one); otherwise the fixed configured threshold applies.
         """
         x = np.asarray(x)
         scores = self.block_scores(x)
         if self.calibration is not None:
-            tau = self.calibration.threshold_for(x.shape[-2])
-            active = np.nonzero(scores > tau)[0]
+            active = np.nonzero(scores > self.calibration.threshold)[0]
         else:
             active = np.nonzero(scores >= self.threshold)[0]
         if active.size < self.min_active_blocks:

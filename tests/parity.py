@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -57,13 +57,11 @@ class ParityCase:
         return self.case_id
 
 
-def sample_block_mass(exposer, probs: np.ndarray,
-                      length: Optional[int] = None) -> np.ndarray:
+def sample_block_mass(exposer, probs: np.ndarray) -> np.ndarray:
     """Per-sample exposer block mass ``(n, heads, n_blocks, n_blocks)`` of
-    full attention probabilities (their ``length``-prefix when given) — the
-    reference for what ``collect_block_mass`` reduces at production."""
-    length = probs.shape[-1] if length is None else length
-    return np.stack([exposer.block_reduce(probs[i:i + 1, :, :length, :length])
+    full attention probabilities — the reference for what
+    ``collect_block_mass`` reduces at production."""
+    return np.stack([exposer.block_reduce(probs[i:i + 1])
                      for i in range(probs.shape[0])])
 
 
@@ -811,8 +809,7 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
             calib = rng.integers(0, model.config.vocab_size, size=(2, seq))
             engine = LongExposure(LongExposureConfig(
                 block_size=16, seed=0, oracle_mode=(backend == "oracle"),
-                predictor_epochs=2, predict_interval=predict_interval,
-                calibration_lengths=(seq,)))
+                predictor_epochs=2, predict_interval=predict_interval))
             engine.prepare(model, [calib])
         if backend == "predicted":
             apply_lora(model)

@@ -7,9 +7,10 @@ Covers the calibration guarantees:
   the uncalibrated probes were measured ~0.10 too dense;
 * a budget is a rank cut: each head keeps exactly its budget of top-scoring
   causal blocks plus the diagonal, whatever scale or offset the scores have;
-* the multi-length grid round-trips (exact lookups at grid lengths,
-  log-linear interpolation between them, clamping outside), so probes do not
-  collapse to near-dense masks away from their training length;
+* a budget is a fraction of the causal blocks: calibrated at the batches'
+  one length, every head keeps ``ceil(budget * causal blocks)`` plus the
+  diagonal at any other length too, so probes do not collapse to near-dense
+  masks away from their training length;
 * calibrated masks never violate the layout invariants — they stay inside
   the causal triangle with a guaranteed diagonal, for any scores.
 """
@@ -32,6 +33,7 @@ from repro.sparsity.patterns import causal_block_mask
 from repro.sparsity.predictor import (
     AttentionCalibration,
     AttentionPredictor,
+    CalibrationEntry,
     MLPCalibration,
     MLPPredictor,
     PredictorTrainingConfig,
@@ -43,7 +45,6 @@ from repro.sparsity.predictor import (
     train_mlp_predictor,
 )
 from repro.sparsity.predictor.calibration import (
-    _bracket,
     _separating_threshold,
     budget_block_masks,
 )
@@ -56,6 +57,11 @@ OPT_TINY_PREDICTOR_WEIGHTS = (
     "4c937d33635271f421df06786d785b75e8304c1a90d79373aff3fd2a0b1ec4ec")
 OPT_TINY_MLP_PREDICTOR_WEIGHTS = (
     "56a16a1802f35f13c8d07805cfa46d8708c5af02a89441bfb30c570bac0e8c44")
+
+
+def _unfitted(seq_len: int) -> CalibrationEntry:
+    """The densities of a hand-built calibration (nothing was measured)."""
+    return CalibrationEntry(seq_len=seq_len, oracle_density=0.0, predicted_density=0.0)
 
 
 class TestPrimitives:
@@ -80,34 +86,22 @@ class TestPrimitives:
         tau = _separating_threshold(np.zeros(6), 2)
         assert int((np.zeros(6) > tau).sum()) == 6
 
-    def test_bracket_exact_and_clamped(self):
-        assert _bracket([32, 64, 128], 64) == (64, None, 0.0)
-        assert _bracket([32, 64, 128], 16) == (32, None, 0.0)
-        assert _bracket([32, 64, 128], 512) == (128, None, 0.0)
-        low, high, w = _bracket([32, 128], 64)
-        assert (low, high) == (32, 128)
-        assert w == pytest.approx(0.5)   # log-linear: 64 is halfway in log2
-
-    def test_budget_for_interpolates_between_grid_points(self):
-        cal = AttentionCalibration(
-            block_size=16,
-            budgets={32: np.array([0.1, 0.2]), 128: np.array([0.3, 0.6])})
-        np.testing.assert_array_equal(cal.budget_for(32), [0.1, 0.2])
-        np.testing.assert_array_equal(cal.budget_for(128), [0.3, 0.6])
-        np.testing.assert_allclose(cal.budget_for(64), [0.2, 0.4])
-        np.testing.assert_array_equal(cal.budget_for(8), [0.1, 0.2])
-        np.testing.assert_array_equal(cal.budget_for(4096), [0.3, 0.6])
-
-    def test_mlp_threshold_for_round_trip(self):
-        cal = MLPCalibration(thresholds={32: 0.2, 128: 0.6})
-        assert cal.threshold_for(32) == 0.2
-        assert cal.threshold_for(128) == 0.6
-        assert cal.threshold_for(64) == pytest.approx(0.4)
-        assert cal.grid_lengths() == [32, 128]
+    def test_mlp_threshold_round_trip(self):
+        """The calibrated bar is the one threshold at every runtime length:
+        a block is active iff its score is strictly above it."""
+        predictor = MLPPredictor(32, 256, 16, seed=1)
+        predictor.set_calibration(MLPCalibration(threshold=0.5, entry=_unfitted(64)))
+        rng = np.random.default_rng(2)
+        for seq in (32, 64, 256):
+            x = rng.normal(size=(2, seq, 32)).astype(np.float32)
+            active = np.nonzero(predictor.block_scores(x) > 0.5)[0]
+            assert 0 < active.size < predictor.n_blocks
+            np.testing.assert_array_equal(predictor.predict_active_blocks(x), active)
 
     def test_set_calibration_validates_block_size(self):
         predictor = AttentionPredictor(32, 2, 4, 16)
-        wrong = AttentionCalibration(block_size=32, budgets={64: np.zeros(2)})
+        wrong = AttentionCalibration(block_size=32, budget=np.zeros(2),
+                                     entry=_unfitted(64))
         with pytest.raises(ValueError):
             predictor.set_calibration(wrong)
         predictor.set_calibration(None)
@@ -121,8 +115,8 @@ def test_predicted_masks_keep_the_calibrated_budget(monkeypatch):
     nothing (the absolute logit thresholds this replaced moved with both)."""
     predictor = AttentionPredictor(32, 4, 4, 16, seed=3)
     budget = np.array([0.1, 0.25, 0.4, 0.7])
-    predictor.set_calibration(AttentionCalibration(block_size=16,
-                                                   budgets={256: budget}))
+    predictor.set_calibration(AttentionCalibration(block_size=16, budget=budget,
+                                                   entry=_unfitted(256)))
     x = np.random.default_rng(4).normal(size=(2, 256, 32)).astype(np.float32)
     masks = predictor.predict_patterns(x)
     n_blocks = 16
@@ -181,24 +175,17 @@ class TestBudgetMasks:
 
 @pytest.fixture(scope="module")
 def trained_setup(tiny_model):
-    """A trained layer-0 attention predictor plus per-length collected data."""
+    """A trained layer-0 attention predictor plus its 128-token recordings."""
     rng = np.random.default_rng(3)
     batches = [rng.integers(0, tiny_model.config.vocab_size, size=(2, 128))]
     exposer = AttentionExposer(block_size=16, coverage=0.9)
-    lengths = (32, 64, 128)
-    per_length = {
-        length: collect_layer_data(tiny_model, [b[..., :length] for b in batches])
-        for length in lengths
-    }
-    merged = per_length[128][0].merged()
+    merged = collect_layer_data(tiny_model, batches)[0].merged()
+    inputs, probs = merged["attention_inputs"], merged["attention_probs"]
+    mass = sample_block_mass(exposer, probs)
     predictor = AttentionPredictor(tiny_model.config.dim, tiny_model.config.num_heads,
                                    rank=4, block_size=16, seed=0)
-    train_attention_predictor(predictor, merged["attention_inputs"],
-                              sample_block_mass(exposer, merged["attention_probs"]),
-                              exposer, PredictorTrainingConfig(epochs=8))
-    inputs = {l: per_length[l][0].merged()["attention_inputs"] for l in lengths}
-    probs = {l: per_length[l][0].merged()["attention_probs"] for l in lengths}
-    mass = {l: sample_block_mass(exposer, probs[l]) for l in lengths}
+    train_attention_predictor(predictor, inputs, mass, exposer,
+                              PredictorTrainingConfig(epochs=8))
     return predictor, exposer, inputs, probs, mass
 
 
@@ -210,60 +197,60 @@ def _density(masks: np.ndarray) -> float:
 class TestBudgetCalibration:
     def test_calibrated_density_matches_oracle_on_calibration_data(self, trained_setup):
         predictor, exposer, inputs, probs, mass = trained_setup
-        calibration = calibrate_attention_predictor(predictor, exposer,
-                                                    inputs, mass)
-        assert sorted(calibration.budgets) == [32, 64, 128]
-        for length in (32, 64, 128):
-            # The budget is the raw oracle density, head by head.
-            oracle = exposer.raw_masks_from_block_mass(mass[length].sum(axis=0))
-            causal = causal_block_mask(oracle.shape[-1])
-            np.testing.assert_array_equal(
-                calibration.budgets[length],
-                oracle[:, causal].sum(axis=1) / causal.sum())
+        calibration = calibrate_attention_predictor(predictor, exposer, inputs, mass)
+        # The budget is the raw oracle density, head by head.
+        oracle = exposer.raw_masks_from_block_mass(mass.sum(axis=0))
+        causal = causal_block_mask(oracle.shape[-1])
+        np.testing.assert_array_equal(calibration.budget,
+                                      oracle[:, causal].sum(axis=1) / causal.sum())
         # The calibrated masks keep the budget plus any diagonal block their
         # top scores miss (at most n_blocks of the n_blocks(n_blocks+1)/2
         # causal blocks, felt only on coarse grids).
-        for entry in calibration.entries:
-            n_blocks = entry.seq_len // 16
-            assert entry.predicted_density >= entry.oracle_density - 1e-12
-            assert entry.predicted_density <= (
-                entry.oracle_density + 2.0 / (n_blocks + 1))
-        assert 0.0 <= calibration.mean_gap() <= 0.2
+        entry = calibration.entry
+        assert entry.seq_len == 128
+        n_blocks = entry.seq_len // 16
+        assert entry.predicted_density >= entry.oracle_density - 1e-12
+        assert entry.predicted_density <= entry.oracle_density + 2.0 / (n_blocks + 1)
+        assert 0.0 <= entry.gap <= 0.2
 
     def test_calibration_tightens_the_density_gap(self, trained_setup):
         """Calibrated predictions must track the raw oracle density better
-        than the fixed-threshold path, averaged over the grid lengths."""
+        than the fixed-threshold path at the calibration length."""
         predictor, exposer, inputs, probs, mass = trained_setup
-        calibration = calibrate_attention_predictor(predictor, exposer,
-                                                    inputs, mass)
+        calibration = calibrate_attention_predictor(predictor, exposer, inputs, mass)
+        oracle = _density(exposer.raw_block_masks(probs))
         gaps = {}
         for calibrated in (False, True):
             predictor.set_calibration(calibration if calibrated else None)
-            total = 0.0
-            for length, x in inputs.items():
-                oracle = exposer.raw_block_masks(probs[length])
-                total += abs(_density(predictor.predict_patterns(x))
-                             - _density(oracle))
-            gaps[calibrated] = total / len(inputs)
+            gaps[calibrated] = abs(_density(predictor.predict_patterns(inputs)) - oracle)
         predictor.set_calibration(None)
         assert gaps[True] <= gaps[False] + 1e-9
 
-    def test_multi_length_round_trip_no_dense_collapse(self, trained_setup):
-        """A probe calibrated on the grid must stay sparse at every grid
-        length *and* at interpolated lengths in between — the uncalibrated
-        failure mode was near-dense masks away from the training length."""
+    def test_budget_carries_to_other_lengths_without_dense_collapse(self, trained_setup):
+        """Calibrated at 128 tokens, a head run at 64 or 256 keeps
+        ``ceil(budget * causal blocks)`` of that length's causal blocks plus
+        the diagonal — the uncalibrated failure mode was near-dense masks
+        away from the training length."""
         predictor, exposer, inputs, probs, mass = trained_setup
-        calibration = calibrate_attention_predictor(predictor, exposer,
-                                                    inputs, mass)
+        calibration = calibrate_attention_predictor(predictor, exposer, inputs, mass)
         predictor.set_calibration(calibration)
         try:
             rng = np.random.default_rng(11)
-            for seq in (32, 48, 64, 96, 128):     # 48/96 are off-grid
+            for seq in (64, 256):
                 x = rng.normal(size=(2, seq, predictor.dim)).astype(np.float32)
                 masks = predictor.predict_patterns(x)
-                n_blocks = -(-seq // 16)
+                n_blocks = seq // 16
                 assert masks.shape == (predictor.num_heads, n_blocks, n_blocks)
-                assert masks.dtype == bool
+                causal = causal_block_mask(n_blocks)
+                mean = predictor.approximate_scores(x).mean(axis=0)
+                for head, budget in enumerate(calibration.budget):
+                    keep = int(np.ceil(budget * causal.sum() - 1e-9))
+                    scores = np.where(causal, mean[head], -np.inf).ravel()
+                    top = np.zeros(n_blocks * n_blocks, dtype=bool)
+                    top[np.argsort(-scores, kind="stable")[:keep]] = True
+                    np.testing.assert_array_equal(
+                        masks[head], top.reshape(n_blocks, n_blocks)
+                        | np.eye(n_blocks, dtype=bool))
                 assert _density(masks) < 0.95    # never collapses to (near-)dense
         finally:
             predictor.set_calibration(None)
@@ -282,8 +269,7 @@ class TestMLPCalibrationFit:
                             merged["mlp_activations"], exposer,
                             PredictorTrainingConfig(epochs=6))
         calibration = calibrate_mlp_predictor(
-            predictor, exposer,
-            {64: merged["mlp_inputs"]}, {64: merged["mlp_activations"]})
+            predictor, exposer, merged["mlp_inputs"], merged["mlp_activations"])
         predictor.set_calibration(calibration)
         try:
             oracle = exposer.active_blocks(merged["mlp_activations"])
@@ -301,8 +287,7 @@ class TestSeq512Gap:
         model = build_model("opt-tiny", seed=0)
         rng = np.random.default_rng(0)
         calib = rng.integers(0, model.config.vocab_size, size=(2, 512))
-        config = LongExposureConfig(block_size=32, predictor_epochs=8, seed=0,
-                                    calibration_lengths=(128, 512))
+        config = LongExposureConfig(block_size=32, predictor_epochs=8, seed=0)
         engine = LongExposure(config)
         engine.prepare(model, [calib])
 
@@ -330,21 +315,10 @@ class TestSeq512Gap:
 
 
 class TestCollectAndMetricsSupport:
-    def test_collect_truncate_to_clips_and_skips(self, tiny_model):
-        rng = np.random.default_rng(2)
-        long_batch = rng.integers(0, tiny_model.config.vocab_size, size=(2, 64))
-        short_batch = rng.integers(0, tiny_model.config.vocab_size, size=(2, 16))
-        collected = collect_layer_data(tiny_model, [long_batch, short_batch],
-                                       truncate_to=32)
-        merged = collected[0].merged()
-        # Only the long batch survives, clipped to 32 tokens.
-        assert merged["attention_inputs"].shape[:2] == (2, 32)
-        assert merged["attention_probs"].shape[-2:] == (32, 32)
-
     def test_metrics_report_density_miscalibration(self, trained_setup):
         predictor, exposer, inputs, _, mass = trained_setup
         metrics = train_attention_predictor(
-            predictor, inputs[128], mass[128], exposer,
+            predictor, inputs, mass, exposer,
             PredictorTrainingConfig(epochs=0))
         assert 0.0 <= metrics.label_density <= 1.0
         assert 0.0 <= metrics.predicted_density <= 1.0
@@ -359,7 +333,7 @@ class TestEngineIntegration:
         for predictor, calibration in zip(engine.attention_predictors,
                                           engine.attention_calibrations):
             assert predictor.calibration is calibration
-            assert calibration.grid_lengths() == [64]   # native batch length
+            assert calibration.entry.seq_len == 64   # the batches' length
         gaps = engine.calibration_gap()
         assert set(gaps) == {"attention", "mlp"}
         assert all(0.0 <= g <= 1.0 for g in gaps.values())
@@ -372,19 +346,7 @@ class TestEngineIntegration:
         for predictor, calibration in zip(engine.mlp_predictors,
                                           engine.mlp_calibrations):
             assert predictor.calibration is calibration
-            assert calibration.grid_lengths() == [64]
-
-    def test_explicit_grid_lengths_collected(self, tiny_batches):
-        model = build_model("opt-tiny", seed=0)
-        config = LongExposureConfig(block_size=16, predictor_epochs=1,
-                                    calibration_lengths=(32, 64))
-        engine = LongExposure(config)
-        engine.prepare(model, tiny_batches[:1])
-        assert engine.attention_calibrations[0].grid_lengths() == [32, 64]
-
-    def test_config_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
-            LongExposureConfig(calibration_lengths=(0,))
+            assert calibration.entry.seq_len == 64
 
     def test_trainer_surfaces_calibration_gauges(self, tiny_batches):
         from repro.peft import apply_lora
@@ -425,11 +387,11 @@ def _sha(*arrays) -> str:
 
 def _fitted_digest(predictor, calibration, metrics) -> str:
     """Everything ``prepare`` fits for one probe, bit for bit: its weights,
-    its per-length budgets (attention) or thresholds (MLP), its metrics."""
-    fitted = (calibration.budgets if isinstance(calibration, AttentionCalibration)
-              else calibration.thresholds)
+    its budget (attention) or threshold (MLP), its metrics."""
+    fitted = (calibration.budget if isinstance(calibration, AttentionCalibration)
+              else calibration.threshold)
     return _sha(*(p.data for p in predictor.trainable_parameters()),
-                *(np.asarray(fitted[length]) for length in calibration.grid_lengths()),
+                np.asarray(fitted),
                 np.asarray(dataclasses.astuple(metrics), dtype=np.float64))
 
 
@@ -442,39 +404,31 @@ def _prepare_inputs(seed: int, shape=(2, 128)):
 
 class TestStreamingPrepare:
     @pytest.mark.parity
-    @pytest.mark.parametrize("grid", [(), (48, 100, 128)],
-                             ids=["default_grid", "ragged_grid"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_bitwise_twin_of_full_probability_collection(self, seed, grid):
+    def test_bitwise_twin_of_full_probability_collection(self, seed):
         """``prepare`` keeps per-sample block mass only and trains every
         layer's probes in one lockstep loop; what it fits must equal, bit
-        for bit, one-probe fits on ``collect_layer_data``'s full
-        probabilities reduced per sample — same batches, same order — for
-        the attention and the MLP predictors alike."""
+        for bit, one-probe fits and calibrations on ``collect_layer_data``'s
+        full probabilities reduced per sample — same batches, same order —
+        for the attention and the MLP predictors alike."""
         model, batches = _prepare_inputs(seed)
-        config = LongExposureConfig(block_size=16, predictor_epochs=3,
-                                    seed=seed, calibration_lengths=grid)
+        config = LongExposureConfig(block_size=16, predictor_epochs=3, seed=seed)
         training = PredictorTrainingConfig(epochs=config.predictor_epochs, seed=seed)
         engine = LongExposure(config)
         engine.prepare(model, batches)
 
         exposer = engine.attention_exposer
-        lengths = sorted(set(grid) | {128})
         for layer, data in enumerate(collect_layer_data(model, batches)):
             merged = data.merged()
-            by_length = {l: data.merged(truncate_to=l) for l in lengths}
-            probs = merged["attention_probs"]
+            mass = sample_block_mass(exposer, merged["attention_probs"])
             predictor = AttentionPredictor(
                 model.config.dim, model.config.num_heads, PROBE_RANK, 16,
                 seed=seed + layer)
             metrics = train_attention_predictor(
-                predictor, merged["attention_inputs"],
-                sample_block_mass(exposer, probs), exposer, training)
+                predictor, merged["attention_inputs"], mass, exposer, training)
             calibration = calibrate_attention_predictor(
-                predictor, exposer,
-                {l: by_length[l]["attention_inputs"] for l in lengths},
-                {l: sample_block_mass(exposer, probs, l) for l in lengths})
-            assert calibration.grid_lengths() == lengths
+                predictor, exposer, merged["attention_inputs"], mass)
+            assert calibration.entry == engine.attention_calibrations[layer].entry
             assert _fitted_digest(predictor, calibration, metrics) == _fitted_digest(
                 engine.attention_predictors[layer],
                 engine.attention_calibrations[layer],
@@ -486,10 +440,8 @@ class TestStreamingPrepare:
                                           merged["mlp_activations"],
                                           engine.mlp_exposer, training)
             calibration = calibrate_mlp_predictor(
-                mlp, engine.mlp_exposer,
-                {l: by_length[l]["mlp_inputs"] for l in lengths},
-                {l: by_length[l]["mlp_activations"] for l in lengths})
-            assert calibration.grid_lengths() == lengths
+                mlp, engine.mlp_exposer, merged["mlp_inputs"], merged["mlp_activations"])
+            assert calibration.entry == engine.mlp_calibrations[layer].entry
             assert _fitted_digest(mlp, calibration, metrics) == _fitted_digest(
                 engine.mlp_predictors[layer], engine.mlp_calibrations[layer],
                 engine.predictor_metrics["mlp"][layer]), f"mlp layer {layer}"
@@ -504,7 +456,7 @@ class TestStreamingPrepare:
         from repro.tensor import Tensor, no_grad
 
         exposer = AttentionExposer(block_size=16, coverage=0.9)
-        data = collect_block_mass(tiny_model, tiny_batches[:1], exposer, [48, 64])[0]
+        data = collect_block_mass(tiny_model, tiny_batches[:1], exposer)[0]
         mass = data.merged()["attention_block_mass"]
         assert mass.dtype == np.float32 and mass.shape == (2, 4, 4, 4)
 
@@ -518,9 +470,7 @@ class TestStreamingPrepare:
                 q, k, float(1.0 / np.sqrt(attention.head_dim)), 16):
             assert tile.dtype == np.float32
             probs[:, :, r0:r0 + tile.shape[2], :tile.shape[3]] = tile
-        for length in (48, 64):
-            assert _sha(*data.attention_block_mass[length]) == _sha(
-                sample_block_mass(exposer, probs, length)), length
+        assert _sha(mass) == _sha(sample_block_mass(exposer, probs))
 
     def test_predictor_weight_digest_is_stable(self):
         """Stored digest of the weights ``prepare`` trains on ``opt-tiny`` —
@@ -617,7 +567,7 @@ class TestStreamingPrepare:
             with no_grad():
                 for batch in batches:
                     model.forward(batch)
-        collected = collect_block_mass(model, batches, AttentionExposer(16, 0.9), [128])
+        collected = collect_block_mass(model, batches, AttentionExposer(16, 0.9))
         for index, data in enumerate(collected):
             for name, recorded in (("attn_norm", data.attention_inputs),
                                    ("mlp_norm", data.mlp_inputs)):
@@ -635,7 +585,7 @@ class TestStreamingPrepare:
                         calls[key] = calls.get(key, 0) + 1
                         return type(proj).forward(proj, x)
                     patch.setattr(proj, "forward", count)
-            collect_block_mass(model, batches, AttentionExposer(16, 0.9), [128])
+            collect_block_mass(model, batches, AttentionExposer(16, 0.9))
         assert calls == {(index, name): len(batches)
                          for index in range(len(model.blocks))
                          for name in ("q_proj", "k_proj", "v_proj")}
@@ -654,3 +604,14 @@ class TestStreamingPrepare:
         engine = LongExposure(LongExposureConfig(block_size=16, predictor_epochs=1))
         with pytest.raises(ValueError, match=r"lengths \[64, 128\]"):
             engine.prepare(model, batches)
+
+    def test_no_calibration_batch_fails_before_the_pass(self, monkeypatch):
+        import repro.sparsity.engine as engine_module
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the collection pass ran")
+
+        monkeypatch.setattr(engine_module, "collect_block_mass", no_pass)
+        engine = LongExposure(LongExposureConfig(block_size=16, predictor_epochs=1))
+        with pytest.raises(ValueError, match="at least one calibration batch"):
+            engine.prepare(build_model("opt-tiny", seed=0), [])

@@ -56,8 +56,7 @@ def _engine_tuner(capture: bool = False):
     rng = np.random.default_rng(7)
     calib = rng.integers(0, model.config.vocab_size, size=(2, 32))
     engine = LongExposure(LongExposureConfig(
-        block_size=16, seed=0, predictor_epochs=1, predict_interval=2,
-        calibration_lengths=(32,)))
+        block_size=16, seed=0, predictor_epochs=1, predict_interval=2))
     engine.prepare(model, [calib])
     apply_lora(model)
     engine.install(model)

@@ -124,14 +124,13 @@ class TestProbabilitySweep:
         from repro.sparsity.predictor import collect_block_mass
 
         model = build_model("opt-tiny", seed=0)
-        batches = [np.random.default_rng(9).integers(0, 512, size=(2, self.SEQ))]
+        batches = [np.random.default_rng(9).integers(0, 512, size=(2, length))]
         exposer = AttentionExposer(block_size=16, coverage=0.9)
-        masses = collect_block_mass(model, batches, exposer, [length, self.SEQ])
+        masses = collect_block_mass(model, batches, exposer)
         for mine, recorded in zip(masses, collect_layer_data(model, batches)):
             probs = recorded.merged()["attention_probs"]
-            for at in (length, self.SEQ):
-                assert np.array_equal(np.stack(mine.attention_block_mass[at]),
-                                      sample_block_mass(exposer, probs, at)), at
+            assert np.array_equal(mine.merged()["attention_block_mass"],
+                                  sample_block_mass(exposer, probs))
 
     def test_oracle_layout_is_the_reference_coverage_mask(self):
         from repro.sparsity import LongExposure, LongExposureConfig
@@ -341,7 +340,7 @@ class TestPredictors:
         assert "recall" in metrics.summary()
 
     def test_collect_layer_data_shapes(self, tiny_model, tiny_batches):
-        collected = collect_layer_data(tiny_model, tiny_batches, max_batches=1)
+        collected = collect_layer_data(tiny_model, tiny_batches[:1])
         assert len(collected) == len(tiny_model.blocks)
         merged = collected[0].merged()
         batch, seq = np.asarray(tiny_batches[0]).shape

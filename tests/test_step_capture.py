@@ -427,8 +427,7 @@ def _build_tuner(backend: str, seq: int = 32, predict_interval: int = 1,
         calib = rng.integers(0, model.config.vocab_size, size=(2, seq))
         engine = LongExposure(LongExposureConfig(
             block_size=16, seed=0, oracle_mode=(backend == "oracle"),
-            predictor_epochs=2, predict_interval=predict_interval,
-            calibration_lengths=(seq,)))
+            predictor_epochs=2, predict_interval=predict_interval))
         engine.prepare(model, [calib])
     if backend == "predicted":
         apply_lora(model)
