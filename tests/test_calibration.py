@@ -315,6 +315,39 @@ class TestSeq512Gap:
 
 
 class TestCollectAndMetricsSupport:
+    def test_collect_keeps_each_batch_at_its_own_length(self, tiny_model):
+        """Collection neither clips nor skips: every batch is recorded at
+        the length it has, and its block mass covers its own blocks."""
+        rng = np.random.default_rng(2)
+        batches = [rng.integers(0, tiny_model.config.vocab_size, size=(2, seq))
+                   for seq in (64, 20)]
+        data = collect_layer_data(tiny_model, batches)[0]
+        assert [a.shape[:2] for a in data.attention_inputs] == [(2, 64), (2, 20)]
+        assert [p.shape[-2:] for p in data.attention_probs] == [(64, 64), (20, 20)]
+        assert [a.shape[1] for a in data.mlp_activations] == [64, 20]
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
+        masses = collect_block_mass(tiny_model, batches, exposer)[0].attention_block_mass
+        assert [m.shape[-2:] for m in masses] == [(4, 4), (2, 2)]
+        for mass, probs in zip(masses, data.attention_probs):
+            assert np.array_equal(mass, sample_block_mass(exposer, probs))
+
+    def test_merged_block_mass_concatenates_once(self, tiny_model, tiny_batches):
+        """Block mass is a per-batch list like every other recording:
+        ``merged`` concatenates it along the batch axis in place, and a
+        second call returns the same arrays."""
+        exposer = AttentionExposer(block_size=16, coverage=0.9)
+        data = collect_block_mass(tiny_model, tiny_batches, exposer)[0]
+        per_batch = list(data.attention_block_mass)
+        assert len(per_batch) == len(tiny_batches)
+        first = data.merged()
+        assert first["attention_block_mass"].shape == (
+            4, tiny_model.config.num_heads, 4, 4)
+        assert np.array_equal(first["attention_block_mass"],
+                              np.concatenate(per_batch, axis=0))
+        assert len(data.attention_block_mass) == 1
+        second = data.merged()
+        assert all(second[name] is first[name] for name in first)
+
     def test_metrics_report_density_miscalibration(self, trained_setup):
         predictor, exposer, inputs, _, mass = trained_setup
         metrics = train_attention_predictor(
@@ -347,6 +380,22 @@ class TestEngineIntegration:
                                           engine.mlp_calibrations):
             assert predictor.calibration is calibration
             assert calibration.entry.seq_len == 64
+
+    def test_calibration_gap_is_the_mean_layer_gap(self, prepared_engine):
+        """``calibration_gap`` averages each layer's one entry, per kind."""
+        _, engine = prepared_engine
+        gaps = engine.calibration_gap()
+        for kind, calibrations in (("attention", engine.attention_calibrations),
+                                   ("mlp", engine.mlp_calibrations)):
+            layer_gaps = [abs(c.entry.predicted_density - c.entry.oracle_density)
+                          for c in calibrations]
+            assert gaps[kind] == pytest.approx(np.mean(layer_gaps), abs=1e-15)
+
+    def test_summary_prints_the_calibration_length(self, prepared_engine):
+        _, engine = prepared_engine
+        summary = engine.summary()
+        assert "  calibration length: 64" in summary.splitlines()
+        assert "grid" not in summary
 
     def test_trainer_surfaces_calibration_gauges(self, tiny_batches):
         from repro.peft import apply_lora
@@ -402,6 +451,48 @@ def _prepare_inputs(seed: int, shape=(2, 128)):
                    for _ in range(2)]
 
 
+def _assert_prepare_twin(seed: int, seq: int) -> None:
+    """``prepare`` on two ``(2, seq)`` batches fits, bit for bit, what
+    one-probe fits and calibrations on ``collect_layer_data``'s full
+    probabilities reduced per sample fit — same batches, same order."""
+    model, batches = _prepare_inputs(seed, shape=(2, seq))
+    config = LongExposureConfig(block_size=16, predictor_epochs=3, seed=seed)
+    training = PredictorTrainingConfig(epochs=config.predictor_epochs, seed=seed)
+    engine = LongExposure(config)
+    engine.prepare(model, batches)
+
+    exposer = engine.attention_exposer
+    for layer, data in enumerate(collect_layer_data(model, batches)):
+        merged = data.merged()
+        mass = sample_block_mass(exposer, merged["attention_probs"])
+        assert mass.shape[-1] == -(-seq // 16)
+        predictor = AttentionPredictor(
+            model.config.dim, model.config.num_heads, PROBE_RANK, 16,
+            seed=seed + layer)
+        metrics = train_attention_predictor(
+            predictor, merged["attention_inputs"], mass, exposer, training)
+        calibration = calibrate_attention_predictor(
+            predictor, exposer, merged["attention_inputs"], mass)
+        assert calibration.entry.seq_len == seq
+        assert calibration.entry == engine.attention_calibrations[layer].entry
+        assert _fitted_digest(predictor, calibration, metrics) == _fitted_digest(
+            engine.attention_predictors[layer],
+            engine.attention_calibrations[layer],
+            engine.predictor_metrics["attention"][layer]), f"layer {layer}"
+
+        mlp = MLPPredictor(model.config.dim, model.config.hidden_dim, 16,
+                           seed=seed + 1000 + layer)
+        metrics = train_mlp_predictor(mlp, merged["mlp_inputs"],
+                                      merged["mlp_activations"],
+                                      engine.mlp_exposer, training)
+        calibration = calibrate_mlp_predictor(
+            mlp, engine.mlp_exposer, merged["mlp_inputs"], merged["mlp_activations"])
+        assert calibration.entry == engine.mlp_calibrations[layer].entry
+        assert _fitted_digest(mlp, calibration, metrics) == _fitted_digest(
+            engine.mlp_predictors[layer], engine.mlp_calibrations[layer],
+            engine.predictor_metrics["mlp"][layer]), f"mlp layer {layer}"
+
+
 class TestStreamingPrepare:
     @pytest.mark.parity
     @pytest.mark.parametrize("seed", [0, 1])
@@ -411,40 +502,14 @@ class TestStreamingPrepare:
         for bit, one-probe fits and calibrations on ``collect_layer_data``'s
         full probabilities reduced per sample — same batches, same order —
         for the attention and the MLP predictors alike."""
-        model, batches = _prepare_inputs(seed)
-        config = LongExposureConfig(block_size=16, predictor_epochs=3, seed=seed)
-        training = PredictorTrainingConfig(epochs=config.predictor_epochs, seed=seed)
-        engine = LongExposure(config)
-        engine.prepare(model, batches)
+        _assert_prepare_twin(seed, 128)
 
-        exposer = engine.attention_exposer
-        for layer, data in enumerate(collect_layer_data(model, batches)):
-            merged = data.merged()
-            mass = sample_block_mass(exposer, merged["attention_probs"])
-            predictor = AttentionPredictor(
-                model.config.dim, model.config.num_heads, PROBE_RANK, 16,
-                seed=seed + layer)
-            metrics = train_attention_predictor(
-                predictor, merged["attention_inputs"], mass, exposer, training)
-            calibration = calibrate_attention_predictor(
-                predictor, exposer, merged["attention_inputs"], mass)
-            assert calibration.entry == engine.attention_calibrations[layer].entry
-            assert _fitted_digest(predictor, calibration, metrics) == _fitted_digest(
-                engine.attention_predictors[layer],
-                engine.attention_calibrations[layer],
-                engine.predictor_metrics["attention"][layer]), f"layer {layer}"
-
-            mlp = MLPPredictor(model.config.dim, model.config.hidden_dim, 16,
-                               seed=seed + 1000 + layer)
-            metrics = train_mlp_predictor(mlp, merged["mlp_inputs"],
-                                          merged["mlp_activations"],
-                                          engine.mlp_exposer, training)
-            calibration = calibrate_mlp_predictor(
-                mlp, engine.mlp_exposer, merged["mlp_inputs"], merged["mlp_activations"])
-            assert calibration.entry == engine.mlp_calibrations[layer].entry
-            assert _fitted_digest(mlp, calibration, metrics) == _fitted_digest(
-                engine.mlp_predictors[layer], engine.mlp_calibrations[layer],
-                engine.predictor_metrics["mlp"][layer]), f"mlp layer {layer}"
+    @pytest.mark.parity
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_twin_at_a_ragged_length(self, seed):
+        """The same twin on 100-token batches: the last of the 7 blocks is
+        4 tokens long, and the budget is fitted over its partial tiles."""
+        _assert_prepare_twin(seed, 100)
 
     def test_collection_dtype_does_not_follow_numpy_promotion(self, tiny_model,
                                                               tiny_batches):

@@ -207,6 +207,31 @@ class TestOracleAndFamilies:
                 assert param.grad is None
 
 
+def test_predicted_attention_backend_needs_the_layer_input(tiny_batches):
+    """A predicted-mode backend derives its layout from the layer input
+    ``x``: the argument is required, so a caller that drops it fails
+    instead of silently running oracle masks."""
+    from repro.sparsity.ops.layout import layout_from_block_masks
+    from repro.tensor import Tensor
+
+    model = build_model("opt-tiny", seed=0)
+    engine = LongExposure(LongExposureConfig(block_size=16, predictor_epochs=1))
+    engine.prepare(model, tiny_batches[:1])
+    attention = model.blocks[0].attention
+    backend = SparseAttentionBackend(engine, 0)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 64, model.config.dim)).astype(np.float32)
+    q, k, v = (Tensor(rng.normal(size=(2, attention.num_heads, 64, attention.head_dim))
+                      .astype(np.float32)) for _ in range(3))
+    with pytest.raises(TypeError):
+        backend(attention, q, k, v, None)
+    assert backend.last_layout is None
+    backend(attention, q, k, v, None, Tensor(x))
+    expected = layout_from_block_masks(
+        engine.attention_predictors[0].predict_patterns(x), 16)
+    assert backend.last_layout.signature() == expected.signature()
+
+
 def _attention_backends(engine):
     return [b for b in engine._sparse_backends if isinstance(b, SparseAttentionBackend)]
 
