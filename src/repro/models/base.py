@@ -14,9 +14,9 @@ output embeddings.  Two reproduction-specific details:
   token-dependent preferences (so the per-sequence union is much denser —
   shadowy sparsity), and sharpens the Q/K projections so attention heads form
   distinct local/global patterns.
-* ``forward`` returns hidden states; ``loss`` composes the LM head and the
-  shifted cross-entropy so that training code does not touch logits of shape
-  ``(batch, seq, vocab)`` unless it needs them.
+* ``forward`` returns hidden states; ``loss`` runs the LM head and the
+  shifted cross-entropy as one op, so the logits of shape ``(batch, seq,
+  vocab)`` never exist whole unless a caller asks for them (``logits``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.models.config import ModelConfig
 from repro.nn import Embedding, LayerNorm, Module, ModuleList, TransformerBlock
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, fused
 from repro.tensor.tensor import embedding_lookup
 
 
@@ -174,11 +174,11 @@ class CausalLMModel(Module):
         if labels.ndim == 1:
             labels = labels[None, :]
         hidden = self.forward(input_ids, attn_mask=attn_mask)
-        logits = self.logits(hidden)
-        # shift=True scores logit t against label t+1 inside the fused op,
-        # saving the logits[:, :-1] slice node's forward copy and tape entry
-        # (the backward still allocates one full-size gradient for the op).
-        return F.cross_entropy(logits, labels, shift=True)
+        # The tied LM head and the shifted loss are one op: position t is
+        # scored against label t+1, and the (seq, vocab) logits exist only
+        # a chunk of rows at a time.
+        return F.linear_cross_entropy(hidden, self.token_embedding.weight,
+                                      labels, shift=True)
 
     # -- evaluation helpers ---------------------------------------------------------
     def sequence_log_likelihood(self, input_ids: np.ndarray,
@@ -195,16 +195,14 @@ class CausalLMModel(Module):
             input_ids = input_ids[None, :]
         with no_grad():
             hidden = self.forward(input_ids)
-            logits = self.logits(hidden).data
-            # Log-softmax in reference.log_softmax's op order (max, subtract,
-            # exp, sum, log, subtract), so the scores are bitwise its own.
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        # The loss's own forward, row by row: reference.log_softmax's op
+        # order (max, subtract, exp, sum, log, subtract) at the targets only.
+        log_probs = fused.token_log_probs(hidden.data,
+                                          self.token_embedding.weight.data,
+                                          input_ids)
         total = 0.0
-        seq = input_ids.shape[1]
-        for t in range(max(completion_start, 1), seq):
-            token = int(input_ids[0, t])
-            total += float(log_probs[0, t - 1, token])
+        for t in range(max(completion_start, 1), input_ids.shape[1]):
+            total += float(log_probs[0, t - 1])
         return total
 
     def extra_repr(self) -> str:

@@ -116,8 +116,8 @@ class PrefixedModel(Module):
         if labels.ndim == 1:
             labels = labels[None, :]
         hidden = self.forward(input_ids, attn_mask=attn_mask)
-        logits = self.logits(hidden)
-        return F.cross_entropy(logits, labels, shift=True)
+        return F.linear_cross_entropy(hidden, self.model.token_embedding.weight,
+                                      labels, shift=True)
 
     # Delegate attribute access so the trainer / sparsity engine can treat a
     # prefixed model like the underlying CausalLMModel (blocks, config, ...).

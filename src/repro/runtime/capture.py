@@ -195,7 +195,7 @@ class StepCapture:
             self._full_failures += 1
             self.full_fail_reason = reason
             return False
-        self.forward_plan = ForwardPlan(rec.entries)
+        self.forward_plan = ForwardPlan(rec.entries, rec.owned())
         self.full_schedule = schedule
         self.full_loss = loss
         self.full_seed = np.ones_like(loss.data)
@@ -323,11 +323,20 @@ class StepCapture:
         self.arena = BufferArena()
 
     # -- reporting -----------------------------------------------------------
+    def plan_bytes(self) -> int:
+        """Bytes the compiled plan owns: its plan buffers and scratch pool."""
+        return self.forward_plan.nbytes if self.forward_plan is not None else 0
+
     def gauges(self) -> Dict[str, float]:
-        """Point-in-time metrics for :meth:`PhaseProfiler.set_gauge`."""
+        """Point-in-time metrics for :meth:`PhaseProfiler.set_gauge`.
+
+        ``arena_bytes`` and ``plan_bytes`` together are the step's resident
+        buffers: what the arena pools, and what the compiled plan owns.
+        """
         return {
             "arena_allocations_step": float(self.last_step_allocations),
             "arena_bytes": float(self.arena.bytes_held),
+            "plan_bytes": float(self.plan_bytes()),
             "arena_hit_rate": self.arena.hit_rate(),
             "arena_evictions": float(self.arena.evictions),
             "capture_full_captures": float(self.full_captures),
@@ -341,4 +350,5 @@ class StepCapture:
                 f"full_replays={self.full_replays}, "
                 f"full_fallbacks={self.full_fallbacks}, "
                 f"arena={self.arena.bytes_held / 1024 ** 2:.1f} MiB, "
+                f"plan={self.plan_bytes() / 1024 ** 2:.1f} MiB, "
                 f"allocs/step={self.last_step_allocations})")

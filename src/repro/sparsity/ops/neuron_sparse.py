@@ -136,7 +136,7 @@ def neuron_sparse_linear_pair(x: Tensor,
     # weights are constant for a plan's lifetime — a layout change invalidates
     # the whole plan — so the weight gathers are bound here, once, and the
     # body runs only the two matmuls + ReLU.
-    alloc = np.empty if rec is not None else _arena.empty
+    alloc = _plan.plan_alloc(rec)
     fc1_active = np.take(fc1_weight.data, active, axis=0, mode="clip",
                          out=alloc((n_active, d_model), fc1_weight.data.dtype))
     if cache is not None and cache.coalesced and cache.fc2_weight_t is not None:

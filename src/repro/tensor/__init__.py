@@ -22,7 +22,7 @@ Design notes
   (Section II-D) is realised here.
 * The training hot path runs on the fused single-node kernels in
   :mod:`repro.tensor.fused` (layer norm, linear+activation, LoRA, cross
-  entropy, the attention core); :mod:`repro.tensor.reference` holds
+  entropy over logits or through the LM head, the attention core); :mod:`repro.tensor.reference` holds
   the equivalent primitive compositions used for gradchecking and as the
   deep-tape baseline, entered through the
   :func:`repro.tensor.fused.reference_kernels` context.

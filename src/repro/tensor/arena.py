@@ -207,6 +207,11 @@ class BufferArena:
         self.bytes_held -= freed
         return freed
 
+    def buffers(self) -> Tuple[np.ndarray, ...]:
+        """Every buffer the pool holds, free or handed out."""
+        return (tuple(buf for lst in self._free.values() for buf in lst)
+                + tuple(buf for _, buf in self._used.values()))
+
     def hit_rate(self) -> float:
         return self.hits / self.takes if self.takes else 0.0
 

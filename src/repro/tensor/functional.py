@@ -3,7 +3,7 @@
 These mirror the subset of ``torch.nn.functional`` that transformer
 fine-tuning needs: layer normalisation, dropout, fused linear(+activation),
 the LoRA projection, the dense attention core (softmax fused inside) and the
-token-level cross entropy loss.
+token-level cross entropy loss, over logits or through the LM head.
 
 Since the fused-kernel pass, this module is a thin *dispatch layer*: every
 hot-path function routes to its single-node hand-backward implementation in
@@ -84,6 +84,22 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         of valid positions (useful for aggregating across batches).
     """
     return _impl().cross_entropy_logits(logits, targets,
+                                        ignore_index=ignore_index, shift=shift)
+
+
+def linear_cross_entropy(hidden: Tensor, weight: Tensor, targets: np.ndarray,
+                         ignore_index: int = -100,
+                         shift: bool = True) -> Tuple[Tensor, int]:
+    """Cross entropy of the projection ``hidden @ weight.T`` — a language
+    model's head and loss as one op.
+
+    ``hidden`` is ``(batch, seq, dim)`` (or ``(N, dim)`` without ``shift``),
+    ``weight`` ``(vocab, dim)``; ``targets``, ``ignore_index`` and ``shift``
+    are :func:`cross_entropy`'s, and so is the ``(loss, n_valid)`` result.
+    On the fused path the ``(rows, vocab)`` logits never exist whole: the
+    kernel walks them a chunk of rows at a time.
+    """
+    return _impl().linear_cross_entropy(hidden, weight, targets,
                                         ignore_index=ignore_index, shift=shift)
 
 

@@ -11,7 +11,8 @@ per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
 The kernels the step compiler can replay (``layer_norm``, ``linear``,
-``lora_linear``, ``cross_entropy_logits``, the tiled attention core) write
+``lora_linear``, ``cross_entropy_logits``, ``linear_cross_entropy``, the
+tiled attention core) write
 that forward exactly once, as a ``run`` thunk over buffers bound up front —
 plan-owned while a :class:`~repro.tensor.plan.ForwardRecorder` is installed,
 the arena's otherwise — and hand it to :func:`repro.tensor.plan.emit`, which
@@ -45,6 +46,11 @@ Derivations (notation: ``g`` is the incoming output gradient):
                      the forward keeps the unnormalised exponentials and
                      their row sums, so normalisation, mask and scale are one
                      per-row factor of a single backward pass.
+``linear_cross_entropy``  the same ``dlogits`` for ``logits = h W^T``, formed
+                     in the forward a chunk of rows at a time for an
+                     upstream gradient of one: ``dh = dlogits W`` and
+                     ``dW = dlogits^T h`` (summed over chunks); the backward
+                     scales them by the upstream gradient.
 ``linear``           ``dx = g W``, ``dW = g^T x``, ``db = sum(g)``; when an
                      activation is fused, ``g`` is first multiplied by the
                      activation's local derivative.
@@ -76,7 +82,7 @@ import numpy as np
 
 from repro.tensor import arena as _arena
 from repro.tensor import plan as _plan
-from repro.tensor.tensor import Tensor, custom_op
+from repro.tensor.tensor import Tensor, custom_op, is_grad_enabled
 
 __all__ = [
     "fused_kernels_enabled",
@@ -86,6 +92,8 @@ __all__ = [
     "linear",
     "lora_linear",
     "cross_entropy_logits",
+    "linear_cross_entropy",
+    "token_log_probs",
     "RowTile",
     "UnitClass",
     "TileLayout",
@@ -190,7 +198,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     red_shape = data.shape[:-1] + (1,)
     col = _mean_column(dim, data.dtype.str)
     rec = _plan._RECORDER
-    alloc = np.empty if rec is not None else _arena.empty
+    alloc = _plan.plan_alloc(rec)
     w, b = weight.data, bias.data
     normalized = alloc(data.shape, data.dtype)
     mean = _plan.scratch_alloc(rec)(red_shape, data.dtype)
@@ -294,7 +302,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     # Per-activation saved state for the backward (all 2D views).
     relu_mask = gelu_pre = gelu_tanh = act_out = None
-    alloc = np.empty if rec is not None else _arena.empty
+    alloc = _plan.plan_alloc(rec)
     w = weight.data
     b = None if bias is None else bias.data
     pre = alloc((x2d.shape[0], out_features), np.result_type(x2d, w))
@@ -422,7 +430,7 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         rec = None
     x2d = x_data.reshape(-1, in_features)
     n_rows = x2d.shape[0]
-    alloc = np.empty if rec is not None else _arena.empty
+    alloc = _plan.plan_alloc(rec)
     w, a, bmat = weight.data, lora_A.data, lora_B.data
     b = None if bias is None else bias.data
     dtype = np.result_type(x2d, w)
@@ -479,8 +487,47 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
 
 # ---------------------------------------------------------------------------
-# cross entropy on logits
+# cross entropy: the one row body, over logits or through the LM head
 # ---------------------------------------------------------------------------
+
+# Scored rows per chunk of :func:`linear_cross_entropy`: the attention row
+# tile.
+LOSS_ROW_CHUNK = 128
+
+
+def _valid_targets(targets: np.ndarray, ignore_index: int, valid: np.ndarray,
+                   safe: np.ndarray) -> int:
+    """Mark the scored targets (``valid``), zero the ignored ones into
+    ``safe`` and return how many are scored."""
+    np.not_equal(targets, ignore_index, out=valid)
+    np.multiply(targets, valid, out=safe)
+    return int(valid.sum())
+
+
+def _row_log_probs(logits: np.ndarray, safe_targets: np.ndarray,
+                   exps: np.ndarray, row_red: np.ndarray,
+                   gather_idx: np.ndarray, target_logits: np.ndarray,
+                   out: np.ndarray) -> None:
+    """The one softmax/NLL row body: ``out[i] = log softmax(logits[i])[t_i]``.
+
+    Row max, shift into ``exps``, pull each target's shifted logit out
+    *before* exponentiating in place (the full log-prob matrix is never
+    materialised), exp, row sums into ``row_red``, then target minus log row
+    sum.  ``exps`` (which may be ``logits`` itself) is left holding the
+    unnormalised exponentials, ``row_red`` their row sums and ``gather_idx``
+    the targets' flat positions: what a gradient reads.
+    """
+    vocab = logits.shape[-1]
+    logits.max(axis=-1, keepdims=True, out=row_red)
+    np.subtract(logits, row_red, out=exps)
+    np.multiply(_row_indices(logits.shape[0]), vocab, out=gather_idx)
+    np.add(gather_idx, safe_targets, out=gather_idx)
+    np.take(exps.reshape(-1), gather_idx, out=target_logits)
+    np.exp(exps, out=exps)
+    exps.sum(axis=-1, keepdims=True, out=row_red)
+    np.log(row_red[:, 0], out=out)
+    np.subtract(target_logits, out, out=out)
+
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
                          ignore_index: int = -100,
@@ -490,9 +537,9 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     With ``shift=True`` the op computes the next-token loss directly —
     position ``t`` of the logits is scored against target ``t + 1`` — so the
     caller passes the *unshifted* ``(batch, seq, vocab)`` logits and no
-    ``logits[:, :-1]`` slice node ever enters the tape.  That saves the slice
-    node's forward copy and closure; the backward of this op still allocates
-    one full-size gradient buffer for the logits input.
+    ``logits[:, :-1]`` slice node ever enters the tape.  The backward still
+    allocates one full-size gradient for the logits; the models' loss runs
+    :func:`linear_cross_entropy`, which never forms the logits at all.
 
     Returns ``(mean NLL over valid positions, number of valid positions)``.
     """
@@ -516,7 +563,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
             # ``reshape`` copied, and the copy would go stale between replays.
             rec.fail("cross entropy over non-contiguous logits")
             rec = None
-    alloc = np.empty if rec is not None else _arena.empty
+    alloc = _plan.plan_alloc(rec)
     scratch = _plan.scratch_alloc(rec)
     flat_view = targets_view = None
     if shift and scored.flags.c_contiguous and targets.flags.c_contiguous:
@@ -553,20 +600,9 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
         if flat_view is not None:
             np.copyto(flat_view, scored)
             np.copyto(targets_view, targets)
-        np.not_equal(flat_targets, ignore_index, out=valid)
-        n_valid = int(valid.sum())
-        np.multiply(flat_targets, valid, out=safe_targets)
-        flat_logits.max(axis=-1, keepdims=True, out=row_red)
-        np.subtract(flat_logits, row_red, out=exps)
-        # Pull the target-token logits out *before* exponentiating in place;
-        # the full log-prob matrix is never materialised.
-        np.multiply(rows, vocab, out=gather_idx)
-        np.add(gather_idx, safe_targets, out=gather_idx)
-        np.take(exps.reshape(-1), gather_idx, out=target_logits)
-        np.exp(exps, out=exps)
-        exps.sum(axis=-1, keepdims=True, out=row_red)
-        np.log(row_red[:, 0], out=picked)
-        np.subtract(target_logits, picked, out=picked)
+        n_valid = _valid_targets(flat_targets, ignore_index, valid, safe_targets)
+        _row_log_probs(flat_logits, safe_targets, exps, row_red, gather_idx,
+                       target_logits, picked)
         denom = max(n_valid, 1)
         np.multiply(picked, valid, out=picked)
         loss_buf[...] = -picked.sum() / denom
@@ -610,6 +646,190 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
         return (full,)
 
     return custom_op(loss_buf, (logits,), backward), st["n_valid"]
+
+
+def _scored_rows(hidden: np.ndarray, targets: np.ndarray,
+                 shift: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """``(n_seq, seq, dim)`` hidden rows and ``(n_seq, n_scored)`` targets.
+
+    With ``shift`` the scored rows of sequence ``b`` are ``[0, seq - 1)``,
+    row ``t`` scored against target ``t + 1``; without it every row is
+    scored, all of them one sequence.  Both are views where NumPy can make
+    them so.
+    """
+    targets = np.asarray(targets)
+    dim = hidden.shape[-1]
+    if shift:
+        if hidden.ndim < 2:
+            raise ValueError("shift=True requires (batch, seq, dim) hidden states")
+        seq = hidden.shape[-2]
+        rows, scored = hidden.reshape(-1, seq, dim), targets.reshape(-1, seq)[:, 1:]
+    else:
+        rows, scored = hidden.reshape(1, -1, dim), targets.reshape(1, -1)
+    if scored.shape[1] == 0:
+        raise ValueError("cross entropy needs at least one scored position")
+    return rows, scored
+
+
+def _lm_head_chunks(rows: np.ndarray, weight: np.ndarray, safe: np.ndarray,
+                    out: np.ndarray, logits: np.ndarray, row_red: np.ndarray,
+                    gather_idx: np.ndarray, target_logits: np.ndarray,
+                    chunk_grad=None) -> None:
+    """The fused LM head's forward: every scored row's target log-probability
+    into ``out`` (``safe``'s shape), up to :data:`LOSS_ROW_CHUNK` rows of
+    one sequence at a time.
+
+    Each chunk's logits ``h_c W^T`` land in the one ``logits`` scratch,
+    which :func:`_row_log_probs` turns into unnormalised exponentials in
+    place; ``chunk_grad(b, r0, r1, exps)`` then consumes them before the
+    next chunk overwrites them.
+    """
+    n_seq, n_scored = safe.shape
+    wt = weight.T
+    bounds = list(range(0, n_scored, LOSS_ROW_CHUNK)) + [n_scored]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # No one-row chunk: BLAS runs a one-row product as a GEMV, whose
+        # rounding differs from the GEMM every other row goes through.
+        bounds[-2] -= 1
+    for b in range(n_seq):
+        for r0, r1 in zip(bounds, bounds[1:]):
+            n = r1 - r0
+            exps = logits[:n]
+            np.matmul(rows[b, r0:r1], wt, out=exps)
+            _row_log_probs(exps, safe[b, r0:r1], exps, row_red[:n],
+                           gather_idx[:n], target_logits[:n], out[b, r0:r1])
+            if chunk_grad is not None:
+                chunk_grad(b, r0, r1, exps)
+
+
+def linear_cross_entropy(hidden: Tensor, weight: Tensor, targets: np.ndarray,
+                         ignore_index: int = -100,
+                         shift: bool = True) -> Tuple[Tensor, int]:
+    """Cross entropy of the projection ``hidden @ weight.T``, one fused node.
+
+    The LM head and the loss in one pass over the vocabulary, a chunk of
+    :data:`LOSS_ROW_CHUNK` scored rows at a time (:func:`_lm_head_chunks`):
+    the ``(rows, vocab)`` logits, their exponentials and their gradient
+    exist one chunk at a time, in one scratch buffer.  When a gradient is
+    needed the forward also forms it, for an upstream gradient of one:
+    ``(exps * valid / row_sum / denom - onehot)`` is multiplied by ``W``
+    into a ``hidden``-shaped buffer (and, for a trainable ``weight``, its
+    transpose by the chunk's rows is summed into ``dW``) before the next
+    chunk overwrites the scratch.  The backward only scales those buffers
+    by the upstream gradient.  Under ``no_grad``, or with both inputs
+    frozen, the gradient half is not bound at all.
+
+    The row arithmetic is :func:`cross_entropy_logits`'s
+    (:func:`_row_log_probs`), and the per-row log-probabilities are summed
+    in the same order, so the loss is bitwise that op's over the same
+    logits.  ``shift`` and ``ignore_index`` mean what they mean there;
+    ``hidden`` is ``(batch, seq, dim)`` (or ``(N, dim)`` without shift) and
+    ``weight`` ``(vocab, dim)``.
+
+    Returns ``(mean NLL over valid positions, number of valid positions)``.
+    """
+    data, w = hidden.data, weight.data
+    rows, scored = _scored_rows(data, targets, shift)
+    rec = _plan._RECORDER
+    if rec is not None and not (np.may_share_memory(rows, data)
+                                and np.may_share_memory(scored, targets)):
+        # ``reshape`` copied, and the copy would go stale between replays.
+        rec.fail("linear cross entropy over a non-contiguous input")
+        rec = None
+    n_seq, n_scored = scored.shape
+    vocab = w.shape[0]
+    dtype = np.result_type(data, w)
+    chunk = min(LOSS_ROW_CHUNK, n_scored)
+    grad_x = is_grad_enabled() and hidden.requires_grad
+    grad_w = is_grad_enabled() and weight.requires_grad
+    alloc, scratch = _plan.plan_alloc(rec), _plan.scratch_alloc(rec)
+    loss_buf = alloc((), np.float32)
+    dx = alloc(data.shape, dtype) if grad_x else None
+    dw = alloc(w.shape, dtype) if grad_w else None
+    valid, safe, picked = (scratch((n_seq, n_scored), dt)
+                           for dt in (bool, np.int64, dtype))
+    chunk_bufs = (scratch((chunk, vocab), dtype), scratch((chunk, 1), dtype),
+                  scratch((chunk,), np.int64), scratch((chunk,), dtype))
+    _, row_red, gather_idx, _ = chunk_bufs
+    work = [valid, safe, picked, *chunk_bufs]
+    st = {}
+    chunk_grad = None
+    if grad_x or grad_w:
+        factor, hit = scratch((chunk,), dtype), scratch((chunk,), dtype)
+        work += [factor, hit]
+        dx_rows = dx.reshape(rows.shape) if grad_x else None
+        if grad_w:
+            dw_part = scratch(w.shape, dtype)
+            work.append(dw_part)
+
+        def chunk_grad(b, r0, r1, exps):
+            # d loss / d logits, as cross_entropy_logits's backward forms it
+            # for an upstream gradient of one: one per-row factor, then the
+            # one-hot as a row-sized gather / subtract / scatter.
+            n, scale = r1 - r0, st["scale"]
+            f, at, v = factor[:n], gather_idx[:n], valid[b, r0:r1]
+            np.divide(v, row_red[:n, 0], out=f)
+            f *= scale
+            np.multiply(exps, f[:, None], out=exps)
+            flat = exps.reshape(-1)
+            h = np.take(flat, at, mode="clip", out=hit[:n])
+            np.multiply(v, f.dtype.type(scale), out=f)
+            h -= f
+            flat[at] = h
+            if grad_x:
+                np.matmul(exps, w, out=dx_rows[b, r0:r1])
+            if grad_w:
+                first = b == 0 and r0 == 0
+                np.matmul(exps.T, rows[b, r0:r1], out=dw if first else dw_part)
+                if not first:
+                    np.add(dw, dw_part, out=dw)
+
+    def run():
+        n_valid = _valid_targets(scored, ignore_index, valid, safe)
+        denom = max(n_valid, 1)
+        st["scale"] = 1.0 / denom
+        _lm_head_chunks(rows, w, safe, picked, *chunk_bufs, chunk_grad=chunk_grad)
+        if grad_x and shift:
+            dx_rows[:, n_scored:] = 0.0        # the unscored last positions
+        np.multiply(picked, valid, out=picked)
+        loss_buf[...] = -picked.reshape(-1).sum() / denom
+        st["n_valid"] = n_valid
+
+    _plan.emit(rec, run, "linear_cross_entropy", *work)
+
+    def backward(grad):
+        scale = float(np.asarray(grad).reshape(()))
+        if scale == 1.0:
+            return dx, dw
+        scaled = tuple(None if buf is None else np.multiply(
+            buf, scale, out=_arena.empty(buf.shape, buf.dtype)) for buf in (dx, dw))
+        _arena.release(*(buf for buf in (dx, dw) if buf is not None))
+        return scaled
+
+    return custom_op(loss_buf, (hidden, weight), backward), st["n_valid"]
+
+
+def token_log_probs(hidden: np.ndarray, weight: np.ndarray,
+                    targets: np.ndarray, shift: bool = True) -> np.ndarray:
+    """Per-position log-probability of each target under ``hidden @ weight.T``.
+
+    The no-grad forward of :func:`linear_cross_entropy` — the same chunks
+    and the same row body — for scoring rather than training: every target
+    must be a token id.  Returns ``(n_seq, n_scored)``, ``(batch, seq - 1)``
+    with ``shift``.
+    """
+    rows, scored = _scored_rows(hidden, targets, shift)
+    if scored.min() < 0 or scored.max() >= weight.shape[0]:
+        raise ValueError("token_log_probs needs token-id targets in "
+                         f"[0, {weight.shape[0]})")
+    dtype = np.result_type(hidden, weight)
+    chunk = min(LOSS_ROW_CHUNK, scored.shape[1])
+    out = np.empty(scored.shape, dtype)
+    _lm_head_chunks(rows, weight, scored, out,
+                    np.empty((chunk, weight.shape[0]), dtype),
+                    np.empty((chunk, 1), dtype), np.empty((chunk,), np.int64),
+                    np.empty((chunk,), dtype))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +1074,7 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             np.copyto(view, _NEG_FILL, where=mask)
 
     rec = _plan._RECORDER
-    alloc = np.empty if rec is not None else _arena.empty
+    alloc = _plan.plan_alloc(rec)
     kv_slots = q_grid = None
     copies = []
     if sparse:
@@ -862,7 +1082,7 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         # grids, K/V's with one spare all-zero slot.  The grids are
         # zero-filled once, here, and refreshed from Q/K/V by every run: a
         # ragged last block stays zero-padded.
-        zeros = np.zeros if rec is not None else _arena.zeros
+        zeros = _plan.plan_alloc(rec, zero=True)
         kv_slots = zeros((batch, lead + 1, bs * kvd), dtype)
         kv_grid = kv_slots[:, :lead].reshape(batch, heads, nb * bs, kvd)
         q_grid = zeros((batch, heads, nb * bs, dim), dtype)
@@ -1036,6 +1256,6 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ValueError(f"tile must be positive, got {tile}")
     if attn_mask is not None:
         attn_mask = np.asarray(attn_mask, dtype=bool)
-    alloc = np.empty if _plan._RECORDER is not None else _arena.empty
+    alloc = _plan.plan_alloc(_plan._RECORDER)
     layout = mask_tile_layout(attn_mask, q.shape[-2], k.shape[-2], tile, alloc)
     return tiled_attention(q, k, v, layout, scale=scale, tag="sdpa")

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.tensor import arena as _arena
 
 __all__ = [
@@ -67,17 +69,19 @@ class ForwardRecorder:
     for the plan to be trusted; see :meth:`ok`.  ``built`` holds the ids of
     the grad-carrying nodes among them: a retained backward schedule that
     reaches any other interior node would re-run a closure no replay
-    refreshes, so the capture step does not compile it.
+    refreshes, so the capture step does not compile it.  ``buffers`` lists
+    the plan buffers the kernels took through :func:`plan_alloc`.
     """
 
     __slots__ = ("entries", "created", "noted", "built", "failed",
-                 "fail_reason", "scratch")
+                 "fail_reason", "scratch", "buffers")
 
     def __init__(self) -> None:
         self.entries: List[ForwardEntry] = []
         # The plan's scratch pool (see :func:`emit`): it lives as long as
         # this recording, and its buffers as long as the thunks bound to them.
         self.scratch = _arena.BufferArena()
+        self.buffers: List[np.ndarray] = []
         self.created = 0
         self.noted = 0
         self.built: Set[int] = set()
@@ -88,6 +92,23 @@ class ForwardRecorder:
         """Record one replayable kernel call (counts as one covered node)."""
         self.entries.append(ForwardEntry(run, tag))
         self.noted += 1
+
+    def empty(self, shape, dtype=np.float32) -> np.ndarray:
+        """A fresh plan buffer, listed in :attr:`buffers`."""
+        buf = np.empty(shape, dtype)
+        self.buffers.append(buf)
+        return buf
+
+    def zeros(self, shape, dtype=np.float32) -> np.ndarray:
+        """A fresh zero-filled plan buffer, listed in :attr:`buffers`."""
+        buf = np.zeros(shape, dtype)
+        self.buffers.append(buf)
+        return buf
+
+    def owned(self) -> Tuple[np.ndarray, ...]:
+        """Every array the recorded plan owns, each once: its plan buffers
+        and its scratch pool's."""
+        return tuple(self.buffers) + self.scratch.buffers()
 
     def note_view(self, count: int = 1) -> None:
         """Declare ``count`` nodes as pure views needing no replay work."""
@@ -130,6 +151,21 @@ def set_recorder(rec: Optional[ForwardRecorder]) -> Optional[ForwardRecorder]:
     return previous
 
 
+def plan_alloc(rec: Optional[ForwardRecorder], zero: bool = False):
+    """The allocator for a kernel's own buffers: its outputs and whatever
+    its ``run`` or its backward reads after the call.
+
+    While ``rec`` records, that is a fresh array the recording owns and
+    lists (:meth:`ForwardRecorder.empty`): the arena's generation recycling
+    must never reclaim plan state, and the list is what the plan's byte
+    count is taken from.  Otherwise it is the arena.  ``zero=True``
+    zero-fills either way.  The sibling of :func:`scratch_alloc`.
+    """
+    if rec is not None:
+        return rec.zeros if zero else rec.empty
+    return _arena.zeros if zero else _arena.empty
+
+
 def scratch_alloc(rec: Optional[ForwardRecorder]):
     """The allocator for a kernel's replay scratch: buffers its ``run`` fully
     rewrites before reading and no one reads after it returns.
@@ -149,9 +185,9 @@ def emit(rec: Optional[ForwardRecorder], run: Callable[[], None], tag: str,
     """Execute a kernel body once, then settle who keeps its buffers.
 
     Every forward kernel writes its NumPy calls exactly once, in a ``run``
-    thunk over buffers it bound through one allocator choice: ``np.empty``
-    while ``rec`` is recording (plan-owned — the arena's generation recycling
-    must never reclaim plan state), ``arena.empty`` otherwise.  Recording
+    thunk over buffers it bound through one allocator choice,
+    :func:`plan_alloc`: plan-owned while ``rec`` is recording, the arena's
+    otherwise.  Recording
     keeps ``run`` as the replay entry and hands ``scratch`` back to the
     plan's scratch pool (:func:`scratch_alloc`), where the next recorded
     kernel takes it again: replay runs the entries one at a time, so their
@@ -174,15 +210,25 @@ def emit(rec: Optional[ForwardRecorder], run: Callable[[], None], tag: str,
 # ---------------------------------------------------------------------------
 
 class ForwardPlan:
-    """The recorded kernel calls over pre-bound buffers, in recorded order."""
+    """The recorded kernel calls over pre-bound buffers, in recorded order.
 
-    __slots__ = ("entries",)
+    ``buffers`` are the arrays the plan owns (:meth:`ForwardRecorder.owned`);
+    ``nbytes`` is their footprint.
+    """
 
-    def __init__(self, entries: Sequence[ForwardEntry]):
+    __slots__ = ("entries", "buffers")
+
+    def __init__(self, entries: Sequence[ForwardEntry],
+                 buffers: Sequence[np.ndarray] = ()):
         self.entries: Tuple[ForwardEntry, ...] = tuple(entries)
+        self.buffers: Tuple[np.ndarray, ...] = tuple(buffers)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf in self.buffers)
 
     def run(self) -> None:
         """Replay every entry in recorded order."""

@@ -41,6 +41,7 @@ __all__ = [
     "linear",
     "lora_linear",
     "cross_entropy_logits",
+    "linear_cross_entropy",
     "scaled_dot_product_attention",
     "block_sparse_attention",
 ]
@@ -137,6 +138,16 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     masked = picked * Tensor(valid.astype(np.float32))
     loss = masked.sum() * (-1.0 / max(n_valid, 1))
     return loss, n_valid
+
+
+def linear_cross_entropy(hidden: Tensor, weight: Tensor, targets: np.ndarray,
+                         ignore_index: int = -100,
+                         shift: bool = True) -> Tuple[Tensor, int]:
+    """The fused LM-head loss as the taped ``linear`` + cross entropy chain:
+    the whole ``(rows, vocab)`` logits, log-probabilities and their
+    gradients exist at once."""
+    return cross_entropy_logits(linear(hidden, weight), targets,
+                                ignore_index=ignore_index, shift=shift)
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,

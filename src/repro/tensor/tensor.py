@@ -123,17 +123,18 @@ def _reshape_through_arena(src: np.ndarray, shape) -> np.ndarray:
     steps free of per-step allocations.  (The gate is contiguity, not exact
     view-compatibility: probing the latter via a ``view().shape =``
     assignment internally allocates the very copy it is meant to avoid.)
-    While a forward recorder is installed the plain heap copy is kept:
-    recorded outputs are plan-owned and must survive the arena's generation
-    recycling.
+    While a forward recorder is installed the copy is a plan buffer
+    (:func:`repro.tensor.plan.plan_alloc`): recorded outputs must survive
+    the arena's generation recycling.
     """
     if src.flags.c_contiguous:
         return src.reshape(shape)
-    if _plan._RECORDER is None and _arena.active() is not None:
-        buf = _arena.empty(src.shape, src.dtype)
-        np.copyto(buf, src)
-        return buf.reshape(shape)
-    return src.reshape(shape)
+    rec = _plan._RECORDER
+    if rec is None and _arena.active() is None:
+        return src.reshape(shape)
+    buf = _plan.plan_alloc(rec)(src.shape, src.dtype)
+    np.copyto(buf, src)
+    return buf.reshape(shape)
 
 
 def _binary_ufunc_key(ufunc, a: np.ndarray, b: np.ndarray):
@@ -157,7 +158,7 @@ def _binary_out(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     rec = _plan._RECORDER
     shape, dtype = _binary_ufunc_key(ufunc, a, b)
-    out = (np.empty if rec is not None else _arena.empty)(shape, dtype)
+    out = _plan.plan_alloc(rec)(shape, dtype)
 
     def run(ufunc=ufunc, a=a, b=b, out=out):
         ufunc(a, b, out=out)
@@ -177,7 +178,7 @@ def _matmul_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.matmul(a, b)
     shape = (np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
              + (a.shape[-2], b.shape[-1]))
-    out = (np.empty if rec is not None else _arena.empty)(
+    out = _plan.plan_alloc(rec)(
         shape, np.result_type(a, b))
 
     def run(a=a, b=b, out=out):
@@ -1022,7 +1023,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     # per-step constants (positions).
     idx_flat = indices.reshape(-1)
     w = weight.data
-    data = (np.empty if rec is not None else _arena.empty)(
+    data = _plan.plan_alloc(rec)(
         indices.shape + (dim,), w.dtype)
     out2d = data.reshape(-1, dim)
 

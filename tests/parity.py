@@ -328,6 +328,54 @@ def build_cases() -> List[ParityCase]:
                    lambda t: reference.cross_entropy_logits(t, targets_o),
                    [logits_o], scalar_output=True, replayable=True))
 
+    # -- LM head + cross entropy, chunked over the scored rows ---------------
+    # The kernel walks fused.LOSS_ROW_CHUNK (128) scored rows at a time; the
+    # reference twin is the taped linear + cross-entropy chain over the whole
+    # logits.  Frozen weights are closure constants, as under PEFT.
+    def head_case(tag, h, w, targets, trainable=False, upstream=1.0,
+                  **tols):
+        def dispatch(hh, ww=None, w=Tensor(w)):
+            loss = F.linear_cross_entropy(hh, w if ww is None else ww, targets)[0]
+            return loss if upstream == 1.0 else loss * upstream
+
+        def twin(hh, ww=None, w=Tensor(w)):
+            loss = reference.linear_cross_entropy(hh, w if ww is None else ww,
+                                                  targets)[0]
+            return loss if upstream == 1.0 else loss * upstream
+
+        add(ParityCase("linear_cross_entropy", f"linear_cross_entropy-{tag}",
+                       dispatch, twin, [h, w] if trainable else [h],
+                       scalar_output=True, replayable=True, **tols))
+
+    rng = np.random.default_rng(61)
+    # Long rows: the mean over ~200-280 scored rows shrinks every gradient
+    # entry ~1/n while the float32 loss keeps its absolute rounding, so
+    # central differences carry ~2 digits fewer than over a few rows (both
+    # toggles read 1-2e-3 here); the fused-vs-reference bound is unchanged.
+    long_fd = dict(tol_fd=5e-3)
+    # One 200-token sequence: 199 scored rows, a full chunk and a ragged 71.
+    h, w = _normals(rng, (1, 200, 4), (7, 4))
+    head_case("ragged-seq200", h, w, rng.integers(0, 7, size=(1, 200)),
+              **long_fd)
+    # Two sequences of 140 (two chunks each) with ignored targets in both.
+    h, w = _normals(rng, (2, 140, 3), (6, 3))
+    targets_b = rng.integers(0, 6, size=(2, 140))
+    targets_b[0, [3, 130]] = -100
+    targets_b[1, 60:70] = -100
+    head_case("batch2-ignore-index", h, w, targets_b, **long_fd)
+    # A shared direction lifts every logit by ~100: exp without the row-max
+    # subtraction overflows float32 (max ~88.7), the softmax is unchanged.
+    h, w = _normals(rng, (2, 5, 4), (6, 4))
+    h[..., 0], w[:, 0] = 10.0, 10.0 + 0.1 * w[:, 0]
+    head_case("overflow-logits", h, w, rng.integers(0, 6, size=(2, 5)))
+    # A trainable weight: dW sums over a sequence's two chunks.
+    h, w = _normals(rng, (1, 140, 3), (5, 3))
+    head_case("trainable-weight", h, w, rng.integers(0, 5, size=(1, 140)),
+              trainable=True)
+    h, w = _normals(rng, (2, 6, 4), (5, 4))
+    head_case("upstream-0.5", h, w, rng.integers(0, 5, size=(2, 6)),
+              trainable=True, upstream=0.5)
+
     # -- dense attention core ----------------------------------------------
     rng = np.random.default_rng(6)
     q, k, v = _normals(rng, (2, 2, 4, 3), (2, 2, 4, 3), (2, 2, 4, 3))

@@ -8,10 +8,13 @@ states of the fused-kernel toggle, against central finite differences (max
 rel err <= 1e-3) and the primitive-composition references.  This file drives
 that grid and keeps the checks the harness does not parametrise: the kernel
 switch plumbing (down to whole-model losses and gradients), overflow safety at extreme score magnitudes, the backward
-engine's accumulation semantics, and the held-geometry guarantees.
+engine's accumulation semantics, the GEMMs a frozen input saves, and the
+held-geometry guarantees.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from repro.sparsity.engine import EngineStats
 from repro.sparsity.ops import block_sparse_attention, compute_block_geometry
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import pattern_mask
-from repro.tensor import Tensor, fused, reference
+from repro.tensor import Tensor, fused, no_grad, plan, reference
 from repro.tensor.tensor import concatenate
 
 RNG = np.random.default_rng(42)
@@ -283,6 +286,48 @@ def test_frozen_key_skips_its_gemm(kernel, gemms_saved, monkeypatch):
     assert frozen[2] is None and trained[2] is not None
     assert np.array_equal(frozen[1], trained[1])
     assert np.array_equal(frozen[3], trained[3])
+
+
+# ---------------------------------------------------------------------------
+# the fused LM-head loss binds no gradient half where none is needed
+# ---------------------------------------------------------------------------
+
+def _head_loss(monkeypatch, h_grad, grad_enabled=True):
+    """(loss, GEMM count, plan-buffer shapes) of one recorded fused LM-head
+    loss over two sequences of 150 tokens (two chunks each)."""
+    rng = np.random.default_rng(12)
+    h = Tensor(rng.normal(size=(2, 150, 8)).astype(np.float32),
+               requires_grad=h_grad)
+    w = Tensor(rng.normal(size=(40, 8)).astype(np.float32))
+    targets = rng.integers(0, 40, size=(2, 150))
+    calls = []
+    matmul = np.matmul
+    rec = plan.ForwardRecorder()
+    with monkeypatch.context() as patch, \
+            (contextlib.nullcontext() if grad_enabled else no_grad()):
+        patch.setattr(np, "matmul",
+                      lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+        plan.set_recorder(rec)
+        try:
+            loss, _ = fused.linear_cross_entropy(h, w, targets)
+        finally:
+            plan.set_recorder(None)
+    return loss.data, len(calls), [buf.shape for buf in rec.buffers]
+
+
+@pytest.mark.perf_smoke
+def test_linear_cross_entropy_without_gradients_runs_no_dx_gemm(monkeypatch):
+    # With a gradient the forward forms dX chunk by chunk: one logits GEMM
+    # and one dX GEMM per chunk, into a plan buffer shaped like the hidden
+    # states.  Under no_grad, or with every input frozen, only the logits
+    # GEMMs run and the loss is the one plan buffer — and the same bits.
+    chunks = 2 * 2
+    loss, gemms, buffers = _head_loss(monkeypatch, h_grad=True)
+    assert gemms == 2 * chunks and buffers == [(), (2, 150, 8)]
+    for off in (_head_loss(monkeypatch, h_grad=True, grad_enabled=False),
+                _head_loss(monkeypatch, h_grad=False)):
+        assert off[1] == chunks and off[2] == [()]
+        assert off[0].tobytes() == loss.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -659,8 +659,11 @@ def test_profile_attributes_the_step_and_leaves_it_untouched():
     assert (arena.generation, arena.takes, arena.misses, arena.bytes_held) == counters
     assert capture.full_replays == replays
     # One row per kernel tag, forward tags without their activation suffix.
-    # opt-tiny: 2 layers x (k_proj, out_proj, fc1, fc2) + the tied LM head.
-    assert profile["lora_linear"][2] == 4 and profile["linear"][2] == 2 * 4 + 1
+    # opt-tiny: 2 layers x (k_proj, out_proj, fc1, fc2); the tied LM head
+    # runs inside the loss.
+    assert profile["lora_linear"][2] == 4 and profile["linear"][2] == 2 * 4
+    assert profile["linear_cross_entropy"][2] == 1
+    assert "cross_entropy" not in profile
     assert profile["layer_norm"][2] == 2 * 2 + 1
     assert profile["lora_linear"][0] > 0 and profile["lora_linear"][1] > 0
     assert "Tensor.__add__" in profile and profile["Tensor.__add__"][0] == 0.0
@@ -1132,17 +1135,71 @@ def test_capture_gauges_reach_profiler():
         tuner.step(ids)
     capture = tuner.capture
     gauges = tuner.profiler.summary_dict()["gauges"]
-    for key in ("arena_allocations_step", "arena_bytes", "arena_hit_rate",
-                "arena_evictions", "capture_recaptures",
+    for key in ("arena_allocations_step", "arena_bytes", "plan_bytes",
+                "arena_hit_rate", "arena_evictions", "capture_recaptures",
                 "capture_full_captures", "capture_full_replays",
                 "capture_full_fallbacks"):
         assert key in gauges
     assert "capture_replay_steps" not in gauges
     assert "capture_fallbacks" not in gauges
     assert gauges["arena_allocations_step"] == 0.0
-    assert gauges["arena_bytes"] > 0
+    assert gauges["arena_bytes"] > 0 and gauges["plan_bytes"] > 0
     assert gauges["capture_full_replays"] >= 1.0
     assert capture.summary().startswith("StepCapture(")
+
+
+@pytest.mark.alloc
+def test_arena_and_plan_bytes_cover_the_steps_resident_growth():
+    # Every resident byte of a compiled step is gauged: what the arena pools
+    # plus what the plan owns (its buffers and its scratch pool) is at least
+    # 90 % of the heap a capture and two replays leave traced.  The rest is
+    # graph nodes, closures and optimizer state.
+    import gc
+    import tracemalloc
+
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
+    tuner = _captured(model)
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                            size=(1, 256))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(3):                         # capture, two replays
+            tuner.step(ids)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    capture = tuner.capture
+    assert capture.full_replays == 2, capture.full_fail_reason
+    gauges = capture.gauges()
+    assert gauges["plan_bytes"] == capture.forward_plan.nbytes > 0
+    covered = gauges["arena_bytes"] + gauges["plan_bytes"]
+    assert 0.9 * grown <= covered <= grown, (covered, grown)
+
+
+@pytest.mark.alloc
+def test_no_step_buffer_is_vocabulary_sized():
+    # The LM head's logits, their exponentials and their gradient exist a
+    # chunk of rows at a time, so after a replayed step no buffer the plan or
+    # the arena holds has (seq - 1) * vocab elements.  Attention runs row
+    # tiles of 64 here: at the default 128 its score tile, heads * seq * 128
+    # = 262 144 elements, is 0.2 % over this model's (seq - 1) * vocab.
+    seq = 512
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
+    tuner = _captured(model, AttentionConfig(streaming_tile=64))
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                            size=(1, seq))
+    for _ in range(2):                             # capture, replay
+        tuner.step(ids)
+    capture = tuner.capture
+    assert capture.full_replays == 1, capture.full_fail_reason
+    buffers = capture.forward_plan.buffers + capture.arena.buffers()
+    largest = max(buf.size for buf in buffers)
+    assert largest < (seq - 1) * model.config.vocab_size, largest
 
 
 @pytest.mark.perf_smoke
