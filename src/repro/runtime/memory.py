@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.models.config import ModelConfig
+from repro.tensor.fused import row_tile_stack
 
 
 @dataclass
@@ -79,9 +80,10 @@ class MemoryModel:
     # layer saves only its output and the per-row logsumexp; the forward
     # works in one score scratch and the backward recomputes each tile's
     # probabilities into it, next to one more for dS.  Dense attention's
-    # scratch is a (batch, heads, row_tile, s) tile, ``streaming_tile`` rows
-    # high; block-sparse attention's a capacity-class chunk of at most half
-    # the staged grid's score blocks.
+    # scratch is one slice of a (batch, heads, row_tile, s) tile,
+    # ``streaming_tile`` rows high: the whole stack, or a head group once the
+    # stack passes ATTENTION_TILE_BYTES; block-sparse attention's a
+    # capacity-class chunk of at most half the staged grid's score blocks.
     streaming: bool = False
     streaming_tile: int = 128
 
@@ -113,23 +115,29 @@ class MemoryModel:
         block-sparse attention stores only the active blocks, i.e. a
         ``block_density`` fraction of the causal half.  With
         :attr:`streaming` enabled the backward recomputes probabilities one
-        tile at a time, so only two scratch tiles (probabilities, dS) plus
-        the per-row logsumexp are ever held — linear in ``seq_len``: two
-        ``(row_tile, s)`` tiles for dense attention, two class chunks of
-        ``heads * s / 2`` query rows by ``block_size`` keys for block-sparse
-        attention (``block_density < 1``).  The cheaper of the stored and
-        the streamed bound applies.
+        slice at a time, so only two scratch slices (probabilities, dS) plus
+        the per-row logsumexp are ever held: for dense attention two slices
+        of the widest ``(row_tile, s)`` tile, as many ``(batch, head)`` pairs
+        as :func:`~repro.tensor.fused.row_tile_stack` stacks (all of them
+        while they fit ``ATTENTION_TILE_BYTES``, else one head group); for
+        block-sparse attention (``block_density < 1``) two class chunks of
+        ``heads * s / 2`` query rows by ``block_size`` keys.  The cheaper of
+        the stored and the streamed bound applies.
         """
         cfg = self.config
         dense_causal = batch * cfg.num_heads * (seq_len * seq_len) / 2.0
         stored = dense_causal * block_density
         if self.streaming:
-            # probability + dS scratch (key columns per query row between the
-            # two) + the logsumexp row
-            columns = (block_size if block_density < 1.0
-                       else 2.0 * min(self.streaming_tile, seq_len))
-            streamed = batch * cfg.num_heads * seq_len * (columns + 1.0)
-            stored = min(stored, streamed)
+            # probability + dS scratch, then the logsumexp row
+            lse = batch * cfg.num_heads * seq_len
+            if block_density < 1.0:
+                scratch = lse * block_size
+            else:
+                tile = min(self.streaming_tile, seq_len)
+                pairs = row_tile_stack(batch, cfg.num_heads, tile, seq_len,
+                                       self.activation_bytes)
+                scratch = 2.0 * pairs * tile * seq_len
+            stored = min(stored, scratch + lse)
         return float(stored * self.activation_bytes)
 
     # -- configurations of Figure 8 ----------------------------------------------------

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -98,6 +99,7 @@ __all__ = [
     "UnitClass",
     "TileLayout",
     "chunk_panel_blocks",
+    "row_tile_stack",
     "mask_tile_layout",
     "tiled_attention",
     "scaled_dot_product_attention",
@@ -493,6 +495,12 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 # Scored rows per chunk of :func:`linear_cross_entropy`: the attention row
 # tile.
 LOSS_ROW_CHUNK = 128
+
+# Score bytes one slice of a dense attention row tile may hold before the
+# tile's (batch, heads) stack is cut into head groups (:func:`row_tile_stack`):
+# one s1024 head's widest 128-row float32 tile, so a slice's scores, and the
+# backward's probabilities and dS, stay within a core's L2.
+ATTENTION_TILE_BYTES = 1 << 19
 
 
 def _valid_targets(targets: np.ndarray, ignore_index: int, valid: np.ndarray,
@@ -924,6 +932,31 @@ def chunk_panel_blocks(heads: int, n_blocks: int) -> int:
     return max(1, heads * n_blocks // 2)
 
 
+def row_tile_stack(batch: int, heads: int, rows: int, width: int,
+                   itemsize: int) -> int:
+    """``(batch row, head)`` pairs one slice of a dense row tile stacks.
+
+    All ``batch * heads`` while their ``(width, rows)`` score tiles fit
+    :data:`ATTENTION_TILE_BYTES`; past that, heads of one batch row, as many
+    as fit and at least one.
+    """
+    per_head = rows * width * itemsize
+    if batch * heads * per_head <= ATTENTION_TILE_BYTES:
+        return batch * heads
+    return min(heads, max(1, ATTENTION_TILE_BYTES // per_head))
+
+
+def _row_slices(tile: RowTile, batch: int, heads: int, itemsize: int) -> list:
+    """``tile``'s slices as ``(tile, (batch slice, head slice))`` pairs: the
+    whole stack, or :func:`row_tile_stack`'s head groups, batch row by batch
+    row."""
+    group = row_tile_stack(batch, heads, tile.r1 - tile.r0, tile.width, itemsize)
+    if group == batch * heads:
+        return [(tile, (slice(None), slice(None)))]
+    return [(tile, (slice(b, b + 1), slice(h, h + group)))
+            for b in range(batch) for h in range(0, heads, group)]
+
+
 def mask_tile_layout(attn_mask: Optional[np.ndarray], sq: int, sk: int,
                      row_tile: int, alloc=np.empty) -> TileLayout:
     """Tile layout of dense attention under a boolean keep-mask.
@@ -963,18 +996,24 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     """``softmax(Q K^T * scale) V`` walked one tile of query rows at a time.
 
     A dense tile (:class:`RowTile`) is a run of query rows over a key prefix,
-    stacked over ``(batch, heads)``.  A block-sparse tile (:class:`UnitClass`)
-    is a chunk of a capacity class, stacked over ``(batch, units)``: its query
-    rows and K/V panels are gathered block by block from staged grids, and its
-    output and ``dQ`` rows are scattered back.  Either way the forward forms
-    the tile's scores with one batched GEMM, runs a plain softmax over the
-    panel — every column a row attends to is present at once, so there is no
-    running max to rescale — and one GEMM for the context.  Only ``out`` and
-    the per-row logsumexp survive (plus, for classes, the sequence-sized
-    staged Q and K/V grids); the backward recomputes each tile's
-    probabilities from the logsumexp, forms ``dS`` on the panel only, writes
-    ``dQ`` once per tile and accumulates ``dK``/``dV`` through the same
-    column list.  Seven GEMMs per tile, whatever the number of active blocks.
+    stacked over ``(batch, heads)``; it runs as one slice while that stack's
+    scores fit :data:`ATTENTION_TILE_BYTES`, else as slices of one batch row
+    and a head group (:func:`row_tile_stack`), cut when the call binds, so
+    scratch is sized by the largest slice.  A block-sparse tile
+    (:class:`UnitClass`) is a chunk of a capacity class, stacked over
+    ``(batch, units)``: its query rows and K/V panels are gathered block by
+    block from staged grids, and its output and ``dQ`` rows are scattered
+    back.  Either way the forward forms a slice's scores with one batched
+    GEMM, runs a plain softmax over the panel — every column a row attends
+    to is present at once, so there is no running max to rescale — and one
+    GEMM for the context.  Only ``out`` and the per-row logsumexp survive
+    (plus, for classes, the sequence-sized staged Q and K/V grids); the
+    backward walks the same slices, recomputes each one's probabilities from
+    the logsumexp, forms ``dS`` on the panel only, writes ``dQ`` once per
+    slice and accumulates ``dK``/``dV`` through the same column list.  Seven
+    GEMMs per slice, whatever the number of active blocks.  Slicing changes
+    no bit: a stacked GEMM is one GEMM per ``(batch, head)`` matrix either
+    way, and every reduction runs over the same panel columns in order.
 
     Scores are kept panel-column major, ``(batch, lead, width, rows)`` — a
     class chunk's stored unit-innermost, so its reductions sweep long
@@ -1008,40 +1047,51 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         # predecessor released.
         lead, rows = heads * nb, bs
         stack = max(chunk_panel_blocks(heads, nb), max(t.capacity for t in tiles))
-        panel = stack * bs
+        pieces, stacked = tiles, (batch, stack)
+        panel = batch * stack * bs            # K/V panel rows of any chunk
+        area = panel * rows                   # score entries of any chunk
     else:
+        # Row tiles run slice by slice (the pieces), sized by the largest.
         lead, rows = heads, max(t.r1 - t.r0 for t in tiles)
-        stack, panel = heads, heads * max(t.width for t in tiles)
-    area = panel * rows        # score entries per batch row
+        pieces = [piece for t in tiles
+                  for piece in _row_slices(t, batch, heads, dtype.itemsize)]
+        spans = [qd[bh].shape[:2] + (t.width, t.r1 - t.r0) for t, bh in pieces]
+        stacked = tuple(max(span[i] for span in spans) for i in (0, 1))
+        panel = max(b * h * w for b, h, w, _ in spans)
+        area = max(b * h * w * n for b, h, w, n in spans)
 
     def workspace(alloc):
-        """(score, scaled-q) buffers sized for any tile, and for class chunks
+        """(score, scaled-q) buffers sized for any slice, and for class chunks
         (K/V-panel, output-row, transposed scaled-q) ones."""
-        work = (alloc((batch * area,), dtype), alloc((batch, stack, rows, dim), dtype))
+        work = (alloc((area,), dtype), alloc(stacked + (rows, dim), dtype))
         if sparse:
-            work += (alloc((batch * panel * kvd,), dtype),
-                     alloc((batch, stack, rows, vdim), dtype),
-                     alloc((batch, stack, dim, rows), dtype))
+            work += (alloc((panel * kvd,), dtype),
+                     alloc(stacked + (rows, vdim), dtype),
+                     alloc(stacked + (dim, rows), dtype))
         return work
 
-    def scores_in(buf, tile):
-        """``tile``'s ``(batch, lead, width, rows)`` score view of ``buf``."""
+    def scores_in(buf, piece):
+        """``piece``'s ``(batch, lead, width, rows)`` score view of ``buf``."""
         if not sparse:
-            n, w = tile.r1 - tile.r0, tile.width
-            return buf[:batch * heads * w * n].reshape(batch, heads, w, n)
-        n, w = tile.u1 - tile.u0, tile.capacity * bs
+            tile, bh = piece
+            shape = qd[bh].shape[:2] + (tile.width, tile.r1 - tile.r0)
+            return buf[:math.prod(shape)].reshape(shape)
+        n, w = piece.u1 - piece.u0, piece.capacity * bs
         return buf[:batch * w * n * bs].reshape(batch, w, n, bs).transpose(0, 2, 1, 3)
 
-    def bind(tile, work) -> _TileViews:
-        s = scores_in(work[0], tile)
+    def bind(piece, work) -> _TileViews:
+        s = scores_in(work[0], piece)
         if not sparse:
-            n, w = tile.r1 - tile.r0, tile.width
-            qs = work[1][:, :, :n]
-            masks = () if tile.drop is None else ((s[:, :, tile.m0:], tile.drop),)
-            return _TileViews(qd[:, :, tile.r0:tile.r1], qs, np.swapaxes(qs, -1, -2),
-                              kd[:, :, :w], vd[:, :, :w], (), s, masks,
-                              out[:, :, tile.r0:tile.r1], lse[..., tile.r0:tile.r1],
-                              None)
+            tile, bh = piece
+            rows_ = bh + (slice(tile.r0, tile.r1),)
+            qs = work[1][:s.shape[0], :s.shape[1], :tile.r1 - tile.r0]
+            masks = () if tile.drop is None else ((s[:, :, tile.m0:], np.broadcast_to(
+                tile.drop, (batch, heads) + tile.drop.shape[-2:])[bh]),)
+            return _TileViews(qd[rows_], qs, np.swapaxes(qs, -1, -2),
+                              kd[bh][:, :, :tile.width], vd[bh][:, :, :tile.width],
+                              (), s, masks, out[rows_],
+                              lse[bh][..., tile.r0:tile.r1], None)
+        tile = piece
         _, qs_buf, kv_buf, o_buf, qs_t_buf = work
         n, c = tile.u1 - tile.u0, tile.capacity
         qs, ids = qs_buf[:, :n], units[tile.u0:tile.u1]
@@ -1095,9 +1145,9 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     # Shared with every kernel recorded after this one (see plan.emit).
     scratch = _plan.scratch_alloc(rec)
     work = workspace(scratch)
-    m_buf = scratch((batch * stack * rows,), dtype)
-    l_buf = scratch((batch * stack * rows,), dtype)
-    zero_buf = scratch((batch * stack * rows,), bool)
+    m_buf = scratch((math.prod(stacked) * rows,), dtype)
+    l_buf = scratch((math.prod(stacked) * rows,), dtype)
+    zero_buf = scratch((math.prod(stacked) * rows,), bool)
     lse = alloc((batch, lead, 1, rows if sparse else sq), dtype)   # unit order
     # Classes write whole blocks: a ragged last block's padded rows land past
     # the end of the rows ``out`` views.
@@ -1105,13 +1155,13 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     out_blocks = alloc((batch, heads, padded, vdim), dtype)
     out = out_blocks if padded == sq else out_blocks[:, :, :sq]
     steps = []
-    for tile in tiles:
-        tv = bind(tile, work)
-        n = tv.s.shape[3]
-        m, l, zero = (buf[:tv.s[..., 0, :].size].reshape(batch, -1, 1, n)
+    for piece in pieces:
+        tv = bind(piece, work)
+        stacks, n = tv.s.shape[0], tv.s.shape[3]
+        m, l, zero = (buf[:tv.s[..., 0, :].size].reshape(stacks, -1, 1, n)
                       for buf in (m_buf, l_buf, zero_buf))
         steps.append((tv, np.swapaxes(tv.s, -1, -2), m, l, zero,
-                      l.reshape(batch, -1, n, 1), tv.o, tv.lse, tv.ids))
+                      l.reshape(stacks, -1, n, 1), tv.o, tv.lse, tv.ids))
 
     unit_rows = out_blocks.reshape(batch, lead, rows, vdim) if sparse else None
 
@@ -1138,18 +1188,18 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
 
     # out is the result; lse and the staged grids survive for the backward.
     _plan.emit(rec, run, tag, *work, m_buf, l_buf, zero_buf)
-    reuse_work = sparse and rec is not None
+    # A recorded forward's workspace is the plan's scratch, idle until the
+    # next replay, so the backward reuses it and the views bound to it.
+    reused = [step[0] for step in steps] if rec is not None else None
 
     def backward(grad_out):
         # delta_i = sum_d dO_id * O_id (the softmax-backward row dot).
         tmp = np.multiply(grad_out, out, out=_arena.empty(out.shape, dtype))
         delta = tmp.sum(axis=-1, out=_arena.empty((batch, heads, sq), dtype))
         _arena.release(tmp)
-        # A recorded forward's class-chunk workspace is the plan's scratch,
-        # idle until the next replay, so the backward reuses it.
-        work_b = work if reuse_work else workspace(_arena.empty)
-        dp_buf = _arena.empty((batch * area,), dtype)
-        pan_buf = _arena.empty((batch * panel * (kvd if sparse else max(dim, vdim)),), dtype)
+        work_b = work if reused else workspace(_arena.empty)
+        dp_buf = _arena.empty((area,), dtype)
+        pan_buf = _arena.empty((panel * (kvd if sparse else max(dim, vdim)),), dtype)
         gq_blocks = _arena.empty((batch, heads, padded, dim), dtype)
         grad_q = gq_blocks if padded == sq else gq_blocks[:, :, :sq]
         # A frozen k takes no gradient: row tiles skip their dK GEMM; class
@@ -1166,20 +1216,22 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             gd_buf = _arena.empty((batch, stack, bs, vdim + 1), dtype)
             g_t_buf = _arena.empty((batch, stack, vdim, bs), dtype)
             gq_buf = _arena.empty((batch, stack, bs, dim), dtype)
-            acc_buf = _arena.empty((batch * panel * kvd,), dtype)
+            acc_buf = _arena.empty((panel * kvd,), dtype)
             kv_grads = _arena.zeros(kv_slots.shape, dtype)
-        for tile in tiles:
-            tv = bind(tile, work_b)
+        for piece, tv in zip(pieces, reused or [bind(p, work_b) for p in pieces]):
             if sparse:
+                tile = piece
                 gd, gq_rows, g_t = (buf[:, :tv.ids.size] for buf in (gd_buf, gq_buf, g_t_buf))
                 np.take(gd_grid.reshape(batch, lead, bs, -1), tv.ids, axis=1,
                         mode="clip", out=gd)
                 g_rows, delta_rows = gd[..., :vdim], gd[..., None, :, vdim]
                 np.copyto(np.swapaxes(g_t, -1, -2), g_rows)
             else:
-                rows_ = slice(tile.r0, tile.r1)
-                g_rows, gq_rows = grad_out[:, :, rows_], grad_q[:, :, rows_]
-                delta_rows, g_t = delta[:, :, None, rows_], np.swapaxes(g_rows, -1, -2)
+                tile, bh = piece
+                rows_ = bh + (slice(tile.r0, tile.r1),)
+                g_rows, gq_rows = grad_out[rows_], grad_q[rows_]
+                delta_rows = delta[bh][:, :, None, tile.r0:tile.r1]
+                g_t = np.swapaxes(g_rows, -1, -2)
             # Probabilities straight from the saved logsumexp: no max pass.
             tile_scores(tv)
             p = tv.s
@@ -1196,10 +1248,11 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
                 dv_pan = pan_buf[:pan_rows * vdim].reshape(*p.shape[:3], vdim)
             np.matmul(p, g_rows, out=dv_pan)
             if not sparse:
-                np.add(grad_v[:, :, :tile.width], dv_pan, out=grad_v[:, :, :tile.width])
+                gv = grad_v[bh][:, :, :tile.width]
+                np.add(gv, dv_pan, out=gv)
                 dk_pan = pan_buf[:pan_rows * dim].reshape(*p.shape[:3], dim)
             # dS = P * (dP - delta), on the panel only.
-            ds = scores_in(dp_buf, tile)
+            ds = scores_in(dp_buf, piece)
             np.matmul(tv.v_pan, g_t, out=ds)
             ds -= delta_rows
             ds *= p
@@ -1208,8 +1261,8 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             if not sparse:
                 if grad_k is not None:
                     np.matmul(ds, tv.qs, out=dk_pan)
-                    np.add(grad_k[:, :, :tile.width], dk_pan,
-                           out=grad_k[:, :, :tile.width])
+                    gk = grad_k[bh][:, :, :tile.width]
+                    np.add(gk, dk_pan, out=gk)
                 continue
             np.matmul(ds, tv.qs, out=dk_pan)
             gq_blocks.reshape(batch, lead, bs, dim)[:, tv.ids] = gq_rows

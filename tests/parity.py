@@ -763,11 +763,17 @@ def run_replay_case(case: ParityCase) -> None:
     The replayed output and the input gradients flowing back through the
     recorded call's backward closure must be *bitwise* equal to a fresh
     interpreted call on the restaged inputs, both with no arena (plain heap
-    buffers) and inside a :class:`BufferArena` scope (recycled ones).
+    buffers) and inside a :class:`BufferArena` scope (recycled ones).  Each
+    input is restaged from its own mean and spread (standard deviation, at
+    least one), so a row built around a scale — an offset, an overflow
+    regime — replays in that regime.
     """
     rng = np.random.default_rng(7)
-    restaged = [rng.normal(size=a.shape).astype(np.float32)
+    restaged = [rng.normal(a.mean(), max(float(a.std()), 1.0),
+                           size=a.shape).astype(np.float32)
                 for a in case.arrays]
+    for a, values in zip(case.arrays, restaged):
+        assert not np.array_equal(a, values), f"{case.case_id}: restaged as recorded"
     tensors = [Tensor(a.astype(np.float32), requires_grad=True)
                for a in case.arrays]
     rec = plan.ForwardRecorder()

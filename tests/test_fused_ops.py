@@ -27,7 +27,7 @@ from repro.sparsity.engine import EngineStats
 from repro.sparsity.ops import block_sparse_attention, compute_block_geometry
 from repro.sparsity.ops.layout import layout_from_block_masks
 from repro.sparsity.patterns import pattern_mask
-from repro.tensor import Tensor, fused, no_grad, plan, reference
+from repro.tensor import Tensor, arena, fused, no_grad, plan, reference
 from repro.tensor.tensor import concatenate
 
 RNG = np.random.default_rng(42)
@@ -270,22 +270,118 @@ def _attention_backward(kernel, k_trainable, monkeypatch):
     return len(calls), q.grad, k.grad, v.grad
 
 
+def _sdpa_in_head_slices(q, k, v):
+    """Row tiles of 16 under a budget of one head's widest tile (16 x 48
+    float32): the first tile's two-head stack fits, the other two tiles run
+    one slice per head — 1 + 2 + 2 slices."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fused, "ATTENTION_TILE_BYTES", 16 * 48 * 4)
+        return fused.scaled_dot_product_attention(q, k, v, causal_mask(48), tile=16)
+
+
 @pytest.mark.perf_smoke
 @pytest.mark.parametrize("kernel,gemms_saved", [
     # One tile over all 48 rows, then three of 16: one dK GEMM fewer per tile.
     (lambda q, k, v: fused.scaled_dot_product_attention(q, k, v, causal_mask(48)), 1),
     (lambda q, k, v: fused.scaled_dot_product_attention(q, k, v, causal_mask(48),
                                                         tile=16), 3),
-], ids=["sdpa", "row-tiles"])
+    # ... and one fewer per slice once tiles split.
+    (_sdpa_in_head_slices, 5),
+], ids=["sdpa", "row-tiles", "head-slices"])
 def test_frozen_key_skips_its_gemm(kernel, gemms_saved, monkeypatch):
     # Layer 0 of a LoRA-q/v model sees a frozen k: no dK is formed, and the
-    # gradients that are formed keep every bit.
+    # gradients that are formed keep every bit.  No stack splits unless the
+    # row sets its own budget, so the counts hold whatever the module's.
+    monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", 1 << 62)
     trained = _attention_backward(kernel, True, monkeypatch)
     frozen = _attention_backward(kernel, False, monkeypatch)
     assert frozen[0] == trained[0] - gemms_saved
     assert frozen[2] is None and trained[2] is not None
     assert np.array_equal(frozen[1], trained[1])
     assert np.array_equal(frozen[3], trained[3])
+
+
+# ---------------------------------------------------------------------------
+# dense row tiles cut into head slices keep every bit and bound the scratch
+# ---------------------------------------------------------------------------
+
+def _split_case():
+    """Batch 2 x 4 heads x 100 rows of 16, a per-batch ragged keep-mask (causal,
+    ~20 % more dropped) with one fully masked row, a random upstream gradient."""
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=(2, 4, 100, 16)).astype(np.float32) for _ in range(6)]
+    mask = np.tril(np.ones((100, 100), bool)) & (rng.random((2, 1, 100, 100)) < 0.8)
+    mask[0, 0, 37] = False
+    grad = rng.normal(size=(2, 4, 100, 16)).astype(np.float32)
+    return arrays[:3], arrays[3:], mask, grad
+
+
+def _attention_at_budget(monkeypatch, budget, k_trainable, replayed=False):
+    """(out, grad_q, grad_k, grad_v) of :func:`_split_case`'s attention at
+    row tile 32 with ``ATTENTION_TILE_BYTES = budget``.  ``replayed``
+    records the call on the first inputs, restages the second ones and
+    replays the plan; otherwise the second inputs run interpreted."""
+    recorded, restaged, mask, grad = _split_case()
+    monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", budget)
+    q, k, v = (Tensor((recorded if replayed else restaged)[i].copy(),
+                      requires_grad=i != 1 or k_trainable) for i in range(3))
+    rec = plan.ForwardRecorder() if replayed else None
+    plan.set_recorder(rec)
+    try:
+        out = fused.scaled_dot_product_attention(q, k, v, mask, tile=32)
+    finally:
+        plan.set_recorder(None)
+    if replayed:
+        assert rec.ok(), rec.fail_reason
+        for tensor, values in zip((q, k, v), restaged):
+            tensor.data[...] = values
+        plan.ForwardPlan(rec.entries).run()
+    out.backward(grad)
+    return out.data, q.grad, k.grad, v.grad
+
+
+@pytest.mark.parametrize("k_trainable", [True, False], ids=["k-trained", "k-frozen"])
+@pytest.mark.parametrize("budget", [
+    1,                  # every tile's stack splits, one head per slice
+    32 * 100 * 4,       # one head's widest tile: the first tile in 3 + 1 heads
+], ids=["per-head", "head-groups"])
+@pytest.mark.parametrize("replayed", [False, True], ids=["interpreted", "replayed"])
+def test_head_slices_are_bitwise_the_whole_stack(budget, k_trainable, replayed,
+                                                 monkeypatch):
+    whole = _attention_at_budget(monkeypatch, 1 << 62, k_trainable)
+    sliced = _attention_at_budget(monkeypatch, budget, k_trainable, replayed)
+    assert (whole[2] is None) == (not k_trainable) == (sliced[2] is None)
+    for a, b in zip(whole, sliced):
+        assert a is None or np.array_equal(a, b)
+    # The fully masked row keeps exact zeros through the slices.
+    assert not sliced[0][0, :, 37].any() and not sliced[1][0, :, 37].any()
+
+
+@pytest.mark.alloc
+@pytest.mark.parametrize("recorded", [False, True], ids=["interpreted", "recorded"])
+def test_split_attention_holds_no_buffer_over_the_budget(recorded, monkeypatch):
+    # Batch 2 x 4 heads x 256 rows of 8, causal, row tiles of 128, under a
+    # budget of one head's widest tile (128 x 256 float32 = 128 KiB): the
+    # stacks (512 KiB and 1 MiB) split, and no buffer the plan, its scratch
+    # pool or the arena holds after forward and backward is larger than the
+    # budget.  Unsliced, the score scratch alone is 1 MiB.
+    budget = 128 * 256 * 4
+    monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", budget)
+    rng = np.random.default_rng(9)
+    q, k, v = (Tensor(rng.normal(size=(2, 4, 256, 8)).astype(np.float32),
+                      requires_grad=True) for _ in range(3))
+    rec = plan.ForwardRecorder() if recorded else None
+    pool = arena.BufferArena()
+    with arena.scope(pool):
+        plan.set_recorder(rec)
+        try:
+            out = fused.scaled_dot_product_attention(q, k, v, causal_mask(256))
+        finally:
+            plan.set_recorder(None)
+        out.backward(rng.normal(size=out.shape).astype(np.float32))
+    buffers = pool.buffers() + (rec.owned() if recorded else ())
+    assert buffers and max(buf.nbytes for buf in buffers) <= budget, \
+        sorted((buf.nbytes, buf.shape) for buf in buffers)[-3:]
 
 
 # ---------------------------------------------------------------------------
