@@ -63,12 +63,12 @@ Derivations (notation: ``g`` is the incoming output gradient):
                      only for a trainable base.  Only ``(N, r)`` arrays are
                      added beside the base GEMM's: no ``(N, out)`` scale or
                      add pass in either direction.
-``attention``        softmax backward threaded between the two matmul
-                     backwards, restricted to one tile's K/V panels at a
-                     time, probabilities recomputed from the saved
-                     logsumexp (``tiled_attention``, behind dense
-                     ``scaled_dot_product_attention`` and block-sparse
-                     attention alike).
+``attention``        ``dV = P^T g``, ``dS = P * (g V^T - delta)`` with
+                     ``delta = rowsum(g * O)``, ``dQ = scale dS K`` and
+                     ``dK = dS^T (scale Q)``, one slice's K/V panels at a
+                     time, ``P`` recomputed from the saved logsumexp: one
+                     softmax core under two bodies, dense row tiles and
+                     block-sparse class chunks (``tiled_attention``).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,7 +88,6 @@ from repro.tensor.tensor import Tensor, custom_op, is_grad_enabled
 __all__ = [
     "fused_kernels_enabled",
     "reference_kernels",
-    "guard_zero_rows",
     "layer_norm",
     "linear",
     "lora_linear",
@@ -136,43 +135,6 @@ def reference_kernels():
         yield
     finally:
         _FUSED_ENABLED = previous
-
-
-# ---------------------------------------------------------------------------
-# shared numerical conventions
-# ---------------------------------------------------------------------------
-
-def guard_zero_rows(denom: np.ndarray,
-                    scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Replace exactly-zero softmax denominators with one, in place.
-
-    This is the single home of the fully-masked-row convention: rows with no
-    kept position (padded sequences, extreme sparsity, zero active blocks)
-    have an all-zero exp-sum, and dividing by the guarded denominator leaves
-    them as exactly-zero probability rows.  :func:`tiled_attention` (dense
-    and block-sparse attention alike) is the one kernel that applies it; the
-    exposer's probability sweep is causal, so its rows always keep the
-    diagonal.  Rows with any kept position are untouched bit-for-bit.
-
-    ``scratch`` is an optional boolean buffer of ``denom``'s shape (the
-    kernels with a ``run`` body pass one they bound); without it the scratch
-    comes from the arena, so no per-step heap allocation survives either way.
-    """
-    buf = scratch if scratch is not None else _arena.empty(denom.shape, bool)
-    np.equal(denom, 0.0, out=buf)
-    np.copyto(denom, 1.0, where=buf)
-    if scratch is None:
-        _arena.release(buf)
-    return denom
-
-
-@functools.lru_cache(16)
-def _row_indices(n: int) -> np.ndarray:
-    """Cached read-only ``arange(n)`` — shared row-index vector for fancy
-    indexing, so steady-state steps never re-allocate it."""
-    idx = np.arange(n)
-    idx.setflags(write=False)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +463,15 @@ LOSS_ROW_CHUNK = 128
 # one s1024 head's widest 128-row float32 tile, so a slice's scores, and the
 # backward's probabilities and dS, stay within a core's L2.
 ATTENTION_TILE_BYTES = 1 << 19
+
+
+@functools.lru_cache(16)
+def _row_indices(n: int) -> np.ndarray:
+    """Cached read-only ``arange(n)`` — shared row-index vector for fancy
+    indexing, so steady-state steps never re-allocate it."""
+    idx = np.arange(n)
+    idx.setflags(write=False)
+    return idx
 
 
 def _valid_targets(targets: np.ndarray, ignore_index: int, valid: np.ndarray,
@@ -909,22 +880,6 @@ class TileLayout:
     units: Optional[np.ndarray] = None
 
 
-class _TileViews(NamedTuple):
-    """One tile's (or class chunk's) views of the inputs and of a workspace."""
-
-    q_rows: np.ndarray    # (batch, lead, n, dim) query rows
-    qs: np.ndarray        # scale * q_rows, contiguous
-    qs_t: np.ndarray      # qs transposed
-    k_pan: np.ndarray     # (batch, lead, width, dim)
-    v_pan: np.ndarray     # (batch, lead, width, vdim)
-    gathers: tuple        # (staged slots, slot list, panel to gather into)
-    s: np.ndarray         # (batch, lead, width, n) score scratch
-    masks: tuple          # (score view, bool mask) pairs: entries to drop
-    o: np.ndarray         # (batch, lead, n, vdim) output rows
-    lse: np.ndarray       # (batch, lead, 1, n) their logsumexp
-    ids: Optional[np.ndarray]  # a chunk's units (None: rows of the natural layout)
-
-
 def chunk_panel_blocks(heads: int, n_blocks: int) -> int:
     """Panel blocks one capacity-class chunk holds at most: half the staged
     K/V grid's, so chunk scratch stays a fraction of the sequence-sized
@@ -990,114 +945,223 @@ def mask_tile_layout(attn_mask: Optional[np.ndarray], sq: int, sk: int,
     return TileLayout(tuple(tiles))
 
 
+def _softmax_views(views: tuple, row_bufs) -> tuple:
+    """:func:`_softmax_forward`'s arguments for a slice whose bound views end
+    with its scores, V panel, output and logsumexp rows."""
+    s, v_pan, o, lse = views[-4:]
+    stacks, n = s.shape[0], s.shape[3]
+    m, l, zero = (buf[:s[..., 0, :].size].reshape(stacks, -1, 1, n) for buf in row_bufs)
+    return s, np.swapaxes(s, -1, -2), m, l, zero, l.reshape(stacks, -1, n, 1), v_pan, o, lse
+
+
+def _softmax_forward(s, s_t, m, l, zero, l_col, v_pan, o, lse) -> None:
+    """The forward core: softmax of one slice's masked scores ``s`` over the
+    panel axis, its context into ``o`` and its logsumexp into ``lse``."""
+    s.max(axis=-2, keepdims=True, out=m)
+    # A fully dropped row has max == _NEG_FILL; flooring the max makes its
+    # exponentials exact zeros (not ones) without a re-mask pass.
+    np.maximum(m, _MAX_FLOOR, out=m)
+    s -= m
+    np.exp(s, out=s)
+    s.sum(axis=-2, keepdims=True, out=l)
+    # A row that keeps no column sums to zero: dividing it by one leaves its
+    # output and all three gradients exactly zero.  Other rows keep every bit.
+    np.equal(l, 0.0, out=zero)
+    np.copyto(l, 1.0, where=zero)
+    np.matmul(s_t, v_pan, out=o)
+    o /= l_col
+    np.log(l, out=l)
+    np.add(l, m, out=lse)
+
+
+def _softmax_backward(p, lse, v_pan, k_pan, g_rows, g_t, delta_rows, dv_pan, ds,
+                      gq_rows, scale) -> None:
+    """The backward core: one slice's probabilities (its scores recomputed
+    into ``p``), dV, dS and dQ.  The body forms dK from dS and scaled Q."""
+    # Probabilities straight from the saved logsumexp: no max pass.
+    p -= lse
+    np.exp(p, out=p)
+    np.matmul(p, g_rows, out=dv_pan)
+    # dS = P * (dP - delta), on the panel only.
+    np.matmul(v_pan, g_t, out=ds)
+    ds -= delta_rows
+    ds *= p
+    np.matmul(np.swapaxes(ds, -1, -2), k_pan, out=gq_rows)
+    gq_rows *= scale
+
+
+def _softmax_delta(grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``delta_i = sum_d dO_id * O_id``, the softmax-backward row dot."""
+    tmp = np.multiply(grad_out, out, out=_arena.empty(out.shape, out.dtype))
+    delta = tmp.sum(axis=-1, out=_arena.empty(out.shape[:-1], out.dtype))
+    _arena.release(tmp)
+    return delta
+
+
 def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
                     scale: Optional[float] = None,
                     tag: str = "tiled_attention") -> Tensor:
-    """``softmax(Q K^T * scale) V`` walked one tile of query rows at a time.
+    """``softmax(Q K^T * scale) V`` walked one slice of query rows at a time.
 
-    A dense tile (:class:`RowTile`) is a run of query rows over a key prefix,
-    stacked over ``(batch, heads)``; it runs as one slice while that stack's
-    scores fit :data:`ATTENTION_TILE_BYTES`, else as slices of one batch row
-    and a head group (:func:`row_tile_stack`), cut when the call binds, so
-    scratch is sized by the largest slice.  A block-sparse tile
-    (:class:`UnitClass`) is a chunk of a capacity class, stacked over
-    ``(batch, units)``: its query rows and K/V panels are gathered block by
-    block from staged grids, and its output and ``dQ`` rows are scattered
-    back.  Either way the forward forms a slice's scores with one batched
-    GEMM, runs a plain softmax over the panel — every column a row attends
-    to is present at once, so there is no running max to rescale — and one
-    GEMM for the context.  Only ``out`` and the per-row logsumexp survive
-    (plus, for classes, the sequence-sized staged Q and K/V grids); the
-    backward walks the same slices, recomputes each one's probabilities from
-    the logsumexp, forms ``dS`` on the panel only, writes ``dQ`` once per
-    slice and accumulates ``dK``/``dV`` through the same column list.  Seven
-    GEMMs per slice, whatever the number of active blocks.  Slicing changes
-    no bit: a stacked GEMM is one GEMM per ``(batch, head)`` matrix either
-    way, and every reduction runs over the same panel columns in order.
+    The layout picks the body once: dense :class:`RowTile` slices
+    (:func:`_row_tile_attention`) or block-sparse :class:`UnitClass` chunks
+    (:func:`_class_chunk_attention`).  Each forms a slice's scores with one
+    batched GEMM, then one softmax core (no running max: every column a row
+    attends to is present at once) and the context GEMM.  Only ``out`` and
+    the row logsumexp survive (and a class's staged grids); the backward
+    recomputes each slice's probabilities from it.  Seven GEMMs per slice.
 
-    Scores are kept panel-column major, ``(batch, lead, width, rows)`` — a
-    class chunk's stored unit-innermost, so its reductions sweep long
-    contiguous rows: the softmax reductions run over the panel axis, which
-    NumPy accumulates strictly in column order, so trailing padded columns add
-    exact zeros and padding a panel never changes a bit of the result (until
-    the padded width crosses the BLAS's own inner-dimension blocking, a few
-    hundred columns, where the two panel-reducing GEMMs may round
-    differently).  A key block collects its gradient in a fixed order — class
-    by class, ascending query block inside a class — so replay is bitwise
-    equal to interpreted execution.  The contract is bitwise per geometry,
-    not per layout: ``dK``/``dV`` follow which units share a class, so
-    grouping the same layout's units differently (another capacity ladder)
-    changes their rounding, while widening every class in place does not.
-
-    Rows that keep no column follow :func:`guard_zero_rows`: their output and
-    all three gradients are exactly zero.
+    Scores are panel-column major, ``(batch, lead, width, rows)``, and NumPy
+    reduces the panel axis strictly in column order, so padded columns add
+    exact zeros (until the padded width crosses the BLAS's inner-dimension
+    blocking, a few hundred columns, where the two panel-reducing GEMMs may
+    round differently).  Rows that keep no column have an output and all
+    three gradients of exactly zero.
     """
     scale = float(scale) if scale is not None else float(1.0 / np.sqrt(q.shape[-1]))
+    body = _row_tile_attention if layout.units is None else _class_chunk_attention
+    return body(q, k, v, layout, scale, tag)
+
+
+def _row_tile_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
+                        scale: float, tag: str) -> Tensor:
+    """Dense row tiles: query rows over a key prefix, stacked over ``(batch,
+    heads)`` while the scores fit :data:`ATTENTION_TILE_BYTES`, else cut at
+    bind time into :func:`row_tile_stack`'s head groups (no bit changes: a
+    stacked GEMM is one GEMM per matrix).  dV and dK add onto the prefix."""
     qd, kd, vd = q.data, k.data, v.data
     batch, heads, sq, dim = qd.shape
-    sk, vdim = kd.shape[2], vd.shape[3]
-    dtype = qd.dtype
-    tiles, bs, nb, units = layout.tiles, layout.block, layout.n_blocks, layout.units
-    sparse = units is not None
-    kvd = dim + vdim       # a staged K/V grid row: its key, then its value
-    if sparse:
-        # Units stack on the leading axis.  Chunk scratch is sized by the
-        # sequence (a chunk's panel-block budget), not by this layout's
-        # classes: a refresh that moves them reuses the arena buffers its
-        # predecessor released.
-        lead, rows = heads * nb, bs
-        stack = max(chunk_panel_blocks(heads, nb), max(t.capacity for t in tiles))
-        pieces, stacked = tiles, (batch, stack)
-        panel = batch * stack * bs            # K/V panel rows of any chunk
-        area = panel * rows                   # score entries of any chunk
-    else:
-        # Row tiles run slice by slice (the pieces), sized by the largest.
-        lead, rows = heads, max(t.r1 - t.r0 for t in tiles)
-        pieces = [piece for t in tiles
-                  for piece in _row_slices(t, batch, heads, dtype.itemsize)]
-        spans = [qd[bh].shape[:2] + (t.width, t.r1 - t.r0) for t, bh in pieces]
-        stacked = tuple(max(span[i] for span in spans) for i in (0, 1))
-        panel = max(b * h * w for b, h, w, _ in spans)
-        area = max(b * h * w * n for b, h, w, n in spans)
+    vdim, dtype = vd.shape[3], qd.dtype
+    pieces = [piece for t in layout.tiles
+              for piece in _row_slices(t, batch, heads, dtype.itemsize)]
+    spans = [qd[bh].shape[:2] + (t.width, t.r1 - t.r0) for t, bh in pieces]
+    stack_b, stack_h, _, rows = map(max, zip(*spans))   # any slice fits these
+    panel = max(b * h * w for b, h, w, _ in spans)
+    area = max(b * h * w * n for b, h, w, n in spans)
 
     def workspace(alloc):
-        """(score, scaled-q) buffers sized for any slice, and for class chunks
-        (K/V-panel, output-row, transposed scaled-q) ones."""
-        work = (alloc((area,), dtype), alloc(stacked + (rows, dim), dtype))
-        if sparse:
-            work += (alloc((panel * kvd,), dtype),
-                     alloc(stacked + (rows, vdim), dtype),
-                     alloc(stacked + (dim, rows), dtype))
-        return work
+        """Score and scaled-q buffers sized for any slice."""
+        return alloc((area,), dtype), alloc((stack_b, stack_h, rows, dim), dtype)
 
     def scores_in(buf, piece):
-        """``piece``'s ``(batch, lead, width, rows)`` score view of ``buf``."""
-        if not sparse:
-            tile, bh = piece
-            shape = qd[bh].shape[:2] + (tile.width, tile.r1 - tile.r0)
-            return buf[:math.prod(shape)].reshape(shape)
-        n, w = piece.u1 - piece.u0, piece.capacity * bs
+        """``piece``'s ``(batch, heads, width, rows)`` score view of ``buf``."""
+        tile, bh = piece
+        shape = qd[bh].shape[:2] + (tile.width, tile.r1 - tile.r0)
+        return buf[:math.prod(shape)].reshape(shape)
+
+    def bind(piece, work):
+        tile, bh = piece
+        rows_ = bh + (slice(tile.r0, tile.r1),)
+        s = scores_in(work[0], piece)
+        qs = work[1][:s.shape[0], :s.shape[1], :tile.r1 - tile.r0]
+        mask = None if tile.drop is None else (s[:, :, tile.m0:], np.broadcast_to(
+            tile.drop, (batch, heads) + tile.drop.shape[-2:])[bh])
+        return (qd[rows_], qs, np.swapaxes(qs, -1, -2), kd[bh][:, :, :tile.width], mask,
+                s, vd[bh][:, :, :tile.width], out[rows_], lse[bh][..., tile.r0:tile.r1])
+
+    def scores(q_rows, qs, qs_t, k_pan, mask, s, *_):
+        """Scaled scores of one slice into ``s``, dropped entries filled."""
+        np.multiply(q_rows, scale, out=qs)
+        np.matmul(k_pan, qs_t, out=s)
+        if mask is not None:
+            np.copyto(mask[0], _NEG_FILL, where=mask[1])
+
+    rec = _plan._RECORDER
+    alloc = _plan.plan_alloc(rec)
+    # Shared with every kernel recorded after this one (see plan.emit).
+    scratch = _plan.scratch_alloc(rec)
+    work = workspace(scratch)
+    row_bufs = [scratch((stack_b * stack_h * rows,), t) for t in (dtype, dtype, bool)]
+    lse = alloc((batch, heads, 1, sq), dtype)
+    out = alloc((batch, heads, sq, vdim), dtype)
+    steps = [(views, _softmax_views(views, row_bufs))
+             for views in (bind(piece, work) for piece in pieces)]
+
+    def run():
+        for views, core in steps:
+            scores(*views)
+            _softmax_forward(*core)
+
+    # out is the result; lse survives for the backward.
+    _plan.emit(rec, run, tag, *work, *row_bufs)
+    # A recorded forward's workspace is the plan's scratch, idle until the
+    # next replay, so the backward reuses it and the views bound to it.
+    bound = [views for views, _ in steps] if rec is not None else None
+
+    def backward(grad_out):
+        delta = _softmax_delta(grad_out, out)
+        work_b = work if bound else workspace(_arena.empty)
+        dp_buf = _arena.empty((area,), dtype)
+        pan_buf = _arena.empty((panel * max(dim, vdim),), dtype)
+        grad_q = _arena.empty(qd.shape, dtype)
+        # A frozen k takes no gradient, and no slice runs its dK GEMM.
+        grad_k = _arena.zeros(kd.shape, dtype) if k.requires_grad else None
+        grad_v = _arena.zeros(vd.shape, dtype)
+        for (tile, bh), views in zip(pieces, bound or [bind(p, work_b) for p in pieces]):
+            _, qs, _, k_pan, _, s, v_pan, _, lse_t = views
+            rows_ = bh + (slice(tile.r0, tile.r1),)
+            g_rows = grad_out[rows_]
+            scores(*views)
+            # dV, then dK, through one panel onto the key prefix.
+            pan_rows = s[..., 0].size
+            dv_pan = pan_buf[:pan_rows * vdim].reshape(*s.shape[:3], vdim)
+            ds = scores_in(dp_buf, (tile, bh))
+            _softmax_backward(s, lse_t, v_pan, k_pan, g_rows, np.swapaxes(g_rows, -1, -2),
+                              delta[bh][:, :, None, tile.r0:tile.r1], dv_pan, ds,
+                              grad_q[rows_], scale)
+            gv = grad_v[bh][:, :, :tile.width]
+            np.add(gv, dv_pan, out=gv)
+            if grad_k is not None:
+                dk_pan = pan_buf[:pan_rows * dim].reshape(*s.shape[:3], dim)
+                np.matmul(ds, qs, out=dk_pan)
+                gk = grad_k[bh][:, :, :tile.width]
+                np.add(gk, dk_pan, out=gk)
+        # release() ignores whatever the plan owns.
+        _arena.release(delta, *work_b, dp_buf, pan_buf, lse,
+                       *(t.drop for t in layout.tiles))
+        return grad_q, grad_k, grad_v
+
+    return custom_op(out, (q, k, v), backward)
+
+
+def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
+                           scale: float, tag: str) -> Tensor:
+    """Capacity-class chunks: units stacked over ``(batch, units)``, query
+    rows and K|V panels gathered from staged grids, output and dQ rows
+    scattered back, scores stored unit-innermost.  dK|dV scatter-add into a
+    grid run by run, so a key block collects its gradient class by class,
+    ascending query block inside a class: bitwise per geometry (another
+    capacity ladder moves the last bits; widening a class in place does
+    not)."""
+    qd, kd, vd = q.data, k.data, v.data
+    batch, heads, sq, dim = qd.shape
+    sk, vdim, dtype = kd.shape[2], vd.shape[3], qd.dtype
+    tiles, bs, nb, units = layout.tiles, layout.block, layout.n_blocks, layout.units
+    lead, kvd = heads * nb, dim + vdim   # a K|V grid row: its key, then its value
+    # Chunk scratch is sized by the sequence (a chunk's panel-block budget),
+    # not by this layout's classes: a refresh that moves them reuses the
+    # arena buffers its predecessor released.
+    stack = max(chunk_panel_blocks(heads, nb), max(t.capacity for t in tiles))
+    panel = batch * stack * bs            # K/V panel rows of any chunk
+
+    def workspace(alloc):
+        """Score, scaled-q, K|V-panel, output-row and transposed scaled-q
+        buffers sized for any chunk."""
+        return (alloc((panel * bs,), dtype), alloc((batch, stack, bs, dim), dtype),
+                alloc((panel * kvd,), dtype), alloc((batch, stack, bs, vdim), dtype),
+                alloc((batch, stack, dim, bs), dtype))
+
+    def scores_in(buf, tile):
+        """``tile``'s ``(batch, units, width, block)`` score view of ``buf``."""
+        n, w = tile.u1 - tile.u0, tile.capacity * bs
         return buf[:batch * w * n * bs].reshape(batch, w, n, bs).transpose(0, 2, 1, 3)
 
-    def bind(piece, work) -> _TileViews:
-        s = scores_in(work[0], piece)
-        if not sparse:
-            tile, bh = piece
-            rows_ = bh + (slice(tile.r0, tile.r1),)
-            qs = work[1][:s.shape[0], :s.shape[1], :tile.r1 - tile.r0]
-            masks = () if tile.drop is None else ((s[:, :, tile.m0:], np.broadcast_to(
-                tile.drop, (batch, heads) + tile.drop.shape[-2:])[bh]),)
-            return _TileViews(qd[rows_], qs, np.swapaxes(qs, -1, -2),
-                              kd[bh][:, :, :tile.width], vd[bh][:, :, :tile.width],
-                              (), s, masks, out[rows_],
-                              lse[bh][..., tile.r0:tile.r1], None)
-        tile = piece
+    def bind(tile, work):
         _, qs_buf, kv_buf, o_buf, qs_t_buf = work
         n, c = tile.u1 - tile.u0, tile.capacity
-        qs, ids = qs_buf[:, :n], units[tile.u0:tile.u1]
+        s, qs_t = scores_in(work[0], tile), qs_t_buf[:, :n]
         kv_flat = kv_buf[:batch * c * bs * n * kvd].reshape(batch, n * c, bs * kvd)
         kv_pan = kv_flat.reshape(batch, n, c * bs, kvd)
-        gathers = ((q_blocks, ids, qs), (kv_slots, tile.index, kv_flat))
         # Masks per block: the diagonal block's causal triangle, and whole
         # inert blocks through a (panel block, column, unit, row) view of the
         # stored scores.
@@ -1106,166 +1170,104 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         if tile.drop is not None:
             masks += ((stored[:, tile.first * bs:].reshape(batch, -1, bs, n, bs),
                        tile.drop[:, None, :, None]),)
-        return _TileViews(qs, qs, qs_t_buf[:, :n], kv_pan[..., :dim],
-                          kv_pan[..., dim:], gathers, s, masks, o_buf[:, :n],
-                          lse[:, tile.u0:tile.u1], ids)
+        return (tile, units[tile.u0:tile.u1], qs_buf[:, :n], qs_t,
+                np.swapaxes(qs_t, -1, -2), kv_flat, kv_pan[..., :dim], masks,
+                s, kv_pan[..., dim:], o_buf[:, :n], lse[:, tile.u0:tile.u1])
 
-    def tile_scores(tv: _TileViews) -> None:
-        """Scaled scores of one tile into ``tv.s``, dropped entries filled."""
-        for slots, index, into in tv.gathers:
-            np.take(slots, index, axis=1, mode="clip", out=into)
-        np.multiply(tv.q_rows, scale, out=tv.qs)
-        if tv.ids is not None:
-            # A class chunk's GEMMs are small: with the transposed operand
-            # contiguous this BLAS runs them ~2.5x faster (same bits).
-            np.copyto(np.swapaxes(tv.qs_t, -1, -2), tv.qs)
-        np.matmul(tv.k_pan, tv.qs_t, out=tv.s)
-        for view, mask in tv.masks:
+    def scores(tile, ids, qs, qs_t, qs_t_rows, kv_flat, k_pan, masks, s, *_):
+        """Gather one chunk's query rows and K|V panels, then its scaled
+        scores into ``s``, dropped entries filled."""
+        np.take(q_blocks, ids, axis=1, mode="clip", out=qs)
+        np.take(kv_slots, tile.index, axis=1, mode="clip", out=kv_flat)
+        np.multiply(qs, scale, out=qs)
+        # A class chunk's GEMMs are small: with the transposed operand
+        # contiguous this BLAS runs them ~2.5x faster (same bits).
+        np.copyto(qs_t_rows, qs)
+        np.matmul(k_pan, qs_t, out=s)
+        for view, mask in masks:
             np.copyto(view, _NEG_FILL, where=mask)
 
     rec = _plan._RECORDER
     alloc = _plan.plan_alloc(rec)
-    kv_slots = q_grid = None
-    copies = []
-    if sparse:
-        # Query rows and panels are read block by block out of (head, block)
-        # grids, K/V's with one spare all-zero slot.  The grids are
-        # zero-filled once, here, and refreshed from Q/K/V by every run: a
-        # ragged last block stays zero-padded.
-        zeros = _plan.plan_alloc(rec, zero=True)
-        kv_slots = zeros((batch, lead + 1, bs * kvd), dtype)
-        kv_grid = kv_slots[:, :lead].reshape(batch, heads, nb * bs, kvd)
-        q_grid = zeros((batch, heads, nb * bs, dim), dtype)
-        q_blocks = q_grid.reshape(batch, lead, bs, dim)
-        copies = [(kv_grid[:, :, :sk, :dim], kd), (kv_grid[:, :, :sk, dim:], vd),
-                  (q_grid[:, :, :sq], qd)]
-        # Key offset > query offset: a diagonal block's causal triangle,
-        # (column, unit, row)-broadcast and shared by every chunk.
-        causal = np.arange(bs)[:, None, None] > np.arange(bs)
+    # Query rows and panels are read block by block out of (head, block)
+    # grids, K/V's with one spare all-zero slot.  The grids are zero-filled
+    # once, here, and refreshed from Q/K/V by every run: a ragged last block
+    # stays zero-padded.
+    zeros = _plan.plan_alloc(rec, zero=True)
+    kv_slots = zeros((batch, lead + 1, bs * kvd), dtype)
+    kv_grid = kv_slots[:, :lead].reshape(batch, heads, nb * bs, kvd)
+    q_grid = zeros((batch, heads, nb * bs, dim), dtype)
+    q_blocks = q_grid.reshape(batch, lead, bs, dim)
+    copies = [(kv_grid[:, :, :sk, :dim], kd), (kv_grid[:, :, :sk, dim:], vd),
+              (q_grid[:, :, :sq], qd)]
+    # Key offset > query offset: a diagonal block's causal triangle,
+    # (column, unit, row)-broadcast and shared by every chunk.
+    causal = np.arange(bs)[:, None, None] > np.arange(bs)
     # Shared with every kernel recorded after this one (see plan.emit).
     scratch = _plan.scratch_alloc(rec)
     work = workspace(scratch)
-    m_buf = scratch((math.prod(stacked) * rows,), dtype)
-    l_buf = scratch((math.prod(stacked) * rows,), dtype)
-    zero_buf = scratch((math.prod(stacked) * rows,), bool)
-    lse = alloc((batch, lead, 1, rows if sparse else sq), dtype)   # unit order
-    # Classes write whole blocks: a ragged last block's padded rows land past
+    row_bufs = [scratch((panel,), t) for t in (dtype, dtype, bool)]
+    lse = alloc((batch, lead, 1, bs), dtype)   # unit order
+    # Chunks write whole blocks: a ragged last block's padded rows land past
     # the end of the rows ``out`` views.
-    padded = nb * bs if sparse else sq
-    out_blocks = alloc((batch, heads, padded, vdim), dtype)
-    out = out_blocks if padded == sq else out_blocks[:, :, :sq]
-    steps = []
-    for piece in pieces:
-        tv = bind(piece, work)
-        stacks, n = tv.s.shape[0], tv.s.shape[3]
-        m, l, zero = (buf[:tv.s[..., 0, :].size].reshape(stacks, -1, 1, n)
-                      for buf in (m_buf, l_buf, zero_buf))
-        steps.append((tv, np.swapaxes(tv.s, -1, -2), m, l, zero,
-                      l.reshape(stacks, -1, n, 1), tv.o, tv.lse, tv.ids))
-
-    unit_rows = out_blocks.reshape(batch, lead, rows, vdim) if sparse else None
+    out_blocks = alloc((batch, heads, nb * bs, vdim), dtype)
+    out = out_blocks if nb * bs == sq else out_blocks[:, :, :sq]
+    unit_rows = out_blocks.reshape(batch, lead, bs, vdim)
+    steps = [(views, _softmax_views(views, row_bufs))
+             for views in (bind(tile, work) for tile in tiles)]
 
     def run():
         for fill, src in copies:
             np.copyto(fill, src)
-        for tv, s_t, m, l, zero, l_col, o, lse_t, ids in steps:
-            tile_scores(tv)
-            s = tv.s
-            s.max(axis=-2, keepdims=True, out=m)
-            # A fully dropped row has max == _NEG_FILL; flooring the max makes
-            # its exponentials exact zeros (not ones) without a re-mask pass.
-            np.maximum(m, _MAX_FLOOR, out=m)
-            s -= m
-            np.exp(s, out=s)
-            s.sum(axis=-2, keepdims=True, out=l)
-            guard_zero_rows(l, scratch=zero)
-            np.matmul(s_t, tv.v_pan, out=o)
-            o /= l_col
-            np.log(l, out=l)
-            np.add(l, m, out=lse_t)
-            if ids is not None:
-                unit_rows[:, ids] = o
+        for views, core in steps:
+            scores(*views)
+            _softmax_forward(*core)
+            _, ids, *_, o, _ = views
+            unit_rows[:, ids] = o
 
     # out is the result; lse and the staged grids survive for the backward.
-    _plan.emit(rec, run, tag, *work, m_buf, l_buf, zero_buf)
+    _plan.emit(rec, run, tag, *work, *row_bufs)
     # A recorded forward's workspace is the plan's scratch, idle until the
     # next replay, so the backward reuses it and the views bound to it.
-    reused = [step[0] for step in steps] if rec is not None else None
+    bound = [views for views, _ in steps] if rec is not None else None
 
     def backward(grad_out):
-        # delta_i = sum_d dO_id * O_id (the softmax-backward row dot).
-        tmp = np.multiply(grad_out, out, out=_arena.empty(out.shape, dtype))
-        delta = tmp.sum(axis=-1, out=_arena.empty((batch, heads, sq), dtype))
-        _arena.release(tmp)
-        work_b = work if reused else workspace(_arena.empty)
-        dp_buf = _arena.empty((area,), dtype)
-        pan_buf = _arena.empty((panel * (kvd if sparse else max(dim, vdim)),), dtype)
-        gq_blocks = _arena.empty((batch, heads, padded, dim), dtype)
-        grad_q = gq_blocks if padded == sq else gq_blocks[:, :, :sq]
-        # A frozen k takes no gradient: row tiles skip their dK GEMM; class
-        # chunks still form dK beside dV in their shared panel and scatter.
+        delta = _softmax_delta(grad_out, out)
+        work_b = work if bound else workspace(_arena.empty)
+        dp_buf = _arena.empty((panel * bs,), dtype)
+        pan_buf = _arena.empty((panel * kvd,), dtype)
+        gq_blocks = _arena.empty((batch, heads, nb * bs, dim), dtype)
+        grad_q = gq_blocks if nb * bs == sq else gq_blocks[:, :, :sq]
+        # A frozen k takes no gradient, but dK still forms beside dV in
+        # their shared panel and scatter.
         grad_k = _arena.zeros(kd.shape, dtype) if k.requires_grad else None
         grad_v = _arena.zeros(vd.shape, dtype)
-        gd_grid = gd_buf = g_t_buf = gq_buf = acc_buf = kv_grads = None
-        if sparse:
-            # dO and delta side by side per (head, block), zero on a ragged
-            # block's padded rows, so those rows add exact zeros to dK/dV.
-            gd_grid = _arena.zeros((batch, heads, nb * bs, vdim + 1), dtype)
-            np.copyto(gd_grid[:, :, :sq, :vdim], grad_out)
-            np.copyto(gd_grid[:, :, :sq, vdim], delta)
-            gd_buf = _arena.empty((batch, stack, bs, vdim + 1), dtype)
-            g_t_buf = _arena.empty((batch, stack, vdim, bs), dtype)
-            gq_buf = _arena.empty((batch, stack, bs, dim), dtype)
-            acc_buf = _arena.empty((panel * kvd,), dtype)
-            kv_grads = _arena.zeros(kv_slots.shape, dtype)
-        for piece, tv in zip(pieces, reused or [bind(p, work_b) for p in pieces]):
-            if sparse:
-                tile = piece
-                gd, gq_rows, g_t = (buf[:, :tv.ids.size] for buf in (gd_buf, gq_buf, g_t_buf))
-                np.take(gd_grid.reshape(batch, lead, bs, -1), tv.ids, axis=1,
-                        mode="clip", out=gd)
-                g_rows, delta_rows = gd[..., :vdim], gd[..., None, :, vdim]
-                np.copyto(np.swapaxes(g_t, -1, -2), g_rows)
-            else:
-                tile, bh = piece
-                rows_ = bh + (slice(tile.r0, tile.r1),)
-                g_rows, gq_rows = grad_out[rows_], grad_q[rows_]
-                delta_rows = delta[bh][:, :, None, tile.r0:tile.r1]
-                g_t = np.swapaxes(g_rows, -1, -2)
-            # Probabilities straight from the saved logsumexp: no max pass.
-            tile_scores(tv)
-            p = tv.s
-            p -= tv.lse
-            np.exp(p, out=p)
-            pan_rows = p[..., 0].size
-            if sparse:
-                # Both panel gradients land in one (key, value) panel, which
-                # is added to the grid in one pass.
-                kv_pan = pan_buf[:pan_rows * kvd].reshape(*p.shape[:3], kvd)
-                dk_pan, dv_pan = kv_pan[..., :dim], kv_pan[..., dim:]
-            else:
-                # dV, then dK, through one panel onto the key prefix.
-                dv_pan = pan_buf[:pan_rows * vdim].reshape(*p.shape[:3], vdim)
-            np.matmul(p, g_rows, out=dv_pan)
-            if not sparse:
-                gv = grad_v[bh][:, :, :tile.width]
-                np.add(gv, dv_pan, out=gv)
-                dk_pan = pan_buf[:pan_rows * dim].reshape(*p.shape[:3], dim)
-            # dS = P * (dP - delta), on the panel only.
-            ds = scores_in(dp_buf, piece)
-            np.matmul(tv.v_pan, g_t, out=ds)
-            ds -= delta_rows
-            ds *= p
-            np.matmul(np.swapaxes(ds, -1, -2), tv.k_pan, out=gq_rows)
-            gq_rows *= scale
-            if not sparse:
-                if grad_k is not None:
-                    np.matmul(ds, tv.qs, out=dk_pan)
-                    gk = grad_k[bh][:, :, :tile.width]
-                    np.add(gk, dk_pan, out=gk)
-                continue
-            np.matmul(ds, tv.qs, out=dk_pan)
-            gq_blocks.reshape(batch, lead, bs, dim)[:, tv.ids] = gq_rows
+        # dO and delta side by side per (head, block), zero on a ragged
+        # block's padded rows, so those rows add exact zeros to dK/dV.
+        gd_grid = _arena.zeros((batch, heads, nb * bs, vdim + 1), dtype)
+        np.copyto(gd_grid[:, :, :sq, :vdim], grad_out)
+        np.copyto(gd_grid[:, :, :sq, vdim], delta)
+        gd_buf = _arena.empty((batch, stack, bs, vdim + 1), dtype)
+        g_t_buf = _arena.empty((batch, stack, vdim, bs), dtype)
+        gq_buf = _arena.empty((batch, stack, bs, dim), dtype)
+        acc_buf = _arena.empty((panel * kvd,), dtype)
+        kv_grads = _arena.zeros(kv_slots.shape, dtype)
+        for views in bound or [bind(t, work_b) for t in tiles]:
+            tile, ids, qs, _, _, _, k_pan, _, s, v_pan, _, lse_t = views
+            gd, gq_rows, g_t = (buf[:, :ids.size] for buf in (gd_buf, gq_buf, g_t_buf))
+            np.take(gd_grid.reshape(batch, lead, bs, -1), ids, axis=1,
+                    mode="clip", out=gd)
+            g_rows = gd[..., :vdim]
+            np.copyto(np.swapaxes(g_t, -1, -2), g_rows)
+            scores(*views)
+            # Both panel gradients land in one (key, value) panel, which is
+            # added to the grid in one pass.
+            kv_pan = pan_buf[:s[..., 0].size * kvd].reshape(*s.shape[:3], kvd)
+            ds = scores_in(dp_buf, tile)
+            _softmax_backward(s, lse_t, v_pan, k_pan, g_rows, g_t, gd[..., None, :, vdim],
+                              kv_pan[..., dim:], ds, gq_rows, scale)
+            np.matmul(ds, qs, out=kv_pan[..., :dim])
+            gq_blocks.reshape(batch, lead, bs, dim)[:, ids] = gq_rows
             # Add the panel gradients onto the grid slots they came from, run
             # by run (padded blocks are exact zeros landing on the spare slot).
             flat, c = kv_pan.reshape(batch, -1, bs * kvd), tile.capacity
@@ -1275,15 +1277,13 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
                 np.take(kv_grads, index, axis=1, mode="clip", out=acc)
                 acc += flat[:, a * c:b * c]
                 kv_grads[:, index] = acc
-        if sparse:
-            grid = kv_grads[:, :lead].reshape(batch, heads, nb * bs, kvd)[:, :, :sk]
-            if grad_k is not None:
-                grad_k += grid[..., :dim]
-            grad_v += grid[..., dim:]
+        grid = kv_grads[:, :lead].reshape(batch, heads, nb * bs, kvd)[:, :, :sk]
+        if grad_k is not None:
+            grad_k += grid[..., :dim]
+        grad_v += grid[..., dim:]
         # release() ignores whatever the plan or a geometry cache owns.
         _arena.release(delta, *work_b, dp_buf, pan_buf, acc_buf, kv_grads, lse,
-                       kv_slots, q_grid, gd_grid, gd_buf, g_t_buf, gq_buf,
-                       *(t.drop for t in tiles))
+                       kv_slots, q_grid, gd_grid, gd_buf, g_t_buf, gq_buf)
         return grad_q, grad_k, grad_v
 
     return custom_op(out, (q, k, v), backward)

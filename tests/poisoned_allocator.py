@@ -1,0 +1,71 @@
+"""Poisoned allocator: a pytest plugin that fills uninitialised memory with garbage.
+
+Load it with ``-p`` (it is not collected as a test module)::
+
+    PYTHONPATH=src:tests python -m pytest -p poisoned_allocator -q \\
+        tests/test_fused_ops.py tests/test_sparse_ops.py tests/test_step_capture.py
+
+For every test it fills, through ``monkeypatch`` only:
+
+* every ``BufferArena.take`` that does not zero its buffer;
+* every buffer ``BufferArena.release`` accepts back into its free pool;
+* every fresh plan buffer (``ForwardRecorder.empty``);
+* every ``arena.empty`` made while no arena is active.
+
+Floats get NaN, integers their dtype's maximum, bools ``True``.  A kernel
+that reads memory it did not write, or a buffer handed back before its last
+read, then turns a bitwise test red instead of passing by luck: the liveness
+claims ("freed at its last use", "scratch shared across kernels", "the
+backward reuses its forward's workspace") become checked by every test that
+compares numbers.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.tensor import arena, plan
+
+
+def poison(buf: np.ndarray) -> np.ndarray:
+    """Fill ``buf`` with its dtype's garbage value, in place."""
+    if buf.dtype == np.bool_:
+        buf.fill(True)
+    elif np.issubdtype(buf.dtype, np.integer):
+        buf.fill(np.iinfo(buf.dtype).max)
+    else:
+        buf.fill(np.nan)
+    return buf
+
+
+def install(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Patch the four allocation seams to hand out poisoned memory."""
+    take, release = arena.BufferArena.take, arena.BufferArena.release
+    recorded, empty = plan.ForwardRecorder.empty, arena.empty
+
+    def poisoned_take(self, shape, dtype=np.float32, zero=False):
+        buf = take(self, shape, dtype, zero)
+        return buf if zero else poison(buf)
+
+    def poisoned_release(self, buf):
+        accepted = release(self, buf)
+        if accepted:
+            poison(buf)
+        return accepted
+
+    def poisoned_empty(shape, dtype=np.float32):
+        buf = empty(shape, dtype)
+        return buf if arena.active() is not None else poison(buf)
+
+    monkeypatch.setattr(arena.BufferArena, "take", poisoned_take)
+    monkeypatch.setattr(arena.BufferArena, "release", poisoned_release)
+    monkeypatch.setattr(plan.ForwardRecorder, "empty",
+                        lambda self, shape, dtype=np.float32:
+                        poison(recorded(self, shape, dtype)))
+    monkeypatch.setattr(arena, "empty", poisoned_empty)
+
+
+@pytest.fixture(autouse=True)
+def poisoned_allocator(monkeypatch):
+    install(monkeypatch)

@@ -279,26 +279,54 @@ def _sdpa_in_head_slices(q, k, v):
         return fused.scaled_dot_product_attention(q, k, v, causal_mask(48), tile=16)
 
 
+# One tile over all 48 rows, three of 16, and those three cut into 1 + 2 + 2
+# head slices.
+_DENSE_KERNELS = {
+    "sdpa": lambda q, k, v: fused.scaled_dot_product_attention(q, k, v, causal_mask(48)),
+    "row-tiles": lambda q, k, v: fused.scaled_dot_product_attention(
+        q, k, v, causal_mask(48), tile=16),
+    "head-slices": _sdpa_in_head_slices,
+}
+
+
 @pytest.mark.perf_smoke
-@pytest.mark.parametrize("kernel,gemms_saved", [
-    # One tile over all 48 rows, then three of 16: one dK GEMM fewer per tile.
-    (lambda q, k, v: fused.scaled_dot_product_attention(q, k, v, causal_mask(48)), 1),
-    (lambda q, k, v: fused.scaled_dot_product_attention(q, k, v, causal_mask(48),
-                                                        tile=16), 3),
-    # ... and one fewer per slice once tiles split.
-    (_sdpa_in_head_slices, 5),
-], ids=["sdpa", "row-tiles", "head-slices"])
-def test_frozen_key_skips_its_gemm(kernel, gemms_saved, monkeypatch):
+@pytest.mark.parametrize("name,gemms_saved",
+                         [("sdpa", 1), ("row-tiles", 3), ("head-slices", 5)],
+                         ids=["sdpa", "row-tiles", "head-slices"])
+def test_frozen_key_skips_its_gemm(name, gemms_saved, monkeypatch):
     # Layer 0 of a LoRA-q/v model sees a frozen k: no dK is formed, and the
     # gradients that are formed keep every bit.  No stack splits unless the
     # row sets its own budget, so the counts hold whatever the module's.
+    # One dK GEMM fewer per tile, and per slice once tiles split.
     monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", 1 << 62)
-    trained = _attention_backward(kernel, True, monkeypatch)
-    frozen = _attention_backward(kernel, False, monkeypatch)
+    trained = _attention_backward(_DENSE_KERNELS[name], True, monkeypatch)
+    frozen = _attention_backward(_DENSE_KERNELS[name], False, monkeypatch)
     assert frozen[0] == trained[0] - gemms_saved
     assert frozen[2] is None and trained[2] is not None
     assert np.array_equal(frozen[1], trained[1])
     assert np.array_equal(frozen[3], trained[3])
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("name,gemms", [
+    ("sdpa", (2, 7)), ("row-tiles", (6, 21)), ("head-slices", (10, 35)),
+], ids=["sdpa", "row-tiles", "head-slices"])
+def test_seven_gemms_per_dense_slice(name, gemms, monkeypatch):
+    # (forward, forward + backward) GEMMs over 1, 3 and 1 + 2 + 2 slices:
+    # two forward and five backward per slice, as per class chunk
+    # (tests/test_sparse_ops.py::test_seven_gemms_per_class_chunk_whatever_the_length).
+    monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", 1 << 62)
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+    rng = np.random.default_rng(11)
+    q, k, v = (Tensor(rng.normal(size=(1, 2, 48, 8)).astype(np.float32),
+                      requires_grad=True) for _ in range(3))
+    out = _DENSE_KERNELS[name](q, k, v)
+    forward = len(calls)
+    out.backward(np.ones_like(out.data))
+    assert (forward, len(calls)) == gemms
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,24 @@
+"""The poisoned-allocator plugin (``tests/poisoned_allocator.py``) poisons
+exactly the buffers it promises to, and leaves zeroed and foreign ones be."""
+
+import numpy as np
+
+from poisoned_allocator import install
+from repro.tensor import arena, plan
+
+
+def test_poisons_every_uninitialised_buffer(monkeypatch):
+    install(monkeypatch)
+    pool = arena.BufferArena()
+    assert np.isnan(pool.take((3,), np.float32)).all()
+    assert (pool.take((3,), np.int64) == np.iinfo(np.int64).max).all()
+    assert pool.take((3,), bool).all()
+    assert not pool.take((3,), np.float32, zero=True).any()
+    held = pool.take((2,), np.float64)
+    held[:] = 1.0
+    assert pool.release(held) and np.isnan(held).all()
+    foreign = np.ones(2, np.float32)
+    assert not pool.release(foreign) and (foreign == 1.0).all()
+    assert np.isnan(plan.ForwardRecorder().empty((2,), np.float32)).all()
+    with arena.scope(None):
+        assert np.isnan(arena.empty((2,), np.float32)).all()

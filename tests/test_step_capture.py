@@ -665,6 +665,11 @@ def test_profile_attributes_the_step_and_leaves_it_untouched():
     assert profile["linear_cross_entropy"][2] == 1
     assert "cross_entropy" not in profile
     assert profile["layer_norm"][2] == 2 * 2 + 1
+    # Dense attention: its plan tag forward, its body's closure backward.
+    assert profile["sdpa"][2] == 2 and profile["sdpa"][1] == 0.0
+    assert profile["_row_tile_attention"][2] == 2
+    assert profile["_row_tile_attention"][0] == 0.0
+    assert "_class_chunk_attention" not in profile
     assert profile["lora_linear"][0] > 0 and profile["lora_linear"][1] > 0
     assert "Tensor.__add__" in profile and profile["Tensor.__add__"][0] == 0.0
     assert "linear:none" not in profile
