@@ -15,7 +15,7 @@ The registry holds two kinds of entries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Dict, List
 
 
@@ -60,9 +60,6 @@ class ModelConfig:
         final_norm = 2 * self.dim
         lm_head = 0 if self.tie_embeddings else self.vocab_size * self.dim
         return embed + self.num_layers * per_block + final_norm + lm_head
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
 
 
 _REGISTRY: Dict[str, ModelConfig] = {}

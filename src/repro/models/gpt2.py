@@ -8,7 +8,7 @@ checks ``config.activation`` to make the same decision here.
 from __future__ import annotations
 
 from repro.models.base import CausalLMModel
-from repro.models.config import ModelConfig, get_config
+from repro.models.config import ModelConfig
 
 
 class GPT2Model(CausalLMModel):
@@ -20,8 +20,3 @@ class GPT2Model(CausalLMModel):
         if config.activation != "gelu":
             raise ValueError("GPT-2 models use GeLU activations")
         super().__init__(config, seed=seed)
-
-    @classmethod
-    def from_name(cls, name: str, seed: int = 0) -> "GPT2Model":
-        """Build a GPT-2 model from a registered configuration name."""
-        return cls(get_config(name), seed=seed)

@@ -8,7 +8,7 @@ layers a family-specific type to dispatch on.
 from __future__ import annotations
 
 from repro.models.base import CausalLMModel
-from repro.models.config import ModelConfig, get_config
+from repro.models.config import ModelConfig
 
 
 class OPTModel(CausalLMModel):
@@ -20,8 +20,3 @@ class OPTModel(CausalLMModel):
         if config.activation != "relu":
             raise ValueError("OPT models use ReLU activations")
         super().__init__(config, seed=seed)
-
-    @classmethod
-    def from_name(cls, name: str, seed: int = 0) -> "OPTModel":
-        """Build an OPT model from a registered configuration name."""
-        return cls(get_config(name), seed=seed)

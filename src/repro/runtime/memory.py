@@ -91,11 +91,6 @@ class MemoryModel:
     def parameter_bytes(self) -> float:
         return float(self.config.num_parameters() * self.param_bytes)
 
-    def trainable_state_bytes(self, trainable_params: int) -> float:
-        grads = trainable_params * 4                      # FP32 master gradients
-        optimizer = trainable_params * self.optimizer_bytes_per_param
-        return float(grads + optimizer)
-
     def activation_bytes_per_layer(self, batch: int, seq_len: int,
                                    mlp_density: float = 1.0) -> float:
         cfg = self.config

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional
+from typing import Deque, Hashable, List, Optional
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class SignatureBucketQueue:
 
     def pending(self) -> int:
         return sum(len(b) for b in self._buckets.values())
-
-    def bucket_sizes(self) -> Dict[Hashable, int]:
-        return {key: len(b) for key, b in self._buckets.items()}
 
     def keys(self) -> List[Hashable]:
         return list(self._buckets)

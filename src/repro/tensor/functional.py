@@ -72,19 +72,21 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         Integer array of shape ``(batch, seq)`` (or ``(N,)``); positions equal
         to ``ignore_index`` do not contribute to the loss.
     shift:
-        When True, compute the next-token loss directly (logit ``t`` scored
-        against target ``t+1``) without the caller slicing ``logits[:, :-1]``
-        — on the fused path this avoids a full-size logits copy forward and a
-        full-size zero-fill node backward.
+        When True, compute the next-token loss directly: logit ``t`` scored
+        against target ``t+1``.
 
     Returns
     -------
     (loss, n_valid):
         The mean negative log-likelihood over valid positions and the number
         of valid positions (useful for aggregating across batches).
+
+    Both kernel modes run the taped composition
+    :func:`repro.tensor.reference.cross_entropy_logits`: no model loss forms
+    whole logits, so the fused path is :func:`linear_cross_entropy`.
     """
-    return _impl().cross_entropy_logits(logits, targets,
-                                        ignore_index=ignore_index, shift=shift)
+    return _reference.cross_entropy_logits(logits, targets,
+                                           ignore_index=ignore_index, shift=shift)
 
 
 def linear_cross_entropy(hidden: Tensor, weight: Tensor, targets: np.ndarray,

@@ -11,8 +11,7 @@ per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
 The kernels the step compiler can replay (``layer_norm``, ``linear``,
-``lora_linear``, ``cross_entropy_logits``, ``linear_cross_entropy``, the
-tiled attention core) write
+``lora_linear``, ``linear_cross_entropy``, the tiled attention core) write
 that forward exactly once, as a ``run`` thunk over buffers bound up front —
 plan-owned while a :class:`~repro.tensor.plan.ForwardRecorder` is installed,
 the arena's otherwise — and hand it to :func:`repro.tensor.plan.emit`, which
@@ -42,13 +41,11 @@ Derivations (notation: ``g`` is the incoming output gradient):
                      float32 the GEMV takes ~0.01 ms where ``np.mean``'s
                      reduce-then-divide takes ~0.04, and ``inv_std`` is one
                      ``np.reciprocal``.
-``cross_entropy``    ``dlogits = (softmax(logits) - onehot) * valid / n``;
-                     the forward keeps the unnormalised exponentials and
-                     their row sums, so normalisation, mask and scale are one
-                     per-row factor of a single backward pass.
-``linear_cross_entropy``  the same ``dlogits`` for ``logits = h W^T``, formed
-                     in the forward a chunk of rows at a time for an
-                     upstream gradient of one: ``dh = dlogits W`` and
+``linear_cross_entropy``  ``dlogits = (softmax(logits) - onehot) * valid / n``
+                     for ``logits = h W^T``, one per-row factor over the
+                     unnormalised exponentials and their row sums, formed in
+                     the forward a chunk of rows at a time for an upstream
+                     gradient of one: ``dh = dlogits W`` and
                      ``dW = dlogits^T h`` (summed over chunks); the backward
                      scales them by the upstream gradient.
 ``linear``           ``dx = g W``, ``dW = g^T x``, ``db = sum(g)``; when an
@@ -91,7 +88,6 @@ __all__ = [
     "layer_norm",
     "linear",
     "lora_linear",
-    "cross_entropy_logits",
     "linear_cross_entropy",
     "token_log_probs",
     "RowTile",
@@ -451,7 +447,7 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
 
 # ---------------------------------------------------------------------------
-# cross entropy: the one row body, over logits or through the LM head
+# cross entropy through the LM head: one row body, a chunk of rows at a time
 # ---------------------------------------------------------------------------
 
 # Scored rows per chunk of :func:`linear_cross_entropy`: the attention row
@@ -484,147 +480,27 @@ def _valid_targets(targets: np.ndarray, ignore_index: int, valid: np.ndarray,
 
 
 def _row_log_probs(logits: np.ndarray, safe_targets: np.ndarray,
-                   exps: np.ndarray, row_red: np.ndarray,
-                   gather_idx: np.ndarray, target_logits: np.ndarray,
-                   out: np.ndarray) -> None:
+                   row_red: np.ndarray, gather_idx: np.ndarray,
+                   target_logits: np.ndarray, out: np.ndarray) -> None:
     """The one softmax/NLL row body: ``out[i] = log softmax(logits[i])[t_i]``.
 
-    Row max, shift into ``exps``, pull each target's shifted logit out
-    *before* exponentiating in place (the full log-prob matrix is never
+    Row max, shift in place, pull each target's shifted logit out *before*
+    exponentiating in place (the full log-prob matrix is never
     materialised), exp, row sums into ``row_red``, then target minus log row
-    sum.  ``exps`` (which may be ``logits`` itself) is left holding the
-    unnormalised exponentials, ``row_red`` their row sums and ``gather_idx``
-    the targets' flat positions: what a gradient reads.
+    sum.  ``logits`` is left holding the unnormalised exponentials,
+    ``row_red`` their row sums and ``gather_idx`` the targets' flat
+    positions: what a gradient reads.
     """
     vocab = logits.shape[-1]
     logits.max(axis=-1, keepdims=True, out=row_red)
-    np.subtract(logits, row_red, out=exps)
+    logits -= row_red
     np.multiply(_row_indices(logits.shape[0]), vocab, out=gather_idx)
     np.add(gather_idx, safe_targets, out=gather_idx)
-    np.take(exps.reshape(-1), gather_idx, out=target_logits)
-    np.exp(exps, out=exps)
-    exps.sum(axis=-1, keepdims=True, out=row_red)
+    np.take(logits.reshape(-1), gather_idx, out=target_logits)
+    np.exp(logits, out=logits)
+    logits.sum(axis=-1, keepdims=True, out=row_red)
     np.log(row_red[:, 0], out=out)
     np.subtract(target_logits, out, out=out)
-
-
-def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
-                         ignore_index: int = -100,
-                         shift: bool = False) -> Tuple[Tensor, int]:
-    """Token-level cross entropy as one fused node over the logits.
-
-    With ``shift=True`` the op computes the next-token loss directly —
-    position ``t`` of the logits is scored against target ``t + 1`` — so the
-    caller passes the *unshifted* ``(batch, seq, vocab)`` logits and no
-    ``logits[:, :-1]`` slice node ever enters the tape.  The backward still
-    allocates one full-size gradient for the logits; the models' loss runs
-    :func:`linear_cross_entropy`, which never forms the logits at all.
-
-    Returns ``(mean NLL over valid positions, number of valid positions)``.
-    """
-    targets = np.asarray(targets)
-    data = logits.data
-    if shift:
-        if data.ndim < 2:
-            raise ValueError("shift=True requires (batch, seq, vocab) logits")
-        scored = data[..., :-1, :]
-        targets = targets[..., 1:]
-    else:
-        scored = data
-    vocab = scored.shape[-1]
-    n_rows = int(np.prod(scored.shape[:-1], dtype=np.int64))
-    rows = _row_indices(n_rows)
-    rec = _plan._RECORDER
-    if not shift:
-        flat_logits = scored.reshape(-1, vocab)
-        flat_targets = targets.reshape(-1)
-        if rec is not None and not np.may_share_memory(flat_logits, data):
-            # ``reshape`` copied, and the copy would go stale between replays.
-            rec.fail("cross entropy over non-contiguous logits")
-            rec = None
-    alloc = _plan.plan_alloc(rec)
-    scratch = _plan.scratch_alloc(rec)
-    flat_view = targets_view = None
-    if shift and scored.flags.c_contiguous and targets.flags.c_contiguous:
-        # One sequence (or a batch whose slices happen to be contiguous):
-        # the shifted slices are flat views, nothing to copy.
-        flat_logits = scored.reshape(-1, vocab)
-        flat_targets = targets.reshape(-1)
-    elif shift:
-        # The shifted slices are non-contiguous, so reshape would copy
-        # anyway; the copies land in bound buffers ``run`` refreshes.
-        flat_logits = scratch((n_rows, vocab), data.dtype)
-        flat_view = flat_logits.reshape(scored.shape)
-        flat_targets = scratch((n_rows,), targets.dtype)
-        targets_view = flat_targets.reshape(targets.shape)
-    # Every target-derived array (valid mask, safe targets, the per-row
-    # reductions) lives in a buffer bound once and refreshed by ``run``, so
-    # re-running the body heaps nothing; the per-batch *scalars* (valid
-    # count, denominator) go through ``st`` — shared mutable state the
-    # backward closure reads.  ``exps`` — the shifted exponentials, left
-    # unnormalised — and their row sums are what the backward keeps.
-    exps = alloc((n_rows, vocab), data.dtype)
-    loss_buf = alloc((), np.float32)
-    valid = alloc((n_rows,), bool)
-    safe_targets = alloc((n_rows,), np.int64)
-    gather_idx = alloc((n_rows,), np.int64)
-    row_red = alloc((n_rows, 1), data.dtype)
-    target_logits = scratch((n_rows,), data.dtype)
-    picked = scratch((n_rows,), data.dtype)
-    st = {}
-
-    def run(scored=scored, targets=targets, exps=exps, loss_buf=loss_buf,
-            flat_logits=flat_logits, flat_view=flat_view,
-            flat_targets=flat_targets, targets_view=targets_view, st=st):
-        if flat_view is not None:
-            np.copyto(flat_view, scored)
-            np.copyto(targets_view, targets)
-        n_valid = _valid_targets(flat_targets, ignore_index, valid, safe_targets)
-        _row_log_probs(flat_logits, safe_targets, exps, row_red, gather_idx,
-                       target_logits, picked)
-        denom = max(n_valid, 1)
-        np.multiply(picked, valid, out=picked)
-        loss_buf[...] = -picked.sum() / denom
-        st["denom"] = denom
-        st["n_valid"] = n_valid
-
-    # Where flat_logits/flat_targets are views of the caller's arrays,
-    # release() ignores them.
-    _plan.emit(rec, run, "cross_entropy", flat_logits, flat_targets,
-               target_logits, picked)
-
-    def backward(grad):
-        # (exps / row_sum - onehot) * valid * grad / denom: the softmax
-        # normalisation, the valid mask and the scale are one per-row factor
-        # applied in a single pass over the logits, written straight into
-        # the gradient; the one-hot is then a row-sized gather / subtract /
-        # scatter at the target positions.
-        scale = float(np.asarray(grad).reshape(())) / st["denom"]
-        factor = np.divide(valid, row_red[:, 0],
-                           out=_arena.empty((n_rows,), exps.dtype))
-        factor *= scale
-        full = _arena.empty(data.shape, data.dtype)
-        np.multiply(exps.reshape(scored.shape),
-                    factor.reshape(scored.shape[:-1] + (1,)),
-                    out=full[..., :-1, :] if shift else full)
-        at = gather_idx
-        if shift:
-            full[..., -1:, :] = 0.0
-            # Past the unscored last position of every earlier sequence.
-            at = np.floor_divide(rows, max(scored.shape[-2], 1),
-                                 out=_arena.empty((n_rows,), np.int64))
-            at *= vocab
-            at += gather_idx
-        flat = full.reshape(-1)
-        hit = np.take(flat, at, mode="clip", out=_arena.empty((n_rows,), full.dtype))
-        np.multiply(valid, factor.dtype.type(scale), out=factor)
-        hit -= factor
-        flat[at] = hit
-        _arena.release(exps, valid, safe_targets, gather_idx, row_red, factor,
-                       hit, at)
-        return (full,)
-
-    return custom_op(loss_buf, (logits,), backward), st["n_valid"]
 
 
 def _scored_rows(hidden: np.ndarray, targets: np.ndarray,
@@ -675,7 +551,7 @@ def _lm_head_chunks(rows: np.ndarray, weight: np.ndarray, safe: np.ndarray,
             n = r1 - r0
             exps = logits[:n]
             np.matmul(rows[b, r0:r1], wt, out=exps)
-            _row_log_probs(exps, safe[b, r0:r1], exps, row_red[:n],
+            _row_log_probs(exps, safe[b, r0:r1], row_red[:n],
                            gather_idx[:n], target_logits[:n], out[b, r0:r1])
             if chunk_grad is not None:
                 chunk_grad(b, r0, r1, exps)
@@ -698,12 +574,11 @@ def linear_cross_entropy(hidden: Tensor, weight: Tensor, targets: np.ndarray,
     by the upstream gradient.  Under ``no_grad``, or with both inputs
     frozen, the gradient half is not bound at all.
 
-    The row arithmetic is :func:`cross_entropy_logits`'s
-    (:func:`_row_log_probs`), and the per-row log-probabilities are summed
-    in the same order, so the loss is bitwise that op's over the same
-    logits.  ``shift`` and ``ignore_index`` mean what they mean there;
-    ``hidden`` is ``(batch, seq, dim)`` (or ``(N, dim)`` without shift) and
-    ``weight`` ``(vocab, dim)``.
+    Every chunk goes through one row body (:func:`_row_log_probs`).  With
+    ``shift`` row ``t`` of a sequence is scored against target ``t + 1``
+    (its last row is unscored); targets equal to ``ignore_index`` do not
+    count.  ``hidden`` is ``(batch, seq, dim)`` (or ``(N, dim)`` without
+    shift) and ``weight`` ``(vocab, dim)``.
 
     Returns ``(mean NLL over valid positions, number of valid positions)``.
     """
@@ -742,9 +617,9 @@ def linear_cross_entropy(hidden: Tensor, weight: Tensor, targets: np.ndarray,
             work.append(dw_part)
 
         def chunk_grad(b, r0, r1, exps):
-            # d loss / d logits, as cross_entropy_logits's backward forms it
-            # for an upstream gradient of one: one per-row factor, then the
-            # one-hot as a row-sized gather / subtract / scatter.
+            # d loss / d logits for an upstream gradient of one: one per-row
+            # factor, then the one-hot as a row-sized gather / subtract /
+            # scatter.
             n, scale = r1 - r0, st["scale"]
             f, at, v = factor[:n], gather_idx[:n], valid[b, r0:r1]
             np.divide(v, row_red[:n, 0], out=f)
@@ -1235,12 +1110,14 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         delta = _softmax_delta(grad_out, out)
         work_b = work if bound else workspace(_arena.empty)
         dp_buf = _arena.empty((panel * bs,), dtype)
-        pan_buf = _arena.empty((panel * kvd,), dtype)
+        # A frozen k takes no gradient and no chunk runs its dK GEMM: the key
+        # half of the shared (key, value) panel stays zero, so the scatter
+        # adds exact zeros to the discarded half of the grid.
+        grad_k = _arena.zeros(kd.shape, dtype) if k.requires_grad else None
+        pan_buf = (_arena.empty((panel * kvd,), dtype) if grad_k is not None
+                   else _arena.zeros((panel * kvd,), dtype))
         gq_blocks = _arena.empty((batch, heads, nb * bs, dim), dtype)
         grad_q = gq_blocks if nb * bs == sq else gq_blocks[:, :, :sq]
-        # A frozen k takes no gradient, but dK still forms beside dV in
-        # their shared panel and scatter.
-        grad_k = _arena.zeros(kd.shape, dtype) if k.requires_grad else None
         grad_v = _arena.zeros(vd.shape, dtype)
         # dO and delta side by side per (head, block), zero on a ragged
         # block's padded rows, so those rows add exact zeros to dK/dV.
@@ -1266,7 +1143,8 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             ds = scores_in(dp_buf, tile)
             _softmax_backward(s, lse_t, v_pan, k_pan, g_rows, g_t, gd[..., None, :, vdim],
                               kv_pan[..., dim:], ds, gq_rows, scale)
-            np.matmul(ds, qs, out=kv_pan[..., :dim])
+            if grad_k is not None:
+                np.matmul(ds, qs, out=kv_pan[..., :dim])
             gq_blocks.reshape(batch, lead, bs, dim)[:, ids] = gq_rows
             # Add the panel gradients onto the grid slots they came from, run
             # by run (padded blocks are exact zeros landing on the spare slot).

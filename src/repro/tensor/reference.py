@@ -21,6 +21,9 @@ reasons:
 counterpart: the fused kernels compute their softmax inline.  They are the
 building blocks of :func:`scaled_dot_product_attention` and
 :func:`cross_entropy_logits`, the oracles those kernels are checked against.
+``cross_entropy_logits`` has no fused counterpart either (the fused loss is
+:func:`linear_cross_entropy`, which never forms the logits): it is what
+``repro.tensor.functional.cross_entropy`` runs in both kernel modes.
 
 Nothing in the training hot path should import this module directly.
 """

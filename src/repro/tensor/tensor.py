@@ -188,140 +188,6 @@ def _matmul_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather_add_rows(out: np.ndarray, idx: np.ndarray,
-                     upd: np.ndarray) -> None:
-    """``out[idx] += upd`` for duplicate-free ``idx``, staged via the arena.
-
-    Numerically identical to the fancy in-place add (gather, elementwise
-    add, scatter — the same three steps numpy performs), but the gathered
-    rows land in a recycled arena buffer instead of a fresh heap array.
-    """
-    tmp = _arena.empty(upd.shape, out.dtype)
-    # mode="clip" is the only take mode that honours ``out`` without an
-    # internal full-size temporary; callers have already bounds-checked.
-    np.take(out, idx, axis=0, out=tmp, mode="clip")
-    tmp += upd
-    out[idx] = tmp
-    _arena.release(tmp)
-
-
-def scatter_add_rows(out: np.ndarray, indices: np.ndarray,
-                     updates: np.ndarray) -> None:
-    """Duplicate-safe ``out[indices] += updates`` along axis 0, vectorised.
-
-    Replaces ``np.add.at`` (whose per-element indexed inner loop dominates
-    the embedding backward at large vocabularies) with the stable-sort +
-    ``np.add.reduceat`` segmented reduce also used by
-    ``repro.sparsity.ops.layout``, split into two vectorised phases:
-
-    * rows that occur **once** are accumulated with a single fancy ``+=``
-      (no per-segment reduce setup — this is what makes the mostly-unique
-      uniform-token case fast);
-    * rows that occur **multiple times** are compacted and segment-summed
-      with ``np.add.reduceat`` (this is what makes the Zipf-distributed
-      real-token case fast).
-
-    Measured ~2x over ``np.add.at`` across uniform, Zipfian and small-vocab
-    index distributions at GPT-2 embedding shapes.  The result equals
-    ``np.add.at`` exactly whenever the per-row sums are order-insensitive
-    (e.g. integer-valued updates — asserted by the scatter tests) and to
-    float rounding otherwise: ``reduceat`` accumulates long segments
-    pairwise, which is at least as accurate as ``add.at``'s sequential
-    order.  Negative indices follow NumPy indexing semantics.
-    """
-    indices = np.asarray(indices).reshape(-1)
-    if indices.size == 0:
-        return
-    if indices.min() < 0:
-        # Normalise so aliased positive/negative forms land in one segment.
-        indices = np.where(indices < 0, indices + out.shape[0], indices)
-    if indices.min() < 0 or indices.max() >= out.shape[0]:
-        # Explicit bounds check: the clip-mode takes below would otherwise
-        # silently clamp where fancy indexing used to raise.
-        raise IndexError("scatter_add_rows: index out of bounds for axis 0 "
-                         f"with size {out.shape[0]}")
-    updates = np.asarray(updates).reshape(indices.shape[0], *out.shape[1:])
-    # Row-sized temporaries (the gathered/compacted update blocks and the
-    # segment sums) stage through the arena so replayed capture steps stay
-    # free of per-step heap traffic; only index-sized arrays (argsort,
-    # nonzero) still allocate, and those are seq_len * 8 bytes, not
-    # seq_len * dim.
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    row_shape = updates.shape[1:]
-    sorted_upd = _arena.empty(updates.shape, updates.dtype)
-    np.take(updates, order, axis=0, out=sorted_upd, mode="clip")
-    n = sorted_idx.shape[0]
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=change[1:])
-    # A position opens a length-1 segment iff it starts one and the next
-    # position starts another (or it is the last position).
-    is_single = np.empty(n, dtype=bool)
-    is_single[:-1] = change[1:]
-    is_single[-1] = True
-    is_single &= change
-    if is_single.all():
-        _gather_add_rows(out, sorted_idx, sorted_upd)
-        _arena.release(sorted_upd)
-        return
-    if is_single.any():
-        single_rows = np.nonzero(is_single)[0]
-        single_upd = _arena.empty((single_rows.shape[0],) + row_shape,
-                                  sorted_upd.dtype)
-        np.take(sorted_upd, single_rows, axis=0, out=single_upd, mode="clip")
-        _gather_add_rows(out, sorted_idx[single_rows], single_upd)
-        _arena.release(single_upd)
-        multi_rows = np.nonzero(np.logical_not(is_single, out=is_single))[0]
-        multi_upd = _arena.empty((multi_rows.shape[0],) + row_shape,
-                                 sorted_upd.dtype)
-        np.take(sorted_upd, multi_rows, axis=0, out=multi_upd, mode="clip")
-        _arena.release(sorted_upd)
-        sorted_idx = sorted_idx[multi_rows]
-        sorted_upd = multi_upd
-        change = np.empty(sorted_idx.shape[0], dtype=bool)
-        change[0] = True
-        np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=change[1:])
-    starts = np.nonzero(change)[0]
-    sums = _arena.empty((starts.shape[0],) + row_shape, sorted_upd.dtype)
-    np.add.reduceat(sorted_upd, starts, axis=0, out=sums)
-    _gather_add_rows(out, sorted_idx[starts], sums)
-    _arena.release(sorted_upd, sums)
-
-
-def _scatter_add_index(out: np.ndarray, index, grad: np.ndarray) -> None:
-    """Scatter-add for an advanced ``__getitem__`` index (gradient of a gather).
-
-    Integer-array indices (the token-gather and row/column-pick patterns the
-    stack actually uses) are linearised and routed through
-    :func:`scatter_add_rows`; anything else — boolean masks, mixed
-    array/slice tuples — falls back to ``np.add.at``, which handles full
-    NumPy advanced-indexing semantics.
-    """
-    parts = index if isinstance(index, tuple) else (index,)
-    arrays = []
-    for part in parts:
-        if isinstance(part, (np.ndarray, list)):
-            array = np.asarray(part)
-            if np.issubdtype(array.dtype, np.integer):
-                arrays.append(array)
-                continue
-        arrays = None
-        break
-    if not arrays:  # non-integer parts present (or empty tuple): general path
-        np.add.at(out, index, grad)
-        return
-    n_axes = len(arrays)
-    arrays = [np.where(a < 0, a + dim, a) if a.size and a.min() < 0 else a
-              for a, dim in zip(arrays, out.shape)]
-    if n_axes == 1:
-        scatter_add_rows(out, arrays[0], grad)
-        return
-    linear = np.ravel_multi_index(tuple(arrays), out.shape[:n_axes])
-    flat_view = out.reshape(-1, *out.shape[n_axes:])
-    scatter_add_rows(flat_view, linear, grad)
-
-
 def _graph_freed_sentinel(grad):  # pragma: no cover - never invoked
     raise RuntimeError("freed graph sentinel should never be called")
 
@@ -922,7 +788,7 @@ class Tensor:
         def backward(grad):
             full = _arena.zeros(shape, dtype)
             if advanced:
-                _scatter_add_index(full, index, grad)
+                np.add.at(full, index, grad)
             else:
                 full[index] = grad
             return (full,)
@@ -1035,7 +901,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(grad):
         full = _arena.zeros((vocab, dim), weight.data.dtype)
-        scatter_add_rows(full, indices.reshape(-1), grad.reshape(-1, dim))
+        np.add.at(full, idx_flat, grad.reshape(-1, dim))
         return (full,)
 
     return Tensor._make(data, (weight,), backward)

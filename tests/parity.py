@@ -282,6 +282,9 @@ def build_cases() -> List[ParityCase]:
                    [x, w, b, a, bm], tol_ref=1e-4, replayable=True))
 
     # -- cross entropy on logits -------------------------------------------
+    # F.cross_entropy runs the taped reference in both kernel modes (the
+    # fused loss is linear_cross_entropy below), so these rows gradcheck that
+    # composition against finite differences and record no plan entry.
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(2, 4, 7)).astype(np.float32)
     targets = rng.integers(0, 7, size=(2, 4))
@@ -289,14 +292,14 @@ def build_cases() -> List[ParityCase]:
     add(ParityCase("cross_entropy", "cross_entropy-ignore-index",
                    lambda t: F.cross_entropy(t, targets),
                    lambda t: reference.cross_entropy_logits(t, targets),
-                   [logits], scalar_output=True, replayable=True))
+                   [logits], scalar_output=True))
     logits_s = rng.normal(size=(2, 5, 6)).astype(np.float32)
     targets_s = rng.integers(0, 6, size=(2, 5))
     add(ParityCase("cross_entropy", "cross_entropy-shifted",
                    lambda t: F.cross_entropy(t, targets_s, shift=True),
                    lambda t: reference.cross_entropy_logits(t, targets_s, shift=True),
-                   [logits_s], scalar_output=True, replayable=True))
-    # One sequence: the shifted slices are flat views of the inputs.
+                   [logits_s], scalar_output=True))
+    # One sequence, with an ignored target.
     rng_1 = np.random.default_rng(55)
     logits_1 = rng_1.normal(size=(1, 6, 5)).astype(np.float32)
     targets_1 = rng_1.integers(0, 5, size=(1, 6))
@@ -304,14 +307,14 @@ def build_cases() -> List[ParityCase]:
     add(ParityCase("cross_entropy", "cross_entropy-shifted-one-sequence",
                    lambda t: F.cross_entropy(t, targets_1, shift=True),
                    lambda t: reference.cross_entropy_logits(t, targets_1, shift=True),
-                   [logits_1], scalar_output=True, replayable=True))
+                   [logits_1], scalar_output=True))
     logits_2d = rng.normal(size=(9, 5)).astype(np.float64)
     targets_2d = rng.integers(0, 5, size=9)
     targets_2d[3] = -100
     add(ParityCase("cross_entropy", "cross_entropy-2d-f64-input",
                    lambda t: F.cross_entropy(t, targets_2d),
                    lambda t: reference.cross_entropy_logits(t, targets_2d),
-                   [logits_2d], scalar_output=True, replayable=True))
+                   [logits_2d], scalar_output=True))
     # Flat float32 logits with no ignored target, and logits offset far
     # enough that an exp without the row-max subtraction overflows float32.
     rng_f = np.random.default_rng(110)
@@ -320,27 +323,28 @@ def build_cases() -> List[ParityCase]:
     add(ParityCase("cross_entropy", "cross_entropy-2d-f32",
                    lambda t: F.cross_entropy(t, targets_f),
                    lambda t: reference.cross_entropy_logits(t, targets_f),
-                   [logits_f], scalar_output=True, replayable=True))
+                   [logits_f], scalar_output=True))
     logits_o = (rng_f.normal(size=(2, 3, 6)) + 100.0).astype(np.float32)
     targets_o = rng_f.integers(0, 6, size=(2, 3))
     add(ParityCase("cross_entropy", "cross_entropy-offset-logits",
                    lambda t: F.cross_entropy(t, targets_o),
                    lambda t: reference.cross_entropy_logits(t, targets_o),
-                   [logits_o], scalar_output=True, replayable=True))
+                   [logits_o], scalar_output=True))
 
     # -- LM head + cross entropy, chunked over the scored rows ---------------
     # The kernel walks fused.LOSS_ROW_CHUNK (128) scored rows at a time; the
     # reference twin is the taped linear + cross-entropy chain over the whole
     # logits.  Frozen weights are closure constants, as under PEFT.
     def head_case(tag, h, w, targets, trainable=False, upstream=1.0,
-                  **tols):
+                  shift=True, **tols):
         def dispatch(hh, ww=None, w=Tensor(w)):
-            loss = F.linear_cross_entropy(hh, w if ww is None else ww, targets)[0]
+            loss = F.linear_cross_entropy(hh, w if ww is None else ww, targets,
+                                          shift=shift)[0]
             return loss if upstream == 1.0 else loss * upstream
 
         def twin(hh, ww=None, w=Tensor(w)):
             loss = reference.linear_cross_entropy(hh, w if ww is None else ww,
-                                                  targets)[0]
+                                                  targets, shift=shift)[0]
             return loss if upstream == 1.0 else loss * upstream
 
         add(ParityCase("linear_cross_entropy", f"linear_cross_entropy-{tag}",
@@ -375,6 +379,18 @@ def build_cases() -> List[ParityCase]:
     h, w = _normals(rng, (2, 6, 4), (5, 4))
     head_case("upstream-0.5", h, w, rng.integers(0, 5, size=(2, 6)),
               trainable=True, upstream=0.5)
+    # Without shift every row is scored, all of them one sequence: flat
+    # float64 rows (downcast on input) into a trainable weight, and a batch
+    # of sequences with ignored targets.
+    h, w = _normals(rng, (9, 4), (5, 4), dtype=np.float64)
+    targets_n = rng.integers(0, 5, size=9)
+    targets_n[3] = -100
+    head_case("noshift-2d-f64-input", h, w, targets_n, trainable=True,
+              shift=False)
+    h, w = _normals(rng, (2, 4, 3), (7, 3))
+    targets_n = rng.integers(0, 7, size=(2, 4))
+    targets_n[0, 1] = -100
+    head_case("noshift-3d-ignore-index", h, w, targets_n, shift=False)
 
     # -- dense attention core ----------------------------------------------
     rng = np.random.default_rng(6)

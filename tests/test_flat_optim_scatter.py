@@ -1,15 +1,14 @@
-"""Equivalence tests for the flattened optimizer and the reduceat scatter.
+"""Equivalence tests for the flattened optimizer and the gather backwards.
 
 * The flattened single-buffer Adam must reproduce the original
   per-parameter Python loop **bitwise** over a multi-step trajectory, on
   small and on large parameters — including steps where some parameters
   have no gradient (which runs the per-parameter arithmetic over views of
   the shared flat state) — and the ``state_size_bytes`` accounting.
-* The sort/``np.add.reduceat`` embedding-backward scatter must agree with
-  ``np.add.at`` — exactly on order-insensitive (integer-valued) updates,
-  where any summation order produces the same floats, and to float rounding
-  on arbitrary ones (``reduceat`` accumulates long duplicate segments
-  pairwise, which is at least as accurate as ``add.at``'s sequential order).
+* The embedding and advanced-index ``__getitem__`` backwards must
+  scatter-add duplicate rows exactly as ``np.add.at`` does, on
+  integer-valued updates (where any summation order gives the same floats),
+  and leave every row no index names at zero.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import pytest
 from repro.nn.module import Parameter
 from repro.optim import Adam
 from repro.tensor import Tensor
-from repro.tensor.tensor import embedding_lookup, scatter_add_rows
+from repro.tensor.tensor import embedding_lookup
 
 
 # ---------------------------------------------------------------------------
@@ -212,77 +211,12 @@ class TestFlatLayout:
 
 
 # ---------------------------------------------------------------------------
-# embedding-backward scatter (sort + np.add.reduceat)
+# gather backwards: the embedding and advanced-index scatter-adds
 # ---------------------------------------------------------------------------
 
 def _exact_updates(rng, n, dim):
     """Integer-valued float32 updates: every summation order is exact."""
     return rng.integers(-8, 9, size=(n, dim)).astype(np.float32)
-
-
-class TestScatterAddRows:
-    def test_duplicate_indices_exact(self):
-        rng = np.random.default_rng(0)
-        idx = np.array([3, 1, 3, 3, 0, 1, 3, 9, 9, 3])
-        upd = _exact_updates(rng, len(idx), 5)
-        expected = np.zeros((10, 5), np.float32)
-        np.add.at(expected, idx, upd)
-        got = np.zeros((10, 5), np.float32)
-        scatter_add_rows(got, idx, upd)
-        np.testing.assert_array_equal(got, expected)
-
-    def test_empty_rows_stay_zero(self):
-        rng = np.random.default_rng(1)
-        idx = np.array([2, 2, 5])
-        upd = rng.normal(size=(3, 4)).astype(np.float32)
-        out = np.zeros((8, 4), np.float32)
-        scatter_add_rows(out, idx, upd)
-        untouched = np.setdiff1d(np.arange(8), idx)
-        assert np.all(out[untouched] == 0.0)
-        assert np.all(out[np.unique(idx)] != 0.0)
-
-    def test_empty_index_array_is_noop(self):
-        out = np.ones((4, 3), np.float32)
-        scatter_add_rows(out, np.array([], dtype=np.int64),
-                         np.zeros((0, 3), np.float32))
-        np.testing.assert_array_equal(out, np.ones((4, 3), np.float32))
-
-    def test_negative_indices_alias_positive_rows_exact(self):
-        rng = np.random.default_rng(2)
-        idx = np.array([-1, 9, 4, -6, 4, -1])
-        upd = _exact_updates(rng, len(idx), 3)
-        expected = np.zeros((10, 3), np.float32)
-        np.add.at(expected, idx, upd)
-        got = np.zeros((10, 3), np.float32)
-        scatter_add_rows(got, idx, upd)
-        np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("distribution", ["uniform", "zipf", "all-same"])
-    def test_large_vocab_exact(self, distribution):
-        rng = np.random.default_rng(3)
-        vocab, dim, n = 50257, 16, 4096
-        if distribution == "uniform":
-            idx = rng.integers(0, vocab, size=n)
-        elif distribution == "zipf":
-            idx = np.minimum(rng.zipf(1.3, size=n) - 1, vocab - 1)
-        else:
-            idx = np.full(n, 42)
-        upd = _exact_updates(rng, n, dim)
-        expected = np.zeros((vocab, dim), np.float32)
-        np.add.at(expected, idx, upd)
-        got = np.zeros((vocab, dim), np.float32)
-        scatter_add_rows(got, idx, upd)
-        np.testing.assert_array_equal(got, expected)
-
-    def test_gaussian_updates_match_to_float_rounding(self):
-        rng = np.random.default_rng(4)
-        idx = np.minimum(rng.zipf(1.3, size=2048) - 1, 999)
-        upd = rng.normal(size=(2048, 8)).astype(np.float32)
-        expected = np.zeros((1000, 8), np.float32)
-        np.add.at(expected, idx, upd)
-        got = np.zeros((1000, 8), np.float32)
-        scatter_add_rows(got, idx, upd)
-        np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-4)
 
 
 class TestEmbeddingBackwardScatter:

@@ -279,28 +279,40 @@ def _sdpa_in_head_slices(q, k, v):
         return fused.scaled_dot_product_attention(q, k, v, causal_mask(48), tile=16)
 
 
-# One tile over all 48 rows, three of 16, and those three cut into 1 + 2 + 2
-# head slices.
-_DENSE_KERNELS = {
+def _class_chunks(q, k, v):
+    """Blocks of 8, every block row keeping key block 0, the previous block
+    and its own, run in the layout's six capacity-class chunks."""
+    masks = np.eye(6, dtype=bool) | np.eye(6, k=-1, dtype=bool)
+    masks[:, 0] = True
+    layout = layout_from_block_masks(np.repeat(masks[None], 2, axis=0), 8)
+    return fused.tiled_attention(q, k, v, compute_block_geometry(layout, 48))
+
+
+# One tile over all 48 rows, three of 16, those three cut into 1 + 2 + 2
+# head slices, and a block-sparse layout's class chunks.
+_ATTENTION_KERNELS = {
     "sdpa": lambda q, k, v: fused.scaled_dot_product_attention(q, k, v, causal_mask(48)),
     "row-tiles": lambda q, k, v: fused.scaled_dot_product_attention(
         q, k, v, causal_mask(48), tile=16),
     "head-slices": _sdpa_in_head_slices,
+    "class-chunks": _class_chunks,
 }
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.parametrize("name,gemms_saved",
-                         [("sdpa", 1), ("row-tiles", 3), ("head-slices", 5)],
-                         ids=["sdpa", "row-tiles", "head-slices"])
+                         [("sdpa", 1), ("row-tiles", 3), ("head-slices", 5),
+                          ("class-chunks", 6)],
+                         ids=["sdpa", "row-tiles", "head-slices", "class-chunks"])
 def test_frozen_key_skips_its_gemm(name, gemms_saved, monkeypatch):
     # Layer 0 of a LoRA-q/v model sees a frozen k: no dK is formed, and the
     # gradients that are formed keep every bit.  No stack splits unless the
     # row sets its own budget, so the counts hold whatever the module's.
-    # One dK GEMM fewer per tile, and per slice once tiles split.
+    # One dK GEMM fewer per tile, per slice once tiles split, and per class
+    # chunk.
     monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", 1 << 62)
-    trained = _attention_backward(_DENSE_KERNELS[name], True, monkeypatch)
-    frozen = _attention_backward(_DENSE_KERNELS[name], False, monkeypatch)
+    trained = _attention_backward(_ATTENTION_KERNELS[name], True, monkeypatch)
+    frozen = _attention_backward(_ATTENTION_KERNELS[name], False, monkeypatch)
     assert frozen[0] == trained[0] - gemms_saved
     assert frozen[2] is None and trained[2] is not None
     assert np.array_equal(frozen[1], trained[1])
@@ -323,7 +335,7 @@ def test_seven_gemms_per_dense_slice(name, gemms, monkeypatch):
     rng = np.random.default_rng(11)
     q, k, v = (Tensor(rng.normal(size=(1, 2, 48, 8)).astype(np.float32),
                       requires_grad=True) for _ in range(3))
-    out = _DENSE_KERNELS[name](q, k, v)
+    out = _ATTENTION_KERNELS[name](q, k, v)
     forward = len(calls)
     out.backward(np.ones_like(out.data))
     assert (forward, len(calls)) == gemms

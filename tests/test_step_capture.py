@@ -362,8 +362,8 @@ def _kernel_vetoes():
     return {
         "linear over a non-contiguous activation":
             lambda: fused.linear(strided, w, b, activation="relu"),
-        "cross entropy over non-contiguous logits":
-            lambda: fused.cross_entropy_logits(strided, targets)[0],
+        "linear cross entropy over a non-contiguous input":
+            lambda: fused.linear_cross_entropy(strided, w, targets, shift=False)[0],
         "neuron-sparse MLP over a non-contiguous activation":
             lambda: neuron_sparse_linear_pair(strided, w, b, w2, b2, active),
         "lora_linear over a non-contiguous activation":
