@@ -8,7 +8,9 @@
 * The embedding and advanced-index ``__getitem__`` backwards must
   scatter-add duplicate rows exactly as ``np.add.at`` does, on
   integer-valued updates (where any summation order gives the same floats),
-  and leave every row no index names at zero.
+  alias negative ids onto their positive rows, accept empty index arrays,
+  match float64 sums to float32 rounding on Gaussian updates, and leave
+  every row no index names at zero, even in a recycled arena buffer.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import pytest
 from repro.nn.module import Parameter
 from repro.optim import Adam
 from repro.tensor import Tensor
+from repro.tensor.arena import BufferArena
+from repro.tensor.arena import scope as arena_scope
 from repro.tensor.tensor import embedding_lookup
 
 
@@ -290,3 +294,91 @@ class TestGetitemScatter:
         expected = np.zeros((5, 2), np.float32)
         np.add.at(expected, idx, seed)
         np.testing.assert_array_equal(x.grad, expected)
+
+class TestGatherBackwardEdgeCases:
+    """Index patterns the two ``np.add.at`` backwards must get right: long
+    duplicate runs, aliasing negative ids, empty index arrays and recycled
+    arena buffers."""
+
+    def test_duplicate_indices_exact(self):
+        # Whole (5, 2) slabs of a 3-D tensor gathered along axis 0.
+        rng = np.random.default_rng(0)
+        idx = np.array([3, 1, 3, 3, 0, 1, 3, 9, 9, 3])
+        x = Tensor(rng.normal(size=(10, 5, 2)).astype(np.float32),
+                   requires_grad=True)
+        seed = _exact_updates(rng, len(idx), 10).reshape(-1, 5, 2)
+        x[idx].backward(seed)
+        expected = np.zeros((10, 5, 2), np.float32)
+        np.add.at(expected, idx, seed)
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_empty_rows_stay_zero(self):
+        # A recycled arena buffer full of NaN backs the embedding gradient:
+        # the rows no id names must come back zero, not stale.
+        rng = np.random.default_rng(1)
+        ids = np.array([2, 2, 5])
+        weight = Tensor(rng.normal(size=(8, 4)).astype(np.float32),
+                        requires_grad=True)
+        seed = rng.normal(size=(3, 4)).astype(np.float32)
+        arena = BufferArena()
+        arena.take((8, 4)).fill(np.nan)
+        arena.next_generation()
+        with arena_scope(arena):
+            embedding_lookup(weight, ids).backward(seed)
+        assert arena.hits >= 1
+        untouched = np.setdiff1d(np.arange(8), ids)
+        assert np.all(weight.grad[untouched] == 0.0)
+        assert np.all(np.isfinite(weight.grad))
+        assert np.all(weight.grad[np.unique(ids)] != 0.0)
+
+    def test_empty_index_array_is_noop(self):
+        rng = np.random.default_rng(2)
+        weight = Tensor(rng.normal(size=(4, 3)).astype(np.float32),
+                        requires_grad=True)
+        out = embedding_lookup(weight, np.array([], dtype=np.int64))
+        assert out.shape == (0, 3)
+        out.backward(np.zeros((0, 3), np.float32))
+        np.testing.assert_array_equal(weight.grad, np.zeros((4, 3), np.float32))
+        x = Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
+        x[np.array([], dtype=np.int64)].backward(np.zeros((0, 3), np.float32))
+        np.testing.assert_array_equal(x.grad, np.zeros((4, 3), np.float32))
+
+    def test_negative_indices_alias_positive_rows_exact(self):
+        # -1 aliases row 9 and -6 row 4, each next to its positive twin.
+        rng = np.random.default_rng(3)
+        ids = np.array([-1, 9, 4, -6, 4, -1])
+        weight = Tensor(rng.normal(size=(10, 3)).astype(np.float32),
+                        requires_grad=True)
+        seed = _exact_updates(rng, len(ids), 3)
+        embedding_lookup(weight, ids).backward(seed)
+        expected = np.zeros((10, 3), np.float32)
+        np.add.at(expected, ids, seed)
+        np.testing.assert_array_equal(weight.grad, expected)
+        np.testing.assert_array_equal(weight.grad[9], seed[[0, 1, 5]].sum(0))
+
+    @pytest.mark.parametrize("distribution", ["uniform", "zipf", "all-same"])
+    def test_large_vocab_exact(self, distribution):
+        rng = np.random.default_rng(4)
+        vocab, dim, n = 50257, 16, 4096
+        if distribution == "uniform":
+            ids = rng.integers(0, vocab, size=n)
+        elif distribution == "zipf":
+            ids = np.minimum(rng.zipf(1.3, size=n) - 1, vocab - 1)
+        else:
+            ids = np.full(n, 42)
+        weight = Tensor(np.zeros((vocab, dim), np.float32), requires_grad=True)
+        seed = _exact_updates(rng, n, dim)
+        embedding_lookup(weight, ids).backward(seed)
+        expected = np.zeros((vocab, dim), np.float32)
+        np.add.at(expected, ids, seed)
+        np.testing.assert_array_equal(weight.grad, expected)
+
+    def test_gaussian_updates_match_float64_sums_to_rounding(self):
+        rng = np.random.default_rng(5)
+        ids = np.minimum(rng.zipf(1.3, size=2048) - 1, 999)
+        weight = Tensor(np.zeros((1000, 8), np.float32), requires_grad=True)
+        seed = rng.normal(size=(2048, 8)).astype(np.float32)
+        embedding_lookup(weight, ids).backward(seed)
+        expected = np.zeros((1000, 8), np.float64)
+        np.add.at(expected, ids, seed.astype(np.float64))
+        np.testing.assert_allclose(weight.grad, expected, rtol=1e-5, atol=1e-4)
