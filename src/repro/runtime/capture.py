@@ -45,6 +45,31 @@ recently stepped signatures.
 Full-plan buffers are plain allocations — never arena takes — so generation
 recycling cannot reclaim live plan state.
 
+**Forward-only slab.**  A plan would otherwise keep every activation its
+forward wrote for the whole step, although the retained backward reads
+only some of them.  So a capture's first recording is a *learning* one:
+once its forward has run, the capture walks every array the retained
+backward closures, the loss and the staged inputs can reach (closure cells,
+defaults, bound methods, ``Tensor.data``, containers, ``__slots__`` and
+instance attributes, dataclass fields among them) and every array each
+forward entry can reach.  A node's output that none of the former reach is
+*forward-only*: live from the entry that binds it to the last entry that
+reads it.  (Only a node's whole output qualifies — a kernel's run rewrites
+it every replay, whereas other plan buffers may hold state bound once at
+record time.)  :func:`assign_offsets` colours those intervals into one
+slab, the learning recording's graph is broken up so its buffers are freed
+before anything else is allocated (``ru_maxrss`` is a high-water mark),
+and the same forward is recorded again with a
+:class:`~repro.tensor.plan.SlabPlan` that hands the forward-only buffers
+out as slab views.  The engine's masks are derived by the first of the two
+forwards and reused by the second, so the step's engine state, counters
+and numbers are one forward's.  Later captures of the signature — refresh
+steps, dropped plans, a signature evicted and stepped again — record once,
+with the learned slab plan, and re-walk only the backward: a recording
+that does not repeat the learned entry tags and slots, or whose backward
+reaches the slab, is recorded again over plain buffers and counted in
+``slab_misses``.
+
 Contract: capture mode assumes the standard training-step shape — gradients
 are consumed and zeroed within the step, and no Tensor from step ``N`` is
 read at step ``N + 1`` (the arena recycles step ``N``'s buffers wholesale).
@@ -56,18 +81,190 @@ the retained schedule is executed once per step).
 from __future__ import annotations
 
 import time
+import types
 from collections import defaultdict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.tensor import arena as _tensor_arena
 from repro.tensor import plan as _tensor_plan
 from repro.tensor.arena import BufferArena
-from repro.tensor.plan import ForwardPlan, ForwardRecorder
+from repro.tensor.plan import ForwardPlan, ForwardRecorder, SlabPlan
 from repro.tensor.tensor import Tensor
 
-__all__ = ["StepCapture"]
+__all__ = ["StepCapture", "assign_offsets"]
+
+# Every slab offset is a multiple of this many bytes.
+SLAB_ALIGN = 64
+
+
+def assign_offsets(sizes: Sequence[int], intervals: Sequence[Tuple[int, int]],
+                   align: int = SLAB_ALIGN) -> Tuple[List[int], int]:
+    """Greedy interval colouring: slab offsets for buffers of ``sizes``
+    bytes, each live over an inclusive ``(first, last)`` interval.
+
+    Largest buffer first (ties: earlier ``first``, then input order), each
+    at the lowest ``align``-multiple offset clear of every buffer placed
+    before it whose interval meets its own — so two buffers live at one
+    moment never share a byte.  Returns the offsets in input order and the
+    slab's size.
+    """
+    order = sorted(range(len(sizes)),
+                   key=lambda i: (-sizes[i], intervals[i][0], i))
+    offsets = [0] * len(sizes)
+    placed: List[int] = []
+    total = 0
+    for i in order:
+        first, last = intervals[i]
+        offset = 0
+        for lo, hi in sorted((offsets[j], offsets[j] + sizes[j]) for j in placed
+                             if intervals[j][0] <= last and first <= intervals[j][1]):
+            if offset + sizes[i] <= lo:
+                break
+            offset = max(offset, -(-hi // align) * align)
+        offsets[i] = offset
+        placed.append(i)
+        total = max(total, offset + sizes[i])
+    return offsets, total
+
+
+def _reached(roots: Iterable) -> List[np.ndarray]:
+    """Every array ``roots`` reach through closure cells and defaults, bound
+    methods, ``Tensor.data`` (not a node's parents or closure), containers,
+    ``__slots__`` and instance attributes (dataclass fields among them)."""
+    arrays: List[np.ndarray] = []
+    seen: Set[int] = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (str, bytes, int, float, type, types.ModuleType, np.generic)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:           # a cell not yet assigned
+                    pass
+            stack.extend(obj.__defaults__ or ())
+            stack.extend((obj.__kwdefaults__ or {}).values())
+        elif isinstance(obj, types.MethodType):
+            stack += [obj.__self__, obj.__func__]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        else:
+            for cls in type(obj).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, name):
+                        stack.append(getattr(obj, name))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return arrays
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array at the end of ``a``'s chain of views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _span(a: np.ndarray) -> Tuple[int, int]:
+    """The address range ``[lo, hi)`` of ``a``'s bytes."""
+    lo = hi = a.__array_interface__["data"][0]
+    if a.size == 0:
+        return lo, lo
+    for dim, stride in zip(a.shape, a.strides):
+        if stride < 0:
+            lo += stride * (dim - 1)
+        else:
+            hi += stride * (dim - 1)
+    return lo, hi + a.itemsize
+
+
+def _touched(arrays: Iterable[np.ndarray],
+             buffers: Sequence[np.ndarray]) -> Set[int]:
+    """Indices of the ``buffers`` (arrays that own their memory) whose bytes
+    any of ``arrays`` views."""
+    index = {id(buf): i for i, buf in enumerate(buffers)}
+    spans = None
+    hits: Set[int] = set()
+    for array in arrays:
+        owner = _owner(array)
+        if owner.flags.owndata:
+            if id(owner) in index:
+                hits.add(index[id(owner)])
+            continue
+        # Memory from some other object (``as_strided``, a raw buffer):
+        # compare addresses.
+        if spans is None:
+            spans = [_span(buf) for buf in buffers]
+        lo, hi = _span(array)
+        hits.update(i for i, (b_lo, b_hi) in enumerate(spans)
+                    if lo < b_hi and b_lo < hi)
+    return hits
+
+
+def _learn_slab(rec: ForwardRecorder, backward_roots: List) -> Optional[SlabPlan]:
+    """The slab plan for a plain recording's forward-only buffers, or None
+    when it has none (see the module docstring)."""
+    keyed = {id(buf): i for i, (buf, key) in enumerate(zip(rec.buffers, rec.keys))
+             if key is not None and buf.nbytes}
+    outputs = set()
+    for out in rec.outputs:
+        i = keyed.get(id(_owner(out)))
+        if i is not None and out.nbytes == rec.buffers[i].nbytes:
+            outputs.add(i)
+    candidates = sorted(outputs)
+    backward = _touched(_reached(backward_roots), [rec.buffers[i] for i in candidates])
+    chosen = [i for k, i in enumerate(candidates) if k not in backward]
+    if not chosen:
+        return None
+    buffers = [rec.buffers[i] for i in chosen]
+    last = [rec.keys[i][0] for i in chosen]
+    for j, entry in enumerate(rec.entries):
+        for k in _touched(_reached([entry.run]), buffers):
+            last[k] = max(last[k], j)
+    intervals = [(rec.keys[i][0], end) for i, end in zip(chosen, last)]
+    offsets, nbytes = assign_offsets([buf.nbytes for buf in buffers], intervals)
+    slots = {rec.keys[i]: BufferArena._key(buf.shape, buf.dtype) + (offset, end)
+             for i, buf, offset, (_, end) in zip(chosen, buffers, offsets, intervals)}
+    return SlabPlan(slots, nbytes, [entry.tag for entry in rec.entries])
+
+
+def _slab_holds(rec: ForwardRecorder, backward_roots: List) -> bool:
+    """Whether a recording made with a slab plan kept to it: the learned
+    entry tags, every slot handed out, and no backward reach into the slab."""
+    plan = rec.slab_plan
+    if (tuple(entry.tag for entry in rec.entries) != plan.tags
+            or len(rec.slots) != len(plan.slots)):
+        return False
+    return not _touched(_reached(backward_roots), [rec.slab])
+
+
+def _backward_roots(loss: Tensor, staged: Iterable[np.ndarray]) -> List:
+    """What a compiled step reads after its forward: the retained backward
+    closures, the loss and the staged inputs."""
+    return ([node._backward for node in loss._schedule()
+             if node._backward is not None] + [loss] + list(staged))
+
+
+def _break_graph(loss: Tensor, rec: ForwardRecorder) -> None:
+    """Drop the closures and parent links of the nodes ``rec`` saw built
+    below ``loss``: they form reference cycles, which would keep the
+    recording's buffers alive until the next cycle collection."""
+    for node in loss._schedule():
+        if id(node) in rec.built:
+            node._backward = None
+            node._parents = ()
 
 
 class StepCapture:
@@ -82,8 +279,12 @@ class StepCapture:
     # Vetoed compiles in a row that give up.
     MAX_FAILURES = 3
 
-    def __init__(self):
+    def __init__(self, slab_plan: Optional[SlabPlan] = None):
         self.arena = BufferArena()
+        # Where the signature's forward-only buffers go (see the module
+        # docstring); learned by the first recording when None.
+        self.slab_plan = slab_plan
+        self.slab_misses = 0
         # Counters (surfaced as profiler gauges by the trainer).
         self.steps = 0
         self.last_step_allocations = 0
@@ -151,9 +352,63 @@ class StepCapture:
         return (self.forward_plan is None
                 and self._full_failures < self.MAX_FAILURES)
 
-    def begin_full_capture(self) -> ForwardRecorder:
-        """Install a :class:`ForwardRecorder` around this step's forward."""
-        rec = ForwardRecorder()
+    def record_forward(self, forward: Callable[[], Tensor]) -> Tensor:
+        """Record this step's forward, ``forward()`` returning its loss.
+
+        Without a slab plan the recording is the learning one: when it has
+        forward-only buffers, its graph is broken up and the forward is
+        recorded again with the plan learned from it.  With a slab plan the
+        recording uses it, and is recorded again over plain buffers if it
+        did not keep to it.  The loss returned is the recording's that
+        :meth:`finish_full_capture` compiles.
+        """
+        loss = self._record(forward, self.slab_plan)
+        if self.slab_plan is None:
+            self.slab_plan = self._learn(loss)
+            if self.slab_plan is None:
+                return loss
+            self._drop_recording(loss)
+            loss = None
+            loss = self._record(forward, self.slab_plan)
+        rec = self._recorder
+        if rec.ok() and _slab_holds(rec, _backward_roots(loss, self._staged.values())):
+            return loss
+        self.slab_misses += 1
+        self._drop_recording(loss)
+        loss = rec = None
+        loss = self._record(forward, None)
+        # A miss keeps its plain buffers; what it learns serves the next capture.
+        self.slab_plan = self._learn(loss)
+        return loss
+
+    def _learn(self, loss: Tensor) -> Optional[SlabPlan]:
+        """The slab plan of the current plain recording, None if it has
+        nothing to share or did not record."""
+        rec = self._recorder
+        if not rec.ok():
+            return None
+        return _learn_slab(rec, _backward_roots(loss, self._staged.values()))
+
+    def _drop_recording(self, loss: Tensor) -> None:
+        """Free the current recording and its graph below ``loss`` now."""
+        _break_graph(loss, self._recorder)
+        self._recorder = None
+
+    def _record(self, forward: Callable[[], Tensor],
+                slab_plan: Optional[SlabPlan]) -> Tensor:
+        self.begin_full_capture(slab_plan)
+        try:
+            return forward()
+        except BaseException:
+            self.abort_full_capture()
+            raise
+        finally:
+            _tensor_plan.set_recorder(None)
+
+    def begin_full_capture(self, slab_plan: Optional[SlabPlan] = None) -> ForwardRecorder:
+        """Install a :class:`ForwardRecorder` around a forward the caller
+        runs next (:meth:`record_forward` is the whole recording step)."""
+        rec = ForwardRecorder(slab_plan)
         self._recorder = rec
         _tensor_plan.set_recorder(rec)
         return rec
@@ -195,7 +450,8 @@ class StepCapture:
             self._full_failures += 1
             self.full_fail_reason = reason
             return False
-        self.forward_plan = ForwardPlan(rec.entries, rec.owned())
+        self.forward_plan = ForwardPlan(rec.entries, rec.owned(),
+                                        rec.scratch.buffers(), rec.slots)
         self.full_schedule = schedule
         self.full_loss = loss
         self.full_seed = np.ones_like(loss.data)
@@ -313,7 +569,8 @@ class StepCapture:
         evicting a signature must reclaim its whole working set — the
         compiled plan's buffers, the retained backward schedule, and the
         arena pool they came from — not just forget the plan object.  A
-        retired capture stays usable: its next step records a new plan.
+        retired capture stays usable: its next step records a new plan,
+        with the slab plan it learned (a few ints, kept).
 
         Recovery paths call this unconditionally from any failure point, so
         it must be safe to call twice and safe on an instance whose
@@ -324,19 +581,29 @@ class StepCapture:
 
     # -- reporting -----------------------------------------------------------
     def plan_bytes(self) -> int:
-        """Bytes the compiled plan owns: its plan buffers and scratch pool."""
+        """Bytes the compiled plan owns: its plan buffers, its forward-only
+        slab (once) and its scratch pool."""
         return self.forward_plan.nbytes if self.forward_plan is not None else 0
+
+    def forward_only_bytes(self) -> int:
+        """What the compiled plan's slab views would hold unshared."""
+        if self.forward_plan is None:
+            return 0
+        return sum(view.nbytes for view, _ in self.forward_plan.slots)
 
     def gauges(self) -> Dict[str, float]:
         """Point-in-time metrics for :meth:`PhaseProfiler.set_gauge`.
 
         ``arena_bytes`` and ``plan_bytes`` together are the step's resident
         buffers: what the arena pools, and what the compiled plan owns.
+        ``forward_only_bytes`` is what the plan's forward-only buffers
+        would hold without their shared slab.
         """
         return {
             "arena_allocations_step": float(self.last_step_allocations),
             "arena_bytes": float(self.arena.bytes_held),
             "plan_bytes": float(self.plan_bytes()),
+            "forward_only_bytes": float(self.forward_only_bytes()),
             "arena_hit_rate": self.arena.hit_rate(),
             "arena_evictions": float(self.arena.evictions),
             "capture_full_captures": float(self.full_captures),
@@ -351,4 +618,6 @@ class StepCapture:
                 f"full_fallbacks={self.full_fallbacks}, "
                 f"arena={self.arena.bytes_held / 1024 ** 2:.1f} MiB, "
                 f"plan={self.plan_bytes() / 1024 ** 2:.1f} MiB, "
+                f"forward_only={self.forward_only_bytes() / 1024 ** 2:.1f} MiB, "
+                f"slab_misses={self.slab_misses}, "
                 f"allocs/step={self.last_step_allocations})")

@@ -23,6 +23,7 @@ from repro.optim import Adam, clip_grad_norm
 from repro.runtime.capture import StepCapture
 from repro.runtime.profiler import PhaseProfiler
 from repro.tensor import fused
+from repro.tensor.plan import SlabPlan
 
 # Step signatures a tuner keeps a capture for; the least recently stepped
 # one beyond this is retired.
@@ -201,6 +202,9 @@ class FineTuner:
         self.captures: Dict[Hashable, StepCapture] = {}
         self.capture: Optional[StepCapture] = None
         self.recaptures = 0
+        # The slab plans of the last MAX_CAPTURES evicted signatures: one
+        # stepped again re-captures without a learning forward.
+        self._slab_plans: Dict[Hashable, SlabPlan] = {}
         self.grad_reducer = grad_reducer
         # Kernel routing is a value on the model, set once here.  The
         # process globals a step still consults: the reference-tape flag
@@ -232,16 +236,22 @@ class FineTuner:
         A new signature gets a fresh capture, whose first step records the
         plan; past ``MAX_CAPTURES`` the least recently stepped signature's
         capture is retired (dicts keep insertion order, so a hit re-inserts
-        at the tail).
+        at the tail) and its slab plan kept for its next capture.
         """
         capture = self.captures.pop(signature, None)
         if capture is None:
-            capture = StepCapture()
+            capture = StepCapture(self._slab_plans.pop(signature, None))
             if self.capture is not None:
                 self.recaptures += 1
         self.captures[signature] = capture
         if len(self.captures) > MAX_CAPTURES:
-            self.captures.pop(next(iter(self.captures))).retire()
+            evicted = next(iter(self.captures))
+            retired = self.captures.pop(evicted)
+            retired.retire()
+            if retired.slab_plan is not None:
+                self._slab_plans[evicted] = retired.slab_plan
+                if len(self._slab_plans) > MAX_CAPTURES:
+                    self._slab_plans.pop(next(iter(self._slab_plans)))
         self.capture = capture
         return capture
 
@@ -309,27 +319,23 @@ class FineTuner:
                     loss_value = None
 
             if loss_value is None:
-                rec = None
-                ids, lab = input_ids, labels
-                if full and capture.wants_full_capture():
+                recording = full and capture.wants_full_capture()
+                start = time.perf_counter()
+                if recording:
                     # Run this forward over the persistent staging buffers so
                     # the recorded thunks are bound to arrays every later
                     # replay refreshes in place.
                     ids = capture.stage("input_ids", input_ids)
                     lab = (capture.stage("labels", labels)
                            if labels is not None else None)
-                    rec = capture.begin_full_capture()
-                start = time.perf_counter()
-                try:
-                    loss, _ = self.model.loss(ids, labels=lab)
-                except BaseException:
-                    if rec is not None:
-                        capture.abort_full_capture()
-                    raise
+                    loss = capture.record_forward(
+                        lambda: self.model.loss(ids, labels=lab)[0])
+                else:
+                    loss, _ = self.model.loss(input_ids, labels=labels)
                 forward_s = time.perf_counter() - start
 
                 start = time.perf_counter()
-                if rec is not None:
+                if recording:
                     capture.finish_full_capture(
                         loss,
                         self.engine.layout_state()

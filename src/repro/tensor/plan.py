@@ -21,6 +21,12 @@ step's DFS schedule, retained with its graph):
   its kernel's only forward body (:func:`emit`): the interpreted forward
   calls the same function over arena buffers, so replay is bitwise identical
   to it by construction.
+* :class:`SlabPlan` — where a recording's forward-only buffers live: byte
+  offsets into one slab, learned by the capture from an earlier recording
+  of the same step (see :mod:`repro.runtime.capture`).  A recorder given
+  one hands those allocations out as views of its slab, so buffers whose
+  forward lifetimes never meet share bytes; every other buffer stays a
+  fresh array of its own.
 
 The recorder switch lives here (lowest layer) so ``tensor.py`` and the fused
 kernels can consult it without import cycles; the step-level lifecycle —
@@ -30,7 +36,7 @@ when to record, when to replay, when to invalidate — is owned by
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,6 +46,7 @@ __all__ = [
     "ForwardEntry",
     "ForwardRecorder",
     "ForwardPlan",
+    "SlabPlan",
     "recorder",
     "set_recorder",
 ]
@@ -58,6 +65,28 @@ class ForwardEntry:
         return f"ForwardEntry({self.tag or 'op'})"
 
 
+class SlabPlan:
+    """Byte offsets of a recording's forward-only buffers in one shared slab.
+
+    ``slots`` maps an allocation's key — the index of the entry being bound
+    when it was made and its ordinal among that entry's allocations — to
+    ``(shape, dtype, offset, last)``: the buffer the key must ask for (as
+    :class:`repro.tensor.arena.BufferArena` keys it), where it starts in the
+    slab, and the last forward entry that reads it.  No backward closure
+    reads a slot, so its bytes are free again once entry ``last`` has run.
+    ``nbytes`` is the slab's size; ``tags`` the entry tags of the recording
+    the plan was learned from, which a later recording must repeat for the
+    plan to apply.
+    """
+
+    __slots__ = ("slots", "nbytes", "tags")
+
+    def __init__(self, slots, nbytes: int, tags: Sequence[str]):
+        self.slots: Dict[Tuple[int, int], Tuple[tuple, str, int, int]] = dict(slots)
+        self.nbytes = int(nbytes)
+        self.tags: Tuple[str, ...] = tuple(tags)
+
+
 class ForwardRecorder:
     """Collects :class:`ForwardEntry` thunks during one capture forward.
 
@@ -70,18 +99,38 @@ class ForwardRecorder:
     the grad-carrying nodes among them: a retained backward schedule that
     reaches any other interior node would re-run a closure no replay
     refreshes, so the capture step does not compile it.  ``buffers`` lists
-    the plan buffers the kernels took through :func:`plan_alloc`.
+    the plan buffers the kernels took through :func:`plan_alloc`, the slab
+    once; ``keys`` holds the allocation key (see :class:`SlabPlan`) of each
+    of them that was taken uninitialised (``None`` for a zero-filled one).
+    ``outputs`` holds the data of every node built.
+
+    Given a ``slab_plan``, an uninitialised allocation whose key and shape
+    match a slot is a view of :attr:`slab` at the slot's offset, listed in
+    :attr:`slots` as ``(view, last)`` with the slot's last forward reader.
     """
 
     __slots__ = ("entries", "created", "noted", "built", "failed",
-                 "fail_reason", "scratch", "buffers")
+                 "fail_reason", "scratch", "buffers", "keys", "outputs",
+                 "slab_plan", "slab", "slots", "_site")
 
-    def __init__(self) -> None:
+    def __init__(self, slab_plan: Optional[SlabPlan] = None) -> None:
         self.entries: List[ForwardEntry] = []
         # The plan's scratch pool (see :func:`emit`): it lives as long as
         # this recording, and its buffers as long as the thunks bound to them.
         self.scratch = _arena.BufferArena()
         self.buffers: List[np.ndarray] = []
+        self.keys: List[Optional[Tuple[int, int]]] = []
+        self.outputs: List[np.ndarray] = []
+        self.slab_plan = slab_plan
+        self.slab: Optional[np.ndarray] = None
+        self.slots: List[Tuple[np.ndarray, int]] = []
+        if slab_plan is not None:
+            # Float32 words, like the activations it holds; slots are byte
+            # ranges of it.
+            self.slab = np.empty(-(-slab_plan.nbytes // 4), np.float32)
+            self.buffers.append(self.slab)
+            self.keys.append(None)
+        self._site = (0, 0)
         self.created = 0
         self.noted = 0
         self.built: Set[int] = set()
@@ -93,16 +142,37 @@ class ForwardRecorder:
         self.entries.append(ForwardEntry(run, tag))
         self.noted += 1
 
+    def _key(self) -> Tuple[int, int]:
+        """The next allocation's key: (entry being bound, ordinal in it)."""
+        entry, ordinal = self._site
+        if entry != len(self.entries):
+            entry, ordinal = len(self.entries), 0
+        self._site = (entry, ordinal + 1)
+        return entry, ordinal
+
     def empty(self, shape, dtype=np.float32) -> np.ndarray:
-        """A fresh plan buffer, listed in :attr:`buffers`."""
+        """An uninitialised plan buffer: the slab view of a matching slot,
+        or a fresh array listed in :attr:`buffers`."""
+        key = self._key()
+        slot = None if self.slab_plan is None else self.slab_plan.slots.get(key)
+        if slot is not None and slot[:2] == _arena.BufferArena._key(shape, dtype):
+            shape, dtype, offset, last = slot
+            size = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+            view = self.slab.view(np.uint8)[offset:offset + size].view(
+                dtype).reshape(shape)
+            self.slots.append((view, last))
+            return view
         buf = np.empty(shape, dtype)
         self.buffers.append(buf)
+        self.keys.append(key)
         return buf
 
     def zeros(self, shape, dtype=np.float32) -> np.ndarray:
         """A fresh zero-filled plan buffer, listed in :attr:`buffers`."""
+        self._key()
         buf = np.zeros(shape, dtype)
         self.buffers.append(buf)
+        self.keys.append(None)
         return buf
 
     def owned(self) -> Tuple[np.ndarray, ...]:
@@ -155,10 +225,11 @@ def plan_alloc(rec: Optional[ForwardRecorder], zero: bool = False):
     """The allocator for a kernel's own buffers: its outputs and whatever
     its ``run`` or its backward reads after the call.
 
-    While ``rec`` records, that is a fresh array the recording owns and
-    lists (:meth:`ForwardRecorder.empty`): the arena's generation recycling
-    must never reclaim plan state, and the list is what the plan's byte
-    count is taken from.  Otherwise it is the arena.  ``zero=True``
+    While ``rec`` records, that is an array the recording owns and lists
+    (:meth:`ForwardRecorder.empty`) — fresh, or a view of its slab where a
+    :class:`SlabPlan` places a forward-only buffer: the arena's generation
+    recycling must never reclaim plan state, and the list is what the
+    plan's byte count is taken from.  Otherwise it is the arena.  ``zero=True``
     zero-fills either way.  The sibling of :func:`scratch_alloc`.
     """
     if rec is not None:
@@ -212,16 +283,23 @@ def emit(rec: Optional[ForwardRecorder], run: Callable[[], None], tag: str,
 class ForwardPlan:
     """The recorded kernel calls over pre-bound buffers, in recorded order.
 
-    ``buffers`` are the arrays the plan owns (:meth:`ForwardRecorder.owned`);
-    ``nbytes`` is their footprint.
+    ``buffers`` are the arrays the plan owns (:meth:`ForwardRecorder.owned`:
+    its slab counted once, not its views); ``nbytes`` is their footprint.
+    ``scratch`` is the scratch pool's share of them, which every entry
+    rewrites before reading; ``slots`` are the slab views, each with the
+    last entry that reads it (:attr:`ForwardRecorder.slots`).
     """
 
-    __slots__ = ("entries", "buffers")
+    __slots__ = ("entries", "buffers", "scratch", "slots")
 
     def __init__(self, entries: Sequence[ForwardEntry],
-                 buffers: Sequence[np.ndarray] = ()):
+                 buffers: Sequence[np.ndarray] = (),
+                 scratch: Sequence[np.ndarray] = (),
+                 slots: Sequence[Tuple[np.ndarray, int]] = ()):
         self.entries: Tuple[ForwardEntry, ...] = tuple(entries)
         self.buffers: Tuple[np.ndarray, ...] = tuple(buffers)
+        self.scratch: Tuple[np.ndarray, ...] = tuple(scratch)
+        self.slots: Tuple[Tuple[np.ndarray, int], ...] = tuple(slots)
 
     def __len__(self) -> int:
         return len(self.entries)

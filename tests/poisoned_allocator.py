@@ -9,8 +9,13 @@ For every test it fills, through ``monkeypatch`` only:
 
 * every ``BufferArena.take`` that does not zero its buffer;
 * every buffer ``BufferArena.release`` accepts back into its free pool;
-* every fresh plan buffer (``ForwardRecorder.empty``);
-* every ``arena.empty`` made while no arena is active.
+* every fresh plan buffer (``ForwardRecorder.empty``), slab views included;
+* every ``arena.empty`` made while no arena is active;
+* on replay (``ForwardPlan.run``), the plan's scratch pool before each
+  entry runs, so no kernel reads scratch an earlier kernel wrote;
+* on replay, each forward-only slab view right after its last forward
+  reader, so a buffer that some later entry or the backward still reads
+  cannot pass by luck.
 
 Floats get NaN, integers their dtype's maximum, bools ``True``.  A kernel
 that reads memory it did not write, or a buffer handed back before its last
@@ -21,6 +26,8 @@ compares numbers.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -40,7 +47,8 @@ def poison(buf: np.ndarray) -> np.ndarray:
 
 
 def install(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Patch the four allocation seams to hand out poisoned memory."""
+    """Patch the four allocation seams to hand out poisoned memory, and the
+    replay to poison scratch and dead slab views."""
     take, release = arena.BufferArena.take, arena.BufferArena.release
     recorded, empty = plan.ForwardRecorder.empty, arena.empty
 
@@ -64,6 +72,19 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
                         lambda self, shape, dtype=np.float32:
                         poison(recorded(self, shape, dtype)))
     monkeypatch.setattr(arena, "empty", poisoned_empty)
+
+    def poisoned_run(self):
+        dead = defaultdict(list)
+        for view, last in self.slots:
+            dead[last].append(view)
+        for index, entry in enumerate(self.entries):
+            for buf in self.scratch:
+                poison(buf)
+            entry.run()
+            for view in dead[index]:
+                poison(view)
+
+    monkeypatch.setattr(plan.ForwardPlan, "run", poisoned_run)
 
 
 @pytest.fixture(autouse=True)

@@ -1,0 +1,206 @@
+"""The forward-only slab: a compiled step's buffers that no backward reads
+share one slab, placed by greedy interval colouring.
+
+* the colouring itself, as a property over generated intervals;
+* the capture lifecycle on a predicted sparse engine: one learning forward
+  at the signature's first capture, none at a refresh re-capture, and the
+  losses, parameters and engine record of an uncaptured twin, bit for bit;
+* a learned plan the next recording does not keep to is a counted miss,
+  recorded again over plain buffers;
+* the learning recording is freed before the real one allocates.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.models import build_model
+from repro.optim import Adam
+from repro.peft import apply_lora
+from repro.runtime import CaptureConfig, FineTuner, StepCapture, TrainingConfig
+from repro.runtime import capture as capture_mod
+from repro.runtime.capture import assign_offsets
+from repro.runtime.trainer import MAX_CAPTURES
+from repro.sparsity import LongExposure, LongExposureConfig
+from repro.tensor.plan import SlabPlan
+
+
+# ---------------------------------------------------------------------------
+# the interval assignment
+# ---------------------------------------------------------------------------
+
+_BUFFERS = st.lists(
+    st.tuples(st.integers(1, 4096), st.integers(0, 40), st.integers(0, 12)),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(buffers=_BUFFERS, align=st.sampled_from([1, 8, 64]))
+def test_assignment_separates_live_buffers_within_its_bounds(buffers, align):
+    sizes = [size for size, _, _ in buffers]
+    intervals = [(first, first + length) for _, first, length in buffers]
+    offsets, total = assign_offsets(sizes, intervals, align)
+    assert all(offset % align == 0 for offset in offsets)
+    assert all(offset + size <= total for offset, size in zip(offsets, sizes))
+    for i in range(len(sizes)):
+        for j in range(i):
+            if intervals[i][0] <= intervals[j][1] and intervals[j][0] <= intervals[i][1]:
+                assert (offsets[i] + sizes[i] <= offsets[j]
+                        or offsets[j] + sizes[j] <= offsets[i]), (i, j)
+    peak = max(sum(size for size, (first, last) in zip(sizes, intervals)
+                   if first <= t <= last)
+               for t in range(max(last for _, last in intervals) + 1))
+    assert peak <= total <= sum(-(-size // align) * align for size in sizes)
+    assert assign_offsets(sizes, intervals, align) == (offsets, total)
+
+
+def test_assignment_reuses_bytes_of_disjoint_lifetimes():
+    offsets, total = assign_offsets([100, 100, 100], [(0, 1), (2, 3), (1, 2)], 64)
+    assert offsets == [0, 0, 128] and total == 228
+
+
+# ---------------------------------------------------------------------------
+# the capture lifecycle
+# ---------------------------------------------------------------------------
+
+def _counted_forwards(tuner) -> list:
+    """Count ``tuner.model.loss`` calls: every forward the step runs."""
+    calls = []
+    loss = tuner.model.loss
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loss(*args, **kwargs)
+
+    tuner.model.loss = counted
+    return calls
+
+
+def _sparse_tuner(capture: bool, interval: int = 2, seq: int = 64):
+    model = build_model("opt-tiny", seed=0)
+    rng = np.random.default_rng(5)
+    engine = LongExposure(LongExposureConfig(
+        block_size=16, seed=0, predictor_epochs=2, predict_interval=interval))
+    engine.prepare(model, [rng.integers(0, model.config.vocab_size, size=(2, seq))])
+    apply_lora(model)
+    engine.install(model)
+    tuner = FineTuner(model, TrainingConfig(capture=CaptureConfig(enabled=capture)),
+                      optimizer=Adam(model.trainable_parameters(), lr=1e-3),
+                      engine=engine)
+    batches = [rng.integers(0, model.config.vocab_size, size=(2, seq))
+               for _ in range(7)]
+    return tuner, batches
+
+
+@pytest.mark.parity
+def test_refresh_recaptures_reuse_the_learned_slab_bitwise():
+    # predict_interval 2: steps 1, 3, 5 and 7 refresh and capture, the
+    # others replay.  Only step 1 runs a second (learning) forward.
+    twin, batches = _sparse_tuner(capture=False)
+    tuner, _ = _sparse_tuner(capture=True)
+    forwards = _counted_forwards(tuner)
+    try:
+        for batch in batches:
+            assert tuner.step(batch)[0] == twin.step(batch)[0]
+        capture = tuner.capture
+        assert (capture.full_captures, capture.full_replays) == (4, 3), \
+            capture.full_fail_reason
+        assert len(forwards) == 4 + 1
+        assert capture.slab_misses == 0
+        assert capture.forward_only_bytes() > capture.slab_plan.nbytes > 0
+        for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+            assert np.array_equal(a.data, b.data)
+        stats, twin_stats = tuner.engine.stats, twin.engine.stats
+        assert stats.layout_reuse_counts() == twin_stats.layout_reuse_counts()
+        assert stats.attention_layers == twin_stats.attention_layers
+        assert stats.mlp_layers == twin_stats.mlp_layers
+        assert tuner.engine.layout_state() == twin.engine.layout_state()
+    finally:
+        for t in (tuner, twin):
+            t.engine.uninstall(t.model)
+
+
+def _dense_tuner(capture: bool = True):
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
+    tuner = FineTuner(model, TrainingConfig(capture=CaptureConfig(enabled=capture)),
+                      optimizer=Adam(model.trainable_parameters(), lr=1e-3))
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size, size=(2, 64))
+    return tuner, ids
+
+
+@pytest.mark.parity
+def test_a_plan_the_recording_breaks_is_a_counted_miss(monkeypatch):
+    # Every uninitialised plan buffer at offset 0 of one slab: the backward
+    # reaches the slab, and the forward's buffers overwrite each other.  Each
+    # capture notices, records again over plain buffers, and stays bitwise.
+    learn = capture_mod._learn_slab
+
+    def everything_at_zero(rec, roots):
+        plan = learn(rec, roots)
+        slots = {key: (buf.shape, buf.dtype.str, 0, len(rec.entries) - 1)
+                 for buf, key in zip(rec.buffers, rec.keys) if key is not None}
+        return plan and SlabPlan(slots, max(buf.nbytes for buf in rec.buffers),
+                                 plan.tags)
+
+    monkeypatch.setattr(capture_mod, "_learn_slab", everything_at_zero)
+    tuner, ids = _dense_tuner()
+    twin, _ = _dense_tuner(capture=False)
+    for _ in range(3):
+        assert tuner.step(ids)[0] == twin.step(ids)[0]
+    tuner.capture.drop_full_plan()
+    for _ in range(2):
+        assert tuner.step(ids)[0] == twin.step(ids)[0]
+    capture = tuner.capture
+    assert capture.slab_misses == 2                # both captures
+    assert (capture.full_captures, capture.full_replays) == (2, 3)
+    assert capture.forward_only_bytes() == 0       # plain buffers
+    for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_an_evicted_signature_recaptures_with_its_slab_plan():
+    # MAX_CAPTURES + 1 lengths evict the first; stepping it again records
+    # once, with the plan its first capture learned.
+    tuner, ids = _dense_tuner()
+    forwards = _counted_forwards(tuner)
+    shapes = [ids[:, :8 * (i + 1)] for i in range(MAX_CAPTURES + 1)]
+    for batch in shapes:
+        tuner.step(batch)
+    assert len(forwards) == 2 * len(shapes)        # each learns, then records
+    tuner.step(shapes[0])
+    assert len(forwards) == 2 * len(shapes) + 1
+    capture = tuner.capture
+    assert capture.full_captures == 1 and capture.slab_misses == 0
+    assert capture.forward_plan.slots
+
+
+def test_learning_recording_is_freed_before_the_real_one(monkeypatch):
+    refs = []
+    learn, record = capture_mod._learn_slab, StepCapture._record
+
+    def spying_learn(rec, roots):
+        refs.extend(weakref.ref(buf) for buf in rec.buffers)
+        return learn(rec, roots)
+
+    def checked_record(self, forward, slab_plan):
+        if slab_plan is not None:
+            assert refs and not any(ref() is not None for ref in refs)
+        return record(self, forward, slab_plan)
+
+    monkeypatch.setattr(capture_mod, "_learn_slab", spying_learn)
+    monkeypatch.setattr(StepCapture, "_record", checked_record)
+    tuner, ids = _dense_tuner()
+    gc.collect()
+    gc.disable()                                   # freed by refcounts alone
+    try:
+        tuner.step(ids)
+    finally:
+        gc.enable()
+    assert tuner.capture.slab_plan is not None and tuner.capture.forward_plan.slots

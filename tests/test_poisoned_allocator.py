@@ -22,3 +22,27 @@ def test_poisons_every_uninitialised_buffer(monkeypatch):
     assert np.isnan(plan.ForwardRecorder().empty((2,), np.float32)).all()
     with arena.scope(None):
         assert np.isnan(arena.empty((2,), np.float32)).all()
+
+
+def test_poisons_replay_scratch_and_dead_slab_views(monkeypatch):
+    install(monkeypatch)
+    scratch = np.zeros(3, np.float32)
+    slab = np.zeros(4, np.float32)
+    done, live = slab[:2], slab[2:]
+    seen = []
+
+    def write():
+        scratch.fill(1.0)
+        slab.fill(2.0)
+
+    def read():
+        seen.append((scratch.copy(), done.copy(), live.copy()))
+
+    entries = [plan.ForwardEntry(write), plan.ForwardEntry(read)]
+    plan.ForwardPlan(entries, scratch=[scratch],
+                     slots=[(done, 0), (live, 1)]).run()
+    (s, d, v), = seen
+    assert np.isnan(s).all()          # filled before the reading entry
+    assert np.isnan(d).all()          # filled after its last reader, entry 0
+    assert (v == 2.0).all()           # still live: entry 1 reads it
+    assert np.isnan(live).all()       # filled after entry 1

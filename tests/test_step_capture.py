@@ -1141,9 +1141,9 @@ def test_capture_gauges_reach_profiler():
     capture = tuner.capture
     gauges = tuner.profiler.summary_dict()["gauges"]
     for key in ("arena_allocations_step", "arena_bytes", "plan_bytes",
-                "arena_hit_rate", "arena_evictions", "capture_recaptures",
-                "capture_full_captures", "capture_full_replays",
-                "capture_full_fallbacks"):
+                "forward_only_bytes", "arena_hit_rate", "arena_evictions",
+                "capture_recaptures", "capture_full_captures",
+                "capture_full_replays", "capture_full_fallbacks"):
         assert key in gauges
     assert "capture_replay_steps" not in gauges
     assert "capture_fallbacks" not in gauges
@@ -1151,6 +1151,18 @@ def test_capture_gauges_reach_profiler():
     assert gauges["arena_bytes"] > 0 and gauges["plan_bytes"] > 0
     assert gauges["capture_full_replays"] >= 1.0
     assert capture.summary().startswith("StepCapture(")
+    assert "forward_only=" in capture.summary()
+    # The slab views' bytes are counted once, through the one plan buffer
+    # they all share; unshared they would hold more than it.
+    plan = capture.forward_plan
+    views = [view for view, _ in plan.slots]
+    assert views and gauges["forward_only_bytes"] == sum(v.nbytes for v in views)
+    slabs = [buf for buf in plan.buffers
+             if any(np.shares_memory(buf, view) for view in views)]
+    assert len(slabs) == 1 and all(buf is not view for buf in plan.buffers
+                                   for view in views)
+    assert gauges["plan_bytes"] == sum(buf.nbytes for buf in plan.buffers)
+    assert gauges["forward_only_bytes"] > slabs[0].nbytes
 
 
 @pytest.mark.alloc
