@@ -7,40 +7,59 @@ output/temporary ndarrays for every op.  :class:`StepCapture` captures that
 steady state, CUDA-graph-style, for the NumPy autograd graph.  One capture
 serves one step signature (input/label shapes, dtype, kernel toggles); the
 :class:`~repro.runtime.trainer.FineTuner` keeps one for each of its most
-recently stepped signatures.
+recently stepped signatures and hands each step's forward and backward to
+:meth:`StepCapture.run`, which decides everything below.
 
-1. **capture + compile** — the first step of a signature runs with the
-   :class:`~repro.tensor.arena.BufferArena` installed and a
-   :class:`~repro.tensor.plan.ForwardRecorder` collecting one replay thunk
-   per forward kernel over buffers bound exactly once.  The backward runs
-   its ordinary DFS schedule once and keeps the graph alive.
-2. **replay** — a steady-state step is **stage inputs → run the flat
-   ForwardPlan → execute the retained backward schedule → optimizer tail**:
-   the Python autograd graph was built exactly once, at capture, and every
-   arena take hits the pool, so the step allocates nothing.  The replayed
-   order *is* the recorded order over the same buffers, so captured and
-   uncaptured execution are bitwise identical (locked by the parity suite).
-3. **refresh = re-capture** — a sparsity-mask refresh step (every
-   ``predict_interval``-th) is a capture step: the trainer drops the live
-   forward plan *before* the forward and records the next one *during* it.
-   The probes and exposers deriving the masks run between kernels as plain
-   NumPy the recorder never sees, and the thunks close over layouts that
-   hold until the next refresh — one capture plus ``interval - 1`` compiled
-   replays per block, a plan's buffers never alive beside its successor's.
-   If the masks moved, the arena's free lists (backward buffers sized for
-   the old layout) are trimmed at that step.  With ``predict_interval = 1``
-   nothing would ever be replayed, so the forward stays interpreted.
-4. **degrade** — layouts that moved under the plan without a refresh of
-   its own (adopted from another replica, or refreshed by another
-   signature's step) drop it, and the step re-captures.  A step that cannot
-   replay a compiled plan — reference kernels, a recorder veto or coverage
-   gap (every graph node built must be recorded or noted as a view), a
-   backward schedule reaching an interior node the recorded forward did not
-   build, a replay that raised — runs interpreted over recycled arena
-   buffers: the forward and the DFS backward exactly as without capture,
-   still allocating nothing once the pool is warm.  Which path a step takes
-   is selected from what the step observes, never from an option, and why
-   it could not compile is kept in ``full_fail_reason``.
+``run`` installs the capture's :class:`~repro.tensor.arena.BufferArena`
+for the step and picks one of three paths from what the caller observes:
+whether the kernels are the recordable fused ones, whether the sparsity
+engine re-derives its masks this step (and its ``predict_interval``), and
+the engine's layout state.  No option selects a path.  The first row that
+matches decides:
+
+==========================================  ===========  ===========
+what the step observes                      the plan     the step
+==========================================  ===========  ===========
+reference kernels                           kept         interpreted
+a mask refresh at ``predict_interval`` 1    dropped      interpreted
+a mask refresh at ``predict_interval`` > 1  dropped      recorded
+layouts moved since the plan was recorded   dropped      recorded
+a plan                                      kept         replayed
+a plan whose replay raises                  dropped      recorded
+no plan                                     —            recorded
+==========================================  ===========  ===========
+
+A step the table records runs interpreted instead once ``MAX_FAILURES``
+recordings in a row failed to compile.
+
+* **recorded** — the forward runs over persistent staging buffers under a
+  :class:`~repro.tensor.plan.ForwardRecorder`, which keeps one replay thunk
+  per forward kernel over buffers bound exactly once.  The backward runs
+  its ordinary DFS schedule once and keeps the graph alive.  A recorder
+  veto or coverage gap (every graph node built must be recorded or noted
+  as a view), or a backward schedule reaching an interior node the
+  recorded forward did not build, installs no plan: the backward runs
+  plainly, and why is kept in ``full_fail_reason``.  If the layouts moved since the last
+  capture, the arena's free lists (backward buffers sized for the old
+  layout) are trimmed.
+* **replayed** — stage inputs → run the flat ForwardPlan → execute the
+  retained backward schedule: no graph node is built and every arena take
+  hits the pool, so the step allocates nothing.  The replayed order *is*
+  the recorded order over the same buffers, so captured and uncaptured
+  execution are bitwise identical (locked by the parity suite).  A replay
+  that raises clears the gradients its schedule's leaves got, drops the
+  plan (counted in ``full_fallbacks``) and records the step again.
+* **interpreted** — the forward and the DFS backward exactly as without
+  capture, over recycled arena buffers, allocating nothing once warm.
+
+A refresh step is the capture step because the probes and exposers that
+derive the masks run between kernels as plain NumPy the recorder never
+sees: the thunks close over layouts that hold until the next refresh, so a
+block is one capture plus ``interval - 1`` replays, and dropping the plan
+before the forward keeps a plan's buffers from ever living beside its
+successor's.  Layouts that moved without a refresh of the signature's own —
+adopted from another replica, or refreshed by another signature's step —
+no longer match the plan's closed-over geometry.
 
 Full-plan buffers are plain allocations — never arena takes — so generation
 recycling cannot reclaim live plan state.
@@ -64,11 +83,12 @@ and the same forward is recorded again with a
 out as slab views.  The engine's masks are derived by the first of the two
 forwards and reused by the second, so the step's engine state, counters
 and numbers are one forward's.  Later captures of the signature — refresh
-steps, dropped plans, a signature evicted and stepped again — record once,
-with the learned slab plan, and re-walk only the backward: a recording
-that does not repeat the learned entry tags and slots, or whose backward
-reaches the slab, is recorded again over plain buffers and counted in
-``slab_misses``.
+steps, dropped or retired plans — record once, with the learned slab plan,
+and re-walk only the backward: a recording that does not repeat the
+learned entry tags and slots, or whose backward reaches the slab, is
+recorded again over plain buffers and counted in ``slab_misses``.  A
+vetoed recording is not re-recorded: the step runs interpreted and the
+learned plan is kept.
 
 Contract: capture mode assumes the standard training-step shape — gradients
 are consumed and zeroed within the step, and no Tensor from step ``N`` is
@@ -83,7 +103,8 @@ from __future__ import annotations
 import time
 import types
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -270,26 +291,22 @@ def _break_graph(loss: Tensor, rec: ForwardRecorder) -> None:
 class StepCapture:
     """One step signature's compiled plan and buffer arena.
 
-    A capture with no plan records one on its next eligible step; with a
-    plan installed, the step replays it.  Steps that cannot compile run
-    interpreted over the arena.  After ``MAX_FAILURES`` vetoed compiles in a
-    row the compiler stops trying, and the steps keep running interpreted.
+    :meth:`run` is the whole step: it replays the plan, records one, or
+    runs interpreted over the arena (see the module docstring's table).
     """
 
     # Vetoed compiles in a row that give up.
     MAX_FAILURES = 3
 
-    def __init__(self, slab_plan: Optional[SlabPlan] = None):
+    def __init__(self):
         self.arena = BufferArena()
         # Where the signature's forward-only buffers go (see the module
-        # docstring); learned by the first recording when None.
-        self.slab_plan = slab_plan
+        # docstring); learned by the first recording.
+        self.slab_plan: Optional[SlabPlan] = None
         self.slab_misses = 0
         # Counters (surfaced as profiler gauges by the trainer).
         self.steps = 0
         self.last_step_allocations = 0
-        self._alloc_before = 0
-        self._prev_arena: Optional[BufferArena] = None
         # Full-step compiler state (see module docstring).  ``forward_plan``
         # replays the forward's kernel calls; ``full_schedule`` is the
         # retained backward schedule over the capture step's graph;
@@ -311,58 +328,112 @@ class StepCapture:
         self._recorder: Optional[ForwardRecorder] = None
         self._staged: Dict[str, np.ndarray] = {}
 
-    # -- step lifecycle ------------------------------------------------------
-    def begin_step(self) -> None:
-        """Enter a step: recycle the last step's buffers, install the arena."""
+    def run(self, forward: Callable[[np.ndarray, Optional[np.ndarray]], Tensor],
+            input_ids, labels=None, *, compilable: bool = True,
+            refresh: bool = False, interval: int = 1,
+            layout_state: Optional[Callable[[], Hashable]] = None,
+            ) -> Tuple[float, float, float]:
+        """One step's forward and backward; returns ``(loss value, forward
+        seconds, backward seconds)``.
+
+        ``forward(input_ids, labels)`` returns the step's loss tensor; a
+        recorded step calls it on staged copies.  ``compilable`` says the
+        kernels are the recordable fused ones, ``refresh`` that the
+        sparsity engine re-derives its masks this step, ``interval`` its
+        ``predict_interval`` and ``layout_state()`` its layouts (None
+        without an engine).  Gradients are left on the parameters for the
+        caller's optimizer tail.
+        """
+        layout_state = layout_state or (lambda: None)
+        if not compilable:
+            self.full_fail_reason = "reference kernels"
+        elif refresh or (self.forward_plan is not None
+                         and layout_state() != self.full_layout_state):
+            self.drop_full_plan()
+        # With interval 1 every step refreshes: nothing would ever replay.
+        record = (compilable and not (refresh and interval == 1)
+                  and self._full_failures < self.MAX_FAILURES)
         self.steps += 1
         self.arena.next_generation()
-        self._alloc_before = self.arena.misses
-        self._prev_arena = _tensor_arena.set_active(self.arena)
+        misses = self.arena.misses
+        try:
+            with _tensor_arena.scope(self.arena):
+                return self._step(forward, input_ids, labels, compilable,
+                                  record, layout_state)
+        finally:
+            self.last_step_allocations = self.arena.misses - misses
 
-    def end_step(self) -> None:
-        """Leave the step: detach the arena, count its allocations."""
-        _tensor_arena.set_active(self._prev_arena)
-        self._prev_arena = None
-        self.last_step_allocations = self.arena.misses - self._alloc_before
-
-    # -- full-step compiler --------------------------------------------------
-    def stage(self, name: str, value) -> np.ndarray:
-        """Copy ``value`` into the persistent staging buffer for ``name``.
-
-        The full plan's thunks are bound to these buffers at capture; each
-        replay refreshes them in place so the compiled step sees the new
-        batch through the very same arrays.  A shape/dtype change replaces
-        the buffer.
-        """
-        value = np.asarray(value)
-        buf = self._staged.get(name)
-        if buf is None or buf.shape != value.shape or buf.dtype != value.dtype:
-            buf = np.array(value)
-            self._staged[name] = buf
+    def _step(self, forward, input_ids, labels, replay: bool, record: bool,
+              layout_state: Callable[[], Hashable]) -> Tuple[float, float, float]:
+        if replay and self.forward_plan is not None:
+            self._stage(input_ids, labels)
+            try:
+                start = time.perf_counter()
+                self.forward_plan.run()
+                forward_s = time.perf_counter() - start
+                start = time.perf_counter()
+                self.full_loss._execute_backward(self.full_schedule,
+                                                 self.full_seed, False, True)
+                backward_s = time.perf_counter() - start
+                self.full_replays += 1
+                return float(self.full_loss.data), forward_s, backward_s
+            except Exception as exc:
+                # A partial replay may have half-written gradients: clear
+                # them and record the step from scratch.
+                for node in self.full_schedule:
+                    if node._backward is None:
+                        node.grad = None
+                self.drop_full_plan(f"replay raised {type(exc).__name__}: {exc}")
+        start = time.perf_counter()
+        if record:
+            ids, lab = self._stage(input_ids, labels)
+            loss = self._record_forward(lambda: forward(ids, lab))
         else:
-            np.copyto(buf, value)
-        return buf
+            loss = forward(input_ids, labels)
+        forward_s = time.perf_counter() - start
+        start = time.perf_counter()
+        if record:
+            self._compile(loss, layout_state())
+        else:
+            loss.backward()
+        backward_s = time.perf_counter() - start
+        return float(loss.data), forward_s, backward_s
 
-    def full_ready(self) -> bool:
-        """Whether a compiled full-step plan is installed and replayable."""
-        return self.forward_plan is not None
+    def _stage(self, input_ids, labels) -> List[Optional[np.ndarray]]:
+        """Copy the batch into the persistent staging buffers.
 
-    def wants_full_capture(self) -> bool:
-        """Whether this step should record a full plan (trainer consults)."""
-        return (self.forward_plan is None
-                and self._full_failures < self.MAX_FAILURES)
+        The plan's thunks are bound to these buffers at capture; each replay
+        refreshes them in place so the compiled step sees the new batch
+        through the very same arrays.  A shape/dtype change replaces a
+        buffer.
+        """
+        staged = []
+        for name, value in (("input_ids", input_ids), ("labels", labels)):
+            if value is not None:
+                value = np.asarray(value)
+                buf = self._staged.get(name)
+                if buf is None or buf.shape != value.shape or buf.dtype != value.dtype:
+                    buf = self._staged[name] = np.array(value)
+                else:
+                    np.copyto(buf, value)
+                value = buf
+            staged.append(value)
+        return staged
 
-    def record_forward(self, forward: Callable[[], Tensor]) -> Tensor:
+    def _record_forward(self, forward: Callable[[], Tensor]) -> Tensor:
         """Record this step's forward, ``forward()`` returning its loss.
 
         Without a slab plan the recording is the learning one: when it has
         forward-only buffers, its graph is broken up and the forward is
         recorded again with the plan learned from it.  With a slab plan the
         recording uses it, and is recorded again over plain buffers if it
-        did not keep to it.  The loss returned is the recording's that
-        :meth:`finish_full_capture` compiles.
+        did not keep to it.  A vetoed recording is returned as it is: the
+        step fails with its reason.  The loss returned is the recording's
+        that :meth:`_compile` compiles.
         """
         loss = self._record(forward, self.slab_plan)
+        if not self._recorder.ok():
+            return loss
         if self.slab_plan is None:
             self.slab_plan = self._learn(loss)
             if self.slab_plan is None:
@@ -371,7 +442,7 @@ class StepCapture:
             loss = None
             loss = self._record(forward, self.slab_plan)
         rec = self._recorder
-        if rec.ok() and _slab_holds(rec, _backward_roots(loss, self._staged.values())):
+        if not rec.ok() or _slab_holds(rec, _backward_roots(loss, self._staged.values())):
             return loss
         self.slab_misses += 1
         self._drop_recording(loss)
@@ -396,42 +467,28 @@ class StepCapture:
 
     def _record(self, forward: Callable[[], Tensor],
                 slab_plan: Optional[SlabPlan]) -> Tensor:
-        self.begin_full_capture(slab_plan)
+        """Run ``forward()`` under a fresh recorder, kept in ``_recorder``."""
+        self._recorder = ForwardRecorder(slab_plan)
+        _tensor_plan.set_recorder(self._recorder)
         try:
             return forward()
         except BaseException:
-            self.abort_full_capture()
+            self._recorder = None
             raise
         finally:
             _tensor_plan.set_recorder(None)
 
-    def begin_full_capture(self, slab_plan: Optional[SlabPlan] = None) -> ForwardRecorder:
-        """Install a :class:`ForwardRecorder` around a forward the caller
-        runs next (:meth:`record_forward` is the whole recording step)."""
-        rec = ForwardRecorder(slab_plan)
-        self._recorder = rec
-        _tensor_plan.set_recorder(rec)
-        return rec
-
-    def abort_full_capture(self) -> None:
-        """Uninstall the recorder (idempotent; also the failed-forward path)."""
-        if self._recorder is not None:
-            self._recorder = None
-            _tensor_plan.set_recorder(None)
-
-    def finish_full_capture(self, loss: Tensor, layout_state=None) -> bool:
-        """Run this step's backward and compile the full plan if covered.
+    def _compile(self, loss: Tensor, layout_state) -> None:
+        """Run the recorded step's backward and install its plan if covered.
 
         ``loss`` is the backward root, whose plan buffer replays read the
-        step's loss value from.  Returns True when the full plan is
-        installed.  On a recorder veto, a coverage gap, or a backward
-        schedule that reaches an interior node the recorded forward did not
-        build (its closure would never be refreshed by a replay), the
-        backward runs plainly, the reason is kept in ``full_fail_reason``
-        and False is returned.
+        step's loss value from.  On a recorder veto, a coverage gap, or a
+        backward schedule that reaches an interior node the recorded
+        forward did not build (its closure would never be refreshed by a
+        replay), the backward runs plainly and the reason is kept in
+        ``full_fail_reason``.
         """
-        rec = self._recorder
-        self.abort_full_capture()
+        rec, self._recorder = self._recorder, None
         if layout_state != self.full_layout_state:
             # The masks moved since the last captured step: the free lists
             # hold the old layout's backward buffers, dead shapes from here on.
@@ -449,7 +506,7 @@ class StepCapture:
         if reason:
             self._full_failures += 1
             self.full_fail_reason = reason
-            return False
+            return
         self.forward_plan = ForwardPlan(rec.entries, rec.owned(),
                                         rec.scratch.buffers(), rec.slots)
         self.full_schedule = schedule
@@ -457,21 +514,6 @@ class StepCapture:
         self.full_seed = np.ones_like(loss.data)
         self.full_captures += 1
         self._full_failures = 0
-        return True
-
-    def replay_full_forward(self) -> None:
-        """Run the compiled forward plan (caller staged the inputs first)."""
-        self.forward_plan.run()
-
-    def replay_full_backward(self) -> None:
-        """Execute the retained backward schedule over the refreshed buffers."""
-        self.full_loss._execute_backward(self.full_schedule, self.full_seed,
-                                         False, True)
-        self.full_replays += 1
-
-    def full_loss_value(self) -> float:
-        """The loss of the last full replay."""
-        return float(self.full_loss.data)
 
     def profile(self, replays: int = 1) -> Dict[str, Tuple[float, float, int]]:
         """Where a compiled step's time goes: ``{tag: (fwd_ms, bwd_ms, calls)}``.
@@ -491,7 +533,7 @@ class StepCapture:
         capture's arena, its generation and counters are untouched), and
         every leaf gradient is set aside and restored afterwards.
         """
-        if not self.full_ready():
+        if self.forward_plan is None:
             raise RuntimeError("profile() needs an installed full-step plan")
         if replays < 1:
             raise ValueError(f"replays must be positive, got {replays}")

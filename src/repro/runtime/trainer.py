@@ -23,7 +23,6 @@ from repro.optim import Adam, clip_grad_norm
 from repro.runtime.capture import StepCapture
 from repro.runtime.profiler import PhaseProfiler
 from repro.tensor import fused
-from repro.tensor.plan import SlabPlan
 
 # Step signatures a tuner keeps a capture for; the least recently stepped
 # one beyond this is retired.
@@ -32,20 +31,16 @@ MAX_CAPTURES = 4
 
 @dataclass
 class CaptureConfig:
-    """Steady-state step capture (see :mod:`repro.runtime.capture`).
+    """Steady-state step capture.
 
-    With ``enabled``, the first step of each step signature records one
-    step — forward kernel calls, backward schedule, buffer population — and
-    the signature's later steps replay it: forward + backward + optimizer
-    tail through recycled buffers without building a single Python graph
-    node, bitwise identical to the uncaptured path.  The tuner keeps one
-    capture for each of its ``MAX_CAPTURES`` most recently stepped
-    signatures, so a run cycling among that many shapes replays every one.
-    With a sparsity engine every mask-refresh step is a capture step: it
-    records the plan the next ``predict_interval - 1`` steps replay.  Steps
-    that cannot replay a compiled plan (reference kernels, an op with no
-    replay form) run interpreted over the same recycled buffers; which one a
-    step gets is decided from what the step observes, not configured.
+    With ``enabled``, each step runs on its signature's
+    :class:`~repro.runtime.capture.StepCapture` — the first step of a
+    signature records it, later steps replay it, bitwise identical to the
+    uncaptured path — for each of the tuner's ``MAX_CAPTURES`` most recently
+    stepped signatures.  Which path a step takes (replay, record or
+    interpreted over recycled buffers) is decided by
+    :meth:`StepCapture.run` from what the step observes, not configured:
+    the table in :mod:`repro.runtime.capture`'s docstring.
     """
 
     enabled: bool = False
@@ -202,9 +197,6 @@ class FineTuner:
         self.captures: Dict[Hashable, StepCapture] = {}
         self.capture: Optional[StepCapture] = None
         self.recaptures = 0
-        # The slab plans of the last MAX_CAPTURES evicted signatures: one
-        # stepped again re-captures without a learning forward.
-        self._slab_plans: Dict[Hashable, SlabPlan] = {}
         self.grad_reducer = grad_reducer
         # Kernel routing is a value on the model, set once here.  The
         # process globals a step still consults: the reference-tape flag
@@ -236,22 +228,16 @@ class FineTuner:
         A new signature gets a fresh capture, whose first step records the
         plan; past ``MAX_CAPTURES`` the least recently stepped signature's
         capture is retired (dicts keep insertion order, so a hit re-inserts
-        at the tail) and its slab plan kept for its next capture.
+        at the tail).
         """
         capture = self.captures.pop(signature, None)
         if capture is None:
-            capture = StepCapture(self._slab_plans.pop(signature, None))
+            capture = StepCapture()
             if self.capture is not None:
                 self.recaptures += 1
         self.captures[signature] = capture
         if len(self.captures) > MAX_CAPTURES:
-            evicted = next(iter(self.captures))
-            retired = self.captures.pop(evicted)
-            retired.retire()
-            if retired.slab_plan is not None:
-                self._slab_plans[evicted] = retired.slab_plan
-                if len(self._slab_plans) > MAX_CAPTURES:
-                    self._slab_plans.pop(next(iter(self._slab_plans)))
+            self.captures.pop(next(iter(self.captures))).retire()
         self.capture = capture
         return capture
 
@@ -268,102 +254,44 @@ class FineTuner:
 
         capture = None
         if self.config.capture.enabled:
+            # The capture decides whether the step replays, records or runs
+            # interpreted (see repro.runtime.capture) from what it observes.
             input_ids = np.asarray(input_ids)
             capture = self._capture_for(self.step_signature(input_ids, labels))
-            capture.begin_step()
-        loss_value: Optional[float] = None
-        forward_s = backward_s = 0.0
-        try:
-            # A step runs compiled when fused kernels are on.  A mask-refresh
-            # step is the capture step: the live plan goes *before* the
-            # forward (its buffers and the new plan's never coexist) and the
-            # new one is recorded *during* it (see capture.py, item 3).  Only
-            # with predict_interval 1, where every step refreshes and nothing
-            # would ever be replayed, does the step stay interpreted.
-            full = False
-            if capture is not None:
-                if not fused.fused_kernels_enabled():
-                    capture.full_fail_reason = "reference kernels"
-                elif (self.engine is None
-                      or not self.engine.refresh_due(input_ids.shape[-1])):
-                    full = True
-                elif self.engine.config.predict_interval > 1:
-                    capture.drop_full_plan()
-                    full = True
-            if full and capture.full_ready() and self.engine is not None \
-                    and self.engine.layout_state() != capture.full_layout_state:
-                # Layouts adopted from another replica (data-parallel ranks
-                # != 0), or refreshed by another signature's step, moved the
-                # masks under the plan's closed-over geometry: re-capture.
-                capture.drop_full_plan()
-            if full and capture.full_ready():
-                capture.stage("input_ids", input_ids)
-                if labels is not None:
-                    capture.stage("labels", labels)
-                start = time.perf_counter()
-                try:
-                    capture.replay_full_forward()
-                    forward_s = time.perf_counter() - start
-                    start = time.perf_counter()
-                    capture.replay_full_backward()
-                    backward_s = time.perf_counter() - start
-                    loss_value = capture.full_loss_value()
-                except Exception as exc:
-                    # A partial replay may have half-written gradients; zero
-                    # them and fall through to the interpreted step, which
-                    # recomputes everything from scratch.
-                    capture.drop_full_plan(
-                        f"replay raised {type(exc).__name__}: {exc}")
-                    self.optimizer.zero_grad()
-                    self.model.zero_grad()
-                    loss_value = None
-
-            if loss_value is None:
-                recording = full and capture.wants_full_capture()
-                start = time.perf_counter()
-                if recording:
-                    # Run this forward over the persistent staging buffers so
-                    # the recorded thunks are bound to arrays every later
-                    # replay refreshes in place.
-                    ids = capture.stage("input_ids", input_ids)
-                    lab = (capture.stage("labels", labels)
-                           if labels is not None else None)
-                    loss = capture.record_forward(
-                        lambda: self.model.loss(ids, labels=lab)[0])
-                else:
-                    loss, _ = self.model.loss(input_ids, labels=labels)
-                forward_s = time.perf_counter() - start
-
-                start = time.perf_counter()
-                if recording:
-                    capture.finish_full_capture(
-                        loss,
-                        self.engine.layout_state()
-                        if self.engine is not None else None)
-                else:
-                    loss.backward()
-                backward_s = time.perf_counter() - start
-                loss_value = float(loss.data)
-
+            engine = self.engine
+            loss_value, forward_s, backward_s = capture.run(
+                lambda ids, lab: self.model.loss(ids, labels=lab)[0],
+                input_ids, labels,
+                compilable=fused.fused_kernels_enabled(),
+                refresh=(engine is not None
+                         and engine.refresh_due(input_ids.shape[-1])),
+                interval=engine.config.predict_interval if engine else 1,
+                layout_state=engine.layout_state if engine else None)
+        else:
             start = time.perf_counter()
-            comm_s = 0.0
-            if self.grad_reducer is not None:
-                # Data-parallel gradient exchange: every worker's shard
-                # gradients are reduced to their fixed-order mean before the
-                # (replicated) optimizer tail, so parameters stay bitwise
-                # identical across workers.  The reducer times itself —
-                # barrier waits included — and that time is reported as the
-                # ``comm`` phase, not as optimizer time.
-                comm_s = float(self.grad_reducer(self.optimizer.params))
-            if self.config.grad_clip > 0:
-                clip_grad_norm(self.optimizer.params, self.config.grad_clip)
-            self.optimizer.step()
-            self.optimizer.zero_grad()
-            self.model.zero_grad()
-            optimizer_s = time.perf_counter() - start - comm_s
-        finally:
-            if capture is not None:
-                capture.end_step()
+            loss, _ = self.model.loss(input_ids, labels=labels)
+            forward_s = time.perf_counter() - start
+            start = time.perf_counter()
+            loss.backward()
+            backward_s = time.perf_counter() - start
+            loss_value = float(loss.data)
+
+        start = time.perf_counter()
+        comm_s = 0.0
+        if self.grad_reducer is not None:
+            # Data-parallel gradient exchange: every worker's shard
+            # gradients are reduced to their fixed-order mean before the
+            # (replicated) optimizer tail, so parameters stay bitwise
+            # identical across workers.  The reducer times itself —
+            # barrier waits included — and that time is reported as the
+            # ``comm`` phase, not as optimizer time.
+            comm_s = float(self.grad_reducer(self.optimizer.params))
+        if self.config.grad_clip > 0:
+            clip_grad_norm(self.optimizer.params, self.config.grad_clip)
+        self.optimizer.step()
+        self.optimizer.zero_grad()
+        self.model.zero_grad()
+        optimizer_s = time.perf_counter() - start - comm_s
 
         prediction_s = 0.0
         if self.engine is not None:

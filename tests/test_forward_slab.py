@@ -6,7 +6,9 @@ share one slab, placed by greedy interval colouring.
   at the signature's first capture, none at a refresh re-capture, and the
   losses, parameters and engine record of an uncaptured twin, bit for bit;
 * a learned plan the next recording does not keep to is a counted miss,
-  recorded again over plain buffers;
+  recorded again over plain buffers; a vetoed recording is neither, and
+  keeps the plan;
+* an evicted signature stepped again learns its plan again;
 * the learning recording is freed before the real one allocates.
 """
 
@@ -28,6 +30,7 @@ from repro.runtime import capture as capture_mod
 from repro.runtime.capture import assign_offsets
 from repro.runtime.trainer import MAX_CAPTURES
 from repro.sparsity import LongExposure, LongExposureConfig
+from repro.tensor import plan as tensor_plan
 from repro.tensor.plan import SlabPlan
 
 
@@ -165,20 +168,56 @@ def test_a_plan_the_recording_breaks_is_a_counted_miss(monkeypatch):
         assert np.array_equal(a.data, b.data)
 
 
-def test_an_evicted_signature_recaptures_with_its_slab_plan():
-    # MAX_CAPTURES + 1 lengths evict the first; stepping it again records
-    # once, with the plan its first capture learned.
+def test_an_evicted_signature_relearns_its_slab_bitwise():
+    # MAX_CAPTURES + 1 lengths evict the first; stepped again it is a new
+    # capture, which learns its slab plan again before it records, and
+    # replays it — every step the uncaptured twin's bit for bit.
     tuner, ids = _dense_tuner()
+    twin, _ = _dense_tuner(capture=False)
     forwards = _counted_forwards(tuner)
     shapes = [ids[:, :8 * (i + 1)] for i in range(MAX_CAPTURES + 1)]
-    for batch in shapes:
-        tuner.step(batch)
-    assert len(forwards) == 2 * len(shapes)        # each learns, then records
-    tuner.step(shapes[0])
-    assert len(forwards) == 2 * len(shapes) + 1
+    for batch in shapes + [shapes[0], shapes[0]]:
+        assert tuner.step(batch)[0] == twin.step(batch)[0]
+    assert len(forwards) == 2 * (len(shapes) + 1)  # each learns, then records
     capture = tuner.capture
-    assert capture.full_captures == 1 and capture.slab_misses == 0
-    assert capture.forward_plan.slots
+    assert (capture.full_captures, capture.full_replays) == (1, 1)
+    assert capture.slab_misses == 0 and capture.forward_plan.slots
+    for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_a_vetoed_recording_keeps_the_learned_slab_plan():
+    # A recording the recorder vetoes is not recorded again: the step runs
+    # its forward once, interpreted, with the recorder's reason, and the
+    # plan learned before it serves the next capture (one forward).
+    tuner, ids = _dense_tuner()
+    twin, _ = _dense_tuner(capture=False)
+    for _ in range(2):
+        assert tuner.step(ids)[0] == twin.step(ids)[0]
+    capture = tuner.capture
+    learned = capture.slab_plan
+    capture.drop_full_plan()
+    forwards = _counted_forwards(tuner)
+    veto = [True]
+    loss = tuner.model.loss
+
+    def vetoed(*args, **kwargs):
+        if veto[0] and tensor_plan.recorder() is not None:
+            tensor_plan.recorder().fail("injected veto")
+        return loss(*args, **kwargs)
+
+    tuner.model.loss = vetoed
+    assert tuner.step(ids)[0] == twin.step(ids)[0]
+    assert len(forwards) == 1
+    assert capture.full_fail_reason == "injected veto"
+    assert capture.slab_misses == 0 and capture.slab_plan is learned
+    assert capture.forward_plan is None and capture.full_captures == 1
+    veto[0] = False
+    assert tuner.step(ids)[0] == twin.step(ids)[0]
+    assert len(forwards) == 2
+    assert capture.full_captures == 2 and capture.forward_plan.slots
+    for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_learning_recording_is_freed_before_the_real_one(monkeypatch):

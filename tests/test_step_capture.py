@@ -242,26 +242,19 @@ def _alias_step_grads(alias, tier):
                            lambda g: (np.broadcast_to(g, squared.shape),))
 
     capture = StepCapture()
+    ids = np.zeros((1, 1), np.int64)             # staged, never read
     grads = []
     for _ in range(3):
         if tier is None:
             forward().backward()
         else:
-            capture.begin_step()
-            if capture.full_ready():
-                capture.replay_full_forward()
-                capture.replay_full_backward()
-            elif tier == "compiled":
-                capture.begin_full_capture()
-                assert capture.finish_full_capture(forward()), \
-                    capture.full_fail_reason
-            else:
-                forward().backward()
-            capture.end_step()
+            capture.run(lambda ids, labels: forward(), ids,
+                        compilable=tier == "compiled")
         grads.append((a.grad.copy(), c.grad.copy()))
         a.grad = c.grad = None
     if tier == "compiled":
-        assert capture.full_replays == 2
+        assert (capture.full_captures, capture.full_replays) == (1, 2), \
+            capture.full_fail_reason
     return grads, live
 
 
@@ -570,7 +563,7 @@ def _compiled_opt_tiny(peft, steps: int = 3):
                                             size=(2, 32))
     for _ in range(steps):
         tuner.step(ids)
-    assert tuner.capture.full_ready(), tuner.capture.full_fail_reason
+    assert tuner.capture.forward_plan is not None, tuner.capture.full_fail_reason
     return tuner, ids
 
 
