@@ -87,8 +87,10 @@ steps, dropped or retired plans — record once, with the learned slab plan,
 and re-walk only the backward: a recording that does not repeat the
 learned entry tags and slots, or whose backward reaches the slab, is
 recorded again over plain buffers and counted in ``slab_misses``.  A
-vetoed recording is not re-recorded: the step runs interpreted and the
-learned plan is kept.
+vetoed recording is no miss and keeps the learned plan: its backward runs
+plainly, and only if the veto moved the entries (a kernel that vetoes
+records none, shifting every later allocation's key and so its slab slot)
+is its forward first recorded again over plain buffers.
 
 Contract: capture mode assumes the standard training-step shape — gradients
 are consumed and zeroed within the step, and no Tensor from step ``N`` is
@@ -427,13 +429,12 @@ class StepCapture:
         forward-only buffers, its graph is broken up and the forward is
         recorded again with the plan learned from it.  With a slab plan the
         recording uses it, and is recorded again over plain buffers if it
-        did not keep to it.  A vetoed recording is returned as it is: the
-        step fails with its reason.  The loss returned is the recording's
-        that :meth:`_compile` compiles.
+        did not keep to it — a counted miss that learns the plan afresh,
+        unless the recording was vetoed: a veto keeps the plan, and is
+        recorded again only if it handed out slab views at all.  The loss
+        returned is the recording's that :meth:`_compile` compiles.
         """
         loss = self._record(forward, self.slab_plan)
-        if not self._recorder.ok():
-            return loss
         if self.slab_plan is None:
             self.slab_plan = self._learn(loss)
             if self.slab_plan is None:
@@ -442,14 +443,20 @@ class StepCapture:
             loss = None
             loss = self._record(forward, self.slab_plan)
         rec = self._recorder
-        if not rec.ok() or _slab_holds(rec, _backward_roots(loss, self._staged.values())):
+        vetoed = not rec.ok()
+        if ((vetoed and not rec.slots)
+                or _slab_holds(rec, _backward_roots(loss, self._staged.values()))):
             return loss
-        self.slab_misses += 1
+        # The slab views were not the plan's: the backward reads one, or
+        # their keys moved (a vetoing kernel records no entry, shifting every
+        # later key) and a later entry may overwrite one before it is read.
         self._drop_recording(loss)
         loss = rec = None
         loss = self._record(forward, None)
-        # A miss keeps its plain buffers; what it learns serves the next capture.
-        self.slab_plan = self._learn(loss)
+        if not vetoed:
+            # A miss keeps its plain buffers; what it learns serves the next capture.
+            self.slab_misses += 1
+            self.slab_plan = self._learn(loss)
         return loss
 
     def _learn(self, loss: Tensor) -> Optional[SlabPlan]:

@@ -6,8 +6,8 @@ share one slab, placed by greedy interval colouring.
   at the signature's first capture, none at a refresh re-capture, and the
   losses, parameters and engine record of an uncaptured twin, bit for bit;
 * a learned plan the next recording does not keep to is a counted miss,
-  recorded again over plain buffers; a vetoed recording is neither, and
-  keeps the plan;
+  recorded again over plain buffers; a vetoed recording is no miss and
+  keeps the plan, recorded again only if the veto moved its slab keys;
 * an evicted signature stepped again learns its plan again;
 * the learning recording is freed before the real one allocates.
 """
@@ -30,6 +30,7 @@ from repro.runtime import capture as capture_mod
 from repro.runtime.capture import assign_offsets
 from repro.runtime.trainer import MAX_CAPTURES
 from repro.sparsity import LongExposure, LongExposureConfig
+from repro.tensor import fused
 from repro.tensor import plan as tensor_plan
 from repro.tensor.plan import SlabPlan
 
@@ -215,6 +216,45 @@ def test_a_vetoed_recording_keeps_the_learned_slab_plan():
     veto[0] = False
     assert tuner.step(ids)[0] == twin.step(ids)[0]
     assert len(forwards) == 2
+    assert capture.full_captures == 2 and capture.forward_plan.slots
+    for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parity
+def test_a_veto_that_moves_the_slab_keys_records_again_bitwise(monkeypatch):
+    # Layer 0's fc2 input turns non-contiguous at a re-capture under a
+    # learned plan: that linear vetoes and records no entry, so every later
+    # allocation's key moves onto another's slab slot.  The forward is
+    # recorded again over plain buffers (vetoed again, no miss, the plan
+    # kept) and the step stays the uncaptured twin's bit for bit.
+    tuner, ids = _dense_tuner()
+    twin, _ = _dense_tuner(capture=False)
+    for _ in range(2):
+        assert tuner.step(ids)[0] == twin.step(ids)[0]
+    capture = tuner.capture
+    learned = capture.slab_plan
+    capture.drop_full_plan()
+    forwards = _counted_forwards(tuner)
+    strided = {id(t.model.blocks[0].mlp.fc2.weight) for t in (tuner, twin)}
+    linear = fused.linear
+
+    def strided_linear(x, weight, *args, **kwargs):
+        if id(weight) in strided:
+            x.data = np.asfortranarray(x.data)
+        return linear(x, weight, *args, **kwargs)
+
+    monkeypatch.setattr(fused, "linear", strided_linear)
+    assert tuner.step(ids)[0] == twin.step(ids)[0]
+    for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
+    assert len(forwards) == 2
+    assert capture.full_fail_reason == "linear over a non-contiguous activation"
+    assert capture.slab_misses == 0 and capture.slab_plan is learned
+    assert capture.forward_plan is None
+    monkeypatch.setattr(fused, "linear", linear)
+    assert tuner.step(ids)[0] == twin.step(ids)[0]
+    assert len(forwards) == 3
     assert capture.full_captures == 2 and capture.forward_plan.slots
     for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
         assert np.array_equal(a.data, b.data)
