@@ -10,8 +10,8 @@ paper's Table II.
 which dispatches to the fused single-node kernels in
 :mod:`repro.tensor.fused` by default — each forward contributes exactly one
 tape node with a hand-derived backward, rather than a chain of primitive
-ops.  ``Linear.forward`` accepts an optional ``activation`` so callers (the
-MLP block) can fold the nonlinearity into the same node.
+ops.  The MLP block folds its nonlinearity into the same node by calling
+``F.linear(..., activation=...)`` itself.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor, activation: Optional[str] = None) -> Tensor:
-        return F.linear(x, self.weight, self.bias, activation=activation)
+    def forward(self, x: Tensor) -> Tensor:
+        return F.linear(x, self.weight, self.bias)
 
     def extra_repr(self) -> str:
         return f"in={self.in_features}, out={self.out_features}, bias={self.bias is not None}"

@@ -71,11 +71,12 @@ once its forward has run, the capture walks every array the retained
 backward closures, the loss and the staged inputs can reach (closure cells,
 defaults, bound methods, ``Tensor.data``, containers, ``__slots__`` and
 instance attributes, dataclass fields among them) and every array each
-forward entry can reach.  A node's output that none of the former reach is
-*forward-only*: live from the entry that binds it to the last entry that
-reads it.  (Only a node's whole output qualifies — a kernel's run rewrites
-it every replay, whereas other plan buffers may hold state bound once at
-record time.)  :func:`assign_offsets` colours those intervals into one
+forward entry can reach.  An uninitialised plan buffer that none of the
+former reach is *forward-only*: live from the entry that binds it, whose
+run rewrites it every replay, to the last entry that reads it.  (State a
+kernel binds once at record time is zero-filled, and so never a
+candidate; see :func:`repro.tensor.plan.plan_alloc`.)
+:func:`assign_offsets` colours those intervals into one
 slab, the learning recording's graph is broken up so its buffers are freed
 before anything else is allocated (``ru_maxrss`` is a high-water mark),
 and the same forward is recorded again with a
@@ -239,14 +240,8 @@ def _touched(arrays: Iterable[np.ndarray],
 def _learn_slab(rec: ForwardRecorder, backward_roots: List) -> Optional[SlabPlan]:
     """The slab plan for a plain recording's forward-only buffers, or None
     when it has none (see the module docstring)."""
-    keyed = {id(buf): i for i, (buf, key) in enumerate(zip(rec.buffers, rec.keys))
-             if key is not None and buf.nbytes}
-    outputs = set()
-    for out in rec.outputs:
-        i = keyed.get(id(_owner(out)))
-        if i is not None and out.nbytes == rec.buffers[i].nbytes:
-            outputs.add(i)
-    candidates = sorted(outputs)
+    candidates = [i for i, (buf, key) in enumerate(zip(rec.buffers, rec.keys))
+                  if key is not None and buf.nbytes]
     backward = _touched(_reached(backward_roots), [rec.buffers[i] for i in candidates])
     chosen = [i for k, i in enumerate(candidates) if k not in backward]
     if not chosen:

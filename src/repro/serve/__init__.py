@@ -6,12 +6,12 @@ Public surface:
   ``submit`` per-tenant step requests, ``step``/``flush`` to serve them
   through signature-bucketed continuous batching, ``fetch_adapter`` to copy
   a tenant's trained adapter out.
-* :class:`AdapterRegistry` — per-tenant adapter + optimizer state paging
-  (LRU-resident over a buffer arena, cold storage beyond that).
+* :class:`AdapterRegistry` — per-tenant adapter + optimizer state: resident
+  flat arrays, paged LRU through the store when one is given.
 * :class:`SignatureBucketQueue` / :class:`StepRequest` — the request queue
   with the max-wait anti-starvation policy.
-* :class:`TenantStateStore` — atomic, SHA-256-verified checkpoint files
-  giving cold tenant state a durable tier (service crash-restart safe).
+* :class:`TenantStateStore` — atomic, SHA-256-verified checkpoint files:
+  where evicted tenants live (service crash-restart safe).
 """
 
 from repro.serve.queue import SignatureBucketQueue, StepRequest

@@ -10,26 +10,23 @@ recorded against.
 The whole design hangs on one invariant: **tenant switches are values-only**.
 Attaching a tenant copies (``np.copyto``) its slabs into the existing
 parameter and moment arrays — never rebinds them — so the StepCapture /
-ForwardPlan machinery (PR 5/6), whose replay thunks are bound to those exact
-ndarray objects, stays valid across arbitrary tenant interleavings.  This is
+ForwardPlan machinery, whose replay thunks are bound to those exact ndarray
+objects, stays valid across arbitrary tenant interleavings.  This is
 what lets thousands of adapters share one compiled step.
 
-Resident slabs live in a private :class:`~repro.tensor.arena.BufferArena`
-(take/release only, no generations — tenant state is persistent, not
-per-step).  Beyond ``max_resident`` tenants, the least-recently-attached
-non-active tenant is demoted to cold storage and its arena buffers are
-released; re-attaching pages it back in.  ``tenant_evictions`` counts the
-demotions.
-
-Cold storage comes in two tiers.  Without a store, demotion keeps
-``tobytes`` snapshots in process memory (bit-exact round-trip, verified by
-the serve test tier) — fast, but lost on restart.  With a
-:class:`~repro.serve.store.TenantStateStore`, demotion writes the slabs as
-an atomic, SHA-256-verified checkpoint file instead, and a registry built
-over the same store *rehydrates* every saved tenant at construction — a
-restarted service pages tenants back in bit-exact (same digest as before
-the crash).  ``checkpoint_all()`` additionally persists every tenant on
-demand, independent of eviction pressure.
+A tenant's state is in one of two places.  *Resident*, it is three plain
+flat arrays (``params``, ``m``, ``v``) the registry owns.  Otherwise it is a
+checkpoint in the registry's :class:`~repro.serve.store.TenantStateStore`:
+an atomic, SHA-256-verified file.  Only a store frees a tenant's memory, so
+only a registry with one evicts: beyond ``max_resident`` tenants the
+least-recently-attached non-active tenant is written to the store and its
+arrays dropped, and re-attaching pages it back in (``tenant_evictions``
+counts the demotions, ``tenant_pageins`` the page-ins).  A registry without
+a store keeps every tenant resident.  A registry built over the same store
+*rehydrates* every saved tenant at construction — a restarted service pages
+tenants back in bit-exact (same digest as before the crash).
+``checkpoint_all()`` persists every resident tenant on demand, independent
+of eviction pressure.
 """
 
 from __future__ import annotations
@@ -44,23 +41,18 @@ import numpy as np
 from repro.nn.module import Parameter
 from repro.optim.adam import Adam
 from repro.serve.store import TenantStateStore
-from repro.tensor.arena import BufferArena
 
 
 @dataclass
 class TenantState:
-    """One tenant's pageable training state (resident, cold bytes, or disk)."""
+    """One tenant's pageable training state: resident flat slabs, or (all
+    three ``None``) a checkpoint in the registry's store."""
 
     tenant: str
     step_count: int = 0
-    # Resident form: flat slabs owned by the registry arena.
     params: Optional[np.ndarray] = None
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
-    # Cold form: bit-exact byte snapshots (params, m, v).
-    cold: Optional[Tuple[bytes, bytes, bytes]] = None
-    # Durable form: the registry's store holds a verified checkpoint file.
-    on_disk: bool = False
     last_used: int = 0
 
     @property
@@ -90,13 +82,13 @@ class AdapterRegistry:
         ``(name, Parameter)`` pairs in the optimizer's parameter order —
         used to render slabs back into name-keyed snapshots.
     max_resident:
-        Resident-tenant bound; beyond it the LRU non-attached tenant is
-        demoted to cold storage.
+        Resident-tenant bound with a ``store``; beyond it the LRU
+        non-attached tenant is written to the store.  Without a store every
+        tenant stays resident.
     store:
-        Optional :class:`TenantStateStore`.  When given, demotions persist
-        to disk instead of process memory, and every tenant the store holds
-        a verified checkpoint for is registered (non-resident) at
-        construction — the durable-restart path.
+        Optional :class:`TenantStateStore`: where evicted tenants go, and
+        every tenant it holds a verified checkpoint for is registered
+        (non-resident) at construction — the durable-restart path.
     """
 
     def __init__(self, optimizer: Adam,
@@ -111,10 +103,6 @@ class AdapterRegistry:
         self.max_resident = int(max_resident)
         if self.max_resident < 1:
             raise ValueError("max_resident must be >= 1")
-        # Persistent slabs: the registry never starts a generation, so the
-        # arena's idle-key eviction never runs here; every take is matched
-        # by a release when its tenant is demoted.
-        self.arena = BufferArena()
         self.total, self.dtype = optimizer.grad_layout()
         # Pristine adapter init: every new tenant starts from the lane's
         # freshly-applied PEFT state, exactly as a dedicated FineTuner would.
@@ -132,8 +120,8 @@ class AdapterRegistry:
             # whose state pages in lazily on first attach.  Corrupt files
             # were quarantined by scan() — the registry still comes up.
             for tenant, step_count in store.scan().items():
-                self._tenants[tenant] = TenantState(
-                    tenant=tenant, step_count=step_count, on_disk=True)
+                self._tenants[tenant] = TenantState(tenant=tenant,
+                                                    step_count=step_count)
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, tenant: str) -> None:
@@ -149,7 +137,8 @@ class AdapterRegistry:
         self._attached = tenant
         state.last_used = next(self._clock)
         self.attaches += 1
-        self._evict_overflow()
+        if self.store is not None:
+            self._evict_overflow()
 
     def sync(self) -> None:
         """Write the live parameter/moment values back into the attached
@@ -164,29 +153,14 @@ class AdapterRegistry:
     def _ensure_resident(self, tenant: str) -> TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            state = TenantState(tenant=tenant)
-            state.params = self.arena.take((self.total,), self.dtype)
-            state.m = self.arena.take((self.total,), self.dtype, zero=True)
-            state.v = self.arena.take((self.total,), self.dtype, zero=True)
-            np.copyto(state.params, self._init_params)
+            state = TenantState(tenant=tenant, params=self._init_params.copy(),
+                                m=np.zeros(self.total, self.dtype),
+                                v=np.zeros(self.total, self.dtype))
             self._tenants[tenant] = state
         elif not state.resident:
-            if state.cold is not None:
-                params_b, m_b, v_b = state.cold
-                params = np.frombuffer(params_b, dtype=self.dtype)
-                m = np.frombuffer(m_b, dtype=self.dtype)
-                v = np.frombuffer(v_b, dtype=self.dtype)
-            else:
-                # Durable tier: verified read through the store.
-                step_count, params, m, v = self.store.load(state.tenant)
-                state.step_count = step_count
-            state.params = self.arena.take((self.total,), self.dtype)
-            state.m = self.arena.take((self.total,), self.dtype)
-            state.v = self.arena.take((self.total,), self.dtype)
-            np.copyto(state.params, params)
-            np.copyto(state.m, m)
-            np.copyto(state.v, v)
-            state.cold = None
+            # Verified read through the store; its arrays are fresh copies.
+            state.step_count, state.params, state.m, state.v = \
+                self.store.load(tenant)
             self.pageins += 1
         return state
 
@@ -197,18 +171,10 @@ class AdapterRegistry:
             if len(resident) + 1 <= self.max_resident:
                 return
             victim = min(resident, key=lambda s: s.last_used)
-            if self.store is not None:
-                # Durable demotion: the slab goes to an atomic, checksummed
-                # file; a restart pages it back bit-exact.
-                self.store.save(victim.tenant, victim.step_count,
-                                victim.params, victim.m, victim.v)
-                victim.on_disk = True
-            else:
-                victim.cold = (victim.params.tobytes(), victim.m.tobytes(),
-                               victim.v.tobytes())
-            self.arena.release(victim.params)
-            self.arena.release(victim.m)
-            self.arena.release(victim.v)
+            # The slabs go to an atomic, checksummed file; a restart pages
+            # them back bit-exact.
+            self.store.save(victim.tenant, victim.step_count,
+                            victim.params, victim.m, victim.v)
             victim.params = victim.m = victim.v = None
             self.tenant_evictions += 1
 
@@ -229,40 +195,25 @@ class AdapterRegistry:
             self.sync()
         if state.resident:
             return state.params
-        if state.cold is not None:
-            return np.frombuffer(state.cold[0], dtype=self.dtype)
         _, params, _, _ = self.store.load(tenant)
         return params
 
     def checkpoint_all(self) -> int:
-        """Persist every tenant's current state through the store.
+        """Persist every resident tenant's current state through the store.
 
         Returns the number of checkpoints written.  Resident tenants (the
-        attached one synced first) are written from their live slabs;
-        memory-cold tenants from their byte snapshots; disk-only tenants are
-        already durable and skipped.
+        attached one synced first) are written from their live slabs; the
+        others are only in the store, already durable.
         """
         if self.store is None:
             raise RuntimeError("registry has no TenantStateStore; pass "
                                "state_dir= / store= to enable durability")
         self.sync()
-        written = 0
-        for state in self._tenants.values():
-            if state.resident:
-                self.store.save(state.tenant, state.step_count,
-                                state.params, state.m, state.v)
-            elif state.cold is not None:
-                params_b, m_b, v_b = state.cold
-                self.store.save(state.tenant, state.step_count,
-                                np.frombuffer(params_b, dtype=self.dtype),
-                                np.frombuffer(m_b, dtype=self.dtype),
-                                np.frombuffer(v_b, dtype=self.dtype))
-                state.cold = None
-            else:
-                continue  # on_disk only: already durable
-            state.on_disk = True
-            written += 1
-        return written
+        resident = [s for s in self._tenants.values() if s.resident]
+        for state in resident:
+            self.store.save(state.tenant, state.step_count,
+                            state.params, state.m, state.v)
+        return len(resident)
 
     def digest(self, tenant: str) -> str:
         """SHA-256 over the tenant's flat adapter parameters (leakage checks)."""
@@ -290,7 +241,9 @@ class AdapterRegistry:
             "tenant_evictions": float(self.tenant_evictions),
             "tenant_pageins": float(self.pageins),
             "tenant_attaches": float(self.attaches),
-            "tenant_state_bytes": float(self.arena.bytes_held),
+            "tenant_state_bytes": float(sum(
+                s.params.nbytes + s.m.nbytes + s.v.nbytes
+                for s in self._tenants.values() if s.resident)),
             "tenant_checkpoint_writes": 0.0,
             "tenant_restores": 0.0,
             "tenant_quarantined": 0.0,

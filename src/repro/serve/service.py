@@ -66,14 +66,17 @@ class ServiceConfig:
     seed: int = 0
     adapters: Sequence[str] = ("lora",)
     learning_rate: float = 1e-3
-    # Paging / batching knobs.
+    # Paging / batching knobs.  The resident bound applies with a state_dir
+    # only: without a store nothing frees an evicted tenant, so every
+    # tenant stays resident.
     max_resident_tenants: int = 8
     max_wait_steps: int = 8
     seq_buckets: Sequence[int] = (16, 32, 64, 128)
     pad_token_id: int = 0
-    # Durability: when set, each lane's registry pages cold tenants to
-    # atomic checkpoint files under <state_dir>/<kind>/ and rehydrates them
-    # at construction (see repro.serve.store).
+    # Durability: when set, each lane's registry pages tenants past
+    # max_resident_tenants to atomic checkpoint files under
+    # <state_dir>/<kind>/ and rehydrates them at construction (see
+    # repro.serve.store).
     state_dir: Optional[str] = None
     # PEFT-economics guard: a lane whose *trainable* state exceeds this
     # byte budget is rejected at construction.  The service's whole design

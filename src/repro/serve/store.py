@@ -1,9 +1,9 @@
 """Durable tenant state: atomic, checksummed checkpoint files per tenant.
 
-The :class:`~repro.serve.registry.AdapterRegistry` keeps cold tenant slabs as
-process-memory bytes — bit-exact, but gone on restart.  This module gives the
-registry a disk tier with the guarantees a multi-tenant service actually
-needs:
+The :class:`~repro.serve.registry.AdapterRegistry` holds a tenant's state
+either resident, as flat arrays, or here: the store is the only place an
+evicted tenant goes, and the only one that survives a restart.  It gives the
+registry the guarantees a multi-tenant service actually needs:
 
 * **Atomic writes.**  Every checkpoint is written to a temp file in the same
   directory, flushed and ``fsync``\\ ed, then ``os.replace``\\ d over the final

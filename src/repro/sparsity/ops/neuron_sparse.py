@@ -135,22 +135,24 @@ def neuron_sparse_linear_pair(x: Tensor,
     # The active-neuron set and (under the veto above, whenever recording) the
     # weights are constant for a plan's lifetime — a layout change invalidates
     # the whole plan — so the weight gathers are bound here, once, and the
-    # body runs only the two matmuls + ReLU.
-    alloc = _plan.plan_alloc(rec)
+    # body runs only the two matmuls + ReLU.  Bound at record time, they take
+    # the zero-filled allocator, which no slab plan places.
+    bound = _plan.plan_alloc(rec, zero=True)
     fc1_active = np.take(fc1_weight.data, active, axis=0, mode="clip",
-                         out=alloc((n_active, d_model), fc1_weight.data.dtype))
+                         out=bound((n_active, d_model), fc1_weight.data.dtype))
     if cache is not None and cache.coalesced and cache.fc2_weight_t is not None:
         fc2_buf = np.take(cache.fc2_weight_t, active, axis=0, mode="clip",
-                          out=alloc((n_active, d_model),
+                          out=bound((n_active, d_model),
                                     cache.fc2_weight_t.dtype))
         fc2_active_t = fc2_buf
     else:
         fc2_buf = np.take(fc2_weight.data, active, axis=1, mode="clip",
-                          out=alloc((d_model, n_active),
+                          out=bound((d_model, n_active),
                                     fc2_weight.data.dtype))
         fc2_active_t = fc2_buf.T
     b1_active = np.take(fc1_bias.data, active, mode="clip",
-                        out=alloc((n_active,), fc1_bias.data.dtype))
+                        out=bound((n_active,), fc1_bias.data.dtype))
+    alloc = _plan.plan_alloc(rec)
     fc1_active_T = fc1_active.T
     fc2_b = fc2_bias.data
     hidden = alloc((n_rows, n_active), x2d.dtype)

@@ -72,9 +72,7 @@ class BufferArena:
     """Pool of ndarrays keyed by ``(shape, dtype)`` with generation recycling."""
 
     __slots__ = ("_free", "_used", "generation", "takes", "hits", "misses",
-                 "bytes_allocated", "bytes_held", "releases",
-                 "last_generation_misses", "_gen_misses", "evictions",
-                 "_last_take_gen")
+                 "bytes_held", "evictions", "_last_take_gen")
 
     # Size bound per (shape, dtype) class: layout drift (a sparsity refresh
     # changing block counts, and with them temporary shapes) retires buffers
@@ -95,11 +93,7 @@ class BufferArena:
         self.takes = 0
         self.hits = 0
         self.misses = 0
-        self.releases = 0
-        self.bytes_allocated = 0      # cumulative bytes of fresh allocations
         self.bytes_held = 0           # current footprint of the whole pool
-        self.last_generation_misses = 0
-        self._gen_misses = 0
         self.evictions = 0
         self._last_take_gen: Dict[Tuple, int] = {}
 
@@ -155,9 +149,7 @@ class BufferArena:
                 buf.fill(0)
         else:
             self.misses += 1
-            self._gen_misses += 1
             buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-            self.bytes_allocated += buf.nbytes
             self.bytes_held += buf.nbytes
         self._used[id(buf)] = (key, buf)
         return buf
@@ -174,7 +166,6 @@ class BufferArena:
             return False
         key, owned = entry
         self._push_free(key, owned)
-        self.releases += 1
         return True
 
     def owns(self, buf: np.ndarray) -> bool:
@@ -188,8 +179,6 @@ class BufferArena:
         self._used.clear()
         self._evict_idle()
         self.generation += 1
-        self.last_generation_misses = self._gen_misses
-        self._gen_misses = 0
 
     def trim(self) -> int:
         """Drop every *free* buffer (outstanding ones are untouched).

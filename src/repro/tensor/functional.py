@@ -44,7 +44,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     ``weight`` has shape ``(out_features, in_features)`` following the
     PyTorch convention so that checkpoint-style configs translate directly.
-    With ``activation`` set (``"relu"``, ``"gelu"``, ...), the nonlinearity
+    With ``activation`` set (``"relu"`` or ``"gelu"``), the nonlinearity
     is folded into the same tape node on the fused path.
     """
     return _impl().linear(x, weight, bias, activation=activation)

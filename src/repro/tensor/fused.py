@@ -239,15 +239,14 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """Fused affine map ``act(x @ weight.T + bias)`` as a single tape node.
 
     ``weight`` has shape ``(out_features, in_features)`` (PyTorch layout).
-    ``activation`` may be ``None``, ``"relu"``, ``"gelu"``, ``"tanh"`` or
-    ``"sigmoid"``; fusing it here means the MLP's first half contributes one
-    node (and one saved buffer) to the tape instead of two ops plus an
-    intermediate Tensor.
+    ``activation`` may be ``None``, ``"relu"`` or ``"gelu"``; fusing it here
+    means the MLP's first half contributes one node (and one saved buffer)
+    to the tape instead of two ops plus an intermediate Tensor.
     """
     x_data = x.data
     in_features = weight.data.shape[1]
     out_features = weight.data.shape[0]
-    if activation not in (None, "none", "relu", "gelu", "tanh", "sigmoid"):
+    if activation not in (None, "none", "relu", "gelu"):
         raise ValueError(f"unsupported fused activation {activation!r}")
     rec = _plan._RECORDER
     if rec is not None and not x_data.flags.c_contiguous:
@@ -261,7 +260,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     x2d = x_data.reshape(-1, in_features)
 
     # Per-activation saved state for the backward (all 2D views).
-    relu_mask = gelu_pre = gelu_tanh = act_out = None
+    relu_mask = gelu_pre = gelu_tanh = None
     alloc = _plan.plan_alloc(rec)
     w = weight.data
     b = None if bias is None else bias.data
@@ -273,8 +272,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         gelu_pre = pre
         gelu_tanh = alloc(pre.shape, pre.dtype)
         out = alloc(pre.shape, pre.dtype)
-    elif activation in ("tanh", "sigmoid"):
-        act_out = pre
 
     def run(x2d=x2d, w=w, b=b, pre=pre, out=out, relu_mask=relu_mask,
             gelu_tanh=gelu_tanh, activation=activation):
@@ -298,13 +295,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             np.add(gelu_tanh, 1.0, out=out)
             out *= pre
             out *= 0.5
-        elif activation == "tanh":
-            np.tanh(pre, out=pre)
-        elif activation == "sigmoid":
-            np.negative(pre, out=pre)
-            np.exp(pre, out=pre)
-            pre += 1.0
-            np.reciprocal(pre, out=pre)
 
     _plan.emit(rec, run, f"linear:{activation or 'none'}")
 
@@ -326,17 +316,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             grad2d = act_grad = np.multiply(
                 grad2d, local, out=_arena.empty(grad2d.shape, grad2d.dtype))
             _arena.release(local, gelu_pre, gelu_tanh)
-        elif act_out is not None:
-            local = _arena.empty(act_out.shape, act_out.dtype)
-            if activation == "tanh":
-                np.multiply(act_out, act_out, out=local)
-                np.subtract(1.0, local, out=local)
-            else:  # sigmoid
-                np.subtract(1.0, act_out, out=local)
-                local *= act_out
-            grad2d = act_grad = np.multiply(
-                grad2d, local, out=_arena.empty(grad2d.shape, grad2d.dtype))
-            _arena.release(local)
         grad_x = grad_w = None
         if x.requires_grad:
             grad_x = np.matmul(
@@ -1187,6 +1166,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ValueError(f"tile must be positive, got {tile}")
     if attn_mask is not None:
         attn_mask = np.asarray(attn_mask, dtype=bool)
-    alloc = _plan.plan_alloc(_plan._RECORDER)
+    # The drop masks are bound once, at record time: zero-filled, never keyed.
+    alloc = _plan.plan_alloc(_plan._RECORDER, zero=True)
     layout = mask_tile_layout(attn_mask, q.shape[-2], k.shape[-2], tile, alloc)
     return tiled_attention(q, k, v, layout, scale=scale, tag="sdpa")

@@ -102,7 +102,6 @@ class ForwardRecorder:
     the plan buffers the kernels took through :func:`plan_alloc`, the slab
     once; ``keys`` holds the allocation key (see :class:`SlabPlan`) of each
     of them that was taken uninitialised (``None`` for a zero-filled one).
-    ``outputs`` holds the data of every node built.
 
     Given a ``slab_plan``, an uninitialised allocation whose key and shape
     match a slot is a view of :attr:`slab` at the slot's offset, listed in
@@ -110,8 +109,8 @@ class ForwardRecorder:
     """
 
     __slots__ = ("entries", "created", "noted", "built", "failed",
-                 "fail_reason", "scratch", "buffers", "keys", "outputs",
-                 "slab_plan", "slab", "slots", "_site")
+                 "fail_reason", "scratch", "buffers", "keys", "slab_plan",
+                 "slab", "slots", "_site")
 
     def __init__(self, slab_plan: Optional[SlabPlan] = None) -> None:
         self.entries: List[ForwardEntry] = []
@@ -120,7 +119,6 @@ class ForwardRecorder:
         self.scratch = _arena.BufferArena()
         self.buffers: List[np.ndarray] = []
         self.keys: List[Optional[Tuple[int, int]]] = []
-        self.outputs: List[np.ndarray] = []
         self.slab_plan = slab_plan
         self.slab: Optional[np.ndarray] = None
         self.slots: List[Tuple[np.ndarray, int]] = []
@@ -231,6 +229,12 @@ def plan_alloc(rec: Optional[ForwardRecorder], zero: bool = False):
     recycling must never reclaim plan state, and the list is what the
     plan's byte count is taken from.  Otherwise it is the arena.  ``zero=True``
     zero-fills either way.  The sibling of :func:`scratch_alloc`.
+
+    An uninitialised buffer is keyed, so a slab plan may place it: the run
+    of the entry being bound must rewrite it whole on every replay, before
+    anything reads it.  State a kernel binds once at record time and its
+    ``run`` only reads — a weight gather, a negated mask — takes
+    ``zero=True``: zero-filled buffers are never keyed.
     """
     if rec is not None:
         return rec.zeros if zero else rec.empty

@@ -104,10 +104,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         return out.relu()
     if activation == "gelu":
         return out.gelu()
-    if activation == "tanh":
-        return out.tanh()
-    if activation == "sigmoid":
-        return out.sigmoid()
     raise ValueError(f"unsupported activation {activation!r}")
 
 

@@ -292,8 +292,6 @@ class Tensor:
         parents = tuple(parents)
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
-        if rec is not None:
-            rec.outputs.append(out.data)
         if requires:
             out._parents = parents
             out._backward = backward

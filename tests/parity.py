@@ -239,7 +239,7 @@ def build_cases() -> List[ParityCase]:
     # -- fused linear (+bias, +activation) ---------------------------------
     # Seed chosen so every pre-activation is >= 0.16 away from zero —
     # central differences would straddle the ReLU kink otherwise.
-    for activation in (None, "relu", "gelu", "tanh", "sigmoid"):
+    for activation in (None, "relu", "gelu"):
         rng = np.random.default_rng(38)
         x = rng.normal(size=(2, 3, 4)).astype(np.float32)
         w = rng.normal(0, 0.5, size=(5, 4)).astype(np.float32)

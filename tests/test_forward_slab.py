@@ -2,6 +2,7 @@
 share one slab, placed by greedy interval colouring.
 
 * the colouring itself, as a property over generated intervals;
+* a forward-only buffer that is no node's whole output shares the slab;
 * the capture lifecycle on a predicted sparse engine: one learning forward
   at the signature's first capture, none at a refresh re-capture, and the
   losses, parameters and engine record of an uncaptured twin, bit for bit;
@@ -137,6 +138,28 @@ def _dense_tuner(capture: bool = True):
                       optimizer=Adam(model.trainable_parameters(), lr=1e-3))
     ids = np.random.default_rng(3).integers(0, model.config.vocab_size, size=(2, 64))
     return tuner, ids
+
+
+def test_forward_only_buffers_need_not_be_a_nodes_output():
+    # Layer 0's attention norm reads the embedding, which takes no gradient,
+    # so no backward closure holds its normalised rows or inverse standard
+    # deviations: both go to the slab beside the node's output, and the
+    # steps stay the uncaptured twin's bit for bit.
+    tuner, ids = _dense_tuner()
+    twin, _ = _dense_tuner(capture=False)
+    for _ in range(3):
+        assert tuner.step(ids)[0] == twin.step(ids)[0]
+    capture = tuner.capture
+    assert (capture.full_captures, capture.full_replays) == (1, 2)
+    norm = capture.slab_plan.tags.index("layer_norm")
+    slots = capture.slab_plan.slots
+    assert {(norm, 0), (norm, 1)} <= set(slots)   # normalized, inv_std
+    sizes = {key: int(np.prod(shape)) * np.dtype(dtype).itemsize
+             for key, (shape, dtype, _, _) in slots.items()}
+    assert capture.forward_only_bytes() == sum(sizes.values())
+    assert sizes[norm, 1] == ids.size * 4
+    for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
 
 
 @pytest.mark.parity

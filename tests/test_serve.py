@@ -5,7 +5,8 @@ The contract under test is the service's whole reason to exist: tenants
 time-sharing one frozen base through compiled-plan replay must be
 *indistinguishable* — bitwise — from tenants that each owned a dedicated
 trainer, no matter how their steps interleave, how often their state is
-evicted to cold storage, or which signature buckets their batches land in.
+evicted to the durable store, or which signature buckets their batches land
+in.
 """
 
 import numpy as np
@@ -105,18 +106,19 @@ class TestTenantIsolation:
 
 
 class TestStatePaging:
-    def test_eviction_round_trip_preserves_bits(self):
+    def test_eviction_round_trip_preserves_bits(self, tmp_path):
         """Training through evict/re-page cycles == training fully resident.
 
         The second round's Adam updates consume the restored m/v moments, so
         digest equality after round two proves the whole optimizer state —
-        not just the parameters — survives cold storage bit-exactly.
+        not just the parameters — survives the store bit-exactly.
         """
         tenants = [f"t{i}" for i in range(6)]
         data = tenant_batches(tenants, steps=2)
 
         def run(max_resident):
-            service = make_service(max_resident_tenants=max_resident)
+            service = make_service(max_resident_tenants=max_resident,
+                                   state_dir=str(tmp_path / str(max_resident)))
             for step in range(2):
                 for tenant in tenants:
                     service.submit(tenant, data[tenant][step])
@@ -132,14 +134,15 @@ class TestStatePaging:
             assert (resident.fetch_adapter(tenant).digest
                     == churning.fetch_adapter(tenant).digest), tenant
 
-    def test_zipf_traffic_under_paging_keeps_replaying_and_isolated(self):
+    def test_zipf_traffic_under_paging_keeps_replaying_and_isolated(self, tmp_path):
         """Skewed bursty traffic over more tenants than resident slots: paging
         churns, yet pages land in the live buffers (plans keep replaying),
         the base never moves and no two tenants share state."""
         tenants = 4
         ranks = np.arange(1, tenants + 1, dtype=np.float64)
         zipf = (1.0 / ranks ** 1.2) / np.sum(1.0 / ranks ** 1.2)
-        service = make_service(max_resident_tenants=2, seq_buckets=(SEQ,))
+        service = make_service(max_resident_tenants=2, seq_buckets=(SEQ,),
+                               state_dir=str(tmp_path))
         base = service.base_digest()
         rng = np.random.default_rng(0)
         served = []
@@ -155,6 +158,30 @@ class TestStatePaging:
         assert service.base_digest() == base
         digests = {service.tenant_digest(t) for t in {r.tenant for r in served}}
         assert len(digests) == len({r.tenant for r in served})
+
+    def test_without_a_store_every_tenant_stays_resident(self):
+        """Past the resident bound with no store nothing is evicted: the
+        gauge counts every tenant's three slabs, and each adapter is still
+        its dedicated trainer's, bit for bit."""
+        tenants = [f"t{i}" for i in range(6)]
+        data = tenant_batches(tenants, steps=2)
+        service = make_service(max_resident_tenants=2)
+        for step in range(2):
+            for tenant in tenants:
+                service.submit(tenant, data[tenant][step])
+            service.flush()
+        gauges = service.gauges()
+        assert gauges["tenant_evictions"] == 0
+        assert gauges["resident_tenants"] == len(tenants)
+        slabs = 3 * sum(p.data.nbytes
+                        for p in service._lane("lora").optimizer.params)
+        assert gauges["tenant_state_bytes"] == len(tenants) * slabs
+        for tenant in tenants:
+            served = service.fetch_adapter(tenant).state
+            dedicated = dedicated_adapter("lora", data[tenant])
+            for name in dedicated:
+                assert np.array_equal(served[name], dedicated[name]), (
+                    f"{tenant}:{name}")
 
     def test_fetch_adapter_snapshot_is_detached(self):
         service = make_service()

@@ -60,7 +60,6 @@ def test_arena_take_miss_then_generation_hit():
     d = arena.take((4, 3))
     assert {id(c), id(d)} == {id(a), id(b)}   # recycled wholesale
     assert arena.misses == 2 and arena.hits == 2
-    assert arena.last_generation_misses == 2
 
 
 def test_arena_keys_on_shape_and_dtype():
@@ -112,6 +111,34 @@ def test_arena_trim_drops_free_pools_only():
     assert arena.owns(live)          # outstanding buffer untouched
     assert arena.take((8, 8)) is not held
     assert held is not None
+
+
+def test_arena_trims_an_idle_key_oldest_first_from_two_generations():
+    arena = BufferArena()
+    cap = BufferArena.MAX_FREE_PER_KEY
+    taken = [arena.take((4,)) for _ in range(cap + 3)]
+    arena.next_generation()          # all free, taken this generation
+    arena.next_generation()          # idle for one generation: spared
+    assert arena.evictions == 0 and len(arena.buffers()) == cap + 3
+    arena.next_generation()          # idle for two: trimmed to the cap
+    assert arena.evictions == 3
+    assert [id(b) for b in arena.buffers()] == [id(b) for b in taken[3:]]
+    assert arena.bytes_held == cap * taken[0].nbytes
+
+
+def test_arena_drops_a_key_idle_for_free_ttl_generations():
+    arena = BufferArena()
+    idle = arena.take((8,))
+    for _ in range(BufferArena.FREE_TTL):
+        arena.next_generation()
+        busy = arena.take((2,))      # a key taken every step is never idle
+    assert arena.evictions == 0      # idle for FREE_TTL - 1: still pooled
+    assert any(b is idle for b in arena.buffers())
+    arena.next_generation()          # idle for FREE_TTL: the key goes
+    assert arena.evictions == 1
+    assert not any(b is idle for b in arena.buffers())
+    assert arena.bytes_held == busy.nbytes
+    assert arena.take((8,)) is not idle and arena.misses == 3
 
 
 def test_integer_division_matches_uncaptured_under_arena():
