@@ -68,12 +68,16 @@ def test_fig9_sparsity_ratios(benchmark):
         assert values == sorted(values)
 
 
-def _time_fn(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+def _time_interleaved(fns, rounds=5):
+    """Best wall time of each of ``fns`` (name -> thunk) over ``rounds``
+    rounds that run every thunk once, in turn: a load spike on a shared
+    host hits every variant alike instead of one variant's repeats."""
+    best = dict.fromkeys(fns, float("inf"))
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
     return best
 
 
@@ -95,11 +99,13 @@ def test_fig9_layer_kernel_speedups(benchmark):
         uniform = np.repeat(np.any(head_masks, axis=0)[None], H, axis=0)
         layout_head = layout_from_block_masks(head_masks, BLOCK_SIZE)
         layout_uniform = layout_from_block_masks(uniform, BLOCK_SIZE)
-        results["attn_dense"] = _time_fn(lambda: dense_attention(q, k, v, causal))
-        results["attn_shadowy"] = _time_fn(
-            lambda: block_sparse_attention(Tensor(q), Tensor(k), Tensor(v), layout_uniform))
-        results["attn_longexposure"] = _time_fn(
-            lambda: block_sparse_attention(Tensor(q), Tensor(k), Tensor(v), layout_head))
+        results.update(_time_interleaved({
+            "attn_dense": lambda: dense_attention(q, k, v, causal),
+            "attn_shadowy": lambda: block_sparse_attention(
+                Tensor(q), Tensor(k), Tensor(v), layout_uniform),
+            "attn_longexposure": lambda: block_sparse_attention(
+                Tensor(q), Tensor(k), Tensor(v), layout_head),
+        }))
 
         # MLP: dense vs unstructured shadowy vs structured neuron-sparse.
         mlp = model.blocks[0].mlp
@@ -111,11 +117,13 @@ def test_fig9_layer_kernel_speedups(benchmark):
         active_blocks = exposer.active_blocks(dense_backend.last_activations)
         active = expand_block_indices(active_blocks, BLOCK_SIZE, cfg.hidden_dim)
         unstructured = UnstructuredSparseMLPBackend()
-        results["mlp_dense"] = _time_fn(lambda: DenseMLPBackend()(mlp, x))
-        results["mlp_shadowy"] = _time_fn(lambda: unstructured(mlp, x))
-        results["mlp_longexposure"] = _time_fn(
-            lambda: neuron_sparse_linear_pair(x, mlp.fc1.weight, mlp.fc1.bias,
-                                              mlp.fc2.weight, mlp.fc2.bias, active))
+        results.update(_time_interleaved({
+            "mlp_dense": lambda: DenseMLPBackend()(mlp, x),
+            "mlp_shadowy": lambda: unstructured(mlp, x),
+            "mlp_longexposure": lambda: neuron_sparse_linear_pair(
+                x, mlp.fc1.weight, mlp.fc1.bias, mlp.fc2.weight, mlp.fc2.bias,
+                active),
+        }))
         return results["attn_longexposure"]
 
     benchmark.pedantic(run, rounds=1, iterations=1)

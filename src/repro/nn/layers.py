@@ -10,8 +10,8 @@ paper's Table II.
 which dispatches to the fused single-node kernels in
 :mod:`repro.tensor.fused` by default — each forward contributes exactly one
 tape node with a hand-derived backward, rather than a chain of primitive
-ops.  The MLP block folds its nonlinearity into the same node by calling
-``F.linear(..., activation=...)`` itself.
+ops.  The MLP block runs its two ``Linear`` layers and their nonlinearity
+as one node, ``F.mlp``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ The block is the usual ``fc1 -> activation -> fc2`` expansion.  The default
 :class:`DenseMLPBackend` runs both linear layers densely; LongExposure's
 engine swaps in a neuron-sparse backend that only loads and multiplies the
 columns of ``fc1`` / rows of ``fc2`` whose neuron blocks the predictor marks
-active (Section VI-B of the paper).
+active (Section VI-B of the paper).  On the fused path both run one body,
+:func:`repro.tensor.fused.mlp_rows`, a chunk of rows at a time: the
+``(rows, hidden)`` activation exists whole only where a trainable
+parameter's gradient reads it.
 
 Backends may expose ``last_activations`` with the post-activation values of
 the most recent forward pass; the predictor data-collection pass and the
@@ -26,14 +29,22 @@ from repro.tensor import Tensor, fused, functional as F
 class DenseMLPBackend:
     """Baseline dense execution of the MLP block.
 
-    On the fused path ``fc1`` and the activation collapse into a single tape
-    node (``F.linear(..., activation=...)``), so a block contributes two
-    nodes instead of three and never materialises the pre-activation as a
-    separate graph Tensor.  The fusion only applies when both layers are
-    plain :class:`~repro.nn.layers.Linear` modules — PEFT wrappers such as
-    LoRA replace them with composite modules that must run their own
-    forward — and is skipped while capturing activations, because the
-    predictor data-collection pass needs the post-activation Tensor.
+    On the fused path the whole block is one tape node (``F.mlp``), which
+    walks the rows a chunk at a time: the ``(rows, hidden)`` activation is
+    never a graph Tensor, and its backward keeps only what the trainable
+    set needs (see :func:`repro.tensor.fused.mlp`):
+
+    * every MLP parameter frozen (LoRA on the attention projections): the
+      ReLU mask, or GeLU's pre-activation and tanh term;
+    * a trainable fc1 weight or bias (BitFit): also the whole activation
+      gradient, and fc1's input for its weight;
+    * a trainable fc2 weight: also the whole hidden activation.
+
+    The fusion only applies when both layers are plain
+    :class:`~repro.nn.layers.Linear` modules — PEFT wrappers such as LoRA
+    replace them with composite modules that must run their own forward —
+    and is skipped while capturing activations, because the predictor
+    data-collection pass needs the post-activation Tensor.
     """
 
     def __init__(self, capture_activations: bool = False):
@@ -44,9 +55,8 @@ class DenseMLPBackend:
         fc1, fc2 = module.fc1, module.fc2
         if (fused.fused_kernels_enabled() and not self.capture_activations
                 and type(fc1) is Linear and type(fc2) is Linear):
-            hidden = F.linear(x, fc1.weight, fc1.bias,
-                              activation=module.activation_name)
-            return F.linear(hidden, fc2.weight, fc2.bias)
+            return F.mlp(x, fc1.weight, fc1.bias, fc2.weight, fc2.bias,
+                         activation=module.activation_name)
         hidden = module.activation(fc1(x))
         if self.capture_activations:
             self.last_activations = hidden.data.copy()

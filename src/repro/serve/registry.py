@@ -195,8 +195,8 @@ class AdapterRegistry:
             self.sync()
         if state.resident:
             return state.params
-        _, params, _, _ = self.store.load(tenant)
-        return params
+        # A verified read of the params slab: the tenant stays paged out.
+        return self.store.load_params(tenant)
 
     def checkpoint_all(self) -> int:
         """Persist every resident tenant's current state through the store.

@@ -185,6 +185,17 @@ class TenantStateStore:
             raise self._quarantine(path, "SHA-256 mismatch")
         return header, body
 
+    def _read_tenant(self, tenant: str) -> Tuple[dict, bytes, np.dtype, int]:
+        """``tenant``'s verified checkpoint: its header, its body, the slab
+        dtype and the slab length."""
+        path = self.path(tenant)
+        header, body = self._read_verified(path)
+        if header.get("tenant") != tenant:
+            raise self._quarantine(
+                path, f"tenant mismatch: header says "
+                      f"{header.get('tenant')!r}")
+        return header, body, np.dtype(header["dtype"]), int(header["total"])
+
     def load(self, tenant: str) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Verified read of one tenant: ``(step_count, params, m, v)``.
 
@@ -192,20 +203,22 @@ class TenantStateStore:
         :class:`CheckpointCorruptError` (after quarantining the file) when
         verification fails.
         """
-        path = self.path(tenant)
-        header, body = self._read_verified(path)
-        if header.get("tenant") != tenant:
-            raise self._quarantine(
-                path, f"tenant mismatch: header says "
-                      f"{header.get('tenant')!r}")
-        dtype = np.dtype(header["dtype"])
-        total = int(header["total"])
+        header, body, dtype, total = self._read_tenant(tenant)
         span = total * dtype.itemsize
-        params = np.frombuffer(body[:span], dtype=dtype).copy()
-        m = np.frombuffer(body[span:2 * span], dtype=dtype).copy()
-        v = np.frombuffer(body[2 * span:], dtype=dtype).copy()
+        params, m, v = (np.frombuffer(body, dtype, total, i * span).copy()
+                        for i in range(3))
         self.restores += 1
         return int(header["step_count"]), params, m, v
+
+    def load_params(self, tenant: str) -> np.ndarray:
+        """Verified read of one tenant's adapter parameters alone.
+
+        The whole file is read and checked as by :meth:`load`, but only the
+        ``params`` slab is copied out, and nothing is restored: ``restores``
+        does not count it.
+        """
+        _, body, dtype, total = self._read_tenant(tenant)
+        return np.frombuffer(body, dtype, total).copy()
 
     # -- discovery -----------------------------------------------------------
     def scan(self) -> Dict[str, int]:

@@ -9,9 +9,12 @@ Two ideas from the paper are realised here:
 
 * **Neuron sparsity** — :func:`neuron_sparse_linear_pair` accepts the indices
   of the active neurons and gathers only those weight slices before running
-  otherwise-standard (tiled, BLAS-backed) matmuls; no sparse data format or
-  conversion is involved, matching the "inherently compatible with the
-  conventional tiling algorithm" claim.
+  the dense MLP's own row-tiled body (:func:`repro.tensor.fused.mlp_rows`,
+  a chunk of rows at a time); no sparse data format or conversion is
+  involved, matching the "inherently compatible with the conventional
+  tiling algorithm" claim.  With the base frozen, the backward keeps only
+  the ReLU mask; a trainable fc1 weight or bias adds the whole activation
+  gradient, a trainable fc2 weight the whole hidden activation.
 * **Memory coalescing** — the weights of the two linear layers are accessed
   neuron-wise along different axes (columns of fc1's ``(hidden, d)`` matrix
   are its *rows* in our PyTorch-style layout; fc2's ``(d, hidden)`` matrix is
@@ -30,8 +33,9 @@ import numpy as np
 
 from repro.tensor import Tensor
 from repro.tensor import arena as _arena
+from repro.tensor import fused as _fused
 from repro.tensor import plan as _plan
-from repro.tensor.tensor import _check_gather_bounds, custom_op
+from repro.tensor.tensor import _check_gather_bounds, custom_op, is_grad_enabled
 
 
 def expand_block_indices(active_blocks: np.ndarray, block_size: int,
@@ -96,10 +100,12 @@ def neuron_sparse_linear_pair(x: Tensor,
         Optional :class:`NeuronSparseWeights` holding coalescing-friendly
         copies of the frozen weights.
 
-    The custom backward produces gradients only for the active columns/rows
-    of the weight matrices (zeros elsewhere), for the active bias entries and
-    for ``x`` — inactive neurons are excluded from gradient work exactly as
-    derived in the paper's Section II-D.
+    The body is the dense MLP's over the gathered active rows (see the
+    module docstring), so the ``(rows, n_active)`` hidden activation is one
+    chunk of scratch.  The backward produces gradients only for the active
+    columns/rows of the weight matrices (zeros elsewhere), for the active
+    bias entries and for ``x`` — inactive neurons are excluded from
+    gradient work exactly as derived in the paper's Section II-D.
     """
     active = np.asarray(active_neurons, dtype=np.int64)
     if active.size == 0:
@@ -108,7 +114,6 @@ def neuron_sparse_linear_pair(x: Tensor,
         raise ValueError("neuron-sparse MLP execution requires a ReLU activation")
 
     x_data = x.data
-    batch_shape = x_data.shape[:-1]
     d_model = x_data.shape[-1]
     # The weight gathers below run ``np.take(mode="clip")``, which would
     # silently clamp an out-of-range neuron index.
@@ -129,7 +134,6 @@ def neuron_sparse_linear_pair(x: Tensor,
         rec = None
 
     x2d = x_data.reshape(-1, d_model)
-    n_rows = x2d.shape[0]
     n_active = active.shape[0]
 
     # The active-neuron set and (under the veto above, whenever recording) the
@@ -152,25 +156,22 @@ def neuron_sparse_linear_pair(x: Tensor,
         fc2_active_t = fc2_buf.T
     b1_active = np.take(fc1_bias.data, active, mode="clip",
                         out=bound((n_active,), fc1_bias.data.dtype))
-    alloc = _plan.plan_alloc(rec)
-    fc1_active_T = fc1_active.T
-    fc2_b = fc2_bias.data
-    hidden = alloc((n_rows, n_active), x2d.dtype)
-    # Bound here, filled by the backward: ``hidden > 0`` is the ReLU mask.
-    act_mask = alloc((n_rows, n_active), bool)
-    out2d = alloc((n_rows, d_model), x2d.dtype)
-
-    def run(hidden=hidden, out2d=out2d):
-        np.matmul(x2d, fc1_active_T, out=hidden)
-        hidden += b1_active
-        np.maximum(hidden, 0, out=hidden)
-        np.matmul(hidden, fc2_active_t, out=out2d)
-        out2d += fc2_b
-
-    # Every replay reads ``b1_active``, so it is the thunk's own while
-    # recording; only an interpreted call hands it back.
-    _plan.emit(rec, run, "neuron_sparse_mlp", b1_active)
-    out = out2d.reshape(*batch_shape, d_model)
+    params = (fc1_weight, fc1_bias, fc2_weight, fc2_bias)
+    grad = is_grad_enabled() and any(t.requires_grad for t in (x,) + params)
+    train_w1, train_b1, train_w2, train_b2 = (grad and t.requires_grad for t in params)
+    out2d, hidden, rows_backward = _fused.mlp_rows(
+        x2d, fc1_active, b1_active, fc2_active_t, fc2_bias.data, activation,
+        rec, "neuron_sparse_mlp", grad=grad, keep_hidden=train_w2,
+        keep_act_grad=train_w1 or train_b1)
+    if rec is None:
+        # Every replay reads ``b1_active``, so it is the thunk's own while
+        # recording; only an interpreted call hands it back.
+        _arena.release(b1_active)
+    out = out2d.reshape(*x_data.shape[:-1], d_model)
+    # Flags and shapes, not the input: the closure reaches ``x`` only for
+    # fc1's weight gradient.
+    x_shape, need_dx = x_data.shape, x.requires_grad
+    x_kept = x2d if train_w1 else None
 
     def backward(grad_out: np.ndarray):
         # Gradients are produced only for the parents that will consume them:
@@ -178,32 +179,27 @@ def neuron_sparse_linear_pair(x: Tensor,
         # (hidden, d)-sized zero fills and scatter matmuls are dead work the
         # autograd loop would discard anyway.
         grad2d = grad_out.reshape(-1, d_model)
-        grad_fc2_bias = grad2d.sum(axis=0) if fc2_bias.requires_grad else None
+        grad_fc2_bias = grad2d.sum(axis=0) if train_b2 else None
         grad_fc2 = None
-        if fc2_weight.requires_grad:
+        if train_w2:
             # Only active rows of the (hidden, d) transposed view, i.e.
             # active columns of the (d, hidden) weight.
             grad_fc2_active = hidden.T @ grad2d              # (n_active, d)
             grad_fc2 = _arena.zeros(fc2_weight.shape, fc2_weight.data.dtype)
             grad_fc2[:, active] = grad_fc2_active.T
-        # Through the activation.
-        grad_hidden = np.matmul(grad2d, fc2_active_t.T,
-                                out=_arena.empty((n_rows, n_active), grad2d.dtype))
-        np.greater(hidden, 0, out=act_mask)
-        grad_hidden *= act_mask                               # (N, n_active)
+        # Through the activation, chunk by chunk: (N, n_active).
+        grad_x, grad_hidden = rows_backward(grad2d, need_dx)
         grad_fc1 = grad_b1 = None
-        if fc1_weight.requires_grad:
-            grad_fc1_active = grad_hidden.T @ x2d             # (n_active, d)
+        if train_w1:
+            grad_fc1_active = grad_hidden.T @ x_kept          # (n_active, d)
             grad_fc1 = _arena.zeros(fc1_weight.shape, fc1_weight.data.dtype)
             grad_fc1[active] = grad_fc1_active
-        if fc1_bias.requires_grad:
+        if train_b1:
             grad_b1 = _arena.zeros(fc1_bias.shape, fc1_bias.data.dtype)
             grad_b1[active] = grad_hidden.sum(axis=0)
-        # Input gradient.
-        grad_x = np.matmul(grad_hidden, fc1_active,
-                           out=_arena.empty((n_rows, d_model), grad_hidden.dtype)
-                           ).reshape(x_data.shape)
-        _arena.release(grad_hidden, hidden, act_mask, fc1_active, fc2_buf)
+        if grad_x is not None:
+            grad_x = grad_x.reshape(x_shape)
+        _arena.release(grad_hidden, hidden, fc1_active, fc2_buf)
         return grad_x, grad_fc1, grad_b1, grad_fc2, grad_fc2_bias
 
-    return custom_op(out, (x, fc1_weight, fc1_bias, fc2_weight, fc2_bias), backward)
+    return custom_op(out, (x,) + params, backward)

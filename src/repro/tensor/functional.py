@@ -60,6 +60,19 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     return _impl().lora_linear(x, weight, bias, lora_A, lora_B, scaling)
 
 
+def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
+        fc2_weight: Tensor, fc2_bias: Optional[Tensor],
+        activation: str = "relu") -> Tensor:
+    """The MLP block ``fc2(act(fc1(x)))`` (``"relu"`` or ``"gelu"``).
+
+    On the fused path it is one tape node walking the rows a chunk at a
+    time: the ``(rows, hidden)`` activation exists whole only when a
+    trainable fc2 weight needs it.
+    """
+    return _impl().mlp(x, fc1_weight, fc1_bias, fc2_weight, fc2_bias,
+                       activation=activation)
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray,
                   ignore_index: int = -100, shift: bool = False) -> Tuple[Tensor, int]:
     """Token-level cross entropy for language modelling.

@@ -11,7 +11,8 @@ per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
 The kernels the step compiler can replay (``layer_norm``, ``linear``,
-``lora_linear``, ``linear_cross_entropy``, the tiled attention core) write
+``lora_linear``, ``linear_cross_entropy``, ``mlp``, the tiled attention
+core) write
 that forward exactly once, as a ``run`` thunk over buffers bound up front —
 plan-owned while a :class:`~repro.tensor.plan.ForwardRecorder` is installed,
 the arena's otherwise — and hand it to :func:`repro.tensor.plan.emit`, which
@@ -51,6 +52,12 @@ Derivations (notation: ``g`` is the incoming output gradient):
 ``linear``           ``dx = g W``, ``dW = g^T x``, ``db = sum(g)``; when an
                      activation is fused, ``g`` is first multiplied by the
                      activation's local derivative.
+``mlp``              ``y = act(x W1^T + b1) W2^T + b2`` a chunk of rows at a
+                     time; ``dx_c = ((g_c W2) * act'_c) W1`` chunk by chunk,
+                     ``dW2 = g^T h``, ``db2 = sum(g)`` and, with ``gh`` the
+                     activation gradient, ``dW1 = gh^T x``, ``db1 = sum(gh)``
+                     over whole arrays the backward keeps only when those
+                     parameters train.
 ``lora_linear``      ``y = x W^T + b + s (x A^T) B^T = x M^T + b`` with the
                      merged ``M = W + s B A`` (``s`` the LoRA scaling, ``A``
                      ``(r, in)``, ``B`` ``(out, r)``).  Backward, with
@@ -90,6 +97,9 @@ __all__ = [
     "lora_linear",
     "linear_cross_entropy",
     "token_log_probs",
+    "row_chunks",
+    "mlp_rows",
+    "mlp",
     "RowTile",
     "UnitClass",
     "TileLayout",
@@ -234,14 +244,53 @@ def _gelu_local_grad(pre: np.ndarray, tanh_inner: np.ndarray) -> np.ndarray:
     return local
 
 
+def _activation_forward(activation: Optional[str], pre: np.ndarray,
+                        out: np.ndarray, relu_mask: Optional[np.ndarray],
+                        gelu_tanh: Optional[np.ndarray]) -> None:
+    """``out = act(pre)``, keeping what the backward reads: ReLU works in
+    place (``out`` is ``pre``) and keeps its mask, GeLU its tanh term."""
+    if activation == "relu":
+        np.greater(pre, 0, out=relu_mask)
+        np.multiply(pre, relu_mask, out=pre)
+    elif activation == "gelu":
+        # tanh approximation with multiplications, not ``**``: ``x ** 3``
+        # on float32 goes through NumPy's generic pow loop, an order of
+        # magnitude slower than two multiplies (GeLU alone was ~35 % of
+        # the seed train step for exactly this reason).
+        np.multiply(pre, pre, out=gelu_tanh)
+        gelu_tanh *= _GELU_A
+        gelu_tanh += 1.0
+        gelu_tanh *= pre
+        gelu_tanh *= _GELU_C
+        np.tanh(gelu_tanh, out=gelu_tanh)
+        np.add(gelu_tanh, 1.0, out=out)
+        out *= pre
+        out *= 0.5
+
+
+def _activation_backward(grad: np.ndarray, out: np.ndarray,
+                         relu_mask: Optional[np.ndarray],
+                         gelu_pre: Optional[np.ndarray],
+                         gelu_tanh: Optional[np.ndarray]) -> np.ndarray:
+    """``out = grad * act'(pre)`` from what :func:`_activation_forward`
+    kept (``out`` may be ``grad``)."""
+    if relu_mask is not None:
+        return np.multiply(grad, relu_mask, out=out)
+    local = _gelu_local_grad(gelu_pre, gelu_tanh)
+    np.multiply(grad, local, out=out)
+    _arena.release(local)
+    return out
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            activation: Optional[str] = None) -> Tensor:
     """Fused affine map ``act(x @ weight.T + bias)`` as a single tape node.
 
     ``weight`` has shape ``(out_features, in_features)`` (PyTorch layout).
     ``activation`` may be ``None``, ``"relu"`` or ``"gelu"``; fusing it here
-    means the MLP's first half contributes one node (and one saved buffer)
-    to the tape instead of two ops plus an intermediate Tensor.
+    means an activation contributes no node (and one saved buffer) of its
+    own.  The backward keeps the input only for a trainable ``weight``
+    (``dW = g^T x``), so a frozen layer's input can be forward-only.
     """
     x_data = x.data
     in_features = weight.data.shape[1]
@@ -278,27 +327,15 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         np.matmul(x2d, w.T, out=pre)
         if b is not None:
             pre += b
-        if activation == "relu":
-            np.greater(pre, 0, out=relu_mask)
-            np.multiply(pre, relu_mask, out=pre)
-        elif activation == "gelu":
-            # tanh approximation with multiplications, not ``**``: ``x ** 3``
-            # on float32 goes through NumPy's generic pow loop, an order of
-            # magnitude slower than two multiplies (GeLU alone was ~35 % of
-            # the seed train step for exactly this reason).
-            np.multiply(pre, pre, out=gelu_tanh)
-            gelu_tanh *= _GELU_A
-            gelu_tanh += 1.0
-            gelu_tanh *= pre
-            gelu_tanh *= _GELU_C
-            np.tanh(gelu_tanh, out=gelu_tanh)
-            np.add(gelu_tanh, 1.0, out=out)
-            out *= pre
-            out *= 0.5
+        _activation_forward(activation, pre, out, relu_mask, gelu_tanh)
 
     _plan.emit(rec, run, f"linear:{activation or 'none'}")
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    # Flags and shapes, not the input: the closure must not reach ``x``.
+    x_shape, need_dx = x_data.shape, x.requires_grad
+    x_kept = x2d if weight.requires_grad else None
+    need_db = bias is not None and bias.requires_grad
 
     def backward(grad):
         # Gradients are produced only for parents that will consume them:
@@ -307,36 +344,32 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         # work the autograd loop would discard anyway.
         grad2d = grad.reshape(-1, out_features)
         act_grad = None
-        if relu_mask is not None:
-            grad2d = act_grad = np.multiply(
-                grad2d, relu_mask, out=_arena.empty(grad2d.shape, grad2d.dtype))
-            _arena.release(relu_mask)
-        elif gelu_pre is not None:
-            local = _gelu_local_grad(gelu_pre, gelu_tanh)
-            grad2d = act_grad = np.multiply(
-                grad2d, local, out=_arena.empty(grad2d.shape, grad2d.dtype))
-            _arena.release(local, gelu_pre, gelu_tanh)
+        if activation in ("relu", "gelu"):
+            grad2d = act_grad = _activation_backward(
+                grad2d, _arena.empty(grad2d.shape, grad2d.dtype),
+                relu_mask, gelu_pre, gelu_tanh)
+            _arena.release(relu_mask, gelu_pre, gelu_tanh)
         grad_x = grad_w = None
-        if x.requires_grad:
+        if need_dx:
             grad_x = np.matmul(
-                grad2d, weight.data,
+                grad2d, w,
                 out=_arena.empty((grad2d.shape[0], in_features),
-                                 np.result_type(grad2d, weight.data))
-            ).reshape(x_data.shape)
-        if weight.requires_grad:
-            grad_w = np.matmul(grad2d.T, x2d,
+                                 np.result_type(grad2d, w))
+            ).reshape(x_shape)
+        if x_kept is not None:
+            grad_w = np.matmul(grad2d.T, x_kept,
                                out=_arena.empty((out_features, in_features),
-                                                np.result_type(grad2d, x2d)))
+                                                np.result_type(grad2d, x_kept)))
         grad_b = (grad2d.sum(axis=0,
                              out=_arena.empty((out_features,), grad2d.dtype))
-                  if bias is not None and bias.requires_grad else None)
+                  if need_db else None)
         if act_grad is not None:
             _arena.release(act_grad)
         if bias is None:
             return grad_x, grad_w
         return grad_x, grad_w, grad_b
 
-    return custom_op(out.reshape(*x_data.shape[:-1], out_features),
+    return custom_op(out.reshape(*x_shape[:-1], out_features),
                      parents, backward)
 
 
@@ -440,6 +473,17 @@ LOSS_ROW_CHUNK = 128
 ATTENTION_TILE_BYTES = 1 << 19
 
 
+def row_chunks(n: int) -> Tuple[Tuple[int, int], ...]:
+    """``[r0, r1)`` bounds walking ``n`` rows :data:`LOSS_ROW_CHUNK` at a
+    time.  A one-row remainder joins the chunk before it: BLAS runs a
+    one-row product as a GEMV, whose rounding differs from the GEMM every
+    other row goes through."""
+    bounds = list(range(0, n, LOSS_ROW_CHUNK)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return tuple(zip(bounds, bounds[1:]))
+
+
 @functools.lru_cache(16)
 def _row_indices(n: int) -> np.ndarray:
     """Cached read-only ``arange(n)`` — shared row-index vector for fancy
@@ -520,13 +564,9 @@ def _lm_head_chunks(rows: np.ndarray, weight: np.ndarray, safe: np.ndarray,
     """
     n_seq, n_scored = safe.shape
     wt = weight.T
-    bounds = list(range(0, n_scored, LOSS_ROW_CHUNK)) + [n_scored]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        # No one-row chunk: BLAS runs a one-row product as a GEMV, whose
-        # rounding differs from the GEMM every other row goes through.
-        bounds[-2] -= 1
+    chunks = row_chunks(n_scored)
     for b in range(n_seq):
-        for r0, r1 in zip(bounds, bounds[1:]):
+        for r0, r1 in chunks:
             n = r1 - r0
             exps = logits[:n]
             np.matmul(rows[b, r0:r1], wt, out=exps)
@@ -663,6 +703,166 @@ def token_log_probs(hidden: np.ndarray, weight: np.ndarray,
                     np.empty((chunk, 1), dtype), np.empty((chunk,), np.int64),
                     np.empty((chunk,), dtype))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the MLP block: both linear layers, a chunk of rows at a time
+# ---------------------------------------------------------------------------
+
+def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
+             w2t: np.ndarray, b2: Optional[np.ndarray], activation: str,
+             rec, tag: str, *, grad: bool, keep_hidden: bool,
+             keep_act_grad: bool):
+    """The MLP body ``act(x w1^T + b1) w2t + b2``, :func:`row_chunks` rows
+    at a time: both GEMMs of a chunk run back to back over one chunk of
+    hidden activation in scratch, so the ``(rows, width)`` activation never
+    exists whole unless the backward reads it.
+
+    ``w1`` is ``(width, d_in)`` and ``w2t`` ``(width, d_out)`` — a dense
+    MLP's full weights (``w2t`` the transposed view of fc2's), or the rows
+    a neuron-sparse one gathered.  With ``grad`` the backward keeps the
+    activation's local derivative state whole (the ReLU mask, or GeLU's
+    pre-activation and tanh term); ``keep_hidden`` also keeps the hidden
+    activation whole (for fc2's weight gradient) and ``keep_act_grad`` the
+    activation gradient (for fc1's parameters).
+
+    Returns ``(out, hidden, backward)``: the ``(rows, d_out)`` output, the
+    whole hidden activation (None unless kept) and ``backward(grad2d,
+    need_dx)``, which walks the same chunks, ``dx_c = (g_c w2t^T * act'_c)
+    w1``, and returns ``(dx or None, activation gradient or None)``.  It
+    reads neither ``x2d`` nor ``out``.
+    """
+    if activation not in ("relu", "gelu"):
+        raise ValueError(f"unsupported MLP activation {activation!r}")
+    n, width = x2d.shape[0], w1.shape[0]
+    d_in, d_out = w1.shape[1], w2t.shape[1]
+    dtype = np.result_type(x2d, w1)
+    chunks = row_chunks(n)
+    rows = max((r1 - r0 for r0, r1 in chunks), default=0)
+    alloc, scratch = _plan.plan_alloc(rec), _plan.scratch_alloc(rec)
+    out = alloc((n, d_out), dtype)
+    work = []
+
+    def buffer(dt, whole):
+        """``(rows, width)`` for the backward, or one chunk of scratch."""
+        if whole:
+            return alloc((n, width), dt)
+        work.append(scratch((rows, width), dt))
+        return work[-1]
+
+    def part(buf, r0, r1):
+        """Rows ``[r0, r1)`` of a whole buffer, or that chunk's scratch (a
+        scratch as tall as the rows serves the one chunk, ``(0, n)``)."""
+        return buf[r0:r1] if buf.shape[0] == n else buf[:r1 - r0]
+
+    hidden = buffer(dtype, keep_hidden)
+    relu_mask = gelu_pre = gelu_tanh = None
+    if activation == "relu":
+        relu_mask, pre = buffer(bool, grad), hidden
+    else:
+        gelu_pre, gelu_tanh = buffer(dtype, grad), buffer(dtype, grad)
+        pre = gelu_pre
+    w1t = w1.T
+    steps = [(x2d[r0:r1], part(pre, r0, r1), part(hidden, r0, r1),
+              None if relu_mask is None else part(relu_mask, r0, r1),
+              None if gelu_tanh is None else part(gelu_tanh, r0, r1), out[r0:r1])
+             for r0, r1 in chunks]
+
+    def run():
+        for x_c, pre_c, h_c, mask_c, tanh_c, out_c in steps:
+            np.matmul(x_c, w1t, out=pre_c)
+            if b1 is not None:
+                pre_c += b1
+            _activation_forward(activation, pre_c, h_c, mask_c, tanh_c)
+            np.matmul(h_c, w2t, out=out_c)
+            if b2 is not None:
+                out_c += b2
+
+    _plan.emit(rec, run, tag, *work)
+    if not grad:
+        return out, None, None
+
+    def backward(grad2d, need_dx):
+        act_grad = _arena.empty((n, width), dtype) if keep_act_grad else None
+        dx = _arena.empty((n, d_in), dtype) if need_dx else None
+        if act_grad is not None or dx is not None:
+            gh_buf = act_grad if act_grad is not None else _arena.empty(
+                (rows, width), dtype)
+            for r0, r1 in chunks:
+                gh = part(gh_buf, r0, r1)
+                np.matmul(grad2d[r0:r1], w2t.T, out=gh)
+                _activation_backward(
+                    gh, gh, None if relu_mask is None else relu_mask[r0:r1],
+                    None if gelu_pre is None else gelu_pre[r0:r1],
+                    None if gelu_tanh is None else gelu_tanh[r0:r1])
+                if dx is not None:
+                    np.matmul(gh, w1, out=dx[r0:r1])
+            if gh_buf is not act_grad:
+                _arena.release(gh_buf)
+        _arena.release(relu_mask, gelu_pre, gelu_tanh)
+        return dx, act_grad
+
+    return out, (hidden if keep_hidden else None), backward
+
+
+def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
+        fc2_weight: Tensor, fc2_bias: Optional[Tensor],
+        activation: str = "relu") -> Tensor:
+    """The MLP block ``fc2(act(fc1(x)))`` as one tape node (:func:`mlp_rows`).
+
+    Weights are PyTorch-layout: fc1 ``(hidden, dim)``, fc2 ``(dim,
+    hidden)``.  What the backward keeps depends on what trains: with every
+    parameter frozen, the activation's local-derivative state only (the
+    ReLU mask, or GeLU's pre-activation and tanh term); a trainable fc1
+    parameter adds the whole activation gradient, and fc2's weight the
+    whole hidden activation, so each parameter gradient is one reduction
+    over the whole array.  Only fc1's weight gradient reads ``x``.
+    """
+    x_data = x.data
+    rec = _plan._RECORDER
+    if rec is not None and not x_data.flags.c_contiguous:
+        # ``reshape`` below would copy, and the copy would go stale between
+        # replays; this step's forward runs interpreted.
+        rec.fail("mlp over a non-contiguous activation")
+        rec = None
+    x2d = x_data.reshape(-1, fc1_weight.shape[1])
+    params = (fc1_weight, fc1_bias, fc2_weight, fc2_bias)
+    grad = is_grad_enabled() and any(
+        t is not None and t.requires_grad for t in (x,) + params)
+    w1_grad, b1_grad, w2_grad, b2_grad = (
+        grad and t is not None and t.requires_grad for t in params)
+    out2d, hidden, rows_backward = mlp_rows(
+        x2d, fc1_weight.data, None if fc1_bias is None else fc1_bias.data,
+        fc2_weight.data.T, None if fc2_bias is None else fc2_bias.data,
+        activation, rec, f"mlp:{activation}", grad=grad, keep_hidden=w2_grad,
+        keep_act_grad=w1_grad or b1_grad)
+    # Flags and shapes, not the input: the closure reaches ``x`` only for
+    # fc1's weight gradient.
+    x_shape, need_dx = x_data.shape, x.requires_grad
+    x_kept = x2d if w1_grad else None
+    dtype, d_out = out2d.dtype, out2d.shape[1]
+    shapes = [None if t is None else t.shape for t in params]
+    present = [t is not None for t in (x,) + params]
+
+    def backward(grad):
+        grad2d = grad.reshape(-1, d_out)
+        dx, act_grad = rows_backward(grad2d, need_dx)
+        g_w1 = g_b1 = g_w2 = g_b2 = None
+        if w1_grad:
+            g_w1 = np.matmul(act_grad.T, x_kept, out=_arena.empty(shapes[0], dtype))
+        if b1_grad:
+            g_b1 = act_grad.sum(axis=0, out=_arena.empty(shapes[1], dtype))
+        if w2_grad:
+            g_w2 = np.matmul(grad2d.T, hidden, out=_arena.empty(shapes[2], dtype))
+            _arena.release(hidden)
+        if b2_grad:
+            g_b2 = grad2d.sum(axis=0, out=_arena.empty(shapes[3], dtype))
+        _arena.release(act_grad)
+        grads = (None if dx is None else dx.reshape(x_shape), g_w1, g_b1, g_w2, g_b2)
+        return tuple(g for g, keep in zip(grads, present) if keep)
+
+    parents = tuple(t for t in (x,) + params if t is not None)
+    return custom_op(out2d.reshape(*x_shape[:-1], d_out), parents, backward)
 
 
 # ---------------------------------------------------------------------------

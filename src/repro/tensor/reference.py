@@ -43,6 +43,7 @@ __all__ = [
     "layer_norm",
     "linear",
     "lora_linear",
+    "mlp",
     "cross_entropy_logits",
     "linear_cross_entropy",
     "scaled_dot_product_attention",
@@ -114,6 +115,15 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     frozen = linear(x, weight, bias)
     low_rank = linear(linear(x, lora_A, None), lora_B, None)
     return frozen + low_rank * scaling
+
+
+def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
+        fc2_weight: Tensor, fc2_bias: Optional[Tensor],
+        activation: str = "relu") -> Tensor:
+    """The MLP block as two whole-array linears: the ``(rows, hidden)``
+    activation is one graph Tensor."""
+    return linear(linear(x, fc1_weight, fc1_bias, activation=activation),
+                  fc2_weight, fc2_bias)
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray,

@@ -255,6 +255,50 @@ def build_cases() -> List[ParityCase]:
                    lambda xx, ww: reference.linear(xx, ww), [x, w], tol_ref=1e-4,
                    replayable=True))
 
+    # -- the MLP block, a chunk of rows at a time ----------------------------
+    # fused.mlp walks fused.LOSS_ROW_CHUNK (128) rows at a time: one row (a
+    # GEMV), 127 (one ragged chunk), 129 (two chunks: the one-row remainder
+    # joins the first, 127 + 2) and 1024 (eight chunks).  What the backward
+    # keeps follows the trainable set, so each activation runs with the MLP
+    # frozen (only x differentiated; parameters are closure constants), its
+    # biases trainable and its weights trainable.  ReLU rows are redrawn
+    # until every pre-activation is >= 0.1 from the kink, which no central
+    # difference step then crosses.
+    def mlp_arrays(rows, seed, d_out=4):
+        rng = np.random.default_rng(seed)
+        w1, b1, w2, b2 = _normals(rng, (6, 3), (6,), (d_out, 6), (d_out,))
+        x = rng.normal(size=(rows, 3)).astype(np.float32)
+        while True:
+            near = np.abs(x @ w1.T + b1).min(axis=1) < 0.1
+            if not near.any():
+                return x.reshape(1, rows, 3), w1, b1, w2, b2
+            x[near] = rng.normal(size=(int(near.sum()), 3))
+
+    def mlp_case(tag, rows, activation, trains, seed, **tols):
+        x, *params = mlp_arrays(rows, seed)
+        arrays = [x] + [a for a, t in zip(params, trains) if t]
+
+        def bind(kernel, activation=activation, trains=trains, params=params):
+            def call(xx, *trained):
+                given = iter(trained)
+                tensors = [next(given) if t else Tensor(a)
+                           for a, t in zip(params, trains)]
+                return kernel(xx, *tensors, activation=activation)
+            return call
+
+        add(ParityCase("mlp", f"mlp-{tag}", bind(F.mlp), bind(reference.mlp),
+                       arrays, tol_ref=1e-4, replayable=True, **tols))
+
+    frozen, biases, weights = (False,) * 4, (False, True, False, True), \
+        (True, False, True, False)
+    for rows in (1, 127, 129, 1024):
+        mlp_case(f"relu-frozen-rows{rows}", rows, "relu", frozen, seed=150 + rows)
+    for activation in ("relu", "gelu"):
+        for name, trains in (("biases", biases), ("weights", weights)):
+            mlp_case(f"{activation}-{name}-rows129", 129, activation, trains,
+                     seed=151, tol_fd=5e-3)
+    mlp_case("gelu-frozen-rows129", 129, "gelu", frozen, seed=152)
+
     # -- LoRA-adapted projection -------------------------------------------
     # The PEFT regime differentiates x, A and B over a frozen base (closure
     # constants); the trainable-base case differentiates all five.
@@ -560,10 +604,19 @@ def build_cases() -> List[ParityCase]:
         add(ParityCase("neuron_mlp", f"neuron_mlp-{tag}",
                        lambda xx, c=cache: neuron_sparse_linear_pair(
                            xx, w1, b1, w2, b2, active, cache=c),
-                       lambda xx: reference.linear(
-                           reference.linear(xx, w1a, b1a, activation="relu"),
-                           w2a, b2),
+                       lambda xx: reference.mlp(xx, w1a, b1a, w2a, b2),
                        [xm], tol_ref=1e-4, replayable=True))
+    # Two chunks of rows (127 + 2) through the dense MLP's body.
+    xl, w1l, b1l, w2l, b2l = mlp_arrays(129, seed=48, d_out=3)
+    w1l, b1l, w2l, b2l = (Tensor(a) for a in (w1l, b1l, w2l, b2l))
+    kept = np.array([1, 2, 4])
+    w1k, b1k, w2k = (Tensor(w1l.data[kept]), Tensor(b1l.data[kept]),
+                     Tensor(w2l.data[:, kept]))
+    add(ParityCase("neuron_mlp", "neuron_mlp-coalesced-rows129",
+                   lambda xx, c=NeuronSparseWeights(w1l.data, w2l.data):
+                       neuron_sparse_linear_pair(xx, w1l, b1l, w2l, b2l, kept, cache=c),
+                   lambda xx: reference.mlp(xx, w1k, b1k, w2k, b2l),
+                   [xl], tol_ref=1e-4, replayable=True))
     return cases
 
 

@@ -3,6 +3,7 @@ share one slab, placed by greedy interval colouring.
 
 * the colouring itself, as a property over generated intervals;
 * a forward-only buffer that is no node's whole output shares the slab;
+* a frozen linear's input, and a frozen MLP's input and output, share it;
 * the capture lifecycle on a predicted sparse engine: one learning forward
   at the signature's first capture, none at a refresh re-capture, and the
   losses, parameters and engine record of an uncaptured twin, bit for bit;
@@ -162,6 +163,49 @@ def test_forward_only_buffers_need_not_be_a_nodes_output():
         assert np.array_equal(a.data, b.data)
 
 
+def test_a_frozen_kernels_input_and_output_are_forward_only(monkeypatch):
+    # LoRA on q/v leaves out_proj and the MLPs frozen.  out_proj's backward
+    # forms dX = g W and keeps no reference to its input, the merge-heads
+    # copy; the MLP's keeps only its ReLU mask, not its input (the norm's
+    # output) or its output.  So the slab holds all three, and the steps
+    # stay the uncaptured twin's bit for bit.
+    tuner, ids = _dense_tuner()
+    twin, _ = _dense_tuner(capture=False)
+    block = tuner.model.blocks[0]
+    seen = {"linear": [], "mlp": []}
+    linear, mlp = fused.linear, fused.mlp
+
+    def spying_linear(x, weight, *args, **kwargs):
+        rec = tensor_plan.recorder()
+        if weight is block.attention.out_proj.weight and rec is not None:
+            assert x.requires_grad and not weight.requires_grad
+            seen["linear"].append((rec.slab, x.data))
+        return linear(x, weight, *args, **kwargs)
+
+    def spying_mlp(x, fc1_weight, *args, **kwargs):
+        out = mlp(x, fc1_weight, *args, **kwargs)
+        rec = tensor_plan.recorder()
+        if fc1_weight is block.mlp.fc1.weight and rec is not None:
+            assert x.requires_grad and not fc1_weight.requires_grad
+            seen["mlp"].append((rec.slab, x.data, out.data))
+        return out
+
+    monkeypatch.setattr(fused, "linear", spying_linear)
+    monkeypatch.setattr(fused, "mlp", spying_mlp)
+    for _ in range(3):
+        assert tuner.step(ids)[0] == twin.step(ids)[0]
+    capture = tuner.capture
+    assert (capture.full_captures, capture.full_replays) == (1, 2)
+    for kernel, calls in seen.items():
+        assert len(calls) == 2, kernel             # learning, then slab recording
+        (no_slab, *learned), (slab, *placed) = calls
+        assert no_slab is None and slab is not None
+        for before, after in zip(learned, placed):
+            assert np.shares_memory(after, slab) and not np.shares_memory(before, after)
+    for a, b in zip(tuner.optimizer.params, twin.optimizer.params):
+        assert np.array_equal(a.data, b.data)
+
+
 @pytest.mark.parity
 def test_a_plan_the_recording_breaks_is_a_counted_miss(monkeypatch):
     # Every uninitialised plan buffer at offset 0 of one slab: the backward
@@ -246,7 +290,7 @@ def test_a_vetoed_recording_keeps_the_learned_slab_plan():
 
 @pytest.mark.parity
 def test_a_veto_that_moves_the_slab_keys_records_again_bitwise(monkeypatch):
-    # Layer 0's fc2 input turns non-contiguous at a re-capture under a
+    # Layer 0's out_proj input turns non-contiguous at a re-capture under a
     # learned plan: that linear vetoes and records no entry, so every later
     # allocation's key moves onto another's slab slot.  The forward is
     # recorded again over plain buffers (vetoed again, no miss, the plan
@@ -259,7 +303,7 @@ def test_a_veto_that_moves_the_slab_keys_records_again_bitwise(monkeypatch):
     learned = capture.slab_plan
     capture.drop_full_plan()
     forwards = _counted_forwards(tuner)
-    strided = {id(t.model.blocks[0].mlp.fc2.weight) for t in (tuner, twin)}
+    strided = {id(t.model.blocks[0].attention.out_proj.weight) for t in (tuner, twin)}
     linear = fused.linear
 
     def strided_linear(x, weight, *args, **kwargs):

@@ -481,6 +481,51 @@ def test_linear_cross_entropy_without_gradients_runs_no_dx_gemm(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the MLP walks the LM head's row chunks; whole arrays only for what trains
+# ---------------------------------------------------------------------------
+
+def test_row_chunks_cover_the_rows_with_no_one_row_chunk():
+    # Contiguous chunks of at most LOSS_ROW_CHUNK rows; a one-row remainder
+    # joins the chunk before it (BLAS runs a one-row product as a GEMV), so
+    # a one-row chunk is only ever a single row.
+    for n in range(1, 4 * fused.LOSS_ROW_CHUNK + 2):
+        chunks = fused.row_chunks(n)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        sizes = [r1 - r0 for r0, r1 in chunks]
+        assert max(sizes) <= fused.LOSS_ROW_CHUNK
+        assert n == 1 or min(sizes) > 1
+    assert fused.row_chunks(129) == ((0, 127), (127, 129))
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("trains,extra", [
+    ((), 0), (("b1", "b2"), 0), (("w1", "w2"), 2)],
+    ids=["frozen", "biases", "weights"])
+def test_mlp_runs_two_gemms_per_chunk_and_one_per_trained_weight(
+        trains, extra, monkeypatch):
+    # 300 rows are three chunks (128, 128, 44): two GEMMs per chunk forward
+    # and two backward; a trained weight's gradient is one more GEMM over
+    # the whole array, and a trained bias one reduction, never a GEMM.
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(1, 300, 8)).astype(np.float32), requires_grad=True)
+    names = ("w1", "b1", "w2", "b2")
+    params = [Tensor(rng.normal(size=shape).astype(np.float32),
+                     requires_grad=name in trains)
+              for name, shape in zip(names, [(16, 8), (16,), (8, 16), (8,)])]
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+    out = fused.mlp(x, *params, activation="relu")
+    forward = len(calls)
+    out.backward(np.ones_like(out.data))
+    assert (forward, len(calls) - forward) == (2 * 3, 2 * 3 + extra)
+    assert all((p.grad is not None) == (name in trains)
+               for name, p in zip(names, params))
+
+
+# ---------------------------------------------------------------------------
 # cached causal mask
 # ---------------------------------------------------------------------------
 

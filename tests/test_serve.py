@@ -159,6 +159,30 @@ class TestStatePaging:
         digests = {service.tenant_digest(t) for t in {r.tenant for r in served}}
         assert len(digests) == len({r.tenant for r in served})
 
+    def test_reading_an_evicted_tenant_restores_nothing(self, tmp_path):
+        """An evicted tenant's digest and adapter come from its verified
+        checkpoint without paging it in or counting a restore, and read as
+        before the eviction."""
+        tenants = ["a", "b", "c"]
+        data = tenant_batches(tenants, steps=1)
+        service = make_service(max_resident_tenants=2, state_dir=str(tmp_path))
+        service.submit("a", data["a"][0])
+        service.flush()
+        digest = service.tenant_digest("a")
+        for tenant in tenants[1:]:
+            service.submit(tenant, data[tenant][0])
+            service.flush()
+        registry = service._lane("lora").registry
+        assert "a" not in registry.resident_tenants()
+        gauges = service.gauges()
+        assert gauges["tenant_evictions"] == 1
+        counters = (gauges["tenant_restores"], gauges["tenant_pageins"])
+        assert service.tenant_digest("a") == digest
+        assert service.fetch_adapter("a").digest == digest
+        gauges = service.gauges()
+        assert (gauges["tenant_restores"], gauges["tenant_pageins"]) == counters
+        assert "a" not in registry.resident_tenants()
+
     def test_without_a_store_every_tenant_stays_resident(self):
         """Past the resident bound with no store nothing is evicted: the
         gauge counts every tenant's three slabs, and each adapter is still

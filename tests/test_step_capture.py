@@ -679,9 +679,10 @@ def test_profile_attributes_the_step_and_leaves_it_untouched():
     assert (arena.generation, arena.takes, arena.misses, arena.bytes_held) == counters
     assert capture.full_replays == replays
     # One row per kernel tag, forward tags without their activation suffix.
-    # opt-tiny: 2 layers x (k_proj, out_proj, fc1, fc2); the tied LM head
-    # runs inside the loss.
-    assert profile["lora_linear"][2] == 4 and profile["linear"][2] == 2 * 4
+    # opt-tiny: 2 layers x (k_proj, out_proj) and one MLP node each; the
+    # tied LM head runs inside the loss.
+    assert profile["lora_linear"][2] == 4 and profile["linear"][2] == 2 * 2
+    assert profile["mlp"][2] == 2 and "mlp:relu" not in profile
     assert profile["linear_cross_entropy"][2] == 1
     assert "cross_entropy" not in profile
     assert profile["layer_norm"][2] == 2 * 2 + 1
@@ -1237,6 +1238,32 @@ def test_no_step_buffer_is_vocabulary_sized():
     buffers = capture.forward_plan.buffers + capture.arena.buffers()
     largest = max(buf.size for buf in buffers)
     assert largest < (seq - 1) * model.config.vocab_size, largest
+
+
+@pytest.mark.alloc
+def test_no_step_buffer_holds_a_whole_mlp_activation():
+    # A frozen MLP walks its rows a chunk at a time: after a replayed step
+    # neither the plan, its forward-only slab nor the arena holds a
+    # (seq, 4 * dim) float32 array — no hidden activation and no activation
+    # gradient — while the backward keeps each layer's ReLU mask whole.
+    seq = 512
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
+    tuner = _captured(model)
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                            size=(1, seq))
+    for _ in range(2):                             # capture, replay
+        tuner.step(ids)
+    capture = tuner.capture
+    assert capture.full_replays == 1, capture.full_fail_reason
+    hidden = model.config.hidden_dim
+    whole = [buf for buf in capture.forward_plan.buffers + capture.arena.buffers()
+             if buf.ndim and buf.shape[-1] == hidden and buf.size == seq * hidden]
+    assert ([buf.dtype for buf in whole]
+            == [np.dtype(bool)] * model.config.num_layers), \
+        [(buf.shape, buf.dtype) for buf in whole]
+    assert not [shape for shape, _, _, _ in capture.slab_plan.slots.values()
+                if shape[-1:] == (hidden,) and np.prod(shape) == seq * hidden]
 
 
 @pytest.mark.perf_smoke
