@@ -39,9 +39,7 @@ recordings in a row failed to compile.
   veto or coverage gap (every graph node built must be recorded or noted
   as a view), or a backward schedule reaching an interior node the
   recorded forward did not build, installs no plan: the backward runs
-  plainly, and why is kept in ``full_fail_reason``.  If the layouts moved since the last
-  capture, the arena's free lists (backward buffers sized for the old
-  layout) are trimmed.
+  plainly, and why is kept in ``full_fail_reason``.
 * **replayed** — stage inputs → run the flat ForwardPlan → execute the
   retained backward schedule: no graph node is built and every arena take
   hits the pool, so the step allocates nothing.  The replayed order *is*
@@ -62,7 +60,10 @@ adopted from another replica, or refreshed by another signature's step —
 no longer match the plan's closed-over geometry.
 
 Full-plan buffers are plain allocations — never arena takes — so generation
-recycling cannot reclaim live plan state.
+recycling cannot reclaim live plan state.  The capture tells the arena
+nothing about layouts: a refresh's stale-shape backward buffers go by the
+arena's one recycling rule, under which a step boundary keeps only the keys
+the finished step took (see :mod:`repro.tensor.arena`).
 
 **Forward-only slab.**  A plan would otherwise keep every activation its
 forward wrote for the whole step, although the retained backward reads
@@ -310,8 +311,9 @@ class StepCapture:
         # ``full_loss`` is the retained loss tensor, the backward root (its
         # ``.data`` is a plan buffer refreshed by every forward replay);
         # ``full_seed`` is the persistent backward seed;
-        # ``full_layout_state`` is the engine's layouts at the last capture:
-        # what plan geometry and pooled shapes fit (outlives a dropped plan).
+        # ``full_layout_state`` is the engine's layouts at the last capture,
+        # which the plan's geometry fits: a step that sees other layouts
+        # drops the plan.
         self.forward_plan: Optional[ForwardPlan] = None
         self.full_schedule = None
         self.full_loss: Optional[Tensor] = None
@@ -491,11 +493,7 @@ class StepCapture:
         ``full_fail_reason``.
         """
         rec, self._recorder = self._recorder, None
-        if layout_state != self.full_layout_state:
-            # The masks moved since the last captured step: the free lists
-            # hold the old layout's backward buffers, dead shapes from here on.
-            self.arena.trim()
-            self.full_layout_state = layout_state
+        self.full_layout_state = layout_state
         schedule = loss._schedule()
         reason = ""
         if not rec.ok():

@@ -15,7 +15,12 @@ that steady state into buffer *reuse*:
   wholesale.  This is safe because step ``N``'s activations and gradients are
   dead once step ``N + 1`` begins (the trainer zeroes gradients at the end of
   each step); it is the CUDA-graph memory-pool discipline realised for a
-  NumPy tape.
+  NumPy tape.  The same boundary bounds the pool: it keeps only the keys
+  the finished step took and drops (counting in ``evictions``) the free
+  list of every other key.  So buffers of shapes a sparsity refresh
+  retired go at the next boundary, a key the steady state takes keeps as
+  many buffers as it ever had out at once, and a key that only refresh
+  steps take is allocated again at each refresh.
 * :meth:`BufferArena.release` returns a buffer *mid-generation* — the
   liveness seam.  Ops release their dead temporaries (softmax row maxima, the
   backward's dS buffers, consumed saved activations), and the autograd loop
@@ -53,7 +58,7 @@ installs an arena around each step is
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -71,31 +76,19 @@ __all__ = [
 class BufferArena:
     """Pool of ndarrays keyed by ``(shape, dtype)`` with generation recycling."""
 
-    __slots__ = ("_free", "_used", "generation", "takes", "hits", "misses",
-                 "bytes_held", "evictions", "_last_take_gen")
-
-    # Size bound per (shape, dtype) class: layout drift (a sparsity refresh
-    # changing block counts, and with them temporary shapes) retires buffers
-    # of stale shapes; without a bound those dead free lists grow the pool
-    # forever.  Eviction runs at generation boundaries and touches only
-    # *idle* keys — keys the finished step never took from — so a
-    # steady-state working set of any size is never evicted: an idle key's
-    # list is trimmed oldest-first to ``MAX_FREE_PER_KEY`` and dropped
-    # outright once it has sat unused for ``FREE_TTL`` generations.  Both are
-    # counted in ``evictions``.
-    MAX_FREE_PER_KEY = 64
-    FREE_TTL = 8
+    __slots__ = ("_free", "_used", "_taken", "generation", "takes", "hits",
+                 "misses", "bytes_held", "evictions")
 
     def __init__(self) -> None:
         self._free: Dict[Tuple, List[np.ndarray]] = {}
         self._used: Dict[int, Tuple[Tuple, np.ndarray]] = {}
+        self._taken: Set[Tuple] = set()   # keys taken since the last boundary
         self.generation = 0
         self.takes = 0
         self.hits = 0
         self.misses = 0
         self.bytes_held = 0           # current footprint of the whole pool
         self.evictions = 0
-        self._last_take_gen: Dict[Tuple, int] = {}
 
     def _push_free(self, key: Tuple, buf: np.ndarray) -> None:
         lst = self._free.get(key)
@@ -103,29 +96,6 @@ class BufferArena:
             self._free[key] = [buf]
         else:
             lst.append(buf)
-
-    def _evict_idle(self) -> None:
-        """Trim/drop free lists of keys the finished generation never used."""
-        dead = []
-        for key, lst in self._free.items():
-            last = self._last_take_gen.get(key, -1)
-            idle = self.generation - last
-            # ``idle < 2`` spares period-2 access patterns (the smallest
-            # predict-interval cadence) from trim thrash.
-            if idle < 2 or not lst:
-                continue
-            if idle >= self.FREE_TTL:
-                self.evictions += len(lst)
-                self.bytes_held -= sum(buf.nbytes for buf in lst)
-                dead.append(key)
-            elif len(lst) > self.MAX_FREE_PER_KEY:
-                excess = len(lst) - self.MAX_FREE_PER_KEY
-                self.evictions += excess
-                self.bytes_held -= sum(buf.nbytes for buf in lst[:excess])
-                del lst[:excess]
-        for key in dead:
-            del self._free[key]
-            self._last_take_gen.pop(key, None)
 
     @staticmethod
     def _key(shape, dtype) -> Tuple:
@@ -140,7 +110,7 @@ class BufferArena:
         """
         key = self._key(shape, dtype)
         self.takes += 1
-        self._last_take_gen[key] = self.generation
+        self._taken.add(key)
         free = self._free.get(key)
         if free:
             buf = free.pop()
@@ -173,28 +143,17 @@ class BufferArena:
         return id(buf) in self._used
 
     def next_generation(self) -> None:
-        """Recycle every outstanding buffer; call at each step boundary."""
+        """Recycle every outstanding buffer and drop the free list of every
+        key the finished step did not take; call at each step boundary."""
         for key, buf in self._used.values():
             self._push_free(key, buf)
         self._used.clear()
-        self._evict_idle()
+        for key in [key for key in self._free if key not in self._taken]:
+            dead = self._free.pop(key)
+            self.evictions += len(dead)
+            self.bytes_held -= sum(buf.nbytes for buf in dead)
+        self._taken.clear()
         self.generation += 1
-
-    def trim(self) -> int:
-        """Drop every *free* buffer (outstanding ones are untouched).
-
-        Bounds the pool across layout regimes: the step-capture runtime
-        calls this when a re-capture sees moved sparsity layouts, so the old
-        layout's stale-shape buffers do not accumulate.  Counted in
-        ``evictions``; returns bytes freed.
-        """
-        freed = 0
-        for buffers in self._free.values():
-            freed += sum(buf.nbytes for buf in buffers)
-            self.evictions += len(buffers)
-        self._free.clear()
-        self.bytes_held -= freed
-        return freed
 
     def buffers(self) -> Tuple[np.ndarray, ...]:
         """Every buffer the pool holds, free or handed out."""

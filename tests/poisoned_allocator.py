@@ -1,14 +1,15 @@
 """Poisoned allocator: a pytest plugin that fills uninitialised memory with garbage.
 
-Load it with ``-p`` (it is not collected as a test module)::
+Load it with ``-p`` (it is not collected as a test module); the whole suite
+passes under it::
 
-    PYTHONPATH=src:tests python -m pytest -p poisoned_allocator -q \\
-        tests/test_fused_ops.py tests/test_sparse_ops.py tests/test_step_capture.py
+    PYTHONPATH=src:tests python -m pytest -p poisoned_allocator -q
 
 For every test it fills, through ``monkeypatch`` only:
 
 * every ``BufferArena.take`` that does not zero its buffer;
 * every buffer ``BufferArena.release`` accepts back into its free pool;
+* every buffer ``BufferArena.next_generation`` takes back at a step boundary;
 * every fresh plan buffer (``ForwardRecorder.empty``), slab views included;
 * every ``arena.empty`` made while no arena is active;
 * on replay (``ForwardPlan.run``), the plan's scratch pool before each
@@ -47,9 +48,11 @@ def poison(buf: np.ndarray) -> np.ndarray:
 
 
 def install(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Patch the four allocation seams to hand out poisoned memory, and the
-    replay to poison scratch and dead slab views."""
+    """Patch the four allocation seams to hand out poisoned memory, the
+    arena to poison what it takes back, and the replay to poison scratch and
+    dead slab views."""
     take, release = arena.BufferArena.take, arena.BufferArena.release
+    next_generation = arena.BufferArena.next_generation
     recorded, empty = plan.ForwardRecorder.empty, arena.empty
 
     def poisoned_take(self, shape, dtype=np.float32, zero=False):
@@ -62,12 +65,19 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
             poison(buf)
         return accepted
 
+    def poisoned_next_generation(self):
+        for _, buf in self._used.values():
+            poison(buf)
+        next_generation(self)
+
     def poisoned_empty(shape, dtype=np.float32):
         buf = empty(shape, dtype)
         return buf if arena.active() is not None else poison(buf)
 
     monkeypatch.setattr(arena.BufferArena, "take", poisoned_take)
     monkeypatch.setattr(arena.BufferArena, "release", poisoned_release)
+    monkeypatch.setattr(arena.BufferArena, "next_generation",
+                        poisoned_next_generation)
     monkeypatch.setattr(plan.ForwardRecorder, "empty",
                         lambda self, shape, dtype=np.float32:
                         poison(recorded(self, shape, dtype)))

@@ -19,6 +19,9 @@ def test_poisons_every_uninitialised_buffer(monkeypatch):
     assert pool.release(held) and np.isnan(held).all()
     foreign = np.ones(2, np.float32)
     assert not pool.release(foreign) and (foreign == 1.0).all()
+    out = pool.take((4,), np.float32, zero=True)
+    pool.next_generation()
+    assert np.isnan(out).all()
     assert np.isnan(plan.ForwardRecorder().empty((2,), np.float32)).all()
     with arena.scope(None):
         assert np.isnan(arena.empty((2,), np.float32)).all()

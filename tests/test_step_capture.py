@@ -100,44 +100,53 @@ def test_arena_zeroed_take():
     assert b is a and np.all(b == 0)       # re-zeroed on reuse
 
 
-def test_arena_trim_drops_free_pools_only():
+def test_arena_boundary_keeps_only_the_keys_the_step_took():
     arena = BufferArena()
-    held = arena.take((8, 8))
-    arena.take((4, 4))
-    arena.next_generation()          # both free
-    live = arena.take((4, 4))        # one back in flight
-    freed = arena.trim()
-    assert freed == 8 * 8 * 4        # only the free (8, 8) buffer dropped
-    assert arena.owns(live)          # outstanding buffer untouched
-    assert arena.take((8, 8)) is not held
-    assert held is not None
+    pooled = [arena.take((4,)) for _ in range(3)]
+    stale = arena.take((8,))
+    arena.next_generation()          # all four free; both keys were taken
+    assert arena.evictions == 0
+    arena.take((4,))                 # one of three out: the key keeps all three
+    scratch = arena.take((2,))
+    assert arena.release(scratch)    # released mid-step: kept all the same
+    live = arena.take((6,))          # out at the boundary: recycled, not evicted
+    arena.next_generation()          # (8,) was not taken: its list goes
+    assert arena.evictions == 1
+    assert arena.bytes_held == (3 * 4 + 2 + 6) * 4
+    assert ({id(b) for b in arena.buffers()}
+            == {id(b) for b in pooled + [scratch, live]})
+    misses = arena.misses
+    for shape in ((4,), (4,), (4,), (2,), (6,)):
+        arena.take(shape)
+    assert arena.misses == misses    # every kept buffer comes back as a hit
+    assert arena.take((8,)) is not stale and arena.misses == misses + 1
 
 
-def test_arena_trims_an_idle_key_oldest_first_from_two_generations():
+def test_arena_keeps_a_steady_keys_whole_working_set_across_boundaries():
     arena = BufferArena()
-    cap = BufferArena.MAX_FREE_PER_KEY
-    taken = [arena.take((4,)) for _ in range(cap + 3)]
-    arena.next_generation()          # all free, taken this generation
-    arena.next_generation()          # idle for one generation: spared
-    assert arena.evictions == 0 and len(arena.buffers()) == cap + 3
-    arena.next_generation()          # idle for two: trimmed to the cap
-    assert arena.evictions == 3
-    assert [id(b) for b in arena.buffers()] == [id(b) for b in taken[3:]]
-    assert arena.bytes_held == cap * taken[0].nbytes
+    first = [arena.take((4,)) for _ in range(12)]
+    for _ in range(5):               # a step that takes 12 at once, every step
+        arena.next_generation()
+        again = [arena.take((4,)) for _ in range(12)]
+        assert {id(b) for b in again} == {id(b) for b in first}
+    assert arena.evictions == 0 and arena.misses == 12
+    assert arena.bytes_held == 12 * first[0].nbytes
 
 
-def test_arena_drops_a_key_idle_for_free_ttl_generations():
+def test_arena_drops_a_key_at_the_first_boundary_it_was_not_taken():
     arena = BufferArena()
     idle = arena.take((8,))
-    for _ in range(BufferArena.FREE_TTL):
-        arena.next_generation()
-        busy = arena.take((2,))      # a key taken every step is never idle
-    assert arena.evictions == 0      # idle for FREE_TTL - 1: still pooled
-    assert any(b is idle for b in arena.buffers())
-    arena.next_generation()          # idle for FREE_TTL: the key goes
+    busy = arena.take((2,))
+    arena.next_generation()
+    arena.release(arena.take((2,)))  # taken and released: still a taken key
+    assert arena.evictions == 0
+    arena.next_generation()          # (8,) idle for one step: it goes now
     assert arena.evictions == 1
-    assert not any(b is idle for b in arena.buffers())
+    assert [id(b) for b in arena.buffers()] == [id(busy)]
     assert arena.bytes_held == busy.nbytes
+    arena.next_generation()          # nothing taken: the pool empties
+    assert arena.evictions == 2 and arena.bytes_held == 0
+    assert arena.buffers() == ()
     assert arena.take((8,)) is not idle and arena.misses == 3
 
 
@@ -1012,20 +1021,26 @@ TestCaptureLifecyclePredicted.settings = _LIFECYCLE_SETTINGS
 @pytest.mark.alloc
 def test_arena_does_not_grow_across_refreshes():
     """Fresh batches move the layouts at every refresh.  The re-capture drops
-    the old plan first and trims the old layout's free lists, so the pool
-    after the third re-capture is the size it was after the first capture —
-    not one interpreted working set plus a stale pool per refresh larger."""
+    the old plan first, and the arena drops the free lists of the keys the
+    following replay no longer takes, so the pool after the third
+    re-capture is the size it was after the first capture — not one
+    interpreted working set plus a stale pool per refresh larger.  A
+    re-capture allocates only the shapes the refresh moved, fewer buffers
+    than the first capture."""
     tuner, _ = _build_tuner("predicted", seq=128, predict_interval=4)
     rng = np.random.default_rng(5)
-    held = {}
+    held, allocations = {}, {}
     try:
         for step in range(1, 15):              # refreshes on 1, 5, 9, 13
             tuner.step(rng.integers(0, 512, size=(2, 128)))
             held[step] = tuner.capture.arena.bytes_held
+            allocations[step] = tuner.capture.last_step_allocations
         capture = tuner.capture
         assert capture.full_captures == 4 and capture.full_fallbacks == 0
         assert capture.arena.evictions > 0     # at least one layout moved
         assert held[13] <= 1.1 * held[1], held
+        assert all(allocations[step] < allocations[1]
+                   for step in (5, 9, 13)), allocations
     finally:
         tuner.engine.uninstall(tuner.model)
 
