@@ -145,15 +145,22 @@ class CausalLMModel(Module):
         input_ids = np.asarray(input_ids)
         if input_ids.ndim == 1:
             input_ids = input_ids[None, :]
-        batch, seq = input_ids.shape
+        seq = input_ids.shape[1]
         if seq > self.config.max_seq_len:
             raise ValueError(f"sequence length {seq} exceeds max_seq_len "
                              f"{self.config.max_seq_len}")
-        positions = np.broadcast_to(np.arange(seq), (batch, seq))
-        hidden = self.token_embedding(input_ids) + self.position_embedding(positions)
+        hidden = self.embed(input_ids)
         for block in self.blocks:
             hidden = block(hidden, attn_mask=attn_mask)
         return self.final_norm(hidden)
+
+    def embed(self, input_ids: np.ndarray) -> Tensor:
+        """Token plus position embeddings of ``(batch, seq)`` ids; the sum
+        is written into the position lookup's fresh buffer."""
+        batch, seq = input_ids.shape
+        positions = np.broadcast_to(np.arange(seq), (batch, seq))
+        return F.residual_add(self.token_embedding(input_ids),
+                              self.position_embedding(positions))
 
     def logits(self, hidden: Tensor) -> Tensor:
         """Project hidden states onto the vocabulary with the tied embedding.

@@ -109,7 +109,8 @@ class MultiHeadAttention(Module):
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
     def merge_heads(self, x: Tensor) -> Tensor:
-        """(batch, heads, seq, head_dim) -> (batch, seq, dim)."""
+        """(batch, heads, seq, head_dim) -> (batch, seq, dim): a view of the
+        fused attention's output, which lies in the projections' layout."""
         batch, heads, seq, head_dim = x.shape
         return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
 

@@ -15,7 +15,7 @@ from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import LayerNorm
 from repro.nn.mlp import MLPBlock
 from repro.nn.module import Module
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 
 
 class TransformerBlock(Module):
@@ -35,9 +35,9 @@ class TransformerBlock(Module):
                             dropout=dropout, rng=rng, layer_index=layer_index)
 
     def forward(self, x: Tensor, attn_mask: Optional[np.ndarray] = None) -> Tensor:
-        x = x + self.attention(self.attn_norm(x), attn_mask=attn_mask)
-        x = x + self.mlp(self.mlp_norm(x))
-        return x
+        # Each sum consumes its sub-layer's fresh output (F.residual_add).
+        x = F.residual_add(x, self.attention(self.attn_norm(x), attn_mask=attn_mask))
+        return F.residual_add(x, self.mlp(self.mlp_norm(x)))
 
     def extra_repr(self) -> str:
         return f"layer={self.layer_index}"

@@ -87,9 +87,7 @@ class PrefixedModel(Module):
         batch, seq = input_ids.shape
         plen = self.prefix_length
         total = seq + plen
-        positions = np.broadcast_to(np.arange(seq), (batch, seq))
-        hidden = (self.model.token_embedding(input_ids)
-                  + self.model.position_embedding(positions))
+        hidden = self.model.embed(input_ids)
         prefix = self.prefix_encoder(batch)
         hidden = concatenate([prefix, hidden], axis=1)
 

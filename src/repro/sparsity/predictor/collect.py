@@ -46,7 +46,9 @@ class CollectedLayerData:
     mlp_activations: List[np.ndarray] = field(default_factory=list)    # (batch, seq, hidden)
 
     def merged(self) -> Dict[str, np.ndarray]:
-        """Concatenate the recordings along the batch axis.
+        """The recordings along the batch axis: the inputs and activations
+        are recorded whole, the probabilities or block masses per batch and
+        concatenated here.
 
         The concatenation replaces the per-batch recordings, which are freed
         — ``prepare`` never holds both, and a second call returns the same
@@ -67,13 +69,32 @@ class CollectedLayerData:
 def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
              record_attention: Callable) -> List[CollectedLayerData]:
     """The frozen-model pass loop; ``record_attention(record, q, k, scale)``
-    decides what is kept of the layer's causal attention probabilities."""
-    layers = [CollectedLayerData() for _ in model.blocks]
+    decides what is kept of the layer's causal attention probabilities.
+
+    Each layer's attention inputs, MLP inputs and activations are allocated
+    before the first forward: one array for all batches when they share a
+    length, which is ``prepare``'s case (nothing for ``merged`` to
+    concatenate, so no recording is ever held twice), else one per batch.
+    The batches' rows are copied in, and the long-lived recordings are not
+    scattered among the forward's temporaries.
+    """
+    batches = [ids if ids.ndim == 2 else ids[None, :] for ids in map(np.asarray, batches)]
+    sizes = [ids.shape[0] for ids in batches]
+    if len({ids.shape[1] for ids in batches}) == 1:
+        ends = np.cumsum(sizes).tolist()
+        shapes = [(ends[-1], batches[0].shape[1])]
+        places = [(0, end - size, end) for size, end in zip(sizes, ends)]
+    else:
+        shapes = [ids.shape for ids in batches]
+        places = [(i, 0, size) for i, size in enumerate(sizes)]
+    cfg, dtype = model.config, model.token_embedding.weight.dtype
+    layers = [CollectedLayerData(
+        attention_inputs=[np.empty(shape + (cfg.dim,), dtype) for shape in shapes],
+        mlp_inputs=[np.empty(shape + (cfg.dim,), dtype) for shape in shapes],
+        mlp_activations=[np.empty(shape + (cfg.hidden_dim,), dtype) for shape in shapes])
+        for _ in model.blocks]
     with no_grad():
-        for batch in batches:
-            input_ids = np.asarray(batch)
-            if input_ids.ndim == 1:
-                input_ids = input_ids[None, :]
+        for input_ids, (group, r0, r1) in zip(batches, places):
             bsz, seq = input_ids.shape
             mask = causal_mask(seq)
             positions = np.broadcast_to(np.arange(seq), (bsz, seq))
@@ -83,7 +104,7 @@ def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
                 record = layers[layer_idx]
                 attention = block.attention
                 x_norm = block.attn_norm(hidden)
-                record.attention_inputs.append(x_norm.data.copy())
+                record.attention_inputs[group][r0:r1] = x_norm.data
                 q, k, v = (attention.split_heads(proj(x_norm)) for proj in (
                     attention.q_proj, attention.k_proj, attention.v_proj))
                 scale = float(1.0 / np.sqrt(attention.head_dim))
@@ -94,10 +115,10 @@ def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
                     attention.out_proj(attention.merge_heads(context)))
 
                 x_norm2 = block.mlp_norm(hidden)
-                record.mlp_inputs.append(x_norm2.data.copy())
+                record.mlp_inputs[group][r0:r1] = x_norm2.data
                 pre = block.mlp.fc1(x_norm2)
                 act = block.mlp.activation(pre)
-                record.mlp_activations.append(act.data.copy())
+                record.mlp_activations[group][r0:r1] = act.data
                 hidden = hidden + block.mlp.fc2(act)
     return layers
 

@@ -3,7 +3,8 @@
 These mirror the subset of ``torch.nn.functional`` that transformer
 fine-tuning needs: layer normalisation, dropout, fused linear(+activation),
 the LoRA projection, the dense attention core (softmax fused inside) and the
-token-level cross entropy loss, over logits or through the LM head.
+token-level cross entropy loss, over logits or through the LM head, and
+the residual sum.
 
 Since the fused-kernel pass, this module is a thin *dispatch layer*: every
 hot-path function routes to its single-node hand-backward implementation in
@@ -71,6 +72,19 @@ def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
     """
     return _impl().mlp(x, fc1_weight, fc1_bias, fc2_weight, fc2_bias,
                        activation=activation)
+
+
+def residual_add(x: Tensor, y: Tensor) -> Tensor:
+    """A residual or embedding sum ``x + y`` that consumes ``y``.
+
+    On the fused path the sum is written into ``y``'s buffer
+    (:func:`repro.tensor.fused.residual_add`), so ``y`` — a sub-layer's
+    fresh output — must not be read afterwards; the reference path keeps
+    the plain ``+`` and leaves ``y`` as it was.
+    """
+    if _fused.fused_kernels_enabled():
+        return _fused.residual_add(x, y)
+    return x + y
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

@@ -11,8 +11,8 @@ per mathematical operation — the same idea as xformers' fused
 ``scaled_dot_product_attention`` core, realised on the NumPy substrate.
 
 The kernels the step compiler can replay (``layer_norm``, ``linear``,
-``lora_linear``, ``linear_cross_entropy``, ``mlp``, the tiled attention
-core) write
+``lora_linear``, ``residual_add``, ``linear_cross_entropy``, ``mlp``, the
+tiled attention core) write
 that forward exactly once, as a ``run`` thunk over buffers bound up front —
 plan-owned while a :class:`~repro.tensor.plan.ForwardRecorder` is installed,
 the arena's otherwise — and hand it to :func:`repro.tensor.plan.emit`, which
@@ -95,6 +95,7 @@ __all__ = [
     "layer_norm",
     "linear",
     "lora_linear",
+    "residual_add",
     "linear_cross_entropy",
     "token_log_probs",
     "row_chunks",
@@ -456,6 +457,37 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
     return custom_op(out.reshape(*x_data.shape[:-1], out_features),
                      parents, backward)
+
+
+# ---------------------------------------------------------------------------
+# residual sums: written into the sub-layer output's own buffer
+# ---------------------------------------------------------------------------
+
+def residual_add(x: Tensor, y: Tensor) -> Tensor:
+    """``x + y`` written into ``y``'s buffer.
+
+    For a residual or embedding sum whose ``y`` is the output a kernel has
+    just produced and nothing else reads: no backward closure reads a
+    kernel's own output, so the sum needs no buffer of its own.  One
+    ``add`` entry, same bits as ``x + y``; the backward passes ``grad`` to
+    both.  ``y.data`` holds the sum afterwards.  A ``y`` that cannot take
+    it — another shape or dtype than the sum, or memory shared with ``x``
+    — gets the plain ``x + y``.
+    """
+    xd, yd = x.data, y.data
+    if (np.broadcast_shapes(xd.shape, yd.shape) != yd.shape
+            or np.result_type(xd, yd) != yd.dtype or np.may_share_memory(xd, yd)):
+        return x + y
+
+    def run():
+        np.add(xd, yd, out=yd)
+
+    _plan.emit(_plan._RECORDER, run, "add")
+
+    def backward(grad):
+        return grad, grad
+
+    return custom_op(yd, (x, y), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,9 +1061,10 @@ def _softmax_forward(s, s_t, m, l, zero, l_col, v_pan, o, lse) -> None:
 
 
 def _softmax_backward(p, lse, v_pan, k_pan, g_rows, g_t, delta_rows, dv_pan, ds,
-                      gq_rows, scale) -> None:
+                      gq_rows) -> None:
     """The backward core: one slice's probabilities (its scores recomputed
-    into ``p``), dV, dS and dQ.  The body forms dK from dS and scaled Q."""
+    into ``p``), dV, dS and dQ before its scale.  The body scales dQ and
+    forms dK from dS and scaled Q."""
     # Probabilities straight from the saved logsumexp: no max pass.
     p -= lse
     np.exp(p, out=p)
@@ -1041,14 +1074,36 @@ def _softmax_backward(p, lse, v_pan, k_pan, g_rows, g_t, delta_rows, dv_pan, ds,
     ds -= delta_rows
     ds *= p
     np.matmul(np.swapaxes(ds, -1, -2), k_pan, out=gq_rows)
-    gq_rows *= scale
+
+
+def _head_view(buf: np.ndarray, heads: int) -> np.ndarray:
+    """The ``(batch, heads, rows, width)`` view of a ``(batch, rows, heads *
+    width)`` buffer, the projections' layout: merging an output's heads, or
+    un-splitting a gradient's, is then a view, not a copy.  A head's
+    ``(rows, width)`` slice keeps unit column stride, which NumPy hands to
+    BLAS as it would a contiguous one."""
+    batch, rows, merged = buf.shape
+    return buf.reshape(batch, rows, heads, merged // heads).transpose(0, 2, 1, 3)
+
+
+def _unit_view(buf: np.ndarray, heads: int, n_blocks: int) -> np.ndarray:
+    """The ``(batch, heads, n_blocks, block, width)`` view of a ``(batch,
+    n_blocks * block, heads * width)`` buffer: a block-sparse unit's rows
+    sit at one (head, query block) index pair."""
+    batch, rows, merged = buf.shape
+    return buf.reshape(batch, n_blocks, rows // n_blocks, heads,
+                       merged // heads).transpose(0, 3, 1, 2, 4)
 
 
 def _softmax_delta(grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``delta_i = sum_d dO_id * O_id``, the softmax-backward row dot."""
-    tmp = np.multiply(grad_out, out, out=_arena.empty(out.shape, out.dtype))
+    """``delta_i = sum_d dO_id * O_id``, the softmax-backward row dot.  The
+    product is laid out like ``out`` (and the gradient merging the heads
+    hands back), so the multiply is one contiguous pass."""
+    batch, heads, rows, width = out.shape
+    buf = _arena.empty((batch, rows, heads * width), out.dtype)
+    tmp = np.multiply(grad_out, out, out=_head_view(buf, heads))
     delta = tmp.sum(axis=-1, out=_arena.empty(out.shape[:-1], out.dtype))
-    _arena.release(tmp)
+    _arena.release(buf)
     return delta
 
 
@@ -1082,7 +1137,12 @@ def _row_tile_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     """Dense row tiles: query rows over a key prefix, stacked over ``(batch,
     heads)`` while the scores fit :data:`ATTENTION_TILE_BYTES`, else cut at
     bind time into :func:`row_tile_stack`'s head groups (no bit changes: a
-    stacked GEMM is one GEMM per matrix).  dV and dK add onto the prefix."""
+    stacked GEMM is one GEMM per matrix).  dV and dK add onto the prefix.
+
+    Output and gradients are :func:`_head_view` views, where a head group's
+    rows are strided.  No elementwise pass writes such rows (NumPy would
+    buffer it): the context forms in scratch and is copied out, the prefix
+    sums land in the panel first, and dQ is scaled once, whole."""
     qd, kd, vd = q.data, k.data, v.data
     batch, heads, sq, dim = qd.shape
     vdim, dtype = vd.shape[3], qd.dtype
@@ -1094,8 +1154,9 @@ def _row_tile_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     area = max(b * h * w * n for b, h, w, n in spans)
 
     def workspace(alloc):
-        """Score and scaled-q buffers sized for any slice."""
-        return alloc((area,), dtype), alloc((stack_b, stack_h, rows, dim), dtype)
+        """Score, scaled-q and context buffers sized for any slice."""
+        return (alloc((area,), dtype), alloc((stack_b, stack_h, rows, dim), dtype),
+                alloc((stack_b, stack_h, rows, vdim), dtype))
 
     def scores_in(buf, piece):
         """``piece``'s ``(batch, heads, width, rows)`` score view of ``buf``."""
@@ -1107,11 +1168,11 @@ def _row_tile_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         tile, bh = piece
         rows_ = bh + (slice(tile.r0, tile.r1),)
         s = scores_in(work[0], piece)
-        qs = work[1][:s.shape[0], :s.shape[1], :tile.r1 - tile.r0]
+        qs, o = (buf[:s.shape[0], :s.shape[1], :tile.r1 - tile.r0] for buf in work[1:])
         mask = None if tile.drop is None else (s[:, :, tile.m0:], np.broadcast_to(
             tile.drop, (batch, heads) + tile.drop.shape[-2:])[bh])
         return (qd[rows_], qs, np.swapaxes(qs, -1, -2), kd[bh][:, :, :tile.width], mask,
-                s, vd[bh][:, :, :tile.width], out[rows_], lse[bh][..., tile.r0:tile.r1])
+                s, vd[bh][:, :, :tile.width], o, lse[bh][..., tile.r0:tile.r1])
 
     def scores(q_rows, qs, qs_t, k_pan, mask, s, *_):
         """Scaled scores of one slice into ``s``, dropped entries filled."""
@@ -1127,30 +1188,34 @@ def _row_tile_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     work = workspace(scratch)
     row_bufs = [scratch((stack_b * stack_h * rows,), t) for t in (dtype, dtype, bool)]
     lse = alloc((batch, heads, 1, sq), dtype)
-    out = alloc((batch, heads, sq, vdim), dtype)
-    steps = [(views, _softmax_views(views, row_bufs))
-             for views in (bind(piece, work) for piece in pieces)]
+    out = _head_view(alloc((batch, sq, heads * vdim), dtype), heads)
+    steps = [(views, _softmax_views(views, row_bufs), out[bh][:, :, tile.r0:tile.r1])
+             for views, (tile, bh) in zip((bind(piece, work) for piece in pieces), pieces)]
 
     def run():
-        for views, core in steps:
+        for views, core, o in steps:
             scores(*views)
             _softmax_forward(*core)
+            np.copyto(o, views[-2])
 
     # out is the result; lse survives for the backward.
     _plan.emit(rec, run, tag, *work, *row_bufs)
     # A recorded forward's workspace is the plan's scratch, idle until the
     # next replay, so the backward reuses it and the views bound to it.
-    bound = [views for views, _ in steps] if rec is not None else None
+    bound = [views for views, _, _ in steps] if rec is not None else None
 
     def backward(grad_out):
         delta = _softmax_delta(grad_out, out)
         work_b = work if bound else workspace(_arena.empty)
         dp_buf = _arena.empty((area,), dtype)
         pan_buf = _arena.empty((panel * max(dim, vdim),), dtype)
-        grad_q = _arena.empty(qd.shape, dtype)
+        gq_buf = _arena.empty((batch, sq, heads * dim), dtype)
+        grad_q = _head_view(gq_buf, heads)
         # A frozen k takes no gradient, and no slice runs its dK GEMM.
-        grad_k = _arena.zeros(kd.shape, dtype) if k.requires_grad else None
-        grad_v = _arena.zeros(vd.shape, dtype)
+        sk = kd.shape[2]
+        grad_k = (_head_view(_arena.zeros((batch, sk, heads * dim), dtype), heads)
+                  if k.requires_grad else None)
+        grad_v = _head_view(_arena.zeros((batch, sk, heads * vdim), dtype), heads)
         for (tile, bh), views in zip(pieces, bound or [bind(p, work_b) for p in pieces]):
             _, qs, _, k_pan, _, s, v_pan, _, lse_t = views
             rows_ = bh + (slice(tile.r0, tile.r1),)
@@ -1162,14 +1227,17 @@ def _row_tile_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             ds = scores_in(dp_buf, (tile, bh))
             _softmax_backward(s, lse_t, v_pan, k_pan, g_rows, np.swapaxes(g_rows, -1, -2),
                               delta[bh][:, :, None, tile.r0:tile.r1], dv_pan, ds,
-                              grad_q[rows_], scale)
+                              grad_q[rows_])
             gv = grad_v[bh][:, :, :tile.width]
-            np.add(gv, dv_pan, out=gv)
+            np.add(gv, dv_pan, out=dv_pan)
+            np.copyto(gv, dv_pan)
             if grad_k is not None:
                 dk_pan = pan_buf[:pan_rows * dim].reshape(*s.shape[:3], dim)
                 np.matmul(ds, qs, out=dk_pan)
                 gk = grad_k[bh][:, :, :tile.width]
-                np.add(gk, dk_pan, out=gk)
+                np.add(gk, dk_pan, out=dk_pan)
+                np.copyto(gk, dk_pan)
+        gq_buf *= scale
         # release() ignores whatever the plan owns.
         _arena.release(delta, *work_b, dp_buf, pan_buf, lse,
                        *(t.drop for t in layout.tiles))
@@ -1262,28 +1330,30 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     work = workspace(scratch)
     row_bufs = [scratch((panel,), t) for t in (dtype, dtype, bool)]
     lse = alloc((batch, lead, 1, bs), dtype)   # unit order
-    # Chunks write whole blocks: a ragged last block's padded rows land past
-    # the end of the rows ``out`` views.
-    out_blocks = alloc((batch, heads, nb * bs, vdim), dtype)
-    out = out_blocks if nb * bs == sq else out_blocks[:, :, :sq]
-    unit_rows = out_blocks.reshape(batch, lead, bs, vdim)
-    steps = [(views, _softmax_views(views, row_bufs))
-             for views in (bind(tile, work) for tile in tiles)]
+    # Chunks write whole blocks, in the projections' layout (_head_view): a
+    # ragged last block's padded rows land past the rows ``out`` views.
+    out_blocks = alloc((batch, nb * bs, heads * vdim), dtype)
+    out = _head_view(out_blocks[:, :sq], heads)
+    # Each chunk's rows go to (head, query block) index pairs of a
+    # (batch, heads, n_blocks, block, vdim) view.
+    places = [np.divmod(units[t.u0:t.u1], nb) for t in tiles]
+    unit_rows = _unit_view(out_blocks, heads, nb)
+    steps = [(views, _softmax_views(views, row_bufs), place)
+             for views, place in zip((bind(tile, work) for tile in tiles), places)]
 
     def run():
         for fill, src in copies:
             np.copyto(fill, src)
-        for views, core in steps:
+        for views, core, (head, block) in steps:
             scores(*views)
             _softmax_forward(*core)
-            _, ids, *_, o, _ = views
-            unit_rows[:, ids] = o
+            unit_rows[:, head, block] = views[-2]
 
     # out is the result; lse and the staged grids survive for the backward.
     _plan.emit(rec, run, tag, *work, *row_bufs)
     # A recorded forward's workspace is the plan's scratch, idle until the
     # next replay, so the backward reuses it and the views bound to it.
-    bound = [views for views, _ in steps] if rec is not None else None
+    bound = [views for views, _, _ in steps] if rec is not None else None
 
     def backward(grad_out):
         delta = _softmax_delta(grad_out, out)
@@ -1292,12 +1362,12 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         # A frozen k takes no gradient and no chunk runs its dK GEMM: the key
         # half of the shared (key, value) panel stays zero, so the scatter
         # adds exact zeros to the discarded half of the grid.
-        grad_k = _arena.zeros(kd.shape, dtype) if k.requires_grad else None
-        pan_buf = (_arena.empty((panel * kvd,), dtype) if grad_k is not None
+        k_grad = k.requires_grad
+        pan_buf = (_arena.empty((panel * kvd,), dtype) if k_grad
                    else _arena.zeros((panel * kvd,), dtype))
-        gq_blocks = _arena.empty((batch, heads, nb * bs, dim), dtype)
-        grad_q = gq_blocks if nb * bs == sq else gq_blocks[:, :, :sq]
-        grad_v = _arena.zeros(vd.shape, dtype)
+        gq_blocks = _arena.empty((batch, nb * bs, heads * dim), dtype)
+        grad_q = _head_view(gq_blocks[:, :sq], heads)
+        gq_units = _unit_view(gq_blocks, heads, nb)
         # dO and delta side by side per (head, block), zero on a ragged
         # block's padded rows, so those rows add exact zeros to dK/dV.
         gd_grid = _arena.zeros((batch, heads, nb * bs, vdim + 1), dtype)
@@ -1308,7 +1378,8 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
         gq_buf = _arena.empty((batch, stack, bs, dim), dtype)
         acc_buf = _arena.empty((panel * kvd,), dtype)
         kv_grads = _arena.zeros(kv_slots.shape, dtype)
-        for views in bound or [bind(t, work_b) for t in tiles]:
+        for views, (head, block) in zip(bound or [bind(t, work_b) for t in tiles],
+                                        places):
             tile, ids, qs, _, _, _, k_pan, _, s, v_pan, _, lse_t = views
             gd, gq_rows, g_t = (buf[:, :ids.size] for buf in (gd_buf, gq_buf, g_t_buf))
             np.take(gd_grid.reshape(batch, lead, bs, -1), ids, axis=1,
@@ -1321,10 +1392,11 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
             kv_pan = pan_buf[:s[..., 0].size * kvd].reshape(*s.shape[:3], kvd)
             ds = scores_in(dp_buf, tile)
             _softmax_backward(s, lse_t, v_pan, k_pan, g_rows, g_t, gd[..., None, :, vdim],
-                              kv_pan[..., dim:], ds, gq_rows, scale)
-            if grad_k is not None:
+                              kv_pan[..., dim:], ds, gq_rows)
+            gq_rows *= scale
+            if k_grad:
                 np.matmul(ds, qs, out=kv_pan[..., :dim])
-            gq_blocks.reshape(batch, lead, bs, dim)[:, ids] = gq_rows
+            gq_units[:, head, block] = gq_rows
             # Add the panel gradients onto the grid slots they came from, run
             # by run (padded blocks are exact zeros landing on the spare slot).
             flat, c = kv_pan.reshape(batch, -1, bs * kvd), tile.capacity
@@ -1334,10 +1406,15 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
                 np.take(kv_grads, index, axis=1, mode="clip", out=acc)
                 acc += flat[:, a * c:b * c]
                 kv_grads[:, index] = acc
+        # The grid sums from zero, so it holds no -0.0: its halves, copied
+        # out, are what adding them onto zeros would give.
         grid = kv_grads[:, :lead].reshape(batch, heads, nb * bs, kvd)[:, :, :sk]
-        if grad_k is not None:
-            grad_k += grid[..., :dim]
-        grad_v += grid[..., dim:]
+        grad_k = None
+        if k_grad:
+            grad_k = _head_view(_arena.empty((batch, sk, heads * dim), dtype), heads)
+            np.copyto(grad_k, grid[..., :dim])
+        grad_v = _head_view(_arena.empty((batch, sk, heads * vdim), dtype), heads)
+        np.copyto(grad_v, grid[..., dim:])
         # release() ignores whatever the plan or a geometry cache owns.
         _arena.release(delta, *work_b, dp_buf, pan_buf, acc_buf, kv_grads, lse,
                        kv_slots, q_grid, gd_grid, gd_buf, g_t_buf, gq_buf)

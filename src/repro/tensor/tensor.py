@@ -117,8 +117,8 @@ def _reshape_through_arena(src: np.ndarray, shape) -> np.ndarray:
     """Reshape ``src``, sending any unavoidable copy through the arena.
 
     A C-contiguous source reshapes as a zero-cost view.  When numpy may
-    have to copy (non-contiguous source, e.g. ``merge_heads`` after a
-    transpose) and a buffer arena is active, the data lands in a recycled
+    have to copy (non-contiguous source, e.g. ``merge_heads`` over the
+    reference attention's head-major output) and a buffer arena is active, the data lands in a recycled
     arena buffer instead of fresh heap — this is what keeps replayed capture
     steps free of per-step allocations.  (The gate is contiguity, not exact
     view-compatibility: probing the latter via a ``view().shape =``
@@ -746,8 +746,8 @@ class Tensor:
             # observed at capture time, so routing the copy through the
             # arena here would hand replays a buffer the validated schedule
             # never saw.  Backward grads of reshape are almost always
-            # contiguous (zero-cost view) — the arena routing matters for
-            # the forward, where merge_heads-style copies are unavoidable.
+            # contiguous (zero-cost view): the fused attention hands its
+            # q/k/v gradients back in the projections' layout.
             return (grad.reshape(original),)
 
         return Tensor._make(data, (self,), backward)

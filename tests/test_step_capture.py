@@ -701,13 +701,47 @@ def test_profile_attributes_the_step_and_leaves_it_untouched():
     assert profile["_row_tile_attention"][0] == 0.0
     assert "_class_chunk_attention" not in profile
     assert profile["lora_linear"][0] > 0 and profile["lora_linear"][1] > 0
-    assert "Tensor.__add__" in profile and profile["Tensor.__add__"][0] == 0.0
+    # The embedding sum and two residual sums per layer: recorded ``add``
+    # entries forward, the in-place sum's closure backward (the frozen
+    # embeddings' sum takes no gradient).
+    assert profile["add"][2] == 1 + 2 * 2 and profile["add"][1] == 0.0
+    assert profile["residual_add"][2] == 2 * 2 and profile["residual_add"][0] == 0.0
+    assert "Tensor.__add__" not in profile
     assert "linear:none" not in profile
     # The next steps are bitwise what they would have been.
     for _ in range(2):
         assert tuner.step(ids)[0] == twin.step(ids)[0]
     for a, b in zip(params, twin.optimizer.params):
         assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.perf_smoke
+def test_sums_and_head_merges_bind_no_plan_buffer():
+    # The embedding sum and each residual sum write into the sub-layer
+    # output they consume, and attention's output is laid out so merging
+    # its heads is a view: a captured step records no ``reshape_copy``, and
+    # no plan buffer is bound between an ``add`` entry and the one before.
+    tuner, ids = _compiled_opt_tiny(apply_lora)
+    tags = [entry.tag for entry in tuner.capture.forward_plan.entries]
+    assert "reshape_copy" not in tags and tags.count("add") == 1 + 2 * 2
+
+    class Ledger(tensor_plan.ForwardRecorder):
+        """Counts the plan buffers bound before each recorded entry."""
+
+        def record(self, run, tag=""):
+            self.bound.append(len(self.buffers))
+            super().record(run, tag)
+
+    rec = Ledger()
+    rec.bound = []
+    tensor_plan.set_recorder(rec)
+    try:
+        tuner.model.loss(ids)
+    finally:
+        tensor_plan.set_recorder(None)
+    assert rec.ok() and [entry.tag for entry in rec.entries] == tags
+    adds = [j for j, tag in enumerate(tags) if tag == "add"]
+    assert all(rec.bound[j] == rec.bound[j - 1] for j in adds)
 
 
 def test_profile_needs_a_compiled_plan():
