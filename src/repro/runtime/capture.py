@@ -67,32 +67,35 @@ the finished step took (see :mod:`repro.tensor.arena`).
 
 **Forward-only slab.**  A plan would otherwise keep every activation its
 forward wrote for the whole step, although the retained backward reads
-only some of them.  So a capture's first recording is a *learning* one:
-once its forward has run, the capture walks every array the retained
-backward closures, the loss and the staged inputs can reach (closure cells,
-defaults, bound methods, ``Tensor.data``, containers, ``__slots__`` and
-instance attributes, dataclass fields among them) and every array each
-forward entry can reach.  An uninitialised plan buffer that none of the
-former reach is *forward-only*: live from the entry that binds it, whose
-run rewrites it every replay, to the last entry that reads it.  (State a
-kernel binds once at record time is zero-filled, and so never a
-candidate; see :func:`repro.tensor.plan.plan_alloc`.)
-:func:`assign_offsets` colours those intervals into one
-slab, the learning recording's graph is broken up so its buffers are freed
-before anything else is allocated (``ru_maxrss`` is a high-water mark),
-and the same forward is recorded again with a
-:class:`~repro.tensor.plan.SlabPlan` that hands the forward-only buffers
-out as slab views.  The engine's masks are derived by the first of the two
-forwards and reused by the second, so the step's engine state, counters
-and numbers are one forward's.  Later captures of the signature — refresh
-steps, dropped or retired plans — record once, with the learned slab plan,
-and re-walk only the backward: a recording that does not repeat the
-learned entry tags and slots, or whose backward reaches the slab, is
-recorded again over plain buffers and counted in ``slab_misses``.  A
-vetoed recording is no miss and keeps the learned plan: its backward runs
-plainly, and only if the veto moved the entries (a kernel that vetoes
-records none, shifting every later allocation's key and so its slab slot)
-is its forward first recorded again over plain buffers.
+only some of them.  So a signature's first capture runs its forward twice.
+The first run is a *learning* one, under a :class:`SlabLearner`: it walks
+every array each forward entry's thunk can reach as the entry is recorded,
+and every array each grad-carrying node's backward closure can reach as
+the node is built (closure cells, defaults, bound methods, ``Tensor.data``,
+containers, ``__slots__`` and instance attributes, dataclass fields among
+them), then the loss and the staged inputs.  An uninitialised plan buffer
+that no closure, loss or staged input reaches is *forward-only*: live from
+the entry that binds it, whose run rewrites it every replay, to the last
+entry that reads it.  (State a kernel binds once at record time is
+zero-filled, and so never a candidate; see
+:func:`repro.tensor.plan.plan_alloc`.)  The learner keeps none of the
+thunks, closures, graph edges or buffers it walks, so the learning forward
+frees each buffer at its last use, as an inference forward does, and the
+capture step peaks no higher than a replay.  :func:`assign_offsets`
+colours the forward-only intervals into one slab, and the second run
+records the forward with a :class:`~repro.tensor.plan.SlabPlan` that hands
+those buffers out as slab views.  The engine's masks are derived by the
+first of the two forwards and reused by the second, so the step's engine
+state, counters and numbers are one forward's.  Later captures of the
+signature — refresh steps, dropped or retired plans — record once, with
+the learned slab plan, and re-walk only the backward: a recording that
+does not repeat the learned entry tags and slots, or whose backward
+reaches the slab, is recorded again over plain buffers and counted in
+``slab_misses``, and the next capture learns afresh.  A vetoed recording
+is no miss and keeps the learned plan: its backward runs plainly, and
+only if the veto moved the entries (a kernel that vetoes records none,
+shifting every later allocation's key and so its slab slot) is its
+forward first recorded again over plain buffers.
 
 Contract: capture mode assumes the standard training-step shape — gradients
 are consumed and zeroed within the step, and no Tensor from step ``N`` is
@@ -106,6 +109,7 @@ from __future__ import annotations
 
 import time
 import types
+import weakref
 from collections import defaultdict
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Set, Tuple)
@@ -118,7 +122,7 @@ from repro.tensor.arena import BufferArena
 from repro.tensor.plan import ForwardPlan, ForwardRecorder, SlabPlan
 from repro.tensor.tensor import Tensor
 
-__all__ = ["StepCapture", "assign_offsets"]
+__all__ = ["SlabLearner", "StepCapture", "assign_offsets"]
 
 # Every slab offset is a multiple of this many bytes.
 SLAB_ALIGN = 64
@@ -238,25 +242,77 @@ def _touched(arrays: Iterable[np.ndarray],
     return hits
 
 
-def _learn_slab(rec: ForwardRecorder, backward_roots: List) -> Optional[SlabPlan]:
-    """The slab plan for a plain recording's forward-only buffers, or None
-    when it has none (see the module docstring)."""
-    candidates = [i for i, (buf, key) in enumerate(zip(rec.buffers, rec.keys))
-                  if key is not None and buf.nbytes]
-    backward = _touched(_reached(backward_roots), [rec.buffers[i] for i in candidates])
-    chosen = [i for k, i in enumerate(candidates) if k not in backward]
-    if not chosen:
-        return None
-    buffers = [rec.buffers[i] for i in chosen]
-    last = [rec.keys[i][0] for i in chosen]
-    for j, entry in enumerate(rec.entries):
-        for k in _touched(_reached([entry.run]), buffers):
-            last[k] = max(last[k], j)
-    intervals = [(rec.keys[i][0], end) for i, end in zip(chosen, last)]
-    offsets, nbytes = assign_offsets([buf.nbytes for buf in buffers], intervals)
-    slots = {rec.keys[i]: BufferArena._key(buf.shape, buf.dtype) + (offset, end)
-             for i, buf, offset, (_, end) in zip(chosen, buffers, offsets, intervals)}
-    return SlabPlan(slots, nbytes, [entry.tag for entry in rec.entries])
+class SlabLearner(ForwardRecorder):
+    """A learning recording: it learns the slab plan of the forward it sees
+    and keeps nothing a replay or a backward could use.
+
+    Every uninitialised plan buffer with bytes is a *candidate*, tracked by
+    a weak reference only.  Each entry's ``run`` is walked as it is
+    recorded, and becomes the last reader of every live candidate it
+    reaches; each grad-carrying node's backward closure is walked as the
+    node is built, and every live candidate it reaches is out of the slab.
+    Neither the thunk nor the closure is kept, and the node's parents and
+    closure are dropped at once, so the forward's buffers die at their last
+    use, as in an inference forward.  :meth:`plan` walks the forward's
+    results last (see the module docstring).  ``candidates`` lists each
+    candidate's allocation key, arena key and bytes.
+    """
+
+    __slots__ = ("tags", "candidates", "_refs", "_live", "_last", "_backward")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tags: List[str] = []
+        # Per candidate: its key, arena key and bytes; a weak reference; the
+        # last entry that reads it.
+        self.candidates: List[Tuple[Tuple[int, int], tuple, int]] = []
+        self._refs: List[weakref.ref] = []
+        self._last: List[int] = []
+        self._live: List[int] = []               # candidates maybe alive
+        self._backward: Set[int] = set()         # candidates a closure reads
+
+    def _next_entry(self) -> int:
+        return len(self.tags)
+
+    def _keep(self, buf: np.ndarray, key: Optional[Tuple[int, int]]) -> None:
+        if key is None or not buf.nbytes:
+            return
+        self._live.append(len(self._refs))
+        self._refs.append(weakref.ref(buf))
+        self.candidates.append((key, BufferArena._key(buf.shape, buf.dtype), buf.nbytes))
+        self._last.append(key[0])
+
+    def _reach(self, roots: Iterable) -> List[int]:
+        """The live candidates ``roots`` reach."""
+        live = [(i, buf) for i in self._live if (buf := self._refs[i]()) is not None]
+        self._live = [i for i, _ in live]
+        hits = _touched(_reached(roots), [buf for _, buf in live])
+        return [live[k][0] for k in hits]
+
+    def record(self, run: Callable[[], None], tag: str = "") -> None:
+        for i in self._reach([run]):
+            self._last[i] = len(self.tags)
+        self.tags.append(tag)
+        self.noted += 1
+
+    def build(self, node: Tensor) -> None:
+        self._backward.update(self._reach([node._backward]))
+        node._backward = None
+        node._parents = ()
+
+    def plan(self, results: Iterable) -> Optional[SlabPlan]:
+        """The slab plan of the forward-only candidates — those neither a
+        backward closure nor ``results`` (the loss, the staged inputs)
+        reach — or None when there are none."""
+        self._backward.update(self._reach(results))
+        chosen = [i for i in range(len(self.candidates)) if i not in self._backward]
+        if not chosen:
+            return None
+        intervals = [(self.candidates[i][0][0], self._last[i]) for i in chosen]
+        offsets, nbytes = assign_offsets([self.candidates[i][2] for i in chosen], intervals)
+        slots = {self.candidates[i][0]: self.candidates[i][1] + (offset, last)
+                 for i, offset, (_, last) in zip(chosen, offsets, intervals)}
+        return SlabPlan(slots, nbytes, self.tags)
 
 
 def _slab_holds(rec: ForwardRecorder, backward_roots: List) -> bool:
@@ -274,6 +330,15 @@ def _backward_roots(loss: Tensor, staged: Iterable[np.ndarray]) -> List:
     closures, the loss and the staged inputs."""
     return ([node._backward for node in loss._schedule()
              if node._backward is not None] + [loss] + list(staged))
+
+
+def _recording(rec: ForwardRecorder, forward: Callable[[], Tensor]) -> Tensor:
+    """``forward()`` with ``rec`` installed as the recorder."""
+    _tensor_plan.set_recorder(rec)
+    try:
+        return forward()
+    finally:
+        _tensor_plan.set_recorder(None)
 
 
 def _break_graph(loss: Tensor, rec: ForwardRecorder) -> None:
@@ -422,26 +487,22 @@ class StepCapture:
     def _record_forward(self, forward: Callable[[], Tensor]) -> Tensor:
         """Record this step's forward, ``forward()`` returning its loss.
 
-        Without a slab plan the recording is the learning one: when it has
-        forward-only buffers, its graph is broken up and the forward is
-        recorded again with the plan learned from it.  With a slab plan the
-        recording uses it, and is recorded again over plain buffers if it
-        did not keep to it — a counted miss that learns the plan afresh,
-        unless the recording was vetoed: a veto keeps the plan, and is
-        recorded again only if it handed out slab views at all.  The loss
-        returned is the recording's that :meth:`_compile` compiles.
+        Without a slab plan the forward first runs under a
+        :class:`SlabLearner`, and is then recorded with the plan it learned
+        (over plain buffers if it learned none).  A recording made with a
+        slab plan that did not keep to it is recorded again over plain
+        buffers: a counted miss, which drops the plan so that the next
+        capture learns afresh — unless the recording was vetoed: a veto
+        keeps the plan, and is recorded again only if it handed out slab
+        views at all.  The loss returned is the recording's that
+        :meth:`_compile` compiles.
         """
-        loss = self._record(forward, self.slab_plan)
         if self.slab_plan is None:
-            self.slab_plan = self._learn(loss)
-            if self.slab_plan is None:
-                return loss
-            self._drop_recording(loss)
-            loss = None
-            loss = self._record(forward, self.slab_plan)
+            self.slab_plan = self._learn(forward)
+        loss = self._record(forward, self.slab_plan)
         rec = self._recorder
         vetoed = not rec.ok()
-        if ((vetoed and not rec.slots)
+        if (rec.slab is None or (vetoed and not rec.slots)
                 or _slab_holds(rec, _backward_roots(loss, self._staged.values()))):
             return loss
         # The slab views were not the plan's: the backward reads one, or
@@ -449,20 +510,18 @@ class StepCapture:
         # later key) and a later entry may overwrite one before it is read.
         self._drop_recording(loss)
         loss = rec = None
-        loss = self._record(forward, None)
         if not vetoed:
-            # A miss keeps its plain buffers; what it learns serves the next capture.
             self.slab_misses += 1
-            self.slab_plan = self._learn(loss)
-        return loss
+            self.slab_plan = None
+        return self._record(forward, None)
 
-    def _learn(self, loss: Tensor) -> Optional[SlabPlan]:
-        """The slab plan of the current plain recording, None if it has
-        nothing to share or did not record."""
-        rec = self._recorder
-        if not rec.ok():
-            return None
-        return _learn_slab(rec, _backward_roots(loss, self._staged.values()))
+    def _learn(self, forward: Callable[[], Tensor]) -> Optional[SlabPlan]:
+        """Run ``forward()`` under a :class:`SlabLearner`: the slab plan it
+        learned, None if it has nothing to share or did not record."""
+        learner = SlabLearner()
+        loss = _recording(learner, forward)
+        plan = learner.plan([loss, *self._staged.values()])
+        return plan if learner.ok() else None
 
     def _drop_recording(self, loss: Tensor) -> None:
         """Free the current recording and its graph below ``loss`` now."""
@@ -473,14 +532,11 @@ class StepCapture:
                 slab_plan: Optional[SlabPlan]) -> Tensor:
         """Run ``forward()`` under a fresh recorder, kept in ``_recorder``."""
         self._recorder = ForwardRecorder(slab_plan)
-        _tensor_plan.set_recorder(self._recorder)
         try:
-            return forward()
+            return _recording(self._recorder, forward)
         except BaseException:
             self._recorder = None
             raise
-        finally:
-            _tensor_plan.set_recorder(None)
 
     def _compile(self, loss: Tensor, layout_state) -> None:
         """Run the recorded step's backward and install its plan if covered.

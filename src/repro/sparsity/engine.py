@@ -464,9 +464,10 @@ class LongExposure:
         needs no predictors, so there it only marks the engine prepared.
 
         One frozen-model pass (:func:`collect_block_mass`) keeps, per layer,
-        the sub-layer inputs, the MLP activations and each sample's exposer
-        block mass, reduced from the exposer's row-tile probability sweep as
-        its tiles come.  Every layer's probes then train in one lockstep loop
+        the sub-layer inputs, each sample's exposer block mass, reduced from
+        the exposer's row-tile probability sweep as its tiles come, and the
+        MLP activations' per-token block mass and per-neuron masses, reduced
+        batch by batch (no ``(…, hidden)`` activation is kept).  Every layer's probes then train in one lockstep loop
         on one shared noise stream (:func:`train_predictors`) on the schedule
         ``PredictorTrainingConfig(epochs=config.predictor_epochs,
         seed=config.seed)``, and each trained predictor is calibrated on the
@@ -510,7 +511,8 @@ class LongExposure:
                     seed=config.seed + 1000 + layer_index)
                 self.mlp_predictors.append(predictor)
                 probes.append(mlp_probe(predictor, merged["mlp_inputs"],
-                                        merged["mlp_activations"], self.mlp_exposer))
+                                        merged["mlp_token_block_mass"],
+                                        merged["mlp_neuron_mass"], self.mlp_exposer))
                 kinds.append("mlp")
         training_config = PredictorTrainingConfig(epochs=config.predictor_epochs,
                                                   seed=config.seed)
@@ -528,7 +530,7 @@ class LongExposure:
                 predictor = self.mlp_predictors[layer_index]
                 calibration = calibrate_mlp_predictor(
                     predictor, self.mlp_exposer,
-                    merged["mlp_inputs"], merged["mlp_activations"])
+                    merged["mlp_inputs"], merged["mlp_total_mass"])
                 predictor.set_calibration(calibration)
                 self.mlp_calibrations.append(calibration)
         self._prepared = True

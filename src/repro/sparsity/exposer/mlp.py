@@ -46,28 +46,42 @@ class MLPExposer:
         self.threshold = threshold
         self.min_active_blocks = max(1, int(min_active_blocks))
 
+    @staticmethod
+    def neuron_mass(activations: np.ndarray) -> np.ndarray:
+        """Per-neuron |activation| mass summed over batch and sequence:
+        ``(hidden,)``, the rows added in order (axis 0 of the flattened
+        ``(batch * seq, hidden)`` activations)."""
+        activations = np.asarray(activations)
+        return np.abs(activations).reshape(-1, activations.shape[-1]).sum(axis=0)
+
     def block_importance(self, activations: np.ndarray) -> np.ndarray:
         """Per-block importance: mean |activation| mass over batch and sequence.
 
         ``activations`` has shape ``(batch, seq, hidden)`` (post-ReLU).
         """
-        activations = np.asarray(activations)
-        if activations.ndim == 2:
-            activations = activations[None]
-        hidden = activations.shape[-1]
+        return self._importance(self.neuron_mass(activations))
+
+    def _importance(self, mass: np.ndarray) -> np.ndarray:
+        """Per-block importance of a :meth:`neuron_mass`."""
+        hidden = mass.shape[0]
         bs = self.block_size
         n_blocks = -(-hidden // bs)
         padded = n_blocks * bs
-        flat = np.abs(activations).reshape(-1, hidden).sum(axis=0)
         if padded != hidden:
-            flat = np.pad(flat, (0, padded - hidden))
-        return flat.reshape(n_blocks, bs).sum(axis=1)
+            mass = np.pad(mass, (0, padded - hidden))
+        return mass.reshape(n_blocks, bs).sum(axis=1)
 
     def active_blocks(self, activations: np.ndarray,
                       threshold: Optional[float] = None) -> np.ndarray:
         """Indices of neuron blocks whose importance exceeds the filter threshold."""
+        return self.active_blocks_from_mass(self.neuron_mass(activations), threshold)
+
+    def active_blocks_from_mass(self, mass: np.ndarray,
+                                threshold: Optional[float] = None) -> np.ndarray:
+        """:meth:`active_blocks` of the activations whose :meth:`neuron_mass`
+        is ``mass``."""
         threshold = self.threshold if threshold is None else threshold
-        importance = self.block_importance(activations)
+        importance = self._importance(mass)
         peak = importance.max()
         if peak <= 0:
             return np.arange(min(self.min_active_blocks, importance.shape[0]))

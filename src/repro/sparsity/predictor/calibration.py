@@ -162,14 +162,16 @@ def calibrate_attention_predictor(predictor, exposer, inputs: np.ndarray,
 
 
 def calibrate_mlp_predictor(predictor, exposer, inputs: np.ndarray,
-                            activations: np.ndarray) -> MLPCalibration:
+                            neuron_mass: np.ndarray) -> MLPCalibration:
     """Fit the score threshold of one MLP predictor.
 
-    The oracle target is the exposer's batch-level active block set; the
+    The oracle target is the exposer's batch-level active block set, read
+    from ``neuron_mass``: the :meth:`~repro.sparsity.exposer.MLPExposer.neuron_mass`
+    ``(hidden,)`` of the whole calibration set's post-ReLU activations.  The
     threshold is placed so the predictor keeps the same number of blocks
     (midpoint between the ``k``-th and ``k+1``-th scores).
     """
-    keep = int(exposer.active_blocks(activations).size)
+    keep = int(exposer.active_blocks_from_mass(neuron_mass).size)
     scores = predictor.block_scores(inputs)
     threshold = _separating_threshold(np.sort(scores)[::-1], keep)
     n_blocks = predictor.n_blocks

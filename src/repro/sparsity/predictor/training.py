@@ -181,6 +181,27 @@ def train_attention_predictor(predictor: AttentionPredictor,
 # MLP predictor
 # ---------------------------------------------------------------------------
 
+def mlp_token_block_mass(activations: np.ndarray, block_size: int) -> np.ndarray:
+    """Per-token |activation| mass of each neuron block: ``(batch, seq,
+    n_blocks)`` float32 of ``(batch, seq, hidden)`` post-ReLU activations,
+    the last block zero-padded."""
+    activations = np.asarray(activations)
+    batch, seq, hidden = activations.shape
+    n_blocks = -(-hidden // block_size)
+    padded = n_blocks * block_size
+    mass = np.abs(activations).astype(np.float32)
+    if padded != hidden:
+        mass = np.pad(mass, ((0, 0), (0, 0), (0, padded - hidden)))
+    return mass.reshape(batch, seq, n_blocks, block_size).sum(axis=-1)
+
+
+def mlp_block_mass_labels(block_mass: np.ndarray, threshold: float = 0.02) -> np.ndarray:
+    """:func:`mlp_token_block_labels` of the activations whose
+    :func:`mlp_token_block_mass` is ``block_mass``."""
+    peak = np.maximum(block_mass.max(axis=-1, keepdims=True), 1e-12)
+    return (block_mass >= threshold * peak).astype(np.float32)
+
+
 def mlp_token_block_labels(activations: np.ndarray, block_size: int,
                            threshold: float = 0.02) -> np.ndarray:
     """Per-token binary labels: is this neuron block *important* for the token?
@@ -190,28 +211,18 @@ def mlp_token_block_labels(activations: np.ndarray, block_size: int,
     sequence-level pattern — so the predictor learns the filtered pattern the
     operators will actually execute, not the raw (shadowy) activity.
     """
-    activations = np.asarray(activations)
-    batch, seq, hidden = activations.shape
-    n_blocks = -(-hidden // block_size)
-    padded = n_blocks * block_size
-    mass = np.abs(activations).astype(np.float32)
-    if padded != hidden:
-        mass = np.pad(mass, ((0, 0), (0, 0), (0, padded - hidden)))
-    block_mass = mass.reshape(batch, seq, n_blocks, block_size).sum(axis=-1)
-    peak = np.maximum(block_mass.max(axis=-1, keepdims=True), 1e-12)
-    return (block_mass >= threshold * peak).astype(np.float32)
+    return mlp_block_mass_labels(mlp_token_block_mass(activations, block_size), threshold)
 
 
-def mlp_probe(predictor: MLPPredictor, inputs: np.ndarray,
-              activations: np.ndarray, exposer: MLPExposer) -> Probe:
+def mlp_probe(predictor: MLPPredictor, inputs: np.ndarray, block_mass: np.ndarray,
+              neuron_mass: np.ndarray, exposer: MLPExposer) -> Probe:
     """One layer's MLP neuron-block predictor and its training set: the
-    recorded MLP inputs and post-ReLU ``activations`` of every sample."""
-    token_labels = mlp_token_block_labels(activations, predictor.block_size,
-                                          threshold=exposer.threshold)
-    # The exposer's ground-truth block sets, taken now so that a probe waiting
-    # in the lockstep loop does not keep its activations alive.
-    truths = [exposer.active_blocks(activations[i:i + 1])
-              for i in range(activations.shape[0])]
+    recorded MLP inputs ``(n_samples, seq, dim)`` and two reductions of each
+    sample's post-ReLU activations — their :func:`mlp_token_block_mass` at
+    the predictor's block size, ``(n_samples, seq, n_blocks)``, and their
+    :meth:`MLPExposer.neuron_mass`, ``(n_samples, hidden)``."""
+    token_labels = mlp_block_mass_labels(block_mass, threshold=exposer.threshold)
+    truths = [exposer.active_blocks_from_mass(mass) for mass in neuron_mass]
 
     def evaluate(loss: float, epochs: int) -> PredictorMetrics:
         # Sequence-level evaluation against the exposer's ground-truth block
@@ -237,6 +248,10 @@ def train_mlp_predictor(predictor: MLPPredictor,
                         exposer: MLPExposer,
                         config: Optional[PredictorTrainingConfig] = None
                         ) -> PredictorMetrics:
-    """Train one layer's MLP neuron-block predictor on collected data."""
-    return train_predictors([mlp_probe(predictor, inputs, activations, exposer)],
-                            config)[0]
+    """Train one layer's MLP neuron-block predictor on collected data: the
+    recorded MLP inputs and post-ReLU ``activations`` of every sample."""
+    block_mass = mlp_token_block_mass(activations, predictor.block_size)
+    neuron_mass = np.stack([exposer.neuron_mass(activations[i:i + 1])
+                            for i in range(activations.shape[0])])
+    return train_predictors([mlp_probe(predictor, inputs, block_mass, neuron_mass,
+                                       exposer)], config)[0]

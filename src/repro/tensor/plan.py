@@ -22,8 +22,9 @@ step's DFS schedule, retained with its graph):
   calls the same function over arena buffers, so replay is bitwise identical
   to it by construction.
 * :class:`SlabPlan` — where a recording's forward-only buffers live: byte
-  offsets into one slab, learned by the capture from an earlier recording
-  of the same step (see :mod:`repro.runtime.capture`).  A recorder given
+  offsets into one slab, learned by the capture from an earlier, learning
+  run of the same forward (:class:`repro.runtime.capture.SlabLearner`, a
+  recorder that keeps nothing it records).  A recorder given
   one hands those allocations out as views of its slab, so buffers whose
   forward lifetimes never meet share bytes; every other buffer stays a
   fresh array of its own.
@@ -106,6 +107,10 @@ class ForwardRecorder:
     Given a ``slab_plan``, an uninitialised allocation whose key and shape
     match a slot is a view of :attr:`slab` at the slot's offset, listed in
     :attr:`slots` as ``(view, last)`` with the slot's last forward reader.
+
+    What a recording keeps goes through four methods a subclass may
+    override: :meth:`record` (the entry), :meth:`build` (a grad-carrying
+    node), ``_keep`` (a fresh plan buffer) and ``_next_entry``.
     """
 
     __slots__ = ("entries", "created", "noted", "built", "failed",
@@ -140,13 +145,27 @@ class ForwardRecorder:
         self.entries.append(ForwardEntry(run, tag))
         self.noted += 1
 
+    def build(self, node) -> None:
+        """Note ``node``, a grad-carrying graph node ``Tensor._make`` just
+        built with its parents and backward closure."""
+        self.built.add(id(node))
+
+    def _next_entry(self) -> int:
+        """The index the next recorded entry takes."""
+        return len(self.entries)
+
     def _key(self) -> Tuple[int, int]:
         """The next allocation's key: (entry being bound, ordinal in it)."""
         entry, ordinal = self._site
-        if entry != len(self.entries):
-            entry, ordinal = len(self.entries), 0
+        if entry != self._next_entry():
+            entry, ordinal = self._next_entry(), 0
         self._site = (entry, ordinal + 1)
         return entry, ordinal
+
+    def _keep(self, buf: np.ndarray, key: Optional[Tuple[int, int]]) -> None:
+        """List a fresh plan buffer and its allocation key (None: zero-filled)."""
+        self.buffers.append(buf)
+        self.keys.append(key)
 
     def empty(self, shape, dtype=np.float32) -> np.ndarray:
         """An uninitialised plan buffer: the slab view of a matching slot,
@@ -161,16 +180,14 @@ class ForwardRecorder:
             self.slots.append((view, last))
             return view
         buf = np.empty(shape, dtype)
-        self.buffers.append(buf)
-        self.keys.append(key)
+        self._keep(buf, key)
         return buf
 
     def zeros(self, shape, dtype=np.float32) -> np.ndarray:
         """A fresh zero-filled plan buffer, listed in :attr:`buffers`."""
         self._key()
         buf = np.zeros(shape, dtype)
-        self.buffers.append(buf)
-        self.keys.append(None)
+        self._keep(buf, None)
         return buf
 
     def owned(self) -> Tuple[np.ndarray, ...]:

@@ -296,7 +296,7 @@ class Tensor:
             out._parents = parents
             out._backward = backward
             if rec is not None:
-                rec.built.add(id(out))
+                rec.build(out)
         return out
 
     # -- backward pass --------------------------------------------------------

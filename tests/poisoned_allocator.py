@@ -10,7 +10,8 @@ For every test it fills, through ``monkeypatch`` only:
 * every ``BufferArena.take`` that does not zero its buffer;
 * every buffer ``BufferArena.release`` accepts back into its free pool;
 * every buffer ``BufferArena.next_generation`` takes back at a step boundary;
-* every fresh plan buffer (``ForwardRecorder.empty``), slab views included;
+* every fresh plan buffer (``ForwardRecorder.empty``), slab views and a
+  learning recording's buffers (``SlabLearner`` inherits ``empty``) included;
 * every ``arena.empty`` made while no arena is active;
 * on replay (``ForwardPlan.run``), the plan's scratch pool before each
   entry runs, so no kernel reads scratch an earlier kernel wrote;

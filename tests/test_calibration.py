@@ -24,7 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.models import build_model
+from repro.models import build_model, get_config
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.sparsity.engine import PROBE_RANK
 from repro.sparsity.exposer import AttentionExposer, MLPExposer
@@ -48,6 +48,7 @@ from repro.sparsity.predictor.calibration import (
     _separating_threshold,
     budget_block_masks,
 )
+from repro.sparsity.predictor.training import mlp_token_block_mass
 
 from parity import sample_block_mass
 
@@ -269,7 +270,8 @@ class TestMLPCalibrationFit:
                             merged["mlp_activations"], exposer,
                             PredictorTrainingConfig(epochs=6))
         calibration = calibrate_mlp_predictor(
-            predictor, exposer, merged["mlp_inputs"], merged["mlp_activations"])
+            predictor, exposer, merged["mlp_inputs"],
+            exposer.neuron_mass(merged["mlp_activations"]))
         predictor.set_calibration(calibration)
         try:
             oracle = exposer.active_blocks(merged["mlp_activations"])
@@ -486,7 +488,8 @@ def _assert_prepare_twin(seed: int, seq: int) -> None:
                                       merged["mlp_activations"],
                                       engine.mlp_exposer, training)
         calibration = calibrate_mlp_predictor(
-            mlp, engine.mlp_exposer, merged["mlp_inputs"], merged["mlp_activations"])
+            mlp, engine.mlp_exposer, merged["mlp_inputs"],
+            engine.mlp_exposer.neuron_mass(merged["mlp_activations"]))
         assert calibration.entry == engine.mlp_calibrations[layer].entry
         assert _fitted_digest(mlp, calibration, metrics) == _fitted_digest(
             engine.mlp_predictors[layer], engine.mlp_calibrations[layer],
@@ -510,6 +513,54 @@ class TestStreamingPrepare:
         """The same twin on 100-token batches: the last of the 7 blocks is
         4 tokens long, and the budget is fitted over its partial tiles."""
         _assert_prepare_twin(seed, 100)
+
+    @pytest.mark.parity
+    def test_mlp_fits_are_the_whole_activations_twin(self):
+        """``prepare`` keeps three reductions of each layer's MLP activations
+        in their place.  Its MLP fits — weights, thresholds, metrics — equal,
+        bit for bit, one-probe fits and calibrations on
+        ``collect_layer_data``'s whole activations, on two ``(2, 64)``
+        batches through a 144-neuron MLP in 32-neuron blocks, the last one
+        short; and no array ``collect_block_mass`` returns is
+        activation-sized."""
+        block = 32
+        model = build_model(dataclasses.replace(get_config("opt-tiny"), dim=36), seed=0)
+        rng = np.random.default_rng(0)
+        batches = [rng.integers(0, model.config.vocab_size, size=(2, 64))
+                   for _ in range(2)]
+        hidden = model.config.hidden_dim
+        assert hidden % block
+        engine = LongExposure(LongExposureConfig(block_size=block,
+                                                 predictor_epochs=3, seed=0))
+        engine.prepare(model, batches)
+        training = PredictorTrainingConfig(epochs=3, seed=0)
+        exposer = engine.mlp_exposer
+        reduced = collect_block_mass(model, batches, engine.attention_exposer)
+        for layer, data in enumerate(collect_layer_data(model, batches)):
+            merged = data.merged()
+            inputs, activations = merged["mlp_inputs"], merged["mlp_activations"]
+            assert activations.shape == (4, 64, hidden)
+            mine = reduced[layer].merged()
+            assert _sha(mine["mlp_token_block_mass"]) == _sha(
+                mlp_token_block_mass(activations, block))
+            assert _sha(mine["mlp_neuron_mass"]) == _sha(
+                *(exposer.neuron_mass(sample) for sample in activations))
+            assert _sha(mine["mlp_total_mass"]) == _sha(exposer.neuron_mass(activations))
+            mlp = MLPPredictor(model.config.dim, hidden, block, seed=1000 + layer)
+            metrics = train_mlp_predictor(mlp, inputs, activations, exposer, training)
+            calibration = calibrate_mlp_predictor(
+                mlp, exposer, inputs, exposer.neuron_mass(activations))
+            assert calibration.entry == engine.mlp_calibrations[layer].entry
+            assert _fitted_digest(mlp, calibration, metrics) == _fitted_digest(
+                engine.mlp_predictors[layer], engine.mlp_calibrations[layer],
+                engine.predictor_metrics["mlp"][layer]), f"mlp layer {layer}"
+        for data in reduced:
+            kept = [data.mlp_total_mass]
+            for recording in dataclasses.fields(data):
+                if isinstance(getattr(data, recording.name), list):
+                    kept += getattr(data, recording.name)
+            assert data.mlp_total_mass.shape == (hidden,) and not data.mlp_activations
+            assert not [a.shape for a in kept if a.shape[-2:] == (64, hidden)]
 
     def test_collection_dtype_does_not_follow_numpy_promotion(self, tiny_model,
                                                               tiny_batches):

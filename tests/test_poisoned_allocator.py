@@ -4,6 +4,7 @@ exactly the buffers it promises to, and leaves zeroed and foreign ones be."""
 import numpy as np
 
 from poisoned_allocator import install
+from repro.runtime.capture import SlabLearner
 from repro.tensor import arena, plan
 
 
@@ -23,6 +24,7 @@ def test_poisons_every_uninitialised_buffer(monkeypatch):
     pool.next_generation()
     assert np.isnan(out).all()
     assert np.isnan(plan.ForwardRecorder().empty((2,), np.float32)).all()
+    assert np.isnan(SlabLearner().empty((2,), np.float32)).all()
     with arena.scope(None):
         assert np.isnan(arena.empty((2,), np.float32)).all()
 
