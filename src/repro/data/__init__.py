@@ -29,7 +29,6 @@ from repro.data.tasks import (
     build_task_suite,
     evaluate_model_on_task,
 )
-from repro.data.loader import BatchLoader
 
 __all__ = [
     "Vocabulary",
@@ -43,5 +42,4 @@ __all__ = [
     "TaskSuite",
     "build_task_suite",
     "evaluate_model_on_task",
-    "BatchLoader",
 ]

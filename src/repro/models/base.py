@@ -53,7 +53,7 @@ class CausalLMModel(Module):
                                             name="position_embedding")
         self.blocks = ModuleList([
             TransformerBlock(config.dim, config.num_heads, config.hidden_dim,
-                             activation=config.activation, dropout=config.dropout,
+                             activation=config.activation,
                              layer_index=i, rng=np.random.default_rng(seed * 1000 + i))
             for i in range(config.num_layers)
         ])

@@ -32,8 +32,6 @@ class ModelConfig:
     num_heads: int
     mlp_ratio: int = 4
     activation: str = "relu"       # "relu" (OPT) or "gelu" (GPT-2)
-    dropout: float = 0.0
-    tie_embeddings: bool = True
     # Initialiser knobs that reproduce the sparsity statistics of trained
     # checkpoints (see repro/models/base.py for how they are applied).
     sparsify_init: bool = True
@@ -49,7 +47,8 @@ class ModelConfig:
         return self.dim // self.num_heads
 
     def num_parameters(self) -> int:
-        """Analytic parameter count (embeddings + blocks + final norm)."""
+        """Analytic parameter count (embeddings + blocks + final norm; the LM
+        head is the token embedding, tied)."""
         embed = self.vocab_size * self.dim + self.max_seq_len * self.dim
         per_block = (
             4 * (self.dim * self.dim + self.dim)          # q, k, v, out projections
@@ -58,8 +57,7 @@ class ModelConfig:
             + 4 * self.dim                                   # two LayerNorms (weight+bias)
         )
         final_norm = 2 * self.dim
-        lm_head = 0 if self.tie_embeddings else self.vocab_size * self.dim
-        return embed + self.num_layers * per_block + final_norm + lm_head
+        return embed + self.num_layers * per_block + final_norm
 
 
 _REGISTRY: Dict[str, ModelConfig] = {}

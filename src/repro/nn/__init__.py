@@ -6,15 +6,14 @@ recursive parameter discovery, linear/embedding/layer-norm layers, multi-head
 attention with pluggable sparse execution backends, the two-layer MLP block,
 and the pre-LayerNorm decoder block that composes them.
 
-The attention and MLP modules expose *hooks* (``attention_backend`` and
-``mlp_backend``) that LongExposure's engine swaps out to route computation
-through the dynamic-aware sparse operators without touching model code —
-mirroring how the original system patches HuggingFace modules.
+The attention and MLP modules each run through a ``backend`` attribute
+that LongExposure's engine swaps out to route computation through the
+dynamic-aware sparse operators without touching model code — mirroring how
+the original system patches HuggingFace modules.
 """
 
 from repro.nn.module import Module, Parameter, ModuleList
-from repro.nn.layers import Linear, Embedding, LayerNorm, Dropout
-from repro.nn.activations import ReLU, GELU, get_activation
+from repro.nn.layers import Linear, Embedding, LayerNorm
 from repro.nn.attention import MultiHeadAttention, DenseAttentionBackend
 from repro.nn.mlp import MLPBlock, DenseMLPBackend
 from repro.nn.block import TransformerBlock
@@ -26,10 +25,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "LayerNorm",
-    "Dropout",
-    "ReLU",
-    "GELU",
-    "get_activation",
     "MultiHeadAttention",
     "DenseAttentionBackend",
     "MLPBlock",

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.tensor import Tensor, functional as F
 
@@ -74,11 +74,9 @@ class MultiHeadAttention(Module):
         Model (embedding) dimension.
     num_heads:
         Number of attention heads; ``dim`` must be divisible by it.
-    dropout:
-        Attention-output dropout probability.
     """
 
-    def __init__(self, dim: int, num_heads: int, dropout: float = 0.0,
+    def __init__(self, dim: int, num_heads: int,
                  rng: Optional[np.random.Generator] = None, layer_index: int = 0):
         super().__init__()
         if dim % num_heads != 0:
@@ -93,7 +91,6 @@ class MultiHeadAttention(Module):
         self.k_proj = Linear(dim, dim, rng=rng, name=f"layer{layer_index}.attn.k_proj")
         self.v_proj = Linear(dim, dim, rng=rng, name=f"layer{layer_index}.attn.v_proj")
         self.out_proj = Linear(dim, dim, rng=rng, name=f"layer{layer_index}.attn.out_proj")
-        self.dropout = Dropout(dropout, seed=layer_index)
 
         # Swappable kernel; LongExposure installs a sparse backend here.
         self.backend = DenseAttentionBackend()
@@ -131,8 +128,7 @@ class MultiHeadAttention(Module):
         v = self.split_heads(self.v_proj(x))
 
         context = self.backend(self, q, k, v, attn_mask, x)
-        out = self.out_proj(self.merge_heads(context))
-        return self.dropout(out)
+        return self.out_proj(self.merge_heads(context))
 
     def extra_repr(self) -> str:
         return f"dim={self.dim}, heads={self.num_heads}"

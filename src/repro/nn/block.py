@@ -22,17 +22,17 @@ class TransformerBlock(Module):
     """One decoder layer: ``x + Attn(LN(x))`` followed by ``x + MLP(LN(x))``."""
 
     def __init__(self, dim: int, num_heads: int, hidden_dim: int,
-                 activation: str = "relu", dropout: float = 0.0,
-                 layer_index: int = 0, rng: Optional[np.random.Generator] = None):
+                 activation: str = "relu", layer_index: int = 0,
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(layer_index)
         self.layer_index = layer_index
         self.attn_norm = LayerNorm(dim, name=f"layer{layer_index}.attn_norm")
-        self.attention = MultiHeadAttention(dim, num_heads, dropout=dropout,
-                                            rng=rng, layer_index=layer_index)
+        self.attention = MultiHeadAttention(dim, num_heads, rng=rng,
+                                            layer_index=layer_index)
         self.mlp_norm = LayerNorm(dim, name=f"layer{layer_index}.mlp_norm")
-        self.mlp = MLPBlock(dim, hidden_dim, activation=activation,
-                            dropout=dropout, rng=rng, layer_index=layer_index)
+        self.mlp = MLPBlock(dim, hidden_dim, activation=activation, rng=rng,
+                            layer_index=layer_index)
 
     def forward(self, x: Tensor, attn_mask: Optional[np.ndarray] = None) -> Tensor:
         # Each sum consumes its sub-layer's fresh output (F.residual_add).

@@ -1,4 +1,4 @@
-"""Elementary layers: Linear, Embedding, LayerNorm and Dropout.
+"""Elementary layers: Linear, Embedding and LayerNorm.
 
 Initialisation follows the conventions of the OPT / GPT-2 releases (normal
 with small std for projections, ones/zeros for LayerNorm).  ``Linear`` stores
@@ -94,20 +94,3 @@ class LayerNorm(Module):
 
     def extra_repr(self) -> str:
         return f"dim={self.dim}, eps={self.eps}"
-
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, p: float = 0.0, seed: int = 0):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, training=self.training, rng=self._rng)
-
-    def extra_repr(self) -> str:
-        return f"p={self.p}"

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.activations import get_activation
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.tensor import Tensor, fused, functional as F
 
@@ -57,7 +56,7 @@ class DenseMLPBackend:
                 and type(fc1) is Linear and type(fc2) is Linear):
             return F.mlp(x, fc1.weight, fc1.bias, fc2.weight, fc2.bias,
                          activation=module.activation_name)
-        hidden = module.activation(fc1(x))
+        hidden = getattr(fc1(x), module.activation_name)()   # Tensor.relu / .gelu
         if self.capture_activations:
             self.last_activations = hidden.data.copy()
         return fc2(hidden)
@@ -77,9 +76,10 @@ class MLPBlock(Module):
     """
 
     def __init__(self, dim: int, hidden_dim: int, activation: str = "relu",
-                 dropout: float = 0.0, rng: Optional[np.random.Generator] = None,
-                 layer_index: int = 0):
+                 rng: Optional[np.random.Generator] = None, layer_index: int = 0):
         super().__init__()
+        if activation not in ("relu", "gelu"):
+            raise ValueError(f"MLP activation must be 'relu' or 'gelu', got {activation!r}")
         rng = rng if rng is not None else np.random.default_rng(100 + layer_index)
         self.dim = dim
         self.hidden_dim = hidden_dim
@@ -88,14 +88,12 @@ class MLPBlock(Module):
 
         self.fc1 = Linear(dim, hidden_dim, rng=rng, name=f"layer{layer_index}.mlp.fc1")
         self.fc2 = Linear(hidden_dim, dim, rng=rng, name=f"layer{layer_index}.mlp.fc2")
-        self.activation = get_activation(activation)
-        self.dropout = Dropout(dropout, seed=1000 + layer_index)
 
         # Swappable kernel; LongExposure installs a neuron-sparse backend here.
         self.backend = DenseMLPBackend()
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.dropout(self.backend(self, x))
+        return self.backend(self, x)
 
     def extra_repr(self) -> str:
         return f"dim={self.dim}, hidden={self.hidden_dim}, act={self.activation_name}"

@@ -41,7 +41,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training: bool = True
 
     # -- attribute plumbing ---------------------------------------------------
     def __setattr__(self, name, value):
@@ -76,16 +75,7 @@ class Module:
         params = self.trainable_parameters() if trainable_only else self.parameters()
         return int(sum(p.numel() for p in params))
 
-    # -- training state ---------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
+    # -- gradients and freezing ---------------------------------------------------
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()

@@ -16,10 +16,8 @@ import numpy as np
 
 from repro.models.base import CausalLMModel
 from repro.nn import Linear, Module
-from repro.nn.mlp import MLPBlock
-from repro.nn.attention import MultiHeadAttention
 from repro.peft.base import PEFTResult, make_result
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 
 
 @dataclass
@@ -27,31 +25,41 @@ class AdapterConfig:
     """Hyper-parameters of bottleneck-adapter injection."""
 
     bottleneck_dim: int = 16
-    activation: str = "relu"
+    activation: str = "relu"       # "relu" or "gelu", as the MLP kernel runs
     seed: int = 0
 
     def __post_init__(self):
         if self.bottleneck_dim <= 0:
             raise ValueError("bottleneck_dim must be positive")
+        if self.activation not in ("relu", "gelu"):
+            raise ValueError(f"adapter activation must be 'relu' or 'gelu', "
+                             f"got {self.activation!r}")
 
 
 class BottleneckAdapter(Module):
-    """Residual bottleneck adapter: ``x + up(act(down(x)))``."""
+    """Residual bottleneck adapter: ``x + up(act(down(x)))``.
+
+    ``down -> act -> up`` is an MLP block, so it runs on the MLP kernel
+    (:func:`repro.tensor.functional.mlp`), one tape node and one compiled
+    plan entry, and the sum consumes its output
+    (:func:`repro.tensor.functional.residual_add`).
+    """
 
     def __init__(self, dim: int, bottleneck_dim: int, activation: str = "relu",
                  rng: Optional[np.random.Generator] = None, name: str = ""):
         super().__init__()
-        from repro.nn.activations import get_activation
         rng = rng if rng is not None else np.random.default_rng(0)
         self.down = Linear(dim, bottleneck_dim, rng=rng, name=f"{name}.down")
         self.up = Linear(bottleneck_dim, dim, rng=rng, name=f"{name}.up")
         # Near-identity initialisation: zero the up-projection so the adapted
         # model starts equivalent to the frozen backbone.
         self.up.weight.data[:] = 0.0
-        self.activation = get_activation(activation)
+        self.activation = activation
 
     def forward(self, x: Tensor) -> Tensor:
-        return x + self.up(self.activation(self.down(x)))
+        down, up = self.down, self.up
+        return F.residual_add(x, F.mlp(x, down.weight, down.bias, up.weight,
+                                       up.bias, self.activation))
 
 
 class _AdaptedSubLayer(Module):

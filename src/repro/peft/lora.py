@@ -35,7 +35,6 @@ class LoRAConfig:
 
     rank: int = 8
     alpha: float = 16.0
-    dropout: float = 0.0
     # Which projections receive adapters; q/v is the LoRA-paper default, the
     # SC paper injects into "each transformer block" so fc1/fc2 are optional.
     target_modules: Tuple[str, ...] = ("q_proj", "v_proj")

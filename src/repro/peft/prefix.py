@@ -57,7 +57,6 @@ class PrefixEncoder(Module):
             self.up.weight.data[:] = 0.0
 
     def forward(self, batch_size: int) -> Tensor:
-        prefix = Tensor(self.embedding.data, requires_grad=False)
         prefix = self.embedding.reshape(1, self.prefix_length, -1)
         if self.reparameterize:
             prefix = prefix + self.up(self.down(prefix).tanh())

@@ -57,6 +57,9 @@ from repro.serve.queue import SignatureBucketQueue, StepRequest
 from repro.serve.registry import AdapterRegistry, AdapterSnapshot
 from repro.serve.store import TenantStateStore
 
+# The token id that right-pads a batch up to its sequence bucket.
+PAD_TOKEN_ID = 0
+
 
 @dataclass
 class ServiceConfig:
@@ -72,7 +75,6 @@ class ServiceConfig:
     max_resident_tenants: int = 8
     max_wait_steps: int = 8
     seq_buckets: Sequence[int] = (16, 32, 64, 128)
-    pad_token_id: int = 0
     # Durability: when set, each lane's registry pages tenants past
     # max_resident_tenants to atomic checkpoint files under
     # <state_dir>/<kind>/ and rehydrates them at construction (see
@@ -194,7 +196,7 @@ class FineTuningService:
                       labels: Optional[np.ndarray] = None):
         """Right-pad the batch to the smallest configured sequence bucket.
 
-        Padding uses ``pad_token_id`` for both inputs and (when provided)
+        Padding uses ``PAD_TOKEN_ID`` for both inputs and (when provided)
         labels — the padded positions train like real tokens, which is the
         price of bucketed batching without a masked loss; callers who care
         submit bucket-sized batches.
@@ -209,11 +211,11 @@ class FineTuningService:
         if target == seq:
             return input_ids, None if labels is None else np.asarray(labels)
         pad = [(0, 0)] * (input_ids.ndim - 1) + [(0, target - seq)]
-        padded = np.pad(input_ids, pad, constant_values=self.config.pad_token_id)
+        padded = np.pad(input_ids, pad, constant_values=PAD_TOKEN_ID)
         padded_labels = None
         if labels is not None:
             padded_labels = np.pad(np.asarray(labels), pad,
-                                   constant_values=self.config.pad_token_id)
+                                   constant_values=PAD_TOKEN_ID)
         return padded, padded_labels
 
     def bucket_key(self, adapter: str, input_ids: np.ndarray,

@@ -23,7 +23,7 @@ class LongExposureConfig:
         head's calibration-set share of them as their block budget.
     predictor_epochs:
         Epochs of offline predictor training; the rest of the schedule is
-        :class:`repro.sparsity.predictor.PredictorTrainingConfig`'s defaults.
+        :mod:`repro.sparsity.predictor.training`'s constants.
     oracle_mode:
         If True, the engine uses the exposer's exact (ground-truth) masks at
         runtime instead of predictor outputs.  Used for ablations and tests;

@@ -28,6 +28,10 @@ from repro.nn.attention import ROW_TILE
 from repro.sparsity.patterns import block_count, causal_block_mask
 from repro.tensor import arena as _arena
 
+# In ``AttentionExposer.analyze``'s per-token sparsity, a query keeps a key
+# whose probability is above this share of the row's largest.
+SCORE_THRESHOLD = 0.02
+
 
 def attention_probability_tiles(q: np.ndarray, k: np.ndarray, scale: float,
                                 block_size: int = 1
@@ -95,13 +99,11 @@ class AttentionSparsityReport:
 class AttentionExposer:
     """Derives per-head block masks from exact attention probabilities."""
 
-    def __init__(self, block_size: int, coverage: float = 0.95,
-                 score_threshold: float = 0.02):
+    def __init__(self, block_size: int, coverage: float = 0.95):
         if not 0.0 < coverage <= 1.0:
             raise ValueError("coverage must be in (0, 1]")
         self.block_size = block_size
         self.coverage = coverage
-        self.score_threshold = score_threshold
 
     # -- block reduction ---------------------------------------------------------
     def block_reduce(self, probs: np.ndarray) -> np.ndarray:
@@ -203,7 +205,7 @@ class AttentionExposer:
         # Per-token sparsity: fraction of keys each individual query can skip
         # (threshold on its own normalised attention row).
         norm = probs / np.maximum(probs.max(axis=-1, keepdims=True), 1e-12)
-        token_keep = (norm > self.score_threshold)
+        token_keep = (norm > SCORE_THRESHOLD)
         causal_elems = np.tril(np.ones(probs.shape[-2:], dtype=bool))
         per_token = 1.0 - token_keep[..., causal_elems].sum() / (
             probs.shape[0] * probs.shape[1] * causal_elems.sum())

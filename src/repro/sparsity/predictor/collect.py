@@ -127,13 +127,11 @@ def _collect(model: CausalLMModel, batches: Iterable[np.ndarray],
                 context = F.scaled_dot_product_attention(
                     q, k, v, mask, scale=scale, tile=attention.row_tile)
                 record_attention(record, q.data, k.data, scale)
-                hidden = hidden + attention.dropout(
-                    attention.out_proj(attention.merge_heads(context)))
+                hidden = hidden + attention.out_proj(attention.merge_heads(context))
 
                 x_norm2 = block.mlp_norm(hidden)
                 record.mlp_inputs[group][r0:r1] = x_norm2.data
-                pre = block.mlp.fc1(x_norm2)
-                act = block.mlp.activation(pre)
+                act = getattr(block.mlp.fc1(x_norm2), block.mlp.activation_name)()
                 record_mlp(record, act.data, shapes, (group, r0, r1))
                 hidden = hidden + block.mlp.fc2(act)
     return layers

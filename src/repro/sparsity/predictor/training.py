@@ -36,15 +36,20 @@ from repro.sparsity.predictor.mlp import MLPPredictor
 from repro.tensor import Tensor, functional as F
 
 
+# Adam's learning rate, samples per minibatch, the std of the Gaussian noise
+# added to each minibatch's inputs, and the BCE weight of the positive class.
+LR = 1e-2
+BATCH_SIZE = 16
+NOISE_STD = 0.02
+POS_WEIGHT = 4.0
+
+
 @dataclass
 class PredictorTrainingConfig:
-    """Schedule and regularisation of offline predictor training."""
+    """Length and seed of offline predictor training (the rest of the
+    schedule is this module's constants)."""
 
     epochs: int = 30
-    lr: float = 1e-2
-    batch_size: int = 16
-    noise_std: float = 0.02
-    pos_weight: float = 4.0
     seed: int = 0
 
 
@@ -110,24 +115,21 @@ def train_predictors(probes: Sequence[Probe],
         raise ValueError(f"lockstep probes must share one input shape, got {sorted(shapes)}")
     n_samples, *sample_shape = shapes.pop()
     rng = np.random.default_rng(config.seed)
-    optimizers = [Adam(probe.predictor.trainable_parameters(), lr=config.lr)
+    optimizers = [Adam(probe.predictor.trainable_parameters(), lr=LR)
                   for probe in probes]
     losses = [0.0] * len(probes)
     for _ in range(config.epochs):
         order = rng.permutation(n_samples)
-        for start in range(0, n_samples, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            noise = None
-            if config.noise_std > 0:
-                noise = rng.normal(0.0, config.noise_std,
-                                   size=(len(idx), *sample_shape)).astype(np.float32)
+        for start in range(0, n_samples, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
+            noise = rng.normal(0.0, NOISE_STD,
+                               size=(len(idx), *sample_shape)).astype(np.float32)
             for index, (probe, optimizer) in enumerate(zip(probes, optimizers)):
                 x = probe.inputs[idx]
-                if noise is not None:
-                    x += noise
+                x += noise
                 logits = probe.predictor(Tensor(x))
                 loss = F.binary_cross_entropy_with_logits(logits, probe.targets[idx],
-                                                          pos_weight=config.pos_weight)
+                                                          pos_weight=POS_WEIGHT)
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()

@@ -1,9 +1,9 @@
 """Composite differentiable functions built on top of :class:`Tensor`.
 
 These mirror the subset of ``torch.nn.functional`` that transformer
-fine-tuning needs: layer normalisation, dropout, fused linear(+activation),
-the LoRA projection, the dense attention core (softmax fused inside) and the
-token-level cross entropy loss, over logits or through the LM head, and
+fine-tuning needs: layer normalisation, fused linear(+activation), the LoRA
+projection, the MLP block, the dense attention core (softmax fused inside),
+the token-level cross entropy loss, over logits or through the LM head, and
 the residual sum.
 
 Since the fused-kernel pass, this module is a thin *dispatch layer*: every
@@ -146,20 +146,6 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
 # BENCHMARK.json) resolves this name and its self-test fails on a missing
 # probe.  The alias goes when that probe does.
 streaming_attention = scaled_dot_product_attention
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; identity when ``training`` is False or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    rng = rng if rng is not None else np.random.default_rng()
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    data = x.data * keep
-
-    def backward(grad):
-        return (grad * keep,)
-
-    return custom_op(data, (x,), backward)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,

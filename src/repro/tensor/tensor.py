@@ -600,14 +600,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            return (grad * data * (1.0 - data),)
-
-        return Tensor._make(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         data = self.data * mask

@@ -48,7 +48,7 @@ from repro.sparsity.predictor.calibration import (
     _separating_threshold,
     budget_block_masks,
 )
-from repro.sparsity.predictor.training import mlp_token_block_mass
+from repro.sparsity.predictor.training import BATCH_SIZE, mlp_token_block_mass
 
 from parity import sample_block_mass
 
@@ -638,8 +638,7 @@ class TestStreamingPrepare:
         engine.prepare(model, batches)
         assert len(engine.attention_predictors) == len(engine.mlp_predictors) == 2
         n_samples = sum(len(batch) for batch in batches)
-        batch_size = PredictorTrainingConfig().batch_size
-        assert len(draws) == config.predictor_epochs * -(-n_samples // batch_size)
+        assert len(draws) == config.predictor_epochs * -(-n_samples // BATCH_SIZE)
 
     @pytest.mark.perf_smoke
     def test_prepare_peak_memory_is_a_few_heads_probabilities(self):

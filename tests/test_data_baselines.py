@@ -13,7 +13,6 @@ from repro.baselines import (
 from repro.baselines.sparse_attention import FixedMaskAttentionBackend, restore_backends
 from repro.data import (
     AlpacaDatasetGenerator,
-    BatchLoader,
     E2EDatasetGenerator,
     Tokenizer,
     Vocabulary,
@@ -96,19 +95,6 @@ class TestTasks:
                                         vocab_size=tiny_model.config.vocab_size)
         assert 0.0 <= result["accuracy"] <= 1.0
         assert result["n"] == 4
-
-
-class TestBatchLoader:
-    def test_cycles_and_shuffles(self):
-        batches = [np.full((2, 4), i) for i in range(3)]
-        loader = BatchLoader(batches, shuffle=True, seed=0)
-        taken = list(loader.take(7))
-        assert len(taken) == 7
-        assert loader.batch_size == 2 and loader.seq_len == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            BatchLoader([])
 
 
 class TestBaselines:

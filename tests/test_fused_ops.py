@@ -55,9 +55,10 @@ def test_recorded_replay_matches_interpreted(case):
                          ids=["fused", "reference"])
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
 def test_linear_rejects_an_activation_it_does_not_fuse(kernel, activation):
-    # Only relu and gelu fold into the linear node; tanh and sigmoid run as
-    # their own ops (bottleneck adapter, prefix reparametrisation).  An
-    # unfused name must raise, not come back as the bare affine map.
+    # Only relu and gelu fold into the linear node (and into the MLP kernel
+    # the bottleneck adapter runs on); tanh runs as its own op (prefix
+    # reparametrisation) and no caller asks for sigmoid.  An unfused name
+    # must raise, not come back as the bare affine map.
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)

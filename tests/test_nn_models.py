@@ -13,9 +13,7 @@ from repro.models import GPT2Model, OPTModel, build_model, get_config, list_conf
 from repro.models.base import normal_quantile
 from repro.models.config import PAPER_TO_EXECUTABLE, ModelConfig, register_config
 from repro.nn import (
-    Dropout,
     Embedding,
-    GELU,
     LayerNorm,
     Linear,
     MLPBlock,
@@ -23,7 +21,6 @@ from repro.nn import (
     ModuleList,
     MultiHeadAttention,
     Parameter,
-    ReLU,
     TransformerBlock,
 )
 from repro.nn.attention import causal_mask
@@ -64,13 +61,6 @@ class TestModuleSystem:
         assert isinstance(layers[1], Linear)
         assert len(list(layers.named_parameters())) == 6
 
-    def test_train_eval_propagates(self):
-        block = TransformerBlock(dim=8, num_heads=2, hidden_dim=16, dropout=0.1)
-        block.eval()
-        assert not block.attention.dropout.training
-        block.train()
-        assert block.mlp.dropout.training
-
 
 class TestLayers:
     def test_linear_shapes_and_bias(self):
@@ -92,16 +82,11 @@ class TestLayers:
         out.sum().backward()
         assert norm.weight.grad is not None and norm.bias.grad is not None
 
-    def test_dropout_validation(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_activation_factory(self):
-        from repro.nn import get_activation
-        assert isinstance(get_activation("relu"), ReLU)
-        assert isinstance(get_activation("gelu"), GELU)
-        with pytest.raises(KeyError):
-            get_activation("swish")
+    def test_mlp_block_rejects_an_activation_its_kernel_does_not_run(self):
+        for activation in ("relu", "gelu"):
+            assert MLPBlock(8, 16, activation=activation).activation_name == activation
+        with pytest.raises(ValueError, match="swish"):
+            MLPBlock(8, 16, activation="swish")
 
 
 class TestAttentionAndMLP:

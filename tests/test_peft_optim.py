@@ -9,6 +9,7 @@ from repro.optim import Adam, clip_grad_norm
 from repro.peft import (
     AdapterConfig,
     BitFitConfig,
+    BottleneckAdapter,
     LoRAConfig,
     LoRALinear,
     PEFT_METHODS,
@@ -19,6 +20,7 @@ from repro.peft import (
     apply_prefix_tuning,
     get_peft_method,
 )
+from repro.tensor import Tensor
 
 
 def fresh_model():
@@ -83,6 +85,33 @@ class TestOtherPEFTMethods:
         before = model(ids).data.copy()
         apply_adapter(model, AdapterConfig(bottleneck_dim=8))
         np.testing.assert_allclose(before, model(ids).data, atol=1e-5)
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_adapter_on_the_mlp_kernel_is_its_composition_bitwise(self, activation):
+        # One F.mlp node and a residual sum: the output and every gradient of
+        # x + up(act(down(x))) as two linears around the Tensor activation.
+        rng = np.random.default_rng(3)
+        adapter = BottleneckAdapter(16, 4, activation, rng=rng)
+        adapter.up.weight.data[:] = rng.normal(0.0, 0.1, adapter.up.weight.shape)
+        x_data = rng.normal(size=(2, 6, 16)).astype(np.float32)
+
+        def run(forward):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = forward(x)
+            out.sum().backward()
+            values = [out.data.copy(), x.grad]
+            values += [p.grad.copy() for p in adapter.parameters()]
+            adapter.zero_grad()
+            return values
+
+        composed = run(lambda x: x + adapter.up(getattr(adapter.down(x), activation)()))
+        for kernel, reference in zip(run(adapter), composed):
+            assert np.array_equal(kernel, reference)
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_adapter_config_rejects_an_activation_the_kernel_does_not_run(self, activation):
+        with pytest.raises(ValueError, match=activation):
+            AdapterConfig(activation=activation)
 
     def test_adapter_trainable_names(self):
         model = fresh_model()

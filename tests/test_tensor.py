@@ -59,7 +59,7 @@ class TestElementwiseGradients:
         x = np.abs(self.rng.normal(size=(4,)).astype(np.float32)) + 0.5
         check_unary(lambda t: t ** 3, x)
 
-    @pytest.mark.parametrize("op_name", ["exp", "tanh", "sigmoid", "relu", "gelu", "sqrt"])
+    @pytest.mark.parametrize("op_name", ["exp", "tanh", "relu", "gelu", "sqrt"])
     def test_nonlinearity_grads(self, op_name):
         x = np.abs(self.rng.normal(size=(6,)).astype(np.float32)) + 0.3
         check_unary(lambda t: getattr(t, op_name)(), x)
