@@ -24,6 +24,7 @@ reference kernels                           kept         interpreted
 a mask refresh at ``predict_interval`` 1    dropped      interpreted
 a mask refresh at ``predict_interval`` > 1  dropped      recorded
 layouts moved since the plan was recorded   dropped      recorded
+a plan on a superseded plan-pool block      dropped      recorded
 a plan                                      kept         replayed
 a plan whose replay raises                  dropped      recorded
 no plan                                     —            recorded
@@ -59,11 +60,31 @@ successor's.  Layouts that moved without a refresh of the signature's own —
 adopted from another replica, or refreshed by another signature's step —
 no longer match the plan's closed-over geometry.
 
-Full-plan buffers are plain allocations — never arena takes — so generation
-recycling cannot reclaim live plan state.  The capture tells the arena
-nothing about layouts: a refresh's stale-shape backward buffers go by the
-arena's one recycling rule, under which a step boundary keeps only the keys
-the finished step took (see :mod:`repro.tensor.arena`).
+Full-plan buffers are never arena takes, so generation recycling cannot
+reclaim live plan state.  The capture tells the arena nothing about
+layouts: a refresh's stale-shape backward buffers go by the arena's one
+recycling rule, under which a step boundary keeps only the keys the
+finished step took (see :mod:`repro.tensor.arena`).
+
+**Shared plan memory.**  A plan's keyed buffers, its forward-only slab and
+its scratch pool hold nothing between steps, so every recording binds them
+to blocks of the process's one :class:`~repro.tensor.plan.PlanPool`
+(:func:`~repro.tensor.plan.plan_pool`), sharing bytes with the live plans
+of every other capture, in this tuner or another (the matching rule is
+in :mod:`repro.tensor.plan`).  Zero-filled record-time state — weight
+gathers, drop masks, the class chunks' staged K|V and Q grids — stays the
+plan's own.  A recording that grows the pool supersedes the blocks it
+left, and a capture whose plan holds a superseded block drops that plan
+at its next step and records once more (counted in ``rebinds``), so after
+warm-up the process holds about one largest signature's plan memory.
+``plan_bytes`` stays what the capture's plan binds; ``plan_resident_bytes``
+is the pool's distinct bytes.  The contract: no plan buffer of a captured
+step is read once another captured step in the process has begun.
+Nothing in the package threads steps, so no two captured steps overlap,
+and ``run`` reads the loss value before it returns.  A capture alone in
+its process finds no other plan's blocks, so each of its buffers is
+allocated on its own, as without the pool: a refresh drops its plan
+before it records.  The backward's arena stays per capture.
 
 **Forward-only slab.**  A plan would otherwise keep every activation its
 forward wrote for the whole step, although the retained backward reads
@@ -119,7 +140,7 @@ import numpy as np
 from repro.tensor import arena as _tensor_arena
 from repro.tensor import plan as _tensor_plan
 from repro.tensor.arena import BufferArena
-from repro.tensor.plan import ForwardPlan, ForwardRecorder, SlabPlan
+from repro.tensor.plan import ForwardPlan, ForwardRecorder, PlanBinding, SlabPlan
 from repro.tensor.tensor import Tensor
 
 __all__ = ["SlabLearner", "StepCapture", "assign_offsets"]
@@ -221,24 +242,39 @@ def _span(a: np.ndarray) -> Tuple[int, int]:
 
 def _touched(arrays: Iterable[np.ndarray],
              buffers: Sequence[np.ndarray]) -> Set[int]:
-    """Indices of the ``buffers`` (arrays that own their memory) whose bytes
-    any of ``arrays`` views."""
-    index = {id(buf): i for i, buf in enumerate(buffers)}
-    spans = None
+    """Indices of the ``buffers`` whose bytes any of ``arrays`` views.
+
+    A buffer that owns its memory is touched by every view of it; one that
+    views a larger array (a slab view, a buffer on a plan-pool block) only
+    by the arrays whose address range meets its own."""
+    groups: Dict[int, List[int]] = defaultdict(list)
+    for i, buf in enumerate(buffers):
+        groups[id(_owner(buf))].append(i)
+    spans: Dict[int, Tuple[int, int]] = {}
+
+    def meeting(array: np.ndarray, candidates: Sequence[int]) -> List[int]:
+        if not candidates:
+            return []
+        lo, hi = _span(array)
+        found = []
+        for i in candidates:
+            if i not in spans:
+                spans[i] = _span(buffers[i])
+            if lo < spans[i][1] and spans[i][0] < hi:
+                found.append(i)
+        return found
+
     hits: Set[int] = set()
     for array in arrays:
         owner = _owner(array)
         if owner.flags.owndata:
-            if id(owner) in index:
-                hits.add(index[id(owner)])
+            group = groups.get(id(owner), ())
+            hits.update(i for i in group if buffers[i] is owner)
+            hits.update(meeting(array, [i for i in group if buffers[i] is not owner]))
             continue
         # Memory from some other object (``as_strided``, a raw buffer):
         # compare addresses.
-        if spans is None:
-            spans = [_span(buf) for buf in buffers]
-        lo, hi = _span(array)
-        hits.update(i for i, (b_lo, b_hi) in enumerate(spans)
-                    if lo < b_hi and b_lo < hi)
+        hits.update(meeting(array, range(len(buffers))))
     return hits
 
 
@@ -313,6 +349,15 @@ class SlabLearner(ForwardRecorder):
         slots = {self.candidates[i][0]: self.candidates[i][1] + (offset, last)
                  for i, offset, (_, last) in zip(chosen, offsets, intervals)}
         return SlabPlan(slots, nbytes, self.tags)
+
+    def demand(self, plan: Optional[SlabPlan]) -> List[int]:
+        """The bytes a recording of this forward with ``plan`` takes from
+        the plan pool: its slab, the uninitialised buffers outside it and
+        the scratch pool's buffers."""
+        slots = {} if plan is None else plan.slots
+        return ([] if plan is None else [-(-plan.nbytes // 4) * 4]) + [
+            nbytes for key, _, nbytes in self.candidates if key not in slots
+        ] + [buf.nbytes for buf in self.scratch.buffers()]
 
 
 def _slab_holds(rec: ForwardRecorder, backward_roots: List) -> bool:
@@ -391,6 +436,15 @@ class StepCapture:
         self._full_failures = 0
         self._recorder: Optional[ForwardRecorder] = None
         self._staged: Dict[str, np.ndarray] = {}
+        # The installed plan's blocks of the plan pool.  ``_carried`` is
+        # set when another recording superseded one of them: the blocks
+        # left, for this step's re-recording, which supersedes nothing.
+        self._binding: Optional[PlanBinding] = None
+        self._carried: Optional[List] = None
+        # The bytes the next recording is expected to take from the pool:
+        # the last recording's, or its learner's.
+        self._demand: Sequence[int] = ()
+        self.rebinds = 0
 
     def run(self, forward: Callable[[np.ndarray, Optional[np.ndarray]], Tensor],
             input_ids, labels=None, *, compilable: bool = True,
@@ -414,6 +468,8 @@ class StepCapture:
         elif refresh or (self.forward_plan is not None
                          and layout_state() != self.full_layout_state):
             self.drop_full_plan()
+        elif self._binding is not None and self._binding.stale:
+            self._outgrown()
         # With interval 1 every step refreshes: nothing would ever replay.
         record = (compilable and not (refresh and interval == 1)
                   and self._full_failures < self.MAX_FAILURES)
@@ -425,6 +481,7 @@ class StepCapture:
                 return self._step(forward, input_ids, labels, compilable,
                                   record, layout_state)
         finally:
+            self._carried = None
             self.last_step_allocations = self.arena.misses - misses
 
     def _step(self, forward, input_ids, labels, replay: bool, record: bool,
@@ -521,22 +578,33 @@ class StepCapture:
         learner = SlabLearner()
         loss = _recording(learner, forward)
         plan = learner.plan([loss, *self._staged.values()])
-        return plan if learner.ok() else None
+        plan = plan if learner.ok() else None
+        self._demand = learner.demand(plan)
+        return plan
 
     def _drop_recording(self, loss: Tensor) -> None:
         """Free the current recording and its graph below ``loss`` now."""
         _break_graph(loss, self._recorder)
+        self._recorder.binding.release()
         self._recorder = None
 
     def _record(self, forward: Callable[[], Tensor],
                 slab_plan: Optional[SlabPlan]) -> Tensor:
-        """Run ``forward()`` under a fresh recorder, kept in ``_recorder``."""
-        self._recorder = ForwardRecorder(slab_plan)
+        """Run ``forward()`` under a fresh recorder, kept in ``_recorder``,
+        bound to the plan pool's blocks and to those of the plan this step
+        dropped as superseded (see :meth:`PlanPool.bind`)."""
+        binding = _tensor_plan.plan_pool().bind(self._carried or (), self._demand,
+                                                grow=self._carried is None)
+        self._carried = None
+        self._recorder = ForwardRecorder(slab_plan, binding)
         try:
             return _recording(self._recorder, forward)
         except BaseException:
+            binding.release()
             self._recorder = None
             raise
+        finally:
+            self._demand = binding.taken
 
     def _compile(self, loss: Tensor, layout_state) -> None:
         """Run the recorded step's backward and install its plan if covered.
@@ -560,11 +628,14 @@ class StepCapture:
         loss._execute_backward(schedule, np.ones_like(loss.data), True,
                                not reason)
         if reason:
+            rec.binding.release()
             self._full_failures += 1
             self.full_fail_reason = reason
             return
         self.forward_plan = ForwardPlan(rec.entries, rec.owned(),
-                                        rec.scratch.buffers(), rec.slots)
+                                        rec.scratch.buffers(), rec.slots,
+                                        rec.keyed())
+        self._binding = rec.binding
         self.full_schedule = schedule
         self.full_loss = loss
         self.full_seed = np.ones_like(loss.data)
@@ -644,6 +715,15 @@ class StepCapture:
                       (fwd_calls[tag] or bwd_calls[tag]) // replays)
                 for tag in sorted(set(fwd_ms) | set(bwd_ms))}
 
+    def _outgrown(self) -> None:
+        """Another capture's recording superseded a block of this plan's:
+        drop the plan, and record this step over the pool and the plan's
+        other blocks, superseding none (see
+        :class:`~repro.tensor.plan.PlanBinding`)."""
+        self._carried = self._binding.release()
+        self.drop_full_plan()
+        self.rebinds += 1
+
     def drop_full_plan(self, reason: str = "") -> None:
         """Invalidate the compiled full-step plan (idempotent).
 
@@ -652,7 +732,8 @@ class StepCapture:
         """
         if getattr(self, "forward_plan", None) is None:
             return
-        self.forward_plan = None
+        self._binding.release()
+        self.forward_plan = self._binding = None
         self.full_schedule = None
         self.full_loss = None
         self.full_seed = None
@@ -683,6 +764,12 @@ class StepCapture:
         slab (once) and its scratch pool."""
         return self.forward_plan.nbytes if self.forward_plan is not None else 0
 
+    @staticmethod
+    def plan_resident_bytes() -> int:
+        """The distinct bytes the process's plan pool holds: what every live
+        plan's keyed buffers, slabs and scratch take together."""
+        return _tensor_plan.plan_pool().resident_bytes
+
     def forward_only_bytes(self) -> int:
         """What the compiled plan's slab views would hold unshared."""
         if self.forward_plan is None:
@@ -694,6 +781,8 @@ class StepCapture:
 
         ``arena_bytes`` and ``plan_bytes`` together are the step's resident
         buffers: what the arena pools, and what the compiled plan owns.
+        ``plan_resident_bytes`` is the plan pool's distinct bytes, process
+        wide: plans of other signatures share them.
         ``forward_only_bytes`` is what the plan's forward-only buffers
         would hold without their shared slab.
         """
@@ -701,12 +790,14 @@ class StepCapture:
             "arena_allocations_step": float(self.last_step_allocations),
             "arena_bytes": float(self.arena.bytes_held),
             "plan_bytes": float(self.plan_bytes()),
+            "plan_resident_bytes": float(self.plan_resident_bytes()),
             "forward_only_bytes": float(self.forward_only_bytes()),
             "arena_hit_rate": self.arena.hit_rate(),
             "arena_evictions": float(self.arena.evictions),
             "capture_full_captures": float(self.full_captures),
             "capture_full_replays": float(self.full_replays),
             "capture_full_fallbacks": float(self.full_fallbacks),
+            "capture_rebinds": float(self.rebinds),
         }
 
     def summary(self) -> str:
@@ -717,5 +808,5 @@ class StepCapture:
                 f"arena={self.arena.bytes_held / 1024 ** 2:.1f} MiB, "
                 f"plan={self.plan_bytes() / 1024 ** 2:.1f} MiB, "
                 f"forward_only={self.forward_only_bytes() / 1024 ** 2:.1f} MiB, "
-                f"slab_misses={self.slab_misses}, "
+                f"slab_misses={self.slab_misses}, rebinds={self.rebinds}, "
                 f"allocs/step={self.last_step_allocations})")

@@ -29,7 +29,12 @@ Architecture (one instance, N tenants, K adapter kinds)::
   :class:`FineTuner` keeps one :class:`~repro.runtime.capture.StepCapture`
   per signature (a bounded LRU whose evictions call
   ``StepCapture.retire``), so alternating buckets never thrash one capture —
-  every bucket captures once, then replays.
+  every bucket captures, then replays.  Only one step runs at a time, so
+  the bucket plans of every lane bind their rewritable memory to the
+  process's one plan pool (:mod:`repro.tensor.plan`): a plan that outgrows
+  the pool's blocks makes the captures holding them record once more, and
+  after warm-up the lanes hold about one largest bucket's plan memory
+  (``plan_resident_bytes``), not one per bucket.
 
 The tenant-isolation contract is *bitwise*: adapters trained interleaved
 through the service are bit-identical to the same tenants trained
@@ -51,6 +56,7 @@ from repro.nn import Module
 from repro.optim import Adam
 from repro.peft import PEFTResult, get_peft_method
 from repro.runtime.fault import FaultInjector
+from repro.runtime.capture import StepCapture
 from repro.runtime.profiler import PhaseProfiler
 from repro.runtime.trainer import CaptureConfig, FineTuner, TrainingConfig
 from repro.serve.queue import SignatureBucketQueue, StepRequest
@@ -343,6 +349,9 @@ class FineTuningService:
             "buckets_live": float(len(self.queue.keys())),
             "plan_caches": float(sum(len(l.tuner.captures)
                                      for l in self._lanes.values())),
+            # What every lane's bucket plans hold together: they share the
+            # process's plan pool.
+            "plan_resident_bytes": float(StepCapture.plan_resident_bytes()),
         }
         for name in ("tenants", "resident_tenants", "tenant_evictions",
                      "tenant_pageins", "tenant_attaches", "tenant_state_bytes",

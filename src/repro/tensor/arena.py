@@ -46,8 +46,9 @@ only in the provenance of their buffers — which is what makes the modes
 bitwise identical.  A recorded forward's kernel *scratch* does not come from
 here: it comes from a pool of the plan being recorded
 (:func:`repro.tensor.plan.scratch_alloc`), one ``BufferArena`` that lives
-only as long as the recording, so the kernels of one plan share one set of
-scratch and no plan shares it with another.
+only as long as the recording and allocates its misses from the recording's
+blocks of the process's plan pool, so the kernels of one plan share one set
+of scratch, and plans of other signatures share its bytes.
 
 This module lives in ``repro.tensor`` (the lowest layer) so the tensor core
 and the fused kernels can import it without cycles; the step capture that
@@ -76,10 +77,12 @@ __all__ = [
 class BufferArena:
     """Pool of ndarrays keyed by ``(shape, dtype)`` with generation recycling."""
 
-    __slots__ = ("_free", "_used", "_taken", "generation", "takes", "hits",
-                 "misses", "bytes_held", "evictions")
+    __slots__ = ("_free", "_used", "_taken", "_alloc", "generation", "takes",
+                 "hits", "misses", "bytes_held", "evictions")
 
-    def __init__(self) -> None:
+    def __init__(self, alloc=np.empty) -> None:
+        # What a miss allocates from: ``alloc(shape, dtype)``, uninitialised.
+        self._alloc = alloc
         self._free: Dict[Tuple, List[np.ndarray]] = {}
         self._used: Dict[int, Tuple[Tuple, np.ndarray]] = {}
         self._taken: Set[Tuple] = set()   # keys taken since the last boundary
@@ -119,7 +122,12 @@ class BufferArena:
                 buf.fill(0)
         else:
             self.misses += 1
-            buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
+            if self._alloc is np.empty:   # np.zeros keeps calloc's zero pages
+                buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
+            else:
+                buf = self._alloc(shape, dtype)
+                if zero:
+                    buf.fill(0)
             self.bytes_held += buf.nbytes
         self._used[id(buf)] = (key, buf)
         return buf

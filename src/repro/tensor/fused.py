@@ -192,30 +192,41 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
 
     _plan.emit(rec, run, "layer_norm", mean)
 
+    # Affine-parameter gradients only when the parameters are trainable
+    # (they are frozen during PEFT fine-tuning — dead reductions else), and
+    # the input's only when it takes one (an embedding's first norm does
+    # not).  Flags and the buffers a needed gradient reads: the closure
+    # must not reach a buffer it will not read.
+    need_dx, need_dw, need_db = x.requires_grad, weight.requires_grad, bias.requires_grad
+    shape, dtype = data.shape, data.dtype
+    normalized_kept = normalized if need_dx or need_dw else None
+    inv_std_kept = inv_std if need_dx else None
+    _arena.release(*(buf for buf, kept in ((normalized, normalized_kept),
+                                           (inv_std, inv_std_kept)) if kept is None))
+
     def backward(grad):
-        # Affine-parameter gradients only when the parameters are trainable
-        # (they are frozen during PEFT fine-tuning — dead reductions else).
-        tmp = _arena.empty(normalized.shape, normalized.dtype)
-        grad_weight = grad_bias = None
-        if weight.requires_grad:
-            np.multiply(grad, normalized, out=tmp)
+        grad_x = grad_weight = grad_bias = None
+        tmp = _arena.empty(shape, dtype) if need_dw or need_dx else None
+        if need_dw:
+            np.multiply(grad, normalized_kept, out=tmp)
             grad_weight = tmp.reshape(-1, dim).sum(
-                axis=0, out=_arena.empty((dim,), normalized.dtype))
-        if bias.requires_grad:
+                axis=0, out=_arena.empty((dim,), dtype))
+        if need_db:
             grad_bias = grad.reshape(-1, dim).sum(
-                axis=0, out=_arena.empty((dim,), normalized.dtype))
-        # ``tmp`` doubles as the grad_norm buffer once grad_weight is reduced.
-        grad_norm = np.multiply(grad, weight.data, out=tmp)
-        inner = np.matmul(grad_norm, col,
-                          out=_arena.empty(red_shape, normalized.dtype))
-        grad_x = np.subtract(grad_norm, inner,
-                             out=_arena.empty(normalized.shape, normalized.dtype))
-        np.multiply(grad_norm, normalized, out=grad_norm)
-        np.matmul(grad_norm, col, out=inner)
-        np.multiply(normalized, inner, out=grad_norm)
-        grad_x -= grad_norm
-        grad_x *= inv_std
-        _arena.release(tmp, normalized, inner, inv_std)
+                axis=0, out=_arena.empty((dim,), dtype))
+        if need_dx:
+            # ``tmp`` doubles as the grad_norm buffer once grad_weight is
+            # reduced.
+            grad_norm = np.multiply(grad, w, out=tmp)
+            inner = np.matmul(grad_norm, col, out=_arena.empty(red_shape, dtype))
+            grad_x = np.subtract(grad_norm, inner, out=_arena.empty(shape, dtype))
+            np.multiply(grad_norm, normalized_kept, out=grad_norm)
+            np.matmul(grad_norm, col, out=inner)
+            np.multiply(normalized_kept, inner, out=grad_norm)
+            grad_x -= grad_norm
+            grad_x *= inv_std_kept
+            _arena.release(inner)
+        _arena.release(tmp, normalized_kept, inv_std_kept)
         return grad_x, grad_weight, grad_bias
 
     return custom_op(out, (x, weight, bias), backward)
@@ -425,32 +436,43 @@ def lora_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
     parents = ((x, weight, lora_A, lora_B) if bias is None
                else (x, weight, bias, lora_A, lora_B))
+    # Flags, shapes and only the buffers a needed gradient reads: the
+    # closure must not reach ``x`` or a buffer it will not read.
+    x_shape, need_dx = x_data.shape, x.requires_grad
+    need_da, need_db = lora_A.requires_grad, lora_B.requires_grad
+    need_dw = weight.requires_grad
+    need_dbias = bias is not None and bias.requires_grad
+    merged_kept = merged if need_dx else None
+    down_kept = down if need_db else None
+    x_kept = x2d if need_da or need_dw else None
+    _arena.release(*(buf for buf, kept in ((merged, merged_kept), (down, down_kept))
+                     if kept is None))
 
     def backward(grad):
         grad2d = grad.reshape(-1, out_features)
         grad_x = grad_w = grad_b = grad_a = grad_bmat = None
-        if x.requires_grad:
+        if need_dx:
             # dx = g (W + scaling * B A) = g W + (scaling * g B) A.
-            grad_x = np.matmul(grad2d, merged,
+            grad_x = np.matmul(grad2d, merged_kept,
                                out=_arena.empty((n_rows, in_features), dtype)
-                               ).reshape(x_data.shape)
-        if lora_B.requires_grad:
-            grad_bmat = np.matmul(grad2d.T, down,
+                               ).reshape(x_shape)
+        if need_db:
+            grad_bmat = np.matmul(grad2d.T, down_kept,
                                   out=_arena.empty((out_features, rank), dtype))
-        if lora_A.requires_grad:
+        if need_da:
             # d(x A^T) = scaling * g B, r wide.
             grad_down = np.matmul(grad2d, bmat,
                                   out=_arena.empty((n_rows, rank), dtype))
             grad_down *= scaling
-            grad_a = np.matmul(grad_down.T, x2d,
+            grad_a = np.matmul(grad_down.T, x_kept,
                                out=_arena.empty((rank, in_features), dtype))
             _arena.release(grad_down)
-        if weight.requires_grad:
-            grad_w = np.matmul(grad2d.T, x2d,
+        if need_dw:
+            grad_w = np.matmul(grad2d.T, x_kept,
                                out=_arena.empty((out_features, in_features), dtype))
-        if bias is not None and bias.requires_grad:
+        if need_dbias:
             grad_b = grad2d.sum(axis=0, out=_arena.empty((out_features,), dtype))
-        _arena.release(merged, down)
+        _arena.release(merged_kept, down_kept)
         if bias is None:
             return grad_x, grad_w, grad_a, grad_bmat
         return grad_x, grad_w, grad_b, grad_a, grad_bmat
@@ -1355,14 +1377,16 @@ def _class_chunk_attention(q: Tensor, k: Tensor, v: Tensor, layout: TileLayout,
     # next replay, so the backward reuses it and the views bound to it.
     bound = [views for views, _, _ in steps] if rec is not None else None
 
+    # A frozen k takes no gradient and no chunk runs its dK GEMM: the key
+    # half of the shared (key, value) panel stays zero, so the scatter adds
+    # exact zeros to the discarded half of the grid.  The flag, not ``k``:
+    # the backward reads the staged grid, and must not reach k's buffer.
+    k_grad = k.requires_grad
+
     def backward(grad_out):
         delta = _softmax_delta(grad_out, out)
         work_b = work if bound else workspace(_arena.empty)
         dp_buf = _arena.empty((panel * bs,), dtype)
-        # A frozen k takes no gradient and no chunk runs its dK GEMM: the key
-        # half of the shared (key, value) panel stays zero, so the scatter
-        # adds exact zeros to the discarded half of the grid.
-        k_grad = k.requires_grad
         pan_buf = (_arena.empty((panel * kvd,), dtype) if k_grad
                    else _arena.zeros((panel * kvd,), dtype))
         gq_blocks = _arena.empty((batch, nb * bs, heads * dim), dtype)

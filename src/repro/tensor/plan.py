@@ -28,6 +28,37 @@ step's DFS schedule, retained with its graph):
   one hands those allocations out as views of its slab, so buffers whose
   forward lifetimes never meet share bytes; every other buffer stays a
   fresh array of its own.
+* :class:`PlanPool` — the process's rewritable plan memory (see "Shared plan
+  memory" below), and :class:`PlanBinding`, one recording's claim on it.
+
+**Shared plan memory.**  A keyed plan buffer — one a kernel takes
+uninitialised, so the entry being bound rewrites it whole on every replay
+before anything reads it — holds nothing between steps; nor do the
+forward-only slab and the scratch pool.  So every capture's recording binds
+those to blocks of one process-wide :class:`PlanPool`, and plans of
+different signatures share bytes.  Each allocation takes a whole block,
+one allocation per block, so one plan's buffers never overlap.  Before it
+records, a :class:`PlanBinding` matches the bytes the recording is
+expected to take (its *demand*: what the capture's last recording or its
+learning run took) to the blocks live plans hold, largest first, each to
+the smallest block that fits.  If all of it fits, the recording only
+shares.  If not, it *grows* the pool: it takes only blocks within
+:data:`GROW_SLACK` of a buffer's size, allocates the rest, and
+*supersedes* every block it left.  No later recording takes a superseded
+block, and a capture whose plan holds one drops that plan at its next step
+and records once more, over the pool's blocks and its own unsuperseded
+ones, and supersedes nothing then.  So after warm-up the pool holds about
+one largest signature's plan memory, whatever order the signatures arrive
+in, and a re-recording never sets off another.  A recording made while
+no other plan is live finds no blocks and allocates each buffer on its
+own, as plain ``np.empty`` would.  State a kernel binds once at record
+time is zero-filled and stays private to its plan (:func:`plan_alloc`).
+
+The contract that makes the sharing safe: no plan buffer of a captured
+step is read once another captured step in the process has begun.  Every
+captured step runs to its end before the next one starts (nothing in the
+package threads steps), and a step reads what it returns (the loss value)
+before it returns.
 
 The recorder switch lives here (lowest layer) so ``tensor.py`` and the fused
 kernels can consult it without import cycles; the step-level lifecycle —
@@ -37,7 +68,9 @@ when to record, when to replay, when to invalidate — is owned by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+import bisect
+import weakref
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,7 +80,10 @@ __all__ = [
     "ForwardEntry",
     "ForwardRecorder",
     "ForwardPlan",
+    "PlanBinding",
+    "PlanPool",
     "SlabPlan",
+    "plan_pool",
     "recorder",
     "set_recorder",
 ]
@@ -88,6 +124,156 @@ class SlabPlan:
         self.tags: Tuple[str, ...] = tuple(tags)
 
 
+# How far over a buffer's bytes a block that a growing recording takes may be.
+GROW_SLACK = 0.125
+
+
+class _Block:
+    """One allocation of the plan pool and how many live bindings hold it."""
+
+    __slots__ = ("data", "holders", "superseded")
+
+    def __init__(self, nbytes: int):
+        self.data = np.empty(nbytes, np.uint8)
+        self.holders = 0
+        self.superseded = False
+
+
+class PlanBinding:
+    """One recording's blocks of a :class:`PlanPool` (see the module
+    docstring).  :meth:`take` hands out a buffer on a block; :meth:`release`
+    gives the blocks back when the plan is dropped (or the binding is
+    collected).
+
+    ``demand`` — the bytes the recording is expected to take, in any order
+    — is matched to the free blocks up front, largest first, each to the
+    smallest block that fits it: matching in arrival order would spend the
+    large blocks on the small buffers a forward takes first.  A recording
+    whose demand does not all fit *grows* the pool, if ``grow`` allows it:
+    it takes only blocks within :data:`GROW_SLACK` of a buffer's bytes,
+    allocates the rest anew, and supersedes every block it left, so that
+    the plans holding those record again over its blocks.  ``taken`` lists
+    the bytes of every take, the demand of the plan's next recording.
+    ``stale`` says a later recording superseded one of the blocks.
+    """
+
+    __slots__ = ("blocks", "taken", "stale", "_pool", "_planned", "_free",
+                 "_sizes", "_release", "__weakref__")
+
+    def __init__(self, pool: "PlanPool", free: Sequence[_Block],
+                 demand: Sequence[int] = (), grow: bool = True):
+        self.blocks: List[_Block] = []
+        self.taken: List[int] = []
+        self.stale = False
+        self._pool = pool
+        self._release = weakref.finalize(self, pool._drop, self.blocks)
+        self._release.atexit = False
+        free = sorted(free, key=lambda block: block.data.nbytes)
+        self._match(free, demand, None)
+        if grow and free and sum(map(len, self._planned.values())) < len(demand):
+            # Some of the demand fits nowhere: grow the pool.
+            self._match(free, demand, GROW_SLACK)
+            if self._free:
+                for block in self._free:
+                    block.superseded = True
+                self._free, self._sizes = [], []
+                pool._supersede()
+
+    def _match(self, free: List[_Block], demand: Sequence[int],
+               slack: Optional[float]) -> None:
+        """Plan ``demand`` onto ``free``, largest first, each item onto the
+        smallest block that fits it (within ``slack`` of its bytes, if
+        given); the blocks left over stay free."""
+        self._free = list(free)
+        self._sizes = [block.data.nbytes for block in free]
+        self._planned: Dict[int, List[_Block]] = {}
+        for nbytes in sorted(demand, reverse=True):
+            block = self._best_fit(nbytes, slack)
+            if block is not None:
+                self._planned.setdefault(nbytes, []).append(block)
+
+    def _best_fit(self, nbytes: int, slack: Optional[float] = None) -> Optional[_Block]:
+        """Remove and return the smallest free block of ``nbytes`` or more
+        (and no more than ``slack`` over, if given)."""
+        i = bisect.bisect_left(self._sizes, nbytes)
+        if i == len(self._free) or (
+                slack is not None and self._sizes[i] > nbytes * (1 + slack)):
+            return None
+        del self._sizes[i]
+        return self._free.pop(i)
+
+    def take(self, shape, dtype=np.float32) -> np.ndarray:
+        """An uninitialised ``shape``/``dtype`` buffer at the start of the
+        block planned for its bytes, of the smallest free block that fits,
+        or of a new block."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if not nbytes:
+            return np.empty(shape, dtype)
+        planned = self._planned.get(nbytes)
+        block = planned.pop() if planned else self._best_fit(nbytes)
+        if block is None:
+            block = _Block(nbytes)
+        self._pool._hold(block)
+        self.blocks.append(block)
+        self.taken.append(nbytes)
+        return np.ndarray(shape, dtype, buffer=block.data)
+
+    def release(self) -> List[_Block]:
+        """Stop holding the blocks (idempotent); returns the ones no
+        recording superseded, which a re-recording may take again."""
+        kept = [block for block in self.blocks if not block.superseded]
+        self._release()
+        self.blocks, self._free, self._sizes, self._planned = [], [], [], {}
+        return kept
+
+
+class PlanPool:
+    """The blocks live plans bind their rewritable memory to (see the module
+    docstring); ``resident_bytes`` is their distinct bytes."""
+
+    __slots__ = ("_resident", "_bindings", "resident_bytes")
+
+    def __init__(self) -> None:
+        self._resident: Dict[_Block, None] = {}   # held blocks, first hold first
+        self._bindings: List[weakref.ref] = []
+        self.resident_bytes = 0
+
+    def bind(self, carried: Iterable[_Block] = (), demand: Sequence[int] = (),
+             grow: bool = True) -> PlanBinding:
+        """A binding for a recording expected to take ``demand`` bytes, over
+        every unsuperseded block a live binding holds and ``carried`` (the
+        blocks a dropped plan of the same capture held); ``grow`` lets it
+        supersede blocks (see :class:`PlanBinding`)."""
+        free = dict.fromkeys(block for block in (*self._resident, *carried)
+                             if not block.superseded)
+        binding = PlanBinding(self, list(free), demand, grow)
+        self._bindings = [ref for ref in self._bindings if ref() is not None]
+        self._bindings.append(weakref.ref(binding))
+        return binding
+
+    def _supersede(self) -> None:
+        """Mark every live binding that holds a superseded block stale."""
+        for ref in self._bindings:
+            binding = ref()
+            if binding is not None and any(block.superseded
+                                           for block in binding.blocks):
+                binding.stale = True
+
+    def _hold(self, block: _Block) -> None:
+        if not block.holders:
+            self._resident[block] = None
+            self.resident_bytes += block.data.nbytes
+        block.holders += 1
+
+    def _drop(self, blocks: List[_Block]) -> None:
+        for block in blocks:
+            block.holders -= 1
+            if not block.holders:
+                del self._resident[block]
+                self.resident_bytes -= block.data.nbytes
+
+
 class ForwardRecorder:
     """Collects :class:`ForwardEntry` thunks during one capture forward.
 
@@ -107,6 +293,9 @@ class ForwardRecorder:
     Given a ``slab_plan``, an uninitialised allocation whose key and shape
     match a slot is a view of :attr:`slab` at the slot's offset, listed in
     :attr:`slots` as ``(view, last)`` with the slot's last forward reader.
+    Given a ``binding``, every other uninitialised buffer, the slab and the
+    scratch pool's buffers are taken from it (:class:`PlanBinding`);
+    without one they are plain arrays.
 
     What a recording keeps goes through four methods a subclass may
     override: :meth:`record` (the entry), :meth:`build` (a grad-carrying
@@ -115,13 +304,16 @@ class ForwardRecorder:
 
     __slots__ = ("entries", "created", "noted", "built", "failed",
                  "fail_reason", "scratch", "buffers", "keys", "slab_plan",
-                 "slab", "slots", "_site")
+                 "slab", "slots", "binding", "_fresh", "_site")
 
-    def __init__(self, slab_plan: Optional[SlabPlan] = None) -> None:
+    def __init__(self, slab_plan: Optional[SlabPlan] = None,
+                 binding: Optional[PlanBinding] = None) -> None:
         self.entries: List[ForwardEntry] = []
+        self.binding = binding
+        self._fresh = np.empty if binding is None else binding.take
         # The plan's scratch pool (see :func:`emit`): it lives as long as
         # this recording, and its buffers as long as the thunks bound to them.
-        self.scratch = _arena.BufferArena()
+        self.scratch = _arena.BufferArena(self._fresh)
         self.buffers: List[np.ndarray] = []
         self.keys: List[Optional[Tuple[int, int]]] = []
         self.slab_plan = slab_plan
@@ -130,7 +322,7 @@ class ForwardRecorder:
         if slab_plan is not None:
             # Float32 words, like the activations it holds; slots are byte
             # ranges of it.
-            self.slab = np.empty(-(-slab_plan.nbytes // 4), np.float32)
+            self.slab = self._fresh(-(-slab_plan.nbytes // 4), np.float32)
             self.buffers.append(self.slab)
             self.keys.append(None)
         self._site = (0, 0)
@@ -169,7 +361,7 @@ class ForwardRecorder:
 
     def empty(self, shape, dtype=np.float32) -> np.ndarray:
         """An uninitialised plan buffer: the slab view of a matching slot,
-        or a fresh array listed in :attr:`buffers`."""
+        or a fresh one (the binding's, if any) listed in :attr:`buffers`."""
         key = self._key()
         slot = None if self.slab_plan is None else self.slab_plan.slots.get(key)
         if slot is not None and slot[:2] == _arena.BufferArena._key(shape, dtype):
@@ -179,7 +371,7 @@ class ForwardRecorder:
                 dtype).reshape(shape)
             self.slots.append((view, last))
             return view
-        buf = np.empty(shape, dtype)
+        buf = self._fresh(shape, dtype)
         self._keep(buf, key)
         return buf
 
@@ -194,6 +386,12 @@ class ForwardRecorder:
         """Every array the recorded plan owns, each once: its plan buffers
         and its scratch pool's."""
         return tuple(self.buffers) + self.scratch.buffers()
+
+    def keyed(self) -> Tuple[np.ndarray, ...]:
+        """The plan buffers every replay rewrites before reading them: the
+        uninitialised ones and the slab."""
+        return tuple(buf for buf, key in zip(self.buffers, self.keys)
+                     if key is not None) + (() if self.slab is None else (self.slab,))
 
     def note_view(self, count: int = 1) -> None:
         """Declare ``count`` nodes as pure views needing no replay work."""
@@ -221,6 +419,8 @@ class ForwardRecorder:
 # ---------------------------------------------------------------------------
 
 _RECORDER: Optional[ForwardRecorder] = None
+# The process's one pool of rewritable plan memory (see the module docstring).
+_POOL = PlanPool()
 
 
 def recorder() -> Optional[ForwardRecorder]:
@@ -234,6 +434,11 @@ def set_recorder(rec: Optional[ForwardRecorder]) -> Optional[ForwardRecorder]:
     previous = _RECORDER
     _RECORDER = rec
     return previous
+
+
+def plan_pool() -> PlanPool:
+    """The process-wide pool every capture's recordings bind to."""
+    return _POOL
 
 
 def plan_alloc(rec: Optional[ForwardRecorder], zero: bool = False):
@@ -308,19 +513,25 @@ class ForwardPlan:
     its slab counted once, not its views); ``nbytes`` is their footprint.
     ``scratch`` is the scratch pool's share of them, which every entry
     rewrites before reading; ``slots`` are the slab views, each with the
-    last entry that reads it (:attr:`ForwardRecorder.slots`).
+    last entry that reads it (:attr:`ForwardRecorder.slots`); ``keyed`` the
+    buffers every replay rewrites before reading them
+    (:meth:`ForwardRecorder.keyed`).  Those and the scratch hold nothing
+    between steps, which is what lets plans share them (the module
+    docstring's shared plan memory).
     """
 
-    __slots__ = ("entries", "buffers", "scratch", "slots")
+    __slots__ = ("entries", "buffers", "scratch", "slots", "keyed")
 
     def __init__(self, entries: Sequence[ForwardEntry],
                  buffers: Sequence[np.ndarray] = (),
                  scratch: Sequence[np.ndarray] = (),
-                 slots: Sequence[Tuple[np.ndarray, int]] = ()):
+                 slots: Sequence[Tuple[np.ndarray, int]] = (),
+                 keyed: Sequence[np.ndarray] = ()):
         self.entries: Tuple[ForwardEntry, ...] = tuple(entries)
         self.buffers: Tuple[np.ndarray, ...] = tuple(buffers)
         self.scratch: Tuple[np.ndarray, ...] = tuple(scratch)
         self.slots: Tuple[Tuple[np.ndarray, int], ...] = tuple(slots)
+        self.keyed: Tuple[np.ndarray, ...] = tuple(keyed)
 
     def __len__(self) -> int:
         return len(self.entries)

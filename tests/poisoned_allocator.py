@@ -13,8 +13,12 @@ For every test it fills, through ``monkeypatch`` only:
 * every fresh plan buffer (``ForwardRecorder.empty``), slab views and a
   learning recording's buffers (``SlabLearner`` inherits ``empty``) included;
 * every ``arena.empty`` made while no arena is active;
-* on replay (``ForwardPlan.run``), the plan's scratch pool before each
-  entry runs, so no kernel reads scratch an earlier kernel wrote;
+* on replay (``ForwardPlan.run``), every keyed plan buffer and the
+  forward-only slab before the first entry runs, so a plan whose forward
+  reads what an earlier step left there — memory the process's plan pool
+  lends to every other signature's plan — cannot pass by luck;
+* on replay, the plan's scratch pool before each entry runs, so no kernel
+  reads scratch an earlier kernel wrote;
 * on replay, each forward-only slab view right after its last forward
   reader, so a buffer that some later entry or the backward still reads
   cannot pass by luck.
@@ -50,8 +54,8 @@ def poison(buf: np.ndarray) -> np.ndarray:
 
 def install(monkeypatch: pytest.MonkeyPatch) -> None:
     """Patch the four allocation seams to hand out poisoned memory, the
-    arena to poison what it takes back, and the replay to poison scratch and
-    dead slab views."""
+    arena to poison what it takes back, and the replay to poison its keyed
+    buffers, scratch and dead slab views."""
     take, release = arena.BufferArena.take, arena.BufferArena.release
     next_generation = arena.BufferArena.next_generation
     recorded, empty = plan.ForwardRecorder.empty, arena.empty
@@ -88,6 +92,8 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
         dead = defaultdict(list)
         for view, last in self.slots:
             dead[last].append(view)
+        for buf in self.keyed:
+            poison(buf)
         for index, entry in enumerate(self.entries):
             for buf in self.scratch:
                 poison(buf)

@@ -17,7 +17,10 @@ share one slab, placed by greedy interval colouring.
   GPT-2, every PEFT method and engine, and a vetoing recording), and the
   capture step it belongs to peaks at a replayed step's level;
 * every PEFT method's captured run is its uncaptured twin, bit for bit, and
-  compiles unless a named reason keeps it interpreted.
+  compiles unless a named reason keeps it interpreted;
+* every float plan buffer a retained backward closure reaches is one the
+  backward reads: NaN-filled after a replayed forward, it changes a
+  parameter gradient.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from repro.runtime import capture as capture_mod
 from repro.runtime.capture import SlabLearner, assign_offsets
 from repro.runtime.trainer import MAX_CAPTURES
 from repro.sparsity import LongExposure, LongExposureConfig
+from repro.tensor import arena as tensor_arena
 from repro.tensor import fused
 from repro.tensor import plan as tensor_plan
+from repro.tensor.arena import BufferArena
 from repro.tensor.plan import SlabPlan
 
 
@@ -478,6 +483,68 @@ def test_each_peft_method_compiles_to_its_uncaptured_twin(model_name, method, en
     if not expected:
         assert captured.capture.full_captures >= 1
         assert captured.capture.full_replays >= 1
+
+
+def _replayed_grads(capture, poisoned=None) -> list:
+    """The leaf gradients of one replay of ``capture``'s plan, forward then
+    retained backward, with ``poisoned`` NaN-filled between the two.  The
+    backward takes a private arena, and the leaves' gradients are put back."""
+    schedule = capture.full_schedule
+    leaves = [node for node in schedule if node._backward is None]
+    saved = [leaf.grad for leaf in leaves]
+    try:
+        with tensor_arena.scope(BufferArena()):
+            for leaf in leaves:
+                leaf.grad = None
+            capture.forward_plan.run()
+            if poisoned is not None:
+                poisoned.fill(np.nan)
+            capture.full_loss._execute_backward(schedule, capture.full_seed,
+                                                False, True)
+            return [None if leaf.grad is None else leaf.grad.copy()
+                    for leaf in leaves]
+    finally:
+        for leaf, grad in zip(leaves, saved):
+            leaf.grad = grad
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("engine", ["none", "oracle"])
+@pytest.mark.parametrize("method", ["lora", "bitfit", "adapter"])
+@pytest.mark.parametrize("model_name", ["opt-tiny", "gpt2-tiny"])
+def test_the_walk_keeps_only_plan_buffers_the_backward_reads(model_name, method,
+                                                             engine):
+    # Every float plan buffer a retained backward closure reaches stays out
+    # of the slab and is kept whole for the step, so the backward must read
+    # it: NaN-filled after a replayed forward, it changes some parameter
+    # gradient.  A closure that keeps a Tensor or a buffer only for a flag
+    # or a shape fails here.  Scratch is left out: whoever uses it rewrites
+    # it first.
+    tuner, ids = _peft_tuner(model_name, method, engine)
+    try:
+        for _ in range(2):                         # capture, replay
+            tuner.step(ids)
+        capture = tuner.capture
+        if (model_name, method, engine) in _INTERPRETED:
+            assert capture.forward_plan is None
+            return
+        plan = capture.forward_plan
+        roots = [node._backward for node in capture.full_schedule
+                 if node._backward is not None]
+        scratch = {id(buf) for buf in plan.scratch}
+        floats = [buf for buf in plan.buffers
+                  if buf.dtype.kind == "f" and id(buf) not in scratch]
+        reached = capture_mod._touched(capture_mod._reached(roots), floats)
+        assert reached
+        clean = _replayed_grads(capture)
+        for i in sorted(reached):
+            poisoned = _replayed_grads(capture, floats[i])
+            assert any((a is None) != (b is None)
+                       or (a is not None and not np.array_equal(a, b))
+                       for a, b in zip(poisoned, clean)), floats[i].shape
+    finally:
+        if tuner.engine is not None:
+            tuner.engine.uninstall(tuner.model)
 
 
 @pytest.mark.parity

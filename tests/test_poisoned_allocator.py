@@ -33,10 +33,12 @@ def test_poisons_replay_scratch_and_dead_slab_views(monkeypatch):
     install(monkeypatch)
     scratch = np.zeros(3, np.float32)
     slab = np.zeros(4, np.float32)
+    keyed = np.zeros(2, np.int32)
     done, live = slab[:2], slab[2:]
     seen = []
 
     def write():
+        seen.append(keyed.copy())
         scratch.fill(1.0)
         slab.fill(2.0)
 
@@ -45,8 +47,9 @@ def test_poisons_replay_scratch_and_dead_slab_views(monkeypatch):
 
     entries = [plan.ForwardEntry(write), plan.ForwardEntry(read)]
     plan.ForwardPlan(entries, scratch=[scratch],
-                     slots=[(done, 0), (live, 1)]).run()
-    (s, d, v), = seen
+                     slots=[(done, 0), (live, 1)], keyed=[keyed]).run()
+    k, (s, d, v) = seen
+    assert (k == np.iinfo(np.int32).max).all()   # filled before the forward
     assert np.isnan(s).all()          # filled before the reading entry
     assert np.isnan(d).all()          # filled after its last reader, entry 0
     assert (v == 2.0).all()           # still live: entry 1 reads it

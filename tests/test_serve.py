@@ -277,6 +277,51 @@ class TestSchedulingAndCaptures:
         captures = [r for r in results if not r.replayed]
         assert len(captures) == 2  # one per bucket, never more
 
+    @pytest.mark.parametrize("growing", [True, False])
+    def test_bucket_plans_share_one_largest_buckets_memory(self, growing):
+        # Two lanes, three buckets each, fed small to large (each larger
+        # bucket's capture outgrows the pool, and the smaller buckets record
+        # once more) or large to small (a lane's smaller buckets fit its
+        # largest plan's blocks).  After that warm-up every bucket replays,
+        # the plan pool holds about the largest plan's memory, not six
+        # plans', and every tenant trains the bits a dedicated uncaptured
+        # tuner trains on the same batches.
+        import gc
+
+        gc.collect()                   # earlier tests' plans leave the pool
+        buckets = (SEQ, 2 * SEQ, 4 * SEQ)
+        service = make_service(adapters=("lora", "bitfit"), seq_buckets=buckets)
+        rng = np.random.default_rng(17)
+        fed = {"lora": [], "bitfit": []}
+        results = []
+        for _ in range(3):
+            for kind in fed:
+                for seq in (buckets if growing else buckets[::-1]):
+                    batch = rng.integers(0, 100, size=(2, seq))
+                    service.submit(kind, batch, adapter=kind)
+                    results.append(service.step())
+                    fed[kind].append(batch)
+        assert all(r.replayed for r in results[-6:])
+        captures = [capture for lane in service._lanes.values()
+                    for capture in lane.tuner.captures.values()]
+        assert len(captures) == 6
+        for capture in captures:
+            assert capture.full_captures == 1 + capture.rebinds <= 2
+            assert capture.full_fallbacks == capture.slab_misses == 0
+        assert any(c.rebinds for c in captures) or not growing
+        resident = service.gauges()["plan_resident_bytes"]
+        assert resident == captures[0].gauges()["plan_resident_bytes"]
+        assert resident <= 1.1 * max(c.plan_bytes() for c in captures), resident
+        for kind, batches in fed.items():
+            model, _ = get_peft_method(kind)(build_model(MODEL, seed=0))
+            plain = FineTuner(model, TrainingConfig())
+            for batch in batches:
+                plain.step(batch)
+            trained = service.fetch_adapter(kind).state
+            for name, param in model.named_parameters():
+                if param.requires_grad:
+                    assert np.array_equal(trained[name], param.data), (kind, name)
+
     def test_padding_routes_to_bucket(self):
         service = make_service()
         rng = np.random.default_rng(6)

@@ -14,8 +14,9 @@ the buffer arena.  Three concerns, three marker tiers:
   allocations on either path and compiled steps build **zero** graph nodes,
   for the dense, oracle-sparse and predicted configurations, every step
   signature a tuner alternates among keeps its own compiled plan (up to
-  ``MAX_CAPTURES`` of them), and by the optimizer tail of a compiled step
-  every activation gradient is back in the arena (the liveness gate);
+  ``MAX_CAPTURES`` of them), sharing the process's plan pool, and by the
+  optimizer tail of a compiled step every activation gradient is back in
+  the arena (the liveness gate);
 * unmarked unit tests for :class:`BufferArena`, the forward recorder and
   the backward schedule, including its release of aliased gradients.
 """
@@ -1147,6 +1148,75 @@ def test_alternating_shapes_replay_both_plans():
     for signature, capture in tuner.captures.items():
         assert (capture.full_captures, capture.full_replays) == (1, 3)
         assert allocs[signature][0] > 0 and allocs[signature][1:] == [0] * 3
+
+
+@pytest.mark.alloc
+def test_plan_pool_shares_fitting_demand_and_supersedes_what_growth_leaves():
+    # Over an empty pool each buffer gets a block of its own.  A demand that
+    # fits shares blocks, largest first onto the smallest that fits.  One
+    # that does not grows the pool: it takes blocks within the slack, makes
+    # the rest, and supersedes the blocks it left, so their holders are
+    # stale.  A re-recording takes its unsuperseded blocks again and
+    # supersedes nothing.
+    pool = tensor_plan.PlanPool()
+    first = pool.bind(demand=[100, 300, 200])
+    small, large, middle = (first.take((n,), np.uint8) for n in (100, 300, 200))
+    assert [b.data.nbytes for b in first.blocks] == [100, 300, 200]
+    assert pool.resident_bytes == 600
+    second = pool.bind(demand=[150, 248])
+    a = second.take((150,), np.uint8)
+    b = second.take((62,), np.float32)             # 248 bytes
+    assert np.shares_memory(a, middle) and np.shares_memory(b, large)
+    assert b.shape == (62,) and b.dtype == np.float32
+    assert pool.resident_bytes == 600 and not first.stale
+    third = pool.bind(demand=[400, 290, 90])
+    assert first.stale and second.stale
+    c, d, e = (third.take((n,), np.uint8) for n in (400, 290, 90))
+    assert np.shares_memory(d, large) and np.shares_memory(e, small)
+    assert not any(np.shares_memory(c, x) for x in (small, middle, large))
+    assert pool.resident_bytes == 1000 and not third.stale
+    kept = first.release()
+    assert [block.data.nbytes for block in kept] == [100, 300]
+    assert first.release() == []
+    assert [block.data.nbytes for block in second.release()] == [300]
+    assert pool.resident_bytes == 800               # the superseded 200 went
+    again = pool.bind(kept, demand=[100, 300, 200], grow=False)
+    for n, shared in ((100, small), (300, large), (200, c)):
+        assert np.shares_memory(again.take((n,), np.uint8), shared)
+    assert not third.stale and pool.resident_bytes == 800
+    again.release()
+    third.release()
+    assert pool.resident_bytes == 0
+    fresh = pool.bind(demand=[300])
+    assert fresh.take((8,), np.uint8).base is fresh.blocks[0].data
+    assert pool.resident_bytes == 8
+
+
+@pytest.mark.alloc
+def test_a_plan_outgrown_by_another_signature_records_once_more():
+    # Short batches first, then long ones: the long plan outgrows blocks the
+    # short plan holds, so the short capture's next step records once more,
+    # over the pool's larger blocks, and every later step of both replays.
+    # A plain twin trains the same bits, and the pool holds the long plan's
+    # memory, not both.
+    import gc
+
+    gc.collect()
+    tuner, ids = _build_tuner("dense")
+    plain, _ = _build_tuner("dense", capture=False)
+    shapes = [ids[:, :16], ids]
+    for _ in range(3):
+        for batch in shapes:
+            assert tuner.step(batch)[0] == plain.step(batch)[0]
+    short, long = (tuner.captures[tuner.step_signature(s)] for s in shapes)
+    assert (short.full_captures, short.full_replays, short.rebinds) == (2, 1, 1)
+    assert (long.full_captures, long.full_replays, long.rebinds) == (1, 2, 0)
+    resident = long.gauges()["plan_resident_bytes"]
+    assert resident == short.gauges()["plan_resident_bytes"]
+    assert resident == tuner.profiler.summary_dict()["gauges"]["plan_resident_bytes"]
+    assert resident <= 1.1 * long.plan_bytes()
+    for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
+        assert np.array_equal(a.data, b.data)
 
 
 @pytest.mark.perf_smoke
