@@ -36,18 +36,26 @@ recordings in a row failed to compile.
 * **recorded** — the forward runs over persistent staging buffers under a
   :class:`~repro.tensor.plan.ForwardRecorder`, which keeps one replay thunk
   per forward kernel over buffers bound exactly once.  The backward runs
-  its ordinary DFS schedule once and keeps the graph alive.  A recorder
-  veto or coverage gap (every graph node built must be recorded or noted
-  as a view), or a backward schedule reaching an interior node the
-  recorded forward did not build, installs no plan: the backward runs
-  plainly, and why is kept in ``full_fail_reason``.
+  its ordinary DFS schedule once and keeps the graph alive, over a fresh
+  taping :class:`~repro.tensor.arena.BufferArena` whose misses are blocks
+  of the recording's plan-pool binding: every buffer it hands out, in take
+  order, is the plan's *backward tape*.  A recorder veto or coverage gap
+  (every graph node built must be recorded or noted as a view), or a
+  backward schedule reaching an interior node the recorded forward did
+  not build, installs no plan: the backward runs plainly over the
+  capture's arena, and why is kept in ``full_fail_reason``.
 * **replayed** — stage inputs → run the flat ForwardPlan → execute the
-  retained backward schedule: no graph node is built and every arena take
-  hits the pool, so the step allocates nothing.  The replayed order *is*
-  the recorded order over the same buffers, so captured and uncaptured
-  execution are bitwise identical (locked by the parity suite).  A replay
-  that raises clears the gradients its schedule's leaves got, drops the
-  plan (counted in ``full_fallbacks``) and records the step again.
+  retained backward schedule over a :class:`~repro.tensor.arena.TapeArena`
+  of the tape: its ``n``-th take is the recording's ``n``-th buffer and
+  nothing is released, so no graph node is built, the step allocates
+  nothing and no arena key, free list or overlap scan is touched.  The
+  replayed order *is* the recorded order over the same buffers, so
+  captured and uncaptured execution are bitwise identical (locked by the
+  parity suite).  A replay that raises — a kernel, or a backward asking
+  its tape for another buffer than the recording took
+  (:class:`~repro.tensor.arena.TapeDivergence`) — clears the gradients its
+  schedule's leaves got, drops the plan (counted in ``full_fallbacks``)
+  and records the step again.
 * **interpreted** — the forward and the DFS backward exactly as without
   capture, over recycled arena buffers, allocating nothing once warm.
 
@@ -60,31 +68,38 @@ successor's.  Layouts that moved without a refresh of the signature's own —
 adopted from another replica, or refreshed by another signature's step —
 no longer match the plan's closed-over geometry.
 
-Full-plan buffers are never arena takes, so generation recycling cannot
-reclaim live plan state.  The capture tells the arena nothing about
-layouts: a refresh's stale-shape backward buffers go by the arena's one
-recycling rule, under which a step boundary keeps only the keys the
-finished step took (see :mod:`repro.tensor.arena`).
+Full-plan buffers are never takes of the capture's arena, so generation
+recycling cannot reclaim live plan state: that arena serves interpreted
+steps and a recording's forward-time takes, by its one recycling rule
+(a step boundary keeps only the keys the finished step took, see
+:mod:`repro.tensor.arena`).
 
-**Shared plan memory.**  A plan's keyed buffers, its forward-only slab and
-its scratch pool hold nothing between steps, so every recording binds them
-to blocks of the process's one :class:`~repro.tensor.plan.PlanPool`
-(:func:`~repro.tensor.plan.plan_pool`), sharing bytes with the live plans
-of every other capture, in this tuner or another (the matching rule is
-in :mod:`repro.tensor.plan`).  Zero-filled record-time state — weight
-gathers, drop masks, the class chunks' staged K|V and Q grids — stays the
-plan's own.  A recording that grows the pool supersedes the blocks it
-left, and a capture whose plan holds a superseded block drops that plan
-at its next step and records once more (counted in ``rebinds``), so after
-warm-up the process holds about one largest signature's plan memory.
-``plan_bytes`` stays what the capture's plan binds; ``plan_resident_bytes``
-is the pool's distinct bytes.  The contract: no plan buffer of a captured
-step is read once another captured step in the process has begun.
-Nothing in the package threads steps, so no two captured steps overlap,
-and ``run`` reads the loss value before it returns.  A capture alone in
-its process finds no other plan's blocks, so each of its buffers is
-allocated on its own, as without the pool: a refresh drops its plan
-before it records.  The backward's arena stays per capture.
+**Shared plan memory.**  A plan's keyed buffers, its forward-only slab, its
+scratch pool and its backward tape hold nothing between steps, so every
+recording binds them to blocks of the process's one
+:class:`~repro.tensor.plan.PlanPool` (:func:`~repro.tensor.plan.plan_pool`),
+sharing bytes with the live plans of every other capture, in this tuner
+or another (the matching rule is in :mod:`repro.tensor.plan`).
+Zero-filled record-time state — weight gathers, drop masks, the class
+chunks' staged K|V and Q grids — stays the plan's own.  A recording that
+grows the pool supersedes the blocks it left, and a capture whose plan
+holds a superseded block drops that plan at its next step and records
+once more (counted in ``rebinds``), so after warm-up the process holds
+about one largest signature's plan memory.  A signature's first recording
+expects its learning run's bytes and a gradient per trainable leaf it
+saw; a later one, its last recording's, tape included.  ``plan_bytes``
+stays what the capture's plan binds, its tape included
+(``backward_bytes``); ``plan_resident_bytes`` is the pool's distinct
+bytes.  The contract: no plan buffer of a captured step is read once
+another captured step in the process has begun — the tape's gradients
+are read by the optimizer before that.  Nothing in the package threads
+steps, so no two captured steps overlap, and ``run`` reads the loss value
+before it returns.  A capture alone in its process finds no other plan's
+blocks, so each of its buffers is allocated on its own, as without the
+pool.  A step that drops its plan and records — a refresh, moved layouts,
+a rebind, a replay that raised — lets the dropped plan's forward blocks go
+(its forward buffers move with the layouts) and keeps its tape's
+unsuperseded blocks for the recorded backward to take again.
 
 **Forward-only slab.**  A plan would otherwise keep every activation its
 forward wrote for the whole step, although the retained backward reads
@@ -139,7 +154,7 @@ import numpy as np
 
 from repro.tensor import arena as _tensor_arena
 from repro.tensor import plan as _tensor_plan
-from repro.tensor.arena import BufferArena
+from repro.tensor.arena import BufferArena, TapeArena
 from repro.tensor.plan import ForwardPlan, ForwardRecorder, PlanBinding, SlabPlan
 from repro.tensor.tensor import Tensor
 
@@ -294,7 +309,8 @@ class SlabLearner(ForwardRecorder):
     candidate's allocation key, arena key and bytes.
     """
 
-    __slots__ = ("tags", "candidates", "_refs", "_live", "_last", "_backward")
+    __slots__ = ("tags", "candidates", "_refs", "_live", "_last", "_backward",
+                 "_leaves")
 
     def __init__(self) -> None:
         super().__init__()
@@ -306,6 +322,9 @@ class SlabLearner(ForwardRecorder):
         self._last: List[int] = []
         self._live: List[int] = []               # candidates maybe alive
         self._backward: Set[int] = set()         # candidates a closure reads
+        # The bytes of each trainable leaf a built node reads, by id: the
+        # gradients the backward is sure to leave the optimizer.
+        self._leaves: Dict[int, int] = {}
 
     def _next_entry(self) -> int:
         return len(self.tags)
@@ -333,6 +352,10 @@ class SlabLearner(ForwardRecorder):
 
     def build(self, node: Tensor) -> None:
         self._backward.update(self._reach([node._backward]))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in self.built:
+                self._leaves[id(parent)] = parent.data.nbytes
+        self.built.add(id(node))
         node._backward = None
         node._parents = ()
 
@@ -352,12 +375,14 @@ class SlabLearner(ForwardRecorder):
 
     def demand(self, plan: Optional[SlabPlan]) -> List[int]:
         """The bytes a recording of this forward with ``plan`` takes from
-        the plan pool: its slab, the uninitialised buffers outside it and
-        the scratch pool's buffers."""
+        the plan pool: its slab, the uninitialised buffers outside it, the
+        scratch pool's buffers, and of its backward's takes the ones known
+        before it runs — a gradient for each trainable leaf."""
         slots = {} if plan is None else plan.slots
         return ([] if plan is None else [-(-plan.nbytes // 4) * 4]) + [
             nbytes for key, _, nbytes in self.candidates if key not in slots
-        ] + [buf.nbytes for buf in self.scratch.buffers()]
+        ] + [buf.nbytes for buf in self.scratch.buffers()] + list(
+            self._leaves.values())
 
 
 def _slab_holds(rec: ForwardRecorder, backward_roots: List) -> bool:
@@ -397,7 +422,7 @@ def _break_graph(loss: Tensor, rec: ForwardRecorder) -> None:
 
 
 class StepCapture:
-    """One step signature's compiled plan and buffer arena.
+    """One step signature's compiled plan, backward tape and buffer arena.
 
     :meth:`run` is the whole step: it replays the plan, records one, or
     runs interpreted over the arena (see the module docstring's table).
@@ -425,6 +450,9 @@ class StepCapture:
         # which the plan's geometry fits: a step that sees other layouts
         # drops the plan.
         self.forward_plan: Optional[ForwardPlan] = None
+        # The buffers the capture step's backward took, in take order: every
+        # replayed backward takes them again (see the module docstring).
+        self.backward_tape: Optional[TapeArena] = None
         self.full_schedule = None
         self.full_loss: Optional[Tensor] = None
         self.full_seed = None
@@ -436,11 +464,13 @@ class StepCapture:
         self._full_failures = 0
         self._recorder: Optional[ForwardRecorder] = None
         self._staged: Dict[str, np.ndarray] = {}
-        # The installed plan's blocks of the plan pool.  ``_carried`` is
-        # set when another recording superseded one of them: the blocks
-        # left, for this step's re-recording, which supersedes nothing.
+        # The installed plan's blocks of the plan pool.  ``_carried`` holds
+        # the unsuperseded ones under the tape of a plan this step dropped,
+        # for this step's recorded backward; ``_rebind`` says the plan was
+        # superseded, so this step's recording supersedes nothing.
         self._binding: Optional[PlanBinding] = None
         self._carried: Optional[List] = None
+        self._rebind = False
         # The bytes the next recording is expected to take from the pool:
         # the last recording's, or its learner's.
         self._demand: Sequence[int] = ()
@@ -463,26 +493,27 @@ class StepCapture:
         caller's optimizer tail.
         """
         layout_state = layout_state or (lambda: None)
+        # With interval 1 every step refreshes: nothing would ever replay.
+        record = (compilable and not (refresh and interval == 1)
+                  and self._full_failures < self.MAX_FAILURES)
         if not compilable:
             self.full_fail_reason = "reference kernels"
         elif refresh or (self.forward_plan is not None
                          and layout_state() != self.full_layout_state):
-            self.drop_full_plan()
+            self.drop_full_plan(carry=record)
         elif self._binding is not None and self._binding.stale:
             self._outgrown()
-        # With interval 1 every step refreshes: nothing would ever replay.
-        record = (compilable and not (refresh and interval == 1)
-                  and self._full_failures < self.MAX_FAILURES)
         self.steps += 1
         self.arena.next_generation()
         misses = self.arena.misses
+        self.last_step_allocations = 0
         try:
             with _tensor_arena.scope(self.arena):
                 return self._step(forward, input_ids, labels, compilable,
                                   record, layout_state)
         finally:
-            self._carried = None
-            self.last_step_allocations = self.arena.misses - misses
+            self._carried, self._rebind = None, False
+            self.last_step_allocations += self.arena.misses - misses
 
     def _step(self, forward, input_ids, labels, replay: bool, record: bool,
               layout_state: Callable[[], Hashable]) -> Tuple[float, float, float]:
@@ -493,8 +524,11 @@ class StepCapture:
                 self.forward_plan.run()
                 forward_s = time.perf_counter() - start
                 start = time.perf_counter()
-                self.full_loss._execute_backward(self.full_schedule,
-                                                 self.full_seed, False, True)
+                tape = self.backward_tape
+                with _tensor_arena.scope(tape.rewind()):
+                    self.full_loss._execute_backward(self.full_schedule,
+                                                     self.full_seed, False, True)
+                tape.finish()
                 backward_s = time.perf_counter() - start
                 self.full_replays += 1
                 return float(self.full_loss.data), forward_s, backward_s
@@ -504,7 +538,8 @@ class StepCapture:
                 for node in self.full_schedule:
                     if node._backward is None:
                         node.grad = None
-                self.drop_full_plan(f"replay raised {type(exc).__name__}: {exc}")
+                self.drop_full_plan(f"replay raised {type(exc).__name__}: {exc}",
+                                    carry=record)
         start = time.perf_counter()
         if record:
             ids, lab = self._stage(input_ids, labels)
@@ -591,11 +626,9 @@ class StepCapture:
     def _record(self, forward: Callable[[], Tensor],
                 slab_plan: Optional[SlabPlan]) -> Tensor:
         """Run ``forward()`` under a fresh recorder, kept in ``_recorder``,
-        bound to the plan pool's blocks and to those of the plan this step
-        dropped as superseded (see :meth:`PlanPool.bind`)."""
-        binding = _tensor_plan.plan_pool().bind(self._carried or (), self._demand,
-                                                grow=self._carried is None)
-        self._carried = None
+        bound to the plan pool's blocks (see :meth:`PlanPool.bind`)."""
+        binding = _tensor_plan.plan_pool().bind(self._demand,
+                                                grow=not self._rebind)
         self._recorder = ForwardRecorder(slab_plan, binding)
         try:
             return _recording(self._recorder, forward)
@@ -610,35 +643,48 @@ class StepCapture:
         """Run the recorded step's backward and install its plan if covered.
 
         ``loss`` is the backward root, whose plan buffer replays read the
-        step's loss value from.  On a recorder veto, a coverage gap, or a
+        step's loss value from.  The backward takes its buffers from a
+        taping arena over the recording's plan-pool blocks, which become the
+        plan's backward tape.  On a recorder veto, a coverage gap, or a
         backward schedule that reaches an interior node the recorded
         forward did not build (its closure would never be refreshed by a
-        replay), the backward runs plainly and the reason is kept in
-        ``full_fail_reason``.
+        replay), the backward runs plainly over the capture's arena and the
+        reason is kept in ``full_fail_reason``.
         """
         rec, self._recorder = self._recorder, None
         self.full_layout_state = layout_state
         schedule = loss._schedule()
+        seed = np.ones_like(loss.data)
         reason = ""
         if not rec.ok():
             reason = rec.fail_reason
         elif any(node._backward is not None and id(node) not in rec.built
                  for node in schedule):
             reason = "backward schedule not capturable"
-        loss._execute_backward(schedule, np.ones_like(loss.data), True,
-                               not reason)
         if reason:
+            loss._execute_backward(schedule, seed, True, False)
             rec.binding.release()
             self._full_failures += 1
             self.full_fail_reason = reason
             return
+        rec.binding.give(self._carried or ())
+        taping = BufferArena(rec.binding.take, tape=True)
+        pool = _tensor_plan.plan_pool()
+        blocks = pool.allocations
+        with _tensor_arena.scope(taping):
+            loss._execute_backward(schedule, seed, True, True)
+        rec.binding.finish()
+        # The blocks the backward could not share count as its arena's
+        # misses would.
+        self.last_step_allocations += pool.allocations - blocks
+        self.backward_tape = TapeArena(taping.tape, taping.outstanding())
         self.forward_plan = ForwardPlan(rec.entries, rec.owned(),
                                         rec.scratch.buffers(), rec.slots,
                                         rec.keyed())
         self._binding = rec.binding
         self.full_schedule = schedule
         self.full_loss = loss
-        self.full_seed = np.ones_like(loss.data)
+        self.full_seed = seed
         self.full_captures += 1
         self._full_failures = 0
 
@@ -717,23 +763,31 @@ class StepCapture:
 
     def _outgrown(self) -> None:
         """Another capture's recording superseded a block of this plan's:
-        drop the plan, and record this step over the pool and the plan's
-        other blocks, superseding none (see
-        :class:`~repro.tensor.plan.PlanBinding`)."""
-        self._carried = self._binding.release()
-        self.drop_full_plan()
+        drop the plan, and record this step over the pool, superseding none
+        (its other blocks are pool blocks: the superseding plan holds them;
+        see :class:`~repro.tensor.plan.PlanBinding`)."""
+        self._rebind = True
+        self.drop_full_plan(carry=True)
         self.rebinds += 1
 
-    def drop_full_plan(self, reason: str = "") -> None:
+    def drop_full_plan(self, reason: str = "", carry: bool = False) -> None:
         """Invalidate the compiled full-step plan (idempotent).
 
         A non-empty ``reason`` marks the drop as a fallback — a live plan
         that could not be replayed — and is kept in ``full_fail_reason``.
+        ``carry`` keeps the unsuperseded blocks under the plan's backward
+        tape for this step's recorded backward to take again, instead of
+        allocating anew.  The forward's blocks go at once: a recording's
+        forward buffers move with the layouts, so carried they would sit
+        beside their successors.
         """
         if getattr(self, "forward_plan", None) is None:
             return
-        self._binding.release()
-        self.forward_plan = self._binding = None
+        kept = self._binding.release()
+        if carry:
+            roots = {id(_owner(buf)) for buf in self.backward_tape.buffers}
+            self._carried = [block for block in kept if id(block.data) in roots]
+        self.forward_plan = self._binding = self.backward_tape = None
         self.full_schedule = None
         self.full_loss = None
         self.full_seed = None
@@ -746,8 +800,8 @@ class StepCapture:
 
         The trainer keeps one capture per step signature in a bounded LRU;
         evicting a signature must reclaim its whole working set — the
-        compiled plan's buffers, the retained backward schedule, and the
-        arena pool they came from — not just forget the plan object.  A
+        compiled plan's buffers and tape, the retained backward schedule,
+        and the arena pool — not just forget the plan object.  A
         retired capture stays usable: its next step records a new plan,
         with the slab plan it learned (a few ints, kept).
 
@@ -761,13 +815,29 @@ class StepCapture:
     # -- reporting -----------------------------------------------------------
     def plan_bytes(self) -> int:
         """Bytes the compiled plan owns: its plan buffers, its forward-only
-        slab (once) and its scratch pool."""
-        return self.forward_plan.nbytes if self.forward_plan is not None else 0
+        slab (once), its scratch pool and its backward tape's buffers."""
+        if self.forward_plan is None:
+            return 0
+        return self.forward_plan.nbytes + self.backward_bytes()
+
+    def backward_bytes(self) -> int:
+        """Bytes of the backward tape's distinct buffers."""
+        return self.backward_tape.nbytes if self.backward_tape is not None else 0
+
+    @staticmethod
+    def tape_resident_bytes(captures: Iterable["StepCapture"]) -> int:
+        """The distinct bytes under the backward tapes of ``captures``:
+        tapes of other signatures share plan-pool blocks."""
+        owners = {id(owner): owner.nbytes
+                  for capture in captures if capture.backward_tape is not None
+                  for owner in map(_owner, capture.backward_tape.buffers)}
+        return sum(owners.values())
 
     @staticmethod
     def plan_resident_bytes() -> int:
         """The distinct bytes the process's plan pool holds: what every live
-        plan's keyed buffers, slabs and scratch take together."""
+        plan's keyed buffers, slabs, scratch and backward tape take
+        together."""
         return _tensor_plan.plan_pool().resident_bytes
 
     def forward_only_bytes(self) -> int:
@@ -780,9 +850,10 @@ class StepCapture:
         """Point-in-time metrics for :meth:`PhaseProfiler.set_gauge`.
 
         ``arena_bytes`` and ``plan_bytes`` together are the step's resident
-        buffers: what the arena pools, and what the compiled plan owns.
-        ``plan_resident_bytes`` is the plan pool's distinct bytes, process
-        wide: plans of other signatures share them.
+        buffers: what the arena of interpreted steps pools, and what the
+        compiled plan owns, its backward tape included (``backward_bytes``
+        alone).  ``plan_resident_bytes`` is the plan pool's distinct bytes,
+        process wide: plans of other signatures share them.
         ``forward_only_bytes`` is what the plan's forward-only buffers
         would hold without their shared slab.
         """
@@ -790,6 +861,7 @@ class StepCapture:
             "arena_allocations_step": float(self.last_step_allocations),
             "arena_bytes": float(self.arena.bytes_held),
             "plan_bytes": float(self.plan_bytes()),
+            "backward_bytes": float(self.backward_bytes()),
             "plan_resident_bytes": float(self.plan_resident_bytes()),
             "forward_only_bytes": float(self.forward_only_bytes()),
             "arena_hit_rate": self.arena.hit_rate(),
@@ -807,6 +879,7 @@ class StepCapture:
                 f"full_fallbacks={self.full_fallbacks}, "
                 f"arena={self.arena.bytes_held / 1024 ** 2:.1f} MiB, "
                 f"plan={self.plan_bytes() / 1024 ** 2:.1f} MiB, "
+                f"backward={self.backward_bytes() / 1024 ** 2:.1f} MiB, "
                 f"forward_only={self.forward_only_bytes() / 1024 ** 2:.1f} MiB, "
                 f"slab_misses={self.slab_misses}, rebinds={self.rebinds}, "
                 f"allocs/step={self.last_step_allocations})")

@@ -352,6 +352,10 @@ class FineTuningService:
             # What every lane's bucket plans hold together: they share the
             # process's plan pool.
             "plan_resident_bytes": float(StepCapture.plan_resident_bytes()),
+            # Their backward tapes' share of it.
+            "backward_bytes": float(StepCapture.tape_resident_bytes(
+                capture for lane in self._lanes.values()
+                for capture in lane.tuner.captures.values())),
         }
         for name in ("tenants", "resident_tenants", "tenant_evictions",
                      "tenant_pageins", "tenant_attaches", "tenant_state_bytes",

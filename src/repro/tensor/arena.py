@@ -48,7 +48,13 @@ here: it comes from a pool of the plan being recorded
 (:func:`repro.tensor.plan.scratch_alloc`), one ``BufferArena`` that lives
 only as long as the recording and allocates its misses from the recording's
 blocks of the process's plan pool, so the kernels of one plan share one set
-of scratch, and plans of other signatures share its bytes.
+of scratch, and plans of other signatures share its bytes.  The capture
+step's backward runs over a *taping* ``BufferArena`` on those blocks too:
+the buffers it hands out, in take order, are the plan's backward tape,
+and every replay of that backward takes them again, in order, from a
+:class:`TapeArena`, which looks up no key and takes nothing back.  A view
+of a buffer on a block has the block as its ``.base``, so the arena maps
+each block to the buffer it took there (:meth:`BufferArena.buffer_on`).
 
 This module lives in ``repro.tensor`` (the lowest layer) so the tensor core
 and the fused kernels can import it without cycles; the step capture that
@@ -65,6 +71,8 @@ import numpy as np
 
 __all__ = [
     "BufferArena",
+    "TapeArena",
+    "TapeDivergence",
     "active",
     "set_active",
     "scope",
@@ -77,15 +85,25 @@ __all__ = [
 class BufferArena:
     """Pool of ndarrays keyed by ``(shape, dtype)`` with generation recycling."""
 
-    __slots__ = ("_free", "_used", "_taken", "_alloc", "generation", "takes",
-                 "hits", "misses", "bytes_held", "evictions")
+    __slots__ = ("_free", "_used", "_taken", "_alloc", "_roots", "tape",
+                 "generation", "takes", "hits", "misses", "bytes_held",
+                 "evictions")
 
-    def __init__(self, alloc=np.empty) -> None:
+    # Whether buffers come back mid-generation (see :class:`TapeArena`).
+    recycles = True
+
+    def __init__(self, alloc=np.empty, tape: bool = False) -> None:
         # What a miss allocates from: ``alloc(shape, dtype)``, uninitialised.
         self._alloc = alloc
         self._free: Dict[Tuple, List[np.ndarray]] = {}
         self._used: Dict[int, Tuple[Tuple, np.ndarray]] = {}
         self._taken: Set[Tuple] = set()   # keys taken since the last boundary
+        # A miss that ``alloc`` made as a view of a larger array (a plan-pool
+        # block), by that array's id: NumPy collapses the ``.base`` of a view
+        # of the buffer to the block, so this is how one finds the buffer.
+        self._roots: Dict[int, np.ndarray] = {}
+        # With ``tape``, every buffer handed out, in take order.
+        self.tape: Optional[List[np.ndarray]] = [] if tape else None
         self.generation = 0
         self.takes = 0
         self.hits = 0
@@ -126,10 +144,14 @@ class BufferArena:
                 buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
             else:
                 buf = self._alloc(shape, dtype)
+                if buf.base is not None:
+                    self._roots[id(buf.base)] = buf
                 if zero:
                     buf.fill(0)
             self.bytes_held += buf.nbytes
         self._used[id(buf)] = (key, buf)
+        if self.tape is not None:
+            self.tape.append(buf)
         return buf
 
     def release(self, buf: np.ndarray) -> bool:
@@ -149,6 +171,18 @@ class BufferArena:
     def owns(self, buf: np.ndarray) -> bool:
         """Whether ``buf`` is a live arena buffer of the current generation."""
         return id(buf) in self._used
+
+    def buffer_on(self, root: np.ndarray) -> Optional[np.ndarray]:
+        """The live buffer of the current generation whose memory is
+        ``root``'s — ``root`` itself, or the buffer a miss took on it (a
+        plan-pool block) — or None.  ``root`` owns its memory: it is the end
+        of a chain of views."""
+        buf = self._roots.get(id(root), root)
+        return buf if id(buf) in self._used else None
+
+    def outstanding(self) -> Tuple[np.ndarray, ...]:
+        """The buffers handed out and not yet taken back."""
+        return tuple(buf for _, buf in self._used.values())
 
     def next_generation(self) -> None:
         """Recycle every outstanding buffer and drop the free list of every
@@ -170,6 +204,79 @@ class BufferArena:
 
     def hit_rate(self) -> float:
         return self.hits / self.takes if self.takes else 0.0
+
+
+class TapeDivergence(RuntimeError):
+    """A replayed backward asked its :class:`TapeArena` for a buffer the
+    recorded backward did not take at that point."""
+
+
+class TapeArena:
+    """A recorded backward's takes, handed out again in the same order.
+
+    ``buffers`` is the tape: every buffer a taping :class:`BufferArena`
+    handed out while the capture step's backward ran, in take order (one
+    released and taken again is listed again).  A replay of that backward
+    runs the same closures in the same order, so its ``n``-th take is the
+    recording's ``n``-th: :meth:`take` checks the shape and dtype, zero-fills
+    when asked, and returns it.  Nothing goes back mid-step — the tape
+    already reuses what the recording's releases freed — so :meth:`release`
+    and :meth:`owns` refuse everything, and no free list or overlap scan
+    runs.  Any other take, or a backward that ends short of the tape, raises
+    :class:`TapeDivergence`.  ``live`` are the buffers still out when the
+    recorded backward ended: the gradients it leaves the optimizer.
+    """
+
+    __slots__ = ("buffers", "live", "nbytes", "_next")
+
+    recycles = False
+
+    def __init__(self, buffers, live=()) -> None:
+        self.buffers: Tuple[np.ndarray, ...] = tuple(buffers)
+        self.live: Tuple[np.ndarray, ...] = tuple(live)
+        # The distinct buffers' bytes.
+        self.nbytes = sum(buf.nbytes for buf in self.distinct())
+        self._next = 0
+
+    def distinct(self) -> Tuple[np.ndarray, ...]:
+        """The tape's buffers, each once."""
+        return tuple({id(buf): buf for buf in self.buffers}.values())
+
+    def rewind(self) -> "TapeArena":
+        """Start a replay: the next take is the tape's first."""
+        self._next = 0
+        return self
+
+    def take(self, shape, dtype=np.float32, zero: bool = False) -> np.ndarray:
+        n = self._next
+        if n == len(self.buffers):
+            raise TapeDivergence(f"backward tape overrun: take {n + 1} of a "
+                                 f"{n}-take tape")
+        buf = self.buffers[n]
+        if buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
+            raise TapeDivergence(
+                f"backward tape take {n} asked for {tuple(shape)} "
+                f"{np.dtype(dtype)}, the tape holds {buf.shape} {buf.dtype}")
+        self._next = n + 1
+        if zero:
+            buf.fill(0)
+        return buf
+
+    def finish(self) -> None:
+        """End a replay; raises if it took fewer buffers than the tape."""
+        if self._next != len(self.buffers):
+            raise TapeDivergence(f"backward tape underrun: {self._next} of "
+                                 f"{len(self.buffers)} takes")
+
+    def release(self, buf: np.ndarray) -> bool:
+        return False
+
+    def owns(self, buf: np.ndarray) -> bool:
+        return False
+
+    def outstanding(self) -> Tuple[np.ndarray, ...]:
+        """The buffers this replay has taken so far: a tape takes none back."""
+        return self.buffers[:self._next]
 
 
 # ---------------------------------------------------------------------------

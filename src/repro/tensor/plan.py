@@ -34,25 +34,29 @@ step's DFS schedule, retained with its graph):
 **Shared plan memory.**  A keyed plan buffer — one a kernel takes
 uninitialised, so the entry being bound rewrites it whole on every replay
 before anything reads it — holds nothing between steps; nor do the
-forward-only slab and the scratch pool.  So every capture's recording binds
-those to blocks of one process-wide :class:`PlanPool`, and plans of
-different signatures share bytes.  Each allocation takes a whole block,
-one allocation per block, so one plan's buffers never overlap.  Before it
-records, a :class:`PlanBinding` matches the bytes the recording is
-expected to take (its *demand*: what the capture's last recording or its
-learning run took) to the blocks live plans hold, largest first, each to
-the smallest block that fits.  If all of it fits, the recording only
-shares.  If not, it *grows* the pool: it takes only blocks within
-:data:`GROW_SLACK` of a buffer's size, allocates the rest, and
-*supersedes* every block it left.  No later recording takes a superseded
-block, and a capture whose plan holds one drops that plan at its next step
-and records once more, over the pool's blocks and its own unsuperseded
-ones, and supersedes nothing then.  So after warm-up the pool holds about
-one largest signature's plan memory, whatever order the signatures arrive
-in, and a re-recording never sets off another.  A recording made while
-no other plan is live finds no blocks and allocates each buffer on its
-own, as plain ``np.empty`` would.  State a kernel binds once at record
-time is zero-filled and stays private to its plan (:func:`plan_alloc`).
+forward-only slab, the scratch pool and the backward tape (the buffers the
+recorded backward took, which every replayed backward takes again in order;
+the optimizer reads the gradients among them before the next step begins).
+So every capture's recording binds those to blocks of one process-wide
+:class:`PlanPool`, and plans of different signatures share bytes.  Each
+allocation takes a whole block, one allocation per block, so one plan's
+buffers never overlap.  Before it records, a :class:`PlanBinding` matches
+the bytes the recording is expected to take (its *demand*: what the
+capture's last recording took, or what its learning run took plus a gradient
+per trainable leaf) to the blocks live plans hold, largest first, each to
+the smallest block that fits.  If all of it fits, the recording only shares.
+If not, it *grows* the pool: it takes only blocks within :data:`GROW_SLACK`
+of a buffer's size, allocates the rest, and *supersedes* every block it
+left.  No later recording takes a superseded block, and a capture whose plan
+holds one drops that plan at its next step and records once more, over the
+pool's blocks (its own unsuperseded ones among them, held by the plan that
+superseded the rest), and supersedes nothing then.
+So after warm-up the pool holds about one largest signature's plan memory,
+whatever order the signatures arrive in, and a re-recording never sets off
+another.  A recording made while no other plan is live finds no blocks and
+allocates each buffer on its own, as plain ``np.empty`` would.  State a
+kernel binds once at record time is zero-filled and stays private to its
+plan (:func:`plan_alloc`).
 
 The contract that makes the sharing safe: no plan buffer of a captured
 step is read once another captured step in the process has begun.  Every
@@ -214,10 +218,24 @@ class PlanBinding:
         block = planned.pop() if planned else self._best_fit(nbytes)
         if block is None:
             block = _Block(nbytes)
+            self._pool.allocations += 1
         self._pool._hold(block)
         self.blocks.append(block)
         self.taken.append(nbytes)
         return np.ndarray(shape, dtype, buffer=block.data)
+
+    def give(self, blocks: Iterable[_Block]) -> None:
+        """Let later takes best-fit ``blocks`` too — a dropped plan's, those
+        no live binding holds (a held one is a pool block already)."""
+        free = self._free + [block for block in blocks
+                             if not block.holders and not block.superseded]
+        free.sort(key=lambda block: block.data.nbytes)
+        self._free, self._sizes = free, [block.data.nbytes for block in free]
+
+    def finish(self) -> None:
+        """The recording has taken its last buffer: let go of the free
+        blocks it did not take (a dropped plan's would stay alive)."""
+        self._free, self._sizes, self._planned = [], [], {}
 
     def release(self) -> List[_Block]:
         """Stop holding the blocks (idempotent); returns the ones no
@@ -230,24 +248,23 @@ class PlanBinding:
 
 class PlanPool:
     """The blocks live plans bind their rewritable memory to (see the module
-    docstring); ``resident_bytes`` is their distinct bytes."""
+    docstring); ``resident_bytes`` is their distinct bytes, ``allocations``
+    how many blocks were ever allocated."""
 
-    __slots__ = ("_resident", "_bindings", "resident_bytes")
+    __slots__ = ("_resident", "_bindings", "resident_bytes", "allocations")
 
     def __init__(self) -> None:
         self._resident: Dict[_Block, None] = {}   # held blocks, first hold first
         self._bindings: List[weakref.ref] = []
         self.resident_bytes = 0
+        self.allocations = 0
 
-    def bind(self, carried: Iterable[_Block] = (), demand: Sequence[int] = (),
-             grow: bool = True) -> PlanBinding:
+    def bind(self, demand: Sequence[int] = (), grow: bool = True) -> PlanBinding:
         """A binding for a recording expected to take ``demand`` bytes, over
-        every unsuperseded block a live binding holds and ``carried`` (the
-        blocks a dropped plan of the same capture held); ``grow`` lets it
+        every unsuperseded block a live binding holds; ``grow`` lets it
         supersede blocks (see :class:`PlanBinding`)."""
-        free = dict.fromkeys(block for block in (*self._resident, *carried)
-                             if not block.superseded)
-        binding = PlanBinding(self, list(free), demand, grow)
+        free = [block for block in self._resident if not block.superseded]
+        binding = PlanBinding(self, free, demand, grow)
         self._bindings = [ref for ref in self._bindings if ref() is not None]
         self._bindings.append(weakref.ref(binding))
         return binding

@@ -100,13 +100,16 @@ def _release_dead(arena, dead: Sequence[np.ndarray], grads: dict) -> None:
     return the incoming gradient for several parents (``__add__``,
     ``concatenate``'s slices), and those readers are still to come.  An
     array without a base owns its memory and shares it with no other owner,
-    so only pending views need the overlap test.
+    so only pending views need the overlap test.  NumPy collapses the base of
+    a view of a buffer on a plan-pool block to the block, so the arena finds
+    the buffer behind that root
+    (:meth:`~repro.tensor.arena.BufferArena.buffer_on`).
     """
     for value in dead:
         if not isinstance(value, np.ndarray):
             continue
-        buf = _owner(value)
-        if arena.owns(buf) and not any(
+        buf = arena.buffer_on(_owner(value))
+        if buf is not None and not any(
                 pending is buf or (pending.base is not None
                                    and np.may_share_memory(buf, pending))
                 for pending in grads.values()):
@@ -328,7 +331,10 @@ class Tensor:
         in this step and no pending gradient overlaps that memory — a
         closure may pass the incoming gradient on to several parents, or as
         a view (``reshape``, ``transpose``, ``broadcast_to``).  Releases are
-        settled once per node, after all of its outputs are pending.
+        settled once per node, after all of its outputs are pending.  A
+        compiled step's replayed backward runs over its recorded tape
+        (:class:`~repro.tensor.arena.TapeArena`), which already reuses what
+        those releases freed, so nothing is released or scanned.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -383,6 +389,8 @@ class Tensor:
                           retain_graph: bool) -> None:
         """Run the accumulation loop over an already-ordered schedule."""
         arena = _arena.active()
+        # A tape (a replayed backward's) takes nothing back: skip the scan.
+        recycling = arena is not None and arena.recycles
         # Pending gradient per tensor id, plus the set of ids whose pending
         # buffer was allocated by this pass (and is therefore safe to mutate
         # in place — closure outputs may alias each other or the incoming
@@ -413,7 +421,7 @@ class Tensor:
                             node.grad = node_grad.copy()
                     else:
                         np.add(node.grad, node_grad, out=node.grad)
-                if arena is not None and node.grad is not node_grad:
+                if recycling and node.grad is not node_grad:
                     _release_dead(arena, (node_grad,), grads)
                 continue
             parents = node._parents
@@ -462,7 +470,7 @@ class Tensor:
                         grads[pid] = existing + pgrad
                     owned.add(pid)
                     dead += (existing, pgrad)
-            if arena is not None:
+            if recycling:
                 # Recycle the dead buffers now that every output is pending,
                 # so later nodes of the same shape — typically the same op in
                 # an earlier layer — reuse the hot buffers.

@@ -21,7 +21,14 @@ For every test it fills, through ``monkeypatch`` only:
   reads scratch an earlier kernel wrote;
 * on replay, each forward-only slab view right after its last forward
   reader, so a buffer that some later entry or the backward still reads
-  cannot pass by luck.
+  cannot pass by luck;
+* on replay, every buffer of the backward tape before the backward runs
+  (``TapeArena.rewind``), so a replayed backward that reads what the last
+  step, or another signature's plan on the same plan-pool blocks, left
+  there cannot pass by luck;
+* every take of the tape that does not zero its buffer, so a tape that
+  hands one take the buffer of an earlier take still live turns the
+  earlier one's values to garbage.
 
 Floats get NaN, integers their dtype's maximum, bools ``True``.  A kernel
 that reads memory it did not write, or a buffer handed back before its last
@@ -54,9 +61,11 @@ def poison(buf: np.ndarray) -> np.ndarray:
 
 def install(monkeypatch: pytest.MonkeyPatch) -> None:
     """Patch the four allocation seams to hand out poisoned memory, the
-    arena to poison what it takes back, and the replay to poison its keyed
-    buffers, scratch and dead slab views."""
+    arena to poison what it takes back, the replay to poison its keyed
+    buffers, scratch and dead slab views, and the backward tape to poison
+    its buffers before a replayed backward and each non-zeroed take."""
     take, release = arena.BufferArena.take, arena.BufferArena.release
+    tape_take, rewind = arena.TapeArena.take, arena.TapeArena.rewind
     next_generation = arena.BufferArena.next_generation
     recorded, empty = plan.ForwardRecorder.empty, arena.empty
 
@@ -75,6 +84,15 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
             poison(buf)
         next_generation(self)
 
+    def poisoned_tape_take(self, shape, dtype=np.float32, zero=False):
+        buf = tape_take(self, shape, dtype, zero)
+        return buf if zero else poison(buf)
+
+    def poisoned_rewind(self):
+        for buf in self.distinct():
+            poison(buf)
+        return rewind(self)
+
     def poisoned_empty(shape, dtype=np.float32):
         buf = empty(shape, dtype)
         return buf if arena.active() is not None else poison(buf)
@@ -86,6 +104,8 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(plan.ForwardRecorder, "empty",
                         lambda self, shape, dtype=np.float32:
                         poison(recorded(self, shape, dtype)))
+    monkeypatch.setattr(arena.TapeArena, "take", poisoned_tape_take)
+    monkeypatch.setattr(arena.TapeArena, "rewind", poisoned_rewind)
     monkeypatch.setattr(arena, "empty", poisoned_empty)
 
     def poisoned_run(self):

@@ -54,3 +54,20 @@ def test_poisons_replay_scratch_and_dead_slab_views(monkeypatch):
     assert np.isnan(d).all()          # filled after its last reader, entry 0
     assert (v == 2.0).all()           # still live: entry 1 reads it
     assert np.isnan(live).all()       # filled after entry 1
+
+
+def test_poisons_the_backward_tape(monkeypatch):
+    install(monkeypatch)
+    first, second = np.zeros(3, np.float32), np.zeros((2,), np.int32)
+    tape = arena.TapeArena([first, second, first])
+    assert tape.rewind() is tape
+    assert np.isnan(first).all()                  # filled before the backward
+    assert (second == np.iinfo(np.int32).max).all()
+    second.fill(7)
+    assert tape.take((3,), np.float32, zero=True) is first
+    assert not first.any()                        # zeroed when asked
+    assert tape.take((2,), np.int32) is second
+    assert (second == np.iinfo(np.int32).max).all()
+    first.fill(1.0)
+    assert tape.take((3,), np.float32) is first   # a positional take
+    assert np.isnan(first).all()

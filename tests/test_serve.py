@@ -312,6 +312,9 @@ class TestSchedulingAndCaptures:
         resident = service.gauges()["plan_resident_bytes"]
         assert resident == captures[0].gauges()["plan_resident_bytes"]
         assert resident <= 1.1 * max(c.plan_bytes() for c in captures), resident
+        # The backward tapes are pool memory too, shared like the rest.
+        tapes = service.gauges()["backward_bytes"]
+        assert max(c.backward_bytes() for c in captures) <= tapes <= resident
         for kind, batches in fed.items():
             model, _ = get_peft_method(kind)(build_model(MODEL, seed=0))
             plain = FineTuner(model, TrainingConfig())

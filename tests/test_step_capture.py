@@ -14,9 +14,10 @@ the buffer arena.  Three concerns, three marker tiers:
   allocations on either path and compiled steps build **zero** graph nodes,
   for the dense, oracle-sparse and predicted configurations, every step
   signature a tuner alternates among keeps its own compiled plan (up to
-  ``MAX_CAPTURES`` of them), sharing the process's plan pool, and by the
-  optimizer tail of a compiled step every activation gradient is back in
-  the arena (the liveness gate);
+  ``MAX_CAPTURES`` of them), sharing the process's plan pool, a replayed
+  backward takes its recorded tape and nothing from an arena, and by the
+  optimizer tail of a compiled step every backward buffer still out is a
+  parameter's gradient (the liveness gate);
 * unmarked unit tests for :class:`BufferArena`, the forward recorder and
   the backward schedule, including its release of aliased gradients.
 """
@@ -43,6 +44,8 @@ from repro.sparsity import LongExposure, LongExposureConfig
 from repro.tensor import arena as tensor_arena
 from repro.tensor import fused
 from repro.tensor import plan as tensor_plan
+from repro.tensor import tensor as tensor_core
+from repro.tensor.arena import TapeArena
 from repro.tensor.tensor import Tensor, custom_op, node_build_count
 
 
@@ -232,7 +235,7 @@ def _probe(x, live):
         arena = tensor_arena.active()
         if arena is not None:
             live.append(any(np.may_share_memory(grad, buf)
-                            for _, buf in arena._used.values()))
+                            for buf in arena.outstanding()))
         return (np.multiply(grad, 2.0, out=tensor_arena.empty(grad.shape)),)
 
     return _covered_op(x, np.empty(x.shape, np.float32),
@@ -529,8 +532,9 @@ def test_zero_allocations_after_capture(backend):
 @pytest.mark.parametrize("engine", [False, True], ids=["dense", "predicted"])
 def test_compiled_step_holds_only_parameter_gradients(engine):
     # The liveness gate: every activation gradient goes back to the arena at
-    # its last use, so when the optimizer runs, the only arena buffers still
-    # out are the trainable parameters' ``.grad``.
+    # its last use, so when the optimizer runs, the only backward buffers
+    # still out — the tape's buffers the recorded backward never released —
+    # are the trainable parameters' ``.grad``.
     if engine:
         tuner, ids = _build_tuner("predicted", seq=64, predict_interval=4)
     else:
@@ -547,7 +551,8 @@ def test_compiled_step_holds_only_parameter_gradients(engine):
 
         def checked_step():
             grads = [p.grad for p in tuner.optimizer.params]
-            stray.extend(buf.shape for _, buf in capture.arena._used.values()
+            live = capture.backward_tape.live + capture.arena.outstanding()
+            stray.extend(buf.shape for buf in live
                          if not any(grad is buf for grad in grads))
             optimizer_step()
 
@@ -581,6 +586,44 @@ def test_full_step_zero_graph_builds_and_allocations(backend):
                 f"{backend}: compiled step still allocates"
         assert capture.full_replays == 2
         assert capture.full_fallbacks == 0
+    finally:
+        if tuner.engine is not None:
+            tuner.engine.uninstall(tuner.model)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+@pytest.mark.parametrize("backend", ["dense", "predicted"])
+def test_replayed_backward_takes_its_tape_and_scans_nothing(backend, monkeypatch):
+    # The capture step's backward takes from an arena and scans pending
+    # gradients before each release; a replay takes the recorded tape in
+    # order, every buffer once per take, and neither looks up an arena key
+    # nor scans for overlaps.
+    tuner, ids = _build_tuner(backend, predict_interval=4)
+    counts = dict(take=0, scan=0, tape=0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(BufferArena, "take", counting("take", BufferArena.take))
+    monkeypatch.setattr(TapeArena, "take", counting("tape", TapeArena.take))
+    monkeypatch.setattr(tensor_core, "_release_dead",
+                        counting("scan", tensor_core._release_dead))
+    try:
+        tuner.step(ids)                            # capture + full compile
+        capture = tuner.capture
+        assert capture.full_captures == 1, capture.full_fail_reason
+        assert counts["take"] > 0 and counts["scan"] > 0 and counts["tape"] == 0
+        counts.update(take=0, scan=0)
+        for _ in range(2):
+            tuner.step(ids)
+            assert capture.last_step_allocations == 0
+        assert capture.full_replays == 2 and capture.full_fallbacks == 0
+        assert counts == dict(take=0, scan=0,
+                              tape=2 * len(capture.backward_tape.buffers))
     finally:
         if tuner.engine is not None:
             tuner.engine.uninstall(tuner.model)
@@ -748,6 +791,46 @@ def test_sums_and_head_merges_bind_no_plan_buffer():
 def test_profile_needs_a_compiled_plan():
     with pytest.raises(RuntimeError, match="full-step plan"):
         StepCapture().profile()
+
+
+@pytest.mark.parity
+@pytest.mark.parametrize("how", ["extra take", "other shape"])
+def test_replay_off_its_tape_falls_back_and_records_again(how, monkeypatch):
+    # A replayed backward that asks its tape for one buffer more, or for
+    # another shape, raises; the capture drops the plan as a counted
+    # fallback naming the tape, records the step again, and every step
+    # trains a plain twin's bits.
+    tuner, ids = _build_tuner("dense")
+    plain, _ = _build_tuner("dense", capture=False)
+    for _ in range(2):                             # capture, replay
+        assert tuner.step(ids)[0] == plain.step(ids)[0]
+    capture = tuner.capture
+    node = capture.full_schedule[0]                # the loss; its backward takes
+    intact, take = node._backward, TapeArena.take
+
+    def reshaped(self, shape, dtype=np.float32, zero=False):
+        monkeypatch.setattr(TapeArena, "take", take)
+        return take(self, tuple(shape) + (1,), dtype, zero)
+
+    def diverging(grad):
+        node._backward = intact
+        if how == "extra take":
+            tensor_arena.empty((1,), np.float32)
+        else:
+            monkeypatch.setattr(TapeArena, "take", reshaped)
+        return intact(grad)
+
+    node._backward = diverging
+    assert tuner.step(ids)[0] == plain.step(ids)[0]
+    assert node._backward is intact and TapeArena.take is take
+    assert capture.full_fail_reason.startswith(
+        "replay raised TapeDivergence: backward tape")
+    assert (capture.full_captures, capture.full_replays,
+            capture.full_fallbacks) == (2, 1, 1)
+    assert tuner.step(ids)[0] == plain.step(ids)[0]
+    assert (capture.full_captures, capture.full_replays) == (2, 2)
+    for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
+        assert np.array_equal(a.data, b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,23 +1139,24 @@ TestCaptureLifecyclePredicted.settings = _LIFECYCLE_SETTINGS
 @pytest.mark.alloc
 def test_arena_does_not_grow_across_refreshes():
     """Fresh batches move the layouts at every refresh.  The re-capture drops
-    the old plan first, and the arena drops the free lists of the keys the
-    following replay no longer takes, so the pool after the third
-    re-capture is the size it was after the first capture — not one
-    interpreted working set plus a stale pool per refresh larger.  A
-    re-capture allocates only the shapes the refresh moved, fewer buffers
-    than the first capture."""
+    the old plan first and its backward takes the dropped plan's blocks
+    again, so the backward buffers after the third re-capture are the size
+    they were after the first capture — not one working set plus a stale
+    one per refresh larger.  A re-capture's backward allocates only the
+    buffers the dropped plan's blocks do not fit, fewer than the first
+    capture."""
     tuner, _ = _build_tuner("predicted", seq=128, predict_interval=4)
     rng = np.random.default_rng(5)
-    held, allocations = {}, {}
+    held, allocations, layouts = {}, {}, set()
     try:
         for step in range(1, 15):              # refreshes on 1, 5, 9, 13
             tuner.step(rng.integers(0, 512, size=(2, 128)))
-            held[step] = tuner.capture.arena.bytes_held
+            held[step] = tuner.capture.backward_bytes()
             allocations[step] = tuner.capture.last_step_allocations
+            layouts.add(tuner.engine.layout_state())
         capture = tuner.capture
         assert capture.full_captures == 4 and capture.full_fallbacks == 0
-        assert capture.arena.evictions > 0     # at least one layout moved
+        assert len(layouts) > 1                # at least one layout moved
         assert held[13] <= 1.1 * held[1], held
         assert all(allocations[step] < allocations[1]
                    for step in (5, 9, 13)), allocations
@@ -1108,7 +1192,7 @@ def test_sparse_capture_holds_nothing_nnz_sized():
         for _ in range(3):                         # re-capture, then replays
             tuner.step(ids)
         assert capture.full_replays == replays + 2
-        return layout.nnz, capture.arena.bytes_held
+        return layout.nnz, capture.backward_bytes()
 
     try:
         tuner.step(ids)                            # the first refresh
@@ -1116,8 +1200,8 @@ def test_sparse_capture_holds_nothing_nnz_sized():
         many, held_many = held_under(0.0)
         assert many >= 2 * few
         assert held_many < 1.1 * held_few, (held_few, held_many)
-        assert held_many <= 1.5 * dense_capture.arena.bytes_held, \
-            (held_many, dense_capture.arena.bytes_held)
+        assert held_many <= 1.5 * dense_capture.backward_bytes(), \
+            (held_many, dense_capture.backward_bytes())
     finally:
         tuner.engine.uninstall(tuner.model)
 
@@ -1157,7 +1241,8 @@ def test_plan_pool_shares_fitting_demand_and_supersedes_what_growth_leaves():
     # that does not grows the pool: it takes blocks within the slack, makes
     # the rest, and supersedes the blocks it left, so their holders are
     # stale.  A re-recording takes its unsuperseded blocks again and
-    # supersedes nothing.
+    # supersedes nothing.  Blocks no binding holds any more are taken again
+    # when given back.
     pool = tensor_plan.PlanPool()
     first = pool.bind(demand=[100, 300, 200])
     small, large, middle = (first.take((n,), np.uint8) for n in (100, 300, 200))
@@ -1180,13 +1265,18 @@ def test_plan_pool_shares_fitting_demand_and_supersedes_what_growth_leaves():
     assert first.release() == []
     assert [block.data.nbytes for block in second.release()] == [300]
     assert pool.resident_bytes == 800               # the superseded 200 went
-    again = pool.bind(kept, demand=[100, 300, 200], grow=False)
+    again = pool.bind(demand=[100, 300, 200], grow=False)
     for n, shared in ((100, small), (300, large), (200, c)):
         assert np.shares_memory(again.take((n,), np.uint8), shared)
     assert not third.stale and pool.resident_bytes == 800
     again.release()
     third.release()
     assert pool.resident_bytes == 0
+    given = pool.bind()
+    given.give(kept)
+    assert np.shares_memory(given.take((250,), np.uint8), large)
+    assert pool.resident_bytes == 300
+    given.release()
     fresh = pool.bind(demand=[300])
     assert fresh.take((8,), np.uint8).base is fresh.blocks[0].data
     assert pool.resident_bytes == 8
@@ -1258,11 +1348,12 @@ def test_signature_past_the_bound_evicts_the_least_recently_used():
     for batch in shapes[:MAX_CAPTURES]:
         step(batch)
     evicted = tuner.captures[tuner.step_signature(shapes[0])]
-    assert evicted.forward_plan is not None and evicted.arena.bytes_held > 0
+    assert evicted.forward_plan is not None and evicted.backward_bytes() > 0
     step(shapes[-1])
     assert len(tuner.captures) == MAX_CAPTURES
     assert tuner.step_signature(shapes[0]) not in tuner.captures
-    assert evicted.forward_plan is None and evicted.arena.bytes_held == 0
+    assert evicted.forward_plan is None and evicted.backward_tape is None
+    assert evicted.backward_bytes() == 0 and evicted.arena.bytes_held == 0
     for _ in range(2):
         step(shapes[0])                            # re-capture, then replay
     assert tuner.capture is not evicted
@@ -1281,14 +1372,17 @@ def test_capture_gauges_reach_profiler():
     capture = tuner.capture
     gauges = tuner.profiler.summary_dict()["gauges"]
     for key in ("arena_allocations_step", "arena_bytes", "plan_bytes",
-                "forward_only_bytes", "arena_hit_rate", "arena_evictions",
+                "backward_bytes", "forward_only_bytes", "arena_hit_rate",
+                "arena_evictions",
                 "capture_recaptures", "capture_full_captures",
                 "capture_full_replays", "capture_full_fallbacks"):
         assert key in gauges
     assert "capture_replay_steps" not in gauges
     assert "capture_fallbacks" not in gauges
     assert gauges["arena_allocations_step"] == 0.0
-    assert gauges["arena_bytes"] > 0 and gauges["plan_bytes"] > 0
+    # A compiled step's backward runs over its tape, which the plan owns:
+    # the arena serves interpreted steps alone.
+    assert gauges["arena_bytes"] == 0 and gauges["backward_bytes"] > 0
     assert gauges["capture_full_replays"] >= 1.0
     assert capture.summary().startswith("StepCapture(")
     assert "forward_only=" in capture.summary()
@@ -1301,16 +1395,19 @@ def test_capture_gauges_reach_profiler():
              if any(np.shares_memory(buf, view) for view in views)]
     assert len(slabs) == 1 and all(buf is not view for buf in plan.buffers
                                    for view in views)
-    assert gauges["plan_bytes"] == sum(buf.nbytes for buf in plan.buffers)
+    tape = capture.backward_tape.distinct()
+    assert gauges["backward_bytes"] == sum(buf.nbytes for buf in tape)
+    assert gauges["plan_bytes"] == (sum(buf.nbytes for buf in plan.buffers)
+                                    + gauges["backward_bytes"])
     assert gauges["forward_only_bytes"] > slabs[0].nbytes
 
 
 @pytest.mark.alloc
 def test_arena_and_plan_bytes_cover_the_steps_resident_growth():
     # Every resident byte of a compiled step is gauged: what the arena pools
-    # plus what the plan owns (its buffers and its scratch pool) is at least
-    # 90 % of the heap a capture and two replays leave traced.  The rest is
-    # graph nodes, closures and optimizer state.
+    # plus what the plan owns (its buffers, its scratch pool and its
+    # backward tape) is at least 90 % of the heap a capture and two replays
+    # leave traced.  The rest is graph nodes, closures and optimizer state.
     import gc
     import tracemalloc
 
@@ -1332,7 +1429,8 @@ def test_arena_and_plan_bytes_cover_the_steps_resident_growth():
     capture = tuner.capture
     assert capture.full_replays == 2, capture.full_fail_reason
     gauges = capture.gauges()
-    assert gauges["plan_bytes"] == capture.forward_plan.nbytes > 0
+    assert gauges["plan_bytes"] == (capture.forward_plan.nbytes
+                                    + capture.backward_bytes()) > 0
     covered = gauges["arena_bytes"] + gauges["plan_bytes"]
     assert 0.9 * grown <= covered <= grown, (covered, grown)
 
@@ -1340,8 +1438,8 @@ def test_arena_and_plan_bytes_cover_the_steps_resident_growth():
 @pytest.mark.alloc
 def test_no_step_buffer_is_vocabulary_sized():
     # The LM head's logits, their exponentials and their gradient exist a
-    # chunk of rows at a time, so after a replayed step no buffer the plan or
-    # the arena holds has (seq - 1) * vocab elements.  Attention runs row
+    # chunk of rows at a time, so after a replayed step no buffer the plan,
+    # its backward tape or the arena holds has (seq - 1) * vocab elements.  Attention runs row
     # tiles of 64 here: at the default 128 its score tile, heads * seq * 128
     # = 262 144 elements, is 0.2 % over this model's (seq - 1) * vocab.
     seq = 512
@@ -1354,7 +1452,8 @@ def test_no_step_buffer_is_vocabulary_sized():
         tuner.step(ids)
     capture = tuner.capture
     assert capture.full_replays == 1, capture.full_fail_reason
-    buffers = capture.forward_plan.buffers + capture.arena.buffers()
+    buffers = (capture.forward_plan.buffers + capture.backward_tape.buffers
+               + capture.arena.buffers())
     largest = max(buf.size for buf in buffers)
     assert largest < (seq - 1) * model.config.vocab_size, largest
 
@@ -1362,7 +1461,8 @@ def test_no_step_buffer_is_vocabulary_sized():
 @pytest.mark.alloc
 def test_no_step_buffer_holds_a_whole_mlp_activation():
     # A frozen MLP walks its rows a chunk at a time: after a replayed step
-    # neither the plan, its forward-only slab nor the arena holds a
+    # neither the plan, its forward-only slab, its backward tape nor the
+    # arena holds a
     # (seq, 4 * dim) float32 array — no hidden activation and no activation
     # gradient — while the backward keeps each layer's ReLU mask whole.
     seq = 512
@@ -1376,7 +1476,8 @@ def test_no_step_buffer_holds_a_whole_mlp_activation():
     capture = tuner.capture
     assert capture.full_replays == 1, capture.full_fail_reason
     hidden = model.config.hidden_dim
-    whole = [buf for buf in capture.forward_plan.buffers + capture.arena.buffers()
+    whole = [buf for buf in capture.forward_plan.buffers
+             + capture.backward_tape.distinct() + capture.arena.buffers()
              if buf.ndim and buf.shape[-1] == hidden and buf.size == seq * hidden]
     assert ([buf.dtype for buf in whole]
             == [np.dtype(bool)] * model.config.num_layers), \
