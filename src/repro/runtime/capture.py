@@ -97,9 +97,13 @@ steps, so no two captured steps overlap, and ``run`` reads the loss value
 before it returns.  A capture alone in its process finds no other plan's
 blocks, so each of its buffers is allocated on its own, as without the
 pool.  A step that drops its plan and records — a refresh, moved layouts,
-a rebind, a replay that raised — lets the dropped plan's forward blocks go
-(its forward buffers move with the layouts) and keeps its tape's
-unsuperseded blocks for the recorded backward to take again.
+a rebind, a replay that raised — carries the dropped plan's memory into
+the recording: its unsuperseded blocks no live plan holds, matched to the
+recording's demand by exact size first, and its private zero-filled
+arrays, zeroed again when taken.  What the forward did not take goes when
+the forward ends, but for its tape's blocks, which the recorded backward
+takes again.  A neuron-sparse MLP sizes its layout-dependent buffers by a
+capacity that only grows, so after warm-up such a step allocates nothing.
 
 **Forward-only slab.**  A plan would otherwise keep every activation its
 forward wrote for the whole step, although the retained backward reads
@@ -464,12 +468,15 @@ class StepCapture:
         self._full_failures = 0
         self._recorder: Optional[ForwardRecorder] = None
         self._staged: Dict[str, np.ndarray] = {}
-        # The installed plan's blocks of the plan pool.  ``_carried`` holds
-        # the unsuperseded ones under the tape of a plan this step dropped,
-        # for this step's recorded backward; ``_rebind`` says the plan was
-        # superseded, so this step's recording supersedes nothing.
+        # The installed plan's blocks of the plan pool.  Of a plan this step
+        # dropped, ``_carried`` holds the unsuperseded blocks under its tape,
+        # for this step's recorded backward, and ``_carried_forward`` its
+        # other unsuperseded blocks and its private arrays, for the
+        # recording's forward; ``_rebind`` says the plan was superseded, so
+        # this step's recording supersedes nothing.
         self._binding: Optional[PlanBinding] = None
         self._carried: Optional[List] = None
+        self._carried_forward: Optional[Tuple[List, List[np.ndarray]]] = None
         self._rebind = False
         # The bytes the next recording is expected to take from the pool:
         # the last recording's, or its learner's.
@@ -512,7 +519,8 @@ class StepCapture:
                 return self._step(forward, input_ids, labels, compilable,
                                   record, layout_state)
         finally:
-            self._carried, self._rebind = None, False
+            self._carried = self._carried_forward = None
+            self._rebind = False
             self.last_step_allocations += self.arena.misses - misses
 
     def _step(self, forward, input_ids, labels, replay: bool, record: bool,
@@ -618,26 +626,37 @@ class StepCapture:
         return plan
 
     def _drop_recording(self, loss: Tensor) -> None:
-        """Free the current recording and its graph below ``loss`` now."""
+        """Free the current recording and its graph below ``loss`` now; the
+        step's next recording may take its memory again."""
         _break_graph(loss, self._recorder)
-        self._recorder.binding.release()
+        binding = self._recorder.binding
+        self._carried_forward = (binding.release(), binding.private)
         self._recorder = None
 
     def _record(self, forward: Callable[[], Tensor],
                 slab_plan: Optional[SlabPlan]) -> Tensor:
         """Run ``forward()`` under a fresh recorder, kept in ``_recorder``,
-        bound to the plan pool's blocks (see :meth:`PlanPool.bind`)."""
-        binding = _tensor_plan.plan_pool().bind(self._demand,
-                                                grow=not self._rebind)
+        bound to the plan pool's blocks and the memory carried from the
+        plan this step dropped (see :meth:`PlanPool.bind`); what the
+        forward did not take of the latter goes when it ends."""
+        carried, private = self._carried_forward or ((), ())
+        self._carried_forward = None
+        tape = self._carried or ()
+        binding = _tensor_plan.plan_pool().bind(
+            self._demand, grow=not self._rebind, carried=[*carried, *tape],
+            carried_private=private)
+        carried = private = None
         self._recorder = ForwardRecorder(slab_plan, binding)
         try:
-            return _recording(self._recorder, forward)
+            loss = _recording(self._recorder, forward)
         except BaseException:
             binding.release()
             self._recorder = None
             raise
         finally:
             self._demand = binding.taken
+        binding.settle(keep=tape)
+        return loss
 
     def _compile(self, loss: Tensor, layout_state) -> None:
         """Run the recorded step's backward and install its plan if covered.
@@ -667,7 +686,6 @@ class StepCapture:
             self._full_failures += 1
             self.full_fail_reason = reason
             return
-        rec.binding.give(self._carried or ())
         taping = BufferArena(rec.binding.take, tape=True)
         pool = _tensor_plan.plan_pool()
         blocks = pool.allocations
@@ -775,18 +793,22 @@ class StepCapture:
 
         A non-empty ``reason`` marks the drop as a fallback — a live plan
         that could not be replayed — and is kept in ``full_fail_reason``.
-        ``carry`` keeps the unsuperseded blocks under the plan's backward
-        tape for this step's recorded backward to take again, instead of
-        allocating anew.  The forward's blocks go at once: a recording's
-        forward buffers move with the layouts, so carried they would sit
-        beside their successors.
+        ``carry`` keeps the plan's memory for this step's recording to take
+        again instead of allocating anew: its unsuperseded blocks, those
+        under its backward tape for the recorded backward, and its private
+        zero-filled arrays.  What the recording's forward does not take goes
+        when the forward ends (see :meth:`PlanBinding.settle`), so an
+        old-size block never sits beside its successor for a whole step.
         """
         if getattr(self, "forward_plan", None) is None:
             return
+        private = self._binding.private
         kept = self._binding.release()
         if carry:
             roots = {id(_owner(buf)) for buf in self.backward_tape.buffers}
             self._carried = [block for block in kept if id(block.data) in roots]
+            self._carried_forward = ([block for block in kept
+                                      if id(block.data) not in roots], private)
         self.forward_plan = self._binding = self.backward_tape = None
         self.full_schedule = None
         self.full_loss = None

@@ -364,6 +364,7 @@ class SparseMLPBackend(_SparseBackend):
     def __init__(self, engine: "LongExposure", layer_index: int, n_blocks: int):
         super().__init__(engine, layer_index)
         self.n_blocks = n_blocks
+        # The layer's capacity and frozen-weight copies (see _cache_for).
         self.weight_cache: Optional[NeuronSparseWeights] = None
         self.last_active_blocks: Optional[np.ndarray] = None
         # Set on first call when the layer's fc1/fc2 carry LoRA adapters and
@@ -391,16 +392,17 @@ class SparseMLPBackend(_SparseBackend):
         self.engine.stats.mlp_layer(self.layer_index).record_refresh(
             stamp, _active_block_drift(self.last_active_blocks, entry[1]))
 
-    def _cache_for(self, mlp: MLPBlock) -> Optional[NeuronSparseWeights]:
+    def _cache_for(self, mlp: MLPBlock) -> NeuronSparseWeights:
+        """The layer's :class:`NeuronSparseWeights`: its buffer capacity, and
+        the coalesced fc2 copy while both weights are frozen."""
         fc1, fc2 = mlp.fc1, mlp.fc2
-        if isinstance(fc1, LoRALinear) or isinstance(fc2, LoRALinear):
-            return None
         frozen = not fc1.weight.requires_grad and not fc2.weight.requires_grad
-        if not frozen:
-            return None
-        if self.weight_cache is None:
-            self.weight_cache = NeuronSparseWeights(fc1.weight.data, fc2.weight.data,
-                                                    coalesced=True)
+        cache = self.weight_cache
+        if cache is None or cache.coalesced != frozen:
+            self.weight_cache = NeuronSparseWeights(
+                fc1.weight.data, fc2.weight.data, coalesced=frozen,
+                block=self.engine.config.block_size,
+                capacity=0 if cache is None else cache.capacity)
         return self.weight_cache
 
     def __call__(self, module: MLPBlock, x):

@@ -81,7 +81,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -99,6 +99,7 @@ __all__ = [
     "linear_cross_entropy",
     "token_log_probs",
     "row_chunks",
+    "mlp_chunk_rows",
     "mlp_rows",
     "mlp",
     "RowTile",
@@ -527,14 +528,18 @@ LOSS_ROW_CHUNK = 128
 ATTENTION_TILE_BYTES = 1 << 19
 
 
-def row_chunks(n: int) -> Tuple[Tuple[int, int], ...]:
-    """``[r0, r1)`` bounds walking ``n`` rows :data:`LOSS_ROW_CHUNK` at a
-    time.  A one-row remainder joins the chunk before it: BLAS runs a
-    one-row product as a GEMV, whose rounding differs from the GEMM every
-    other row goes through."""
-    bounds = list(range(0, n, LOSS_ROW_CHUNK)) + [n]
+def row_chunks(n: int, rows: int = LOSS_ROW_CHUNK) -> Tuple[Tuple[int, int], ...]:
+    """``[r0, r1)`` bounds walking ``n`` rows ``rows`` at a time.  A one-row
+    remainder joins the chunk before it: BLAS runs a one-row product as a
+    GEMV, whose rounding differs from the GEMM every other row goes
+    through.  (It takes a row of that chunk, or, for chunks under three
+    rows, merges with it.)"""
+    bounds = list(range(0, n, rows)) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= 1
+        if rows > 2:
+            bounds[-2] -= 1
+        else:
+            del bounds[-2]
     return tuple(zip(bounds, bounds[1:]))
 
 
@@ -763,14 +768,23 @@ def token_log_probs(hidden: np.ndarray, weight: np.ndarray,
 # the MLP block: both linear layers, a chunk of rows at a time
 # ---------------------------------------------------------------------------
 
+def mlp_chunk_rows(width: int, itemsize: int) -> int:
+    """Rows per chunk of :func:`mlp_rows`: as many as keep one ``(rows,
+    width)`` chunk of scratch within :data:`ATTENTION_TILE_BYTES` — 256 at
+    float32 width 512, the widths the GEMMs run near a whole-array GEMM's
+    rate at (OpenBLAS repacks the weight panel per call)."""
+    return max(1, ATTENTION_TILE_BYTES // (width * itemsize))
+
+
 def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
              w2t: np.ndarray, b2: Optional[np.ndarray], activation: str,
              rec, tag: str, *, grad: bool, keep_hidden: bool,
-             keep_act_grad: bool):
+             keep_act_grad: bool, capacity: Optional[int] = None,
+             prologue: Optional[Callable[[], None]] = None):
     """The MLP body ``act(x w1^T + b1) w2t + b2``, :func:`row_chunks` rows
-    at a time: both GEMMs of a chunk run back to back over one chunk of
-    hidden activation in scratch, so the ``(rows, width)`` activation never
-    exists whole unless the backward reads it.
+    at a time (:func:`mlp_chunk_rows`): both GEMMs of a chunk run back to
+    back over one chunk of hidden activation in scratch, so the ``(rows,
+    width)`` activation never exists whole unless the backward reads it.
 
     ``w1`` is ``(width, d_in)`` and ``w2t`` ``(width, d_out)`` — a dense
     MLP's full weights (``w2t`` the transposed view of fc2's), or the rows
@@ -780,29 +794,59 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
     activation whole (for fc2's weight gradient) and ``keep_act_grad`` the
     activation gradient (for fc1's parameters).
 
+    Every ``width``-wide buffer is allocated ``capacity`` wide (default
+    ``width``) and used through its C-contiguous leading ``(rows, width)``
+    view, so a neuron-sparse caller whose active set moves within its
+    capacity asks for the same buffers; the chunk rows follow the
+    capacity too.  ``prologue``, if given, runs at the top of every run of
+    the body (a neuron-sparse MLP re-gathers its trainable tensors there).
+
     Returns ``(out, hidden, backward)``: the ``(rows, d_out)`` output, the
     whole hidden activation (None unless kept) and ``backward(grad2d,
-    need_dx)``, which walks the same chunks, ``dx_c = (g_c w2t^T * act'_c)
-    w1``, and returns ``(dx or None, activation gradient or None)``.  It
-    reads neither ``x2d`` nor ``out``.
+    need_dx, reduce=None)``, which walks the same chunks, ``dx_c = (g_c
+    w2t^T * act'_c) w1``, calls ``reduce(act_grad, hidden)`` (the whole
+    activation gradient and hidden activation, None unless kept) for the
+    parameter gradients, gives its whole buffers back and returns ``(dx or
+    None, what reduce returned)``.  It reads neither ``x2d`` nor ``out``.
     """
     if activation not in ("relu", "gelu"):
         raise ValueError(f"unsupported MLP activation {activation!r}")
     n, width = x2d.shape[0], w1.shape[0]
     d_in, d_out = w1.shape[1], w2t.shape[1]
     dtype = np.result_type(x2d, w1)
-    chunks = row_chunks(n)
+    cap = width if capacity is None else max(int(capacity), width)
+    per = mlp_chunk_rows(cap, dtype.itemsize)
+    chunks = row_chunks(n, per)
     rows = max((r1 - r0 for r0, r1 in chunks), default=0)
     alloc, scratch = _plan.plan_alloc(rec), _plan.scratch_alloc(rec)
     out = alloc((n, d_out), dtype)
     work = []
+    owners = []                  # the forward's whole buffers, for release
+
+    def wide(take, height, dt, size=0):
+        """``(owner, view)``: a buffer of ``height x cap`` elements (or
+        ``size``, if more) from ``take`` and its leading ``(height,
+        width)`` view (the buffer itself when it is that shape)."""
+        size = max(height * cap, size)
+        if size == height * width:
+            buf = take((height, width), dt)
+            return buf, buf
+        owner = take((size,), dt)
+        return owner, owner[:height * width].reshape(height, width)
 
     def buffer(dt, whole):
-        """``(rows, width)`` for the backward, or one chunk of scratch."""
+        """``(rows, width)`` for the backward, or one chunk of scratch.  A
+        full-height chunk takes a tile's bytes of the compute dtype, one
+        shape for every layer whatever its capacity, so that they share
+        one scratch buffer."""
         if whole:
-            return alloc((n, width), dt)
-        work.append(scratch((rows, width), dt))
-        return work[-1]
+            owner, buf = wide(alloc, n, dt)
+            owners.append(owner)
+        else:
+            owner, buf = wide(scratch, rows, dt, ATTENTION_TILE_BYTES
+                              // dtype.itemsize if rows == per else 0)
+            work.append(owner)
+        return buf
 
     def part(buf, r0, r1):
         """Rows ``[r0, r1)`` of a whole buffer, or that chunk's scratch (a
@@ -823,6 +867,8 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
              for r0, r1 in chunks]
 
     def run():
+        if prologue is not None:
+            prologue()
         for x_c, pre_c, h_c, mask_c, tanh_c, out_c in steps:
             np.matmul(x_c, w1t, out=pre_c)
             if b1 is not None:
@@ -835,13 +881,20 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
     _plan.emit(rec, run, tag, *work)
     if not grad:
         return out, None, None
+    # A recorded forward's chunk scratch is the plan's, idle until the next
+    # replay: the backward walks its activation gradient there, and keeps
+    # it there whole when one chunk is every row.
+    idle = hidden if rec is not None and not keep_hidden else None
 
-    def backward(grad2d, need_dx):
-        act_grad = _arena.empty((n, width), dtype) if keep_act_grad else None
+    def backward(grad2d, need_dx, reduce=None):
+        gh_owner = gh_buf = None
+        if idle is not None and (rows == n or not keep_act_grad):
+            gh_buf = idle
+        elif keep_act_grad or need_dx:
+            gh_owner, gh_buf = wide(_arena.empty, n if keep_act_grad else rows, dtype)
+        act_grad = gh_buf if keep_act_grad else None
         dx = _arena.empty((n, d_in), dtype) if need_dx else None
-        if act_grad is not None or dx is not None:
-            gh_buf = act_grad if act_grad is not None else _arena.empty(
-                (rows, width), dtype)
+        if gh_buf is not None:
             for r0, r1 in chunks:
                 gh = part(gh_buf, r0, r1)
                 np.matmul(grad2d[r0:r1], w2t.T, out=gh)
@@ -851,10 +904,13 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
                     None if gelu_tanh is None else gelu_tanh[r0:r1])
                 if dx is not None:
                     np.matmul(gh, w1, out=dx[r0:r1])
-            if gh_buf is not act_grad:
-                _arena.release(gh_buf)
-        _arena.release(relu_mask, gelu_pre, gelu_tanh)
-        return dx, act_grad
+        if gh_owner is not None and act_grad is None:
+            _arena.release(gh_owner)
+            gh_owner = None
+        reduced = None if reduce is None else reduce(
+            act_grad, hidden if keep_hidden else None)
+        _arena.release(*owners, *(() if gh_owner is None else (gh_owner,)))
+        return dx, reduced
 
     return out, (hidden if keep_hidden else None), backward
 
@@ -885,7 +941,7 @@ def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
         t is not None and t.requires_grad for t in (x,) + params)
     w1_grad, b1_grad, w2_grad, b2_grad = (
         grad and t is not None and t.requires_grad for t in params)
-    out2d, hidden, rows_backward = mlp_rows(
+    out2d, _, rows_backward = mlp_rows(
         x2d, fc1_weight.data, None if fc1_bias is None else fc1_bias.data,
         fc2_weight.data.T, None if fc2_bias is None else fc2_bias.data,
         activation, rec, f"mlp:{activation}", grad=grad, keep_hidden=w2_grad,
@@ -900,18 +956,21 @@ def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
 
     def backward(grad):
         grad2d = grad.reshape(-1, d_out)
-        dx, act_grad = rows_backward(grad2d, need_dx)
-        g_w1 = g_b1 = g_w2 = g_b2 = None
-        if w1_grad:
-            g_w1 = np.matmul(act_grad.T, x_kept, out=_arena.empty(shapes[0], dtype))
-        if b1_grad:
-            g_b1 = act_grad.sum(axis=0, out=_arena.empty(shapes[1], dtype))
-        if w2_grad:
-            g_w2 = np.matmul(grad2d.T, hidden, out=_arena.empty(shapes[2], dtype))
-            _arena.release(hidden)
+
+        def reduce(act_grad, hidden):
+            g_w1 = g_b1 = g_w2 = None
+            if w1_grad:
+                g_w1 = np.matmul(act_grad.T, x_kept, out=_arena.empty(shapes[0], dtype))
+            if b1_grad:
+                g_b1 = act_grad.sum(axis=0, out=_arena.empty(shapes[1], dtype))
+            if w2_grad:
+                g_w2 = np.matmul(grad2d.T, hidden, out=_arena.empty(shapes[2], dtype))
+            return g_w1, g_b1, g_w2
+
+        dx, (g_w1, g_b1, g_w2) = rows_backward(grad2d, need_dx, reduce)
+        g_b2 = None
         if b2_grad:
             g_b2 = grad2d.sum(axis=0, out=_arena.empty(shapes[3], dtype))
-        _arena.release(act_grad)
         grads = (None if dx is None else dx.reshape(x_shape), g_w1, g_b1, g_w2, g_b2)
         return tuple(g for g, keep in zip(grads, present) if keep)
 

@@ -56,7 +56,21 @@ whatever order the signatures arrive in, and a re-recording never sets off
 another.  A recording made while no other plan is live finds no blocks and
 allocates each buffer on its own, as plain ``np.empty`` would.  State a
 kernel binds once at record time is zero-filled and stays private to its
-plan (:func:`plan_alloc`).
+plan (:func:`plan_alloc`), on arrays of the plan's binding.
+
+A step that drops its plan and records the next one — a mask refresh,
+moved layouts, a rebind, a replay that raised — *carries* the dropped
+plan's memory into the recording: its unsuperseded blocks that no live
+plan holds, and its private arrays.  The binding matches its demand to
+those blocks by exact size before anything else, and hands a private
+array of exactly the bytes a zero-filled buffer asks for, zeroed again.
+What the forward did not take goes when the forward ends
+(:meth:`PlanBinding.settle`), except the blocks under the dropped plan's
+backward tape, which the recorded backward takes again.  Buffers whose
+size follows the layouts are allocated at a capacity that only grows (the
+neuron-sparse MLP's, :mod:`repro.sparsity.ops.neuron_sparse`), so a
+re-recording after warm-up takes the memory its dropped plan held and
+allocates nothing.
 
 The contract that makes the sharing safe: no plan buffer of a captured
 step is read once another captured step in the process has begun.  Every
@@ -150,38 +164,68 @@ class PlanBinding:
     collected).
 
     ``demand`` — the bytes the recording is expected to take, in any order
-    — is matched to the free blocks up front, largest first, each to the
-    smallest block that fits it: matching in arrival order would spend the
-    large blocks on the small buffers a forward takes first.  A recording
-    whose demand does not all fit *grows* the pool, if ``grow`` allows it:
-    it takes only blocks within :data:`GROW_SLACK` of a buffer's bytes,
-    allocates the rest anew, and supersedes every block it left, so that
-    the plans holding those record again over its blocks.  ``taken`` lists
-    the bytes of every take, the demand of the plan's next recording.
-    ``stale`` says a later recording superseded one of the blocks.
+    — is matched up front.  First, each item to a ``carried`` block of
+    exactly its bytes: a dropped plan's blocks that no live binding holds,
+    which a re-recording of its step takes again.  Then the rest to the
+    pool's free blocks, largest first, each to the smallest block that
+    fits it: matching in arrival order would spend the large blocks on the
+    small buffers a forward takes first.  A recording whose demand does not
+    all fit *grows* the pool, if ``grow`` allows it: it takes only blocks
+    within :data:`GROW_SLACK` of a buffer's bytes, allocates the rest anew,
+    and supersedes every block it left, so that the plans holding those
+    record again over its blocks.  ``taken`` lists the bytes of every take,
+    the demand of the plan's next recording.  ``stale`` says a later
+    recording superseded one of the blocks.
+
+    :meth:`zeros` hands out the plan's private zero-filled state, on arrays
+    of the binding's own (``private``): a ``carried_private`` one of
+    exactly the bytes asked for, zero-filled again, or a fresh one.
+    :meth:`settle` lets go of whatever carried memory the forward did not
+    take.
     """
 
-    __slots__ = ("blocks", "taken", "stale", "_pool", "_planned", "_free",
-                 "_sizes", "_release", "__weakref__")
+    __slots__ = ("blocks", "taken", "stale", "private", "_pool", "_planned",
+                 "_free", "_sizes", "_spare", "_release", "__weakref__")
 
     def __init__(self, pool: "PlanPool", free: Sequence[_Block],
-                 demand: Sequence[int] = (), grow: bool = True):
+                 demand: Sequence[int] = (), grow: bool = True,
+                 carried: Iterable[_Block] = (),
+                 carried_private: Iterable[np.ndarray] = ()):
         self.blocks: List[_Block] = []
         self.taken: List[int] = []
         self.stale = False
+        self.private: List[np.ndarray] = []
         self._pool = pool
         self._release = weakref.finalize(self, pool._drop, self.blocks)
         self._release.atexit = False
+        self._spare: Dict[int, List[np.ndarray]] = {}
+        for raw in carried_private:
+            self._spare.setdefault(raw.nbytes, []).append(raw)
+        by_size: Dict[int, List[_Block]] = {}
+        for block in {id(block): block for block in carried}.values():
+            if not block.holders and not block.superseded:
+                by_size.setdefault(block.data.nbytes, []).append(block)
+        exact: Dict[int, List[_Block]] = {}
+        rest = []
+        for nbytes in demand:
+            blocks = by_size.get(nbytes)
+            if blocks:
+                exact.setdefault(nbytes, []).append(blocks.pop())
+            else:
+                rest.append(nbytes)
         free = sorted(free, key=lambda block: block.data.nbytes)
-        self._match(free, demand, None)
-        if grow and free and sum(map(len, self._planned.values())) < len(demand):
+        self._match(free, rest, None)
+        if grow and free and sum(map(len, self._planned.values())) < len(rest):
             # Some of the demand fits nowhere: grow the pool.
-            self._match(free, demand, GROW_SLACK)
+            self._match(free, rest, GROW_SLACK)
             if self._free:
                 for block in self._free:
                     block.superseded = True
                 self._free, self._sizes = [], []
                 pool._supersede()
+        for nbytes, blocks in exact.items():
+            # Last, so that takes pop the carried blocks first.
+            self._planned.setdefault(nbytes, []).extend(blocks)
 
     def _match(self, free: List[_Block], demand: Sequence[int],
                slack: Optional[float]) -> None:
@@ -224,6 +268,46 @@ class PlanBinding:
         self.taken.append(nbytes)
         return np.ndarray(shape, dtype, buffer=block.data)
 
+    def zeros(self, shape, dtype=np.float32) -> np.ndarray:
+        """A zero-filled ``shape``/``dtype`` buffer on a private array: a
+        carried one of exactly its bytes, zeroed again, or a fresh one."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if not nbytes:
+            return np.zeros(shape, dtype)
+        spare = self._spare.get(nbytes)
+        if spare:
+            raw = spare.pop()
+            raw.fill(0)
+        else:
+            raw = np.zeros(nbytes, np.uint8)
+        self.private.append(raw)
+        return np.ndarray(shape, dtype, buffer=raw)
+
+    def settle(self, keep: Iterable[_Block] = ()) -> None:
+        """The forward has taken its last buffer: let go of the carried
+        blocks and private arrays it did not take, before the backward runs
+        — but for as many blocks of each size as ``keep``, the blocks the
+        backward is expected to take, lists (the forward may have taken
+        one of those and left another carried block of its size).  Later
+        takes best-fit the ``keep`` blocks no demand was matched to."""
+        keep = list(keep)
+        wanted: Dict[int, int] = {}
+        for block in keep:
+            wanted[block.data.nbytes] = wanted.get(block.data.nbytes, 0) + 1
+        for nbytes, blocks in self._planned.items():
+            kept = []
+            for block in blocks:
+                if not block.holders and wanted.get(nbytes, 0):
+                    wanted[nbytes] -= 1
+                elif not block.holders:
+                    continue
+                kept.append(block)
+            blocks[:] = kept
+        planned = {id(block) for blocks in self._planned.values() for block in blocks}
+        self.give(block for block in keep if id(block) not in planned)
+        self._spare = {}
+
     def give(self, blocks: Iterable[_Block]) -> None:
         """Let later takes best-fit ``blocks`` too — a dropped plan's, those
         no live binding holds (a held one is a pool block already)."""
@@ -239,10 +323,12 @@ class PlanBinding:
 
     def release(self) -> List[_Block]:
         """Stop holding the blocks (idempotent); returns the ones no
-        recording superseded, which a re-recording may take again."""
+        recording superseded, which a re-recording may take again.  The
+        private arrays stay in ``private`` for it to take too."""
         kept = [block for block in self.blocks if not block.superseded]
         self._release()
         self.blocks, self._free, self._sizes, self._planned = [], [], [], {}
+        self._spare = {}
         return kept
 
 
@@ -259,12 +345,15 @@ class PlanPool:
         self.resident_bytes = 0
         self.allocations = 0
 
-    def bind(self, demand: Sequence[int] = (), grow: bool = True) -> PlanBinding:
+    def bind(self, demand: Sequence[int] = (), grow: bool = True,
+             carried: Iterable[_Block] = (),
+             carried_private: Iterable[np.ndarray] = ()) -> PlanBinding:
         """A binding for a recording expected to take ``demand`` bytes, over
+        the ``carried`` blocks and private arrays of the plan it replaces and
         every unsuperseded block a live binding holds; ``grow`` lets it
         supersede blocks (see :class:`PlanBinding`)."""
         free = [block for block in self._resident if not block.superseded]
-        binding = PlanBinding(self, free, demand, grow)
+        binding = PlanBinding(self, free, demand, grow, carried, carried_private)
         self._bindings = [ref for ref in self._bindings if ref() is not None]
         self._bindings.append(weakref.ref(binding))
         return binding
@@ -393,9 +482,10 @@ class ForwardRecorder:
         return buf
 
     def zeros(self, shape, dtype=np.float32) -> np.ndarray:
-        """A fresh zero-filled plan buffer, listed in :attr:`buffers`."""
+        """A zero-filled plan buffer, private to the plan (the binding's, if
+        any), listed in :attr:`buffers`."""
         self._key()
-        buf = np.zeros(shape, dtype)
+        buf = (np.zeros if self.binding is None else self.binding.zeros)(shape, dtype)
         self._keep(buf, None)
         return buf
 

@@ -28,7 +28,11 @@ For every test it fills, through ``monkeypatch`` only:
   there cannot pass by luck;
 * every take of the tape that does not zero its buffer, so a tape that
   hands one take the buffer of an earlier take still live turns the
-  earlier one's values to garbage.
+  earlier one's values to garbage;
+* every plan-pool block a re-recording takes again uninitialised
+  (``PlanBinding.take`` of a block carried from the plan its step dropped),
+  so a kernel that reads a retaken buffer before writing it cannot pass on
+  what the dropped plan left there.
 
 Floats get NaN, integers their dtype's maximum, bools ``True``.  A kernel
 that reads memory it did not write, or a buffer handed back before its last
@@ -62,9 +66,11 @@ def poison(buf: np.ndarray) -> np.ndarray:
 def install(monkeypatch: pytest.MonkeyPatch) -> None:
     """Patch the four allocation seams to hand out poisoned memory, the
     arena to poison what it takes back, the replay to poison its keyed
-    buffers, scratch and dead slab views, and the backward tape to poison
-    its buffers before a replayed backward and each non-zeroed take."""
+    buffers, scratch and dead slab views, the backward tape to poison its
+    buffers before a replayed backward and each non-zeroed take, and the
+    plan pool to poison each carried block a recording takes."""
     take, release = arena.BufferArena.take, arena.BufferArena.release
+    plan_take = plan.PlanBinding.take
     tape_take, rewind = arena.TapeArena.take, arena.TapeArena.rewind
     next_generation = arena.BufferArena.next_generation
     recorded, empty = plan.ForwardRecorder.empty, arena.empty
@@ -93,6 +99,15 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
             poison(buf)
         return rewind(self)
 
+    def poisoned_plan_take(self, shape, dtype=np.float32):
+        # A block no other binding holds, and not made by this take, is one
+        # the recording carried from the plan its step dropped.
+        allocations = self._pool.allocations
+        buf = plan_take(self, shape, dtype)
+        carried = (buf.nbytes and self._pool.allocations == allocations
+                   and self.blocks[-1].holders == 1)
+        return poison(buf) if carried else buf
+
     def poisoned_empty(shape, dtype=np.float32):
         buf = empty(shape, dtype)
         return buf if arena.active() is not None else poison(buf)
@@ -107,6 +122,7 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(arena.TapeArena, "take", poisoned_tape_take)
     monkeypatch.setattr(arena.TapeArena, "rewind", poisoned_rewind)
     monkeypatch.setattr(arena, "empty", poisoned_empty)
+    monkeypatch.setattr(plan.PlanBinding, "take", poisoned_plan_take)
 
     def poisoned_run(self):
         dead = defaultdict(list)

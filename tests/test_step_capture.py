@@ -862,19 +862,19 @@ def _raise_once_in(plan, position: int = 3, fired: list = None) -> None:
 
 @pytest.mark.parity
 @pytest.mark.parametrize("trigger", ["reference_kernels",
-                                     "trainable_base_weights", "coverage_gap",
+                                     "persistent_coverage_gap", "coverage_gap",
                                      "replay_exception"])
 def test_degrades_to_interpreted_steps(trigger):
     build = {
         "reference_kernels": dict(backend="dense"),
-        "trainable_base_weights": dict(backend="oracle", predict_interval=8),
+        "persistent_coverage_gap": dict(backend="oracle", predict_interval=8),
         "coverage_gap": dict(backend="dense"),
         "replay_exception": dict(backend="dense"),
     }[trigger]
     tuner, ids = _build_tuner(**build)
     plain, _ = _build_tuner(capture=False, **build)
     gaps = []
-    if trigger == "coverage_gap":
+    if trigger in ("coverage_gap", "persistent_coverage_gap"):
         gaps = [_add_uncovered_op(tuner.model), _add_uncovered_op(plain.model)]
     seen = []                                      # full_replays per step
     kernels = (fused.reference_kernels if trigger == "reference_kernels"
@@ -888,12 +888,12 @@ def test_degrades_to_interpreted_steps(trigger):
 
     try:
         # Capture, replays.  The gap is closed after its second veto: a
-        # third would use up MAX_FAILURES and stop the compiler.  Vetoed
-        # base weights stop it after step 3, so step 4 is the first forward
+        # third would use up MAX_FAILURES and stop the compiler.  A gap
+        # left open stops it after step 3, so step 4 is the first forward
         # without a recorder (its kernel outputs come from the arena, not
         # from plan buffers) and step 5 the first over a warm pool.
         for _ in range({"coverage_gap": 2,
-                        "trainable_base_weights": 5}.get(trigger, 4)):
+                        "persistent_coverage_gap": 5}.get(trigger, 4)):
             step()
         capture = tuner.capture
         if trigger == "reference_kernels":
@@ -901,17 +901,17 @@ def test_degrades_to_interpreted_steps(trigger):
             assert capture.full_captures == 0
             assert capture.full_fail_reason == "reference kernels"
             assert seen[-1] == 0 and capture.last_step_allocations == 0
-        elif trigger == "trainable_base_weights":
+        elif trigger == "persistent_coverage_gap":
             # Vetoed on steps 1, 2 and 3; after MAX_FAILURES attempts the
             # compiler stops asking and the reason stays on record.
             assert capture.full_captures == 0
-            assert "trainable base weights" in capture.full_fail_reason
+            assert "coverage gap" in capture.full_fail_reason
             assert capture._full_failures == capture.MAX_FAILURES
             assert seen[-1] == 0 and capture.last_step_allocations == 0
             for _ in range(5):                     # across the step-9 refresh
                 step()
             assert seen[-1] == 0
-            assert "trainable base weights" in capture.full_fail_reason
+            assert "coverage gap" in capture.full_fail_reason
         elif trigger == "coverage_gap":
             assert capture.full_captures == 0
             assert "coverage gap" in capture.full_fail_reason
@@ -1162,6 +1162,86 @@ def test_arena_does_not_grow_across_refreshes():
                    for step in (5, 9, 13)), allocations
     finally:
         tuner.engine.uninstall(tuner.model)
+
+
+@pytest.mark.alloc
+def test_a_recapture_within_capacity_retakes_the_dropped_plans_memory():
+    """Every buffer a neuron-sparse MLP sizes by its active neurons is
+    allocated at the layer's capacity.  Moving one MLP layer's active set
+    inside that capacity — one block swapped, then one added — re-records
+    the step over exactly the blocks and private arrays the dropped plan
+    held: the pool allocates nothing and the step counts no allocation.
+    Growing the set past the capacity allocates only that layer's buffers
+    at its new capacity: its ReLU mask, its chunk scratch and its weight
+    and bias gathers.  A plain twin trains the same bits throughout."""
+    import gc
+
+    gc.collect()                   # earlier tests' plans leave the pool
+    tuner, ids = _build_tuner("predicted", seq=128, predict_interval=64)
+    plain, _ = _build_tuner("predicted", seq=128, predict_interval=64,
+                            capture=False)
+    pool = tensor_plan.plan_pool()
+    layer = next(i for i, entry in enumerate(tuner.engine.export_layouts())
+                 if entry[0] == "mlp")
+
+    def step():
+        assert tuner.step(ids)[0] == plain.step(ids)[0]
+
+    def move(blocks):
+        for t in (tuner, plain):
+            state = t.engine.export_layouts()
+            state[layer] = ("mlp", np.asarray(sorted(blocks), dtype=np.int64))
+            t.engine.adopt_layouts(state)
+
+    def held():
+        binding = capture._binding
+        return list(binding.blocks), list(binding.private)
+
+    try:
+        step()
+        step()                                     # capture, replay
+        capture = tuner.capture
+        cache = tuner.engine._sparse_backends[layer].weight_cache
+        active = [int(b) for b in tuner.engine.export_layouts()[layer][1]]
+        capacity, block = cache.capacity, cache.block
+        spare = [b for b in range(256 // block) if b not in active]
+        assert (len(active) + 1) * block <= capacity < (len(active) + 2) * block
+        for blocks in (active[:-1] + spare[:1], active + spare[:1]):
+            blocks_before, private_before = held()
+            allocations = pool.allocations
+            move(blocks)
+            step()                                 # re-capture inside the rung
+            assert capture.full_captures == 2 + (len(blocks) > len(active))
+            assert cache.capacity == capacity
+            assert pool.allocations == allocations
+            assert capture.last_step_allocations == 0
+            blocks_after, private_after = held()
+            assert set(map(id, blocks_after)) == set(map(id, blocks_before))
+            assert set(map(id, private_after)) == set(map(id, private_before))
+            step()                                 # replay
+        blocks_before, private_before = held()
+        allocations = pool.allocations
+        move(active + spare[:2])                   # past the capacity
+        step()
+        grown = cache.capacity
+        assert grown >= (len(active) + 2) * block
+        assert capture.last_step_allocations == 0
+        rows, dim = ids.size, tuner.model.config.dim
+        blocks_after, private_after = held()
+        new = [b.data.nbytes for b in blocks_after
+               if not any(b is old for old in blocks_before)]
+        assert pool.allocations - allocations == len(new)
+        assert set(new) <= {rows * grown, rows * grown * 4}   # mask, scratch
+        fresh = [raw.nbytes for raw in private_after
+                 if not any(raw is old for old in private_before)]
+        assert sum(fresh) == (2 * dim + 1) * grown * 4       # the gathers
+        step()
+        assert capture.full_fallbacks == 0
+        for a, b in zip(tuner.optimizer.params, plain.optimizer.params):
+            assert np.array_equal(a.data, b.data)
+    finally:
+        for t in (tuner, plain):
+            t.engine.uninstall(t.model)
 
 
 @pytest.mark.perf_smoke
@@ -1459,14 +1539,18 @@ def test_no_step_buffer_is_vocabulary_sized():
 
 
 @pytest.mark.alloc
-def test_no_step_buffer_holds_a_whole_mlp_activation():
+def test_no_step_buffer_holds_a_whole_mlp_activation(monkeypatch):
     # A frozen MLP walks its rows a chunk at a time: after a replayed step
     # neither the plan, its forward-only slab, its backward tape nor the
     # arena holds a
     # (seq, 4 * dim) float32 array — no hidden activation and no activation
     # gradient — while the backward keeps each layer's ReLU mask whole.
+    # A chunk holds ATTENTION_TILE_BYTES, which at opt-tiny's width would
+    # be the whole sequence: a quarter of it makes four chunks.
     seq = 512
+    monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", seq * 256 * 4 // 4)
     model = build_model("opt-tiny", seed=0)
+    assert model.config.hidden_dim == 256
     apply_lora(model)
     tuner = _captured(model)
     ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
