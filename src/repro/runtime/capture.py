@@ -425,6 +425,13 @@ def _break_graph(loss: Tensor, rec: ForwardRecorder) -> None:
             node._parents = ()
 
 
+def _carry(binding: PlanBinding) -> Tuple[List, List[np.ndarray], List[int]]:
+    """Release ``binding``; what a re-recording of its step may take again
+    (the ``carried``, ``carried_private`` and ``backward`` of
+    :meth:`PlanPool.bind`)."""
+    return binding.release(), binding.private, binding.backward
+
+
 class StepCapture:
     """One step signature's compiled plan, backward tape and buffer arena.
 
@@ -468,15 +475,13 @@ class StepCapture:
         self._full_failures = 0
         self._recorder: Optional[ForwardRecorder] = None
         self._staged: Dict[str, np.ndarray] = {}
-        # The installed plan's blocks of the plan pool.  Of a plan this step
-        # dropped, ``_carried`` holds the unsuperseded blocks under its tape,
-        # for this step's recorded backward, and ``_carried_forward`` its
-        # other unsuperseded blocks and its private arrays, for the
-        # recording's forward; ``_rebind`` says the plan was superseded, so
-        # this step's recording supersedes nothing.
+        # The installed plan's blocks of the plan pool.  ``_carried`` holds
+        # the memory of a plan this step dropped, for its recording to take
+        # again: the unsuperseded blocks, the private arrays and the bytes
+        # its backward took (see ``PlanPool.bind``); ``_rebind`` says the
+        # plan was superseded, so this step's recording supersedes nothing.
         self._binding: Optional[PlanBinding] = None
-        self._carried: Optional[List] = None
-        self._carried_forward: Optional[Tuple[List, List[np.ndarray]]] = None
+        self._carried: Optional[Tuple[List, List[np.ndarray], List[int]]] = None
         self._rebind = False
         # The bytes the next recording is expected to take from the pool:
         # the last recording's, or its learner's.
@@ -519,8 +524,7 @@ class StepCapture:
                 return self._step(forward, input_ids, labels, compilable,
                                   record, layout_state)
         finally:
-            self._carried = self._carried_forward = None
-            self._rebind = False
+            self._carried, self._rebind = None, False
             self.last_step_allocations += self.arena.misses - misses
 
     def _step(self, forward, input_ids, labels, replay: bool, record: bool,
@@ -629,8 +633,7 @@ class StepCapture:
         """Free the current recording and its graph below ``loss`` now; the
         step's next recording may take its memory again."""
         _break_graph(loss, self._recorder)
-        binding = self._recorder.binding
-        self._carried_forward = (binding.release(), binding.private)
+        self._carried = _carry(self._recorder.binding)
         self._recorder = None
 
     def _record(self, forward: Callable[[], Tensor],
@@ -639,12 +642,11 @@ class StepCapture:
         bound to the plan pool's blocks and the memory carried from the
         plan this step dropped (see :meth:`PlanPool.bind`); what the
         forward did not take of the latter goes when it ends."""
-        carried, private = self._carried_forward or ((), ())
-        self._carried_forward = None
-        tape = self._carried or ()
+        carried, private, backward = self._carried or ((), (), ())
+        self._carried = None
         binding = _tensor_plan.plan_pool().bind(
-            self._demand, grow=not self._rebind, carried=[*carried, *tape],
-            carried_private=private)
+            self._demand, grow=not self._rebind, carried=carried,
+            carried_private=private, backward=backward)
         carried = private = None
         self._recorder = ForwardRecorder(slab_plan, binding)
         try:
@@ -655,7 +657,7 @@ class StepCapture:
             raise
         finally:
             self._demand = binding.taken
-        binding.settle(keep=tape)
+        binding.settle()
         return loss
 
     def _compile(self, loss: Tensor, layout_state) -> None:
@@ -794,21 +796,18 @@ class StepCapture:
         A non-empty ``reason`` marks the drop as a fallback — a live plan
         that could not be replayed — and is kept in ``full_fail_reason``.
         ``carry`` keeps the plan's memory for this step's recording to take
-        again instead of allocating anew: its unsuperseded blocks, those
-        under its backward tape for the recorded backward, and its private
-        zero-filled arrays.  What the recording's forward does not take goes
-        when the forward ends (see :meth:`PlanBinding.settle`), so an
-        old-size block never sits beside its successor for a whole step.
+        again instead of allocating anew: its unsuperseded blocks and its
+        private zero-filled arrays.  What the recording's forward does not
+        take goes when the forward ends, but for blocks of the sizes the
+        dropped backward took, which the recorded backward takes again (see
+        :meth:`PlanBinding.settle`), so an old-size block never sits beside
+        its successor for a whole step.
         """
         if getattr(self, "forward_plan", None) is None:
             return
-        private = self._binding.private
-        kept = self._binding.release()
+        carried = _carry(self._binding)
         if carry:
-            roots = {id(_owner(buf)) for buf in self.backward_tape.buffers}
-            self._carried = [block for block in kept if id(block.data) in roots]
-            self._carried_forward = ([block for block in kept
-                                      if id(block.data) not in roots], private)
+            self._carried = carried
         self.forward_plan = self._binding = self.backward_tape = None
         self.full_schedule = None
         self.full_loss = None

@@ -62,10 +62,12 @@ def expand_block_indices(active_blocks: np.ndarray, block_size: int,
 
 def capacity_rung(n: int, block: int, limit: int) -> int:
     """The neuron-block rung ``n`` active neurons round up to: the most
-    ``block``-neuron blocks no more than 12.5 % over ``n`` (at least
-    enough to hold ``n``), and at most ``limit`` neurons.  The headroom
-    lets an active set that grows by a few blocks stay within it."""
-    blocks = max(-(-n // block), (9 * n) // (8 * block))
+    ``block``-neuron blocks no more than :data:`~repro.tensor.plan.GROW_SLACK`
+    over ``n`` (at least enough to hold ``n``), and at most ``limit``
+    neurons — the slack a plan-pool block may have over the buffer it
+    holds.  It lets an active set that grows by a few blocks stay within
+    its buffers."""
+    blocks = max(-(-n // block), int(n * (1 + _plan.GROW_SLACK)) // block)
     return min(int(limit), blocks * block)
 
 
@@ -204,11 +206,11 @@ def neuron_sparse_linear_pair(x: Tensor,
     params = (fc1_weight, fc1_bias, fc2_weight, fc2_bias)
     grad = is_grad_enabled() and any(t.requires_grad for t in (x,) + params)
     train_w1, train_b1, train_w2, train_b2 = (grad and t.requires_grad for t in params)
-    out2d, _, rows_backward = _fused.mlp_rows(
+    out2d, hidden, rows_backward = _fused.mlp_rows(
         x2d, fc1_active, b1_active, fc2_active_t, fc2_bias.data, activation,
         rec, "neuron_sparse_mlp", grad=grad, keep_hidden=train_w2,
-        keep_act_grad=train_w1 or train_b1, capacity=cap,
-        prologue=regather if gathers else None)
+        keep_act_grad=train_w1 or train_b1, widest=fc1_weight.shape[0],
+        capacity=cap, prologue=regather if gathers else None)
     if rec is None:
         # Every replay reads the bias gather, so it is the thunk's own while
         # recording; only an interpreted call hands it back.
@@ -226,28 +228,26 @@ def neuron_sparse_linear_pair(x: Tensor,
         # (hidden, d)-sized zero fills and scatter matmuls are dead work the
         # autograd loop would discard anyway.
         grad2d = grad_out.reshape(-1, d_model)
-
-        def reduce(grad_hidden, hidden):
-            grad_fc1 = grad_b1 = grad_fc2 = None
-            if train_w2:
-                # Only active rows of the (hidden, d) transposed view, i.e.
-                # active columns of the (d, hidden) weight.
-                grad_fc2 = _arena.zeros(fc2_weight.shape, fc2_weight.data.dtype)
-                grad_fc2[:, active] = (hidden.T @ grad2d).T
-            if train_w1:
-                grad_fc1 = _arena.zeros(fc1_weight.shape, fc1_weight.data.dtype)
-                grad_fc1[active] = grad_hidden.T @ x_kept
-            if train_b1:
-                grad_b1 = _arena.zeros(fc1_bias.shape, fc1_bias.data.dtype)
-                grad_b1[active] = grad_hidden.sum(axis=0)
-            return grad_fc1, grad_b1, grad_fc2
-
         grad_fc2_bias = grad2d.sum(axis=0) if train_b2 else None
+        grad_fc2 = None
+        if train_w2:
+            # Only active rows of the (hidden, d) transposed view, i.e.
+            # active columns of the (d, hidden) weight.
+            grad_fc2 = _arena.zeros(fc2_weight.shape, fc2_weight.data.dtype)
+            grad_fc2[:, active] = (hidden.T @ grad2d).T
+            _arena.release(hidden)
         # Through the activation, chunk by chunk: (N, n_active).
-        grad_x, (grad_fc1, grad_b1, grad_fc2) = rows_backward(grad2d, need_dx, reduce)
+        grad_x, grad_hidden = rows_backward(grad2d, need_dx)
+        grad_fc1 = grad_b1 = None
+        if train_w1:
+            grad_fc1 = _arena.zeros(fc1_weight.shape, fc1_weight.data.dtype)
+            grad_fc1[active] = grad_hidden.T @ x_kept
+        if train_b1:
+            grad_b1 = _arena.zeros(fc1_bias.shape, fc1_bias.data.dtype)
+            grad_b1[active] = grad_hidden.sum(axis=0)
         if grad_x is not None:
             grad_x = grad_x.reshape(x_shape)
-        _arena.release(*weights)
+        _arena.release(grad_hidden, *weights)
         return grad_x, grad_fc1, grad_b1, grad_fc2, grad_fc2_bias
 
     return custom_op(out, (x,) + params, backward)

@@ -779,12 +779,13 @@ def mlp_chunk_rows(width: int, itemsize: int) -> int:
 def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
              w2t: np.ndarray, b2: Optional[np.ndarray], activation: str,
              rec, tag: str, *, grad: bool, keep_hidden: bool,
-             keep_act_grad: bool, capacity: Optional[int] = None,
+             keep_act_grad: bool, widest: Optional[int] = None,
+             capacity: Optional[int] = None,
              prologue: Optional[Callable[[], None]] = None):
     """The MLP body ``act(x w1^T + b1) w2t + b2``, :func:`row_chunks` rows
-    at a time (:func:`mlp_chunk_rows`): both GEMMs of a chunk run back to
-    back over one chunk of hidden activation in scratch, so the ``(rows,
-    width)`` activation never exists whole unless the backward reads it.
+    at a time: both GEMMs of a chunk run back to back over one chunk of
+    hidden activation in scratch, so the ``(rows, width)`` activation never
+    exists whole unless the backward reads it.
 
     ``w1`` is ``(width, d_in)`` and ``w2t`` ``(width, d_out)`` — a dense
     MLP's full weights (``w2t`` the transposed view of fc2's), or the rows
@@ -794,20 +795,23 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
     activation whole (for fc2's weight gradient) and ``keep_act_grad`` the
     activation gradient (for fc1's parameters).
 
-    Every ``width``-wide buffer is allocated ``capacity`` wide (default
-    ``width``) and used through its C-contiguous leading ``(rows, width)``
-    view, so a neuron-sparse caller whose active set moves within its
-    capacity asks for the same buffers; the chunk rows follow the
-    capacity too.  ``prologue``, if given, runs at the top of every run of
-    the body (a neuron-sparse MLP re-gathers its trainable tensors there).
+    The chunks hold :func:`mlp_chunk_rows` rows of the ``widest`` the
+    layer's activation can be (default ``width``; a neuron-sparse layer's
+    dense width), so a layer walks the same rows whatever its active
+    count.  A chunk of scratch as tall as that is one tile's bytes, one
+    shape for every layer, so that they share one scratch buffer; the
+    other chunk scratch and the derivative state are allocated
+    ``capacity`` wide (default ``width``) and used through their
+    C-contiguous leading ``(rows, width)`` views, so a neuron-sparse
+    caller whose active set moves within its capacity asks for the same
+    buffers.  ``prologue``, if given, runs at the top of every run of the
+    body (a neuron-sparse MLP re-gathers its trainable tensors there).
 
     Returns ``(out, hidden, backward)``: the ``(rows, d_out)`` output, the
     whole hidden activation (None unless kept) and ``backward(grad2d,
-    need_dx, reduce=None)``, which walks the same chunks, ``dx_c = (g_c
-    w2t^T * act'_c) w1``, calls ``reduce(act_grad, hidden)`` (the whole
-    activation gradient and hidden activation, None unless kept) for the
-    parameter gradients, gives its whole buffers back and returns ``(dx or
-    None, what reduce returned)``.  It reads neither ``x2d`` nor ``out``.
+    need_dx)``, which walks the same chunks, ``dx_c = (g_c w2t^T *
+    act'_c) w1``, and returns ``(dx or None, activation gradient or
+    None)``.  It reads neither ``x2d`` nor ``out``.
     """
     if activation not in ("relu", "gelu"):
         raise ValueError(f"unsupported MLP activation {activation!r}")
@@ -815,13 +819,14 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
     d_in, d_out = w1.shape[1], w2t.shape[1]
     dtype = np.result_type(x2d, w1)
     cap = width if capacity is None else max(int(capacity), width)
-    per = mlp_chunk_rows(cap, dtype.itemsize)
+    per = mlp_chunk_rows(max(widest or width, width), dtype.itemsize)
     chunks = row_chunks(n, per)
     rows = max((r1 - r0 for r0, r1 in chunks), default=0)
+    tile = ATTENTION_TILE_BYTES // dtype.itemsize if rows == per else 0
     alloc, scratch = _plan.plan_alloc(rec), _plan.scratch_alloc(rec)
     out = alloc((n, d_out), dtype)
     work = []
-    owners = []                  # the forward's whole buffers, for release
+    state = []                   # the derivative state's buffers
 
     def wide(take, height, dt, size=0):
         """``(owner, view)``: a buffer of ``height x cap`` elements (or
@@ -835,16 +840,13 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
         return owner, owner[:height * width].reshape(height, width)
 
     def buffer(dt, whole):
-        """``(rows, width)`` for the backward, or one chunk of scratch.  A
-        full-height chunk takes a tile's bytes of the compute dtype, one
-        shape for every layer whatever its capacity, so that they share
-        one scratch buffer."""
+        """``(rows, width)`` derivative state for the backward, or one
+        chunk of scratch."""
         if whole:
             owner, buf = wide(alloc, n, dt)
-            owners.append(owner)
+            state.append(owner)
         else:
-            owner, buf = wide(scratch, rows, dt, ATTENTION_TILE_BYTES
-                              // dtype.itemsize if rows == per else 0)
+            owner, buf = wide(scratch, rows, dt, tile)
             work.append(owner)
         return buf
 
@@ -853,7 +855,7 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
         scratch as tall as the rows serves the one chunk, ``(0, n)``)."""
         return buf[r0:r1] if buf.shape[0] == n else buf[:r1 - r0]
 
-    hidden = buffer(dtype, keep_hidden)
+    hidden = alloc((n, width), dtype) if keep_hidden else buffer(dtype, False)
     relu_mask = gelu_pre = gelu_tanh = None
     if activation == "relu":
         relu_mask, pre = buffer(bool, grad), hidden
@@ -881,20 +883,13 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
     _plan.emit(rec, run, tag, *work)
     if not grad:
         return out, None, None
-    # A recorded forward's chunk scratch is the plan's, idle until the next
-    # replay: the backward walks its activation gradient there, and keeps
-    # it there whole when one chunk is every row.
-    idle = hidden if rec is not None and not keep_hidden else None
 
-    def backward(grad2d, need_dx, reduce=None):
-        gh_owner = gh_buf = None
-        if idle is not None and (rows == n or not keep_act_grad):
-            gh_buf = idle
-        elif keep_act_grad or need_dx:
-            gh_owner, gh_buf = wide(_arena.empty, n if keep_act_grad else rows, dtype)
-        act_grad = gh_buf if keep_act_grad else None
+    def backward(grad2d, need_dx):
+        act_grad = _arena.empty((n, width), dtype) if keep_act_grad else None
         dx = _arena.empty((n, d_in), dtype) if need_dx else None
-        if gh_buf is not None:
+        if act_grad is not None or dx is not None:
+            gh_owner, gh_buf = ((None, act_grad) if act_grad is not None
+                                else wide(_arena.empty, rows, dtype, tile))
             for r0, r1 in chunks:
                 gh = part(gh_buf, r0, r1)
                 np.matmul(grad2d[r0:r1], w2t.T, out=gh)
@@ -904,13 +899,10 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
                     None if gelu_tanh is None else gelu_tanh[r0:r1])
                 if dx is not None:
                     np.matmul(gh, w1, out=dx[r0:r1])
-        if gh_owner is not None and act_grad is None:
-            _arena.release(gh_owner)
-            gh_owner = None
-        reduced = None if reduce is None else reduce(
-            act_grad, hidden if keep_hidden else None)
-        _arena.release(*owners, *(() if gh_owner is None else (gh_owner,)))
-        return dx, reduced
+            if gh_owner is not None:
+                _arena.release(gh_owner)
+        _arena.release(*state)
+        return dx, act_grad
 
     return out, (hidden if keep_hidden else None), backward
 
@@ -941,7 +933,7 @@ def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
         t is not None and t.requires_grad for t in (x,) + params)
     w1_grad, b1_grad, w2_grad, b2_grad = (
         grad and t is not None and t.requires_grad for t in params)
-    out2d, _, rows_backward = mlp_rows(
+    out2d, hidden, rows_backward = mlp_rows(
         x2d, fc1_weight.data, None if fc1_bias is None else fc1_bias.data,
         fc2_weight.data.T, None if fc2_bias is None else fc2_bias.data,
         activation, rec, f"mlp:{activation}", grad=grad, keep_hidden=w2_grad,
@@ -956,21 +948,18 @@ def mlp(x: Tensor, fc1_weight: Tensor, fc1_bias: Optional[Tensor],
 
     def backward(grad):
         grad2d = grad.reshape(-1, d_out)
-
-        def reduce(act_grad, hidden):
-            g_w1 = g_b1 = g_w2 = None
-            if w1_grad:
-                g_w1 = np.matmul(act_grad.T, x_kept, out=_arena.empty(shapes[0], dtype))
-            if b1_grad:
-                g_b1 = act_grad.sum(axis=0, out=_arena.empty(shapes[1], dtype))
-            if w2_grad:
-                g_w2 = np.matmul(grad2d.T, hidden, out=_arena.empty(shapes[2], dtype))
-            return g_w1, g_b1, g_w2
-
-        dx, (g_w1, g_b1, g_w2) = rows_backward(grad2d, need_dx, reduce)
-        g_b2 = None
+        dx, act_grad = rows_backward(grad2d, need_dx)
+        g_w1 = g_b1 = g_w2 = g_b2 = None
+        if w1_grad:
+            g_w1 = np.matmul(act_grad.T, x_kept, out=_arena.empty(shapes[0], dtype))
+        if b1_grad:
+            g_b1 = act_grad.sum(axis=0, out=_arena.empty(shapes[1], dtype))
+        if w2_grad:
+            g_w2 = np.matmul(grad2d.T, hidden, out=_arena.empty(shapes[2], dtype))
+            _arena.release(hidden)
         if b2_grad:
             g_b2 = grad2d.sum(axis=0, out=_arena.empty(shapes[3], dtype))
+        _arena.release(act_grad)
         grads = (None if dx is None else dx.reshape(x_shape), g_w1, g_b1, g_w2, g_b2)
         return tuple(g for g, keep in zip(grads, present) if keep)
 

@@ -177,32 +177,42 @@ class PlanBinding:
     the demand of the plan's next recording.  ``stale`` says a later
     recording superseded one of the blocks.
 
+    ``backward`` lists the bytes the recorded backward is expected to take
+    (the dropped plan's backward tape; after :meth:`finish`, this
+    recording's own).  :meth:`settle`, when the forward ends, lets go of
+    the carried blocks the forward did not take but for as many of each
+    size as ``backward`` lists; a carried block of such a size that no
+    demand was matched to is kept too, for the backward's takes to
+    best-fit.  Carried blocks of any other size go at once.
+
     :meth:`zeros` hands out the plan's private zero-filled state, on arrays
     of the binding's own (``private``): a ``carried_private`` one of
     exactly the bytes asked for, zero-filled again, or a fresh one.
-    :meth:`settle` lets go of whatever carried memory the forward did not
-    take.
     """
 
-    __slots__ = ("blocks", "taken", "stale", "private", "_pool", "_planned",
-                 "_free", "_sizes", "_spare", "_release", "__weakref__")
+    __slots__ = ("blocks", "taken", "stale", "private", "backward", "_pool",
+                 "_planned", "_free", "_sizes", "_reserve", "_spare",
+                 "_settled", "_release", "__weakref__")
 
     def __init__(self, pool: "PlanPool", free: Sequence[_Block],
                  demand: Sequence[int] = (), grow: bool = True,
                  carried: Iterable[_Block] = (),
-                 carried_private: Iterable[np.ndarray] = ()):
+                 carried_private: Iterable[np.ndarray] = (),
+                 backward: Sequence[int] = ()):
         self.blocks: List[_Block] = []
         self.taken: List[int] = []
         self.stale = False
         self.private: List[np.ndarray] = []
+        self.backward: List[int] = list(backward)
         self._pool = pool
         self._release = weakref.finalize(self, pool._drop, self.blocks)
         self._release.atexit = False
+        self._settled = 0
         self._spare: Dict[int, List[np.ndarray]] = {}
         for raw in carried_private:
             self._spare.setdefault(raw.nbytes, []).append(raw)
         by_size: Dict[int, List[_Block]] = {}
-        for block in {id(block): block for block in carried}.values():
+        for block in carried:
             if not block.holders and not block.superseded:
                 by_size.setdefault(block.data.nbytes, []).append(block)
         exact: Dict[int, List[_Block]] = {}
@@ -213,6 +223,9 @@ class PlanBinding:
                 exact.setdefault(nbytes, []).append(blocks.pop())
             else:
                 rest.append(nbytes)
+        wanted = set(self.backward)
+        self._reserve = [block for nbytes, blocks in by_size.items()
+                         if nbytes in wanted for block in blocks]
         free = sorted(free, key=lambda block: block.data.nbytes)
         self._match(free, rest, None)
         if grow and free and sum(map(len, self._planned.values())) < len(rest):
@@ -284,51 +297,49 @@ class PlanBinding:
         self.private.append(raw)
         return np.ndarray(shape, dtype, buffer=raw)
 
-    def settle(self, keep: Iterable[_Block] = ()) -> None:
+    def settle(self) -> None:
         """The forward has taken its last buffer: let go of the carried
-        blocks and private arrays it did not take, before the backward runs
-        — but for as many blocks of each size as ``keep``, the blocks the
-        backward is expected to take, lists (the forward may have taken
-        one of those and left another carried block of its size).  Later
-        takes best-fit the ``keep`` blocks no demand was matched to."""
-        keep = list(keep)
+        memory it did not take, but for the blocks the backward is expected
+        to take (see the class docstring)."""
+        self._settled = len(self.taken)
         wanted: Dict[int, int] = {}
-        for block in keep:
-            wanted[block.data.nbytes] = wanted.get(block.data.nbytes, 0) + 1
+        for nbytes in self.backward:
+            wanted[nbytes] = wanted.get(nbytes, 0) + 1
         for nbytes, blocks in self._planned.items():
             kept = []
             for block in blocks:
-                if not block.holders and wanted.get(nbytes, 0):
+                if not block.holders:               # carried, not taken
+                    if not wanted.get(nbytes):
+                        continue
                     wanted[nbytes] -= 1
-                elif not block.holders:
-                    continue
                 kept.append(block)
             blocks[:] = kept
-        planned = {id(block) for blocks in self._planned.values() for block in blocks}
-        self.give(block for block in keep if id(block) not in planned)
-        self._spare = {}
-
-    def give(self, blocks: Iterable[_Block]) -> None:
-        """Let later takes best-fit ``blocks`` too — a dropped plan's, those
-        no live binding holds (a held one is a pool block already)."""
-        free = self._free + [block for block in blocks
-                             if not block.holders and not block.superseded]
+        free = self._free + self._reserve
         free.sort(key=lambda block: block.data.nbytes)
         self._free, self._sizes = free, [block.data.nbytes for block in free]
+        self._reserve, self._spare = [], {}
 
     def finish(self) -> None:
-        """The recording has taken its last buffer: let go of the free
-        blocks it did not take (a dropped plan's would stay alive)."""
+        """The recording has taken its last buffer: its backward took the
+        bytes after :meth:`settle`'s, and the free blocks it did not take
+        go (a dropped plan's would stay alive)."""
+        self.backward = self.taken[self._settled:]
         self._free, self._sizes, self._planned = [], [], {}
 
     def release(self) -> List[_Block]:
         """Stop holding the blocks (idempotent); returns the ones no
-        recording superseded, which a re-recording may take again.  The
-        private arrays stay in ``private`` for it to take too."""
+        recording superseded and no live binding holds, which a
+        re-recording may take again: those it took and the carried ones it
+        still keeps.  The private arrays stay in ``private`` for it to take
+        too."""
         kept = [block for block in self.blocks if not block.superseded]
         self._release()
+        kept += [block for block in (*(b for blocks in self._planned.values()
+                                       for b in blocks),
+                                     *self._free, *self._reserve)
+                 if not block.holders and not block.superseded]
         self.blocks, self._free, self._sizes, self._planned = [], [], [], {}
-        self._spare = {}
+        self._reserve, self._spare = [], {}
         return kept
 
 
@@ -347,13 +358,16 @@ class PlanPool:
 
     def bind(self, demand: Sequence[int] = (), grow: bool = True,
              carried: Iterable[_Block] = (),
-             carried_private: Iterable[np.ndarray] = ()) -> PlanBinding:
+             carried_private: Iterable[np.ndarray] = (),
+             backward: Sequence[int] = ()) -> PlanBinding:
         """A binding for a recording expected to take ``demand`` bytes, over
-        the ``carried`` blocks and private arrays of the plan it replaces and
-        every unsuperseded block a live binding holds; ``grow`` lets it
-        supersede blocks (see :class:`PlanBinding`)."""
+        the ``carried`` blocks and private arrays of the plan it replaces
+        (whose backward took ``backward`` bytes) and every unsuperseded
+        block a live binding holds; ``grow`` lets it supersede blocks (see
+        :class:`PlanBinding`)."""
         free = [block for block in self._resident if not block.superseded]
-        binding = PlanBinding(self, free, demand, grow, carried, carried_private)
+        binding = PlanBinding(self, free, demand, grow, carried,
+                              carried_private, backward)
         self._bindings = [ref for ref in self._bindings if ref() is not None]
         self._bindings.append(weakref.ref(binding))
         return binding

@@ -197,6 +197,31 @@ class TestNeuronSparseKernels:
         np.testing.assert_allclose(out_cached.data, out_plain.data, rtol=1e-5)
         assert cache.fc2_weight_t.flags["C_CONTIGUOUS"]
 
+    def test_capacity_moves_no_bit(self, monkeypatch):
+        """A capacity sizes a layer's buffers, not its work: the row chunks
+        follow the layer's dense width, so an active set run at its own
+        width and at the whole hidden width agrees in every bit of the
+        output and gradients (chunks cut by the capacity would leave a
+        two-row GEMM here)."""
+        monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", 8 * 64 * 4)
+        params = self._mlp_params(d=128, hidden=64)
+        x_data = self.rng.normal(size=(4, 8, 128)).astype(np.float32)
+        active = np.arange(48)
+        runs = []
+        for capacity in (0, 64):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            cache = NeuronSparseWeights(params[0].data, params[2].data,
+                                        coalesced=False, block=8,
+                                        capacity=capacity)
+            out = neuron_sparse_linear_pair(x, *params, active, cache=cache)
+            (out * out).sum().backward()
+            runs.append([out.data.copy(), x.grad.copy()]
+                        + [p.grad.copy() for p in params])
+            for p in params:
+                p.zero_grad()
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
     def test_empty_active_set_rejected(self):
         fc1_w, fc1_b, fc2_w, fc2_b = self._mlp_params()
         x = Tensor(np.zeros((2, 8), dtype=np.float32))

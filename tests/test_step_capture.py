@@ -1322,7 +1322,7 @@ def test_plan_pool_shares_fitting_demand_and_supersedes_what_growth_leaves():
     # the rest, and supersedes the blocks it left, so their holders are
     # stale.  A re-recording takes its unsuperseded blocks again and
     # supersedes nothing.  Blocks no binding holds any more are taken again
-    # when given back.
+    # when carried into a recording whose backward took their size.
     pool = tensor_plan.PlanPool()
     first = pool.bind(demand=[100, 300, 200])
     small, large, middle = (first.take((n,), np.uint8) for n in (100, 300, 200))
@@ -1352,8 +1352,8 @@ def test_plan_pool_shares_fitting_demand_and_supersedes_what_growth_leaves():
     again.release()
     third.release()
     assert pool.resident_bytes == 0
-    given = pool.bind()
-    given.give(kept)
+    given = pool.bind(carried=kept, backward=[300])
+    given.settle()
     assert np.shares_memory(given.take((250,), np.uint8), large)
     assert pool.resident_bytes == 300
     given.release()
@@ -1545,20 +1545,29 @@ def test_no_step_buffer_holds_a_whole_mlp_activation(monkeypatch):
     # arena holds a
     # (seq, 4 * dim) float32 array — no hidden activation and no activation
     # gradient — while the backward keeps each layer's ReLU mask whole.
-    # A chunk holds ATTENTION_TILE_BYTES, which at opt-tiny's width would
-    # be the whole sequence: a quarter of it makes four chunks.
+    # A chunk holds ATTENTION_TILE_BYTES, which at opt-tiny's width is the
+    # whole sequence: there the activation is one tile-sized chunk and no
+    # step buffer passes the budget; a quarter of it makes four chunks.
     seq = 512
+
+    def replayed():
+        model = build_model("opt-tiny", seed=0)
+        assert model.config.hidden_dim == 256
+        apply_lora(model)
+        tuner = _captured(model)
+        ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                                size=(1, seq))
+        for _ in range(2):                         # capture, replay
+            tuner.step(ids)
+        assert tuner.capture.full_replays == 1, tuner.capture.full_fail_reason
+        return model, tuner.capture
+
+    model, capture = replayed()
+    buffers = (capture.forward_plan.buffers + capture.backward_tape.distinct()
+               + capture.arena.buffers())
+    assert max(buf.nbytes for buf in buffers) <= fused.ATTENTION_TILE_BYTES
     monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", seq * 256 * 4 // 4)
-    model = build_model("opt-tiny", seed=0)
-    assert model.config.hidden_dim == 256
-    apply_lora(model)
-    tuner = _captured(model)
-    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
-                                            size=(1, seq))
-    for _ in range(2):                             # capture, replay
-        tuner.step(ids)
-    capture = tuner.capture
-    assert capture.full_replays == 1, capture.full_fail_reason
+    model, capture = replayed()
     hidden = model.config.hidden_dim
     whole = [buf for buf in capture.forward_plan.buffers
              + capture.backward_tape.distinct() + capture.arena.buffers()
