@@ -111,18 +111,20 @@ def budget_block_masks(mean_scores: np.ndarray, budget: np.ndarray) -> np.ndarra
     # The epsilon keeps a budget of exactly k / total from rounding up to k + 1.
     keep = np.minimum(np.ceil(np.asarray(budget) * causal_total - 1e-9),
                       causal_total).astype(np.int64)
-    flat = np.where(causal, mean_scores, -np.inf).reshape(heads, -1)
-    # The keep-th largest score per head, then every score above it and as
-    # many ties as the budget has room for, lowest index first: a value sort
-    # is several times cheaper than a stable argsort of the same rows.
-    kth = np.take_along_axis(np.sort(flat, axis=1),
-                             (flat.shape[1] - np.maximum(keep, 1))[:, None], axis=1)
-    masks = flat > kth
-    tied = flat == kth
-    masks |= tied & (np.cumsum(tied, axis=1)
-                     <= (keep - masks.sum(axis=1))[:, None])
-    masks &= (keep > 0)[:, None]
-    masks = masks.reshape(heads, n_blocks, n_blocks)
+    masks = np.zeros((heads, n_blocks, n_blocks), dtype=bool)
+    # One head's causal scores at a time (this runs per layer per refresh,
+    # so it holds a few head-sized arrays, not several of the whole grid):
+    # the keep-th largest, found by a partition, then every score above it
+    # and as many ties as the budget has room for, lowest index first.
+    for head, k in enumerate(keep):
+        if k <= 0:
+            continue
+        scores = mean_scores[head][causal]
+        kth = np.partition(scores, causal_total - k)[causal_total - k]
+        kept = scores > kth
+        tied = scores == kth
+        kept |= tied & (np.cumsum(tied) <= k - np.count_nonzero(kept))
+        masks[head][causal] = kept
     masks |= np.eye(n_blocks, dtype=bool)[None]
     return masks
 
