@@ -101,9 +101,10 @@ a rebind, a replay that raised — carries the dropped plan's memory into
 the recording: its unsuperseded blocks no live plan holds, matched to the
 recording's demand by exact size first, and its private zero-filled
 arrays, zeroed again when taken.  What the forward did not take goes when
-the forward ends, but for its tape's blocks, which the recorded backward
-takes again.  A neuron-sparse MLP sizes its layout-dependent buffers by a
-capacity that only grows, so after warm-up such a step allocates nothing.
+the forward ends, but for blocks of the sizes its backward took, which
+the recorded backward takes again.  A neuron-sparse MLP sizes its
+layout-dependent buffers by a capacity that only grows, so after warm-up
+such a step allocates nothing.
 
 **Forward-only slab.**  A plan would otherwise keep every activation its
 forward wrote for the whole step, although the retained backward reads

@@ -209,8 +209,8 @@ def neuron_sparse_linear_pair(x: Tensor,
     out2d, hidden, rows_backward = _fused.mlp_rows(
         x2d, fc1_active, b1_active, fc2_active_t, fc2_bias.data, activation,
         rec, "neuron_sparse_mlp", grad=grad, keep_hidden=train_w2,
-        keep_act_grad=train_w1 or train_b1, widest=fc1_weight.shape[0],
-        capacity=cap, prologue=regather if gathers else None)
+        keep_act_grad=train_w1 or train_b1, capacity=cap,
+        widest=fc1_weight.shape[0], prologue=regather if gathers else None)
     if rec is None:
         # Every replay reads the bias gather, so it is the thunk's own while
         # recording; only an interpreted call hands it back.

@@ -99,7 +99,6 @@ __all__ = [
     "linear_cross_entropy",
     "token_log_probs",
     "row_chunks",
-    "mlp_chunk_rows",
     "mlp_rows",
     "mlp",
     "RowTile",
@@ -528,18 +527,14 @@ LOSS_ROW_CHUNK = 128
 ATTENTION_TILE_BYTES = 1 << 19
 
 
-def row_chunks(n: int, rows: int = LOSS_ROW_CHUNK) -> Tuple[Tuple[int, int], ...]:
-    """``[r0, r1)`` bounds walking ``n`` rows ``rows`` at a time.  A one-row
-    remainder joins the chunk before it: BLAS runs a one-row product as a
-    GEMV, whose rounding differs from the GEMM every other row goes
-    through.  (It takes a row of that chunk, or, for chunks under three
-    rows, merges with it.)"""
-    bounds = list(range(0, n, rows)) + [n]
+def row_chunks(n: int) -> Tuple[Tuple[int, int], ...]:
+    """``[r0, r1)`` bounds walking ``n`` rows :data:`LOSS_ROW_CHUNK` at a
+    time.  A one-row remainder joins the chunk before it: BLAS runs a
+    one-row product as a GEMV, whose rounding differs from the GEMM every
+    other row goes through."""
+    bounds = list(range(0, n, LOSS_ROW_CHUNK)) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        if rows > 2:
-            bounds[-2] -= 1
-        else:
-            del bounds[-2]
+        bounds[-2] -= 1
     return tuple(zip(bounds, bounds[1:]))
 
 
@@ -768,14 +763,6 @@ def token_log_probs(hidden: np.ndarray, weight: np.ndarray,
 # the MLP block: both linear layers, a chunk of rows at a time
 # ---------------------------------------------------------------------------
 
-def mlp_chunk_rows(width: int, itemsize: int) -> int:
-    """Rows per chunk of :func:`mlp_rows`: as many as keep one ``(rows,
-    width)`` chunk of scratch within :data:`ATTENTION_TILE_BYTES` — 256 at
-    float32 width 512, the widths the GEMMs run near a whole-array GEMM's
-    rate at (OpenBLAS repacks the weight panel per call)."""
-    return max(1, ATTENTION_TILE_BYTES // (width * itemsize))
-
-
 def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
              w2t: np.ndarray, b2: Optional[np.ndarray], activation: str,
              rec, tag: str, *, grad: bool, keep_hidden: bool,
@@ -795,17 +782,15 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
     activation whole (for fc2's weight gradient) and ``keep_act_grad`` the
     activation gradient (for fc1's parameters).
 
-    The chunks hold :func:`mlp_chunk_rows` rows of the ``widest`` the
-    layer's activation can be (default ``width``; a neuron-sparse layer's
-    dense width), so a layer walks the same rows whatever its active
-    count.  A chunk of scratch as tall as that is one tile's bytes, one
-    shape for every layer, so that they share one scratch buffer; the
-    other chunk scratch and the derivative state are allocated
-    ``capacity`` wide (default ``width``) and used through their
-    C-contiguous leading ``(rows, width)`` views, so a neuron-sparse
-    caller whose active set moves within its capacity asks for the same
-    buffers.  ``prologue``, if given, runs at the top of every run of the
-    body (a neuron-sparse MLP re-gathers its trainable tensors there).
+    The chunk scratch and the derivative state are allocated ``capacity``
+    wide (default ``width``) and used through their C-contiguous leading
+    ``(rows, width)`` views, so a neuron-sparse caller whose active set
+    moves within its capacity asks for the same buffers.  Given
+    ``widest``, the widest the activation can be (a neuron-sparse layer's
+    dense width), a chunk of scratch is that wide instead, one size for
+    every layer whatever its capacity, so that they share one buffer.
+    ``prologue``, if given, runs at the top of every run of the body (a
+    neuron-sparse MLP re-gathers its trainable tensors there).
 
     Returns ``(out, hidden, backward)``: the ``(rows, d_out)`` output, the
     whole hidden activation (None unless kept) and ``backward(grad2d,
@@ -819,10 +804,9 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
     d_in, d_out = w1.shape[1], w2t.shape[1]
     dtype = np.result_type(x2d, w1)
     cap = width if capacity is None else max(int(capacity), width)
-    per = mlp_chunk_rows(max(widest or width, width), dtype.itemsize)
-    chunks = row_chunks(n, per)
+    chunks = row_chunks(n)
     rows = max((r1 - r0 for r0, r1 in chunks), default=0)
-    tile = ATTENTION_TILE_BYTES // dtype.itemsize if rows == per else 0
+    shared = rows * (widest or 0)       # a chunk of scratch's elements
     alloc, scratch = _plan.plan_alloc(rec), _plan.scratch_alloc(rec)
     out = alloc((n, d_out), dtype)
     work = []
@@ -846,7 +830,7 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
             owner, buf = wide(alloc, n, dt)
             state.append(owner)
         else:
-            owner, buf = wide(scratch, rows, dt, tile)
+            owner, buf = wide(scratch, rows, dt, shared)
             work.append(owner)
         return buf
 
@@ -889,7 +873,7 @@ def mlp_rows(x2d: np.ndarray, w1: np.ndarray, b1: Optional[np.ndarray],
         dx = _arena.empty((n, d_in), dtype) if need_dx else None
         if act_grad is not None or dx is not None:
             gh_owner, gh_buf = ((None, act_grad) if act_grad is not None
-                                else wide(_arena.empty, rows, dtype, tile))
+                                else wide(_arena.empty, rows, dtype, shared))
             for r0, r1 in chunks:
                 gh = part(gh_buf, r0, r1)
                 np.matmul(grad2d[r0:r1], w2t.T, out=gh)

@@ -65,12 +65,12 @@ plan holds, and its private arrays.  The binding matches its demand to
 those blocks by exact size before anything else, and hands a private
 array of exactly the bytes a zero-filled buffer asks for, zeroed again.
 What the forward did not take goes when the forward ends
-(:meth:`PlanBinding.settle`), except the blocks under the dropped plan's
-backward tape, which the recorded backward takes again.  Buffers whose
-size follows the layouts are allocated at a capacity that only grows (the
-neuron-sparse MLP's, :mod:`repro.sparsity.ops.neuron_sparse`), so a
-re-recording after warm-up takes the memory its dropped plan held and
-allocates nothing.
+(:meth:`PlanBinding.settle`), except as many blocks of each size as the
+dropped plan's backward took, which the recorded backward takes again.
+Buffers whose size follows the layouts are allocated at a capacity that
+only grows (the neuron-sparse MLP's,
+:mod:`repro.sparsity.ops.neuron_sparse`), so a re-recording after warm-up
+takes the memory its dropped plan held and allocates nothing.
 
 The contract that makes the sharing safe: no plan buffer of a captured
 step is read once another captured step in the process has begun.  Every

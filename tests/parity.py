@@ -102,17 +102,6 @@ def reference_probe_scores(predictor, x: np.ndarray) -> np.ndarray:
 # gradcheck machinery
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _tile_bytes(budget: int):
-    """Run with ``fused.ATTENTION_TILE_BYTES`` at ``budget`` (the MLP's row
-    chunks follow it)."""
-    saved, fused.ATTENTION_TILE_BYTES = fused.ATTENTION_TILE_BYTES, budget
-    try:
-        yield
-    finally:
-        fused.ATTENTION_TILE_BYTES = saved
-
-
 def _kernels(fused_enabled: bool):
     """The fused path as is, or the reference tape for the block."""
     return contextlib.nullcontext() if fused_enabled else fused.reference_kernels()
@@ -267,16 +256,14 @@ def build_cases() -> List[ParityCase]:
                    replayable=True))
 
     # -- the MLP block, a chunk of rows at a time ----------------------------
-    # fused.mlp walks as many rows as keep a chunk of its hidden activation
-    # within fused.ATTENTION_TILE_BYTES (fused.mlp_chunk_rows).  These
-    # 6-wide MLPs run under budgets of 128 and 256 float32 rows: one row (a
-    # GEMV), one ragged chunk, a one-row remainder joining the chunk before
-    # it (127 + 2, 255 + 2) and 1024 rows (eight and four chunks).  What the
-    # backward keeps follows the trainable set, so each activation runs with
-    # the MLP frozen (only x differentiated; parameters are closure
-    # constants), its biases trainable and its weights trainable.  ReLU rows
-    # are redrawn until every pre-activation is >= 0.1 from the kink, which
-    # no central difference step then crosses.
+    # fused.mlp walks fused.LOSS_ROW_CHUNK (128) rows at a time: one row (a
+    # GEMV), 127 (one ragged chunk), 129 (two chunks: the one-row remainder
+    # joins the first, 127 + 2) and 1024 (eight chunks).  What the backward
+    # keeps follows the trainable set, so each activation runs with the MLP
+    # frozen (only x differentiated; parameters are closure constants), its
+    # biases trainable and its weights trainable.  ReLU rows are redrawn
+    # until every pre-activation is >= 0.1 from the kink, which no central
+    # difference step then crosses.
     def mlp_arrays(rows, seed, d_out=4):
         rng = np.random.default_rng(seed)
         w1, b1, w2, b2 = _normals(rng, (6, 3), (6,), (d_out, 6), (d_out,))
@@ -287,18 +274,16 @@ def build_cases() -> List[ParityCase]:
                 return x.reshape(1, rows, 3), w1, b1, w2, b2
             x[near] = rng.normal(size=(int(near.sum()), 3))
 
-    def mlp_case(tag, rows, activation, trains, seed, chunk=128, **tols):
+    def mlp_case(tag, rows, activation, trains, seed, **tols):
         x, *params = mlp_arrays(rows, seed)
         arrays = [x] + [a for a, t in zip(params, trains) if t]
-        budget = chunk * params[0].shape[0] * 4   # chunk rows of float32 hidden
 
         def bind(kernel, activation=activation, trains=trains, params=params):
             def call(xx, *trained):
                 given = iter(trained)
                 tensors = [next(given) if t else Tensor(a)
                            for a, t in zip(params, trains)]
-                with _tile_bytes(budget):
-                    return kernel(xx, *tensors, activation=activation)
+                return kernel(xx, *tensors, activation=activation)
             return call
 
         add(ParityCase("mlp", f"mlp-{tag}", bind(F.mlp), bind(reference.mlp),
@@ -308,9 +293,6 @@ def build_cases() -> List[ParityCase]:
         (True, False, True, False)
     for rows in (1, 127, 129, 1024):
         mlp_case(f"relu-frozen-rows{rows}", rows, "relu", frozen, seed=150 + rows)
-    for rows in (255, 257, 1024):
-        mlp_case(f"relu-frozen-chunk256-rows{rows}", rows, "relu", frozen,
-                 seed=160 + rows, chunk=256)
     for activation in ("relu", "gelu"):
         for name, trains in (("biases", biases), ("weights", weights)):
             mlp_case(f"{activation}-{name}-rows129", 129, activation, trains,

@@ -485,30 +485,18 @@ def test_linear_cross_entropy_without_gradients_runs_no_dx_gemm(monkeypatch):
 # the MLP walks the LM head's row chunks; whole arrays only for what trains
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rows", [fused.LOSS_ROW_CHUNK, 256, 3, 2, 1])
-def test_row_chunks_cover_the_rows_with_no_one_row_chunk(rows):
-    # Contiguous chunks of at most ``rows`` rows (LOSS_ROW_CHUNK by
-    # default, the loss's; the MLP's follow its byte budget); a one-row
-    # remainder joins the chunk before it (BLAS runs a one-row product as a
-    # GEMV): it takes a row of that chunk, or under three rows merges into
-    # it, so a one-row chunk is only ever a single row.
-    for n in range(1, 4 * max(rows, 8) + 2):
-        chunks = fused.row_chunks(n, rows)
+def test_row_chunks_cover_the_rows_with_no_one_row_chunk():
+    # Contiguous chunks of at most LOSS_ROW_CHUNK rows; a one-row remainder
+    # joins the chunk before it (BLAS runs a one-row product as a GEMV), so
+    # a one-row chunk is only ever a single row.
+    for n in range(1, 4 * fused.LOSS_ROW_CHUNK + 2):
+        chunks = fused.row_chunks(n)
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         sizes = [r1 - r0 for r0, r1 in chunks]
-        assert max(sizes) <= rows + (rows <= 2)
-        assert n == 1 or min(sizes) > 1 or rows == 1
+        assert max(sizes) <= fused.LOSS_ROW_CHUNK
+        assert n == 1 or min(sizes) > 1
     assert fused.row_chunks(129) == ((0, 127), (127, 129))
-    assert fused.row_chunks(257, 256) == ((0, 255), (255, 257))
-
-
-def test_mlp_chunks_hold_a_tiles_bytes():
-    # The MLP walks as many rows as keep its widest chunk scratch within
-    # ATTENTION_TILE_BYTES: 256 float32 rows at width 512, 128 at 1024.
-    assert fused.mlp_chunk_rows(512, 4) == 256
-    assert fused.mlp_chunk_rows(1024, 4) == 128
-    assert fused.mlp_chunk_rows(1 << 20, 4) == 1
 
 
 @pytest.mark.perf_smoke
@@ -517,12 +505,9 @@ def test_mlp_chunks_hold_a_tiles_bytes():
     ids=["frozen", "biases", "weights"])
 def test_mlp_runs_two_gemms_per_chunk_and_one_per_trained_weight(
         trains, extra, monkeypatch):
-    # With a byte budget of 128 float32 rows at width 16, 300 rows are
-    # three chunks (128, 128, 44): two GEMMs per chunk forward and two
-    # backward; a trained weight's gradient is one more GEMM over the whole
-    # array, and a trained bias one reduction, never a GEMM.
-    monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", 128 * 16 * 4)
-    assert len(fused.row_chunks(300, fused.mlp_chunk_rows(16, 4))) == 3
+    # 300 rows are three chunks (128, 128, 44): two GEMMs per chunk forward
+    # and two backward; a trained weight's gradient is one more GEMM over
+    # the whole array, and a trained bias one reduction, never a GEMM.
     rng = np.random.default_rng(13)
     x = Tensor(rng.normal(size=(1, 300, 8)).astype(np.float32), requires_grad=True)
     names = ("w1", "b1", "w2", "b2")

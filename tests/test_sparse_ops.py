@@ -197,13 +197,10 @@ class TestNeuronSparseKernels:
         np.testing.assert_allclose(out_cached.data, out_plain.data, rtol=1e-5)
         assert cache.fc2_weight_t.flags["C_CONTIGUOUS"]
 
-    def test_capacity_moves_no_bit(self, monkeypatch):
-        """A capacity sizes a layer's buffers, not its work: the row chunks
-        follow the layer's dense width, so an active set run at its own
-        width and at the whole hidden width agrees in every bit of the
-        output and gradients (chunks cut by the capacity would leave a
-        two-row GEMM here)."""
-        monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", 8 * 64 * 4)
+    def test_capacity_moves_no_bit(self):
+        """A capacity sizes a layer's buffers, not its work: an active set
+        run at its own width and at the whole hidden width agrees in every
+        bit of the output and gradients."""
         params = self._mlp_params(d=128, hidden=64)
         x_data = self.rng.normal(size=(4, 8, 128)).astype(np.float32)
         active = np.arange(48)

@@ -1172,8 +1172,9 @@ def test_a_recapture_within_capacity_retakes_the_dropped_plans_memory():
     the step over exactly the blocks and private arrays the dropped plan
     held: the pool allocates nothing and the step counts no allocation.
     Growing the set past the capacity allocates only that layer's buffers
-    at its new capacity: its ReLU mask, its chunk scratch and its weight
-    and bias gathers.  A plain twin trains the same bits throughout."""
+    at its new capacity: its ReLU mask and its weight and bias gathers
+    (its chunk scratch is the dense width wide).  A plain twin trains the
+    same bits throughout."""
     import gc
 
     gc.collect()                   # earlier tests' plans leave the pool
@@ -1231,7 +1232,7 @@ def test_a_recapture_within_capacity_retakes_the_dropped_plans_memory():
         new = [b.data.nbytes for b in blocks_after
                if not any(b is old for old in blocks_before)]
         assert pool.allocations - allocations == len(new)
-        assert set(new) <= {rows * grown, rows * grown * 4}   # mask, scratch
+        assert new == [rows * grown]                          # the mask
         fresh = [raw.nbytes for raw in private_after
                  if not any(raw is old for old in private_before)]
         assert sum(fresh) == (2 * dim + 1) * grown * 4       # the gathers
@@ -1539,35 +1540,22 @@ def test_no_step_buffer_is_vocabulary_sized():
 
 
 @pytest.mark.alloc
-def test_no_step_buffer_holds_a_whole_mlp_activation(monkeypatch):
+def test_no_step_buffer_holds_a_whole_mlp_activation():
     # A frozen MLP walks its rows a chunk at a time: after a replayed step
     # neither the plan, its forward-only slab, its backward tape nor the
     # arena holds a
     # (seq, 4 * dim) float32 array — no hidden activation and no activation
     # gradient — while the backward keeps each layer's ReLU mask whole.
-    # A chunk holds ATTENTION_TILE_BYTES, which at opt-tiny's width is the
-    # whole sequence: there the activation is one tile-sized chunk and no
-    # step buffer passes the budget; a quarter of it makes four chunks.
     seq = 512
-
-    def replayed():
-        model = build_model("opt-tiny", seed=0)
-        assert model.config.hidden_dim == 256
-        apply_lora(model)
-        tuner = _captured(model)
-        ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
-                                                size=(1, seq))
-        for _ in range(2):                         # capture, replay
-            tuner.step(ids)
-        assert tuner.capture.full_replays == 1, tuner.capture.full_fail_reason
-        return model, tuner.capture
-
-    model, capture = replayed()
-    buffers = (capture.forward_plan.buffers + capture.backward_tape.distinct()
-               + capture.arena.buffers())
-    assert max(buf.nbytes for buf in buffers) <= fused.ATTENTION_TILE_BYTES
-    monkeypatch.setattr(fused, "ATTENTION_TILE_BYTES", seq * 256 * 4 // 4)
-    model, capture = replayed()
+    model = build_model("opt-tiny", seed=0)
+    apply_lora(model)
+    tuner = _captured(model)
+    ids = np.random.default_rng(3).integers(0, model.config.vocab_size,
+                                            size=(1, seq))
+    for _ in range(2):                             # capture, replay
+        tuner.step(ids)
+    capture = tuner.capture
+    assert capture.full_replays == 1, capture.full_fail_reason
     hidden = model.config.hidden_dim
     whole = [buf for buf in capture.forward_plan.buffers
              + capture.backward_tape.distinct() + capture.arena.buffers()
